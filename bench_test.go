@@ -165,7 +165,8 @@ func BenchmarkFig7_RedundantVsQuerySize(b *testing.B) {
 }
 
 // BenchmarkAblationExpansionRule compares the published segment-expansion
-// rule with the strict cell-intersection rule (DESIGN.md §5.3).
+// rule with the strict cell-intersection rule (README.md, "Expansion
+// rules").
 func BenchmarkAblationExpansionRule(b *testing.B) {
 	const n = 100_000
 	areas := benchAreas(7, 0.01, 64)

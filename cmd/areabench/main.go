@@ -387,7 +387,7 @@ func reportMismatches(rows []bench.Row) {
 	}
 	if total > 0 {
 		fmt.Fprintf(os.Stderr,
-			"# WARNING: the published expansion rule diverged from the baseline on %d repeats (see DESIGN.md §5.3)\n",
+			"# WARNING: the published expansion rule diverged from the baseline on %d repeats (see README.md, \"Expansion rules\")\n",
 			total)
 	}
 }

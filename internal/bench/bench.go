@@ -83,9 +83,9 @@ type Row struct {
 	// Mismatches counts repeats on which the Voronoi method's result set
 	// differed from the traditional one. The published expansion rule is a
 	// heuristic that can, on adversarially thin polygons relative to the
-	// point spacing, miss part of the area (see DESIGN.md §5.3); in the
-	// paper's own workload regime this stays at zero. Reported rather than
-	// hidden.
+	// point spacing, miss part of the area (see README.md, "Expansion
+	// rules"); in the paper's own workload regime this stays at zero.
+	// Reported rather than hidden.
 	Mismatches int
 }
 

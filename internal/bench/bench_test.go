@@ -165,8 +165,9 @@ func TestFormatFigure(t *testing.T) {
 func TestMismatchesTrackedAndRareAtScale(t *testing.T) {
 	// measure() compares the two methods' result sizes on every repeat and
 	// reports divergences (the published expansion rule is heuristic; see
-	// DESIGN.md §5.3). In a paper-like regime — enough points that query
-	// areas hold hundreds of results — mismatches must be (near) zero.
+	// README.md, "Expansion rules"). In a paper-like regime — enough points
+	// that query areas hold hundreds of results — mismatches must be (near)
+	// zero.
 	cfg := smallConfig()
 	cfg.DataSizes = []int{30000}
 	cfg.FixedQuerySize = 0.01

@@ -73,15 +73,8 @@ func TestCircleIntersectionStepAllocsZero(t *testing.T) {
 	}
 }
 
-// fixedSeedIndex pins the KNearest seed without touching a real index, so
-// the allocation test below isolates the Voronoi expansion (frontier heap +
-// distance loop) from index internals.
-type fixedSeedIndex struct{ seed int64 }
-
-func (x fixedSeedIndex) Window(geom.Rect, func(int64) bool) int { return 0 }
-func (x fixedSeedIndex) Nearest(geom.Point) (int64, int, bool)  { return x.seed, 0, true }
-
-// TestKNearestExpansionAllocsZero pins KNearest's expansion — the pooled
+// TestKNearestExpansionAllocsZero pins KNearest end to end — the R-tree
+// seed lookup (typed best-first heap on a stack buffer), the pooled
 // frontier heap and the structure-of-arrays distance loop — at zero
 // allocations per query once the destination buffer is supplied and the
 // scratch pool is warm.
@@ -95,7 +88,7 @@ func TestKNearestExpansionAllocsZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(fixedSeedIndex{seed: 123}, data)
+	eng := NewEngine(NewRTreeIndex(pts, 16), data)
 	ctx := context.Background()
 	q := geom.Pt(0.4, 0.6)
 	dest := make([]int64, 0, 64)
@@ -110,7 +103,50 @@ func TestKNearestExpansionAllocsZero(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("KNearest expansion allocates %.1f times per query, want 0", allocs)
+		t.Fatalf("KNearest allocates %.1f times per query, want 0", allocs)
+	}
+}
+
+// TestQueryRegionSpecAllocsZero pins the whole local query path — seed
+// lookup, BFS, expansion tests, result collection through the scratch-owned
+// collector — at zero allocations per query for both Voronoi rules, on
+// polygons and circles, given a pre-sized Dest and a warm scratch pool; and
+// likewise with CountOnly.
+func TestQueryRegionSpecAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates inside sync.Pool")
+	}
+	rng := rand.New(rand.NewSource(53))
+	pts := workload.UniformPoints(rng, 5000, unitBounds())
+	data, err := NewMemoryData(pts, unitBounds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(NewRTreeIndex(pts, 16), data)
+	ctx := context.Background()
+	regions := []Region{
+		PolygonRegion(workload.RandomPolygon(rng, workload.PolygonConfig{Vertices: 10, QuerySize: 0.02}, unitBounds())),
+		CircleRegion(geom.Circle{Center: geom.Pt(0.5, 0.5), R: 0.08}),
+	}
+	dest := make([]int64, 0, len(pts))
+	for _, spec := range []QuerySpec{
+		{Method: VoronoiBFS, Dest: dest},
+		{Method: VoronoiBFSStrict, Dest: dest},
+		{Method: VoronoiBFS, CountOnly: true},
+	} {
+		for ri, region := range regions {
+			run := func() {
+				_, st, err := eng.QueryRegionSpec(ctx, region, spec)
+				if err != nil || st.ResultSize == 0 {
+					t.Fatalf("region %d, %+v: %d results, err %v", ri, spec.Method, st.ResultSize, err)
+				}
+			}
+			run() // warm the scratch pool
+			if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+				t.Errorf("region %d, %v (count only: %v): %.1f allocs per query, want 0",
+					ri, spec.Method, spec.CountOnly, allocs)
+			}
+		}
 	}
 }
 

@@ -9,11 +9,11 @@ import (
 
 // TestStrictRuleIsAlwaysComplete stresses the expansion rules on sparse
 // data with very spiky polygons — the adversarial regime for the published
-// segment-expansion heuristic of Algorithm 1 (see DESIGN.md §5.3). The
-// strict cell-intersection rule must match the brute-force oracle on every
-// trial; the published rule is allowed rare misses here (they are counted
-// and logged, and must not occur in the paper's own dense regime, which
-// TestVoronoiReducesCandidates and the bench harness cover).
+// segment-expansion heuristic of Algorithm 1 (see README.md, "Expansion
+// rules"). The strict cell-intersection rule must match the brute-force
+// oracle on every trial; the published rule is allowed rare misses here
+// (they are counted and logged, and must not occur in the paper's own dense
+// regime, which TestVoronoiReducesCandidates and the bench harness cover).
 func TestStrictRuleIsAlwaysComplete(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	pts := workload.UniformPoints(rng, 300, unitBounds())

@@ -195,14 +195,11 @@ func (s *StoreData) NeighborSlice(id int64) []int32 {
 	return s.mem.NeighborSlice(id)
 }
 
-// Load implements DataAccess: it fetches the record through the buffer
-// pool, paying simulated IO.
+// Load implements DataAccess: it fetches the record's page through the
+// buffer pool, paying simulated IO, and reads the authoritative position
+// out of it without copying the rest of the record.
 func (s *StoreData) Load(id int64) (geom.Point, error) {
-	rec, err := s.store.Get(id)
-	if err != nil {
-		return geom.Point{}, err
-	}
-	return rec.Pos, nil
+	return s.store.GetPosition(id)
 }
 
 // Each implements DataAccess via a sequential store scan.

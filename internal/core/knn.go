@@ -68,7 +68,9 @@ func (e *Engine) kNearestInto(ctx context.Context, q geom.Point, k int, dest []i
 
 	out := dest[:0]
 	if dest == nil {
-		out = make([]int64, 0, k) //vaqvet:ignore noalloc nil-dest entry path allocates the caller's result slice exactly once
+		// k arrives unchecked from the network (/v1/knearest); the result
+		// can never exceed the id space, so neither may the reservation.
+		out = make([]int64, 0, min(k, e.data.NumIDs())) //vaqvet:ignore noalloc nil-dest entry path allocates the caller's result slice exactly once
 	}
 	for len(*h) > 0 && len(out) < k {
 		top := h.pop()

@@ -1,0 +1,123 @@
+package core
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/workload"
+)
+
+// pinnedCost is the deterministic cost of one query: what the paper's cost
+// model counts.
+type pinnedCost struct {
+	Results, Candidates, SegmentTests, CellTests, IndexNodes int
+}
+
+// pinnedRegions is the fixed seed set of TestQueryCostsPinned: ten-vertex
+// polygons from 0.01 % to 5 % of the unit square, very spiky ones, and
+// circles, all derived from one seed.
+func pinnedRegions() ([]geom.Point, []Region) {
+	rng := rand.New(rand.NewSource(20200420))
+	pts := workload.UniformPoints(rng, 6000, unitBounds())
+	var regions []Region
+	for _, size := range []float64{0.0001, 0.001, 0.01, 0.05} {
+		for i := 0; i < 3; i++ {
+			regions = append(regions, PolygonRegion(workload.RandomPolygon(rng,
+				workload.PolygonConfig{Vertices: 10, QuerySize: size}, unitBounds())))
+		}
+	}
+	for i := 0; i < 3; i++ {
+		regions = append(regions, PolygonRegion(workload.RandomPolygon(rng,
+			workload.PolygonConfig{Vertices: 10, QuerySize: 0.01, MinRadiusRatio: 0.05}, unitBounds())))
+	}
+	for _, r := range []float64{0.004, 0.03, 0.1} {
+		regions = append(regions, CircleRegion(geom.Circle{Center: geom.Pt(0.2+rng.Float64()*0.6, 0.2+rng.Float64()*0.6), R: r}))
+	}
+	return pts, regions
+}
+
+func pinnedCosts(t *testing.T, eng *Engine, regions []Region, m Method) []pinnedCost {
+	t.Helper()
+	out := make([]pinnedCost, len(regions))
+	for i, r := range regions {
+		_, st, err := eng.QueryRegionSpec(context.Background(), r, QuerySpec{Method: m})
+		if err != nil {
+			t.Fatalf("region %d, %v: %v", i, m, err)
+		}
+		out[i] = pinnedCost{st.ResultSize, st.Candidates, st.SegmentTests, st.CellTests, st.IndexNodesVisited}
+	}
+	return out
+}
+
+// TestQueryCostsPinned holds the deterministic per-region costs of both
+// Voronoi rules to the values recorded on this seed set before the seed
+// lookup, the expansion test and the result collection were rewritten
+// (typed best-first heap, boundary-only segment test, scratch-owned
+// collector). Those rewrites may change how fast a query runs, never which
+// seed it starts from or which neighbors it enqueues.
+func TestQueryCostsPinned(t *testing.T) {
+	want := map[Method][]pinnedCost{
+		VoronoiBFS: {
+			{0, 3, 16, 0, 5},
+			{0, 5, 21, 0, 4},
+			{1, 6, 18, 0, 4},
+			{2, 12, 32, 0, 5},
+			{3, 14, 37, 0, 4},
+			{2, 10, 29, 0, 5},
+			{18, 45, 71, 0, 4},
+			{24, 49, 72, 0, 4},
+			{34, 66, 74, 0, 6},
+			{151, 215, 162, 0, 4},
+			{166, 227, 148, 0, 7},
+			{171, 228, 153, 0, 5},
+			{23, 53, 86, 0, 6},
+			{23, 52, 81, 0, 5},
+			{12, 44, 91, 0, 4},
+			{0, 3, 15, 0, 6},
+			{15, 34, 50, 0, 4},
+			{197, 257, 144, 0, 5},
+		},
+		VoronoiBFSStrict: {
+			{0, 2, 0, 13, 5},
+			{0, 4, 0, 18, 4},
+			{1, 6, 0, 18, 4},
+			{2, 12, 0, 33, 5},
+			{3, 13, 0, 34, 4},
+			{2, 12, 0, 33, 5},
+			{18, 44, 0, 68, 4},
+			{24, 51, 0, 76, 4},
+			{34, 67, 0, 78, 6},
+			{151, 216, 0, 164, 4},
+			{166, 228, 0, 150, 7},
+			{171, 229, 0, 155, 5},
+			{23, 53, 0, 84, 6},
+			{23, 52, 0, 84, 5},
+			{12, 46, 0, 92, 4},
+			{0, 2, 0, 11, 6},
+			{15, 34, 0, 49, 4},
+			{197, 257, 0, 144, 5},
+		},
+	}
+	pts, regions := pinnedRegions()
+	mem, err := NewMemoryData(pts, unitBounds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewStoreData(pts, unitBounds(), StoreConfig{PageSize: 1024, PoolPages: 8, PayloadBytes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := NewRTreeIndex(pts, 16)
+	for name, data := range map[string]DataAccess{"memory": mem, "store": store} {
+		eng := NewEngine(idx, data)
+		for m, wantCosts := range want {
+			for i, got := range pinnedCosts(t, eng, regions, m) {
+				if got != wantCosts[i] {
+					t.Errorf("%s, %v, region %d: cost %+v, recorded %+v", name, m, i, got, wantCosts[i])
+				}
+			}
+		}
+	}
+}

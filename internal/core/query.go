@@ -39,11 +39,6 @@ type QuerySpec struct {
 	Trace *obs.QueryTrace
 }
 
-// emitFunc receives each result (id plus its authoritative loaded
-// position) as the algorithm discovers it; returning false stops the query
-// early with no error.
-type emitFunc func(id int64, pos geom.Point) bool
-
 // QueryRegionSpec runs an area query described by spec against region. It
 // is the context-aware entry point beneath the public Querier API: ctx
 // cancellation is checked on candidate-generation boundaries and surfaces
@@ -51,29 +46,17 @@ type emitFunc func(id int64, pos geom.Point) bool
 // returned ids are nil when spec.CountOnly is set (the count is
 // Stats.ResultSize) and in method-dependent discovery order otherwise.
 func (e *Engine) QueryRegionSpec(ctx context.Context, region Region, spec QuerySpec) ([]int64, Stats, error) {
-	var result []int64
+	c := collector{limit: spec.Limit, countOnly: spec.CountOnly}
 	if !spec.CountOnly && spec.Dest != nil {
-		result = spec.Dest[:0]
+		c.dest = spec.Dest[:0]
 	}
-	count := 0
-	stats, err := e.eachRegion(ctx, region, spec.Method, spec.Trace, func(id int64, _ geom.Point) bool {
-		if !spec.CountOnly {
-			result = append(result, id)
-		}
-		count++
-		return spec.Limit <= 0 || count < spec.Limit
-	})
-	stats.ResultSize = count
-	stats.RedundantValidations = stats.Candidates - count
-	if err != nil {
-		// No partial result slice alongside a non-nil error; stats still
-		// report the partial work.
+	ids, stats, err := e.collect(ctx, region, spec, c)
+	if err != nil || spec.CountOnly {
+		// No partial result slice alongside a non-nil error (stats still
+		// report the partial work), and none under CountOnly.
 		return nil, stats, err
 	}
-	if spec.CountOnly {
-		return nil, stats, nil
-	}
-	return result, stats, nil
+	return ids, stats, nil
 }
 
 // EachRegion streams an area query: yield is called with each result (id
@@ -84,22 +67,31 @@ func (e *Engine) QueryRegionSpec(ctx context.Context, region Region, spec QueryS
 // (nothing is materialized). The returned Stats count the yields in
 // ResultSize.
 func (e *Engine) EachRegion(ctx context.Context, region Region, spec QuerySpec, yield func(id int64, pos geom.Point) bool) (Stats, error) {
-	count := 0
-	stats, err := e.eachRegion(ctx, region, spec.Method, spec.Trace, func(id int64, pos geom.Point) bool {
-		count++
-		if !yield(id, pos) {
-			return false
-		}
-		return spec.Limit <= 0 || count < spec.Limit
-	})
-	stats.ResultSize = count
-	stats.RedundantValidations = stats.Candidates - count
+	_, stats, err := e.collect(ctx, region, spec, collector{limit: spec.Limit, yield: yield})
 	return stats, err
+}
+
+// collect runs one query with c as its result collector. The collector
+// lives in the pooled scratch for the query's duration, so the algorithms
+// reach it through the scratch they already hold and no per-query closure
+// or captured variable is built; it is cleared before the scratch returns
+// to the pool, which therefore never retains a caller's buffer or yield.
+func (e *Engine) collect(ctx context.Context, region Region, spec QuerySpec, c collector) ([]int64, Stats, error) {
+	s := e.acquireScratch()
+	s.out = c
+	stats, err := e.eachRegion(ctx, region, spec.Method, spec.Trace, s)
+	stats.ResultSize = s.out.count
+	stats.RedundantValidations = stats.Candidates - s.out.count
+	ids := s.out.dest
+	s.out = collector{}
+	e.releaseScratch(s)
+	//vaqvet:ignore poolalias ids is the caller's Dest (or grown from nil for the caller); s.out was cleared before Put, so the pool keeps no alias to it
+	return ids, stats, err
 }
 
 // eachRegion dispatches to the method implementations, wrapping them with
 // the shared bookkeeping (empty-data check, Method stamp, Duration).
-func (e *Engine) eachRegion(ctx context.Context, region Region, m Method, tr *obs.QueryTrace, emit emitFunc) (Stats, error) {
+func (e *Engine) eachRegion(ctx context.Context, region Region, m Method, tr *obs.QueryTrace, s *queryScratch) (Stats, error) {
 	if e.data.NumIDs() == 0 {
 		return Stats{Method: m}, ErrNoData
 	}
@@ -116,13 +108,13 @@ func (e *Engine) eachRegion(ctx context.Context, region Region, m Method, tr *ob
 	}
 	switch m {
 	case Traditional:
-		stats, err = e.eachTraditional(ctx, region, tr, emit)
+		stats, err = e.eachTraditional(ctx, region, tr, &s.out)
 	case VoronoiBFS:
-		stats, err = e.eachVoronoi(ctx, region, false, tr, emit)
+		stats, err = e.eachVoronoi(ctx, region, false, tr, s)
 	case VoronoiBFSStrict:
-		stats, err = e.eachVoronoi(ctx, region, true, tr, emit)
+		stats, err = e.eachVoronoi(ctx, region, true, tr, s)
 	case BruteForce:
-		stats, err = e.eachBruteForce(ctx, region, tr, emit)
+		stats, err = e.eachBruteForce(ctx, region, tr, &s.out)
 	default:
 		return Stats{Method: m}, fmt.Errorf("core: unknown method %d", int(m))
 	}
@@ -134,7 +126,7 @@ func (e *Engine) eachRegion(ctx context.Context, region Region, m Method, tr *ob
 // eachTraditional implements the classic filter-and-refine area query: the
 // index filters with the region's MBR; every candidate's record is loaded
 // and validated with a containment test.
-func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.QueryTrace, emit emitFunc) (Stats, error) {
+func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.QueryTrace, out *collector) (Stats, error) {
 	var stats Stats
 	var stopErr error
 	// Tracing splits the scan into record loads (PhasePageFetch) and
@@ -173,7 +165,7 @@ func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.Que
 		stats.RecordsLoaded++
 		stats.Candidates++
 		if region.ContainsPoint(pos) {
-			return emit(id, pos)
+			return out.add(id, pos)
 		}
 		return true
 	})
@@ -193,15 +185,17 @@ func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.Que
 //
 // Results are emitted the moment the BFS validates them, so a streaming
 // consumer observes them while the expansion is still running.
-func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr *obs.QueryTrace, emit emitFunc) (Stats, error) {
+func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr *obs.QueryTrace, s *queryScratch) (Stats, error) {
 	var stats Stats
 	traced := tr != nil
 
 	// Resolve the query-constant expansion state once. The strict rule
 	// prefers the packed cell arena (CellArenaSource) and falls back to the
 	// per-call CellSource/CellBoxSource pair for custom data layers.
-	q := voronoiQuery{region: region, strict: strict, traced: traced, emit: emit}
-	if strict {
+	q := voronoiQuery{region: region, strict: strict, traced: traced}
+	if !strict {
+		q.boundary, _ = region.(BoundaryToucher)
+	} else {
 		if as, ok := e.data.(CellArenaSource); ok {
 			q.arena = as.CellArena()
 		}
@@ -240,8 +234,6 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 		return stats, ErrNoData
 	}
 
-	s := e.acquireScratch()
-	defer e.releaseScratch(s)
 	s.mark(seed)
 	s.queue = append(s.queue, seed)
 
@@ -273,7 +265,10 @@ type voronoiQuery struct {
 	region Region
 	strict bool
 	traced bool
-	emit   emitFunc
+
+	// boundary is the region's boundary-only segment test, when it has one
+	// (published rule; see testSegment).
+	boundary BoundaryToucher
 
 	// Strict-rule state. Either arena or cells is set (arena preferred);
 	// the rest are optional accelerators.
@@ -325,6 +320,21 @@ func (q *voronoiQuery) testCell(nb int64, nbPos geom.Point, stats *Stats) bool {
 	}
 }
 
+// testSegment is the published rule's segment-vs-area decision for an edge
+// leaving a candidate at from that the BFS has just found outside the
+// region. With the anchor outside, the closed segment meets the closed
+// region exactly when it touches the region's boundary, so a region that
+// can test its boundary alone skips both containment scans of
+// IntersectsSegment and decides identically.
+//
+//vaq:noalloc
+func (q *voronoiQuery) testSegment(from, to geom.Point) bool {
+	if q.boundary != nil {
+		return q.boundary.TouchesBoundary(geom.Seg(from, to))
+	}
+	return q.region.IntersectsSegment(geom.Seg(from, to))
+}
+
 // voronoiBFSSliced is the closure-free BFS over a NeighborSlicer with
 // packed coordinates. stats travels by value so the caller's copy never
 // escapes; fetch is the accrued record-load time (for tracing).
@@ -359,7 +369,7 @@ func (e *Engine) voronoiBFSSliced(ctx context.Context, q voronoiQuery, slicer Ne
 			// Internal point: emit, then all unvisited Voronoi neighbors
 			// become candidates (Property 7 bounds them to
 			// internal/boundary).
-			if !q.emit(p, pos) {
+			if !s.out.add(p, pos) {
 				return stats, fetch, nil
 			}
 			for _, nb := range slicer.NeighborSlice(p) {
@@ -382,7 +392,7 @@ func (e *Engine) voronoiBFSSliced(ctx context.Context, q voronoiQuery, slicer Ne
 				enqueue = q.testCell(nb64, nbPos, &stats)
 			} else {
 				stats.SegmentTests++
-				enqueue = q.region.IntersectsSegment(geom.Seg(pos, nbPos))
+				enqueue = q.testSegment(pos, nbPos)
 			}
 			if enqueue {
 				s.mark(nb64)
@@ -415,7 +425,7 @@ func (e *Engine) voronoiBFSFunc(ctx context.Context, q voronoiQuery, s *queryScr
 			enqueue = q.testCell(nb, e.data.Position(nb), &stats)
 		} else {
 			stats.SegmentTests++
-			enqueue = q.region.IntersectsSegment(geom.Seg(curPos, e.data.Position(nb)))
+			enqueue = q.testSegment(curPos, e.data.Position(nb))
 		}
 		if enqueue {
 			s.mark(nb)
@@ -448,7 +458,7 @@ func (e *Engine) voronoiBFSFunc(ctx context.Context, q voronoiQuery, s *queryScr
 		curPos = pos
 
 		if q.region.ContainsPoint(pos) {
-			if !q.emit(p, pos) {
+			if !s.out.add(p, pos) {
 				return stats, fetch, nil
 			}
 			e.data.NeighborsFunc(p, expandAll)
@@ -460,7 +470,7 @@ func (e *Engine) voronoiBFSFunc(ctx context.Context, q voronoiQuery, s *queryScr
 }
 
 // eachBruteForce scans every record; it is the correctness oracle.
-func (e *Engine) eachBruteForce(ctx context.Context, region Region, tr *obs.QueryTrace, emit emitFunc) (Stats, error) {
+func (e *Engine) eachBruteForce(ctx context.Context, region Region, tr *obs.QueryTrace, out *collector) (Stats, error) {
 	var stats Stats
 	var stopErr error
 	// The whole scan is one expansion phase: brute force touches no index
@@ -479,7 +489,7 @@ func (e *Engine) eachBruteForce(ctx context.Context, region Region, tr *obs.Quer
 		}
 		stats.Candidates++
 		if bounds.ContainsPoint(pos) && region.ContainsPoint(pos) {
-			return emit(id, pos)
+			return out.add(id, pos)
 		}
 		return true
 	})

@@ -46,6 +46,16 @@ type RectIntersecter interface {
 	IntersectsRect(geom.Rect) bool
 }
 
+// BoundaryToucher is optionally implemented by Regions that can test a
+// segment against their boundary alone, without deciding containment. The
+// published expansion rule uses it for its segment tests, all of which
+// start at a point the BFS has just found outside the region; there
+// TouchesBoundary(s) must equal IntersectsSegment(s). Prepared polygons
+// implement it.
+type BoundaryToucher interface {
+	TouchesBoundary(geom.Segment) bool
+}
+
 // CacheKeyer is optionally implemented by Regions whose exact geometry has
 // a canonical byte encoding, making their query results memoizable by the
 // result cache (vaq.WithResultCache). AppendCacheKey appends the encoding

@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/geom"
+
 // queryScratch is the per-query mutable state of the engine: the
 // generation-stamped visited table and the BFS frontier queue. Isolating it
 // from the Engine (which otherwise holds only immutable references to the
@@ -14,6 +16,38 @@ type queryScratch struct {
 	queue   []int64
 	// heap is KNearest's pooled frontier storage (unused by area queries).
 	heap knnHeap
+	// out collects the running area query's results; set by
+	// Engine.collect for the query's duration and cleared before the
+	// scratch returns to the pool.
+	out collector
+}
+
+// collector receives an area query's results as the algorithm validates
+// them: appended to dest, handed to yield (streaming; nothing is
+// materialized), or only counted.
+type collector struct {
+	dest      []int64
+	count     int
+	limit     int // stop after this many results when > 0
+	countOnly bool
+	yield     func(id int64, pos geom.Point) bool
+}
+
+// add records one result (id plus its authoritative loaded position);
+// false stops the query early with no error — yield declined or the limit
+// was reached.
+//
+//vaq:noalloc
+func (c *collector) add(id int64, pos geom.Point) bool {
+	c.count++
+	if c.yield != nil {
+		if !c.yield(id, pos) {
+			return false
+		}
+	} else if !c.countOnly {
+		c.dest = append(c.dest, id)
+	}
+	return c.limit <= 0 || c.count < c.limit
 }
 
 // newScratch returns a scratch covering n ids.

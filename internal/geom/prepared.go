@@ -12,9 +12,10 @@ import (
 // cheap interval rejects. Results are identical to the plain Polygon
 // methods.
 type PreparedPolygon struct {
-	pg    Polygon
-	bound Rect
-	edges []preparedEdge
+	pg       Polygon
+	bound    Rect
+	interior Point
+	edges    []preparedEdge
 }
 
 type preparedEdge struct {
@@ -25,7 +26,7 @@ type preparedEdge struct {
 // Prepare returns a PreparedPolygon for pg. pg must not be mutated while
 // the prepared form is in use.
 func Prepare(pg Polygon) *PreparedPolygon {
-	pp := &PreparedPolygon{pg: pg, bound: pg.Bounds()}
+	pp := &PreparedPolygon{pg: pg, bound: pg.Bounds(), interior: pg.InteriorPoint()}
 	add := func(r Ring) bool {
 		for i := range r {
 			a, b := r[i], r[(i+1)%len(r)]
@@ -101,32 +102,40 @@ func (pp *PreparedPolygon) ContainsPoint(p Point) bool {
 	return odd
 }
 
-// IntersectsSegment reports whether the closed segment shares at least one
-// point with the closed polygon, using per-edge bounding-box rejection
-// before exact tests.
-func (pp *PreparedPolygon) IntersectsSegment(s Segment) bool {
+// TouchesBoundary reports whether the closed segment shares at least one
+// point with the polygon's boundary (an edge of any ring): MBR reject,
+// per-edge bounding-box gate, exact segment test — no containment scan.
+//
+// For a segment with an endpoint outside the closed polygon this is the
+// whole of IntersectsSegment: a segment that meets no edge lies in one face
+// of the polygon, and that face is then the outside. The Voronoi BFS tests
+// only such segments (see the README's "Expansion rules").
+//
+//vaq:noalloc
+func (pp *PreparedPolygon) TouchesBoundary(s Segment) bool {
 	sb := s.Bounds()
 	if !pp.bound.Intersects(sb) {
 		return false
 	}
-	if pp.ContainsPoint(s.A) || pp.ContainsPoint(s.B) {
-		return true
-	}
 	for i := range pp.edges {
 		e := &pp.edges[i]
-		if !e.bb.Intersects(sb) {
-			continue
-		}
-		if s.Intersects(Seg(e.a, e.b)) {
+		if e.bb.Intersects(sb) && s.Intersects(Seg(e.a, e.b)) {
 			return true
 		}
 	}
 	return false
 }
 
-// InteriorPoint returns a point strictly inside the polygon (delegates to
-// the underlying polygon).
-func (pp *PreparedPolygon) InteriorPoint() Point { return pp.pg.InteriorPoint() }
+// IntersectsSegment reports whether the closed segment shares at least one
+// point with the closed polygon. Boundary contact first; a segment that
+// touches no edge lies in one face, so one endpoint decides.
+func (pp *PreparedPolygon) IntersectsSegment(s Segment) bool {
+	return pp.TouchesBoundary(s) || pp.ContainsPoint(s.A)
+}
+
+// InteriorPoint returns a point strictly inside the polygon
+// (Polygon.InteriorPoint, computed once by Prepare).
+func (pp *PreparedPolygon) InteriorPoint() Point { return pp.interior }
 
 // IntersectsRing reports whether the polygon intersects the closed region
 // bounded by ring — the strict expansion rule's hot test. It mirrors

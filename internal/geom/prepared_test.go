@@ -208,3 +208,136 @@ func TestPreparedIntersectsRingMatchesPlain(t *testing.T) {
 		}
 	}
 }
+
+// TestTouchesBoundaryEqualsIntersectsSegmentFromOutside is the equivalence
+// the Voronoi BFS relies on: for a segment whose A endpoint is not in the
+// closed polygon, touching the boundary and intersecting the polygon are the
+// same thing. Checked against the prepared and the plain (two containment
+// scans plus every edge) IntersectsSegment, over concave and holed polygons,
+// with A outside the outer ring or inside a hole and B inside, outside, on
+// an edge, on a vertex, equal to A, or placed so the segment is collinear
+// with an edge.
+func TestTouchesBoundaryEqualsIntersectsSegmentFromOutside(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	withHole := func(pg Polygon, hole []Point) Polygon {
+		if err := pg.AddHole(hole); err != nil {
+			t.Fatal(err)
+		}
+		return pg
+	}
+	shapes := []Polygon{
+		unitSquare(),
+		lShape(),
+		withHole(unitSquare(), []Point{Pt(0.25, 0.25), Pt(0.75, 0.25), Pt(0.75, 0.75), Pt(0.25, 0.75)}),
+		withHole(lShape(), []Point{Pt(0.25, 0.25), Pt(0.75, 0.25), Pt(0.5, 1.5)}),
+	}
+	for trial := 0; trial < 12; trial++ {
+		pg := randomStarPolygon(rng, 3+rng.Intn(12))
+		c := pg.InteriorPoint()
+		hole := []Point{Pt(c.X-0.01, c.Y-0.01), Pt(c.X+0.01, c.Y-0.01), Pt(c.X, c.Y+0.01)}
+		if holed := pg.Clone(); trial%2 == 0 && holed.AddHole(hole) == nil {
+			pg = holed
+		}
+		shapes = append(shapes, pg)
+	}
+
+	tested, touched := 0, 0
+	for si, pg := range shapes {
+		pp := Prepare(pg)
+		b := pg.Bounds()
+		random := func() Point {
+			return Pt(b.MinX-0.5+rng.Float64()*(b.Width()+1), b.MinY-0.5+rng.Float64()*(b.Height()+1))
+		}
+		// Anchors: random points, points inside each hole, and points on the
+		// extension of each edge's line (exactly collinear on the
+		// axis-aligned shapes).
+		var anchors, targets []Point
+		for i := 0; i < 30; i++ {
+			anchors = append(anchors, random())
+			targets = append(targets, random())
+		}
+		for _, h := range pg.Holes {
+			anchors = append(anchors, Polygon{Outer: h}.InteriorPoint())
+		}
+		pg.rings(func(r Ring) bool {
+			for i := range r {
+				a, c := r[i], r[(i+1)%len(r)]
+				d := c.Sub(a)
+				anchors = append(anchors, a.Sub(d), c.Add(d), c.Add(d.Scale(0.5)))
+				// Targets on the boundary: vertices, edge midpoints, and
+				// points along the edge's line inside and beyond the edge.
+				targets = append(targets, a, Midpoint(a, c), a.Add(d.Scale(0.25)), c.Add(d.Scale(0.25)))
+			}
+			return true
+		})
+		for i := 0; i < 20; i++ {
+			targets = append(targets, pg.InteriorPoint().Add(Pt((rng.Float64()-0.5)*0.02, (rng.Float64()-0.5)*0.02)))
+		}
+
+		for _, a := range anchors {
+			if pg.ContainsPoint(a) {
+				continue // precondition: A outside the closed polygon
+			}
+			for _, bpt := range append(targets, a) { // a itself: zero-length
+				s := Seg(a, bpt)
+				got := pp.TouchesBoundary(s)
+				if prepared, plain := pp.IntersectsSegment(s), pg.IntersectsSegment(s); got != prepared || got != plain {
+					t.Fatalf("shape %d: %v from outside: TouchesBoundary %v, prepared IntersectsSegment %v, plain %v",
+						si, s, got, prepared, plain)
+				}
+				tested++
+				if got {
+					touched++
+				}
+			}
+		}
+	}
+	if tested < 10000 || touched < tested/20 || touched > tested*19/20 {
+		t.Fatalf("%d segments tested, %d touching: the cases do not cover both outcomes", tested, touched)
+	}
+}
+
+// TestIntersectsSegmentFromInsideIgnoresBoundary pins the other half of
+// IntersectsSegment's definition: a segment strictly inside the polygon
+// touches no edge and still intersects it.
+func TestIntersectsSegmentFromInsideIgnoresBoundary(t *testing.T) {
+	pp := Prepare(unitSquare())
+	s := Seg(Pt(0.4, 0.4), Pt(0.6, 0.5))
+	if pp.TouchesBoundary(s) || !pp.IntersectsSegment(s) {
+		t.Fatalf("interior segment: TouchesBoundary %v, IntersectsSegment %v; want false, true",
+			pp.TouchesBoundary(s), pp.IntersectsSegment(s))
+	}
+}
+
+// TestPreparedInteriorPointIsPolygons checks Prepare caches exactly the
+// polygon's own anchor (seeds, and so query statistics, depend on it).
+func TestPreparedInteriorPointIsPolygons(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for trial := 0; trial < 50; trial++ {
+		pg := randomStarPolygon(rng, 3+rng.Intn(12))
+		if got, want := Prepare(pg).InteriorPoint(), pg.InteriorPoint(); got != want {
+			t.Fatalf("trial %d: prepared anchor %v, polygon anchor %v", trial, got, want)
+		}
+	}
+}
+
+// TestTouchesBoundaryAllocs pins the expansion test at zero allocations.
+func TestTouchesBoundaryAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pp := Prepare(randomStarPolygon(rng, 10))
+	segs := make([]Segment, 256)
+	for i := range segs {
+		segs[i] = Seg(Pt(rng.Float64(), rng.Float64()), Pt(rng.Float64(), rng.Float64()))
+	}
+	hits := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, s := range segs {
+			if pp.TouchesBoundary(s) {
+				hits++
+			}
+		}
+	})
+	if allocs != 0 || hits == 0 {
+		t.Fatalf("TouchesBoundary: %.1f allocs per %d tests (want 0), %d hits (want > 0)", allocs, len(segs), hits)
+	}
+}

@@ -190,6 +190,42 @@ func TestKNearest(t *testing.T) {
 	}
 }
 
+// TestKNearestHugeK sends a k no dataset can satisfy. k comes straight off
+// the wire, so the engine must size its result by the data, not by k:
+// the reply is every point, nearest first, not a 5xx or an
+// out-of-memory crash.
+func TestKNearestHugeK(t *testing.T) {
+	static := testEngine(t, 300)
+	pts := make([]vaq.Point, static.Len())
+	for i := range pts {
+		pts[i] = static.Point(int64(i))
+	}
+	sharded, err := vaq.NewShardedEngine(pts, static.Bounds(), vaq.WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := vaq.Point{X: 0.5, Y: 0.5}
+	for name, eng := range map[string]Engine{"static": static, "sharded": sharded} {
+		srv := httptest.NewServer(NewHandler(eng, Config{}))
+		var got wire.KNNResponse
+		decodeInto(t, post(t, srv, "/v1/knearest", wire.KNNRequest{Point: wire.FromPoint(q), K: 1 << 40}), &got)
+		srv.Close()
+		if len(got.IDs) != eng.Len() {
+			t.Fatalf("%s: k = 1<<40 returned %d ids, want all %d points", name, len(got.IDs), eng.Len())
+		}
+		seen := make(map[int64]bool, len(got.IDs))
+		last := -1.0
+		for i, id := range got.IDs {
+			p := eng.Point(id)
+			d2 := (p.X-q.X)*(p.X-q.X) + (p.Y-q.Y)*(p.Y-q.Y)
+			if seen[id] || d2 < last {
+				t.Fatalf("%s: id %d at rank %d: duplicate or out of distance order", name, id, i)
+			}
+			seen[id], last = true, d2
+		}
+	}
+}
+
 func TestEachStreams(t *testing.T) {
 	eng := testEngine(t, 400)
 	srv := httptest.NewServer(NewHandler(eng, Config{StreamFlushEvery: 1}))

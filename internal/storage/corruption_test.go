@@ -1,13 +1,16 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
 // TestDecodeNeverPanicsOnCorruption flips random bytes in encoded records
 // and pages: decoding must either succeed or fail with an error — never
-// panic or over-read.
+// panic or over-read. The position-only decode must reach the same verdict
+// on every buffer (it skips the copies, not the checks) and the same
+// coordinates.
 func TestDecodeNeverPanicsOnCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rec := sampleRecord(7)
@@ -25,7 +28,16 @@ func TestDecodeNeverPanicsOnCorruption(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			buf = buf[:rng.Intn(len(buf)+1)]
 		}
-		_, _ = decodeRecord(buf) // must not panic
+		rec, err := decodeRecord(buf) // must not panic
+		pos, posErr := decodePosition(buf)
+		if (err == nil) != (posErr == nil) {
+			t.Fatalf("trial %d: decodeRecord err %v, decodePosition err %v", trial, err, posErr)
+		}
+		// Compare bit patterns: a flipped byte can make a coordinate NaN.
+		if err == nil && (math.Float64bits(pos.X) != math.Float64bits(rec.Pos.X) ||
+			math.Float64bits(pos.Y) != math.Float64bits(rec.Pos.Y)) {
+			t.Fatalf("trial %d: decodePosition %v, decodeRecord %v", trial, pos, rec.Pos)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -167,6 +168,71 @@ func TestStoreGetRecordIsolation(t *testing.T) {
 	}
 	if !bytes.Equal(again.Payload, want.Payload) {
 		t.Fatalf("cached record corrupted: Payload = %v", again.Payload)
+	}
+}
+
+// TestGetPositionMatchesGet checks the position-only read against the full
+// one on every record: same coordinates, same errors, same IO accounting
+// (it goes through the same directory and buffer pool).
+func TestGetPositionMatchesGet(t *testing.T) {
+	build := func() *Store {
+		b := NewBuilder(Options{PageSize: 256, PoolPages: 2})
+		for i := int64(0); i < 40; i++ {
+			if err := b.Append(sampleRecord(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	full, posOnly := build(), build()
+	for _, id := range []int64{0, 39, 7, 7, 20, 3, 38, 0, 12} {
+		rec, err := full.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos, err := posOnly.GetPosition(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pos != rec.Pos {
+			t.Fatalf("id %d: GetPosition %v, Get %v", id, pos, rec.Pos)
+		}
+	}
+	if got, want := posOnly.Stats(), full.Stats(); got != want {
+		t.Fatalf("GetPosition IO %+v, Get IO %+v", got, want)
+	}
+	if _, err := posOnly.GetPosition(40); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("GetPosition(missing id): err %v, want ErrNotFound", err)
+	}
+}
+
+// TestGetPositionAllocs pins the position-only read at zero allocations
+// when the page is resident: nothing is copied out of it.
+func TestGetPositionAllocs(t *testing.T) {
+	b := NewBuilder(Options{PageSize: 4096, PoolPages: -1})
+	for i := int64(0); i < 200; i++ {
+		if err := b.Append(sampleRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		for id := int64(0); id < 200; id++ {
+			if _, err := st.GetPosition(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	read() // make every page resident
+	if allocs := testing.AllocsPerRun(20, read); allocs != 0 {
+		t.Fatalf("GetPosition allocates %.1f times per 200 resident reads, want 0", allocs)
 	}
 }
 

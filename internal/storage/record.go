@@ -64,37 +64,68 @@ func (r *PointRecord) encode(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeRecord parses a record from buf. The returned record's Neighbors
-// and Payload are fresh copies, safe to retain.
-func decodeRecord(buf []byte) (PointRecord, error) {
-	var r PointRecord
+// recordLayout validates buf's framing — fixed header, neighbor list,
+// payload length — and returns the neighbor count with the payload's offset
+// and length. It is every truncation check a decode performs; decodeRecord
+// and decodePosition differ only in what they copy out afterwards.
+//
+//vaq:noalloc
+func recordLayout(buf []byte) (neighbors, payloadOff, payloadLen int, err error) {
 	if len(buf) < recordFixedLen {
-		return r, fmt.Errorf("%w: record truncated (%d bytes)", ErrCorrupt, len(buf))
+		//vaqvet:ignore noalloc cold failure path; the wrap allocates only on a corrupt page
+		return 0, 0, 0, fmt.Errorf("%w: record truncated (%d bytes)", ErrCorrupt, len(buf))
 	}
-	r.ID = int64(binary.LittleEndian.Uint64(buf[0:8]))
-	r.Pos.X = math.Float64frombits(binary.LittleEndian.Uint64(buf[8:16]))
-	r.Pos.Y = math.Float64frombits(binary.LittleEndian.Uint64(buf[16:24]))
 	n := int(binary.LittleEndian.Uint16(buf[24:26]))
-	off := 26
-	if len(buf) < off+8*n+2 {
-		return r, fmt.Errorf("%w: neighbor list truncated", ErrCorrupt)
-	}
-	if n > 0 {
-		r.Neighbors = make([]int64, n)
-		for i := 0; i < n; i++ {
-			r.Neighbors[i] = int64(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
-	} else {
-		off = 26
+	off := 26 + 8*n
+	if len(buf) < off+2 {
+		//vaqvet:ignore noalloc cold failure path; the wrap allocates only on a corrupt page
+		return 0, 0, 0, fmt.Errorf("%w: neighbor list truncated", ErrCorrupt)
 	}
 	m := int(binary.LittleEndian.Uint16(buf[off:]))
 	off += 2
 	if len(buf) < off+m {
-		return r, fmt.Errorf("%w: payload truncated", ErrCorrupt)
+		//vaqvet:ignore noalloc cold failure path; the wrap allocates only on a corrupt page
+		return 0, 0, 0, fmt.Errorf("%w: payload truncated", ErrCorrupt)
+	}
+	return n, off, m, nil
+}
+
+// recordPos reads the coordinates of a record recordLayout has accepted.
+func recordPos(buf []byte) geom.Point {
+	return geom.Point{
+		X: math.Float64frombits(binary.LittleEndian.Uint64(buf[8:16])),
+		Y: math.Float64frombits(binary.LittleEndian.Uint64(buf[16:24])),
+	}
+}
+
+// decodeRecord parses a record from buf. The returned record's Neighbors
+// and Payload are fresh copies, safe to retain.
+func decodeRecord(buf []byte) (PointRecord, error) {
+	n, off, m, err := recordLayout(buf)
+	if err != nil {
+		return PointRecord{}, err
+	}
+	r := PointRecord{ID: int64(binary.LittleEndian.Uint64(buf[0:8])), Pos: recordPos(buf)}
+	if n > 0 {
+		r.Neighbors = make([]int64, n)
+		for i := range r.Neighbors {
+			r.Neighbors[i] = int64(binary.LittleEndian.Uint64(buf[26+8*i:]))
+		}
 	}
 	if m > 0 {
 		r.Payload = append([]byte(nil), buf[off:off+m]...)
 	}
 	return r, nil
+}
+
+// decodePosition is decodeRecord for a caller that wants the coordinates
+// alone: the same framing checks over the whole record, no neighbor list or
+// payload copied.
+//
+//vaq:noalloc
+func decodePosition(buf []byte) (geom.Point, error) {
+	if _, _, _, err := recordLayout(buf); err != nil {
+		return geom.Point{}, err
+	}
+	return recordPos(buf), nil
 }

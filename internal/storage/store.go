@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/geom"
 )
 
 // Store is a read-only paged object store built once by a Builder. Record
@@ -122,16 +124,35 @@ func (s *Store) PoolShards() int { return s.pool.numShards() }
 // deep-copies every variable field at this boundary, so callers may
 // mutate the record freely.
 func (s *Store) Get(id int64) (PointRecord, error) {
-	rid, ok := s.dir[id]
-	if !ok {
-		return PointRecord{}, fmt.Errorf("%w: id %d", ErrNotFound, id)
-	}
-	page := s.pool.fetch(rid.Page, func(p uint32) []byte { return s.pages[p] })
-	raw, err := pageRecord(page, rid.Slot)
+	raw, err := s.rawRecord(id)
 	if err != nil {
 		return PointRecord{}, err
 	}
 	return decodeRecord(raw)
+}
+
+// GetPosition fetches only the coordinates of the record with the given
+// id. It costs the same IO as Get — directory lookup, buffer-pool fetch,
+// slot and framing checks — but copies nothing out of the page, which is
+// all a refinement step that validates a candidate's position needs.
+func (s *Store) GetPosition(id int64) (geom.Point, error) {
+	raw, err := s.rawRecord(id)
+	if err != nil {
+		return geom.Point{}, err
+	}
+	return decodePosition(raw)
+}
+
+// rawRecord returns id's encoded record through the buffer pool. The bytes
+// alias the cached page and are read-only (see bufferPool.fetch); they must
+// not leave the package undecoded.
+func (s *Store) rawRecord(id int64) ([]byte, error) {
+	rid, ok := s.dir[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: id %d", ErrNotFound, id)
+	}
+	page := s.pool.fetch(rid.Page, func(p uint32) []byte { return s.pages[p] })
+	return pageRecord(page, rid.Slot)
 }
 
 // Stats returns the accumulated buffer pool statistics.

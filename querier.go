@@ -211,9 +211,7 @@ func finishBatch(p *queryPlan, out [][]int64, st Stats, err error) ([][]int64, e
 // attached (WithResultCache).
 func (e *Engine) Query(ctx context.Context, region Region, opts ...QueryOpt) ([]int64, error) {
 	p := resolve(opts)
-	return cachedQuery(flavorStatic, e.qm, e.rc, e.cacheSalt, 0, region, &p, func() ([]int64, Stats, error) {
-		return e.eng.QueryRegionSpec(ctx, region, p.spec())
-	})
+	return cachedQuery(ctx, e.eng, flavorStatic, e.qm, e.rc, e.cacheSalt, 0, region, &p)
 }
 
 // QueryAll implements Querier.
@@ -243,9 +241,7 @@ func (e *Engine) Each(ctx context.Context, region Region, yield func(id int64, p
 // scatter-gather merge.
 func (e *ShardedEngine) Query(ctx context.Context, region Region, opts ...QueryOpt) ([]int64, error) {
 	p := resolve(opts)
-	return cachedQuery(flavorSharded, e.qm, e.rc, e.cacheSalt, 0, region, &p, func() ([]int64, Stats, error) {
-		return e.se.QueryRegionSpec(ctx, region, p.spec())
-	})
+	return cachedQuery(ctx, e.se, flavorSharded, e.qm, e.rc, e.cacheSalt, 0, region, &p)
 }
 
 // QueryAll implements Querier: every (region, surviving shard) pair is one
@@ -303,9 +299,7 @@ func (e *DynamicEngine) Each(ctx context.Context, region Region, yield func(id i
 // on the parent engine invalidates by moving later queries to new keys.
 func (s *Snapshot) Query(ctx context.Context, region Region, opts ...QueryOpt) ([]int64, error) {
 	p := resolve(opts)
-	return cachedQuery(flavorDynamic, s.qm, s.rc, s.cacheSalt, s.s.Epoch(), region, &p, func() ([]int64, Stats, error) {
-		return s.s.QueryRegionSpec(ctx, region, p.spec())
-	})
+	return cachedQuery(ctx, s.s, flavorDynamic, s.qm, s.rc, s.cacheSalt, s.s.Epoch(), region, &p)
 }
 
 // QueryAll implements Querier, all against the pinned epoch.

@@ -1,6 +1,7 @@
 package vaq
 
 import (
+	"context"
 	"encoding/binary"
 	"sync/atomic"
 	"time"
@@ -102,36 +103,44 @@ func appendQueryKey(dst []byte, salt, epoch uint64, p *queryPlan, region Region)
 	return ck.AppendCacheKey(dst)
 }
 
+// specQuerier is what Query needs of a backend: core.Engine, shard.Engine,
+// core.DynamicSnapshot and remote.Engine all answer one region under a
+// core.QuerySpec with the same method.
+type specQuerier interface {
+	QueryRegionSpec(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, Stats, error)
+}
+
 // cachedQuery wraps one Query execution with the memoization protocol and
 // the per-query instrumentation shared by every flavor: trace Begin/Finish
 // and the registry observation surround runCachedQuery, which consults rc
-// under the query's key, runs and populates on a miss, and falls through
-// to plain execution (counting a bypass) when the query is not cacheable.
-// The uninstrumented path (no registry, no trace) adds two nil comparisons
-// and no clock reads over runCachedQuery itself.
-func cachedQuery(flavor string, qm *queryMetrics, rc *ResultCache, salt, epoch uint64, region Region, p *queryPlan, run func() ([]int64, Stats, error)) ([]int64, error) {
+// under the query's key, runs backend and populates on a miss, and falls
+// through to plain execution (counting a bypass) when the query is not
+// cacheable. The uninstrumented, uncached path (no registry, no trace, no
+// cache) is three nil comparisons ahead of backend.QueryRegionSpec: no
+// clock reads, no closure, nothing allocated.
+func cachedQuery(ctx context.Context, backend specQuerier, flavor string, qm *queryMetrics, rc *ResultCache, salt, epoch uint64, region Region, p *queryPlan) ([]int64, error) {
 	if qm == nil && p.trace == nil {
-		out, _, err := runCachedQuery(rc, salt, epoch, region, p, run)
+		out, _, err := runCachedQuery(ctx, backend, rc, salt, epoch, region, p)
 		return out, err
 	}
 	p.trace.Begin(flavor, p.method.String())
 	start := time.Now()
-	out, st, err := runCachedQuery(rc, salt, epoch, region, p, run)
+	out, st, err := runCachedQuery(ctx, backend, rc, salt, epoch, region, p)
 	d := time.Since(start)
 	p.trace.Finish(d, st.Candidates, st.ResultSize)
 	qm.observe(p.method, d, &st, err)
 	return out, err
 }
 
-// runCachedQuery is the memoization core beneath cachedQuery. run must
-// return the backend's raw result; ascending-order canonicalization and
-// the stats handoff happen here, so hits are byte-identical to what the
-// backend would have returned. The returned Stats describe the execution
-// the caller observed — the memoized statistics on a hit — so the
+// runCachedQuery is the memoization core beneath cachedQuery. backend
+// returns its raw result; ascending-order canonicalization and the stats
+// handoff happen here, so hits are byte-identical to what the backend
+// would have returned. The returned Stats describe the execution the
+// caller observed — the memoized statistics on a hit — so the
 // instrumentation layer can count work without re-running anything.
-func runCachedQuery(rc *ResultCache, salt, epoch uint64, region Region, p *queryPlan, run func() ([]int64, Stats, error)) ([]int64, Stats, error) {
+func runCachedQuery(ctx context.Context, backend specQuerier, rc *ResultCache, salt, epoch uint64, region Region, p *queryPlan) ([]int64, Stats, error) {
 	if rc == nil {
-		ids, st, err := run()
+		ids, st, err := backend.QueryRegionSpec(ctx, region, p.spec())
 		out, err := finishQuery(p, ids, st, err)
 		return out, st, err
 	}
@@ -159,7 +168,7 @@ func runCachedQuery(rc *ResultCache, salt, epoch uint64, region Region, p *query
 				}
 				return append(p.buf[:0], ent.IDs...), ent.Stats, nil
 			}
-			ids, st, err := run()
+			ids, st, err := backend.QueryRegionSpec(ctx, region, p.spec())
 			out, err := finishQuery(p, ids, st, err)
 			if err != nil {
 				return nil, st, err
@@ -175,7 +184,7 @@ func runCachedQuery(rc *ResultCache, salt, epoch uint64, region Region, p *query
 	}
 	// Limited or unkeyable — execute without memoizing.
 	rc.c.AddBypass()
-	ids, st, err := run()
+	ids, st, err := backend.QueryRegionSpec(ctx, region, p.spec())
 	out, err := finishQuery(p, ids, st, err)
 	return out, st, err
 }

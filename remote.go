@@ -138,9 +138,7 @@ func wrapRemote(re *remote.Engine, cfg config) *RemoteEngine {
 // merge.
 func (e *RemoteEngine) Query(ctx context.Context, region Region, opts ...QueryOpt) ([]int64, error) {
 	p := resolve(opts)
-	return cachedQuery(flavorRemote, e.qm, e.rc, e.cacheSalt, 0, region, &p, func() ([]int64, Stats, error) {
-		return e.re.QueryRegionSpec(ctx, region, p.spec())
-	})
+	return cachedQuery(ctx, e.re, flavorRemote, e.qm, e.rc, e.cacheSalt, 0, region, &p)
 }
 
 // QueryAll implements Querier: each backend answers the whole batch in

@@ -1,0 +1,105 @@
+package vaq
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+)
+
+// queryAllocs measures Engine.Query(ctx, region, Reuse(buf)) per call over
+// regions, after one warm-up pass (scratch pool, buffer growth, resident
+// pages).
+func queryAllocs(t *testing.T, eng *Engine, regions []Region) float64 {
+	t.Helper()
+	ctx := context.Background()
+	buf := make([]int64, 0, eng.Len())
+	pass := func() {
+		for _, r := range regions {
+			ids, err := eng.Query(ctx, r, Reuse(buf))
+			if err != nil || len(ids) == 0 {
+				t.Fatalf("Query: %d ids, err %v", len(ids), err)
+			}
+		}
+	}
+	pass()
+	return testing.AllocsPerRun(20, pass) / float64(len(regions))
+}
+
+// TestEngineQueryAllocs pins the public query path on a memory engine: the
+// Reuse option's closure and the option set it is applied to are the only
+// allocations between the caller and the BFS — no run closure, no result
+// collector, nothing in the seed lookup.
+func TestEngineQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates inside sync.Pool")
+	}
+	rng := rand.New(rand.NewSource(7))
+	pts := UniformPoints(rng, 5000, UnitSquare())
+	eng, err := NewEngine(pts, UnitSquare())
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions := []Region{
+		PolygonRegion(RandomQueryPolygon(rng, 10, 0.02, UnitSquare())),
+		PolygonRegion(RandomQueryPolygon(rng, 10, 0.002, UnitSquare())),
+		CircleRegion(NewCircle(Pt(0.5, 0.5), 0.05)),
+	}
+	allocs := queryAllocs(t, eng, regions)
+	t.Logf("%.2f allocs per query", allocs)
+	if allocs > 2 {
+		t.Fatalf("Engine.Query(ctx, r, Reuse(buf)) on a memory engine: %.2f allocs per query, want <= 2", allocs)
+	}
+}
+
+// TestStoreEngineQueryAllocs pins the same path over a paged store: a
+// record load copies nothing out of its page, so beyond the two
+// option-handling allocations only a page miss allocates (the load call,
+// its completion channel and the cache frame). Checked with every page
+// resident and with a pool far smaller than the working set.
+func TestStoreEngineQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates inside sync.Pool")
+	}
+	rng := rand.New(rand.NewSource(8))
+	pts := UniformPoints(rng, 5000, UnitSquare())
+	regions := []Region{
+		PolygonRegion(RandomQueryPolygon(rng, 10, 0.02, UnitSquare())),
+		PolygonRegion(RandomQueryPolygon(rng, 10, 0.05, UnitSquare())),
+	}
+	for name, poolPages := range map[string]int{"resident": -1, "thrashing": 2} {
+		eng, err := NewEngine(pts, UnitSquare(),
+			WithStore(StoreConfig{PageSize: 1024, PoolPages: poolPages, PayloadBytes: 32}),
+			WithBufferPoolShards(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Page misses per query in the steady state: one LRU and a fixed
+		// access sequence, so every pass after the first misses alike.
+		ctx := context.Background()
+		buf := make([]int64, 0, eng.Len())
+		const passes = 4
+		for pass := 0; pass <= passes; pass++ {
+			if pass == 1 {
+				eng.ResetIOStats()
+			}
+			for _, r := range regions {
+				if _, err := eng.Query(ctx, r, Reuse(buf)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		reads, _, _ := eng.IOStats()
+		misses := float64(reads) / float64(passes*len(regions))
+		if name == "resident" && misses != 0 {
+			t.Fatalf("resident pool still reads %.1f pages per query", misses)
+		}
+		if name == "thrashing" && misses < 5 {
+			t.Fatalf("thrashing pool reads only %.1f pages per query; the test exercises nothing", misses)
+		}
+		allocs, limit := queryAllocs(t, eng, regions), 2+3*misses
+		t.Logf("%s: %.2f allocs per query at %.1f page misses", name, allocs, misses)
+		if allocs > limit {
+			t.Errorf("%s: %.2f allocs per query at %.1f page misses, want <= %.1f", name, allocs, misses, limit)
+		}
+	}
+}
