@@ -178,26 +178,6 @@ func BenchmarkAblationExpansionRule(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationIndex compares seed/filter index structures for both
-// methods (the paper fixes the R-tree; this quantifies that choice).
-func BenchmarkAblationIndex(b *testing.B) {
-	const n = 100_000
-	rng := rand.New(rand.NewSource(8))
-	pts := UniformPoints(rng, n, UnitSquare())
-	areas := benchAreas(8, 0.01, 64)
-	for _, kind := range []IndexKind{RTreeIndex, RStarIndex, KDTreeIndex, QuadtreeIndex, GridIndex} {
-		eng, err := NewEngine(pts, UnitSquare(), WithIndex(kind))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, m := range []Method{Traditional, VoronoiBFS} {
-			b.Run(fmt.Sprintf("%v/%v", kind, m), func(b *testing.B) {
-				runAreaQueries(b, eng, m, areas)
-			})
-		}
-	}
-}
-
 // BenchmarkAblationStoreIO measures both methods against the paged store
 // (the paper's IO-bound regime) with a pool holding ~3% of the pages.
 func BenchmarkAblationStoreIO(b *testing.B) {

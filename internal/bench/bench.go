@@ -11,6 +11,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -219,6 +220,7 @@ func (ds *dataset) measure(cfg Config, querySize float64, seed int64) (Row, erro
 			QuerySize: querySize,
 		}, ds.bounds)
 
+		region := core.PolygonRegion(area)
 		var wantLen = -1
 		for _, m := range []core.Method{core.Traditional, core.VoronoiBFS} {
 			acc := accs[m]
@@ -227,7 +229,7 @@ func (ds *dataset) measure(cfg Config, querySize float64, seed int64) (Row, erro
 				ioBefore = ds.store.IOStats().PageReads
 			}
 			start := time.Now()
-			ids, st, err := ds.eng.Query(m, area)
+			ids, st, err := ds.eng.QueryRegionSpec(context.Background(), region, core.QuerySpec{Method: m})
 			elapsed := time.Since(start)
 			if err != nil {
 				return Row{}, fmt.Errorf("bench: %v query failed: %w", m, err)

@@ -221,9 +221,8 @@ func RunShardedThroughput(cfg ShardedThroughputConfig) ([]ShardedThroughputRow, 
 		}, bounds))
 	}
 
-	// One untimed universe-covering query per engine warms lazily
-	// initialized state (the strict expansion's cell boxes fill on first
-	// use, in every shard) so rows measure steady state.
+	// One untimed universe-covering query per engine warms the pooled query
+	// scratch (in every shard) so rows measure steady state.
 	corners := bounds.Corners()
 	warm := core.PolygonRegion(geom.MustPolygon(corners[:]))
 
@@ -231,12 +230,13 @@ func RunShardedThroughput(cfg ShardedThroughputConfig) ([]ShardedThroughputRow, 
 	if err != nil {
 		return nil, fmt.Errorf("bench: building single engine (n=%d): %w", cfg.DataSize, err)
 	}
-	if _, _, err := single.QueryRegion(cfg.Method, warm); err != nil {
+	ctx := context.Background()
+	spec := core.QuerySpec{Method: cfg.Method}
+	if _, _, err := single.QueryRegionSpec(ctx, warm, spec); err != nil {
 		return nil, fmt.Errorf("bench: single-engine warmup: %w", err)
 	}
 	start := time.Now()
-	baseline, _, err := exec.QueryBatch(context.Background(), single, regions,
-		core.QuerySpec{Method: cfg.Method}, exec.Options{NumWorkers: cfg.Workers})
+	baseline, _, err := exec.QueryBatch(ctx, single, regions, spec, exec.Options{NumWorkers: cfg.Workers})
 	baseWall := time.Since(start)
 	if err != nil {
 		return nil, fmt.Errorf("bench: single-engine batch: %w", err)
@@ -257,11 +257,11 @@ func RunShardedThroughput(cfg ShardedThroughputConfig) ([]ShardedThroughputRow, 
 		if err != nil {
 			return nil, fmt.Errorf("bench: building sharded engine (shards=%d): %w", shards, err)
 		}
-		if _, _, err := se.QueryRegion(cfg.Method, warm); err != nil {
+		if _, _, err := se.QueryRegionSpec(ctx, warm, spec); err != nil {
 			return nil, fmt.Errorf("bench: sharded warmup (shards=%d): %w", shards, err)
 		}
 		start := time.Now()
-		out, _, err := se.QueryRegions(cfg.Method, regions)
+		out, _, err := se.QueryRegionsSpec(ctx, regions, spec)
 		wall := time.Since(start)
 		if err != nil {
 			return nil, fmt.Errorf("bench: sharded batch (shards=%d): %w", shards, err)

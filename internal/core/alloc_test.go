@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/voronoi"
 	"repro/internal/workload"
 )
 
@@ -111,40 +113,39 @@ func TestKNearestExpansionAllocsZero(t *testing.T) {
 // lookup, BFS, expansion tests, result collection through the scratch-owned
 // collector — at zero allocations per query for both Voronoi rules, on
 // polygons and circles, given a pre-sized Dest and a warm scratch pool; and
-// likewise with CountOnly.
+// likewise with CountOnly. It holds on the static engine and on a dynamic
+// snapshot alike: the one BFS loop builds no closures, and the snapshot's
+// ring walk fills the scratch-owned neighbor buffer.
 func TestQueryRegionSpecAllocsZero(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates inside sync.Pool")
 	}
 	rng := rand.New(rand.NewSource(53))
 	pts := workload.UniformPoints(rng, 5000, unitBounds())
-	data, err := NewMemoryData(pts, unitBounds())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(NewRTreeIndex(pts, 16), data)
 	ctx := context.Background()
 	regions := []Region{
 		PolygonRegion(workload.RandomPolygon(rng, workload.PolygonConfig{Vertices: 10, QuerySize: 0.02}, unitBounds())),
 		CircleRegion(geom.Circle{Center: geom.Pt(0.5, 0.5), R: 0.08}),
 	}
 	dest := make([]int64, 0, len(pts))
-	for _, spec := range []QuerySpec{
-		{Method: VoronoiBFS, Dest: dest},
-		{Method: VoronoiBFSStrict, Dest: dest},
-		{Method: VoronoiBFS, CountOnly: true},
-	} {
-		for ri, region := range regions {
-			run := func() {
-				_, st, err := eng.QueryRegionSpec(ctx, region, spec)
-				if err != nil || st.ResultSize == 0 {
-					t.Fatalf("region %d, %+v: %d results, err %v", ri, spec.Method, st.ResultSize, err)
+	for _, se := range shippedEngines(t, pts) {
+		for _, spec := range []QuerySpec{
+			{Method: VoronoiBFS, Dest: dest},
+			{Method: VoronoiBFSStrict, Dest: dest},
+			{Method: VoronoiBFS, CountOnly: true},
+		} {
+			for ri, region := range regions {
+				run := func() {
+					_, st, err := se.eng.QueryRegionSpec(ctx, region, spec)
+					if err != nil || st.ResultSize == 0 {
+						t.Fatalf("%s, region %d, %+v: %d results, err %v", se.name, ri, spec.Method, st.ResultSize, err)
+					}
 				}
-			}
-			run() // warm the scratch pool
-			if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
-				t.Errorf("region %d, %v (count only: %v): %.1f allocs per query, want 0",
-					ri, spec.Method, spec.CountOnly, allocs)
+				run() // warm the scratch pool (and a snapshot's lazily built arena)
+				if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+					t.Errorf("%s, region %d, %v (count only: %v): %.1f allocs per query, want 0",
+						se.name, ri, spec.Method, spec.CountOnly, allocs)
+				}
 			}
 		}
 	}
@@ -179,8 +180,11 @@ func TestKNearestIntoMatchesKNearest(t *testing.T) {
 }
 
 // TestDynamicArenaMatchesCell verifies the dynamic engine's lazily built
-// snapshot arena packs exactly the rings DynamicData.Cell constructs — the
-// parity the strict rule relies on when running against a snapshot.
+// snapshot arena against cells constructed in the test: ring for ring,
+// exactly, against voronoi.CellFromNeighbors over the snapshot's own
+// adjacency (the parity the strict rule relies on), and by area against
+// voronoi.Diagram.Cell of a static diagram built from scratch over the same
+// sites — an independent triangulation of the same point set.
 func TestDynamicArenaMatchesCell(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	d := NewDynamicEngine(unitBounds())
@@ -198,16 +202,33 @@ func TestDynamicArenaMatchesCell(t *testing.T) {
 	if again := data.CellArena(); again != arena {
 		t.Fatal("CellArena rebuilt on second call; want cached per snapshot")
 	}
-	for id := int64(0); id < int64(data.NumIDs()); id++ {
-		cell := data.Cell(id)
-		view := arena.Ring(int(id))
+	u := snap.Universe()
+	clip := u.Expand(u.Width() + u.Height() + 1)
+	sites := make([]geom.Point, data.NumIDs())
+	for id := range sites {
+		sites[id] = data.Position(int64(id))
+	}
+	static, err := voronoi.New(sites, clip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range sites {
+		var nbPts []geom.Point
+		for _, nb := range data.Neighbors(int64(id), nil) {
+			nbPts = append(nbPts, sites[nb])
+		}
+		cell := voronoi.CellFromNeighbors(sites[id], nbPts, clip)
+		view := arena.Ring(id)
 		if view.Len() != len(cell) {
-			t.Fatalf("id %d: arena ring has %d vertices, Cell has %d", id, view.Len(), len(cell))
+			t.Fatalf("id %d: arena ring has %d vertices, CellFromNeighbors %d", id, view.Len(), len(cell))
 		}
 		for j := range cell {
 			if view.At(j) != cell[j] {
-				t.Fatalf("id %d vertex %d: arena %v != Cell %v", id, j, view.At(j), cell[j])
+				t.Fatalf("id %d vertex %d: arena %v != CellFromNeighbors %v", id, j, view.At(j), cell[j])
 			}
+		}
+		if got, want := view.Area(), static.Cell(id).Area(); math.Abs(got-want) > 1e-9*(1+want) {
+			t.Fatalf("id %d: arena cell area %v, static diagram cell area %v", id, got, want)
 		}
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/earcut"
+	"repro/internal/geom"
 	"repro/internal/workload"
 )
 
@@ -19,18 +19,23 @@ func TestRandomAnchorMatchesOracle(t *testing.T) {
 			Vertices:  10,
 			QuerySize: 0.02,
 		}, unitBounds())
-		oracle, _, err := eng.Query(BruteForce, area)
+		oracle, _, err := query(eng, BruteForce, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sampler, err := earcut.NewSampler(area.Outer)
-		if err != nil {
-			t.Fatalf("trial %d: sampler: %v", trial, err)
-		}
 		region := PolygonRegion(area)
+		bounds := area.Bounds()
 		for rep := 0; rep < 5; rep++ {
-			anchored := AnchoredRegion{Region: region, Anchor: sampler.Sample(rng)}
-			got, _, err := eng.QueryRegion(VoronoiBFS, anchored)
+			// Uniform over the polygon by rejection from its MBR.
+			var anchor geom.Point
+			for {
+				anchor = geom.Pt(bounds.MinX+rng.Float64()*bounds.Width(), bounds.MinY+rng.Float64()*bounds.Height())
+				if area.ContainsPoint(anchor) {
+					break
+				}
+			}
+			anchored := AnchoredRegion{Region: region, Anchor: anchor}
+			got, _, err := query(eng, VoronoiBFS, anchored)
 			if err != nil {
 				t.Fatal(err)
 			}

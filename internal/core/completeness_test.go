@@ -31,11 +31,11 @@ func TestStrictRuleIsAlwaysComplete(t *testing.T) {
 			MinRadiusRatio: 0.05, // extremely spiky: thin slivers likely
 		}, unitBounds())
 
-		oracle, _, err := eng.Query(BruteForce, area)
+		oracle, _, err := query(eng, BruteForce, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
-		strict, _, err := eng.Query(VoronoiBFSStrict, area)
+		strict, _, err := query(eng, VoronoiBFSStrict, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestStrictRuleIsAlwaysComplete(t *testing.T) {
 			t.Fatalf("trial %d: strict rule missed results (%d vs oracle %d)",
 				trial, len(strict), len(oracle))
 		}
-		published, _, err := eng.Query(VoronoiBFS, area)
+		published, _, err := query(eng, VoronoiBFS, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,11 +80,11 @@ func TestSeedOutsideAreaStillExpands(t *testing.T) {
 			Vertices:  10,
 			QuerySize: 0.04,
 		}, unitBounds())
-		oracle, _, err := eng.Query(BruteForce, area)
+		oracle, _, err := query(eng, BruteForce, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := eng.Query(VoronoiBFS, area)
+		got, _, err := query(eng, VoronoiBFS, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}

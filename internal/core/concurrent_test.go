@@ -20,7 +20,7 @@ func TestSharedEngineConcurrentQueries(t *testing.T) {
 	oracle := make([][]int64, len(areas))
 	for i := range areas {
 		areas[i] = workload.RandomPolygon(rng, workload.PolygonConfig{QuerySize: 0.02}, unitBounds())
-		ids, _, err := eng.Query(BruteForce, areas[i])
+		ids, _, err := query(eng, BruteForce, PolygonRegion(areas[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +37,7 @@ func TestSharedEngineConcurrentQueries(t *testing.T) {
 				for rep := 0; rep < 25; rep++ {
 					i := (worker + rep) % len(areas)
 					m := []Method{VoronoiBFS, VoronoiBFSStrict, Traditional}[rep%3]
-					ids, _, err := eng.Query(m, areas[i])
+					ids, _, err := query(eng, m, PolygonRegion(areas[i]))
 					if err != nil {
 						errs <- err
 						return

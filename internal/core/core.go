@@ -14,10 +14,17 @@
 // produce identical result sets; Stats captures the work each performed so
 // the paper's comparisons (candidates, redundant validations, time, IO) can
 // be reproduced.
+//
+// There is one query path. Every data layer — MemoryData, StoreData, the
+// dynamic engine's per-epoch DynamicData — satisfies the same DataAccess
+// contract (positions, one adjacency method, record loads, a scan, the
+// packed cell arena), and every flavor above this package (static, store,
+// sharded, snapshot, remote backend) reaches the same two loops: voronoiBFS
+// for area queries, with the strict rule's cell test reading the arena, and
+// kNearestInto for nearest-neighbor expansion.
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -39,9 +46,9 @@ var (
 
 // SpatialIndex is the filtering index contract shared by both query
 // methods: a window (range) query for the traditional filter and a
-// nearest-neighbor query for the Voronoi seed. Implementations are provided
-// for the R-tree (the paper's choice), kd-tree, PR quadtree and uniform
-// grid.
+// nearest-neighbor query for the Voronoi seed. The R-tree is the paper's
+// choice and the only implementation shipped: RTreeIndex (STR bulk load)
+// for static data, and the dynamic engine's R*-split snapshot.
 type SpatialIndex interface {
 	// Window calls fn for every stored point whose coordinates lie inside
 	// the closed rectangle q; fn returning false stops the scan. It returns
@@ -55,48 +62,35 @@ type SpatialIndex interface {
 
 // DataAccess is the record layer. Ids must be dense in [0, NumIDs()).
 //
-// Position and NeighborsFunc are index-resident information (the R-tree
-// leaf carries coordinates; the Voronoi topology is precomputed alongside
-// the index, as in the VoR-tree): reading them costs no simulated IO.
-// Load is the refinement fetch of the full record — the IO-accounted
-// operation both methods pay once per candidate.
+// Position, Neighbors and CellArena are index-resident information (the
+// R-tree leaf carries coordinates; the Voronoi topology and cells are
+// precomputed alongside the index, as in the VoR-tree): reading them costs
+// no simulated IO. Load is the refinement fetch of the full record — the
+// IO-accounted operation both methods pay once per candidate.
 type DataAccess interface {
 	// NumIDs returns the id space size.
 	NumIDs() int
 	// Position returns the coordinates of id without performing record IO.
 	Position(id int64) geom.Point
-	// NeighborsFunc calls fn with each Voronoi neighbor of id; fn returning
-	// false stops the iteration.
-	NeighborsFunc(id int64, fn func(nb int64) bool)
+	// Neighbors returns the Voronoi neighbors of id. A layer whose
+	// adjacency is resident as int32 slices returns its own storage and
+	// ignores buf; a layer that has to walk for it appends to buf[:0] and
+	// returns that. Either way the result must not be modified and is
+	// valid only until the next call with the same buf. The engine
+	// recycles a returned slice that outgrew buf as the next call's buf,
+	// so a layer must answer the same way for its whole lifetime.
+	Neighbors(id int64, buf []int32) []int32
 	// Load fetches the full record of id for refinement and returns its
 	// authoritative coordinates.
 	Load(id int64) (geom.Point, error)
 	// Each iterates all records (sequential scan), for oracles and tools.
 	Each(fn func(id int64, pos geom.Point) bool)
-}
-
-// CellSource is optionally implemented by DataAccess implementations that
-// can produce Voronoi cell polygons; it enables the strict expansion rule.
-type CellSource interface {
-	Cell(id int64) geom.Ring
-}
-
-// CellBoxSource is optionally implemented by DataAccess implementations
-// that can produce Voronoi cell bounding rectangles cheaply. The strict
-// expansion uses it as a fast reject before building the exact cell: a
-// cell whose box misses the region cannot intersect it.
-type CellBoxSource interface {
-	CellBox(id int64) geom.Rect
-}
-
-// CellArenaSource is optionally implemented by DataAccess implementations
-// whose clipped Voronoi cells live in a packed cell arena (one contiguous
-// vertex store with offsets and per-cell boxes, built once at
-// construction). The strict expansion rule runs entirely on it — bounding
-// box rejects and exact ring tests read dense memory with zero per-visit
-// allocation — and falls back to CellSource/CellBoxSource only when it is
-// absent. The returned arena must be immutable.
-type CellArenaSource interface {
+	// CellArena returns every clipped Voronoi cell packed into one
+	// immutable arena (contiguous vertices, ring offsets, per-cell boxes).
+	// The strict expansion rule runs entirely on it — bounding-box rejects
+	// and exact ring tests read dense memory with zero per-visit
+	// allocation. A layer without cells returns nil; strict queries on it
+	// fail with ErrStrictNotSupported.
 	CellArena() *voronoi.CellArena
 }
 
@@ -118,14 +112,6 @@ type CoordSource interface {
 type ResultFilter interface {
 	// Returnable reports whether id may appear in query results.
 	Returnable(id int64) bool
-}
-
-// NeighborSlicer is optionally implemented by DataAccess implementations
-// whose neighbor lists live in memory as int32 slices; the engine uses it
-// to skip the per-neighbor callback on its hottest loop. The returned
-// slice must not be modified.
-type NeighborSlicer interface {
-	NeighborSlice(id int64) []int32
 }
 
 // Method selects an area-query algorithm.
@@ -188,11 +174,11 @@ type Stats struct {
 
 // Engine answers area queries over one dataset. After construction it
 // holds only immutable references to the index and data; all per-query
-// mutable state lives in pooled queryScratch values, so Query, QueryRegion
-// and KNearest are safe for concurrent use from multiple goroutines — as
-// long as the SpatialIndex and DataAccess themselves are read-safe
-// (MemoryData and every provided index are lock-free reads; StoreData
-// serializes buffer-pool mutations behind a mutex).
+// mutable state lives in pooled queryScratch values, so QueryRegionSpec,
+// EachRegion and KNearest are safe for concurrent use from multiple
+// goroutines — as long as the SpatialIndex and DataAccess themselves are
+// read-safe (MemoryData and every provided index are lock-free reads;
+// StoreData serializes buffer-pool mutations behind a mutex).
 type Engine struct {
 	idx  SpatialIndex
 	data DataAccess
@@ -206,18 +192,6 @@ func NewEngine(idx SpatialIndex, data DataAccess) *Engine {
 	e := &Engine{idx: idx, data: data}
 	e.scratch.New = func() interface{} { return newScratch(e.data.NumIDs()) }
 	return e
-}
-
-// Query runs an area query with the chosen method and returns the ids of
-// all points inside area (in method-dependent order) plus statistics.
-func (e *Engine) Query(m Method, area geom.Polygon) ([]int64, Stats, error) {
-	return e.QueryRegion(m, PolygonRegion(area))
-}
-
-// QueryRegion runs an area query against an arbitrary Region (polygon,
-// circle, or custom shape). It is QueryRegionSpec without a deadline.
-func (e *Engine) QueryRegion(m Method, region Region) ([]int64, Stats, error) {
-	return e.QueryRegionSpec(context.Background(), region, QuerySpec{Method: m})
 }
 
 // Add accumulates other's counters (and Duration) into s. It is the merge

@@ -1,16 +1,29 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/voronoi"
 	"repro/internal/workload"
 )
 
 func unitBounds() geom.Rect { return geom.NewRect(0, 0, 1, 1) }
+
+// specQuerier is the query entry point every engine flavor of this package
+// shares (static Engine, DynamicSnapshot).
+type specQuerier interface {
+	QueryRegionSpec(context.Context, Region, QuerySpec) ([]int64, Stats, error)
+}
+
+// query runs region with method m and no deadline.
+func query(q specQuerier, m Method, region Region) ([]int64, Stats, error) {
+	return q.QueryRegionSpec(context.Background(), region, QuerySpec{Method: m})
+}
 
 func sortedIDs(ids []int64) []int64 {
 	out := append([]int64(nil), ids...)
@@ -50,7 +63,7 @@ func TestAllMethodsAgreeOnRandomWorkloads(t *testing.T) {
 		area := workload.RandomPolygon(rng, workload.PolygonConfig{Vertices: 10, QuerySize: qs}, unitBounds())
 		var want []int64
 		for i, m := range methods {
-			got, stats, err := eng.Query(m, area)
+			got, stats, err := query(eng, m, PolygonRegion(area))
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, m, err)
 			}
@@ -79,11 +92,11 @@ func TestVoronoiReducesCandidates(t *testing.T) {
 	var tradCand, vorCand, results int
 	for trial := 0; trial < 30; trial++ {
 		area := workload.RandomPolygon(rng, workload.PolygonConfig{Vertices: 10, QuerySize: 0.01}, unitBounds())
-		_, st1, err := eng.Query(Traditional, area)
+		_, st1, err := query(eng, Traditional, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, st2, err := eng.Query(VoronoiBFS, area)
+		_, st2, err := query(eng, VoronoiBFS, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +125,7 @@ func TestEmptyQueryArea(t *testing.T) {
 		geom.Pt(0.0001, 0.0001), geom.Pt(0.0002, 0.0001), geom.Pt(0.00015, 0.0002),
 	})
 	for _, m := range []Method{Traditional, VoronoiBFS, VoronoiBFSStrict, BruteForce} {
-		got, _, err := eng.Query(m, area)
+		got, _, err := query(eng, m, PolygonRegion(area))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -129,7 +142,7 @@ func TestQueryCoveringEverything(t *testing.T) {
 		geom.Pt(-1, -1), geom.Pt(2, -1), geom.Pt(2, 2), geom.Pt(-1, 2),
 	})
 	for _, m := range []Method{Traditional, VoronoiBFS, VoronoiBFSStrict, BruteForce} {
-		got, _, err := eng.Query(m, area)
+		got, _, err := query(eng, m, PolygonRegion(area))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -158,13 +171,13 @@ func TestConcaveAndHoleQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, area := range map[string]geom.Polygon{"lshape": lshape, "holed": holed} {
-		want, _, err := eng.Query(BruteForce, area)
+		want, _, err := query(eng, BruteForce, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantSorted := sortedIDs(want)
 		for _, m := range []Method{Traditional, VoronoiBFS, VoronoiBFSStrict} {
-			got, _, err := eng.Query(m, area)
+			got, _, err := query(eng, m, PolygonRegion(area))
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, m, err)
 			}
@@ -175,35 +188,25 @@ func TestConcaveAndHoleQueries(t *testing.T) {
 	}
 }
 
+// TestAllIndexesAgree runs one query through the two seed indexes that
+// ship (see shippedEngines) and checks both methods return the same points
+// from both.
 func TestAllIndexesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	pts := workload.UniformPoints(rng, 2000, unitBounds())
-	data, err := NewMemoryData(pts, unitBounds())
-	if err != nil {
-		t.Fatal(err)
-	}
-	indexes := map[string]SpatialIndex{
-		"rtree":    NewRTreeIndex(pts, 16),
-		"kdtree":   NewKDTreeIndex(pts),
-		"quadtree": NewQuadtreeIndex(pts, unitBounds(), 16),
-		"grid":     NewGridIndex(pts, unitBounds(), 8),
-	}
-	area := workload.RandomPolygon(rng, workload.PolygonConfig{Vertices: 10, QuerySize: 0.05}, unitBounds())
+	region := PolygonRegion(workload.RandomPolygon(rng, workload.PolygonConfig{Vertices: 10, QuerySize: 0.05}, unitBounds()))
 	var want []int64
-	first := true
-	for name, idx := range indexes {
-		eng := NewEngine(idx, data)
+	for _, se := range shippedEngines(t, pts) {
 		for _, m := range []Method{Traditional, VoronoiBFS} {
-			got, _, err := eng.Query(m, area)
+			ids, _, err := query(se.eng, m, region)
 			if err != nil {
-				t.Fatalf("%s/%v: %v", name, m, err)
+				t.Fatalf("%s/%v: %v", se.name, m, err)
 			}
-			gotSorted := sortedIDs(got)
-			if first {
-				want = gotSorted
-				first = false
-			} else if !equalIDs(gotSorted, want) {
-				t.Fatalf("%s/%v disagrees: %d vs %d ids", name, m, len(gotSorted), len(want))
+			got := se.pointIDs(ids)
+			if want == nil {
+				want = got
+			} else if !equalIDs(got, want) {
+				t.Fatalf("%s/%v disagrees: %d vs %d ids", se.name, m, len(got), len(want))
 			}
 		}
 	}
@@ -224,14 +227,14 @@ func TestStoreDataCountsIO(t *testing.T) {
 	area := workload.RandomPolygon(rng, workload.PolygonConfig{Vertices: 10, QuerySize: 0.02}, unitBounds())
 
 	data.Store().DropCache()
-	_, stTrad, err := eng.Query(Traditional, area)
+	_, stTrad, err := query(eng, Traditional, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ioTrad := data.IOStats()
 
 	data.Store().DropCache()
-	_, stVor, err := eng.Query(VoronoiBFS, area)
+	_, stVor, err := query(eng, VoronoiBFS, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +250,11 @@ func TestStoreDataCountsIO(t *testing.T) {
 		t.Errorf("expected page reads, got trad=%+v vor=%+v", ioTrad, ioVor)
 	}
 	// Both methods return the same result over store-backed data too.
-	a, _, err := eng.Query(Traditional, area)
+	a, _, err := query(eng, Traditional, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := eng.Query(VoronoiBFS, area)
+	b, _, err := query(eng, VoronoiBFS, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,14 +273,11 @@ func TestDuplicatePointsRejected(t *testing.T) {
 	}
 }
 
-// dataOnly hides the Cell method by forwarding only the DataAccess subset.
-type dataOnly struct{ d DataAccess }
+// dataOnly is a data layer without Voronoi cells: it forwards everything
+// but reports no arena.
+type dataOnly struct{ DataAccess }
 
-func (w dataOnly) NumIDs() int                                 { return w.d.NumIDs() }
-func (w dataOnly) Position(id int64) geom.Point                { return w.d.Position(id) }
-func (w dataOnly) NeighborsFunc(id int64, fn func(int64) bool) { w.d.NeighborsFunc(id, fn) }
-func (w dataOnly) Load(id int64) (geom.Point, error)           { return w.d.Load(id) }
-func (w dataOnly) Each(fn func(id int64, pos geom.Point) bool) { w.d.Each(fn) }
+func (dataOnly) CellArena() *voronoi.CellArena { return nil }
 
 func TestStrictWithoutCellsFails(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
@@ -286,13 +286,13 @@ func TestStrictWithoutCellsFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(NewRTreeIndex(pts, 16), dataOnly{data})
+	eng := NewEngine(NewRTreeIndex(pts, 16), dataOnly{DataAccess: data})
 	area := workload.RandomPolygon(rng, workload.PolygonConfig{QuerySize: 0.05}, unitBounds())
-	if _, _, err := eng.Query(VoronoiBFSStrict, area); !errors.Is(err, ErrStrictNotSupported) {
+	if _, _, err := query(eng, VoronoiBFSStrict, PolygonRegion(area)); !errors.Is(err, ErrStrictNotSupported) {
 		t.Errorf("err = %v, want ErrStrictNotSupported", err)
 	}
 	// The published rule must still work.
-	if _, _, err := eng.Query(VoronoiBFS, area); err != nil {
+	if _, _, err := query(eng, VoronoiBFS, PolygonRegion(area)); err != nil {
 		t.Errorf("published rule failed: %v", err)
 	}
 }
@@ -301,7 +301,7 @@ func TestUnknownMethod(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	eng, _ := newUniformEngine(t, rng, 10)
 	area := geom.MustPolygon([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1)})
-	if _, _, err := eng.Query(Method(99), area); err == nil {
+	if _, _, err := query(eng, Method(99), PolygonRegion(area)); err == nil {
 		t.Error("unknown method should error")
 	}
 }
@@ -328,11 +328,11 @@ func TestEngineReusableAcrossManyQueries(t *testing.T) {
 	eng, _ := newUniformEngine(t, rng, 1000)
 	for trial := 0; trial < 300; trial++ {
 		area := workload.RandomPolygon(rng, workload.PolygonConfig{Vertices: 6, QuerySize: 0.03}, unitBounds())
-		a, _, err := eng.Query(BruteForce, area)
+		a, _, err := query(eng, BruteForce, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := eng.Query(VoronoiBFS, area)
+		b, _, err := query(eng, VoronoiBFS, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +374,7 @@ func TestStatsPlausibility(t *testing.T) {
 	eng, _ := newUniformEngine(t, rng, 10000)
 	area := workload.RandomPolygon(rng, workload.PolygonConfig{Vertices: 10, QuerySize: 0.02}, unitBounds())
 
-	_, st, err := eng.Query(VoronoiBFS, area)
+	_, st, err := query(eng, VoronoiBFS, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestStatsPlausibility(t *testing.T) {
 		t.Error("duration not measured")
 	}
 
-	_, st2, err := eng.Query(VoronoiBFSStrict, area)
+	_, st2, err := query(eng, VoronoiBFSStrict, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestEmptyDataRejected(t *testing.T) {
 	}
 	eng := NewEngine(NewRTreeIndex([]geom.Point{geom.Pt(0.5, 0.5)}, 16), data)
 	area := geom.MustPolygon([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1)})
-	if _, _, err := eng.Query(VoronoiBFS, area); err != nil {
+	if _, _, err := query(eng, VoronoiBFS, PolygonRegion(area)); err != nil {
 		t.Errorf("single point dataset should work: %v", err)
 	}
 }
@@ -430,7 +430,7 @@ func BenchmarkTraditionalQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.Query(Traditional, areas[i%len(areas)]); err != nil {
+		if _, _, err := query(eng, Traditional, PolygonRegion(areas[i%len(areas)])); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -445,7 +445,7 @@ func BenchmarkVoronoiQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.Query(VoronoiBFS, areas[i%len(areas)]); err != nil {
+		if _, _, err := query(eng, VoronoiBFS, PolygonRegion(areas[i%len(areas)])); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,19 +16,21 @@ var ErrDuplicatePoints = errors.New("core: dataset contains duplicate coordinate
 
 // MemoryData is an in-memory DataAccess: records live in Go slices and
 // Load performs no simulated IO. It is the fastest option and the one used
-// for pure-CPU benchmarking. MemoryData implements CellSource and
-// CellArenaSource, so the strict expansion rule is available and runs
-// allocation-free.
+// for pure-CPU benchmarking.
 //
-// The layout is structure-of-arrays throughout: coordinates live in
-// parallel xs/ys float64 slices (CoordSource) and every clipped Voronoi
-// cell is packed into one contiguous vertex arena at construction
-// (voronoi.BuildCellArena), so the BFS intersection tests and the KNearest
-// distance loop scan dense memory.
+// It retains exactly what queries read, all structure-of-arrays:
+// coordinates in parallel xs/ys float64 slices (CoordSource), the Voronoi
+// adjacency as the triangulation's CSR offset/neighbor arrays, and every
+// clipped Voronoi cell packed into one contiguous vertex arena
+// (voronoi.BuildCellArena). The diagram and the triangulation under it —
+// quad-edge pool, point copy, vertex tables — are construction scaffolding
+// and are released when NewMemoryData returns.
 type MemoryData struct {
-	xs, ys  []float64
-	diagram *voronoi.Diagram
-	arena   *voronoi.CellArena
+	xs, ys []float64
+	// CSR adjacency: the neighbors of id are nbrs[nbrOff[id]:nbrOff[id+1]],
+	// in counterclockwise rotational order.
+	nbrOff, nbrs []int32
+	arena        *voronoi.CellArena
 }
 
 // NewMemoryData builds the Voronoi topology over pts, clips every cell
@@ -43,11 +45,13 @@ func NewMemoryData(pts []geom.Point, bounds geom.Rect) (*MemoryData, error) {
 		return nil, ErrDuplicatePoints
 	}
 	m := &MemoryData{
-		xs:      make([]float64, len(pts)),
-		ys:      make([]float64, len(pts)),
-		diagram: d,
-		arena:   voronoi.BuildCellArena(d),
+		xs:    make([]float64, len(pts)),
+		ys:    make([]float64, len(pts)),
+		arena: voronoi.BuildCellArena(d),
 	}
+	// No duplicates, so every input index is its own canonical vertex and
+	// the triangulation's CSR arrays are indexed by id directly.
+	m.nbrOff, m.nbrs = d.Triangulation().Adjacency()
 	for i, p := range pts {
 		m.xs[i], m.ys[i] = p.X, p.Y
 	}
@@ -65,18 +69,9 @@ func (m *MemoryData) Position(id int64) geom.Point {
 // Coords implements CoordSource.
 func (m *MemoryData) Coords() (xs, ys []float64) { return m.xs, m.ys }
 
-// NeighborsFunc implements DataAccess.
-func (m *MemoryData) NeighborsFunc(id int64, fn func(nb int64) bool) {
-	for _, nb := range m.diagram.Neighbors(int(id)) {
-		if !fn(int64(nb)) {
-			return
-		}
-	}
-}
-
-// NeighborSlice implements NeighborSlicer.
-func (m *MemoryData) NeighborSlice(id int64) []int32 {
-	return m.diagram.Neighbors(int(id))
+// Neighbors implements DataAccess: the resident CSR slice; buf is unused.
+func (m *MemoryData) Neighbors(id int64, _ []int32) []int32 {
+	return m.nbrs[m.nbrOff[id]:m.nbrOff[id+1]]
 }
 
 // Load implements DataAccess; in-memory data loads for free.
@@ -93,26 +88,14 @@ func (m *MemoryData) Each(fn func(id int64, pos geom.Point) bool) {
 	}
 }
 
-// Cell implements CellSource, materializing the packed ring (callers on
-// the hot path read the arena's Ring view instead).
-func (m *MemoryData) Cell(id int64) geom.Ring { return m.arena.Ring(int(id)).Ring() }
-
-// CellBox implements CellBoxSource: the bounding rectangle of id's clipped
-// Voronoi cell, read from the packed arena.
-func (m *MemoryData) CellBox(id int64) geom.Rect { return m.arena.CellBox(int(id)) }
-
-// CellArena implements CellArenaSource.
+// CellArena implements DataAccess.
 func (m *MemoryData) CellArena() *voronoi.CellArena { return m.arena }
-
-// Diagram exposes the underlying Voronoi diagram (for rendering and
-// inspection).
-func (m *MemoryData) Diagram() *voronoi.Diagram { return m.diagram }
 
 // StoreData is a DataAccess whose Load goes through a paged object store
 // with a sharded LRU buffer pool, so every refinement fetch is
 // IO-accounted. The Voronoi topology and raw coordinates stay in memory
-// (index-resident), as in a VoR-tree deployment. StoreData implements
-// CellSource. It is safe for concurrent use: the buffer pool partitions
+// (index-resident), as in a VoR-tree deployment. It is safe for
+// concurrent use: the buffer pool partitions
 // its state over per-page-id lock shards and performs page loads outside
 // those locks, so concurrent Loads only contend when they race for the
 // same lock shard at the same instant (StoreConfig.PoolShards tunes the
@@ -154,7 +137,7 @@ func NewStoreData(pts []geom.Point, bounds geom.Rect, cfg StoreConfig) (*StoreDa
 	})
 	payload := make([]byte, cfg.PayloadBytes)
 	for i, p := range pts {
-		nbs32 := mem.diagram.Neighbors(i)
+		nbs32 := mem.Neighbors(int64(i), nil)
 		nbs := make([]int64, len(nbs32))
 		for j, nb := range nbs32 {
 			nbs[j] = int64(nb)
@@ -185,14 +168,9 @@ func (s *StoreData) Position(id int64) geom.Point { return s.mem.Position(id) }
 // Coords implements CoordSource (index-resident, no IO).
 func (s *StoreData) Coords() (xs, ys []float64) { return s.mem.Coords() }
 
-// NeighborsFunc implements DataAccess (index-resident topology, no IO).
-func (s *StoreData) NeighborsFunc(id int64, fn func(nb int64) bool) {
-	s.mem.NeighborsFunc(id, fn)
-}
-
-// NeighborSlice implements NeighborSlicer.
-func (s *StoreData) NeighborSlice(id int64) []int32 {
-	return s.mem.NeighborSlice(id)
+// Neighbors implements DataAccess (index-resident topology, no IO).
+func (s *StoreData) Neighbors(id int64, buf []int32) []int32 {
+	return s.mem.Neighbors(id, buf)
 }
 
 // Load implements DataAccess: it fetches the record's page through the
@@ -209,17 +187,8 @@ func (s *StoreData) Each(fn func(id int64, pos geom.Point) bool) {
 	})
 }
 
-// Cell implements CellSource.
-func (s *StoreData) Cell(id int64) geom.Ring { return s.mem.Cell(id) }
-
-// CellBox implements CellBoxSource (index-resident, no IO).
-func (s *StoreData) CellBox(id int64) geom.Rect { return s.mem.CellBox(id) }
-
-// CellArena implements CellArenaSource (index-resident, no IO).
+// CellArena implements DataAccess (index-resident, no IO).
 func (s *StoreData) CellArena() *voronoi.CellArena { return s.mem.CellArena() }
-
-// Diagram exposes the underlying Voronoi diagram.
-func (s *StoreData) Diagram() *voronoi.Diagram { return s.mem.Diagram() }
 
 // Store exposes the underlying object store (for IO statistics).
 func (s *StoreData) Store() *storage.Store { return s.store }

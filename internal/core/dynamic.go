@@ -37,9 +37,10 @@ func (d *DynamicData) NumIDs() int { return d.dt.NumSites() }
 // Position implements DataAccess.
 func (d *DynamicData) Position(id int64) geom.Point { return d.dt.Point(int(id)) }
 
-// NeighborsFunc implements DataAccess.
-func (d *DynamicData) NeighborsFunc(id int64, fn func(nb int64) bool) {
-	d.dt.Neighbors(int(id), func(nb int32) bool { return fn(int64(nb)) })
+// Neighbors implements DataAccess: one closure-free walk of id's quad-edge
+// ring into buf, in rotational order.
+func (d *DynamicData) Neighbors(id int64, buf []int32) []int32 {
+	return d.dt.AppendNeighbors(int(id), buf[:0])
 }
 
 // Load implements DataAccess (in-memory, free).
@@ -59,23 +60,9 @@ func (d *DynamicData) Each(fn func(id int64, pos geom.Point) bool) {
 // appear in results.
 func (d *DynamicData) Returnable(id int64) bool { return !d.dt.IsFence(int(id)) }
 
-// Cell implements CellSource: the site's Voronoi cell clipped to an
-// expanded universe (so fence-adjacent cells stay closed).
-func (d *DynamicData) Cell(id int64) geom.Ring {
-	site := d.dt.Point(int(id))
-	nbs := d.dt.NeighborIDs(int(id))
-	pts := make([]geom.Point, len(nbs))
-	for i, nb := range nbs {
-		pts[i] = d.dt.Point(int(nb))
-	}
-	u := d.dt.Universe()
-	clip := u.Expand(u.Width() + u.Height() + 1)
-	return voronoi.CellFromNeighbors(site, pts, clip)
-}
-
-// CellArena implements CellArenaSource: every cell of the pinned epoch,
-// clipped to the same expanded universe Cell uses and packed into one
-// arena. Built on first use and cached for the snapshot's lifetime, so the
+// CellArena implements DataAccess: every cell of the pinned epoch, clipped
+// to an expanded universe (so fence-adjacent cells stay closed) and packed
+// into one arena. Built on first use and cached for the snapshot's lifetime, so the
 // O(n) clipping pass is paid once per epoch; segment-rule workloads that
 // never run a strict query never pay it.
 func (d *DynamicData) CellArena() *voronoi.CellArena {
@@ -103,7 +90,7 @@ func (d *DynamicData) CellArena() *voronoi.CellArena {
 // (multiple inserting goroutines are therefore serialized, not racy).
 // Queries never touch the live structures — every query pins the current
 // epoch's immutable snapshot, published through an atomic pointer, so any
-// number of goroutines can run Query/QueryRegion/KNearest/Count (or batch
+// number of goroutines can run QueryRegionSpec/EachRegion/KNearest (or batch
 // over a Snapshot's Engine) concurrently with insertion and never observe
 // a half-applied update. Snapshots are rebuilt lazily: the first read after
 // a write pays an O(n) copy-on-write publish (append-only point storage
@@ -268,28 +255,10 @@ func (d *DynamicEngine) Snapshot() *DynamicSnapshot {
 	return s
 }
 
-// Query answers an area query at the current epoch. The area must lie
-// within the universe (ErrOutsideUniverse otherwise).
-func (d *DynamicEngine) Query(m Method, area geom.Polygon) ([]int64, Stats, error) {
-	return d.Snapshot().Query(m, area)
-}
-
-// QueryRegion answers an area query over a prepared Region at the current
-// epoch.
-func (d *DynamicEngine) QueryRegion(m Method, region Region) ([]int64, Stats, error) {
-	return d.Snapshot().QueryRegion(m, region)
-}
-
 // KNearest returns the k inserted points nearest to q at the current
 // epoch. Cancellation follows Engine.KNearest's contract.
 func (d *DynamicEngine) KNearest(ctx context.Context, q geom.Point, k int) ([]int64, Stats, error) {
 	return d.Snapshot().KNearest(ctx, q, k)
-}
-
-// Count answers an area query at the current epoch, returning only the
-// number of matching points.
-func (d *DynamicEngine) Count(m Method, area geom.Polygon) (int, Stats, error) {
-	return d.Snapshot().Count(m, area)
 }
 
 // DynamicSnapshot is an immutable, epoch-pinned view of a DynamicEngine:
@@ -343,7 +312,7 @@ func (s *DynamicSnapshot) checkArea(bounds geom.Rect) error {
 	return nil
 }
 
-// CheckRegion validates a region the same way QueryRegion would —
+// CheckRegion validates a region the same way QueryRegionSpec would —
 // ErrOutsideUniverse for an area escaping the universe, ErrNoData while
 // the snapshot is empty — without running the query. Batch executors call
 // it up front so parallel batches keep the sequential error contract.
@@ -357,20 +326,9 @@ func (s *DynamicSnapshot) CheckRegion(region Region) error {
 	return nil
 }
 
-// Query answers an area query against the pinned epoch.
-func (s *DynamicSnapshot) Query(m Method, area geom.Polygon) ([]int64, Stats, error) {
-	return s.QueryRegion(m, PolygonRegion(area))
-}
-
-// QueryRegion answers an area query over a prepared Region against the
-// pinned epoch.
-func (s *DynamicSnapshot) QueryRegion(m Method, region Region) ([]int64, Stats, error) {
-	return s.QueryRegionSpec(context.Background(), region, QuerySpec{Method: m})
-}
-
 // QueryRegionSpec is the context-aware spec-driven query entry point
-// against the pinned epoch, with the same universe/empty-data error
-// contract as QueryRegion.
+// against the pinned epoch: ErrOutsideUniverse for an area escaping the
+// universe, ErrNoData while the snapshot is empty.
 func (s *DynamicSnapshot) QueryRegionSpec(ctx context.Context, region Region, spec QuerySpec) ([]int64, Stats, error) {
 	if err := s.checkArea(region.Bounds()); err != nil {
 		return nil, Stats{Method: spec.Method}, err
@@ -383,7 +341,7 @@ func (s *DynamicSnapshot) QueryRegionSpec(ctx context.Context, region Region, sp
 
 // EachRegion streams an area query against the pinned epoch (see
 // Engine.EachRegion), with the same universe/empty-data error contract as
-// QueryRegion.
+// QueryRegionSpec.
 func (s *DynamicSnapshot) EachRegion(ctx context.Context, region Region, spec QuerySpec, yield func(id int64, pos geom.Point) bool) (Stats, error) {
 	if err := s.checkArea(region.Bounds()); err != nil {
 		return Stats{Method: spec.Method}, err
@@ -402,13 +360,6 @@ func (s *DynamicSnapshot) KNearest(ctx context.Context, q geom.Point, k int) ([]
 		return nil, Stats{}, ErrNoData
 	}
 	return s.eng.KNearest(ctx, q, k)
-}
-
-// Count answers an area query against the pinned epoch, returning only the
-// number of matching points.
-func (s *DynamicSnapshot) Count(m Method, area geom.Polygon) (int, Stats, error) {
-	ids, stats, err := s.Query(m, area)
-	return len(ids), stats, err
 }
 
 // dynamicIndex adapts the growing R-tree (user sites only) to

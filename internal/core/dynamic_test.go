@@ -14,7 +14,7 @@ import (
 func TestDynamicEngineEmpty(t *testing.T) {
 	d := NewDynamicEngine(unitBounds())
 	area := geom.MustPolygon([]geom.Point{geom.Pt(0.1, 0.1), geom.Pt(0.5, 0.1), geom.Pt(0.3, 0.5)})
-	if _, _, err := d.Query(VoronoiBFS, area); err != ErrNoData {
+	if _, _, err := query(d.Snapshot(), VoronoiBFS, PolygonRegion(area)); err != ErrNoData {
 		t.Errorf("empty dynamic engine: err = %v, want ErrNoData", err)
 	}
 }
@@ -28,7 +28,7 @@ func TestDynamicEngineRejectsOutOfUniverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	tooBig := geom.MustPolygon([]geom.Point{geom.Pt(-1, -1), geom.Pt(2, -1), geom.Pt(0.5, 2)})
-	if _, _, err := d.Query(VoronoiBFS, tooBig); err == nil {
+	if _, _, err := query(d.Snapshot(), VoronoiBFS, PolygonRegion(tooBig)); err == nil {
 		t.Error("query exceeding universe should fail")
 	}
 }
@@ -47,12 +47,12 @@ func TestDynamicEngineMatchesOracleWhileGrowing(t *testing.T) {
 				Vertices:  10,
 				QuerySize: 0.05,
 			}, unitBounds())
-			oracle, _, err := d.Query(BruteForce, area)
+			oracle, _, err := query(d.Snapshot(), BruteForce, PolygonRegion(area))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, m := range []Method{Traditional, VoronoiBFS, VoronoiBFSStrict} {
-				got, _, err := d.Query(m, area)
+				got, _, err := query(d.Snapshot(), m, PolygonRegion(area))
 				if err != nil {
 					t.Fatalf("batch %d %v: %v", batch, m, err)
 				}
@@ -80,7 +80,7 @@ func TestDynamicEngineNoFenceLeakage(t *testing.T) {
 		geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(0, 1),
 	})
 	for _, m := range []Method{Traditional, VoronoiBFS, BruteForce} {
-		ids, _, err := d.Query(m, area)
+		ids, _, err := query(d.Snapshot(), m, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,11 +110,11 @@ func TestDynamicEngineSparse(t *testing.T) {
 	}
 	for trial := 0; trial < 50; trial++ {
 		area := workload.RandomPolygon(rng, workload.PolygonConfig{QuerySize: 0.2}, unitBounds())
-		oracle, _, err := d.Query(BruteForce, area)
+		oracle, _, err := query(d.Snapshot(), BruteForce, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := d.Query(VoronoiBFS, area)
+		got, _, err := query(d.Snapshot(), VoronoiBFS, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func BenchmarkDynamicEngineQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := d.Query(VoronoiBFS, areas[i%len(areas)]); err != nil {
+		if _, _, err := query(d.Snapshot(), VoronoiBFS, PolygonRegion(areas[i%len(areas)])); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -217,7 +217,7 @@ func TestDynamicInsertOutsideUniverseSentinel(t *testing.T) {
 		t.Fatal(err)
 	}
 	tooBig := geom.MustPolygon([]geom.Point{geom.Pt(-1, -1), geom.Pt(2, -1), geom.Pt(0.5, 2)})
-	if _, _, err := d.Query(VoronoiBFS, tooBig); !errors.Is(err, ErrOutsideUniverse) {
+	if _, _, err := query(d.Snapshot(), VoronoiBFS, PolygonRegion(tooBig)); !errors.Is(err, ErrOutsideUniverse) {
 		t.Errorf("query exceeding universe: err = %v, want ErrOutsideUniverse", err)
 	}
 }
@@ -239,7 +239,7 @@ func TestDynamicSnapshotPinsEpoch(t *testing.T) {
 	if again := d.Snapshot(); again != snap {
 		t.Error("repeated Snapshot between writes should return the published view")
 	}
-	before, _, err := snap.Query(VoronoiBFS, area)
+	before, _, err := query(snap, VoronoiBFS, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,14 +251,14 @@ func TestDynamicSnapshotPinsEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after, _, err := snap.Query(VoronoiBFS, area)
+	after, _, err := query(snap, VoronoiBFS, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !equalIDs(sortedIDs(before), sortedIDs(after)) {
 		t.Fatalf("pinned snapshot answers changed: %d -> %d results", len(before), len(after))
 	}
-	oracle, _, err := snap.Query(BruteForce, area)
+	oracle, _, err := query(snap, BruteForce, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestDynamicSnapshotPinsEpoch(t *testing.T) {
 	if d.Epoch() != 800 {
 		t.Fatalf("live epoch = %d, want 800", d.Epoch())
 	}
-	live, _, err := d.Query(BruteForce, area)
+	live, _, err := query(d.Snapshot(), BruteForce, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,12 +312,12 @@ func TestDynamicConformanceAcrossMethods(t *testing.T) {
 						Vertices:  10,
 						QuerySize: 0.05,
 					}, unitBounds())
-					oracle, _, err := snap.Query(BruteForce, area)
+					oracle, _, err := query(snap, BruteForce, PolygonRegion(area))
 					if err != nil {
 						t.Fatal(err)
 					}
 					for _, m := range []Method{Traditional, VoronoiBFS, VoronoiBFSStrict} {
-						got, _, err := snap.Query(m, area)
+						got, _, err := query(snap, m, PolygonRegion(area))
 						if err != nil {
 							t.Fatalf("%s batch %d %v: %v", wl.name, batch, m, err)
 						}
@@ -327,10 +327,11 @@ func TestDynamicConformanceAcrossMethods(t *testing.T) {
 						}
 					}
 					// Count and KNearest agree with the same snapshot too.
-					cnt, _, err := snap.Count(VoronoiBFS, area)
-					if err != nil || cnt != len(oracle) {
-						t.Fatalf("%s batch %d Count = %d (err %v), oracle %d",
-							wl.name, batch, cnt, err, len(oracle))
+					ids, cnt, err := snap.QueryRegionSpec(context.Background(), PolygonRegion(area),
+						QuerySpec{Method: VoronoiBFS, CountOnly: true})
+					if err != nil || ids != nil || cnt.ResultSize != len(oracle) {
+						t.Fatalf("%s batch %d CountOnly = %d (ids %v, err %v), oracle %d",
+							wl.name, batch, cnt.ResultSize, ids, err, len(oracle))
 					}
 					knn, _, err := snap.KNearest(context.Background(), area.Bounds().Center(), 8)
 					if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -20,7 +21,7 @@ func TestConcurrentSharedEngineRaceFree(t *testing.T) {
 	}
 	oracle := make([][]int64, len(areas))
 	for i, area := range areas {
-		ids, _, err := eng.Query(BruteForce, area)
+		ids, _, err := query(eng, BruteForce, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +37,7 @@ func TestConcurrentSharedEngineRaceFree(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
 				i := (worker + rep) % len(areas)
-				ids, _, err := eng.Query(VoronoiBFS, areas[i])
+				ids, _, err := query(eng, VoronoiBFS, PolygonRegion(areas[i]))
 				if err != nil {
 					errs <- err
 					return
@@ -67,57 +68,52 @@ func TestCountMatchesQuery(t *testing.T) {
 	eng, _ := newUniformEngine(t, rng, 3000)
 	for trial := 0; trial < 20; trial++ {
 		area := workload.RandomPolygon(rng, workload.PolygonConfig{QuerySize: 0.03}, unitBounds())
-		ids, _, err := eng.Query(VoronoiBFS, area)
+		ids, _, err := query(eng, VoronoiBFS, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, st, err := eng.Count(VoronoiBFS, area)
+		none, st, err := eng.QueryRegionSpec(context.Background(), PolygonRegion(area),
+			QuerySpec{Method: VoronoiBFS, CountOnly: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != len(ids) {
-			t.Fatalf("Count = %d, Query len = %d", n, len(ids))
+		if none != nil {
+			t.Fatalf("CountOnly materialized %d ids", len(none))
 		}
-		if st.ResultSize != n {
-			t.Fatalf("stats.ResultSize = %d, want %d", st.ResultSize, n)
+		if st.ResultSize != len(ids) {
+			t.Fatalf("CountOnly ResultSize = %d, query len = %d", st.ResultSize, len(ids))
 		}
 	}
 }
 
+// TestQueryBatchAggregates folds per-query statistics the way every batch
+// executor does (Stats.Add) and checks the aggregate is the field-wise sum.
 func TestQueryBatchAggregates(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	eng, _ := newUniformEngine(t, rng, 3000)
-	areas := make([]geom.Polygon, 5)
-	for i := range areas {
-		areas[i] = workload.RandomPolygon(rng, workload.PolygonConfig{QuerySize: 0.02}, unitBounds())
-	}
-	results, agg, err := eng.QueryBatch(VoronoiBFS, areas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(areas) {
-		t.Fatalf("results = %d", len(results))
-	}
-	var wantResult, wantCand int
-	for i, area := range areas {
-		ids, st, err := eng.Query(VoronoiBFS, area)
+	agg := Stats{Method: VoronoiBFS}
+	var want Stats
+	for i := 0; i < 5; i++ {
+		area := workload.RandomPolygon(rng, workload.PolygonConfig{QuerySize: 0.02}, unitBounds())
+		_, st, err := query(eng, VoronoiBFS, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalIDs(sortedIDs(results[i]), sortedIDs(ids)) {
-			t.Fatalf("batch result %d diverges", i)
-		}
-		wantResult += st.ResultSize
-		wantCand += st.Candidates
+		agg.Add(st)
+		want.ResultSize += st.ResultSize
+		want.Candidates += st.Candidates
+		want.RedundantValidations += st.RedundantValidations
+		want.SegmentTests += st.SegmentTests
+		want.IndexNodesVisited += st.IndexNodesVisited
+		want.RecordsLoaded += st.RecordsLoaded
+		want.Duration += st.Duration
 	}
-	if agg.ResultSize != wantResult {
-		t.Errorf("aggregate ResultSize = %d, want %d", agg.ResultSize, wantResult)
+	want.Method = VoronoiBFS
+	if agg != want {
+		t.Errorf("aggregate = %+v, want %+v", agg, want)
 	}
-	if agg.Candidates != wantCand {
-		t.Errorf("aggregate Candidates = %d, want %d", agg.Candidates, wantCand)
-	}
-	if agg.Duration <= 0 {
-		t.Error("aggregate duration missing")
+	if agg.ResultSize == 0 || agg.Duration <= 0 {
+		t.Errorf("aggregate is empty: %+v", agg)
 	}
 }
 
@@ -129,11 +125,11 @@ func TestRectangleQueriesFavorTraditional(t *testing.T) {
 	eng, _ := newUniformEngine(t, rng, 20000)
 	for trial := 0; trial < 20; trial++ {
 		rect := workload.RectanglePolygon(rng, 0.02, 0.5+rng.Float64()*2, unitBounds())
-		a, stTrad, err := eng.Query(Traditional, rect)
+		a, stTrad, err := query(eng, Traditional, PolygonRegion(rect))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := eng.Query(VoronoiBFS, rect)
+		b, _, err := query(eng, VoronoiBFS, PolygonRegion(rect))
 		if err != nil {
 			t.Fatal(err)
 		}

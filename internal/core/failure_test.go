@@ -26,10 +26,6 @@ func (f *failingData) Load(id int64) (geom.Point, error) {
 	return f.DataAccess.Load(id)
 }
 
-// Cell forwards to the wrapped data so the strict expansion path is
-// exercised against injected load failures too.
-func (f *failingData) Cell(id int64) geom.Ring { return f.DataAccess.(CellSource).Cell(id) }
-
 func TestLoadFailureSurfacesWithContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := workload.UniformPoints(rng, 2000, unitBounds())
@@ -42,7 +38,7 @@ func TestLoadFailureSurfacesWithContext(t *testing.T) {
 	// Poison a point that is certainly a candidate: any result point.
 	idx := NewRTreeIndex(pts, 16)
 	okEng := NewEngine(idx, data)
-	ids, _, err := okEng.Query(BruteForce, area)
+	ids, _, err := query(okEng, BruteForce, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +49,7 @@ func TestLoadFailureSurfacesWithContext(t *testing.T) {
 
 	eng := NewEngine(idx, &failingData{DataAccess: data, poisoned: poisoned})
 	for _, m := range []Method{Traditional, VoronoiBFS, VoronoiBFSStrict} {
-		ids, _, err := eng.Query(m, area)
+		ids, _, err := query(eng, m, PolygonRegion(area))
 		if !errors.Is(err, errPoisoned) {
 			t.Errorf("%v: err = %v, want the injected failure", m, err)
 		}
@@ -88,7 +84,7 @@ func TestLoadFailureOutsideQueryAreaHarmless(t *testing.T) {
 	}
 	eng := NewEngine(NewRTreeIndex(pts, 16), &failingData{DataAccess: data, poisoned: far})
 	for _, m := range []Method{Traditional, VoronoiBFS, VoronoiBFSStrict} {
-		if _, _, err := eng.Query(m, area); err != nil {
+		if _, _, err := query(eng, m, PolygonRegion(area)); err != nil {
 			t.Errorf("%v: query touching only the corner failed: %v", m, err)
 		}
 	}

@@ -2,9 +2,6 @@ package core
 
 import (
 	"repro/internal/geom"
-	"repro/internal/grid"
-	"repro/internal/kdtree"
-	"repro/internal/quadtree"
 	"repro/internal/rtree"
 )
 
@@ -24,18 +21,6 @@ func NewRTreeIndex(pts []geom.Point, maxEntries int) *RTreeIndex {
 	return &RTreeIndex{tree: rtree.BulkLoad(items, maxEntries)}
 }
 
-// NewRStarIndex builds an R-tree with the R* split policy by dynamic
-// insertion over pts with ids equal to slice indices. Unlike NewRTreeIndex
-// (STR bulk load) this exercises the insertion path, modeling a database
-// whose index grew incrementally.
-func NewRStarIndex(pts []geom.Point, maxEntries int) *RTreeIndex {
-	t := rtree.NewRStar(maxEntries)
-	for i, p := range pts {
-		t.Insert(int64(i), geom.NewRect(p.X, p.Y, p.X, p.Y))
-	}
-	return &RTreeIndex{tree: t}
-}
-
 // Tree exposes the underlying R-tree.
 func (x *RTreeIndex) Tree() *rtree.Tree { return x.tree }
 
@@ -51,92 +36,11 @@ func (x *RTreeIndex) Nearest(q geom.Point) (int64, int, bool) {
 	return item.ID, st.NodesVisited, ok
 }
 
-// KDTreeIndex adapts a kd-tree to the SpatialIndex interface.
-type KDTreeIndex struct {
-	tree *kdtree.Tree
-}
-
-// NewKDTreeIndex builds a kd-tree over pts with ids equal to slice indices.
-func NewKDTreeIndex(pts []geom.Point) *KDTreeIndex {
-	items := make([]kdtree.Item, len(pts))
-	for i, p := range pts {
-		items[i] = kdtree.Item{ID: int64(i), Point: p}
-	}
-	return &KDTreeIndex{tree: kdtree.New(items)}
-}
-
-// Window implements SpatialIndex.
-func (x *KDTreeIndex) Window(q geom.Rect, fn func(id int64) bool) int {
-	return x.tree.Search(q, func(id int64, _ geom.Point) bool { return fn(id) })
-}
-
-// Nearest implements SpatialIndex.
-func (x *KDTreeIndex) Nearest(q geom.Point) (int64, int, bool) {
-	item, ok := x.tree.NearestNeighbor(q)
-	return item.ID, 0, ok
-}
-
-// QuadtreeIndex adapts a PR quadtree to the SpatialIndex interface.
-type QuadtreeIndex struct {
-	tree *quadtree.Tree
-}
-
-// NewQuadtreeIndex builds a quadtree covering bounds over pts with ids
-// equal to slice indices. Points outside bounds are silently dropped, so
-// bounds must cover the dataset.
-func NewQuadtreeIndex(pts []geom.Point, bounds geom.Rect, bucketSize int) *QuadtreeIndex {
-	t := quadtree.NewTree(bounds, bucketSize)
-	for i, p := range pts {
-		t.Insert(int64(i), p)
-	}
-	return &QuadtreeIndex{tree: t}
-}
-
-// Window implements SpatialIndex.
-func (x *QuadtreeIndex) Window(q geom.Rect, fn func(id int64) bool) int {
-	return x.tree.Search(q, func(id int64, _ geom.Point) bool { return fn(id) })
-}
-
-// Nearest implements SpatialIndex.
-func (x *QuadtreeIndex) Nearest(q geom.Point) (int64, int, bool) {
-	item, ok := x.tree.NearestNeighbor(q)
-	return item.ID, 0, ok
-}
-
-// GridIndex adapts a uniform grid to the SpatialIndex interface.
-type GridIndex struct {
-	g *grid.Index
-}
-
-// NewGridIndex builds a uniform grid covering bounds over pts with ids
-// equal to slice indices.
-func NewGridIndex(pts []geom.Point, bounds geom.Rect, targetPerCell int) *GridIndex {
-	items := make([]grid.Item, len(pts))
-	for i, p := range pts {
-		items[i] = grid.Item{ID: int64(i), Point: p}
-	}
-	return &GridIndex{g: grid.New(bounds, items, targetPerCell)}
-}
-
-// Window implements SpatialIndex.
-func (x *GridIndex) Window(q geom.Rect, fn func(id int64) bool) int {
-	return x.g.Search(q, func(id int64, _ geom.Point) bool { return fn(id) })
-}
-
-// Nearest implements SpatialIndex.
-func (x *GridIndex) Nearest(q geom.Point) (int64, int, bool) {
-	item, ok := x.g.NearestNeighbor(q)
-	return item.ID, 0, ok
-}
-
 // Interface conformance checks.
 var (
 	_ SpatialIndex = (*RTreeIndex)(nil)
-	_ SpatialIndex = (*KDTreeIndex)(nil)
-	_ SpatialIndex = (*QuadtreeIndex)(nil)
-	_ SpatialIndex = (*GridIndex)(nil)
+	_ SpatialIndex = dynamicIndex{}
 	_ DataAccess   = (*MemoryData)(nil)
 	_ DataAccess   = (*StoreData)(nil)
-	_ CellSource   = (*MemoryData)(nil)
-	_ CellSource   = (*StoreData)(nil)
+	_ DataAccess   = (*DynamicData)(nil)
 )

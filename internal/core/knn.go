@@ -25,8 +25,8 @@ func (e *Engine) KNearest(ctx context.Context, q geom.Point, k int) ([]int64, St
 // kNearestInto is KNearest appending into dest (from dest[:0]); a nil dest
 // allocates a fresh result slice. With a pre-sized dest the whole expansion
 // — frontier heap (pooled in queryScratch), visited marks, and the packed
-// coordinate distance loop — performs zero allocations on data layers that
-// expose NeighborSlicer and CoordSource.
+// coordinate distance loop — performs zero allocations once the scratch is
+// warm.
 //
 //vaq:noalloc
 func (e *Engine) kNearestInto(ctx context.Context, q geom.Point, k int, dest []int64) ([]int64, Stats, error) {
@@ -57,7 +57,6 @@ func (e *Engine) kNearestInto(ctx context.Context, q geom.Point, k int, dest []i
 	if cs, ok := e.data.(CoordSource); ok {
 		xs, ys = cs.Coords()
 	}
-	slicer, hasSlices := e.data.(NeighborSlicer)
 
 	s := e.acquireScratch()
 	defer e.releaseScratch(s)
@@ -84,33 +83,15 @@ func (e *Engine) kNearestInto(ctx context.Context, q geom.Point, k int, dest []i
 				return nil, stats, err
 			}
 		}
-		if hasSlices {
-			for _, nb := range slicer.NeighborSlice(top.id) {
-				nb64 := int64(nb)
-				if s.mark(nb64) {
-					h.push(knnEntry{id: nb64, d2: e.knnDist2(q, xs, ys, nb64)})
-				}
+		for _, nb := range s.neighbors(e.data, top.id) {
+			nb64 := int64(nb)
+			if s.mark(nb64) {
+				h.push(knnEntry{id: nb64, d2: e.knnDist2(q, xs, ys, nb64)})
 			}
-		} else {
-			e.knnExpandFunc(top.id, q, xs, ys, s, h)
 		}
 	}
 	stats.ResultSize = len(out)
 	return out, stats, nil
-}
-
-// knnExpandFunc walks id's neighbors through the callback interface,
-// pushing unvisited ones onto the frontier — the non-slicer path (the
-// dynamic triangulation's ring walk). It lives in its own function so the
-// closure it necessarily builds doesn't force kNearestInto's locals to the
-// heap on the slicer path.
-func (e *Engine) knnExpandFunc(id int64, q geom.Point, xs, ys []float64, s *queryScratch, h *knnHeap) {
-	e.data.NeighborsFunc(id, func(nb int64) bool {
-		if s.mark(nb) {
-			h.push(knnEntry{id: nb, d2: e.knnDist2(q, xs, ys, nb)})
-		}
-		return true
-	})
 }
 
 // knnDist2 is the squared distance from q to id's position, reading the

@@ -18,7 +18,7 @@ func benchQueries(b *testing.B, eng *Engine, m Method, areas []geom.Polygon) {
 	b.Helper()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.Query(m, areas[i%len(areas)]); err != nil {
+		if _, _, err := query(eng, m, PolygonRegion(areas[i%len(areas)])); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -71,11 +71,10 @@ func BenchmarkLayoutHilbertVoronoi(b *testing.B) {
 func BenchmarkCellArenaBuild(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	pts := workload.UniformPoints(rng, 100_000, unitBounds())
-	d, err := NewMemoryData(pts, unitBounds())
+	diag, err := voronoi.New(pts, unitBounds())
 	if err != nil {
 		b.Fatal(err)
 	}
-	diag := d.Diagram()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

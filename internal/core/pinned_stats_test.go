@@ -100,6 +100,55 @@ func TestQueryCostsPinned(t *testing.T) {
 			{197, 257, 0, 144, 5},
 		},
 	}
+	// The same regions on a DynamicSnapshot grown by inserting the same
+	// points, recorded while that data layer still ran its own callback BFS
+	// loop. The counts differ from the static table only where the two
+	// differ for real — the R* snapshot visits other index nodes than the
+	// STR tree, and the quad-edge ring starts its rotation at another
+	// neighbor than the CSR arrays — so equality here shows the one shared
+	// loop takes the callback loop's decisions in the callback loop's order.
+	wantDynamic := map[Method][]pinnedCost{
+		VoronoiBFS: {
+			{0, 3, 16, 0, 4},
+			{0, 5, 21, 0, 5},
+			{1, 6, 18, 0, 4},
+			{2, 12, 32, 0, 4},
+			{3, 14, 37, 0, 4},
+			{2, 10, 30, 0, 5},
+			{18, 45, 68, 0, 5},
+			{24, 49, 73, 0, 8},
+			{34, 66, 75, 0, 6},
+			{151, 215, 156, 0, 4},
+			{166, 227, 147, 0, 4},
+			{171, 228, 151, 0, 7},
+			{23, 53, 85, 0, 6},
+			{23, 52, 81, 0, 4},
+			{12, 44, 90, 0, 4},
+			{0, 3, 15, 0, 6},
+			{15, 34, 48, 0, 4},
+			{197, 257, 141, 0, 10},
+		},
+		VoronoiBFSStrict: {
+			{0, 2, 0, 13, 4},
+			{0, 4, 0, 18, 5},
+			{1, 6, 0, 18, 4},
+			{2, 12, 0, 32, 4},
+			{3, 13, 0, 34, 4},
+			{2, 12, 0, 34, 5},
+			{18, 44, 0, 66, 5},
+			{24, 51, 0, 75, 8},
+			{34, 67, 0, 77, 6},
+			{151, 216, 0, 157, 4},
+			{166, 228, 0, 149, 4},
+			{171, 229, 0, 154, 7},
+			{23, 53, 0, 83, 6},
+			{23, 52, 0, 84, 4},
+			{12, 46, 0, 91, 4},
+			{0, 2, 0, 11, 6},
+			{15, 34, 0, 47, 4},
+			{197, 257, 0, 141, 10},
+		},
+	}
 	pts, regions := pinnedRegions()
 	mem, err := NewMemoryData(pts, unitBounds())
 	if err != nil {
@@ -109,13 +158,26 @@ func TestQueryCostsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	de := NewDynamicEngine(unitBounds())
+	for _, p := range pts {
+		if _, _, err := de.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
 	idx := NewRTreeIndex(pts, 16)
-	for name, data := range map[string]DataAccess{"memory": mem, "store": store} {
-		eng := NewEngine(idx, data)
-		for m, wantCosts := range want {
-			for i, got := range pinnedCosts(t, eng, regions, m) {
+	for _, tc := range []struct {
+		name string
+		eng  *Engine
+		want map[Method][]pinnedCost
+	}{
+		{"memory", NewEngine(idx, mem), want},
+		{"store", NewEngine(idx, store), want},
+		{"dynamic snapshot", de.Snapshot().Engine(), wantDynamic},
+	} {
+		for m, wantCosts := range tc.want {
+			for i, got := range pinnedCosts(t, tc.eng, regions, m) {
 				if got != wantCosts[i] {
-					t.Errorf("%s, %v, region %d: cost %+v, recorded %+v", name, m, i, got, wantCosts[i])
+					t.Errorf("%s, %v, region %d: cost %+v, recorded %+v", tc.name, m, i, got, wantCosts[i])
 				}
 			}
 		}

@@ -80,8 +80,7 @@ func (e *Engine) collect(ctx context.Context, region Region, spec QuerySpec, c c
 	s := e.acquireScratch()
 	s.out = c
 	stats, err := e.eachRegion(ctx, region, spec.Method, spec.Trace, s)
-	stats.ResultSize = s.out.count
-	stats.RedundantValidations = stats.Candidates - s.out.count
+	stats.Finalize(s.out.count)
 	ids := s.out.dest
 	s.out = collector{}
 	e.releaseScratch(s)
@@ -189,23 +188,13 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 	var stats Stats
 	traced := tr != nil
 
-	// Resolve the query-constant expansion state once. The strict rule
-	// prefers the packed cell arena (CellArenaSource) and falls back to the
-	// per-call CellSource/CellBoxSource pair for custom data layers.
+	// Resolve the query-constant expansion state once.
 	q := voronoiQuery{region: region, strict: strict, traced: traced}
 	if !strict {
 		q.boundary, _ = region.(BoundaryToucher)
 	} else {
-		if as, ok := e.data.(CellArenaSource); ok {
-			q.arena = as.CellArena()
-		}
-		if q.arena == nil {
-			var ok bool
-			q.cells, ok = e.data.(CellSource)
-			if !ok {
-				return stats, ErrStrictNotSupported
-			}
-			q.cellBoxes, _ = e.data.(CellBoxSource)
+		if q.arena = e.data.CellArena(); q.arena == nil {
+			return stats, ErrStrictNotSupported
 		}
 		q.regionMBR = region.Bounds()
 		q.rectRegion, _ = region.(RectIntersecter)
@@ -237,22 +226,11 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 	s.mark(seed)
 	s.queue = append(s.queue, seed)
 
-	// The BFS proper runs in one of two loops. Data sources exposing raw
-	// neighbor slices and packed coordinates (MemoryData, StoreData) take
-	// the fully inlined loop, which creates no per-query closures — the
-	// whole expansion is allocation-free. Everything else (the dynamic
-	// triangulation's quad-edge ring walk) takes the callback loop.
-	var fetch time.Duration
-	var err error
-	if slicer, ok := e.data.(NeighborSlicer); ok && q.xs != nil {
-		stats, fetch, err = e.voronoiBFSSliced(ctx, q, slicer, s, stats)
-	} else {
-		stats, fetch, err = e.voronoiBFSFunc(ctx, q, s, stats)
-	}
+	stats, fetch, err := e.voronoiBFS(ctx, q, s, stats)
 	if traced {
 		// The BFS splits into record loads (PhasePageFetch) and the
-		// expansion proper (PhaseExpand); both loops accrue fetch time and
-		// funnel every exit path through here.
+		// expansion proper (PhaseExpand); the loop accrues fetch time and
+		// funnels every exit path through here.
 		tr.Add(obs.PhasePageFetch, fetch)
 		tr.Add(obs.PhaseExpand, time.Since(bfsStart)-fetch)
 	}
@@ -260,7 +238,7 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 }
 
 // voronoiQuery is the query-constant state of one Voronoi BFS, resolved
-// once per query and shared by the sliced and callback expansion loops.
+// once per query.
 type voronoiQuery struct {
 	region Region
 	strict bool
@@ -270,11 +248,9 @@ type voronoiQuery struct {
 	// (published rule; see testSegment).
 	boundary BoundaryToucher
 
-	// Strict-rule state. Either arena or cells is set (arena preferred);
-	// the rest are optional accelerators.
+	// Strict-rule state: the packed cells, plus the region's optional
+	// accelerators.
 	arena      *voronoi.CellArena
-	cells      CellSource
-	cellBoxes  CellBoxSource
 	rectRegion RectIntersecter
 	ringRegion RingViewIntersecter
 	regionMBR  geom.Rect
@@ -287,37 +263,25 @@ type voronoiQuery struct {
 // cheapest exact path available: reject when the cell's packed bounding box
 // misses the region (the common case along the shell), accept when the site
 // itself is in the region (the site lies in its own cell), and only
-// otherwise test the exact cell ring — on the arena path a zero-allocation
-// view over the packed vertices. Every gate agrees with the full test, so
-// results and counters are path-independent.
+// otherwise test the exact cell ring — a zero-allocation view over the
+// packed vertices. Every gate agrees with the full test.
 //
 //vaq:noalloc
 func (q *voronoiQuery) testCell(nb int64, nbPos geom.Point, stats *Stats) bool {
 	stats.CellTests++
-	if q.arena != nil {
-		i := int(nb)
-		switch {
-		case !q.arena.InBox(i, q.regionMBR):
-			return false
-		case q.rectRegion != nil && !q.rectRegion.IntersectsRect(q.arena.CellBox(i)):
-			return false
-		case q.region.ContainsPoint(nbPos):
-			return true
-		}
-		if q.ringRegion != nil {
-			return q.ringRegion.IntersectsRingView(q.arena.Ring(i))
-		}
-		return regionIntersectsRingView(q.region, q.arena.Ring(i))
-	}
+	i := int(nb)
 	switch {
-	case q.cellBoxes != nil && q.rectRegion != nil &&
-		!q.rectRegion.IntersectsRect(q.cellBoxes.CellBox(nb)):
+	case !q.arena.InBox(i, q.regionMBR):
+		return false
+	case q.rectRegion != nil && !q.rectRegion.IntersectsRect(q.arena.CellBox(i)):
 		return false
 	case q.region.ContainsPoint(nbPos):
 		return true
-	default:
-		return regionIntersectsRing(q.region, q.cells.Cell(nb))
 	}
+	if q.ringRegion != nil {
+		return q.ringRegion.IntersectsRingView(q.arena.Ring(i))
+	}
+	return regionIntersectsRingView(q.region, q.arena.Ring(i))
 }
 
 // testSegment is the published rule's segment-vs-area decision for an edge
@@ -335,12 +299,15 @@ func (q *voronoiQuery) testSegment(from, to geom.Point) bool {
 	return q.region.IntersectsSegment(geom.Seg(from, to))
 }
 
-// voronoiBFSSliced is the closure-free BFS over a NeighborSlicer with
-// packed coordinates. stats travels by value so the caller's copy never
-// escapes; fetch is the accrued record-load time (for tracing).
+// voronoiBFS is the BFS of Algorithm 1, the one expansion loop every data
+// layer takes. It builds no closures: neighbor lists come back as slices
+// (resident CSR storage, or the scratch-owned buffer a walking layer
+// fills), so the whole expansion is allocation-free. stats travels by value
+// so the caller's copy never escapes; fetch is the accrued record-load time
+// (for tracing).
 //
 //vaq:noalloc
-func (e *Engine) voronoiBFSSliced(ctx context.Context, q voronoiQuery, slicer NeighborSlicer, s *queryScratch, stats Stats) (Stats, time.Duration, error) {
+func (e *Engine) voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch, stats Stats) (Stats, time.Duration, error) {
 	var fetch time.Duration
 	for head := 0; head < len(s.queue); head++ {
 		if head%cancelStride == 0 {
@@ -365,6 +332,7 @@ func (e *Engine) voronoiBFSSliced(ctx context.Context, q voronoiQuery, slicer Ne
 		stats.RecordsLoaded++
 		stats.Candidates++
 
+		nbs := s.neighbors(e.data, p)
 		if q.region.ContainsPoint(pos) {
 			// Internal point: emit, then all unvisited Voronoi neighbors
 			// become candidates (Property 7 bounds them to
@@ -372,7 +340,7 @@ func (e *Engine) voronoiBFSSliced(ctx context.Context, q voronoiQuery, slicer Ne
 			if !s.out.add(p, pos) {
 				return stats, fetch, nil
 			}
-			for _, nb := range slicer.NeighborSlice(p) {
+			for _, nb := range nbs {
 				if s.mark(int64(nb)) {
 					s.queue = append(s.queue, int64(nb))
 				}
@@ -381,12 +349,17 @@ func (e *Engine) voronoiBFSSliced(ctx context.Context, q voronoiQuery, slicer Ne
 		}
 		// Boundary/external point: expand only toward neighbors that pass
 		// the expansion test.
-		for _, nb := range slicer.NeighborSlice(p) {
+		for _, nb := range nbs {
 			nb64 := int64(nb)
 			if s.seen(nb64) {
 				continue
 			}
-			nbPos := geom.Point{X: q.xs[nb], Y: q.ys[nb]}
+			var nbPos geom.Point
+			if q.xs != nil {
+				nbPos = geom.Point{X: q.xs[nb], Y: q.ys[nb]}
+			} else {
+				nbPos = e.data.Position(nb64)
+			}
 			var enqueue bool
 			if q.strict {
 				enqueue = q.testCell(nb64, nbPos, &stats)
@@ -399,72 +372,6 @@ func (e *Engine) voronoiBFSSliced(ctx context.Context, q voronoiQuery, slicer Ne
 				s.queue = append(s.queue, nb64)
 			}
 		}
-	}
-	return stats, fetch, nil
-}
-
-// voronoiBFSFunc is the callback-based BFS for data layers without
-// neighbor slices or packed coordinates (the dynamic triangulation walks
-// its quad-edge ring per neighbor). The expansion closures are hoisted out
-// of the loop; curPos carries the popped candidate's position into them.
-func (e *Engine) voronoiBFSFunc(ctx context.Context, q voronoiQuery, s *queryScratch, stats Stats) (Stats, time.Duration, error) {
-	var fetch time.Duration
-	var curPos geom.Point
-	expandAll := func(nb int64) bool {
-		if s.mark(nb) {
-			s.queue = append(s.queue, nb)
-		}
-		return true
-	}
-	expandBoundary := func(nb int64) bool {
-		if s.seen(nb) {
-			return true
-		}
-		enqueue := false
-		if q.strict {
-			enqueue = q.testCell(nb, e.data.Position(nb), &stats)
-		} else {
-			stats.SegmentTests++
-			enqueue = q.testSegment(curPos, e.data.Position(nb))
-		}
-		if enqueue {
-			s.mark(nb)
-			s.queue = append(s.queue, nb)
-		}
-		return true
-	}
-
-	for head := 0; head < len(s.queue); head++ {
-		if head%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return stats, fetch, err
-			}
-		}
-		p := s.queue[head]
-		var pos geom.Point
-		var err error
-		if q.traced {
-			t0 := time.Now()
-			pos, err = e.data.Load(p)
-			fetch += time.Since(t0)
-		} else {
-			pos, err = e.data.Load(p)
-		}
-		if err != nil {
-			return stats, fetch, fmt.Errorf("core: loading candidate %d: %w", p, err)
-		}
-		stats.RecordsLoaded++
-		stats.Candidates++
-		curPos = pos
-
-		if q.region.ContainsPoint(pos) {
-			if !s.out.add(p, pos) {
-				return stats, fetch, nil
-			}
-			e.data.NeighborsFunc(p, expandAll)
-			continue
-		}
-		e.data.NeighborsFunc(p, expandBoundary)
 	}
 	return stats, fetch, nil
 }

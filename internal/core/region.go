@@ -19,20 +19,12 @@ type Region interface {
 	InteriorPoint() geom.Point
 }
 
-// RingIntersecter is optionally implemented by Regions that can test
-// intersection against a convex ring exactly; the strict expansion rule
-// uses it when present and falls back to a generic vertex/edge/containment
-// test otherwise.
-type RingIntersecter interface {
-	IntersectsRing(geom.Ring) bool
-}
-
 // RingViewIntersecter is optionally implemented by Regions that can test
 // intersection against a structure-of-arrays ring view (a packed Voronoi
 // cell) exactly; the strict expansion rule uses it when present — prepared
 // polygons implement it — and falls back to a generic
-// vertex/edge/containment sweep over the view otherwise. Results must
-// match RingIntersecter over the materialized ring.
+// vertex/edge/containment sweep over the view otherwise (exact for convex
+// rings, which Voronoi cells are).
 type RingViewIntersecter interface {
 	IntersectsRingView(geom.RingView) bool
 }
@@ -106,9 +98,9 @@ func (r circleRegion) AppendCacheKey(dst []byte) []byte {
 
 // AnchoredRegion wraps a Region, overriding the seed anchor the Voronoi
 // BFS starts from. It enables the seed-anchor ablation for Algorithm 1's
-// "arbitrary position in A": pair it with a uniform interior sampler
-// (package earcut) to draw a fresh random anchor per query instead of the
-// default centroid-first anchor.
+// "arbitrary position in A": pair it with an interior sampler to draw a
+// fresh random anchor per query instead of the default centroid-first
+// anchor.
 type AnchoredRegion struct {
 	Region
 	Anchor geom.Point
@@ -132,35 +124,11 @@ func (a AnchoredRegion) AppendCacheKey(dst []byte) []byte {
 	return ck.AppendCacheKey(dst)
 }
 
-// regionIntersectsRing reports whether region and the closed area bounded
-// by ring share a point, using RingIntersecter when available and a
-// generic vertex/edge/containment test otherwise (exact for convex rings,
-// which Voronoi cells are).
-func regionIntersectsRing(region Region, ring geom.Ring) bool {
-	if len(ring) == 0 {
-		return false
-	}
-	if ri, ok := region.(RingIntersecter); ok {
-		return ri.IntersectsRing(ring)
-	}
-	for _, v := range ring {
-		if region.ContainsPoint(v) {
-			return true
-		}
-	}
-	for i := range ring {
-		if region.IntersectsSegment(geom.Seg(ring[i], ring[(i+1)%len(ring)])) {
-			return true
-		}
-	}
-	// Ring may contain the region entirely.
-	return (geom.Polygon{Outer: ring}).ContainsPoint(region.InteriorPoint())
-}
-
-// regionIntersectsRingView is regionIntersectsRing over a packed ring
-// view: the same tests in the same order, reading the arena slices
-// directly, so results match the materialized form bit-for-bit while the
-// common path (custom regions such as circles) allocates nothing.
+// regionIntersectsRingView reports whether region and the closed area
+// bounded by the packed ring v share a point, using RingViewIntersecter
+// when available and a generic vertex/edge/containment test otherwise
+// (exact for convex rings, which Voronoi cells are). It reads the arena
+// slices directly, so custom regions such as circles allocate nothing.
 func regionIntersectsRingView(region Region, v geom.RingView) bool {
 	n := v.Len()
 	if n == 0 {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/voronoi"
 )
 
 func TestCircleQueriesMatchOracle(t *testing.T) {
@@ -26,7 +27,7 @@ func TestCircleQueriesMatchOracle(t *testing.T) {
 			}
 		}
 		for _, m := range []Method{Traditional, VoronoiBFS, VoronoiBFSStrict, BruteForce} {
-			got, st, err := eng.QueryRegion(m, region)
+			got, st, err := query(eng, m, region)
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, m, err)
 			}
@@ -50,11 +51,11 @@ func TestCircleVoronoiSavesCandidates(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		region := CircleRegion(geom.NewCircle(
 			geom.Pt(0.2+0.6*rng.Float64(), 0.2+0.6*rng.Float64()), 0.08))
-		_, st1, err := eng.QueryRegion(Traditional, region)
+		_, st1, err := query(eng, Traditional, region)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, st2, err := eng.QueryRegion(VoronoiBFS, region)
+		_, st2, err := query(eng, VoronoiBFS, region)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,22 +70,23 @@ func TestCircleVoronoiSavesCandidates(t *testing.T) {
 }
 
 func TestRegionIntersectsRingGeneric(t *testing.T) {
-	// circleRegion does not implement RingIntersecter, so the generic path
-	// is exercised by strict-mode queries above; unit-test the helper too.
+	// circleRegion does not implement RingViewIntersecter, so the generic
+	// path is exercised by strict-mode queries above; unit-test the helper
+	// too.
 	c := CircleRegion(geom.NewCircle(geom.Pt(0.5, 0.5), 0.1))
 	inside := geom.Ring{geom.Pt(0.48, 0.48), geom.Pt(0.52, 0.48), geom.Pt(0.5, 0.52)}
-	if !regionIntersectsRing(c, inside) {
+	if !regionIntersectsRingView(c, geom.ViewRing(inside)) {
 		t.Error("ring inside circle should intersect")
 	}
 	far := geom.Ring{geom.Pt(0.9, 0.9), geom.Pt(0.95, 0.9), geom.Pt(0.92, 0.95)}
-	if regionIntersectsRing(c, far) {
+	if regionIntersectsRingView(c, geom.ViewRing(far)) {
 		t.Error("distant ring should not intersect")
 	}
 	surrounding := geom.Ring{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(0, 1)}
-	if !regionIntersectsRing(c, surrounding) {
+	if !regionIntersectsRingView(c, geom.ViewRing(surrounding)) {
 		t.Error("ring containing the whole circle should intersect")
 	}
-	if regionIntersectsRing(c, nil) {
+	if regionIntersectsRingView(c, geom.RingView{}) {
 		t.Error("empty ring should not intersect")
 	}
 }
@@ -196,7 +198,7 @@ func BenchmarkCircleQueryVoronoi(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.QueryRegion(VoronoiBFS, regions[i%len(regions)]); err != nil {
+		if _, _, err := query(eng, VoronoiBFS, regions[i%len(regions)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -208,9 +210,10 @@ type emptyData struct{}
 
 func (emptyData) NumIDs() int                              { return 0 }
 func (emptyData) Position(int64) geom.Point                { return geom.Point{} }
-func (emptyData) NeighborsFunc(int64, func(nb int64) bool) {}
+func (emptyData) Neighbors(int64, []int32) []int32         { return nil }
 func (emptyData) Load(int64) (geom.Point, error)           { return geom.Point{}, nil }
 func (emptyData) Each(func(id int64, pos geom.Point) bool) {}
+func (emptyData) CellArena() *voronoi.CellArena            { return nil }
 
 type emptyIndex struct{}
 
@@ -222,7 +225,7 @@ func TestKNearestEmptyEngineMatchesQueryContract(t *testing.T) {
 	area := geom.MustPolygon([]geom.Point{
 		geom.Pt(0.1, 0.1), geom.Pt(0.5, 0.1), geom.Pt(0.3, 0.5),
 	})
-	if _, _, err := eng.Query(VoronoiBFS, area); err != ErrNoData {
+	if _, _, err := query(eng, VoronoiBFS, PolygonRegion(area)); err != ErrNoData {
 		t.Errorf("Query on empty engine: err = %v, want ErrNoData", err)
 	}
 	if _, _, err := eng.KNearest(context.Background(), geom.Pt(0.5, 0.5), 3); err != ErrNoData {

@@ -14,6 +14,9 @@ type queryScratch struct {
 	visited []uint32
 	gen     uint32
 	queue   []int64
+	// nbuf is the neighbor buffer handed to DataAccess.Neighbors; layers
+	// with resident adjacency never touch it.
+	nbuf []int32
 	// heap is KNearest's pooled frontier storage (unused by area queries).
 	heap knnHeap
 	// out collects the running area query's results; set by
@@ -96,6 +99,19 @@ func (s *queryScratch) mark(id int64) bool {
 //
 //vaq:noalloc
 func (s *queryScratch) seen(id int64) bool { return s.visited[id] == s.gen }
+
+// neighbors returns id's Voronoi neighbors through the scratch's buffer,
+// keeping a buffer the data layer had to grow so later (and later queries')
+// calls fit without allocating.
+//
+//vaq:noalloc
+func (s *queryScratch) neighbors(data DataAccess, id int64) []int32 {
+	nbs := data.Neighbors(id, s.nbuf)
+	if cap(nbs) > cap(s.nbuf) {
+		s.nbuf = nbs[:0]
+	}
+	return nbs
+}
 
 // acquireScratch checks a scratch out of the engine's pool, sized to the
 // current id space with a fresh generation and an empty queue.

@@ -267,6 +267,15 @@ func (t *Triangulation) Neighbors(i int) []int32 {
 	return t.neighbors[t.nbrOff[v]:t.nbrOff[v+1]]
 }
 
+// Adjacency returns the CSR neighbor arrays themselves: the neighbors of
+// canonical vertex v are neighbors[offsets[v]:offsets[v+1]], in the order
+// Neighbors reports them. A caller that needs only the adjacency keeps
+// these two slices and lets the triangulation go. They alias internal
+// storage and must not be modified.
+func (t *Triangulation) Adjacency() (offsets, neighbors []int32) {
+	return t.nbrOff, t.neighbors
+}
+
 // Degree returns the number of Delaunay neighbors of site i.
 func (t *Triangulation) Degree(i int) int {
 	v := t.canon[i]

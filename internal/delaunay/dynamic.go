@@ -300,14 +300,24 @@ func (d *Dynamic) Neighbors(id int, fn func(nb int32) bool) {
 	}
 }
 
-// NeighborIDs returns the Delaunay neighbors of site id as a fresh slice.
-func (d *Dynamic) NeighborIDs(id int) []int32 {
-	var out []int32
-	d.Neighbors(id, func(nb int32) bool {
-		out = append(out, nb)
-		return true
-	})
-	return out
+// AppendNeighbors appends the Delaunay neighbors of site id to buf, in the
+// rotational order Neighbors reports them, and returns the extended slice.
+// It is the closure-free form of Neighbors: with a buffer of sufficient
+// capacity the ring walk allocates nothing.
+func (d *Dynamic) AppendNeighbors(id int, buf []int32) []int32 {
+	start := d.vertEdge[id]
+	if start == nilEdge {
+		return buf
+	}
+	p := d.pool
+	e := start
+	for {
+		buf = append(buf, p.dst(e))
+		e = p.onext[e]
+		if e == start {
+			return buf
+		}
+	}
 }
 
 // NearestSite returns the user site closest to q via greedy descent over

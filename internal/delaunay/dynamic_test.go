@@ -24,7 +24,7 @@ func TestDynamicEmpty(t *testing.T) {
 	}
 	// Fence triangle adjacency: each fence vertex has the other two.
 	for v := 0; v < FirstSiteID; v++ {
-		if got := len(d.NeighborIDs(v)); got != 2 {
+		if got := len(d.AppendNeighbors(v, nil)); got != 2 {
 			t.Errorf("fence vertex %d has %d neighbors, want 2", v, got)
 		}
 	}
@@ -135,7 +135,7 @@ func TestDynamicMatchesStaticBuild(t *testing.T) {
 	}
 	for id := 0; id < d.NumSites(); id++ {
 		want := append([]int32(nil), static.Neighbors(id)...)
-		got := d.NeighborIDs(id)
+		got := d.AppendNeighbors(id, nil)
 		sortInt32(want)
 		sortInt32(got)
 		if len(got) != len(want) {
@@ -211,7 +211,7 @@ func TestDynamicSingleSite(t *testing.T) {
 		t.Errorf("NearestSite = %d, want %d", got, FirstSiteID)
 	}
 	// The lone user site's neighbors are exactly the three fence sites.
-	nbs := d.NeighborIDs(FirstSiteID)
+	nbs := d.AppendNeighbors(FirstSiteID, nil)
 	if len(nbs) != 3 {
 		t.Errorf("lone site neighbors = %v", nbs)
 	}
@@ -245,7 +245,7 @@ func TestDynamicSnapshotIsolation(t *testing.T) {
 	// Record the snapshot's full adjacency before mutating the original.
 	before := make([][]int32, snap.NumSites())
 	for v := range before {
-		before[v] = snap.NeighborIDs(v)
+		before[v] = snap.AppendNeighbors(v, nil)
 	}
 
 	// Keep inserting into the live triangulation; the snapshot must not move.
@@ -265,7 +265,7 @@ func TestDynamicSnapshotIsolation(t *testing.T) {
 		t.Errorf("live triangulation invalid: %v", err)
 	}
 	for v := range before {
-		after := snap.NeighborIDs(v)
+		after := snap.AppendNeighbors(v, nil)
 		if len(after) != len(before[v]) {
 			t.Fatalf("snapshot adjacency of %d changed: %v -> %v", v, before[v], after)
 		}

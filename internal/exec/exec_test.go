@@ -99,7 +99,7 @@ func TestAggregateStatsEqualSumOfSequentialStats(t *testing.T) {
 
 	var want core.Stats
 	for i, region := range regions {
-		_, st, err := eng.QueryRegion(core.VoronoiBFS, region)
+		_, st, err := eng.QueryRegionSpec(context.Background(), region, core.QuerySpec{Method: core.VoronoiBFS})
 		if err != nil {
 			t.Fatalf("sequential query %d: %v", i, err)
 		}
@@ -163,7 +163,7 @@ func TestBatchErrorStopsAndSurfaces(t *testing.T) {
 	// Poison a point every wide query certainly loads: a brute-force result.
 	wide := workload.RandomPolygon(rng, workload.PolygonConfig{QuerySize: 0.3}, unitBounds())
 	okEng := core.NewEngine(idx, data)
-	ids, _, err := okEng.Query(core.BruteForce, wide)
+	ids, _, err := okEng.QueryRegionSpec(context.Background(), core.PolygonRegion(wide), core.QuerySpec{Method: core.BruteForce})
 	if err != nil || len(ids) == 0 {
 		t.Fatalf("oracle setup: %v (%d ids)", err, len(ids))
 	}
@@ -202,7 +202,7 @@ func TestEmptyAndOversubscribedBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ids := range out {
-		want, _, err := eng.QueryRegion(core.VoronoiBFS, regions[i])
+		want, _, err := eng.QueryRegionSpec(context.Background(), regions[i], core.QuerySpec{Method: core.VoronoiBFS})
 		if err != nil {
 			t.Fatal(err)
 		}

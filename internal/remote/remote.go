@@ -126,7 +126,11 @@ func New(backends []Backend, cfg Config) (*Engine, error) {
 
 // Dial discovers each URL's shape from GET /v1/info and builds an engine
 // over the results: id offsets, bounds and sizes all come from the
-// servers, so a client needs nothing but addresses.
+// servers, so a client needs nothing but addresses. Each probe is a
+// one-shot request (Connection: close): Dial leaves no idle connection in
+// the client's pool, so nothing it started — the connection's goroutines
+// on either end, and through the server's the engine behind it — outlives
+// the call.
 func Dial(ctx context.Context, urls []string, cfg Config) (*Engine, error) {
 	if len(urls) == 0 {
 		return nil, errors.New("remote: no backend URLs")
@@ -141,6 +145,7 @@ func Dial(ctx context.Context, urls []string, cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("remote: %s: %w", u, err)
 		}
+		req.Close = true
 		resp, err := client.Do(req)
 		if err != nil {
 			return nil, fmt.Errorf("remote: %s: %w", u, err)
@@ -183,16 +188,13 @@ func (e *Engine) survivors(region core.Region) []int {
 	return out
 }
 
-// backendMethod maps the caller's method to the one backends execute.
-// Like shard.shardMethod: with more than one backend each holds a
-// sub-sampled point set whose sparser Voronoi diagram can strand result
-// islands under the published segment heuristic, so VoronoiBFS upgrades
-// to the strict cell-intersection expansion, which stays complete. A
-// single backend holds the whole dataset and executes the caller's
-// method verbatim.
+// backendMethod maps the caller's method to the one backends execute:
+// with more than one backend each holds part of the dataset
+// (core.PartitionMethod); a single backend holds all of it and executes
+// the caller's method verbatim.
 func (e *Engine) backendMethod(m core.Method) core.Method {
-	if m == core.VoronoiBFS && len(e.backends) > 1 {
-		return core.VoronoiBFSStrict
+	if len(e.backends) > 1 {
+		return core.PartitionMethod(m)
 	}
 	return m
 }
@@ -322,39 +324,6 @@ func remap(ids []int64, offset int64) []int64 {
 	return ids
 }
 
-// mergeSorted concatenates per-backend ascending runs and sorts, reusing
-// dst (shard's gather, verbatim semantics: nil dst with no results stays
-// nil; non-nil dst empties to dst[:0]).
-func mergeSorted(dst []int64, parts [][]int64) []int64 {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total == 0 {
-		if dst == nil {
-			return nil
-		}
-		return dst[:0]
-	}
-	if dst == nil {
-		dst = make([]int64, 0, total)
-	} else {
-		dst = dst[:0]
-	}
-	for _, p := range parts {
-		dst = append(dst, p...)
-	}
-	sort.Slice(dst, func(a, b int) bool { return dst[a] < dst[b] })
-	return dst
-}
-
-// finalize recomputes the result-dependent aggregate counters after the
-// gather step, exactly as the sharded engine does.
-func finalize(agg *core.Stats, resultSize int) {
-	agg.ResultSize = resultSize
-	agg.RedundantValidations = agg.Candidates - resultSize
-}
-
 // observeFanOut records the scatter width into the trace when one rides
 // along (nil-safe).
 func observeFanOut(tr *obs.QueryTrace, alive int) { tr.SetFanOut(alive) }
@@ -442,7 +411,7 @@ func (e *Engine) QueryRegionSpec(ctx context.Context, region core.Region, spec c
 	}
 	if spec.CountOnly {
 		if spec.Limit > 0 && agg.ResultSize > spec.Limit {
-			finalize(&agg, spec.Limit)
+			agg.Finalize(spec.Limit)
 		}
 		return nil, agg, nil
 	}
@@ -450,14 +419,14 @@ func (e *Engine) QueryRegionSpec(ctx context.Context, region core.Region, spec c
 	if spec.Trace != nil {
 		mergeStart = time.Now()
 	}
-	out := mergeSorted(spec.Dest, parts)
+	out := core.MergeSorted(spec.Dest, parts)
 	if spec.Limit > 0 && len(out) > spec.Limit {
 		out = out[:spec.Limit]
 	}
 	if spec.Trace != nil {
 		spec.Trace.Add(obs.PhaseMerge, time.Since(mergeStart))
 	}
-	finalize(&agg, len(out))
+	agg.Finalize(len(out))
 	return out, agg, nil
 }
 
@@ -483,7 +452,7 @@ func (e *Engine) QueryRegionsSpec(ctx context.Context, regions []core.Region, sp
 			total += st.ResultSize
 			agg.Add(st)
 		}
-		finalize(&agg, total)
+		agg.Finalize(total)
 		return nil, agg, nil
 	}
 	req := wire.BatchRequest{
@@ -540,7 +509,7 @@ func (e *Engine) QueryRegionsSpec(ctx context.Context, regions []core.Region, sp
 				parts = append(parts, perBackend[slot][ri])
 			}
 		}
-		merged := mergeSorted(nil, parts)
+		merged := core.MergeSorted(nil, parts)
 		if spec.Limit > 0 && len(merged) > spec.Limit {
 			merged = merged[:spec.Limit]
 		}
@@ -554,7 +523,7 @@ func (e *Engine) QueryRegionsSpec(ctx context.Context, regions []core.Region, sp
 		out = nil
 		resultSize = agg.ResultSize
 	}
-	finalize(&agg, resultSize)
+	agg.Finalize(resultSize)
 	return out, agg, nil
 }
 
@@ -581,7 +550,7 @@ func (e *Engine) EachRegion(ctx context.Context, region core.Region, spec core.Q
 		st, stopped, err := e.streamOne(ctx, e.backends[bi], wire.QueryRequest{Region: wr, Options: opts}, yield)
 		agg.Add(st)
 		if err != nil {
-			finalize(&agg, agg.ResultSize)
+			agg.Finalize(agg.ResultSize)
 			return agg, fmt.Errorf("remote: backend %s: %w", e.backends[bi].URL, err)
 		}
 		if stopped {
@@ -594,7 +563,7 @@ func (e *Engine) EachRegion(ctx context.Context, region core.Region, spec core.Q
 			}
 		}
 	}
-	finalize(&agg, agg.ResultSize)
+	agg.Finalize(agg.ResultSize)
 	return agg, ctx.Err()
 }
 
@@ -711,16 +680,12 @@ func (e *Engine) KNearest(ctx context.Context, q geom.Point, k int) ([]int64, co
 	}
 	sort.Slice(order, func(a, b int) bool { return mindist[order[a]] < mindist[order[b]] })
 
-	type cand struct {
-		id int64
-		d2 float64
-	}
-	var best []cand
+	var best []core.Neighbor
 	req := wire.KNNRequest{Point: wire.FromPoint(q), K: k}
 	expanded, failed := 0, 0
 	var lastErr error
 	for _, bi := range order {
-		if len(best) == k && mindist[bi] > best[k-1].d2 {
+		if len(best) == k && mindist[bi] > best[k-1].D2 {
 			break
 		}
 		if err := ctx.Err(); err != nil {
@@ -745,17 +710,9 @@ func (e *Engine) KNearest(ctx context.Context, q geom.Point, k int) ([]int64, co
 			return nil, stats, fmt.Errorf("remote: backend %s: %d points for %d ids", b.URL, len(resp.Points), len(resp.IDs))
 		}
 		for i, id := range resp.IDs {
-			best = append(best, cand{id: id + b.IDOffset, d2: q.Dist2(resp.Points[i].Point())})
+			best = append(best, core.Neighbor{ID: id + b.IDOffset, D2: q.Dist2(resp.Points[i].Point())})
 		}
-		sort.Slice(best, func(a, b int) bool {
-			if best[a].d2 != best[b].d2 {
-				return best[a].d2 < best[b].d2
-			}
-			return best[a].id < best[b].id
-		})
-		if len(best) > k {
-			best = best[:k]
-		}
+		best = core.MergeNearest(best, k)
 	}
 
 	if expanded > 0 && failed == expanded {
@@ -765,7 +722,7 @@ func (e *Engine) KNearest(ctx context.Context, q geom.Point, k int) ([]int64, co
 	}
 	out := make([]int64, len(best))
 	for i, c := range best {
-		out[i] = c.id
+		out[i] = c.ID
 	}
 	stats.ResultSize = len(out)
 	return out, stats, nil

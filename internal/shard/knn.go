@@ -43,17 +43,13 @@ func (e *Engine) KNearest(ctx context.Context, q geom.Point, k int) ([]int64, co
 	}
 	sort.Slice(order, func(a, b int) bool { return mindist[order[a]] < mindist[order[b]] })
 
-	type cand struct {
-		id int64
-		d2 float64
-	}
-	var best []cand
+	var best []core.Neighbor
 	for _, si := range order {
 		// Expansion test: a shard whose MINDIST exceeds the current k-th
 		// distance cannot improve the result, and neither can any shard
 		// after it in the frontier order. Equal distance still expands, so
 		// boundary ties are never dropped.
-		if len(best) == k && mindist[si] > best[k-1].d2 {
+		if len(best) == k && mindist[si] > best[k-1].D2 {
 			break
 		}
 		if err := ctx.Err(); err != nil {
@@ -67,22 +63,14 @@ func (e *Engine) KNearest(ctx context.Context, q geom.Point, k int) ([]int64, co
 		}
 		for _, id := range local {
 			gid := s.global[id]
-			best = append(best, cand{id: gid, d2: q.Dist2(e.points[gid])})
+			best = append(best, core.Neighbor{ID: gid, D2: q.Dist2(e.points[gid])})
 		}
-		sort.Slice(best, func(a, b int) bool {
-			if best[a].d2 != best[b].d2 {
-				return best[a].d2 < best[b].d2
-			}
-			return best[a].id < best[b].id
-		})
-		if len(best) > k {
-			best = best[:k]
-		}
+		best = core.MergeNearest(best, k)
 	}
 
 	out := make([]int64, len(best))
 	for i, c := range best {
-		out[i] = c.id
+		out[i] = c.ID
 	}
 	stats.ResultSize = len(out)
 	return out, stats, nil

@@ -43,7 +43,7 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -171,7 +171,7 @@ func New(points []geom.Point, bounds geom.Rect, cfg Config) (*Engine, error) {
 		for i, idx := range run {
 			global[i] = int64(idx)
 		}
-		sort.Slice(global, func(a, b int) bool { return global[a] < global[b] })
+		slices.Sort(global)
 		pts := make([]geom.Point, len(global))
 		mbr := geom.EmptyRect()
 		for i, id := range global {
@@ -246,37 +246,25 @@ func (e *Engine) survivors(dst []int, region core.Region) []int {
 	return dst
 }
 
-// shardMethod maps the caller's method to the one a shard executes:
-// VoronoiBFS upgrades to the strict cell-intersection expansion, which
-// stays complete on the shard's sub-sampled (sparser) Voronoi diagram
-// where the published segment heuristic can strand result islands. See
-// the package comment.
-func shardMethod(m core.Method) core.Method {
-	if m == core.VoronoiBFS {
-		return core.VoronoiBFSStrict
-	}
-	return m
-}
-
 // shardSpec is the per-shard execution spec: the caller's spec with the
-// method mapped shard-local and the reuse buffer stripped (per-shard
-// results cannot share one buffer).
+// method mapped shard-local (core.PartitionMethod; see the package comment)
+// and the reuse buffer stripped (per-shard results cannot share one
+// buffer).
 func shardSpec(spec core.QuerySpec) core.QuerySpec {
-	spec.Method = shardMethod(spec.Method)
+	spec.Method = core.PartitionMethod(spec.Method)
 	spec.Dest = nil
 	return spec
 }
 
 // shardQuery runs one region on one shard with the shard-local spec.
 // There is deliberately no fallback to the segment rule when the shard's
-// data cannot provide Voronoi cells (core.ErrStrictNotSupported): silently
+// data has no Voronoi cells (core.ErrStrictNotSupported): silently
 // degrading would break the package's exact-result guarantee, so the
 // error surfaces to the caller instead. Both provided DataAccess types
-// carry a per-shard packed cell arena (core.CellArenaSource), so the
-// upgraded strict expansion reads each shard's clipped cells from dense
-// memory without materializing rings; a custom BuildFunc must implement
-// CellArenaSource or CellSource too, or its callers must request
-// Traditional/VoronoiBFSStrict explicitly.
+// carry a per-shard packed cell arena, so the upgraded strict expansion
+// reads each shard's clipped cells from dense memory without materializing
+// rings; a custom BuildFunc whose DataAccess.CellArena returns nil can
+// only serve Traditional and BruteForce.
 func (s *oneShard) shardQuery(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error) {
 	return s.eng.QueryRegionSpec(ctx, region, shardSpec(spec))
 }
@@ -310,53 +298,6 @@ func (s *oneShard) remap(local []int64) []int64 {
 		out[i] = s.global[id]
 	}
 	return out
-}
-
-// mergeSorted concatenates per-shard global id slices into dst (reusing
-// its capacity; pass nil for a fresh slice) and sorts them ascending, the
-// engine's canonical result order. An empty result with a reuse buffer
-// returns dst[:0], not nil — the unsharded engines' Dest contract.
-func mergeSorted(dst []int64, parts [][]int64) []int64 {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total == 0 {
-		if dst == nil {
-			return nil
-		}
-		return dst[:0]
-	}
-	if dst == nil {
-		dst = make([]int64, 0, total)
-	} else {
-		dst = dst[:0]
-	}
-	for _, p := range parts {
-		dst = append(dst, p...)
-	}
-	sort.Slice(dst, func(a, b int) bool { return dst[a] < dst[b] })
-	return dst
-}
-
-// finalize recomputes the result-dependent aggregate counters after the
-// gather step (merging, Limit truncation and CountOnly capping change the
-// effective result size).
-func finalize(agg *core.Stats, resultSize int) {
-	agg.ResultSize = resultSize
-	agg.RedundantValidations = agg.Candidates - resultSize
-}
-
-// Query answers an area query with the chosen method, returning global
-// ids in ascending order. Stats aggregate the per-shard work (Duration is
-// summed per-shard time, comparable with a sequential run).
-func (e *Engine) Query(m core.Method, area geom.Polygon) ([]int64, core.Stats, error) {
-	return e.QueryRegion(m, core.PolygonRegion(area))
-}
-
-// QueryRegion is Query over a prepared Region (polygon, circle, custom).
-func (e *Engine) QueryRegion(m core.Method, region core.Region) ([]int64, core.Stats, error) {
-	return e.QueryRegionSpec(context.Background(), region, core.QuerySpec{Method: m})
 }
 
 // QueryRegionSpec is the context-aware spec-driven scatter-gather query:
@@ -426,7 +367,7 @@ func (e *Engine) QueryRegionSpec(ctx context.Context, region core.Region, spec c
 		// Per-shard counts summed by Add; cap like a merged+truncated
 		// result would be.
 		if spec.Limit > 0 && agg.ResultSize > spec.Limit {
-			finalize(&agg, spec.Limit)
+			agg.Finalize(spec.Limit)
 		}
 		return nil, agg, nil
 	}
@@ -434,14 +375,14 @@ func (e *Engine) QueryRegionSpec(ctx context.Context, region core.Region, spec c
 	if spec.Trace != nil {
 		mergeStart = time.Now()
 	}
-	out := mergeSorted(spec.Dest, parts)
+	out := core.MergeSorted(spec.Dest, parts)
 	if spec.Limit > 0 && len(out) > spec.Limit {
 		out = out[:spec.Limit]
 	}
 	if spec.Trace != nil {
 		spec.Trace.Add(obs.PhaseMerge, time.Since(mergeStart))
 	}
-	finalize(&agg, len(out))
+	agg.Finalize(len(out))
 	return out, agg, nil
 }
 
@@ -482,7 +423,7 @@ func (e *Engine) EachRegion(ctx context.Context, region core.Region, spec core.Q
 		}
 		agg.Add(st)
 		if err != nil {
-			finalize(&agg, agg.ResultSize)
+			agg.Finalize(agg.ResultSize)
 			return agg, fmt.Errorf("shard: shard %d: %w", si, err)
 		}
 		if stopped {
@@ -495,28 +436,8 @@ func (e *Engine) EachRegion(ctx context.Context, region core.Region, spec core.Q
 			}
 		}
 	}
-	finalize(&agg, agg.ResultSize)
+	agg.Finalize(agg.ResultSize)
 	return agg, ctx.Err()
-}
-
-// Count answers an area query returning only the number of matching
-// points; pruned shards cost nothing and no merged result is built.
-func (e *Engine) Count(m core.Method, area geom.Polygon) (int, core.Stats, error) {
-	_, agg, err := e.QueryRegionSpec(context.Background(), core.PolygonRegion(area),
-		core.QuerySpec{Method: m, CountOnly: true})
-	if err != nil {
-		return 0, agg, err
-	}
-	return agg.ResultSize, agg, nil
-}
-
-// QueryRegions answers a batch of regions, scattering every (region,
-// surviving shard) pair onto one worker pool so both intra-query and
-// inter-query parallelism are exploited. Results align with regions; each
-// is in ascending global id order. The aggregate Stats sum per-shard,
-// per-query work.
-func (e *Engine) QueryRegions(m core.Method, regions []core.Region) ([][]int64, core.Stats, error) {
-	return e.QueryRegionsSpec(context.Background(), regions, core.QuerySpec{Method: m})
 }
 
 // QueryRegionsSpec is the context-aware spec-driven batch: every (region,
@@ -625,20 +546,15 @@ func (e *Engine) QueryRegionsSpec(ctx context.Context, regions []core.Region, sp
 	} else {
 		out = make([][]int64, len(regions))
 		for qi := range regions {
-			out[qi] = mergeSorted(nil, parts[qi])
+			out[qi] = core.MergeSorted(nil, parts[qi])
 			if spec.Limit > 0 && len(out[qi]) > spec.Limit {
 				out[qi] = out[qi][:spec.Limit]
 			}
 			total += len(out[qi])
 		}
 	}
-	finalize(&agg, total)
+	agg.Finalize(total)
 	return out, agg, nil
-}
-
-// QueryBatch is QueryRegions over plain polygons.
-func (e *Engine) QueryBatch(m core.Method, areas []geom.Polygon) ([][]int64, core.Stats, error) {
-	return e.QueryRegions(m, core.Polygons(areas))
 }
 
 // wrapRunErr prefixes pool errors with the package name, except bare

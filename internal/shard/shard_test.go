@@ -44,6 +44,14 @@ func newOracle(t testing.TB, pts []geom.Point) *core.Engine {
 	return eng
 }
 
+// query runs region with method m and no deadline on a sharded engine or
+// the single-engine oracle.
+func query(q interface {
+	QueryRegionSpec(context.Context, core.Region, core.QuerySpec) ([]int64, core.Stats, error)
+}, m core.Method, region core.Region) ([]int64, core.Stats, error) {
+	return q.QueryRegionSpec(context.Background(), region, core.QuerySpec{Method: m})
+}
+
 func sorted(ids []int64) []int64 {
 	out := append([]int64(nil), ids...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -78,6 +86,7 @@ var testShardCounts = []int{1, 2, 7, 16}
 // the exact sorted global id set of a single engine over the same points.
 func TestConformanceToSingleEngine(t *testing.T) {
 	const n = 3000
+	ctx := context.Background()
 	for wname, pts := range testWorkloads(n) {
 		oracle := newOracle(t, pts)
 		rng := rand.New(rand.NewSource(43))
@@ -104,11 +113,11 @@ func TestConformanceToSingleEngine(t *testing.T) {
 
 			for _, m := range []core.Method{core.Traditional, core.VoronoiBFS, core.VoronoiBFSStrict, core.BruteForce} {
 				for ai, area := range areas {
-					want, _, err := oracle.Query(m, area)
+					want, _, err := query(oracle, m, core.PolygonRegion(area))
 					if err != nil {
 						t.Fatalf("%s %v: oracle: %v", name, m, err)
 					}
-					got, _, err := se.Query(m, area)
+					got, _, err := query(se, m, core.PolygonRegion(area))
 					if err != nil {
 						t.Fatalf("%s %v: sharded: %v", name, m, err)
 					}
@@ -116,20 +125,20 @@ func TestConformanceToSingleEngine(t *testing.T) {
 						t.Errorf("%s %v area %d: %d ids, oracle %d", name, m, ai, len(got), len(want))
 					}
 
-					n, _, err := se.Count(m, area)
+					none, cst, err := se.QueryRegionSpec(ctx, core.PolygonRegion(area), core.QuerySpec{Method: m, CountOnly: true})
 					if err != nil {
 						t.Fatalf("%s %v: count: %v", name, m, err)
 					}
-					if n != len(want) {
-						t.Errorf("%s %v area %d: Count = %d, want %d", name, m, ai, n, len(want))
+					if none != nil || cst.ResultSize != len(want) {
+						t.Errorf("%s %v area %d: CountOnly = %d (ids %v), want %d", name, m, ai, cst.ResultSize, none, len(want))
 					}
 				}
 				for ci, c := range circles {
-					want, _, err := oracle.QueryRegion(m, core.CircleRegion(c))
+					want, _, err := query(oracle, m, core.CircleRegion(c))
 					if err != nil {
 						t.Fatalf("%s %v: oracle circle: %v", name, m, err)
 					}
-					got, _, err := se.QueryRegion(m, core.CircleRegion(c))
+					got, _, err := query(se, m, core.CircleRegion(c))
 					if err != nil {
 						t.Fatalf("%s %v: sharded circle: %v", name, m, err)
 					}
@@ -147,11 +156,12 @@ func TestConformanceToSingleEngine(t *testing.T) {
 			for _, c := range circles {
 				regions = append(regions, core.CircleRegion(c))
 			}
-			got, _, err := se.QueryRegions(core.VoronoiBFS, regions)
+			spec := core.QuerySpec{Method: core.VoronoiBFS}
+			got, _, err := se.QueryRegionsSpec(ctx, regions, spec)
 			if err != nil {
-				t.Fatalf("%s: QueryRegions: %v", name, err)
+				t.Fatalf("%s: QueryRegionsSpec: %v", name, err)
 			}
-			want, _, err := oracle.QueryBatchRegions(core.VoronoiBFS, regions)
+			want, _, err := exec.QueryBatch(ctx, oracle, regions, spec, exec.Options{NumWorkers: 1})
 			if err != nil {
 				t.Fatalf("%s: oracle batch: %v", name, err)
 			}
@@ -202,7 +212,7 @@ func TestGlobalIDStability(t *testing.T) {
 	var first []int64
 	for _, shards := range testShardCounts {
 		se := newSharded(t, pts, shards)
-		got, _, err := se.Query(core.VoronoiBFS, area)
+		got, _, err := query(se, core.VoronoiBFS, core.PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +295,7 @@ func TestShardPruning(t *testing.T) {
 	far := geom.MustPolygon([]geom.Point{
 		geom.Pt(5, 5), geom.Pt(6, 5), geom.Pt(5.5, 6),
 	})
-	ids, st, err := se.Query(core.VoronoiBFS, far)
+	ids, st, err := query(se, core.VoronoiBFS, core.PolygonRegion(far))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +318,7 @@ func TestShardedStatsAggregate(t *testing.T) {
 	// rule (see shardMethod), so replay the scatter with it.
 	var want core.Stats
 	for _, si := range se.survivors(nil, region) {
-		_, st, err := se.ShardEngine(si).QueryRegion(core.VoronoiBFSStrict, region)
+		_, st, err := query(se.ShardEngine(si), core.VoronoiBFSStrict, region)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +328,7 @@ func TestShardedStatsAggregate(t *testing.T) {
 		t.Fatal("workload produced no candidates; test is vacuous")
 	}
 
-	_, agg, err := se.Query(core.VoronoiBFS, area)
+	_, agg, err := query(se, core.VoronoiBFS, core.PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +355,7 @@ func TestConcurrentShardedQueries(t *testing.T) {
 	oracleIDs := make([][]int64, len(areas))
 	for i := range areas {
 		areas[i] = workload.RandomPolygon(rng, workload.PolygonConfig{Vertices: 10, QuerySize: 0.03}, unitBounds())
-		ids, _, err := oracle.Query(core.BruteForce, areas[i])
+		ids, _, err := query(oracle, core.BruteForce, core.PolygonRegion(areas[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +372,7 @@ func TestConcurrentShardedQueries(t *testing.T) {
 				i := (worker + rep) % len(areas)
 				switch rep % 3 {
 				case 0:
-					ids, _, err := se.Query(core.VoronoiBFS, areas[i])
+					ids, _, err := query(se, core.VoronoiBFS, core.PolygonRegion(areas[i]))
 					if err != nil {
 						errs <- err
 						return
@@ -372,12 +382,13 @@ func TestConcurrentShardedQueries(t *testing.T) {
 						return
 					}
 				case 1:
-					cnt, _, err := se.Count(core.Traditional, areas[i])
+					_, cst, err := se.QueryRegionSpec(context.Background(), core.PolygonRegion(areas[i]),
+						core.QuerySpec{Method: core.Traditional, CountOnly: true})
 					if err != nil {
 						errs <- err
 						return
 					}
-					if cnt != len(oracleIDs[i]) {
+					if cst.ResultSize != len(oracleIDs[i]) {
 						errs <- fmt.Errorf("worker %d: count %d diverged", worker, i)
 						return
 					}
@@ -432,11 +443,11 @@ func TestSingleShardMatchesUnsharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for rep := 0; rep < 10; rep++ {
 		area := workload.RandomPolygon(rng, workload.PolygonConfig{Vertices: 8, QuerySize: 0.02}, unitBounds())
-		want, _, err := oracle.Query(core.VoronoiBFS, area)
+		want, _, err := query(oracle, core.VoronoiBFS, core.PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := se.Query(core.VoronoiBFS, area)
+		got, _, err := query(se, core.VoronoiBFS, core.PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -497,7 +508,7 @@ func TestShardedVoronoiUsesStrictExpansion(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	area := workload.RandomPolygon(rng, workload.PolygonConfig{Vertices: 10, QuerySize: 0.05}, unitBounds())
 
-	_, st, err := se.Query(core.VoronoiBFS, area)
+	_, st, err := query(se, core.VoronoiBFS, core.PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,14 +521,14 @@ func TestShardedVoronoiUsesStrictExpansion(t *testing.T) {
 	}
 
 	// The explicit strict and traditional methods pass through unchanged.
-	_, st, err = se.Query(core.VoronoiBFSStrict, area)
+	_, st, err = query(se, core.VoronoiBFSStrict, core.PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.CellTests == 0 || st.SegmentTests != 0 {
 		t.Errorf("strict: got %d cell tests / %d segment tests", st.CellTests, st.SegmentTests)
 	}
-	_, st, err = se.Query(core.Traditional, area)
+	_, st, err = query(se, core.Traditional, core.PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,8 +67,11 @@ func WithRemoteClient(hc *http.Client) Option {
 }
 
 // DialRemote discovers each URL's shape from its /v1/info and builds a
-// RemoteEngine over the backends. Engine-construction options that only
-// make sense locally (WithIndex, WithStore, ...) are ignored; the
+// RemoteEngine over the backends. The discovery probes are one-shot
+// requests: a dial leaves no idle connection in the client's pool; the
+// first query opens the connections the engine then keeps alive.
+// Engine-construction options that only
+// make sense locally (WithStore, WithShards, ...) are ignored; the
 // remote-specific options above plus WithResultCache and WithMetrics
 // apply.
 func DialRemote(ctx context.Context, urls []string, opts ...Option) (*RemoteEngine, error) {

@@ -106,18 +106,25 @@
 //
 // # Memory layout
 //
-// Engines store geometry in flat structure-of-arrays form: point
-// coordinates live in parallel x/y float64 slices, and every Voronoi cell
-// is clipped once at construction and packed into one contiguous cell
-// arena — flat vertex slices, int32 ring offsets, and per-cell bounding
-// boxes. The BFS expansion tests, the strict rule's cell-intersection
-// checks and the KNearest distance loop read that dense memory through
+// An engine retains exactly what its queries read, in flat
+// structure-of-arrays form, and nothing of what built it. Per site that
+// is: the coordinates in parallel x/y float64 slices (16 bytes; the
+// public Engine keeps a second 16-byte copy as the []Point its Point
+// accessor serves); the Voronoi adjacency as CSR arrays, one int32 offset
+// plus one int32 per neighbor (about 28 bytes — a site averages six
+// neighbors); the clipped Voronoi cell, packed at construction into one
+// contiguous cell arena of flat vertex slices, int32 ring offsets and
+// per-cell bounding boxes (roughly 130 bytes: 16 per vertex, six vertices
+// on average, plus a 32-byte box and a 4-byte offset); and the site's
+// R-tree leaf entry. The Delaunay triangulation the adjacency and the
+// cells are derived from — quad-edge pool, its own point copy, vertex
+// tables, about 120 bytes per site — is construction scaffolding and is
+// released when NewEngine returns.
+//
+// The BFS expansion tests, the strict rule's cell-intersection checks and
+// the KNearest distance loop read that dense memory through
 // zero-allocation views; no cell ring is materialized on any query hot
-// path. The arena's cost is fixed at construction and small: a clipped
-// Voronoi cell averages six vertices, so packed cells add roughly 130
-// bytes per site (16 bytes per vertex plus a 32-byte box and a 4-byte
-// offset) on top of the 16 coordinate bytes. CellArea serves per-cell
-// geometry from the same storage.
+// path. CellArea serves per-cell geometry from the same storage.
 //
 // # Static analysis
 //
@@ -152,7 +159,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/svg"
-	"repro/internal/voronoi"
 	"repro/internal/workload"
 )
 
@@ -259,43 +265,6 @@ func HilbertSort(points []Point, bounds Rect) {
 	workload.HilbertSort(points, bounds)
 }
 
-// IndexKind selects the filtering index implementation.
-type IndexKind int
-
-// The available index kinds. RTreeIndex is the paper's choice and the
-// default; the others exist for ablation studies.
-const (
-	// RTreeIndex is an STR bulk-loaded R-tree (the default).
-	RTreeIndex IndexKind = iota
-	// RStarIndex is an R-tree grown by dynamic insertion with the R*
-	// split policy, modeling an incrementally built index.
-	RStarIndex
-	// KDTreeIndex is a static median-split kd-tree.
-	KDTreeIndex
-	// QuadtreeIndex is a bucketed point-region quadtree.
-	QuadtreeIndex
-	// GridIndex is a uniform grid.
-	GridIndex
-)
-
-// String implements fmt.Stringer.
-func (k IndexKind) String() string {
-	switch k {
-	case RTreeIndex:
-		return "rtree"
-	case RStarIndex:
-		return "rstar"
-	case KDTreeIndex:
-		return "kdtree"
-	case QuadtreeIndex:
-		return "quadtree"
-	case GridIndex:
-		return "grid"
-	default:
-		return fmt.Sprintf("index(%d)", int(k))
-	}
-}
-
 // StoreConfig configures the simulated paged object store (see WithStore).
 type StoreConfig = core.StoreConfig
 
@@ -303,11 +272,7 @@ type StoreConfig = core.StoreConfig
 type Option func(*config)
 
 type config struct {
-	index       IndexKind
-	rtreeFan    int
 	store       *StoreConfig
-	quadBucket  int
-	gridCell    int
 	parallelism int
 	shards      int
 	rcache      *ResultCache
@@ -324,17 +289,6 @@ type config struct {
 	// explicit 0 ("use the GOMAXPROCS default") still overrides a
 	// StoreConfig.PoolShards value.
 	poolShardsSet bool
-}
-
-// WithIndex selects the filtering index (default RTreeIndex, as in the
-// paper).
-func WithIndex(kind IndexKind) Option {
-	return func(c *config) { c.index = kind }
-}
-
-// WithRTreeFanout sets the R-tree maximum node fan-out (default 16).
-func WithRTreeFanout(n int) Option {
-	return func(c *config) { c.rtreeFan = n }
 }
 
 // WithStore backs records with a paged object store and sharded LRU
@@ -393,29 +347,13 @@ type Engine struct {
 	qm          *queryMetrics // nil without WithMetrics
 }
 
+// rtreeFanout is the maximum node fan-out of every engine's STR-packed
+// R-tree (the dynamic engine's R* tree uses the same value).
+const rtreeFanout = 16
+
 // defaultConfig returns the option defaults shared by NewEngine and
 // NewShardedEngine.
-func defaultConfig() config {
-	return config{index: RTreeIndex, rtreeFan: 16, quadBucket: 16, gridCell: 8, shards: 1}
-}
-
-// buildIndex constructs the configured filtering index over points.
-func (c config) buildIndex(points []Point, bounds Rect) (core.SpatialIndex, error) {
-	switch c.index {
-	case RTreeIndex:
-		return core.NewRTreeIndex(points, c.rtreeFan), nil
-	case RStarIndex:
-		return core.NewRStarIndex(points, c.rtreeFan), nil
-	case KDTreeIndex:
-		return core.NewKDTreeIndex(points), nil
-	case QuadtreeIndex:
-		return core.NewQuadtreeIndex(points, bounds, c.quadBucket), nil
-	case GridIndex:
-		return core.NewGridIndex(points, bounds, c.gridCell), nil
-	default:
-		return nil, fmt.Errorf("vaq: unknown index kind %v", c.index)
-	}
-}
+func defaultConfig() config { return config{shards: 1} }
 
 // buildData constructs the configured record layer over points, returning
 // the store when one was configured (nil otherwise).
@@ -446,13 +384,8 @@ func NewEngine(points []Point, bounds Rect, opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("vaq: %w", err)
 	}
 
-	idx, err := cfg.buildIndex(points, bounds)
-	if err != nil {
-		return nil, err
-	}
-
 	e := &Engine{
-		eng:         core.NewEngine(idx, data),
+		eng:         core.NewEngine(core.NewRTreeIndex(points, rtreeFanout), data),
 		points:      append([]Point(nil), points...),
 		bounds:      bounds,
 		data:        data,
@@ -499,19 +432,13 @@ func (e *Engine) PointOK(id int64) (Point, bool) {
 	return e.points[id], true
 }
 
-// Diagram returns the engine's Voronoi diagram (cells clipped to Bounds).
-func (e *Engine) Diagram() *voronoi.Diagram {
-	type diagrammer interface{ Diagram() *voronoi.Diagram }
-	return e.data.(diagrammer).Diagram()
-}
-
 // CellArea returns the area of id's Voronoi cell (clipped to Bounds),
 // computed over the engine's packed cell arena — the flat vertex store
 // every cell was clipped into at construction — so no ring is
 // materialized. The areas of all cells sum to the universe's area. It
 // panics when id is not in [0, Len()).
 func (e *Engine) CellArea(id int64) float64 {
-	return e.data.(core.CellArenaSource).CellArena().CellArea(int(id))
+	return e.data.CellArena().CellArea(int(id))
 }
 
 // IOStats returns the engine's cumulative simulated IO counters — buffer
@@ -580,8 +507,8 @@ type ShardedEngine struct {
 
 // NewShardedEngine partitions points into n shards (WithShards; default 1)
 // by Hilbert order and builds every shard's engine in parallel. All
-// NewEngine options apply, per shard: each shard gets its own index of the
-// configured kind and — with WithStore — its own paged record store.
+// NewEngine options apply, per shard: each shard gets its own R-tree and
+// — with WithStore — its own paged record store.
 // bounds must contain every point; points must have pairwise distinct
 // coordinates.
 func NewShardedEngine(points []Point, bounds Rect, opts ...Option) (*ShardedEngine, error) {
@@ -609,14 +536,10 @@ func NewShardedEngine(points []Point, bounds Rect, opts ...Option) (*ShardedEngi
 			if err != nil {
 				return nil, err
 			}
-			idx, err := cfg.buildIndex(pts, bounds)
-			if err != nil {
-				return nil, err
-			}
 			if si < len(stores) {
 				stores[si] = sd // distinct si per call; no lock needed
 			}
-			return core.NewEngine(idx, data), nil
+			return core.NewEngine(core.NewRTreeIndex(pts, rtreeFanout), data), nil
 		},
 	})
 	if err != nil {
@@ -909,18 +832,24 @@ func (e *Engine) RenderQuerySVG(w io.Writer, area Polygon, opts RenderOptions) e
 	}
 
 	canvas := svg.NewCanvas(e.bounds, opts.WidthPx)
-	d := e.Diagram()
 	if opts.DrawCells {
-		for i := 0; i < d.NumSites(); i++ {
-			canvas.Ring(d.Cell(i), svg.Style{Stroke: "#ccccff", StrokeWidth: 0.5})
+		arena := e.data.CellArena()
+		var ring geom.Ring
+		for i := 0; i < arena.NumCells(); i++ {
+			ring = arena.AppendRing(i, ring[:0])
+			canvas.Ring(ring, svg.Style{Stroke: "#ccccff", StrokeWidth: 0.5})
 		}
 	}
 	if opts.DrawDelaunay {
-		d.Triangulation().Edges(func(a, b int32) bool {
-			canvas.Segment(geom.Seg(e.points[a], e.points[b]),
-				svg.Style{Stroke: "#eeddcc", StrokeWidth: 0.5})
-			return true
-		})
+		// Every Delaunay edge once: from its lower-numbered endpoint.
+		for a := range e.points {
+			for _, b := range e.data.Neighbors(int64(a), nil) {
+				if a < int(b) {
+					canvas.Segment(geom.Seg(e.points[a], e.points[b]),
+						svg.Style{Stroke: "#eeddcc", StrokeWidth: 0.5})
+				}
+			}
+		}
 	}
 	if opts.DrawMBR {
 		canvas.Rect(area.Bounds(), svg.Style{Stroke: "#cc0000", StrokeWidth: 1})
@@ -953,12 +882,11 @@ func (e *Engine) candidateShell(results []int64, inResult map[int64]bool) map[in
 	// the result set reproduces it (boundary points that only chain from
 	// other boundary points are a measure-zero nicety for rendering).
 	for _, id := range results {
-		e.data.NeighborsFunc(id, func(nb int64) bool {
-			if !inResult[nb] {
-				shell[nb] = true
+		for _, nb := range e.data.Neighbors(id, nil) {
+			if !inResult[int64(nb)] {
+				shell[int64(nb)] = true
 			}
-			return true
-		})
+		}
 	}
 	return shell
 }

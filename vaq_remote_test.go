@@ -335,6 +335,48 @@ func TestRemoteDeadlinePropagation(t *testing.T) {
 	}
 }
 
+// TestDialRemoteProbeIsOneShot verifies DialRemote leaves nothing running
+// behind the call: the /v1/info probe asks the server to close the
+// connection, so no idle keep-alive connection — whose server goroutine
+// pins the handler's engine until it exits — outlives the dial, while
+// queries keep their connections alive as before.
+func TestDialRemoteProbeIsOneShot(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	eng, err := vaq.NewEngine(vaq.UniformPoints(rng, 200, vaq.UnitSquare()), vaq.UnitSquare())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var probes, probeCloses, queryCloses atomic.Int64
+	h := serve.NewHandler(eng, serve.Config{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/v1/info":
+			probes.Add(1)
+			if r.Close {
+				probeCloses.Add(1)
+			}
+		case r.Close:
+			queryCloses.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	re, err := vaq.DialRemote(context.Background(), []string{srv.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probes.Load() != 1 || probeCloses.Load() != 1 {
+		t.Fatalf("%d of %d /v1/info probes asked for Connection: close, want 1 of 1", probeCloses.Load(), probes.Load())
+	}
+	if _, err := re.Query(context.Background(), vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.5, 0.5), 0.2))); err != nil {
+		t.Fatal(err)
+	}
+	if queryCloses.Load() != 0 {
+		t.Fatal("a query request asked for Connection: close; only the dial probe is one-shot")
+	}
+}
+
 // TestRemoteCancellationOverTheWire verifies a client-side cancel reaches
 // the in-flight server query (the request context dies on disconnect) and
 // surfaces as context.Canceled at the caller.

@@ -193,36 +193,6 @@ func TestShardedEngineStoreBacked(t *testing.T) {
 	}
 }
 
-// TestShardedEngineIndexKinds runs one conformance pass per index kind, so
-// sharding composes with every filtering index.
-func TestShardedEngineIndexKinds(t *testing.T) {
-	const n = 1500
-	pts := ClusteredPoints(rand.New(rand.NewSource(66)), n, 5, 0.05, UnitSquare())
-	single, err := NewEngine(pts, UnitSquare())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(67))
-	area := RandomQueryPolygon(rng, 10, 0.04, UnitSquare())
-	want, _, err := queryWith(single, VoronoiBFS, area)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range []IndexKind{RTreeIndex, RStarIndex, KDTreeIndex, QuadtreeIndex, GridIndex} {
-		sharded, err := NewShardedEngine(pts, UnitSquare(), WithShards(5), WithIndex(kind))
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		got, _, err := queryWith(sharded, VoronoiBFS, area)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		if !idsEqual(got, sortIDs(want)) {
-			t.Errorf("%v diverged", kind)
-		}
-	}
-}
-
 // TestShardedGlobalIDStability pins that the same query returns the
 // identical id slice (values AND order) at every shard count, and that
 // ids index the original points slice.

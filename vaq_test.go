@@ -3,10 +3,16 @@ package vaq
 import (
 	"bytes"
 	"context"
+	"maps"
 	"math/rand"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/svg"
+	"repro/internal/voronoi"
 )
 
 func sorted(ids []int64) []int64 {
@@ -83,45 +89,6 @@ func TestMethodsAgreeViaPublicAPI(t *testing.T) {
 			want = g
 		} else if !equal(g, want) {
 			t.Fatalf("%v disagrees with Traditional", m)
-		}
-	}
-}
-
-func TestAllIndexKinds(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	pts := UniformPoints(rng, 1000, UnitSquare())
-	area := RandomQueryPolygon(rng, 8, 0.05, UnitSquare())
-	var want []int64
-	for i, kind := range []IndexKind{RTreeIndex, RStarIndex, KDTreeIndex, QuadtreeIndex, GridIndex} {
-		eng, err := NewEngine(pts, UnitSquare(), WithIndex(kind))
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		got, err := eng.Query(context.Background(), PolygonRegion(area))
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		g := sorted(got)
-		if i == 0 {
-			want = g
-		} else if !equal(g, want) {
-			t.Fatalf("index %v disagrees", kind)
-		}
-	}
-	if _, err := NewEngine(pts, UnitSquare(), WithIndex(IndexKind(9))); err == nil {
-		t.Error("unknown index kind should fail")
-	}
-}
-
-func TestIndexKindString(t *testing.T) {
-	names := map[IndexKind]string{
-		RTreeIndex: "rtree", RStarIndex: "rstar", KDTreeIndex: "kdtree",
-		QuadtreeIndex: "quadtree", GridIndex: "grid",
-		IndexKind(9): "index(9)",
-	}
-	for k, want := range names {
-		if got := k.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(k), got, want)
 		}
 	}
 }
@@ -408,17 +375,71 @@ func TestKNearestPublicAPI(t *testing.T) {
 	}
 }
 
-func TestDiagramAccessor(t *testing.T) {
+// svgShapes extracts what an SVG document draws as rings and as line
+// segments, order-insensitively: each <polygon> by its points attribute,
+// each <line> by its two endpoints in sorted order.
+func svgShapes(t *testing.T, doc string) (rings, edges map[string]int) {
+	t.Helper()
+	rings, edges = map[string]int{}, map[string]int{}
+	for _, m := range regexp.MustCompile(`<polygon points="([^"]*)"`).FindAllStringSubmatch(doc, -1) {
+		rings[m[1]]++
+	}
+	for _, m := range regexp.MustCompile(`<line x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)"`).FindAllStringSubmatch(doc, -1) {
+		a, b := m[1]+","+m[2], m[3]+","+m[4]
+		if b < a {
+			a, b = b, a
+		}
+		edges[a+" "+b]++
+	}
+	return rings, edges
+}
+
+// TestRenderQuerySVGCellsAndDelaunay pins what DrawCells and DrawDelaunay
+// draw — from the packed cell arena and the CSR adjacency, the engine keeps
+// no diagram — to what drawing from a voronoi.Diagram built here draws:
+// every Diagram.Cell ring and every edge of its triangulation, each once.
+func TestRenderQuerySVGCellsAndDelaunay(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pts := UniformPoints(rng, 100, UnitSquare())
+	area := RandomQueryPolygon(rng, 8, 0.1, UnitSquare())
+
+	d, err := voronoi.New(pts, UnitSquare())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := svg.NewCanvas(UnitSquare(), 800)
+	for i := range pts {
+		ref.Ring(d.Cell(i), svg.Style{})
+	}
+	d.Triangulation().Edges(func(a, b int32) bool {
+		ref.Segment(geom.Seg(pts[a], pts[b]), svg.Style{})
+		return true
+	})
+	var refDoc bytes.Buffer
+	if _, err := ref.WriteTo(&refDoc); err != nil {
+		t.Fatal(err)
+	}
+	wantRings, wantEdges := svgShapes(t, refDoc.String())
+	if len(wantRings) != len(pts) || len(wantEdges) != d.Triangulation().NumEdges() {
+		t.Fatalf("reference draws %d rings, %d edges; want %d, %d",
+			len(wantRings), len(wantEdges), len(pts), d.Triangulation().NumEdges())
+	}
+
 	for _, opts := range [][]Option{nil, {WithStore(StoreConfig{})}} {
 		eng, err := NewEngine(pts, UnitSquare(), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := eng.Diagram()
-		if d == nil || d.NumSites() != 100 {
-			t.Fatal("Diagram accessor broken")
+		var doc bytes.Buffer
+		if err := eng.RenderQuerySVG(&doc, area, RenderOptions{DrawCells: true, DrawDelaunay: true}); err != nil {
+			t.Fatal(err)
+		}
+		rings, edges := svgShapes(t, doc.String())
+		if !maps.Equal(rings, wantRings) {
+			t.Errorf("drawn cell rings differ from the diagram's (%d drawn, %d expected)", len(rings), len(wantRings))
+		}
+		if !maps.Equal(edges, wantEdges) {
+			t.Errorf("drawn Delaunay edges differ from the triangulation's (%d drawn, %d expected)", len(edges), len(wantEdges))
 		}
 	}
 }
