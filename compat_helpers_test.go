@@ -2,11 +2,11 @@ package vaq
 
 import "context"
 
-// Test-local shims over the Querier API preserving the shapes of the
-// removed method-positional wrappers (QueryWith, QueryCircle, Count,
-// QueryBatch, QueryRegions), so the pre-existing suites keep their
-// assertions — and keep pinning that the options-based surface reproduces
-// the old behavior exactly — without the deprecated methods existing.
+// Test helpers: one call that runs a polygon, circle, count or batch query
+// with a given method on any Querier against a background context and
+// returns the result together with its Stats. The suites assert on
+// (ids, stats, err) triples in some sixty places; these keep each of them
+// a one-liner instead of an options list plus a Stats variable.
 
 func queryWith(q Querier, m Method, area Polygon) ([]int64, Stats, error) {
 	var st Stats

@@ -168,6 +168,10 @@ type Stats struct {
 	IndexNodesVisited int
 	// RecordsLoaded counts refinement fetches through DataAccess.Load.
 	RecordsLoaded int
+	// PartitionsDropped counts partition calls a scatter-gather engine
+	// dropped under its degraded failure policy: non-zero marks a partial
+	// answer. 0 on every other path.
+	PartitionsDropped int
 	// Duration is the wall-clock time of the query.
 	Duration time.Duration
 }
@@ -205,5 +209,14 @@ func (s *Stats) Add(other Stats) {
 	s.CellTests += other.CellTests
 	s.IndexNodesVisited += other.IndexNodesVisited
 	s.RecordsLoaded += other.RecordsLoaded
+	s.PartitionsDropped += other.PartitionsDropped
 	s.Duration += other.Duration
+}
+
+// Finalize sets the result-dependent counters of an aggregate after a
+// gather step (merging, Limit truncation and CountOnly capping change the
+// effective result size).
+func (s *Stats) Finalize(resultSize int) {
+	s.ResultSize = resultSize
+	s.RedundantValidations = s.Candidates - resultSize
 }

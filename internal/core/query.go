@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/geom"
@@ -37,6 +38,12 @@ type QuerySpec struct {
 	// expansion, page fetches) as the query runs. The nil path costs one
 	// pointer comparison.
 	Trace *obs.QueryTrace
+	// Budget, when non-nil, is a count of result slots shared with other
+	// queries running in this process: each result claims one, and the
+	// query stops when none is left. The scatter-gather kernel uses it to
+	// enforce one Limit across concurrent partition queries. Like Dest and
+	// Trace it is process-local and never crosses a wire.
+	Budget *atomic.Int64
 }
 
 // QueryRegionSpec runs an area query described by spec against region. It
@@ -46,7 +53,7 @@ type QuerySpec struct {
 // returned ids are nil when spec.CountOnly is set (the count is
 // Stats.ResultSize) and in method-dependent discovery order otherwise.
 func (e *Engine) QueryRegionSpec(ctx context.Context, region Region, spec QuerySpec) ([]int64, Stats, error) {
-	c := collector{limit: spec.Limit, countOnly: spec.CountOnly}
+	c := collector{limit: spec.Limit, countOnly: spec.CountOnly, budget: spec.Budget}
 	if !spec.CountOnly && spec.Dest != nil {
 		c.dest = spec.Dest[:0]
 	}
@@ -67,7 +74,7 @@ func (e *Engine) QueryRegionSpec(ctx context.Context, region Region, spec QueryS
 // (nothing is materialized). The returned Stats count the yields in
 // ResultSize.
 func (e *Engine) EachRegion(ctx context.Context, region Region, spec QuerySpec, yield func(id int64, pos geom.Point) bool) (Stats, error) {
-	_, stats, err := e.collect(ctx, region, spec, collector{limit: spec.Limit, yield: yield})
+	_, stats, err := e.collect(ctx, region, spec, collector{limit: spec.Limit, yield: yield, budget: spec.Budget})
 	return stats, err
 }
 

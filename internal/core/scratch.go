@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/geom"
+import (
+	"sync/atomic"
+
+	"repro/internal/geom"
+)
 
 // queryScratch is the per-query mutable state of the engine: the
 // generation-stamped visited table and the BFS frontier queue. Isolating it
@@ -34,6 +38,7 @@ type collector struct {
 	limit     int // stop after this many results when > 0
 	countOnly bool
 	yield     func(id int64, pos geom.Point) bool
+	budget    *atomic.Int64 // result slots shared across queries; see QuerySpec.Budget
 }
 
 // add records one result (id plus its authoritative loaded position);
@@ -42,6 +47,9 @@ type collector struct {
 //
 //vaq:noalloc
 func (c *collector) add(id int64, pos geom.Point) bool {
+	if c.budget != nil && c.budget.Add(-1) < 0 {
+		return false
+	}
 	c.count++
 	if c.yield != nil {
 		if !c.yield(id, pos) {

@@ -1,0 +1,164 @@
+package shard
+
+import (
+	"context"
+	"fmt"
+	"slices"
+
+	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/geom"
+	"repro/internal/hilbert"
+)
+
+// BuildFunc constructs the engine of one shard over its local points
+// (local id i is pts[i]). bounds is the universe rectangle, shared by all
+// shards so per-shard Voronoi cells clip identically to the unsharded
+// engine's. The function must be safe to call concurrently for distinct
+// shards; shard is the shard's index for builders that record per-shard
+// state (e.g. the record store) on the side.
+type BuildFunc func(shard int, pts []geom.Point, bounds geom.Rect) (*core.Engine, error)
+
+// Config parameterizes New.
+type Config struct {
+	// Shards is the requested shard count, clamped to [1, len(points)].
+	Shards int
+	// Parallelism bounds the worker pool used for shard construction and
+	// query scatter; <= 0 means runtime.GOMAXPROCS.
+	Parallelism int
+	// Build constructs one shard's engine; required.
+	Build BuildFunc
+	// Metrics, when non-nil, instruments the scatter-gather query path
+	// (see Metrics). Nil disables instrumentation at one pointer
+	// comparison per query.
+	Metrics *Metrics
+}
+
+// localShard is the in-process Partition: a contiguous run of the
+// dataset's Hilbert order (package hilbert), so a compact tile of the
+// plane with a tight bounding rectangle, owning a full core.Engine — its
+// own spatial index, Voronoi topology and (when the builder attaches one)
+// record store.
+//
+// There is deliberately no fallback to the segment rule when the shard's
+// data has no Voronoi cells (core.ErrStrictNotSupported): silently
+// degrading would break the exact-result guarantee, so the error surfaces
+// to the caller instead. Both provided DataAccess types carry a per-shard
+// packed cell arena; a custom BuildFunc whose DataAccess.CellArena returns
+// nil can only serve Traditional and BruteForce.
+type localShard struct {
+	index  int
+	eng    *core.Engine
+	bounds geom.Rect
+	global []int64 // local id -> global id, ascending
+	pts    []geom.Point
+}
+
+func (s *localShard) Bounds() geom.Rect { return s.bounds }
+func (s *localShard) Len() int          { return len(s.pts) }
+func (s *localShard) String() string    { return fmt.Sprintf("shard %d", s.index) }
+
+func (s *localShard) Query(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error) {
+	ids, st, err := s.eng.QueryRegionSpec(ctx, region, spec)
+	for i, id := range ids { // a fresh slice: spec.Dest is nil
+		ids[i] = s.global[id]
+	}
+	return ids, st, err
+}
+
+func (s *localShard) Each(ctx context.Context, region core.Region, spec core.QuerySpec, yield func(id int64, pos geom.Point) bool) (core.Stats, error) {
+	return s.eng.EachRegion(ctx, region, spec, func(id int64, pos geom.Point) bool {
+		return yield(s.global[id], pos)
+	})
+}
+
+func (s *localShard) KNearest(ctx context.Context, q geom.Point, k int, dst []Neighbor) ([]Neighbor, core.Stats, error) {
+	local, st, err := s.eng.KNearest(ctx, q, k)
+	if err != nil {
+		return dst, st, err
+	}
+	for _, id := range local {
+		dst = append(dst, Neighbor{ID: s.global[id], D2: q.Dist2(s.pts[id])})
+	}
+	return dst, st, nil
+}
+
+// New partitions points into cfg.Shards Hilbert-contiguous shards, builds
+// every shard's engine (in parallel on the scatter pool) and returns the
+// fail-fast kernel over them. bounds must contain every point. Global ids
+// are the indexes of points, exactly as in an unsharded engine over the
+// same slice, and results are identical for every shard count.
+func New(points []geom.Point, bounds geom.Rect, cfg Config) (*Engine, error) {
+	if cfg.Build == nil {
+		return nil, fmt.Errorf("shard: Config.Build is required")
+	}
+	if len(points) == 0 {
+		return nil, core.ErrNoData
+	}
+
+	sc := hilbert.NewScaler(bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY, hilbert.Order)
+	keys := make([]uint64, len(points))
+	for i, p := range points {
+		keys[i] = sc.D(p.X, p.Y)
+	}
+	runs := hilbert.Partition(keys, cfg.Shards)
+
+	shards := make([]*localShard, len(runs))
+	for si, run := range runs {
+		// Ascending global order inside the shard keeps the remapping
+		// stable across shard counts and makes merged output ordering
+		// independent of the Hilbert traversal direction.
+		global := make([]int64, len(run))
+		for i, idx := range run {
+			global[i] = int64(idx)
+		}
+		slices.Sort(global)
+		pts := make([]geom.Point, len(global))
+		mbr := geom.EmptyRect()
+		for i, id := range global {
+			pts[i] = points[id]
+			mbr = mbr.ExtendPoint(pts[i])
+		}
+		shards[si] = &localShard{index: si, bounds: mbr, global: global, pts: pts}
+	}
+
+	err := exec.Run(context.Background(), len(shards),
+		exec.Options{NumWorkers: cfg.Parallelism, Chunk: 1},
+		func(_, si int) error {
+			eng, err := cfg.Build(si, shards[si].pts, bounds)
+			if err != nil {
+				return fmt.Errorf("building shard %d (%d points): %w", si, len(shards[si].pts), err)
+			}
+			shards[si].eng = eng
+			return nil
+		})
+	if err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
+	}
+
+	parts := make([]Partition, len(shards))
+	for si, s := range shards {
+		parts[si] = s
+	}
+	e := Over(parts, cfg.Parallelism, false, cfg.Metrics)
+	e.points = append([]geom.Point(nil), points...)
+	e.bounds = bounds
+	return e, nil
+}
+
+// ShardEngine returns the engine of shard si of an engine built by New,
+// for instrumentation.
+func (e *Engine) ShardEngine(si int) *core.Engine { return e.parts[si].(*localShard).eng }
+
+// Point returns the position of a global id of an engine built by New; it
+// panics when id is out of range. PointOK is the bounds-checked variant.
+func (e *Engine) Point(id int64) geom.Point { return e.points[id] }
+
+// PointOK returns the position of a global id and whether the id is in
+// range.
+func (e *Engine) PointOK(id int64) (geom.Point, bool) {
+	if id < 0 || id >= int64(len(e.points)) {
+		return geom.Point{}, false
+	}
+	return e.points[id], true
+}

@@ -1,0 +1,387 @@
+package shard
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/geom"
+	"repro/internal/workload"
+)
+
+// fakePart is an in-memory Partition: a brute-force scan over its points,
+// global id = off + index. It counts the calls it receives and fails every
+// one of them when err is set.
+type fakePart struct {
+	bounds geom.Rect
+	pts    []geom.Point
+	off    int64
+	err    error
+	calls  atomic.Int64
+}
+
+func (p *fakePart) Bounds() geom.Rect { return p.bounds }
+func (p *fakePart) Len() int          { return len(p.pts) }
+
+func (p *fakePart) Each(_ context.Context, region core.Region, spec core.QuerySpec, yield func(int64, geom.Point) bool) (core.Stats, error) {
+	p.calls.Add(1)
+	var st core.Stats
+	if p.err != nil {
+		return st, p.err
+	}
+	for i, pt := range p.pts {
+		st.Candidates++
+		if !region.ContainsPoint(pt) {
+			continue
+		}
+		st.ResultSize++
+		if !yield(p.off+int64(i), pt) || st.ResultSize == spec.Limit {
+			break
+		}
+	}
+	return st, nil
+}
+
+func (p *fakePart) Query(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error) {
+	var ids []int64
+	st, err := p.Each(ctx, region, spec, func(id int64, _ geom.Point) bool {
+		if !spec.CountOnly {
+			ids = append(ids, id)
+		}
+		return true
+	})
+	return ids, st, err
+}
+
+func (p *fakePart) KNearest(_ context.Context, q geom.Point, k int, dst []Neighbor) ([]Neighbor, core.Stats, error) {
+	p.calls.Add(1)
+	if p.err != nil {
+		return dst, core.Stats{}, p.err
+	}
+	own := make([]Neighbor, len(p.pts))
+	for i, pt := range p.pts {
+		own[i] = Neighbor{ID: p.off + int64(i), D2: q.Dist2(pt)}
+	}
+	return append(dst, mergeNearest(own, k)...), core.Stats{Candidates: len(p.pts)}, nil
+}
+
+// fakeStrips cuts the unit square into n vertical strips of per points
+// each, one fakePart per strip with tight bounds, plus the flat point set
+// (index = global id).
+func fakeStrips(n, per int) ([]*fakePart, []geom.Point) {
+	rng := rand.New(rand.NewSource(7))
+	var (
+		parts []*fakePart
+		all   []geom.Point
+	)
+	for s := 0; s < n; s++ {
+		lo, hi := float64(s)/float64(n), float64(s+1)/float64(n)
+		p := &fakePart{off: int64(len(all)), bounds: geom.EmptyRect()}
+		for i := 0; i < per; i++ {
+			pt := geom.Pt(lo+(hi-lo)*rng.Float64(), rng.Float64())
+			p.pts = append(p.pts, pt)
+			p.bounds = p.bounds.ExtendPoint(pt)
+		}
+		parts = append(parts, p)
+		all = append(all, p.pts...)
+	}
+	return parts, all
+}
+
+func over(parts []*fakePart, degraded bool) *Engine {
+	ps := make([]Partition, len(parts))
+	for i, p := range parts {
+		ps[i] = p
+	}
+	return Over(ps, 2, degraded, nil)
+}
+
+// bruteInside is the oracle: ascending ids of pts inside region, skipping
+// the id ranges of the given (failed) parts.
+func bruteInside(pts []geom.Point, region core.Region, skip ...*fakePart) []int64 {
+	var out []int64
+	for i, pt := range pts {
+		dropped := false
+		for _, p := range skip {
+			dropped = dropped || (int64(i) >= p.off && int64(i) < p.off+int64(len(p.pts)))
+		}
+		if !dropped && region.ContainsPoint(pt) {
+			out = append(out, int64(i))
+		}
+	}
+	return out
+}
+
+func rectRegion(minX, minY, maxX, maxY float64) core.Region {
+	return core.PolygonRegion(geom.MustPolygon([]geom.Point{
+		geom.Pt(minX, minY), geom.Pt(maxX, minY), geom.Pt(maxX, maxY), geom.Pt(minX, maxY),
+	}))
+}
+
+// TestKernelFailurePolicy drives the partial-failure policy through every
+// query shape with one partition down: fail-fast errors, degraded answers
+// from the survivors and reports the drop, and a region whose every
+// partition failed errors under either policy.
+func TestKernelFailurePolicy(t *testing.T) {
+	ctx := context.Background()
+	boom := errors.New("boom")
+	wide := rectRegion(0.05, 0.2, 0.95, 0.8)   // reaches all four strips
+	left := rectRegion(0.05, 0.2, 0.20, 0.8)   // reaches only strip 0
+	right := rectRegion(0.80, 0.2, 0.95, 0.8)  // reaches only strip 3
+	center := rectRegion(0.30, 0.2, 0.70, 0.8) // reaches strips 1 and 2
+
+	for _, degraded := range []bool{false, true} {
+		parts, all := fakeStrips(4, 200)
+		parts[0].err = boom
+		e := over(parts, degraded)
+
+		ids, st, err := e.QueryRegionSpec(ctx, wide, core.QuerySpec{})
+		switch {
+		case !degraded:
+			if !errors.Is(err, boom) || ids != nil {
+				t.Fatalf("fail-fast: ids=%v err=%v, want the partition's error", ids, err)
+			}
+		case err != nil:
+			t.Fatalf("degraded: %v", err)
+		default:
+			if want := bruteInside(all, wide, parts[0]); !slices.Equal(ids, want) {
+				t.Errorf("degraded: %d ids, want the survivors' %d", len(ids), len(want))
+			}
+			if st.PartitionsDropped != 1 || e.Dropped() != 1 {
+				t.Errorf("degraded: PartitionsDropped=%d Dropped()=%d, want 1 and 1", st.PartitionsDropped, e.Dropped())
+			}
+		}
+
+		// Every partition the region reached failed: an error either way,
+		// and not a counted drop.
+		before := e.Dropped()
+		if _, _, err := e.QueryRegionSpec(ctx, left, core.QuerySpec{}); !errors.Is(err, boom) {
+			t.Errorf("degraded=%v: all-failed query err = %v, want boom", degraded, err)
+		}
+		if e.Dropped() != before {
+			t.Errorf("degraded=%v: an all-failed query counted a drop", degraded)
+		}
+
+		// A region the dead partition is pruned from is untouched by it.
+		ids, st, err = e.QueryRegionSpec(ctx, right, core.QuerySpec{})
+		if err != nil || !slices.Equal(ids, bruteInside(all, right)) || st.PartitionsDropped != 0 {
+			t.Errorf("degraded=%v: pruned-from-failure query: err=%v dropped=%d", degraded, err, st.PartitionsDropped)
+		}
+
+		// Batch: the same policy per region.
+		out, st, err := e.QueryRegionsSpec(ctx, []core.Region{wide, right, center}, core.QuerySpec{})
+		if !degraded {
+			if !errors.Is(err, boom) {
+				t.Errorf("fail-fast batch err = %v", err)
+			}
+		} else if err != nil {
+			t.Errorf("degraded batch: %v", err)
+		} else {
+			for i, region := range []core.Region{wide, right, center} {
+				if want := bruteInside(all, region, parts[0]); !slices.Equal(out[i], want) {
+					t.Errorf("degraded batch region %d: %d ids, want %d", i, len(out[i]), len(want))
+				}
+			}
+			if st.PartitionsDropped != 1 {
+				t.Errorf("degraded batch PartitionsDropped = %d, want 1", st.PartitionsDropped)
+			}
+		}
+		if _, _, err := e.QueryRegionsSpec(ctx, []core.Region{right, left}, core.QuerySpec{}); !errors.Is(err, boom) {
+			t.Errorf("degraded=%v: batch with an all-failed region err = %v, want boom", degraded, err)
+		}
+
+		// KNearest next to the dead strip: dropped when degraded.
+		q := geom.Pt(0.26, 0.5)
+		nn, st, err := e.KNearest(ctx, q, 5)
+		if !degraded {
+			if !errors.Is(err, boom) {
+				t.Errorf("fail-fast KNearest err = %v", err)
+			}
+		} else if err != nil || len(nn) != 5 || st.PartitionsDropped == 0 {
+			t.Errorf("degraded KNearest: %d ids err=%v dropped=%d", len(nn), err, st.PartitionsDropped)
+		}
+
+		// Each always fails fast.
+		if _, err := e.EachRegion(ctx, wide, core.QuerySpec{}, func(int64, geom.Point) bool { return true }); !errors.Is(err, boom) {
+			t.Errorf("degraded=%v: Each err = %v, want boom", degraded, err)
+		}
+	}
+
+	// Every expanded KNearest partition failed.
+	parts, _ := fakeStrips(2, 50)
+	parts[0].err, parts[1].err = boom, boom
+	if _, _, err := over(parts, true).KNearest(ctx, geom.Pt(0.5, 0.5), 3); !errors.Is(err, boom) {
+		t.Errorf("all-failed KNearest err = %v", err)
+	}
+}
+
+// TestKernelCancellationBeatsDegradation: a partition failing because the
+// caller's context ended is not a droppable failure.
+func TestKernelCancellationBeatsDegradation(t *testing.T) {
+	parts, _ := fakeStrips(2, 50)
+	ctx, cancel := context.WithCancel(context.Background())
+	parts[1].err = context.Canceled // what a call cut short by its context reports
+	// One worker: partition 0 has answered by the time partition 1 is asked.
+	e := Over([]Partition{parts[0], &cancelOnCall{parts[1], cancel}}, 1, true, nil)
+	ids, st, err := e.QueryRegionSpec(ctx, rectRegion(0.1, 0.1, 0.9, 0.9), core.QuerySpec{})
+	if !errors.Is(err, context.Canceled) || ids != nil {
+		t.Fatalf("ids=%v err=%v, want context.Canceled and no partial ids", ids, err)
+	}
+	if st.PartitionsDropped != 0 || e.Dropped() != 0 {
+		t.Errorf("cancellation was counted as a drop: %d / %d", st.PartitionsDropped, e.Dropped())
+	}
+}
+
+// cancelOnCall cancels the caller's context as the partition is queried.
+type cancelOnCall struct {
+	Partition
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnCall) Query(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error) {
+	c.cancel()
+	return c.Partition.Query(ctx, region, spec)
+}
+
+// TestKernelKNNFrontier pins the frontier's pruning: no partition whose
+// MINDIST exceeds the final k-th distance is contacted, and the answer is
+// the brute-force k nearest.
+func TestKernelKNNFrontier(t *testing.T) {
+	parts, all := fakeStrips(8, 300)
+	e := over(parts, false)
+	rng := rand.New(rand.NewSource(9))
+	contacted := 0
+	for rep := 0; rep < 40; rep++ {
+		q := geom.Pt(rng.Float64(), rng.Float64())
+		k := 1 + rng.Intn(20)
+		for _, p := range parts {
+			p.calls.Store(0)
+		}
+		got, _, err := e.KNearest(context.Background(), q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]Neighbor, len(all))
+		for i, pt := range all {
+			want[i] = Neighbor{ID: int64(i), D2: q.Dist2(pt)}
+		}
+		want = mergeNearest(want, k)
+		for i := range want {
+			if got[i] != want[i].ID {
+				t.Fatalf("rep %d: neighbor %d = %d, want %d", rep, i, got[i], want[i].ID)
+			}
+		}
+		kth := want[k-1].D2
+		for pi, p := range parts {
+			if p.calls.Load() > 0 {
+				contacted++
+				if p.bounds.Dist2Point(q) > kth {
+					t.Errorf("rep %d: partition %d contacted at MINDIST² %g > k-th distance² %g", rep, pi, p.bounds.Dist2Point(q), kth)
+				}
+			}
+		}
+	}
+	if contacted >= 40*len(parts) {
+		t.Error("frontier contacted every partition on every query; the pin is vacuous")
+	}
+}
+
+// TestKernelUnknownBoundsAndEmptyPartitions: a partition with empty bounds
+// is never pruned (and sits at distance 0 on the KNN frontier); one
+// reporting Len 0 is never asked for neighbors.
+func TestKernelUnknownBoundsAndEmptyPartitions(t *testing.T) {
+	parts, all := fakeStrips(3, 100)
+	parts[2].bounds = geom.EmptyRect() // bounds unknown
+	hollow := &fakePart{bounds: geom.NewRect(0, 0, 1, 1), off: int64(len(all))}
+	parts = append(parts, hollow)
+	e := over(parts, false)
+
+	// Geometrically inside strip 0 only.
+	region := rectRegion(0.05, 0.2, 0.25, 0.8)
+	alive := e.survivors(nil, region)
+	if !slices.Equal(alive, []int{0, 2, 3}) {
+		t.Fatalf("survivors = %v, want strip 0, the unknown-bounds strip and the hollow one", alive)
+	}
+	ids, _, err := e.QueryRegionSpec(context.Background(), region, core.QuerySpec{})
+	if err != nil || !slices.Equal(ids, bruteInside(all, region)) {
+		t.Fatalf("query: err=%v, %d ids", err, len(ids))
+	}
+
+	for _, p := range parts {
+		p.calls.Store(0)
+	}
+	q := geom.Pt(0.1, 0.5) // deep in strip 0
+	if _, _, err := e.KNearest(context.Background(), q, 1); err != nil {
+		t.Fatal(err)
+	}
+	if hollow.calls.Load() != 0 {
+		t.Error("KNearest contacted a partition of Len 0")
+	}
+	if parts[2].calls.Load() == 0 {
+		t.Error("KNearest skipped the unknown-bounds partition, which can hold any point")
+	}
+	if parts[1].calls.Load() != 0 {
+		t.Error("KNearest contacted a bounded partition beyond the k-th distance")
+	}
+}
+
+// countingPart wraps a Partition and sums the ids its queries hand back.
+type countingPart struct {
+	Partition
+	materialized *atomic.Int64
+}
+
+func (c countingPart) Query(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error) {
+	ids, st, err := c.Partition.Query(ctx, region, spec)
+	c.materialized.Add(int64(len(ids)))
+	return ids, st, err
+}
+
+// TestKernelLimitBudget: the in-process shards of one query share a budget
+// of Limit result slots, so together they materialize at most Limit ids —
+// not Limit each — on single queries and per region of a batch.
+func TestKernelLimitBudget(t *testing.T) {
+	pts := workload.UniformPoints(rand.New(rand.NewSource(61)), 4000, unitBounds())
+	built := newSharded(t, pts, 8)
+	var materialized atomic.Int64
+	parts := make([]Partition, len(built.parts))
+	for i, p := range built.parts {
+		parts[i] = countingPart{p, &materialized}
+	}
+	e := Over(parts, 4, false, nil)
+	wide := rectRegion(0.1, 0.1, 0.9, 0.9)
+	const limit = 25
+
+	for _, m := range []core.Method{core.VoronoiBFS, core.Traditional, core.BruteForce} {
+		materialized.Store(0)
+		ids, st, err := e.QueryRegionSpec(context.Background(), wide, core.QuerySpec{Method: m, Limit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ids) != limit || st.ResultSize != limit || !slices.IsSorted(ids) {
+			t.Errorf("%v: %d ids (ResultSize %d), want %d ascending", m, len(ids), st.ResultSize, limit)
+		}
+		if n := materialized.Load(); n > limit {
+			t.Errorf("%v: shards materialized %d ids for Limit %d", m, n, limit)
+		}
+	}
+
+	materialized.Store(0)
+	regions := []core.Region{wide, rectRegion(0.2, 0.2, 0.8, 0.8), rectRegion(0.0, 0.0, 0.5, 1.0)}
+	out, _, err := e.QueryRegionsSpec(context.Background(), regions, core.QuerySpec{Limit: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range out {
+		if len(out[i]) != limit {
+			t.Errorf("batch region %d: %d ids, want %d", i, len(out[i]), limit)
+		}
+	}
+	if n := materialized.Load(); n > int64(limit*len(regions)) {
+		t.Errorf("batch: shards materialized %d ids for %d regions of Limit %d", n, len(regions), limit)
+	}
+}

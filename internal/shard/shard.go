@@ -1,43 +1,50 @@
-// Package shard partitions a point set into spatially coherent shards and
-// answers area queries by scatter-gather over independent per-shard
-// engines.
+// Package shard is the scatter-gather kernel: it answers area queries over
+// a dataset split into partitions by pruning the partitions a region cannot
+// touch, scattering the query to the survivors, and gathering their answers
+// into one result. The kernel runs over the small Partition interface and
+// knows nothing about where a partition lives. Two implementations plug
+// into it: the Hilbert-built in-process shard of this package (New), and
+// package remote's HTTP backend (Over). Taking the union of per-partition
+// answers is exact for either, because every partition's clipped Voronoi
+// diagram still tiles the universe — the BFS inside a partition finds
+// exactly that partition's points inside the region.
 //
-// Shards are contiguous runs of the dataset's Hilbert order (package
-// hilbert), so each shard is a compact tile of the plane with a tight
-// bounding rectangle. Every shard owns a full core.Engine — its own
-// spatial index, Voronoi topology and (when the builder attaches one)
-// record store — which restores the paper's per-query guarantees inside
-// the shard while bounding per-engine data volume. A query is answered by
-// pruning shards whose bounds miss the region's MBR, fanning the
-// survivors onto the exec worker pool, and merging the per-shard results
-// under a stable local-to-global id remapping; k-nearest-neighbor queries
-// instead walk shards in MINDIST order, expanding only while a shard's
-// bounds can still beat the current k-th distance.
+// What the kernel decides, once, for every transport:
 //
-// The per-shard Voronoi diagrams differ from the single-engine diagram —
-// adjacency never crosses a shard boundary — but the query result does
-// not: the BFS within each shard finds exactly that shard's points inside
-// the region, and the union over shards is exactly the global result set.
-// Results are returned in ascending global id order, identical for every
-// shard count.
+//   - Prune: a partition is contacted iff its bounds are empty (unknown)
+//     or intersect the region's MBR. Fan-out and pruned counts go to
+//     Metrics and the trace here and nowhere else.
+//   - Method upgrade: with more than one partition each holds a sub-sample
+//     of the dataset, so its cells are larger and its Delaunay segments
+//     longer; the paper's published expansion rule (expand across a
+//     boundary point only when the connecting segment meets the region)
+//     can then step over a thin lobe of a concave query and strand a result
+//     island (observed on ~2% of 1%-area queries over a 200k-point dataset
+//     at 8 shards). VoronoiBFS therefore executes as VoronoiBFSStrict, whose
+//     cell-intersection expansion is complete at any density. A sole
+//     partition holds the full diagram and runs the caller's method
+//     verbatim. Callers always see the method they asked for in
+//     Stats.Method.
+//   - Scatter: one exec pool, Chunk 1, per-worker statistics. A single
+//     query is one task per surviving partition; a batch is one task per
+//     (region, partition) pair, except that a partition offering
+//     RegionsQuerier answers all its regions in one call.
+//   - Partial failure: fail-fast surfaces the first partition error;
+//     degraded (Over's flag) drops failed partitions, counts them in
+//     Dropped and Stats.PartitionsDropped, and fails a region only when
+//     every partition it was scattered to failed. A done caller context
+//     always wins: cancellation is never mistaken for a droppable failure.
+//     Each streams fail fast under either policy — yielded results cannot
+//     be withdrawn.
+//   - Gather: per region, merge into ascending global id order, truncate
+//     to Limit, count. In-process partitions additionally draw from one
+//     core.QuerySpec.Budget per region, so a limited query materializes at
+//     most Limit ids across all of them.
+//   - KNearest: one MINDIST frontier over partition bounds (knn.go).
 //
-// Every query path takes a context.Context: cancellation aborts
-// un-dispatched shard tasks at the worker pool (exec checks between chunk
-// claims) and running per-shard queries at candidate boundaries (core),
-// surfacing as ctx.Err() with partial statistics.
-//
-// One algorithmic consequence of partitioning: a shard's diagram is a
-// sub-sample of the dataset, so its Voronoi cells are larger and its
-// Delaunay segments longer. The paper's published expansion rule (expand
-// across a boundary point only when the connecting segment intersects the
-// region) leans on full-density geometry — on a sparse shard diagram a
-// long boundary segment can step right over a thin lobe of a concave
-// query, stranding a result island (observed on ~2% of 1%-area queries
-// over a 200k-point dataset at 8 shards). Shard-local scatter therefore
-// runs VoronoiBFS with the conservative cell-intersection expansion
-// (VoronoiBFSStrict's rule), which is complete at any density; the strict
-// and traditional methods are forwarded unchanged. Callers still see the
-// method they asked for in Stats.Method.
+// Every path takes a context.Context: cancellation abandons un-dispatched
+// tasks at the pool, running partition calls at their own boundaries, and
+// surfaces as ctx.Err() with the statistics of the work already done.
 package shard
 
 import (
@@ -50,31 +57,38 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/geom"
-	"repro/internal/hilbert"
 	"repro/internal/obs"
 )
 
-// BuildFunc constructs the engine of one shard over its local points
-// (local id i is pts[i]). bounds is the universe rectangle, shared by all
-// shards so per-shard Voronoi cells clip identically to the unsharded
-// engine's. The function must be safe to call concurrently for distinct
-// shards; shard is the shard's index for builders that record per-shard
-// state (e.g. the record store) on the side.
-type BuildFunc func(shard int, pts []geom.Point, bounds geom.Rect) (*core.Engine, error)
+// Partition is one slice of the dataset as the kernel sees it. Every
+// method answers in global id space — mapping its own ids is the
+// partition's business — and must be safe for concurrent use. A partition
+// that implements fmt.Stringer names itself in the kernel's errors.
+type Partition interface {
+	// Bounds contains every point of the partition; it is the pruning key.
+	// The empty rectangle means "unknown": the partition is never pruned.
+	Bounds() geom.Rect
+	// Len is the partition's point count; KNearest skips a partition
+	// reporting 0.
+	Len() int
+	// Query answers one area query; ids come back in any order, nil under
+	// spec.CountOnly (the count is Stats.ResultSize). spec.Dest is nil.
+	Query(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error)
+	// Each streams one area query, counting the yields in Stats.ResultSize.
+	Each(ctx context.Context, region core.Region, spec core.QuerySpec, yield func(id int64, pos geom.Point) bool) (core.Stats, error)
+	// KNearest appends the partition's k points nearest to q to dst and
+	// returns the extended slice; on error dst comes back unchanged.
+	KNearest(ctx context.Context, q geom.Point, k int, dst []Neighbor) ([]Neighbor, core.Stats, error)
+}
 
-// Config parameterizes New.
-type Config struct {
-	// Shards is the requested shard count, clamped to [1, len(points)].
-	Shards int
-	// Parallelism bounds the worker pool used for shard construction and
-	// query scatter; <= 0 means runtime.GOMAXPROCS.
-	Parallelism int
-	// Build constructs one shard's engine; required.
-	Build BuildFunc
-	// Metrics, when non-nil, instruments the scatter-gather query path
-	// (see Metrics). Nil disables instrumentation at one pointer
-	// comparison per query.
-	Metrics *Metrics
+// RegionsQuerier is implemented by partitions for which one call over
+// several regions is cheaper than one call per region (an HTTP backend
+// answers them in one round trip). The kernel detects it at construction
+// and hands such a partition every region of a batch it survives at once.
+// Results align with regions; under spec.CountOnly they are nil and
+// Stats.ResultSize is the total over the regions.
+type RegionsQuerier interface {
+	QueryRegions(ctx context.Context, regions []core.Region, spec core.QuerySpec) ([][]int64, core.Stats, error)
 }
 
 // Metrics instruments the scatter-gather path. Any field may be nil
@@ -94,384 +108,164 @@ type Metrics struct {
 	Exec *exec.Metrics
 }
 
-// oneShard is a fully built shard: its engine, the tight bounding
-// rectangle of its points (the pruning key), and the local-to-global id
-// remapping.
-type oneShard struct {
-	eng    *core.Engine
-	bounds geom.Rect
-	global []int64 // local id -> global id, ascending
-	pts    []geom.Point
-}
-
-// Engine answers area queries over a Hilbert-partitioned point set by
-// scatter-gather. Like core.Engine it is immutable after construction and
-// safe for concurrent use from any number of goroutines.
+// Engine is the kernel over one set of partitions. Like core.Engine it is
+// immutable after construction and safe for concurrent use from any number
+// of goroutines.
 type Engine struct {
-	shards      []oneShard
-	points      []geom.Point // global id -> position
-	bounds      geom.Rect    // universe
+	parts       []Partition
+	batch       []RegionsQuerier // batch[i] is parts[i]'s batch call; nil without one
+	partBounds  []geom.Rect      // parts[i].Bounds(), read once
+	length      int
+	bounds      geom.Rect
+	points      []geom.Point // global id -> position; engines built by New only
 	parallelism int
+	degraded    bool
+	dropped     atomic.Uint64
 	met         *Metrics
 }
 
-// observeFanOut records one query's scatter width into the metrics and
-// the trace; no-op when neither is attached.
-func (e *Engine) observeFanOut(tr *obs.QueryTrace, alive int) {
-	if e.met == nil && tr == nil {
-		return
-	}
-	if e.met != nil {
-		e.met.FanOut.ObserveN(uint64(alive))
-		e.met.ShardsPruned.Add(uint64(len(e.shards) - alive))
-	}
-	tr.SetFanOut(alive)
-}
-
-// scatterOpts are the pool options every query scatter uses.
-func (e *Engine) scatterOpts() exec.Options {
-	opts := exec.Options{NumWorkers: e.parallelism, Chunk: 1}
-	if e.met != nil {
-		opts.Metrics = e.met.Exec
-	}
-	return opts
-}
-
-// New partitions points into cfg.Shards Hilbert-contiguous shards and
-// builds every shard's engine (in parallel on the scatter pool). bounds
-// must contain every point. Global ids are the indexes of points, exactly
-// as in an unsharded engine over the same slice.
-func New(points []geom.Point, bounds geom.Rect, cfg Config) (*Engine, error) {
-	if cfg.Build == nil {
-		return nil, fmt.Errorf("shard: Config.Build is required")
-	}
-	if len(points) == 0 {
-		return nil, core.ErrNoData
-	}
-
-	sc := hilbert.NewScaler(bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY, hilbert.Order)
-	keys := make([]uint64, len(points))
-	for i, p := range points {
-		keys[i] = sc.D(p.X, p.Y)
-	}
-	runs := hilbert.Partition(keys, cfg.Shards)
-
+// Over builds the kernel over explicit partitions. parallelism bounds the
+// scatter's worker pool (<= 0 means runtime.GOMAXPROCS); degraded selects
+// the drop-failed-partitions policy over fail-fast; met may be nil.
+func Over(parts []Partition, parallelism int, degraded bool, met *Metrics) *Engine {
 	e := &Engine{
-		shards:      make([]oneShard, len(runs)),
-		points:      append([]geom.Point(nil), points...),
-		bounds:      bounds,
-		parallelism: cfg.Parallelism,
-		met:         cfg.Metrics,
+		parts:       parts,
+		batch:       make([]RegionsQuerier, len(parts)),
+		partBounds:  make([]geom.Rect, len(parts)),
+		bounds:      geom.EmptyRect(),
+		parallelism: parallelism,
+		degraded:    degraded,
+		met:         met,
 	}
-	for si, run := range runs {
-		// Ascending global order inside the shard keeps the remapping
-		// stable across shard counts and makes merged output ordering
-		// independent of the Hilbert traversal direction.
-		global := make([]int64, len(run))
-		for i, idx := range run {
-			global[i] = int64(idx)
+	for i, p := range parts {
+		e.batch[i], _ = p.(RegionsQuerier)
+		e.partBounds[i] = p.Bounds()
+		e.length += p.Len()
+		if !e.partBounds[i].IsEmpty() {
+			e.bounds = e.bounds.Union(e.partBounds[i])
 		}
-		slices.Sort(global)
-		pts := make([]geom.Point, len(global))
-		mbr := geom.EmptyRect()
-		for i, id := range global {
-			pts[i] = points[id]
-			mbr = mbr.ExtendPoint(pts[i])
-		}
-		e.shards[si] = oneShard{bounds: mbr, global: global, pts: pts}
 	}
-
-	err := exec.Run(context.Background(), len(e.shards),
-		exec.Options{NumWorkers: cfg.Parallelism, Chunk: 1},
-		func(_, si int) error {
-			eng, err := cfg.Build(si, e.shards[si].pts, bounds)
-			if err != nil {
-				return fmt.Errorf("building shard %d (%d points): %w", si, len(e.shards[si].pts), err)
-			}
-			e.shards[si].eng = eng
-			return nil
-		})
-	if err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
-	}
-	return e, nil
+	return e
 }
 
-// NumShards returns the shard count (after clamping).
-func (e *Engine) NumShards() int { return len(e.shards) }
+// NumShards returns the partition count.
+func (e *Engine) NumShards() int { return len(e.parts) }
 
-// ShardSizes returns the per-shard point counts.
+// ShardSizes returns the per-partition point counts.
 func (e *Engine) ShardSizes() []int {
-	out := make([]int, len(e.shards))
-	for i := range e.shards {
-		out[i] = len(e.shards[i].pts)
+	out := make([]int, len(e.parts))
+	for i, p := range e.parts {
+		out[i] = p.Len()
 	}
 	return out
 }
 
-// ShardBounds returns the tight bounding rectangle of shard si's points.
-func (e *Engine) ShardBounds(si int) geom.Rect { return e.shards[si].bounds }
-
-// ShardEngine returns shard si's engine, for instrumentation.
-func (e *Engine) ShardEngine(si int) *core.Engine { return e.shards[si].eng }
+// ShardBounds returns partition si's bounds — for a shard built by New,
+// the tight bounding rectangle of its points.
+func (e *Engine) ShardBounds(si int) geom.Rect { return e.partBounds[si] }
 
 // Len returns the total point count.
-func (e *Engine) Len() int { return len(e.points) }
+func (e *Engine) Len() int { return e.length }
 
-// Bounds returns the universe rectangle.
+// Bounds returns the universe rectangle of an engine built by New, and the
+// union of the partitions' known bounds otherwise.
 func (e *Engine) Bounds() geom.Rect { return e.bounds }
 
-// Point returns the position of a global id; it panics when id is out of
-// range. PointOK is the bounds-checked variant.
-func (e *Engine) Point(id int64) geom.Point { return e.points[id] }
+// Dropped returns the cumulative number of partition calls dropped under
+// the degraded policy; always 0 on a fail-fast engine.
+func (e *Engine) Dropped() uint64 { return e.dropped.Load() }
 
-// PointOK returns the position of a global id and whether the id is in
-// range.
-func (e *Engine) PointOK(id int64) (geom.Point, bool) {
-	if id < 0 || id >= int64(len(e.points)) {
-		return geom.Point{}, false
-	}
-	return e.points[id], true
-}
-
-// survivors appends to dst the indexes of shards whose bounds intersect
-// the region's MBR — the only shards that can contribute results.
+// survivors appends to dst the indexes of partitions that can contribute
+// to region: those whose bounds are unknown or intersect its MBR.
 func (e *Engine) survivors(dst []int, region core.Region) []int {
 	mbr := region.Bounds()
-	for si := range e.shards {
-		if e.shards[si].bounds.Intersects(mbr) {
-			dst = append(dst, si)
+	for pi, b := range e.partBounds {
+		if b.IsEmpty() || b.Intersects(mbr) {
+			dst = append(dst, pi)
 		}
 	}
 	return dst
 }
 
-// shardSpec is the per-shard execution spec: the caller's spec with the
-// method mapped shard-local (core.PartitionMethod; see the package comment)
-// and the reuse buffer stripped (per-shard results cannot share one
-// buffer).
-func shardSpec(spec core.QuerySpec) core.QuerySpec {
-	spec.Method = core.PartitionMethod(spec.Method)
+// observeFanOut records one region's scatter width into the metrics and
+// the trace; no-op when neither is attached.
+func (e *Engine) observeFanOut(tr *obs.QueryTrace, alive int) {
+	if e.met != nil {
+		e.met.FanOut.ObserveN(uint64(alive))
+		e.met.ShardsPruned.Add(uint64(len(e.parts) - alive))
+	}
+	tr.SetFanOut(alive)
+}
+
+// partStart and partDone bracket one partition call for ShardQueries and
+// ShardLatency; without metrics neither reads the clock.
+func (e *Engine) partStart() (t0 time.Time) {
+	if e.met != nil {
+		t0 = time.Now()
+	}
+	return t0
+}
+
+func (e *Engine) partDone(t0 time.Time) {
+	if e.met != nil {
+		e.met.ShardQueries.Inc()
+		e.met.ShardLatency.Observe(time.Since(t0))
+	}
+}
+
+// partSpec is the spec partitions execute: the caller's with the method
+// upgraded (see the package comment) and the reuse buffer stripped —
+// per-partition results cannot share one buffer.
+func (e *Engine) partSpec(spec core.QuerySpec) core.QuerySpec {
+	if len(e.parts) > 1 && spec.Method == core.VoronoiBFS {
+		spec.Method = core.VoronoiBFSStrict
+	}
 	spec.Dest = nil
 	return spec
 }
 
-// shardQuery runs one region on one shard with the shard-local spec.
-// There is deliberately no fallback to the segment rule when the shard's
-// data has no Voronoi cells (core.ErrStrictNotSupported): silently
-// degrading would break the package's exact-result guarantee, so the
-// error surfaces to the caller instead. Both provided DataAccess types
-// carry a per-shard packed cell arena, so the upgraded strict expansion
-// reads each shard's clipped cells from dense memory without materializing
-// rings; a custom BuildFunc whose DataAccess.CellArena returns nil can
-// only serve Traditional and BruteForce.
-func (s *oneShard) shardQuery(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error) {
-	return s.eng.QueryRegionSpec(ctx, region, shardSpec(spec))
+// partErr names the failing partition.
+func (e *Engine) partErr(pi int, err error) error {
+	return fmt.Errorf("%v: %w", e.parts[pi], err)
 }
 
-// budgetedQuery is shardQuery for limited result queries: every scatter
-// task of one query draws from a shared budget of spec.Limit result slots
-// and stops the moment the budget is spent. Without it each shard would
-// honor the limit locally and scan (and materialize) up to Limit results
-// per shard — up to shards×Limit work for a query that returns Limit ids.
-// A slot is claimed per discovered result, so across all shards at most
-// spec.Limit ids are materialized; which ones depends on shard timing,
-// within the Limit option's documented latitude.
-func (s *oneShard) budgetedQuery(ctx context.Context, region core.Region, spec core.QuerySpec, budget *atomic.Int64) ([]int64, core.Stats, error) {
-	local := shardSpec(spec)
-	var ids []int64
-	st, err := s.eng.EachRegion(ctx, region, local, func(id int64, _ geom.Point) bool {
-		if budget.Add(-1) < 0 {
-			return false
-		}
-		ids = append(ids, id)
-		return true
-	})
-	return ids, st, err
+// pair is the unit of scattered work: one region on one partition that
+// survived pruning for it.
+type pair struct{ region, part int32 }
+
+// scattered is the outcome of one fan-out, indexed like pairs.
+type scattered struct {
+	regions int
+	pairs   []pair    // region-major: a region's pairs are contiguous
+	ids     [][]int64 // each pair's global ids; nil under CountOnly
+	counts  []int     // each pair's match count; only when a per-region cap needs them
+	errs    []error   // each pair's tolerated failure; degraded policy only
+	dropped int       // partition calls that failed and were tolerated
 }
 
-// remap converts shard-local result ids to global ids in place-free
-// fashion (a fresh slice is returned; local is not retained).
-func (s *oneShard) remap(local []int64) []int64 {
-	out := make([]int64, len(local))
-	for i, id := range local {
-		out[i] = s.global[id]
-	}
-	return out
-}
-
-// QueryRegionSpec is the context-aware spec-driven scatter-gather query:
-// shards whose bounds miss the region are pruned, survivors fan out onto
-// the worker pool, and per-shard results merge into ascending global id
-// order. spec.CountOnly skips the merge entirely (the count is
-// Stats.ResultSize); spec.Limit is a global bound enforced by a budget
-// shared across the scatter (at most Limit ids are materialized in total,
-// not per shard); spec.Dest backs the merged slice.
-func (e *Engine) QueryRegionSpec(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error) {
-	agg := core.Stats{Method: spec.Method}
-	alive := e.survivors(nil, region)
-	e.observeFanOut(spec.Trace, len(alive))
-	if len(alive) == 0 {
-		if err := ctx.Err(); err != nil || spec.CountOnly || spec.Dest == nil {
-			return nil, agg, err
-		}
-		return spec.Dest[:0], agg, nil
-	}
-	// Limited result queries share one budget of Limit slots across the
-	// scatter, so the whole fan-out materializes at most Limit ids instead
-	// of Limit per shard.
-	var budget *atomic.Int64
-	if spec.Limit > 0 && !spec.CountOnly {
-		budget = new(atomic.Int64)
-		budget.Store(int64(spec.Limit))
-	}
-	opts := e.scatterOpts()
-	parts := make([][]int64, len(alive))
-	workerStats := make([]core.Stats, opts.Workers(len(alive)))
-	err := exec.Run(ctx, len(alive), opts, func(worker, i int) error {
-		s := &e.shards[alive[i]]
-		var (
-			local []int64
-			st    core.Stats
-			err   error
-			t0    time.Time
-		)
-		if e.met != nil {
-			t0 = time.Now()
-		}
-		if budget != nil {
-			local, st, err = s.budgetedQuery(ctx, region, spec, budget)
-		} else {
-			local, st, err = s.shardQuery(ctx, region, spec)
-		}
-		if e.met != nil {
-			e.met.ShardQueries.Inc()
-			e.met.ShardLatency.Observe(time.Since(t0))
-		}
-		workerStats[worker].Add(st)
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", alive[i], err)
-		}
-		if !spec.CountOnly {
-			parts[i] = s.remap(local)
-		}
-		return nil
-	})
-	for _, ws := range workerStats {
-		agg.Add(ws)
-	}
-	if err != nil {
-		return nil, agg, wrapRunErr(err)
-	}
-	if spec.CountOnly {
-		// Per-shard counts summed by Add; cap like a merged+truncated
-		// result would be.
-		if spec.Limit > 0 && agg.ResultSize > spec.Limit {
-			agg.Finalize(spec.Limit)
-		}
-		return nil, agg, nil
-	}
-	var mergeStart time.Time
-	if spec.Trace != nil {
-		mergeStart = time.Now()
-	}
-	out := core.MergeSorted(spec.Dest, parts)
-	if spec.Limit > 0 && len(out) > spec.Limit {
-		out = out[:spec.Limit]
-	}
-	if spec.Trace != nil {
-		spec.Trace.Add(obs.PhaseMerge, time.Since(mergeStart))
-	}
-	agg.Finalize(len(out))
-	return out, agg, nil
-}
-
-// EachRegion streams an area query: yield receives each result (global id
-// and position) as the per-shard Voronoi BFS discovers it. Shards are
-// walked one after another, each streaming in discovery order — global
-// ids of different shards interleave (Hilbert partitioning scatters the
-// original indexes), so no overall id ordering is implied. yield
-// returning false stops the query. spec.Limit bounds the total number of
-// yields across shards; spec.CountOnly and spec.Dest are ignored.
-func (e *Engine) EachRegion(ctx context.Context, region core.Region, spec core.QuerySpec, yield func(id int64, pos geom.Point) bool) (core.Stats, error) {
-	agg := core.Stats{Method: spec.Method}
-	alive := e.survivors(nil, region)
-	e.observeFanOut(spec.Trace, len(alive))
-	remaining := spec.Limit
-	for _, si := range alive {
-		local := shardSpec(spec)
-		local.CountOnly = false
-		if spec.Limit > 0 {
-			local.Limit = remaining
-		}
-		s := &e.shards[si]
-		stopped := false
-		var t0 time.Time
-		if e.met != nil {
-			t0 = time.Now()
-		}
-		st, err := s.eng.EachRegion(ctx, region, local, func(id int64, pos geom.Point) bool {
-			if !yield(s.global[id], pos) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if e.met != nil {
-			e.met.ShardQueries.Inc()
-			e.met.ShardLatency.Observe(time.Since(t0))
-		}
-		agg.Add(st)
-		if err != nil {
-			agg.Finalize(agg.ResultSize)
-			return agg, fmt.Errorf("shard: shard %d: %w", si, err)
-		}
-		if stopped {
-			break
-		}
-		if spec.Limit > 0 {
-			remaining -= st.ResultSize
-			if remaining <= 0 {
-				break
-			}
-		}
-	}
-	agg.Finalize(agg.ResultSize)
-	return agg, ctx.Err()
-}
-
-// QueryRegionsSpec is the context-aware spec-driven batch: every (region,
-// surviving shard) pair is one pool task; cancellation abandons
-// un-dispatched pairs. With spec.CountOnly the per-query slices stay nil
-// and the aggregate match count is Stats.ResultSize. spec.Dest is ignored
-// (one buffer cannot back a batch of results).
-func (e *Engine) QueryRegionsSpec(ctx context.Context, regions []core.Region, spec core.QuerySpec) ([][]int64, core.Stats, error) {
-	agg := core.Stats{Method: spec.Method}
-	if len(regions) == 0 {
-		return nil, agg, nil
-	}
-	spec.Dest = nil
-
-	// Scatter: one task per (query, surviving shard) pair.
-	type task struct {
-		query, shard int
-		slot         int // index into the query's parts slice
-	}
-	var tasks []task
-	parts := make([][][]int64, len(regions)) // query -> shard slot -> global ids
-	counts := make([][]int, len(regions))    // query -> shard slot -> match count
-	alive := make([]int, 0, len(e.shards))
+// scatter plans regions × partitions, runs the plan on the pool and folds
+// the partitions' statistics into agg. The error is the caller's context
+// error if it is done — whatever the partitions reported — and otherwise
+// the first partition failure under the fail-fast policy.
+func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.QuerySpec, agg *core.Stats) (scattered, error) {
+	sc := scattered{regions: len(regions)}
+	alive := make([]int, 0, len(e.parts))
 	for qi, region := range regions {
 		alive = e.survivors(alive[:0], region)
 		e.observeFanOut(spec.Trace, len(alive))
-		parts[qi] = make([][]int64, len(alive))
-		counts[qi] = make([]int, len(alive))
-		for slot, si := range alive {
-			tasks = append(tasks, task{query: qi, shard: si, slot: slot})
+		sc.pairs = slices.Grow(sc.pairs, len(alive))
+		for _, pi := range alive {
+			sc.pairs = append(sc.pairs, pair{region: int32(qi), part: int32(pi)})
 		}
 	}
-	// The limit applies per region: each query's scatter tasks share one
-	// budget of Limit result slots (see budgetedQuery).
+	if len(sc.pairs) == 0 {
+		return sc, ctx.Err()
+	}
+	pspec := e.partSpec(spec)
+	// Limited result queries share one budget of Limit slots per region, so
+	// a region's whole fan-out materializes at most Limit ids instead of
+	// Limit per partition. (A partition behind a wire cannot see it and
+	// honors Limit alone; gather truncates.)
 	var budgets []atomic.Int64
 	if spec.Limit > 0 && !spec.CountOnly {
 		budgets = make([]atomic.Int64, len(regions))
@@ -479,90 +273,287 @@ func (e *Engine) QueryRegionsSpec(ctx context.Context, regions []core.Region, sp
 			budgets[qi].Store(int64(spec.Limit))
 		}
 	}
+	if spec.Limit > 0 && spec.CountOnly && len(e.parts) > 1 {
+		// min(Limit, matches) per region needs each partition's count for
+		// each region, which a batch call does not report.
+		sc.counts = make([]int, len(sc.pairs))
+	}
+	if !spec.CountOnly {
+		sc.ids = make([][]int64, len(sc.pairs))
+	}
+	if e.degraded {
+		sc.errs = make([]error, len(sc.pairs))
+	}
 
-	// Chunk 1, as in QueryRegionSpec: each task is a full per-shard query —
-	// expensive enough that claiming several per steal would serialize
-	// small batches.
-	opts := e.scatterOpts()
+	// A task is the pairs (as indexes into sc.pairs) one partition answers
+	// in one call: a single pair — a full partition query, expensive enough
+	// that Chunk 1 is the right steal size — except that a RegionsQuerier
+	// takes all its pairs of a batch at once.
+	tasks := make([][]int32, 0, len(sc.pairs))
+	single := make([]int32, len(sc.pairs))
+	var grouped [][]int32
+	for i, pr := range sc.pairs {
+		single[i] = int32(i)
+		if len(regions) > 1 && sc.counts == nil && e.batch[pr.part] != nil {
+			if grouped == nil {
+				grouped = make([][]int32, len(e.parts))
+			}
+			grouped[pr.part] = append(grouped[pr.part], int32(i))
+			continue
+		}
+		tasks = append(tasks, single[i:i+1])
+	}
+	for _, g := range grouped {
+		if len(g) > 0 {
+			tasks = append(tasks, g)
+		}
+	}
+
+	opts := exec.Options{NumWorkers: e.parallelism, Chunk: 1}
+	if e.met != nil {
+		opts.Metrics = e.met.Exec
+	}
 	workerStats := make([]core.Stats, opts.Workers(len(tasks)))
-	err := exec.Run(ctx, len(tasks), opts, func(worker, i int) error {
-		tk := tasks[i]
-		s := &e.shards[tk.shard]
+	runErr := exec.Run(ctx, len(tasks), opts, func(worker, ti int) error {
+		tk := tasks[ti]
+		part := int(sc.pairs[tk[0]].part)
 		var (
-			local []int64
-			st    core.Stats
-			err   error
-			t0    time.Time
+			st  core.Stats
+			err error
 		)
-		if e.met != nil {
-			t0 = time.Now()
-		}
-		if budgets != nil {
-			local, st, err = s.budgetedQuery(ctx, regions[tk.query], spec, &budgets[tk.query])
+		t0 := e.partStart()
+		if len(tk) == 1 {
+			i := tk[0]
+			qi := sc.pairs[i].region
+			ps := pspec
+			if budgets != nil {
+				ps.Budget = &budgets[qi]
+			}
+			var ids []int64
+			ids, st, err = e.parts[part].Query(ctx, regions[qi], ps)
+			if err == nil && sc.ids != nil {
+				sc.ids[i] = ids
+			}
+			if err == nil && sc.counts != nil {
+				sc.counts[i] = st.ResultSize
+			}
 		} else {
-			local, st, err = s.shardQuery(ctx, regions[tk.query], spec)
+			sub := make([]core.Region, len(tk))
+			for j, i := range tk {
+				sub[j] = regions[sc.pairs[i].region]
+			}
+			var res [][]int64
+			res, st, err = e.batch[part].QueryRegions(ctx, sub, pspec)
+			if err == nil && sc.ids != nil && len(res) != len(sub) {
+				err = fmt.Errorf("batch answered %d results for %d regions", len(res), len(sub))
+			}
+			if err == nil && sc.ids != nil {
+				for j, i := range tk {
+					sc.ids[i] = res[j]
+				}
+			}
 		}
-		if e.met != nil {
-			e.met.ShardQueries.Inc()
-			e.met.ShardLatency.Observe(time.Since(t0))
-		}
+		e.partDone(t0)
 		workerStats[worker].Add(st)
-		if err != nil {
-			return fmt.Errorf("query %d shard %d: %w", tk.query, tk.shard, err)
+		if err == nil {
+			return nil
 		}
-		if spec.CountOnly {
-			counts[tk.query][tk.slot] = st.ResultSize
-		} else {
-			parts[tk.query][tk.slot] = s.remap(local)
+		err = e.partErr(part, err)
+		if !e.degraded {
+			return err
+		}
+		for _, i := range tk {
+			sc.errs[i] = err
 		}
 		return nil
 	})
 	for _, ws := range workerStats {
 		agg.Add(ws)
 	}
-	if err != nil {
-		return nil, agg, wrapRunErr(err)
+	// Cancellation beats degradation: a partition that failed because the
+	// caller gave up is not a droppable failure, and its siblings' partial
+	// ids are not an answer.
+	if err := ctx.Err(); err != nil {
+		return sc, err
 	}
+	if runErr != nil {
+		return sc, fmt.Errorf("shard: %w", runErr)
+	}
+	if e.degraded {
+		for _, tk := range tasks {
+			if sc.errs[tk[0]] != nil {
+				sc.dropped++
+			}
+		}
+	}
+	return sc, nil
+}
 
-	// Gather: merge each query's shard results.
+// gather reduces a scatter region by region: apply the partial-failure
+// policy, then merge the partitions' ids into ascending order (into dst,
+// when given) truncated to Limit, or cap the count. out, when non-nil,
+// receives each region's ids. agg is finalized with the total result size
+// and the drop count.
+func (e *Engine) gather(sc *scattered, spec core.QuerySpec, dst []int64, out [][]int64, agg *core.Stats) error {
 	var mergeStart time.Time
 	if spec.Trace != nil {
 		mergeStart = time.Now()
-		defer func() { spec.Trace.Add(obs.PhaseMerge, time.Since(mergeStart)) }()
 	}
-	total := 0
-	var out [][]int64
-	if spec.CountOnly {
-		for qi := range regions {
+	total, lo := 0, 0
+	for qi := 0; qi < sc.regions; qi++ {
+		hi := lo
+		for hi < len(sc.pairs) && int(sc.pairs[hi].region) == qi {
+			hi++
+		}
+		if sc.dropped > 0 && hi > lo {
+			// Degraded tolerates partial loss, not total: with every
+			// partition the region reached gone there is nothing to answer
+			// from.
+			failed := 0
+			for _, err := range sc.errs[lo:hi] {
+				if err != nil {
+					failed++
+				}
+			}
+			if failed == hi-lo {
+				return fmt.Errorf("shard: %w", sc.errs[lo])
+			}
+		}
+		switch {
+		case sc.counts != nil:
 			c := 0
-			for _, n := range counts[qi] {
+			for _, n := range sc.counts[lo:hi] {
 				c += n
 			}
-			if spec.Limit > 0 && c > spec.Limit {
-				c = spec.Limit
+			total += min(c, spec.Limit)
+		case !spec.CountOnly:
+			ids := mergeSorted(dst, sc.ids[lo:hi])
+			if spec.Limit > 0 && len(ids) > spec.Limit {
+				ids = ids[:spec.Limit]
 			}
-			total += c
+			out[qi] = ids
+			total += len(ids)
 		}
-	} else {
-		out = make([][]int64, len(regions))
-		for qi := range regions {
-			out[qi] = core.MergeSorted(nil, parts[qi])
-			if spec.Limit > 0 && len(out[qi]) > spec.Limit {
-				out[qi] = out[qi][:spec.Limit]
-			}
-			total += len(out[qi])
-		}
+		lo = hi
+	}
+	if spec.CountOnly && sc.counts == nil {
+		// The partitions' own counts stand: without a Limit nothing caps
+		// them, and a sole partition applied the cap itself.
+		total = agg.ResultSize
+	}
+	if spec.Trace != nil {
+		spec.Trace.Add(obs.PhaseMerge, time.Since(mergeStart))
 	}
 	agg.Finalize(total)
+	if sc.dropped > 0 {
+		agg.PartitionsDropped = sc.dropped
+		e.dropped.Add(uint64(sc.dropped))
+	}
+	return nil
+}
+
+// mergeSorted concatenates per-partition global id slices into dst
+// (reusing its capacity; nil for a fresh slice) and sorts them ascending,
+// the canonical result order. An empty result with a reuse buffer is
+// dst[:0], not nil — the unpartitioned engines' Dest contract.
+func mergeSorted(dst []int64, parts [][]int64) []int64 {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	if total == 0 {
+		if dst == nil {
+			return nil
+		}
+		return dst[:0]
+	}
+	dst = slices.Grow(dst[:0], total)
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	slices.Sort(dst)
+	return dst
+}
+
+// QueryRegionSpec answers one area query: ids in ascending global order,
+// backed by spec.Dest when given. spec.CountOnly skips the merge (the
+// count is Stats.ResultSize); spec.Limit is a global bound, not one per
+// partition.
+func (e *Engine) QueryRegionSpec(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error) {
+	agg := core.Stats{Method: spec.Method}
+	regions := [1]core.Region{region}
+	sc, err := e.scatter(ctx, regions[:], spec, &agg)
+	if err != nil {
+		return nil, agg, err
+	}
+	var out [1][]int64
+	if err := e.gather(&sc, spec, spec.Dest, out[:], &agg); err != nil {
+		return nil, agg, err
+	}
+	return out[0], agg, nil
+}
+
+// QueryRegionsSpec answers a batch: results align with regions, each in
+// ascending global order; spec.Limit applies per region. With
+// spec.CountOnly the result is nil and the aggregate match count is
+// Stats.ResultSize. spec.Dest is ignored (one buffer cannot back a batch
+// of results). Cancellation abandons un-dispatched tasks.
+func (e *Engine) QueryRegionsSpec(ctx context.Context, regions []core.Region, spec core.QuerySpec) ([][]int64, core.Stats, error) {
+	agg := core.Stats{Method: spec.Method}
+	sc, err := e.scatter(ctx, regions, spec, &agg)
+	if err != nil {
+		return nil, agg, err
+	}
+	var out [][]int64
+	if !spec.CountOnly && len(regions) > 0 {
+		out = make([][]int64, len(regions))
+	}
+	if err := e.gather(&sc, spec, nil, out, &agg); err != nil {
+		return nil, agg, err
+	}
 	return out, agg, nil
 }
 
-// wrapRunErr prefixes pool errors with the package name, except bare
-// context errors (already self-describing, and callers match them with
-// errors.Is anyway).
-func wrapRunErr(err error) error {
-	if err == context.Canceled || err == context.DeadlineExceeded {
-		return err
+// EachRegion streams an area query: yield receives each result (global id
+// and position) as the partitions discover it. Surviving partitions are
+// walked one after another, each streaming in its own discovery order —
+// global ids of different partitions interleave, so no overall id ordering
+// is implied. yield returning false stops the query. spec.Limit bounds the
+// total number of yields; spec.CountOnly and spec.Dest are ignored. A
+// partition failure ends the stream under either failure policy.
+func (e *Engine) EachRegion(ctx context.Context, region core.Region, spec core.QuerySpec, yield func(id int64, pos geom.Point) bool) (core.Stats, error) {
+	agg := core.Stats{Method: spec.Method}
+	alive := e.survivors(nil, region)
+	e.observeFanOut(spec.Trace, len(alive))
+	pspec := e.partSpec(spec)
+	pspec.CountOnly = false
+	stopped := false
+	each := func(id int64, pos geom.Point) bool {
+		stopped = !yield(id, pos)
+		return !stopped
 	}
-	return fmt.Errorf("shard: %w", err)
+	for _, pi := range alive {
+		if ctx.Err() != nil {
+			break
+		}
+		t0 := e.partStart()
+		st, err := e.parts[pi].Each(ctx, region, pspec, each)
+		e.partDone(t0)
+		agg.Add(st)
+		if err != nil {
+			agg.Finalize(agg.ResultSize)
+			return agg, fmt.Errorf("shard: %w", e.partErr(pi, err))
+		}
+		if stopped {
+			break
+		}
+		if spec.Limit > 0 {
+			// The remaining limit travels to the next partition.
+			if pspec.Limit -= st.ResultSize; pspec.Limit <= 0 {
+				break
+			}
+		}
+	}
+	agg.Finalize(agg.ResultSize)
+	return agg, ctx.Err()
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
 // Querier is the one query surface of this package: a single logical
@@ -236,21 +237,34 @@ func (e *Engine) Each(ctx context.Context, region Region, yield func(id int64, p
 	return err
 }
 
-// Query implements Querier, consulting the result cache when one was
-// attached. Results are already in ascending global id order from the
-// scatter-gather merge.
-func (e *ShardedEngine) Query(ctx context.Context, region Region, opts ...QueryOpt) ([]int64, error) {
-	p := resolve(opts)
-	return cachedQuery(ctx, e.se, flavorSharded, e.qm, e.rc, e.cacheSalt, 0, region, &p)
+// scatterGather is the Querier body ShardedEngine and RemoteEngine share:
+// both are a scatter-gather kernel (package shard) over partitions — in
+// process for one, behind HTTP for the other — wrapped with the result
+// cache and the per-query instrumentation.
+type scatterGather struct {
+	k         *shard.Engine
+	flavor    string
+	rc        *ResultCache // nil without WithResultCache
+	cacheSalt uint64
+	qm        *queryMetrics // nil without WithMetrics
 }
 
-// QueryAll implements Querier: every (region, surviving shard) pair is one
-// worker-pool task, so batches exploit intra- and inter-query parallelism
-// at once.
-func (e *ShardedEngine) QueryAll(ctx context.Context, regions []Region, opts ...QueryOpt) ([][]int64, error) {
+// Query implements Querier, consulting the result cache when one was
+// attached. Results are in ascending global id order from the kernel's
+// merge.
+func (e *scatterGather) Query(ctx context.Context, region Region, opts ...QueryOpt) ([]int64, error) {
 	p := resolve(opts)
-	start := beginQuery(e.qm, &p, flavorSharded)
-	out, st, err := e.se.QueryRegionsSpec(ctx, regions, p.spec())
+	return cachedQuery(ctx, e.k, e.flavor, e.qm, e.rc, e.cacheSalt, 0, region, &p)
+}
+
+// QueryAll implements Querier. Regions are pruned per partition. In
+// process every (region, surviving shard) pair is one worker-pool task, so
+// batches exploit intra- and inter-query parallelism at once; over HTTP
+// each backend answers the regions that reach it in one round trip.
+func (e *scatterGather) QueryAll(ctx context.Context, regions []Region, opts ...QueryOpt) ([][]int64, error) {
+	p := resolve(opts)
+	start := beginQuery(e.qm, &p, e.flavor)
+	out, st, err := e.k.QueryRegionsSpec(ctx, regions, p.spec())
 	if p.stats != nil {
 		*p.stats = st
 	}
@@ -261,19 +275,39 @@ func (e *ShardedEngine) QueryAll(ctx context.Context, regions []Region, opts ...
 	return out, nil
 }
 
-// Each implements Querier. Shards stream one after another, each in BFS
-// discovery order; global ids from different shards interleave, so no
-// overall id ordering is implied.
-func (e *ShardedEngine) Each(ctx context.Context, region Region, yield func(id int64, p Point) bool, opts ...QueryOpt) error {
+// Each implements Querier. Partitions stream one after another, each in
+// its own discovery order; global ids from different partitions
+// interleave, so no overall id ordering is implied. A stream always fails
+// fast — a partition failure mid-stream surfaces immediately, even under
+// WithDegradedFanOut.
+func (e *scatterGather) Each(ctx context.Context, region Region, yield func(id int64, p Point) bool, opts ...QueryOpt) error {
 	p := resolve(opts)
-	start := beginQuery(e.qm, &p, flavorSharded)
-	st, err := e.se.EachRegion(ctx, region, p.spec(), yield)
+	start := beginQuery(e.qm, &p, e.flavor)
+	st, err := e.k.EachRegion(ctx, region, p.spec(), yield)
 	if p.stats != nil {
 		*p.stats = st
 	}
 	endQuery(e.qm, &p, start, &st, err)
 	return err
 }
+
+// KNearest returns the k stored points nearest to q in increasing distance
+// order (ties broken by ascending global id), walking partitions in
+// MINDIST order and expanding only while a partition's bounds can still
+// beat the current k-th distance — one provably unable to is never
+// contacted. Cancelling ctx abandons the remaining frontier (checked
+// before every expansion and inside one) and returns ctx.Err() with the
+// partial work in Stats.
+func (e *scatterGather) KNearest(ctx context.Context, q Point, k int) ([]int64, Stats, error) {
+	return e.k.KNearest(ctx, q, k)
+}
+
+// Len returns the total number of stored points.
+func (e *scatterGather) Len() int { return e.k.Len() }
+
+// Bounds returns the engine's universe rectangle — for a RemoteEngine, the
+// union of its backends' advertised bounds.
+func (e *scatterGather) Bounds() Rect { return e.k.Bounds() }
 
 // Query implements Querier, against the current epoch.
 func (e *DynamicEngine) Query(ctx context.Context, region Region, opts ...QueryOpt) ([]int64, error) {

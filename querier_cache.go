@@ -29,7 +29,8 @@ import (
 // Limited queries (Limit > 0) bypass — which n ids come back is
 // method-dependent, so memoizing one execution's choice would pin it.
 // Regions without a canonical encoding (custom Region implementations)
-// bypass too. Each streams and QueryAll batches without consulting the
+// bypass too, and so does a partial answer a degraded RemoteEngine gave
+// while a backend was down (Stats.PartitionsDropped > 0). Each streams and QueryAll batches without consulting the
 // cache. On a hit, WithStatsInto receives the memoized statistics of the
 // execution that populated the entry.
 //
@@ -52,8 +53,8 @@ func NewResultCache(capacity int) *ResultCache {
 }
 
 // CacheStats are a ResultCache's cumulative counters. Bypasses counts
-// queries the cache refused to memoize (Limit set, or an unkeyable
-// region); HitRate() is Hits / (Hits + Misses).
+// queries the cache refused to memoize (Limit set, an unkeyable region, or
+// a degraded partial answer); HitRate() is Hits / (Hits + Misses).
 type CacheStats = rcache.Counters
 
 // Stats returns a snapshot of the cache's hit/miss/evict/bypass counters.
@@ -172,6 +173,12 @@ func runCachedQuery(ctx context.Context, backend specQuerier, rc *ResultCache, s
 			out, err := finishQuery(p, ids, st, err)
 			if err != nil {
 				return nil, st, err
+			}
+			if st.PartitionsDropped != 0 {
+				// A partial answer served while a partition was down must
+				// not outlive the outage.
+				rc.c.AddBypass()
+				return out, st, nil
 			}
 			ent = rcache.Entry{Stats: st}
 			if !p.countOnly {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/remote"
+	"repro/internal/shard"
 )
 
 // RemoteEngine answers area queries by fanning out to remote areaserve
@@ -28,10 +29,7 @@ import (
 // composes with WithResultCache and WithMetrics exactly like the local
 // flavors (flavor label "remote").
 type RemoteEngine struct {
-	re        *remote.Engine
-	rc        *ResultCache // nil without WithResultCache
-	cacheSalt uint64
-	qm        *queryMetrics // nil without WithMetrics
+	scatterGather
 }
 
 // WithRemoteTimeout bounds each unary request attempt a RemoteEngine
@@ -39,7 +37,7 @@ type RemoteEngine struct {
 // server abandons work the client stopped waiting for. 0 (the default)
 // leaves attempts bounded only by the query's context.
 func WithRemoteTimeout(d time.Duration) Option {
-	return func(c *config) { c.remotePerTry = d }
+	return func(c *config) { c.remote.PerTryTimeout = d }
 }
 
 // WithRemoteRetries retries failed unary backend requests up to n extra
@@ -48,7 +46,7 @@ func WithRemoteTimeout(d time.Duration) Option {
 // semantic errors and caller cancellation never do. Streams (Each) never
 // retry mid-flight.
 func WithRemoteRetries(n int, backoff time.Duration) Option {
-	return func(c *config) { c.remoteRetries, c.remoteBackoff = n, backoff }
+	return func(c *config) { c.remote.Retries, c.remote.RetryBackoff = n, backoff }
 }
 
 // WithDegradedFanOut switches the RemoteEngine's partial-failure policy
@@ -57,13 +55,13 @@ func WithRemoteRetries(n int, backoff time.Duration) Option {
 // (possibly missing their points), erroring only when every relevant
 // backend fails. The drop count is visible via RemoteEngine.Dropped.
 func WithDegradedFanOut() Option {
-	return func(c *config) { c.remoteDegraded = true }
+	return func(c *config) { c.remote.Degraded = true }
 }
 
 // WithRemoteClient sets the http.Client a RemoteEngine uses (connection
 // pooling, TLS, proxies). The default is a dedicated plain client.
 func WithRemoteClient(hc *http.Client) Option {
-	return func(c *config) { c.remoteClient = hc }
+	return func(c *config) { c.remote.Client = hc }
 }
 
 // DialRemote discovers each URL's shape from its /v1/info and builds a
@@ -79,12 +77,18 @@ func DialRemote(ctx context.Context, urls []string, opts ...Option) (*RemoteEngi
 	for _, o := range opts {
 		o(&cfg)
 	}
-	re, err := remote.Dial(ctx, urls, remoteConfig(cfg))
+	backends, err := remote.Discover(ctx, urls, cfg.remote.Client)
 	if err != nil {
 		return nil, err
 	}
-	return wrapRemote(re, cfg), nil
+	return NewRemoteEngine(backends, opts...)
 }
+
+// RemoteBackend configures one backend for NewRemoteEngine: its base URL,
+// the offset added to its local ids, its data bounds and its point count.
+// A zero (empty) Bounds disables MBR pruning for the backend; a zero Len
+// skips it during KNearest.
+type RemoteBackend = remote.Backend
 
 // NewRemoteEngine builds a RemoteEngine over explicitly configured
 // backends, for callers that already know every backend's id offset and
@@ -94,107 +98,29 @@ func NewRemoteEngine(backends []RemoteBackend, opts ...Option) (*RemoteEngine, e
 	for _, o := range opts {
 		o(&cfg)
 	}
-	bs := make([]remote.Backend, len(backends))
-	for i, b := range backends {
-		bs[i] = remote.Backend{URL: b.URL, IDOffset: b.IDOffset, Bounds: b.Bounds, Len: b.Len}
-	}
-	re, err := remote.New(bs, remoteConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return wrapRemote(re, cfg), nil
-}
-
-// RemoteBackend configures one backend for NewRemoteEngine. A zero
-// (empty) Bounds disables MBR pruning for the backend; a zero Len skips
-// it during KNearest.
-type RemoteBackend struct {
-	URL      string
-	IDOffset int64
-	Bounds   Rect
-	Len      int
-}
-
-func remoteConfig(cfg config) remote.Config {
-	return remote.Config{
-		Client:        cfg.remoteClient,
-		PerTryTimeout: cfg.remotePerTry,
-		Retries:       cfg.remoteRetries,
-		RetryBackoff:  cfg.remoteBackoff,
-		Degraded:      cfg.remoteDegraded,
-	}
-}
-
-func wrapRemote(re *remote.Engine, cfg config) *RemoteEngine {
-	e := &RemoteEngine{re: re, rc: cfg.rcache, cacheSalt: nextCacheSalt()}
+	e := &RemoteEngine{scatterGather{flavor: flavorRemote, rc: cfg.rcache, cacheSalt: nextCacheSalt()}}
+	// The kernel exports the scatter series the sharded flavor does, under
+	// flavor="remote".
+	var sm *shard.Metrics
 	if cfg.metrics != nil {
 		e.qm = newQueryMetrics(cfg.metrics, flavorRemote)
+		sm = newShardMetrics(cfg.metrics, flavorRemote, e.qm.execM)
 		if cfg.rcache != nil {
 			registerCacheMetrics(cfg.metrics, flavorRemote, cfg.rcache)
 		}
 	}
-	return e
-}
-
-// Query implements Querier, consulting the result cache when one was
-// attached. Results are in ascending global id order from the fan-out
-// merge.
-func (e *RemoteEngine) Query(ctx context.Context, region Region, opts ...QueryOpt) ([]int64, error) {
-	p := resolve(opts)
-	return cachedQuery(ctx, e.re, flavorRemote, e.qm, e.rc, e.cacheSalt, 0, region, &p)
-}
-
-// QueryAll implements Querier: each backend answers the whole batch in
-// one round trip, and per-region results merge across backends.
-func (e *RemoteEngine) QueryAll(ctx context.Context, regions []Region, opts ...QueryOpt) ([][]int64, error) {
-	p := resolve(opts)
-	start := beginQuery(e.qm, &p, flavorRemote)
-	out, st, err := e.re.QueryRegionsSpec(ctx, regions, p.spec())
-	if p.stats != nil {
-		*p.stats = st
-	}
-	endBatch(e.qm, &p, start, len(regions), &st, err)
+	re, err := remote.New(backends, cfg.remote, sm)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	e.k = re.Engine
+	return e, nil
 }
-
-// Each implements Querier, streaming backends one after another, each in
-// its server-side discovery order; global ids from different backends
-// interleave, so no overall id ordering is implied. Streams always fail
-// fast — a mid-stream backend failure surfaces immediately, even under
-// the degraded policy.
-func (e *RemoteEngine) Each(ctx context.Context, region Region, yield func(id int64, p Point) bool, opts ...QueryOpt) error {
-	p := resolve(opts)
-	start := beginQuery(e.qm, &p, flavorRemote)
-	st, err := e.re.EachRegion(ctx, region, p.spec(), yield)
-	if p.stats != nil {
-		*p.stats = st
-	}
-	endQuery(e.qm, &p, start, &st, err)
-	return err
-}
-
-// KNearest returns the k stored points nearest to q in increasing
-// distance order (ties broken by ascending global id), merging per-backend
-// answers with the same bounds-frontier walk the sharded engine uses —
-// backends provably unable to improve the current k-th distance are never
-// contacted.
-func (e *RemoteEngine) KNearest(ctx context.Context, q Point, k int) ([]int64, Stats, error) {
-	return e.re.KNearest(ctx, q, k)
-}
-
-// Len returns the total advertised point count across backends.
-func (e *RemoteEngine) Len() int { return e.re.Len() }
-
-// Bounds returns the union of the backends' advertised bounds.
-func (e *RemoteEngine) Bounds() Rect { return e.re.Bounds() }
 
 // NumBackends returns the backend count.
-func (e *RemoteEngine) NumBackends() int { return e.re.NumBackends() }
+func (e *RemoteEngine) NumBackends() int { return e.k.NumShards() }
 
 // Dropped returns the cumulative number of backend queries dropped under
 // the degraded partial-failure policy (always 0 without
-// WithDegradedFanOut).
-func (e *RemoteEngine) Dropped() uint64 { return e.re.Dropped() }
+// WithDegradedFanOut). Stats.PartitionsDropped reports the same per query.
+func (e *RemoteEngine) Dropped() uint64 { return e.k.Dropped() }

@@ -151,12 +151,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net/http"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/remote"
 	"repro/internal/shard"
 	"repro/internal/svg"
 	"repro/internal/workload"
@@ -280,11 +279,7 @@ type config struct {
 	poolShards  int
 	// Remote-engine (DialRemote/NewRemoteEngine) knobs; local
 	// constructors ignore them.
-	remoteClient   *http.Client
-	remotePerTry   time.Duration
-	remoteRetries  int
-	remoteBackoff  time.Duration
-	remoteDegraded bool
+	remote remote.Config
 	// poolShardsSet records that WithBufferPoolShards was given, so an
 	// explicit 0 ("use the GOMAXPROCS default") still overrides a
 	// StoreConfig.PoolShards value.
@@ -445,13 +440,10 @@ func (e *Engine) CellArea(id int64) float64 {
 // pool misses (reads) and hits — when it was built WithStore; ok is false
 // otherwise. The counters cover all queries since construction or the
 // last ResetIOStats, across all goroutines. Identical semantics on every
-// flavor: a ShardedEngine sums its shards' private stores, a DynamicEngine
-// has no store and always reports ok == false.
-//
-// Deprecated: IOStats remains as a thin view for quick checks. For the
-// full pool picture (evictions, singleflight joins, bytes, hit rate) and
-// everything else the engine measures, attach a registry with WithMetrics
-// and read MetricsRegistry.Snapshot or serve MetricsHandler.
+// store-backed flavor: a ShardedEngine sums its shards' private stores (a
+// DynamicEngine keeps its records in memory and has no IO to report). For
+// the full pool picture (evictions, singleflight joins, bytes, hit rate)
+// attach a registry with WithMetrics.
 func (e *Engine) IOStats() (reads, hits int, ok bool) {
 	if e.store == nil {
 		return 0, 0, false
@@ -460,11 +452,8 @@ func (e *Engine) IOStats() (reads, hits int, ok bool) {
 	return st.PageReads, st.CacheHits, true
 }
 
-// ResetIOStats zeroes the IO counters (no-op without WithStore). Identical
-// semantics on every flavor.
-//
-// Deprecated: kept alongside IOStats as a thin view; registry collectors
-// registered by WithMetrics observe the same reset.
+// ResetIOStats zeroes the IO counters (no-op without WithStore); registry
+// collectors registered by WithMetrics observe the same reset.
 func (e *Engine) ResetIOStats() {
 	if e.store != nil {
 		e.store.ResetIOStats()
@@ -482,13 +471,14 @@ func (e *Engine) ResetIOStats() {
 // Engine, and every query method returns the identical id set an
 // unsharded Engine would — in ascending id order, for any shard count.
 //
-// One method nuance: shard-local execution of VoronoiBFS uses the strict
-// cell-intersection expansion rather than the published segment rule. A
-// shard's Voronoi diagram is a sub-sample of the dataset, and on its
-// sparser geometry the segment heuristic can strand result islands inside
-// thin concave queries; the strict rule stays exact at any density.
-// Stats.Method still reports the requested method (with CellTests counted
-// instead of SegmentTests).
+// One method nuance: with more than one shard, shard-local execution of
+// VoronoiBFS uses the strict cell-intersection expansion rather than the
+// published segment rule. A shard's Voronoi diagram is a sub-sample of the
+// dataset, and on its sparser geometry the segment heuristic can strand
+// result islands inside thin concave queries; the strict rule stays exact
+// at any density. Stats.Method still reports the requested method (with
+// CellTests counted instead of SegmentTests). A single shard holds the
+// full diagram and runs the requested method as is.
 //
 // Shard where one engine's data volume is the bottleneck: construction
 // parallelizes across shards, store-backed shards multiply total
@@ -498,11 +488,8 @@ func (e *Engine) ResetIOStats() {
 // construction and safe for concurrent use from any number of
 // goroutines.
 type ShardedEngine struct {
-	se        *shard.Engine
-	stores    []*core.StoreData // per shard; all nil without WithStore
-	rc        *ResultCache      // nil without WithResultCache
-	cacheSalt uint64
-	qm        *queryMetrics // nil without WithMetrics
+	scatterGather
+	stores []*core.StoreData // per shard; all nil without WithStore
 }
 
 // NewShardedEngine partitions points into n shards (WithShards; default 1)
@@ -546,11 +533,8 @@ func NewShardedEngine(points []Point, bounds Rect, opts ...Option) (*ShardedEngi
 		return nil, fmt.Errorf("vaq: %w", err)
 	}
 	e := &ShardedEngine{
-		se:        se,
-		stores:    stores[:se.NumShards()],
-		rc:        cfg.rcache,
-		cacheSalt: nextCacheSalt(),
-		qm:        qm,
+		scatterGather: scatterGather{k: se, flavor: flavorSharded, rc: cfg.rcache, cacheSalt: nextCacheSalt(), qm: qm},
+		stores:        stores[:se.NumShards()],
 	}
 	if cfg.metrics != nil {
 		registerShardedPoolMetrics(cfg.metrics, flavorSharded, e.stores)
@@ -561,45 +545,26 @@ func NewShardedEngine(points []Point, bounds Rect, opts ...Option) (*ShardedEngi
 	return e, nil
 }
 
-// KNearest returns the k stored points nearest to q in increasing
-// distance order, walking shards in MINDIST order and expanding only
-// while a shard's bounds can still beat the current k-th distance.
-// Cancelling ctx abandons the remaining frontier (checked before every
-// shard expansion and at candidate boundaries within one) and returns
-// ctx.Err() with the partial work in Stats.
-func (e *ShardedEngine) KNearest(ctx context.Context, q Point, k int) ([]int64, Stats, error) {
-	return e.se.KNearest(ctx, q, k)
-}
-
 // NumShards returns the shard count (after clamping to the point count).
-func (e *ShardedEngine) NumShards() int { return e.se.NumShards() }
+func (e *ShardedEngine) NumShards() int { return e.k.NumShards() }
 
 // ShardSizes returns the per-shard point counts.
-func (e *ShardedEngine) ShardSizes() []int { return e.se.ShardSizes() }
+func (e *ShardedEngine) ShardSizes() []int { return e.k.ShardSizes() }
 
 // ShardBounds returns the tight bounding rectangle of one shard's points.
-func (e *ShardedEngine) ShardBounds(si int) Rect { return e.se.ShardBounds(si) }
-
-// Len returns the total number of stored points.
-func (e *ShardedEngine) Len() int { return e.se.Len() }
-
-// Bounds returns the engine's universe rectangle.
-func (e *ShardedEngine) Bounds() Rect { return e.se.Bounds() }
+func (e *ShardedEngine) ShardBounds(si int) Rect { return e.k.ShardBounds(si) }
 
 // Point returns the coordinates of a stored (global) id. It panics when
 // id is not in [0, Len()); use PointOK for a bounds-checked lookup.
-func (e *ShardedEngine) Point(id int64) Point { return e.se.Point(id) }
+func (e *ShardedEngine) Point(id int64) Point { return e.k.Point(id) }
 
 // PointOK returns the coordinates of a global id and whether id is a
 // stored point.
-func (e *ShardedEngine) PointOK(id int64) (Point, bool) { return e.se.PointOK(id) }
+func (e *ShardedEngine) PointOK(id int64) (Point, bool) { return e.k.PointOK(id) }
 
 // IOStats returns the engine's cumulative simulated IO counters, summed
 // over every shard's private store, when it was built WithStore; ok is
 // false otherwise. Same semantics as Engine.IOStats.
-//
-// Deprecated: thin view; prefer WithMetrics and the registry snapshot,
-// whose sharded pool collectors expose the full summed counter set.
 func (e *ShardedEngine) IOStats() (reads, hits int, ok bool) {
 	for _, sd := range e.stores {
 		if sd == nil {
@@ -614,8 +579,6 @@ func (e *ShardedEngine) IOStats() (reads, hits int, ok bool) {
 
 // ResetIOStats zeroes every shard's IO counters (no-op without WithStore).
 // Same semantics as Engine.ResetIOStats.
-//
-// Deprecated: thin view kept alongside IOStats.
 func (e *ShardedEngine) ResetIOStats() {
 	for _, sd := range e.stores {
 		if sd != nil {
@@ -729,19 +692,6 @@ func (e *DynamicEngine) Len() int { return e.d.Len() }
 // Epoch returns the current epoch — the number of accepted inserts so
 // far. Snapshots report the epoch they pinned.
 func (e *DynamicEngine) Epoch() uint64 { return e.d.Epoch() }
-
-// IOStats completes the flavor-uniform IO surface: a DynamicEngine keeps
-// its records in memory (no paged store), so ok is always false. Same
-// signature and semantics as Engine.IOStats.
-//
-// Deprecated: thin view; prefer WithMetrics and the registry snapshot.
-func (e *DynamicEngine) IOStats() (reads, hits int, ok bool) { return 0, 0, false }
-
-// ResetIOStats is a no-op: a DynamicEngine has no store. Same semantics
-// as Engine.ResetIOStats.
-//
-// Deprecated: thin view kept alongside IOStats.
-func (e *DynamicEngine) ResetIOStats() {}
 
 // Universe returns the engine's universe rectangle.
 func (e *DynamicEngine) Universe() Rect { return e.d.Universe() }

@@ -1,0 +1,421 @@
+package vaq_test
+
+// What the shared scatter-gather kernel promises across transports: the
+// same partitions answer identically in process and over HTTP, remote
+// batches are pruned per backend, cancellation is never mistaken for a
+// droppable failure, and a degraded partial answer is never memoized.
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"io"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"sort"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	vaq "repro"
+	"repro/internal/core"
+	"repro/internal/serve"
+	"repro/internal/shard"
+	"repro/internal/wire"
+)
+
+// chunk is one contiguous run of an x-sorted dataset — a vertical strip of
+// the plane with a tight MBR — and the engine over it.
+type chunk struct {
+	eng    *vaq.Engine
+	off    int64
+	bounds vaq.Rect
+}
+
+// xSortedChunks sorts pts by x and cuts them at the given indexes, so
+// every chunk is a strip and MBR pruning has something to prune.
+func xSortedChunks(t *testing.T, pts []vaq.Point, cuts ...int) []chunk {
+	t.Helper()
+	sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
+	var out []chunk
+	starts := append([]int{0}, cuts...)
+	for i, start := range starts {
+		end := len(pts)
+		if i+1 < len(starts) {
+			end = starts[i+1]
+		}
+		eng, err := vaq.NewEngine(pts[start:end], vaq.UnitSquare())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, chunk{eng: eng, off: int64(start), bounds: vaq.NewRect(pts[start].X, 0, pts[end-1].X, 1)})
+	}
+	return out
+}
+
+// backendCounts is what one served chunk saw.
+type backendCounts struct {
+	requests atomic.Int64 // /v1/query + /v1/queryall
+	regions  atomic.Int64 // regions across those requests
+}
+
+// serveChunks puts every chunk behind its own httptest server and returns
+// the explicit backend list (tight bounds, so the fan-out prunes) plus the
+// per-backend request counters.
+func serveChunks(t *testing.T, chunks []chunk) ([]vaq.RemoteBackend, []*backendCounts) {
+	t.Helper()
+	var (
+		backends []vaq.RemoteBackend
+		counts   []*backendCounts
+	)
+	for _, c := range chunks {
+		h := serve.NewHandler(c.eng, serve.Config{IDOffset: c.off, Flavor: "static"})
+		n := &backendCounts{}
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/v1/query":
+				n.requests.Add(1)
+				n.regions.Add(1)
+			case "/v1/queryall":
+				body, _ := io.ReadAll(r.Body)
+				var req wire.BatchRequest
+				if err := json.Unmarshal(body, &req); err != nil {
+					http.Error(w, err.Error(), http.StatusBadRequest)
+					return
+				}
+				n.requests.Add(1)
+				n.regions.Add(int64(len(req.Regions)))
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		backends = append(backends, vaq.RemoteBackend{URL: srv.URL, IDOffset: c.off, Bounds: c.bounds, Len: c.eng.Len()})
+		counts = append(counts, n)
+	}
+	return backends, counts
+}
+
+// chunkPartition is a chunk as an in-process shard.Partition, answering
+// through the same public Engine API the serve handler calls.
+type chunkPartition struct{ chunk }
+
+func (p chunkPartition) Bounds() vaq.Rect { return p.bounds }
+func (p chunkPartition) Len() int         { return p.eng.Len() }
+
+func (p chunkPartition) opts(spec core.QuerySpec, st *vaq.Stats) []vaq.QueryOpt {
+	opts := []vaq.QueryOpt{vaq.UsingMethod(spec.Method), vaq.Limit(spec.Limit), vaq.WithStatsInto(st)}
+	if spec.CountOnly {
+		opts = append(opts, vaq.CountOnly())
+	}
+	return opts
+}
+
+func (p chunkPartition) Query(ctx context.Context, region vaq.Region, spec core.QuerySpec) ([]int64, vaq.Stats, error) {
+	var st vaq.Stats
+	ids, err := p.eng.Query(ctx, region, p.opts(spec, &st)...)
+	for i := range ids {
+		ids[i] += p.off
+	}
+	return ids, st, err
+}
+
+func (p chunkPartition) Each(ctx context.Context, region vaq.Region, spec core.QuerySpec, yield func(int64, vaq.Point) bool) (vaq.Stats, error) {
+	var st vaq.Stats
+	err := p.eng.Each(ctx, region, func(id int64, pt vaq.Point) bool { return yield(id+p.off, pt) }, p.opts(spec, &st)...)
+	return st, err
+}
+
+func (p chunkPartition) KNearest(ctx context.Context, q vaq.Point, k int, dst []shard.Neighbor) ([]shard.Neighbor, vaq.Stats, error) {
+	ids, st, err := p.eng.KNearest(ctx, q, k)
+	if err != nil {
+		return dst, st, err
+	}
+	for _, id := range ids {
+		dst = append(dst, shard.Neighbor{ID: id + p.off, D2: q.Dist2(p.eng.Point(id))})
+	}
+	return dst, st, nil
+}
+
+// workOf is the part of Stats that counts work: what must not depend on
+// the transport.
+func workOf(st vaq.Stats) [5]int {
+	return [5]int{st.ResultSize, st.Candidates, st.CellTests, st.IndexNodesVisited, st.RecordsLoaded}
+}
+
+// TestTransportsAnswerIdentically serves the same three chunks once as
+// in-process partitions and once as HTTP backends of the one kernel: ids
+// and the aggregate work counters of Query, QueryAll, Each and KNearest
+// must not differ, and both must match the local oracle over the whole
+// dataset.
+func TestTransportsAnswerIdentically(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	pts := vaq.UniformPoints(rng, 3000, vaq.UnitSquare())
+	chunks := xSortedChunks(t, pts, 700, 1900)
+	oracle, err := vaq.NewEngine(pts, vaq.UnitSquare())
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends, _ := serveChunks(t, chunks)
+	overHTTP, err := vaq.NewRemoteEngine(backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := make([]shard.Partition, len(chunks))
+	for i, c := range chunks {
+		parts[i] = chunkPartition{c}
+	}
+	inProcess := vaq.OverPartitions(shard.Over(parts, 2, false, nil))
+	ctx := context.Background()
+
+	regions := []vaq.Region{
+		vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.1, 0.5), 0.05)),  // one strip
+		vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.25, 0.4), 0.12)), // straddles a cut
+		vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.9, 0.9), 0.08)),
+		vaq.PolygonRegion(vaq.MustPolygon([]vaq.Point{vaq.Pt(0.05, 0.45), vaq.Pt(0.95, 0.47), vaq.Pt(0.95, 0.5), vaq.Pt(0.05, 0.48)})), // every strip
+	}
+	for i := 0; i < 6; i++ {
+		regions = append(regions, vaq.PolygonRegion(vaq.RandomQueryPolygon(rng, 9, 0.03, vaq.UnitSquare())))
+	}
+
+	for _, m := range []vaq.Method{vaq.VoronoiBFS, vaq.VoronoiBFSStrict, vaq.Traditional} {
+		for ri, region := range regions {
+			want, err := oracle.Query(ctx, region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var a, b vaq.Stats
+			got, err := inProcess.Query(ctx, region, vaq.UsingMethod(m), vaq.WithStatsInto(&a))
+			if err != nil {
+				t.Fatal(err)
+			}
+			remote, err := overHTTP.Query(ctx, region, vaq.UsingMethod(m), vaq.WithStatsInto(&b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) || !slices.Equal(remote, want) {
+				t.Fatalf("%v region %d: in-process %d ids, HTTP %d ids, oracle %d", m, ri, len(got), len(remote), len(want))
+			}
+			if workOf(a) != workOf(b) {
+				t.Errorf("%v region %d: work in process %v, over HTTP %v", m, ri, workOf(a), workOf(b))
+			}
+
+			var seenA, seenB []int64
+			if err := inProcess.Each(ctx, region, func(id int64, _ vaq.Point) bool { seenA = append(seenA, id); return true }, vaq.UsingMethod(m)); err != nil {
+				t.Fatal(err)
+			}
+			if err := overHTTP.Each(ctx, region, func(id int64, _ vaq.Point) bool { seenB = append(seenB, id); return true }, vaq.UsingMethod(m)); err != nil {
+				t.Fatal(err)
+			}
+			slices.Sort(seenA)
+			slices.Sort(seenB)
+			if !slices.Equal(seenA, want) || !slices.Equal(seenB, want) {
+				t.Errorf("%v region %d: Each sets diverge (%d / %d / oracle %d)", m, ri, len(seenA), len(seenB), len(want))
+			}
+		}
+
+		var a, b vaq.Stats
+		outA, err := inProcess.QueryAll(ctx, regions, vaq.UsingMethod(m), vaq.WithStatsInto(&a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		outB, err := overHTTP.QueryAll(ctx, regions, vaq.UsingMethod(m), vaq.WithStatsInto(&b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ri := range regions {
+			if !slices.Equal(outA[ri], outB[ri]) {
+				t.Errorf("%v QueryAll region %d: %d ids in process, %d over HTTP", m, ri, len(outA[ri]), len(outB[ri]))
+			}
+		}
+		if workOf(a) != workOf(b) {
+			t.Errorf("%v QueryAll: work in process %v, over HTTP %v", m, workOf(a), workOf(b))
+		}
+	}
+
+	for rep := 0; rep < 20; rep++ {
+		q, k := vaq.Pt(rng.Float64(), rng.Float64()), 1+rng.Intn(30)
+		want, _, err := oracle.KNearest(ctx, q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, a, err := inProcess.KNearest(ctx, q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote, b, err := overHTTP.KNearest(ctx, q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) || !slices.Equal(remote, want) {
+			t.Fatalf("KNearest rep %d diverges from the oracle", rep)
+		}
+		if workOf(a) != workOf(b) {
+			t.Errorf("KNearest rep %d: work in process %v, over HTTP %v", rep, workOf(a), workOf(b))
+		}
+	}
+}
+
+// TestRemoteBatchIsPruned pins what the shared batch planner gives the
+// remote flavor: a backend receives only the regions whose MBR meets its
+// bounds, in one round trip, and is not contacted when none do.
+func TestRemoteBatchIsPruned(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	pts := vaq.UniformPoints(rng, 2000, vaq.UnitSquare())
+	chunks := xSortedChunks(t, pts, 1000)
+	oracle, err := vaq.NewEngine(pts, vaq.UnitSquare())
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends, counts := serveChunks(t, chunks)
+	re, err := vaq.NewRemoteEngine(backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	left := []vaq.Region{
+		vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.1, 0.3), 0.05)),
+		vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.2, 0.7), 0.08)),
+		vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.3, 0.5), 0.06)),
+	}
+	both := vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.5, 0.5), 0.1))
+	right := vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.85, 0.2), 0.07))
+
+	check := func(regions []vaq.Region, wantRequests, wantRegions [2]int64) {
+		t.Helper()
+		for _, n := range counts {
+			n.requests.Store(0)
+			n.regions.Store(0)
+		}
+		out, err := re.QueryAll(ctx, regions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, region := range regions {
+			want, err := oracle.Query(ctx, region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(out[i], want) {
+				t.Errorf("region %d: %d ids, oracle %d", i, len(out[i]), len(want))
+			}
+		}
+		for bi, n := range counts {
+			if n.requests.Load() != wantRequests[bi] || n.regions.Load() != wantRegions[bi] {
+				t.Errorf("backend %d saw %d requests carrying %d regions, want %d and %d",
+					bi, n.requests.Load(), n.regions.Load(), wantRequests[bi], wantRegions[bi])
+			}
+		}
+	}
+	// Only the left backend is reached: the right one is not contacted.
+	check(left, [2]int64{1, 0}, [2]int64{3, 0})
+	// Mixed: each backend gets exactly its regions, in one round trip.
+	check(append(append([]vaq.Region{}, left...), both, right), [2]int64{1, 1}, [2]int64{4, 2})
+}
+
+// TestRemoteCancellationBeatsDegradation: under WithDegradedFanOut a
+// caller deadline that fires after one backend answered and before the
+// other did is the query's error — not a droppable backend failure
+// answered with the fast backend's partial ids.
+func TestRemoteCancellationBeatsDegradation(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	pts := vaq.UniformPoints(rng, 800, vaq.UnitSquare())
+	f := startFixture(t, pts) // one fast backend over everything
+	stuck := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/info" {
+			json.NewEncoder(w).Encode(wire.Info{Len: 10, Bounds: [4]float64{0, 0, 1, 1}, IDOffset: int64(len(pts))})
+			return
+		}
+		// Answers only when the client hangs up (the server notices a closed
+		// connection only once the request body has been drained).
+		io.Copy(io.Discard, r.Body)
+		select {
+		case <-r.Context().Done():
+		case <-time.After(10 * time.Second):
+		}
+	}))
+	defer stuck.Close()
+
+	re, err := vaq.DialRemote(context.Background(), append(append([]string{}, f.urls...), stuck.URL), vaq.WithDegradedFanOut())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
+	region := vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.5, 0.5), 0.2))
+	ids, err := re.Query(ctx, region)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Query = %d ids, err %v; want context.DeadlineExceeded", len(ids), err)
+	}
+	ctx2, cancel2 := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel2()
+	if _, err := re.QueryAll(ctx2, []vaq.Region{region, region}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("QueryAll err = %v; want context.DeadlineExceeded", err)
+	}
+	if n := re.Dropped(); n != 0 {
+		t.Errorf("Dropped() = %d: a caller deadline was counted as a dropped backend", n)
+	}
+}
+
+// TestDegradedAnswerIsNotCached: a partial answer produced while a backend
+// was down must not be served from the result cache after it recovers.
+func TestDegradedAnswerIsNotCached(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	pts := vaq.UniformPoints(rng, 1200, vaq.UnitSquare())
+	f := startFixture(t, pts, 600)
+
+	// The second chunk again, behind a switch.
+	var down atomic.Bool
+	h := serve.NewHandler(f.chunks[1], serve.Config{IDOffset: 600, Flavor: "static"})
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if down.Load() {
+			http.Error(w, `{"code":"internal","message":"down"}`, http.StatusInternalServerError)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer flaky.Close()
+
+	rc := vaq.NewResultCache(16)
+	re, err := vaq.DialRemote(context.Background(), []string{f.urls[0], flaky.URL}, vaq.WithDegradedFanOut(), vaq.WithResultCache(rc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	region := vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.5, 0.5), 0.25))
+	want, err := f.local.Query(ctx, region)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	down.Store(true)
+	var st vaq.Stats
+	partial, err := re.Query(ctx, region, vaq.WithStatsInto(&st))
+	if err != nil {
+		t.Fatalf("degraded query failed: %v", err)
+	}
+	if slices.Equal(partial, want) || st.PartitionsDropped != 1 {
+		t.Fatalf("the outage did not show: %d of %d ids, PartitionsDropped=%d", len(partial), len(want), st.PartitionsDropped)
+	}
+	if rc.Len() != 0 || rc.Stats().Bypasses != 1 {
+		t.Errorf("partial answer memoized: %d entries, %d bypasses", rc.Len(), rc.Stats().Bypasses)
+	}
+
+	down.Store(false)
+	healed, err := re.Query(ctx, region, vaq.WithStatsInto(&st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(healed, want) {
+		t.Fatalf("after recovery: %d ids, oracle %d — the partial answer outlived the outage", len(healed), len(want))
+	}
+	if st.PartitionsDropped != 0 {
+		t.Errorf("healthy answer reports PartitionsDropped=%d", st.PartitionsDropped)
+	}
+	if again, _ := re.Query(ctx, region); !slices.Equal(again, want) || rc.Stats().Hits != 1 {
+		t.Errorf("the complete answer was not memoized (hits=%d)", rc.Stats().Hits)
+	}
+}
