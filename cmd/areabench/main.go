@@ -1,5 +1,7 @@
-// Command areabench regenerates the paper's evaluation: Table I, Table II
-// and the data series behind Figures 4-7.
+// Command areabench regenerates the paper's evaluation — Table I, Table II
+// and the data series behind Figures 4-7 — and runs the result-cache sweep
+// under zipfian hot-region traffic. Performance is measured elsewhere, by
+// the repository benchmark (`go run -C benchmark .`).
 //
 // Examples:
 //
@@ -8,21 +10,14 @@
 //	areabench -exp fig5
 //	areabench -exp all -datasizes 100000,200000 -repeats 50
 //	areabench -exp table2 -store -payload 64 -poolpages 256
-//	areabench -exp throughput -parallel 1,2,4,8 -queries 1024
-//	areabench -exp sharded -shards 1,2,4,8 -store -queries 512
 //	areabench -exp hotregion -skews 0.8,1.1,1.4 -cachesizes 8,64,256
 //	areabench -exp hotregion -metricsaddr localhost:9090
-//	areabench -exp serve -conns 1,4,16,64 -requests 2000
-//	areabench -exp serve -json BENCH_9.json
-//	areabench -exp all -json BENCH_7.json
-//	areabench -diff BENCH_7.json BENCH_8.json
 //
 // With -metricsaddr, a metrics endpoint serves the live registry while the
 // run progresses (curl it for JSON, add ?format=prom for Prometheus text).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -30,7 +25,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	vaq "repro"
 	"repro/internal/bench"
@@ -39,10 +33,8 @@ import (
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment: table1|table2|fig4|fig5|fig6|fig7|throughput|sharded|hotregion|serve|all")
-		parallel    = flag.String("parallel", "1,2,4,8", "comma-separated worker-pool sizes (with -exp throughput)")
-		shards      = flag.String("shards", "1,2,4,8", "comma-separated shard counts (with -exp sharded)")
-		queries     = flag.Int("queries", 512, "batch length (with -exp throughput|sharded)")
+		exp         = flag.String("exp", "all", "experiment: table1|table2|fig4|fig5|fig6|fig7|all (the paper's tables and figures), hotregion")
+		queries     = flag.Int("queries", 512, "query-stream length per configuration (with -exp hotregion)")
 		repeats     = flag.Int("repeats", 100, "repeats per configuration (paper: 1000)")
 		seed        = flag.Int64("seed", 20200420, "random seed")
 		vertices    = flag.Int("vertices", 10, "query polygon vertex count (paper: 10)")
@@ -54,41 +46,12 @@ func main() {
 		poolShards  = flag.Int("poolshards", 0, "buffer pool lock shards (with -store; 0 = GOMAXPROCS-based, 1 = single lock)")
 		pageSize    = flag.Int("pagesize", 4096, "page size in bytes (with -store)")
 		quiet       = flag.Bool("q", false, "suppress progress output")
-		jsonPath    = flag.String("json", "", "write a machine-readable benchmark snapshot to this file (with -exp all or -exp serve; skips the table sweeps)")
-		minTime     = flag.Duration("mintime", 200*time.Millisecond, "minimum measured time per family (with -json)")
-		conns       = flag.String("conns", "", "comma-separated client concurrency levels (with -exp serve; default 1,4,16,64)")
-		requests    = flag.Int("requests", 0, "requests per concurrency level (with -exp serve; default 2000)")
-		backends    = flag.Int("backends", 0, "chunk-server count (with -exp serve; default 2)")
 		skews       = flag.String("skews", "", "comma-separated zipfian s-parameters (with -exp hotregion; default 0.8,1.1,1.4)")
 		cacheSizes  = flag.String("cachesizes", "", "comma-separated result-cache capacities (with -exp hotregion; default 8,64,256)")
 		regions     = flag.Int("regions", 0, "hot-region pool size (with -exp hotregion; default 64)")
-		metricsAddr = flag.String("metricsaddr", "", "serve live engine metrics on this address while the run progresses (with -json or -exp hotregion; adds instrumentation overhead)")
-		diffPath    = flag.String("diff", "", "compare snapshots instead of benchmarking: -diff OLD.json NEW.json (exit 1 on regressions)")
-		diffThresh  = flag.Float64("threshold", bench.DefaultDiffThreshold, "fractional per-metric regression threshold (with -diff)")
+		metricsAddr = flag.String("metricsaddr", "", "serve live engine metrics on this address while the run progresses (with -exp hotregion; adds instrumentation overhead)")
 	)
 	flag.Parse()
-
-	if *diffPath != "" {
-		if flag.NArg() != 1 {
-			fatalf("-diff OLD.json takes exactly one positional NEW.json argument")
-		}
-		oldSnap, err := bench.LoadSnapshot(*diffPath)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		newSnap, err := bench.LoadSnapshot(flag.Arg(0))
-		if err != nil {
-			fatalf("%v", err)
-		}
-		d := bench.DiffSnapshots(oldSnap, newSnap, *diffThresh)
-		fmt.Printf("## %s -> %s (threshold %.0f%%)\n", *diffPath, flag.Arg(0), 100*d.Threshold)
-		fmt.Print(bench.FormatDiff(d))
-		if regs := d.Regressions(); len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "areabench: %d metric(s) regressed beyond %.0f%%\n", len(regs), 100*d.Threshold)
-			os.Exit(1)
-		}
-		return
-	}
 
 	// In metrics mode every engine the run builds shares one registry,
 	// scraped live over HTTP (JSON by default, ?format=prom for
@@ -140,86 +103,6 @@ func main() {
 		}
 	}
 
-	if *jsonPath != "" && *exp != "all" && *exp != "serve" {
-		fatalf("-json requires -exp all or -exp serve")
-	}
-
-	if *jsonPath != "" && *exp == "all" {
-		dataSize := 0 // RunSnapshot defaults to 1E5
-		if len(cfg.DataSizes) > 0 && *dataSizes != "" {
-			dataSize = cfg.DataSizes[0]
-		}
-		snap, err := bench.RunSnapshot(bench.SnapshotConfig{
-			DataSize:  dataSize,
-			Queries:   *queries,
-			QuerySize: cfg.FixedQuerySize,
-			Vertices:  cfg.Vertices,
-			MinTime:   *minTime,
-			Store:     cfg.Store,
-			Seed:      cfg.Seed,
-			Metrics:   metrics,
-		})
-		if err != nil {
-			fatalf("snapshot: %v", err)
-		}
-		out, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			fatalf("snapshot: %v", err)
-		}
-		if err := os.WriteFile(*jsonPath, append(out, '\n'), 0o644); err != nil {
-			fatalf("snapshot: %v", err)
-		}
-		if !*quiet {
-			fmt.Printf("# wrote %s (%d families)\n", *jsonPath, len(snap.Families))
-			for _, f := range snap.Families {
-				fmt.Printf("%-20s %12.0f q/s %12.0f ns/op %8.1f allocs/op\n",
-					f.Name, f.QueriesPerSec, f.NsPerOp, f.AllocsPerOp)
-			}
-		}
-		return
-	}
-
-	if *exp == "serve" {
-		scfg := bench.ServeConfig{
-			Queries:   *queries,
-			Requests:  *requests,
-			Backends:  *backends,
-			Vertices:  cfg.Vertices,
-			QuerySize: cfg.FixedQuerySize,
-			Seed:      cfg.Seed,
-		}
-		if len(cfg.DataSizes) > 0 && *dataSizes != "" {
-			scfg.DataSize = cfg.DataSizes[0]
-		}
-		if *conns != "" {
-			cs, err := parseInts(*conns)
-			if err != nil {
-				fatalf("bad -conns: %v", err)
-			}
-			scfg.Conns = cs
-		}
-		rows, err := bench.RunServe(scfg)
-		if err != nil {
-			fatalf("serve sweep: %v", err)
-		}
-		fmt.Println("## Serving layer — remote queries over loopback HTTP, connection sweep")
-		fmt.Print(bench.FormatServe(rows))
-		if *jsonPath != "" {
-			snap := bench.ServeSnapshot(scfg, rows)
-			out, err := json.MarshalIndent(snap, "", "  ")
-			if err != nil {
-				fatalf("snapshot: %v", err)
-			}
-			if err := os.WriteFile(*jsonPath, append(out, '\n'), 0o644); err != nil {
-				fatalf("snapshot: %v", err)
-			}
-			if !*quiet {
-				fmt.Printf("# wrote %s (%d families)\n", *jsonPath, len(snap.Families))
-			}
-		}
-		return
-	}
-
 	if *exp == "hotregion" {
 		hcfg := bench.HotRegionConfig{
 			Queries:   *queries,
@@ -263,61 +146,6 @@ func main() {
 		}
 		fmt.Println("## Hot-region traffic — zipfian stream, result cache on vs off")
 		fmt.Print(bench.FormatHotRegion(rows))
-		return
-	}
-
-	if *exp == "throughput" {
-		pool, err := parseInts(*parallel)
-		if err != nil {
-			fatalf("bad -parallel: %v", err)
-		}
-		dataSize := 0 // RunThroughput defaults to 1E5
-		if len(cfg.DataSizes) > 0 && *dataSizes != "" {
-			dataSize = cfg.DataSizes[0]
-		}
-		rows, err := bench.RunThroughput(bench.ThroughputConfig{
-			DataSize:    dataSize,
-			Queries:     *queries,
-			QuerySize:   cfg.FixedQuerySize,
-			Vertices:    cfg.Vertices,
-			Parallelism: pool,
-			Seed:        cfg.Seed,
-		})
-		if err != nil {
-			fatalf("throughput sweep: %v", err)
-		}
-		fmt.Println("## Batch throughput — parallel QueryAll, Voronoi method")
-		fmt.Print(bench.FormatThroughput(rows))
-		return
-	}
-
-	if *exp == "sharded" {
-		counts, err := parseInts(*shards)
-		if err != nil {
-			fatalf("bad -shards: %v", err)
-		}
-		dataSize := 0 // RunShardedThroughput defaults to 1E5
-		if len(cfg.DataSizes) > 0 && *dataSizes != "" {
-			dataSize = cfg.DataSizes[0]
-		}
-		rows, err := bench.RunShardedThroughput(bench.ShardedThroughputConfig{
-			DataSize:  dataSize,
-			Queries:   *queries,
-			QuerySize: cfg.FixedQuerySize,
-			Vertices:  cfg.Vertices,
-			Shards:    counts,
-			Store:     cfg.Store,
-			Seed:      cfg.Seed,
-		})
-		if err != nil {
-			fatalf("sharded sweep: %v", err)
-		}
-		backing := "in-memory records"
-		if cfg.Store != nil {
-			backing = "store-backed records (per-shard buffer pools)"
-		}
-		fmt.Printf("## Sharded vs single engine — batch scatter-gather, Voronoi method, %s\n", backing)
-		fmt.Print(bench.FormatShardedThroughput(rows))
 		return
 	}
 

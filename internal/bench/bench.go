@@ -1,5 +1,9 @@
-// Package bench is the experiment harness: it regenerates every table and
-// figure of the paper's evaluation section.
+// Package bench holds the two experiments cmd/areabench runs and nothing
+// else: the paper reproduction in this file (every table and figure of the
+// paper's evaluation section, as deterministic candidate counters next to
+// indicative timings) and the result-cache sweep under zipfian hot-region
+// traffic in hotregion.go. Performance is measured by the repository
+// benchmark (`go run -C benchmark .`), not here.
 //
 // The paper's protocol: points uniform in a unit universe; the query area
 // is a randomly generated 10-vertex polygon; "query size" is the area of
@@ -14,13 +18,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -204,70 +209,95 @@ func (ds *dataset) measure(cfg Config, querySize float64, seed int64) (Row, erro
 		vertices = 10
 	}
 
-	var resultAcc stats.Accumulator
-	mismatches := 0
-	accs := map[core.Method]*struct {
-		cand, red, pageReads stats.Accumulator
-		times                []float64
-	}{
-		core.Traditional: {},
-		core.VoronoiBFS:  {},
-	}
-
+	var traditional, voronoi methodAcc
+	resultSum, mismatches := 0, 0
 	for rep := 0; rep < repeats; rep++ {
 		area := workload.RandomPolygon(rng, workload.PolygonConfig{
 			Vertices:  vertices,
 			QuerySize: querySize,
 		}, ds.bounds)
-
 		region := core.PolygonRegion(area)
-		var wantLen = -1
-		for _, m := range []core.Method{core.Traditional, core.VoronoiBFS} {
-			acc := accs[m]
-			var ioBefore int
-			if ds.store != nil {
-				ioBefore = ds.store.IOStats().PageReads
-			}
-			start := time.Now()
-			ids, st, err := ds.eng.QueryRegionSpec(context.Background(), region, core.QuerySpec{Method: m})
-			elapsed := time.Since(start)
-			if err != nil {
-				return Row{}, fmt.Errorf("bench: %v query failed: %w", m, err)
-			}
-			if wantLen == -1 {
-				wantLen = len(ids)
-				resultAcc.Add(float64(len(ids)))
-			} else if len(ids) != wantLen {
-				mismatches++
-			}
-			acc.cand.Add(float64(st.Candidates))
-			acc.red.Add(float64(st.RedundantValidations))
-			acc.times = append(acc.times, float64(elapsed.Nanoseconds())/1e6)
-			if ds.store != nil {
-				acc.pageReads.Add(float64(ds.store.IOStats().PageReads - ioBefore))
-			}
-		}
-	}
 
-	build := func(m core.Method) MethodResult {
-		acc := accs[m]
-		ts := stats.Summarize(acc.times)
-		return MethodResult{
-			Candidates: acc.cand.Mean(),
-			Redundant:  acc.red.Mean(),
-			TimeMs:     ts.Mean,
-			TimeSD:     ts.StdDev,
-			PageReads:  acc.pageReads.Mean(),
+		want, err := ds.run(region, core.Traditional, &traditional)
+		if err != nil {
+			return Row{}, err
+		}
+		got, err := ds.run(region, core.VoronoiBFS, &voronoi)
+		if err != nil {
+			return Row{}, err
+		}
+		resultSum += len(want)
+		// core returns ids in discovery order; compare the answers, not
+		// their lengths.
+		slices.Sort(want)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			mismatches++
 		}
 	}
 	return Row{
 		DataSize:    ds.n,
 		QuerySize:   querySize,
-		ResultSize:  resultAcc.Mean(),
-		Traditional: build(core.Traditional),
-		Voronoi:     build(core.VoronoiBFS),
+		ResultSize:  float64(resultSum) / float64(repeats),
+		Traditional: traditional.result(),
+		Voronoi:     voronoi.result(),
 		Mismatches:  mismatches,
 	}, nil
+}
+
+// methodAcc sums one method's per-query statistics over the repeats of one
+// configuration; timesMs has one entry per query.
+type methodAcc struct {
+	cand, red, pageReads int
+	timesMs              []float64
+}
+
+// run answers region with method m, adds the query's statistics to acc
+// and returns the result ids.
+func (ds *dataset) run(region core.Region, m core.Method, acc *methodAcc) ([]int64, error) {
+	var ioBefore int
+	if ds.store != nil {
+		ioBefore = ds.store.IOStats().PageReads
+	}
+	start := time.Now()
+	ids, st, err := ds.eng.QueryRegionSpec(context.Background(), region, core.QuerySpec{Method: m})
+	elapsed := time.Since(start)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %v query failed: %w", m, err)
+	}
+	acc.cand += st.Candidates
+	acc.red += st.RedundantValidations
+	acc.timesMs = append(acc.timesMs, float64(elapsed.Nanoseconds())/1e6)
+	if ds.store != nil {
+		acc.pageReads += ds.store.IOStats().PageReads - ioBefore
+	}
+	return ids, nil
+}
+
+// result averages the sums; the time column also gets its sample standard
+// deviation.
+func (a *methodAcc) result() MethodResult {
+	n := float64(len(a.timesMs))
+	var sum float64
+	for _, t := range a.timesMs {
+		sum += t
+	}
+	mean := sum / n
+	var ss float64
+	for _, t := range a.timesMs {
+		ss += (t - mean) * (t - mean)
+	}
+	var sd float64
+	if n > 1 {
+		sd = math.Sqrt(ss / (n - 1))
+	}
+	return MethodResult{
+		Candidates: float64(a.cand) / n,
+		Redundant:  float64(a.red) / n,
+		TimeMs:     mean,
+		TimeSD:     sd,
+		PageReads:  float64(a.pageReads) / n,
+	}
 }
 
 // FormatTable renders rows in the layout of the paper's tables: one line

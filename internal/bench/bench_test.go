@@ -163,7 +163,7 @@ func TestFormatFigure(t *testing.T) {
 }
 
 func TestMismatchesTrackedAndRareAtScale(t *testing.T) {
-	// measure() compares the two methods' result sizes on every repeat and
+	// measure() compares the two methods' result ids on every repeat and
 	// reports divergences (the published expansion rule is heuristic; see
 	// README.md, "Expansion rules"). In a paper-like regime — enough points
 	// that query areas hold hundreds of results — mismatches must be (near)

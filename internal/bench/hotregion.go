@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -48,8 +49,8 @@ type HotRegionConfig struct {
 	Store *core.StoreConfig
 	// Metrics, when non-nil, instruments both engines (WithMetrics) for
 	// live scraping. Measured numbers then include the instrumentation
-	// overhead; leave it nil for committed trajectory snapshots.
-	Metrics *vaq.MetricsRegistry `json:"-"`
+	// overhead.
+	Metrics *vaq.MetricsRegistry
 }
 
 func (c HotRegionConfig) withDefaults() HotRegionConfig {
@@ -102,8 +103,8 @@ type HotRegionRow struct {
 // RunHotRegion measures result-cache effectiveness under zipfian
 // hot-region traffic. Per skew, one query stream is drawn and replayed on
 // an uncached engine (the per-skew baseline) and, per cache size, on a
-// cached engine (results verified identical against the baseline on the
-// fly by count).
+// cached engine; every replayed answer, cached or not, is compared id for
+// id with the region's warm-up answer.
 func RunHotRegion(cfg HotRegionConfig) ([]HotRegionRow, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -138,16 +139,16 @@ func RunHotRegion(cfg HotRegionConfig) ([]HotRegionRow, error) {
 		regions[i] = vaq.PolygonRegion(pg)
 	}
 
-	// Warm both engines (and pin per-region counts for verification)
+	// Warm both engines (and pin per-region answers for verification)
 	// outside the timed loops.
 	ctx := context.Background()
-	counts := make([]int, len(regions))
+	want := make([][]int64, len(regions))
 	for i, region := range regions {
 		ids, err := uncached.Query(ctx, region)
 		if err != nil {
 			return nil, fmt.Errorf("bench: warmup region %d: %w", i, err)
 		}
-		counts[i] = len(ids)
+		want[i] = ids
 		if _, err := cached.Query(ctx, region); err != nil {
 			return nil, fmt.Errorf("bench: warmup region %d (cached): %w", i, err)
 		}
@@ -166,8 +167,8 @@ func RunHotRegion(cfg HotRegionConfig) ([]HotRegionRow, error) {
 				return 0, obs.HistogramSnapshot{}, err
 			}
 			lat.Observe(time.Since(t0))
-			if len(ids) != counts[ri] {
-				return 0, obs.HistogramSnapshot{}, fmt.Errorf("region %d returned %d ids, want %d", ri, len(ids), counts[ri])
+			if !slices.Equal(ids, want[ri]) {
+				return 0, obs.HistogramSnapshot{}, fmt.Errorf("region %d returned %d ids that differ from its %d warm-up ids", ri, len(ids), len(want[ri]))
 			}
 		}
 		return time.Since(start), lat.Snapshot(), nil

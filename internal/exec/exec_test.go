@@ -212,5 +212,5 @@ func TestEmptyAndOversubscribedBatches(t *testing.T) {
 	}
 }
 
-// Batch throughput at different pool sizes is benchmarked at the public
-// API level: BenchmarkQueryBatchParallel in the repository root.
+// Batch throughput is measured at the public API level by the repository
+// benchmark's sharded-batch workload (exec.* metrics).
