@@ -135,10 +135,13 @@ func BenchmarkAblationRectangleQuery(b *testing.B) {
 
 // BenchmarkAblationPolygonComplexity sweeps the query polygon vertex count
 // (the paper fixes 10), showing how boundary complexity affects both
-// methods.
+// methods. Each call prepares its region (queryWith), so the timings are
+// what a one-shot caller pays, the prepared polygon's lazy grid build
+// included; k = 100 is there because that grid has a fixed size and falls
+// back to the O(edges) loop on its boundary cells.
 func BenchmarkAblationPolygonComplexity(b *testing.B) {
 	const n = 100_000
-	for _, k := range []int{4, 10, 25, 50} {
+	for _, k := range []int{4, 10, 25, 50, 100} {
 		rng := rand.New(rand.NewSource(int64(k)))
 		areas := make([]Polygon, 64)
 		for i := range areas {

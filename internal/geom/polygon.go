@@ -306,8 +306,14 @@ func (pg Polygon) InteriorPoint() Point {
 }
 
 // ContainsPointStrict reports whether p lies strictly inside the polygon
-// (boundary points excluded).
+// (boundary points excluded). The MBR reject comes first so a non-finite p
+// — InteriorPoint's centroid, when a huge polygon's cross products
+// overflow — never reaches the exact orientation predicate, which panics
+// on NaN and ±Inf.
 func (pg Polygon) ContainsPointStrict(p Point) bool {
+	if !pg.Bounds().ContainsPoint(p) {
+		return false
+	}
 	on := false
 	pg.rings(func(r Ring) bool {
 		if r.onBoundary(p) {

@@ -3,6 +3,7 @@ package geom
 import (
 	"encoding/binary"
 	"math"
+	"sync/atomic"
 )
 
 // PreparedPolygon caches per-edge derived data (bounding boxes, flattened
@@ -11,11 +12,24 @@ import (
 // against one query polygon — skip most exact orientation calls through
 // cheap interval rejects. Results are identical to the plain Polygon
 // methods.
+//
+// A region that keeps answering containment tests builds, once, a
+// face-classification grid (containGrid) that decides most of them without
+// the edge loop. It holds atomics for that: use it only through the pointer
+// Prepare returns.
 type PreparedPolygon struct {
 	pg       Polygon
 	bound    Rect
 	interior Point
 	edges    []preparedEdge
+
+	// exactTests counts containment tests answered by the edge loop while
+	// grid is nil, up to gridAfter; the goroutine whose test is the
+	// gridAfter-th builds the grid and publishes it. Everyone else keeps
+	// using the edge loop until the pointer appears (or forever, when the
+	// build refuses), so the steady state is one atomic load.
+	exactTests atomic.Int32
+	grid       atomic.Pointer[containGrid]
 }
 
 type preparedEdge struct {
@@ -65,14 +79,28 @@ func appendRingKey(dst []byte, r Ring) []byte {
 // Bounds returns the polygon's MBR.
 func (pp *PreparedPolygon) Bounds() Rect { return pp.bound }
 
-// ContainsPoint reports whether p lies in the closed polygon. It fuses the
-// boundary check and the ray-crossing count into a single pass over the
-// edge list, consulting the exact orientation predicate only for edges
-// whose bounding interval makes them relevant.
+// ContainsPoint reports whether p lies in the closed polygon: MBR reject,
+// then the grid's verdict when there is one and p's cell touches no edge,
+// then the exact edge loop.
 func (pp *PreparedPolygon) ContainsPoint(p Point) bool {
 	if !pp.bound.ContainsPoint(p) {
 		return false
 	}
+	if g := pp.grid.Load(); g != nil {
+		if c := g.lookup(p); c != cellBoundary {
+			return c == cellInside
+		}
+	} else if pp.exactTests.Load() < gridAfter && pp.exactTests.Add(1) == gridAfter {
+		pp.grid.Store(newContainGrid(pp))
+	}
+	return pp.containsExact(p)
+}
+
+// containsExact is the containment test for a point inside the MBR. It
+// fuses the boundary check and the ray-crossing count into a single pass
+// over the edge list, consulting the exact orientation predicate only for
+// edges whose bounding interval makes them relevant.
+func (pp *PreparedPolygon) containsExact(p Point) bool {
 	odd := false
 	for i := range pp.edges {
 		e := &pp.edges[i]

@@ -341,3 +341,58 @@ func TestTouchesBoundaryAllocs(t *testing.T) {
 		t.Fatalf("TouchesBoundary: %.1f allocs per %d tests (want 0), %d hits (want > 0)", allocs, len(segs), hits)
 	}
 }
+
+// TestPrepareAllocs pins what every region pays up front: the grid is not
+// in it (it is built lazily, see gridAfter), so a one-shot caller and the
+// request decoder allocate what they did before there was one.
+func TestPrepareAllocs(t *testing.T) {
+	pg := randomStarPolygon(rand.New(rand.NewSource(3)), 10)
+	var pp *PreparedPolygon
+	allocs := testing.AllocsPerRun(20, func() { pp = Prepare(pg) })
+	if allocs > 6 || pp.grid.Load() != nil {
+		t.Fatalf("Prepare(10 vertices): %.0f allocs (want <= 6), grid built = %v (want false)", allocs, pp.grid.Load() != nil)
+	}
+}
+
+func BenchmarkPrepare(b *testing.B) {
+	pg := randomStarPolygon(rand.New(rand.NewSource(3)), 10)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Prepare(pg)
+	}
+}
+
+// BenchmarkContainGridBuild and BenchmarkContainsInMBR are the two numbers
+// gridAfter is derived from: what the grid costs to build, and what it
+// saves per test on the points a query actually tests — candidates inside
+// the region's MBR.
+func BenchmarkContainGridBuild(b *testing.B) {
+	pp := Prepare(randomStarPolygon(rand.New(rand.NewSource(3)), 10))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if newContainGrid(pp) == nil {
+			b.Fatal("grid refused")
+		}
+	}
+}
+
+func BenchmarkContainsInMBR(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	pp := Prepare(randomStarPolygon(rng, 10))
+	mbr := pp.Bounds()
+	probes := make([]Point, 256)
+	for i := range probes {
+		probes[i] = Pt(mbr.MinX+rng.Float64()*mbr.Width(), mbr.MinY+rng.Float64()*mbr.Height())
+	}
+	b.Run("exact", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pp.containsExact(probes[i%len(probes)])
+		}
+	})
+	b.Run("grid", func(b *testing.B) {
+		pp.grid.Store(newContainGrid(pp))
+		for i := 0; i < b.N; i++ {
+			pp.ContainsPoint(probes[i%len(probes)])
+		}
+	})
+}

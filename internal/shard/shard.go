@@ -471,7 +471,7 @@ func mergeSorted(dst []int64, parts [][]int64) []int64 {
 	for _, p := range parts {
 		dst = append(dst, p...)
 	}
-	slices.Sort(dst)
+	core.SortIDs(dst)
 	return dst
 }
 

@@ -3,7 +3,6 @@ package vaq
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -190,7 +189,7 @@ func finishQuery(p *queryPlan, ids []int64, st Stats, err error) ([]int64, error
 	if err != nil {
 		return nil, err
 	}
-	slices.Sort(ids)
+	core.SortIDs(ids)
 	return ids, nil
 }
 
@@ -203,7 +202,7 @@ func finishBatch(p *queryPlan, out [][]int64, st Stats, err error) ([][]int64, e
 		return nil, err
 	}
 	for _, ids := range out {
-		slices.Sort(ids)
+		core.SortIDs(ids)
 	}
 	return out, nil
 }

@@ -8,11 +8,18 @@ import (
 
 // queryAllocs measures Engine.Query(ctx, region, Reuse(buf)) per call over
 // regions, after one warm-up pass (scratch pool, buffer growth, resident
-// pages).
+// pages) and with every polygon region past the containment tests that make
+// it build its grid — one allocation per region, once, a hundred-odd tests
+// in (geom's gridAfter); it is set-up, not the warm path pinned here.
 func queryAllocs(t *testing.T, eng *Engine, regions []Region) float64 {
 	t.Helper()
 	ctx := context.Background()
 	buf := make([]int64, 0, eng.Len())
+	for _, r := range regions {
+		for i := 0; i < 1024; i++ {
+			r.ContainsPoint(r.InteriorPoint())
+		}
+	}
 	pass := func() {
 		for _, r := range regions {
 			ids, err := eng.Query(ctx, r, Reuse(buf))
