@@ -77,15 +77,6 @@ func isPkgCall(call *ast.CallExpr, pkgLocal, fnName string) bool {
 	return ok && id.Name == pkgLocal
 }
 
-// funcDoc returns the doc comment text of a function declaration ("" when
-// absent).
-func funcDoc(decl *ast.FuncDecl) string {
-	if decl.Doc == nil {
-		return ""
-	}
-	return decl.Doc.Text()
-}
-
 // hasMarker reports whether a doc comment group contains the exact
 // marker directive (e.g. "//vaq:noalloc") on a line of its own, with an
 // optional trailing argument returned as the second value.

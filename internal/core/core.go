@@ -1,7 +1,7 @@
 // Package core implements the paper's contribution: the Voronoi-diagram
 // based area query (Algorithm 1) and the traditional filter-and-refine
-// baseline it is evaluated against, over pluggable spatial indexes and data
-// accessors.
+// baseline it is evaluated against, over one R-tree index and pluggable
+// data accessors.
 //
 // An area query returns every stored point inside a query polygon. The
 // traditional method window-queries the index with the polygon's MBR and
@@ -15,13 +15,16 @@
 // the paper's comparisons (candidates, redundant validations, time, IO) can
 // be reproduced.
 //
-// There is one query path. Every data layer — MemoryData, StoreData, the
-// dynamic engine's per-epoch DynamicData — satisfies the same DataAccess
-// contract (positions, one adjacency method, record loads, a scan, the
-// packed cell arena), and every flavor above this package (static, store,
-// sharded, snapshot, remote backend) reaches the same two loops: voronoiBFS
-// for area queries, with the strict rule's cell test reading the arena, and
-// kNearestInto for nearest-neighbor expansion.
+// There is one index and one query path. RTreeIndex — the R-tree the paper
+// gives both methods, STR bulk-loaded for a fixed point set or the dynamic
+// engine's snapshot of its R*-inserted tree — answers the traditional
+// method's window and the Voronoi method's seed lookup. Every data layer —
+// MemoryData, StoreData, the dynamic engine's per-epoch DynamicData —
+// satisfies the same DataAccess contract (positions, one adjacency method,
+// record loads, a scan, the packed cell arena), and every flavor above this
+// package (static, store, sharded, snapshot, remote backend) reaches the
+// same two loops: voronoiBFS for area queries, with the strict rule's cell
+// test reading the arena, and kNearestInto for nearest-neighbor expansion.
 package core
 
 import (
@@ -36,29 +39,12 @@ import (
 
 // Errors returned by the engine.
 var (
-	ErrNoData             = errors.New("core: dataset is empty")
-	ErrStrictNotSupported = errors.New("core: data source does not provide Voronoi cells (strict expansion unavailable)")
+	ErrNoData = errors.New("core: dataset is empty")
 	// ErrOutsideUniverse is returned by the dynamic engine when an inserted
 	// point or a query area falls outside the declared universe rectangle —
 	// a caller error, distinguishable from engine failure with errors.Is.
 	ErrOutsideUniverse = errors.New("core: outside the declared universe")
 )
-
-// SpatialIndex is the filtering index contract shared by both query
-// methods: a window (range) query for the traditional filter and a
-// nearest-neighbor query for the Voronoi seed. The R-tree is the paper's
-// choice and the only implementation shipped: RTreeIndex (STR bulk load)
-// for static data, and the dynamic engine's R*-split snapshot.
-type SpatialIndex interface {
-	// Window calls fn for every stored point whose coordinates lie inside
-	// the closed rectangle q; fn returning false stops the scan. It returns
-	// the number of index nodes visited.
-	Window(q geom.Rect, fn func(id int64) bool) int
-	// Nearest returns the stored point id closest to q; ok is false when
-	// the index is empty. The second return is the number of index nodes
-	// visited.
-	Nearest(q geom.Point) (id int64, nodes int, ok bool)
-}
 
 // DataAccess is the record layer. Ids must be dense in [0, NumIDs()).
 //
@@ -89,8 +75,7 @@ type DataAccess interface {
 	// immutable arena (contiguous vertices, ring offsets, per-cell boxes).
 	// The strict expansion rule runs entirely on it — bounding-box rejects
 	// and exact ring tests read dense memory with zero per-visit
-	// allocation. A layer without cells returns nil; strict queries on it
-	// fail with ErrStrictNotSupported.
+	// allocation. Never nil (a layer may build it on first use).
 	CellArena() *voronoi.CellArena
 }
 
@@ -180,11 +165,11 @@ type Stats struct {
 // holds only immutable references to the index and data; all per-query
 // mutable state lives in pooled queryScratch values, so QueryRegionSpec,
 // EachRegion and KNearest are safe for concurrent use from multiple
-// goroutines — as long as the SpatialIndex and DataAccess themselves are
-// read-safe (MemoryData and every provided index are lock-free reads;
-// StoreData serializes buffer-pool mutations behind a mutex).
+// goroutines — as long as the DataAccess itself is read-safe (the index
+// and MemoryData are lock-free reads; StoreData serializes buffer-pool
+// mutations behind its lock shards).
 type Engine struct {
-	idx  SpatialIndex
+	idx  *RTreeIndex
 	data DataAccess
 
 	// scratch pools per-query state (*queryScratch); see scratch.go.
@@ -192,7 +177,7 @@ type Engine struct {
 }
 
 // NewEngine returns an engine over the given index and data.
-func NewEngine(idx SpatialIndex, data DataAccess) *Engine {
+func NewEngine(idx *RTreeIndex, data DataAccess) *Engine {
 	e := &Engine{idx: idx, data: data}
 	e.scratch.New = func() interface{} { return newScratch(e.data.NumIDs()) }
 	return e

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/voronoi"
 	"repro/internal/workload"
 )
 
@@ -270,30 +269,6 @@ func TestDuplicatePointsRejected(t *testing.T) {
 	}
 	if _, err := NewStoreData(pts, unitBounds(), StoreConfig{}); !errors.Is(err, ErrDuplicatePoints) {
 		t.Errorf("store err = %v, want ErrDuplicatePoints", err)
-	}
-}
-
-// dataOnly is a data layer without Voronoi cells: it forwards everything
-// but reports no arena.
-type dataOnly struct{ DataAccess }
-
-func (dataOnly) CellArena() *voronoi.CellArena { return nil }
-
-func TestStrictWithoutCellsFails(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	pts := workload.UniformPoints(rng, 100, unitBounds())
-	data, err := NewMemoryData(pts, unitBounds())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(NewRTreeIndex(pts, 16), dataOnly{DataAccess: data})
-	area := workload.RandomPolygon(rng, workload.PolygonConfig{QuerySize: 0.05}, unitBounds())
-	if _, _, err := query(eng, VoronoiBFSStrict, PolygonRegion(area)); !errors.Is(err, ErrStrictNotSupported) {
-		t.Errorf("err = %v, want ErrStrictNotSupported", err)
-	}
-	// The published rule must still work.
-	if _, _, err := query(eng, VoronoiBFS, PolygonRegion(area)); err != nil {
-		t.Errorf("published rule failed: %v", err)
 	}
 }
 

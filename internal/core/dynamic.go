@@ -144,7 +144,7 @@ func NewDynamicEngine(universe geom.Rect) *DynamicEngine {
 	dt := delaunay.NewDynamic(universe)
 	return &DynamicEngine{
 		dt:   dt,
-		tree: rtree.NewRStar(16),
+		tree: rtree.New(16),
 	}
 }
 
@@ -160,23 +160,22 @@ func (d *DynamicEngine) Epoch() uint64 { return d.epoch.Load() }
 //vaqvet:ignore lockguard dt pointer is immutable and the universe rect never changes after construction
 func (d *DynamicEngine) Universe() geom.Rect { return d.dt.Universe() }
 
-// Point returns the coordinates of an inserted id. Safe to call
-// concurrently with Insert. Ids covered by the published snapshot are
-// served lock-free (positions never change once assigned); only ids newer
-// than the snapshot fall back to the writer mutex. It panics when id was
-// never returned by Insert; use PointOK for a bounds-checked lookup.
+// Point returns the coordinates of an inserted id; see PointOK for its
+// concurrency. It panics when id was never returned by Insert — the fence
+// sites' ids included.
 func (d *DynamicEngine) Point(id int64) geom.Point {
-	if s := d.snap.Load(); s != nil && id < int64(s.data.NumIDs()) {
-		return s.data.Position(id)
+	p, ok := d.PointOK(id)
+	if !ok {
+		panic(fmt.Sprintf("core: Point(%d): no inserted point has this id", id))
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.dt.Point(int(id))
+	return p
 }
 
 // PointOK returns the coordinates of id and whether id is a user site the
-// engine currently holds. Safe to call concurrently with Insert, with the
-// same lock-free fast path as Point.
+// engine currently holds. Safe to call concurrently with Insert. Ids
+// covered by the published snapshot are served lock-free (positions never
+// change once assigned); only ids newer than the snapshot fall back to the
+// writer mutex.
 func (d *DynamicEngine) PointOK(id int64) (geom.Point, bool) {
 	if id < int64(delaunay.FirstSiteID) {
 		return geom.Point{}, false
@@ -245,7 +244,7 @@ func (d *DynamicEngine) Snapshot() *DynamicSnapshot {
 		n:        d.dt.NumUserSites(),
 		universe: d.dt.Universe(),
 		data:     data,
-		eng:      NewEngine(dynamicIndex{tree: d.tree.Snapshot()}, data),
+		eng:      NewEngine(&RTreeIndex{tree: d.tree.Snapshot()}, data),
 	}
 	d.snap.Store(s)
 	d.lastPublish.Store(time.Now().UnixNano())
@@ -284,7 +283,14 @@ func (s *DynamicSnapshot) Len() int { return s.n }
 func (s *DynamicSnapshot) Universe() geom.Rect { return s.universe }
 
 // Point returns the coordinates of an inserted id present in the snapshot.
-func (s *DynamicSnapshot) Point(id int64) geom.Point { return s.data.Position(id) }
+// It panics when there is none — the fence sites' ids included.
+func (s *DynamicSnapshot) Point(id int64) geom.Point {
+	p, ok := s.PointOK(id)
+	if !ok {
+		panic(fmt.Sprintf("core: Point(%d): no point of the snapshot has this id", id))
+	}
+	return p
+}
 
 // PointOK returns the coordinates of id and whether id is a user site
 // present in the snapshot (fence sites and out-of-range ids report false).
@@ -303,22 +309,14 @@ func (s *DynamicSnapshot) EachPoint(fn func(id int64, pos geom.Point) bool) { s.
 // instrumentation. All four query methods run against the pinned epoch.
 func (s *DynamicSnapshot) Engine() *Engine { return s.eng }
 
-// checkArea validates a query region's MBR against the universe.
-func (s *DynamicSnapshot) checkArea(bounds geom.Rect) error {
-	if !s.universe.ContainsRect(bounds) {
+// check is the precondition of every query entry point, written once: the
+// query area must lie inside the universe — KNearest has none and passes the
+// empty rectangle, which every universe contains — and the snapshot must hold
+// a point.
+func (s *DynamicSnapshot) check(area geom.Rect) error {
+	if !s.universe.ContainsRect(area) {
 		return fmt.Errorf("core: query area %v exceeds the dynamic engine universe %v: %w",
-			bounds, s.universe, ErrOutsideUniverse)
-	}
-	return nil
-}
-
-// CheckRegion validates a region the same way QueryRegionSpec would —
-// ErrOutsideUniverse for an area escaping the universe, ErrNoData while
-// the snapshot is empty — without running the query. Batch executors call
-// it up front so parallel batches keep the sequential error contract.
-func (s *DynamicSnapshot) CheckRegion(region Region) error {
-	if err := s.checkArea(region.Bounds()); err != nil {
-		return err
+			area, s.universe, ErrOutsideUniverse)
 	}
 	if s.n == 0 {
 		return ErrNoData
@@ -326,15 +324,18 @@ func (s *DynamicSnapshot) CheckRegion(region Region) error {
 	return nil
 }
 
+// CheckRegion validates a region the way QueryRegionSpec would —
+// ErrOutsideUniverse for an area escaping the universe, ErrNoData while
+// the snapshot is empty — without running the query. Batch executors call
+// it up front so parallel batches keep the sequential error contract.
+func (s *DynamicSnapshot) CheckRegion(region Region) error { return s.check(region.Bounds()) }
+
 // QueryRegionSpec is the context-aware spec-driven query entry point
 // against the pinned epoch: ErrOutsideUniverse for an area escaping the
 // universe, ErrNoData while the snapshot is empty.
 func (s *DynamicSnapshot) QueryRegionSpec(ctx context.Context, region Region, spec QuerySpec) ([]int64, Stats, error) {
-	if err := s.checkArea(region.Bounds()); err != nil {
+	if err := s.CheckRegion(region); err != nil {
 		return nil, Stats{Method: spec.Method}, err
-	}
-	if s.n == 0 {
-		return nil, Stats{Method: spec.Method}, ErrNoData
 	}
 	return s.eng.QueryRegionSpec(ctx, region, spec)
 }
@@ -343,11 +344,8 @@ func (s *DynamicSnapshot) QueryRegionSpec(ctx context.Context, region Region, sp
 // Engine.EachRegion), with the same universe/empty-data error contract as
 // QueryRegionSpec.
 func (s *DynamicSnapshot) EachRegion(ctx context.Context, region Region, spec QuerySpec, yield func(id int64, pos geom.Point) bool) (Stats, error) {
-	if err := s.checkArea(region.Bounds()); err != nil {
+	if err := s.CheckRegion(region); err != nil {
 		return Stats{Method: spec.Method}, err
-	}
-	if s.n == 0 {
-		return Stats{Method: spec.Method}, ErrNoData
 	}
 	return s.eng.EachRegion(ctx, region, spec, yield)
 }
@@ -356,26 +354,8 @@ func (s *DynamicSnapshot) EachRegion(ctx context.Context, region Region, spec Qu
 // (ErrNoData when the snapshot is empty, matching Query). Cancellation
 // follows Engine.KNearest's contract.
 func (s *DynamicSnapshot) KNearest(ctx context.Context, q geom.Point, k int) ([]int64, Stats, error) {
-	if s.n == 0 {
-		return nil, Stats{}, ErrNoData
+	if err := s.check(geom.EmptyRect()); err != nil {
+		return nil, Stats{}, err
 	}
 	return s.eng.KNearest(ctx, q, k)
-}
-
-// dynamicIndex adapts the growing R-tree (user sites only) to
-// SpatialIndex.
-type dynamicIndex struct {
-	tree *rtree.Tree
-}
-
-// Window implements SpatialIndex.
-func (x dynamicIndex) Window(q geom.Rect, fn func(id int64) bool) int {
-	st := x.tree.Search(q, func(id int64, _ geom.Rect) bool { return fn(id) })
-	return st.NodesVisited
-}
-
-// Nearest implements SpatialIndex.
-func (x dynamicIndex) Nearest(q geom.Point) (int64, int, bool) {
-	item, st, ok := x.tree.NearestNeighbor(q)
-	return item.ID, st.NodesVisited, ok
 }

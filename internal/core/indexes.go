@@ -5,8 +5,9 @@ import (
 	"repro/internal/rtree"
 )
 
-// RTreeIndex adapts an R-tree of points to the SpatialIndex interface.
-// This is the index the paper uses for both methods.
+// RTreeIndex is the filtering index both query methods share, as in the
+// paper: an R-tree over the stored points, asked for a window by the
+// traditional filter and for one nearest neighbor by the Voronoi seed.
 type RTreeIndex struct {
 	tree *rtree.Tree
 }
@@ -21,26 +22,24 @@ func NewRTreeIndex(pts []geom.Point, maxEntries int) *RTreeIndex {
 	return &RTreeIndex{tree: rtree.BulkLoad(items, maxEntries)}
 }
 
-// Tree exposes the underlying R-tree.
-func (x *RTreeIndex) Tree() *rtree.Tree { return x.tree }
-
-// Window implements SpatialIndex.
+// Window calls fn for every stored point whose coordinates lie inside the
+// closed rectangle q; fn returning false stops the scan. It returns the
+// number of index nodes visited.
 func (x *RTreeIndex) Window(q geom.Rect, fn func(id int64) bool) int {
 	st := x.tree.Search(q, func(id int64, _ geom.Rect) bool { return fn(id) })
 	return st.NodesVisited
 }
 
-// Nearest implements SpatialIndex.
-func (x *RTreeIndex) Nearest(q geom.Point) (int64, int, bool) {
+// Nearest returns the stored point id closest to q; ok is false when the
+// index is empty. The second return is the number of index nodes visited.
+func (x *RTreeIndex) Nearest(q geom.Point) (id int64, nodes int, ok bool) {
 	item, st, ok := x.tree.NearestNeighbor(q)
 	return item.ID, st.NodesVisited, ok
 }
 
 // Interface conformance checks.
 var (
-	_ SpatialIndex = (*RTreeIndex)(nil)
-	_ SpatialIndex = dynamicIndex{}
-	_ DataAccess   = (*MemoryData)(nil)
-	_ DataAccess   = (*StoreData)(nil)
-	_ DataAccess   = (*DynamicData)(nil)
+	_ DataAccess = (*MemoryData)(nil)
+	_ DataAccess = (*StoreData)(nil)
+	_ DataAccess = (*DynamicData)(nil)
 )

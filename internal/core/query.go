@@ -200,9 +200,7 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 	if !strict {
 		q.boundary, _ = region.(BoundaryToucher)
 	} else {
-		if q.arena = e.data.CellArena(); q.arena == nil {
-			return stats, ErrStrictNotSupported
-		}
+		q.arena = e.data.CellArena()
 		q.regionMBR = region.Bounds()
 		q.rectRegion, _ = region.(RectIntersecter)
 		q.ringRegion, _ = region.(RingViewIntersecter)

@@ -204,8 +204,8 @@ func BenchmarkCircleQueryVoronoi(b *testing.B) {
 	}
 }
 
-// emptyData and emptyIndex model an engine whose dataset is empty, for
-// pinning the empty-data error contract without a constructible topology.
+// emptyData models a dataset with no points, for pinning the empty-data
+// error contract without a constructible topology.
 type emptyData struct{}
 
 func (emptyData) NumIDs() int                              { return 0 }
@@ -215,13 +215,8 @@ func (emptyData) Load(int64) (geom.Point, error)           { return geom.Point{}
 func (emptyData) Each(func(id int64, pos geom.Point) bool) {}
 func (emptyData) CellArena() *voronoi.CellArena            { return nil }
 
-type emptyIndex struct{}
-
-func (emptyIndex) Window(geom.Rect, func(id int64) bool) int { return 0 }
-func (emptyIndex) Nearest(geom.Point) (int64, int, bool)     { return 0, 0, false }
-
 func TestKNearestEmptyEngineMatchesQueryContract(t *testing.T) {
-	eng := NewEngine(emptyIndex{}, emptyData{})
+	eng := NewEngine(NewRTreeIndex(nil, 16), emptyData{})
 	area := geom.MustPolygon([]geom.Point{
 		geom.Pt(0.1, 0.1), geom.Pt(0.5, 0.1), geom.Pt(0.3, 0.5),
 	})

@@ -1,7 +1,7 @@
 // Package delaunay builds the Delaunay triangulation of a planar point set
 // and answers the topology queries the Voronoi-based area query needs:
-// the Delaunay (equivalently, Voronoi) neighbors of every site, nearest-site
-// location, triangle enumeration and convex hull extraction.
+// the Delaunay (equivalently, Voronoi) neighbors of every site, as
+// per-site lists or as the CSR arrays an engine keeps.
 //
 // Construction is the Guibas–Stolfi divide-and-conquer algorithm over a
 // quad-edge mesh: O(n log n) worst case, no super-triangle artifacts, and —
@@ -42,8 +42,6 @@ type Triangulation struct {
 
 	// vertEdge holds one primal edge whose origin is v, or nilEdge.
 	vertEdge []edgeID
-
-	startEdge edgeID // a hull edge; entry point for walks
 }
 
 // Build constructs the Delaunay triangulation of pts. Duplicate coordinates
@@ -60,27 +58,17 @@ func Build(pts []geom.Point) (*Triangulation, error) {
 	}
 	t.dedupe()
 	if len(t.distinct) >= 2 {
-		le, _ := t.triangulate(t.distinct)
-		t.startEdge = le
-	} else {
-		t.startEdge = nilEdge
+		t.triangulate(t.distinct)
 	}
 	t.buildAdjacency()
 	return t, nil
 }
-
-// NumPoints returns the number of input points (including duplicates).
-func (t *Triangulation) NumPoints() int { return len(t.pts) }
 
 // NumSites returns the number of distinct sites.
 func (t *Triangulation) NumSites() int { return len(t.distinct) }
 
 // Point returns the coordinates of input index i.
 func (t *Triangulation) Point(i int) geom.Point { return t.pts[i] }
-
-// Canonical returns the canonical site index for input index i (itself
-// unless the point is a duplicate of an earlier one).
-func (t *Triangulation) Canonical(i int) int { return int(t.canon[i]) }
 
 // dedupe fills canon and distinct.
 func (t *Triangulation) dedupe() {
@@ -276,42 +264,6 @@ func (t *Triangulation) Adjacency() (offsets, neighbors []int32) {
 	return t.nbrOff, t.neighbors
 }
 
-// Degree returns the number of Delaunay neighbors of site i.
-func (t *Triangulation) Degree(i int) int {
-	v := t.canon[i]
-	return int(t.nbrOff[v+1] - t.nbrOff[v])
-}
-
-// NearestSite returns the index of the site closest to q (any one of them
-// on exact ties). It performs a greedy descent over the Delaunay graph,
-// which is guaranteed to terminate at the global nearest neighbor.
-func (t *Triangulation) NearestSite(q geom.Point) int {
-	return t.NearestSiteFrom(q, int(t.distinct[0]))
-}
-
-// NearestSiteFrom is NearestSite starting the descent from the given site
-// index; a start near q makes the walk shorter.
-func (t *Triangulation) NearestSiteFrom(q geom.Point, start int) int {
-	if len(t.distinct) == 1 {
-		return int(t.distinct[0])
-	}
-	cur := t.canon[start]
-	curD := q.Dist2(t.pts[cur])
-	for {
-		best := cur
-		bestD := curD
-		for _, nb := range t.neighbors[t.nbrOff[cur]:t.nbrOff[cur+1]] {
-			if d := q.Dist2(t.pts[nb]); d < bestD {
-				best, bestD = nb, d
-			}
-		}
-		if best == cur {
-			return int(cur)
-		}
-		cur, curD = best, bestD
-	}
-}
-
 // Triangle is a triangle of the triangulation, vertices in counterclockwise
 // order, identified by input indices.
 type Triangle [3]int32
@@ -338,70 +290,6 @@ func (t *Triangulation) Triangles() []Triangle {
 				out = append(out, Triangle{a, b, c})
 			}
 		}
-	}
-	return out
-}
-
-// NumEdges returns the number of undirected Delaunay edges.
-func (t *Triangulation) NumEdges() int {
-	p := t.pool
-	n := 0
-	for q := 0; q < p.numQuads(); q++ {
-		if p.quadAlive(q) {
-			n++
-		}
-	}
-	return n
-}
-
-// Edges calls fn for every undirected Delaunay edge (a, b) with a < b not
-// guaranteed; each edge is reported once. Returning false stops the
-// enumeration.
-func (t *Triangulation) Edges(fn func(a, b int32) bool) {
-	p := t.pool
-	for q := 0; q < p.numQuads(); q++ {
-		if !p.quadAlive(q) {
-			continue
-		}
-		e := edgeID(q * 4)
-		if !fn(p.org[e], p.dst(e)) {
-			return
-		}
-	}
-}
-
-// ConvexHull returns the indices of the convex hull vertices in
-// counterclockwise order. Collinear hull vertices are included.
-func (t *Triangulation) ConvexHull() []int32 {
-	if t.startEdge == nilEdge {
-		return append([]int32(nil), t.distinct...)
-	}
-	p := t.pool
-	// startEdge is the CCW hull edge out of the leftmost vertex; following
-	// rprev walks the outer face. Walk both candidate directions and keep
-	// the one that cycles; rprev is correct for the Guibas–Stolfi le edge.
-	var hull []int32
-	e := t.startEdge
-	for {
-		hull = append(hull, p.org[e])
-		e = p.rprev(e)
-		if e == t.startEdge || len(hull) > len(t.pts)+1 {
-			break
-		}
-	}
-	if geom.Ring(t.hullPoints(hull)).SignedArea() < 0 {
-		// Walked clockwise; reverse for the documented CCW order.
-		for i, j := 0, len(hull)-1; i < j; i, j = i+1, j-1 {
-			hull[i], hull[j] = hull[j], hull[i]
-		}
-	}
-	return hull
-}
-
-func (t *Triangulation) hullPoints(ids []int32) []geom.Point {
-	out := make([]geom.Point, len(ids))
-	for i, id := range ids {
-		out[i] = t.pts[id]
 	}
 	return out
 }

@@ -79,8 +79,8 @@ func NewDynamic(universe geom.Rect) *Dynamic {
 }
 
 // Snapshot returns an immutable view of the triangulation as of this call.
-// The view answers every read-side query (Point, Neighbors, NeighborIDs,
-// NearestSite, Validate, ...) with the topology frozen at snapshot time,
+// The view answers every read-side query (Point, Neighbors,
+// AppendNeighbors, Validate, ...) with the topology frozen at snapshot time,
 // and is unaffected by later InsertSite calls on the live triangulation —
 // including from other goroutines, provided Snapshot itself is serialized
 // with the writer (the caller's epoch scheme does this).
@@ -318,42 +318,6 @@ func (d *Dynamic) AppendNeighbors(id int, buf []int32) []int32 {
 			return buf
 		}
 	}
-}
-
-// NearestSite returns the user site closest to q via greedy descent over
-// the Delaunay graph (fence sites may be traversed but are never
-// returned). It returns -1 when no user sites exist.
-func (d *Dynamic) NearestSite(q geom.Point) int {
-	if d.NumUserSites() == 0 {
-		return -1
-	}
-	cur := int32(len(d.pts) - 1) // most recent insertion is a user site
-	curD := q.Dist2(d.pts[cur])
-	for {
-		best, bestD := cur, curD
-		d.Neighbors(int(cur), func(nb int32) bool {
-			if dd := q.Dist2(d.pts[nb]); dd < bestD {
-				best, bestD = nb, dd
-			}
-			return true
-		})
-		if best == cur {
-			break
-		}
-		cur, curD = best, bestD
-	}
-	if d.IsFence(int(cur)) {
-		// Only possible for query locations outside the data spread; fall
-		// back to an exact scan.
-		best, bestD := -1, 0.0
-		for i := FirstSiteID; i < len(d.pts); i++ {
-			if dd := q.Dist2(d.pts[i]); best == -1 || dd < bestD {
-				best, bestD = i, dd
-			}
-		}
-		return best
-	}
-	return int(cur)
 }
 
 // Validate checks neighbor symmetry, vertex→edge table consistency and the

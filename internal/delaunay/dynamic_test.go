@@ -1,7 +1,6 @@
 package delaunay
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -15,9 +14,6 @@ func TestDynamicEmpty(t *testing.T) {
 	d := NewDynamic(unitUniverse())
 	if d.NumUserSites() != 0 || d.NumSites() != FirstSiteID {
 		t.Fatalf("fresh dynamic: %d user, %d total", d.NumUserSites(), d.NumSites())
-	}
-	if got := d.NearestSite(geom.Pt(0.5, 0.5)); got != -1 {
-		t.Errorf("NearestSite on empty = %d, want -1", got)
 	}
 	if err := d.Validate(); err != nil {
 		t.Error(err)
@@ -153,35 +149,6 @@ func sortInt32(xs []int32) {
 	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 }
 
-func TestDynamicNearestSite(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	d := NewDynamic(unitUniverse())
-	var pts []geom.Point
-	for i := 0; i < 400; i++ {
-		p := geom.Pt(rng.Float64(), rng.Float64())
-		pts = append(pts, p)
-		if _, _, err := d.InsertSite(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for trial := 0; trial < 1000; trial++ {
-		q := geom.Pt(rng.Float64(), rng.Float64())
-		got := d.NearestSite(q)
-		if d.IsFence(got) {
-			t.Fatalf("NearestSite returned fence site %d", got)
-		}
-		wantD := math.Inf(1)
-		for _, p := range pts {
-			if dd := q.Dist2(p); dd < wantD {
-				wantD = dd
-			}
-		}
-		if q.Dist2(d.Point(got)) != wantD {
-			t.Fatalf("NearestSite(%v): dist %v, want %v", q, q.Dist2(d.Point(got)), wantD)
-		}
-	}
-}
-
 func TestDynamicCocircularInsertions(t *testing.T) {
 	// Insert the corners of many axis-aligned squares: every quadruple is
 	// cocircular, stressing exact in-circle decisions during swaps.
@@ -206,9 +173,6 @@ func TestDynamicSingleSite(t *testing.T) {
 	d := NewDynamic(unitUniverse())
 	if _, _, err := d.InsertSite(geom.Pt(0.5, 0.5)); err != nil {
 		t.Fatal(err)
-	}
-	if got := d.NearestSite(geom.Pt(0.9, 0.9)); got != FirstSiteID {
-		t.Errorf("NearestSite = %d, want %d", got, FirstSiteID)
 	}
 	// The lone user site's neighbors are exactly the three fence sites.
 	nbs := d.AppendNeighbors(FirstSiteID, nil)
@@ -274,18 +238,6 @@ func TestDynamicSnapshotIsolation(t *testing.T) {
 				t.Fatalf("snapshot adjacency of %d changed: %v -> %v", v, before[v], after)
 			}
 		}
-	}
-
-	// NearestSite on the snapshot answers from the pinned site set.
-	q := geom.Pt(0.31, 0.62)
-	best, bestD := -1, math.Inf(1)
-	for i := FirstSiteID; i < snap.NumSites(); i++ {
-		if dd := q.Dist2(snap.Point(i)); dd < bestD {
-			best, bestD = i, dd
-		}
-	}
-	if got := snap.NearestSite(q); got != best {
-		t.Errorf("snapshot NearestSite = %d, want %d", got, best)
 	}
 }
 

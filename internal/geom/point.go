@@ -86,29 +86,6 @@ func Orient(a, b, c Point) Orientation {
 	return Orientation(robust.Orient2D(a.X, a.Y, b.X, b.Y, c.X, c.Y))
 }
 
-// InCircle reports whether d lies strictly inside the circumcircle of the
-// counterclockwise-oriented triangle (a, b, c). The result is exact.
-func InCircle(a, b, c, d Point) bool {
-	return robust.InCircle(a.X, a.Y, b.X, b.Y, c.X, c.Y, d.X, d.Y) > 0
-}
-
-// Circumcenter returns the center of the circle through a, b and c, and
-// reports whether it exists (it does not when the points are collinear).
-func Circumcenter(a, b, c Point) (Point, bool) {
-	// Translate so a is the origin for numerical stability.
-	bx, by := b.X-a.X, b.Y-a.Y
-	cx, cy := c.X-a.X, c.Y-a.Y
-	d := 2 * (bx*cy - by*cx)
-	if d == 0 {
-		return Point{}, false
-	}
-	b2 := bx*bx + by*by
-	c2 := cx*cx + cy*cy
-	ux := (cy*b2 - by*c2) / d
-	uy := (bx*c2 - cx*b2) / d
-	return Point{a.X + ux, a.Y + uy}, true
-}
-
 // Midpoint returns the midpoint of p and q.
 func Midpoint(p, q Point) Point {
 	return Point{(p.X + q.X) / 2, (p.Y + q.Y) / 2}

@@ -2,7 +2,6 @@ package geom
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -69,54 +68,6 @@ func TestOrientationString(t *testing.T) {
 		CounterClockwise.String() != "counterclockwise" ||
 		Collinear.String() != "collinear" {
 		t.Error("Orientation.String mismatch")
-	}
-}
-
-func TestCircumcenter(t *testing.T) {
-	c, ok := Circumcenter(Pt(1, 0), Pt(0, 1), Pt(-1, 0))
-	if !ok {
-		t.Fatal("circumcenter of proper triangle should exist")
-	}
-	if !c.Near(Pt(0, 0)) {
-		t.Errorf("circumcenter = %v, want origin", c)
-	}
-	if _, ok := Circumcenter(Pt(0, 0), Pt(1, 1), Pt(2, 2)); ok {
-		t.Error("collinear points should have no circumcenter")
-	}
-}
-
-func TestCircumcenterEquidistantProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 2000; i++ {
-		a := Pt(rng.Float64(), rng.Float64())
-		b := Pt(rng.Float64(), rng.Float64())
-		c := Pt(rng.Float64(), rng.Float64())
-		if Orient(a, b, c) == Collinear {
-			continue
-		}
-		cc, ok := Circumcenter(a, b, c)
-		if !ok {
-			t.Fatalf("circumcenter missing for non-degenerate %v %v %v", a, b, c)
-		}
-		da, db, dc := cc.Dist(a), cc.Dist(b), cc.Dist(c)
-		tol := 1e-6 * (1 + da)
-		if math.Abs(da-db) > tol || math.Abs(da-dc) > tol {
-			t.Fatalf("circumcenter not equidistant: %v %v %v -> %v (d=%v,%v,%v)",
-				a, b, c, cc, da, db, dc)
-		}
-	}
-}
-
-func TestInCirclePoint(t *testing.T) {
-	a, b, c := Pt(1, 0), Pt(0, 1), Pt(-1, 0)
-	if !InCircle(a, b, c, Pt(0, 0)) {
-		t.Error("origin should be inside unit circumcircle")
-	}
-	if InCircle(a, b, c, Pt(3, 3)) {
-		t.Error("(3,3) should be outside unit circumcircle")
-	}
-	if InCircle(a, b, c, Pt(0, -1)) {
-		t.Error("cocircular point is not strictly inside")
 	}
 }
 

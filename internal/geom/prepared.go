@@ -165,48 +165,13 @@ func (pp *PreparedPolygon) IntersectsSegment(s Segment) bool {
 // (Polygon.InteriorPoint, computed once by Prepare).
 func (pp *PreparedPolygon) InteriorPoint() Point { return pp.interior }
 
-// IntersectsRing reports whether the polygon intersects the closed region
-// bounded by ring — the strict expansion rule's hot test. It mirrors
-// Polygon.IntersectsRing (vertex containment both ways, then edge
-// crossings) but reuses the cached polygon MBR, the prepared containment
-// test, and per-edge bounding boxes to skip edges far from the ring.
-func (pp *PreparedPolygon) IntersectsRing(ring Ring) bool {
-	if len(ring) == 0 {
-		return false
-	}
-	rb := ring.Bounds()
-	if !pp.bound.Intersects(rb) {
-		return false
-	}
-	// Boundary contact first: per-edge boxes skip edges far from the ring,
-	// so a disjoint ring (the common strict-expansion reject) costs one
-	// box compare per edge and no containment scans.
-	for i := range pp.edges {
-		e := &pp.edges[i]
-		if !e.bb.Intersects(rb) {
-			continue
-		}
-		s := Seg(e.a, e.b)
-		for j := range ring {
-			if s.Intersects(Seg(ring[j], ring[(j+1)%len(ring)])) {
-				return true
-			}
-		}
-	}
-	// No boundary contact: the shapes are nested or disjoint, and one
-	// containment probe each way decides which.
-	if pp.ContainsPoint(ring[0]) {
-		return true // ring inside the polygon
-	}
-	// Polygon inside the ring (edges[0].a is an outer-ring vertex).
-	return (Polygon{Outer: ring}).ContainsPoint(pp.edges[0].a)
-}
-
-// IntersectsRingView is IntersectsRing over a structure-of-arrays ring
-// view: identical results (same tests in the same order) with zero
-// allocation, reading the packed coordinate slices directly. It is the
-// strict expansion rule's hot test when the data layer exposes a cell
-// arena.
+// IntersectsRingView reports whether the polygon intersects the closed
+// region bounded by the ring v views — the strict expansion rule's hot
+// test, over a cell of the packed arena. It decides as Polygon.IntersectsRing
+// does (edge crossings, then vertex containment both ways) but reuses the
+// cached polygon MBR, the prepared containment test and per-edge bounding
+// boxes to skip edges far from the ring, and reads the packed coordinate
+// slices directly, with zero allocation.
 func (pp *PreparedPolygon) IntersectsRingView(v RingView) bool {
 	n := v.Len()
 	if n == 0 {

@@ -6,29 +6,21 @@ import (
 	"repro/internal/geom"
 )
 
-// nnEntry is one frontier element of the best-first traversal: the node n
-// itself (slot < 0) or the leaf item in n's slot-th slot, keyed by MINDIST
-// to the query point. It holds no interface value and no copied rectangle,
-// so the frontier is a flat slice of 24-byte values.
+// nnEntry is one frontier element of the best-first traversal: a node keyed
+// by MINDIST to the query point. It holds no interface value and no copied
+// rectangle, so the frontier is a flat slice of 24-byte values.
 type nnEntry struct {
 	dist2 float64
 	n     *node
-	slot  int32
-	seq   uint32 // push order; the last tie-break
+	seq   uint32 // push order; the tie-break
 }
 
-// before is the traversal's total order: nearer first; at equal distance an
-// item before a node (a node no nearer than an item cannot hold a nearer
-// one), then push order. Being total, it fixes the pop sequence whatever
-// else the frontier holds — which is what lets the k = 1 search keep items
-// and hopeless nodes out of the heap and still visit the same nodes, in the
-// same order, as the full search.
+// before is the traversal's total order: nearer first, then push order.
+// Being total, it fixes the pop sequence — and with it the nodes a search
+// visits — whatever the heap's mechanics.
 func (a *nnEntry) before(b *nnEntry) bool {
 	if a.dist2 != b.dist2 {
 		return a.dist2 < b.dist2
-	}
-	if ai, bi := a.slot >= 0, b.slot >= 0; ai != bi {
-		return ai
 	}
 	return a.seq < b.seq
 }
@@ -38,7 +30,7 @@ func (a *nnEntry) before(b *nnEntry) bool {
 // which at fan-out 16 is every child on the way down to the first leaf and
 // few after it: over 200k points the frontier peaks at 50 to 80 entries and
 // at 139 in the worst of 20 000 lookups. A frontier that does outgrow the
-// buffer — any large k — spills to the heap through append.
+// buffer spills to the heap through append.
 const nnStackEntries = 192
 
 // nnPush adds x to the binary min-heap h (ordered by nnEntry.before) and
@@ -86,60 +78,29 @@ func nnPop(h []nnEntry) (nnEntry, []nnEntry) {
 }
 
 // NearestNeighbor returns the stored item closest to q (by MINDIST of its
-// rectangle; for point data this is the true nearest point). ok is false
-// for an empty tree. It is KNearest(q, 1) without the result slice, and
-// allocates nothing.
+// rectangle; for point data this is the true nearest point), using
+// best-first search (Hjaltason & Samet): pop the nearest frontier node,
+// scan it if it is a leaf, push its children if it is not. Items never
+// enter the heap — best tracks the nearest one met — and only nodes nearer
+// than best are pushed, so the frontier stays within its stack buffer and
+// nothing is allocated; the search ends when the nearest remaining node is
+// no nearer than best. ok is false for an empty tree.
 //
 //vaq:noalloc
-func (t *Tree) NearestNeighbor(q geom.Point) (item Item, stats QueryStats, ok bool) {
-	var one [1]Item
-	items, st := t.bestFirst(q, 1, one[:0])
-	if len(items) == 0 {
+func (t *Tree) NearestNeighbor(q geom.Point) (item Item, st QueryStats, ok bool) {
+	if t.size == 0 {
 		return Item{}, st, false
 	}
-	return items[0], st, true
-}
-
-// KNearest returns up to k stored items in increasing distance from q,
-// using best-first search (Hjaltason & Samet). Items at equal distance come
-// in the order the traversal met them. It also reports traversal
-// statistics.
-func (t *Tree) KNearest(q geom.Point, k int) ([]Item, QueryStats) {
-	if k <= 0 || t.size == 0 {
-		return nil, QueryStats{}
-	}
-	return t.bestFirst(q, k, make([]Item, 0, min(k, t.size)))
-}
-
-// bestFirst is the one traversal behind KNearest and NearestNeighbor: pop
-// the nearest frontier entry, report it if it is an item, expand it if it
-// is a node. With k == 1 items never enter the heap — best tracks the
-// nearest one met — and only nodes nearer than best are pushed, so the
-// frontier stays within its stack buffer; the search ends when the nearest
-// remaining node is no nearer than best.
-//
-//vaq:noalloc
-func (t *Tree) bestFirst(q geom.Point, k int, out []Item) ([]Item, QueryStats) {
-	var st QueryStats
-	if t.size == 0 {
-		return out, st
-	}
 	var buf [nnStackEntries]nnEntry
-	h := nnPush(buf[:0], nnEntry{n: t.root, slot: -1})
+	h := nnPush(buf[:0], nnEntry{n: t.root})
 	seq := uint32(1)
-	best := nnEntry{dist2: math.Inf(1)} // stays +Inf when k > 1
+	best := math.Inf(1)
+	var bestLeaf *node
+	bestSlot := 0
 	for len(h) > 0 {
 		var e nnEntry
 		e, h = nnPop(h)
-		if e.slot >= 0 {
-			out = append(out, Item{ID: e.n.ids[e.slot], Rect: e.n.rects[e.slot]})
-			st.Results++
-			if len(out) == k {
-				return out, st
-			}
-			continue
-		}
-		if e.dist2 >= best.dist2 {
+		if e.dist2 >= best {
 			break
 		}
 		n := e.n
@@ -147,26 +108,22 @@ func (t *Tree) bestFirst(q geom.Point, k int, out []Item) ([]Item, QueryStats) {
 		if n.leaf {
 			st.EntriesScanned += len(n.rects)
 			for i := range n.rects {
-				d := n.rects[i].Dist2Point(q)
-				if k > 1 {
-					h = nnPush(h, nnEntry{dist2: d, n: n, slot: int32(i), seq: seq})
-					seq++
-				} else if d < best.dist2 {
-					best = nnEntry{dist2: d, n: n, slot: int32(i)}
+				if d := n.rects[i].Dist2Point(q); d < best {
+					best, bestLeaf, bestSlot = d, n, i
 				}
 			}
 			continue
 		}
 		for i := range n.rects {
-			if d := n.rects[i].Dist2Point(q); d < best.dist2 {
-				h = nnPush(h, nnEntry{dist2: d, n: n.children[i], slot: -1, seq: seq})
+			if d := n.rects[i].Dist2Point(q); d < best {
+				h = nnPush(h, nnEntry{dist2: d, n: n.children[i], seq: seq})
 				seq++
 			}
 		}
 	}
-	if best.n != nil {
-		out = append(out, Item{ID: best.n.ids[best.slot], Rect: best.n.rects[best.slot]})
-		st.Results++
+	if bestLeaf == nil {
+		return Item{}, st, false
 	}
-	return out, st
+	st.Results++
+	return Item{ID: bestLeaf.ids[bestSlot], Rect: bestLeaf.rects[bestSlot]}, st, true
 }

@@ -129,68 +129,42 @@ func nnDatasets(rng *rand.Rand) []nnDataset {
 }
 
 // nnTrees builds every flavor of tree over items: bulk-loaded, grown by
-// insertion under both split policies, and a Snapshot of each.
+// insertion, and a Snapshot of each.
 func nnTrees(items []Item) map[string]*Tree {
-	ins, rstar := New(8), NewRStar(8)
+	ins := New(8)
 	for _, it := range items {
 		ins.Insert(it.ID, it.Rect)
-		rstar.Insert(it.ID, it.Rect)
 	}
-	trees := map[string]*Tree{"bulk": BulkLoad(items, 8), "inserted": ins, "rstar": rstar}
-	for _, name := range []string{"bulk", "inserted", "rstar"} {
+	trees := map[string]*Tree{"bulk": BulkLoad(items, 8), "inserted": ins}
+	for _, name := range []string{"bulk", "inserted"} {
 		trees[name+"/snapshot"] = trees[name].Snapshot()
 	}
 	return trees
 }
 
-func sameItems(a, b []Item) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestBestFirstMatchesReference pins the typed-heap traversal to the
-// reference: KNearest returns the same items in the same order and visits
-// the same number of nodes for every k; NearestNeighbor is KNearest's first
-// item at the same node count, and no stored item is nearer. On tie-free
-// sets the same holds against the legacy distance-only order, so seeds and
-// NodesVisited are what they were before the rewrite.
+// TestBestFirstMatchesReference pins the pruned traversal to the reference
+// run for one neighbor: NearestNeighbor returns the item the reference
+// reports first, having visited the same number of nodes and scanned the
+// same entries, and no stored item is nearer. On tie-free sets the same
+// holds against the legacy distance-only order, so seeds and NodesVisited
+// are what they were before the typed heap.
 func TestBestFirstMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, ds := range nnDatasets(rng) {
 		for treeName, tr := range nnTrees(ds.items) {
 			for _, q := range ds.queries {
-				for _, k := range []int{1, 2, 5, 17, len(ds.items) + 3} {
-					got, gotSt := tr.KNearest(q, k)
-					want, wantSt := refKNearest(tr, q, k, false)
-					if !sameItems(got, want) || gotSt != wantSt {
-						t.Fatalf("%s/%s q=%v k=%d: KNearest %v %+v, reference %v %+v",
-							ds.name, treeName, q, k, got, gotSt, want, wantSt)
-					}
-					if !ds.tieFree {
-						continue
-					}
-					legacy, legacySt := refKNearest(tr, q, k, true)
-					if !sameItems(got, legacy) || gotSt.NodesVisited != legacySt.NodesVisited {
-						t.Fatalf("%s/%s q=%v k=%d: KNearest %v (%d nodes), legacy order %v (%d nodes)",
-							ds.name, treeName, q, k, got, gotSt.NodesVisited, legacy, legacySt.NodesVisited)
-					}
-				}
-
 				nn, nnSt, ok := tr.NearestNeighbor(q)
-				first, firstSt := tr.KNearest(q, 1)
-				if !ok || nn != first[0] || nnSt != firstSt {
-					t.Fatalf("%s/%s q=%v: NearestNeighbor %v %+v ok=%v, KNearest(1) %v %+v",
-						ds.name, treeName, q, nn, nnSt, ok, first, firstSt)
+				want, wantSt := refKNearest(tr, q, 1, false)
+				if !ok || nn != want[0] || nnSt != wantSt {
+					t.Fatalf("%s/%s q=%v: NearestNeighbor %v %+v ok=%v, reference %v %+v",
+						ds.name, treeName, q, nn, nnSt, ok, want, wantSt)
 				}
-				if many, _ := tr.KNearest(q, 9); many[0] != nn {
-					t.Fatalf("%s/%s q=%v: NearestNeighbor %v, KNearest(9)[0] %v", ds.name, treeName, q, nn, many[0])
+				if ds.tieFree {
+					legacy, legacySt := refKNearest(tr, q, 1, true)
+					if nn != legacy[0] || nnSt.NodesVisited != legacySt.NodesVisited {
+						t.Fatalf("%s/%s q=%v: NearestNeighbor %v (%d nodes), legacy order %v (%d nodes)",
+							ds.name, treeName, q, nn, nnSt.NodesVisited, legacy, legacySt.NodesVisited)
+					}
 				}
 				bruteD2 := math.Inf(1)
 				for _, it := range ds.items {
@@ -201,16 +175,6 @@ func TestBestFirstMatchesReference(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestKNearestHugeK checks that k far beyond the tree's size neither
-// reserves memory by k nor changes the answer.
-func TestKNearestHugeK(t *testing.T) {
-	items := randomPointItems(rand.New(rand.NewSource(3)), 100)
-	got, _ := BulkLoad(items, 8).KNearest(geom.Pt(0.5, 0.5), 1<<40)
-	if len(got) != len(items) {
-		t.Fatalf("KNearest(k=1<<40) returned %d items, want all %d", len(got), len(items))
 	}
 }
 

@@ -6,18 +6,11 @@ import (
 	"repro/internal/geom"
 )
 
-// NewRStar returns an empty tree that splits with the R*-tree topological
-// split (Beckmann et al. 1990) — choose the split axis by minimum margin
-// sum, then the distribution by minimum overlap — and chooses leaf-level
-// subtrees by minimum overlap enlargement. Forced reinsertion is not
-// implemented; the split policy alone captures most of the R*-tree's
-// packing quality for point data and keeps deletion semantics identical to
-// the Guttman tree.
-func NewRStar(maxEntries int) *Tree {
-	t := New(maxEntries)
-	t.rstar = true
-	return t
-}
+// Insertion follows the R*-tree (Beckmann et al. 1990): leaf-level subtrees
+// are chosen by minimum overlap enlargement, and an overflowing node splits
+// topologically — the axis by minimum margin sum, then the distribution by
+// minimum overlap. Forced reinsertion is not implemented; the split policy
+// alone captures most of the R*-tree's packing quality for point data.
 
 // rstarChoosePath picks the child with minimum overlap enlargement when
 // the children are leaves, falling back to least area enlargement

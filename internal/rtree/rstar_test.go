@@ -11,7 +11,7 @@ func TestRStarSearchMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 17, 200, 2000} {
 		items := randomRectItems(rng, n)
-		tr := NewRStar(8)
+		tr := New(8)
 		for _, it := range items {
 			tr.Insert(it.ID, it.Rect)
 		}
@@ -37,7 +37,7 @@ func TestRStarSearchMatchesBruteForce(t *testing.T) {
 func TestRStarNearestNeighbor(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	items := randomPointItems(rng, 1500)
-	tr := NewRStar(16)
+	tr := New(16)
 	for _, it := range items {
 		tr.Insert(it.ID, it.Rect)
 	}
@@ -56,55 +56,32 @@ func TestRStarNearestNeighbor(t *testing.T) {
 	}
 }
 
-func TestRStarDelete(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	items := randomPointItems(rng, 400)
-	tr := NewRStar(8)
-	for _, it := range items {
+func TestRStarPackingQuality(t *testing.T) {
+	// Why insertion splits R* and nothing else: on uniformly random points
+	// the topological split leaves much less node overlap than Guttman's
+	// quadratic split did. The quadratic tree is gone; its node visits on
+	// these 300 small windows (7287, against R*'s 4166, when both still
+	// existed) stay as the bar.
+	const quadraticNodes = 7287
+	rng := rand.New(rand.NewSource(4))
+	tr := New(16)
+	for _, it := range randomPointItems(rng, 20000) {
 		tr.Insert(it.ID, it.Rect)
 	}
-	for i, it := range items {
-		if !tr.Delete(it.ID, it.Rect) {
-			t.Fatalf("delete %d failed", it.ID)
-		}
-		if i%89 == 0 {
-			if err := tr.Validate(false); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if tr.Len() != 0 {
-		t.Errorf("Len = %d after deleting all", tr.Len())
-	}
-}
-
-func TestRStarPackingQuality(t *testing.T) {
-	// The R* split should produce meaningfully less node overlap than the
-	// quadratic split for uniformly random points: compare node visits on
-	// small window queries.
-	rng := rand.New(rand.NewSource(4))
-	items := randomPointItems(rng, 20000)
-	guttman := New(16)
-	rstar := NewRStar(16)
-	for _, it := range items {
-		guttman.Insert(it.ID, it.Rect)
-		rstar.Insert(it.ID, it.Rect)
-	}
-	var gNodes, sNodes int
+	nodes := 0
 	for trial := 0; trial < 300; trial++ {
 		cx, cy := rng.Float64()*0.9, rng.Float64()*0.9
 		q := geom.NewRect(cx, cy, cx+0.05, cy+0.05)
-		gNodes += guttman.Search(q, func(int64, geom.Rect) bool { return true }).NodesVisited
-		sNodes += rstar.Search(q, func(int64, geom.Rect) bool { return true }).NodesVisited
+		nodes += tr.Search(q, func(int64, geom.Rect) bool { return true }).NodesVisited
 	}
-	t.Logf("node visits over 300 queries: guttman=%d rstar=%d", gNodes, sNodes)
-	if sNodes > gNodes {
-		t.Errorf("R* split visited more nodes (%d) than quadratic (%d)", sNodes, gNodes)
+	t.Logf("node visits over 300 queries: %d", nodes)
+	if nodes > quadraticNodes {
+		t.Errorf("R* split visited %d nodes, more than the quadratic split's %d", nodes, quadraticNodes)
 	}
 }
 
 func TestRStarDuplicatePoints(t *testing.T) {
-	tr := NewRStar(4)
+	tr := New(4)
 	r := geom.NewRect(0.3, 0.3, 0.3, 0.3)
 	for i := int64(0); i < 40; i++ {
 		tr.Insert(i, r)
@@ -117,18 +94,9 @@ func TestRStarDuplicatePoints(t *testing.T) {
 	}
 }
 
-func BenchmarkInsertRStar(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	tr := NewRStar(16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Insert(int64(i), geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()))
-	}
-}
-
-func BenchmarkWindowQueryRStar(b *testing.B) {
+func BenchmarkWindowQueryInserted(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
-	tr := NewRStar(16)
+	tr := New(16)
 	for i := 0; i < 100_000; i++ {
 		tr.Insert(int64(i), geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()))
 	}

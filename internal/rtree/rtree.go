@@ -1,6 +1,7 @@
-// Package rtree implements a dynamic R-tree (Guttman 1984) with quadratic
-// node splitting, STR bulk loading, window (range) queries, deletion and
-// best-first nearest-neighbor search.
+// Package rtree implements an R-tree with the two ways of filling one that
+// the engines use — STR bulk loading for a fixed point set, R*-split
+// insertion for a growing one — plus window (range) queries and best-first
+// nearest-neighbor search.
 //
 // This is the index both area-query methods share, exactly as in the paper:
 // the traditional method issues a window query with the query polygon's
@@ -15,11 +16,9 @@ import (
 	"repro/internal/geom"
 )
 
-// Default fan-out parameters. MinFill follows Guttman's 40% guideline.
-const (
-	DefaultMaxEntries = 16
-	DefaultMinEntries = 6
-)
+// DefaultMaxEntries is the fan-out used when a constructor is given none.
+// The minimum fill follows Guttman's 40% guideline.
+const DefaultMaxEntries = 16
 
 // Item is a stored spatial object: an identifier and its bounding
 // rectangle. Points are stored as degenerate rectangles.
@@ -36,7 +35,6 @@ type Tree struct {
 	size       int
 	maxEntries int
 	minEntries int
-	rstar      bool // use R* split and choose-subtree (see NewRStar)
 }
 
 type node struct {
@@ -56,8 +54,8 @@ func (n *node) bounds() geom.Rect {
 
 func (n *node) count() int { return len(n.rects) }
 
-// New returns an empty tree with the given fan-out; maxEntries < 4 or an
-// invalid min is replaced by defaults.
+// New returns an empty tree with the given fan-out, to be grown by Insert;
+// maxEntries < 4 is replaced by the default.
 func New(maxEntries int) *Tree {
 	if maxEntries < 4 {
 		maxEntries = DefaultMaxEntries
@@ -78,8 +76,8 @@ func (t *Tree) Len() int { return t.size }
 
 // Snapshot returns an independent copy of the tree: searches and
 // nearest-neighbor queries on the snapshot see exactly the items present
-// at snapshot time, unaffected by later Insert/Delete calls on the
-// original (and vice versa). Node slices are copied, so the cost is
+// at snapshot time, unaffected by later Insert calls on the original (and
+// vice versa). Node slices are copied, so the cost is
 // O(items); leaf payloads are values and share nothing. Snapshot itself
 // must be serialized with writers — concurrent readers of the resulting
 // snapshot need no further synchronization since nothing mutates it.
@@ -106,27 +104,13 @@ func (n *node) clone() *node {
 	return c
 }
 
-// Height returns the height of the tree (1 for a root-only tree).
-func (t *Tree) Height() int {
-	h := 1
-	for n := t.root; !n.leaf; n = n.children[0] {
-		h++
-	}
-	return h
-}
-
 // Bounds returns the bounding rectangle of all stored items.
 func (t *Tree) Bounds() geom.Rect { return t.root.bounds() }
 
-// Insert adds an item to the tree.
+// Insert adds an item to the tree. Subtrees are chosen and overflowing
+// nodes split by the R*-tree rules (rstar.go).
 func (t *Tree) Insert(id int64, r geom.Rect) {
-	t.insertItem(id, r)
 	t.size++
-}
-
-// insertItem places the item without adjusting size (shared by Insert and
-// the Delete condense pass, which re-homes items that were never removed).
-func (t *Tree) insertItem(id int64, r geom.Rect) {
 	if sib := t.insertRec(t.root, id, r); sib != nil {
 		old := t.root
 		t.root = &node{
@@ -137,19 +121,14 @@ func (t *Tree) insertItem(id int64, r geom.Rect) {
 	}
 }
 
-// insertRec descends to the least-enlargement leaf, inserts, and propagates
-// splits back up the recursion; it returns the new sibling when n split.
+// insertRec descends to the chosen leaf, inserts, and propagates splits
+// back up the recursion; it returns the new sibling when n split.
 func (t *Tree) insertRec(n *node, id int64, r geom.Rect) *node {
 	if n.leaf {
 		n.rects = append(n.rects, r)
 		n.ids = append(n.ids, id)
 	} else {
-		var i int
-		if t.rstar {
-			i = t.rstarChoosePath(n, r)
-		} else {
-			i = t.choosePath(n, r)
-		}
+		i := t.rstarChoosePath(n, r)
 		if sib := t.insertRec(n.children[i], id, r); sib != nil {
 			n.rects[i] = n.children[i].bounds()
 			n.rects = append(n.rects, sib.bounds())
@@ -159,10 +138,7 @@ func (t *Tree) insertRec(n *node, id int64, r geom.Rect) *node {
 		}
 	}
 	if n.count() > t.maxEntries {
-		if t.rstar {
-			return t.rstarSplit(n)
-		}
-		return t.splitNode(n)
+		return t.rstarSplit(n)
 	}
 	return nil
 }
@@ -181,107 +157,6 @@ func (t *Tree) choosePath(n *node, r geom.Rect) int {
 		}
 	}
 	return best
-}
-
-// splitNode splits an overflowing node in place using Guttman's quadratic
-// split and returns the new sibling.
-func (t *Tree) splitNode(n *node) *node {
-	seedA, seedB := quadraticSeeds(n.rects)
-
-	// Move all slots out, then redistribute.
-	rects := n.rects
-	ids := n.ids
-	children := n.children
-	n.rects = nil
-	n.ids = nil
-	n.children = nil
-
-	sib := &node{leaf: n.leaf}
-	assign := func(dst *node, i int) {
-		dst.rects = append(dst.rects, rects[i])
-		if n.leaf {
-			dst.ids = append(dst.ids, ids[i])
-		} else {
-			dst.children = append(dst.children, children[i])
-		}
-	}
-	assign(n, seedA)
-	assign(sib, seedB)
-	boundsA := rects[seedA]
-	boundsB := rects[seedB]
-
-	remaining := make([]int, 0, len(rects)-2)
-	for i := range rects {
-		if i != seedA && i != seedB {
-			remaining = append(remaining, i)
-		}
-	}
-	for len(remaining) > 0 {
-		// Force-assign if one group must absorb the rest to reach min fill.
-		if n.count()+len(remaining) == t.minEntries {
-			for _, i := range remaining {
-				assign(n, i)
-				boundsA = boundsA.Union(rects[i])
-			}
-			break
-		}
-		if sib.count()+len(remaining) == t.minEntries {
-			for _, i := range remaining {
-				assign(sib, i)
-				boundsB = boundsB.Union(rects[i])
-			}
-			break
-		}
-		// Pick the entry with the strongest preference.
-		bestIdx, bestDiff, bestPos := -1, -1.0, 0
-		for pos, i := range remaining {
-			dA := boundsA.Enlargement(rects[i])
-			dB := boundsB.Enlargement(rects[i])
-			diff := dA - dB
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > bestDiff {
-				bestIdx, bestDiff, bestPos = i, diff, pos
-			}
-		}
-		i := bestIdx
-		remaining = append(remaining[:bestPos], remaining[bestPos+1:]...)
-		dA := boundsA.Enlargement(rects[i])
-		dB := boundsB.Enlargement(rects[i])
-		toA := dA < dB
-		if dA == dB {
-			if a, b := boundsA.Area(), boundsB.Area(); a != b {
-				toA = a < b
-			} else {
-				toA = n.count() <= sib.count()
-			}
-		}
-		if toA {
-			assign(n, i)
-			boundsA = boundsA.Union(rects[i])
-		} else {
-			assign(sib, i)
-			boundsB = boundsB.Union(rects[i])
-		}
-	}
-	return sib
-}
-
-// quadraticSeeds returns the pair of rect indices wasting the most area if
-// grouped together.
-func quadraticSeeds(rects []geom.Rect) (int, int) {
-	a, b := 0, 1
-	worst := -1.0
-	for i := 0; i < len(rects); i++ {
-		for j := i + 1; j < len(rects); j++ {
-			waste := rects[i].Union(rects[j]).Area() - rects[i].Area() - rects[j].Area()
-			if waste > worst {
-				worst, a, b = waste, i, j
-			}
-		}
-	}
-	return a, b
 }
 
 // QueryStats reports the work an index operation performed.
@@ -321,81 +196,6 @@ func (t *Tree) search(n *node, query geom.Rect, fn func(int64, geom.Rect) bool, 
 		}
 	}
 	return true
-}
-
-// Delete removes one item with the given id and rectangle. It reports
-// whether an item was removed. Underflowing nodes are condensed and their
-// orphaned entries reinserted (Guttman's CondenseTree).
-func (t *Tree) Delete(id int64, r geom.Rect) bool {
-	var orphans []Item
-	var orphanSubtrees []*node
-	removed := t.deleteRec(t.root, id, r, &orphans, &orphanSubtrees)
-	if !removed {
-		return false
-	}
-	t.size--
-	// Shrink a root with a single internal child.
-	for !t.root.leaf && t.root.count() == 1 {
-		t.root = t.root.children[0]
-	}
-	for _, it := range orphans {
-		t.insertItem(it.ID, it.Rect)
-	}
-	for _, sub := range orphanSubtrees {
-		t.reinsertSubtree(sub)
-	}
-	return true
-}
-
-func (t *Tree) deleteRec(n *node, id int64, r geom.Rect, orphans *[]Item, orphanSubtrees *[]*node) bool {
-	if n.leaf {
-		for i := range n.ids {
-			if n.ids[i] == id && n.rects[i] == r {
-				n.rects = append(n.rects[:i], n.rects[i+1:]...)
-				n.ids = append(n.ids[:i], n.ids[i+1:]...)
-				return true
-			}
-		}
-		return false
-	}
-	for i := 0; i < len(n.children); i++ {
-		if !n.rects[i].ContainsRect(r) {
-			continue
-		}
-		c := n.children[i]
-		if !t.deleteRec(c, id, r, orphans, orphanSubtrees) {
-			continue
-		}
-		if c.count() < t.minEntries && n.count() > 1 {
-			// Condense: remove the underflowing child, reinsert content.
-			n.rects = append(n.rects[:i], n.rects[i+1:]...)
-			n.children = append(n.children[:i], n.children[i+1:]...)
-			if c.leaf {
-				for j := range c.ids {
-					*orphans = append(*orphans, Item{ID: c.ids[j], Rect: c.rects[j]})
-				}
-			} else {
-				*orphanSubtrees = append(*orphanSubtrees, c)
-			}
-		} else {
-			n.rects[i] = c.bounds()
-		}
-		return true
-	}
-	return false
-}
-
-// reinsertSubtree reinserts every leaf item of an orphaned internal node.
-func (t *Tree) reinsertSubtree(n *node) {
-	if n.leaf {
-		for i := range n.ids {
-			t.insertItem(n.ids[i], n.rects[i])
-		}
-		return
-	}
-	for _, c := range n.children {
-		t.reinsertSubtree(c)
-	}
 }
 
 // Validate checks the structural invariants of the tree: bounding rects

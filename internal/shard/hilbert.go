@@ -39,13 +39,6 @@ type Config struct {
 // plane with a tight bounding rectangle, owning a full core.Engine — its
 // own spatial index, Voronoi topology and (when the builder attaches one)
 // record store.
-//
-// There is deliberately no fallback to the segment rule when the shard's
-// data has no Voronoi cells (core.ErrStrictNotSupported): silently
-// degrading would break the exact-result guarantee, so the error surfaces
-// to the caller instead. Both provided DataAccess types carry a per-shard
-// packed cell arena; a custom BuildFunc whose DataAccess.CellArena returns
-// nil can only serve Traditional and BruteForce.
 type localShard struct {
 	index  int
 	eng    *core.Engine

@@ -122,11 +122,6 @@ func (a *CellArena) pushRing(ring []geom.Point) {
 //vaq:noalloc
 func (a *CellArena) NumCells() int { return len(a.offs) - 1 }
 
-// NumVertices returns the total vertex count across all rings.
-//
-//vaq:noalloc
-func (a *CellArena) NumVertices() int { return len(a.xs) }
-
 // Bytes returns the arena's retained memory in bytes (coordinate slices,
 // offsets and packed boxes) — the flat layout's whole cost.
 func (a *CellArena) Bytes() int {

@@ -77,11 +77,11 @@ func checkArenaParity(t *testing.T, pts []geom.Point, bounds geom.Rect) {
 		}
 		verts += view.Len()
 	}
-	if verts != a.NumVertices() {
-		t.Fatalf("NumVertices = %d, rings sum to %d", a.NumVertices(), verts)
-	}
-	if a.Bytes() <= 0 {
-		t.Fatalf("Bytes = %d, want > 0", a.Bytes())
+	// Nothing is retained beyond the rings: two float64 per vertex, a
+	// four-float64 box and an int32 offset per cell, one closing offset.
+	cells := a.NumCells()
+	if got, want := a.Bytes(), 16*verts+36*cells+4; got != want {
+		t.Fatalf("Bytes = %d, want %d for %d vertices in %d cells", got, want, verts, cells)
 	}
 }
 
@@ -146,23 +146,23 @@ func TestCellArenaFromSitesMatchesCellFromNeighbors(t *testing.T) {
 	// Drive the callback builder off the static diagram's adjacency; rings
 	// must match CellFromNeighbors over the same neighbor sequences.
 	a := CellArenaFromSites(
-		d.NumSites(), d.Bounds(),
-		func(i int) geom.Point { return d.Site(i) },
+		d.NumSites(), unitBounds(),
+		func(i int) geom.Point { return pts[i] },
 		func(i int, fn func(nb geom.Point) bool) {
-			for _, nb := range d.Neighbors(i) {
-				if !fn(d.Site(int(nb))) {
+			for _, nb := range d.Triangulation().Neighbors(i) {
+				if !fn(pts[nb]) {
 					return
 				}
 			}
 		},
 	)
 	for i := 0; i < d.NumSites(); i++ {
-		nbs := d.Neighbors(i)
+		nbs := d.Triangulation().Neighbors(i)
 		nbPts := make([]geom.Point, len(nbs))
 		for j, nb := range nbs {
-			nbPts[j] = d.Site(int(nb))
+			nbPts[j] = pts[nb]
 		}
-		want := CellFromNeighbors(d.Site(i), nbPts, d.Bounds())
+		want := CellFromNeighbors(pts[i], nbPts, unitBounds())
 		view := a.Ring(i)
 		if view.Len() != len(want) {
 			t.Fatalf("site %d: arena ring has %d vertices, want %d", i, view.Len(), len(want))

@@ -16,7 +16,7 @@ func TestCellFromNeighborsMatchesDiagramCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(pts); i += 7 {
-		nbs := d.Neighbors(i)
+		nbs := d.Triangulation().Neighbors(i)
 		nbPts := make([]geom.Point, len(nbs))
 		for j, nb := range nbs {
 			nbPts[j] = pts[nb]

@@ -1,11 +1,12 @@
 // Package voronoi exposes the Voronoi diagram of a point set as the dual of
 // its Delaunay triangulation (package delaunay).
 //
-// The area-query algorithm needs three things from the diagram: the Voronoi
-// neighbors VN(P, p) of a site, nearest-site location (paper Property 3:
-// the nearest site to q is the site whose cell contains q), and — for the
-// strict expansion variant and for rendering — the cell polygon of a site,
-// clipped to a bounding rectangle.
+// The area-query algorithm needs two things from the diagram: the Voronoi
+// neighbors VN(P, p) of a site — exactly its Delaunay neighbors (Property 4:
+// the structures are dual), so they are read off the triangulation — and,
+// for the strict expansion variant and for rendering, the cell polygon of a
+// site, clipped to a bounding rectangle. Engines take every cell at once,
+// packed into a CellArena.
 package voronoi
 
 import (
@@ -41,28 +42,8 @@ func FromTriangulation(t *delaunay.Triangulation, bounds geom.Rect) *Diagram {
 // Triangulation returns the underlying Delaunay triangulation.
 func (d *Diagram) Triangulation() *delaunay.Triangulation { return d.tri }
 
-// Bounds returns the clipping rectangle of the diagram.
-func (d *Diagram) Bounds() geom.Rect { return d.bounds }
-
 // NumSites returns the number of distinct sites.
 func (d *Diagram) NumSites() int { return d.tri.NumSites() }
-
-// Site returns the coordinates of site i.
-func (d *Diagram) Site(i int) geom.Point { return d.tri.Point(i) }
-
-// Neighbors returns the Voronoi neighbors of site i — exactly its Delaunay
-// neighbors (Property 4: the structures are dual). The slice aliases
-// internal storage and must not be modified.
-func (d *Diagram) Neighbors(i int) []int32 { return d.tri.Neighbors(i) }
-
-// NearestSite returns the site whose cell contains q, which by Property 3
-// is the nearest site to q.
-func (d *Diagram) NearestSite(q geom.Point) int { return d.tri.NearestSite(q) }
-
-// NearestSiteFrom is NearestSite with a walk hint.
-func (d *Diagram) NearestSiteFrom(q geom.Point, start int) int {
-	return d.tri.NearestSiteFrom(q, start)
-}
 
 // Cell returns the Voronoi cell of site i clipped to the diagram bounds, as
 // a counterclockwise ring. The cell is computed as the intersection of the
@@ -97,9 +78,6 @@ func CellFromNeighbors(site geom.Point, neighbors []geom.Point, bounds geom.Rect
 	}
 	return ring
 }
-
-// CellArea returns the area of the (clipped) cell of site i.
-func (d *Diagram) CellArea(i int) float64 { return d.Cell(i).Area() }
 
 // clipHalfPlane clips ring to the half-plane of locations at least as close
 // to site as to other (Sutherland–Hodgman against the perpendicular

@@ -77,7 +77,7 @@ func TestCellsPartitionBounds(t *testing.T) {
 		}
 		var sum float64
 		for i := 0; i < n; i++ {
-			sum += d.CellArea(i)
+			sum += d.Cell(i).Area()
 		}
 		if math.Abs(sum-1) > 1e-6 {
 			t.Errorf("n=%d: cell areas sum to %v, want 1", n, sum)
@@ -121,9 +121,6 @@ func TestCellMembershipMatchesNearestSite(t *testing.T) {
 		if !cells[best].ContainsPoint(q) {
 			t.Fatalf("q=%v nearest site %d but outside its cell", q, best)
 		}
-		if got := d.NearestSite(q); q.Dist2(pts[got]) != bestD {
-			t.Fatalf("NearestSite(%v) = %d, want %d", q, got, best)
-		}
 	}
 }
 
@@ -135,9 +132,9 @@ func TestNeighborsSymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range pts {
-		for _, nb := range d.Neighbors(i) {
+		for _, nb := range d.Triangulation().Neighbors(i) {
 			found := false
-			for _, back := range d.Neighbors(int(nb)) {
+			for _, back := range d.Triangulation().Neighbors(int(nb)) {
 				if int(back) == i {
 					found = true
 					break
@@ -189,13 +186,10 @@ func TestFromTriangulationSharesTopology(t *testing.T) {
 	if d2.NumSites() != d1.NumSites() {
 		t.Error("site count changed")
 	}
-	if d2.Bounds() != geom.NewRect(-1, -1, 2, 2) {
-		t.Error("bounds not honored")
-	}
-	// Larger bounds -> cell areas sum to the larger rect.
+	// The bounds are honored: cell areas sum to the larger rect.
 	var sum float64
 	for i := 0; i < d2.NumSites(); i++ {
-		sum += d2.CellArea(i)
+		sum += d2.Cell(i).Area()
 	}
 	if math.Abs(sum-9) > 1e-6 {
 		t.Errorf("areas sum to %v, want 9", sum)
@@ -209,10 +203,10 @@ func TestCollinearSitesCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cells are three vertical slabs.
-	if math.Abs(d.CellArea(0)-0.35) > 1e-9 ||
-		math.Abs(d.CellArea(1)-0.30) > 1e-9 ||
-		math.Abs(d.CellArea(2)-0.35) > 1e-9 {
-		t.Errorf("slab areas = %v %v %v", d.CellArea(0), d.CellArea(1), d.CellArea(2))
+	if math.Abs(d.Cell(0).Area()-0.35) > 1e-9 ||
+		math.Abs(d.Cell(1).Area()-0.30) > 1e-9 ||
+		math.Abs(d.Cell(2).Area()-0.35) > 1e-9 {
+		t.Errorf("slab areas = %v %v %v", d.Cell(0).Area(), d.Cell(1).Area(), d.Cell(2).Area())
 	}
 }
 
@@ -222,14 +216,11 @@ func TestSiteAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Site(0) != pts[0] || d.Site(1) != pts[1] {
-		t.Error("Site accessor mismatch")
+	if tri := d.Triangulation(); tri.Point(0) != pts[0] || tri.Point(1) != pts[1] {
+		t.Error("site coordinates mismatch")
 	}
 	if d.NumSites() != 2 {
 		t.Error("NumSites mismatch")
-	}
-	if got := d.NearestSiteFrom(geom.Pt(0.85, 0.85), 0); got != 1 {
-		t.Errorf("NearestSiteFrom = %d, want 1", got)
 	}
 }
 

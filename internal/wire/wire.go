@@ -219,16 +219,6 @@ type Options struct {
 	Limit     int    `json:"limit,omitempty"`
 }
 
-// OptionsFromSpec lifts the wire-visible fields out of a resolved query
-// spec.
-func OptionsFromSpec(spec core.QuerySpec) Options {
-	return Options{
-		Method:    MethodString(spec.Method),
-		CountOnly: spec.CountOnly,
-		Limit:     spec.Limit,
-	}
-}
-
 // MethodString names a method on the wire (core's String names are the
 // canonical wire values).
 func MethodString(m core.Method) string { return m.String() }

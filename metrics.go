@@ -189,39 +189,6 @@ func (qm *queryMetrics) countOutcome(slot int, err error) {
 	}
 }
 
-// beginQuery starts the per-query clock when instrumentation is on —
-// a registry handle set, a caller trace, or both. The zero time means
-// "off"; endQuery and endBatch no-op on it, so the uninstrumented path
-// performs no clock reads.
-func beginQuery(qm *queryMetrics, p *queryPlan, flavor string) time.Time {
-	if qm == nil && p.trace == nil {
-		return time.Time{}
-	}
-	p.trace.Begin(flavor, p.method.String())
-	return time.Now()
-}
-
-// endQuery finishes what beginQuery started: trace Finish and the registry
-// observation.
-func endQuery(qm *queryMetrics, p *queryPlan, start time.Time, st *Stats, err error) {
-	if start.IsZero() {
-		return
-	}
-	d := time.Since(start)
-	p.trace.Finish(d, st.Candidates, st.ResultSize)
-	qm.observe(p.method, d, st, err)
-}
-
-// endBatch is endQuery for a QueryAll of n regions.
-func endBatch(qm *queryMetrics, p *queryPlan, start time.Time, n int, st *Stats, err error) {
-	if start.IsZero() {
-		return
-	}
-	d := time.Since(start)
-	p.trace.Finish(d, st.Candidates, st.ResultSize)
-	qm.observeBatch(p.method, n, d, st, err)
-}
-
 // newExecMetrics resolves the worker-pool metric set for one flavor.
 func newExecMetrics(reg *obs.Registry, flavor string) *exec.Metrics {
 	fl := fmt.Sprintf("{flavor=%q}", flavor)
@@ -234,17 +201,20 @@ func newExecMetrics(reg *obs.Registry, flavor string) *exec.Metrics {
 	}
 }
 
-// newShardMetrics resolves the scatter-gather metric set for a sharded
-// engine, sharing the flavor's exec metrics so scatter tasks and batch
-// tasks land in one pool view.
-func newShardMetrics(reg *obs.Registry, flavor string, execM *exec.Metrics) *shard.Metrics {
-	fl := fmt.Sprintf("{flavor=%q}", flavor)
+// newShardMetrics resolves the scatter-gather metric set of a partitioned
+// engine (nil when uninstrumented), sharing the flavor's exec metrics so
+// scatter tasks and batch tasks land in one pool view.
+func newShardMetrics(reg *obs.Registry, qm *queryMetrics) *shard.Metrics {
+	if qm == nil {
+		return nil
+	}
+	fl := fmt.Sprintf("{flavor=%q}", qm.flavor)
 	return &shard.Metrics{
 		FanOut:       reg.Histogram("vaq_shard_fanout" + fl),
 		ShardsPruned: reg.Counter("vaq_shard_pruned_total" + fl),
 		ShardQueries: reg.Counter("vaq_shard_queries_total" + fl),
 		ShardLatency: reg.Histogram("vaq_shard_latency_ns" + fl),
-		Exec:         execM,
+		Exec:         qm.execM,
 	}
 }
 

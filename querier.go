@@ -3,11 +3,10 @@ package vaq
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/obs"
-	"repro/internal/shard"
 )
 
 // Querier is the one query surface of this package: a single logical
@@ -60,19 +59,16 @@ var (
 // identical on every backend.
 type QueryOpt func(*queryPlan)
 
-// queryPlan is the resolved option set of one query.
+// queryPlan is the resolved option set of one query: the request shape
+// every backend executes, plus where the caller wants its statistics.
 type queryPlan struct {
-	method    Method
-	countOnly bool
-	limit     int
-	stats     *Stats
-	buf       []int64
-	trace     *obs.QueryTrace
+	core.QuerySpec
+	stats *Stats
 }
 
 // resolve applies opts over the defaults.
 func resolve(opts []QueryOpt) queryPlan {
-	p := queryPlan{method: VoronoiBFS}
+	p := queryPlan{QuerySpec: core.QuerySpec{Method: VoronoiBFS}}
 	for _, o := range opts {
 		if o != nil {
 			o(&p)
@@ -81,22 +77,11 @@ func resolve(opts []QueryOpt) queryPlan {
 	return p
 }
 
-// spec translates the plan into the internal request shape.
-func (p *queryPlan) spec() core.QuerySpec {
-	return core.QuerySpec{
-		Method:    p.method,
-		CountOnly: p.countOnly,
-		Limit:     p.limit,
-		Dest:      p.buf,
-		Trace:     p.trace,
-	}
-}
-
 // UsingMethod selects the area-query algorithm (default VoronoiBFS, the
 // paper's). All methods return the same result set; they differ in the
 // work performed (see Stats).
 func UsingMethod(m Method) QueryOpt {
-	return func(p *queryPlan) { p.method = m }
+	return func(p *queryPlan) { p.Method = m }
 }
 
 // CountOnly skips materializing the result slice: Query returns a nil
@@ -109,7 +94,7 @@ func UsingMethod(m Method) QueryOpt {
 // no-op — nothing is materialized and Query returns nil, not buf[:0];
 // with Limit(n), the reported count is min(n, matches).
 func CountOnly() QueryOpt {
-	return func(p *queryPlan) { p.countOnly = true }
+	return func(p *queryPlan) { p.CountOnly = true }
 }
 
 // Limit stops a query after n results (n <= 0 means unlimited). The limit
@@ -123,7 +108,7 @@ func CountOnly() QueryOpt {
 // bypass an attached result cache (see WithResultCache) because the
 // particular n ids are not canonical.
 func Limit(n int) QueryOpt {
-	return func(p *queryPlan) { p.limit = n }
+	return func(p *queryPlan) { p.Limit = n }
 }
 
 // WithStatsInto writes the query's statistics into st — per-query work
@@ -147,7 +132,7 @@ func WithStatsInto(st *Stats) QueryOpt {
 // batch's queries, which may run concurrently). Tracing is per query and
 // needs no registry; combine with WithMetrics freely.
 func WithTraceInto(tr *QueryTrace) QueryOpt {
-	return func(p *queryPlan) { p.trace = tr }
+	return func(p *queryPlan) { p.Trace = tr }
 }
 
 // Reuse appends results into buf (overwriting from buf[:0]) instead of
@@ -157,7 +142,7 @@ func WithTraceInto(tr *QueryTrace) QueryOpt {
 // CountOnly, which materializes nothing either. Result-cache hits honor
 // it — the memoized ids are copied into buf.
 func Reuse(buf []int64) QueryOpt {
-	return func(p *queryPlan) { p.buf = buf }
+	return func(p *queryPlan) { p.Dest = buf }
 }
 
 // Count is a convenience over any Querier: the match count of an area
@@ -180,24 +165,140 @@ func Count(ctx context.Context, q Querier, region Region, opts ...QueryOpt) (int
 	return st.ResultSize, nil
 }
 
-// finishQuery applies the plan's post-processing shared by the unsharded
-// backends: canonical ascending id order and the stats handoff.
-func finishQuery(p *queryPlan, ids []int64, st Stats, err error) ([]int64, error) {
-	if p.stats != nil {
-		*p.stats = st
-	}
-	if err != nil {
-		return nil, err
-	}
-	core.SortIDs(ids)
-	return ids, nil
+// backend is what the one Querier body needs of an engine, in the internal
+// request shape: one region, a batch, a stream. The scatter-gather kernel
+// (*shard.Engine, over in-process shards or HTTP backends) is one as it
+// stands; an unpartitioned engine becomes one through pooled.
+type backend interface {
+	regionQuerier
+	QueryRegionsSpec(ctx context.Context, regions []Region, spec core.QuerySpec) ([][]int64, Stats, error)
 }
 
-// finishBatch sorts each per-region result and hands off aggregate stats.
-func finishBatch(p *queryPlan, out [][]int64, st Stats, err error) ([][]int64, error) {
-	if p.stats != nil {
-		*p.stats = st
+// regionQuerier is the single-region half of backend, which *core.Engine
+// and *core.DynamicSnapshot implement themselves.
+type regionQuerier interface {
+	QueryRegionSpec(ctx context.Context, region Region, spec core.QuerySpec) ([]int64, Stats, error)
+	EachRegion(ctx context.Context, region Region, spec core.QuerySpec, yield func(id int64, p Point) bool) (Stats, error)
+}
+
+// pooled is the backend of the unpartitioned flavors: single regions go
+// straight to the embedded engine — a static *core.Engine, or the
+// *core.DynamicSnapshot pinning one epoch of a dynamic engine — and a batch
+// runs on the exec worker pool.
+type pooled struct {
+	regionQuerier
+	eng  *core.Engine          // what a batch runs on
+	snap *core.DynamicSnapshot // nil on a static engine
+	opts exec.Options
+}
+
+// QueryRegionsSpec implements backend. A snapshot checks every region first
+// — the sequential paths' error contract (ErrOutsideUniverse for bad areas,
+// ErrNoData while empty), enforced before any worker spawns.
+func (b *pooled) QueryRegionsSpec(ctx context.Context, regions []Region, spec core.QuerySpec) ([][]int64, Stats, error) {
+	if b.snap != nil {
+		for i, r := range regions {
+			if err := b.snap.CheckRegion(r); err != nil {
+				return nil, Stats{Method: spec.Method}, fmt.Errorf("vaq: batch query %d: %w", i, err)
+			}
+		}
 	}
+	return exec.QueryBatch(ctx, b.eng, regions, spec, b.opts)
+}
+
+// querier is the one Querier body. Engine, ShardedEngine, RemoteEngine and
+// Snapshot embed it and differ only in the backend behind it; everything
+// between a caller and that backend — option resolution, the result cache,
+// canonical ascending order, the WithStatsInto handoff, the trace and the
+// registry observation — is written here once.
+type querier struct {
+	backend backend
+	flavor  string // metric and trace label
+
+	rc        *ResultCache // nil without WithResultCache
+	cacheSalt uint64
+	// epoch is the result-cache key's third part: the epoch a Snapshot
+	// pinned, 0 on the immutable flavors.
+	epoch uint64
+
+	qm *queryMetrics // nil without WithMetrics
+}
+
+// newQuerier resolves what cfg asks of every flavor — the registry's
+// per-query handles and the result cache with its collectors; the
+// constructor then attaches the backend.
+func newQuerier(cfg *config, flavor string) querier {
+	if cfg.metrics != nil && cfg.rcache != nil {
+		registerCacheMetrics(cfg.metrics, flavor, cfg.rcache)
+	}
+	return querier{
+		flavor:    flavor,
+		rc:        cfg.rcache,
+		cacheSalt: nextCacheSalt(),
+		qm:        newQueryMetrics(cfg.metrics, flavor),
+	}
+}
+
+// begin starts the per-query clock when instrumentation is on — a registry
+// handle set, a caller trace, or both. The zero time means "off"; end does
+// no more than the stats handoff on it, so the uninstrumented path performs
+// no clock reads.
+func (q *querier) begin(p *queryPlan) time.Time {
+	if q.qm == nil && p.Trace == nil {
+		return time.Time{}
+	}
+	p.Trace.Begin(q.flavor, p.Method.String())
+	return time.Now()
+}
+
+// singleQuery is end's batch size for Query and Each.
+const singleQuery = -1
+
+// end is the one exit of Query, QueryAll and Each: the WithStatsInto
+// handoff, on every outcome, then what begin started — the trace's Finish
+// and the registry observation, as a batch of that many regions unless
+// batch is singleQuery.
+func (q *querier) end(p *queryPlan, start time.Time, batch int, st *Stats, err error) {
+	if p.stats != nil {
+		*p.stats = *st
+	}
+	if start.IsZero() {
+		return
+	}
+	d := time.Since(start)
+	p.Trace.Finish(d, st.Candidates, st.ResultSize)
+	if batch == singleQuery {
+		q.qm.observe(p.Method, d, st, err)
+	} else {
+		q.qm.observeBatch(p.Method, batch, d, st, err)
+	}
+}
+
+// Query implements Querier, consulting the result cache when one was
+// attached (WithResultCache). On a Snapshot, entries are keyed by the
+// pinned epoch: queries on one snapshot hit each other's entries, and an
+// Insert on the parent engine invalidates by moving later queries to new
+// keys.
+func (q *querier) Query(ctx context.Context, region Region, opts ...QueryOpt) ([]int64, error) {
+	p := resolve(opts)
+	start := q.begin(&p)
+	ids, st, err := q.cachedQuery(ctx, region, &p)
+	q.end(&p, start, singleQuery, &st, err)
+	return ids, err
+}
+
+// QueryAll implements Querier. An unpartitioned engine spreads the regions
+// over its worker pool. A partitioned one prunes them per partition: in
+// process every (region, surviving shard) pair is one worker-pool task, so
+// batches exploit intra- and inter-query parallelism at once; over HTTP
+// each backend answers the regions that reach it in one round trip. On a
+// DynamicEngine the whole batch runs against one pinned epoch: every query
+// in it sees the same dataset even while inserts continue.
+func (q *querier) QueryAll(ctx context.Context, regions []Region, opts ...QueryOpt) ([][]int64, error) {
+	p := resolve(opts)
+	start := q.begin(&p)
+	out, st, err := q.backend.QueryRegionsSpec(ctx, regions, p.QuerySpec)
+	q.end(&p, start, len(regions), &st, err)
 	if err != nil {
 		return nil, err
 	}
@@ -207,106 +308,18 @@ func finishBatch(p *queryPlan, out [][]int64, st Stats, err error) ([][]int64, e
 	return out, nil
 }
 
-// Query implements Querier, consulting the result cache when one was
-// attached (WithResultCache).
-func (e *Engine) Query(ctx context.Context, region Region, opts ...QueryOpt) ([]int64, error) {
+// Each implements Querier. On a partitioned engine the partitions stream
+// one after another, each in its own discovery order; global ids from
+// different partitions interleave, so no overall id ordering is implied,
+// and a stream always fails fast — a partition failure mid-stream surfaces
+// immediately, even under WithDegradedFanOut.
+func (q *querier) Each(ctx context.Context, region Region, yield func(id int64, p Point) bool, opts ...QueryOpt) error {
 	p := resolve(opts)
-	return cachedQuery(ctx, e.eng, flavorStatic, e.qm, e.rc, e.cacheSalt, 0, region, &p)
-}
-
-// QueryAll implements Querier.
-func (e *Engine) QueryAll(ctx context.Context, regions []Region, opts ...QueryOpt) ([][]int64, error) {
-	p := resolve(opts)
-	start := beginQuery(e.qm, &p, flavorStatic)
-	out, st, err := exec.QueryBatch(ctx, e.eng, regions, p.spec(),
-		exec.Options{NumWorkers: e.parallelism, Metrics: e.qm.exec()})
-	endBatch(e.qm, &p, start, len(regions), &st, err)
-	return finishBatch(&p, out, st, err)
-}
-
-// Each implements Querier.
-func (e *Engine) Each(ctx context.Context, region Region, yield func(id int64, p Point) bool, opts ...QueryOpt) error {
-	p := resolve(opts)
-	start := beginQuery(e.qm, &p, flavorStatic)
-	st, err := e.eng.EachRegion(ctx, region, p.spec(), yield)
-	if p.stats != nil {
-		*p.stats = st
-	}
-	endQuery(e.qm, &p, start, &st, err)
+	start := q.begin(&p)
+	st, err := q.backend.EachRegion(ctx, region, p.QuerySpec, yield)
+	q.end(&p, start, singleQuery, &st, err)
 	return err
 }
-
-// scatterGather is the Querier body ShardedEngine and RemoteEngine share:
-// both are a scatter-gather kernel (package shard) over partitions — in
-// process for one, behind HTTP for the other — wrapped with the result
-// cache and the per-query instrumentation.
-type scatterGather struct {
-	k         *shard.Engine
-	flavor    string
-	rc        *ResultCache // nil without WithResultCache
-	cacheSalt uint64
-	qm        *queryMetrics // nil without WithMetrics
-}
-
-// Query implements Querier, consulting the result cache when one was
-// attached. Results are in ascending global id order from the kernel's
-// merge.
-func (e *scatterGather) Query(ctx context.Context, region Region, opts ...QueryOpt) ([]int64, error) {
-	p := resolve(opts)
-	return cachedQuery(ctx, e.k, e.flavor, e.qm, e.rc, e.cacheSalt, 0, region, &p)
-}
-
-// QueryAll implements Querier. Regions are pruned per partition. In
-// process every (region, surviving shard) pair is one worker-pool task, so
-// batches exploit intra- and inter-query parallelism at once; over HTTP
-// each backend answers the regions that reach it in one round trip.
-func (e *scatterGather) QueryAll(ctx context.Context, regions []Region, opts ...QueryOpt) ([][]int64, error) {
-	p := resolve(opts)
-	start := beginQuery(e.qm, &p, e.flavor)
-	out, st, err := e.k.QueryRegionsSpec(ctx, regions, p.spec())
-	if p.stats != nil {
-		*p.stats = st
-	}
-	endBatch(e.qm, &p, start, len(regions), &st, err)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Each implements Querier. Partitions stream one after another, each in
-// its own discovery order; global ids from different partitions
-// interleave, so no overall id ordering is implied. A stream always fails
-// fast — a partition failure mid-stream surfaces immediately, even under
-// WithDegradedFanOut.
-func (e *scatterGather) Each(ctx context.Context, region Region, yield func(id int64, p Point) bool, opts ...QueryOpt) error {
-	p := resolve(opts)
-	start := beginQuery(e.qm, &p, e.flavor)
-	st, err := e.k.EachRegion(ctx, region, p.spec(), yield)
-	if p.stats != nil {
-		*p.stats = st
-	}
-	endQuery(e.qm, &p, start, &st, err)
-	return err
-}
-
-// KNearest returns the k stored points nearest to q in increasing distance
-// order (ties broken by ascending global id), walking partitions in
-// MINDIST order and expanding only while a partition's bounds can still
-// beat the current k-th distance — one provably unable to is never
-// contacted. Cancelling ctx abandons the remaining frontier (checked
-// before every expansion and inside one) and returns ctx.Err() with the
-// partial work in Stats.
-func (e *scatterGather) KNearest(ctx context.Context, q Point, k int) ([]int64, Stats, error) {
-	return e.k.KNearest(ctx, q, k)
-}
-
-// Len returns the total number of stored points.
-func (e *scatterGather) Len() int { return e.k.Len() }
-
-// Bounds returns the engine's universe rectangle — for a RemoteEngine, the
-// union of its backends' advertised bounds.
-func (e *scatterGather) Bounds() Rect { return e.k.Bounds() }
 
 // Query implements Querier, against the current epoch.
 func (e *DynamicEngine) Query(ctx context.Context, region Region, opts ...QueryOpt) ([]int64, error) {
@@ -324,43 +337,4 @@ func (e *DynamicEngine) QueryAll(ctx context.Context, regions []Region, opts ...
 // call started.
 func (e *DynamicEngine) Each(ctx context.Context, region Region, yield func(id int64, p Point) bool, opts ...QueryOpt) error {
 	return e.Snapshot().Each(ctx, region, yield, opts...)
-}
-
-// Query implements Querier, against the pinned epoch. With a result cache
-// attached (inherited from the DynamicEngine), entries are keyed by that
-// epoch: queries on one snapshot hit each other's entries, and an Insert
-// on the parent engine invalidates by moving later queries to new keys.
-func (s *Snapshot) Query(ctx context.Context, region Region, opts ...QueryOpt) ([]int64, error) {
-	p := resolve(opts)
-	return cachedQuery(ctx, s.s, flavorDynamic, s.qm, s.rc, s.cacheSalt, s.s.Epoch(), region, &p)
-}
-
-// QueryAll implements Querier, all against the pinned epoch.
-func (s *Snapshot) QueryAll(ctx context.Context, regions []Region, opts ...QueryOpt) ([][]int64, error) {
-	p := resolve(opts)
-	// The sequential paths' error contract (ErrOutsideUniverse for bad
-	// areas, ErrNoData while empty), enforced before any worker spawns.
-	for i, r := range regions {
-		if err := s.s.CheckRegion(r); err != nil {
-			err = fmt.Errorf("vaq: batch query %d: %w", i, err)
-			return finishBatch(&p, nil, Stats{Method: p.method}, err)
-		}
-	}
-	start := beginQuery(s.qm, &p, flavorDynamic)
-	out, st, err := exec.QueryBatch(ctx, s.s.Engine(), regions, p.spec(),
-		exec.Options{NumWorkers: s.parallelism, Metrics: s.qm.exec()})
-	endBatch(s.qm, &p, start, len(regions), &st, err)
-	return finishBatch(&p, out, st, err)
-}
-
-// Each implements Querier, streaming against the pinned epoch.
-func (s *Snapshot) Each(ctx context.Context, region Region, yield func(id int64, p Point) bool, opts ...QueryOpt) error {
-	p := resolve(opts)
-	start := beginQuery(s.qm, &p, flavorDynamic)
-	st, err := s.s.EachRegion(ctx, region, p.spec(), yield)
-	if p.stats != nil {
-		*p.stats = st
-	}
-	endQuery(s.qm, &p, start, &st, err)
-	return err
 }

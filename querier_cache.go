@@ -97,101 +97,70 @@ func appendQueryKey(dst []byte, salt, epoch uint64, p *queryPlan, region Region)
 	dst = binary.LittleEndian.AppendUint64(dst, salt)
 	dst = binary.LittleEndian.AppendUint64(dst, epoch)
 	countOnly := byte(0)
-	if p.countOnly {
+	if p.CountOnly {
 		countOnly = 1
 	}
-	dst = append(dst, byte(p.method), countOnly)
+	dst = append(dst, byte(p.Method), countOnly)
 	return ck.AppendCacheKey(dst)
 }
 
-// specQuerier is what Query needs of a backend: core.Engine, shard.Engine,
-// core.DynamicSnapshot and remote.Engine all answer one region under a
-// core.QuerySpec with the same method.
-type specQuerier interface {
-	QueryRegionSpec(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, Stats, error)
-}
-
-// cachedQuery wraps one Query execution with the memoization protocol and
-// the per-query instrumentation shared by every flavor: trace Begin/Finish
-// and the registry observation surround runCachedQuery, which consults rc
-// under the query's key, runs backend and populates on a miss, and falls
-// through to plain execution (counting a bypass) when the query is not
-// cacheable. The uninstrumented, uncached path (no registry, no trace, no
-// cache) is three nil comparisons ahead of backend.QueryRegionSpec: no
-// clock reads, no closure, nothing allocated.
-func cachedQuery(ctx context.Context, backend specQuerier, flavor string, qm *queryMetrics, rc *ResultCache, salt, epoch uint64, region Region, p *queryPlan) ([]int64, error) {
-	if qm == nil && p.trace == nil {
-		out, _, err := runCachedQuery(ctx, backend, rc, salt, epoch, region, p)
-		return out, err
-	}
-	p.trace.Begin(flavor, p.method.String())
-	start := time.Now()
-	out, st, err := runCachedQuery(ctx, backend, rc, salt, epoch, region, p)
-	d := time.Since(start)
-	p.trace.Finish(d, st.Candidates, st.ResultSize)
-	qm.observe(p.method, d, &st, err)
-	return out, err
-}
-
-// runCachedQuery is the memoization core beneath cachedQuery. backend
-// returns its raw result; ascending-order canonicalization and the stats
-// handoff happen here, so hits are byte-identical to what the backend
-// would have returned. The returned Stats describe the execution the
-// caller observed — the memoized statistics on a hit — so the
-// instrumentation layer can count work without re-running anything.
-func runCachedQuery(ctx context.Context, backend specQuerier, rc *ResultCache, salt, epoch uint64, region Region, p *queryPlan) ([]int64, Stats, error) {
-	if rc == nil {
-		ids, st, err := backend.QueryRegionSpec(ctx, region, p.spec())
-		out, err := finishQuery(p, ids, st, err)
-		return out, st, err
-	}
-	var key []byte
-	if p.limit <= 0 {
-		tr := p.trace
+// cachedQuery answers one region in canonical ascending order: from the
+// result cache when the engine has one and holds the query's key, and from
+// the backend otherwise — memoizing the answer under that key, or counting
+// a bypass when the query is not cacheable (Limit set, unkeyable region,
+// degraded partial answer). The returned Stats describe the execution the
+// caller observed — the memoized statistics on a hit — so hits are
+// byte-identical to what the backend would have returned. Without a cache
+// this is one nil comparison ahead of the backend: nothing allocated, no
+// clock read.
+func (q *querier) cachedQuery(ctx context.Context, region Region, p *queryPlan) ([]int64, Stats, error) {
+	var key string // set when the answer is to be memoized
+	if q.rc != nil {
+		tr := p.Trace
 		var lookupStart time.Time
 		if tr != nil {
 			lookupStart = time.Now()
 		}
-		key = appendQueryKey(make([]byte, 0, 128), salt, epoch, p, region)
-		if key != nil {
-			skey := string(key)
-			ent, ok := rc.c.Get(skey)
+		var kb []byte
+		if p.Limit <= 0 {
+			kb = appendQueryKey(make([]byte, 0, 128), q.cacheSalt, q.epoch, p, region)
+		}
+		if kb == nil {
+			q.rc.c.AddBypass()
+		} else {
+			key = string(kb)
+			ent, ok := q.rc.c.Get(key)
 			if tr != nil {
 				tr.Add(obs.PhaseCacheLookup, time.Since(lookupStart))
 			}
 			if ok {
 				tr.MarkCacheHit()
-				if p.stats != nil {
-					*p.stats = ent.Stats
-				}
-				if p.countOnly {
+				if p.CountOnly {
 					return nil, ent.Stats, nil
 				}
-				return append(p.buf[:0], ent.IDs...), ent.Stats, nil
+				return append(p.Dest[:0], ent.IDs...), ent.Stats, nil
 			}
-			ids, st, err := backend.QueryRegionSpec(ctx, region, p.spec())
-			out, err := finishQuery(p, ids, st, err)
-			if err != nil {
-				return nil, st, err
-			}
-			if st.PartitionsDropped != 0 {
-				// A partial answer served while a partition was down must
-				// not outlive the outage.
-				rc.c.AddBypass()
-				return out, st, nil
-			}
-			ent = rcache.Entry{Stats: st}
-			if !p.countOnly {
-				// Own the memoized ids: out may alias a caller's Reuse buffer.
-				ent.IDs = append([]int64(nil), out...)
-			}
-			rc.c.Put(skey, ent)
-			return out, st, nil
 		}
 	}
-	// Limited or unkeyable — execute without memoizing.
-	rc.c.AddBypass()
-	ids, st, err := backend.QueryRegionSpec(ctx, region, p.spec())
-	out, err := finishQuery(p, ids, st, err)
-	return out, st, err
+	ids, st, err := q.backend.QueryRegionSpec(ctx, region, p.QuerySpec)
+	if err != nil {
+		return nil, st, err
+	}
+	core.SortIDs(ids)
+	if key == "" {
+		return ids, st, nil
+	}
+	if st.PartitionsDropped != 0 {
+		// A partial answer served while a partition was down must not
+		// outlive the outage.
+		q.rc.c.AddBypass()
+		return ids, st, nil
+	}
+	ent := rcache.Entry{Stats: st}
+	if !p.CountOnly {
+		// Own the memoized ids: ids may alias a caller's Reuse buffer.
+		ent.IDs = append([]int64(nil), ids...)
+	}
+	q.rc.c.Put(key, ent)
+	return ids, st, nil
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/remote"
-	"repro/internal/shard"
 )
 
 // RemoteEngine answers area queries by fanning out to remote areaserve
@@ -29,7 +28,7 @@ import (
 // composes with WithResultCache and WithMetrics exactly like the local
 // flavors (flavor label "remote").
 type RemoteEngine struct {
-	scatterGather
+	partitioned
 }
 
 // WithRemoteTimeout bounds each unary request attempt a RemoteEngine
@@ -73,10 +72,7 @@ func WithRemoteClient(hc *http.Client) Option {
 // remote-specific options above plus WithResultCache and WithMetrics
 // apply.
 func DialRemote(ctx context.Context, urls []string, opts ...Option) (*RemoteEngine, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := newConfig(opts)
 	backends, err := remote.Discover(ctx, urls, cfg.remote.Client)
 	if err != nil {
 		return nil, err
@@ -94,27 +90,15 @@ type RemoteBackend = remote.Backend
 // backends, for callers that already know every backend's id offset and
 // bounds (or want to skip the /v1/info round trips).
 func NewRemoteEngine(backends []RemoteBackend, opts ...Option) (*RemoteEngine, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	e := &RemoteEngine{scatterGather{flavor: flavorRemote, rc: cfg.rcache, cacheSalt: nextCacheSalt()}}
+	cfg := newConfig(opts)
+	q := newQuerier(&cfg, flavorRemote)
 	// The kernel exports the scatter series the sharded flavor does, under
 	// flavor="remote".
-	var sm *shard.Metrics
-	if cfg.metrics != nil {
-		e.qm = newQueryMetrics(cfg.metrics, flavorRemote)
-		sm = newShardMetrics(cfg.metrics, flavorRemote, e.qm.execM)
-		if cfg.rcache != nil {
-			registerCacheMetrics(cfg.metrics, flavorRemote, cfg.rcache)
-		}
-	}
-	re, err := remote.New(backends, cfg.remote, sm)
+	re, err := remote.New(backends, cfg.remote, newShardMetrics(cfg.metrics, q.qm))
 	if err != nil {
 		return nil, err
 	}
-	e.k = re.Engine
-	return e, nil
+	return &RemoteEngine{overKernel(q, re.Engine)}, nil
 }
 
 // NumBackends returns the backend count.

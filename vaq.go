@@ -108,18 +108,17 @@
 //
 // An engine retains exactly what its queries read, in flat
 // structure-of-arrays form, and nothing of what built it. Per site that
-// is: the coordinates in parallel x/y float64 slices (16 bytes; the
-// public Engine keeps a second 16-byte copy as the []Point its Point
-// accessor serves); the Voronoi adjacency as CSR arrays, one int32 offset
-// plus one int32 per neighbor (about 28 bytes — a site averages six
-// neighbors); the clipped Voronoi cell, packed at construction into one
-// contiguous cell arena of flat vertex slices, int32 ring offsets and
-// per-cell bounding boxes (roughly 130 bytes: 16 per vertex, six vertices
-// on average, plus a 32-byte box and a 4-byte offset); and the site's
-// R-tree leaf entry. The Delaunay triangulation the adjacency and the
-// cells are derived from — quad-edge pool, its own point copy, vertex
-// tables, about 120 bytes per site — is construction scaffolding and is
-// released when NewEngine returns.
+// is: the coordinates in parallel x/y float64 slices (16 bytes, the one
+// copy — the Point accessor reads it too); the Voronoi adjacency as CSR
+// arrays, one int32 offset plus one int32 per neighbor (about 28 bytes — a
+// site averages six neighbors); the clipped Voronoi cell, packed at
+// construction into one contiguous cell arena of flat vertex slices, int32
+// ring offsets and per-cell bounding boxes (roughly 130 bytes: 16 per
+// vertex, six vertices on average, plus a 32-byte box and a 4-byte offset);
+// and the site's R-tree leaf entry. The Delaunay triangulation the
+// adjacency and the cells are derived from — quad-edge pool, its own point
+// copy, vertex tables, about 120 bytes per site — is construction
+// scaffolding and is released when NewEngine returns.
 //
 // The BFS expansion tests, the strict rule's cell-intersection checks and
 // the KNearest distance loop read that dense memory through
@@ -136,14 +135,6 @@
 // ./...` runs the project's own analyzer suite (internal/analysis) over
 // the module and CI blocks on its findings. See the README's "Static
 // analysis" section for the diagnostic codes and the annotation grammar.
-//
-// # Removed method-positional API
-//
-// The pre-Querier per-flavor methods (QueryWith, QueryCircle, Count,
-// QueryBatch, QueryRegions) were deprecated wrappers for one release and
-// are now removed; see README.md for the old → new mapping. KNearest
-// remains per-flavor (it is not an area query) and now takes a
-// context.Context like every other query path.
 package vaq
 
 import (
@@ -153,6 +144,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/remote"
@@ -331,24 +323,25 @@ func WithShards(n int) Option {
 // loads pages outside them), and QueryAll spreads a batch over an
 // internal worker pool (see WithParallelism).
 type Engine struct {
-	eng         *core.Engine
-	points      []Point
-	bounds      Rect
-	data        core.DataAccess
-	store       *core.StoreData // nil without WithStore
-	parallelism int             // 0 = GOMAXPROCS
-	rc          *ResultCache    // nil without WithResultCache
-	cacheSalt   uint64
-	qm          *queryMetrics // nil without WithMetrics
+	querier
+	eng    *core.Engine
+	bounds Rect
+	data   core.DataAccess
+	store  *core.StoreData // nil without WithStore
 }
 
 // rtreeFanout is the maximum node fan-out of every engine's STR-packed
 // R-tree (the dynamic engine's R* tree uses the same value).
 const rtreeFanout = 16
 
-// defaultConfig returns the option defaults shared by NewEngine and
-// NewShardedEngine.
-func defaultConfig() config { return config{shards: 1} }
+// newConfig applies opts over the defaults every constructor shares.
+func newConfig(opts []Option) config {
+	cfg := config{shards: 1}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
+}
 
 // buildData constructs the configured record layer over points, returning
 // the store when one was configured (nil otherwise).
@@ -369,34 +362,22 @@ func (c config) buildData(points []Point, bounds Rect) (core.DataAccess, *core.S
 // the record store over points. bounds must contain every point; the
 // points must have pairwise distinct coordinates.
 func NewEngine(points []Point, bounds Rect, opts ...Option) (*Engine, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-
+	cfg := newConfig(opts)
 	data, sd, err := cfg.buildData(points, bounds)
 	if err != nil {
 		return nil, fmt.Errorf("vaq: %w", err)
 	}
-
 	e := &Engine{
-		eng:         core.NewEngine(core.NewRTreeIndex(points, rtreeFanout), data),
-		points:      append([]Point(nil), points...),
-		bounds:      bounds,
-		data:        data,
-		store:       sd,
-		parallelism: cfg.parallelism,
-		rc:          cfg.rcache,
-		cacheSalt:   nextCacheSalt(),
+		querier: newQuerier(&cfg, flavorStatic),
+		eng:     core.NewEngine(core.NewRTreeIndex(points, rtreeFanout), data),
+		bounds:  bounds,
+		data:    data,
+		store:   sd,
 	}
-	if cfg.metrics != nil {
-		e.qm = newQueryMetrics(cfg.metrics, flavorStatic)
-		if sd != nil {
-			registerPoolMetrics(cfg.metrics, flavorStatic, sd.IOStats)
-		}
-		if cfg.rcache != nil {
-			registerCacheMetrics(cfg.metrics, flavorStatic, cfg.rcache)
-		}
+	e.backend = &pooled{regionQuerier: e.eng, eng: e.eng,
+		opts: exec.Options{NumWorkers: cfg.parallelism, Metrics: e.qm.exec()}}
+	if cfg.metrics != nil && sd != nil {
+		registerPoolMetrics(cfg.metrics, flavorStatic, sd.IOStats)
 	}
 	return e, nil
 }
@@ -410,21 +391,21 @@ func (e *Engine) KNearest(ctx context.Context, q Point, k int) ([]int64, Stats, 
 }
 
 // Len returns the number of stored points.
-func (e *Engine) Len() int { return len(e.points) }
+func (e *Engine) Len() int { return e.data.NumIDs() }
 
 // Bounds returns the engine's universe rectangle.
 func (e *Engine) Bounds() Rect { return e.bounds }
 
 // Point returns the coordinates of a stored id. It panics when id is not
 // in [0, Len()); use PointOK for a bounds-checked lookup.
-func (e *Engine) Point(id int64) Point { return e.points[id] }
+func (e *Engine) Point(id int64) Point { return e.data.Position(id) }
 
 // PointOK returns the coordinates of id and whether id is a stored point.
 func (e *Engine) PointOK(id int64) (Point, bool) {
-	if id < 0 || id >= int64(len(e.points)) {
+	if id < 0 || id >= int64(e.data.NumIDs()) {
 		return Point{}, false
 	}
-	return e.points[id], true
+	return e.data.Position(id), true
 }
 
 // CellArea returns the area of id's Voronoi cell (clipped to Bounds),
@@ -488,9 +469,42 @@ func (e *Engine) ResetIOStats() {
 // construction and safe for concurrent use from any number of
 // goroutines.
 type ShardedEngine struct {
-	scatterGather
+	partitioned
 	stores []*core.StoreData // per shard; all nil without WithStore
 }
+
+// partitioned is what ShardedEngine and RemoteEngine share: the Querier
+// body over one scatter-gather kernel (package shard) — run over in-process
+// shards by one, over HTTP backends by the other — and the accessors the
+// kernel answers.
+type partitioned struct {
+	querier
+	k *shard.Engine // the querier's backend, by its own type
+}
+
+// overKernel finishes q with k as its backend.
+func overKernel(q querier, k *shard.Engine) partitioned {
+	q.backend = k
+	return partitioned{querier: q, k: k}
+}
+
+// KNearest returns the k stored points nearest to q in increasing distance
+// order (ties broken by ascending global id), walking partitions in
+// MINDIST order and expanding only while a partition's bounds can still
+// beat the current k-th distance — one provably unable to is never
+// contacted. Cancelling ctx abandons the remaining frontier (checked
+// before every expansion and inside one) and returns ctx.Err() with the
+// partial work in Stats.
+func (e *partitioned) KNearest(ctx context.Context, q Point, k int) ([]int64, Stats, error) {
+	return e.k.KNearest(ctx, q, k)
+}
+
+// Len returns the total number of stored points.
+func (e *partitioned) Len() int { return e.k.Len() }
+
+// Bounds returns the engine's universe rectangle — for a RemoteEngine, the
+// union of its backends' advertised bounds.
+func (e *partitioned) Bounds() Rect { return e.k.Bounds() }
 
 // NewShardedEngine partitions points into n shards (WithShards; default 1)
 // by Hilbert order and builds every shard's engine in parallel. All
@@ -499,25 +513,17 @@ type ShardedEngine struct {
 // bounds must contain every point; points must have pairwise distinct
 // coordinates.
 func NewShardedEngine(points []Point, bounds Rect, opts ...Option) (*ShardedEngine, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := newConfig(opts)
 	numStores := cfg.shards
 	if numStores < 1 {
 		numStores = 1 // shard.New clamps the same way
 	}
 	stores := make([]*core.StoreData, numStores)
-	var qm *queryMetrics
-	var sm *shard.Metrics
-	if cfg.metrics != nil {
-		qm = newQueryMetrics(cfg.metrics, flavorSharded)
-		sm = newShardMetrics(cfg.metrics, flavorSharded, qm.execM)
-	}
+	q := newQuerier(&cfg, flavorSharded)
 	se, err := shard.New(points, bounds, shard.Config{
 		Shards:      cfg.shards,
 		Parallelism: cfg.parallelism,
-		Metrics:     sm,
+		Metrics:     newShardMetrics(cfg.metrics, q.qm),
 		Build: func(si int, pts []Point, bounds Rect) (*core.Engine, error) {
 			data, sd, err := cfg.buildData(pts, bounds)
 			if err != nil {
@@ -532,15 +538,9 @@ func NewShardedEngine(points []Point, bounds Rect, opts ...Option) (*ShardedEngi
 	if err != nil {
 		return nil, fmt.Errorf("vaq: %w", err)
 	}
-	e := &ShardedEngine{
-		scatterGather: scatterGather{k: se, flavor: flavorSharded, rc: cfg.rcache, cacheSalt: nextCacheSalt(), qm: qm},
-		stores:        stores[:se.NumShards()],
-	}
+	e := &ShardedEngine{partitioned: overKernel(q, se), stores: stores[:se.NumShards()]}
 	if cfg.metrics != nil {
 		registerShardedPoolMetrics(cfg.metrics, flavorSharded, e.stores)
-		if cfg.rcache != nil {
-			registerCacheMetrics(cfg.metrics, flavorSharded, cfg.rcache)
-		}
 	}
 	return e, nil
 }
@@ -620,11 +620,11 @@ var (
 // query and its Count, or a query and the brute-force oracle validating
 // it.
 type DynamicEngine struct {
-	d           *core.DynamicEngine
-	parallelism int
-	rc          *ResultCache // nil without WithResultCache
-	cacheSalt   uint64
-	qm          *queryMetrics // nil without WithMetrics
+	d *core.DynamicEngine
+	// proto is every Snapshot's querier, less the backend and epoch each
+	// one pins; pool is the worker pool their QueryAll runs on.
+	proto querier
+	pool  exec.Options
 }
 
 // NewDynamicEngine returns an empty dynamic engine. All inserted points
@@ -634,26 +634,13 @@ type DynamicEngine struct {
 // WithMetrics (adding epoch-publish latency and snapshot-age collectors)
 // apply; the others describe static construction and are ignored.
 func NewDynamicEngine(universe Rect, opts ...Option) *DynamicEngine {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	d := core.NewDynamicEngine(universe)
-	var qm *queryMetrics
+	cfg := newConfig(opts)
+	e := &DynamicEngine{d: core.NewDynamicEngine(universe), proto: newQuerier(&cfg, flavorDynamic)}
+	e.pool = exec.Options{NumWorkers: cfg.parallelism, Metrics: e.proto.qm.exec()}
 	if cfg.metrics != nil {
-		qm = newQueryMetrics(cfg.metrics, flavorDynamic)
-		registerDynamicMetrics(cfg.metrics, d)
-		if cfg.rcache != nil {
-			registerCacheMetrics(cfg.metrics, flavorDynamic, cfg.rcache)
-		}
+		registerDynamicMetrics(cfg.metrics, e.d)
 	}
-	return &DynamicEngine{
-		d:           d,
-		parallelism: cfg.parallelism,
-		rc:          cfg.rcache,
-		cacheSalt:   nextCacheSalt(),
-		qm:          qm,
-	}
+	return e
 }
 
 // Insert adds a point, returning its id. Re-inserting an existing
@@ -669,13 +656,11 @@ func (e *DynamicEngine) Insert(p Point) (id int64, inserted bool, err error) {
 // call, regardless of concurrent or later inserts. Repeated Snapshot
 // calls between writes return the same published view at no cost.
 func (e *DynamicEngine) Snapshot() *Snapshot {
-	return &Snapshot{
-		s:           e.d.Snapshot(),
-		parallelism: e.parallelism,
-		rc:          e.rc,
-		cacheSalt:   e.cacheSalt,
-		qm:          e.qm,
-	}
+	cs := e.d.Snapshot()
+	s := &Snapshot{querier: e.proto, s: cs,
+		pool: pooled{regionQuerier: cs, eng: cs.Engine(), snap: cs, opts: e.pool}}
+	s.backend, s.epoch = &s.pool, cs.Epoch()
+	return s
 }
 
 // KNearest returns the k inserted points nearest to q in increasing
@@ -713,11 +698,9 @@ func (e *DynamicEngine) PointOK(id int64) (Point, bool) { return e.d.PointOK(id)
 // run on one Snapshot. Snapshots are safe for concurrent use from any
 // number of goroutines and remain valid (and frozen) indefinitely.
 type Snapshot struct {
-	s           *core.DynamicSnapshot
-	parallelism int
-	rc          *ResultCache // inherited from the parent DynamicEngine
-	cacheSalt   uint64
-	qm          *queryMetrics // inherited from the parent DynamicEngine
+	querier // the parent DynamicEngine's cache and metrics, over the pinned epoch
+	s       *core.DynamicSnapshot
+	pool    pooled // the querier's backend, held by value: one allocation per pin
 }
 
 // Epoch returns the epoch the snapshot pinned (the number of inserts it
@@ -792,10 +775,10 @@ func (e *Engine) RenderQuerySVG(w io.Writer, area Polygon, opts RenderOptions) e
 	}
 	if opts.DrawDelaunay {
 		// Every Delaunay edge once: from its lower-numbered endpoint.
-		for a := range e.points {
-			for _, b := range e.data.Neighbors(int64(a), nil) {
-				if a < int(b) {
-					canvas.Segment(geom.Seg(e.points[a], e.points[b]),
+		for a := int64(0); a < int64(e.Len()); a++ {
+			for _, b := range e.data.Neighbors(a, nil) {
+				if a < int64(b) {
+					canvas.Segment(geom.Seg(e.Point(a), e.Point(int64(b))),
 						svg.Style{Stroke: "#eeddcc", StrokeWidth: 0.5})
 				}
 			}
@@ -807,8 +790,8 @@ func (e *Engine) RenderQuerySVG(w io.Writer, area Polygon, opts RenderOptions) e
 	canvas.Polygon(area, svg.Style{Stroke: "black", StrokeWidth: 1.5, Fill: "#fff4cc", Opacity: 0.7})
 
 	shell := e.candidateShell(results, inResult)
-	for i, p := range e.points {
-		id := int64(i)
+	for id := int64(0); id < int64(e.Len()); id++ {
+		p := e.Point(id)
 		switch {
 		case inResult[id]:
 			canvas.Circle(p, 2.2, svg.Style{Fill: "black"})

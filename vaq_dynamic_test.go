@@ -270,6 +270,44 @@ func TestDynamicEmptyEngineErrNoData(t *testing.T) {
 	}
 }
 
+// TestDynamicPointPanicsOnUnknownIDs pins Point's contract on both dynamic
+// flavors: the id Insert returned resolves, and every other id panics — the
+// ids below it, which the triangulation's fence sites occupy, like any id
+// that was never issued. PointOK reports false for exactly those.
+func TestDynamicPointPanicsOnUnknownIDs(t *testing.T) {
+	eng := NewDynamicEngine(UnitSquare())
+	p := Pt(0.25, 0.75)
+	id, _, err := eng.Insert(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pointers := map[string]interface {
+		Point(int64) Point
+		PointOK(int64) (Point, bool)
+	}{"engine": eng, "snapshot": eng.Snapshot()}
+	for name, e := range pointers {
+		if got, ok := e.PointOK(id); !ok || got != p || e.Point(id) != p {
+			t.Errorf("%s: inserted id %d resolves to %v (ok=%v) and %v, want %v", name, id, got, ok, e.Point(id), p)
+		}
+		for bad := int64(-1); bad <= id+1; bad++ {
+			if bad == id {
+				continue
+			}
+			if got, ok := e.PointOK(bad); ok {
+				t.Errorf("%s: PointOK(%d) = %v, true for an id Insert never returned", name, bad, got)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: Point(%d) returned for an id Insert never returned", name, bad)
+					}
+				}()
+				e.Point(bad)
+			}()
+		}
+	}
+}
+
 // TestDynamicEngineParityWithStatic builds the same point set statically
 // and dynamically and demands identical answers for every shared method.
 func TestDynamicEngineParityWithStatic(t *testing.T) {
