@@ -93,15 +93,14 @@ func (m *MemoryData) CellArena() *voronoi.CellArena { return m.arena }
 
 // StoreData is a DataAccess whose Load goes through a paged object store
 // with a sharded LRU buffer pool, so every refinement fetch is
-// IO-accounted. The Voronoi topology and raw coordinates stay in memory
-// (index-resident), as in a VoR-tree deployment. It is safe for
-// concurrent use: the buffer pool partitions
-// its state over per-page-id lock shards and performs page loads outside
-// those locks, so concurrent Loads only contend when they race for the
-// same lock shard at the same instant (StoreConfig.PoolShards tunes the
-// shard count).
+// IO-accounted. Everything else is the embedded MemoryData: the Voronoi
+// topology, the cell arena and the raw coordinates stay in memory
+// (index-resident), as in a VoR-tree deployment, and Each — the brute-force
+// scan — reads them without touching the pool. It is safe for concurrent
+// use: the store is immutable and the pool's counters and LRU state sit
+// behind per-page-id lock shards (StoreConfig.PoolShards tunes the count).
 type StoreData struct {
-	mem   *MemoryData
+	*MemoryData
 	store *storage.Store
 }
 
@@ -156,21 +155,7 @@ func NewStoreData(pts []geom.Point, bounds geom.Rect, cfg StoreConfig) (*StoreDa
 	if err != nil {
 		return nil, fmt.Errorf("core: building store: %w", err)
 	}
-	return &StoreData{mem: mem, store: st}, nil
-}
-
-// NumIDs implements DataAccess.
-func (s *StoreData) NumIDs() int { return s.mem.NumIDs() }
-
-// Position implements DataAccess (index-resident, no IO).
-func (s *StoreData) Position(id int64) geom.Point { return s.mem.Position(id) }
-
-// Coords implements CoordSource (index-resident, no IO).
-func (s *StoreData) Coords() (xs, ys []float64) { return s.mem.Coords() }
-
-// Neighbors implements DataAccess (index-resident topology, no IO).
-func (s *StoreData) Neighbors(id int64, buf []int32) []int32 {
-	return s.mem.Neighbors(id, buf)
+	return &StoreData{MemoryData: mem, store: st}, nil
 }
 
 // Load implements DataAccess: it fetches the record's page through the
@@ -179,16 +164,6 @@ func (s *StoreData) Neighbors(id int64, buf []int32) []int32 {
 func (s *StoreData) Load(id int64) (geom.Point, error) {
 	return s.store.GetPosition(id)
 }
-
-// Each implements DataAccess via a sequential store scan.
-func (s *StoreData) Each(fn func(id int64, pos geom.Point) bool) {
-	_ = s.store.Scan(func(rec storage.PointRecord) bool {
-		return fn(rec.ID, rec.Pos)
-	})
-}
-
-// CellArena implements DataAccess (index-resident, no IO).
-func (s *StoreData) CellArena() *voronoi.CellArena { return s.mem.CellArena() }
 
 // Store exposes the underlying object store (for IO statistics).
 func (s *StoreData) Store() *storage.Store { return s.store }

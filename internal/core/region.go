@@ -96,34 +96,6 @@ func (r circleRegion) AppendCacheKey(dst []byte) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.c.R))
 }
 
-// AnchoredRegion wraps a Region, overriding the seed anchor the Voronoi
-// BFS starts from. It enables the seed-anchor ablation for Algorithm 1's
-// "arbitrary position in A": pair it with an interior sampler to draw a
-// fresh random anchor per query instead of the default centroid-first
-// anchor.
-type AnchoredRegion struct {
-	Region
-	Anchor geom.Point
-}
-
-// InteriorPoint returns the override anchor.
-func (a AnchoredRegion) InteriorPoint() geom.Point { return a.Anchor }
-
-// AppendCacheKey implements CacheKeyer, shadowing any promoted encoding of
-// the wrapped Region: the anchor changes the work a query performs (and
-// thus its Stats), so an anchored region must not share a cache key with
-// its un-anchored form. Declines unless the wrapped Region is keyable.
-func (a AnchoredRegion) AppendCacheKey(dst []byte) []byte {
-	ck, ok := a.Region.(CacheKeyer)
-	if !ok {
-		return nil
-	}
-	dst = append(dst, 'A')
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.Anchor.X))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.Anchor.Y))
-	return ck.AppendCacheKey(dst)
-}
-
 // regionIntersectsRingView reports whether region and the closed area
 // bounded by the packed ring v share a point, using RingViewIntersecter
 // when available and a generic vertex/edge/containment test otherwise

@@ -418,6 +418,32 @@ func TestErrorMapping(t *testing.T) {
 	}
 }
 
+// TestAnchorFieldRejected pins the removal of the wire "anchor" override:
+// the decoder never checked that the anchor lay in the region, so a seed
+// placed outside it started a BFS that could not reach the region and the
+// server answered 200 with count 0. The field is now unknown, hence a 400.
+func TestAnchorFieldRejected(t *testing.T) {
+	srv := httptest.NewServer(NewHandler(testEngine(t, 20000), Config{}))
+	defer srv.Close()
+
+	const region = `"region":{"kind":"polygon","outer":[[0.1,0.1],[0.3,0.1],[0.3,0.3],[0.1,0.3]]`
+	var plain wire.QueryResponse
+	decodeInto(t, post(t, srv, "/v1/query", json.RawMessage(`{`+region+`}}`)), &plain)
+	if plain.Count == 0 {
+		t.Fatal("un-anchored query matched nothing")
+	}
+
+	resp := post(t, srv, "/v1/query", json.RawMessage(`{`+region+`,"anchor":[0.9,0.9]}}`))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("anchored query: status %d, want 400", resp.StatusCode)
+	}
+	var we wire.Error
+	decodeInto2(t, resp, &we)
+	if we.Code != wire.CodeBadRequest {
+		t.Errorf("anchored query: code %q, want %q", we.Code, wire.CodeBadRequest)
+	}
+}
+
 // decodeInto2 decodes a non-200 JSON body.
 func decodeInto2(t *testing.T, resp *http.Response, dst any) {
 	t.Helper()

@@ -86,7 +86,4 @@ func TestPageRecordBadSlot(t *testing.T) {
 	if _, err := pageRecord(nil, 0); err == nil {
 		t.Error("nil page should fail")
 	}
-	if got := pageSlotCount(nil); got != 0 {
-		t.Errorf("slot count of nil page = %d", got)
-	}
 }

@@ -107,11 +107,3 @@ func pageRecord(page []byte, slot uint16) ([]byte, error) {
 	}
 	return page[start:end], nil
 }
-
-// pageSlotCount returns the number of records in a sealed page.
-func pageSlotCount(page []byte) int {
-	if len(page) < pageHeaderLen {
-		return 0
-	}
-	return int(binary.LittleEndian.Uint16(page[0:pageHeaderLen]))
-}

@@ -1,7 +1,7 @@
 package storage
 
 import (
-	"fmt"
+	"container/list"
 	"runtime"
 	"sync"
 )
@@ -10,13 +10,9 @@ import (
 // last ResetStats.
 type BufferPoolStats struct {
 	PageReads int   // pool misses: pages fetched from the backing file
-	CacheHits int   // pool hits (including loads joined in flight)
+	CacheHits int   // pool hits
 	BytesRead int64 // bytes fetched from the backing file
 	Evictions int   // frames evicted to make room
-	// SingleflightJoins is the subset of CacheHits that joined a load
-	// already in flight instead of finding an installed frame — fetches
-	// that would have been duplicate IO under a naive pool.
-	SingleflightJoins int
 }
 
 // HitRate returns CacheHits / (CacheHits + PageReads), or 0 before any
@@ -28,21 +24,12 @@ func (s BufferPoolStats) HitRate() float64 {
 	return 0
 }
 
-// String renders the counters as a log-friendly one-liner.
-func (s BufferPoolStats) String() string {
-	return fmt.Sprintf(
-		"bufpool reads=%d hits=%d (%.1f%%) joins=%d evictions=%d bytes=%d",
-		s.PageReads, s.CacheHits, s.HitRate()*100, s.SingleflightJoins,
-		s.Evictions, s.BytesRead)
-}
-
 // add accumulates other into s (the per-shard merge of snapshot).
 func (s *BufferPoolStats) add(other BufferPoolStats) {
 	s.PageReads += other.PageReads
 	s.CacheHits += other.CacheHits
 	s.BytesRead += other.BytesRead
 	s.Evictions += other.Evictions
-	s.SingleflightJoins += other.SingleflightJoins
 }
 
 // maxPoolShards caps the lock-shard count; past this the maps' fixed
@@ -52,16 +39,10 @@ const maxPoolShards = 128
 // bufferPool is a fixed-capacity page cache partitioned into power-of-two
 // lock shards keyed by page id. Each shard owns its own frame map, LRU
 // list and counters behind a private mutex, so fetches of pages in
-// different shards never contend; page loads run outside the shard lock
-// with singleflight-style duplicate suppression, so a slow load blocks
-// neither unrelated pages in the same shard nor concurrent fetches of the
-// same page (they join the in-flight load instead of duplicating it).
-//
-// Eviction is per-shard LRU rather than CLOCK: shard-local lists are
-// short and uncontended once the lock no longer covers loads (the list
-// splice is a handful of pointer writes), and LRU preserves the exact
-// recency semantics the pre-sharding pool had, keeping single-goroutine
-// hit/miss/eviction accounting identical.
+// different shards never contend. A miss loads the page while holding its
+// shard's lock: the only loader in the tree is an index into the store's
+// in-memory page slice, so there is no slow IO to move off the lock, and
+// two goroutines missing on one page serialize into one read and one hit.
 //
 // A total capacity of 0 disables caching (every access is a miss),
 // modeling a cold read path; a negative capacity is unbounded. A positive
@@ -76,57 +57,35 @@ type bufferPool struct {
 }
 
 // poolShard is one lock shard: a private LRU cache over the pages whose
-// id hashes to it, plus the in-flight load table and counters. The
-// padding spaces the shards (which live contiguously in one slice) a full
-// cache-line pair apart, so one shard's lock and counter writes never
-// false-share with its neighbors'.
+// id hashes to it, plus its counters. The padding spaces the shards
+// (which live contiguously in one slice) a full cache-line pair apart, so
+// one shard's lock and counter writes never false-share with its
+// neighbors'.
 type poolShard struct {
 	mu       sync.Mutex
-	capacity int                  // frames this shard may hold; <0 unbounded, 0 disabled
-	frames   map[uint32]*frame    // guarded by mu
-	head     *frame               // guarded by mu; most recently used
-	tail     *frame               // guarded by mu; least recently used
-	loads    map[uint32]*loadCall // guarded by mu
-	stats    BufferPoolStats      // guarded by mu
-	// gen counts resets; loads on the cache-disabled path record it
-	// before loading and skip stats if it moved (the cached path detects
-	// the same condition through loads-map identity instead).
-	gen uint64   // guarded by mu
-	_   [40]byte // pad to 128 bytes
+	capacity int                      // frames this shard may hold; <0 unbounded, 0 disabled
+	frames   map[uint32]*list.Element // guarded by mu; each Value is a *frame
+	lru      list.List                // guarded by mu; most recently used first
+	stats    BufferPoolStats          // guarded by mu
+	_        [24]byte                 // pad to 128 bytes
 }
 
 type frame struct {
-	pageID     uint32
-	data       []byte // immutable once installed
-	prev, next *frame
-}
-
-// loadCall is one in-flight page load. The goroutine that created it
-// performs the load and closes done; goroutines that find it in
-// poolShard.loads wait on done and share data instead of loading again.
-type loadCall struct {
-	done chan struct{}
-	data []byte
-}
-
-// defaultPoolShards returns the shard count used when the caller does not
-// choose one: the next power of two at or above GOMAXPROCS, so that under
-// full parallelism goroutines rarely share a lock shard.
-func defaultPoolShards() int {
-	return runtime.GOMAXPROCS(0)
+	pageID uint32
+	data   []byte // read-only while installed
 }
 
 // normalizePoolShards resolves a requested shard count against the pool
-// capacity: <= 0 means the GOMAXPROCS-based default, the result is
-// rounded up to a power of two (masking replaces modulo), capped at
-// maxPoolShards, and clamped down so a positive capacity is never
-// exceeded by the shard count alone.
+// capacity: <= 0 means GOMAXPROCS (under full parallelism goroutines then
+// rarely share a lock shard), the result is rounded up to a power of two
+// (masking replaces modulo), capped at maxPoolShards, and clamped down so
+// a positive capacity is never exceeded by the shard count alone.
 func normalizePoolShards(capacity, shards int) int {
 	if capacity == 0 {
 		return 1 // caching disabled; shards would only shard the counters
 	}
 	if shards <= 0 {
-		shards = defaultPoolShards()
+		shards = runtime.GOMAXPROCS(0)
 	}
 	if shards > maxPoolShards {
 		shards = maxPoolShards
@@ -143,7 +102,7 @@ func normalizePoolShards(capacity, shards int) int {
 
 // newBufferPool returns a pool of the given total capacity split over
 // the given number of lock shards (see normalizePoolShards for how the
-// count is resolved; 1 reproduces the old single-lock pool).
+// count is resolved; 1 is a single-lock pool).
 func newBufferPool(capacity, shards int) *bufferPool {
 	n := normalizePoolShards(capacity, shards)
 	per := capacity // 0 and negative apply per shard unchanged
@@ -154,8 +113,7 @@ func newBufferPool(capacity, shards int) *bufferPool {
 	for i := range bp.shards {
 		s := &bp.shards[i]
 		s.capacity = per
-		s.frames = make(map[uint32]*frame)
-		s.loads = make(map[uint32]*loadCall)
+		s.frames = make(map[uint32]*list.Element)
 	}
 	return bp
 }
@@ -163,180 +121,65 @@ func newBufferPool(capacity, shards int) *bufferPool {
 // numShards returns the resolved lock-shard count.
 func (bp *bufferPool) numShards() int { return len(bp.shards) }
 
-// shardFor maps a page id to its lock shard. Low-bit masking is
-// deliberate: the builder numbers pages sequentially, so consecutive
-// pages — the common access pattern after a Hilbert sort — round-robin
-// across shards perfectly.
-func (bp *bufferPool) shardFor(pageID uint32) *poolShard {
-	return &bp.shards[pageID&bp.mask]
-}
-
 // fetch returns the page via the cache, reading it with load on a miss.
-// load runs OUTSIDE the shard lock, so it may be arbitrarily slow without
-// serializing unrelated fetches; concurrent fetches of the same page join
-// the one in-flight load (the joiners count as cache hits — they
-// performed no IO). load must not re-enter the pool.
+// load runs under the shard lock and must not re-enter the pool; the
+// deferred unlock keeps the shard usable when load panics (nothing has
+// been counted or installed by then, so a later fetch of the page starts
+// clean). On a full shard the evicted frame is reused for the incoming
+// page, so a steady-state miss allocates nothing.
 //
 // The returned slice aliases the cached frame (and, through load, the
 // backing heap file) and MUST be treated read-only: mutating it would
 // corrupt the page for every later reader. Store.Get is the enforcement
 // boundary — decodeRecord deep-copies every variable field, so nothing
 // the public API returns shares memory with the pool (pinned by
-// TestStoreGetRecordIsolation). Frame data is immutable once installed,
-// which is also why returning it after dropping the shard lock is safe.
+// TestStoreGetRecordIsolation). Page bytes never change, which is also
+// why returning them after dropping the shard lock is safe.
 func (bp *bufferPool) fetch(pageID uint32, load func(uint32) []byte) []byte {
-	s := bp.shardFor(pageID)
+	// Low-bit masking: the builder numbers pages sequentially, so
+	// consecutive pages round-robin across the shards.
+	s := &bp.shards[pageID&bp.mask]
 	s.mu.Lock()
-	if f, ok := s.frames[pageID]; ok {
+	defer s.mu.Unlock()
+	if e, ok := s.frames[pageID]; ok {
 		s.stats.CacheHits++
-		s.moveToFront(f)
-		data := f.data
-		s.mu.Unlock()
-		return data
+		s.lru.MoveToFront(e)
+		return e.Value.(*frame).data
 	}
+	data := load(pageID)
+	s.stats.PageReads++
+	s.stats.BytesRead += int64(len(data))
 	if s.capacity == 0 {
-		// Caching disabled: every access is its own simulated read, with
-		// no duplicate suppression — the cold-read model counts each one.
-		// A reset straddled by the load detaches it from the counters
-		// (gen check), matching the cached path's identity check.
-		gen := s.gen
-		s.mu.Unlock()
-		data := load(pageID)
-		s.mu.Lock()
-		if s.gen == gen {
-			s.stats.PageReads++
-			s.stats.BytesRead += int64(len(data))
-		}
-		s.mu.Unlock()
+		// Caching disabled: every access is its own simulated read.
 		return data
 	}
-	if c, ok := s.loads[pageID]; ok {
-		// Same page already loading: join it rather than load twice.
-		s.stats.CacheHits++
-		s.stats.SingleflightJoins++
-		s.mu.Unlock()
-		<-c.done
-		return c.data
+	if s.capacity < 0 || len(s.frames) < s.capacity {
+		s.frames[pageID] = s.lru.PushFront(&frame{pageID: pageID, data: data})
+		return data
 	}
-	c := &loadCall{done: make(chan struct{})}
-	s.loads[pageID] = c
-	s.mu.Unlock()
-
-	loaded := false
-	defer func() {
-		if loaded {
-			return
-		}
-		// load panicked: detach the call and wake the joiners (they see
-		// nil data, a decode error for their callers) so neither they nor
-		// any future fetch of this page hangs on a stranded loadCall; the
-		// panic itself propagates past this unwind.
-		s.mu.Lock()
-		if s.loads[pageID] == c {
-			delete(s.loads, pageID)
-		}
-		s.mu.Unlock()
-		close(c.done)
-	}()
-	c.data = load(pageID) // off-lock: the actual page IO
-	loaded = true
-
-	s.mu.Lock()
-	if s.loads[pageID] == c {
-		delete(s.loads, pageID)
-		s.stats.PageReads++
-		s.stats.BytesRead += int64(len(c.data))
-		f := &frame{pageID: pageID, data: c.data}
-		s.frames[pageID] = f
-		s.pushFront(f)
-		if s.capacity > 0 && len(s.frames) > s.capacity {
-			s.evict()
-		}
-	}
-	// else: reset detached this load mid-flight. The data is still valid
-	// for every goroutine waiting on it, but it must neither repopulate
-	// the emptied cache with a stale frame nor count against the zeroed
-	// counters; any fetch after the reset starts a fresh, counted load.
-	s.mu.Unlock()
-	close(c.done)
-	return c.data
-}
-
-// pushFront links f as the most recently used frame.
-//
-//vaq:locked mu
-func (s *poolShard) pushFront(f *frame) {
-	f.prev = nil
-	f.next = s.head
-	if s.head != nil {
-		s.head.prev = f
-	}
-	s.head = f
-	if s.tail == nil {
-		s.tail = f
-	}
-}
-
-// moveToFront marks a resident frame as most recently used.
-//
-//vaq:locked mu
-func (s *poolShard) moveToFront(f *frame) {
-	if s.head == f {
-		return
-	}
-	// Unlink.
-	if f.prev != nil {
-		f.prev.next = f.next
-	}
-	if f.next != nil {
-		f.next.prev = f.prev
-	}
-	if s.tail == f {
-		s.tail = f.prev
-	}
-	s.pushFront(f)
-}
-
-// evict drops the least recently used frame.
-//
-//vaq:locked mu
-func (s *poolShard) evict() {
-	lru := s.tail
-	if lru == nil {
-		return
-	}
-	if lru.prev != nil {
-		lru.prev.next = nil
-	}
-	s.tail = lru.prev
-	if s.head == lru {
-		s.head = nil
-	}
-	delete(s.frames, lru.pageID)
+	e := s.lru.Back() // least recently used: its frame takes the new page
+	f := e.Value.(*frame)
+	delete(s.frames, f.pageID)
 	s.stats.Evictions++
+	f.pageID, f.data = pageID, data
+	s.lru.MoveToFront(e)
+	s.frames[pageID] = e
+	return data
 }
 
-// reset clears the cache contents and statistics. In-flight loads are
-// detached: their waiters still receive page data, but they no longer
-// install frames or count stats (see fetch), so a reset can never be
-// undone by a load that straddled it.
+// reset clears the cache contents and statistics.
 func (bp *bufferPool) reset() {
 	for i := range bp.shards {
 		s := &bp.shards[i]
 		s.mu.Lock()
-		s.frames = make(map[uint32]*frame)
-		s.head, s.tail = nil, nil
-		s.loads = make(map[uint32]*loadCall)
+		s.frames = make(map[uint32]*list.Element)
+		s.lru.Init()
 		s.stats = BufferPoolStats{}
-		s.gen++
 		s.mu.Unlock()
 	}
 }
 
-// resetStats clears counters but keeps cached pages. A load in flight
-// across the call stays attached and counts into the fresh counters on
-// completion — the same outcome as the load linearizing after the reset
-// under the old global lock — so no read is ever counted twice or lost.
+// resetStats clears counters but keeps cached pages.
 func (bp *bufferPool) resetStats() {
 	for i := range bp.shards {
 		s := &bp.shards[i]

@@ -236,67 +236,32 @@ func TestGetPositionAllocs(t *testing.T) {
 	}
 }
 
-// gatedLoad wraps a load function with two gates: entered is closed when
-// a load is in flight, and the load blocks until release is closed —
-// a deterministic hook to race pool operations against an in-flight
-// off-lock load.
-type gatedLoad struct {
-	load    func(uint32) []byte
-	entered chan struct{}
-	release chan struct{}
-	once    sync.Once
-}
-
-func newGatedLoad(load func(uint32) []byte) *gatedLoad {
-	return &gatedLoad{
-		load:    load,
-		entered: make(chan struct{}),
-		release: make(chan struct{}),
-	}
-}
-
-func (g *gatedLoad) fn(p uint32) []byte {
-	g.once.Do(func() { close(g.entered) })
-	<-g.release
-	return g.load(p)
-}
-
-// TestSingleflightJoinsInflightLoad pins duplicate suppression: while one
-// goroutine's load of a page is in flight, further fetches of the same
-// page join it — one load total, the joiners counted as hits — and all
-// callers observe the correct page bytes.
-func TestSingleflightJoinsInflightLoad(t *testing.T) {
+// TestConcurrentMissOnOnePage pins what loading under the shard lock buys:
+// two goroutines that miss on the same page serialize on its shard, so the
+// page is read once and the other fetch is a hit — in every interleaving.
+// The second goroutine starts while the first is provably inside load.
+func TestConcurrentMissOnOnePage(t *testing.T) {
 	load, loads := testPages(4, 32)
 	want := append([]byte(nil), load(1)...)
 	loads.Store(0)
-	g := newGatedLoad(load)
 	bp := newBufferPool(8, 2)
 
-	const joiners = 4
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	gated := func(p uint32) []byte {
+		once.Do(func() { close(entered) })
+		<-release
+		return load(p)
+	}
 	var wg sync.WaitGroup
-	results := make([][]byte, joiners+1)
+	results := make([][]byte, 2)
 	wg.Add(1)
-	go func() { defer wg.Done(); results[0] = bp.fetch(1, g.fn) }()
-	<-g.entered
-
-	// The load is provably in flight and holds no lock: fetches of OTHER
-	// pages in the same shard must complete (this deadlocked the old
-	// load-under-lock design — the actual bugfix under test).
-	bp.fetch(3, load) // 3&1 == 1&1: same shard as the gated page
-
-	for i := 1; i <= joiners; i++ {
-		wg.Add(1)
-		go func(i int) { defer wg.Done(); results[i] = bp.fetch(1, g.fn) }(i)
-	}
-	// Joiners register synchronously under the shard lock before waiting;
-	// give them a beat to do so, then release the load.
-	for {
-		if st := bp.snapshot(); st.CacheHits >= joiners {
-			break
-		}
-		runtime.Gosched()
-	}
-	close(g.release)
+	go func() { defer wg.Done(); results[0] = bp.fetch(1, gated) }()
+	<-entered
+	wg.Add(1)
+	go func() { defer wg.Done(); results[1] = bp.fetch(1, gated) }()
+	runtime.Gosched() // let the second fetch reach the held lock
+	close(release)
 	wg.Wait()
 
 	for i, r := range results {
@@ -304,84 +269,18 @@ func TestSingleflightJoinsInflightLoad(t *testing.T) {
 			t.Fatalf("caller %d got wrong bytes", i)
 		}
 	}
-	if loads.Load() != 2 { // one for the gated page, one for page 3
-		t.Fatalf("loads = %d, want 2 (duplicates not suppressed)", loads.Load())
+	if loads.Load() != 1 {
+		t.Fatalf("loads = %d, want 1", loads.Load())
 	}
-	st := bp.snapshot()
-	if st.PageReads != 2 || st.CacheHits != joiners {
-		t.Fatalf("stats = %+v, want 2 reads, %d hits", st, joiners)
-	}
-}
-
-// TestResetDetachesInflightLoad pins the reset contract of the off-lock
-// design: a DropCache while a load is in flight must not let that load
-// resurrect a stale frame or pollute the zeroed counters, while its
-// waiters still receive valid data. Both the cached path (detached via
-// loads-map identity) and the cache-disabled path (detached via the
-// shard generation) are covered.
-func TestResetDetachesInflightLoad(t *testing.T) {
-	for _, capacity := range []int{8, 0} {
-		t.Run(fmt.Sprintf("capacity=%d", capacity), func(t *testing.T) {
-			load, _ := testPages(4, 32)
-			want := append([]byte(nil), load(1)...)
-			g := newGatedLoad(load)
-			bp := newBufferPool(capacity, 2)
-
-			var got []byte
-			done := make(chan struct{})
-			go func() { defer close(done); got = bp.fetch(1, g.fn) }()
-			<-g.entered
-
-			bp.reset() // the load is provably in flight across this reset
-			close(g.release)
-			<-done
-
-			if !bytes.Equal(got, want) {
-				t.Fatalf("fetch across reset returned wrong bytes")
-			}
-			if st := bp.snapshot(); st != (BufferPoolStats{}) {
-				t.Fatalf("detached load leaked into zeroed counters: %+v", st)
-			}
-			// No stale frame may have been installed: the next fetch of the
-			// page must be a miss (a resurrected frame would make it a hit).
-			bp.fetch(1, load)
-			if st := bp.snapshot(); st.PageReads != 1 || st.CacheHits != 0 {
-				t.Fatalf("stale frame resurrected after reset: %+v", st)
-			}
-		})
-	}
-}
-
-// TestResetStatsKeepsInflightLoadAttached pins the complementary
-// contract: resetStats (counters only) does NOT detach an in-flight load
-// — the load completes into the fresh counters exactly once, and its
-// frame stays cached.
-func TestResetStatsKeepsInflightLoadAttached(t *testing.T) {
-	load, _ := testPages(4, 32)
-	g := newGatedLoad(load)
-	bp := newBufferPool(8, 2)
-
-	done := make(chan struct{})
-	go func() { defer close(done); bp.fetch(1, g.fn) }()
-	<-g.entered
-	bp.resetStats()
-	close(g.release)
-	<-done
-
-	st := bp.snapshot()
-	if st.PageReads != 1 || st.BytesRead != 32 {
-		t.Fatalf("in-flight load across resetStats counted %+v, want exactly one read", st)
-	}
-	bp.fetch(1, load)
-	if st = bp.snapshot(); st.CacheHits != 1 {
-		t.Fatalf("frame from straddling load not cached: %+v", st)
+	wantStats := BufferPoolStats{PageReads: 1, CacheHits: 1, BytesRead: 32}
+	if st := bp.snapshot(); st != wantStats {
+		t.Fatalf("stats = %+v, want %+v", st, wantStats)
 	}
 }
 
 // TestConcurrentResetSoak races fetches against reset/resetStats/snapshot
 // from many goroutines (run under -race) and checks the counters still
-// satisfy the pool's invariants afterwards. The old global-lock design
-// made this trivially safe; the off-lock design must prove it.
+// satisfy the pool's invariants afterwards.
 func TestConcurrentResetSoak(t *testing.T) {
 	const (
 		pages    = 64
@@ -437,13 +336,12 @@ func TestConcurrentResetSoak(t *testing.T) {
 }
 
 // BenchmarkStoreParallelFetch measures store-backed fetch throughput
-// under goroutine parallelism (run with -cpu 1,4,8) at 1 lock shard —
-// the old single-mutex layout — versus the default shard count. The
-// workload is miss-heavy (the pool holds ~15% of the pages), so every
-// fetch mutates its shard's LRU bookkeeping: with one shard all
-// goroutines serialize on that mutex, with the default count they spread
-// across the lock shards. The spread between the sub-benchmarks at
-// -cpu > 1 is the serialization this PR removes.
+// under goroutine parallelism (run with -cpu 1,4,8) at 1 lock shard
+// versus the default shard count. The workload is miss-heavy (the pool
+// holds ~15% of the pages), so every fetch mutates its shard's LRU
+// bookkeeping: with one shard all goroutines serialize on that mutex,
+// with the default count they spread across the lock shards. The spread
+// between the sub-benchmarks at -cpu > 1 is what the lock shards buy.
 func BenchmarkStoreParallelFetch(b *testing.B) {
 	const records = 20_000
 	for _, shards := range []int{1, 0} {
@@ -462,7 +360,7 @@ func BenchmarkStoreParallelFetch(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(name, func(b *testing.B) {
-			b.ReportMetric(float64(st.PoolShards()), "shards")
+			b.ReportMetric(float64(st.pool.numShards()), "shards")
 			var worker atomic.Int64
 			b.RunParallel(func(pb *testing.PB) {
 				// Per-goroutine id sequence: no shared state on the hot
@@ -480,50 +378,29 @@ func BenchmarkStoreParallelFetch(b *testing.B) {
 	}
 }
 
-// TestPanickingLoadDoesNotStrandPage pins the off-lock design's panic
-// safety: a load that panics must propagate the panic to its caller but
-// leave the pool usable — waiters joined to the call unblock, and later
-// fetches of the same page load fresh instead of hanging on a stranded
-// in-flight entry.
+// TestPanickingLoadDoesNotStrandPage pins fetch's panic safety: a load that
+// panics propagates to its caller but the deferred unlock leaves the shard
+// usable — a later fetch of the same page (which would deadlock on a
+// stranded lock) loads and counts normally, and nothing of the failed
+// attempt was counted or installed.
 func TestPanickingLoadDoesNotStrandPage(t *testing.T) {
 	load, _ := testPages(4, 32)
 	bp := newBufferPool(8, 2)
 
-	g := newGatedLoad(load)
-	panicking := func(p uint32) []byte {
-		g.fn(p) // signal entered, wait for release
-		panic("simulated IO failure")
-	}
-
-	// A joiner attached to the doomed load must unblock (with nil data).
-	joined := make(chan []byte, 1)
-	loaderDone := make(chan interface{}, 1)
-	go func() {
-		defer func() { loaderDone <- recover() }()
-		bp.fetch(1, panicking)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("load panic did not propagate to the fetching goroutine")
+			}
+		}()
+		bp.fetch(1, func(uint32) []byte { panic("simulated IO failure") })
 	}()
-	<-g.entered
-	go func() { joined <- bp.fetch(1, load) }()
-	for {
-		if st := bp.snapshot(); st.CacheHits == 1 { // the joiner registered
-			break
-		}
-		runtime.Gosched()
-	}
-	close(g.release)
 
-	if r := <-loaderDone; r == nil {
-		t.Fatal("load panic did not propagate to the fetching goroutine")
-	}
-	if data := <-joined; data != nil {
-		t.Errorf("joiner of a panicked load got %d bytes, want nil", len(data))
-	}
-	// The page is not stranded: a fresh fetch loads and counts normally.
 	want := append([]byte(nil), load(1)...)
 	if got := bp.fetch(1, load); !bytes.Equal(got, want) {
 		t.Fatal("post-panic fetch returned wrong bytes")
 	}
-	if st := bp.snapshot(); st.PageReads != 1 {
-		t.Errorf("post-panic stats: %+v, want exactly one counted read", st)
+	if st, want := bp.snapshot(), (BufferPoolStats{PageReads: 1, BytesRead: 32}); st != want {
+		t.Errorf("post-panic stats: %+v, want %+v", st, want)
 	}
 }

@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"errors"
-	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -139,19 +138,67 @@ func TestStoreBasic(t *testing.T) {
 	}
 }
 
+// TestDuplicateIDRejected pins the dense-directory contract of Append: the
+// next id is the number of records so far; a repeat, a gap, a first id
+// other than 0 and a negative id are all rejected and leave the builder
+// usable.
 func TestDuplicateIDRejected(t *testing.T) {
 	b := NewBuilder(Options{})
-	if err := b.Append(sampleRecord(1)); err != nil {
+	if err := b.Append(sampleRecord(1)); err == nil {
+		t.Error("first id 1 should be rejected")
+	}
+	for id := int64(0); id < 2; id++ {
+		if err := b.Append(sampleRecord(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []int64{1, 0, 3, -1} {
+		if err := b.Append(sampleRecord(id)); err == nil {
+			t.Errorf("id %d after 0,1 should be rejected", id)
+		}
+	}
+	if err := b.Append(sampleRecord(2)); err != nil {
+		t.Fatalf("in-order id after rejections: %v", err)
+	}
+	st, err := b.Build()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Append(sampleRecord(1)); err == nil {
-		t.Error("duplicate id should be rejected")
+	if st.Len() != 3 {
+		t.Errorf("Len = %d, want 3", st.Len())
+	}
+}
+
+// TestGetOutsideDirectory pins the id range check that replaced the map
+// lookup: the ids just past either end of the directory are ErrNotFound on
+// both read paths, and cost no IO.
+func TestGetOutsideDirectory(t *testing.T) {
+	b := NewBuilder(Options{PageSize: 256, PoolPages: 4})
+	for i := int64(0); i < 10; i++ {
+		if err := b.Append(sampleRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int64{-1, int64(st.Len())} {
+		if _, err := st.Get(id); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Get(%d): err = %v, want ErrNotFound", id, err)
+		}
+		if _, err := st.GetPosition(id); !errors.Is(err, ErrNotFound) {
+			t.Errorf("GetPosition(%d): err = %v, want ErrNotFound", id, err)
+		}
+	}
+	if got := st.Stats(); got != (BufferPoolStats{}) {
+		t.Errorf("out-of-range ids touched the pool: %+v", got)
 	}
 }
 
 func TestRecordTooLarge(t *testing.T) {
 	b := NewBuilder(Options{PageSize: 64})
-	rec := sampleRecord(1)
+	rec := sampleRecord(0)
 	rec.Payload = make([]byte, 128)
 	if err := b.Append(rec); !errors.Is(err, ErrRecordTooLarge) {
 		t.Errorf("err = %v, want ErrRecordTooLarge", err)
@@ -252,107 +299,6 @@ func TestUnboundedPoolNeverEvicts(t *testing.T) {
 	}
 	if stats.PageReads != st.NumPages() {
 		t.Errorf("PageReads %d != NumPages %d", stats.PageReads, st.NumPages())
-	}
-}
-
-func TestScan(t *testing.T) {
-	b := NewBuilder(Options{PageSize: 256})
-	const n = 50
-	for i := int64(0); i < n; i++ {
-		if err := b.Append(sampleRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[int64]bool)
-	if err := st.Scan(func(r PointRecord) bool { seen[r.ID] = true; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != n {
-		t.Errorf("scan saw %d records, want %d", len(seen), n)
-	}
-	// Early stop.
-	count := 0
-	if err := st.Scan(func(PointRecord) bool { count++; return count < 5 }); err != nil {
-		t.Fatal(err)
-	}
-	if count != 5 {
-		t.Errorf("early stop scan saw %d", count)
-	}
-	// Scan must not touch the pool counters.
-	if got := st.Stats(); got.PageReads != 0 {
-		t.Errorf("scan should bypass the pool: %+v", got)
-	}
-}
-
-func TestWriteToReadRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	b := NewBuilder(Options{PageSize: 512, PoolPages: 8})
-	const n = 300
-	for i := int64(0); i < n; i++ {
-		rec := PointRecord{
-			ID:        i * 3,
-			Pos:       geom.Pt(rng.Float64(), rng.Float64()),
-			Neighbors: []int64{rng.Int63n(1000), rng.Int63n(1000)},
-			Payload:   []byte{byte(i), byte(i >> 8)},
-		}
-		if err := b.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := st.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := Read(&buf, Options{PoolPages: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Len() != st.Len() || st2.NumPages() != st.NumPages() || st2.PageSize() != st.PageSize() {
-		t.Fatalf("shape mismatch after round trip")
-	}
-	for i := int64(0); i < n; i++ {
-		a, err1 := st.Get(i * 3)
-		bb, err2 := st2.Get(i * 3)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if a.ID != bb.ID || a.Pos != bb.Pos || !reflect.DeepEqual(a.Neighbors, bb.Neighbors) || !bytes.Equal(a.Payload, bb.Payload) {
-			t.Fatalf("record %d mismatch after round trip", i*3)
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not a store")), Options{}); err == nil {
-		t.Error("garbage input should fail")
-	}
-	if _, err := Read(bytes.NewReader(nil), Options{}); err == nil {
-		t.Error("empty input should fail")
-	}
-}
-
-func TestIDsSorted(t *testing.T) {
-	b := NewBuilder(Options{})
-	for _, id := range []int64{5, 1, 9, 3} {
-		if err := b.Append(PointRecord{ID: id}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{1, 3, 5, 9}
-	if got := st.IDs(); !reflect.DeepEqual(got, want) {
-		t.Errorf("IDs = %v, want %v", got, want)
 	}
 }
 

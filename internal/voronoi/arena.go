@@ -137,16 +137,6 @@ func (a *CellArena) Ring(i int) geom.RingView {
 	return geom.RingView{XS: a.xs[lo:hi], YS: a.ys[lo:hi]}
 }
 
-// AppendRing appends cell i's vertices to dst and returns the extended
-// slice (a materializing copy; the BFS hot path uses Ring instead).
-func (a *CellArena) AppendRing(i int, dst geom.Ring) geom.Ring {
-	lo, hi := a.offs[i], a.offs[i+1]
-	for j := lo; j < hi; j++ {
-		dst = append(dst, geom.Point{X: a.xs[j], Y: a.ys[j]})
-	}
-	return dst
-}
-
 // CellBox returns the bounding rectangle of cell i (EmptyRect for a
 // degenerate cell), equal to Cell(i).Bounds().
 //

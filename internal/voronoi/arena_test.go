@@ -57,9 +57,6 @@ func checkArenaParity(t *testing.T, pts []geom.Point, bounds geom.Rect) {
 				t.Fatalf("site %d vertex %d: arena %v != Cell %v", i, j, view.At(j), cell[j])
 			}
 		}
-		if got := a.AppendRing(i, nil); len(got) != len(cell) {
-			t.Fatalf("site %d: AppendRing produced %d vertices, want %d", i, len(got), len(cell))
-		}
 		if len(cell) == 0 {
 			if box := a.CellBox(i); box.MinX <= box.MaxX {
 				t.Fatalf("site %d: degenerate cell packed non-empty box %v", i, box)

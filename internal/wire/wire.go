@@ -83,15 +83,13 @@ const (
 
 // Region is a query shape on the wire. Kind selects the variant: a
 // polygon carries Outer (and optionally Holes), a circle carries Center
-// and R. Anchor, when present on either kind, overrides the seed anchor
-// the Voronoi BFS starts from (core.AnchoredRegion).
+// and R.
 type Region struct {
 	Kind   string    `json:"kind"`
 	Outer  []Coord   `json:"outer,omitempty"`
 	Holes  [][]Coord `json:"holes,omitempty"`
 	Center *Coord    `json:"center,omitempty"`
 	R      float64   `json:"r,omitempty"`
-	Anchor *Coord    `json:"anchor,omitempty"`
 }
 
 // polygonSource is implemented by regions whose underlying polygon is
@@ -103,23 +101,11 @@ type polygonSource interface{ Polygon() geom.Polygon }
 type circleSource interface{ Circle() geom.Circle }
 
 // EncodeRegion converts a core.Region into its wire form. Prepared
-// polygons, circle regions and core.AnchoredRegion wrappers of either are
-// supported; custom Region implementations (whose geometry the codec
-// cannot see) return an error. Non-finite coordinates are rejected.
+// polygons and circle regions are supported; custom Region implementations
+// (whose geometry the codec cannot see) return an error. Non-finite
+// coordinates are rejected.
 func EncodeRegion(r core.Region) (Region, error) {
 	var out Region
-	if ar, ok := r.(core.AnchoredRegion); ok {
-		if !finite(ar.Anchor.X, ar.Anchor.Y) {
-			return Region{}, errNonFinite
-		}
-		inner, err := EncodeRegion(ar.Region)
-		if err != nil {
-			return Region{}, err
-		}
-		a := FromPoint(ar.Anchor)
-		inner.Anchor = &a
-		return inner, nil
-	}
 	switch src := r.(type) {
 	case polygonSource:
 		pg := src.Polygon()
@@ -173,7 +159,6 @@ func decodeRing(cs []Coord) []geom.Point {
 // negative radius) fails rather than producing a region that could crash
 // a query.
 func (r Region) Decode() (core.Region, error) {
-	var region core.Region
 	switch r.Kind {
 	case KindPolygon:
 		pg, err := geom.NewPolygon(decodeRing(r.Outer))
@@ -185,7 +170,7 @@ func (r Region) Decode() (core.Region, error) {
 				return nil, fmt.Errorf("wire: polygon hole %d: %w", i, err)
 			}
 		}
-		region = core.PolygonRegion(pg)
+		return core.PolygonRegion(pg), nil
 	case KindCircle:
 		if r.Center == nil {
 			return nil, errors.New("wire: circle region missing center")
@@ -196,17 +181,10 @@ func (r Region) Decode() (core.Region, error) {
 		if r.R < 0 {
 			return nil, errors.New("wire: circle region with negative radius")
 		}
-		region = core.CircleRegion(geom.NewCircle(r.Center.Point(), r.R))
+		return core.CircleRegion(geom.NewCircle(r.Center.Point(), r.R)), nil
 	default:
 		return nil, fmt.Errorf("wire: unknown region kind %q", r.Kind)
 	}
-	if r.Anchor != nil {
-		if !finite(r.Anchor.X, r.Anchor.Y) {
-			return nil, errNonFinite
-		}
-		region = core.AnchoredRegion{Region: region, Anchor: r.Anchor.Point()}
-	}
-	return region, nil
 }
 
 // Options are the per-query options that travel with a request — exactly

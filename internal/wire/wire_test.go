@@ -19,9 +19,6 @@ func cacheKey(t *testing.T, r core.Region) string {
 	t.Helper()
 	ck, ok := r.(core.CacheKeyer)
 	if !ok {
-		if ar, isAnchored := r.(core.AnchoredRegion); isAnchored {
-			return "anchored:" + cacheKey(t, ar.Region)
-		}
 		t.Fatalf("region %T is not cache-keyable", r)
 	}
 	key := ck.AppendCacheKey(nil)
@@ -67,8 +64,6 @@ func TestRegionRoundTripExact(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		pg := workload.RandomPolygon(rng, workload.PolygonConfig{Vertices: 10, QuerySize: 0.03}, bounds)
 		regions["random"] = core.PolygonRegion(pg)
-		anch := core.AnchoredRegion{Region: core.PolygonRegion(pg), Anchor: pg.Bounds().Center()}
-		regions["anchored"] = anch
 	}
 	holed := geom.MustPolygon([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(0, 1)})
 	if err := holed.AddHole([]geom.Point{geom.Pt(0.4, 0.4), geom.Pt(0.6, 0.4), geom.Pt(0.5, 0.6)}); err != nil {

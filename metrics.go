@@ -227,7 +227,6 @@ func registerPoolMetrics(reg *obs.Registry, flavor string, stats func() storage.
 	reg.RegisterGaugeFunc("vaq_bufpool_page_reads_total"+fl, func() float64 { return float64(stats().PageReads) })
 	reg.RegisterGaugeFunc("vaq_bufpool_cache_hits_total"+fl, func() float64 { return float64(stats().CacheHits) })
 	reg.RegisterGaugeFunc("vaq_bufpool_evictions_total"+fl, func() float64 { return float64(stats().Evictions) })
-	reg.RegisterGaugeFunc("vaq_bufpool_singleflight_joins_total"+fl, func() float64 { return float64(stats().SingleflightJoins) })
 	reg.RegisterGaugeFunc("vaq_bufpool_bytes_read_total"+fl, func() float64 { return float64(stats().BytesRead) })
 	reg.RegisterGaugeFunc("vaq_bufpool_hit_rate"+fl, func() float64 { return stats().HitRate() })
 }
@@ -250,7 +249,6 @@ func registerShardedPoolMetrics(reg *obs.Registry, flavor string, stores []*core
 			agg.PageReads += st.PageReads
 			agg.CacheHits += st.CacheHits
 			agg.Evictions += st.Evictions
-			agg.SingleflightJoins += st.SingleflightJoins
 			agg.BytesRead += st.BytesRead
 		}
 		return agg

@@ -63,12 +63,13 @@
 // goroutines. An Engine is immutable after NewEngine returns: the spatial
 // index, the Voronoi topology and the point data are never modified by
 // queries, and all per-query scratch state is pooled internally. Engines
-// built WithStore are included: the record store's buffer pool partitions
-// its state over per-page lock shards (WithBufferPoolShards tunes the
-// count) and performs page loads outside those locks, so concurrent loads
-// of different pages proceed in parallel and duplicate loads of one page
-// are coalesced. A ShardedEngine is likewise immutable after
-// construction.
+// built WithStore are included: the record store is immutable and its
+// buffer pool partitions the LRU state and counters over per-page lock
+// shards (WithBufferPoolShards tunes the count), so concurrent loads only
+// contend when they land on one shard at the same instant. A page is
+// loaded under its shard's lock — the store lives in memory, a load is a
+// slice index — so two goroutines missing on one page count one read and
+// one hit. A ShardedEngine is likewise immutable after construction.
 //
 // A DynamicEngine is safe for concurrent use via epoch snapshots: Insert
 // mutates writer-private structures under an internal mutex (concurrent
@@ -140,7 +141,6 @@ package vaq
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 
 	"repro/internal/core"
@@ -149,7 +149,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/remote"
 	"repro/internal/shard"
-	"repro/internal/svg"
 	"repro/internal/workload"
 )
 
@@ -302,10 +301,9 @@ func WithBufferPoolShards(n int) Option {
 // and, for sharded engines, the pool shard construction and
 // scatter-gather fan-out use. The default (n <= 0) is runtime.GOMAXPROCS;
 // 1 keeps batches sequential on the calling goroutine. Store-backed
-// engines participate fully: the buffer pool's lock shards and off-lock
-// page loads keep parallel batches scaling even on pool-miss-heavy
-// workloads (and sharding the engine still multiplies total pool
-// capacity).
+// engines participate fully: the buffer pool's lock shards keep the
+// workers of a batch from serializing on one pool mutex (and sharding the
+// engine still multiplies total pool capacity).
 func WithParallelism(n int) Option {
 	return func(c *config) { c.parallelism = n }
 }
@@ -319,8 +317,8 @@ func WithShards(n int) Option {
 // Engine answers area queries over a fixed point set; it is the static
 // Querier backend. Engines are read-safe after construction: any number
 // of goroutines may share one Engine and query it concurrently
-// (WithStore engines included — their buffer pool shards its locks and
-// loads pages outside them), and QueryAll spreads a batch over an
+// (WithStore engines included — their buffer pool shards its locks by
+// page id), and QueryAll spreads a batch over an
 // internal worker pool (see WithParallelism).
 type Engine struct {
 	querier
@@ -423,7 +421,7 @@ func (e *Engine) CellArea(id int64) float64 {
 // last ResetIOStats, across all goroutines. Identical semantics on every
 // store-backed flavor: a ShardedEngine sums its shards' private stores (a
 // DynamicEngine keeps its records in memory and has no IO to report). For
-// the full pool picture (evictions, singleflight joins, bytes, hit rate)
+// the full pool picture (evictions, bytes, hit rate)
 // attach a registry with WithMetrics.
 func (e *Engine) IOStats() (reads, hits int, ok bool) {
 	if e.store == nil {
@@ -731,95 +729,4 @@ func (s *Snapshot) EachPoint(fn func(id int64, p Point) bool) { s.s.EachPoint(fn
 // returns ctx.Err().
 func (s *Snapshot) KNearest(ctx context.Context, q Point, k int) ([]int64, Stats, error) {
 	return s.s.KNearest(ctx, q, k)
-}
-
-// RenderOptions configures RenderQuerySVG.
-type RenderOptions struct {
-	// WidthPx is the image width in pixels (default 800).
-	WidthPx float64
-	// DrawCells draws the Voronoi cell boundaries.
-	DrawCells bool
-	// DrawDelaunay draws the Delaunay edges.
-	DrawDelaunay bool
-	// DrawMBR draws the query polygon's bounding rectangle.
-	DrawMBR bool
-}
-
-// RenderQuerySVG draws the dataset, the query area, and the query's result
-// and candidate sets as an SVG document — the repository's version of the
-// paper's Figure 2. Results are black, redundant candidates green, other
-// points gray.
-func (e *Engine) RenderQuerySVG(w io.Writer, area Polygon, opts RenderOptions) error {
-	if opts.WidthPx <= 0 {
-		opts.WidthPx = 800
-	}
-	// Run the Voronoi query once; the result set classifies the points and
-	// seeds the candidate-shell replay below.
-	results, err := e.Query(context.Background(), PolygonRegion(area))
-	if err != nil {
-		return err
-	}
-	inResult := make(map[int64]bool, len(results))
-	for _, id := range results {
-		inResult[id] = true
-	}
-
-	canvas := svg.NewCanvas(e.bounds, opts.WidthPx)
-	if opts.DrawCells {
-		arena := e.data.CellArena()
-		var ring geom.Ring
-		for i := 0; i < arena.NumCells(); i++ {
-			ring = arena.AppendRing(i, ring[:0])
-			canvas.Ring(ring, svg.Style{Stroke: "#ccccff", StrokeWidth: 0.5})
-		}
-	}
-	if opts.DrawDelaunay {
-		// Every Delaunay edge once: from its lower-numbered endpoint.
-		for a := int64(0); a < int64(e.Len()); a++ {
-			for _, b := range e.data.Neighbors(a, nil) {
-				if a < int64(b) {
-					canvas.Segment(geom.Seg(e.Point(a), e.Point(int64(b))),
-						svg.Style{Stroke: "#eeddcc", StrokeWidth: 0.5})
-				}
-			}
-		}
-	}
-	if opts.DrawMBR {
-		canvas.Rect(area.Bounds(), svg.Style{Stroke: "#cc0000", StrokeWidth: 1})
-	}
-	canvas.Polygon(area, svg.Style{Stroke: "black", StrokeWidth: 1.5, Fill: "#fff4cc", Opacity: 0.7})
-
-	shell := e.candidateShell(results, inResult)
-	for id := int64(0); id < int64(e.Len()); id++ {
-		p := e.Point(id)
-		switch {
-		case inResult[id]:
-			canvas.Circle(p, 2.2, svg.Style{Fill: "black"})
-		case shell[id]:
-			canvas.Circle(p, 2.2, svg.Style{Fill: "#00aa44"})
-		default:
-			canvas.Circle(p, 1.2, svg.Style{Fill: "#bbbbbb"})
-		}
-	}
-	_, err = canvas.WriteTo(w)
-	return err
-}
-
-// candidateShell returns the ids the Voronoi method validates but
-// rejects, by replaying Algorithm 1's candidate generation over an
-// already-computed result set — no second query runs.
-func (e *Engine) candidateShell(results []int64, inResult map[int64]bool) map[int64]bool {
-	shell := make(map[int64]bool)
-	// The shell is exactly: Voronoi neighbors of results that are outside
-	// the area, plus the seed if it was outside. Replaying the adjacency of
-	// the result set reproduces it (boundary points that only chain from
-	// other boundary points are a measure-zero nicety for rendering).
-	for _, id := range results {
-		for _, nb := range e.data.Neighbors(id, nil) {
-			if !inResult[int64(nb)] {
-				shell[int64(nb)] = true
-			}
-		}
-	}
-	return shell
 }

@@ -12,11 +12,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -518,6 +521,100 @@ func TestRemoteRetry(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatal("retried result diverges")
+	}
+}
+
+// stallingProxy holds the first n POSTs to /v1/query until the client gives
+// up on them, proxies everything else, and records every attempt's
+// Vaq-Timeout-Ms header.
+type stallingProxy struct {
+	inner     http.Handler
+	remaining atomic.Int64
+
+	mu       sync.Mutex
+	timeouts []string // guarded by mu
+}
+
+func (p *stallingProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v1/query" {
+		p.mu.Lock()
+		p.timeouts = append(p.timeouts, r.Header.Get(wire.TimeoutHeader))
+		p.mu.Unlock()
+		if p.remaining.Add(-1) >= 0 {
+			// The server notices a vanished client only once the body is read.
+			io.Copy(io.Discard, r.Body)
+			select {
+			case <-r.Context().Done():
+			case <-time.After(5 * time.Second):
+			}
+			return
+		}
+	}
+	p.inner.ServeHTTP(w, r)
+}
+
+// TestRemoteTimeoutPerTry verifies WithRemoteTimeout bounds one attempt,
+// not the query: a backend that stalls its first /v1/query past the
+// per-try budget and answers the second is absorbed by one retry, every
+// attempt advertises at most that budget in Vaq-Timeout-Ms, and without
+// retries the stall surfaces as context.DeadlineExceeded while the
+// caller's own context is still live.
+func TestRemoteTimeoutPerTry(t *testing.T) {
+	const perTry = 200 * time.Millisecond
+	rng := rand.New(rand.NewSource(49))
+	eng, err := vaq.NewEngine(vaq.UniformPoints(rng, 600, vaq.UnitSquare()), vaq.UnitSquare())
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := &stallingProxy{inner: serve.NewHandler(eng, serve.Config{})}
+	srv := httptest.NewServer(proxy)
+	defer srv.Close()
+	region := vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.5, 0.5), 0.2))
+	want, err := eng.Query(context.Background(), region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	// Without retries the expired attempt is the query's error.
+	proxy.remaining.Store(1)
+	re, err := vaq.DialRemote(ctx, []string{srv.URL}, vaq.WithRemoteTimeout(perTry))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := re.Query(ctx, region); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("no-retry query over a stalled backend: err = %v, want DeadlineExceeded", err)
+	}
+	if ctx.Err() != nil {
+		t.Fatalf("caller's context ended (%v); the per-try budget should have fired first", ctx.Err())
+	}
+
+	// With one retry the second attempt answers.
+	proxy.remaining.Store(1)
+	re, err = vaq.DialRemote(ctx, []string{srv.URL},
+		vaq.WithRemoteTimeout(perTry), vaq.WithRemoteRetries(1, time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := re.Query(ctx, region)
+	if err != nil {
+		t.Fatalf("one retry did not absorb the stalled attempt: %v", err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("retried result diverges")
+	}
+
+	proxy.mu.Lock()
+	defer proxy.mu.Unlock()
+	if len(proxy.timeouts) != 3 {
+		t.Fatalf("backend saw %d attempts, want 3 (one, then two)", len(proxy.timeouts))
+	}
+	for i, hdr := range proxy.timeouts {
+		ms, err := strconv.Atoi(hdr)
+		if err != nil || ms < 1 || ms > int(perTry.Milliseconds()) {
+			t.Errorf("attempt %d: %s = %q, want 1..%d", i, wire.TimeoutHeader, hdr, perTry.Milliseconds())
+		}
 	}
 }
 

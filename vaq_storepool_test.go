@@ -11,10 +11,9 @@ import (
 // TestStoreBackedQueryAllSoak is the exec-pool × sharded-buffer-pool soak
 // (run under -race): many goroutines run parallel QueryAll batches against
 // one store-backed engine whose pool capacity is far below the page count,
-// so evictions, off-lock page loads and singleflight joins all happen
-// mid-batch — and every result must stay byte-identical to the
-// brute-force oracle. Swept at 1 lock shard (the old single-mutex layout)
-// and the default shard count.
+// so evictions and contended misses on one lock shard happen mid-batch —
+// and every result must stay byte-identical to the brute-force oracle.
+// Swept at 1 lock shard and the default shard count.
 func TestStoreBackedQueryAllSoak(t *testing.T) {
 	const (
 		points     = 4000

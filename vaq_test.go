@@ -1,18 +1,10 @@
 package vaq
 
 import (
-	"bytes"
 	"context"
-	"maps"
 	"math/rand"
-	"regexp"
 	"sort"
-	"strings"
 	"testing"
-
-	"repro/internal/geom"
-	"repro/internal/svg"
-	"repro/internal/voronoi"
 )
 
 func sorted(ids []int64) []int64 {
@@ -155,38 +147,6 @@ func TestClusteredWorkloadEndToEnd(t *testing.T) {
 	}
 	if !equal(sorted(a), sorted(b)) {
 		t.Error("methods disagree on clustered data")
-	}
-}
-
-func TestRenderQuerySVG(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	pts := UniformPoints(rng, 400, UnitSquare())
-	eng, err := NewEngine(pts, UnitSquare())
-	if err != nil {
-		t.Fatal(err)
-	}
-	area := RandomQueryPolygon(rng, 10, 0.08, UnitSquare())
-	var buf bytes.Buffer
-	if err := eng.RenderQuerySVG(&buf, area, RenderOptions{
-		DrawCells:    true,
-		DrawDelaunay: true,
-		DrawMBR:      true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	doc := buf.String()
-	for _, want := range []string{"<svg", "</svg>", "<circle", "<polygon", "<path", "<rect"} {
-		if !strings.Contains(doc, want) {
-			t.Errorf("SVG missing %q", want)
-		}
-	}
-	// Result points (black) and shell points (green) should both exist for
-	// a query of this size.
-	if !strings.Contains(doc, `fill="black"`) {
-		t.Error("no result points rendered")
-	}
-	if !strings.Contains(doc, `fill="#00aa44"`) {
-		t.Error("no candidate-shell points rendered")
 	}
 }
 
@@ -372,79 +332,5 @@ func TestKNearestPublicAPI(t *testing.T) {
 	}
 	if got[0] != int64(best) {
 		t.Errorf("nearest = %d, want %d", got[0], best)
-	}
-}
-
-// svgShapes extracts what an SVG document draws as rings and as line
-// segments, order-insensitively: each <polygon> by its points attribute,
-// each <line> by its two endpoints in sorted order.
-func svgShapes(t *testing.T, doc string) (rings, edges map[string]int) {
-	t.Helper()
-	rings, edges = map[string]int{}, map[string]int{}
-	for _, m := range regexp.MustCompile(`<polygon points="([^"]*)"`).FindAllStringSubmatch(doc, -1) {
-		rings[m[1]]++
-	}
-	for _, m := range regexp.MustCompile(`<line x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)"`).FindAllStringSubmatch(doc, -1) {
-		a, b := m[1]+","+m[2], m[3]+","+m[4]
-		if b < a {
-			a, b = b, a
-		}
-		edges[a+" "+b]++
-	}
-	return rings, edges
-}
-
-// TestRenderQuerySVGCellsAndDelaunay pins what DrawCells and DrawDelaunay
-// draw — from the packed cell arena and the CSR adjacency, the engine keeps
-// no diagram — to what drawing from a voronoi.Diagram built here draws:
-// every Diagram.Cell ring and every edge of its triangulation, each once.
-func TestRenderQuerySVGCellsAndDelaunay(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	pts := UniformPoints(rng, 100, UnitSquare())
-	area := RandomQueryPolygon(rng, 8, 0.1, UnitSquare())
-
-	d, err := voronoi.New(pts, UnitSquare())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := svg.NewCanvas(UnitSquare(), 800)
-	for i := range pts {
-		ref.Ring(d.Cell(i), svg.Style{})
-	}
-	tri := d.Triangulation()
-	for a := range pts {
-		for _, b := range tri.Neighbors(a) {
-			if a < int(b) {
-				ref.Segment(geom.Seg(pts[a], pts[b]), svg.Style{})
-			}
-		}
-	}
-	var refDoc bytes.Buffer
-	if _, err := ref.WriteTo(&refDoc); err != nil {
-		t.Fatal(err)
-	}
-	wantRings, wantEdges := svgShapes(t, refDoc.String())
-	// Euler's formula counts the edges: vertices + triangles - 1.
-	if numEdges := len(pts) + len(tri.Triangles()) - 1; len(wantRings) != len(pts) || len(wantEdges) != numEdges {
-		t.Fatalf("reference draws %d rings, %d edges; want %d, %d",
-			len(wantRings), len(wantEdges), len(pts), numEdges)
-	}
-
-	for _, opts := range [][]Option{nil, {WithStore(StoreConfig{})}} {
-		eng, err := NewEngine(pts, UnitSquare(), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doc bytes.Buffer
-		if err := eng.RenderQuerySVG(&doc, area, RenderOptions{DrawCells: true, DrawDelaunay: true}); err != nil {
-			t.Fatal(err)
-		}
-		rings, edges := svgShapes(t, doc.String())
-		if !maps.Equal(rings, wantRings) {
-			t.Errorf("drawn cell rings differ from the diagram's (%d drawn, %d expected)", len(rings), len(wantRings))
-		}
-		if !maps.Equal(edges, wantEdges) {
-			t.Errorf("drawn Delaunay edges differ from the triangulation's (%d drawn, %d expected)", len(edges), len(wantEdges))
-		}
 	}
 }
