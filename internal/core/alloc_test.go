@@ -151,6 +151,53 @@ func TestQueryRegionSpecAllocsZero(t *testing.T) {
 	}
 }
 
+// TestDynamicPublishAllocs pins what one epoch of a dynamic engine
+// allocates — an Insert, the Snapshot that publishes it and the first query
+// on that snapshot: the copies of one R-tree path, the fixed handful of
+// snapshot headers and topology arrays, and nothing for the query, whose
+// scratch comes warm from the pool every epoch shares. A count, not a size:
+// it must not grow with the sites beyond the R-tree's extra level. The lowest
+// of 20 epochs is one whose insert split no node and grew no array.
+func TestDynamicPublishAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates inside sync.Pool")
+	}
+	ctx := context.Background()
+	region := CircleRegion(geom.Circle{Center: geom.Pt(0.5, 0.5), R: 0.03})
+	var lowest []float64
+	for _, n := range []int{5000, 50000} {
+		rng := rand.New(rand.NewSource(59))
+		d := NewDynamicEngine(unitBounds())
+		dest := make([]int64, 0, n)
+		epoch := func() {
+			if _, _, err := d.Insert(geom.Pt(rng.Float64(), rng.Float64())); err != nil {
+				t.Fatal(err)
+			}
+			_, st, err := d.Snapshot().QueryRegionSpec(ctx, region, QuerySpec{Method: VoronoiBFS, Dest: dest})
+			if err != nil || st.ResultSize == 0 {
+				t.Fatalf("%d sites: %d results, err %v", d.Len(), st.ResultSize, err)
+			}
+		}
+		for d.Len() < n {
+			if _, _, err := d.Insert(geom.Pt(rng.Float64(), rng.Float64())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		low := math.Inf(1)
+		for i := 0; i < 20; i++ {
+			low = math.Min(low, testing.AllocsPerRun(1, epoch))
+		}
+		t.Logf("%d sites: %.0f allocations per Insert + Snapshot + query", n, low)
+		if low >= 64 {
+			t.Errorf("%d sites: Insert + Snapshot + query allocates %.0f times, want < 64", n, low)
+		}
+		lowest = append(lowest, low)
+	}
+	if more := lowest[1] - lowest[0]; more > 4 {
+		t.Errorf("ten times the sites cost %.0f more allocations per epoch, want <= 4 (one more R-tree level)", more)
+	}
+}
+
 // TestKNearestIntoMatchesKNearest checks the buffer-reusing variant returns
 // exactly what the allocating entry point returns.
 func TestKNearestIntoMatchesKNearest(t *testing.T) {

@@ -172,15 +172,20 @@ type Engine struct {
 	idx  *RTreeIndex
 	data DataAccess
 
-	// scratch pools per-query state (*queryScratch); see scratch.go.
-	scratch sync.Pool
+	// scratch pools per-query state (*queryScratch); see scratch.go. It is
+	// the engine's own, except that every epoch of a DynamicEngine borrows
+	// its writer's, so a scratch outlives the epoch that warmed it.
+	scratch *sync.Pool
 }
 
 // NewEngine returns an engine over the given index and data.
 func NewEngine(idx *RTreeIndex, data DataAccess) *Engine {
-	e := &Engine{idx: idx, data: data}
-	e.scratch.New = func() interface{} { return newScratch(e.data.NumIDs()) }
-	return e
+	return newEngine(idx, data, newScratchPool())
+}
+
+// newEngine is NewEngine over a scratch pool the caller supplies.
+func newEngine(idx *RTreeIndex, data DataAccess, scratch *sync.Pool) *Engine {
+	return &Engine{idx: idx, data: data, scratch: scratch}
 }
 
 // Add accumulates other's counters (and Duration) into s. It is the merge

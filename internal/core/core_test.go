@@ -320,7 +320,7 @@ func TestEngineReusableAcrossManyQueries(t *testing.T) {
 func TestGenerationWraparound(t *testing.T) {
 	// Scratch-level: crossing the uint32 generation boundary must clear the
 	// stale stamps instead of treating them as current.
-	s := newScratch(200)
+	s := &queryScratch{visited: make([]uint32, 200)}
 	s.visited[7] = 1         // stale stamp that collides with gen == 1 after wrap
 	s.gen = ^uint32(0) - 1   // two generations away from wrapping
 	for i := 0; i < 4; i++ { // crosses the wraparound

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/workload"
@@ -277,6 +279,36 @@ func TestDynamicSnapshotPinsEpoch(t *testing.T) {
 	if len(live) < len(oracle) {
 		t.Fatalf("live query sees %d results, pinned %d", len(live), len(oracle))
 	}
+}
+
+// TestDynamicSnapshotDoesNotPinWriter checks that a held snapshot — which
+// shares R-tree nodes, the point array and the scratch pool with the engine
+// that published it — does not reach the engine itself.
+func TestDynamicSnapshotDoesNotPinWriter(t *testing.T) {
+	collected := make(chan struct{})
+	snap := func() *DynamicSnapshot {
+		d := NewDynamicEngine(unitBounds())
+		runtime.SetFinalizer(d, func(*DynamicEngine) { close(collected) })
+		for _, p := range []geom.Point{geom.Pt(0.2, 0.2), geom.Pt(0.8, 0.3), geom.Pt(0.5, 0.9)} {
+			if _, _, err := d.Insert(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d.Snapshot()
+	}()
+	if _, _, err := snap.KNearest(context.Background(), geom.Pt(0.5, 0.5), 2); err != nil {
+		t.Fatal(err) // the pool now holds a scratch this snapshot warmed
+	}
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(snap)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the engine is still reachable while only its snapshot is held")
 }
 
 // TestDynamicConformanceAcrossMethods is the dynamic conformance suite:

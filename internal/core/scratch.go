@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -61,17 +62,25 @@ func (c *collector) add(id int64, pos geom.Point) bool {
 	return c.limit <= 0 || c.count < c.limit
 }
 
-// newScratch returns a scratch covering n ids.
-func newScratch(n int) *queryScratch {
-	return &queryScratch{visited: make([]uint32, n)}
+// newScratchPool returns a pool of empty scratches; acquireScratch sizes
+// each to the engine that checks it out. The pool refers to nothing, so an
+// engine holding it keeps nothing else alive.
+func newScratchPool() *sync.Pool {
+	return &sync.Pool{New: func() interface{} { return new(queryScratch) }}
 }
 
-// ensureCapacity grows the visited table to cover n ids (the dynamic
-// engine's id space grows with insertions; pooled scratches built before an
-// insertion must catch up on checkout).
+// ensureCapacity grows the visited table to cover n ids. A new scratch
+// gets exactly n; one that fell behind — the dynamic engine's id space
+// grows by one per insert, and every epoch checks scratches out of the one
+// pool — gets a quarter more than it had, so a new table (allocated, zeroed
+// and copied into, O(n)) is the cost of one insert in n/4 rather than of
+// each.
 func (s *queryScratch) ensureCapacity(n int) {
 	if len(s.visited) >= n {
 		return
+	}
+	if spare := len(s.visited) + len(s.visited)/4; n < spare {
+		n = spare
 	}
 	grown := make([]uint32, n)
 	copy(grown, s.visited)

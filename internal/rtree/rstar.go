@@ -51,8 +51,8 @@ func overlapEnlargement(rects []geom.Rect, i int, r geom.Rect) float64 {
 	return after - before
 }
 
-// rstarSplit splits an overflowing node with the R* topological split and
-// returns the new sibling.
+// rstarSplit splits an overflowing node the tree owns with the R*
+// topological split and returns the new sibling.
 func (t *Tree) rstarSplit(n *node) *node {
 	type slot struct {
 		rect  geom.Rect
@@ -123,7 +123,7 @@ func (t *Tree) rstarSplit(n *node) *node {
 	}
 
 	// slots[:k] stay in n; slots[k:] move to the sibling.
-	sib := &node{leaf: n.leaf}
+	sib := &node{leaf: n.leaf, gen: t.gen}
 	n.rects = n.rects[:0]
 	n.ids = n.ids[:0]
 	n.children = n.children[:0]

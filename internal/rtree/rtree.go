@@ -12,6 +12,7 @@ package rtree
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/geom"
 )
@@ -35,10 +36,21 @@ type Tree struct {
 	size       int
 	maxEntries int
 	minEntries int
+
+	// gen is the generation this tree writes in place: a node carrying it
+	// was made by this tree since its last Snapshot and no other tree
+	// reaches it. Any other node may be shared with a snapshot and is
+	// copied before it is written (own). gens hands out generations to
+	// every tree of one Snapshot family — atomically, the trees being
+	// independent in every other respect; a uint64 taking two steps per
+	// Snapshot does not wrap.
+	gen  uint64
+	gens *atomic.Uint64
 }
 
 type node struct {
 	leaf     bool
+	gen      uint64      // the Tree.gen that may write this node in place
 	rects    []geom.Rect // bounding rect per slot
 	ids      []int64     // leaf payloads (leaf only)
 	children []*node     // child pointers (internal only)
@@ -68,38 +80,48 @@ func New(maxEntries int) *Tree {
 		root:       &node{leaf: true},
 		maxEntries: maxEntries,
 		minEntries: min,
+		gens:       new(atomic.Uint64),
 	}
 }
 
 // Len returns the number of stored items.
 func (t *Tree) Len() int { return t.size }
 
-// Snapshot returns an independent copy of the tree: searches and
+// Snapshot returns an independent view of the tree: searches and
 // nearest-neighbor queries on the snapshot see exactly the items present
 // at snapshot time, unaffected by later Insert calls on the original (and
-// vice versa). Node slices are copied, so the cost is
-// O(items); leaf payloads are values and share nothing. Snapshot itself
-// must be serialized with writers — concurrent readers of the resulting
-// snapshot need no further synchronization since nothing mutates it.
+// vice versa). It costs O(1): the snapshot shares every node, and both
+// trees move to a generation no node carries yet, so whichever is inserted
+// into next copies the one root-to-leaf path it is about to write —
+// O(height) nodes per Insert, nothing per node that stays as it was.
+// Moving t to its new generation makes Snapshot a write to t: serialize it
+// with Insert and with other Snapshot calls on t. Concurrent readers of the
+// resulting snapshot need no further synchronization since nothing writes a
+// node they can reach.
 func (t *Tree) Snapshot() *Tree {
 	c := *t
-	c.root = t.root.clone()
+	t.gen = t.gens.Add(1)
+	c.gen = t.gens.Add(1)
 	return &c
 }
 
-// clone deep-copies a node and its subtree.
-func (n *node) clone() *node {
+// own returns n when t may write it in place, and otherwise a copy that t
+// may: same entries, in fresh backing arrays with room for the one entry an
+// insert adds before a split, so that no append lands in an array a
+// snapshot reads. The caller stores the result where it found n.
+func (t *Tree) own(n *node) *node {
+	if n.gen == t.gen {
+		return n
+	}
 	c := &node{
 		leaf:  n.leaf,
-		rects: append([]geom.Rect(nil), n.rects...),
+		gen:   t.gen,
+		rects: append(make([]geom.Rect, 0, t.maxEntries+1), n.rects...),
 	}
 	if n.leaf {
-		c.ids = append([]int64(nil), n.ids...)
-		return c
-	}
-	c.children = make([]*node, len(n.children))
-	for i, ch := range n.children {
-		c.children[i] = ch.clone()
+		c.ids = append(make([]int64, 0, t.maxEntries+1), n.ids...)
+	} else {
+		c.children = append(make([]*node, 0, t.maxEntries+1), n.children...)
 	}
 	return c
 }
@@ -111,10 +133,12 @@ func (t *Tree) Bounds() geom.Rect { return t.root.bounds() }
 // nodes split by the R*-tree rules (rstar.go).
 func (t *Tree) Insert(id int64, r geom.Rect) {
 	t.size++
+	t.root = t.own(t.root)
 	if sib := t.insertRec(t.root, id, r); sib != nil {
 		old := t.root
 		t.root = &node{
 			leaf:     false,
+			gen:      t.gen,
 			rects:    []geom.Rect{old.bounds(), sib.bounds()},
 			children: []*node{old, sib},
 		}
@@ -122,13 +146,15 @@ func (t *Tree) Insert(id int64, r geom.Rect) {
 }
 
 // insertRec descends to the chosen leaf, inserts, and propagates splits
-// back up the recursion; it returns the new sibling when n split.
+// back up the recursion; it returns the new sibling when n split. The
+// caller owns n; each child is owned before the descent enters it.
 func (t *Tree) insertRec(n *node, id int64, r geom.Rect) *node {
 	if n.leaf {
 		n.rects = append(n.rects, r)
 		n.ids = append(n.ids, id)
 	} else {
 		i := t.rstarChoosePath(n, r)
+		n.children[i] = t.own(n.children[i])
 		if sib := t.insertRec(n.children[i], id, r); sib != nil {
 			n.rects[i] = n.children[i].bounds()
 			n.rects = append(n.rects, sib.bounds())
@@ -200,14 +226,20 @@ func (t *Tree) search(n *node, query geom.Rect, fn func(int64, geom.Rect) bool, 
 
 // Validate checks the structural invariants of the tree: bounding rects
 // cover children, all leaves at the same depth, the item count matches
-// Len, and — when checkMinFill is set — non-root nodes respect the minimum
-// fill (bulk-loaded trees may pack trailing nodes below it). Intended for
+// Len, no node carries a generation newer than the tree's or than its
+// parent's (path copying owns a parent before its child, so a newer child
+// means a snapshot can reach a node its tree writes in place), and — when
+// checkMinFill is set — non-root nodes respect the minimum fill
+// (bulk-loaded trees may pack trailing nodes below it). Intended for
 // tests.
 func (t *Tree) Validate(checkMinFill bool) error {
 	leafDepth := -1
 	items := 0
 	var walk func(n *node, depth int, isRoot bool) error
 	walk = func(n *node, depth int, isRoot bool) error {
+		if n.gen > t.gen {
+			return fmt.Errorf("rtree: node of generation %d in a tree of generation %d", n.gen, t.gen)
+		}
 		if !isRoot && checkMinFill {
 			if n.count() < t.minEntries {
 				return fmt.Errorf("rtree: node underfull: %d < %d", n.count(), t.minEntries)
@@ -235,6 +267,9 @@ func (t *Tree) Validate(checkMinFill bool) error {
 			return fmt.Errorf("rtree: internal slot mismatch")
 		}
 		for i, c := range n.children {
+			if c.gen > n.gen {
+				return fmt.Errorf("rtree: child of generation %d under a parent of generation %d", c.gen, n.gen)
+			}
 			if !n.rects[i].ContainsRect(c.bounds()) {
 				return fmt.Errorf("rtree: child bounds %v escape slot rect %v", c.bounds(), n.rects[i])
 			}

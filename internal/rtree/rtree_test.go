@@ -1,8 +1,10 @@
 package rtree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -211,6 +213,15 @@ func TestDuplicateRects(t *testing.T) {
 	}
 }
 
+// height returns the number of levels of tr, the leaves' included.
+func height(tr *Tree) int {
+	h := 1
+	for n := tr.root; !n.leaf; n = n.children[0] {
+		h++
+	}
+	return h
+}
+
 func TestHeightGrowsLogarithmically(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tr := New(16)
@@ -220,12 +231,8 @@ func TestHeightGrowsLogarithmically(t *testing.T) {
 	if err := tr.Validate(true); err != nil { // every leaf at one depth
 		t.Fatal(err)
 	}
-	h := 1
-	for n := tr.root; !n.leaf; n = n.children[0] {
-		h++
-	}
 	// With fan-out >= 6 (min fill), 10k items fit in height <= 6.
-	if h > 6 {
+	if h := height(tr); h > 6 {
 		t.Errorf("height = %d, suspiciously deep", h)
 	}
 }
@@ -296,68 +303,220 @@ func BenchmarkNearestNeighbor(b *testing.B) {
 	}
 }
 
+// checkAgainstBruteForce compares an insertion-built tr with brute force over
+// items, the set it must hold: Len, Validate, a window over everything,
+// random windows and nearest neighbors.
+func checkAgainstBruteForce(t *testing.T, name string, tr *Tree, items []Item, rng *rand.Rand) {
+	t.Helper()
+	if tr.Len() != len(items) {
+		t.Fatalf("%s: Len = %d, want %d", name, tr.Len(), len(items))
+	}
+	if err := tr.Validate(true); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for trial := 0; trial < 40; trial++ {
+		q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
+		if trial == 0 {
+			q = geom.NewRect(-1, -1, 2, 2)
+		}
+		got, want := collect(tr, q), bruteSearch(items, q)
+		if len(got) != len(want) {
+			t.Fatalf("%s: window %v returned %d items, want %d", name, q, len(got), len(want))
+		}
+		for id := range want {
+			if !got[id] {
+				t.Fatalf("%s: window %v misses id %d", name, q, id)
+			}
+		}
+		p := geom.Pt(rng.Float64(), rng.Float64())
+		wantD := math.Inf(1)
+		for _, it := range items {
+			wantD = math.Min(wantD, it.Rect.Dist2Point(p))
+		}
+		nn, _, ok := tr.NearestNeighbor(p)
+		if ok != (len(items) > 0) || (ok && nn.Rect.Dist2Point(p) != wantD) {
+			t.Fatalf("%s: NearestNeighbor(%v) = %v (ok=%v), want distance² %v", name, p, nn, ok, wantD)
+		}
+	}
+}
+
+// TestSnapshotIsolation inserts into each side of a Snapshot in turn and
+// checks both trees against their own item sets after each: the two share
+// every node neither has written since, so a write that skipped its copy
+// shows up in the other tree's answers, not in its Len.
 func TestSnapshotIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	tr := New(8)
-	items := randomPointItems(rng, 400)
-	for _, it := range items[:250] {
+	items := randomPointItems(rng, 1400)
+	liveItems, base := items[:1100], items[:1000]
+	for _, it := range base {
 		tr.Insert(it.ID, it.Rect)
 	}
-
 	snap := tr.Snapshot()
-	if snap.Len() != 250 {
-		t.Fatalf("snapshot Len = %d, want 250", snap.Len())
-	}
+	checkAgainstBruteForce(t, "fresh snapshot", snap, base, rng)
 
-	// Mutate the original: insert the rest.
-	for _, it := range items[250:] {
+	// Mutate the original.
+	for _, it := range liveItems[len(base):] {
 		tr.Insert(it.ID, it.Rect)
 	}
+	checkAgainstBruteForce(t, "snapshot after live inserts", snap, base, rng)
+	checkAgainstBruteForce(t, "live tree after its inserts", tr, liveItems, rng)
 
-	if snap.Len() != 250 {
-		t.Fatalf("snapshot Len changed to %d after live mutation", snap.Len())
+	// Mutate the snapshot, with more inserts than the original took, so
+	// they reach leaves the original has not copied.
+	snapItems := append(append([]Item(nil), base...), items[len(liveItems):]...)
+	for _, it := range snapItems[len(base):] {
+		snap.Insert(it.ID, it.Rect)
 	}
-	if err := snap.Validate(false); err != nil {
-		t.Errorf("snapshot invalid after live mutation: %v", err)
-	}
-	if err := tr.Validate(false); err != nil {
-		t.Errorf("live tree invalid: %v", err)
-	}
+	checkAgainstBruteForce(t, "snapshot after its inserts", snap, snapItems, rng)
+	checkAgainstBruteForce(t, "live tree after snapshot inserts", tr, liveItems, rng)
+}
 
-	// Window results on the snapshot must be exactly the pinned item set.
-	q := geom.NewRect(0.2, 0.2, 0.7, 0.7)
-	want := bruteSearch(items[:250], q)
-	got := make(map[int64]bool)
-	snap.Search(q, func(id int64, _ geom.Rect) bool {
-		got[id] = true
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("snapshot search returned %d items, want %d", len(got), len(want))
+// TestSnapshotChain takes a snapshot every 1-7 inserts while a tree grows
+// from empty to past its second root split. Every snapshot shares nodes
+// with its neighbors in the chain; at the end each must still hold exactly
+// the prefix it pinned.
+func TestSnapshotChain(t *testing.T) {
+	for _, fanout := range []int{4, 16} {
+		rng := rand.New(rand.NewSource(int64(fanout)))
+		tr := New(fanout)
+		type pinned struct {
+			tree *Tree
+			n    int
+		}
+		chain := []pinned{{tr.Snapshot(), 0}}
+		var items []Item
+		next := 1 + rng.Intn(7)
+		for tall := 0; tall < 50; { // 50 more inserts at height 3
+			it := pointItem(int64(len(items)), rng.Float64(), rng.Float64())
+			items = append(items, it)
+			tr.Insert(it.ID, it.Rect)
+			if height(tr) >= 3 {
+				tall++
+			}
+			if next--; next == 0 {
+				chain = append(chain, pinned{tr.Snapshot(), len(items)})
+				next = 1 + rng.Intn(7)
+			}
+		}
+		for _, p := range chain {
+			name := fmt.Sprintf("fan-out %d, snapshot at %d of %d items", fanout, p.n, len(items))
+			checkAgainstBruteForce(t, name, p.tree, items[:p.n], rng)
+		}
+		checkAgainstBruteForce(t, fmt.Sprintf("fan-out %d, live tree", fanout), tr, items, rng)
 	}
-	for id := range want {
-		if !got[id] {
-			t.Fatalf("snapshot search missing id %d", id)
+}
+
+// TestSnapshotReadersDuringInserts hands a snapshot per insert to readers
+// that search it while the writer goes on inserting into the tree it shares
+// nodes with. Run under -race: a write to a shared node is a report.
+func TestSnapshotReadersDuringInserts(t *testing.T) {
+	const (
+		inserts = 2000
+		readers = 4
+	)
+	type epoch struct {
+		tree *Tree
+		n    int
+	}
+	// Unbuffered: the writer runs one insert ahead of the slowest reader.
+	epochs := make(chan epoch)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for e := range epochs {
+				if err := e.tree.Validate(true); err != nil {
+					t.Errorf("snapshot at %d items: %v", e.n, err)
+				}
+				all := e.tree.Search(geom.NewRect(-1, -1, 2, 2), func(int64, geom.Rect) bool { return true })
+				if all.Results != e.n || e.tree.Len() != e.n {
+					t.Errorf("snapshot at %d items holds %d (Len %d)", e.n, all.Results, e.tree.Len())
+				}
+				cx, cy := rng.Float64(), rng.Float64()
+				e.tree.Search(geom.NewRect(cx, cy, cx+0.3, cy+0.3), func(id int64, _ geom.Rect) bool {
+					if id >= int64(e.n) {
+						t.Errorf("snapshot at %d items returned id %d", e.n, id)
+					}
+					return true
+				})
+				if nn, _, ok := e.tree.NearestNeighbor(geom.Pt(cx, cy)); !ok || nn.ID >= int64(e.n) {
+					t.Errorf("snapshot at %d items: NearestNeighbor = %v (ok=%v)", e.n, nn, ok)
+				}
+			}
+		}(int64(r))
+	}
+	rng := rand.New(rand.NewSource(22))
+	tr := New(8)
+	for i := 0; i < inserts; i++ {
+		x, y := rng.Float64(), rng.Float64()
+		tr.Insert(int64(i), geom.NewRect(x, y, x, y))
+		epochs <- epoch{tr.Snapshot(), i + 1}
+	}
+	close(epochs)
+	wg.Wait()
+}
+
+// grownTree returns a fan-out-16 tree of n random points built by Insert,
+// as the dynamic engine builds its own. A size is built once per process —
+// under the race detector 50k inserts take seconds, and -count repeats the
+// pins below — and handed out as a Snapshot, the caller's to insert into.
+func grownTree(n int) *Tree {
+	tr := grownTrees[n]
+	if tr == nil {
+		rng := rand.New(rand.NewSource(int64(n)))
+		tr = New(16)
+		for _, it := range randomPointItems(rng, n) {
+			tr.Insert(it.ID, it.Rect)
+		}
+		grownTrees[n] = tr
+	}
+	return tr.Snapshot()
+}
+
+var grownTrees = map[int]*Tree{}
+
+var snapshotSink *Tree
+
+// TestTreeSnapshotAllocs pins Snapshot at O(1): the one Tree header,
+// however many items the tree holds.
+func TestTreeSnapshotAllocs(t *testing.T) {
+	for _, n := range []int{1000, 50000} {
+		tr := grownTree(n)
+		if allocs := testing.AllocsPerRun(100, func() { snapshotSink = tr.Snapshot() }); allocs > 1 {
+			t.Errorf("Snapshot of %d items: %.1f allocations, want <= 1", n, allocs)
 		}
 	}
+}
 
-	// And the snapshot's nearest neighbor comes from the pinned set too.
-	qp := geom.Pt(0.5, 0.5)
-	bestID, bestD := int64(-1), math.Inf(1)
-	for _, it := range items[:250] {
-		if d := it.Rect.Dist2Point(qp); d < bestD {
-			bestID, bestD = it.ID, d
+// TestInsertAfterSnapshotAllocs pins what a Snapshot costs the next Insert:
+// copies of the nodes on one root-to-leaf path — a node and its two slices
+// each — and so a function of the height, not of the item count. The lowest
+// of 20 epochs is the one whose insert split nothing.
+func TestInsertAfterSnapshotAllocs(t *testing.T) {
+	var lowest, heights []int
+	for _, n := range []int{5000, 50000} {
+		tr := grownTree(n)
+		rng := rand.New(rand.NewSource(23))
+		epoch := func() {
+			snapshotSink = tr.Snapshot()
+			x, y := rng.Float64(), rng.Float64()
+			tr.Insert(int64(tr.Len()), geom.NewRect(x, y, x, y))
 		}
+		low := math.Inf(1)
+		for i := 0; i < 20; i++ {
+			low = math.Min(low, testing.AllocsPerRun(1, epoch))
+		}
+		h := height(tr)
+		t.Logf("%d items, height %d: %.0f allocations per Snapshot + Insert", n, h, low)
+		if low > float64(3*(h+1)) {
+			t.Errorf("%d items: Snapshot + Insert allocates %.0f times, want <= 3 x (height %d + 1)", n, low, h)
+		}
+		lowest, heights = append(lowest, int(low)), append(heights, h)
 	}
-	item, _, ok := snap.NearestNeighbor(qp)
-	if !ok || item.ID != bestID {
-		t.Errorf("snapshot NearestNeighbor = %v (ok=%v), want id %d", item, ok, bestID)
-	}
-
-	// Mutating the snapshot must not leak back into the original.
-	snapSize, origSize := snap.Len(), tr.Len()
-	snap.Insert(9999, geom.NewRect(0.99, 0.99, 0.99, 0.99))
-	if snap.Len() != snapSize+1 || tr.Len() != origSize {
-		t.Errorf("snapshot insert leaked: snap %d orig %d", snap.Len(), tr.Len())
+	if more, levels := lowest[1]-lowest[0], heights[1]-heights[0]; more > 3*levels {
+		t.Errorf("ten times the items cost %d more allocations over %d more levels, want <= 3 per level", more, levels)
 	}
 }

@@ -77,10 +77,11 @@
 // of the epoch current when it started, so queries never observe a
 // half-applied insert and any query started after an Insert returns is
 // guaranteed to see it. Queries between writes share the published
-// snapshot lock-free; the first query after a write republishes it — an
-// O(n) copy serialized with the writer, so that one query and any
-// concurrent Insert briefly contend. Snapshot() pins one epoch explicitly
-// for multi-query consistency.
+// snapshot lock-free; the first query after a write republishes it — a
+// copy of the triangulation's topology arrays (the R-tree is shared, not
+// copied) serialized with the writer, so that one query and any concurrent
+// Insert briefly contend. Snapshot() pins one epoch explicitly for
+// multi-query consistency.
 //
 // QueryAll additionally runs the batch itself in parallel on a bounded
 // worker pool — WithParallelism(n) sets the pool size (default GOMAXPROCS;
@@ -142,6 +143,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -612,17 +614,22 @@ var (
 // Write visibility: a query started after Insert returns is guaranteed to
 // reflect that insert; a query concurrent with an Insert sees either the
 // epoch before it or after it, never a mixture. The first query after a
-// write pays a one-time O(n) snapshot publish (serialized with the
-// writer); all queries between writes share the published epoch for free.
-// Use Snapshot to pin one epoch across several queries — e.g. a result
-// query and its Count, or a query and the brute-force oracle validating
-// it.
+// write pays a one-time snapshot publish (serialized with the writer): a
+// copy of the triangulation's topology arrays, O(n) at memcpy speed —
+// under a millisecond at 50k points — while the R-tree is shared with the
+// writer, which copies only the path its next insert descends. All queries
+// between writes share the published epoch for free. Use Snapshot to pin
+// one epoch across several queries — e.g. a result query and its Count, or
+// a query and the brute-force oracle validating it.
 type DynamicEngine struct {
 	d *core.DynamicEngine
 	// proto is every Snapshot's querier, less the backend and epoch each
 	// one pins; pool is the worker pool their QueryAll runs on.
 	proto querier
 	pool  exec.Options
+	// snap is the Snapshot wrapping the core snapshot most recently pinned,
+	// reused for as long as that one stays the published epoch.
+	snap atomic.Pointer[Snapshot]
 }
 
 // NewDynamicEngine returns an empty dynamic engine. All inserted points
@@ -655,9 +662,20 @@ func (e *DynamicEngine) Insert(p Point) (id int64, inserted bool, err error) {
 // calls between writes return the same published view at no cost.
 func (e *DynamicEngine) Snapshot() *Snapshot {
 	cs := e.d.Snapshot()
+	cur := e.snap.Load()
+	if cur != nil && cur.s == cs {
+		return cur
+	}
 	s := &Snapshot{querier: e.proto, s: cs,
 		pool: pooled{regionQuerier: cs, eng: cs.Engine(), snap: cs, opts: e.pool}}
 	s.backend, s.epoch = &s.pool, cs.Epoch()
+	if !e.snap.CompareAndSwap(cur, s) {
+		// A concurrent pinner published first; share its wrapper unless a
+		// write came between and it pinned a later epoch.
+		if won := e.snap.Load(); won.s == cs {
+			return won
+		}
+	}
 	return s
 }
 
@@ -698,7 +716,7 @@ func (e *DynamicEngine) PointOK(id int64) (Point, bool) { return e.d.PointOK(id)
 type Snapshot struct {
 	querier // the parent DynamicEngine's cache and metrics, over the pinned epoch
 	s       *core.DynamicSnapshot
-	pool    pooled // the querier's backend, held by value: one allocation per pin
+	pool    pooled // the querier's backend, held by value: one allocation per epoch
 }
 
 // Epoch returns the epoch the snapshot pinned (the number of inserts it

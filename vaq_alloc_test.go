@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-// queryAllocs measures Engine.Query(ctx, region, Reuse(buf)) per call over
-// regions, after one warm-up pass (scratch pool, buffer growth, resident
+// queryAllocs measures query — an engine's Query(ctx, region, Reuse(buf)),
+// called on its concrete type as a query loop would — per call over regions
+// on n points, after one warm-up pass (scratch pool, buffer growth, resident
 // pages) and with every polygon region past the containment tests that make
 // it build its grid — one allocation per region, once, a hundred-odd tests
 // in (geom's gridAfter); it is set-up, not the warm path pinned here.
-func queryAllocs(t *testing.T, eng *Engine, regions []Region) float64 {
+func queryAllocs(t *testing.T, n int, regions []Region, query func(r Region, buf []int64) ([]int64, error)) float64 {
 	t.Helper()
-	ctx := context.Background()
-	buf := make([]int64, 0, eng.Len())
+	buf := make([]int64, 0, n)
 	for _, r := range regions {
 		for i := 0; i < 1024; i++ {
 			r.ContainsPoint(r.InteriorPoint())
@@ -22,7 +22,7 @@ func queryAllocs(t *testing.T, eng *Engine, regions []Region) float64 {
 	}
 	pass := func() {
 		for _, r := range regions {
-			ids, err := eng.Query(ctx, r, Reuse(buf))
+			ids, err := query(r, buf)
 			if err != nil || len(ids) == 0 {
 				t.Fatalf("Query: %d ids, err %v", len(ids), err)
 			}
@@ -51,10 +51,49 @@ func TestEngineQueryAllocs(t *testing.T) {
 		PolygonRegion(RandomQueryPolygon(rng, 10, 0.002, UnitSquare())),
 		CircleRegion(NewCircle(Pt(0.5, 0.5), 0.05)),
 	}
-	allocs := queryAllocs(t, eng, regions)
+	allocs := queryAllocs(t, eng.Len(), regions, func(r Region, buf []int64) ([]int64, error) {
+		return eng.Query(context.Background(), r, Reuse(buf))
+	})
 	t.Logf("%.2f allocs per query", allocs)
 	if allocs > 2 {
 		t.Fatalf("Engine.Query(ctx, r, Reuse(buf)) on a memory engine: %.2f allocs per query, want <= 2", allocs)
+	}
+}
+
+// TestDynamicEngineQueryAllocs pins the same path on a dynamic engine
+// between writes: pinning the published epoch allocates nothing — neither a
+// core snapshot nor the Snapshot wrapping it — so a query allocates what it
+// does on a static engine over the same points, and no more.
+func TestDynamicEngineQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates inside sync.Pool")
+	}
+	rng := rand.New(rand.NewSource(9))
+	pts := UniformPoints(rng, 5000, UnitSquare())
+	static, err := NewEngine(pts, UnitSquare())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn := NewDynamicEngine(UnitSquare())
+	for _, p := range pts {
+		if _, _, err := dyn.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	regions := []Region{
+		PolygonRegion(RandomQueryPolygon(rng, 10, 0.02, UnitSquare())),
+		CircleRegion(NewCircle(Pt(0.5, 0.5), 0.05)),
+	}
+	ctx := context.Background()
+	want := queryAllocs(t, len(pts), regions, func(r Region, buf []int64) ([]int64, error) {
+		return static.Query(ctx, r, Reuse(buf))
+	})
+	got := queryAllocs(t, len(pts), regions, func(r Region, buf []int64) ([]int64, error) {
+		return dyn.Query(ctx, r, Reuse(buf))
+	})
+	t.Logf("%.2f allocs per query, %.2f on the static engine", got, want)
+	if got > want || got > 2 {
+		t.Fatalf("DynamicEngine.Query(ctx, r, Reuse(buf)) between writes: %.2f allocs per query, want <= %.2f (the static engine's) and <= 2", got, want)
 	}
 }
 
@@ -103,7 +142,9 @@ func TestStoreEngineQueryAllocs(t *testing.T) {
 		if name == "thrashing" && misses < 5 {
 			t.Fatalf("thrashing pool reads only %.1f pages per query; the test exercises nothing", misses)
 		}
-		allocs := queryAllocs(t, eng, regions)
+		allocs := queryAllocs(t, eng.Len(), regions, func(r Region, buf []int64) ([]int64, error) {
+			return eng.Query(ctx, r, Reuse(buf))
+		})
 		t.Logf("%s: %.2f allocs per query at %.1f page misses", name, allocs, misses)
 		if allocs > 2 {
 			t.Errorf("%s: %.2f allocs per query at %.1f page misses, want <= 2", name, allocs, misses)

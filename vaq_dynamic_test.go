@@ -236,6 +236,85 @@ func TestDynamicEngineConcurrentInsertQuery(t *testing.T) {
 	t.Logf("soak: %d verification rounds across %d distinct epochs", queriesRun.Load(), distinct)
 }
 
+// TestDynamicSnapshotSharedBetweenWrites pins Snapshot's "same published
+// view at no cost": between writes every pinner — sequential or concurrent —
+// gets one *Snapshot, and a write moves the next pin to a new one, one epoch
+// later, leaving the old view as it was.
+func TestDynamicSnapshotSharedBetweenWrites(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	eng := NewDynamicEngine(UnitSquare())
+	insert := func() {
+		if _, _, err := eng.Insert(Pt(rng.Float64(), rng.Float64())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		insert()
+	}
+	first := eng.Snapshot()
+	if again := eng.Snapshot(); again != first {
+		t.Fatal("two Snapshot calls between writes returned distinct views")
+	}
+	insert()
+	second := eng.Snapshot()
+	if second == first || second.Epoch() != first.Epoch()+1 {
+		t.Fatalf("Snapshot after an Insert: same view %v, epoch %d after %d", second == first, second.Epoch(), first.Epoch())
+	}
+	if first.Epoch() != 50 || first.Len() != 50 {
+		t.Fatalf("pinned view moved to epoch %d, %d points", first.Epoch(), first.Len())
+	}
+
+	// Concurrent pinners of one epoch share one view too.
+	for round := 0; round < 20; round++ {
+		insert()
+		pins := make([]*Snapshot, 8)
+		var wg sync.WaitGroup
+		for i := range pins {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				pins[i] = eng.Snapshot()
+			}(i)
+		}
+		wg.Wait()
+		for i, s := range pins {
+			if s != pins[0] || s.Epoch() != eng.Epoch() {
+				t.Fatalf("round %d: pinner %d got view %p at epoch %d, pinner 0 %p, engine at epoch %d",
+					round, i, s, s.Epoch(), pins[0], eng.Epoch())
+			}
+		}
+	}
+
+	// Pinners racing a writer: whatever view each gets is whole, and never
+	// older than the one it got before.
+	var wg sync.WaitGroup
+	var writerDone atomic.Bool
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last uint64
+			for done := false; !done; {
+				done = writerDone.Load()
+				s := eng.Snapshot()
+				if s.Epoch() < last || uint64(s.Len()) != s.Epoch() {
+					t.Errorf("pinned epoch %d with %d points after epoch %d", s.Epoch(), s.Len(), last)
+					return
+				}
+				last = s.Epoch()
+			}
+			if last != eng.Epoch() {
+				t.Errorf("last pin at epoch %d, engine at %d", last, eng.Epoch())
+			}
+		}()
+	}
+	for i := 0; i < 300; i++ {
+		insert()
+	}
+	writerDone.Store(true)
+	wg.Wait()
+}
+
 func TestDynamicOutsideUniverseSentinel(t *testing.T) {
 	eng := NewDynamicEngine(UnitSquare())
 	if _, _, err := eng.Insert(Pt(5, 5)); !errors.Is(err, ErrOutsideUniverse) {
