@@ -173,7 +173,7 @@ func TestDynamicPublishAllocs(t *testing.T) {
 			if _, _, err := d.Insert(geom.Pt(rng.Float64(), rng.Float64())); err != nil {
 				t.Fatal(err)
 			}
-			_, st, err := d.Snapshot().QueryRegionSpec(ctx, region, QuerySpec{Method: VoronoiBFS, Dest: dest})
+			_, st, err := d.Snapshot().Engine().QueryRegionSpec(ctx, region, QuerySpec{Method: VoronoiBFS, Dest: dest})
 			if err != nil || st.ResultSize == 0 {
 				t.Fatalf("%d sites: %d results, err %v", d.Len(), st.ResultSize, err)
 			}
@@ -249,7 +249,7 @@ func TestDynamicArenaMatchesCell(t *testing.T) {
 	if again := data.CellArena(); again != arena {
 		t.Fatal("CellArena rebuilt on second call; want cached per snapshot")
 	}
-	u := snap.Universe()
+	u := unitBounds()
 	clip := u.Expand(u.Width() + u.Height() + 1)
 	sites := make([]geom.Point, data.NumIDs())
 	for id := range sites {

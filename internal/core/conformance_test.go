@@ -13,7 +13,7 @@ import (
 // shippedEngine is one seed-index × data-layer combination that ships.
 type shippedEngine struct {
 	name string
-	eng  specQuerier
+	eng  *Engine
 	// idOffset maps engine ids to indexes of the point slice: the dynamic
 	// engine numbers its user sites after the fence sites.
 	idOffset int64
@@ -45,7 +45,7 @@ func shippedEngines(t *testing.T, pts []geom.Point) []shippedEngine {
 	}
 	return []shippedEngine{
 		{"rtree", NewEngine(NewRTreeIndex(pts, 16), data), 0},
-		{"rstar", de.Snapshot(), delaunay.FirstSiteID},
+		{"rstar", de.Snapshot().Engine(), delaunay.FirstSiteID},
 	}
 }
 

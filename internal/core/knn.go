@@ -31,7 +31,7 @@ func (e *Engine) KNearest(ctx context.Context, q geom.Point, k int) ([]int64, St
 //vaq:noalloc
 func (e *Engine) kNearestInto(ctx context.Context, q geom.Point, k int, dest []int64) ([]int64, Stats, error) {
 	var stats Stats
-	if e.data.NumIDs() == 0 {
+	if e.idx.Len() == 0 {
 		// Same contract as Query on an empty engine (not nil, nil — callers
 		// can rely on one empty-data sentinel across every entry point).
 		return nil, stats, ErrNoData
@@ -42,11 +42,8 @@ func (e *Engine) kNearestInto(ctx context.Context, q geom.Point, k int, dest []i
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
 	}
-	seed, nnNodes, ok := e.idx.Nearest(q)
+	seed, nnNodes, _ := e.idx.Nearest(q) // the index is not empty
 	stats.IndexNodesVisited += nnNodes
-	if !ok {
-		return nil, stats, ErrNoData
-	}
 
 	// Auxiliary sites (dynamic fence points) are traversed but never
 	// emitted.

@@ -96,9 +96,9 @@ func (e *Engine) collect(ctx context.Context, region Region, spec QuerySpec, c c
 }
 
 // eachRegion dispatches to the method implementations, wrapping them with
-// the shared bookkeeping (empty-data check, Method stamp, Duration).
+// the shared bookkeeping (empty-index check, Method stamp, Duration).
 func (e *Engine) eachRegion(ctx context.Context, region Region, m Method, tr *obs.QueryTrace, s *queryScratch) (Stats, error) {
-	if e.data.NumIDs() == 0 {
+	if e.idx.Len() == 0 {
 		return Stats{Method: m}, ErrNoData
 	}
 	start := time.Now()
@@ -217,16 +217,13 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 		seedStart = time.Now()
 	}
 	seedPos := region.InteriorPoint()
-	seed, nnNodes, ok := e.idx.Nearest(seedPos)
+	seed, nnNodes, _ := e.idx.Nearest(seedPos) // eachRegion saw a non-empty index
 	var bfsStart time.Time
 	if traced {
 		tr.Add(obs.PhaseSeed, time.Since(seedStart))
 		bfsStart = time.Now()
 	}
 	stats.IndexNodesVisited += nnNodes
-	if !ok {
-		return stats, ErrNoData
-	}
 
 	s.mark(seed)
 	s.queue = append(s.queue, seed)

@@ -3,6 +3,7 @@ package delaunay
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/robust"
@@ -279,31 +280,10 @@ func (d *Dynamic) deleteEdgeFixingVerts(e edgeID) {
 	p.deleteEdge(e)
 }
 
-// Neighbors calls fn with each Delaunay neighbor of site id in rotational
-// order; fn returning false stops the iteration. Fence sites may be
-// reported.
-func (d *Dynamic) Neighbors(id int, fn func(nb int32) bool) {
-	start := d.vertEdge[id]
-	if start == nilEdge {
-		return
-	}
-	p := d.pool
-	e := start
-	for {
-		if !fn(p.dst(e)) {
-			return
-		}
-		e = p.onext[e]
-		if e == start {
-			return
-		}
-	}
-}
-
-// AppendNeighbors appends the Delaunay neighbors of site id to buf, in the
-// rotational order Neighbors reports them, and returns the extended slice.
-// It is the closure-free form of Neighbors: with a buffer of sufficient
-// capacity the ring walk allocates nothing.
+// AppendNeighbors appends the Delaunay neighbors of site id to buf, in
+// rotational order, and returns the extended slice; fence sites may be
+// among them. With a buffer of sufficient capacity the ring walk allocates
+// nothing.
 func (d *Dynamic) AppendNeighbors(id int, buf []int32) []int32 {
 	start := d.vertEdge[id]
 	if start == nilEdge {
@@ -328,24 +308,10 @@ func (d *Dynamic) Validate() error {
 		if start := d.vertEdge[v]; start != nilEdge && int(p.org[start]) != v {
 			return fmt.Errorf("delaunay: vertEdge[%d] has org %d", v, p.org[start])
 		}
-		symmetric := true
-		d.Neighbors(v, func(nb int32) bool {
-			found := false
-			d.Neighbors(int(nb), func(back int32) bool {
-				if int(back) == v {
-					found = true
-					return false
-				}
-				return true
-			})
-			if !found {
-				symmetric = false
-				return false
+		for _, nb := range d.AppendNeighbors(v, nil) {
+			if !slices.Contains(d.AppendNeighbors(int(nb), nil), int32(v)) {
+				return fmt.Errorf("delaunay: dynamic adjacency not symmetric at %d", v)
 			}
-			return true
-		})
-		if !symmetric {
-			return fmt.Errorf("delaunay: dynamic adjacency not symmetric at %d", v)
 		}
 	}
 	for q := 0; q < p.numQuads(); q++ {

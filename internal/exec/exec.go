@@ -46,14 +46,13 @@ type Options struct {
 	// DefaultChunk.
 	Chunk int
 	// Metrics, when non-nil, instruments the pool (see Metrics). Nil
-	// costs one pointer comparison per chunk claim.
+	// costs a few predictable branches per task and no clock read.
 	Metrics *Metrics
 }
 
 // Metrics instruments the worker pool. Any field may be nil (obs
 // metrics are nil-safe); a nil *Metrics disables instrumentation
-// entirely. The parallel path records chunk-claim waits and per-batch
-// worker busy time; the single-worker path counts tasks only.
+// entirely.
 type Metrics struct {
 	// Tasks counts tasks executed (queries for QueryBatch).
 	Tasks *obs.Counter
@@ -70,8 +69,9 @@ type Metrics struct {
 	ActiveWorkers *obs.Gauge
 }
 
-// workers resolves the effective worker count for n queries.
-func (o Options) workers(n int) int {
+// Workers returns the worker count Run and QueryBatch will use for n
+// tasks, for callers sizing per-worker accumulators.
+func (o Options) Workers(n int) int {
 	w := o.NumWorkers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -82,27 +82,18 @@ func (o Options) workers(n int) int {
 	return w
 }
 
-// chunk resolves the effective chunk size.
-func (o Options) chunk() int {
-	if o.Chunk <= 0 {
-		return DefaultChunk
-	}
-	return o.Chunk
-}
-
 // QueryBatch answers every region per spec against the shared engine,
 // returning per-query results aligned with regions and aggregate
 // statistics. The aggregate is the sum over per-query stats — Duration is
 // summed per-query time, not batch wall clock, so it is comparable with a
 // sequential run of the same batch. On error the batch stops early and
 // returns the lowest-indexed error among those observed before the pool
-// drained (a parallel run may therefore report a different failing query
-// than a sequential run of the same batch, which always reports the
-// first), together with the aggregate statistics of the queries that did
-// complete. Cancelling ctx aborts un-claimed queries and surfaces as a
-// (wrapped) ctx.Err(); an already-cancelled context returns before any
-// query runs. spec.Dest is ignored: one reuse buffer cannot back a batch
-// of independent result slices.
+// drained (so a parallel run may name a later failing query than a
+// sequential one), with the aggregate statistics of the queries that did
+// complete. Cancelling ctx aborts un-claimed queries and surfaces as
+// ctx.Err(), wrapped when a running query reported it. spec.Dest is
+// ignored: one reuse buffer cannot back a batch of independent result
+// slices.
 //
 // The engine's DataAccess must be safe for concurrent use when
 // NumWorkers > 1 (both core.MemoryData and core.StoreData are).
@@ -112,45 +103,22 @@ func QueryBatch(ctx context.Context, eng *core.Engine, regions []core.Region, sp
 	if n == 0 {
 		return nil, agg, nil
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, agg, err
-	}
 	spec.Dest = nil
-	workers := opts.workers(n)
 	out := make([][]int64, n)
-	if workers == 1 {
-		for i, region := range regions {
-			ids, st, err := eng.QueryRegionSpec(ctx, region, spec)
-			agg.Add(st)
-			if m := opts.Metrics; m != nil {
-				m.Tasks.Inc()
-			}
-			if err != nil {
-				return nil, agg, fmt.Errorf("exec: batch query %d: %w", i, err)
-			}
-			out[i] = ids
-		}
-		return out, agg, nil
-	}
-	workerStats := make([]core.Stats, workers)
-	idx, err := run(ctx, n, workers, opts.chunk(), opts.Metrics, func(worker, i int) error {
+	workerStats := make([]core.Stats, opts.Workers(n))
+	idx, err := run(ctx, n, opts, func(worker, i int) error {
 		ids, st, err := eng.QueryRegionSpec(ctx, regions[i], spec)
 		workerStats[worker].Add(st)
-		if err != nil {
-			return err
-		}
 		out[i] = ids
-		return nil
+		return err
 	})
 	for _, ws := range workerStats {
 		agg.Add(ws)
 	}
-	if err != nil {
+	if idx >= 0 {
 		return nil, agg, fmt.Errorf("exec: batch query %d: %w", idx, err)
 	}
-	if err := ctx.Err(); err != nil {
-		// Cancelled after the last claimed task finished but with the batch
-		// incomplete (workers stop claiming on cancellation).
+	if err != nil {
 		return nil, agg, err
 	}
 	return out, agg, nil
@@ -168,46 +136,28 @@ func QueryBatch(ctx context.Context, eng *core.Engine, regions []core.Region, sp
 // error occurred first, Run returns ctx.Err() unwrapped. The pool always
 // drains before Run returns — no goroutine outlives the call.
 func Run(ctx context.Context, n int, opts Options, fn func(worker, i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	workers := opts.workers(n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			err := fn(0, i)
-			if m := opts.Metrics; m != nil {
-				m.Tasks.Inc()
-			}
-			if err != nil {
-				return fmt.Errorf("exec: task %d: %w", i, err)
-			}
-		}
-		return nil
-	}
-	idx, err := run(ctx, n, workers, opts.chunk(), opts.Metrics, fn)
-	if err != nil {
+	idx, err := run(ctx, n, opts, fn)
+	if idx >= 0 {
 		return fmt.Errorf("exec: task %d: %w", idx, err)
 	}
-	return ctx.Err()
+	return err
 }
 
-// Workers returns the worker count Run and QueryBatch will use for n
-// tasks, for callers sizing per-worker accumulators.
-func (o Options) Workers(n int) int { return o.workers(n) }
-
-// run executes fn(worker, i) for every i in [0, n) across workers
-// goroutines. Each worker claims chunks of indexes from a shared cursor,
+// run is the pool: fn(worker, i) for every i in [0, n), on opts.Workers(n)
+// goroutines — or, when that is one, on the calling goroutine, through the
+// same loop. Each worker claims chunks of indexes from a shared cursor,
 // re-checking ctx before every claim so cancellation abandons all
 // un-dispatched work; on the first error all workers stop claiming and the
-// lowest-indexed observed error wins; run returns it with its index,
-// unwrapped. run always waits for every spawned worker to exit.
-func run(ctx context.Context, n, workers, chunk int, m *Metrics, fn func(worker, i int) error) (int, error) {
+// lowest-indexed observed error wins. run returns that error, unwrapped,
+// with its index; otherwise index -1 with ctx.Err(), which is nil when
+// every task ran. It always waits for every spawned worker to exit.
+func run(ctx context.Context, n int, opts Options, fn func(worker, i int) error) (int, error) {
+	if n <= 0 {
+		return -1, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return -1, err
+	}
 	var (
 		cursor atomic.Int64
 		failed atomic.Bool
@@ -215,79 +165,72 @@ func run(ctx context.Context, n, workers, chunk int, m *Metrics, fn func(worker,
 		mu       sync.Mutex
 		firstErr error
 		firstIdx int
-		wg       sync.WaitGroup
 	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if firstErr == nil || i < firstIdx {
-			firstErr, firstIdx = err, i
-		}
-		mu.Unlock()
-		failed.Store(true)
+	workers, chunk, m := opts.Workers(n), opts.Chunk, opts.Metrics
+	if chunk <= 0 {
+		chunk = DefaultChunk
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			// The instrumented worker body duplicates the claim loop's
-			// timing around it rather than branching inside it, keeping the
-			// uninstrumented path free of clock reads and atomics.
+	work := func(worker int) { // nothing reads the clock without Metrics
+		var busy time.Duration
+		if m != nil {
+			m.ActiveWorkers.Add(1)
+			defer func() {
+				m.ActiveWorkers.Add(-1)
+				m.WorkerBusy.Observe(busy)
+			}()
+		}
+		for !failed.Load() && ctx.Err() == nil {
+			var t0 time.Time
 			if m != nil {
-				m.ActiveWorkers.Add(1)
-				var busy time.Duration
-				defer func() {
-					m.ActiveWorkers.Add(-1)
-					m.WorkerBusy.Observe(busy)
-				}()
-				for !failed.Load() && ctx.Err() == nil {
-					claimStart := time.Now()
-					start := int(cursor.Add(int64(chunk))) - chunk
-					if start >= n {
-						return
-					}
-					m.Chunks.Inc()
-					m.ChunkWait.Observe(time.Since(claimStart))
-					end := start + chunk
-					if end > n {
-						end = n
-					}
-					for i := start; i < end; i++ {
-						if failed.Load() {
-							return
-						}
-						t0 := time.Now()
-						err := fn(worker, i)
-						busy += time.Since(t0)
-						m.Tasks.Inc()
-						if err != nil {
-							fail(i, err)
-							return
-						}
-					}
-				}
+				t0 = time.Now()
+			}
+			start := int(cursor.Add(int64(chunk))) - chunk
+			if start >= n {
 				return
 			}
-			for !failed.Load() && ctx.Err() == nil {
-				start := int(cursor.Add(int64(chunk))) - chunk
-				if start >= n {
+			if m != nil {
+				m.Chunks.Inc()
+				m.ChunkWait.Observe(time.Since(t0))
+			}
+			for i, end := start, min(start+chunk, n); i < end; i++ {
+				if failed.Load() {
 					return
 				}
-				end := start + chunk
-				if end > n {
-					end = n
+				if m != nil {
+					t0 = time.Now()
 				}
-				for i := start; i < end; i++ {
-					if failed.Load() {
-						return
+				err := fn(worker, i)
+				if m != nil {
+					busy += time.Since(t0)
+					m.Tasks.Inc()
+				}
+				if err != nil {
+					mu.Lock()
+					if firstErr == nil || i < firstIdx {
+						firstErr, firstIdx = err, i
 					}
-					if err := fn(worker, i); err != nil {
-						fail(i, err)
-						return
-					}
+					mu.Unlock()
+					failed.Store(true)
+					return
 				}
 			}
-		}(w)
+		}
 	}
-	wg.Wait()
-	return firstIdx, firstErr
+	if workers == 1 {
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(w)
+			}()
+		}
+		wg.Wait()
+	}
+	if firstErr != nil {
+		return firstIdx, firstErr
+	}
+	return -1, ctx.Err()
 }

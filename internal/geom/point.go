@@ -66,18 +66,6 @@ const (
 	CounterClockwise Orientation = 1
 )
 
-// String implements fmt.Stringer.
-func (o Orientation) String() string {
-	switch o {
-	case Clockwise:
-		return "clockwise"
-	case CounterClockwise:
-		return "counterclockwise"
-	default:
-		return "collinear"
-	}
-}
-
 // Orient returns the exact orientation of the triple (a, b, c):
 // CounterClockwise if c lies to the left of the directed line a→b,
 // Clockwise if to the right, Collinear otherwise. The result is exact;

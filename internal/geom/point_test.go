@@ -63,14 +63,6 @@ func TestOrientWrapsRobust(t *testing.T) {
 	}
 }
 
-func TestOrientationString(t *testing.T) {
-	if Clockwise.String() != "clockwise" ||
-		CounterClockwise.String() != "counterclockwise" ||
-		Collinear.String() != "collinear" {
-		t.Error("Orientation.String mismatch")
-	}
-}
-
 func TestMidpointCommutes(t *testing.T) {
 	f := func(ax, ay, bx, by float64) bool {
 		if anyBad(ax, ay, bx, by) {

@@ -12,34 +12,11 @@ type RingView struct {
 	XS, YS []float64
 }
 
-// ViewRing returns a view over r's coordinates. It allocates the backing
-// slices (views are meant to be built once over packed storage; this
-// helper is for tests and adapters).
-func ViewRing(r Ring) RingView {
-	v := RingView{XS: make([]float64, len(r)), YS: make([]float64, len(r))}
-	for i, p := range r {
-		v.XS[i], v.YS[i] = p.X, p.Y
-	}
-	return v
-}
-
 // Len returns the vertex count.
 func (v RingView) Len() int { return len(v.XS) }
 
 // At returns vertex i.
 func (v RingView) At(i int) Point { return Point{v.XS[i], v.YS[i]} }
-
-// Ring materializes the view as a Ring (one allocation).
-func (v RingView) Ring() Ring {
-	if len(v.XS) == 0 {
-		return nil
-	}
-	r := make(Ring, len(v.XS))
-	for i := range v.XS {
-		r[i] = Point{v.XS[i], v.YS[i]}
-	}
-	return r
-}
 
 // Bounds returns the view's minimum bounding rectangle (EmptyRect for an
 // empty view), equal to Ring.Bounds over the same vertices.

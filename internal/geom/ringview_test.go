@@ -6,6 +6,29 @@ import (
 	"testing"
 )
 
+// ViewRing returns a view over a copy of r's coordinates — what the packed
+// cell arena holds for every cell; the tests build one per ring.
+func ViewRing(r Ring) RingView {
+	v := RingView{XS: make([]float64, len(r)), YS: make([]float64, len(r))}
+	for i, p := range r {
+		v.XS[i], v.YS[i] = p.X, p.Y
+	}
+	return v
+}
+
+// Ring materializes the view as a Ring, for comparison with the ring it was
+// built from.
+func (v RingView) Ring() Ring {
+	if len(v.XS) == 0 {
+		return nil
+	}
+	r := make(Ring, len(v.XS))
+	for i := range v.XS {
+		r[i] = Point{v.XS[i], v.YS[i]}
+	}
+	return r
+}
+
 // randomConvexRing builds a convex ring by sorting random angles around a
 // center — the shape class Voronoi cells fall in.
 func randomConvexRing(rng *rand.Rand, n int) Ring {

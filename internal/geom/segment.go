@@ -13,12 +13,6 @@ func (s Segment) Bounds() Rect {
 	return NewRect(s.A.X, s.A.Y, s.B.X, s.B.Y)
 }
 
-// Length returns the Euclidean length of the segment.
-func (s Segment) Length() float64 { return s.A.Dist(s.B) }
-
-// Midpoint returns the segment midpoint.
-func (s Segment) Midpoint() Point { return Midpoint(s.A, s.B) }
-
 // ContainsPoint reports whether p lies on the closed segment. The collinear
 // test is exact; the range test is a closed bounding-box check which is
 // sufficient for collinear points.

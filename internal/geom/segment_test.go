@@ -149,15 +149,9 @@ func TestSegmentIntersectsRandomizedSymmetry(t *testing.T) {
 	}
 }
 
-func TestSegmentBoundsAndLength(t *testing.T) {
+func TestSegmentBounds(t *testing.T) {
 	s := Seg(Pt(3, 1), Pt(0, 5))
 	if got := s.Bounds(); got != NewRect(0, 1, 3, 5) {
 		t.Errorf("Bounds = %v", got)
-	}
-	if got := s.Length(); got != 5 {
-		t.Errorf("Length = %v, want 5", got)
-	}
-	if got := s.Midpoint(); got != Pt(1.5, 3) {
-		t.Errorf("Midpoint = %v", got)
 	}
 }

@@ -50,18 +50,10 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// A Gauge is a settable int64 level, padded to a cache line.
+// A Gauge is an int64 level moved by Add, padded to a cache line.
 type Gauge struct {
 	v atomic.Int64
 	_ [56]byte
-}
-
-// Set stores v. No-op on a nil receiver.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
 }
 
 // Add adds d (which may be negative). No-op on a nil receiver.

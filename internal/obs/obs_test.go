@@ -18,7 +18,7 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 		t.Fatal("nil counter value")
 	}
 	var g *Gauge
-	g.Set(7)
+	g.Add(7)
 	g.Add(-1)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge value")
@@ -61,7 +61,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatal("Counter is not get-or-create")
 	}
 	g := r.Gauge("g")
-	g.Set(5)
+	g.Add(5)
 	g.Add(-2)
 	if g.Value() != 3 {
 		t.Fatalf("gauge = %d, want 3", g.Value())
@@ -238,7 +238,7 @@ func TestQueryTrace(t *testing.T) {
 func TestHandlerJSONAndProm(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(`q_total{flavor="static"}`).Add(3)
-	r.Gauge("pool_pages").Set(12)
+	r.Gauge("pool_pages").Add(12)
 	r.Histogram(`lat_ns{flavor="static"}`).Observe(time.Millisecond)
 	h := Handler(r)
 

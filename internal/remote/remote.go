@@ -52,8 +52,9 @@ type Backend struct {
 	URL string
 	// IDOffset is added to the backend's local ids to form global ids.
 	IDOffset int64
-	// Bounds is the backend's data MBR, used to prune fan-out. A zero
-	// (empty) rect disables pruning for this backend.
+	// Bounds is the backend's advertised bounds, used to prune fan-out. A
+	// zero (empty) rect disables pruning for this backend and leaves the
+	// client engine's universe unknown: the backends alone admit regions.
 	Bounds geom.Rect
 	// Len is the backend's point count (advisory; 0 skips KNearest).
 	Len int
@@ -165,6 +166,22 @@ func (h *httpError) Error() string {
 	return fmt.Sprintf("http %d", h.status)
 }
 
+// responseError classifies a non-200 response, unary or stream: a semantic
+// wire code surfaces as the sentinel it maps to (ErrNoData,
+// context.DeadlineExceeded, ...) — the code wins over the status — and an
+// internal or missing one as an *httpError.
+func responseError(resp *http.Response) error {
+	he := &httpError{status: resp.StatusCode}
+	var we wire.Error
+	if json.NewDecoder(resp.Body).Decode(&we) == nil && we.Code != "" {
+		if we.Code != wire.CodeInternal {
+			return we.Err()
+		}
+		he.body = &we
+	}
+	return he
+}
+
 // transientError marks a unary attempt failure as retryable: transport
 // errors (connection refused, reset, truncated body) and responses whose
 // wire code is internal (or missing). Semantic wire errors and context
@@ -239,18 +256,11 @@ func (e *Engine) postOnce(ctx context.Context, baseURL, path string, payload []b
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		he := &httpError{status: resp.StatusCode}
-		var we wire.Error
-		if json.NewDecoder(resp.Body).Decode(&we) == nil && we.Code != "" {
-			if we.Code != wire.CodeInternal {
-				// Semantic failure: surface the sentinel-mapped error
-				// (ErrNoData, context.DeadlineExceeded, ...) rather than
-				// the transport wrapper — the code wins over the status.
-				return we.Err()
-			}
-			he.body = &we
+		err := responseError(resp)
+		if _, transport := err.(*httpError); transport {
+			return &transientError{err}
 		}
-		return &transientError{he}
+		return err
 	}
 	if err := json.NewDecoder(resp.Body).Decode(dst); err != nil {
 		return &transientError{fmt.Errorf("decoding response: %w", err)}
@@ -337,8 +347,7 @@ func (p *backendPartition) Each(ctx context.Context, region core.Region, spec co
 	if err != nil {
 		return core.Stats{}, err
 	}
-	st, _, err := p.e.streamOne(ctx, p.b, wire.QueryRequest{Region: wr, Options: wireOptions(spec)}, yield)
-	return st, err
+	return p.e.streamOne(ctx, p.b, wire.QueryRequest{Region: wr, Options: wireOptions(spec)}, yield)
 }
 
 // KNearest appends the backend's answer with distances recomputed
@@ -370,33 +379,25 @@ func toStats(ws *wire.Stats) core.Stats {
 // streamOne runs one backend's /v1/each stream to completion (or yield
 // stop). A stream that ends without an EOF frame was truncated by a
 // disconnect and reports an error rather than passing as complete.
-func (e *Engine) streamOne(ctx context.Context, b Backend, req wire.QueryRequest, yield func(id int64, pos geom.Point) bool) (core.Stats, bool, error) {
+func (e *Engine) streamOne(ctx context.Context, b Backend, req wire.QueryRequest, yield func(id int64, pos geom.Point) bool) (core.Stats, error) {
 	var st core.Stats
 	payload, err := json.Marshal(req)
 	if err != nil {
-		return st, false, err
+		return st, err
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, b.URL+"/v1/each", bytes.NewReader(payload))
 	if err != nil {
-		return st, false, err
+		return st, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	setTimeoutHeader(hreq, ctx)
 	resp, err := e.client.Do(hreq)
 	if err != nil {
-		return st, false, err
+		return st, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		he := &httpError{status: resp.StatusCode}
-		var we wire.Error
-		if json.NewDecoder(resp.Body).Decode(&we) == nil && we.Code != "" {
-			if we.Code != wire.CodeInternal {
-				return st, false, we.Err()
-			}
-			he.body = &we
-		}
-		return st, false, he
+		return st, responseError(resp)
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 4096), 1<<20)
@@ -410,39 +411,33 @@ func (e *Engine) streamOne(ctx context.Context, b Backend, req wire.QueryRequest
 		// caller gave up.
 		if frames%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
-				return st, false, err
+				return st, err
 			}
 		}
 		frames++
 		var fr wire.Frame
 		if err := json.Unmarshal(sc.Bytes(), &fr); err != nil {
-			return st, false, fmt.Errorf("bad stream frame: %w", err)
+			return st, fmt.Errorf("bad stream frame: %w", err)
 		}
 		if fr.EOF {
-			if fr.Err != nil {
-				if fr.Stats != nil {
-					st = fr.Stats.ToStats()
-				}
-				return st, false, fr.Err.Err()
-			}
 			if fr.Stats != nil {
 				st = fr.Stats.ToStats()
 			}
-			return st, false, nil
+			if fr.Err != nil {
+				return st, fr.Err.Err()
+			}
+			return st, nil
 		}
+		st.ResultSize++ // what was consumed, whatever yield answers
 		if !yield(fr.ID+b.IDOffset, geom.Point{X: fr.X, Y: fr.Y}) {
-			// Count what was consumed; the server notices the closed
-			// connection on its next write.
-			st.ResultSize++
-			return st, true, nil
+			return st, nil // the server notices the closed connection on its next write
 		}
-		st.ResultSize++
 	}
 	if err := sc.Err(); err != nil {
 		if cerr := ctx.Err(); cerr != nil {
-			return st, false, cerr
+			return st, cerr
 		}
-		return st, false, err
+		return st, err
 	}
-	return st, false, io.ErrUnexpectedEOF
+	return st, io.ErrUnexpectedEOF
 }

@@ -57,7 +57,7 @@ func packLeaves(items []Item, cap int) []*node {
 			if j > len(slice) {
 				j = len(slice)
 			}
-			leaf := &node{leaf: true}
+			leaf := &node{}
 			for _, it := range slice[i:j] {
 				leaf.rects = append(leaf.rects, it.Rect)
 				leaf.ids = append(leaf.ids, it.ID)
@@ -100,7 +100,7 @@ func packInternal(children []*node, cap int) []*node {
 			if j > len(slice) {
 				j = len(slice)
 			}
-			p := &node{leaf: false}
+			p := &node{}
 			for _, c := range slice[i:j] {
 				p.rects = append(p.rects, c.b)
 				p.children = append(p.children, c.n)

@@ -105,7 +105,7 @@ func (t *Tree) NearestNeighbor(q geom.Point) (item Item, st QueryStats, ok bool)
 		}
 		n := e.n
 		st.NodesVisited++
-		if n.leaf {
+		if n.leaf() {
 			st.EntriesScanned += len(n.rects)
 			for i := range n.rects {
 				if d := n.rects[i].Dist2Point(q); d < best {

@@ -46,9 +46,9 @@ func (h *refHeap) Pop() interface{} {
 	return x
 }
 
-func refKNearest(t *Tree, q geom.Point, k int, legacy bool) ([]Item, QueryStats) {
+func refNearest(t *Tree, q geom.Point, legacy bool) ([]Item, QueryStats) {
 	var st QueryStats
-	if k <= 0 || t.size == 0 {
+	if t.size == 0 {
 		return nil, st
 	}
 	h := &refHeap{legacy: legacy}
@@ -65,14 +65,11 @@ func refKNearest(t *Tree, q geom.Point, k int, legacy bool) ([]Item, QueryStats)
 		if e.node == nil {
 			out = append(out, e.item)
 			st.Results++
-			if len(out) == k {
-				break
-			}
-			continue
+			break
 		}
 		st.NodesVisited++
 		for i, r := range e.node.rects {
-			if e.node.leaf {
+			if e.node.leaf() {
 				st.EntriesScanned++
 				push(refEntry{dist2: r.Dist2Point(q), item: Item{ID: e.node.ids[i], Rect: r}})
 			} else {
@@ -154,13 +151,13 @@ func TestBestFirstMatchesReference(t *testing.T) {
 		for treeName, tr := range nnTrees(ds.items) {
 			for _, q := range ds.queries {
 				nn, nnSt, ok := tr.NearestNeighbor(q)
-				want, wantSt := refKNearest(tr, q, 1, false)
+				want, wantSt := refNearest(tr, q, false)
 				if !ok || nn != want[0] || nnSt != wantSt {
 					t.Fatalf("%s/%s q=%v: NearestNeighbor %v %+v ok=%v, reference %v %+v",
 						ds.name, treeName, q, nn, nnSt, ok, want, wantSt)
 				}
 				if ds.tieFree {
-					legacy, legacySt := refKNearest(tr, q, 1, true)
+					legacy, legacySt := refNearest(tr, q, true)
 					if nn != legacy[0] || nnSt.NodesVisited != legacySt.NodesVisited {
 						t.Fatalf("%s/%s q=%v: NearestNeighbor %v (%d nodes), legacy order %v (%d nodes)",
 							ds.name, treeName, q, nn, nnSt.NodesVisited, legacy, legacySt.NodesVisited)

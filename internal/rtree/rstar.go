@@ -16,7 +16,7 @@ import (
 // the children are leaves, falling back to least area enlargement
 // otherwise (the R* CHOOSESUBTREE rule).
 func (t *Tree) rstarChoosePath(n *node, r geom.Rect) int {
-	if !n.children[0].leaf {
+	if !n.children[0].leaf() {
 		return t.choosePath(n, r)
 	}
 	best := 0
@@ -62,7 +62,7 @@ func (t *Tree) rstarSplit(n *node) *node {
 	slots := make([]slot, n.count())
 	for i := range n.rects {
 		slots[i].rect = n.rects[i]
-		if n.leaf {
+		if n.leaf() {
 			slots[i].id = n.ids[i]
 		} else {
 			slots[i].child = n.children[i]
@@ -123,7 +123,7 @@ func (t *Tree) rstarSplit(n *node) *node {
 	}
 
 	// slots[:k] stay in n; slots[k:] move to the sibling.
-	sib := &node{leaf: n.leaf, gen: t.gen}
+	sib := &node{gen: t.gen}
 	n.rects = n.rects[:0]
 	n.ids = n.ids[:0]
 	n.children = n.children[:0]
@@ -133,7 +133,7 @@ func (t *Tree) rstarSplit(n *node) *node {
 			dst = sib
 		}
 		dst.rects = append(dst.rects, s.rect)
-		if n.leaf {
+		if n.leaf() {
 			dst.ids = append(dst.ids, s.id)
 		} else {
 			dst.children = append(dst.children, s.child)

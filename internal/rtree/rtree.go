@@ -48,13 +48,17 @@ type Tree struct {
 	gens *atomic.Uint64
 }
 
+// node is 80 bytes, a size class of its own; a field more and it takes 96.
 type node struct {
-	leaf     bool
 	gen      uint64      // the Tree.gen that may write this node in place
 	rects    []geom.Rect // bounding rect per slot
 	ids      []int64     // leaf payloads (leaf only)
-	children []*node     // child pointers (internal only)
+	children []*node     // child pointers (internal only; never nil there)
 }
+
+// leaf reports whether n holds items rather than children: an internal node
+// is made with its children, so only a leaf has none.
+func (n *node) leaf() bool { return n.children == nil }
 
 func (n *node) bounds() geom.Rect {
 	r := geom.EmptyRect()
@@ -77,7 +81,7 @@ func New(maxEntries int) *Tree {
 		min = 2
 	}
 	return &Tree{
-		root:       &node{leaf: true},
+		root:       &node{},
 		maxEntries: maxEntries,
 		minEntries: min,
 		gens:       new(atomic.Uint64),
@@ -114,11 +118,10 @@ func (t *Tree) own(n *node) *node {
 		return n
 	}
 	c := &node{
-		leaf:  n.leaf,
 		gen:   t.gen,
 		rects: append(make([]geom.Rect, 0, t.maxEntries+1), n.rects...),
 	}
-	if n.leaf {
+	if n.leaf() {
 		c.ids = append(make([]int64, 0, t.maxEntries+1), n.ids...)
 	} else {
 		c.children = append(make([]*node, 0, t.maxEntries+1), n.children...)
@@ -137,7 +140,6 @@ func (t *Tree) Insert(id int64, r geom.Rect) {
 	if sib := t.insertRec(t.root, id, r); sib != nil {
 		old := t.root
 		t.root = &node{
-			leaf:     false,
 			gen:      t.gen,
 			rects:    []geom.Rect{old.bounds(), sib.bounds()},
 			children: []*node{old, sib},
@@ -149,7 +151,7 @@ func (t *Tree) Insert(id int64, r geom.Rect) {
 // back up the recursion; it returns the new sibling when n split. The
 // caller owns n; each child is owned before the descent enters it.
 func (t *Tree) insertRec(n *node, id int64, r geom.Rect) *node {
-	if n.leaf {
+	if n.leaf() {
 		n.rects = append(n.rects, r)
 		n.ids = append(n.ids, id)
 	} else {
@@ -202,7 +204,7 @@ func (t *Tree) Search(query geom.Rect, fn func(id int64, r geom.Rect) bool) Quer
 
 func (t *Tree) search(n *node, query geom.Rect, fn func(int64, geom.Rect) bool, st *QueryStats) bool {
 	st.NodesVisited++
-	if n.leaf {
+	if n.leaf() {
 		for i, r := range n.rects {
 			st.EntriesScanned++
 			if query.Intersects(r) {
@@ -251,7 +253,7 @@ func (t *Tree) Validate(checkMinFill bool) error {
 		if n.count() > t.maxEntries {
 			return fmt.Errorf("rtree: node overfull: %d > %d", n.count(), t.maxEntries)
 		}
-		if n.leaf {
+		if n.leaf() {
 			if leafDepth == -1 {
 				leafDepth = depth
 			} else if depth != leafDepth {

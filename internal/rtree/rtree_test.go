@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geom"
 )
@@ -216,7 +217,7 @@ func TestDuplicateRects(t *testing.T) {
 // height returns the number of levels of tr, the leaves' included.
 func height(tr *Tree) int {
 	h := 1
-	for n := tr.root; !n.leaf; n = n.children[0] {
+	for n := tr.root; !n.leaf(); n = n.children[0] {
 		h++
 	}
 	return h
@@ -518,5 +519,14 @@ func TestInsertAfterSnapshotAllocs(t *testing.T) {
 	}
 	if more, levels := lowest[1]-lowest[0], heights[1]-heights[0]; more > 3*levels {
 		t.Errorf("ten times the items cost %d more allocations over %d more levels, want <= 3 per level", more, levels)
+	}
+}
+
+// TestNodeFitsThe80ByteSizeClass pins the node layout: a generation and three
+// slice headers. One more word — the leaf flag the node used to carry beside
+// its children — rounds every node up to the allocator's 96-byte class.
+func TestNodeFitsThe80ByteSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != 80 {
+		t.Fatalf("node is %d bytes, want 80", got)
 	}
 }

@@ -89,11 +89,11 @@ type handler struct {
 func NewHandler(eng Engine, cfg Config) http.Handler {
 	h := &handler{eng: eng, cfg: cfg.withDefaults()}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/query", h.query)
-	mux.HandleFunc("POST /v1/queryall", h.queryAll)
-	mux.HandleFunc("POST /v1/count", h.count)
+	mux.HandleFunc("POST /v1/query", h.area(true, false, h.query))
+	mux.HandleFunc("POST /v1/queryall", h.area(false, false, h.queryAll))
+	mux.HandleFunc("POST /v1/count", h.area(true, true, h.query))
 	mux.HandleFunc("POST /v1/knearest", h.kNearest)
-	mux.HandleFunc("POST /v1/each", h.each)
+	mux.HandleFunc("POST /v1/each", h.area(true, false, h.each))
 	mux.HandleFunc("GET /v1/info", h.info)
 	if h.cfg.Metrics != nil {
 		mux.Handle("GET /metrics", vaq.MetricsHandler(h.cfg.Metrics))
@@ -171,99 +171,83 @@ func queryOpts(opts wire.Options, st *vaq.Stats) ([]vaq.QueryOpt, error) {
 	return out, nil
 }
 
-func (h *handler) query(w http.ResponseWriter, r *http.Request) {
-	var req wire.QueryRequest
-	if err := h.decodeBody(w, r, &req); err != nil {
-		badRequest(w, err)
-		return
-	}
-	region, err := req.Region.Decode()
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	ctx, cancel, err := h.requestContext(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	defer cancel()
-	var st vaq.Stats
-	opts, err := queryOpts(req.Options, &st)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	ids, err := h.eng.Query(ctx, region, opts...)
-	if err != nil {
-		writeError(w, wire.EncodeError(err))
-		return
-	}
-	ws := wire.FromStats(st)
-	writeJSON(w, wire.QueryResponse{IDs: ids, Count: st.ResultSize, Stats: &ws})
+// areaCall is one decoded area-query request: what query, queryAll and each
+// hand the engine.
+type areaCall struct {
+	ctx     context.Context
+	regions []vaq.Region   // one on the single-region routes
+	opts    []vaq.QueryOpt // the wire options, with statistics routed into st
+	st      vaq.Stats
 }
 
-// count is /v1/query with CountOnly forced — sugar so clients and curl
-// sessions need no option plumbing for the common count.
-func (h *handler) count(w http.ResponseWriter, r *http.Request) {
-	var req wire.QueryRequest
-	if err := h.decodeBody(w, r, &req); err != nil {
-		badRequest(w, err)
-		return
-	}
-	req.Options.CountOnly = true
-	region, err := req.Region.Decode()
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	ctx, cancel, err := h.requestContext(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	defer cancel()
-	var st vaq.Stats
-	opts, err := queryOpts(req.Options, &st)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	if _, err := h.eng.Query(ctx, region, opts...); err != nil {
-		writeError(w, wire.EncodeError(err))
-		return
-	}
-	ws := wire.FromStats(st)
-	writeJSON(w, wire.QueryResponse{Count: st.ResultSize, Stats: &ws})
-}
-
-func (h *handler) queryAll(w http.ResponseWriter, r *http.Request) {
-	var req wire.BatchRequest
-	if err := h.decodeBody(w, r, &req); err != nil {
-		badRequest(w, err)
-		return
-	}
-	regions := make([]vaq.Region, len(req.Regions))
-	for i, wr := range req.Regions {
-		var err error
-		if regions[i], err = wr.Decode(); err != nil {
-			badRequest(w, fmt.Errorf("region %d: %w", i, err))
+// area is the preamble of the four area-query routes, written once: decode
+// the request (decodeArea), answer 400 if that fails, and otherwise hand
+// the call to serve under its deadline context.
+func (h *handler) area(single, countOnly bool, serve func(http.ResponseWriter, *areaCall)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		c, cancel, err := h.decodeArea(w, r, single, countOnly)
+		if err != nil {
+			badRequest(w, err)
 			return
 		}
+		defer cancel()
+		serve(w, c)
 	}
-	ctx, cancel, err := h.requestContext(r)
+}
+
+// decodeArea decodes the body — a wire.QueryRequest on the single-region
+// routes, a wire.BatchRequest on /v1/queryall — then its region(s),
+// translates the options and derives the deadline context. countOnly forces
+// the option on, which is all /v1/count adds to /v1/query: sugar, so clients
+// and curl sessions need no option plumbing for the common count.
+func (h *handler) decodeArea(w http.ResponseWriter, r *http.Request, single, countOnly bool) (*areaCall, context.CancelFunc, error) {
+	var (
+		wregions []wire.Region
+		wopts    wire.Options
+		err      error
+	)
+	if single {
+		var req wire.QueryRequest
+		err = h.decodeBody(w, r, &req)
+		wregions, wopts = []wire.Region{req.Region}, req.Options
+	} else {
+		var req wire.BatchRequest
+		err = h.decodeBody(w, r, &req)
+		wregions, wopts = req.Regions, req.Options
+	}
 	if err != nil {
-		badRequest(w, err)
+		return nil, nil, err
+	}
+	wopts.CountOnly = wopts.CountOnly || countOnly
+	c := &areaCall{regions: make([]vaq.Region, len(wregions))}
+	for i, wr := range wregions {
+		if c.regions[i], err = wr.Decode(); err != nil {
+			if !single {
+				err = fmt.Errorf("region %d: %w", i, err)
+			}
+			return nil, nil, err
+		}
+	}
+	if c.opts, err = queryOpts(wopts, &c.st); err != nil {
+		return nil, nil, err
+	}
+	var cancel context.CancelFunc
+	c.ctx, cancel, err = h.requestContext(r)
+	return c, cancel, err
+}
+
+func (h *handler) query(w http.ResponseWriter, c *areaCall) {
+	ids, err := h.eng.Query(c.ctx, c.regions[0], c.opts...)
+	if err != nil {
+		writeError(w, wire.EncodeError(err))
 		return
 	}
-	defer cancel()
-	var st vaq.Stats
-	opts, err := queryOpts(req.Options, &st)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	results, err := h.eng.QueryAll(ctx, regions, opts...)
+	ws := wire.FromStats(c.st)
+	writeJSON(w, wire.QueryResponse{IDs: ids, Count: c.st.ResultSize, Stats: &ws})
+}
+
+func (h *handler) queryAll(w http.ResponseWriter, c *areaCall) {
+	results, err := h.eng.QueryAll(c.ctx, c.regions, c.opts...)
 	if err != nil {
 		writeError(w, wire.EncodeError(err))
 		return
@@ -275,7 +259,7 @@ func (h *handler) queryAll(w http.ResponseWriter, r *http.Request) {
 			results[i] = []int64{}
 		}
 	}
-	ws := wire.FromStats(st)
+	ws := wire.FromStats(c.st)
 	writeJSON(w, wire.BatchResponse{Results: results, Stats: &ws})
 }
 
@@ -315,37 +299,14 @@ func (h *handler) kNearest(w http.ResponseWriter, r *http.Request) {
 // emit-callback path: every result is on the wire while the BFS is still
 // expanding. The terminal frame carries the statistics (or the error);
 // a stream without one was cut by a disconnect.
-func (h *handler) each(w http.ResponseWriter, r *http.Request) {
-	var req wire.QueryRequest
-	if err := h.decodeBody(w, r, &req); err != nil {
-		badRequest(w, err)
-		return
-	}
-	region, err := req.Region.Decode()
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	ctx, cancel, err := h.requestContext(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	defer cancel()
-	var st vaq.Stats
-	opts, err := queryOpts(req.Options, &st)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-
+func (h *handler) each(w http.ResponseWriter, c *areaCall) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	frames := 0
 	var writeErr error
-	qerr := h.eng.Each(ctx, region, func(id int64, p vaq.Point) bool {
+	qerr := h.eng.Each(c.ctx, c.regions[0], func(id int64, p vaq.Point) bool {
 		if writeErr = enc.Encode(wire.Frame{ID: id, X: p.X, Y: p.Y}); writeErr != nil {
 			return false // client went away; stop the query cleanly
 		}
@@ -354,7 +315,7 @@ func (h *handler) each(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 		return true
-	}, opts...)
+	}, c.opts...)
 	if writeErr != nil {
 		return // connection dead; no terminal frame is deliverable
 	}
@@ -362,7 +323,7 @@ func (h *handler) each(w http.ResponseWriter, r *http.Request) {
 	if qerr != nil {
 		final.Err = wire.EncodeError(qerr)
 	} else {
-		ws := wire.FromStats(st)
+		ws := wire.FromStats(c.st)
 		final.Stats = &ws
 	}
 	enc.Encode(final)

@@ -7,7 +7,7 @@
 // package remote's HTTP backend (Over). Taking the union of per-partition
 // answers is exact for either, because every partition's clipped Voronoi
 // diagram still tiles the universe — the BFS inside a partition finds
-// exactly that partition's points inside the region.
+// exactly that partition's points inside a connected region within it.
 //
 // What the kernel decides, once, for every transport:
 //
@@ -21,8 +21,10 @@
 //     can then step over a thin lobe of a concave query and strand a result
 //     island (observed on ~2% of 1%-area queries over a 200k-point dataset
 //     at 8 shards). VoronoiBFS therefore executes as VoronoiBFSStrict, whose
-//     cell-intersection expansion is complete at any density. A sole
-//     partition holds the full diagram and runs the caller's method
+//     cell-intersection expansion is complete at any density for a
+//     connected region inside the universe the partitions clip their cells
+//     to (the public Querier body refuses any other before it gets here).
+//     A sole partition holds the full diagram and runs the caller's method
 //     verbatim. Callers always see the method they asked for in
 //     Stats.Method.
 //   - Scatter: one exec pool, Chunk 1, per-worker statistics. A single
@@ -141,9 +143,10 @@ func Over(parts []Partition, parallelism int, degraded bool, met *Metrics) *Engi
 		e.batch[i], _ = p.(RegionsQuerier)
 		e.partBounds[i] = p.Bounds()
 		e.length += p.Len()
-		if !e.partBounds[i].IsEmpty() {
-			e.bounds = e.bounds.Union(e.partBounds[i])
-		}
+		e.bounds = e.bounds.Union(e.partBounds[i])
+	}
+	if slices.ContainsFunc(e.partBounds, geom.Rect.IsEmpty) {
+		e.bounds = geom.EmptyRect() // one partition of unknown extent leaves the engine's unknown
 	}
 	return e
 }
@@ -167,8 +170,9 @@ func (e *Engine) ShardBounds(si int) geom.Rect { return e.partBounds[si] }
 // Len returns the total point count.
 func (e *Engine) Len() int { return e.length }
 
-// Bounds returns the universe rectangle of an engine built by New, and the
-// union of the partitions' known bounds otherwise.
+// Bounds returns the universe rectangle of an engine built by New, and
+// otherwise the union of the partitions' bounds — empty (unknown) when any
+// partition's are.
 func (e *Engine) Bounds() geom.Rect { return e.bounds }
 
 // Dropped returns the cumulative number of partition calls dropped under

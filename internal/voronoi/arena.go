@@ -27,48 +27,42 @@ type CellArena struct {
 // rings (and their order) are identical to calling d.Cell(i) for each
 // site.
 func BuildCellArena(d *Diagram) *CellArena {
-	n := d.NumSites()
+	return CellArenaFromSites(d.NumSites(), d.bounds,
+		func(id int64) geom.Point { return d.tri.Point(int(id)) },
+		func(id int64, _ []int32) []int32 { return d.tri.Neighbors(int(id)) })
+}
+
+// CellArenaFromSites is the one arena builder: n sites, each cell clipped to
+// clip by the bisector half-planes toward the site's Voronoi neighbors.
+// site reports a site's coordinates; neighbors reports its neighbor ids in
+// the order CellFromNeighbors would receive their coordinates — resident
+// storage, or appended to buf[:0] — so packed rings match the per-call
+// construction exactly. The signatures are those of a record layer's
+// Position and Neighbors methods, which the engines' data layers pass.
+func CellArenaFromSites(
+	n int,
+	clip geom.Rect,
+	site func(id int64) geom.Point,
+	neighbors func(id int64, buf []int32) []int32,
+) *CellArena {
 	a := newCellArena(n)
-	corners := d.bounds.Corners()
+	corners := clip.Corners()
 	var ring, tmp []geom.Point
+	var nbuf []int32
 	for i := 0; i < n; i++ {
-		site := d.tri.Point(i)
+		s := site(int64(i))
 		ring = append(ring[:0], corners[:]...)
-		for _, nb := range d.tri.Neighbors(i) {
-			tmp = clipHalfPlaneInto(tmp, ring, site, d.tri.Point(int(nb)))
+		nbs := neighbors(int64(i), nbuf)
+		for _, nb := range nbs {
+			tmp = clipHalfPlaneInto(tmp, ring, s, site(int64(nb)))
 			ring, tmp = tmp, ring
 			if len(ring) == 0 {
 				break
 			}
 		}
-		a.pushRing(ring)
-	}
-	return a
-}
-
-// CellArenaFromSites builds an arena for n sites whose coordinates and
-// neighbor coordinates are enumerated by callback — the dynamic
-// triangulation's access pattern — clipping every cell to clip.
-// eachNeighbor must report site i's Voronoi neighbors in the same order
-// CellFromNeighbors would receive them, so packed rings match the
-// per-call construction exactly.
-func CellArenaFromSites(
-	n int,
-	clip geom.Rect,
-	site func(i int) geom.Point,
-	eachNeighbor func(i int, fn func(nb geom.Point) bool),
-) *CellArena {
-	a := newCellArena(n)
-	corners := clip.Corners()
-	var ring, tmp []geom.Point
-	for i := 0; i < n; i++ {
-		s := site(i)
-		ring = append(ring[:0], corners[:]...)
-		eachNeighbor(i, func(nb geom.Point) bool {
-			tmp = clipHalfPlaneInto(tmp, ring, s, nb)
-			ring, tmp = tmp, ring
-			return len(ring) > 0
-		})
+		if cap(nbs) > cap(nbuf) {
+			nbuf = nbs[:0]
+		}
 		a.pushRing(ring)
 	}
 	return a

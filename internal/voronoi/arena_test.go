@@ -140,17 +140,14 @@ func TestCellArenaFromSitesMatchesCellFromNeighbors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drive the callback builder off the static diagram's adjacency; rings
-	// must match CellFromNeighbors over the same neighbor sequences.
+	// Drive the builder the way a walking data layer does — neighbor ids
+	// appended into the buffer it is handed; rings must match
+	// CellFromNeighbors over the same neighbor sequences.
 	a := CellArenaFromSites(
 		d.NumSites(), unitBounds(),
-		func(i int) geom.Point { return pts[i] },
-		func(i int, fn func(nb geom.Point) bool) {
-			for _, nb := range d.Triangulation().Neighbors(i) {
-				if !fn(pts[nb]) {
-					return
-				}
-			}
+		func(id int64) geom.Point { return pts[id] },
+		func(id int64, buf []int32) []int32 {
+			return append(buf[:0], d.Triangulation().Neighbors(int(id))...)
 		},
 	)
 	for i := 0; i < d.NumSites(); i++ {

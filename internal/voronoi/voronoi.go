@@ -55,7 +55,7 @@ func (d *Diagram) Cell(i int) geom.Ring {
 	corners := d.bounds.Corners()
 	ring := geom.Ring(corners[:])
 	for _, nb := range d.tri.Neighbors(i) {
-		ring = clipHalfPlane(ring, site, d.tri.Point(int(nb)))
+		ring = clipHalfPlaneInto(nil, ring, site, d.tri.Point(int(nb)))
 		if len(ring) == 0 {
 			return nil
 		}
@@ -71,7 +71,7 @@ func CellFromNeighbors(site geom.Point, neighbors []geom.Point, bounds geom.Rect
 	corners := bounds.Corners()
 	ring := geom.Ring(corners[:])
 	for _, nb := range neighbors {
-		ring = clipHalfPlane(ring, site, nb)
+		ring = clipHalfPlaneInto(nil, ring, site, nb)
 		if len(ring) == 0 {
 			return nil
 		}
@@ -79,17 +79,12 @@ func CellFromNeighbors(site geom.Point, neighbors []geom.Point, bounds geom.Rect
 	return ring
 }
 
-// clipHalfPlane clips ring to the half-plane of locations at least as close
-// to site as to other (Sutherland–Hodgman against the perpendicular
-// bisector).
-func clipHalfPlane(ring geom.Ring, site, other geom.Point) geom.Ring {
-	return clipHalfPlaneInto(nil, ring, site, other)
-}
-
-// clipHalfPlaneInto is clipHalfPlane writing into dst[:0] — the
-// allocation-free form the arena builder ping-pongs between two scratch
-// buffers. Cell and BuildCellArena share this one code path, so the arena's
-// packed rings are bit-identical to the per-call rings.
+// clipHalfPlaneInto clips ring to the half-plane of locations at least as
+// close to site as to other (Sutherland–Hodgman against the perpendicular
+// bisector), writing into dst[:0] — the arena builder ping-pongs between two
+// scratch buffers; a nil dst allocates. Cell and the arena builder share
+// this one code path, so the arena's packed rings are bit-identical to the
+// per-call rings.
 func clipHalfPlaneInto(dst, ring []geom.Point, site, other geom.Point) []geom.Point {
 	dst = dst[:0]
 	for i := range ring {

@@ -71,9 +71,11 @@ func HotRegionPool(rng *rand.Rand, cfg HotRegionConfig, bounds geom.Rect) []geom
 }
 
 // moveToCenter translates pg so its MBR center lands at (cx, cy), clamped
-// so the MBR stays inside bounds. Translation preserves simplicity and the
-// MBR area, so the result is still a valid query polygon of the same query
-// size.
+// so the MBR stays inside bounds — exactly: the vertices are clamped too,
+// which absorbs the last-place error of the translation (engines refuse a
+// region that pokes out of their universe by an ulp). Translation preserves
+// simplicity and the MBR area, so the result is still a valid query polygon
+// of the same query size.
 func moveToCenter(pg geom.Polygon, cx, cy float64, bounds geom.Rect) geom.Polygon {
 	mbr := pg.Bounds()
 	w, h := mbr.Width(), mbr.Height()
@@ -81,17 +83,17 @@ func moveToCenter(pg geom.Polygon, cx, cy float64, bounds geom.Rect) geom.Polygo
 	cy = clamp(cy, bounds.MinY+h/2, bounds.MaxY-h/2)
 	dx := cx - (mbr.MinX + w/2)
 	dy := cy - (mbr.MinY + h/2)
-	out := geom.Polygon{Outer: translateRing(pg.Outer, dx, dy)}
+	out := geom.Polygon{Outer: translateRing(pg.Outer, dx, dy, bounds)}
 	for _, hole := range pg.Holes {
-		out.Holes = append(out.Holes, translateRing(hole, dx, dy))
+		out.Holes = append(out.Holes, translateRing(hole, dx, dy, bounds))
 	}
 	return out
 }
 
-func translateRing(r geom.Ring, dx, dy float64) geom.Ring {
+func translateRing(r geom.Ring, dx, dy float64, bounds geom.Rect) geom.Ring {
 	out := make(geom.Ring, len(r))
 	for i, p := range r {
-		out[i] = geom.Pt(p.X+dx, p.Y+dy)
+		out[i] = geom.Pt(clamp(p.X+dx, bounds.MinX, bounds.MaxX), clamp(p.Y+dy, bounds.MinY, bounds.MaxY))
 	}
 	return out
 }

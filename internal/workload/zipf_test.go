@@ -61,13 +61,20 @@ func TestHotRegionPool(t *testing.T) {
 	}
 	for i, pg := range pool {
 		mbr := pg.Bounds()
-		if mbr.MinX < bounds.MinX-1e-9 || mbr.MinY < bounds.MinY-1e-9 ||
-			mbr.MaxX > bounds.MaxX+1e-9 || mbr.MaxY > bounds.MaxY+1e-9 {
+		if !bounds.ContainsRect(mbr) { // exactly: engines refuse a region an ulp outside
 			t.Fatalf("region %d MBR %+v escapes bounds", i, mbr)
 		}
 		// Translation preserves the generator's exact query-size scaling.
 		if got := mbr.Area() / bounds.Area(); math.Abs(got-0.01) > 1e-9 {
 			t.Fatalf("region %d query size %.5f, want 0.01", i, got)
+		}
+	}
+	// Wide clusters push many centers against the border, where the clamp
+	// and the translation's rounding meet.
+	wide := HotRegionConfig{Regions: 2000, Clusters: 4, ClusterSigma: 0.5, QuerySize: 0.01}
+	for i, pg := range HotRegionPool(rand.New(rand.NewSource(6)), wide, bounds) {
+		if mbr := pg.Bounds(); !bounds.ContainsRect(mbr) {
+			t.Fatalf("border region %d MBR %+v escapes bounds", i, mbr)
 		}
 	}
 	// Determinism per seed.

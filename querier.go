@@ -78,8 +78,12 @@ func resolve(opts []QueryOpt) queryPlan {
 }
 
 // UsingMethod selects the area-query algorithm (default VoronoiBFS, the
-// paper's). All methods return the same result set; they differ in the
-// work performed (see Stats).
+// paper's). Traditional and BruteForce are exact; VoronoiBFSStrict is exact
+// on a connected region (a polygon with holes is one; a custom Region need
+// not be); VoronoiBFS, the published rule, can miss results where part of
+// the region is thin against the local point spacing (README "Expansion
+// rules" states both conditions exactly). Where they agree the methods
+// differ in the work performed (see Stats).
 func UsingMethod(m Method) QueryOpt {
 	return func(p *queryPlan) { p.Method = m }
 }
@@ -170,40 +174,23 @@ func Count(ctx context.Context, q Querier, region Region, opts ...QueryOpt) (int
 // (*shard.Engine, over in-process shards or HTTP backends) is one as it
 // stands; an unpartitioned engine becomes one through pooled.
 type backend interface {
-	regionQuerier
-	QueryRegionsSpec(ctx context.Context, regions []Region, spec core.QuerySpec) ([][]int64, Stats, error)
-}
-
-// regionQuerier is the single-region half of backend, which *core.Engine
-// and *core.DynamicSnapshot implement themselves.
-type regionQuerier interface {
 	QueryRegionSpec(ctx context.Context, region Region, spec core.QuerySpec) ([]int64, Stats, error)
+	QueryRegionsSpec(ctx context.Context, regions []Region, spec core.QuerySpec) ([][]int64, Stats, error)
 	EachRegion(ctx context.Context, region Region, spec core.QuerySpec, yield func(id int64, p Point) bool) (Stats, error)
 }
 
 // pooled is the backend of the unpartitioned flavors: single regions go
-// straight to the embedded engine — a static *core.Engine, or the
-// *core.DynamicSnapshot pinning one epoch of a dynamic engine — and a batch
-// runs on the exec worker pool.
+// straight to the embedded engine — a static engine's own, or the one
+// pinning an epoch of a dynamic engine — and a batch runs on the exec worker
+// pool.
 type pooled struct {
-	regionQuerier
-	eng  *core.Engine          // what a batch runs on
-	snap *core.DynamicSnapshot // nil on a static engine
+	*core.Engine
 	opts exec.Options
 }
 
-// QueryRegionsSpec implements backend. A snapshot checks every region first
-// — the sequential paths' error contract (ErrOutsideUniverse for bad areas,
-// ErrNoData while empty), enforced before any worker spawns.
+// QueryRegionsSpec implements backend.
 func (b *pooled) QueryRegionsSpec(ctx context.Context, regions []Region, spec core.QuerySpec) ([][]int64, Stats, error) {
-	if b.snap != nil {
-		for i, r := range regions {
-			if err := b.snap.CheckRegion(r); err != nil {
-				return nil, Stats{Method: spec.Method}, fmt.Errorf("vaq: batch query %d: %w", i, err)
-			}
-		}
-	}
-	return exec.QueryBatch(ctx, b.eng, regions, spec, b.opts)
+	return exec.QueryBatch(ctx, b.Engine, regions, spec, b.opts)
 }
 
 // querier is the one Querier body. Engine, ShardedEngine, RemoteEngine and
@@ -214,6 +201,10 @@ func (b *pooled) QueryRegionsSpec(ctx context.Context, regions []Region, spec co
 type querier struct {
 	backend backend
 	flavor  string // metric and trace label
+	// universe is the rectangle the engine's Voronoi cells tile (see admit);
+	// empty means unknown — a remote engine whose backends advertise no
+	// bounds — and then the backends' own refusal crosses the wire.
+	universe Rect
 
 	rc        *ResultCache // nil without WithResultCache
 	cacheSalt uint64
@@ -226,7 +217,7 @@ type querier struct {
 
 // newQuerier resolves what cfg asks of every flavor — the registry's
 // per-query handles and the result cache with its collectors; the
-// constructor then attaches the backend.
+// constructor then attaches the backend and the universe.
 func newQuerier(cfg *config, flavor string) querier {
 	if cfg.metrics != nil && cfg.rcache != nil {
 		registerCacheMetrics(cfg.metrics, flavor, cfg.rcache)
@@ -249,6 +240,18 @@ func (q *querier) begin(p *queryPlan) time.Time {
 	}
 	p.Trace.Begin(q.flavor, p.Method.String())
 	return time.Now()
+}
+
+// admit is the region precondition of Query, QueryAll and Each on every
+// flavor, checked before the cache or the backend is touched: the region's
+// MBR must lie inside the universe. The part of an escaping region inside
+// the universe need not be connected, and a Voronoi expansion from one seed
+// reaches one component, so such a region is refused rather than answered.
+func (q *querier) admit(region Region) error {
+	if mbr := region.Bounds(); !q.universe.IsEmpty() && !q.universe.ContainsRect(mbr) {
+		return fmt.Errorf("vaq: query area %v exceeds the engine universe %v: %w", mbr, q.universe, ErrOutsideUniverse)
+	}
+	return nil
 }
 
 // singleQuery is end's batch size for Query and Each.
@@ -282,7 +285,12 @@ func (q *querier) end(p *queryPlan, start time.Time, batch int, st *Stats, err e
 func (q *querier) Query(ctx context.Context, region Region, opts ...QueryOpt) ([]int64, error) {
 	p := resolve(opts)
 	start := q.begin(&p)
-	ids, st, err := q.cachedQuery(ctx, region, &p)
+	var ids []int64
+	st := Stats{Method: p.Method}
+	err := q.admit(region)
+	if err == nil {
+		ids, st, err = q.cachedQuery(ctx, region, &p)
+	}
 	q.end(&p, start, singleQuery, &st, err)
 	return ids, err
 }
@@ -297,7 +305,18 @@ func (q *querier) Query(ctx context.Context, region Region, opts ...QueryOpt) ([
 func (q *querier) QueryAll(ctx context.Context, regions []Region, opts ...QueryOpt) ([][]int64, error) {
 	p := resolve(opts)
 	start := q.begin(&p)
-	out, st, err := q.backend.QueryRegionsSpec(ctx, regions, p.QuerySpec)
+	var out [][]int64
+	st := Stats{Method: p.Method}
+	var err error
+	for i, region := range regions {
+		if err = q.admit(region); err != nil {
+			err = fmt.Errorf("vaq: batch query %d: %w", i, err)
+			break
+		}
+	}
+	if err == nil {
+		out, st, err = q.backend.QueryRegionsSpec(ctx, regions, p.QuerySpec)
+	}
 	q.end(&p, start, len(regions), &st, err)
 	if err != nil {
 		return nil, err
@@ -316,7 +335,11 @@ func (q *querier) QueryAll(ctx context.Context, regions []Region, opts ...QueryO
 func (q *querier) Each(ctx context.Context, region Region, yield func(id int64, p Point) bool, opts ...QueryOpt) error {
 	p := resolve(opts)
 	start := q.begin(&p)
-	st, err := q.backend.EachRegion(ctx, region, p.QuerySpec, yield)
+	st := Stats{Method: p.Method}
+	err := q.admit(region)
+	if err == nil {
+		st, err = q.backend.EachRegion(ctx, region, p.QuerySpec, yield)
+	}
 	q.end(&p, start, singleQuery, &st, err)
 	return err
 }

@@ -81,9 +81,10 @@ func DialRemote(ctx context.Context, urls []string, opts ...Option) (*RemoteEngi
 }
 
 // RemoteBackend configures one backend for NewRemoteEngine: its base URL,
-// the offset added to its local ids, its data bounds and its point count.
-// A zero (empty) Bounds disables MBR pruning for the backend; a zero Len
-// skips it during KNearest.
+// the offset added to its local ids, its bounds and its point count. A zero
+// (empty) Bounds disables MBR pruning for the backend and leaves the
+// engine's own universe unknown (the backends then refuse what lies outside
+// theirs); a zero Len skips it during KNearest.
 type RemoteBackend = remote.Backend
 
 // NewRemoteEngine builds a RemoteEngine over explicitly configured

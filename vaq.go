@@ -51,11 +51,15 @@
 //	...
 //	fmt.Println(rc.Stats().HitRate())
 //
-// All methods always return the same result set, in ascending id order on
-// every backend; Stats expose the work performed (candidates, redundant
-// validations, index node visits, record loads and — with WithStore —
-// page IO). Cancelling ctx aborts the query (or the un-started remainder
-// of a batch) and returns ctx.Err().
+// One contract holds on every flavor. A region whose bounding rectangle
+// escapes the engine's universe is refused with ErrOutsideUniverse; on any
+// other, every method returns the same result set, in ascending id order
+// on every backend — VoronoiBFSStrict given a connected region, and the
+// published VoronoiBFS except where the region is thin against the local
+// point spacing (see UsingMethod). Stats expose the work performed
+// (candidates, redundant validations, index node visits, record loads and
+// — with WithStore — page IO). Cancelling ctx aborts the query (or the
+// un-started remainder of a batch) and returns ctx.Err().
 //
 // # Concurrency model
 //
@@ -113,14 +117,20 @@
 // is: the coordinates in parallel x/y float64 slices (16 bytes, the one
 // copy — the Point accessor reads it too); the Voronoi adjacency as CSR
 // arrays, one int32 offset plus one int32 per neighbor (about 28 bytes — a
-// site averages six neighbors); the clipped Voronoi cell, packed at
-// construction into one contiguous cell arena of flat vertex slices, int32
-// ring offsets and per-cell bounding boxes (roughly 130 bytes: 16 per
-// vertex, six vertices on average, plus a 32-byte box and a 4-byte offset);
-// and the site's R-tree leaf entry. The Delaunay triangulation the
-// adjacency and the cells are derived from — quad-edge pool, its own point
-// copy, vertex tables, about 120 bytes per site — is construction
-// scaffolding and is released when NewEngine returns.
+// site averages six neighbors); and the site's R-tree leaf entry. The
+// Delaunay triangulation the adjacency is derived from — quad-edge pool,
+// its own point copy, vertex tables, about 120 bytes per site — is
+// construction scaffolding and is released when NewEngine returns.
+//
+// Only the strict expansion rule and CellArea read the clipped Voronoi
+// cells, so on every flavor they are built lazily: the first strict query
+// (or CellArea call) clips every cell once, from the coordinates and the
+// adjacency above, into one contiguous cell arena of flat vertex slices,
+// int32 ring offsets and per-cell bounding boxes (roughly 130 bytes per
+// site), paying the clipping pass — about 0.08 s at 200k points, once,
+// however many goroutines race to it. An engine that never runs the strict
+// rule never does; a sharded engine with more than one shard always runs
+// it; a dynamic engine builds one arena per epoch that sees it.
 //
 // The BFS expansion tests, the strict rule's cell-intersection checks and
 // the KNearest distance loop read that dense memory through
@@ -197,7 +207,8 @@ const (
 	// VoronoiBFS is the paper's Algorithm 1 (the default).
 	VoronoiBFS = core.VoronoiBFS
 	// VoronoiBFSStrict replaces the segment expansion test with a Voronoi
-	// cell intersection test; complete even on adversarial geometry.
+	// cell intersection test; complete for every connected region inside the
+	// universe, at any point density.
 	VoronoiBFSStrict = core.VoronoiBFSStrict
 	// BruteForce scans every record (oracle; for testing).
 	BruteForce = core.BruteForce
@@ -324,10 +335,9 @@ func WithShards(n int) Option {
 // internal worker pool (see WithParallelism).
 type Engine struct {
 	querier
-	eng    *core.Engine
-	bounds Rect
-	data   core.DataAccess
-	store  *core.StoreData // nil without WithStore
+	eng   *core.Engine
+	data  core.DataAccess
+	store *core.StoreData // nil without WithStore
 }
 
 // rtreeFanout is the maximum node fan-out of every engine's STR-packed
@@ -370,12 +380,11 @@ func NewEngine(points []Point, bounds Rect, opts ...Option) (*Engine, error) {
 	e := &Engine{
 		querier: newQuerier(&cfg, flavorStatic),
 		eng:     core.NewEngine(core.NewRTreeIndex(points, rtreeFanout), data),
-		bounds:  bounds,
 		data:    data,
 		store:   sd,
 	}
-	e.backend = &pooled{regionQuerier: e.eng, eng: e.eng,
-		opts: exec.Options{NumWorkers: cfg.parallelism, Metrics: e.qm.exec()}}
+	e.universe = bounds
+	e.backend = &pooled{Engine: e.eng, opts: exec.Options{NumWorkers: cfg.parallelism, Metrics: e.qm.exec()}}
 	if cfg.metrics != nil && sd != nil {
 		registerPoolMetrics(cfg.metrics, flavorStatic, sd.IOStats)
 	}
@@ -393,8 +402,9 @@ func (e *Engine) KNearest(ctx context.Context, q Point, k int) ([]int64, Stats, 
 // Len returns the number of stored points.
 func (e *Engine) Len() int { return e.data.NumIDs() }
 
-// Bounds returns the engine's universe rectangle.
-func (e *Engine) Bounds() Rect { return e.bounds }
+// Bounds returns the engine's universe rectangle; a query region must lie
+// inside it (ErrOutsideUniverse).
+func (e *Engine) Bounds() Rect { return e.universe }
 
 // Point returns the coordinates of a stored id. It panics when id is not
 // in [0, Len()); use PointOK for a bounds-checked lookup.
@@ -410,9 +420,10 @@ func (e *Engine) PointOK(id int64) (Point, bool) {
 
 // CellArea returns the area of id's Voronoi cell (clipped to Bounds),
 // computed over the engine's packed cell arena — the flat vertex store
-// every cell was clipped into at construction — so no ring is
-// materialized. The areas of all cells sum to the universe's area. It
-// panics when id is not in [0, Len()).
+// every cell is clipped into by the engine's first CellArea call or strict
+// query (about 0.08 s at 200k points, once) — so no ring is materialized.
+// The areas of all cells sum to the universe's area. It panics when id is
+// not in [0, Len()).
 func (e *Engine) CellArea(id int64) float64 {
 	return e.data.CellArena().CellArea(int(id))
 }
@@ -456,10 +467,10 @@ func (e *Engine) ResetIOStats() {
 // VoronoiBFS uses the strict cell-intersection expansion rather than the
 // published segment rule. A shard's Voronoi diagram is a sub-sample of the
 // dataset, and on its sparser geometry the segment heuristic can strand
-// result islands inside thin concave queries; the strict rule stays exact
-// at any density. Stats.Method still reports the requested method (with
-// CellTests counted instead of SegmentTests). A single shard holds the
-// full diagram and runs the requested method as is.
+// result islands inside thin concave queries; the strict rule is complete
+// at any density for a connected region. Stats.Method still reports the
+// requested method (with CellTests counted instead of SegmentTests). A
+// single shard holds the full diagram and runs the requested method as is.
 //
 // Shard where one engine's data volume is the bottleneck: construction
 // parallelizes across shards, store-backed shards multiply total
@@ -482,9 +493,9 @@ type partitioned struct {
 	k *shard.Engine // the querier's backend, by its own type
 }
 
-// overKernel finishes q with k as its backend.
+// overKernel finishes q with k as its backend and k's bounds as universe.
 func overKernel(q querier, k *shard.Engine) partitioned {
-	q.backend = k
+	q.backend, q.universe = k, k.Bounds()
 	return partitioned{querier: q, k: k}
 }
 
@@ -503,8 +514,9 @@ func (e *partitioned) KNearest(ctx context.Context, q Point, k int) ([]int64, St
 func (e *partitioned) Len() int { return e.k.Len() }
 
 // Bounds returns the engine's universe rectangle — for a RemoteEngine, the
-// union of its backends' advertised bounds.
-func (e *partitioned) Bounds() Rect { return e.k.Bounds() }
+// union of its backends' advertised bounds, empty (unknown) when a backend
+// advertises none. A query region must lie inside it (ErrOutsideUniverse).
+func (e *partitioned) Bounds() Rect { return e.universe }
 
 // NewShardedEngine partitions points into n shards (WithShards; default 1)
 // by Hilbert order and builds every shard's engine in parallel. All
@@ -593,9 +605,13 @@ var (
 	// ErrNoData is returned by every query entry point (Query, QueryAll,
 	// Each, KNearest, Count) when the engine holds no points.
 	ErrNoData = core.ErrNoData
-	// ErrOutsideUniverse is returned by DynamicEngine (and its Snapshots)
-	// when an inserted point or a query area falls outside the universe
-	// rectangle declared at construction.
+	// ErrOutsideUniverse is returned by Query, QueryAll and Each on every
+	// flavor when the region's bounding rectangle escapes the engine's
+	// universe (Bounds or Universe; a RemoteEngine that does not know its
+	// backends' bounds relays their refusal), and by DynamicEngine.Insert
+	// for a point outside it. The region is refused, not clipped: the part
+	// of it inside the universe need not be connected, and Algorithm 1
+	// reaches one component.
 	ErrOutsideUniverse = core.ErrOutsideUniverse
 )
 
@@ -641,6 +657,7 @@ type DynamicEngine struct {
 func NewDynamicEngine(universe Rect, opts ...Option) *DynamicEngine {
 	cfg := newConfig(opts)
 	e := &DynamicEngine{d: core.NewDynamicEngine(universe), proto: newQuerier(&cfg, flavorDynamic)}
+	e.proto.universe = universe
 	e.pool = exec.Options{NumWorkers: cfg.parallelism, Metrics: e.proto.qm.exec()}
 	if cfg.metrics != nil {
 		registerDynamicMetrics(cfg.metrics, e.d)
@@ -666,8 +683,7 @@ func (e *DynamicEngine) Snapshot() *Snapshot {
 	if cur != nil && cur.s == cs {
 		return cur
 	}
-	s := &Snapshot{querier: e.proto, s: cs,
-		pool: pooled{regionQuerier: cs, eng: cs.Engine(), snap: cs, opts: e.pool}}
+	s := &Snapshot{querier: e.proto, s: cs, pool: pooled{Engine: cs.Engine(), opts: e.pool}}
 	s.backend, s.epoch = &s.pool, cs.Epoch()
 	if !e.snap.CompareAndSwap(cur, s) {
 		// A concurrent pinner published first; share its wrapper unless a
@@ -684,7 +700,7 @@ func (e *DynamicEngine) Snapshot() *Snapshot {
 // Query). Cancelling ctx aborts the expansion at candidate boundaries
 // and returns ctx.Err().
 func (e *DynamicEngine) KNearest(ctx context.Context, q Point, k int) ([]int64, Stats, error) {
-	return e.d.KNearest(ctx, q, k)
+	return e.Snapshot().KNearest(ctx, q, k)
 }
 
 // Len returns the number of inserted points at the current epoch.
@@ -695,7 +711,7 @@ func (e *DynamicEngine) Len() int { return e.d.Len() }
 func (e *DynamicEngine) Epoch() uint64 { return e.d.Epoch() }
 
 // Universe returns the engine's universe rectangle.
-func (e *DynamicEngine) Universe() Rect { return e.d.Universe() }
+func (e *DynamicEngine) Universe() Rect { return e.proto.universe }
 
 // Point returns the coordinates of an inserted id. Safe to call
 // concurrently with Insert. It panics when id was never returned by
@@ -727,7 +743,7 @@ func (s *Snapshot) Epoch() uint64 { return s.s.Epoch() }
 func (s *Snapshot) Len() int { return s.s.Len() }
 
 // Universe returns the universe rectangle.
-func (s *Snapshot) Universe() Rect { return s.s.Universe() }
+func (s *Snapshot) Universe() Rect { return s.universe }
 
 // Point returns the coordinates of an id present in the snapshot. It
 // panics when id is not present; use PointOK for a bounds-checked lookup.
@@ -746,5 +762,5 @@ func (s *Snapshot) EachPoint(fn func(id int64, p Point) bool) { s.s.EachPoint(fn
 // order. Cancelling ctx aborts the expansion at candidate boundaries and
 // returns ctx.Err().
 func (s *Snapshot) KNearest(ctx context.Context, q Point, k int) ([]int64, Stats, error) {
-	return s.s.KNearest(ctx, q, k)
+	return s.pool.KNearest(ctx, q, k)
 }

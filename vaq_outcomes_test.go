@@ -5,11 +5,60 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	vaq "repro"
 )
+
+// flavor is one engine flavor under a conformance table, with the registry
+// its queries report to.
+type flavor struct {
+	name, label string // label is the flavor's metric and trace label
+	q           vaq.Querier
+	reg         *vaq.MetricsRegistry
+}
+
+// everyFlavor builds the six shipped flavors over pts and universe: static,
+// store-backed, sharded, dynamic, a pinned snapshot, and a remote engine over
+// two loopback backends.
+func everyFlavor(t *testing.T, pts []vaq.Point, universe vaq.Rect) []flavor {
+	t.Helper()
+	var flavors []flavor
+	add := func(name, label string, build func(vaq.Option) (vaq.Querier, error)) {
+		reg := vaq.NewMetricsRegistry()
+		q, err := build(vaq.WithMetrics(reg))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		flavors = append(flavors, flavor{name, label, q, reg})
+	}
+	dynamic := func(m vaq.Option) *vaq.DynamicEngine {
+		d := vaq.NewDynamicEngine(universe, m)
+		for _, p := range pts {
+			if _, _, err := d.Insert(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d
+	}
+	add("static", "static", func(m vaq.Option) (vaq.Querier, error) {
+		return vaq.NewEngine(pts, universe, m)
+	})
+	add("store", "static", func(m vaq.Option) (vaq.Querier, error) {
+		return vaq.NewEngine(pts, universe, m, vaq.WithStore(vaq.StoreConfig{PageSize: 4096, PoolPages: 8}))
+	})
+	add("sharded", "sharded", func(m vaq.Option) (vaq.Querier, error) {
+		return vaq.NewShardedEngine(pts, universe, m, vaq.WithShards(4))
+	})
+	add("dynamic", "dynamic", func(m vaq.Option) (vaq.Querier, error) { return dynamic(m), nil })
+	add("snapshot", "dynamic", func(m vaq.Option) (vaq.Querier, error) { return dynamic(m).Snapshot(), nil })
+	add("remote", "remote", func(m vaq.Option) (vaq.Querier, error) {
+		return startFixtureOver(t, pts, universe, len(pts)*2/5).dial(t, m), nil
+	})
+	return flavors
+}
 
 // TestEveryOutcomeIsObservedOnce is the conformance table of what surrounds
 // a query rather than what it returns: on every flavor, for Query, QueryAll
@@ -24,44 +73,7 @@ func TestEveryOutcomeIsObservedOnce(t *testing.T) {
 	outside := vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.95, 0.5), 0.1)) // pokes out of the unit square
 	const badMethod = vaq.Method(99)
 
-	type flavor struct {
-		name, label string
-		q           vaq.Querier
-		reg         *vaq.MetricsRegistry
-		universe    bool // rejects regions outside its universe
-	}
-	var flavors []flavor
-	add := func(name, label string, universe bool, build func(vaq.Option) (vaq.Querier, error)) {
-		reg := vaq.NewMetricsRegistry()
-		q, err := build(vaq.WithMetrics(reg))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		flavors = append(flavors, flavor{name, label, q, reg, universe})
-	}
-	dynamic := func(m vaq.Option) *vaq.DynamicEngine {
-		d := vaq.NewDynamicEngine(vaq.UnitSquare(), m)
-		for _, p := range pts {
-			if _, _, err := d.Insert(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return d
-	}
-	add("static", "static", false, func(m vaq.Option) (vaq.Querier, error) {
-		return vaq.NewEngine(pts, vaq.UnitSquare(), m)
-	})
-	add("store", "static", false, func(m vaq.Option) (vaq.Querier, error) {
-		return vaq.NewEngine(pts, vaq.UnitSquare(), m, vaq.WithStore(vaq.StoreConfig{PageSize: 4096, PoolPages: 8}))
-	})
-	add("sharded", "sharded", false, func(m vaq.Option) (vaq.Querier, error) {
-		return vaq.NewShardedEngine(pts, vaq.UnitSquare(), m, vaq.WithShards(4))
-	})
-	add("dynamic", "dynamic", true, func(m vaq.Option) (vaq.Querier, error) { return dynamic(m), nil })
-	add("snapshot", "dynamic", true, func(m vaq.Option) (vaq.Querier, error) { return dynamic(m).Snapshot(), nil })
-	add("remote", "remote", false, func(m vaq.Option) (vaq.Querier, error) {
-		return startFixture(t, pts, 600).dial(t, m), nil
-	})
+	flavors := everyFlavor(t, pts, vaq.UnitSquare())
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -82,9 +94,6 @@ func TestEveryOutcomeIsObservedOnce(t *testing.T) {
 
 	for _, f := range flavors {
 		for _, o := range outcomes {
-			if o.is == vaq.ErrOutsideUniverse && !f.universe {
-				continue
-			}
 			methodLabel := o.method.String()
 			if o.method == badMethod {
 				methodLabel = "other"
@@ -172,6 +181,77 @@ func TestEveryOutcomeIsObservedOnce(t *testing.T) {
 						}
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestRegionEscapingTheUniverseIsRefusedNotAnswered is the probe that found
+// the one wrong answer with a nil error, as a case on every flavor: points in
+// the left half of the unit square, engines over their tight MBR, and a
+// C-shaped polygon whose spine lies outside that universe while its two arms
+// reach in. The part of the region inside the universe is two disconnected
+// pieces; a Voronoi expansion from one seed reaches one, so an engine that
+// answered lost the other arm's points. Every flavor now refuses the region
+// — from Query, QueryAll (naming the index) and Each — and, translated
+// inside the universe, the strict rule and the traditional method equal
+// brute force.
+func TestRegionEscapingTheUniverseIsRefusedNotAnswered(t *testing.T) {
+	cShape := func(dx float64) vaq.Region { // arms from x = 0.45+dx to the spine at 0.85+dx
+		return vaq.PolygonRegion(vaq.MustPolygon([]vaq.Point{
+			vaq.Pt(0.45+dx, 0.2), vaq.Pt(0.9+dx, 0.2), vaq.Pt(0.9+dx, 0.8), vaq.Pt(0.45+dx, 0.8),
+			vaq.Pt(0.45+dx, 0.7), vaq.Pt(0.85+dx, 0.7), vaq.Pt(0.85+dx, 0.3), vaq.Pt(0.45+dx, 0.3),
+		}))
+	}
+	escaping, inside := cShape(0), cShape(-0.42)
+	ctx := context.Background()
+	for seed := int64(1); seed <= 10; seed++ {
+		pts := vaq.UniformPoints(rand.New(rand.NewSource(seed)), 2000, vaq.NewRect(0, 0, 0.5, 1))
+		universe := vaq.NewRect(pts[0].X, pts[0].Y, pts[0].X, pts[0].Y)
+		for _, p := range pts {
+			universe = universe.ExtendPoint(p)
+		}
+		flavors := everyFlavor(t, pts, universe)
+		// A remote engine that does not know its backends' bounds admits
+		// everything; the backends' own refusal crosses the wire.
+		f := startFixtureOver(t, pts, universe, 800)
+		blind, err := vaq.NewRemoteEngine([]vaq.RemoteBackend{
+			{URL: f.urls[0], Len: 800}, {URL: f.urls[1], IDOffset: 800, Len: len(pts) - 800}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !blind.Bounds().IsEmpty() {
+			t.Fatalf("remote engine over backends of unknown bounds reports %v", blind.Bounds())
+		}
+		flavors = append(flavors, flavor{name: "remote, bounds unknown", q: blind})
+
+		for _, f := range flavors {
+			name := fmt.Sprintf("seed %d %s", seed, f.name)
+			_, err := f.q.Query(ctx, escaping, vaq.UsingMethod(vaq.VoronoiBFSStrict))
+			if !errors.Is(err, vaq.ErrOutsideUniverse) {
+				t.Errorf("%s: Query(escaping) err = %v, want ErrOutsideUniverse", name, err)
+			}
+			_, err = f.q.QueryAll(ctx, []vaq.Region{inside, escaping})
+			if !errors.Is(err, vaq.ErrOutsideUniverse) || !strings.Contains(err.Error(), "batch query 1") {
+				t.Errorf("%s: QueryAll(inside, escaping) err = %v, want ErrOutsideUniverse naming query 1", name, err)
+			}
+			err = f.q.Each(ctx, escaping, func(int64, vaq.Point) bool {
+				t.Errorf("%s: Each(escaping) yielded a result", name)
+				return false
+			})
+			if !errors.Is(err, vaq.ErrOutsideUniverse) {
+				t.Errorf("%s: Each(escaping) err = %v, want ErrOutsideUniverse", name, err)
+			}
+
+			want, err := f.q.Query(ctx, inside, vaq.UsingMethod(vaq.BruteForce))
+			if err != nil || len(want) == 0 {
+				t.Fatalf("%s: oracle: %d ids, err %v", name, len(want), err)
+			}
+			for _, m := range []vaq.Method{vaq.VoronoiBFSStrict, vaq.Traditional} {
+				got, err := f.q.Query(ctx, inside, vaq.UsingMethod(m))
+				if err != nil || !slices.Equal(got, want) {
+					t.Errorf("%s: %v inside the universe returned %d ids (err %v), brute force %d", name, m, len(got), err, len(want))
+				}
 			}
 		}
 	}

@@ -40,10 +40,17 @@ type remoteFixture struct {
 }
 
 // startFixture splits pts at the given cut indexes (uneven on purpose —
-// even splits hide id-offset bugs) and serves each chunk.
+// even splits hide id-offset bugs) and serves each chunk, every engine built
+// over the unit square.
 func startFixture(t *testing.T, pts []vaq.Point, cuts ...int) *remoteFixture {
 	t.Helper()
-	local, err := vaq.NewEngine(pts, vaq.UnitSquare())
+	return startFixtureOver(t, pts, vaq.UnitSquare(), cuts...)
+}
+
+// startFixtureOver is startFixture with every engine built over universe.
+func startFixtureOver(t *testing.T, pts []vaq.Point, universe vaq.Rect, cuts ...int) *remoteFixture {
+	t.Helper()
+	local, err := vaq.NewEngine(pts, universe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +61,7 @@ func startFixture(t *testing.T, pts []vaq.Point, cuts ...int) *remoteFixture {
 		if i+1 < len(starts) {
 			end = starts[i+1]
 		}
-		eng, err := vaq.NewEngine(pts[start:end], vaq.UnitSquare())
+		eng, err := vaq.NewEngine(pts[start:end], universe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,8 +422,8 @@ func TestRemoteEachEarlyStop(t *testing.T) {
 	f := startFixture(t, pts, 700)
 	re := f.dial(t)
 
-	whole := vaq.PolygonRegion(vaq.MustPolygon([]vaq.Point{
-		vaq.Pt(-0.1, -0.1), vaq.Pt(1.1, -0.1), vaq.Pt(1.1, 1.1), vaq.Pt(-0.1, 1.1),
+	whole := vaq.PolygonRegion(vaq.MustPolygon([]vaq.Point{ // the universe itself: a larger region is refused
+		vaq.Pt(0, 0), vaq.Pt(1, 0), vaq.Pt(1, 1), vaq.Pt(0, 1),
 	}))
 	seen := 0
 	err := re.Each(context.Background(), whole, func(id int64, p vaq.Point) bool {
