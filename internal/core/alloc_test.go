@@ -198,6 +198,33 @@ func TestDynamicPublishAllocs(t *testing.T) {
 	}
 }
 
+// TestDynamicInsertAllocs pins a warm Insert — no R-tree node split, no array
+// grown — at what it allocated before the nearest-site hint: the lookup that
+// finds the hint keeps its frontier on the stack, so the hint is free. The
+// lowest of 20 inserts is a warm one.
+func TestDynamicInsertAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins run on an uninstrumented build")
+	}
+	rng := rand.New(rand.NewSource(61))
+	d := NewDynamicEngine(unitBounds())
+	insert := func() {
+		if _, _, err := d.Insert(geom.Pt(rng.Float64(), rng.Float64())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for d.Len() < 5000 {
+		insert()
+	}
+	low := math.Inf(1)
+	for i := 0; i < 20; i++ {
+		low = math.Min(low, testing.AllocsPerRun(1, insert))
+	}
+	if low > 0 {
+		t.Errorf("a warm Insert allocates %.0f times, want 0", low)
+	}
+}
+
 // TestKNearestIntoMatchesKNearest checks the buffer-reusing variant returns
 // exactly what the allocating entry point returns.
 func TestKNearestIntoMatchesKNearest(t *testing.T) {

@@ -129,6 +129,12 @@ func TestDynamicEngineDuplicateInsert(t *testing.T) {
 	if d.Len() != 1 {
 		t.Errorf("Len = %d", d.Len())
 	}
+	// A duplicate is settled by the coordinate table, before the R-tree is
+	// asked for a walk hint: with the tree gone, a lookup would dereference nil.
+	d.tree = nil
+	if id3, ins3, err := d.Insert(geom.Pt(0.4, 0.4)); err != nil || ins3 || id3 != id1 {
+		t.Errorf("duplicate insert without an index: id=%d ins=%v err=%v", id3, ins3, err)
+	}
 }
 
 func BenchmarkDynamicEngineInsert(b *testing.B) {

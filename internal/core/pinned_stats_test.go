@@ -107,6 +107,13 @@ func TestQueryCostsPinned(t *testing.T) {
 	// STR tree, and the quad-edge ring starts its rotation at another
 	// neighbor than the CSR arrays — so equality here shows the one shared
 	// loop takes the callback loop's decisions in the callback loop's order.
+	// Eleven segment / cell test counts (regions 9–12, 16, 17) were recorded
+	// again, ±1–2 each, when Insert began to start its locate walk at the
+	// nearest site: the graph is the same edge for edge and so is every
+	// result, candidate and index-node count, but the walk arrives on another
+	// edge of the same triangle, the new site's ring starts its rotation
+	// there, and a boundary candidate is then reached from another neighbor
+	// first.
 	wantDynamic := map[Method][]pinnedCost{
 		VoronoiBFS: {
 			{0, 3, 16, 0, 4},
@@ -118,15 +125,15 @@ func TestQueryCostsPinned(t *testing.T) {
 			{18, 45, 68, 0, 5},
 			{24, 49, 73, 0, 8},
 			{34, 66, 75, 0, 6},
-			{151, 215, 156, 0, 4},
+			{151, 215, 157, 0, 4},
 			{166, 227, 147, 0, 4},
-			{171, 228, 151, 0, 7},
-			{23, 53, 85, 0, 6},
+			{171, 228, 150, 0, 7},
+			{23, 53, 87, 0, 6},
 			{23, 52, 81, 0, 4},
 			{12, 44, 90, 0, 4},
 			{0, 3, 15, 0, 6},
-			{15, 34, 48, 0, 4},
-			{197, 257, 141, 0, 10},
+			{15, 34, 49, 0, 4},
+			{197, 257, 140, 0, 10},
 		},
 		VoronoiBFSStrict: {
 			{0, 2, 0, 13, 4},
@@ -138,15 +145,15 @@ func TestQueryCostsPinned(t *testing.T) {
 			{18, 44, 0, 66, 5},
 			{24, 51, 0, 75, 8},
 			{34, 67, 0, 77, 6},
-			{151, 216, 0, 157, 4},
-			{166, 228, 0, 149, 4},
-			{171, 229, 0, 154, 7},
-			{23, 53, 0, 83, 6},
+			{151, 216, 0, 158, 4},
+			{166, 228, 0, 150, 4},
+			{171, 229, 0, 153, 7},
+			{23, 53, 0, 85, 6},
 			{23, 52, 0, 84, 4},
 			{12, 46, 0, 91, 4},
 			{0, 2, 0, 11, 6},
-			{15, 34, 0, 47, 4},
-			{197, 257, 0, 141, 10},
+			{15, 34, 0, 48, 4},
+			{197, 257, 0, 140, 10},
 		},
 	}
 	pts, regions := pinnedRegions()

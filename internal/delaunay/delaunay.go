@@ -8,6 +8,14 @@
 // because every orientation and in-circle decision goes through package
 // robust — exact behavior on degenerate inputs (collinear runs, cocircular
 // quadruples, duplicate points).
+//
+// One rule keeps exactness cheap: the merge never asks robust about a
+// triangle's own corner. When a candidate's successor wraps round to the base
+// edge, the fourth in-circle argument is one of the first three, the
+// determinant is identically zero, no floating-point filter can certify that,
+// and robust would settle it in big.Rat — some forty allocations to learn
+// "not inside". Triangulation.inCircle answers that case by vertex id; only
+// genuinely cocircular quadruples of distinct sites reach the exact path.
 package delaunay
 
 import (
@@ -112,7 +120,15 @@ func (t *Triangulation) ccw(a, b, c int32) bool {
 	return robust.Orient2D(pa.X, pa.Y, pb.X, pb.Y, pc.X, pc.Y) > 0
 }
 
+// inCircle reports whether d lies strictly inside the circle through a, b, c
+// (counterclockwise). A corner of the triangle is on its circumcircle, never
+// inside: robust.InCircle says so too (0), but only after its exact fallback
+// (see the package comment), so that case is answered here. Vertex ids stand
+// for distinct coordinates — triangulate sees canonical ids only.
 func (t *Triangulation) inCircle(a, b, c, d int32) bool {
+	if d == a || d == b || d == c {
+		return false
+	}
 	pa, pb, pc, pd := t.pts[a], t.pts[b], t.pts[c], t.pts[d]
 	return robust.InCircle(pa.X, pa.Y, pb.X, pb.Y, pc.X, pc.Y, pd.X, pd.Y) > 0
 }

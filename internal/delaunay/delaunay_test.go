@@ -1,6 +1,8 @@
 package delaunay
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"slices"
@@ -157,13 +159,7 @@ func TestSquareWithCenter(t *testing.T) {
 func TestGridDegenerate(t *testing.T) {
 	// Regular grid: every unit square's corners are cocircular. Exact
 	// predicates must keep the structure consistent.
-	var pts []geom.Point
-	for x := 0; x < 8; x++ {
-		for y := 0; y < 8; y++ {
-			pts = append(pts, geom.Pt(float64(x), float64(y)))
-		}
-	}
-	tr, err := Build(pts)
+	tr, err := Build(integerGrid(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,8 +331,8 @@ func min3(a, b, c int32) int32 {
 	return m
 }
 
-func TestClusteredDuplicateHeavyInput(t *testing.T) {
-	// Many coincident and near-coincident points.
+// clusteredDuplicates returns 50 random positions, each one to four times.
+func clusteredDuplicates() []geom.Point {
 	rng := rand.New(rand.NewSource(111))
 	var pts []geom.Point
 	for i := 0; i < 50; i++ {
@@ -345,7 +341,11 @@ func TestClusteredDuplicateHeavyInput(t *testing.T) {
 			pts = append(pts, p) // exact duplicates
 		}
 	}
-	tr, err := Build(pts)
+	return pts
+}
+
+func TestClusteredDuplicateHeavyInput(t *testing.T) {
+	tr, err := Build(clusteredDuplicates())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,5 +376,118 @@ func BenchmarkBuild100k(b *testing.B) {
 		if _, err := Build(pts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// integerGrid returns the side×side integer lattice: every unit square's
+// corners are cocircular.
+func integerGrid(side int) []geom.Point {
+	pts := make([]geom.Point, 0, side*side)
+	for x := 0; x < side; x++ {
+		for y := 0; y < side; y++ {
+			pts = append(pts, geom.Pt(float64(x), float64(y)))
+		}
+	}
+	return pts
+}
+
+// degenerateFixtures returns the package's degenerate inputs by name, plus
+// three random ones: the inputs whose triangulation TestAdjacencyDigestsPinned
+// pins and FuzzBulkAndIncrementalAgree starts from.
+func degenerateFixtures() map[string][]geom.Point {
+	return map[string][]geom.Point{
+		"collinear": {geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0), geom.Pt(3, 0), geom.Pt(4, 0)},
+		"duplicates": {
+			geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1), geom.Pt(1, 0), geom.Pt(0, 0),
+		},
+		"square+centre": {
+			geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(0, 1), geom.Pt(0.5, 0.5),
+		},
+		"grid8":     integerGrid(8),
+		"grid30":    integerGrid(30),
+		"clustered": clusteredDuplicates(),
+		"random101": uniformPoints(rand.New(rand.NewSource(101)), 500),
+		"random202": uniformPoints(rand.New(rand.NewSource(202)), 1000),
+		"random707": uniformPoints(rand.New(rand.NewSource(707)), 2000),
+	}
+}
+
+// adjacencyDigest is the FNV-1a hash of the CSR arrays, offsets then
+// neighbors, each value as four little-endian bytes.
+func adjacencyDigest(tr *Triangulation) uint64 {
+	h := fnv.New64a()
+	off, nbrs := tr.Adjacency()
+	binary.Write(h, binary.LittleEndian, off)  //nolint:errcheck // a hash never fails to write
+	binary.Write(h, binary.LittleEndian, nbrs) //nolint:errcheck
+	return h.Sum64()
+}
+
+// TestAdjacencyDigestsPinned pins every decision Build makes on the inputs
+// where decisions are hard: the digests were recorded at commit 0d5ed78,
+// before inCircle answered a triangle's own corner without package robust,
+// so equality here means that shortcut changed no edge — not even the
+// diagonal chosen in a cocircular tie.
+func TestAdjacencyDigestsPinned(t *testing.T) {
+	want := map[string]uint64{
+		"collinear":     0x87b702017a34ef49,
+		"duplicates":    0xf96db41791d3f1c5,
+		"square+centre": 0x380a7899620ac505,
+		"grid8":         0x348d9060bf273d18,
+		"grid30":        0xc9c6e640cd8ae930,
+		"clustered":     0xf0433be72f99e833,
+		"random101":     0x8eaed05e113c69bb,
+		"random202":     0x6d09b4c495bc6f49,
+		"random707":     0xf0e6895ba2272670,
+	}
+	for name, pts := range degenerateFixtures() {
+		tr, err := Build(pts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := tr.Validate(true); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if got := adjacencyDigest(tr); got != want[name] {
+			t.Errorf("%s: adjacency digest %#x, want %#x", name, got, want[name])
+		}
+	}
+}
+
+// TestBuildUniformAllocs pins the rule in the package comment by what
+// breaking it costs. On points in general position Build allocates its
+// arrays and nothing else (39 measured; 1.72 million before the rule, every
+// one of them a big.Rat deciding that a triangle's corner is not inside its
+// circumcircle). On the integer grid, where quadruples of distinct sites
+// really are cocircular, the exact path must still run (136 982 measured)
+// and the result must still be Delaunay.
+func TestBuildUniformAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a 20k-point build per run is slow under the race detector")
+	}
+	uniform := uniformPoints(rand.New(rand.NewSource(808)), 20000)
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := Build(uniform); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("20k uniform points: %.0f allocations per Build", allocs)
+	if allocs > 64 {
+		t.Errorf("Build of 20k uniform points allocates %.0f times, want <= 64", allocs)
+	}
+
+	grid := integerGrid(30)
+	var tr *Triangulation
+	allocs = testing.AllocsPerRun(1, func() {
+		var err error
+		if tr, err = Build(grid); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("30x30 integer grid: %.0f allocations per Build", allocs)
+	if allocs <= 10000 {
+		t.Errorf("Build of the 30x30 grid allocates %.0f times, want > 10000: cocircular quadruples no longer reach the exact predicate", allocs)
+	}
+	if err := tr.Validate(true); err != nil {
+		t.Error(err)
 	}
 }

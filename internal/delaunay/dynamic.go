@@ -15,6 +15,15 @@ import (
 // the Voronoi topology used by the area query can track a growing dataset
 // without full rebuilds.
 //
+// The locate walk starts at a caller-supplied neighbour: InsertSiteNear
+// takes the id of a site close to the new one (an engine that keeps a
+// spatial index asks it for the nearest) and walks from that site's ring, a
+// handful of orientation tests. InsertSite, with nobody to ask, walks from
+// the previous insertion — O(√n) tests per insert on unsorted arrival. The
+// hint only chooses where the walk starts: the edges that result are the
+// same from any start, and only the neighbour at which a site's ring begins
+// its rotation can differ.
+//
 // The triangulation is bootstrapped from three "fence" sites forming a
 // triangle that strictly contains the declared universe. Every user site
 // therefore falls inside the current triangulation, which keeps the locate
@@ -26,7 +35,7 @@ type Dynamic struct {
 	pts      []geom.Point
 	vertEdge []edgeID
 	universe geom.Rect
-	start    edgeID // walk entry point, updated to recent insertions
+	start    edgeID // where an unhinted walk enters: an edge of the last insertion
 	byCoord  map[geom.Point]int32
 	frozen   bool // read-only snapshot view; InsertSite panics
 }
@@ -149,11 +158,11 @@ func (d *Dynamic) onEdge(x geom.Point, e edgeID) bool {
 	return geom.NewRect(a.X, a.Y, b.X, b.Y).ContainsPoint(x)
 }
 
-// locate walks from the previous insertion to an edge on whose left face x
-// lies (Guibas–Stolfi locate). x must be inside the fence triangle.
-func (d *Dynamic) locate(x geom.Point) edgeID {
+// locate walks from edge e to an edge on whose left face x lies
+// (Guibas–Stolfi locate; any live edge will do as a start). x must be inside
+// the fence triangle.
+func (d *Dynamic) locate(x geom.Point, e edgeID) edgeID {
 	p := d.pool
-	e := d.start
 	for steps := 0; ; steps++ {
 		if steps > 4*len(d.pts)+1000 {
 			panic("delaunay: locate walk did not terminate") // impossible on valid input
@@ -206,6 +215,23 @@ func (d *Dynamic) swap(e edgeID) {
 // when the coordinate already exists, in which case the existing id is
 // returned).
 func (d *Dynamic) InsertSite(x geom.Point) (id int, inserted bool, err error) {
+	return d.InsertSiteNear(x, -1)
+}
+
+// SiteAt returns the id of the site at exactly x, if there is one. A caller
+// about to look up a hint for InsertSiteNear asks this first: a duplicate
+// needs no walk, so it needs no hint. It belongs to the writer, as InsertSite
+// does: a Snapshot view keeps no coordinate table and reports no site.
+func (d *Dynamic) SiteAt(x geom.Point) (id int, ok bool) {
+	existing, ok := d.byCoord[x]
+	return int(existing), ok
+}
+
+// InsertSiteNear is InsertSite with the locate walk started at site near,
+// which should be close to x — ideally its nearest site. Any value is safe:
+// a far site costs a longer walk, and an id that names no site (negative, or
+// not yet assigned) falls back to the previous insertion, as InsertSite does.
+func (d *Dynamic) InsertSiteNear(x geom.Point, near int) (id int, inserted bool, err error) {
 	if d.frozen {
 		panic("delaunay: InsertSite on a read-only Snapshot view")
 	}
@@ -217,7 +243,11 @@ func (d *Dynamic) InsertSite(x geom.Point) (id int, inserted bool, err error) {
 	}
 	p := d.pool
 
-	e := d.locate(x)
+	from := d.start
+	if near >= 0 && near < len(d.vertEdge) {
+		from = d.vertEdge[near]
+	}
+	e := d.locate(x, from)
 	if x == d.pts[p.org[e]] {
 		return int(p.org[e]), false, nil
 	}

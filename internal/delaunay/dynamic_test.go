@@ -2,6 +2,7 @@ package delaunay
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -253,4 +254,160 @@ func TestDynamicSnapshotInsertPanics(t *testing.T) {
 		}
 	}()
 	snap.InsertSite(geom.Pt(0.25, 0.25)) //nolint:errcheck // must panic first
+}
+
+// hintPolicy is one way a caller can choose InsertSiteNear's hint; a nil hint
+// is InsertSite itself.
+type hintPolicy struct {
+	name string
+	hint func(d *Dynamic, x geom.Point) int
+}
+
+// hintPolicies are the good and the hostile ones.
+var hintPolicies = []hintPolicy{
+	{"none", nil},
+	{"nearest", func(d *Dynamic, x geom.Point) int { return extremeSite(d, x, false) }},
+	{"farthest", func(d *Dynamic, x geom.Point) int { return extremeSite(d, x, true) }},
+	{"fence", func(d *Dynamic, x geom.Point) int { return d.NumSites() % FirstSiteID }},
+	{"negative", func(*Dynamic, geom.Point) int { return -1 }},
+	{"unassigned", func(d *Dynamic, x geom.Point) int { return d.NumSites() + d.NumSites()%2 }},
+}
+
+// extremeSite returns the user site nearest to x, or farthest from it; -1
+// while there is none.
+func extremeSite(d *Dynamic, x geom.Point, farthest bool) int {
+	best, bestD := -1, 0.0
+	for id := FirstSiteID; id < d.NumSites(); id++ {
+		dist := d.Point(id).Dist2(x)
+		if best == -1 || (dist > bestD) == farthest {
+			best, bestD = id, dist
+		}
+	}
+	return best
+}
+
+func insertWithHint(t *testing.T, d *Dynamic, x geom.Point, hint func(*Dynamic, geom.Point) int) {
+	t.Helper()
+	var err error
+	if hint == nil {
+		_, _, err = d.InsertSite(x)
+	} else {
+		_, _, err = d.InsertSiteNear(x, hint(d, x))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// canonicalRing returns id's neighbor ring rotated to start at its lowest
+// id: where a ring starts its rotation is the walk's arrival edge showing
+// through, the cyclic order is the triangulation.
+func canonicalRing(d *Dynamic, id int) []int32 {
+	ring := d.AppendNeighbors(id, nil)
+	lo := 0
+	for i, v := range ring {
+		if v < ring[lo] {
+			lo = i
+		}
+	}
+	return append(ring[lo:len(ring):len(ring)], ring[:lo]...)
+}
+
+// TestHintChangesOnlyTheWalk inserts one arrival order under every hint
+// policy: each site must end with the ring the unhinted build gives it.
+func TestHintChangesOnlyTheWalk(t *testing.T) {
+	pts := uniformPoints(rand.New(rand.NewSource(31)), 600)
+	var want [][]int32
+	for _, pol := range hintPolicies {
+		d := NewDynamic(unitUniverse())
+		for _, p := range pts {
+			insertWithHint(t, d, p, pol.hint)
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("%s: %v", pol.name, err)
+		}
+		rings := make([][]int32, d.NumSites())
+		for id := range rings {
+			rings[id] = canonicalRing(d, id)
+		}
+		if want == nil {
+			want = rings
+			continue
+		}
+		for id := range rings {
+			if !slices.Equal(rings[id], want[id]) {
+				t.Fatalf("%s hint: site %d has ring %v, unhinted %v", pol.name, id, rings[id], want[id])
+			}
+		}
+	}
+}
+
+// TestHintedCocircularAndOnEdgeInsertions runs the lattice of
+// TestDynamicCocircularInsertions, then splits edges at their midpoints,
+// under every hint policy — and once with each hint the endpoint of the
+// edge just split, whose vertEdge entry that insertion had to repoint.
+func TestHintedCocircularAndOnEdgeInsertions(t *testing.T) {
+	var lattice []geom.Point
+	for s := 1; s <= 4; s++ {
+		side := float64(s) * 0.125
+		lattice = append(lattice,
+			geom.Pt(0.5-side, 0.5-side), geom.Pt(0.5+side, 0.5-side),
+			geom.Pt(0.5+side, 0.5+side), geom.Pt(0.5-side, 0.5+side))
+	}
+	policies := append(slices.Clone(hintPolicies), hintPolicy{name: "repointed"})
+	for _, pol := range policies {
+		d := NewDynamic(unitUniverse())
+		for _, p := range lattice {
+			insertWithHint(t, d, p, pol.hint)
+			if err := d.Validate(); err != nil {
+				t.Fatalf("%s hint, lattice site %v: %v", pol.name, p, err)
+			}
+		}
+		// The bottom side of each square is a Delaunay edge (a circle through
+		// its ends, centred one side below it, holds no other corner); split
+		// it at its midpoint.
+		repointed := -1
+		for s := 1; s <= 4; s++ {
+			side := float64(s) * 0.125
+			a, _ := d.SiteAt(geom.Pt(0.5-side, 0.5-side))
+			b, _ := d.SiteAt(geom.Pt(0.5+side, 0.5-side))
+			ab := edgeFromTo(d, a, b)
+			if ab == nilEdge {
+				t.Fatalf("%s hint: sites %d and %d are not neighbors", pol.name, a, b)
+			}
+			mid := geom.Pt(0.5, 0.5-side)
+			if pol.name != "repointed" {
+				insertWithHint(t, d, mid, pol.hint)
+			} else {
+				d.vertEdge[a] = ab // any edge out of a is a valid entry; this one is about to go
+				if _, _, err := d.InsertSiteNear(mid, repointed); err != nil {
+					t.Fatal(err)
+				}
+				if d.vertEdge[a] == ab {
+					t.Fatalf("vertEdge[%d] still names the split edge", a)
+				}
+				repointed = a
+			}
+			if err := d.Validate(); err != nil {
+				t.Fatalf("%s hint, midpoint %v: %v", pol.name, mid, err)
+			}
+			if m, ok := d.SiteAt(mid); !ok || edgeFromTo(d, m, a) == nilEdge || edgeFromTo(d, m, b) == nilEdge {
+				t.Fatalf("%s hint: midpoint %v is not joined to both ends of the edge it split", pol.name, mid)
+			}
+		}
+	}
+}
+
+// edgeFromTo returns the edge from site a to site b, nilEdge when they are
+// not neighbors.
+func edgeFromTo(d *Dynamic, a, b int) edgeID {
+	start := d.vertEdge[a]
+	for e := start; ; {
+		if int(d.pool.dst(e)) == b {
+			return e
+		}
+		if e = d.pool.onext[e]; e == start {
+			return nilEdge
+		}
+	}
 }

@@ -1,0 +1,125 @@
+package delaunay
+
+import (
+	"cmp"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/robust"
+)
+
+// latticeSites spells at most 64 sites on the 16×16 integer lattice, a byte
+// each (x in the high nibble): few enough positions that duplicates,
+// collinear runs and cocircular quadruples are the rule.
+func latticeSites(data []byte) []geom.Point {
+	pts := make([]geom.Point, 0, 64)
+	for _, b := range data[:min(len(data), cap(pts))] {
+		pts = append(pts, geom.Pt(float64(b>>4), float64(b&15)))
+	}
+	return pts
+}
+
+func latticeBytes(pts []geom.Point) []byte {
+	out := make([]byte, len(pts))
+	for i, p := range pts {
+		out[i] = byte(p.X)<<4 | byte(p.Y)
+	}
+	return out
+}
+
+// FuzzBulkAndIncrementalAgree is the differential target of the two
+// builders: whatever sites the bytes spell, the divide-and-conquer build is
+// Delaunay (exhaustively), insertion one site at a time — each walk started
+// where the fuzzer says, or at the nearest site when it says nothing — is
+// locally Delaunay after every insert, and when the triangulation is unique
+// (no site on the circumcircle of a triangle it is not a corner of) the two
+// give every site the same neighbors.
+func FuzzBulkAndIncrementalAgree(f *testing.F) {
+	fix := degenerateFixtures()
+	for _, name := range []string{"collinear", "duplicates", "grid8"} {
+		f.Add(latticeBytes(fix[name]), []byte(nil))
+		f.Add(latticeBytes(fix[name]), []byte{0, 1, 2, 3, 5, 8, 13, 21})
+	}
+	f.Add([]byte{0x00, 0x20, 0x22, 0x02, 0x11}, []byte{1})                                             // square + centre
+	f.Add([]byte{0x66, 0x96, 0x99, 0x69, 0x55, 0xa5, 0xaa, 0x5a, 0x44, 0xb4, 0xbb, 0x4b}, []byte(nil)) // nested squares
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 16*seed) // the shorter, the likelier unique: about half at 16 sites
+		rng.Read(data)
+		f.Add(data, []byte(nil))
+		for i := range data { // clustered: a few positions, many times each
+			data[i] = data[i%5]
+		}
+		f.Add(data, []byte{byte(seed)})
+	}
+	f.Fuzz(func(t *testing.T, data, hints []byte) {
+		pts := latticeSites(data)
+		if len(pts) == 0 {
+			return
+		}
+		bulk, err := Build(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bulk.Validate(true); err != nil {
+			t.Fatalf("bulk build of %v: %v", pts, err)
+		}
+
+		d := NewDynamic(geom.NewRect(0, 0, 15, 15))
+		for k, p := range pts {
+			near := extremeSite(d, p, false)
+			if len(hints) > 0 {
+				near = int(hints[k%len(hints)])%(d.NumSites()+2) - 1 // -1 … one past the last site
+			}
+			if _, _, err := d.InsertSiteNear(p, near); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Validate(); err != nil {
+				t.Fatalf("site %d of %v, walk from %d: %v", k, pts, near, err)
+			}
+		}
+
+		// The bulk builder's view of what the incremental one holds: the
+		// fence sites, then the user sites.
+		all := append([]geom.Point{d.Point(0), d.Point(1), d.Point(2)}, pts...)
+		fenced, err := Build(all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fenced.Validate(true); err != nil {
+			t.Fatalf("bulk build of %v: %v", all, err)
+		}
+		for _, tri := range fenced.Triangles() {
+			a, b, c := all[tri[0]], all[tri[1]], all[tri[2]]
+			for _, x := range all {
+				if x != a && x != b && x != c && robust.InCircle(a.X, a.Y, b.X, b.Y, c.X, c.Y, x.X, x.Y) == 0 {
+					return // a cocircular tie: either diagonal is Delaunay
+				}
+			}
+		}
+		for i, p := range all {
+			id, ok := d.SiteAt(p)
+			if !ok {
+				t.Fatalf("inserted site %v is not in the dynamic triangulation", p)
+			}
+			var got, want []geom.Point
+			for _, nb := range d.AppendNeighbors(id, nil) {
+				got = append(got, d.Point(int(nb)))
+			}
+			for _, nb := range fenced.Neighbors(i) {
+				want = append(want, all[nb])
+			}
+			slices.SortFunc(got, comparePoints)
+			slices.SortFunc(want, comparePoints)
+			if !slices.Equal(got, want) {
+				t.Fatalf("sites %v: %v has neighbors %v inserted, %v built", pts, p, got, want)
+			}
+		}
+	})
+}
+
+func comparePoints(a, b geom.Point) int {
+	return cmp.Or(cmp.Compare(a.X, b.X), cmp.Compare(a.Y, b.Y))
+}

@@ -190,6 +190,39 @@ func TestInCircleMatchesExactOracle(t *testing.T) {
 	}
 }
 
+// TestInCircleOwnCornerIsZero pins the equality package delaunay relies on
+// when it answers "a triangle's corner is not inside its circumcircle"
+// without calling InCircle: for x in {a, b, c} the determinant is identically
+// zero, at any magnitude and for degenerate triangles too.
+func TestInCircleOwnCornerIsZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	triples := [][6]float64{
+		{0, 0, 1, 0, 0, 1},
+		{0, 0, 1, 1, 2, 2},             // collinear
+		{0.1, 0.2, 0.1, 0.2, 0.3, 0.4}, // a == b
+		{1e300, -1e300, -1e300, 1e300, 1e300, 1e300},
+		{5e-324, 0, 0, 5e-324, -5e-324, -5e-324},
+		{math.MaxFloat64, 0, 0, math.MaxFloat64, -math.MaxFloat64, -math.MaxFloat64},
+		{1e-300, 1e300, 1, -1, 1e300, 1e-300},
+	}
+	for i := 0; i < 2000; i++ {
+		scale := math.Pow(10, float64(rng.Intn(41))-20)
+		var tr [6]float64
+		for j := range tr {
+			tr[j] = (rng.Float64() - 0.5) * scale
+		}
+		triples = append(triples, tr)
+	}
+	for _, tr := range triples {
+		for k := 0; k < 3; k++ {
+			x, y := tr[2*k], tr[2*k+1]
+			if got := InCircle(tr[0], tr[1], tr[2], tr[3], tr[4], tr[5], x, y); got != 0 {
+				t.Fatalf("InCircle(%v, corner %d) = %d, want 0", tr, k, got)
+			}
+		}
+	}
+}
+
 func TestInCircleOrientationFlip(t *testing.T) {
 	// Reversing the triangle's orientation must negate the in-circle sign.
 	f := func(ax, ay, bx, by, cx, cy, dx, dy float64) bool {

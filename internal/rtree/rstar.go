@@ -37,7 +37,11 @@ func (t *Tree) rstarChoosePath(n *node, r geom.Rect) int {
 }
 
 // overlapEnlargement returns how much the total overlap between rects[i]
-// and its siblings grows when rects[i] is extended to include r.
+// and its siblings grows when rects[i] is extended to include r. It runs for
+// every pair of siblings on every leaf-level insert, so it computes areas
+// directly (overlapArea) and skips a sibling the grown rectangle shares no
+// area with: rects[i] lies inside it and shares none either, both terms are
+// +0, and the sums stay bit for bit what adding them would have made.
 func overlapEnlargement(rects []geom.Rect, i int, r geom.Rect) float64 {
 	grown := rects[i].Union(r)
 	var before, after float64
@@ -45,10 +49,25 @@ func overlapEnlargement(rects []geom.Rect, i int, r geom.Rect) float64 {
 		if j == i {
 			continue
 		}
-		before += rects[i].Intersection(s).Area()
-		after += grown.Intersection(s).Area()
+		a := overlapArea(grown, s)
+		if a == 0 {
+			continue
+		}
+		after += a
+		before += overlapArea(rects[i], s)
 	}
 	return after - before
+}
+
+// overlapArea is a.Intersection(b).Area() without building the rectangle:
+// 0 when the two are disjoint or either is empty.
+func overlapArea(a, b geom.Rect) float64 {
+	w := min(a.MaxX, b.MaxX) - max(a.MinX, b.MinX)
+	h := min(a.MaxY, b.MaxY) - max(a.MinY, b.MinY)
+	if w < 0 || h < 0 {
+		return 0
+	}
+	return w * h
 }
 
 // rstarSplit splits an overflowing node the tree owns with the R*
