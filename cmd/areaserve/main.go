@@ -1,17 +1,25 @@
 // Command areaserve serves area queries over HTTP. It builds one of the
-// library's engine flavors over a generated dataset (or a contiguous
-// chunk of one, for multi-process sharding) and exposes the full Querier
-// surface on a JSON API — see internal/serve for the wire protocol and
-// vaq.DialRemote for the matching client engine.
+// library's engine flavors over a generated dataset (or one chunk of it,
+// for multi-process sharding) and exposes the full Querier surface on a
+// JSON API — see internal/serve for the wire protocol and vaq.DialRemote
+// for the matching client engine.
 //
 // Serve the whole dataset:
 //
 //	areaserve -n 200000 -addr :8089
 //
-// Serve chunk 2 of 3 (ids and bounds advertised on /v1/info let
-// DialRemote stitch the chunks back into one global engine):
+// Serve chunk 2 of 3 (the id offset, universe and data MBR advertised on
+// /v1/info let DialRemote stitch the chunks back into one global engine and
+// skip the chunks a region cannot touch):
 //
 //	areaserve -n 200000 -shard 2/3 -addr :8090
+//
+// The chunks of a group are runs of the dataset's Hilbert order, as the
+// sharded engine cuts its shards: compact tiles of the plane, the same
+// ones in every process started with the same -seed and -n. Global ids
+// under -shard are positions in that order (chunk i starts where chunk
+// i-1 ended), not generator indexes; the points they name are the same
+// set, so counts and coordinates agree with an unsharded server.
 //
 // Endpoints: POST /v1/query, /v1/queryall, /v1/count, /v1/knearest,
 // /v1/each (NDJSON stream); GET /v1/info, /metrics (JSON, or
@@ -34,6 +42,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/hilbert"
 	"repro/internal/serve"
 )
 
@@ -59,15 +68,15 @@ func main() {
 		pts = vaq.UniformPoints(rng, *n, vaq.UnitSquare())
 	}
 
-	start, end := 0, len(pts)
+	start, chunk := 0, pts
 	if *shardSpec != "" {
 		i, k, err := parseShard(*shardSpec)
 		if err != nil {
 			fatalf("bad -shard: %v", err)
 		}
-		start, end = len(pts)*(i-1)/k, len(pts)*i/k
+		start, chunk = hilbertChunk(pts, i, k)
 	}
-	chunk := pts[start:end]
+	end := start + len(chunk)
 
 	reg := vaq.NewMetricsRegistry()
 	eng, err := buildEngine(*flavor, chunk, *shards, reg)
@@ -128,6 +137,31 @@ func buildEngine(flavor string, pts []vaq.Point, shards int, reg *vaq.MetricsReg
 	default:
 		return nil, fmt.Errorf("unknown -flavor %q (want static, sharded or dynamic)", flavor)
 	}
+}
+
+// hilbertChunk returns chunk i of k (1-based) of pts cut along the Hilbert
+// curve over the unit square, and the number of points in the chunks
+// before it — the chunk's global id offset. The order depends on pts alone,
+// so every process of a group computes the same cut.
+func hilbertChunk(pts []vaq.Point, i, k int) (offset int, chunk []vaq.Point) {
+	u := vaq.UnitSquare()
+	sc := hilbert.NewScaler(u.MinX, u.MinY, u.MaxX, u.MaxY, hilbert.Order)
+	keys := make([]uint64, len(pts))
+	for j, p := range pts {
+		keys[j] = sc.D(p.X, p.Y)
+	}
+	runs := hilbert.Partition(keys, k)
+	if i > len(runs) {
+		fatalf("-shard %d/%d: only %d points to cut", i, k, len(pts))
+	}
+	for _, run := range runs[:i-1] {
+		offset += len(run)
+	}
+	chunk = make([]vaq.Point, len(runs[i-1]))
+	for j, idx := range runs[i-1] {
+		chunk[j] = pts[idx]
+	}
+	return offset, chunk
 }
 
 func parseShard(s string) (i, n int, err error) {

@@ -190,6 +190,11 @@ func newEngine(idx *RTreeIndex, data DataAccess, scratch *sync.Pool) *Engine {
 	return &Engine{idx: idx, data: data, scratch: scratch}
 }
 
+// DataBounds returns the bounding rectangle of the stored points — the
+// index's root MBR, so O(fan-out) and allocation-free; empty when nothing is
+// stored. It is never the universe the cells are clipped to.
+func (e *Engine) DataBounds() geom.Rect { return e.idx.Bounds() }
+
 // Add accumulates other's counters (and Duration) into s. It is the merge
 // operation batch executors use to fold per-query or per-worker statistics
 // into an aggregate; Method is left untouched.

@@ -35,6 +35,10 @@ func (x *RTreeIndex) Window(q geom.Rect, fn func(id int64) bool) int {
 // space carries, which makes it the engine's empty-data test.
 func (x *RTreeIndex) Len() int { return x.tree.Len() }
 
+// Bounds returns the bounding rectangle of the stored points, read off the
+// R-tree's root — no pass over the points; empty when nothing is stored.
+func (x *RTreeIndex) Bounds() geom.Rect { return x.tree.Bounds() }
+
 // Nearest returns the stored point id closest to q; ok is false when the
 // index is empty. The second return is the number of index nodes visited.
 func (x *RTreeIndex) Nearest(q geom.Point) (id int64, nodes int, ok bool) {

@@ -52,10 +52,18 @@ type Backend struct {
 	URL string
 	// IDOffset is added to the backend's local ids to form global ids.
 	IDOffset int64
-	// Bounds is the backend's advertised bounds, used to prune fan-out. A
-	// zero (empty) rect disables pruning for this backend and leaves the
-	// client engine's universe unknown: the backends alone admit regions.
+	// Bounds is the pruning key: the backend is skipped for a region whose
+	// MBR misses it, so it must hold every point the backend can answer
+	// with — its advertised data_bounds, or its universe when it vouches
+	// for nothing tighter. A zero (empty) rect disables pruning for this
+	// backend.
 	Bounds geom.Rect
+	// Universe is the rectangle the backend clips its cells to and admits
+	// regions by (/v1/info's bounds); the client engine's universe is the
+	// union over its backends. Zero means "as Bounds" — and if that is
+	// zero too, the engine's universe is unknown and the backends alone
+	// admit regions.
+	Universe geom.Rect
 	// Len is the backend's point count (advisory; 0 skips KNearest).
 	Len int
 }
@@ -105,6 +113,7 @@ func New(backends []Backend, cfg Config, met *shard.Metrics) (*Engine, error) {
 		e.cfg.RetryBackoff = 50 * time.Millisecond
 	}
 	parts := make([]shard.Partition, len(backends))
+	universe, known := geom.EmptyRect(), true
 	for i, b := range backends {
 		// The natural "bounds unknown" value is the zero Rect, but that is
 		// a degenerate point at the origin, not an empty rectangle — it
@@ -113,15 +122,26 @@ func New(backends []Backend, cfg Config, met *shard.Metrics) (*Engine, error) {
 		if b.Bounds == (geom.Rect{}) {
 			b.Bounds = geom.EmptyRect()
 		}
+		if b.Universe == (geom.Rect{}) {
+			b.Universe = b.Bounds
+		}
+		// One backend of unknown extent leaves the engine's unknown.
+		known = known && !b.Universe.IsEmpty()
+		universe = universe.Union(b.Universe)
 		parts[i] = &backendPartition{e: e, b: b}
 	}
-	e.Engine = shard.Over(parts, len(parts), cfg.Degraded, met)
+	if !known {
+		universe = geom.EmptyRect()
+	}
+	e.Engine = shard.Over(parts, universe, len(parts), cfg.Degraded, met)
 	return e, nil
 }
 
-// Discover reads each URL's shape from GET /v1/info: id offsets, bounds
-// and sizes all come from the servers, so a client needs nothing but
-// addresses. client may be nil. Each probe is a one-shot request
+// Discover reads each URL's shape from GET /v1/info: id offsets, universe,
+// pruning key and sizes all come from the servers, so a client needs
+// nothing but addresses. A backend that answers anything but 200, or
+// advertises a data_bounds that is not a finite rectangle inside its bounds,
+// fails the dial. client may be nil. Each probe is a one-shot request
 // (Connection: close): Discover leaves no idle connection in the client's
 // pool, so nothing it started — the connection's goroutines on either end,
 // and through the server's the engine behind it — outlives the call.
@@ -134,24 +154,38 @@ func Discover(ctx context.Context, urls []string, client *http.Client) ([]Backen
 	}
 	backends := make([]Backend, len(urls))
 	for i, u := range urls {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u+"/v1/info", nil)
-		if err != nil {
-			return nil, fmt.Errorf("remote: %s: %w", u, err)
+		var err error
+		if backends[i], err = probe(ctx, client, u); err != nil {
+			return nil, fmt.Errorf("remote: %s/v1/info: %w", u, err)
 		}
-		req.Close = true
-		resp, err := client.Do(req)
-		if err != nil {
-			return nil, fmt.Errorf("remote: %s: %w", u, err)
-		}
-		var info wire.Info
-		err = json.NewDecoder(resp.Body).Decode(&info)
-		resp.Body.Close()
-		if err != nil {
-			return nil, fmt.Errorf("remote: %s: decoding /v1/info: %w", u, err)
-		}
-		backends[i] = Backend{URL: u, IDOffset: info.IDOffset, Bounds: info.Rect(), Len: info.Len}
 	}
 	return backends, nil
+}
+
+// probe is one one-shot GET /v1/info, read into the backend it describes.
+func probe(ctx context.Context, client *http.Client, baseURL string) (Backend, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/info", nil)
+	if err != nil {
+		return Backend{}, err
+	}
+	req.Close = true
+	resp, err := client.Do(req)
+	if err != nil {
+		return Backend{}, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return Backend{}, responseError(resp)
+	}
+	var info wire.Info
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		return Backend{}, fmt.Errorf("decoding: %w", err)
+	}
+	key, err := info.PruningKey()
+	if err != nil {
+		return Backend{}, err
+	}
+	return Backend{URL: baseURL, IDOffset: info.IDOffset, Bounds: key, Universe: info.Rect(), Len: info.Len}, nil
 }
 
 type httpError struct {
@@ -334,10 +368,11 @@ func (p *backendPartition) QueryRegions(ctx context.Context, regions []core.Regi
 	if err := p.e.post(ctx, p.b.URL, "/v1/queryall", req, &resp); err != nil {
 		return nil, core.Stats{}, err
 	}
-	for _, ids := range resp.Results {
-		p.remap(ids)
+	out := make([][]int64, len(resp.Results))
+	for i, ids := range resp.Results {
+		out[i] = p.remap(ids)
 	}
-	return resp.Results, toStats(resp.Stats), nil
+	return out, toStats(resp.Stats), nil
 }
 
 // Each streams the backend's /v1/each frames as they arrive: global id

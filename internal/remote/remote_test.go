@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -50,5 +51,53 @@ func TestStreamOneStopsOnCanceledContext(t *testing.T) {
 	}
 	if st.ResultSize != yields {
 		t.Errorf("ResultSize = %d, want %d (one per yield)", st.ResultSize, yields)
+	}
+}
+
+// TestDiscoverRefusesWhatIsNotAnInfo: /v1/info answering anything but 200,
+// or advertising a data_bounds no backend can mean, fails the dial and
+// names the URL. Before the status was looked at, a JSON error body decoded
+// into a zero wire.Info and became a silent backend of length 0 at offset 0.
+func TestDiscoverRefusesWhatIsNotAnInfo(t *testing.T) {
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		want       string // a fragment of the error; "" for success
+	}{
+		{"error body", `{"code":"internal","message":"engine not ready"}`, http.StatusInternalServerError, "engine not ready"},
+		{"error body on 404", `{"code":"bad_request","message":"no such route"}`, http.StatusNotFound, "no such route"},
+		{"bare 503", `busy`, http.StatusServiceUnavailable, "http 503"},
+		{"not JSON", `<html>`, http.StatusOK, "decoding"},
+		{"data outside the universe", `{"len":5,"bounds":[0,0,1,1],"data_bounds":[0.5,0.5,1.5,0.9],"id_offset":0}`, http.StatusOK, "data_bounds"},
+		{"inverted data rectangle", `{"len":5,"bounds":[0,0,1,1],"data_bounds":[0.9,0.1,0.2,0.8],"id_offset":0}`, http.StatusOK, "data_bounds"},
+		{"non-finite data rectangle", `{"len":5,"bounds":[0,0,1,1],"data_bounds":[0,0,1e999,1],"id_offset":0}`, http.StatusOK, "decoding"},
+		{"data inside the universe", `{"len":5,"bounds":[0,0,1,1],"data_bounds":[0.1,0.2,0.6,0.7],"id_offset":40}`, http.StatusOK, ""},
+		{"no data_bounds", `{"len":5,"bounds":[0,0,1,1],"id_offset":40}`, http.StatusOK, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.WriteHeader(tc.status)
+				fmt.Fprint(w, tc.body)
+			}))
+			defer srv.Close()
+			backends, err := Discover(context.Background(), []string{srv.URL}, nil)
+			if tc.want != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), srv.URL) {
+					t.Fatalf("err = %v, want one naming %s and %q; backends %+v", err, srv.URL, tc.want, backends)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, unit := backends[0], geom.NewRect(0, 0, 1, 1)
+			wantKey := unit // without data_bounds the universe is the pruning key, as before the field
+			if strings.Contains(tc.body, "data_bounds") {
+				wantKey = geom.NewRect(0.1, 0.2, 0.6, 0.7)
+			}
+			if b.Bounds != wantKey || b.Universe != unit || b.IDOffset != 40 || b.Len != 5 {
+				t.Errorf("backend %+v, want pruning key %v inside universe %v", b, wantKey, unit)
+			}
+		})
 	}
 }

@@ -31,9 +31,21 @@ type Engine interface {
 }
 
 // bounded is satisfied by static and sharded engines; universed by the
-// dynamic flavors. Either feeds /v1/info's bounds field.
+// dynamic flavors. Either feeds /v1/info's bounds field, the universe.
 type bounded interface{ Bounds() vaq.Rect }
 type universed interface{ Universe() vaq.Rect }
+
+// dataBounded and sharded are the engines whose point set is fixed, so the
+// MBR of their points can be vouched for as /v1/info's data_bounds: a static
+// engine reads it off its index root, a sharded one is the union of its
+// shards'. A dynamic engine is neither, on purpose — its data MBR grows
+// after a client has dialled, and a client holding the old one would prune
+// a backend that holds an answer.
+type dataBounded interface{ DataBounds() vaq.Rect }
+type sharded interface {
+	NumShards() int
+	ShardBounds(si int) vaq.Rect
+}
 
 // Config tunes a handler.
 type Config struct {
@@ -254,13 +266,15 @@ func (h *handler) queryAll(w http.ResponseWriter, c *areaCall) {
 	}
 	// Align nil sub-slices to empty so the JSON is [] per region, never
 	// null — a batch of n regions always decodes to n slices.
+	out := make([]wire.IDs, len(results))
 	for i, ids := range results {
 		if ids == nil {
-			results[i] = []int64{}
+			ids = []int64{}
 		}
+		out[i] = ids
 	}
 	ws := wire.FromStats(c.st)
-	writeJSON(w, wire.BatchResponse{Results: results, Stats: &ws})
+	writeJSON(w, wire.BatchResponse{Results: out, Stats: &ws})
 }
 
 func (h *handler) kNearest(w http.ResponseWriter, r *http.Request) {
@@ -339,6 +353,16 @@ func (h *handler) info(w http.ResponseWriter, r *http.Request) {
 		info.Bounds = wire.FromRect(e.Bounds())
 	case universed:
 		info.Bounds = wire.FromRect(e.Universe())
+	}
+	switch e := h.eng.(type) {
+	case dataBounded:
+		info.SetDataBounds(e.DataBounds())
+	case sharded:
+		data := e.ShardBounds(0) // a sharded engine has at least one shard
+		for si := 1; si < e.NumShards(); si++ {
+			data = data.Union(e.ShardBounds(si))
+		}
+		info.SetDataBounds(data)
 	}
 	writeJSON(w, info)
 }

@@ -328,6 +328,64 @@ func TestInfo(t *testing.T) {
 	if b := info.Rect(); b != eng.Bounds() {
 		t.Errorf("bounds %v, want %v", b, eng.Bounds())
 	}
+	key, err := info.PruningKey()
+	if err != nil || info.DataBounds == nil || key != eng.DataBounds() || key.Area() >= eng.Bounds().Area() {
+		t.Errorf("data_bounds %v (err %v), want the data MBR %v, smaller than the universe", info.DataBounds, err, eng.DataBounds())
+	}
+}
+
+// TestInfoDataBoundsByFlavor: a flavor whose point set is fixed advertises
+// the MBR of its points — the sharded one as the union of its shards' — and
+// a dynamic engine, whose MBR a later Insert can grow past what a client has
+// cached, advertises none, and neither does its snapshot.
+func TestInfoDataBoundsByFlavor(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	universe := vaq.NewRect(0, 0, 1, 1)
+	pts := vaq.UniformPoints(rng, 400, vaq.NewRect(0.2, 0.3, 0.7, 0.6))
+	static, err := vaq.NewEngine(pts, universe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := vaq.NewShardedEngine(pts, universe, vaq.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dynamic := vaq.NewDynamicEngine(universe)
+	for _, p := range pts {
+		if _, _, err := dynamic.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mbr := vaq.NewRect(pts[0].X, pts[0].Y, pts[0].X, pts[0].Y)
+	for _, p := range pts {
+		mbr = mbr.ExtendPoint(p)
+	}
+	for _, tc := range []struct {
+		name string
+		eng  Engine
+		want *[4]float64
+	}{
+		{"static", static, &[4]float64{mbr.MinX, mbr.MinY, mbr.MaxX, mbr.MaxY}},
+		{"sharded", sharded, &[4]float64{mbr.MinX, mbr.MinY, mbr.MaxX, mbr.MaxY}},
+		{"dynamic", dynamic, nil},
+		{"snapshot", dynamic.Snapshot(), nil},
+	} {
+		rr := httptest.NewRecorder()
+		NewHandler(tc.eng, Config{}).ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/info", nil))
+		var info wire.Info
+		if err := json.Unmarshal(rr.Body.Bytes(), &info); err != nil {
+			t.Fatalf("%s: %v: %s", tc.name, err, rr.Body)
+		}
+		if info.Rect() != universe {
+			t.Errorf("%s: bounds %v, want the universe", tc.name, info.Bounds)
+		}
+		switch {
+		case tc.want == nil && (info.DataBounds != nil || strings.Contains(rr.Body.String(), "data_bounds")):
+			t.Errorf("%s advertises data_bounds %v: %s", tc.name, info.DataBounds, rr.Body)
+		case tc.want != nil && (info.DataBounds == nil || *info.DataBounds != *tc.want):
+			t.Errorf("%s: data_bounds %v, want %v", tc.name, info.DataBounds, *tc.want)
+		}
+	}
 }
 
 func TestMetricsMounted(t *testing.T) {

@@ -97,7 +97,7 @@ func over(parts []*fakePart, degraded bool) *Engine {
 	for i, p := range parts {
 		ps[i] = p
 	}
-	return Over(ps, 2, degraded, nil)
+	return Over(ps, unitBounds(), 2, degraded, nil)
 }
 
 // bruteInside is the oracle: ascending ids of pts inside region, skipping
@@ -226,7 +226,7 @@ func TestKernelCancellationBeatsDegradation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	parts[1].err = context.Canceled // what a call cut short by its context reports
 	// One worker: partition 0 has answered by the time partition 1 is asked.
-	e := Over([]Partition{parts[0], &cancelOnCall{parts[1], cancel}}, 1, true, nil)
+	e := Over([]Partition{parts[0], &cancelOnCall{parts[1], cancel}}, unitBounds(), 1, true, nil)
 	ids, st, err := e.QueryRegionSpec(ctx, rectRegion(0.1, 0.1, 0.9, 0.9), core.QuerySpec{})
 	if !errors.Is(err, context.Canceled) || ids != nil {
 		t.Fatalf("ids=%v err=%v, want context.Canceled and no partial ids", ids, err)
@@ -329,6 +329,45 @@ func TestKernelUnknownBoundsAndEmptyPartitions(t *testing.T) {
 	}
 }
 
+// TestKernelUniverseIsNotTheUnionOfPruningKeys: Bounds is the universe
+// Over was handed, however tight the partitions' keys are, and a region
+// inside it that meets no key is answered — empty, with no partition
+// contacted — by Query, a batch and Each alike.
+func TestKernelUniverseIsNotTheUnionOfPruningKeys(t *testing.T) {
+	parts, _ := fakeStrips(4, 50)
+	parts = []*fakePart{parts[0], parts[3]} // data in x < 0.25 and x >= 0.75
+	e := over(parts, false)
+	if e.Bounds() != unitBounds() {
+		t.Fatalf("Bounds() = %v, want the universe %v", e.Bounds(), unitBounds())
+	}
+	ps := []Partition{parts[0], parts[1]}
+	if blind := Over(ps, geom.EmptyRect(), 2, false, nil); !blind.Bounds().IsEmpty() {
+		t.Errorf("unknown universe reads %v", blind.Bounds())
+	}
+
+	ctx := context.Background()
+	between := rectRegion(0.4, 0.2, 0.6, 0.8)
+	ids, st, err := e.QueryRegionSpec(ctx, between, core.QuerySpec{Dest: make([]int64, 0, 4)})
+	if err != nil || len(ids) != 0 || st.ResultSize != 0 {
+		t.Errorf("query between the keys: ids=%v stats=%+v err=%v", ids, st, err)
+	}
+	out, _, err := e.QueryRegionsSpec(ctx, []core.Region{between, between}, core.QuerySpec{})
+	if err != nil || len(out) != 2 || len(out[0])+len(out[1]) != 0 {
+		t.Errorf("batch between the keys: %v, err=%v", out, err)
+	}
+	if _, err := e.EachRegion(ctx, between, core.QuerySpec{}, func(int64, geom.Point) bool {
+		t.Error("Each yielded between the keys")
+		return true
+	}); err != nil {
+		t.Error(err)
+	}
+	for i, p := range parts {
+		if n := p.calls.Load(); n != 0 {
+			t.Errorf("partition %d was contacted %d times for a region that misses its key", i, n)
+		}
+	}
+}
+
 // countingPart wraps a Partition and sums the ids its queries hand back.
 type countingPart struct {
 	Partition
@@ -352,7 +391,7 @@ func TestKernelLimitBudget(t *testing.T) {
 	for i, p := range built.parts {
 		parts[i] = countingPart{p, &materialized}
 	}
-	e := Over(parts, 4, false, nil)
+	e := Over(parts, unitBounds(), 4, false, nil)
 	wide := rectRegion(0.1, 0.1, 0.9, 0.9)
 	const limit = 25
 

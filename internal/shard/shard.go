@@ -11,8 +11,12 @@
 //
 // What the kernel decides, once, for every transport:
 //
-//   - Prune: a partition is contacted iff its bounds are empty (unknown)
-//     or intersect the region's MBR. Fan-out and pruned counts go to
+//   - Prune: a partition is contacted iff its bounds — its pruning key,
+//     ideally the tight MBR of its points — are empty (unknown) or
+//     intersect the region's MBR. The universe the partitions clip their
+//     cells to is a separate rectangle (Over's argument): it admits
+//     regions, it never prunes, and a region inside it that meets no
+//     partition's key answers empty. Fan-out and pruned counts go to
 //     Metrics and the trace here and nowhere else.
 //   - Method upgrade: with more than one partition each holds a sub-sample
 //     of the dataset, so its cells are larger and its Delaunay segments
@@ -67,8 +71,10 @@ import (
 // partition's business — and must be safe for concurrent use. A partition
 // that implements fmt.Stringer names itself in the kernel's errors.
 type Partition interface {
-	// Bounds contains every point of the partition; it is the pruning key.
-	// The empty rectangle means "unknown": the partition is never pruned.
+	// Bounds is the pruning key: a rectangle containing every point the
+	// partition holds now or will ever hold — the tighter the better, and
+	// not the universe unless nothing tighter can be vouched for. The empty
+	// rectangle means "unknown": the partition is never pruned.
 	Bounds() geom.Rect
 	// Len is the partition's point count; KNearest skips a partition
 	// reporting 0.
@@ -126,15 +132,18 @@ type Engine struct {
 	met         *Metrics
 }
 
-// Over builds the kernel over explicit partitions. parallelism bounds the
-// scatter's worker pool (<= 0 means runtime.GOMAXPROCS); degraded selects
-// the drop-failed-partitions policy over fail-fast; met may be nil.
-func Over(parts []Partition, parallelism int, degraded bool, met *Metrics) *Engine {
+// Over builds the kernel over explicit partitions. universe is the
+// rectangle every partition clips its cells to — what Bounds reports; empty
+// when the caller does not know it — and is never derived from the
+// partitions' pruning keys, whose union may be smaller. parallelism bounds
+// the scatter's worker pool (<= 0 means runtime.GOMAXPROCS); degraded
+// selects the drop-failed-partitions policy over fail-fast; met may be nil.
+func Over(parts []Partition, universe geom.Rect, parallelism int, degraded bool, met *Metrics) *Engine {
 	e := &Engine{
 		parts:       parts,
 		batch:       make([]RegionsQuerier, len(parts)),
 		partBounds:  make([]geom.Rect, len(parts)),
-		bounds:      geom.EmptyRect(),
+		bounds:      universe,
 		parallelism: parallelism,
 		degraded:    degraded,
 		met:         met,
@@ -143,10 +152,6 @@ func Over(parts []Partition, parallelism int, degraded bool, met *Metrics) *Engi
 		e.batch[i], _ = p.(RegionsQuerier)
 		e.partBounds[i] = p.Bounds()
 		e.length += p.Len()
-		e.bounds = e.bounds.Union(e.partBounds[i])
-	}
-	if slices.ContainsFunc(e.partBounds, geom.Rect.IsEmpty) {
-		e.bounds = geom.EmptyRect() // one partition of unknown extent leaves the engine's unknown
 	}
 	return e
 }
@@ -163,16 +168,15 @@ func (e *Engine) ShardSizes() []int {
 	return out
 }
 
-// ShardBounds returns partition si's bounds — for a shard built by New,
-// the tight bounding rectangle of its points.
+// ShardBounds returns partition si's pruning key — for a shard built by
+// New, the tight bounding rectangle of its points.
 func (e *Engine) ShardBounds(si int) geom.Rect { return e.partBounds[si] }
 
 // Len returns the total point count.
 func (e *Engine) Len() int { return e.length }
 
-// Bounds returns the universe rectangle of an engine built by New, and
-// otherwise the union of the partitions' bounds — empty (unknown) when any
-// partition's are.
+// Bounds returns the universe rectangle — New's bounds, Over's universe —
+// which is empty when Over's caller did not know it.
 func (e *Engine) Bounds() geom.Rect { return e.bounds }
 
 // Dropped returns the cumulative number of partition calls dropped under

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -47,17 +48,78 @@ func finite(vs ...float64) bool {
 	return true
 }
 
-// MarshalJSON implements json.Marshaler as the array form.
+// MarshalJSON implements json.Marshaler as the array form, byte for byte
+// what json.Marshal([2]float64{c.X, c.Y}) writes, without the nested call.
 func (c Coord) MarshalJSON() ([]byte, error) {
 	if !finite(c.X, c.Y) {
 		return nil, errNonFinite
 	}
-	return json.Marshal([2]float64{c.X, c.Y})
+	b := make([]byte, 0, 48) // two shortest-form float64s are at most 24 bytes each
+	b = append(b, '[')
+	b = appendFloat(b, c.X)
+	b = append(b, ',')
+	b = appendFloat(b, c.Y)
+	return append(b, ']'), nil
+}
+
+// appendFloat appends f in encoding/json's float64 format: the shortest
+// decimal that parses back to the same bits, in exponent form below 1e-6
+// and from 1e21 (as ES6 does), the exponent written without a leading zero.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 to e-9
+		if n := len(b); n >= 4 && b[n-4] == 'e' && (b[n-3] == '-' || b[n-3] == '+') && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // UnmarshalJSON implements json.Unmarshaler, rejecting anything but a
-// two-element array of finite numbers.
+// two-element array of finite numbers. The form MarshalJSON writes — two
+// JSON numbers, no whitespace — is parsed in place; every other input takes
+// the encoding/json path (unmarshalCoordSlow), so what is accepted, what is
+// refused and every value are that path's.
 func (c *Coord) UnmarshalJSON(data []byte) error {
+	if x, y, ok := parsePair(data); ok {
+		c.X, c.Y = x, y
+		return nil
+	}
+	return c.unmarshalSlow(data)
+}
+
+// parsePair parses the canonical form "[number,number]", or reports that
+// data is not in it (or that a number overflows, which is the slow path's
+// to report).
+func parsePair(data []byte) (x, y float64, ok bool) {
+	n := len(data)
+	if n < 5 || data[0] != '[' || data[n-1] != ']' {
+		return 0, 0, false
+	}
+	i := numberEnd(data, 1)
+	if i == 1 || data[i] != ',' {
+		return 0, 0, false
+	}
+	j := numberEnd(data, i+1)
+	if j == i+1 || j != n-1 {
+		return 0, 0, false
+	}
+	// numberEnd admitted only JSON's number grammar, which ParseFloat reads
+	// as encoding/json does.
+	x, errX := strconv.ParseFloat(string(data[1:i]), 64)
+	y, errY := strconv.ParseFloat(string(data[i+1:j]), 64)
+	return x, y, errX == nil && errY == nil
+}
+
+// unmarshalSlow is UnmarshalJSON through encoding/json: the reference the
+// fast path is fuzzed against.
+func (c *Coord) unmarshalSlow(data []byte) error {
 	var a [2]float64
 	if err := json.Unmarshal(data, &a); err != nil {
 		return err
@@ -67,6 +129,47 @@ func (c *Coord) UnmarshalJSON(data []byte) error {
 	}
 	c.X, c.Y = a[0], a[1]
 	return nil
+}
+
+// numberEnd returns the index just past the JSON number starting at
+// data[i], or i when none starts there. data must end in a byte no number
+// contains (parsePair's ']'), so every index read here is in range and the
+// result is < len(data).
+func numberEnd(data []byte, i int) int {
+	start := i
+	if data[i] == '-' {
+		i++
+	}
+	int0 := i
+	if i = digitsEnd(data, i); i == int0 || (data[int0] == '0' && i > int0+1) {
+		return start // no digits, or a leading zero
+	}
+	if data[i] == '.' {
+		frac := i + 1
+		if i = digitsEnd(data, frac); i == frac {
+			return start
+		}
+	}
+	if data[i] == 'e' || data[i] == 'E' {
+		i++
+		if data[i] == '+' || data[i] == '-' {
+			i++
+		}
+		exp := i
+		if i = digitsEnd(data, exp); i == exp {
+			return start
+		}
+	}
+	return i
+}
+
+// digitsEnd returns the index just past the run of ASCII digits at data[i],
+// under numberEnd's condition on data.
+func digitsEnd(data []byte, i int) int {
+	for '0' <= data[i] && data[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // Point converts to the geometry kernel's point.
@@ -278,9 +381,9 @@ type QueryRequest struct {
 // QueryResponse is the body of a successful /v1/query or /v1/count.
 // Count always holds the match count; IDs is nil under count-only.
 type QueryResponse struct {
-	IDs   []int64 `json:"ids,omitempty"`
-	Count int     `json:"count"`
-	Stats *Stats  `json:"stats,omitempty"`
+	IDs   IDs    `json:"ids,omitempty"`
+	Count int    `json:"count"`
+	Stats *Stats `json:"stats,omitempty"`
 }
 
 // BatchRequest is the body of POST /v1/queryall.
@@ -293,8 +396,8 @@ type BatchRequest struct {
 // slice per request region, aligned, plus the batch's aggregate
 // statistics.
 type BatchResponse struct {
-	Results [][]int64 `json:"results"`
-	Stats   *Stats    `json:"stats,omitempty"`
+	Results []IDs  `json:"results"`
+	Stats   *Stats `json:"stats,omitempty"`
 }
 
 // KNNRequest is the body of POST /v1/knearest.
@@ -307,27 +410,59 @@ type KNNRequest struct {
 // distance order and their coordinates, aligned, so a fan-out client can
 // re-merge across backends by exact distance.
 type KNNResponse struct {
-	IDs    []int64 `json:"ids"`
+	IDs    IDs     `json:"ids"`
 	Points []Coord `json:"points"`
 	Stats  *Stats  `json:"stats,omitempty"`
 }
 
 // Info is the body of GET /v1/info: what a client needs to fan out to
-// this backend — its size, its universe (for MBR pruning), and the global
-// id its local id 0 corresponds to.
+// this backend — its size, the global id its local id 0 corresponds to, and
+// two rectangles (min x, min y, max x, max y) that must not be confused.
+// Bounds is the universe: the rectangle the backend clips its cells to and
+// admits regions by. DataBounds, when present, is the pruning key: a
+// rectangle holding every point the backend will ever answer with, so a
+// client may skip the backend for a region that misses it. Only a backend
+// whose point set is fixed advertises one; without it a client prunes by
+// the universe, which prunes nothing inside it.
 type Info struct {
-	Len      int        `json:"len"`
-	Bounds   [4]float64 `json:"bounds"` // min x, min y, max x, max y
-	IDOffset int64      `json:"id_offset"`
-	Flavor   string     `json:"flavor,omitempty"`
+	Len        int         `json:"len"`
+	Bounds     [4]float64  `json:"bounds"`
+	DataBounds *[4]float64 `json:"data_bounds,omitempty"`
+	IDOffset   int64       `json:"id_offset"`
+	Flavor     string      `json:"flavor,omitempty"`
 }
 
-// Rect converts the bounds quadruple to a rectangle.
-func (i Info) Rect() geom.Rect {
-	return geom.Rect{MinX: i.Bounds[0], MinY: i.Bounds[1], MaxX: i.Bounds[2], MaxY: i.Bounds[3]}
+// Rect converts the universe quadruple to a rectangle.
+func (i Info) Rect() geom.Rect { return toRect(i.Bounds) }
+
+// PruningKey returns the rectangle a client prunes this backend by:
+// DataBounds when advertised — which must be a finite rectangle inside the
+// universe, or the info is refused — and the universe otherwise.
+func (i Info) PruningKey() (geom.Rect, error) {
+	if i.DataBounds == nil {
+		return i.Rect(), nil
+	}
+	d := toRect(*i.DataBounds)
+	if !finite(i.DataBounds[:]...) || d.IsEmpty() || !i.Rect().ContainsRect(d) {
+		return geom.Rect{}, fmt.Errorf("wire: data_bounds %v is not a finite rectangle inside bounds %v", *i.DataBounds, i.Bounds)
+	}
+	return d, nil
 }
 
-// FromRect fills the bounds quadruple.
+// SetDataBounds advertises r as the pruning key, unless r is empty or
+// non-finite: ±Inf has no JSON form, and no key means "prune by the
+// universe".
+func (i *Info) SetDataBounds(r geom.Rect) {
+	if q := FromRect(r); !r.IsEmpty() && finite(q[:]...) {
+		i.DataBounds = &q
+	}
+}
+
+func toRect(q [4]float64) geom.Rect {
+	return geom.Rect{MinX: q[0], MinY: q[1], MaxX: q[2], MaxY: q[3]}
+}
+
+// FromRect fills a bounds quadruple.
 func FromRect(r geom.Rect) [4]float64 { return [4]float64{r.MinX, r.MinY, r.MaxX, r.MaxY} }
 
 // Frame is one line of an NDJSON query stream (POST /v1/each). Data

@@ -10,10 +10,17 @@ import (
 
 // RemoteEngine answers area queries by fanning out to remote areaserve
 // backends over HTTP — the serving-layer Querier flavor. Each backend
-// holds a contiguous chunk of the dataset (its /v1/info advertises the
-// chunk's global id offset and bounds); queries scatter to the backends
-// whose bounds intersect the region's MBR, per-backend results remap into
-// global id space and merge into ascending order, and statistics
+// holds a contiguous chunk of the dataset; its /v1/info advertises the
+// chunk's global id offset and two rectangles. The universe (bounds) is
+// what the backend clips its cells to: the engine's own universe is the
+// union over its backends, and a region must lie inside it. The pruning key
+// (data_bounds, the MBR of the backend's points) decides the fan-out:
+// queries scatter only to the backends whose key intersects the region's
+// MBR, and a region inside the universe that meets no key answers empty
+// without a round trip. A backend that cannot vouch for a fixed point set —
+// a dynamic one, or a server older than the field — advertises no key and is
+// pruned by its universe, that is, never inside it. Per-backend results
+// remap into global id space and merge into ascending order, and statistics
 // aggregate across the fan-out — so a RemoteEngine returns byte-identical
 // results to a local engine over the union of its backends' points.
 //
@@ -81,15 +88,19 @@ func DialRemote(ctx context.Context, urls []string, opts ...Option) (*RemoteEngi
 }
 
 // RemoteBackend configures one backend for NewRemoteEngine: its base URL,
-// the offset added to its local ids, its bounds and its point count. A zero
-// (empty) Bounds disables MBR pruning for the backend and leaves the
-// engine's own universe unknown (the backends then refuse what lies outside
-// theirs); a zero Len skips it during KNearest.
+// the offset added to its local ids, its point count and two rectangles.
+// Bounds is the pruning key — it must contain every point the backend can
+// answer with, and a zero (empty) one disables pruning for the backend.
+// Universe is the rectangle the backend's engine was built over; zero means
+// "as Bounds", which is what a backend list written before the field
+// existed says. With both zero the engine's own universe is unknown (the
+// backends then refuse what lies outside theirs). A zero Len skips the
+// backend during KNearest.
 type RemoteBackend = remote.Backend
 
 // NewRemoteEngine builds a RemoteEngine over explicitly configured
-// backends, for callers that already know every backend's id offset and
-// bounds (or want to skip the /v1/info round trips).
+// backends, for callers that already know every backend's id offset,
+// pruning key and universe (or want to skip the /v1/info round trips).
 func NewRemoteEngine(backends []RemoteBackend, opts ...Option) (*RemoteEngine, error) {
 	cfg := newConfig(opts)
 	q := newQuerier(&cfg, flavorRemote)

@@ -406,6 +406,13 @@ func (e *Engine) Len() int { return e.data.NumIDs() }
 // inside it (ErrOutsideUniverse).
 func (e *Engine) Bounds() Rect { return e.universe }
 
+// DataBounds returns the bounding rectangle of the stored points — tighter
+// than Bounds whenever the points do not reach every edge of the universe.
+// It is read off the spatial index's root, so it costs no pass over the
+// points. areaserve advertises it as /v1/info's data_bounds, the key a
+// RemoteEngine prunes its fan-out by.
+func (e *Engine) DataBounds() Rect { return e.eng.DataBounds() }
+
 // Point returns the coordinates of a stored id. It panics when id is not
 // in [0, Len()); use PointOK for a bounds-checked lookup.
 func (e *Engine) Point(id int64) Point { return e.data.Position(id) }
@@ -493,7 +500,7 @@ type partitioned struct {
 	k *shard.Engine // the querier's backend, by its own type
 }
 
-// overKernel finishes q with k as its backend and k's bounds as universe.
+// overKernel finishes q with k as its backend and k's universe as its own.
 func overKernel(q querier, k *shard.Engine) partitioned {
 	q.backend, q.universe = k, k.Bounds()
 	return partitioned{querier: q, k: k}
@@ -514,8 +521,9 @@ func (e *partitioned) KNearest(ctx context.Context, q Point, k int) ([]int64, St
 func (e *partitioned) Len() int { return e.k.Len() }
 
 // Bounds returns the engine's universe rectangle — for a RemoteEngine, the
-// union of its backends' advertised bounds, empty (unknown) when a backend
-// advertises none. A query region must lie inside it (ErrOutsideUniverse).
+// union of its backends' universes (not of their pruning keys), empty
+// (unknown) when a backend advertises none. A query region must lie inside
+// it (ErrOutsideUniverse).
 func (e *partitioned) Bounds() Rect { return e.universe }
 
 // NewShardedEngine partitions points into n shards (WithShards; default 1)

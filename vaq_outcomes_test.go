@@ -22,7 +22,9 @@ type flavor struct {
 
 // everyFlavor builds the six shipped flavors over pts and universe: static,
 // store-backed, sharded, dynamic, a pinned snapshot, and a remote engine over
-// two loopback backends.
+// two loopback backends. The backends hold pts in arrival order, so each one's
+// data_bounds spans nearly the whole universe: pruning by data MBR removes no
+// backend from any call of these tables, and no count in them moved with it.
 func everyFlavor(t *testing.T, pts []vaq.Point, universe vaq.Rect) []flavor {
 	t.Helper()
 	var flavors []flavor

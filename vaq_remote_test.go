@@ -16,6 +16,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -722,5 +724,137 @@ func TestRemoteResultCacheAndMetrics(t *testing.T) {
 	}
 	if !found {
 		t.Error("no remote-flavor counters in the registry snapshot")
+	}
+}
+
+// TestRemoteBackendBoundsAndUniverse pins the two rectangles of an explicit
+// RemoteBackend. Bounds is the pruning key and nothing else; Universe is
+// what the engine admits regions by. A backend list written before Universe
+// existed (the first row) behaves exactly as it did: the union of the
+// Bounds is the universe, and a region beyond it is refused client-side.
+func TestRemoteBackendBoundsAndUniverse(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	pts := vaq.UniformPoints(rng, 1200, vaq.NewRect(0.1, 0.1, 0.8, 0.9))
+	f := startFixture(t, pts, 500)
+	keys := []vaq.Rect{f.chunks[0].DataBounds(), f.chunks[1].DataBounds()}
+	union := keys[0].Union(keys[1])
+	ctx := context.Background()
+
+	inside := vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.5, 0.5), 0.15))
+	beyondData := vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.93, 0.5), 0.05)) // in the unit square, right of every point
+	want, err := f.local.Query(ctx, inside)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("oracle: %d ids, err %v", len(want), err)
+	}
+
+	for _, tc := range []struct {
+		name         string
+		key          func(i int) vaq.Rect
+		universe     vaq.Rect
+		wantUniverse vaq.Rect
+		refused      bool // beyondData is refused client-side
+	}{
+		{"bounds only, as before Universe existed", func(i int) vaq.Rect { return keys[i] }, vaq.Rect{}, union, true},
+		{"bounds and universe", func(i int) vaq.Rect { return keys[i] }, vaq.UnitSquare(), vaq.UnitSquare(), false},
+		{"universe only: never pruned", func(int) vaq.Rect { return vaq.Rect{} }, vaq.UnitSquare(), vaq.UnitSquare(), false},
+	} {
+		counts := make([]atomic.Int64, 2)
+		backends := make([]vaq.RemoteBackend, 2)
+		for i, u := range f.urls {
+			target, _ := url.Parse(u)
+			n := &counts[i]
+			proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				n.Add(1)
+				httputil.NewSingleHostReverseProxy(target).ServeHTTP(w, r)
+			}))
+			t.Cleanup(proxy.Close)
+			backends[i] = vaq.RemoteBackend{URL: proxy.URL, Bounds: tc.key(i), Universe: tc.universe, Len: f.chunks[i].Len()}
+		}
+		backends[1].IDOffset = 500
+		re, err := vaq.NewRemoteEngine(backends)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re.Bounds() != tc.wantUniverse {
+			t.Errorf("%s: Bounds() = %v, want %v", tc.name, re.Bounds(), tc.wantUniverse)
+		}
+		got, err := re.Query(ctx, inside)
+		if err != nil || !slices.Equal(got, want) {
+			t.Errorf("%s: %d ids (err %v), oracle %d", tc.name, len(got), err, len(want))
+		}
+		before := counts[0].Load() + counts[1].Load()
+		got, err = re.Query(ctx, beyondData)
+		contacted := counts[0].Load() + counts[1].Load() - before
+		switch {
+		case tc.refused && (!errors.Is(err, vaq.ErrOutsideUniverse) || contacted != 0):
+			t.Errorf("%s: region beyond the union of Bounds: err %v after %d requests, want a client-side ErrOutsideUniverse", tc.name, err, contacted)
+		case !tc.refused && (err != nil || len(got) != 0):
+			t.Errorf("%s: region inside the universe, beyond the data: %d ids, err %v, want an empty answer", tc.name, len(got), err)
+		case !tc.refused && (tc.key(0) == vaq.Rect{}) != (contacted == 2):
+			t.Errorf("%s: %d backends contacted for a region beyond every point", tc.name, contacted)
+		}
+	}
+}
+
+// TestRemoteDynamicBackendIsNeverPrunedByItsData: a dynamic backend's data
+// MBR grows after a client has dialled, so it advertises no data_bounds and
+// is pruned by its universe only — a point inserted outside the MBR the
+// engine had at dial time is found through the already dialled engine.
+func TestRemoteDynamicBackendIsNeverPrunedByItsData(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	static, err := vaq.NewEngine(vaq.UniformPoints(rng, 300, vaq.NewRect(0.5, 0, 1, 0.5)), vaq.UnitSquare())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dynamic := vaq.NewDynamicEngine(vaq.UnitSquare())
+	for _, p := range vaq.UniformPoints(rng, 300, vaq.NewRect(0, 0, 0.4, 0.4)) {
+		if _, _, err := dynamic.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var urls []string
+	for _, b := range []struct {
+		eng    serve.Engine
+		offset int64
+		flavor string
+	}{{static, 0, "static"}, {dynamic, 300, "dynamic"}} {
+		srv := httptest.NewServer(serve.NewHandler(b.eng, serve.Config{IDOffset: b.offset, Flavor: b.flavor}))
+		t.Cleanup(srv.Close)
+		urls = append(urls, srv.URL)
+	}
+	for i, wantKey := range []bool{true, false} {
+		resp, err := http.Get(urls[i] + "/v1/info")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var info wire.Info
+		err = json.NewDecoder(resp.Body).Decode(&info)
+		resp.Body.Close()
+		if err != nil || (info.DataBounds != nil) != wantKey {
+			t.Fatalf("backend %d (%s): data_bounds %v, err %v", i, info.Flavor, info.DataBounds, err)
+		}
+	}
+
+	ctx := context.Background()
+	re, err := vaq.DialRemote(ctx, urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	far := vaq.Pt(0.9, 0.9) // outside both backends' data at dial time
+	around := vaq.CircleRegion(vaq.NewCircle(far, 0.05))
+	if ids, err := re.Query(ctx, around); err != nil || len(ids) != 0 {
+		t.Fatalf("before the insert: %v, err %v", ids, err)
+	}
+	local, _, err := dynamic.Insert(far)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := re.Query(ctx, around)
+	if err != nil || !slices.Equal(ids, []int64{300 + local}) {
+		t.Fatalf("after inserting %v as local id %d: remote answers %v, err %v", far, local, ids, err)
+	}
+	near, _, err := re.KNearest(ctx, far, 1)
+	if err != nil || !slices.Equal(near, []int64{300 + local}) {
+		t.Errorf("KNearest(%v) = %v, err %v", far, near, err)
 	}
 }

@@ -28,7 +28,8 @@ import (
 )
 
 // chunk is one contiguous run of an x-sorted dataset — a vertical strip of
-// the plane with a tight MBR — and the engine over it.
+// the plane — and the engine over it, built on the unit square; bounds is
+// the tight MBR of its points, the pruning key.
 type chunk struct {
 	eng    *vaq.Engine
 	off    int64
@@ -51,7 +52,7 @@ func xSortedChunks(t *testing.T, pts []vaq.Point, cuts ...int) []chunk {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, chunk{eng: eng, off: int64(start), bounds: vaq.NewRect(pts[start].X, 0, pts[end-1].X, 1)})
+		out = append(out, chunk{eng: eng, off: int64(start), bounds: eng.DataBounds()})
 	}
 	return out
 }
@@ -63,7 +64,8 @@ type backendCounts struct {
 }
 
 // serveChunks puts every chunk behind its own httptest server and returns
-// the explicit backend list (tight bounds, so the fan-out prunes) plus the
+// the explicit backend list (the pruning key and the universe /v1/info
+// advertises, so a dialled engine is configured identically) plus the
 // per-backend request counters.
 func serveChunks(t *testing.T, chunks []chunk) ([]vaq.RemoteBackend, []*backendCounts) {
 	t.Helper()
@@ -93,7 +95,7 @@ func serveChunks(t *testing.T, chunks []chunk) ([]vaq.RemoteBackend, []*backendC
 			h.ServeHTTP(w, r)
 		}))
 		t.Cleanup(srv.Close)
-		backends = append(backends, vaq.RemoteBackend{URL: srv.URL, IDOffset: c.off, Bounds: c.bounds, Len: c.eng.Len()})
+		backends = append(backends, vaq.RemoteBackend{URL: srv.URL, IDOffset: c.off, Bounds: c.bounds, Universe: vaq.UnitSquare(), Len: c.eng.Len()})
 		counts = append(counts, n)
 	}
 	return backends, counts
@@ -147,14 +149,24 @@ func workOf(st vaq.Stats) [5]int {
 }
 
 // TestTransportsAnswerIdentically serves the same three chunks once as
-// in-process partitions and once as HTTP backends of the one kernel: ids
-// and the aggregate work counters of Query, QueryAll, Each and KNearest
-// must not differ, and both must match the local oracle over the whole
-// dataset.
+// in-process partitions and twice as HTTP backends of the one kernel —
+// configured explicitly, and dialled, so that the pruning keys are the
+// data_bounds /v1/info advertises: ids, fan-out and the aggregate work
+// counters of Query, QueryAll, Each and KNearest must not differ, and all
+// must match the local oracle over the whole dataset. The dataset has an
+// empty band (0.60 < x < 0.66) and the last cut falls in it, so one region
+// lies inside the universe and between every chunk's data.
 func TestTransportsAnswerIdentically(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	pts := vaq.UniformPoints(rng, 3000, vaq.UnitSquare())
-	chunks := xSortedChunks(t, pts, 700, 1900)
+	pts = slices.DeleteFunc(pts, func(p vaq.Point) bool { return p.X > 0.60 && p.X < 0.66 })
+	leftOfBand := 0
+	for _, p := range pts {
+		if p.X <= 0.60 {
+			leftOfBand++
+		}
+	}
+	chunks := xSortedChunks(t, pts, 700, leftOfBand)
 	oracle, err := vaq.NewEngine(pts, vaq.UnitSquare())
 	if err != nil {
 		t.Fatal(err)
@@ -164,19 +176,34 @@ func TestTransportsAnswerIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
+	urls := make([]string, len(backends))
+	for i, b := range backends {
+		urls[i] = b.URL
+	}
+	dialled, err := vaq.DialRemote(ctx, urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dialled.Bounds() != vaq.UnitSquare() || overHTTP.Bounds() != vaq.UnitSquare() {
+		t.Fatalf("universe: dialled %v, explicit %v, want the unit square, not the union of the data MBRs",
+			dialled.Bounds(), overHTTP.Bounds())
+	}
 	parts := make([]shard.Partition, len(chunks))
 	for i, c := range chunks {
 		parts[i] = chunkPartition{c}
 	}
-	inProcess := vaq.OverPartitions(shard.Over(parts, 2, false, nil))
-	ctx := context.Background()
+	inProcess := vaq.OverPartitions(shard.Over(parts, vaq.UnitSquare(), 2, false, nil))
 
 	regions := []vaq.Region{
-		vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.1, 0.5), 0.05)),  // one strip
+		vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.1, 0.5), 0.05)),  // one strip: misses two data MBRs
 		vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.25, 0.4), 0.12)), // straddles a cut
 		vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.9, 0.9), 0.08)),
 		vaq.PolygonRegion(vaq.MustPolygon([]vaq.Point{vaq.Pt(0.05, 0.45), vaq.Pt(0.95, 0.47), vaq.Pt(0.95, 0.5), vaq.Pt(0.05, 0.48)})), // every strip
+		// In the empty band: inside the universe, misses every data MBR.
+		vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.63, 0.5), 0.02)),
 	}
+	wantFanOut := map[int]int{0: 1, 3: 3, 4: 0}
 	for i := 0; i < 6; i++ {
 		regions = append(regions, vaq.PolygonRegion(vaq.RandomQueryPolygon(rng, 9, 0.03, vaq.UnitSquare())))
 	}
@@ -187,20 +214,31 @@ func TestTransportsAnswerIdentically(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var a, b vaq.Stats
-			got, err := inProcess.Query(ctx, region, vaq.UsingMethod(m), vaq.WithStatsInto(&a))
+			var a, b, c vaq.Stats
+			var ta, tb, tc vaq.QueryTrace
+			got, err := inProcess.Query(ctx, region, vaq.UsingMethod(m), vaq.WithStatsInto(&a), vaq.WithTraceInto(&ta))
 			if err != nil {
 				t.Fatal(err)
 			}
-			remote, err := overHTTP.Query(ctx, region, vaq.UsingMethod(m), vaq.WithStatsInto(&b))
+			remote, err := overHTTP.Query(ctx, region, vaq.UsingMethod(m), vaq.WithStatsInto(&b), vaq.WithTraceInto(&tb))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(got, want) || !slices.Equal(remote, want) {
-				t.Fatalf("%v region %d: in-process %d ids, HTTP %d ids, oracle %d", m, ri, len(got), len(remote), len(want))
+			viaInfo, err := dialled.Query(ctx, region, vaq.UsingMethod(m), vaq.WithStatsInto(&c), vaq.WithTraceInto(&tc))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if workOf(a) != workOf(b) {
-				t.Errorf("%v region %d: work in process %v, over HTTP %v", m, ri, workOf(a), workOf(b))
+			if !slices.Equal(got, want) || !slices.Equal(remote, want) || !slices.Equal(viaInfo, want) {
+				t.Fatalf("%v region %d: in-process %d ids, HTTP %d ids, dialled %d ids, oracle %d", m, ri, len(got), len(remote), len(viaInfo), len(want))
+			}
+			if workOf(a) != workOf(b) || workOf(a) != workOf(c) {
+				t.Errorf("%v region %d: work in process %v, over HTTP %v, dialled %v", m, ri, workOf(a), workOf(b), workOf(c))
+			}
+			if ta.FanOut() != tb.FanOut() || ta.FanOut() != tc.FanOut() {
+				t.Errorf("%v region %d: fan-out in process %d, over HTTP %d, dialled %d", m, ri, ta.FanOut(), tb.FanOut(), tc.FanOut())
+			}
+			if n, pinned := wantFanOut[ri]; pinned && ta.FanOut() != n {
+				t.Errorf("%v region %d: fan-out %d, want %d", m, ri, ta.FanOut(), n)
 			}
 
 			var seenA, seenB []int64
@@ -226,13 +264,18 @@ func TestTransportsAnswerIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var c vaq.Stats
+		outC, err := dialled.QueryAll(ctx, regions, vaq.UsingMethod(m), vaq.WithStatsInto(&c))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for ri := range regions {
-			if !slices.Equal(outA[ri], outB[ri]) {
-				t.Errorf("%v QueryAll region %d: %d ids in process, %d over HTTP", m, ri, len(outA[ri]), len(outB[ri]))
+			if !slices.Equal(outA[ri], outB[ri]) || !slices.Equal(outA[ri], outC[ri]) {
+				t.Errorf("%v QueryAll region %d: %d ids in process, %d over HTTP, %d dialled", m, ri, len(outA[ri]), len(outB[ri]), len(outC[ri]))
 			}
 		}
-		if workOf(a) != workOf(b) {
-			t.Errorf("%v QueryAll: work in process %v, over HTTP %v", m, workOf(a), workOf(b))
+		if workOf(a) != workOf(b) || workOf(a) != workOf(c) {
+			t.Errorf("%v QueryAll: work in process %v, over HTTP %v, dialled %v", m, workOf(a), workOf(b), workOf(c))
 		}
 	}
 
@@ -250,11 +293,15 @@ func TestTransportsAnswerIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got, want) || !slices.Equal(remote, want) {
+		viaInfo, c, err := dialled.KNearest(ctx, q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) || !slices.Equal(remote, want) || !slices.Equal(viaInfo, want) {
 			t.Fatalf("KNearest rep %d diverges from the oracle", rep)
 		}
-		if workOf(a) != workOf(b) {
-			t.Errorf("KNearest rep %d: work in process %v, over HTTP %v", rep, workOf(a), workOf(b))
+		if workOf(a) != workOf(b) || workOf(a) != workOf(c) {
+			t.Errorf("KNearest rep %d: work in process %v, over HTTP %v, dialled %v", rep, workOf(a), workOf(b), workOf(c))
 		}
 	}
 }
