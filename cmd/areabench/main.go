@@ -1,7 +1,6 @@
 // Command areabench regenerates the paper's evaluation — Table I, Table II
-// and the data series behind Figures 4-7 — and runs the result-cache sweep
-// under zipfian hot-region traffic. Performance is measured elsewhere, by
-// the repository benchmark (`go run -C benchmark .`).
+// and the data series behind Figures 4-7. Performance is measured
+// elsewhere, by the repository benchmark (`go run -C benchmark .`).
 //
 // Examples:
 //
@@ -10,66 +9,35 @@
 //	areabench -exp fig5
 //	areabench -exp all -datasizes 100000,200000 -repeats 50
 //	areabench -exp table2 -store -payload 64 -poolpages 256
-//	areabench -exp hotregion -skews 0.8,1.1,1.4 -cachesizes 8,64,256
-//	areabench -exp hotregion -metricsaddr localhost:9090
-//
-// With -metricsaddr, a metrics endpoint serves the live registry while the
-// run progresses (curl it for JSON, add ?format=prom for Prometheus text).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
 
-	vaq "repro"
 	"repro/internal/bench"
 	"repro/internal/core"
 )
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment: table1|table2|fig4|fig5|fig6|fig7|all (the paper's tables and figures), hotregion")
-		queries     = flag.Int("queries", 512, "query-stream length per configuration (with -exp hotregion)")
-		repeats     = flag.Int("repeats", 100, "repeats per configuration (paper: 1000)")
-		seed        = flag.Int64("seed", 20200420, "random seed")
-		vertices    = flag.Int("vertices", 10, "query polygon vertex count (paper: 10)")
-		dataSizes   = flag.String("datasizes", "", "comma-separated data sizes for table1/fig4/fig5 (default: paper's 1E5..1E6)")
-		querySizes  = flag.String("querysizes", "", "comma-separated query sizes in percent for table2/fig6/fig7 (default: 1,2,4,8,16,32)")
-		useStore    = flag.Bool("store", false, "back records with the paged store (adds IO accounting)")
-		payload     = flag.Int("payload", 64, "payload bytes per record (with -store)")
-		poolPages   = flag.Int("poolpages", 256, "buffer pool pages (with -store)")
-		poolShards  = flag.Int("poolshards", 0, "buffer pool lock shards (with -store; 0 = GOMAXPROCS-based, 1 = single lock)")
-		pageSize    = flag.Int("pagesize", 4096, "page size in bytes (with -store)")
-		quiet       = flag.Bool("q", false, "suppress progress output")
-		skews       = flag.String("skews", "", "comma-separated zipfian s-parameters (with -exp hotregion; default 0.8,1.1,1.4)")
-		cacheSizes  = flag.String("cachesizes", "", "comma-separated result-cache capacities (with -exp hotregion; default 8,64,256)")
-		regions     = flag.Int("regions", 0, "hot-region pool size (with -exp hotregion; default 64)")
-		metricsAddr = flag.String("metricsaddr", "", "serve live engine metrics on this address while the run progresses (with -exp hotregion; adds instrumentation overhead)")
+		exp        = flag.String("exp", "all", "experiment: table1|table2|fig4|fig5|fig6|fig7|all (the paper's tables and figures)")
+		repeats    = flag.Int("repeats", 100, "repeats per configuration (paper: 1000)")
+		seed       = flag.Int64("seed", 20200420, "random seed")
+		vertices   = flag.Int("vertices", 10, "query polygon vertex count (paper: 10)")
+		dataSizes  = flag.String("datasizes", "", "comma-separated data sizes for table1/fig4/fig5 (default: paper's 1E5..1E6)")
+		querySizes = flag.String("querysizes", "", "comma-separated query sizes in percent for table2/fig6/fig7 (default: 1,2,4,8,16,32)")
+		useStore   = flag.Bool("store", false, "back records with the paged store (adds IO accounting)")
+		payload    = flag.Int("payload", 64, "payload bytes per record (with -store)")
+		poolPages  = flag.Int("poolpages", 256, "buffer pool pages (with -store)")
+		poolShards = flag.Int("poolshards", 0, "buffer pool lock shards (with -store; 0 = GOMAXPROCS-based, 1 = single lock)")
+		pageSize   = flag.Int("pagesize", 4096, "page size in bytes (with -store)")
+		quiet      = flag.Bool("q", false, "suppress progress output")
 	)
 	flag.Parse()
-
-	// In metrics mode every engine the run builds shares one registry,
-	// scraped live over HTTP (JSON by default, ?format=prom for
-	// Prometheus text).
-	var metrics *vaq.MetricsRegistry
-	if *metricsAddr != "" {
-		metrics = vaq.NewMetricsRegistry()
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			fatalf("-metricsaddr: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "# serving metrics on http://%s/\n", ln.Addr())
-		go func() {
-			if err := http.Serve(ln, vaq.MetricsHandler(metrics)); err != nil {
-				fmt.Fprintf(os.Stderr, "areabench: metrics server: %v\n", err)
-			}
-		}()
-	}
 
 	cfg := bench.PaperConfig(*repeats)
 	cfg.Seed = *seed
@@ -101,52 +69,6 @@ func main() {
 		for _, p := range pcts {
 			cfg.QuerySizes = append(cfg.QuerySizes, p/100)
 		}
-	}
-
-	if *exp == "hotregion" {
-		hcfg := bench.HotRegionConfig{
-			Queries:   *queries,
-			Regions:   *regions,
-			Vertices:  cfg.Vertices,
-			QuerySize: cfg.FixedQuerySize,
-			Seed:      cfg.Seed,
-			Store:     cfg.Store,
-			Metrics:   metrics,
-		}
-		if metrics != nil && hcfg.Store == nil {
-			// Observed runs back the engines with a paged store so the
-			// scraped registry shows live buffer-pool counters too.
-			hcfg.Store = &core.StoreConfig{
-				PageSize:     *pageSize,
-				PoolPages:    *poolPages,
-				PoolShards:   *poolShards,
-				PayloadBytes: *payload,
-			}
-		}
-		if len(cfg.DataSizes) > 0 && *dataSizes != "" {
-			hcfg.DataSize = cfg.DataSizes[0]
-		}
-		if *skews != "" {
-			ss, err := parseFloats(*skews)
-			if err != nil {
-				fatalf("bad -skews: %v", err)
-			}
-			hcfg.Skews = ss
-		}
-		if *cacheSizes != "" {
-			cs, err := parseInts(*cacheSizes)
-			if err != nil {
-				fatalf("bad -cachesizes: %v", err)
-			}
-			hcfg.CacheSizes = cs
-		}
-		rows, err := bench.RunHotRegion(hcfg)
-		if err != nil {
-			fatalf("hotregion sweep: %v", err)
-		}
-		fmt.Println("## Hot-region traffic — zipfian stream, result cache on vs off")
-		fmt.Print(bench.FormatHotRegion(rows))
-		return
 	}
 
 	needData := map[string]bool{"table1": true, "fig4": true, "fig5": true, "all": true}

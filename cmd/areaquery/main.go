@@ -41,9 +41,17 @@ func main() {
 	)
 	flag.Parse()
 
+	// A bad -polygon is refused before anything is built or dialled.
+	var area vaq.Polygon
+	var err error
+	if *polygon != "" {
+		if area, err = parsePolygon(*polygon); err != nil {
+			fatalf("bad -polygon: %v", err)
+		}
+	}
+
 	rng := rand.New(rand.NewSource(*seed))
 	var eng vaq.Querier
-	var err error
 	if *remote != "" {
 		eng, err = dialRemote(*remote, *degraded)
 		if err != nil {
@@ -63,13 +71,7 @@ func main() {
 		}
 	}
 
-	var area vaq.Polygon
-	if *polygon != "" {
-		area, err = parsePolygon(*polygon)
-		if err != nil {
-			fatalf("bad -polygon: %v", err)
-		}
-	} else {
+	if *polygon == "" {
 		area = vaq.RandomQueryPolygon(rng, 10, *querySize/100, vaq.UnitSquare())
 		fmt.Fprintf(os.Stderr, "random query polygon: %v\n", area.Outer)
 	}

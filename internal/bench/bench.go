@@ -1,9 +1,8 @@
-// Package bench holds the two experiments cmd/areabench runs and nothing
-// else: the paper reproduction in this file (every table and figure of the
-// paper's evaluation section, as deterministic candidate counters next to
-// indicative timings) and the result-cache sweep under zipfian hot-region
-// traffic in hotregion.go. Performance is measured by the repository
-// benchmark (`go run -C benchmark .`), not here.
+// Package bench holds the one experiment cmd/areabench runs and nothing
+// else: the paper reproduction (every table and figure of the paper's
+// evaluation section, as deterministic candidate counters next to
+// indicative timings). Performance is measured by the repository benchmark
+// (`go run -C benchmark .`), not here.
 //
 // The paper's protocol: points uniform in a unit universe; the query area
 // is a randomly generated 10-vertex polygon; "query size" is the area of

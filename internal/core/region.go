@@ -1,11 +1,6 @@
 package core
 
-import (
-	"encoding/binary"
-	"math"
-
-	"repro/internal/geom"
-)
+import "repro/internal/geom"
 
 // Region is the query-shape contract the area-query algorithms need: an
 // MBR for the traditional filter, containment for refinement, segment
@@ -48,17 +43,6 @@ type BoundaryToucher interface {
 	TouchesBoundary(geom.Segment) bool
 }
 
-// CacheKeyer is optionally implemented by Regions whose exact geometry has
-// a canonical byte encoding, making their query results memoizable by the
-// result cache (vaq.WithResultCache). AppendCacheKey appends the encoding
-// to dst and returns the extended slice, or returns nil to decline —
-// regions that decline (or don't implement the interface) always execute.
-// Two regions must encode equal only if every query over them returns
-// identical results; prepared polygons and circles qualify.
-type CacheKeyer interface {
-	AppendCacheKey(dst []byte) []byte
-}
-
 // PolygonRegion wraps a polygon as a Region with prepared-predicate speed.
 func PolygonRegion(pg geom.Polygon) Region { return geom.Prepare(pg) }
 
@@ -86,15 +70,6 @@ func (r circleRegion) ContainsPoint(p geom.Point) bool       { return r.c.Contai
 func (r circleRegion) IntersectsSegment(s geom.Segment) bool { return r.c.IntersectsSegment(s) }
 func (r circleRegion) IntersectsRect(rect geom.Rect) bool    { return r.c.IntersectsRect(rect) }
 func (r circleRegion) InteriorPoint() geom.Point             { return r.c.InteriorPoint() }
-
-// AppendCacheKey implements CacheKeyer: tag byte plus the exact center and
-// radius bit patterns.
-func (r circleRegion) AppendCacheKey(dst []byte) []byte {
-	dst = append(dst, 'C')
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.c.Center.X))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.c.Center.Y))
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.c.R))
-}
 
 // regionIntersectsRingView reports whether region and the closed area
 // bounded by the packed ring v share a point, using RingViewIntersecter

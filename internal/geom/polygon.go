@@ -18,8 +18,9 @@ type Polygon struct {
 	Holes []Ring
 }
 
-// Validation errors returned by NewPolygon.
+// Validation errors returned by NewPolygon and AddHole.
 var (
+	ErrNonFinite      = errors.New("geom: polygon vertex has a NaN or infinite coordinate")
 	ErrTooFewVertices = errors.New("geom: polygon ring needs at least 3 distinct vertices")
 	ErrZeroArea       = errors.New("geom: polygon ring has zero area")
 	ErrSelfIntersect  = errors.New("geom: polygon ring is self-intersecting")
@@ -27,19 +28,37 @@ var (
 
 // NewPolygon builds a polygon from an outer ring, normalizing it
 // (consecutive duplicate vertices removed, explicit closing vertex dropped)
-// and validating that it is a non-degenerate simple ring.
+// and validating that it is a non-degenerate simple ring of finite
+// vertices.
 func NewPolygon(outer []Point) (Polygon, error) {
-	ring := normalizeRing(outer)
-	if len(ring) < 3 {
-		return Polygon{}, ErrTooFewVertices
-	}
-	if !ring.IsSimple() {
-		return Polygon{}, ErrSelfIntersect
-	}
-	if ring.SignedArea() == 0 {
-		return Polygon{}, ErrZeroArea
+	ring, err := validRing(outer)
+	if err != nil {
+		return Polygon{}, err
 	}
 	return Polygon{Outer: ring}, nil
+}
+
+// validRing normalizes pts and validates the result. The finiteness check
+// comes first: the exact predicates behind IsSimple have no answer for a
+// NaN or infinite coordinate.
+func validRing(pts []Point) (Ring, error) {
+	for _, p := range pts {
+		// x-x is 0 for every finite x and NaN for NaN and ±Inf.
+		if p.X-p.X != 0 || p.Y-p.Y != 0 {
+			return nil, ErrNonFinite
+		}
+	}
+	ring := normalizeRing(pts)
+	if len(ring) < 3 {
+		return nil, ErrTooFewVertices
+	}
+	if !ring.IsSimple() {
+		return nil, ErrSelfIntersect
+	}
+	if ring.SignedArea() == 0 {
+		return nil, ErrZeroArea
+	}
+	return ring, nil
 }
 
 // MustPolygon is NewPolygon that panics on invalid input; intended for
@@ -57,15 +76,9 @@ func MustPolygon(outer []Point) Polygon {
 // disjoint; containment uses the even-odd rule so overlapping holes simply
 // flip parity.
 func (pg *Polygon) AddHole(hole []Point) error {
-	ring := normalizeRing(hole)
-	if len(ring) < 3 {
-		return ErrTooFewVertices
-	}
-	if !ring.IsSimple() {
-		return ErrSelfIntersect
-	}
-	if ring.SignedArea() == 0 {
-		return ErrZeroArea
+	ring, err := validRing(hole)
+	if err != nil {
+		return err
 	}
 	pg.Holes = append(pg.Holes, ring)
 	return nil

@@ -1,10 +1,6 @@
 package geom
 
-import (
-	"encoding/binary"
-	"math"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // PreparedPolygon caches per-edge derived data (bounding boxes, flattened
 // edge list across rings) so repeated predicates against the same polygon —
@@ -54,27 +50,6 @@ func Prepare(pg Polygon) *PreparedPolygon {
 
 // Polygon returns the underlying polygon.
 func (pp *PreparedPolygon) Polygon() Polygon { return pp.pg }
-
-// AppendCacheKey appends a canonical encoding of the polygon's exact
-// geometry (ring structure and vertex bit patterns) to dst, satisfying the
-// query layer's optional CacheKeyer interface: two prepared polygons
-// encode equal iff they are vertex-for-vertex the same polygon.
-func (pp *PreparedPolygon) AppendCacheKey(dst []byte) []byte {
-	dst = appendRingKey(append(dst, 'P'), pp.pg.Outer)
-	for _, hole := range pp.pg.Holes {
-		dst = appendRingKey(append(dst, 'H'), hole)
-	}
-	return dst
-}
-
-func appendRingKey(dst []byte, r Ring) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(r)))
-	for _, p := range r {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.X))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Y))
-	}
-	return dst
-}
 
 // Bounds returns the polygon's MBR.
 func (pp *PreparedPolygon) Bounds() Rect { return pp.bound }

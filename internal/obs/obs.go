@@ -120,10 +120,6 @@ type Histogram struct {
 	buckets [histNumBuckets]atomic.Uint64
 }
 
-// NewHistogram returns a standalone histogram (one not owned by a
-// Registry), e.g. for scratch percentile math in benchmarks.
-func NewHistogram() *Histogram { return &Histogram{} }
-
 // Observe records a duration in nanoseconds. Negative durations clamp
 // to zero. No-op on a nil receiver.
 func (h *Histogram) Observe(d time.Duration) {
@@ -324,7 +320,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 // called (outside the registry lock) on every Snapshot and its result
 // reported under name. Registering the same name again replaces the
 // previous function — this is how existing cumulative stats structs
-// (buffer pool, result cache, dynamic epoch) are lifted into the
+// (buffer pool, dynamic epoch) are lifted into the
 // registry without adding atomics to their hot paths. No-op on a nil
 // registry.
 func (r *Registry) RegisterGaugeFunc(name string, fn func() float64) {

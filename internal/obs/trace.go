@@ -11,7 +11,11 @@ import (
 type Phase int
 
 const (
-	// PhaseCacheLookup is the result-cache key build and probe.
+	// PhaseCacheLookup timed the result cache's key build and probe. The
+	// cache left in PR 24 and nothing records this phase any more; the
+	// constant keeps slot 0 only because benchmark/workloads.go names it and
+	// a PR may not edit the benchmark. It leaves with the next [benchmark]
+	// PR.
 	PhaseCacheLookup Phase = iota
 	// PhaseSeed is candidate generation: locating the BFS seed site via
 	// the nearest-neighbor search (Voronoi methods only).
@@ -66,7 +70,6 @@ type QueryTrace struct {
 	candidates int                      // guarded by mu
 	results    int                      // guarded by mu
 	fanOut     int                      // guarded by mu
-	cacheHit   bool                     // guarded by mu
 	done       bool                     // guarded by mu
 }
 
@@ -80,7 +83,7 @@ func (t *QueryTrace) Begin(flavor, method string) {
 	t.phases = [numPhases]time.Duration{}
 	t.flavor, t.method = flavor, method
 	t.total, t.candidates, t.results, t.fanOut = 0, 0, 0, 0
-	t.cacheHit, t.done = false, false
+	t.done = false
 	t.mu.Unlock()
 }
 
@@ -102,17 +105,6 @@ func (t *QueryTrace) SetFanOut(n int) {
 	}
 	t.mu.Lock()
 	t.fanOut = n
-	t.mu.Unlock()
-}
-
-// MarkCacheHit flags the query as served from the result cache. No-op
-// on a nil receiver.
-func (t *QueryTrace) MarkCacheHit() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.cacheHit = true
 	t.mu.Unlock()
 }
 
@@ -160,19 +152,9 @@ func (t *QueryTrace) FanOut() int {
 	return t.fanOut
 }
 
-// CacheHit reports whether the query was served from the result cache.
-func (t *QueryTrace) CacheHit() bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.cacheHit
-}
-
 // String renders the trace as a log-friendly one-liner, e.g.
 //
-//	trace flavor=sharded method=voronoi total=1.2ms cache=miss fanout=4
+//	trace flavor=sharded method=voronoi total=1.2ms fanout=4
 //	candidates=812 results=790 | seed=80µs expand=640µs page_fetch=210µs merge=95µs
 func (t *QueryTrace) String() string {
 	if t == nil {
@@ -182,11 +164,6 @@ func (t *QueryTrace) String() string {
 	defer t.mu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace flavor=%s method=%s total=%s", t.flavor, t.method, t.total)
-	if t.cacheHit {
-		b.WriteString(" cache=hit")
-	} else {
-		b.WriteString(" cache=miss")
-	}
 	if t.fanOut > 0 {
 		fmt.Fprintf(&b, " fanout=%d", t.fanOut)
 	}

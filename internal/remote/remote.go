@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -310,7 +311,7 @@ func setTimeoutHeader(req *http.Request, ctx context.Context) {
 		if ms < 1 {
 			ms = 1
 		}
-		req.Header.Set(wire.TimeoutHeader, fmt.Sprintf("%d", ms))
+		req.Header.Set(wire.TimeoutHeader, strconv.FormatInt(ms, 10))
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package serve exposes any vaq engine flavor over HTTP as an area-query
-// backend: the full Querier surface — unary Query, QueryAll, Count and
-// KNearest, plus server-streamed Each as chunked NDJSON — speaking the
-// canonical wire codec (package wire), with client deadlines propagated
-// from the Vaq-Timeout-Ms header into every query's context. cmd/areaserve
-// is the binary around it; the handler itself is dependency-free stdlib
-// net/http, mountable into any mux, and safe for any number of concurrent
-// requests (the engines already are).
+// backend: the full Querier surface — unary Query (a count is its
+// count_only option), QueryAll and KNearest, plus server-streamed Each as
+// chunked NDJSON — speaking the canonical wire codec (package wire), with
+// client deadlines propagated from the Vaq-Timeout-Ms header into every
+// query's context. cmd/areaserve is the binary around it; the handler
+// itself is dependency-free stdlib net/http, mountable into any mux, and
+// safe for any number of concurrent requests (the engines already are).
 package serve
 
 import (
@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -89,7 +90,6 @@ type handler struct {
 //
 //	POST /v1/query     one area query        → wire.QueryResponse
 //	POST /v1/queryall  a batch               → wire.BatchResponse
-//	POST /v1/count     count without results → wire.QueryResponse (ids nil)
 //	POST /v1/knearest  k nearest neighbors   → wire.KNNResponse
 //	POST /v1/each      streamed area query   → NDJSON wire.Frame lines
 //	GET  /v1/info      backend shape         → wire.Info
@@ -101,11 +101,10 @@ type handler struct {
 func NewHandler(eng Engine, cfg Config) http.Handler {
 	h := &handler{eng: eng, cfg: cfg.withDefaults()}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/query", h.area(true, false, h.query))
-	mux.HandleFunc("POST /v1/queryall", h.area(false, false, h.queryAll))
-	mux.HandleFunc("POST /v1/count", h.area(true, true, h.query))
+	mux.HandleFunc("POST /v1/query", h.area(true, h.query))
+	mux.HandleFunc("POST /v1/queryall", h.area(false, h.queryAll))
 	mux.HandleFunc("POST /v1/knearest", h.kNearest)
-	mux.HandleFunc("POST /v1/each", h.area(true, false, h.each))
+	mux.HandleFunc("POST /v1/each", h.area(true, h.each))
 	mux.HandleFunc("GET /v1/info", h.info)
 	if h.cfg.Metrics != nil {
 		mux.Handle("GET /metrics", vaq.MetricsHandler(h.cfg.Metrics))
@@ -118,24 +117,24 @@ func NewHandler(eng Engine, cfg Config) http.Handler {
 // bounded by the Vaq-Timeout-Ms header when present, so a propagated
 // deadline expires server-side even if the connection lingers.
 func (h *handler) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	ctx := r.Context()
-	hdr := r.Header.Get(wire.TimeoutHeader)
-	if hdr == "" {
-		if h.cfg.MaxTimeout > 0 {
-			ctx, cancel := context.WithTimeout(ctx, h.cfg.MaxTimeout)
-			return ctx, cancel, nil
+	d := h.cfg.MaxTimeout // <= 0: no cap
+	if hdr := r.Header.Get(wire.TimeoutHeader); hdr != "" {
+		ms, err := strconv.ParseInt(hdr, 10, 64)
+		if err != nil || ms <= 0 {
+			return nil, nil, fmt.Errorf("serve: bad %s header %q", wire.TimeoutHeader, hdr)
 		}
-		return ctx, func() {}, nil
+		// A budget beyond what a Duration can hold would wrap negative and
+		// be born expired: it leaves d at the cap, or at no deadline.
+		if ms <= int64(math.MaxInt64/time.Millisecond) {
+			if hd := time.Duration(ms) * time.Millisecond; d <= 0 || hd < d {
+				d = hd
+			}
+		}
 	}
-	ms, err := strconv.ParseInt(hdr, 10, 64)
-	if err != nil || ms <= 0 {
-		return nil, nil, fmt.Errorf("serve: bad %s header %q", wire.TimeoutHeader, hdr)
+	if d <= 0 {
+		return r.Context(), func() {}, nil
 	}
-	d := time.Duration(ms) * time.Millisecond
-	if h.cfg.MaxTimeout > 0 && d > h.cfg.MaxTimeout {
-		d = h.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(ctx, d)
+	ctx, cancel := context.WithTimeout(r.Context(), d)
 	return ctx, cancel, nil
 }
 
@@ -192,12 +191,12 @@ type areaCall struct {
 	st      vaq.Stats
 }
 
-// area is the preamble of the four area-query routes, written once: decode
+// area is the preamble of the three area-query routes, written once: decode
 // the request (decodeArea), answer 400 if that fails, and otherwise hand
 // the call to serve under its deadline context.
-func (h *handler) area(single, countOnly bool, serve func(http.ResponseWriter, *areaCall)) http.HandlerFunc {
+func (h *handler) area(single bool, serve func(http.ResponseWriter, *areaCall)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		c, cancel, err := h.decodeArea(w, r, single, countOnly)
+		c, cancel, err := h.decodeArea(w, r, single)
 		if err != nil {
 			badRequest(w, err)
 			return
@@ -209,10 +208,8 @@ func (h *handler) area(single, countOnly bool, serve func(http.ResponseWriter, *
 
 // decodeArea decodes the body — a wire.QueryRequest on the single-region
 // routes, a wire.BatchRequest on /v1/queryall — then its region(s),
-// translates the options and derives the deadline context. countOnly forces
-// the option on, which is all /v1/count adds to /v1/query: sugar, so clients
-// and curl sessions need no option plumbing for the common count.
-func (h *handler) decodeArea(w http.ResponseWriter, r *http.Request, single, countOnly bool) (*areaCall, context.CancelFunc, error) {
+// translates the options and derives the deadline context.
+func (h *handler) decodeArea(w http.ResponseWriter, r *http.Request, single bool) (*areaCall, context.CancelFunc, error) {
 	var (
 		wregions []wire.Region
 		wopts    wire.Options
@@ -230,7 +227,6 @@ func (h *handler) decodeArea(w http.ResponseWriter, r *http.Request, single, cou
 	if err != nil {
 		return nil, nil, err
 	}
-	wopts.CountOnly = wopts.CountOnly || countOnly
 	c := &areaCall{regions: make([]vaq.Region, len(wregions))}
 	for i, wr := range wregions {
 		if c.regions[i], err = wr.Decode(); err != nil {

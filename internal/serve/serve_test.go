@@ -113,13 +113,24 @@ func TestCountAndLimit(t *testing.T) {
 	}
 	wr, _ := wire.EncodeRegion(region)
 
+	local, err := vaq.Count(context.Background(), eng, region)
+	if err != nil || local != len(want) {
+		t.Fatalf("local count %d (err %v), want %d", local, err, len(want))
+	}
 	var cnt wire.QueryResponse
-	decodeInto(t, post(t, srv, "/v1/count", wire.QueryRequest{Region: wr}), &cnt)
-	if cnt.Count != len(want) {
-		t.Errorf("count %d, want %d", cnt.Count, len(want))
+	decodeInto(t, post(t, srv, "/v1/query",
+		wire.QueryRequest{Region: wr, Options: wire.Options{CountOnly: true}}), &cnt)
+	if cnt.Count != local {
+		t.Errorf("count %d, want %d", cnt.Count, local)
 	}
 	if cnt.IDs != nil {
 		t.Errorf("count returned ids: %v", cnt.IDs)
+	}
+	// count_only on /v1/query is the one spelling: there is no count route.
+	resp := post(t, srv, "/v1/count", wire.QueryRequest{Region: wr})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/count: status %d, want 404", resp.StatusCode)
 	}
 
 	var lim wire.QueryResponse
@@ -563,6 +574,29 @@ func TestDeadlinePropagation(t *testing.T) {
 	resp.Body.Close()
 	if got := ce.sawDeadline.Load(); got <= 0 || got > 50 {
 		t.Errorf("capped: query saw remaining %dms, want <=50", got)
+	}
+
+	// A budget at or beyond what a Duration can hold must not wrap negative
+	// into a context born expired: it is the cap when there is one and no
+	// deadline (or one centuries away) otherwise.
+	for _, hdr := range []string{"9223372036854", "9223372036855", "9223372036854775807"} {
+		for _, s := range []*httptest.Server{srv, capped} {
+			req, _ = http.NewRequest("POST", s.URL+"/v1/query", bytes.NewReader(data))
+			req.Header.Set(wire.TimeoutHeader, hdr)
+			if resp, err = s.Client().Do(req); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			got := ce.sawDeadline.Load()
+			switch {
+			case resp.StatusCode != http.StatusOK:
+				t.Errorf("header %s (capped=%t): status %d, want 200", hdr, s == capped, resp.StatusCode)
+			case s == capped && (got <= 0 || got > 50):
+				t.Errorf("header %s, capped: query saw remaining %dms, want (0, 50]", hdr, got)
+			case s == srv && got != -1 && got < 1<<40:
+				t.Errorf("header %s, uncapped: query saw remaining %dms", hdr, got)
+			}
+		}
 	}
 
 	// A garbage header is a bad request.

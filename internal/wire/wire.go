@@ -2,14 +2,15 @@
 // one representation of regions, query options, statistics and results
 // that cmd/areaserve and the remote client engine agree on.
 //
-// The encoding discipline follows the result cache's CacheKeyer contract:
-// two regions encode equal iff they are geometry-for-geometry the same
-// shape, and every finite float64 coordinate round-trips bit-exactly
-// (encoding/json emits the shortest representation that parses back to
-// the identical bits). Non-finite coordinates (NaN, ±Inf) are rejected on
-// both encode and decode — they have no JSON representation and no
-// geometric meaning — as are structurally invalid shapes (degenerate
-// rings, negative radii), so a decoded region is always safe to query.
+// The equality contract: two regions encode equal iff they are the same
+// shape vertex for vertex (ring structure, then every coordinate, centre
+// and radius by its float64 bit pattern, so -0 is not +0), and every finite
+// float64 round-trips bit-exactly (the encoder emits the shortest
+// representation that parses back to the identical bits). Non-finite
+// coordinates (NaN, ±Inf) are rejected on both encode and decode — they
+// have no JSON representation and no geometric meaning — as are
+// structurally invalid shapes (degenerate rings, negative radii), so a
+// decoded region is always safe to query.
 //
 // Streaming results ride in NDJSON frames (see Frame): one JSON value per
 // line, data frames carrying id and coordinates, a final EOF frame
@@ -372,13 +373,13 @@ func (s Stats) ToStats() core.Stats {
 	}
 }
 
-// QueryRequest is the body of POST /v1/query and /v1/count.
+// QueryRequest is the body of POST /v1/query.
 type QueryRequest struct {
 	Region  Region  `json:"region"`
 	Options Options `json:"options"`
 }
 
-// QueryResponse is the body of a successful /v1/query or /v1/count.
+// QueryResponse is the body of a successful /v1/query.
 // Count always holds the match count; IDs is nil under count-only.
 type QueryResponse struct {
 	IDs   IDs    `json:"ids,omitempty"`

@@ -5,10 +5,11 @@
 // the paper's "query size" knob.
 //
 // This is the root module's only generator package: vaq.go re-exports it
-// (UniformPoints, RandomQueryPolygon, HilbertSort, ...), the internal
-// tests import it, and zipf.go feeds areabench's hotregion sweep. The nested benchmark module keeps its own frozen copy in
-// benchmark/inputs.go so that a change here cannot move the referee's
-// inputs; the two are not meant to be kept in step.
+// (UniformPoints, RandomQueryPolygon, HilbertSort, ...) and the internal
+// tests and cmd/areabench's sweeps import it. The nested benchmark module
+// keeps its own frozen copy in benchmark/inputs.go so that a change here
+// cannot move the referee's inputs; the two are not meant to be kept in
+// step.
 package workload
 
 import (

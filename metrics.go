@@ -29,8 +29,8 @@ const (
 // by any number of engines of any flavor — per-query counters carry
 // {flavor=...,method=...} labels in their names and aggregate across
 // engines of the same flavor, while snapshot-time collectors (buffer pool,
-// result cache, dynamic epoch) reflect the most recently constructed
-// engine of each flavor. Read it with Snapshot or serve it over HTTP with
+// dynamic epoch) reflect the most recently constructed engine of each
+// flavor. Read it with Snapshot or serve it over HTTP with
 // MetricsHandler. All methods are safe for concurrent use; a nil registry
 // is inert.
 type MetricsRegistry = obs.Registry
@@ -40,10 +40,10 @@ type MetricsRegistry = obs.Registry
 type MetricsSnapshot = obs.Snapshot
 
 // QueryTrace records the phase timeline of one traced query — candidate
-// generation, BFS expansion, page fetches, cache lookup, merge — plus
-// fan-out and cache-hit markers. Attach one to a query with WithTraceInto
-// and read it (or log its String one-liner) after the call returns. A
-// QueryTrace may be reused across queries: each traced query resets it.
+// generation, BFS expansion, page fetches, merge — plus the fan-out
+// marker. Attach one to a query with WithTraceInto and read it (or log its
+// String one-liner) after the call returns. A QueryTrace may be reused
+// across queries: each traced query resets it.
 type QueryTrace = obs.QueryTrace
 
 // NewMetricsRegistry returns an empty metrics registry for WithMetrics.
@@ -61,9 +61,9 @@ func MetricsHandler(reg *MetricsRegistry) http.Handler { return obs.Handler(reg)
 // WithMetrics instruments the engine under construction with reg: query
 // counts, latencies, errors and cancellations by method; batch and
 // worker-pool behavior; and snapshot-time collectors lifting the buffer
-// pool, result cache and (for dynamic engines) epoch state. Without this
-// option — or with a nil reg — the engine runs fully uninstrumented: the
-// disabled path costs one nil pointer comparison per query, no atomics.
+// pool and (for dynamic engines) epoch state. Without this option — or
+// with a nil reg — the engine runs fully uninstrumented: the disabled path
+// costs one nil pointer comparison per query, no atomics.
 func WithMetrics(reg *MetricsRegistry) Option {
 	return func(c *config) { c.metrics = reg }
 }
@@ -253,18 +253,6 @@ func registerShardedPoolMetrics(reg *obs.Registry, flavor string, stores []*core
 		}
 		return agg
 	})
-}
-
-// registerCacheMetrics lifts a result cache's counters into the registry
-// as snapshot-time collectors.
-func registerCacheMetrics(reg *obs.Registry, flavor string, rc *ResultCache) {
-	fl := fmt.Sprintf("{flavor=%q}", flavor)
-	reg.RegisterGaugeFunc("vaq_rcache_hits_total"+fl, func() float64 { return float64(rc.Stats().Hits) })
-	reg.RegisterGaugeFunc("vaq_rcache_misses_total"+fl, func() float64 { return float64(rc.Stats().Misses) })
-	reg.RegisterGaugeFunc("vaq_rcache_evictions_total"+fl, func() float64 { return float64(rc.Stats().Evictions) })
-	reg.RegisterGaugeFunc("vaq_rcache_bypasses_total"+fl, func() float64 { return float64(rc.Stats().Bypasses) })
-	reg.RegisterGaugeFunc("vaq_rcache_hit_rate"+fl, func() float64 { return rc.Stats().HitRate() })
-	reg.RegisterGaugeFunc("vaq_rcache_entries"+fl, func() float64 { return float64(rc.Len()) })
 }
 
 // registerDynamicMetrics attaches the epoch-publish histogram and the

@@ -108,9 +108,7 @@ func CountOnly() QueryOpt {
 // ascending order among themselves. On QueryAll the limit applies per
 // region; on Each it bounds the number of yields.
 //
-// Interactions: with CountOnly the count is capped at n; limited queries
-// bypass an attached result cache (see WithResultCache) because the
-// particular n ids are not canonical.
+// Interactions: with CountOnly the count is capped at n.
 func Limit(n int) QueryOpt {
 	return func(p *queryPlan) { p.Limit = n }
 }
@@ -119,19 +117,17 @@ func Limit(n int) QueryOpt {
 // counters for Query and Each, the per-query sum for QueryAll. The write
 // happens on every outcome, including errors (partial work) and
 // cancellation, so callers can observe how far a cancelled query got.
-// When a Query is served from an attached result cache, st receives the
-// memoized statistics of the execution that populated the entry. Given
-// more than once, only the last st is written.
+// Given more than once, only the last st is written.
 func WithStatsInto(st *Stats) QueryOpt {
 	return func(p *queryPlan) { p.stats = st }
 }
 
-// WithTraceInto records the query's phase timeline into tr: cache lookup,
+// WithTraceInto records the query's phase timeline into tr:
 // candidate-generation seed, BFS (or scan) expansion, page fetches, and —
-// on sharded engines — the gather merge, plus fan-out and cache-hit
-// markers. The write happens on every outcome, including errors and
-// cancellation. Each traced query resets tr first, so one trace value can
-// be reused across a query loop; read it only after the call returns. On
+// on sharded engines — the gather merge, plus the fan-out marker. The write
+// happens on every outcome, including errors and cancellation. Each traced
+// query resets tr first, so one trace value can be reused across a query
+// loop; read it only after the call returns. On
 // QueryAll the trace spans the whole batch (phase times sum across the
 // batch's queries, which may run concurrently). Tracing is per query and
 // needs no registry; combine with WithMetrics freely.
@@ -143,8 +139,7 @@ func WithTraceInto(tr *QueryTrace) QueryOpt {
 // allocating a fresh slice, letting a query loop recycle one buffer.
 // Ignored by QueryAll (one buffer cannot back a batch of independent
 // results) and by Each (which materializes nothing); a no-op under
-// CountOnly, which materializes nothing either. Result-cache hits honor
-// it — the memoized ids are copied into buf.
+// CountOnly, which materializes nothing either.
 func Reuse(buf []int64) QueryOpt {
 	return func(p *queryPlan) { p.Dest = buf }
 }
@@ -195,7 +190,7 @@ func (b *pooled) QueryRegionsSpec(ctx context.Context, regions []Region, spec co
 
 // querier is the one Querier body. Engine, ShardedEngine, RemoteEngine and
 // Snapshot embed it and differ only in the backend behind it; everything
-// between a caller and that backend — option resolution, the result cache,
+// between a caller and that backend — option resolution, region admission,
 // canonical ascending order, the WithStatsInto handoff, the trace and the
 // registry observation — is written here once.
 type querier struct {
@@ -205,29 +200,14 @@ type querier struct {
 	// empty means unknown — a remote engine whose backends advertise no
 	// bounds — and then the backends' own refusal crosses the wire.
 	universe Rect
-
-	rc        *ResultCache // nil without WithResultCache
-	cacheSalt uint64
-	// epoch is the result-cache key's third part: the epoch a Snapshot
-	// pinned, 0 on the immutable flavors.
-	epoch uint64
-
-	qm *queryMetrics // nil without WithMetrics
+	qm       *queryMetrics // nil without WithMetrics
 }
 
 // newQuerier resolves what cfg asks of every flavor — the registry's
-// per-query handles and the result cache with its collectors; the
-// constructor then attaches the backend and the universe.
+// per-query handles; the constructor then attaches the backend and the
+// universe.
 func newQuerier(cfg *config, flavor string) querier {
-	if cfg.metrics != nil && cfg.rcache != nil {
-		registerCacheMetrics(cfg.metrics, flavor, cfg.rcache)
-	}
-	return querier{
-		flavor:    flavor,
-		rc:        cfg.rcache,
-		cacheSalt: nextCacheSalt(),
-		qm:        newQueryMetrics(cfg.metrics, flavor),
-	}
+	return querier{flavor: flavor, qm: newQueryMetrics(cfg.metrics, flavor)}
 }
 
 // begin starts the per-query clock when instrumentation is on — a registry
@@ -243,7 +223,7 @@ func (q *querier) begin(p *queryPlan) time.Time {
 }
 
 // admit is the region precondition of Query, QueryAll and Each on every
-// flavor, checked before the cache or the backend is touched: the region's
+// flavor, checked before the backend is touched: the region's
 // MBR must lie inside the universe. The part of an escaping region inside
 // the universe need not be connected, and a Voronoi expansion from one seed
 // reaches one component, so such a region is refused rather than answered.
@@ -277,11 +257,7 @@ func (q *querier) end(p *queryPlan, start time.Time, batch int, st *Stats, err e
 	}
 }
 
-// Query implements Querier, consulting the result cache when one was
-// attached (WithResultCache). On a Snapshot, entries are keyed by the
-// pinned epoch: queries on one snapshot hit each other's entries, and an
-// Insert on the parent engine invalidates by moving later queries to new
-// keys.
+// Query implements Querier.
 func (q *querier) Query(ctx context.Context, region Region, opts ...QueryOpt) ([]int64, error) {
 	p := resolve(opts)
 	start := q.begin(&p)
@@ -289,10 +265,14 @@ func (q *querier) Query(ctx context.Context, region Region, opts ...QueryOpt) ([
 	st := Stats{Method: p.Method}
 	err := q.admit(region)
 	if err == nil {
-		ids, st, err = q.cachedQuery(ctx, region, &p)
+		ids, st, err = q.backend.QueryRegionSpec(ctx, region, p.QuerySpec)
 	}
 	q.end(&p, start, singleQuery, &st, err)
-	return ids, err
+	if err != nil {
+		return nil, err
+	}
+	core.SortIDs(ids)
+	return ids, nil
 }
 
 // QueryAll implements Querier. An unpartitioned engine spreads the regions

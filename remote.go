@@ -32,8 +32,8 @@ import (
 // from the survivors, erroring only when every relevant backend fails.
 //
 // RemoteEngine implements Querier and is safe for concurrent use. It
-// composes with WithResultCache and WithMetrics exactly like the local
-// flavors (flavor label "remote").
+// composes with WithMetrics exactly like the local flavors (flavor label
+// "remote").
 type RemoteEngine struct {
 	partitioned
 }
@@ -74,10 +74,9 @@ func WithRemoteClient(hc *http.Client) Option {
 // RemoteEngine over the backends. The discovery probes are one-shot
 // requests: a dial leaves no idle connection in the client's pool; the
 // first query opens the connections the engine then keeps alive.
-// Engine-construction options that only
-// make sense locally (WithStore, WithShards, ...) are ignored; the
-// remote-specific options above plus WithResultCache and WithMetrics
-// apply.
+// Engine-construction options that only make sense locally (WithStore,
+// WithShards, ...) are ignored; the remote-specific options above plus
+// WithMetrics apply.
 func DialRemote(ctx context.Context, urls []string, opts ...Option) (*RemoteEngine, error) {
 	cfg := newConfig(opts)
 	backends, err := remote.Discover(ctx, urls, cfg.remote.Client)

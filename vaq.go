@@ -41,16 +41,6 @@
 //	}
 //	if err := errf(); err != nil { ... }
 //
-// On skewed traffic where hot regions repeat, attach a result cache —
-// repeated identical queries are served from memory, and on a
-// DynamicEngine every Insert invalidates by construction (entries are
-// keyed by insert epoch):
-//
-//	rc := vaq.NewResultCache(1024)
-//	eng, err := vaq.NewEngine(points, vaq.UnitSquare(), vaq.WithResultCache(rc))
-//	...
-//	fmt.Println(rc.Stats().HitRate())
-//
 // One contract holds on every flavor. A region whose bounding rectangle
 // escapes the engine's universe is refused with ErrOutsideUniverse; on any
 // other, every method returns the same result set, in ascending id order
@@ -96,14 +86,13 @@
 // Attach a MetricsRegistry with WithMetrics to any flavor and every layer
 // reports in: query counts, latency percentiles, errors and cancellations
 // by method; batch and worker-pool behavior (chunk waits, worker busy
-// skew); shard fan-out and per-shard straggler latency; buffer-pool and
-// result-cache counters; and, on dynamic engines, epoch-publish latency
-// and snapshot age. Read it with Snapshot or serve it over HTTP with
-// MetricsHandler (JSON or Prometheus text). For a single query's
-// anatomy, WithTraceInto records its phase timeline (cache lookup, seed,
-// expansion, page fetches, merge). Both are strictly opt-in: without
-// them the query path performs no clock reads and no atomic traffic
-// beyond what the engine already did.
+// skew); shard fan-out and per-shard straggler latency; buffer-pool
+// counters; and, on dynamic engines, epoch-publish latency and snapshot
+// age. Read it with Snapshot or serve it over HTTP with MetricsHandler
+// (JSON or Prometheus text). For a single query's anatomy, WithTraceInto
+// records its phase timeline (seed, expansion, page fetches, merge). Both
+// are strictly opt-in: without them the query path performs no clock reads
+// and no atomic traffic beyond what the engine already did.
 //
 // To scale any dataset past one engine's construction and query cost,
 // partition it with NewShardedEngine: n Hilbert-coherent shards, each an
@@ -278,7 +267,6 @@ type config struct {
 	store       *StoreConfig
 	parallelism int
 	shards      int
-	rcache      *ResultCache
 	metrics     *obs.Registry
 	poolShards  int
 	// Remote-engine (DialRemote/NewRemoteEngine) knobs; local
@@ -353,6 +341,20 @@ func newConfig(opts []Option) config {
 	return cfg
 }
 
+// checkSites is the precondition of the static constructors, checked before
+// anything is built: every point lies inside bounds. A NaN or infinite
+// coordinate fails the comparison too. A site outside the universe breaks
+// the tiling the strict rule's completeness rests on, and a non-finite one
+// has no answer in the exact predicates.
+func checkSites(points []Point, bounds Rect) error {
+	for i, p := range points {
+		if !bounds.ContainsPoint(p) {
+			return fmt.Errorf("vaq: point %d %v lies outside bounds %v: %w", i, p, bounds, ErrOutsideUniverse)
+		}
+	}
+	return nil
+}
+
 // buildData constructs the configured record layer over points, returning
 // the store when one was configured (nil otherwise).
 func (c config) buildData(points []Point, bounds Rect) (core.DataAccess, *core.StoreData, error) {
@@ -369,9 +371,13 @@ func (c config) buildData(points []Point, bounds Rect) (core.DataAccess, *core.S
 }
 
 // NewEngine builds the Voronoi topology, the spatial index and (optionally)
-// the record store over points. bounds must contain every point; the
-// points must have pairwise distinct coordinates.
+// the record store over points. bounds must contain every point
+// (ErrOutsideUniverse otherwise); the points must have pairwise distinct
+// coordinates.
 func NewEngine(points []Point, bounds Rect, opts ...Option) (*Engine, error) {
+	if err := checkSites(points, bounds); err != nil {
+		return nil, err
+	}
 	cfg := newConfig(opts)
 	data, sd, err := cfg.buildData(points, bounds)
 	if err != nil {
@@ -530,9 +536,12 @@ func (e *partitioned) Bounds() Rect { return e.universe }
 // by Hilbert order and builds every shard's engine in parallel. All
 // NewEngine options apply, per shard: each shard gets its own R-tree and
 // — with WithStore — its own paged record store.
-// bounds must contain every point; points must have pairwise distinct
-// coordinates.
+// bounds must contain every point (ErrOutsideUniverse otherwise); points
+// must have pairwise distinct coordinates.
 func NewShardedEngine(points []Point, bounds Rect, opts ...Option) (*ShardedEngine, error) {
+	if err := checkSites(points, bounds); err != nil {
+		return nil, err
+	}
 	cfg := newConfig(opts)
 	numStores := cfg.shards
 	if numStores < 1 {
@@ -616,10 +625,11 @@ var (
 	// ErrOutsideUniverse is returned by Query, QueryAll and Each on every
 	// flavor when the region's bounding rectangle escapes the engine's
 	// universe (Bounds or Universe; a RemoteEngine that does not know its
-	// backends' bounds relays their refusal), and by DynamicEngine.Insert
-	// for a point outside it. The region is refused, not clipped: the part
-	// of it inside the universe need not be connected, and Algorithm 1
-	// reaches one component.
+	// backends' bounds relays their refusal), and by NewEngine,
+	// NewShardedEngine and DynamicEngine.Insert for a point outside it (a
+	// NaN or infinite coordinate is outside). The region is refused, not
+	// clipped: the part of it inside the universe need not be connected, and
+	// Algorithm 1 reaches one component.
 	ErrOutsideUniverse = core.ErrOutsideUniverse
 )
 
@@ -647,8 +657,8 @@ var (
 // a query and the brute-force oracle validating it.
 type DynamicEngine struct {
 	d *core.DynamicEngine
-	// proto is every Snapshot's querier, less the backend and epoch each
-	// one pins; pool is the worker pool their QueryAll runs on.
+	// proto is every Snapshot's querier, less the backend each one pins;
+	// pool is the worker pool their QueryAll runs on.
 	proto querier
 	pool  exec.Options
 	// snap is the Snapshot wrapping the core snapshot most recently pinned,
@@ -658,10 +668,9 @@ type DynamicEngine struct {
 
 // NewDynamicEngine returns an empty dynamic engine. All inserted points
 // and query areas must lie within universe. Of the Engine options only
-// WithParallelism (it sizes the QueryAll worker pool), WithResultCache
-// (entries are keyed by insert epoch, so Insert invalidates) and
-// WithMetrics (adding epoch-publish latency and snapshot-age collectors)
-// apply; the others describe static construction and are ignored.
+// WithParallelism (it sizes the QueryAll worker pool) and WithMetrics
+// (adding epoch-publish latency and snapshot-age collectors) apply; the
+// others describe static construction and are ignored.
 func NewDynamicEngine(universe Rect, opts ...Option) *DynamicEngine {
 	cfg := newConfig(opts)
 	e := &DynamicEngine{d: core.NewDynamicEngine(universe), proto: newQuerier(&cfg, flavorDynamic)}
@@ -692,7 +701,7 @@ func (e *DynamicEngine) Snapshot() *Snapshot {
 		return cur
 	}
 	s := &Snapshot{querier: e.proto, s: cs, pool: pooled{Engine: cs.Engine(), opts: e.pool}}
-	s.backend, s.epoch = &s.pool, cs.Epoch()
+	s.backend = &s.pool
 	if !e.snap.CompareAndSwap(cur, s) {
 		// A concurrent pinner published first; share its wrapper unless a
 		// write came between and it pinned a later epoch.
@@ -738,7 +747,7 @@ func (e *DynamicEngine) PointOK(id int64) (Point, bool) { return e.d.PointOK(id)
 // run on one Snapshot. Snapshots are safe for concurrent use from any
 // number of goroutines and remain valid (and frozen) indefinitely.
 type Snapshot struct {
-	querier // the parent DynamicEngine's cache and metrics, over the pinned epoch
+	querier // the parent DynamicEngine's universe and metrics, over the pinned epoch
 	s       *core.DynamicSnapshot
 	pool    pooled // the querier's backend, held by value: one allocation per epoch
 }

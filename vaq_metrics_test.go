@@ -277,55 +277,12 @@ func TestMetricsCancellationClassified(t *testing.T) {
 	}
 }
 
-// TestMetricsResultCacheCollectors pins the rcache lift: the registry's
-// cache gauges mirror ResultCache.Stats exactly.
-func TestMetricsResultCacheCollectors(t *testing.T) {
-	rng := rand.New(rand.NewSource(149))
-	pts := UniformPoints(rng, 1000, UnitSquare())
-	reg := NewMetricsRegistry()
-	rc := NewResultCache(64)
-	eng, err := NewEngine(pts, UnitSquare(), WithResultCache(rc), WithMetrics(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	region := PolygonRegion(RandomQueryPolygon(rng, 8, 0.04, UnitSquare()))
-	for i := 0; i < 3; i++ { // one miss, two hits
-		if _, err := eng.Query(ctx, region); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := eng.Query(ctx, region, Limit(5)); err != nil { // bypass
-		t.Fatal(err)
-	}
-	cs := rc.Stats()
-	if cs.Hits != 2 || cs.Misses != 1 || cs.Bypasses != 1 {
-		t.Fatalf("unexpected cache stats: %+v", cs)
-	}
-	snap := reg.Snapshot()
-	fl := fmt.Sprintf("{flavor=%q}", flavorStatic)
-	checks := map[string]float64{
-		"vaq_rcache_hits_total" + fl:     float64(cs.Hits),
-		"vaq_rcache_misses_total" + fl:   float64(cs.Misses),
-		"vaq_rcache_bypasses_total" + fl: float64(cs.Bypasses),
-		"vaq_rcache_hit_rate" + fl:       cs.HitRate(),
-		"vaq_rcache_entries" + fl:        float64(rc.Len()),
-	}
-	for name, want := range checks {
-		if got := snap.Gauges[name]; got != want {
-			t.Errorf("%s = %v, want %v", name, got, want)
-		}
-	}
-}
-
-// TestQueryTracePhases pins WithTraceInto: phase timings, the cache-hit
-// marker, and the sharded fan-out/merge markers.
+// TestQueryTracePhases pins WithTraceInto: the phases a query names, the
+// reset of a reused trace, and the sharded fan-out/merge markers.
 func TestQueryTracePhases(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
 	pts := UniformPoints(rng, 2000, UnitSquare())
-	rc := NewResultCache(16)
-	eng, err := NewEngine(pts, UnitSquare(),
-		WithStore(StoreConfig{PageSize: 4096, PoolPages: 8}), WithResultCache(rc))
+	eng, err := NewEngine(pts, UnitSquare(), WithStore(StoreConfig{PageSize: 4096, PoolPages: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,20 +296,21 @@ func TestQueryTracePhases(t *testing.T) {
 	if tr.Total() <= 0 {
 		t.Error("traced query reported no total time")
 	}
-	if tr.CacheHit() {
-		t.Error("first query cannot be a cache hit")
-	}
-	if got := tr.String(); !strings.Contains(got, "method=voronoi") || !strings.Contains(got, "cache=miss") {
-		t.Errorf("trace string missing expected fields: %q", got)
+	got := tr.String()
+	for _, want := range []string{"flavor=static", "method=voronoi", " seed=", " expand=", " page_fetch="} {
+		if !strings.Contains(got, want) {
+			t.Errorf("trace string %q is missing %q", got, want)
+		}
 	}
 
-	// Second run: served from the result cache; Begin must have reset the
-	// previous query's state.
-	if _, err := eng.Query(ctx, region, WithTraceInto(&tr)); err != nil {
+	// Second run on the same trace, by a method with no seed phase: Begin
+	// must have reset the previous query's state.
+	if _, err := eng.Query(ctx, region, WithTraceInto(&tr), UsingMethod(Traditional)); err != nil {
 		t.Fatal(err)
 	}
-	if !tr.CacheHit() {
-		t.Error("second identical query missed the result cache")
+	got = tr.String()
+	if !strings.Contains(got, "method=traditional") || strings.Contains(got, " seed=") {
+		t.Errorf("reused trace kept the previous query's state: %q", got)
 	}
 
 	// Sharded: fan-out recorded, and the gather merge phase exists.
@@ -376,10 +334,8 @@ func TestMetricsHandlerServesEngineCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(157))
 	pts := UniformPoints(rng, 1000, UnitSquare())
 	reg := NewMetricsRegistry()
-	rc := NewResultCache(32)
 	eng, err := NewEngine(pts, UnitSquare(),
-		WithStore(StoreConfig{PageSize: 4096, PoolPages: 8}),
-		WithResultCache(rc), WithMetrics(reg))
+		WithStore(StoreConfig{PageSize: 4096, PoolPages: 8}), WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,16 +376,11 @@ func TestMetricsHandlerServesEngineCounters(t *testing.T) {
 	if hist.Count != 4 || hist.P50 <= 0 || hist.P99 < hist.P50 {
 		t.Errorf("latency summary count=%d p50=%v p99=%v", hist.Count, hist.P50, hist.P99)
 	}
-	// Buffer-pool and cache collectors are live through the handler too.
+	// Buffer-pool collectors are live through the handler too.
 	var reads float64
 	json.Unmarshal(flat[fmt.Sprintf("vaq_bufpool_page_reads_total{flavor=%q}", flavorStatic)], &reads)
 	if reads <= 0 {
 		t.Error("handler reports zero buffer-pool page reads after store-backed queries")
-	}
-	var hits float64
-	json.Unmarshal(flat[fmt.Sprintf("vaq_rcache_hits_total{flavor=%q}", flavorStatic)], &hits)
-	if hits != 3 {
-		t.Errorf("handler rcache hits = %v, want 3", hits)
 	}
 
 	resp2, err := srv.Client().Get(srv.URL + "?format=prom")

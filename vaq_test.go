@@ -2,9 +2,15 @@ package vaq
 
 import (
 	"context"
+	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
+	"time"
+
+	"repro/internal/geom"
 )
 
 func sorted(ids []int64) []int64 {
@@ -126,6 +132,55 @@ func TestDuplicatePointsError(t *testing.T) {
 	pts := []Point{Pt(0.5, 0.5), Pt(0.5, 0.5), Pt(0.1, 0.1)}
 	if _, err := NewEngine(pts, UnitSquare()); err == nil {
 		t.Error("duplicate points should be rejected")
+	}
+}
+
+// TestConstructorsRefuseWhatTheyDocument: a site outside bounds, or with a
+// NaN or infinite coordinate, and a polygon vertex that is not finite are
+// refused with their sentinel before anything is built — no panic in the
+// exact predicates, no unbounded allocation — by every constructor.
+func TestConstructorsRefuseWhatTheyDocument(t *testing.T) {
+	bad := map[string]float64{"outside": 1.5, "NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)}
+	pts := UniformPoints(rand.New(rand.NewSource(6)), 500, UnitSquare())
+	withSite := func(p Point) []Point { return slices.Insert(slices.Clone(pts), 250, p) }
+
+	cases := map[string]struct {
+		build func(v float64) error
+		want  error
+	}{
+		"NewEngine": {func(v float64) error {
+			_, err := NewEngine(withSite(Pt(v, 0.5)), UnitSquare())
+			return err
+		}, ErrOutsideUniverse},
+		"NewShardedEngine": {func(v float64) error {
+			_, err := NewShardedEngine(withSite(Pt(0.5, v)), UnitSquare(), WithShards(4))
+			return err
+		}, ErrOutsideUniverse},
+		"NewPolygon": {func(v float64) error {
+			_, err := NewPolygon([]Point{Pt(v, 0.1), Pt(0.5, 0.2), Pt(0.3, 0.6)})
+			return err
+		}, geom.ErrNonFinite},
+		"AddHole": {func(v float64) error {
+			pg := MustPolygon([]Point{Pt(0, 0), Pt(1, 0), Pt(1, 1), Pt(0, 1)})
+			return pg.AddHole([]Point{Pt(0.4, 0.4), Pt(0.6, v), Pt(0.5, 0.6)})
+		}, geom.ErrNonFinite},
+	}
+	for name, tc := range cases {
+		for label, v := range bad {
+			if tc.want == geom.ErrNonFinite && label == "outside" {
+				continue // a polygon has no universe
+			}
+			done := make(chan error, 1)
+			go func() { done <- tc.build(v) }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, tc.want) {
+					t.Errorf("%s, %s coordinate: err = %v, want %v", name, label, err, tc.want)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s, %s coordinate: still building after 30 s", name, label)
+			}
+		}
 	}
 }
 
