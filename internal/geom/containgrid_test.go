@@ -63,8 +63,9 @@ func breakerProbes(pg Polygon, g *containGrid, stride int) []Point {
 // checkPreparedMatchesPolygon asserts Prepare(pg).ContainsPoint(p) ==
 // pg.ContainsPoint(p) over breakerProbes plus extra, on a region pinned to
 // the exact loop and on one driven past gridAfter through the public
-// method, and that no edge touches a cell the grid calls inside or outside.
-// It returns whether a grid was built.
+// method, that no edge touches a cell the grid calls inside or outside, and
+// that every edge is in the list of each cell it touches and each row it
+// spans. It returns whether a grid was built.
 //
 // A polygon with a non-finite vertex never gets that far — the exact
 // orientation predicate panics on NaN and ±Inf, in Prepare's anchor search
@@ -76,14 +77,7 @@ func breakerProbes(pg Polygon, g *containGrid, stride int) []Point {
 // back to exact rational arithmetic, microseconds a call.
 func checkPreparedMatchesPolygon(t *testing.T, pg Polygon, stride int, extra ...Point) bool {
 	t.Helper()
-	finite := true
-	pg.rings(func(r Ring) bool {
-		for _, v := range r {
-			finite = finite && !math.IsNaN(v.X+v.Y) && !math.IsInf(v.X, 0) && !math.IsInf(v.Y, 0)
-		}
-		return true
-	})
-	if !finite {
+	if !finitePolygon(pg) {
 		raw := &PreparedPolygon{pg: pg, bound: pg.Bounds()}
 		pg.rings(func(r Ring) bool {
 			for i, a := range r {
@@ -97,18 +91,8 @@ func checkPreparedMatchesPolygon(t *testing.T, pg Polygon, stride int, extra ...
 		}
 		return false
 	}
-	before := Prepare(pg)
-	before.exactTests.Store(gridAfter) // never builds: the state every region starts in
-	after := Prepare(pg)
-	if len(pg.Outer) > 0 {
-		for i := 0; i < gridAfter; i++ {
-			after.ContainsPoint(pg.Outer[0])
-		}
-	}
+	before, after := preparedPair(t, pg)
 	g := after.grid.Load()
-	if g == nil && after.exactTests.Load() == gridAfter && newContainGrid(after) != nil {
-		t.Fatal("the gridAfter-th test did not publish the grid")
-	}
 
 	probes := append(breakerProbes(pg, g, stride), extra...)
 	for _, p := range probes {
@@ -126,21 +110,203 @@ func checkPreparedMatchesPolygon(t *testing.T, pg Polygon, stride int, extra ...
 	if g == nil {
 		return false
 	}
+	listed := func(list []uint16, edge int) bool {
+		for _, e := range list {
+			if int(e) == edge {
+				return true
+			}
+		}
+		return false
+	}
 	for iy := 0; iy < gridSize; iy++ {
+		for i, e := range after.edges {
+			if g.lists != nil && e.bb.MinY <= g.ys[iy+1] && e.bb.MaxY >= g.ys[iy] && !listed(g.rowEdges(iy), i) {
+				t.Fatalf("row %d does not list edge %v-%v, which spans it\n%v", iy, e.a, e.b, pg)
+			}
+		}
 		for ix := iy % stride; ix < gridSize; ix += stride {
-			if g.class[iy*gridSize+ix] == cellBoundary {
+			class := g.class[iy*gridSize+ix]
+			if class == cellBoundary && g.lists == nil {
 				continue
 			}
 			cell := Rect{g.xs[ix], g.ys[iy], g.xs[ix+1], g.ys[iy+1]}
-			for _, e := range after.edges {
-				if e.bb.Intersects(cell) && Seg(e.a, e.b).IntersectsRect(cell) {
+			for i, e := range after.edges {
+				if !e.bb.Intersects(cell) || !Seg(e.a, e.b).IntersectsRect(cell) {
+					continue
+				}
+				if class != cellBoundary {
 					t.Fatalf("cell (%d,%d) %v is class %d but edge %v-%v touches it\n%v",
-						ix, iy, cell, g.class[iy*gridSize+ix], e.a, e.b, pg)
+						ix, iy, cell, class, e.a, e.b, pg)
+				}
+				if k := g.cell(ix, iy); !listed(g.lists[g.lists[k]:g.lists[k+1]], i) {
+					t.Fatalf("cell (%d,%d) %v does not list edge %v-%v, which touches it\n%v",
+						ix, iy, cell, e.a, e.b, pg)
 				}
 			}
 		}
 	}
 	return true
+}
+
+// preparedPair prepares pg twice: pinned to the edge loops, the state every
+// region starts in, and driven past gridAfter through the public method.
+func preparedPair(t *testing.T, pg Polygon) (before, after *PreparedPolygon) {
+	t.Helper()
+	before = Prepare(pg)
+	before.exactTests.Store(gridAfter) // never builds
+	after = Prepare(pg)
+	if len(pg.Outer) > 0 {
+		for i := 0; i < gridAfter; i++ {
+			after.ContainsPoint(pg.Outer[0])
+		}
+	}
+	if after.grid.Load() == nil && after.exactTests.Load() == gridAfter && newContainGrid(after) != nil {
+		t.Fatal("the gridAfter-th test did not publish the grid")
+	}
+	return before, after
+}
+
+// finitePolygon reports whether every vertex of pg is finite. A polygon
+// with a NaN or ±Inf vertex never answers a query: the exact orientation
+// predicate panics on it, in Prepare's anchor search and in the plain
+// polygon alike.
+func finitePolygon(pg Polygon) bool {
+	finite := true
+	pg.rings(func(r Ring) bool {
+		for _, v := range r {
+			finite = finite && v.X-v.X == 0 && v.Y-v.Y == 0
+		}
+		return true
+	})
+	return finite
+}
+
+// answer runs a predicate and reports what it said, or that it panicked —
+// which the exact orientation predicate does on a non-finite coordinate.
+func answer(f func() bool) (got, panicked bool) {
+	defer func() {
+		if recover() != nil {
+			panicked = true
+		}
+	}()
+	return f(), false
+}
+
+// touchesBoundaryPlain is TouchesBoundary by definition: MBR reject, then
+// every edge of every ring against s.
+func touchesBoundaryPlain(pg Polygon, s Segment) bool {
+	if !pg.Bounds().Intersects(s.Bounds()) {
+		return false
+	}
+	hit := false
+	pg.rings(func(r Ring) bool {
+		for i := range r {
+			hit = hit || s.Intersects(Seg(r[i], r[(i+1)%len(r)]))
+		}
+		return !hit
+	})
+	return hit
+}
+
+// exactRange reports whether every coordinate is zero or of a magnitude in
+// [2⁻⁴⁰⁰, 2⁴⁰⁰], where no product of two coordinate differences underflows
+// or overflows and robust.Orient2D is exact. Outside it (an ulp from zero
+// is 5e-324) its filter can misjudge a sign, and two tests that are equal
+// by a geometric argument, not by making the same calls, may disagree.
+func exactRange(pts ...Point) bool {
+	for _, p := range pts {
+		for _, v := range [2]float64{math.Abs(p.X), math.Abs(p.Y)} {
+			if v != 0 && !(v >= 0x1p-400 && v <= 0x1p400) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkShapesMatchPolygon holds the prepared segment, rectangle and ring
+// tests to the plain polygon's answers on the shapes q spans — the segment
+// q[0]-q[1], the rectangle on that diagonal, the ring of all of q — before
+// and after the grid exists. Where the orientation predicate is not exact
+// (see exactRange; on a non-finite coordinate it panics) the check is that
+// the grid changes nothing: the same answer or the same panic as the edge
+// loops.
+func checkShapesMatchPolygon(t *testing.T, pg Polygon, before, after *PreparedPolygon, q ...Point) {
+	t.Helper()
+	exact := exactRange(q...)
+	pg.rings(func(r Ring) bool {
+		exact = exact && exactRange(r...)
+		return exact
+	})
+	s, r, ring := Seg(q[0], q[1]), NewRect(q[0].X, q[0].Y, q[1].X, q[1].Y), Ring(q)
+	for _, c := range []struct {
+		name                string
+		plain, loop, listed func() bool
+	}{
+		{"TouchesBoundary",
+			func() bool { return touchesBoundaryPlain(pg, s) },
+			func() bool { return before.TouchesBoundary(s) },
+			func() bool { return after.TouchesBoundary(s) }},
+		{"IntersectsSegment",
+			func() bool { return pg.IntersectsSegment(s) },
+			func() bool { return before.IntersectsSegment(s) },
+			func() bool { return after.IntersectsSegment(s) }},
+		{"IntersectsRect",
+			func() bool { return pg.IntersectsRect(r) },
+			func() bool { return before.IntersectsRect(r) },
+			func() bool { return after.IntersectsRect(r) }},
+		{"IntersectsRingView",
+			func() bool { return pg.IntersectsRing(ring) },
+			func() bool { return before.IntersectsRingView(ViewRing(ring)) },
+			func() bool { return after.IntersectsRingView(ViewRing(ring)) }},
+	} {
+		loop, loopPanicked := answer(c.loop)
+		listed, listedPanicked := answer(c.listed)
+		if loop != listed || loopPanicked != listedPanicked {
+			t.Fatalf("%s(%v): edge loop %v (panicked %v), grid %v (panicked %v)\n%v",
+				c.name, q, loop, loopPanicked, listed, listedPanicked, pg)
+		}
+		if !exact {
+			continue
+		}
+		if want := c.plain(); loopPanicked || loop != want {
+			t.Fatalf("%s(%v) = %v (panicked %v), plain polygon %v\n%v", c.name, q, loop, loopPanicked, want, pg)
+		}
+	}
+	if before.grid.Load() != nil {
+		t.Fatal("a region past gridAfter built a grid after all")
+	}
+}
+
+// checkShapesOnGridBreakers runs checkShapesMatchPolygon over shapes hung
+// on breakerProbes: from each probe to a partner up to two cells away (the
+// boxes the grid answers), from every thirty-second to itself (a point on
+// a border, a vertex or an edge; a zero-length segment sends every
+// orientation test to exact arithmetic, microseconds a call) and from every
+// sixteenth to any other probe, far outside the MBR included (the boxes
+// left to the edge loop).
+func checkShapesOnGridBreakers(t *testing.T, pg Polygon, stride int) {
+	t.Helper()
+	if !finitePolygon(pg) {
+		return
+	}
+	before, after := preparedPair(t, pg)
+	probes := breakerProbes(pg, after.grid.Load(), stride)
+	rng := rand.New(rand.NewSource(2))
+	b := pg.Bounds()
+	cw, ch := (b.MaxX-b.MinX)/gridSize, (b.MaxY-b.MinY)/gridSize
+	nearby := func(p Point) Point {
+		return Pt(p.X+(rng.Float64()-0.5)*4*cw, p.Y+(rng.Float64()-0.5)*4*ch)
+	}
+	for i, p := range probes {
+		checkShapesMatchPolygon(t, pg, before, after, p, nearby(p), nearby(p))
+		switch i % 32 {
+		case 0:
+			checkShapesMatchPolygon(t, pg, before, after, p, p, nearby(p))
+		case 8, 24:
+			checkShapesMatchPolygon(t, pg, before, after, p, probes[rng.Intn(len(probes))], probes[rng.Intn(len(probes))])
+		}
+	}
 }
 
 // scaled maps pg through p ↦ origin + s·p, ring structure kept.
@@ -230,6 +396,7 @@ func TestPreparedContainsMatchesPolygonOnGridBreakers(t *testing.T) {
 			if got := checkPreparedMatchesPolygon(t, c.pg, 1); got != c.wantGrid {
 				t.Fatalf("grid built = %v, want %v", got, c.wantGrid)
 			}
+			checkShapesOnGridBreakers(t, c.pg, 2)
 		})
 	}
 }
@@ -280,6 +447,16 @@ func fuzzPolygon(data []byte, holeAt, mode uint8) Polygon {
 	return Polygon{Outer: ring}
 }
 
+// lattice spells coordinates for fuzzLattice mode, where a coordinate is
+// its bit pattern mod 65, over 64.
+func lattice(ks ...uint64) []byte {
+	var out []byte
+	for _, k := range ks {
+		out = binary.LittleEndian.AppendUint64(out, k)
+	}
+	return out
+}
+
 func fuzzBytes(pts ...Point) []byte {
 	var out []byte
 	for _, p := range pts {
@@ -313,14 +490,6 @@ func FuzzPreparedContainsMatchesPolygon(f *testing.F) {
 	// overflow gave InteriorPoint a non-finite centroid, and Prepare panicked
 	// in the exact orientation predicate (see ContainsPointStrict).
 	f.Add(fuzzBytes(Pt(0, 0), Pt(1e110, 0), Pt(1e110, 1e110), Pt(0, 1e110)), uint8(0), uint8(fuzzRaw), 0.5, 0.5)
-	// On the lattice a coordinate is its bit pattern mod 65, over 64.
-	lattice := func(ks ...uint64) []byte {
-		var out []byte
-		for _, k := range ks {
-			out = binary.LittleEndian.AppendUint64(out, k)
-		}
-		return out
-	}
 	f.Add(lattice(7, 9, 40, 9, 40, 33, 23, 33, 23, 50, 7, 50), uint8(0), uint8(fuzzLattice), 0.5, 0.5)
 	f.Add(lattice(0, 0, 64, 0, 64, 64, 0, 64, 16, 16, 48, 16, 48, 48, 16, 48), uint8(4), uint8(fuzzLattice|fuzzGiga), 0.25, 0.25)
 	f.Fuzz(func(t *testing.T, data []byte, holeAt, mode uint8, px, py float64) {
@@ -335,5 +504,57 @@ func FuzzPreparedContainsMatchesPolygon(f *testing.F) {
 		frac := func(v float64) float64 { return v - math.Floor(v) }
 		checkPreparedMatchesPolygon(t, pg, stride, Pt(px, py),
 			Pt(b.MinX+(b.MaxX-b.MinX)*frac(px), b.MinY+(b.MaxY-b.MinY)*frac(py)))
+	})
+}
+
+// FuzzPreparedShapesMatchPolygon is the segment, rectangle and ring twin of
+// the target above: whatever polygon the bytes spell, TouchesBoundary,
+// IntersectsSegment, IntersectsRect and IntersectsRingView answer as the
+// plain polygon does, on the edge loops and on the grid's lists, for the
+// shapes three fuzzed points span (see checkShapesMatchPolygon) — taken as
+// given, as positions relative to the MBR, and with the second and third
+// within two cells of the first, the boxes the lists serve.
+func FuzzPreparedShapesMatchPolygon(f *testing.F) {
+	star := randomStarPolygon(rand.New(rand.NewSource(5)), 10)
+	square := []Point{Pt(0, 0), Pt(1, 0), Pt(1, 1), Pt(0, 1)}
+	holedSquare := append(square[:4:4], Pt(0.25, 0.25), Pt(0.5, 0.25), Pt(0.5, 0.5), Pt(0.25, 0.5))
+	astray := append(square[:4:4], Pt(0.5, 0.5), Pt(3, 0.5), Pt(3, 4), Pt(-2, 4))
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, mode := range []uint8{0, fuzzRaw, fuzzRaw | fuzzGiga, fuzzRaw | fuzzNano} {
+		f.Add(fuzzBytes(star.Outer...), uint8(0), mode, 0.5, 0.5, 0.52, 0.47, 0.45, 0.55)
+		f.Add(fuzzBytes(holedSquare...), uint8(4), mode, 0.375, 0.375, 0.25, 0.5, 0.6, 0.4)
+	}
+	f.Add(fuzzBytes(square...), uint8(0), uint8(fuzzRaw), 0.03125, 1.0, 0.03125, 1.0, 0.0625, 0.96875)
+	f.Add(fuzzBytes(lShape().Outer...), uint8(0), uint8(fuzzRaw), 1.0, 1.0, 1.0, 2.0, 2.0, 1.0)
+	// Holes astray: a long segment meets one far outside the MBR, a short
+	// one just beside it, over cells no edge is marked in.
+	f.Add(fuzzBytes(astray...), uint8(4), uint8(fuzzRaw), 0.9, 0.9, 1.5, 2.0, 0.75, 0.25)
+	f.Add(fuzzBytes(Pt(0, 0), Pt(1, 0.5), Pt(0, 1), Pt(1.03, 0.1), Pt(1.08, 0.1), Pt(1.08, 0.3)),
+		uint8(3), uint8(fuzzRaw), 0.99, 0.2, 1.06, 0.2, 1.06, 0.21)
+	// Non-finite queries: the cell index converts a float to uint.
+	f.Add(fuzzBytes(star.Outer...), uint8(0), uint8(fuzzRaw), nan, 0.5, 0.5, 0.5, 0.4, 0.6)
+	f.Add(fuzzBytes(star.Outer...), uint8(0), uint8(fuzzRaw), 0.5, 0.5, 0.5, nan, nan, nan)
+	f.Add(fuzzBytes(star.Outer...), uint8(0), uint8(fuzzRaw), 0.5, 0.5, inf, 0.5, 0.4, -inf)
+	f.Add(fuzzBytes(square...), uint8(0), uint8(fuzzRaw), -inf, -inf, inf, inf, 0.5, 0.5)
+	f.Add(fuzzBytes(square...), uint8(0), uint8(fuzzRaw|fuzzGiga), 0.5, inf, 0.5, 0.25, nan, 0.5)
+	f.Add(lattice(7, 9, 40, 9, 40, 33, 23, 33, 23, 50, 7, 50), uint8(0), uint8(fuzzLattice), 0.5, 0.5, 0.625, 0.5, 0.5, 0.515625)
+	f.Add(lattice(0, 0, 64, 0, 64, 64, 0, 64, 16, 16, 48, 16, 48, 48, 16, 48), uint8(4), uint8(fuzzLattice|fuzzGiga), 0.25, 0.25, 0.25, 0.75, 0.75, 0.75)
+	f.Fuzz(func(t *testing.T, data []byte, holeAt, mode uint8, x0, y0, x1, y1, x2, y2 float64) {
+		pg := fuzzPolygon(data, holeAt, mode)
+		if !finitePolygon(pg) {
+			return // see checkPreparedMatchesPolygon
+		}
+		before, after := preparedPair(t, pg)
+		b := pg.Bounds()
+		w, h := b.MaxX-b.MinX, b.MaxY-b.MinY
+		frac := func(v float64) float64 { return v - math.Floor(v) }
+		inMBR := func(x, y float64) Point { return Pt(b.MinX+w*frac(x), b.MinY+h*frac(y)) }
+		p := inMBR(x0, y0)
+		by := func(x, y float64) Point {
+			return Pt(p.X+(frac(x)-0.5)*4*w/gridSize, p.Y+(frac(y)-0.5)*4*h/gridSize)
+		}
+		checkShapesMatchPolygon(t, pg, before, after, Pt(x0, y0), Pt(x1, y1), Pt(x2, y2))
+		checkShapesMatchPolygon(t, pg, before, after, p, inMBR(x1, y1), inMBR(x2, y2))
+		checkShapesMatchPolygon(t, pg, before, after, p, by(x1, y1), by(x2, y2))
 	})
 }

@@ -56,14 +56,25 @@ func (pp *PreparedPolygon) Bounds() Rect { return pp.bound }
 
 // ContainsPoint reports whether p lies in the closed polygon: MBR reject,
 // then the grid's verdict when there is one and p's cell touches no edge,
-// then the exact edge loop.
+// then the exact edge loop — over the edges of p's row when the grid lists
+// them, over every edge otherwise.
 func (pp *PreparedPolygon) ContainsPoint(p Point) bool {
 	if !pp.bound.ContainsPoint(p) {
 		return false
 	}
 	if g := pp.grid.Load(); g != nil {
-		if c := g.lookup(p); c != cellBoundary {
+		c, row := g.lookup(p)
+		if c != cellBoundary {
 			return c == cellInside
+		}
+		if row >= 0 && g.lists != nil {
+			odd := false
+			for _, i := range g.rowEdges(row) {
+				if e := &pp.edges[i]; e.inRange(p) && e.holds(p, &odd) {
+					return true
+				}
+			}
+			return odd
 		}
 	} else if pp.exactTests.Load() < gridAfter && pp.exactTests.Add(1) == gridAfter {
 		pp.grid.Store(newContainGrid(pp))
@@ -71,43 +82,54 @@ func (pp *PreparedPolygon) ContainsPoint(p Point) bool {
 	return pp.containsExact(p)
 }
 
-// containsExact is the containment test for a point inside the MBR. It
-// fuses the boundary check and the ray-crossing count into a single pass
-// over the edge list, consulting the exact orientation predicate only for
-// edges whose bounding interval makes them relevant.
+// containsExact is the containment test for a point inside the MBR: the
+// loop over every edge, which decides while there is no grid, where the
+// grid has no lists, and for the grid builder's probes.
 func (pp *PreparedPolygon) containsExact(p Point) bool {
 	odd := false
 	for i := range pp.edges {
-		e := &pp.edges[i]
-		// On-edge test, gated by the edge bounding box.
-		if e.bb.ContainsPoint(p) {
-			if Orient(e.a, e.b, p) == Collinear {
-				return true // boundary is contained (closed polygon)
-			}
-		}
-		// Ray-crossing accumulation (half-open rule on Y).
-		if (e.a.Y > p.Y) == (e.b.Y > p.Y) {
-			continue
-		}
-		if e.bb.MaxX < p.X {
-			continue // edge entirely left of the rightward ray
-		}
-		if e.a.Y < e.b.Y {
-			if Orient(e.a, e.b, p) == CounterClockwise {
-				odd = !odd
-			}
-		} else {
-			if Orient(e.b, e.a, p) == CounterClockwise {
-				odd = !odd
-			}
+		if e := &pp.edges[i]; e.inRange(p) && e.holds(p, &odd) {
+			return true
 		}
 	}
 	return odd
 }
 
+// inRange reports whether e can hold p or cross its rightward ray, by its
+// bounding intervals alone: either needs p.Y within e's y-span and e not
+// entirely left of p.
+func (e *preparedEdge) inRange(p Point) bool {
+	return e.bb.MinY <= p.Y && p.Y <= e.bb.MaxY && p.X <= e.bb.MaxX
+}
+
+// holds is the share of the containment test of an edge in range of p, the
+// boundary check and the ray-crossing count fused: it reports whether p
+// lies on e (the boundary is contained: closed polygon) and flips odd when
+// e crosses p's rightward ray.
+func (e *preparedEdge) holds(p Point, odd *bool) bool {
+	// In range, p is in e's bounding box unless it is left of it.
+	if e.bb.MinX <= p.X && Orient(e.a, e.b, p) == Collinear {
+		return true
+	}
+	// Ray-crossing accumulation (half-open rule on Y).
+	if (e.a.Y > p.Y) == (e.b.Y > p.Y) {
+		return false
+	}
+	lo, hi := e.a, e.b
+	if lo.Y > hi.Y {
+		lo, hi = hi, lo
+	}
+	if Orient(lo, hi, p) == CounterClockwise {
+		*odd = !*odd
+	}
+	return false
+}
+
 // TouchesBoundary reports whether the closed segment shares at least one
 // point with the polygon's boundary (an edge of any ring): MBR reject,
-// per-edge bounding-box gate, exact segment test — no containment scan.
+// per-edge bounding-box gate, exact segment test — no containment scan. The
+// edges are those near the segment's box when the grid can tell, so a
+// segment over cells no edge touches is answered without an exact test.
 //
 // For a segment with an endpoint outside the closed polygon this is the
 // whole of IntersectsSegment: a segment that meets no edge lies in one face
@@ -120,9 +142,17 @@ func (pp *PreparedPolygon) TouchesBoundary(s Segment) bool {
 	if !pp.bound.Intersects(sb) {
 		return false
 	}
+	var buf [nearMax]uint16
+	if n, ok := pp.near(sb, &buf); ok {
+		for _, i := range buf[:n] {
+			if e := &pp.edges[i]; e.bb.Intersects(sb) && Seg(e.a, e.b).Intersects(s) {
+				return true
+			}
+		}
+		return false
+	}
 	for i := range pp.edges {
-		e := &pp.edges[i]
-		if e.bb.Intersects(sb) && s.Intersects(Seg(e.a, e.b)) {
+		if e := &pp.edges[i]; e.bb.Intersects(sb) && Seg(e.a, e.b).Intersects(s) {
 			return true
 		}
 	}
@@ -144,33 +174,29 @@ func (pp *PreparedPolygon) InteriorPoint() Point { return pp.interior }
 // region bounded by the ring v views — the strict expansion rule's hot
 // test, over a cell of the packed arena. It decides as Polygon.IntersectsRing
 // does (edge crossings, then vertex containment both ways) but reuses the
-// cached polygon MBR, the prepared containment test and per-edge bounding
-// boxes to skip edges far from the ring, and reads the packed coordinate
-// slices directly, with zero allocation.
+// cached polygon MBR, the prepared containment test and the edges near the
+// ring's box (per-edge bounding boxes when the grid cannot tell), and reads
+// the packed coordinate slices directly, with zero allocation.
 func (pp *PreparedPolygon) IntersectsRingView(v RingView) bool {
-	n := v.Len()
-	if n == 0 {
+	if v.Len() == 0 {
 		return false
 	}
 	rb := v.Bounds()
 	if !pp.bound.Intersects(rb) {
 		return false
 	}
-	// Boundary contact first: per-edge boxes skip edges far from the ring,
-	// so a disjoint ring (the common strict-expansion reject) costs one
-	// box compare per edge and no containment scans.
-	for i := range pp.edges {
-		e := &pp.edges[i]
-		if !e.bb.Intersects(rb) {
-			continue
-		}
-		s := Seg(e.a, e.b)
-		for j := 0; j < n; j++ {
-			k := j + 1
-			if k == n {
-				k = 0
+	// Boundary contact first, so a disjoint ring (the common
+	// strict-expansion reject) costs no containment scans.
+	var buf [nearMax]uint16
+	if n, ok := pp.near(rb, &buf); ok {
+		for _, i := range buf[:n] {
+			if e := &pp.edges[i]; e.bb.Intersects(rb) && e.crosses(v) {
+				return true
 			}
-			if s.Intersects(Seg(v.At(j), v.At(k))) {
+		}
+	} else {
+		for i := range pp.edges {
+			if e := &pp.edges[i]; e.bb.Intersects(rb) && e.crosses(v) {
 				return true
 			}
 		}
@@ -180,8 +206,29 @@ func (pp *PreparedPolygon) IntersectsRingView(v RingView) bool {
 	if pp.ContainsPoint(v.At(0)) {
 		return true // ring inside the polygon
 	}
-	// Polygon inside the ring (edges[0].a is an outer-ring vertex).
-	return v.ContainsPoint(pp.edges[0].a)
+	// A ring of the polygon inside the ring: untouched, it lies inside or
+	// outside whole, so its first vertex decides. A hole can be the only
+	// one when it is astray, outside the outer ring.
+	if v.ContainsPoint(pp.pg.Outer[0]) {
+		return true
+	}
+	for _, h := range pp.pg.Holes {
+		if len(h) > 0 && v.ContainsPoint(h[0]) {
+			return true
+		}
+	}
+	return false
+}
+
+// crosses reports whether e shares a point with an edge of the ring.
+func (e *preparedEdge) crosses(v RingView) bool {
+	s := Seg(e.a, e.b)
+	for j, k := v.Len()-1, 0; k < v.Len(); j, k = k, k+1 {
+		if s.Intersects(Seg(v.At(j), v.At(k))) {
+			return true
+		}
+	}
+	return false
 }
 
 // IntersectsRect reports whether the closed polygon and the closed
@@ -189,7 +236,7 @@ func (pp *PreparedPolygon) IntersectsRingView(v RingView) bool {
 // to discard Voronoi cells by bounding box, so it is hot). It mirrors
 // Polygon.IntersectsRect — rect corner inside polygon, polygon vertex
 // inside rect, or crossing edges — on the cached MBR, prepared
-// containment and per-edge boxes.
+// containment and the edges near the rectangle.
 func (pp *PreparedPolygon) IntersectsRect(r Rect) bool {
 	if !pp.bound.Intersects(r) {
 		return false
@@ -197,22 +244,32 @@ func (pp *PreparedPolygon) IntersectsRect(r Rect) bool {
 	if r.ContainsRect(pp.bound) {
 		return true // rect swallows the polygon (vertices included)
 	}
-	// Boundary contact first (cheap per-edge box gate); containment only
-	// when no edge touches the rect.
-	for i := range pp.edges {
-		e := &pp.edges[i]
-		if !e.bb.Intersects(r) {
-			continue
+	// Boundary contact first; containment only when no edge touches the
+	// rect.
+	var buf [nearMax]uint16
+	if n, ok := pp.near(r, &buf); ok {
+		for _, i := range buf[:n] {
+			if pp.edges[i].touchesRect(r) {
+				return true
+			}
 		}
-		if r.ContainsPoint(e.a) || r.ContainsPoint(e.b) {
-			return true
-		}
-		if Seg(e.a, e.b).IntersectsRect(r) {
-			return true
+	} else {
+		for i := range pp.edges {
+			if pp.edges[i].touchesRect(r) {
+				return true
+			}
 		}
 	}
 	// No boundary contact: the rect lies entirely in one face of the
 	// polygon arrangement (inside, inside a hole, or outside); one corner
-	// decides.
+	// decides — from its cell's class alone when the rect covers no
+	// boundary cell.
 	return pp.ContainsPoint(Pt(r.MinX, r.MinY))
+}
+
+// touchesRect reports whether e shares a point with the closed rectangle,
+// behind the bounding-box gate.
+func (e *preparedEdge) touchesRect(r Rect) bool {
+	return e.bb.Intersects(r) &&
+		(r.ContainsPoint(e.a) || r.ContainsPoint(e.b) || Seg(e.a, e.b).IntersectsRect(r))
 }

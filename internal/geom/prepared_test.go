@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -318,25 +319,52 @@ func TestPreparedInteriorPointIsPolygons(t *testing.T) {
 	}
 }
 
-// TestTouchesBoundaryAllocs pins the expansion test at zero allocations.
+// TestTouchesBoundaryAllocs pins the expansion test at zero allocations,
+// on the edge loop and on the grid's lists: segments a cell or two long, as
+// the BFS tests on a 1 % region, and long ones the loop keeps.
 func TestTouchesBoundaryAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	pp := Prepare(randomStarPolygon(rng, 10))
+	pg := randomStarPolygon(rng, 10)
 	segs := make([]Segment, 256)
 	for i := range segs {
-		segs[i] = Seg(Pt(rng.Float64(), rng.Float64()), Pt(rng.Float64(), rng.Float64()))
-	}
-	hits := 0
-	allocs := testing.AllocsPerRun(20, func() {
-		for _, s := range segs {
-			if pp.TouchesBoundary(s) {
-				hits++
-			}
+		a := Pt(rng.Float64(), rng.Float64())
+		segs[i] = Seg(a, Pt(rng.Float64(), rng.Float64()))
+		if i%2 == 0 {
+			segs[i].B = a.Add(Pt((rng.Float64()-0.5)*0.05, (rng.Float64()-0.5)*0.05))
 		}
-	})
-	if allocs != 0 || hits == 0 {
-		t.Fatalf("TouchesBoundary: %.1f allocs per %d tests (want 0), %d hits (want > 0)", allocs, len(segs), hits)
 	}
+	for _, grid := range []bool{false, true} {
+		pp := Prepare(pg)
+		if grid {
+			pp.grid.Store(newContainGrid(pp))
+		}
+		hits := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, s := range segs {
+				if pp.TouchesBoundary(s) {
+					hits++
+				}
+			}
+		})
+		if g := pp.grid.Load(); allocs != 0 || hits == 0 || (g != nil && g.lists != nil) != grid {
+			t.Fatalf("lists %v: TouchesBoundary: %.1f allocs per %d tests (want 0), %d hits (want > 0), grid %v",
+				grid, allocs, len(segs), hits, g != nil)
+		}
+	}
+}
+
+// TestGridBuildAllocs pins a build at two allocations, the grid and the one
+// array behind every list: a region prepared per request (the serving tier
+// decodes its region afresh each time) pays them on every query that
+// reaches gridAfter.
+func TestGridBuildAllocs(t *testing.T) {
+	pp := Prepare(randomStarPolygon(rand.New(rand.NewSource(3)), 10))
+	var g *containGrid
+	allocs := testing.AllocsPerRun(20, func() { g = newContainGrid(pp) })
+	if allocs > 2 || g == nil || g.lists == nil {
+		t.Fatalf("newContainGrid(10 vertices): %.0f allocs (want <= 2), grid %v, lists %v", allocs, g != nil, g != nil && g.lists != nil)
+	}
+	t.Logf("%d boundary cells, %d list entries, %d bytes of lists", g.lists[0]-1, len(g.lists), 2*len(g.lists))
 }
 
 // TestPrepareAllocs pins what every region pays up front: the grid is not
@@ -392,4 +420,84 @@ func BenchmarkContainsInMBR(b *testing.B) {
 			pp.ContainsPoint(probes[i%len(probes)])
 		}
 	})
+}
+
+// TestIntersectsRingViewSeesEveryRing: a ring that touches no edge may hold
+// any ring of the polygon, not only the outer one — a hole astray, outside
+// the outer ring, is inside the polygon by the even-odd rule, and the plain
+// polygon says so.
+func TestIntersectsRingViewSeesEveryRing(t *testing.T) {
+	pg := lShape()
+	pg.Holes = []Ring{{Pt(1.4, 1.4), Pt(1.6, 1.4), Pt(1.5, 1.6)}} // in the notch
+	around := Ring{Pt(1.2, 1.2), Pt(1.8, 1.2), Pt(1.8, 1.8), Pt(1.2, 1.8)}
+	if got, want := Prepare(pg).IntersectsRingView(ViewRing(around)), pg.IntersectsRing(around); got != want || !want {
+		t.Fatalf("ring around a hole astray: prepared %v, plain %v, want true", got, want)
+	}
+}
+
+// BenchmarkTouchesBoundary is the number gridWalkMax is derived from: the
+// segment test on the edge loop and on the grid's lists, by how many cells
+// the segment is long, over the segments a query tests — from a point
+// outside the region and near its boundary.
+func BenchmarkTouchesBoundary(b *testing.B) {
+	for _, vertices := range []int{10, 100} {
+		rng := rand.New(rand.NewSource(3))
+		pg := randomStarPolygon(rng, vertices)
+		mbr := pg.Bounds()
+		for _, cells := range []float64{0.5, 1, 2, 3, 4, 6, 8} {
+			segs := make([]Segment, 0, 256)
+			for len(segs) < cap(segs) {
+				// Within a segment's length of the boundary, as the
+				// candidates Algorithm 1 tests from are.
+				i := rng.Intn(vertices)
+				a := pg.Outer[i].Lerp(pg.Outer[(i+1)%vertices], rng.Float64())
+				ang := rng.Float64() * 2 * math.Pi
+				d := rng.Float64() * cells / gridSize
+				a = Pt(a.X+math.Cos(ang)*d*mbr.Width(), a.Y+math.Sin(ang)*d*mbr.Height())
+				if pg.ContainsPoint(a) {
+					continue
+				}
+				ang = rng.Float64() * 2 * math.Pi
+				segs = append(segs, Seg(a, Pt(a.X+math.Cos(ang)*cells*mbr.Width()/gridSize, a.Y+math.Sin(ang)*cells*mbr.Height()/gridSize)))
+			}
+			for _, lists := range []bool{false, true} {
+				pp := Prepare(pg)
+				name := "loop"
+				if lists {
+					pp.grid.Store(newContainGrid(pp))
+					name = "lists"
+				}
+				b.Run(fmt.Sprintf("vertices=%d/cells=%v/%s", vertices, cells, name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						pp.TouchesBoundary(segs[i%len(segs)])
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestShortSegmentMeetsAHoleAstrayOutsideTheGrid: a hole outside the MBR
+// can meet a segment short enough for the grid's lists, over cells no edge
+// is marked in. Such a polygon gets no lists, so the answer stays the edge
+// loop's — the plain polygon's.
+func TestShortSegmentMeetsAHoleAstrayOutsideTheGrid(t *testing.T) {
+	pg := Polygon{
+		Outer: Ring{Pt(0, 0), Pt(1, 0.5), Pt(0, 1)},
+		Holes: []Ring{{Pt(1.03, 0.1), Pt(1.08, 0.1), Pt(1.08, 0.3)}},
+	}
+	pp := Prepare(pg)
+	pp.grid.Store(newContainGrid(pp))
+	if g := pp.grid.Load(); g == nil || g.lists != nil {
+		t.Fatalf("grid built = %v, with lists = %v; want a grid without lists", g != nil, g != nil && g.lists != nil)
+	}
+	s := Seg(Pt(0.99, 0.2), Pt(1.06, 0.2)) // two cells long, through the hole's edge at x = 1.055
+	box := s.Bounds()
+	ring := Ring{s.A, s.B, Pt(1.06, 0.21)}
+	if !pg.IntersectsSegment(s) || !pp.TouchesBoundary(s) || !pp.IntersectsSegment(s) ||
+		pp.IntersectsRect(box) != pg.IntersectsRect(box) || !pp.IntersectsRect(box) ||
+		pp.IntersectsRingView(ViewRing(ring)) != pg.IntersectsRing(ring) || !pp.IntersectsRingView(ViewRing(ring)) {
+		t.Fatalf("segment %v, its box and a ring on it must all meet the hole astray: TouchesBoundary %v, IntersectsRect %v, IntersectsRingView %v",
+			s, pp.TouchesBoundary(s), pp.IntersectsRect(box), pp.IntersectsRingView(ViewRing(ring)))
+	}
 }

@@ -26,9 +26,17 @@ func (s Segment) ContainsPoint(p Point) bool {
 // Intersects reports whether the two closed segments share at least one
 // point. All degenerate configurations (shared endpoints, collinear overlap,
 // zero-length segments) are handled exactly via robust orientation tests.
+//
+// t's endpoints are tried against s's line first: strictly on one side of
+// it, t cannot reach s, and the other two orientations are never computed.
+// A caller with a long and a short segment saves most with the long one as
+// the receiver.
 func (s Segment) Intersects(t Segment) bool {
 	o1 := Orient(s.A, s.B, t.A)
 	o2 := Orient(s.A, s.B, t.B)
+	if o1 == o2 && o1 != Collinear {
+		return false
+	}
 	o3 := Orient(t.A, t.B, s.A)
 	o4 := Orient(t.A, t.B, s.B)
 
