@@ -19,13 +19,19 @@
 // There is one index and one query path. RTreeIndex — the R-tree the paper
 // gives both methods, STR bulk-loaded for a fixed point set or the dynamic
 // engine's snapshot of its R*-inserted tree — answers the traditional
-// method's window and the Voronoi method's seed lookup. Every data layer —
-// MemoryData, StoreData, the dynamic engine's per-epoch DynamicData —
-// satisfies the same DataAccess contract (positions, one adjacency method,
-// record loads, a scan, the packed cell arena), and every flavor above this
-// package (static, store, sharded, snapshot, remote backend) reaches the
-// same two loops: voronoiBFS for area queries, with the strict rule's cell
-// test reading the arena, and kNearestInto for nearest-neighbor expansion.
+// method's window and the one nearest neighbor KNearest starts from. The
+// Voronoi method does not ask it for its seed: lines 3–4 of Algorithm 1,
+// NN(P, a position in A), are a greedy walk on the Delaunay graph the
+// method holds anyway (seedWalk), started at the site a coarse grid in the
+// data layer names for that position, so a Voronoi query touches no index
+// node at all. Every data layer — MemoryData, StoreData, the dynamic
+// engine's per-epoch DynamicData — satisfies the same DataAccess contract
+// (positions, one adjacency method, the walk's hint, record loads, a scan,
+// the packed cell arena), and every flavor above this package (static,
+// store, sharded, snapshot, remote backend) reaches the same two loops:
+// voronoiBFS for area queries, seeded by that walk, with the strict rule's
+// cell test reading the arena, and kNearestInto for nearest-neighbor
+// expansion.
 package core
 
 import (
@@ -49,7 +55,7 @@ var (
 
 // DataAccess is the record layer. Ids must be dense in [0, NumIDs()).
 //
-// Position, Neighbors and CellArena are index-resident information (the
+// Position, Neighbors, SeedHint and CellArena are index-resident information (the
 // R-tree leaf carries coordinates; the Voronoi topology and cells are
 // precomputed alongside the index, as in the VoR-tree): reading them costs
 // no simulated IO. Load is the refinement fetch of the full record — the
@@ -72,6 +78,13 @@ type DataAccess interface {
 	Load(id int64) (geom.Point, error)
 	// Each iterates all records (sequential scan), for oracles and tools.
 	Each(fn func(id int64, pos geom.Point) bool)
+	// SeedHint returns the id of a stored site near p, where the seed walk
+	// of the Voronoi methods starts. Any live id is a correct answer — the
+	// walk ends at p's nearest site from anywhere — and a near one a short
+	// walk. It must be deterministic (the same p, the same id, whatever ran
+	// before), resident like Position, and is never called on a layer that
+	// holds no site.
+	SeedHint(p geom.Point) int64
 	// CellArena returns every clipped Voronoi cell packed into one
 	// immutable arena (contiguous vertices, ring offsets, per-cell boxes).
 	// The strict expansion rule runs entirely on it — bounding-box rejects
@@ -151,7 +164,10 @@ type Stats struct {
 	SegmentTests int
 	// CellTests counts cell-vs-area tests (strict variant only).
 	CellTests int
-	// IndexNodesVisited counts index nodes touched (window or NN query).
+	// IndexNodesVisited counts index nodes touched: the window query of
+	// Traditional, the nearest-neighbor lookup that seeds KNearest. It is 0
+	// for the Voronoi methods, whose seed is a walk on the Delaunay graph
+	// from the data layer's hint and touches no index node.
 	IndexNodesVisited int
 	// RecordsLoaded counts refinement fetches through DataAccess.Load.
 	RecordsLoaded int

@@ -359,8 +359,8 @@ func TestStatsPlausibility(t *testing.T) {
 	if st.CellTests != 0 {
 		t.Error("published rule should not perform cell tests")
 	}
-	if st.IndexNodesVisited == 0 {
-		t.Error("seed NN query should touch index nodes")
+	if st.IndexNodesVisited != 0 {
+		t.Errorf("the seed walk touched %d index nodes", st.IndexNodesVisited)
 	}
 	if st.Duration <= 0 {
 		t.Error("duration not measured")
@@ -375,6 +375,17 @@ func TestStatsPlausibility(t *testing.T) {
 	}
 	if st2.SegmentTests != 0 {
 		t.Error("strict rule should not perform segment tests")
+	}
+	if st2.IndexNodesVisited != 0 {
+		t.Errorf("the strict rule's seed walk touched %d index nodes", st2.IndexNodesVisited)
+	}
+
+	_, st3, err := query(eng, Traditional, PolygonRegion(area))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st3.IndexNodesVisited == 0 {
+		t.Error("the window query should touch index nodes")
 	}
 }
 

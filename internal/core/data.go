@@ -33,6 +33,10 @@ type MemoryData struct {
 	nbrOff, nbrs []int32
 	bounds       geom.Rect // what the cells are clipped to
 	arena        lazyArena
+	// hint is laid over the points' own MBR, not bounds: a shard or a serving
+	// backend holds a slice of its universe, and a grid over the universe
+	// would spend most of its buckets on space the layer has no site in.
+	hint hintGrid
 }
 
 // lazyArena is the one cell-arena policy of the resident data layers: built
@@ -74,9 +78,17 @@ func NewMemoryData(pts []geom.Point, bounds geom.Rect) (*MemoryData, error) {
 	// No duplicates, so every input index is its own canonical vertex and
 	// the triangulation's CSR arrays are indexed by id directly.
 	m.nbrOff, m.nbrs = d.Triangulation().Adjacency()
+	side := 1
+	for side*side*sitesPerBucket < len(pts) {
+		side++
+	}
+	hint := newHintGrid(geom.RectFromPoints(pts...), side)
 	for i, p := range pts {
 		m.xs[i], m.ys[i] = p.X, p.Y
+		hint.add(int32(i), p)
 	}
+	hint.flood()
+	m.hint = hint.frozen()
 	return m, nil
 }
 
@@ -95,6 +107,11 @@ func (m *MemoryData) Coords() (xs, ys []float64) { return m.xs, m.ys }
 func (m *MemoryData) Neighbors(id int64, _ []int32) []int32 {
 	return m.nbrs[m.nbrOff[id]:m.nbrOff[id+1]]
 }
+
+// SeedHint implements DataAccess.
+//
+//vaq:noalloc
+func (m *MemoryData) SeedHint(p geom.Point) int64 { return m.hint.lookup(p) }
 
 // Load implements DataAccess; in-memory data loads for free.
 func (m *MemoryData) Load(id int64) (geom.Point, error) {

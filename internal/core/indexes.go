@@ -5,9 +5,10 @@ import (
 	"repro/internal/rtree"
 )
 
-// RTreeIndex is the filtering index both query methods share, as in the
-// paper: an R-tree over the stored points, asked for a window by the
-// traditional filter and for one nearest neighbor by the Voronoi seed.
+// RTreeIndex is the filtering index of the paper: an R-tree over the stored
+// points, asked for a window by the traditional filter and for one nearest
+// neighbor by KNearest. (The paper also seeds Algorithm 1 from it; here the
+// seed is a walk on the Delaunay graph, see seedWalk.)
 type RTreeIndex struct {
 	tree *rtree.Tree
 }

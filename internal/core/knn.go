@@ -59,7 +59,7 @@ func (e *Engine) kNearestInto(ctx context.Context, q geom.Point, k int, dest []i
 	defer e.releaseScratch(s)
 	s.heap = s.heap[:0]
 	h := &s.heap
-	h.push(knnEntry{id: seed, d2: e.knnDist2(q, xs, ys, seed)})
+	h.push(knnEntry{id: seed, d2: e.siteDist2(q, xs, ys, seed)})
 	s.mark(seed)
 
 	out := dest[:0]
@@ -83,7 +83,7 @@ func (e *Engine) kNearestInto(ctx context.Context, q geom.Point, k int, dest []i
 		for _, nb := range s.neighbors(e.data, top.id) {
 			nb64 := int64(nb)
 			if s.mark(nb64) {
-				h.push(knnEntry{id: nb64, d2: e.knnDist2(q, xs, ys, nb64)})
+				h.push(knnEntry{id: nb64, d2: e.siteDist2(q, xs, ys, nb64)})
 			}
 		}
 	}
@@ -91,12 +91,13 @@ func (e *Engine) kNearestInto(ctx context.Context, q geom.Point, k int, dest []i
 	return out, stats, nil
 }
 
-// knnDist2 is the squared distance from q to id's position, reading the
+// siteDist2 is the squared distance from q to id's position, reading the
 // packed coordinate slices when the data layer provides them. Identical
-// arithmetic to q.Dist2(Position(id)) on both paths.
+// arithmetic to q.Dist2(Position(id)) on both paths. KNearest's frontier and
+// the seed walk both measure with it.
 //
 //vaq:noalloc
-func (e *Engine) knnDist2(q geom.Point, xs, ys []float64, id int64) float64 {
+func (e *Engine) siteDist2(q geom.Point, xs, ys []float64, id int64) float64 {
 	if xs != nil {
 		dx, dy := q.X-xs[id], q.Y-ys[id]
 		return dx*dx + dy*dy

@@ -55,105 +55,107 @@ func pinnedCosts(t *testing.T, eng *Engine, regions []Region, m Method) []pinned
 // Voronoi rules to the values recorded on this seed set before the seed
 // lookup, the expansion test and the result collection were rewritten
 // (typed best-first heap, boundary-only segment test, scratch-owned
-// collector). Those rewrites may change how fast a query runs, never which
-// seed it starts from or which neighbors it enqueues.
+// collector, and then the seed walk in place of the R-tree lookup). Those
+// rewrites may change how fast a query runs, never which seed it starts from
+// or which neighbors it enqueues. IndexNodes was 4–10 per region while the
+// seed came from the index and is 0 since it is a walk on the Delaunay
+// graph; no other column moved with it.
 func TestQueryCostsPinned(t *testing.T) {
 	want := map[Method][]pinnedCost{
 		VoronoiBFS: {
-			{0, 3, 16, 0, 5},
-			{0, 5, 21, 0, 4},
-			{1, 6, 18, 0, 4},
-			{2, 12, 32, 0, 5},
-			{3, 14, 37, 0, 4},
-			{2, 10, 29, 0, 5},
-			{18, 45, 71, 0, 4},
-			{24, 49, 72, 0, 4},
-			{34, 66, 74, 0, 6},
-			{151, 215, 162, 0, 4},
-			{166, 227, 148, 0, 7},
-			{171, 228, 153, 0, 5},
-			{23, 53, 86, 0, 6},
-			{23, 52, 81, 0, 5},
-			{12, 44, 91, 0, 4},
-			{0, 3, 15, 0, 6},
-			{15, 34, 50, 0, 4},
-			{197, 257, 144, 0, 5},
+			{0, 3, 16, 0, 0},
+			{0, 5, 21, 0, 0},
+			{1, 6, 18, 0, 0},
+			{2, 12, 32, 0, 0},
+			{3, 14, 37, 0, 0},
+			{2, 10, 29, 0, 0},
+			{18, 45, 71, 0, 0},
+			{24, 49, 72, 0, 0},
+			{34, 66, 74, 0, 0},
+			{151, 215, 162, 0, 0},
+			{166, 227, 148, 0, 0},
+			{171, 228, 153, 0, 0},
+			{23, 53, 86, 0, 0},
+			{23, 52, 81, 0, 0},
+			{12, 44, 91, 0, 0},
+			{0, 3, 15, 0, 0},
+			{15, 34, 50, 0, 0},
+			{197, 257, 144, 0, 0},
 		},
 		VoronoiBFSStrict: {
-			{0, 2, 0, 13, 5},
-			{0, 4, 0, 18, 4},
-			{1, 6, 0, 18, 4},
-			{2, 12, 0, 33, 5},
-			{3, 13, 0, 34, 4},
-			{2, 12, 0, 33, 5},
-			{18, 44, 0, 68, 4},
-			{24, 51, 0, 76, 4},
-			{34, 67, 0, 78, 6},
-			{151, 216, 0, 164, 4},
-			{166, 228, 0, 150, 7},
-			{171, 229, 0, 155, 5},
-			{23, 53, 0, 84, 6},
-			{23, 52, 0, 84, 5},
-			{12, 46, 0, 92, 4},
-			{0, 2, 0, 11, 6},
-			{15, 34, 0, 49, 4},
-			{197, 257, 0, 144, 5},
+			{0, 2, 0, 13, 0},
+			{0, 4, 0, 18, 0},
+			{1, 6, 0, 18, 0},
+			{2, 12, 0, 33, 0},
+			{3, 13, 0, 34, 0},
+			{2, 12, 0, 33, 0},
+			{18, 44, 0, 68, 0},
+			{24, 51, 0, 76, 0},
+			{34, 67, 0, 78, 0},
+			{151, 216, 0, 164, 0},
+			{166, 228, 0, 150, 0},
+			{171, 229, 0, 155, 0},
+			{23, 53, 0, 84, 0},
+			{23, 52, 0, 84, 0},
+			{12, 46, 0, 92, 0},
+			{0, 2, 0, 11, 0},
+			{15, 34, 0, 49, 0},
+			{197, 257, 0, 144, 0},
 		},
 	}
 	// The same regions on a DynamicSnapshot grown by inserting the same
 	// points, recorded while that data layer still ran its own callback BFS
 	// loop. The counts differ from the static table only where the two
-	// differ for real — the R* snapshot visits other index nodes than the
-	// STR tree, and the quad-edge ring starts its rotation at another
+	// differ for real — the quad-edge ring starts its rotation at another
 	// neighbor than the CSR arrays — so equality here shows the one shared
 	// loop takes the callback loop's decisions in the callback loop's order.
 	// Eleven segment / cell test counts (regions 9–12, 16, 17) were recorded
 	// again, ±1–2 each, when Insert began to start its locate walk at the
 	// nearest site: the graph is the same edge for edge and so is every
-	// result, candidate and index-node count, but the walk arrives on another
+	// result and candidate count, but the walk arrives on another
 	// edge of the same triangle, the new site's ring starts its rotation
 	// there, and a boundary candidate is then reached from another neighbor
 	// first.
 	wantDynamic := map[Method][]pinnedCost{
 		VoronoiBFS: {
-			{0, 3, 16, 0, 4},
-			{0, 5, 21, 0, 5},
-			{1, 6, 18, 0, 4},
-			{2, 12, 32, 0, 4},
-			{3, 14, 37, 0, 4},
-			{2, 10, 30, 0, 5},
-			{18, 45, 68, 0, 5},
-			{24, 49, 73, 0, 8},
-			{34, 66, 75, 0, 6},
-			{151, 215, 157, 0, 4},
-			{166, 227, 147, 0, 4},
-			{171, 228, 150, 0, 7},
-			{23, 53, 87, 0, 6},
-			{23, 52, 81, 0, 4},
-			{12, 44, 90, 0, 4},
-			{0, 3, 15, 0, 6},
-			{15, 34, 49, 0, 4},
-			{197, 257, 140, 0, 10},
+			{0, 3, 16, 0, 0},
+			{0, 5, 21, 0, 0},
+			{1, 6, 18, 0, 0},
+			{2, 12, 32, 0, 0},
+			{3, 14, 37, 0, 0},
+			{2, 10, 30, 0, 0},
+			{18, 45, 68, 0, 0},
+			{24, 49, 73, 0, 0},
+			{34, 66, 75, 0, 0},
+			{151, 215, 157, 0, 0},
+			{166, 227, 147, 0, 0},
+			{171, 228, 150, 0, 0},
+			{23, 53, 87, 0, 0},
+			{23, 52, 81, 0, 0},
+			{12, 44, 90, 0, 0},
+			{0, 3, 15, 0, 0},
+			{15, 34, 49, 0, 0},
+			{197, 257, 140, 0, 0},
 		},
 		VoronoiBFSStrict: {
-			{0, 2, 0, 13, 4},
-			{0, 4, 0, 18, 5},
-			{1, 6, 0, 18, 4},
-			{2, 12, 0, 32, 4},
-			{3, 13, 0, 34, 4},
-			{2, 12, 0, 34, 5},
-			{18, 44, 0, 66, 5},
-			{24, 51, 0, 75, 8},
-			{34, 67, 0, 77, 6},
-			{151, 216, 0, 158, 4},
-			{166, 228, 0, 150, 4},
-			{171, 229, 0, 153, 7},
-			{23, 53, 0, 85, 6},
-			{23, 52, 0, 84, 4},
-			{12, 46, 0, 91, 4},
-			{0, 2, 0, 11, 6},
-			{15, 34, 0, 48, 4},
-			{197, 257, 0, 140, 10},
+			{0, 2, 0, 13, 0},
+			{0, 4, 0, 18, 0},
+			{1, 6, 0, 18, 0},
+			{2, 12, 0, 32, 0},
+			{3, 13, 0, 34, 0},
+			{2, 12, 0, 34, 0},
+			{18, 44, 0, 66, 0},
+			{24, 51, 0, 75, 0},
+			{34, 67, 0, 77, 0},
+			{151, 216, 0, 158, 0},
+			{166, 228, 0, 150, 0},
+			{171, 229, 0, 153, 0},
+			{23, 53, 0, 85, 0},
+			{23, 52, 0, 84, 0},
+			{12, 46, 0, 91, 0},
+			{0, 2, 0, 11, 0},
+			{15, 34, 0, 48, 0},
+			{197, 257, 0, 140, 0},
 		},
 	}
 	pts, regions := pinnedRegions()

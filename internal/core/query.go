@@ -181,10 +181,11 @@ func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.Que
 // eachVoronoi implements Algorithm 1 of the paper.
 //
 // A seed — the nearest stored point to an interior position of the query
-// region — is found through the spatial index (the paper uses the same
-// R-tree both methods share). By Voronoi Property 3 the seed is an internal
-// or boundary point of the region. BFS then expands over the Voronoi
-// adjacency: internal points contribute all unvisited neighbors;
+// region — is found by seedWalk on the Delaunay graph itself, from the data
+// layer's hint (the paper asks the R-tree both methods share; the answer is
+// the same site, or one exactly as near). By Voronoi Property 3 the seed is
+// an internal or boundary point of the region. BFS then expands over the
+// Voronoi adjacency: internal points contribute all unvisited neighbors;
 // non-internal points contribute only neighbors reached by an expansion
 // test — the published rule tests the connecting segment against the
 // region, the strict rule tests the neighbor's Voronoi cell against it.
@@ -216,14 +217,12 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 	if traced {
 		seedStart = time.Now()
 	}
-	seedPos := region.InteriorPoint()
-	seed, nnNodes, _ := e.idx.Nearest(seedPos) // eachRegion saw a non-empty index
+	seed, _ := e.seedWalk(region.InteriorPoint(), q.xs, q.ys, s) // eachRegion saw a non-empty index
 	var bfsStart time.Time
 	if traced {
 		tr.Add(obs.PhaseSeed, time.Since(seedStart))
 		bfsStart = time.Now()
 	}
-	stats.IndexNodesVisited += nnNodes
 
 	s.mark(seed)
 	s.queue = append(s.queue, seed)

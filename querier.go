@@ -227,11 +227,31 @@ func (q *querier) begin(p *queryPlan) time.Time {
 // MBR must lie inside the universe. The part of an escaping region inside
 // the universe need not be connected, and a Voronoi expansion from one seed
 // reaches one component, so such a region is refused rather than answered.
+// So is a region — a custom one, or a circle built around such a centre;
+// NewPolygon lets no such vertex through — whose MBR or interior point has a
+// NaN or infinite coordinate: no rectangle contains it, and a seed walk
+// toward NaN stops where it started, at a site that has nothing to do with
+// the region.
 func (q *querier) admit(region Region) error {
-	if mbr := region.Bounds(); !q.universe.IsEmpty() && !q.universe.ContainsRect(mbr) {
+	mbr, seed := region.Bounds(), region.InteriorPoint()
+	if !finite(mbr.MinX, mbr.MinY, mbr.MaxX, mbr.MaxY, seed.X, seed.Y) {
+		return fmt.Errorf("vaq: query area with bounds %v and interior point %v has a NaN or infinite coordinate: %w", mbr, seed, ErrOutsideUniverse)
+	}
+	if !q.universe.IsEmpty() && !q.universe.ContainsRect(mbr) {
 		return fmt.Errorf("vaq: query area %v exceeds the engine universe %v: %w", mbr, q.universe, ErrOutsideUniverse)
 	}
 	return nil
+}
+
+// finite reports whether no v is NaN or ±Inf (v-v is 0 for exactly the
+// finite values).
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // singleQuery is end's batch size for Query and Each.

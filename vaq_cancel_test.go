@@ -49,18 +49,24 @@ func TestAlreadyCancelledContext(t *testing.T) {
 	}
 }
 
-// blockingRegion wraps a Region so its first InteriorPoint call (the
-// Voronoi seed lookup, the first thing a query does) signals entered and
-// then blocks until unblock closes — a deterministic hook to cancel a
-// batch while one of its queries is provably in flight.
+// blockingRegion wraps a Region so the first InteriorPoint call an engine
+// makes (the Voronoi seed walk's, the first thing the algorithm does)
+// signals entered and then blocks until unblock closes — a deterministic
+// hook to cancel a batch while one of its queries is provably in flight. The
+// call before it is admission's look at the region, on the caller's
+// goroutine before anything is in flight, and passes.
 type blockingRegion struct {
 	Region
 	entered chan struct{}
 	unblock chan struct{}
+	calls   atomic.Int32
 	once    sync.Once
 }
 
 func (b *blockingRegion) InteriorPoint() Point {
+	if b.calls.Add(1) == 1 {
+		return b.Region.InteriorPoint()
+	}
 	b.once.Do(func() { close(b.entered) })
 	<-b.unblock
 	return b.Region.InteriorPoint()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -253,6 +254,74 @@ func TestRegionEscapingTheUniverseIsRefusedNotAnswered(t *testing.T) {
 				got, err := f.q.Query(ctx, inside, vaq.UsingMethod(m))
 				if err != nil || !slices.Equal(got, want) {
 					t.Errorf("%s: %v inside the universe returned %d ids (err %v), brute force %d", name, m, len(got), err, len(want))
+				}
+			}
+		}
+	}
+}
+
+// anchoredRegion is a custom Region: a disk that reports the interior point
+// and the MBR it is told to.
+type anchoredRegion struct {
+	vaq.Region
+	anchor vaq.Point
+	mbr    vaq.Rect
+}
+
+func (r anchoredRegion) InteriorPoint() vaq.Point { return r.anchor }
+func (r anchoredRegion) Bounds() vaq.Rect         { return r.mbr }
+
+// TestNonFiniteRegionIsRefused: a Region — a custom one, or a circle around
+// a NaN centre — whose interior point or MBR has a NaN or infinite coordinate
+// is refused with ErrOutsideUniverse by
+// Query, QueryAll and Each on every flavor, under every method. Such a region
+// used to be answered — the R-tree's nearest-neighbor search, all its
+// comparisons false, seeded the BFS from id 0, and the answer came back wrong
+// with a nil error; the seed walk would start from bucket 0's site and stop
+// there, as wrong.
+func TestNonFiniteRegionIsRefused(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pts := vaq.UniformPoints(rng, 800, vaq.UnitSquare())
+	disk := vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.5, 0.5), 0.1))
+	nan, inf := math.NaN(), math.Inf(1)
+	regions := map[string]vaq.Region{
+		"NaN interior x":  anchoredRegion{disk, vaq.Pt(nan, 0.5), disk.Bounds()},
+		"NaN interior y":  anchoredRegion{disk, vaq.Pt(0.5, nan), disk.Bounds()},
+		"+Inf interior":   anchoredRegion{disk, vaq.Pt(inf, 0.5), disk.Bounds()},
+		"-Inf interior":   anchoredRegion{disk, vaq.Pt(0.5, -inf), disk.Bounds()},
+		"NaN bounds":      anchoredRegion{disk, disk.InteriorPoint(), vaq.Rect{MinX: nan, MinY: 0.4, MaxX: 0.6, MaxY: 0.6}},
+		"infinite bounds": anchoredRegion{disk, disk.InteriorPoint(), vaq.Rect{MinX: 0.4, MinY: 0.4, MaxX: 0.6, MaxY: inf}},
+		"NaN circle":      vaq.CircleRegion(vaq.NewCircle(vaq.Pt(nan, 0.5), 0.1)),
+	}
+	ctx := context.Background()
+	flavors := everyFlavor(t, pts, vaq.UnitSquare())
+	// A remote engine that knows no universe admits any finite region; it
+	// must still refuse these before it tries to put NaN on the wire.
+	f := startFixture(t, pts, 300)
+	blind, err := vaq.NewRemoteEngine([]vaq.RemoteBackend{
+		{URL: f.urls[0], Len: 300}, {URL: f.urls[1], IDOffset: 300, Len: len(pts) - 300}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flavors = append(flavors, flavor{name: "remote, bounds unknown", q: blind})
+	for _, f := range flavors {
+		for rname, region := range regions {
+			for _, m := range []vaq.Method{vaq.VoronoiBFS, vaq.VoronoiBFSStrict, vaq.Traditional, vaq.BruteForce} {
+				name := fmt.Sprintf("%s, %s, %v", f.name, rname, m)
+				ids, err := f.q.Query(ctx, region, vaq.UsingMethod(m))
+				if !errors.Is(err, vaq.ErrOutsideUniverse) || ids != nil {
+					t.Errorf("%s: Query returned %d ids, err %v; want ErrOutsideUniverse", name, len(ids), err)
+				}
+				_, err = f.q.QueryAll(ctx, []vaq.Region{disk, region}, vaq.UsingMethod(m))
+				if !errors.Is(err, vaq.ErrOutsideUniverse) || !strings.Contains(err.Error(), "batch query 1") {
+					t.Errorf("%s: QueryAll err = %v, want ErrOutsideUniverse naming query 1", name, err)
+				}
+				err = f.q.Each(ctx, region, func(int64, vaq.Point) bool {
+					t.Errorf("%s: Each yielded a result", name)
+					return false
+				}, vaq.UsingMethod(m))
+				if !errors.Is(err, vaq.ErrOutsideUniverse) {
+					t.Errorf("%s: Each err = %v, want ErrOutsideUniverse", name, err)
 				}
 			}
 		}
