@@ -39,6 +39,12 @@ func main() {
 	)
 	flag.Parse()
 
+	// workload.RandomPolygon falls back to its defaults on a vertex count or
+	// a query size it cannot draw; a table row labelled with what was asked
+	// would then hold figures for something else, so refuse here.
+	if *vertices < 3 {
+		fatalf("bad -vertices: %d, a polygon has at least 3", *vertices)
+	}
 	cfg := bench.PaperConfig(*repeats)
 	cfg.Seed = *seed
 	cfg.Vertices = *vertices
@@ -67,6 +73,9 @@ func main() {
 		}
 		cfg.QuerySizes = cfg.QuerySizes[:0]
 		for _, p := range pcts {
+			if !(p > 0 && p <= 100) {
+				fatalf("bad -querysizes: %v%% is outside (0, 100]", p)
+			}
 			cfg.QuerySizes = append(cfg.QuerySizes, p/100)
 		}
 	}

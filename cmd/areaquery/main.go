@@ -41,13 +41,17 @@ func main() {
 	)
 	flag.Parse()
 
-	// A bad -polygon is refused before anything is built or dialled.
+	// A bad -polygon, or a -querysize the random polygon cannot have (it
+	// would silently be drawn at 1%), is refused before anything is built or
+	// dialled.
 	var area vaq.Polygon
 	var err error
 	if *polygon != "" {
 		if area, err = parsePolygon(*polygon); err != nil {
 			fatalf("bad -polygon: %v", err)
 		}
+	} else if !(*querySize > 0 && *querySize <= 100) {
+		fatalf("bad -querysize: %v%% is outside (0, 100]", *querySize)
 	}
 
 	rng := rand.New(rand.NewSource(*seed))

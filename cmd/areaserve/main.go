@@ -21,11 +21,10 @@
 // i-1 ended), not generator indexes; the points they name are the same
 // set, so counts and coordinates agree with an unsharded server.
 //
-// Endpoints: POST /v1/query, /v1/queryall, /v1/knearest, /v1/each
-// (NDJSON stream); GET /v1/info, /metrics (JSON, or ?format=prom). Clients
-// propagate deadlines via the Vaq-Timeout-Ms header; -maxtimeout caps what
-// they may ask for. SIGINT/SIGTERM drains in-flight requests before
-// exiting.
+// Endpoints: POST /v1/query, /v1/queryall, /v1/each (NDJSON stream); GET
+// /v1/info, /metrics (JSON, or ?format=prom). Clients propagate deadlines
+// via the Vaq-Timeout-Ms header; -maxtimeout caps what they may ask for.
+// SIGINT/SIGTERM drains in-flight requests before exiting.
 package main
 
 import (

@@ -2,8 +2,8 @@
 // into contiguous chunks, each chunk served by its own in-process HTTP
 // server (the same handler the areaserve binary mounts), and a
 // RemoteEngine dialed over the group answers queries byte-identically to
-// a local engine over the whole dataset — unary queries, NDJSON streams
-// and k-nearest-neighbor fan-outs alike.
+// a local engine over the whole dataset — unary queries and NDJSON streams
+// alike.
 //
 // It then kills one backend to show the two partial-failure policies:
 // fail-fast (the default) surfaces the backend error, degraded
@@ -87,17 +87,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("each:  %d frames streamed\n", streamed)
-
-	// KNN: backends are visited in MINDIST order; ones provably unable to
-	// improve the k-th distance are never contacted.
-	q := vaq.Pt(0.42, 0.58)
-	wantKNN, _, _ := local.KNearest(ctx, q, 16)
-	gotKNN, _, err := remote.KNearest(ctx, q, 16)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("knn:   16 nearest identical to local: %v\n\n", slices.Equal(gotKNN, wantKNN))
+	fmt.Printf("each:  %d frames streamed\n\n", streamed)
 
 	// Partial failure: shut one backend down hard and query again.
 	servers[1].Close()

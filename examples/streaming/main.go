@@ -3,8 +3,8 @@
 // concurrent monitor queries a concave watch region — no index or Voronoi
 // rebuild ever happens (each point is inserted incrementally), and the
 // monitor never blocks ingestion. Every monitor pass pins one epoch with
-// Snapshot(), so its result count, Count() and k-nearest readout are
-// mutually consistent even though thousands of inserts land mid-pass.
+// Snapshot(), so its result count, statistics and point count describe one
+// point set even though thousands of inserts land mid-pass.
 //
 //	go run ./examples/streaming
 package main
@@ -29,7 +29,6 @@ func main() {
 		vaq.Pt(0.40, 0.40), vaq.Pt(0.58, 0.44), vaq.Pt(0.62, 0.60),
 		vaq.Pt(0.52, 0.52), vaq.Pt(0.46, 0.62), vaq.Pt(0.38, 0.56),
 	}))
-	center := vaq.Pt(0.5, 0.5)
 	ctx := context.Background()
 
 	// Writer: 10 batches of 5000 readings drifting across the map,
@@ -56,8 +55,8 @@ func main() {
 		}
 	}()
 
-	fmt.Println("epoch (points) | in watch region | candidates | nearest-to-center | query time")
-	fmt.Println("---------------+-----------------+------------+-------------------+-----------")
+	fmt.Println("epoch (points) | in watch region | candidates | query time")
+	fmt.Println("---------------+-----------------+------------+-----------")
 	ingesting := true
 	for ingesting {
 		select {
@@ -65,9 +64,9 @@ func main() {
 			ingesting = false // one final pass below on the completed stream
 		case <-time.After(20 * time.Millisecond):
 		}
-		// Pin one epoch: the area query, its stats and the k-nearest
-		// readout below all describe exactly this point set, while the
-		// writer keeps inserting underneath.
+		// Pin one epoch: the area query and its stats below describe
+		// exactly this point set, while the writer keeps inserting
+		// underneath.
 		snap := eng.Snapshot()
 		if snap.Len() == 0 {
 			continue
@@ -77,12 +76,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		nearest, _, err := snap.KNearest(ctx, center, 1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%14d | %15d | %10d | %17v | %v\n",
-			snap.Epoch(), len(ids), st.Candidates, snap.Point(nearest[0]), st.Duration)
+		fmt.Printf("%14d | %15d | %10d | %v\n",
+			snap.Epoch(), len(ids), st.Candidates, st.Duration)
 	}
 	wg.Wait()
 

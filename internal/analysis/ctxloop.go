@@ -10,7 +10,7 @@ import (
 // loop — must make that loop cancellable. The recognized loop shapes:
 //
 //   - frontier: `for ... len(X) ...` where the body grows or shrinks X
-//     (the Voronoi BFS queue and the KNN heap-pop idiom);
+//     (the Voronoi BFS queue; a heap popped until empty);
 //   - iterator: the loop condition calls a method (for sc.Scan(),
 //     for rows.Next(), ...);
 //   - infinite: no loop condition (retry/poll loops).

@@ -6,7 +6,7 @@ import (
 )
 
 // NoAlloc enforces //vaq:noalloc annotations: the marked function is a
-// hot-path routine (the BFS inner loop, the KNN heap ops, the arena
+// hot-path routine (the BFS inner loop, the seed walk, the arena
 // accessors) whose steady state must allocate nothing, and its body must
 // not contain the constructs that allocate:
 //

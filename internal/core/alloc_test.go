@@ -75,40 +75,6 @@ func TestCircleIntersectionStepAllocsZero(t *testing.T) {
 	}
 }
 
-// TestKNearestExpansionAllocsZero pins KNearest end to end — the R-tree
-// seed lookup (typed best-first heap on a stack buffer), the pooled
-// frontier heap and the structure-of-arrays distance loop — at zero
-// allocations per query once the destination buffer is supplied and the
-// scratch pool is warm.
-func TestKNearestExpansionAllocsZero(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates inside sync.Pool")
-	}
-	rng := rand.New(rand.NewSource(41))
-	pts := workload.UniformPoints(rng, 5000, unitBounds())
-	data, err := NewMemoryData(pts, unitBounds())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(NewRTreeIndex(pts, 16), data)
-	ctx := context.Background()
-	q := geom.Pt(0.4, 0.6)
-	dest := make([]int64, 0, 64)
-	// Warm the scratch pool (visited table, queue, heap capacity).
-	if _, _, err := eng.kNearestInto(ctx, q, 64, dest); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		out, _, err := eng.kNearestInto(ctx, q, 64, dest)
-		if err != nil || len(out) != 64 {
-			t.Fatalf("kNearestInto: %d results, err %v", len(out), err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("KNearest allocates %.1f times per query, want 0", allocs)
-	}
-}
-
 // TestQueryRegionSpecAllocsZero pins the whole local query path — seed
 // lookup, BFS, expansion tests, result collection through the scratch-owned
 // collector — at zero allocations per query for both Voronoi rules, on
@@ -222,34 +188,6 @@ func TestDynamicInsertAllocs(t *testing.T) {
 	}
 	if low > 0 {
 		t.Errorf("a warm Insert allocates %.0f times, want 0", low)
-	}
-}
-
-// TestKNearestIntoMatchesKNearest checks the buffer-reusing variant returns
-// exactly what the allocating entry point returns.
-func TestKNearestIntoMatchesKNearest(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	pts := workload.UniformPoints(rng, 2000, unitBounds())
-	data, err := NewMemoryData(pts, unitBounds())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(NewRTreeIndex(pts, 16), data)
-	ctx := context.Background()
-	dest := make([]int64, 0, 32)
-	for trial := 0; trial < 25; trial++ {
-		q := geom.Pt(rng.Float64(), rng.Float64())
-		want, _, err := eng.KNearest(ctx, q, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := eng.kNearestInto(ctx, q, 32, dest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalIDs(got, want) {
-			t.Fatalf("trial %d: kNearestInto disagrees with KNearest", trial)
-		}
 	}
 }
 

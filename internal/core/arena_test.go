@@ -150,8 +150,7 @@ func TestLazyArenaBuiltOnceUnderConcurrentFirstUse(t *testing.T) {
 }
 
 // TestLazyArenaNotBuiltWithoutAStrictQuery pins what the laziness is for: an
-// engine that runs every method but the strict one, and KNearest, never
-// clips a cell.
+// engine that runs every method but the strict one never clips a cell.
 func TestLazyArenaNotBuiltWithoutAStrictQuery(t *testing.T) {
 	pts := workload.UniformPoints(rand.New(rand.NewSource(9)), 2000, unitBounds())
 	data, err := NewMemoryData(pts, unitBounds())
@@ -164,9 +163,6 @@ func TestLazyArenaNotBuiltWithoutAStrictQuery(t *testing.T) {
 		if _, _, err := query(eng, m, region); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, _, err := eng.KNearest(context.Background(), geom.Pt(0.3, 0.3), 10); err != nil {
-		t.Fatal(err)
 	}
 	if data.arena.cells != nil {
 		t.Fatal("a run without a strict query built the cell arena")

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -54,49 +53,5 @@ func TestSharedEngineConcurrentQueries(t *testing.T) {
 		for err := range errs {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-	}
-}
-
-// TestSharedEngineConcurrentKNearest exercises the other scratch-using
-// entry point under concurrency.
-func TestSharedEngineConcurrentKNearest(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	eng, _ := newUniformEngine(t, rng, 2000)
-	queries := make([]geom.Point, 16)
-	oracle := make([][]int64, len(queries))
-	for i := range queries {
-		queries[i] = geom.Pt(rng.Float64(), rng.Float64())
-		ids, _, err := eng.KNearest(context.Background(), queries[i], 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle[i] = append([]int64(nil), ids...)
-	}
-
-	const workers = 6
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for rep := 0; rep < 30; rep++ {
-				i := (worker + rep) % len(queries)
-				ids, _, err := eng.KNearest(context.Background(), queries[i], 10)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if !equalIDs(ids, oracle[i]) {
-					errs <- errMismatch(worker, i)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
 	}
 }

@@ -19,19 +19,17 @@
 // There is one index and one query path. RTreeIndex — the R-tree the paper
 // gives both methods, STR bulk-loaded for a fixed point set or the dynamic
 // engine's snapshot of its R*-inserted tree — answers the traditional
-// method's window and the one nearest neighbor KNearest starts from. The
-// Voronoi method does not ask it for its seed: lines 3–4 of Algorithm 1,
-// NN(P, a position in A), are a greedy walk on the Delaunay graph the
-// method holds anyway (seedWalk), started at the site a coarse grid in the
-// data layer names for that position, so a Voronoi query touches no index
-// node at all. Every data layer — MemoryData, StoreData, the dynamic
-// engine's per-epoch DynamicData — satisfies the same DataAccess contract
-// (positions, one adjacency method, the walk's hint, record loads, a scan,
-// the packed cell arena), and every flavor above this package (static,
-// store, sharded, snapshot, remote backend) reaches the same two loops:
-// voronoiBFS for area queries, seeded by that walk, with the strict rule's
-// cell test reading the arena, and kNearestInto for nearest-neighbor
-// expansion.
+// method's window. The Voronoi method does not ask it for its seed: lines
+// 3–4 of Algorithm 1, NN(P, a position in A), are a greedy walk on the
+// Delaunay graph the method holds anyway (seedWalk), started at the site a
+// coarse grid in the data layer names for that position, so a Voronoi query
+// touches no index node at all. Every data layer — MemoryData, StoreData,
+// the dynamic engine's per-epoch DynamicData — satisfies the same DataAccess
+// contract (positions, one adjacency method, the walk's hint, record loads,
+// a scan, the packed cell arena), and every flavor above this package
+// (static, store, sharded, snapshot, remote backend) reaches the same loop:
+// voronoiBFS, seeded by that walk, with the strict rule's cell test reading
+// the arena.
 package core
 
 import (
@@ -102,17 +100,6 @@ type CoordSource interface {
 	Coords() (xs, ys []float64)
 }
 
-// ResultFilter is optionally implemented by DataAccess implementations
-// whose id space contains auxiliary sites that algorithms may traverse but
-// must never return — the dynamic triangulation's fence sites are the one
-// current example. KNearest consults it before emitting an id; the area
-// queries need no filter because auxiliary sites lie outside every legal
-// query region.
-type ResultFilter interface {
-	// Returnable reports whether id may appear in query results.
-	Returnable(id int64) bool
-}
-
 // Method selects an area-query algorithm.
 type Method int
 
@@ -164,10 +151,10 @@ type Stats struct {
 	SegmentTests int
 	// CellTests counts cell-vs-area tests (strict variant only).
 	CellTests int
-	// IndexNodesVisited counts index nodes touched: the window query of
-	// Traditional, the nearest-neighbor lookup that seeds KNearest. It is 0
-	// for the Voronoi methods, whose seed is a walk on the Delaunay graph
-	// from the data layer's hint and touches no index node.
+	// IndexNodesVisited counts index nodes touched by the window query of
+	// Traditional. It is 0 for the Voronoi methods, whose seed is a walk on
+	// the Delaunay graph from the data layer's hint and touches no index
+	// node.
 	IndexNodesVisited int
 	// RecordsLoaded counts refinement fetches through DataAccess.Load.
 	RecordsLoaded int
@@ -181,11 +168,11 @@ type Stats struct {
 
 // Engine answers area queries over one dataset. After construction it
 // holds only immutable references to the index and data; all per-query
-// mutable state lives in pooled queryScratch values, so QueryRegionSpec,
-// EachRegion and KNearest are safe for concurrent use from multiple
-// goroutines — as long as the DataAccess itself is read-safe (the index
-// and MemoryData are lock-free reads; StoreData serializes buffer-pool
-// mutations behind its lock shards).
+// mutable state lives in pooled queryScratch values, so QueryRegionSpec
+// and EachRegion are safe for concurrent use from multiple goroutines — as
+// long as the DataAccess itself is read-safe (the index and MemoryData are
+// lock-free reads; StoreData serializes buffer-pool mutations behind its
+// lock shards).
 type Engine struct {
 	idx  *RTreeIndex
 	data DataAccess

@@ -61,11 +61,6 @@ func (d *DynamicData) Each(fn func(id int64, pos geom.Point) bool) {
 	}
 }
 
-// Returnable implements ResultFilter: fence sites may be traversed (they
-// route the BFS and the KNN expansion through sparse regions) but never
-// appear in results.
-func (d *DynamicData) Returnable(id int64) bool { return !d.dt.IsFence(int(id)) }
-
 // CellArena implements DataAccess: every cell of the pinned epoch, clipped
 // to an expanded universe (so fence-adjacent cells stay closed). The O(n)
 // clipping pass is paid once per epoch, by its first strict query.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
@@ -168,37 +167,6 @@ func BenchmarkDynamicEngineQuery(b *testing.B) {
 	}
 }
 
-func TestDynamicKNearestEmptyMatchesQueryContract(t *testing.T) {
-	d := NewDynamicEngine(unitBounds())
-	if _, _, err := d.Snapshot().Engine().KNearest(context.Background(), geom.Pt(0.5, 0.5), 3); err != ErrNoData {
-		t.Errorf("KNearest on empty snapshot: err = %v, want ErrNoData", err)
-	}
-}
-
-func TestDynamicKNearestNeverReturnsFenceSites(t *testing.T) {
-	// Ask for more neighbors than there are user sites: the expansion routes
-	// through fence sites but must not emit them.
-	d := NewDynamicEngine(unitBounds())
-	coords := []geom.Point{geom.Pt(0.2, 0.2), geom.Pt(0.8, 0.3), geom.Pt(0.5, 0.9)}
-	for _, p := range coords {
-		if _, _, err := d.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ids, _, err := d.Snapshot().Engine().KNearest(context.Background(), geom.Pt(0.5, 0.5), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != len(coords) {
-		t.Fatalf("KNearest returned %d ids, want %d", len(ids), len(coords))
-	}
-	for _, id := range ids {
-		if !unitBounds().ContainsPoint(d.Point(id)) {
-			t.Errorf("KNearest leaked fence site %d at %v", id, d.Point(id))
-		}
-	}
-}
-
 func TestDynamicInsertOutsideUniverseSentinel(t *testing.T) {
 	d := NewDynamicEngine(unitBounds())
 	if _, _, err := d.Insert(geom.Pt(3, 3)); !errors.Is(err, ErrOutsideUniverse) {
@@ -278,7 +246,8 @@ func TestDynamicSnapshotDoesNotPinWriter(t *testing.T) {
 		}
 		return d.Snapshot()
 	}()
-	if _, _, err := snap.Engine().KNearest(context.Background(), geom.Pt(0.5, 0.5), 2); err != nil {
+	area := geom.MustPolygon([]geom.Point{geom.Pt(0.1, 0.1), geom.Pt(0.9, 0.1), geom.Pt(0.5, 0.95)})
+	if _, _, err := query(snap.Engine(), VoronoiBFS, PolygonRegion(area)); err != nil {
 		t.Fatal(err) // the pool now holds a scratch this snapshot warmed
 	}
 	for i := 0; i < 50; i++ {
@@ -340,49 +309,15 @@ func TestDynamicConformanceAcrossMethods(t *testing.T) {
 								wl.name, batch, snap.Len(), m, len(got), len(oracle))
 						}
 					}
-					// Count and KNearest agree with the same snapshot too.
+					// Count agrees with the same snapshot too.
 					ids, cnt, err := snap.Engine().QueryRegionSpec(context.Background(), PolygonRegion(area),
 						QuerySpec{Method: VoronoiBFS, CountOnly: true})
 					if err != nil || ids != nil || cnt.ResultSize != len(oracle) {
 						t.Fatalf("%s batch %d CountOnly = %d (ids %v, err %v), oracle %d",
 							wl.name, batch, cnt.ResultSize, ids, err, len(oracle))
 					}
-					knn, _, err := snap.Engine().KNearest(context.Background(), area.Bounds().Center(), 8)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := bruteKNN(snap, area.Bounds().Center(), 8); !equalIDs(knn, want) {
-						t.Fatalf("%s batch %d KNearest = %v, oracle %v", wl.name, batch, knn, want)
-					}
 				}
 			}
 		})
 	}
-}
-
-// bruteKNN is the k-nearest oracle over a snapshot's pinned point set.
-func bruteKNN(s *DynamicSnapshot, q geom.Point, k int) []int64 {
-	type cand struct {
-		id int64
-		d2 float64
-	}
-	var all []cand
-	s.EachPoint(func(id int64, pos geom.Point) bool {
-		all = append(all, cand{id: id, d2: q.Dist2(pos)})
-		return true
-	})
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].d2 != all[b].d2 {
-			return all[a].d2 < all[b].d2
-		}
-		return all[a].id < all[b].id
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	out := make([]int64, len(all))
-	for i, c := range all {
-		out[i] = c.id
-	}
-	return out
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // RTreeIndex is the filtering index of the paper: an R-tree over the stored
-// points, asked for a window by the traditional filter and for one nearest
-// neighbor by KNearest. (The paper also seeds Algorithm 1 from it; here the
-// seed is a walk on the Delaunay graph, see seedWalk.)
+// points, asked for a window by the traditional filter. (The paper also
+// seeds Algorithm 1 from it; here the seed is a walk on the Delaunay graph,
+// see seedWalk.)
 type RTreeIndex struct {
 	tree *rtree.Tree
 }
@@ -42,6 +42,9 @@ func (x *RTreeIndex) Bounds() geom.Rect { return x.tree.Bounds() }
 
 // Nearest returns the stored point id closest to q; ok is false when the
 // index is empty. The second return is the number of index nodes visited.
+// No query calls it: it is the lookup the paper seeds Algorithm 1 with, kept
+// as what the benchmark's rtree.seed_* probe measures and what the seed
+// walk's tests compare against.
 func (x *RTreeIndex) Nearest(q geom.Point) (id int64, nodes int, ok bool) {
 	item, st, ok := x.tree.NearestNeighbor(q)
 	return item.ID, st.NodesVisited, ok

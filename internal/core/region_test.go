@@ -1,10 +1,7 @@
 package core
 
 import (
-	"context"
-	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/geom"
@@ -100,103 +97,6 @@ func TestRegionIntersectsRingGeneric(t *testing.T) {
 	}
 }
 
-func TestKNearestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	eng, pts := newUniformEngine(t, rng, 2000)
-	for trial := 0; trial < 100; trial++ {
-		q := geom.Pt(rng.Float64(), rng.Float64())
-		for _, k := range []int{1, 5, 37, 200} {
-			got, _, err := eng.KNearest(context.Background(), q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != k {
-				t.Fatalf("k=%d: got %d", k, len(got))
-			}
-			// Distances must be the k smallest, in order.
-			dists := make([]float64, len(pts))
-			for i, p := range pts {
-				dists[i] = q.Dist2(p)
-			}
-			sort.Float64s(dists)
-			for i, id := range got {
-				if q.Dist2(pts[id]) != dists[i] {
-					t.Fatalf("k=%d rank %d: dist %v, want %v",
-						k, i, q.Dist2(pts[id]), dists[i])
-				}
-			}
-		}
-	}
-}
-
-func TestKNearestEdgeCases(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	eng, pts := newUniformEngine(t, rng, 50)
-	if got, _, err := eng.KNearest(context.Background(), geom.Pt(0.5, 0.5), 0); err != nil || got != nil {
-		t.Errorf("k=0: %v, %v", got, err)
-	}
-	// k greater than the dataset returns everything, ordered.
-	got, _, err := eng.KNearest(context.Background(), geom.Pt(0.5, 0.5), 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(pts) {
-		t.Errorf("k>n returned %d of %d", len(got), len(pts))
-	}
-	for i := 1; i < len(got); i++ {
-		q := geom.Pt(0.5, 0.5)
-		if q.Dist2(pts[got[i-1]]) > q.Dist2(pts[got[i]]) {
-			t.Fatal("kNN output not ordered")
-		}
-	}
-}
-
-func TestKNearestFarQuery(t *testing.T) {
-	// Query point far outside the data: expansion must still be exact.
-	rng := rand.New(rand.NewSource(5))
-	eng, pts := newUniformEngine(t, rng, 500)
-	q := geom.Pt(5, -3)
-	got, _, err := eng.KNearest(context.Background(), q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dists := make([]float64, len(pts))
-	for i, p := range pts {
-		dists[i] = q.Dist2(p)
-	}
-	sort.Float64s(dists)
-	for i, id := range got {
-		if math.Abs(q.Dist2(pts[id])-dists[i]) != 0 {
-			t.Fatalf("rank %d: %v vs %v", i, q.Dist2(pts[id]), dists[i])
-		}
-	}
-}
-
-func TestKNearestCandidateEfficiency(t *testing.T) {
-	// The expansion should pop exactly k candidates (the property
-	// guarantees no wasted pops).
-	rng := rand.New(rand.NewSource(6))
-	eng, _ := newUniformEngine(t, rng, 3000)
-	_, st, err := eng.KNearest(context.Background(), geom.Pt(0.5, 0.5), 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Candidates != 25 {
-		t.Errorf("kNN popped %d candidates for k=25", st.Candidates)
-	}
-}
-
-func BenchmarkKNearestVoronoi(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	eng, _ := newUniformEngine(b, rng, 100_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.KNearest(context.Background(), geom.Pt(rng.Float64(), rng.Float64()), 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCircleQueryVoronoi(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	eng, _ := newUniformEngine(b, rng, 100_000)
@@ -225,20 +125,12 @@ func (emptyData) SeedHint(geom.Point) int64                { return -1 }
 func (emptyData) Each(func(id int64, pos geom.Point) bool) {}
 func (emptyData) CellArena() *voronoi.CellArena            { return nil }
 
-func TestKNearestEmptyEngineMatchesQueryContract(t *testing.T) {
+func TestQueryOnEmptyEngineIsErrNoData(t *testing.T) {
 	eng := NewEngine(NewRTreeIndex(nil, 16), emptyData{})
 	area := geom.MustPolygon([]geom.Point{
 		geom.Pt(0.1, 0.1), geom.Pt(0.5, 0.1), geom.Pt(0.3, 0.5),
 	})
 	if _, _, err := query(eng, VoronoiBFS, PolygonRegion(area)); err != ErrNoData {
 		t.Errorf("Query on empty engine: err = %v, want ErrNoData", err)
-	}
-	if _, _, err := eng.KNearest(context.Background(), geom.Pt(0.5, 0.5), 3); err != ErrNoData {
-		t.Errorf("KNearest on empty engine: err = %v, want ErrNoData", err)
-	}
-	// The empty-data check precedes the degenerate-k fast path, so the
-	// contract holds for any k.
-	if _, _, err := eng.KNearest(context.Background(), geom.Pt(0.5, 0.5), 0); err != ErrNoData {
-		t.Errorf("KNearest(k=0) on empty engine: err = %v, want ErrNoData", err)
 	}
 }

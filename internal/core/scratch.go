@@ -22,8 +22,6 @@ type queryScratch struct {
 	// nbuf is the neighbor buffer handed to DataAccess.Neighbors; layers
 	// with resident adjacency never touch it.
 	nbuf []int32
-	// heap is KNearest's pooled frontier storage (unused by area queries).
-	heap knnHeap
 	// out collects the running area query's results; set by
 	// Engine.collect for the query's duration and cleared before the
 	// scratch returns to the pool.

@@ -169,3 +169,16 @@ func (e *Engine) seedWalk(p geom.Point, xs, ys []float64, s *queryScratch) (seed
 		steps++
 	}
 }
+
+// siteDist2 is the squared distance from q to id's position, reading the
+// packed coordinate slices when the data layer provides them. Identical
+// arithmetic to q.Dist2(Position(id)) on both paths.
+//
+//vaq:noalloc
+func (e *Engine) siteDist2(q geom.Point, xs, ys []float64, id int64) float64 {
+	if xs != nil {
+		dx, dy := q.X-xs[id], q.Y-ys[id]
+		return dx*dx + dy*dy
+	}
+	return q.Dist2(e.data.Position(id))
+}

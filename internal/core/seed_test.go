@@ -43,7 +43,7 @@ func checkSeedWalk(t *testing.T, name string, eng *Engine, sites []geom.Point, p
 		t.Fatalf("%s: SeedHint(%v) = %d with %d ids", name, p, hint, eng.data.NumIDs())
 	}
 	seed, _ := walkFrom(eng, p)
-	if f, ok := eng.data.(ResultFilter); ok && (!f.Returnable(hint) || !f.Returnable(seed)) {
+	if d, ok := eng.data.(*DynamicData); ok && (d.dt.IsFence(int(hint)) || d.dt.IsFence(int(seed))) {
 		t.Fatalf("%s: toward %v the walk went from %d to %d, and one is a fence site", name, p, hint, seed)
 	}
 	want := math.Inf(1)

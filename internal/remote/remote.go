@@ -3,14 +3,14 @@
 // from several partitions — pruning backends whose advertised bounds miss
 // the region, the strict-method upgrade when more than one backend shares
 // the dataset, the concurrent fan-out, merging into ascending global id
-// order, Limit, the k-nearest frontier, and the partial-failure policy —
+// order, Limit, and the partial-failure policy —
 // is package shard's kernel, which Engine embeds; what lives here is one
 // partition call over the wire: encode the request, POST it with the retry
 // protocol, decode the response, add the backend's id offset. A remote
 // engine therefore answers every query byte-identically to a local engine
 // over the union of its backends' points.
 //
-// Failure handling: unary calls (query, batch, k-nearest) are idempotent
+// Failure handling: unary calls (query, batch) are idempotent
 // and retry transport-level failures with exponential backoff; semantic
 // errors (bad request, no data) and caller cancellation never retry.
 // Config.Degraded hands the kernel its partial-failure policy: fail-fast
@@ -65,7 +65,7 @@ type Backend struct {
 	// zero too, the engine's universe is unknown and the backends alone
 	// admit regions.
 	Universe geom.Rect
-	// Len is the backend's point count (advisory; 0 skips KNearest).
+	// Len is the backend's point count (advisory; it feeds Engine.Len).
 	Len int
 }
 
@@ -384,24 +384,6 @@ func (p *backendPartition) Each(ctx context.Context, region core.Region, spec co
 		return core.Stats{}, err
 	}
 	return p.e.streamOne(ctx, p.b, wire.QueryRequest{Region: wr, Options: wireOptions(spec)}, yield)
-}
-
-// KNearest appends the backend's answer with distances recomputed
-// client-side from the server's bit-exact coordinates, so the kernel's
-// merge orders candidates exactly as a local engine over the union would.
-func (p *backendPartition) KNearest(ctx context.Context, q geom.Point, k int, dst []shard.Neighbor) ([]shard.Neighbor, core.Stats, error) {
-	var resp wire.KNNResponse
-	if err := p.e.post(ctx, p.b.URL, "/v1/knearest", wire.KNNRequest{Point: wire.FromPoint(q), K: k}, &resp); err != nil {
-		return dst, core.Stats{}, err
-	}
-	st := toStats(resp.Stats)
-	if len(resp.Points) != len(resp.IDs) {
-		return dst, st, fmt.Errorf("%d points for %d ids", len(resp.Points), len(resp.IDs))
-	}
-	for i, id := range resp.IDs {
-		dst = append(dst, shard.Neighbor{ID: id + p.b.IDOffset, D2: q.Dist2(resp.Points[i].Point())})
-	}
-	return dst, st, nil
 }
 
 // toStats decodes a response's optional statistics.

@@ -295,7 +295,7 @@ func BenchmarkWindowQuery(b *testing.B) {
 	}
 }
 
-func BenchmarkNearestNeighbor(b *testing.B) {
+func BenchmarkNNQuery(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	tr := BulkLoad(randomPointItems(rng, 100_000), 16)
 	b.ResetTimer()

@@ -1,7 +1,7 @@
 // Package serve exposes any vaq engine flavor over HTTP as an area-query
 // backend: the full Querier surface — unary Query (a count is its
-// count_only option), QueryAll and KNearest, plus server-streamed Each as
-// chunked NDJSON — speaking the canonical wire codec (package wire), with
+// count_only option) and QueryAll, plus server-streamed Each as chunked
+// NDJSON — speaking the canonical wire codec (package wire), with
 // client deadlines propagated from the Vaq-Timeout-Ms header into every
 // query's context. cmd/areaserve is the binary around it; the handler
 // itself is dependency-free stdlib net/http, mountable into any mux, and
@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -22,12 +23,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Engine is what the handler serves: the Querier surface plus the
-// per-flavor KNearest and size accessor every vaq engine provides.
+// Engine is what the handler serves: the Querier surface plus the size
+// accessor every vaq engine provides.
 type Engine interface {
 	vaq.Querier
-	KNearest(ctx context.Context, q vaq.Point, k int) ([]int64, vaq.Stats, error)
-	Point(id int64) vaq.Point
 	Len() int
 }
 
@@ -90,7 +89,6 @@ type handler struct {
 //
 //	POST /v1/query     one area query        → wire.QueryResponse
 //	POST /v1/queryall  a batch               → wire.BatchResponse
-//	POST /v1/knearest  k nearest neighbors   → wire.KNNResponse
 //	POST /v1/each      streamed area query   → NDJSON wire.Frame lines
 //	GET  /v1/info      backend shape         → wire.Info
 //	GET  /metrics      registry snapshot (when Config.Metrics is set)
@@ -103,7 +101,6 @@ func NewHandler(eng Engine, cfg Config) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/query", h.area(true, h.query))
 	mux.HandleFunc("POST /v1/queryall", h.area(false, h.queryAll))
-	mux.HandleFunc("POST /v1/knearest", h.kNearest)
 	mux.HandleFunc("POST /v1/each", h.area(true, h.each))
 	mux.HandleFunc("GET /v1/info", h.info)
 	if h.cfg.Metrics != nil {
@@ -138,12 +135,19 @@ func (h *handler) requestContext(r *http.Request) (context.Context, context.Canc
 	return ctx, cancel, nil
 }
 
-// decodeBody JSON-decodes the size-capped request body into dst.
+// decodeBody JSON-decodes the size-capped request body into dst. The body
+// is one JSON value: anything but whitespace after it is refused.
 func (h *handler) decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
 	body := http.MaxBytesReader(w, r.Body, h.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	return dec.Decode(dst)
+	if err := dec.Decode(dst); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("serve: trailing data after the request body")
+	}
+	return nil
 }
 
 // writeJSON writes a 200 with the JSON form of v.
@@ -271,38 +275,6 @@ func (h *handler) queryAll(w http.ResponseWriter, c *areaCall) {
 	}
 	ws := wire.FromStats(c.st)
 	writeJSON(w, wire.BatchResponse{Results: out, Stats: &ws})
-}
-
-func (h *handler) kNearest(w http.ResponseWriter, r *http.Request) {
-	var req wire.KNNRequest
-	if err := h.decodeBody(w, r, &req); err != nil {
-		badRequest(w, err)
-		return
-	}
-	if req.K < 0 {
-		badRequest(w, errors.New("serve: negative k"))
-		return
-	}
-	ctx, cancel, err := h.requestContext(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	defer cancel()
-	ids, st, err := h.eng.KNearest(ctx, req.Point.Point(), req.K)
-	if err != nil {
-		writeError(w, wire.EncodeError(err))
-		return
-	}
-	pts := make([]wire.Coord, len(ids))
-	for i, id := range ids {
-		pts[i] = wire.FromPoint(h.eng.Point(id))
-	}
-	if ids == nil {
-		ids = []int64{}
-	}
-	ws := wire.FromStats(st)
-	writeJSON(w, wire.KNNResponse{IDs: ids, Points: pts, Stats: &ws})
 }
 
 // each streams one area query as NDJSON frames, riding the engine's

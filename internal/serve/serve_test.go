@@ -126,11 +126,14 @@ func TestCountAndLimit(t *testing.T) {
 	if cnt.IDs != nil {
 		t.Errorf("count returned ids: %v", cnt.IDs)
 	}
-	// count_only on /v1/query is the one spelling: there is no count route.
-	resp := post(t, srv, "/v1/count", wire.QueryRequest{Region: wr})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("POST /v1/count: status %d, want 404", resp.StatusCode)
+	// count_only on /v1/query is the one spelling: there is no count route,
+	// and no k-nearest one.
+	for _, path := range []string{"/v1/count", "/v1/knearest"} {
+		resp := post(t, srv, path, wire.QueryRequest{Region: wr})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 
 	var lim wire.QueryResponse
@@ -173,67 +176,6 @@ func TestQueryAll(t *testing.T) {
 	// The empty region's slice must decode as an empty slice, not nil.
 	if got.Results[1] == nil {
 		t.Error("empty region decoded to nil (JSON null), want []")
-	}
-}
-
-func TestKNearest(t *testing.T) {
-	eng := testEngine(t, 400)
-	srv := httptest.NewServer(NewHandler(eng, Config{}))
-	defer srv.Close()
-
-	q := vaq.Point{X: 0.5, Y: 0.5}
-	want, _, err := eng.KNearest(context.Background(), q, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got wire.KNNResponse
-	decodeInto(t, post(t, srv, "/v1/knearest", wire.KNNRequest{Point: wire.FromPoint(q), K: 7}), &got)
-	if len(got.IDs) != len(want) || len(got.Points) != len(want) {
-		t.Fatalf("got %d ids / %d points, want %d", len(got.IDs), len(got.Points), len(want))
-	}
-	for i, id := range want {
-		if got.IDs[i] != id {
-			t.Errorf("id %d: got %d want %d", i, got.IDs[i], id)
-		}
-		if p := eng.Point(id); got.Points[i].Point() != p {
-			t.Errorf("point %d: got %v want %v (must be bit-exact)", i, got.Points[i], p)
-		}
-	}
-}
-
-// TestKNearestHugeK sends a k no dataset can satisfy. k comes straight off
-// the wire, so the engine must size its result by the data, not by k:
-// the reply is every point, nearest first, not a 5xx or an
-// out-of-memory crash.
-func TestKNearestHugeK(t *testing.T) {
-	static := testEngine(t, 300)
-	pts := make([]vaq.Point, static.Len())
-	for i := range pts {
-		pts[i] = static.Point(int64(i))
-	}
-	sharded, err := vaq.NewShardedEngine(pts, static.Bounds(), vaq.WithShards(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := vaq.Point{X: 0.5, Y: 0.5}
-	for name, eng := range map[string]Engine{"static": static, "sharded": sharded} {
-		srv := httptest.NewServer(NewHandler(eng, Config{}))
-		var got wire.KNNResponse
-		decodeInto(t, post(t, srv, "/v1/knearest", wire.KNNRequest{Point: wire.FromPoint(q), K: 1 << 40}), &got)
-		srv.Close()
-		if len(got.IDs) != eng.Len() {
-			t.Fatalf("%s: k = 1<<40 returned %d ids, want all %d points", name, len(got.IDs), eng.Len())
-		}
-		seen := make(map[int64]bool, len(got.IDs))
-		last := -1.0
-		for i, id := range got.IDs {
-			p := eng.Point(id)
-			d2 := (p.X-q.X)*(p.X-q.X) + (p.Y-q.Y)*(p.Y-q.Y)
-			if seen[id] || d2 < last {
-				t.Fatalf("%s: id %d at rank %d: duplicate or out of distance order", name, id, i)
-			}
-			seen[id], last = true, d2
-		}
 	}
 }
 
@@ -452,6 +394,29 @@ func TestErrorMapping(t *testing.T) {
 		t.Errorf("malformed body: status %d", resp.StatusCode)
 	}
 
+	// A body is one JSON value: whatever follows it — a word, a second
+	// value — is refused, on every endpoint that reads one. Trailing
+	// whitespace is not data.
+	wr, _ := wire.EncodeRegion(testRegion())
+	single, _ := json.Marshal(wire.QueryRequest{Region: wr})
+	batch, _ := json.Marshal(wire.BatchRequest{Regions: []wire.Region{wr}})
+	for path, body := range map[string][]byte{"/v1/query": single, "/v1/queryall": batch, "/v1/each": single} {
+		for tail, want := range map[string]int{
+			" \n\t":          http.StatusOK,
+			" trailing":      http.StatusBadRequest,
+			` {"garbage":1}`: http.StatusBadRequest,
+		} {
+			resp, err := srv.Client().Post(srv.URL+path, "application/json", strings.NewReader(string(body)+tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Errorf("%s with %q after the body: status %d, want %d", path, tail, resp.StatusCode, want)
+			}
+		}
+	}
+
 	// Structurally invalid region.
 	bad := wire.QueryRequest{Region: wire.Region{Kind: "blob"}}
 	resp = post(t, srv, "/v1/query", bad)
@@ -461,7 +426,6 @@ func TestErrorMapping(t *testing.T) {
 	}
 
 	// Unknown method.
-	wr, _ := wire.EncodeRegion(testRegion())
 	resp = post(t, srv, "/v1/query",
 		wire.QueryRequest{Region: wr, Options: wire.Options{Method: "dijkstra"}})
 	resp.Body.Close()
@@ -469,13 +433,13 @@ func TestErrorMapping(t *testing.T) {
 		t.Errorf("unknown method: status %d", resp.StatusCode)
 	}
 
-	// Empty engine → ErrNoData from KNearest → 422 with no_data code.
+	// Empty engine → ErrNoData → 422 with no_data code.
 	dyn := vaq.NewDynamicEngine(vaq.NewRect(0, 0, 1, 1))
 	esrv := httptest.NewServer(NewHandler(dyn, Config{}))
 	defer esrv.Close()
-	resp = post(t, esrv, "/v1/knearest", wire.KNNRequest{Point: wire.Coord{X: 0.5, Y: 0.5}, K: 3})
+	resp = post(t, esrv, "/v1/query", wire.QueryRequest{Region: wr})
 	if resp.StatusCode != 422 {
-		t.Errorf("knearest on empty: status %d", resp.StatusCode)
+		t.Errorf("query on empty: status %d", resp.StatusCode)
 	}
 	var we wire.Error
 	decodeInto2(t, resp, &we)

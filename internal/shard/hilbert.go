@@ -44,11 +44,10 @@ type localShard struct {
 	eng    *core.Engine
 	bounds geom.Rect
 	global []int64 // local id -> global id, ascending
-	pts    []geom.Point
 }
 
 func (s *localShard) Bounds() geom.Rect { return s.bounds }
-func (s *localShard) Len() int          { return len(s.pts) }
+func (s *localShard) Len() int          { return len(s.global) }
 func (s *localShard) String() string    { return fmt.Sprintf("shard %d", s.index) }
 
 func (s *localShard) Query(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error) {
@@ -63,17 +62,6 @@ func (s *localShard) Each(ctx context.Context, region core.Region, spec core.Que
 	return s.eng.EachRegion(ctx, region, spec, func(id int64, pos geom.Point) bool {
 		return yield(s.global[id], pos)
 	})
-}
-
-func (s *localShard) KNearest(ctx context.Context, q geom.Point, k int, dst []Neighbor) ([]Neighbor, core.Stats, error) {
-	local, st, err := s.eng.KNearest(ctx, q, k)
-	if err != nil {
-		return dst, st, err
-	}
-	for _, id := range local {
-		dst = append(dst, Neighbor{ID: s.global[id], D2: q.Dist2(s.pts[id])})
-	}
-	return dst, st, nil
 }
 
 // New partitions points into cfg.Shards Hilbert-contiguous shards, builds
@@ -97,6 +85,7 @@ func New(points []geom.Point, bounds geom.Rect, cfg Config) (*Engine, error) {
 	runs := hilbert.Partition(keys, cfg.Shards)
 
 	shards := make([]*localShard, len(runs))
+	shardPts := make([][]geom.Point, len(runs)) // local id -> position, for Build only
 	for si, run := range runs {
 		// Ascending global order inside the shard keeps the remapping
 		// stable across shard counts and makes merged output ordering
@@ -112,15 +101,16 @@ func New(points []geom.Point, bounds geom.Rect, cfg Config) (*Engine, error) {
 			pts[i] = points[id]
 			mbr = mbr.ExtendPoint(pts[i])
 		}
-		shards[si] = &localShard{index: si, bounds: mbr, global: global, pts: pts}
+		shards[si] = &localShard{index: si, bounds: mbr, global: global}
+		shardPts[si] = pts
 	}
 
 	err := exec.Run(context.Background(), len(shards),
 		exec.Options{NumWorkers: cfg.Parallelism, Chunk: 1},
 		func(_, si int) error {
-			eng, err := cfg.Build(si, shards[si].pts, bounds)
+			eng, err := cfg.Build(si, shardPts[si], bounds)
 			if err != nil {
-				return fmt.Errorf("building shard %d (%d points): %w", si, len(shards[si].pts), err)
+				return fmt.Errorf("building shard %d (%d points): %w", si, len(shardPts[si]), err)
 			}
 			shards[si].eng = eng
 			return nil

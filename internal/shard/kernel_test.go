@@ -57,18 +57,6 @@ func (p *fakePart) Query(ctx context.Context, region core.Region, spec core.Quer
 	return ids, st, err
 }
 
-func (p *fakePart) KNearest(_ context.Context, q geom.Point, k int, dst []Neighbor) ([]Neighbor, core.Stats, error) {
-	p.calls.Add(1)
-	if p.err != nil {
-		return dst, core.Stats{}, p.err
-	}
-	own := make([]Neighbor, len(p.pts))
-	for i, pt := range p.pts {
-		own[i] = Neighbor{ID: p.off + int64(i), D2: q.Dist2(pt)}
-	}
-	return append(dst, mergeNearest(own, k)...), core.Stats{Candidates: len(p.pts)}, nil
-}
-
 // fakeStrips cuts the unit square into n vertical strips of per points
 // each, one fakePart per strip with tight bounds, plus the flat point set
 // (index = global id).
@@ -194,28 +182,10 @@ func TestKernelFailurePolicy(t *testing.T) {
 			t.Errorf("degraded=%v: batch with an all-failed region err = %v, want boom", degraded, err)
 		}
 
-		// KNearest next to the dead strip: dropped when degraded.
-		q := geom.Pt(0.26, 0.5)
-		nn, st, err := e.KNearest(ctx, q, 5)
-		if !degraded {
-			if !errors.Is(err, boom) {
-				t.Errorf("fail-fast KNearest err = %v", err)
-			}
-		} else if err != nil || len(nn) != 5 || st.PartitionsDropped == 0 {
-			t.Errorf("degraded KNearest: %d ids err=%v dropped=%d", len(nn), err, st.PartitionsDropped)
-		}
-
 		// Each always fails fast.
 		if _, err := e.EachRegion(ctx, wide, core.QuerySpec{}, func(int64, geom.Point) bool { return true }); !errors.Is(err, boom) {
 			t.Errorf("degraded=%v: Each err = %v, want boom", degraded, err)
 		}
-	}
-
-	// Every expanded KNearest partition failed.
-	parts, _ := fakeStrips(2, 50)
-	parts[0].err, parts[1].err = boom, boom
-	if _, _, err := over(parts, true).KNearest(ctx, geom.Pt(0.5, 0.5), 3); !errors.Is(err, boom) {
-		t.Errorf("all-failed KNearest err = %v", err)
 	}
 }
 
@@ -247,52 +217,9 @@ func (c *cancelOnCall) Query(ctx context.Context, region core.Region, spec core.
 	return c.Partition.Query(ctx, region, spec)
 }
 
-// TestKernelKNNFrontier pins the frontier's pruning: no partition whose
-// MINDIST exceeds the final k-th distance is contacted, and the answer is
-// the brute-force k nearest.
-func TestKernelKNNFrontier(t *testing.T) {
-	parts, all := fakeStrips(8, 300)
-	e := over(parts, false)
-	rng := rand.New(rand.NewSource(9))
-	contacted := 0
-	for rep := 0; rep < 40; rep++ {
-		q := geom.Pt(rng.Float64(), rng.Float64())
-		k := 1 + rng.Intn(20)
-		for _, p := range parts {
-			p.calls.Store(0)
-		}
-		got, _, err := e.KNearest(context.Background(), q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]Neighbor, len(all))
-		for i, pt := range all {
-			want[i] = Neighbor{ID: int64(i), D2: q.Dist2(pt)}
-		}
-		want = mergeNearest(want, k)
-		for i := range want {
-			if got[i] != want[i].ID {
-				t.Fatalf("rep %d: neighbor %d = %d, want %d", rep, i, got[i], want[i].ID)
-			}
-		}
-		kth := want[k-1].D2
-		for pi, p := range parts {
-			if p.calls.Load() > 0 {
-				contacted++
-				if p.bounds.Dist2Point(q) > kth {
-					t.Errorf("rep %d: partition %d contacted at MINDIST² %g > k-th distance² %g", rep, pi, p.bounds.Dist2Point(q), kth)
-				}
-			}
-		}
-	}
-	if contacted >= 40*len(parts) {
-		t.Error("frontier contacted every partition on every query; the pin is vacuous")
-	}
-}
-
 // TestKernelUnknownBoundsAndEmptyPartitions: a partition with empty bounds
-// is never pruned (and sits at distance 0 on the KNN frontier); one
-// reporting Len 0 is never asked for neighbors.
+// is never pruned, and one reporting Len 0 is pruned by its bounds like any
+// other.
 func TestKernelUnknownBoundsAndEmptyPartitions(t *testing.T) {
 	parts, all := fakeStrips(3, 100)
 	parts[2].bounds = geom.EmptyRect() // bounds unknown
@@ -309,23 +236,6 @@ func TestKernelUnknownBoundsAndEmptyPartitions(t *testing.T) {
 	ids, _, err := e.QueryRegionSpec(context.Background(), region, core.QuerySpec{})
 	if err != nil || !slices.Equal(ids, bruteInside(all, region)) {
 		t.Fatalf("query: err=%v, %d ids", err, len(ids))
-	}
-
-	for _, p := range parts {
-		p.calls.Store(0)
-	}
-	q := geom.Pt(0.1, 0.5) // deep in strip 0
-	if _, _, err := e.KNearest(context.Background(), q, 1); err != nil {
-		t.Fatal(err)
-	}
-	if hollow.calls.Load() != 0 {
-		t.Error("KNearest contacted a partition of Len 0")
-	}
-	if parts[2].calls.Load() == 0 {
-		t.Error("KNearest skipped the unknown-bounds partition, which can hold any point")
-	}
-	if parts[1].calls.Load() != 0 {
-		t.Error("KNearest contacted a bounded partition beyond the k-th distance")
 	}
 }
 

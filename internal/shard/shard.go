@@ -46,7 +46,6 @@
 //     to Limit, count. In-process partitions additionally draw from one
 //     core.QuerySpec.Budget per region, so a limited query materializes at
 //     most Limit ids across all of them.
-//   - KNearest: one MINDIST frontier over partition bounds (knn.go).
 //
 // Every path takes a context.Context: cancellation abandons un-dispatched
 // tasks at the pool, running partition calls at their own boundaries, and
@@ -76,17 +75,13 @@ type Partition interface {
 	// not the universe unless nothing tighter can be vouched for. The empty
 	// rectangle means "unknown": the partition is never pruned.
 	Bounds() geom.Rect
-	// Len is the partition's point count; KNearest skips a partition
-	// reporting 0.
+	// Len is the partition's point count.
 	Len() int
 	// Query answers one area query; ids come back in any order, nil under
 	// spec.CountOnly (the count is Stats.ResultSize). spec.Dest is nil.
 	Query(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error)
 	// Each streams one area query, counting the yields in Stats.ResultSize.
 	Each(ctx context.Context, region core.Region, spec core.QuerySpec, yield func(id int64, pos geom.Point) bool) (core.Stats, error)
-	// KNearest appends the partition's k points nearest to q to dst and
-	// returns the extended slice; on error dst comes back unchanged.
-	KNearest(ctx context.Context, q geom.Point, k int, dst []Neighbor) ([]Neighbor, core.Stats, error)
 }
 
 // RegionsQuerier is implemented by partitions for which one call over

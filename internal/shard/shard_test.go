@@ -170,33 +170,6 @@ func TestConformanceToSingleEngine(t *testing.T) {
 					t.Errorf("%s: batch query %d diverged", name, i)
 				}
 			}
-
-			// KNearest at several k, including k > len(points) of a shard
-			// and k > total.
-			for _, k := range []int{1, 3, 17, n/len(testShardCounts) + 5, n + 10} {
-				for rep := 0; rep < 5; rep++ {
-					q := geom.Pt(rng.Float64(), rng.Float64())
-					want, _, err := oracle.KNearest(context.Background(), q, k)
-					if err != nil {
-						t.Fatalf("%s: oracle knn: %v", name, err)
-					}
-					got, _, err := se.KNearest(context.Background(), q, k)
-					if err != nil {
-						t.Fatalf("%s: sharded knn: %v", name, err)
-					}
-					if !equalIDs(sorted(got), sorted(want)) {
-						t.Errorf("%s: KNearest(%v, %d): %d ids, oracle %d",
-							name, q, k, len(got), len(want))
-					}
-					// Increasing-distance contract.
-					for i := 1; i < len(got); i++ {
-						if q.Dist2(se.Point(got[i-1])) > q.Dist2(se.Point(got[i])) {
-							t.Errorf("%s: KNearest order violated at %d", name, i)
-							break
-						}
-					}
-				}
-			}
 		}
 	}
 }
@@ -342,8 +315,7 @@ func TestShardedStatsAggregate(t *testing.T) {
 }
 
 // TestConcurrentShardedQueries hammers one sharded engine from several
-// goroutines mixing single queries, batches, counts and knn. Run with
-// -race.
+// goroutines mixing single queries, counts and batches. Run with -race.
 func TestConcurrentShardedQueries(t *testing.T) {
 	const n = 3000
 	pts := workload.UniformPoints(rand.New(rand.NewSource(49)), n, unitBounds())
@@ -393,9 +365,16 @@ func TestConcurrentShardedQueries(t *testing.T) {
 						return
 					}
 				default:
-					q := geom.Pt(float64(worker)/8, float64(rep)/15)
-					if _, _, err := se.KNearest(context.Background(), q, 5); err != nil {
+					j := (i + 1) % len(areas)
+					out, _, err := se.QueryRegionsSpec(context.Background(),
+						[]core.Region{core.PolygonRegion(areas[i]), core.PolygonRegion(areas[j])},
+						core.QuerySpec{Method: core.VoronoiBFS})
+					if err != nil {
 						errs <- err
+						return
+					}
+					if !equalIDs(out[0], oracleIDs[i]) || !equalIDs(out[1], oracleIDs[j]) {
+						errs <- fmt.Errorf("worker %d: batch %d diverged", worker, i)
 						return
 					}
 				}

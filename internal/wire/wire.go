@@ -401,21 +401,6 @@ type BatchResponse struct {
 	Stats   *Stats `json:"stats,omitempty"`
 }
 
-// KNNRequest is the body of POST /v1/knearest.
-type KNNRequest struct {
-	Point Coord `json:"point"`
-	K     int   `json:"k"`
-}
-
-// KNNResponse is the body of a successful /v1/knearest: ids in increasing
-// distance order and their coordinates, aligned, so a fan-out client can
-// re-merge across backends by exact distance.
-type KNNResponse struct {
-	IDs    IDs     `json:"ids"`
-	Points []Coord `json:"points"`
-	Stats  *Stats  `json:"stats,omitempty"`
-}
-
 // Info is the body of GET /v1/info: what a client needs to fan out to
 // this backend — its size, the global id its local id 0 corresponds to, and
 // two rectangles (min x, min y, max x, max y) that must not be confused.

@@ -24,12 +24,12 @@ import (
 // aggregate across the fan-out — so a RemoteEngine returns byte-identical
 // results to a local engine over the union of its backends' points.
 //
-// Failure handling: unary queries (Query, QueryAll, Count, KNearest) are
-// idempotent and retry transport-level failures per backend
-// (WithRemoteRetries); Each streams never retry. WithDegradedFanOut
-// selects the partial-failure policy — by default a backend failure (after
-// retries) fails the query; degraded drops the failed backends and serves
-// from the survivors, erroring only when every relevant backend fails.
+// Failure handling: unary queries (Query, QueryAll, Count) are idempotent
+// and retry transport-level failures per backend (WithRemoteRetries); Each
+// streams never retry. WithDegradedFanOut selects the partial-failure
+// policy — by default a backend failure (after retries) fails the query;
+// degraded drops the failed backends and serves from the survivors,
+// erroring only when every relevant backend fails.
 //
 // RemoteEngine implements Querier and is safe for concurrent use. It
 // composes with WithMetrics exactly like the local flavors (flavor label
@@ -93,8 +93,8 @@ func DialRemote(ctx context.Context, urls []string, opts ...Option) (*RemoteEngi
 // Universe is the rectangle the backend's engine was built over; zero means
 // "as Bounds", which is what a backend list written before the field
 // existed says. With both zero the engine's own universe is unknown (the
-// backends then refuse what lies outside theirs). A zero Len skips the
-// backend during KNearest.
+// backends then refuse what lies outside theirs). Len is advisory: it feeds
+// the engine's Len and nothing else.
 type RemoteBackend = remote.Backend
 
 // NewRemoteEngine builds a RemoteEngine over explicitly configured

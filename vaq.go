@@ -121,10 +121,10 @@
 // rule never does; a sharded engine with more than one shard always runs
 // it; a dynamic engine builds one arena per epoch that sees it.
 //
-// The BFS expansion tests, the strict rule's cell-intersection checks and
-// the KNearest distance loop read that dense memory through
-// zero-allocation views; no cell ring is materialized on any query hot
-// path. CellArea serves per-cell geometry from the same storage.
+// The BFS expansion tests and the strict rule's cell-intersection checks
+// read that dense memory through zero-allocation views; no cell ring is
+// materialized on any query hot path. CellArea serves per-cell geometry from
+// the same storage.
 //
 // # Static analysis
 //
@@ -139,7 +139,6 @@
 package vaq
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -397,14 +396,6 @@ func NewEngine(points []Point, bounds Rect, opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
-// KNearest returns the k stored points nearest to q in increasing distance
-// order, computed by Voronoi expansion (exact; the VoR-tree property the
-// paper builds on). Cancelling ctx aborts the expansion at candidate
-// boundaries and returns ctx.Err() with the partial work in Stats.
-func (e *Engine) KNearest(ctx context.Context, q Point, k int) ([]int64, Stats, error) {
-	return e.eng.KNearest(ctx, q, k)
-}
-
 // Len returns the number of stored points.
 func (e *Engine) Len() int { return e.data.NumIDs() }
 
@@ -512,17 +503,6 @@ func overKernel(q querier, k *shard.Engine) partitioned {
 	return partitioned{querier: q, k: k}
 }
 
-// KNearest returns the k stored points nearest to q in increasing distance
-// order (ties broken by ascending global id), walking partitions in
-// MINDIST order and expanding only while a partition's bounds can still
-// beat the current k-th distance — one provably unable to is never
-// contacted. Cancelling ctx abandons the remaining frontier (checked
-// before every expansion and inside one) and returns ctx.Err() with the
-// partial work in Stats.
-func (e *partitioned) KNearest(ctx context.Context, q Point, k int) ([]int64, Stats, error) {
-	return e.k.KNearest(ctx, q, k)
-}
-
 // Len returns the total number of stored points.
 func (e *partitioned) Len() int { return e.k.Len() }
 
@@ -620,7 +600,7 @@ func (e *ShardedEngine) ResetIOStats() {
 // errors from engine failure.
 var (
 	// ErrNoData is returned by every query entry point (Query, QueryAll,
-	// Each, KNearest, Count) when the engine holds no points.
+	// Each, Count) when the engine holds no points.
 	ErrNoData = core.ErrNoData
 	// ErrOutsideUniverse is returned by Query, QueryAll and Each on every
 	// flavor when the region's bounding rectangle escapes the engine's
@@ -712,14 +692,6 @@ func (e *DynamicEngine) Snapshot() *Snapshot {
 	return s
 }
 
-// KNearest returns the k inserted points nearest to q in increasing
-// distance order at the current epoch (ErrNoData while empty, matching
-// Query). Cancelling ctx aborts the expansion at candidate boundaries
-// and returns ctx.Err().
-func (e *DynamicEngine) KNearest(ctx context.Context, q Point, k int) ([]int64, Stats, error) {
-	return e.Snapshot().KNearest(ctx, q, k)
-}
-
 // Len returns the number of inserted points at the current epoch.
 func (e *DynamicEngine) Len() int { return e.d.Len() }
 
@@ -743,8 +715,8 @@ func (e *DynamicEngine) PointOK(id int64) (Point, bool) { return e.d.PointOK(id)
 // Snapshot is an immutable, epoch-pinned view of a DynamicEngine. Every
 // query on it runs against exactly the points inserted before it was
 // taken — no matter how many inserts have happened since — so a method
-// query, its Count, a KNearest and a brute-force oracle all agree when
-// run on one Snapshot. Snapshots are safe for concurrent use from any
+// query, its Count and a brute-force oracle all agree when run on one
+// Snapshot. Snapshots are safe for concurrent use from any
 // number of goroutines and remain valid (and frozen) indefinitely.
 type Snapshot struct {
 	querier // the parent DynamicEngine's universe and metrics, over the pinned epoch
@@ -774,10 +746,3 @@ func (s *Snapshot) PointOK(id int64) (Point, bool) { return s.s.PointOK(id) }
 // returning false stops the iteration. (Each — the Querier method —
 // streams an area query instead.)
 func (s *Snapshot) EachPoint(fn func(id int64, p Point) bool) { s.s.EachPoint(fn) }
-
-// KNearest returns the k points nearest to q in increasing distance
-// order. Cancelling ctx aborts the expansion at candidate boundaries and
-// returns ctx.Err().
-func (s *Snapshot) KNearest(ctx context.Context, q Point, k int) ([]int64, Stats, error) {
-	return s.pool.KNearest(ctx, q, k)
-}

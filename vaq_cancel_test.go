@@ -203,93 +203,3 @@ func TestEachStreamsBeforeCompletion(t *testing.T) {
 		}
 	}
 }
-
-// knnFlavors adapts the four backends' KNearest methods to one shape for
-// the cancellation tests (KNearest is per-flavor, not part of Querier).
-func knnFlavors(t *testing.T, n int) []struct {
-	name string
-	knn  func(context.Context, Point, int) ([]int64, Stats, error)
-} {
-	t.Helper()
-	rng := rand.New(rand.NewSource(17))
-	flavors := buildFlavors(t, UniformPoints(rng, n, UnitSquare()))
-	out := make([]struct {
-		name string
-		knn  func(context.Context, Point, int) ([]int64, Stats, error)
-	}, len(flavors))
-	for i, f := range flavors {
-		out[i].name = f.name
-		switch q := f.q.(type) {
-		case *Engine:
-			out[i].knn = q.KNearest
-		case *ShardedEngine:
-			out[i].knn = q.KNearest
-		case *DynamicEngine:
-			out[i].knn = q.KNearest
-		case *Snapshot:
-			out[i].knn = q.KNearest
-		default:
-			t.Fatalf("unknown flavor %s", f.name)
-		}
-	}
-	return out
-}
-
-// countdownCtx is a context whose Err() starts failing with Canceled
-// after a fixed number of calls — a deterministic way to cancel inside a
-// KNearest expansion (whose checks are call-counted: once up front, then
-// every cancelStride candidates in core and before every shard expansion
-// in the MINDIST frontier walk).
-type countdownCtx struct {
-	context.Context
-	remaining int64
-}
-
-func (c *countdownCtx) Err() error {
-	if atomic.AddInt64(&c.remaining, -1) < 0 {
-		return context.Canceled
-	}
-	return nil
-}
-
-// TestKNearestCancellation pins the KNearest cancellation contract on all
-// four flavors: an already-cancelled context returns ctx.Err() before any
-// expansion, and a cancellation landing mid-walk surfaces as ctx.Err()
-// instead of a result.
-func TestKNearestCancellation(t *testing.T) {
-	flavors := knnFlavors(t, 4000)
-	q := Pt(0.5, 0.5)
-
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, f := range flavors {
-		ids, _, err := f.knn(cancelled, q, 10)
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: pre-cancelled KNearest err = %v, want context.Canceled", f.name, err)
-		}
-		if ids != nil {
-			t.Errorf("%s: pre-cancelled KNearest returned %d ids", f.name, len(ids))
-		}
-
-		// Sanity: the same call completes on a live context.
-		ids, _, err = f.knn(context.Background(), q, 500)
-		if err != nil || len(ids) != 500 {
-			t.Fatalf("%s: live KNearest = %d ids, err %v", f.name, len(ids), err)
-		}
-
-		// Mid-walk: allow the first few checks, then cancel. k = 500 forces
-		// hundreds of candidate pops (several cancelStride boundaries) and,
-		// on the sharded backend, several frontier expansions.
-		mid := &countdownCtx{Context: context.Background(), remaining: 2}
-		ids, st, err := f.knn(mid, q, 500)
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: mid-walk cancel err = %v, want context.Canceled", f.name, err)
-		}
-		if ids != nil {
-			t.Errorf("%s: cancelled KNearest returned partial ids", f.name)
-		}
-		if st.Candidates < 0 || st.Candidates >= 500 {
-			t.Errorf("%s: cancelled KNearest stats implausible: %+v", f.name, st)
-		}
-	}
-}

@@ -1,7 +1,6 @@
 package vaq
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,33 +10,6 @@ import (
 	"testing"
 	"time"
 )
-
-// dynKNNOracle is the k-nearest oracle over a snapshot's pinned points.
-func dynKNNOracle(s *Snapshot, q Point, k int) []int64 {
-	type cand struct {
-		id int64
-		d2 float64
-	}
-	var all []cand
-	s.EachPoint(func(id int64, p Point) bool {
-		all = append(all, cand{id: id, d2: q.Dist2(p)})
-		return true
-	})
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].d2 != all[b].d2 {
-			return all[a].d2 < all[b].d2
-		}
-		return all[a].id < all[b].id
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	out := make([]int64, len(all))
-	for i, c := range all {
-		out[i] = c.id
-	}
-	return out
-}
 
 // TestDynamicEngineConcurrentInsertQuery is the epoch-snapshot soak: one
 // writer streams inserts into a DynamicEngine while reader goroutines
@@ -144,19 +116,6 @@ func TestDynamicEngineConcurrentInsertQuery(t *testing.T) {
 					return
 				}
 
-				// KNearest against the pinned point set.
-				q := Pt(rng.Float64(), rng.Float64())
-				knn, _, err := snap.KNearest(context.Background(), q, 8)
-				if err != nil {
-					recordError(err)
-					return
-				}
-				if wantKNN := dynKNNOracle(snap, q, 8); !equal(knn, wantKNN) {
-					recordError(fmt.Errorf("epoch %d KNearest diverged: %v vs %v",
-						snap.Epoch(), knn, wantKNN))
-					return
-				}
-
 				// A parallel batch shares one epoch: the same area twice must
 				// answer identically, and match the snapshot's oracle when
 				// the batch is taken from the same pinned view.
@@ -184,10 +143,6 @@ func TestDynamicEngineConcurrentInsertQuery(t *testing.T) {
 						recordError(fmt.Errorf("live query result %d outside area", id))
 						return
 					}
-				}
-				if _, _, err := eng.KNearest(context.Background(), q, 4); err != nil {
-					recordError(err)
-					return
 				}
 				if _, _, err := queryBatch(eng, VoronoiBFS, []Polygon{area}); err != nil {
 					recordError(err)
@@ -341,9 +296,6 @@ func TestDynamicEmptyEngineErrNoData(t *testing.T) {
 	if _, _, err := queryWith(eng, VoronoiBFS, area); !errors.Is(err, ErrNoData) {
 		t.Errorf("Query on empty: err = %v, want ErrNoData", err)
 	}
-	if _, _, err := eng.KNearest(context.Background(), Pt(0.5, 0.5), 3); !errors.Is(err, ErrNoData) {
-		t.Errorf("KNearest on empty: err = %v, want ErrNoData", err)
-	}
 	if _, _, err := queryBatch(eng, VoronoiBFS, []Polygon{area}); !errors.Is(err, ErrNoData) {
 		t.Errorf("QueryBatch on empty: err = %v, want ErrNoData", err)
 	}
@@ -459,22 +411,6 @@ func TestDynamicEngineParityWithStatic(t *testing.T) {
 		}
 		if scnt != dcnt {
 			t.Fatalf("trial %d count: static %d, dynamic %d", trial, scnt, dcnt)
-		}
-		// KNearest parity, by position.
-		q := Pt(rng.Float64(), rng.Float64())
-		sk, _, err := static.KNearest(context.Background(), q, 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dk, _, err := dyn.KNearest(context.Background(), q, 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		skp, dkp := toPos(static, sk), toPos(dyn, dk)
-		for i := range skp {
-			if skp[i] != dkp[i] {
-				t.Fatalf("trial %d knn: %v vs %v", trial, skp[i], dkp[i])
-			}
 		}
 	}
 }

@@ -246,49 +246,6 @@ func TestRemoteQueryAll(t *testing.T) {
 	}
 }
 
-// TestRemoteKNearest pins the fan-out KNN merge byte-identical to the
-// local engine: same ids, same order, for ks spanning chunk boundaries.
-func TestRemoteKNearest(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	pts := vaq.UniformPoints(rng, 1500, vaq.UnitSquare())
-	f := startFixture(t, pts, 500, 1200)
-	re := f.dial(t)
-	ctx := context.Background()
-
-	queries := []vaq.Point{
-		vaq.Pt(0.5, 0.5), vaq.Pt(0.01, 0.99), vaq.Pt(0.73, 0.12), vaq.Pt(1.5, 0.5),
-	}
-	for _, q := range queries {
-		for _, k := range []int{1, 7, 64} {
-			want, _, err := f.local.KNearest(ctx, q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, st, err := re.KNearest(ctx, q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("KNearest(%v, %d): diverges from local (got %v..., want %v...)",
-					q, k, head(got), head(want))
-			}
-			if st.ResultSize != len(want) {
-				t.Errorf("KNearest stats.ResultSize = %d, want %d", st.ResultSize, len(want))
-			}
-		}
-	}
-	if _, _, err := re.KNearest(ctx, vaq.Pt(0.5, 0.5), 0); err != nil {
-		t.Errorf("k=0: %v", err)
-	}
-}
-
-func head(ids []int64) []int64 {
-	if len(ids) > 5 {
-		return ids[:5]
-	}
-	return ids
-}
-
 // slowServeEngine wraps an engine, blocking Query until its context dies
 // and recording whether that context carried a deadline.
 type slowServeEngine struct {
@@ -840,9 +797,5 @@ func TestRemoteDynamicBackendIsNeverPrunedByItsData(t *testing.T) {
 	ids, err := re.Query(ctx, around)
 	if err != nil || !slices.Equal(ids, []int64{300 + local}) {
 		t.Fatalf("after inserting %v as local id %d: remote answers %v, err %v", far, local, ids, err)
-	}
-	near, _, err := re.KNearest(ctx, far, 1)
-	if err != nil || !slices.Equal(near, []int64{300 + local}) {
-		t.Errorf("KNearest(%v) = %v, err %v", far, near, err)
 	}
 }

@@ -131,17 +131,6 @@ func (p chunkPartition) Each(ctx context.Context, region vaq.Region, spec core.Q
 	return st, err
 }
 
-func (p chunkPartition) KNearest(ctx context.Context, q vaq.Point, k int, dst []shard.Neighbor) ([]shard.Neighbor, vaq.Stats, error) {
-	ids, st, err := p.eng.KNearest(ctx, q, k)
-	if err != nil {
-		return dst, st, err
-	}
-	for _, id := range ids {
-		dst = append(dst, shard.Neighbor{ID: id + p.off, D2: q.Dist2(p.eng.Point(id))})
-	}
-	return dst, st, nil
-}
-
 // workOf is the part of Stats that counts work: what must not depend on
 // the transport.
 func workOf(st vaq.Stats) [5]int {
@@ -152,10 +141,10 @@ func workOf(st vaq.Stats) [5]int {
 // in-process partitions and twice as HTTP backends of the one kernel —
 // configured explicitly, and dialled, so that the pruning keys are the
 // data_bounds /v1/info advertises: ids, fan-out and the aggregate work
-// counters of Query, QueryAll, Each and KNearest must not differ, and all
-// must match the local oracle over the whole dataset. The dataset has an
-// empty band (0.60 < x < 0.66) and the last cut falls in it, so one region
-// lies inside the universe and between every chunk's data.
+// counters of Query, QueryAll and Each must not differ, and all must match
+// the local oracle over the whole dataset. The dataset has an empty band
+// (0.60 < x < 0.66) and the last cut falls in it, so one region lies inside
+// the universe and between every chunk's data.
 func TestTransportsAnswerIdentically(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	pts := vaq.UniformPoints(rng, 3000, vaq.UnitSquare())
@@ -276,32 +265,6 @@ func TestTransportsAnswerIdentically(t *testing.T) {
 		}
 		if workOf(a) != workOf(b) || workOf(a) != workOf(c) {
 			t.Errorf("%v QueryAll: work in process %v, over HTTP %v, dialled %v", m, workOf(a), workOf(b), workOf(c))
-		}
-	}
-
-	for rep := 0; rep < 20; rep++ {
-		q, k := vaq.Pt(rng.Float64(), rng.Float64()), 1+rng.Intn(30)
-		want, _, err := oracle.KNearest(ctx, q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, a, err := inProcess.KNearest(ctx, q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		remote, b, err := overHTTP.KNearest(ctx, q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaInfo, c, err := dialled.KNearest(ctx, q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) || !slices.Equal(remote, want) || !slices.Equal(viaInfo, want) {
-			t.Fatalf("KNearest rep %d diverges from the oracle", rep)
-		}
-		if workOf(a) != workOf(b) || workOf(a) != workOf(c) {
-			t.Errorf("KNearest rep %d: work in process %v, over HTTP %v, dialled %v", rep, workOf(a), workOf(b), workOf(c))
 		}
 	}
 }

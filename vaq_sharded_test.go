@@ -1,7 +1,6 @@
 package vaq
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -123,24 +122,6 @@ func TestShardedEngineConformance(t *testing.T) {
 			for i := range regions {
 				if !idsEqual(gotReg[i], sortIDs(wantReg[i])) {
 					t.Errorf("%s: QueryRegions %d diverged", name, i)
-				}
-			}
-
-			// KNearest, including k beyond one shard's population.
-			for _, k := range []int{1, 5, n/len(shardedTestCounts) + 3} {
-				for rep := 0; rep < 4; rep++ {
-					q := Pt(rng.Float64(), rng.Float64())
-					want, _, err := single.KNearest(context.Background(), q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, _, err := sharded.KNearest(context.Background(), q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !idsEqual(sortIDs(got), sortIDs(want)) {
-						t.Errorf("%s: KNearest k=%d diverged", name, k)
-					}
 				}
 			}
 		}

@@ -357,35 +357,3 @@ func TestQueryCirclePublicAPI(t *testing.T) {
 		}
 	}
 }
-
-func TestKNearestPublicAPI(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	pts := UniformPoints(rng, 1000, UnitSquare())
-	eng, err := NewEngine(pts, UnitSquare())
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Pt(0.3, 0.7)
-	got, st, err := eng.KNearest(context.Background(), q, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 7 || st.Candidates != 7 {
-		t.Fatalf("KNearest: %d results, %d candidates", len(got), st.Candidates)
-	}
-	for i := 1; i < len(got); i++ {
-		if q.Dist2(pts[got[i-1]]) > q.Dist2(pts[got[i]]) {
-			t.Fatal("KNearest not ordered")
-		}
-	}
-	// Rank 1 matches a linear scan.
-	best := 0
-	for i, p := range pts {
-		if q.Dist2(p) < q.Dist2(pts[best]) {
-			best = i
-		}
-	}
-	if got[0] != int64(best) {
-		t.Errorf("nearest = %d, want %d", got[0], best)
-	}
-}
