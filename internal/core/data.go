@@ -175,11 +175,11 @@ func NewStoreData(pts []geom.Point, bounds geom.Rect, cfg StoreConfig) (*StoreDa
 		PoolShards: cfg.PoolShards,
 	})
 	payload := make([]byte, cfg.PayloadBytes)
+	var nbs []int64 // reused: Append has encoded the record when it returns
 	for i, p := range pts {
-		nbs32 := mem.Neighbors(int64(i), nil)
-		nbs := make([]int64, len(nbs32))
-		for j, nb := range nbs32 {
-			nbs[j] = int64(nb)
+		nbs = nbs[:0]
+		for _, nb := range mem.Neighbors(int64(i), nil) {
+			nbs = append(nbs, int64(nb))
 		}
 		rec := storage.PointRecord{
 			ID:        int64(i),

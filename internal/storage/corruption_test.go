@@ -1,9 +1,12 @@
 package storage
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/geom"
 )
 
 // TestDecodeNeverPanicsOnCorruption flips random bytes in encoded records
@@ -47,14 +50,10 @@ func TestPageRecordNeverPanicsOnCorruption(t *testing.T) {
 	b := newPageBuilder(512)
 	for i := int64(0); i < 8; i++ {
 		rec := sampleRecord(i)
-		raw, err := rec.encode(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !b.fits(len(raw)) {
+		if !b.fits(rec.encodedLen()) {
 			break
 		}
-		b.add(raw)
+		b.add(&rec)
 	}
 	clean := b.seal()
 	for trial := 0; trial < 5000; trial++ {
@@ -74,16 +73,66 @@ func TestPageRecordNeverPanicsOnCorruption(t *testing.T) {
 func TestPageRecordBadSlot(t *testing.T) {
 	b := newPageBuilder(256)
 	rec := sampleRecord(1)
-	raw, err := rec.encode(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.add(raw)
+	b.add(&rec)
 	page := b.seal()
 	if _, err := pageRecord(page, 1); err == nil {
 		t.Error("out-of-range slot should fail")
 	}
 	if _, err := pageRecord(nil, 0); err == nil {
 		t.Error("nil page should fail")
+	}
+}
+
+// TestStoreDetectsFlippedByte flips the one bit of a stored coordinate that
+// turns 0.5 into 1: the framing checks cannot see it (no length moved), the
+// page checksum must. Every record of the page then fails with ErrCorrupt
+// on both read paths, on every attempt — the page is never installed — and
+// a record on another page reads as before.
+func TestStoreDetectsFlippedByte(t *testing.T) {
+	const victim = 17
+	b := NewBuilder(Options{PageSize: 256, PoolPages: 4})
+	for id := int64(0); id < 60; id++ {
+		rec := sampleRecord(id)
+		if id == victim {
+			rec.Pos = geom.Pt(0.5, 1)
+		}
+		if err := b.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pos, err := st.GetPosition(victim); err != nil || pos != geom.Pt(0.5, 1) {
+		t.Fatalf("before the flip: GetPosition = %v, %v", pos, err)
+	}
+
+	bad := st.RIDOf(victim).Page
+	st.FlipXBit52(victim)
+	st.DropCache()
+
+	if pos, err := st.GetPosition(victim); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("after the flip: GetPosition = %v, %v for a stored (0.5, 1); want ErrCorrupt", pos, err)
+	}
+	for attempt := 0; attempt < 2; attempt++ {
+		for id := int64(0); id < int64(st.Len()); id++ {
+			rec, err := st.Get(id)
+			pos, posErr := st.GetPosition(id)
+			if st.RIDOf(id).Page == bad {
+				if !errors.Is(err, ErrCorrupt) || !errors.Is(posErr, ErrCorrupt) {
+					t.Fatalf("attempt %d, id %d on the corrupt page: Get = %v, %v; GetPosition = %v, %v; want ErrCorrupt",
+						attempt, id, rec.Pos, err, pos, posErr)
+				}
+				continue
+			}
+			if want := sampleRecord(id).Pos; err != nil || posErr != nil || rec.Pos != want || pos != want {
+				t.Fatalf("id %d on a sound page: Get = %v, %v; GetPosition = %v, %v", id, rec.Pos, err, pos, posErr)
+			}
+		}
+	}
+	// A refused read delivered no page: the counters saw only sound ones.
+	if io := st.Stats(); io.BytesRead != int64(io.PageReads)*256 {
+		t.Errorf("BytesRead %d != PageReads %d × 256", io.BytesRead, io.PageReads)
 	}
 }

@@ -8,7 +8,9 @@
 // style of the VoR-tree, Sharifzadeh & Shahabi, VLDB 2010) the precomputed
 // Voronoi neighbor list of the point. Records are fetched through an LRU
 // buffer pool that counts page reads, so both area-query methods can report
-// how much IO their candidate sets cost.
+// how much IO their candidate sets cost, and that checks every page it reads
+// against a checksum kept outside the page, so a page that changed after it
+// was written is an ErrCorrupt, never a wrong answer.
 package storage
 
 import (
@@ -40,12 +42,13 @@ type RID struct {
 //	[2 : 2+6k)       slot directory: per slot, uint32 offset + uint16 length
 //	[...]            record bytes
 //
-// The builder accumulates records in memory and serializes the whole page
-// on seal.
+// The builder accumulates the page's records back to back in one arena,
+// encoded in place, and serializes the whole page on seal; it is then
+// empty again and builds the next page in the same arena.
 type pageBuilder struct {
-	size    int
-	records [][]byte
-	used    int // bytes if sealed now: header + directory + data
+	size int
+	data []byte   // the records' bytes, in slot order
+	lens []uint16 // per slot, its record's length
 }
 
 const (
@@ -54,35 +57,40 @@ const (
 )
 
 func newPageBuilder(size int) *pageBuilder {
-	return &pageBuilder{size: size, used: pageHeaderLen}
+	return &pageBuilder{size: size}
 }
 
 // fits reports whether a record of n bytes fits in the page.
 func (b *pageBuilder) fits(n int) bool {
-	return b.used+slotDirLen+n <= b.size
+	used := pageHeaderLen + slotDirLen*len(b.lens) + len(b.data)
+	return used+slotDirLen+n <= b.size
 }
 
-// add appends a record and returns its slot.
-func (b *pageBuilder) add(rec []byte) uint16 {
-	b.records = append(b.records, rec)
-	b.used += slotDirLen + len(rec)
-	return uint16(len(b.records) - 1)
+// add appends a record, which the caller has found encodable, and returns
+// its slot.
+func (b *pageBuilder) add(rec *PointRecord) uint16 {
+	n := len(b.data)
+	b.data = rec.appendTo(b.data)
+	b.lens = append(b.lens, uint16(len(b.data)-n))
+	return uint16(len(b.lens) - 1)
 }
 
-func (b *pageBuilder) empty() bool { return len(b.records) == 0 }
+func (b *pageBuilder) empty() bool { return len(b.lens) == 0 }
 
-// seal serializes the page into a fresh buffer of exactly size bytes.
+// seal serializes the page into a fresh buffer of exactly size bytes and
+// empties the builder.
 func (b *pageBuilder) seal() []byte {
 	buf := make([]byte, b.size)
-	binary.LittleEndian.PutUint16(buf[0:pageHeaderLen], uint16(len(b.records)))
-	off := pageHeaderLen + slotDirLen*len(b.records)
-	for i, rec := range b.records {
+	binary.LittleEndian.PutUint16(buf[0:pageHeaderLen], uint16(len(b.lens)))
+	off := pageHeaderLen + slotDirLen*len(b.lens)
+	copy(buf[off:], b.data)
+	for i, n := range b.lens {
 		dir := pageHeaderLen + slotDirLen*i
 		binary.LittleEndian.PutUint32(buf[dir:], uint32(off))
-		binary.LittleEndian.PutUint16(buf[dir+4:], uint16(len(rec)))
-		copy(buf[off:], rec)
-		off += len(rec)
+		binary.LittleEndian.PutUint16(buf[dir+4:], n)
+		off += int(n)
 	}
+	b.data, b.lens = b.data[:0], b.lens[:0]
 	return buf
 }
 

@@ -1,7 +1,7 @@
 package storage
 
 import (
-	"container/list"
+	"math/bits"
 	"runtime"
 	"sync"
 )
@@ -32,17 +32,18 @@ func (s *BufferPoolStats) add(other BufferPoolStats) {
 	s.Evictions += other.Evictions
 }
 
-// maxPoolShards caps the lock-shard count; past this the maps' fixed
+// maxPoolShards caps the lock-shard count; past this the shards' fixed
 // overhead outweighs any contention win.
 const maxPoolShards = 128
 
 // bufferPool is a fixed-capacity page cache partitioned into power-of-two
-// lock shards keyed by page id. Each shard owns its own frame map, LRU
-// list and counters behind a private mutex, so fetches of pages in
-// different shards never contend. A miss loads the page while holding its
-// shard's lock: the only loader in the tree is an index into the store's
-// in-memory page slice, so there is no slow IO to move off the lock, and
-// two goroutines missing on one page serialize into one read and one hit.
+// lock shards keyed by page id. Each shard owns its own frame index, LRU
+// order and counters behind a private mutex, so fetches of pages in
+// different shards never contend. A miss reads the page through load while
+// holding its shard's lock: the only loader in the tree indexes the store's
+// in-memory page slice and checksums what it finds, so there is no slow IO
+// to move off the lock, and two goroutines missing on one page serialize
+// into one read and one hit.
 //
 // A total capacity of 0 disables caching (every access is a miss),
 // modeling a cold read path; a negative capacity is unbounded. A positive
@@ -53,26 +54,35 @@ const maxPoolShards = 128
 // pressure).
 type bufferPool struct {
 	shards []poolShard
-	mask   uint32
+	mask   uint32 // pageID & mask picks the shard
+	shift  uint8  // pageID >> shift is the page's slot in its shard's index
+	// load reads and verifies one page of the backing file. It runs under
+	// the shard lock and must not re-enter the pool.
+	load func(pageID uint32) ([]byte, error)
 }
 
 // poolShard is one lock shard: a private LRU cache over the pages whose
-// id hashes to it, plus its counters. The padding spaces the shards
-// (which live contiguously in one slice) a full cache-line pair apart, so
-// one shard's lock and counter writes never false-share with its
-// neighbors'.
+// id maps to it, plus its counters. Page ids are dense, so a resident page
+// is found through an index, not a hash, and the LRU order is a circular
+// list threaded through the frames by position: a hit touches the index
+// entry and at most four frames. The padding spaces the shards (which live
+// contiguously in one slice) a full cache-line pair apart, so one shard's
+// lock and counter writes never false-share with its neighbors'.
 type poolShard struct {
 	mu       sync.Mutex
-	capacity int                      // frames this shard may hold; <0 unbounded, 0 disabled
-	frames   map[uint32]*list.Element // guarded by mu; each Value is a *frame
-	lru      list.List                // guarded by mu; most recently used first
-	stats    BufferPoolStats          // guarded by mu
-	_        [24]byte                 // pad to 128 bytes
+	capacity int             // frames this shard may hold; <0 unbounded, 0 disabled
+	index    []int32         // guarded by mu; by pageID>>shift: the page's frame, 0 while not resident
+	frames   []frame         // guarded by mu; frames[0] heads the LRU list and holds no page
+	stats    BufferPoolStats // guarded by mu
+	_        [32]byte        // pad to 128 bytes
 }
 
+// frame is one cached page and its place in the shard's LRU order:
+// frames[0].next is the most recently used frame, frames[0].prev the least.
 type frame struct {
-	pageID uint32
-	data   []byte // read-only while installed
+	prev, next int32
+	slot       uint32 // the index entry that points here
+	data       []byte // read-only while installed
 }
 
 // normalizePoolShards resolves a requested shard count against the pool
@@ -100,20 +110,30 @@ func normalizePoolShards(capacity, shards int) int {
 	return n
 }
 
-// newBufferPool returns a pool of the given total capacity split over
-// the given number of lock shards (see normalizePoolShards for how the
-// count is resolved; 1 is a single-lock pool).
-func newBufferPool(capacity, shards int) *bufferPool {
+// newBufferPool returns a pool over page ids [0, pages) of the given total
+// capacity split over the given number of lock shards (see
+// normalizePoolShards for how the count is resolved; 1 is a single-lock
+// pool). A missing page is read with load.
+func newBufferPool(capacity, shards, pages int, load func(pageID uint32) ([]byte, error)) *bufferPool {
 	n := normalizePoolShards(capacity, shards)
 	per := capacity // 0 and negative apply per shard unchanged
 	if capacity > 0 {
 		per = (capacity + n - 1) / n
 	}
-	bp := &bufferPool{shards: make([]poolShard, n), mask: uint32(n - 1)}
+	bp := &bufferPool{
+		shards: make([]poolShard, n),
+		mask:   uint32(n - 1),
+		shift:  uint8(bits.TrailingZeros(uint(n))),
+		load:   load,
+	}
+	slots := (pages + n - 1) / n
 	for i := range bp.shards {
 		s := &bp.shards[i]
 		s.capacity = per
-		s.frames = make(map[uint32]*list.Element)
+		s.index = make([]int32, slots)
+		// A bounded shard reserves every frame it can come to hold, so
+		// installing a page never grows the slice; an unbounded one grows.
+		s.frames = make([]frame, 1, 1+max(0, min(per, slots)))
 	}
 	return bp
 }
@@ -121,50 +141,92 @@ func newBufferPool(capacity, shards int) *bufferPool {
 // numShards returns the resolved lock-shard count.
 func (bp *bufferPool) numShards() int { return len(bp.shards) }
 
-// fetch returns the page via the cache, reading it with load on a miss.
-// load runs under the shard lock and must not re-enter the pool; the
-// deferred unlock keeps the shard usable when load panics (nothing has
-// been counted or installed by then, so a later fetch of the page starts
-// clean). On a full shard the evicted frame is reused for the incoming
-// page, so a steady-state miss allocates nothing.
+// fetch returns the page via the cache, reading it with the pool's loader
+// on a miss. A hit is lock, index, splice, unlock.
 //
-// The returned slice aliases the cached frame (and, through load, the
-// backing heap file) and MUST be treated read-only: mutating it would
+// The returned slice aliases the cached frame (and, through the loader,
+// the backing heap file) and MUST be treated read-only: mutating it would
 // corrupt the page for every later reader. Store.Get is the enforcement
 // boundary — decodeRecord deep-copies every variable field, so nothing
 // the public API returns shares memory with the pool (pinned by
 // TestStoreGetRecordIsolation). Page bytes never change, which is also
 // why returning them after dropping the shard lock is safe.
-func (bp *bufferPool) fetch(pageID uint32, load func(uint32) []byte) []byte {
+func (bp *bufferPool) fetch(pageID uint32) ([]byte, error) {
 	// Low-bit masking: the builder numbers pages sequentially, so
 	// consecutive pages round-robin across the shards.
 	s := &bp.shards[pageID&bp.mask]
+	slot := pageID >> bp.shift
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.frames[pageID]; ok {
-		s.stats.CacheHits++
-		s.lru.MoveToFront(e)
-		return e.Value.(*frame).data
+	fi := s.index[slot]
+	if fi == 0 {
+		return s.miss(pageID, slot, bp.load)
 	}
-	data := load(pageID)
+	s.stats.CacheHits++
+	fr := s.frames
+	if fr[0].next != fi {
+		s.unlink(fi)
+		s.pushFront(fi)
+	}
+	data := fr[fi].data
+	s.mu.Unlock()
+	return data, nil
+}
+
+// unlink takes frame fi out of the LRU list.
+//
+//vaq:locked mu
+func (s *poolShard) unlink(fi int32) {
+	fr := s.frames
+	f := &fr[fi]
+	fr[f.prev].next, fr[f.next].prev = f.next, f.prev
+}
+
+// pushFront links frame fi, which is in no list, in as the most recently
+// used.
+//
+//vaq:locked mu
+func (s *poolShard) pushFront(fi int32) {
+	fr := s.frames
+	first := fr[0].next
+	fr[fi].prev, fr[fi].next = 0, first
+	fr[first].prev, fr[0].next = fi, fi
+}
+
+// miss reads pageID with load and installs it. It is entered with s.mu
+// held and releases it: the deferred unlock keeps the shard usable when
+// load panics. A load that panics or returns an error — the page failed
+// verification — counts nothing and installs nothing, so every later fetch
+// of the page reads it again and reports the same failure. On a full
+// shard the evicted frame is reused for the incoming page, so a
+// steady-state miss allocates nothing.
+//
+//vaq:locked mu
+func (s *poolShard) miss(pageID, slot uint32, load func(uint32) ([]byte, error)) ([]byte, error) {
+	defer s.mu.Unlock()
+	data, err := load(pageID)
+	if err != nil {
+		return nil, err
+	}
 	s.stats.PageReads++
 	s.stats.BytesRead += int64(len(data))
 	if s.capacity == 0 {
 		// Caching disabled: every access is its own simulated read.
-		return data
+		return data, nil
 	}
-	if s.capacity < 0 || len(s.frames) < s.capacity {
-		s.frames[pageID] = s.lru.PushFront(&frame{pageID: pageID, data: data})
-		return data
+	var fi int32
+	if s.capacity < 0 || len(s.frames) <= s.capacity {
+		fi = int32(len(s.frames))
+		s.frames = append(s.frames, frame{})
+	} else {
+		fi = s.frames[0].prev // least recently used: its frame takes the new page
+		s.index[s.frames[fi].slot] = 0
+		s.stats.Evictions++
+		s.unlink(fi)
 	}
-	e := s.lru.Back() // least recently used: its frame takes the new page
-	f := e.Value.(*frame)
-	delete(s.frames, f.pageID)
-	s.stats.Evictions++
-	f.pageID, f.data = pageID, data
-	s.lru.MoveToFront(e)
-	s.frames[pageID] = e
-	return data
+	s.frames[fi].slot, s.frames[fi].data = slot, data
+	s.pushFront(fi)
+	s.index[slot] = fi
+	return data, nil
 }
 
 // reset clears the cache contents and statistics.
@@ -172,8 +234,9 @@ func (bp *bufferPool) reset() {
 	for i := range bp.shards {
 		s := &bp.shards[i]
 		s.mu.Lock()
-		s.frames = make(map[uint32]*list.Element)
-		s.lru.Init()
+		clear(s.index)
+		s.frames = s.frames[:1]
+		s.frames[0] = frame{}
 		s.stats = BufferPoolStats{}
 		s.mu.Unlock()
 	}

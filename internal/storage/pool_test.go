@@ -12,16 +12,26 @@ import (
 
 // testPages returns a load function over n synthetic pages (each filled
 // with its page id) plus a counter of performed loads.
-func testPages(n, pageSize int) (load func(uint32) []byte, loads *atomic.Int64) {
+func testPages(n, pageSize int) (load func(uint32) ([]byte, error), loads *atomic.Int64) {
 	pages := make([][]byte, n)
 	for i := range pages {
 		pages[i] = bytes.Repeat([]byte{byte(i + 1)}, pageSize)
 	}
 	loads = &atomic.Int64{}
-	return func(p uint32) []byte {
+	return func(p uint32) ([]byte, error) {
 		loads.Add(1)
-		return pages[p]
+		return pages[p], nil
 	}, loads
+}
+
+// mustFetch is fetch for a page whose load cannot fail.
+func mustFetch(t *testing.T, bp *bufferPool, p uint32) []byte {
+	t.Helper()
+	data, err := bp.fetch(p)
+	if err != nil {
+		t.Errorf("fetch(%d): %v", p, err)
+	}
+	return data
 }
 
 // TestPoolShardNormalization pins how the shard count is resolved against
@@ -64,19 +74,19 @@ func TestPoolShardNormalization(t *testing.T) {
 func TestShardedPoolCountingExact(t *testing.T) {
 	const pageSize = 64
 	load, loads := testPages(32, pageSize)
-	bp := newBufferPool(8, 4) // 4 shards × 2 frames
+	bp := newBufferPool(8, 4, 32, load) // 4 shards × 2 frames
 	if got := bp.numShards(); got != 4 {
 		t.Fatalf("numShards = %d, want 4", got)
 	}
 
 	// Touch 8 distinct pages: all misses.
 	for p := uint32(0); p < 8; p++ {
-		bp.fetch(p, load)
+		mustFetch(t, bp, p)
 	}
 	// Touch them again: pages 0..7 spread 2 per shard (id&3), exactly the
 	// per-shard capacity, so every re-read hits.
 	for p := uint32(0); p < 8; p++ {
-		bp.fetch(p, load)
+		mustFetch(t, bp, p)
 	}
 	st := bp.snapshot()
 	want := BufferPoolStats{PageReads: 8, CacheHits: 8, BytesRead: 8 * pageSize}
@@ -88,7 +98,7 @@ func TestShardedPoolCountingExact(t *testing.T) {
 	}
 
 	// Page 8 lands in shard 0 (8&3 == 0) which is full: one eviction.
-	bp.fetch(8, load)
+	mustFetch(t, bp, 8)
 	st = bp.snapshot()
 	if st.PageReads != 9 || st.Evictions != 1 {
 		t.Fatalf("after overflow: %+v", st)
@@ -96,14 +106,14 @@ func TestShardedPoolCountingExact(t *testing.T) {
 
 	// resetStats keeps frames: re-reading page 8 is a pure hit.
 	bp.resetStats()
-	bp.fetch(8, load)
+	mustFetch(t, bp, 8)
 	if st = bp.snapshot(); st != (BufferPoolStats{CacheHits: 1}) {
 		t.Fatalf("after resetStats: %+v", st)
 	}
 
 	// reset drops frames: the same page misses again.
 	bp.reset()
-	bp.fetch(8, load)
+	mustFetch(t, bp, 8)
 	if st = bp.snapshot(); st.PageReads != 1 || st.CacheHits != 0 {
 		t.Fatalf("after reset: %+v", st)
 	}
@@ -119,10 +129,10 @@ func TestFetchStableAcrossHitAndMiss(t *testing.T) {
 	for _, capacity := range []int{4, 0} {
 		t.Run(fmt.Sprintf("capacity=%d", capacity), func(t *testing.T) {
 			load, _ := testPages(4, 32)
-			want := append([]byte(nil), load(2)...)
-			bp := newBufferPool(capacity, 2)
+			want := bytes.Repeat([]byte{3}, 32)
+			bp := newBufferPool(capacity, 2, 4, load)
 			for i := 0; i < 3; i++ {
-				if got := bp.fetch(2, load); !bytes.Equal(got, want) {
+				if got := mustFetch(t, bp, 2); !bytes.Equal(got, want) {
 					t.Fatalf("fetch %d returned wrong bytes", i)
 				}
 			}
@@ -242,24 +252,22 @@ func TestGetPositionAllocs(t *testing.T) {
 // The second goroutine starts while the first is provably inside load.
 func TestConcurrentMissOnOnePage(t *testing.T) {
 	load, loads := testPages(4, 32)
-	want := append([]byte(nil), load(1)...)
-	loads.Store(0)
-	bp := newBufferPool(8, 2)
+	want := bytes.Repeat([]byte{2}, 32)
 
 	entered, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	gated := func(p uint32) []byte {
+	bp := newBufferPool(8, 2, 4, func(p uint32) ([]byte, error) {
 		once.Do(func() { close(entered) })
 		<-release
 		return load(p)
-	}
+	})
 	var wg sync.WaitGroup
 	results := make([][]byte, 2)
 	wg.Add(1)
-	go func() { defer wg.Done(); results[0] = bp.fetch(1, gated) }()
+	go func() { defer wg.Done(); results[0] = mustFetch(t, bp, 1) }()
 	<-entered
 	wg.Add(1)
-	go func() { defer wg.Done(); results[1] = bp.fetch(1, gated) }()
+	go func() { defer wg.Done(); results[1] = mustFetch(t, bp, 1) }()
 	runtime.Gosched() // let the second fetch reach the held lock
 	close(release)
 	wg.Wait()
@@ -289,7 +297,7 @@ func TestConcurrentResetSoak(t *testing.T) {
 		reps     = 400
 	)
 	load, _ := testPages(pages, pageSize)
-	bp := newBufferPool(16, 0)
+	bp := newBufferPool(16, 0, pages, load)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -306,7 +314,7 @@ func TestConcurrentResetSoak(t *testing.T) {
 					_ = bp.snapshot()
 				default:
 					p := uint32((w*31 + i*7) % pages)
-					data := bp.fetch(p, load)
+					data := mustFetch(t, bp, p)
 					if len(data) != pageSize || data[0] != byte(p+1) {
 						t.Errorf("worker %d: bad page %d data", w, p)
 						return
@@ -328,8 +336,8 @@ func TestConcurrentResetSoak(t *testing.T) {
 
 	// Quiescent epilogue: exact counting must hold again after the storm.
 	bp.reset()
-	bp.fetch(0, load)
-	bp.fetch(0, load)
+	mustFetch(t, bp, 0)
+	mustFetch(t, bp, 0)
 	if st = bp.snapshot(); st.PageReads != 1 || st.CacheHits != 1 {
 		t.Fatalf("exact accounting lost after soak: %+v", st)
 	}
@@ -385,7 +393,13 @@ func BenchmarkStoreParallelFetch(b *testing.B) {
 // attempt was counted or installed.
 func TestPanickingLoadDoesNotStrandPage(t *testing.T) {
 	load, _ := testPages(4, 32)
-	bp := newBufferPool(8, 2)
+	failing := true
+	bp := newBufferPool(8, 2, 4, func(p uint32) ([]byte, error) {
+		if failing {
+			panic("simulated IO failure")
+		}
+		return load(p)
+	})
 
 	func() {
 		defer func() {
@@ -393,14 +407,40 @@ func TestPanickingLoadDoesNotStrandPage(t *testing.T) {
 				t.Fatal("load panic did not propagate to the fetching goroutine")
 			}
 		}()
-		bp.fetch(1, func(uint32) []byte { panic("simulated IO failure") })
+		_, _ = bp.fetch(1) // panics: nothing is returned
 	}()
 
-	want := append([]byte(nil), load(1)...)
-	if got := bp.fetch(1, load); !bytes.Equal(got, want) {
+	failing = false
+	want := bytes.Repeat([]byte{2}, 32)
+	if got := mustFetch(t, bp, 1); !bytes.Equal(got, want) {
 		t.Fatal("post-panic fetch returned wrong bytes")
 	}
 	if st, want := bp.snapshot(), (BufferPoolStats{PageReads: 1, BytesRead: 32}); st != want {
 		t.Errorf("post-panic stats: %+v, want %+v", st, want)
+	}
+}
+
+// TestPoolSteadyStateMissAllocs pins the sentence in miss's comment: on a
+// full shard a miss takes over the evicted frame, so a read-and-evict cycle
+// allocates nothing — no frame, no list element, no index growth.
+func TestPoolSteadyStateMissAllocs(t *testing.T) {
+	const pages = 16
+	load, _ := testPages(pages, 64)
+	bp := newBufferPool(4, 1, pages, load)
+	next := uint32(0)
+	cycle := func() {
+		for i := 0; i < pages; i++ {
+			mustFetch(t, bp, next%pages)
+			next++
+		}
+	}
+	cycle() // fill the shard: from here on every fetch misses and evicts
+	before := bp.snapshot()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Errorf("%.1f allocations per %d miss-and-evict cycles, want 0", allocs, pages)
+	}
+	after := bp.snapshot()
+	if reads := after.PageReads - before.PageReads; after.CacheHits != 0 || reads != after.Evictions-before.Evictions || reads < 20*pages {
+		t.Errorf("the cycle did not miss and evict every time: %+v, then %+v", before, after)
 	}
 }

@@ -35,33 +35,39 @@ func (r *PointRecord) encodedLen() int {
 	return recordFixedLen + 8*len(r.Neighbors) + len(r.Payload)
 }
 
-// encode appends the record to dst and returns the extended slice.
-func (r *PointRecord) encode(dst []byte) ([]byte, error) {
+// checkEncodable reports whether r's neighbor list and payload fit the
+// uint16 counts the encoding gives them.
+func (r *PointRecord) checkEncodable() error {
 	if len(r.Neighbors) > math.MaxUint16 {
-		return nil, fmt.Errorf("storage: record %d has %d neighbors, max %d",
+		return fmt.Errorf("storage: record %d has %d neighbors, max %d",
 			r.ID, len(r.Neighbors), math.MaxUint16)
 	}
 	if len(r.Payload) > math.MaxUint16 {
-		return nil, fmt.Errorf("storage: record %d payload %d bytes, max %d",
+		return fmt.Errorf("storage: record %d payload %d bytes, max %d",
 			r.ID, len(r.Payload), math.MaxUint16)
 	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(r.ID))
-	dst = append(dst, b[:]...)
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(r.Pos.X))
-	dst = append(dst, b[:]...)
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(r.Pos.Y))
-	dst = append(dst, b[:]...)
-	binary.LittleEndian.PutUint16(b[:2], uint16(len(r.Neighbors)))
-	dst = append(dst, b[:2]...)
-	for _, nb := range r.Neighbors {
-		binary.LittleEndian.PutUint64(b[:], uint64(nb))
-		dst = append(dst, b[:]...)
+	return nil
+}
+
+// encode appends the record to dst and returns the extended slice.
+func (r *PointRecord) encode(dst []byte) ([]byte, error) {
+	if err := r.checkEncodable(); err != nil {
+		return nil, err
 	}
-	binary.LittleEndian.PutUint16(b[:2], uint16(len(r.Payload)))
-	dst = append(dst, b[:2]...)
-	dst = append(dst, r.Payload...)
-	return dst, nil
+	return r.appendTo(dst), nil
+}
+
+// appendTo is encode for a record checkEncodable has accepted.
+func (r *PointRecord) appendTo(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.ID))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Pos.X))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Pos.Y))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.Neighbors)))
+	for _, nb := range r.Neighbors {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(nb))
+	}
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.Payload)))
+	return append(dst, r.Payload...)
 }
 
 // recordLayout validates buf's framing — fixed header, neighbor list,

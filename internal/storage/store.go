@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"hash/crc32"
 
 	"repro/internal/geom"
 )
@@ -10,15 +11,22 @@ import (
 // in memory for the life of the process: it simulates the paper's database,
 // so it has no file format and cannot be opened from one. A record fetch is
 // a directory lookup (ids are dense), a buffer-pool fetch — one shard lock,
-// one LRU splice — and the slot and record framing checks; the pool's
-// counters expose the simulated IO cost. Get, Stats, ResetStats and
-// DropCache are safe for concurrent use: the pages and the directory are
+// one index lookup, one LRU splice — and the slot and record framing
+// checks; the pool's counters expose the simulated IO cost. A page is
+// checksummed when it is read into the pool, not when it is hit, against a
+// sum kept with the directory rather than in the page: a page whose bytes
+// changed after Build never enters the pool, and every fetch of a record on
+// it fails with ErrCorrupt. Get, Stats, ResetStats and DropCache are safe
+// for concurrent use: the pages, their sums and the directory are
 // immutable, and all mutable state is the pool's (see bufferPool).
 type Store struct {
 	pages [][]byte
-	dir   []RID // indexed by record id
+	sums  []uint32 // indexed by page id: the CRC-32C of the page as sealed
+	dir   []RID    // indexed by record id
 	pool  *bufferPool
 }
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Options configures a Builder.
 type Options struct {
@@ -40,6 +48,7 @@ type Options struct {
 type Builder struct {
 	opts    Options
 	pages   [][]byte
+	sums    []uint32
 	dir     []RID
 	current *pageBuilder
 	err     error
@@ -58,7 +67,9 @@ func NewBuilder(opts Options) *Builder {
 
 // Append adds a record. Ids are dense and arrive in order: the record's ID
 // must be the number of records appended so far, anything else (a repeat, a
-// gap, a negative id) is rejected.
+// gap, a negative id) is rejected. The record is encoded into the page under
+// construction before Append returns, so the caller may reuse rec's
+// Neighbors and Payload for the next one.
 func (b *Builder) Append(rec PointRecord) error {
 	if b.err != nil {
 		return b.err
@@ -66,21 +77,27 @@ func (b *Builder) Append(rec PointRecord) error {
 	if rec.ID != int64(len(b.dir)) {
 		return fmt.Errorf("storage: record id %d out of order, want %d", rec.ID, len(b.dir))
 	}
-	buf, err := rec.encode(make([]byte, 0, rec.encodedLen()))
-	if err != nil {
+	if err := rec.checkEncodable(); err != nil {
 		b.err = err
 		return err
 	}
-	if len(buf)+pageHeaderLen+slotDirLen > b.opts.PageSize {
-		return fmt.Errorf("%w: %d bytes, page size %d", ErrRecordTooLarge, len(buf), b.opts.PageSize)
+	n := rec.encodedLen()
+	if n+pageHeaderLen+slotDirLen > b.opts.PageSize {
+		return fmt.Errorf("%w: %d bytes, page size %d", ErrRecordTooLarge, n, b.opts.PageSize)
 	}
-	if !b.current.fits(len(buf)) {
-		b.pages = append(b.pages, b.current.seal())
-		b.current = newPageBuilder(b.opts.PageSize)
+	if !b.current.fits(n) {
+		b.sealPage()
 	}
-	slot := b.current.add(buf)
+	slot := b.current.add(&rec)
 	b.dir = append(b.dir, RID{Page: uint32(len(b.pages)), Slot: slot})
 	return nil
+}
+
+// sealPage closes the page under construction and records its checksum.
+func (b *Builder) sealPage() {
+	page := b.current.seal()
+	b.pages = append(b.pages, page)
+	b.sums = append(b.sums, crc32.Checksum(page, castagnoli))
 }
 
 // Build seals the final page and returns the Store. The Builder must not
@@ -90,14 +107,23 @@ func (b *Builder) Build() (*Store, error) {
 		return nil, b.err
 	}
 	if !b.current.empty() {
-		b.pages = append(b.pages, b.current.seal())
-		b.current = newPageBuilder(b.opts.PageSize)
+		b.sealPage()
 	}
-	return &Store{
-		pages: b.pages,
-		dir:   b.dir,
-		pool:  newBufferPool(b.opts.PoolPages, b.opts.PoolShards),
-	}, nil
+	s := &Store{pages: b.pages, sums: b.sums, dir: b.dir}
+	s.pool = newBufferPool(b.opts.PoolPages, b.opts.PoolShards, len(s.pages), s.readPage)
+	return s, nil
+}
+
+// readPage is the pool's loader: the simulated read of page p, verified
+// against the checksum taken when the page was sealed. The one sequential
+// pass also pulls the page through the CPU cache, so the record fetches
+// that follow on it find their lines resident.
+func (s *Store) readPage(p uint32) ([]byte, error) {
+	page := s.pages[p]
+	if crc32.Checksum(page, castagnoli) != s.sums[p] {
+		return nil, fmt.Errorf("%w: page %d does not match its checksum", ErrCorrupt, p)
+	}
+	return page, nil
 }
 
 // Len returns the number of stored records.
@@ -139,7 +165,10 @@ func (s *Store) rawRecord(id int64) ([]byte, error) {
 		return nil, fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
 	rid := s.dir[id]
-	page := s.pool.fetch(rid.Page, func(p uint32) []byte { return s.pages[p] })
+	page, err := s.pool.fetch(rid.Page)
+	if err != nil {
+		return nil, err
+	}
 	return pageRecord(page, rid.Slot)
 }
 
