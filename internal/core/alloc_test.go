@@ -34,7 +34,7 @@ func TestStrictIntersectionStepAllocsZero(t *testing.T) {
 	hits := 0
 	allocs := testing.AllocsPerRun(20, func() {
 		for i := range pts {
-			if q.testCell(int64(i), geom.Point{X: xs[i], Y: ys[i]}, &stats) {
+			if q.testCell(int32(i), geom.Point{X: xs[i], Y: ys[i]}, &stats) {
 				hits++
 			}
 		}
@@ -67,7 +67,7 @@ func TestCircleIntersectionStepAllocsZero(t *testing.T) {
 	var stats Stats
 	allocs := testing.AllocsPerRun(20, func() {
 		for i := range pts {
-			q.testCell(int64(i), geom.Point{X: xs[i], Y: ys[i]}, &stats)
+			q.testCell(int32(i), geom.Point{X: xs[i], Y: ys[i]}, &stats)
 		}
 	})
 	if allocs != 0 {

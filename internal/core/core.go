@@ -100,6 +100,15 @@ type CoordSource interface {
 	Coords() (xs, ys []float64)
 }
 
+// AdjacencySource is optionally implemented by DataAccess implementations
+// whose Voronoi adjacency is resident in CSR form: the neighbors of id are
+// nbrs[off[id]:off[id+1]], in the order Neighbors returns them. The BFS
+// slices them in place instead of calling Neighbors per candidate. The
+// slices alias internal storage and must not be modified.
+type AdjacencySource interface {
+	Adjacency() (off, nbrs []int32)
+}
+
 // Method selects an area-query algorithm.
 type Method int
 

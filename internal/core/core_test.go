@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -315,27 +317,101 @@ func TestGenerationWraparound(t *testing.T) {
 	// Scratch-level: crossing the uint32 generation boundary must clear the
 	// stale stamps instead of treating them as current.
 	s := &queryScratch{visited: make([]uint32, 200)}
-	s.visited[7] = 1         // stale stamp that collides with gen == 1 after wrap
-	s.gen = ^uint32(0) - 1   // two generations away from wrapping
-	for i := 0; i < 4; i++ { // crosses the wraparound
+	s.visited[7] = 1          // stale stamp that collides with gen == 1 after wrap
+	s.visited[9] = ^uint32(0) // stamp of the last generation before the wrap
+	s.gen = ^uint32(0) - 1    // two generations away from wrapping
+	for i := 0; i < 4; i++ {  // crosses the wraparound
 		s.nextGen()
-		if s.seen(7) {
+		if s.gen == 0 {
+			t.Fatalf("generation %d: gen 0 is what a cleared table holds", i)
+		}
+		if s.seen(7) || (i > 0 && s.seen(9)) {
 			t.Fatalf("generation %d: stale stamp read as visited", i)
 		}
-		if !s.mark(7) {
+		if !s.mark(5) {
 			t.Fatalf("generation %d: first mark not fresh", i)
 		}
-		if s.mark(7) {
+		if s.mark(5) {
 			t.Fatalf("generation %d: second mark not deduplicated", i)
 		}
 	}
 
 	// Engine queries only ever reach a scratch through acquireScratch,
 	// which advances the generation exactly as above; query correctness
-	// across many generations is pinned by
-	// TestEngineReusableAcrossManyQueries. (An engine-level wrap test would
-	// need sync.Pool to hand back a specific poisoned scratch, which the
-	// pool does not guarantee — the test would silently go vacuous.)
+	// across the wrap is pinned by TestQueriesAcrossStampWraps.
+}
+
+// TestQueriesAcrossStampWraps runs more than 2 × 255 queries against brute
+// force on a static engine and on a dynamic engine that inserts between
+// queries, so its id space outgrows a pooled table and a scratch is grown
+// (copying stale stamps) along the way. Each engine's pool is swapped for
+// one whose scratches start a few generations short of the uint32 wrap,
+// with tables full of stamps from long-gone generations — the low ones the
+// generations after the wrap reuse, which only the wrap's clear keeps from
+// reading as visited. The test fails unless some scratch ends up past the
+// wrap: a pool that dropped every scratch before it would make it vacuous.
+func TestQueriesAcrossStampWraps(t *testing.T) {
+	const queries = 2*255 + 40
+	nearWrap := func(ids int) (*sync.Pool, func() bool) {
+		var made []*queryScratch
+		pool := &sync.Pool{New: func() any {
+			s := &queryScratch{visited: make([]uint32, ids), gen: ^uint32(0) - uint32(1+len(made)%8)}
+			for i := range s.visited {
+				s.visited[i] = uint32(1 + i%997)
+			}
+			made = append(made, s)
+			return s
+		}}
+		return pool, func() bool {
+			return slices.ContainsFunc(made, func(s *queryScratch) bool { return s.gen < 1<<20 })
+		}
+	}
+	rng := rand.New(rand.NewSource(14))
+	static, _ := newUniformEngine(t, rng, 3000)
+	var staticWrapped, dynWrapped func() bool
+	static.scratch, staticWrapped = nearWrap(3000)
+	dyn := NewDynamicEngine(unitBounds())
+	dyn.scratch, dynWrapped = nearWrap(1000) // outgrown after ≈ 170 queries
+	for dyn.Len() < 500 {
+		if _, _, err := dyn.Insert(geom.Pt(rng.Float64(), rng.Float64())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		eng     func() *Engine
+		wrapped func() bool
+	}{
+		{"static", func() *Engine { return static }, staticWrapped},
+		{"dynamic", func() *Engine {
+			for i := 0; i < 3; i++ {
+				if _, _, err := dyn.Insert(geom.Pt(rng.Float64(), rng.Float64())); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return dyn.Snapshot().Engine()
+		}, dynWrapped},
+	} {
+		for i := 0; i < queries; i++ {
+			eng := tc.eng()
+			m := []Method{VoronoiBFS, VoronoiBFSStrict}[i%2]
+			region := PolygonRegion(workload.RandomPolygon(rng, workload.PolygonConfig{Vertices: 10, QuerySize: 0.02}, unitBounds()))
+			want, _, err := query(eng, BruteForce, region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := query(eng, m, region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalIDs(sortedIDs(got), sortedIDs(want)) {
+				t.Fatalf("%s, query %d, %v: %d ids, brute force %d", tc.name, i, m, len(got), len(want))
+			}
+		}
+		if !tc.wrapped() {
+			t.Errorf("%s: no scratch crossed the generation wrap; the test exercised nothing", tc.name)
+		}
+	}
 }
 
 func TestStatsPlausibility(t *testing.T) {

@@ -103,6 +103,9 @@ func (m *MemoryData) Position(id int64) geom.Point {
 // Coords implements CoordSource.
 func (m *MemoryData) Coords() (xs, ys []float64) { return m.xs, m.ys }
 
+// Adjacency implements AdjacencySource.
+func (m *MemoryData) Adjacency() (off, nbrs []int32) { return m.nbrOff, m.nbrs }
+
 // Neighbors implements DataAccess: the resident CSR slice; buf is unused.
 func (m *MemoryData) Neighbors(id int64, _ []int32) []int32 {
 	return m.nbrs[m.nbrOff[id]:m.nbrOff[id+1]]
@@ -113,7 +116,9 @@ func (m *MemoryData) Neighbors(id int64, _ []int32) []int32 {
 //vaq:noalloc
 func (m *MemoryData) SeedHint(p geom.Point) int64 { return m.hint.lookup(p) }
 
-// Load implements DataAccess; in-memory data loads for free.
+// Load implements DataAccess; in-memory data loads for free. The engine's
+// own queries do not call it: over a *MemoryData they read xs and ys in
+// place (see voronoiQuery.resident).
 func (m *MemoryData) Load(id int64) (geom.Point, error) {
 	return geom.Point{X: m.xs[id], Y: m.ys[id]}, nil
 }

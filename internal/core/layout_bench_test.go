@@ -104,7 +104,7 @@ func BenchmarkCellArenaIntersect(b *testing.B) {
 	hits := 0
 	for i := 0; i < b.N; i++ {
 		id := i % len(pts)
-		if q.testCell(int64(id), geom.Point{X: xs[id], Y: ys[id]}, &stats) {
+		if q.testCell(int32(id), geom.Point{X: xs[id], Y: ys[id]}, &stats) {
 			hits++
 		}
 	}

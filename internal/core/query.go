@@ -138,8 +138,11 @@ func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.Que
 	// Tracing splits the scan into record loads (PhasePageFetch) and
 	// everything else (PhaseExpand: the index window walk plus the
 	// containment refinement). The traced path pays two clock reads per
-	// candidate; the untraced path pays one branch.
+	// fetched candidate; the untraced path pays one branch. A resident
+	// record is read in place, as the Voronoi BFS reads it (see
+	// voronoiQuery.resident), so both methods pay the same in-memory load.
 	traced := tr != nil
+	mem, resident := e.data.(*MemoryData)
 	var fetch time.Duration
 	if traced {
 		scanStart := time.Now()
@@ -156,17 +159,21 @@ func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.Que
 			}
 		}
 		var pos geom.Point
-		var err error
-		if traced {
-			t0 := time.Now()
-			pos, err = e.data.Load(id)
-			fetch += time.Since(t0)
+		if resident {
+			pos = mem.Position(id)
 		} else {
-			pos, err = e.data.Load(id)
-		}
-		if err != nil {
-			stopErr = fmt.Errorf("core: loading candidate %d: %w", id, err)
-			return false
+			var err error
+			if traced {
+				t0 := time.Now()
+				pos, err = e.data.Load(id)
+				fetch += time.Since(t0)
+			} else {
+				pos, err = e.data.Load(id)
+			}
+			if err != nil {
+				stopErr = fmt.Errorf("core: loading candidate %d: %w", id, err)
+				return false
+			}
 		}
 		stats.RecordsLoaded++
 		stats.Candidates++
@@ -206,11 +213,16 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 		q.rectRegion, _ = region.(RectIntersecter)
 		q.ringRegion, _ = region.(RingViewIntersecter)
 	}
-	// Structure-of-arrays coordinates, when the data layer packs them: the
-	// expansion tests read neighbor positions straight from the slices.
+	// Structure-of-arrays coordinates and CSR adjacency, when the data layer
+	// keeps them resident: the loop reads neighbor positions and neighbor
+	// lists straight from the slices.
 	if cs, ok := e.data.(CoordSource); ok {
 		q.xs, q.ys = cs.Coords()
 	}
+	if as, ok := e.data.(AdjacencySource); ok {
+		q.nbrOff, q.nbrs = as.Adjacency()
+	}
+	_, q.resident = e.data.(*MemoryData)
 
 	// Line 3-4: p_seed := NN(P, arbitrary position in A).
 	var seedStart time.Time
@@ -224,8 +236,8 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 		bfsStart = time.Now()
 	}
 
-	s.mark(seed)
-	s.queue = append(s.queue, seed)
+	s.mark(int32(seed))
+	s.queue = append(s.queue, int32(seed))
 
 	stats, fetch, err := e.voronoiBFS(ctx, q, s, stats)
 	if traced {
@@ -258,6 +270,14 @@ type voronoiQuery struct {
 
 	// Structure-of-arrays coordinates (nil when the data layer has none).
 	xs, ys []float64
+	// CSR adjacency (nil when the data layer walks for its neighbors).
+	nbrOff, nbrs []int32
+	// resident is set when the data layer is *MemoryData, whose records
+	// are xs and ys themselves: a load is two slice reads that cannot block
+	// or fail, so it takes no interface call, no error branch and no clock
+	// pair under tracing — it is not a page fetch. Every other layer's Load
+	// is the fetch, timed as PhasePageFetch.
+	resident bool
 }
 
 // testCell is the strict rule's one cell-vs-area decision, resolved by the
@@ -268,7 +288,7 @@ type voronoiQuery struct {
 // packed vertices. Every gate agrees with the full test.
 //
 //vaq:noalloc
-func (q *voronoiQuery) testCell(nb int64, nbPos geom.Point, stats *Stats) bool {
+func (q *voronoiQuery) testCell(nb int32, nbPos geom.Point, stats *Stats) bool {
 	stats.CellTests++
 	i := int(nb)
 	switch {
@@ -302,10 +322,12 @@ func (q *voronoiQuery) testSegment(from, to geom.Point) bool {
 
 // voronoiBFS is the BFS of Algorithm 1, the one expansion loop every data
 // layer takes. It builds no closures: neighbor lists come back as slices
-// (resident CSR storage, or the scratch-owned buffer a walking layer
-// fills), so the whole expansion is allocation-free. stats travels by value
-// so the caller's copy never escapes; fetch is the accrued record-load time
-// (for tracing).
+// (the resident CSR arrays sliced in place, or the scratch-owned buffer a
+// walking layer fills), so the whole expansion is allocation-free. The
+// frontier holds the int32 ids the adjacency stores; an id is widened only
+// where it leaves the loop (the collector, a DataAccess call). stats travels
+// by value so the caller's copy never escapes; fetch is the accrued
+// record-load time (for tracing).
 //
 //vaq:noalloc
 func (e *Engine) voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch, stats Stats) (Stats, time.Duration, error) {
@@ -318,32 +340,41 @@ func (e *Engine) voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch
 		}
 		p := s.queue[head]
 		var pos geom.Point
-		var err error
-		if q.traced {
-			t0 := time.Now()
-			pos, err = e.data.Load(p)
-			fetch += time.Since(t0)
+		if q.resident {
+			pos = geom.Point{X: q.xs[p], Y: q.ys[p]}
 		} else {
-			pos, err = e.data.Load(p)
-		}
-		if err != nil {
-			//vaqvet:ignore noalloc cold failure path; the wrap allocates only when a record load already failed
-			return stats, fetch, fmt.Errorf("core: loading candidate %d: %w", p, err)
+			var err error
+			if q.traced {
+				t0 := time.Now()
+				pos, err = e.data.Load(int64(p))
+				fetch += time.Since(t0)
+			} else {
+				pos, err = e.data.Load(int64(p))
+			}
+			if err != nil {
+				//vaqvet:ignore noalloc cold failure path; the wrap allocates only when a record load already failed
+				return stats, fetch, fmt.Errorf("core: loading candidate %d: %w", p, err)
+			}
 		}
 		stats.RecordsLoaded++
 		stats.Candidates++
 
-		nbs := s.neighbors(e.data, p)
+		var nbs []int32
+		if q.nbrOff != nil {
+			nbs = q.nbrs[q.nbrOff[p]:q.nbrOff[p+1]]
+		} else {
+			nbs = s.neighbors(e.data, int64(p))
+		}
 		if q.region.ContainsPoint(pos) {
 			// Internal point: emit, then all unvisited Voronoi neighbors
 			// become candidates (Property 7 bounds them to
 			// internal/boundary).
-			if !s.out.add(p, pos) {
+			if !s.out.add(int64(p), pos) {
 				return stats, fetch, nil
 			}
 			for _, nb := range nbs {
-				if s.mark(int64(nb)) {
-					s.queue = append(s.queue, int64(nb))
+				if s.mark(nb) {
+					s.queue = append(s.queue, nb)
 				}
 			}
 			continue
@@ -351,26 +382,25 @@ func (e *Engine) voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch
 		// Boundary/external point: expand only toward neighbors that pass
 		// the expansion test.
 		for _, nb := range nbs {
-			nb64 := int64(nb)
-			if s.seen(nb64) {
+			if s.seen(nb) {
 				continue
 			}
 			var nbPos geom.Point
 			if q.xs != nil {
 				nbPos = geom.Point{X: q.xs[nb], Y: q.ys[nb]}
 			} else {
-				nbPos = e.data.Position(nb64)
+				nbPos = e.data.Position(int64(nb))
 			}
 			var enqueue bool
 			if q.strict {
-				enqueue = q.testCell(nb64, nbPos, &stats)
+				enqueue = q.testCell(nb, nbPos, &stats)
 			} else {
 				stats.SegmentTests++
 				enqueue = q.testSegment(pos, nbPos)
 			}
 			if enqueue {
-				s.mark(nb64)
-				s.queue = append(s.queue, nb64)
+				s.mark(nb)
+				s.queue = append(s.queue, nb)
 			}
 		}
 	}

@@ -15,10 +15,13 @@ import (
 // and returned when the query finishes.
 type queryScratch struct {
 	// Generation-stamped visited marks: visited[i] == gen means "seen this
-	// query". Avoids clearing an O(n) structure per query.
+	// query". Avoids clearing an O(n) structure per query. (One-byte stamps,
+	// a quarter of the table and a clear every 255 queries, measured a tie:
+	// at 200k sites both tables stay in L2.)
 	visited []uint32
 	gen     uint32
-	queue   []int64
+	// queue is the BFS frontier, in the int32 ids the adjacency stores.
+	queue []int32
 	// nbuf is the neighbor buffer handed to DataAccess.Neighbors; layers
 	// with resident adjacency never touch it.
 	nbuf []int32
@@ -91,9 +94,7 @@ func (s *queryScratch) ensureCapacity(n int) {
 func (s *queryScratch) nextGen() {
 	s.gen++
 	if s.gen == 0 { // wrapped: all stamps are stale-but-plausible, clear
-		for i := range s.visited {
-			s.visited[i] = 0
-		}
+		clear(s.visited)
 		s.gen = 1
 	}
 }
@@ -102,7 +103,7 @@ func (s *queryScratch) nextGen() {
 // id was new.
 //
 //vaq:noalloc
-func (s *queryScratch) mark(id int64) bool {
+func (s *queryScratch) mark(id int32) bool {
 	if s.visited[id] == s.gen {
 		return false
 	}
@@ -113,7 +114,7 @@ func (s *queryScratch) mark(id int64) bool {
 // seen reports whether id was already marked this query.
 //
 //vaq:noalloc
-func (s *queryScratch) seen(id int64) bool { return s.visited[id] == s.gen }
+func (s *queryScratch) seen(id int32) bool { return s.visited[id] == s.gen }
 
 // neighbors returns id's Voronoi neighbors through the scratch's buffer,
 // keeping a buffer the data layer had to grow so later (and later queries')

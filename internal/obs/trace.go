@@ -24,8 +24,11 @@ const (
 	// adjacency, or the filter-and-refine loop of the traditional and
 	// brute-force methods, excluding time spent in page fetches.
 	PhaseExpand
-	// PhasePageFetch is time spent loading candidate records from the
-	// data layer (buffer-pool fetches for store-backed engines).
+	// PhasePageFetch is time spent loading candidate records through the
+	// data layer's Load (buffer-pool fetches for store-backed engines). It
+	// is zero where the records are resident: over core.MemoryData — the
+	// static, sharded and served engines — a candidate's coordinates are
+	// read in place, which cannot block and is not timed as a fetch.
 	PhasePageFetch
 	// PhaseMerge is the sharded engine's sorted merge of per-shard
 	// results.

@@ -97,7 +97,10 @@ type PolygonConfig struct {
 // random radius — a star-shaped and therefore simple polygon, concave with
 // high probability, matching the paper's "randomly generated polygon of
 // ten points". The polygon is then scaled to hit the target MBR area
-// exactly and placed uniformly at random so its MBR lies inside bounds.
+// exactly and placed uniformly at random so its MBR lies inside bounds. A
+// star whose scaled MBR does not fit in bounds is drawn again, and the
+// maxMisfits-th such star is stretched along one axis to fit instead, so
+// every query size in (0, 1] returns, 1 included.
 func RandomPolygon(rng *rand.Rand, cfg PolygonConfig, bounds geom.Rect) geom.Polygon {
 	k := cfg.Vertices
 	if k < 3 {
@@ -112,7 +115,7 @@ func RandomPolygon(rng *rand.Rand, cfg PolygonConfig, bounds geom.Rect) geom.Pol
 		qs = 0.01
 	}
 
-	for {
+	for misfits := 0; ; {
 		// Distinct sorted angles.
 		angles := make([]float64, k)
 		for i := range angles {
@@ -146,17 +149,37 @@ func RandomPolygon(rng *rand.Rand, cfg PolygonConfig, bounds geom.Rect) geom.Pol
 			continue
 		}
 		s := math.Sqrt(target / mbr.Area())
+		sx, sy := s, s
 		w, h := mbr.Width()*s, mbr.Height()*s
-		if w > bounds.Width() || h > bounds.Height() {
-			// Aspect ratio too extreme to place at this query size; retry.
-			continue
+		stretched := w > bounds.Width() || h > bounds.Height()
+		if stretched {
+			// Aspect ratio too extreme to place at this query size: retry,
+			// and once retrying has failed maxMisfits times (at a query size
+			// near 1 it almost always does) stretch the star instead. The
+			// overflowing axis takes the full extent of bounds and the other
+			// the rest of the target area; an affine map keeps the star simple.
+			if misfits++; misfits < maxMisfits {
+				continue
+			}
+			if w > bounds.Width() {
+				w, h = bounds.Width(), target/bounds.Width()
+			} else {
+				w, h = target/bounds.Height(), bounds.Height()
+			}
+			sx, sy = w/mbr.Width(), h/mbr.Height()
 		}
 		// Place the scaled MBR uniformly inside bounds.
 		ox := bounds.MinX + rng.Float64()*(bounds.Width()-w)
 		oy := bounds.MinY + rng.Float64()*(bounds.Height()-h)
 		ring := make([]geom.Point, k)
 		for i, p := range pts {
-			ring[i] = geom.Pt(ox+(p.X-mbr.MinX)*s, oy+(p.Y-mbr.MinY)*s)
+			ring[i] = geom.Pt(ox+(p.X-mbr.MinX)*sx, oy+(p.Y-mbr.MinY)*sy)
+			if stretched {
+				// A stretched star spans bounds on one axis, where rounding
+				// may land a vertex an ulp outside.
+				ring[i].X = min(max(ring[i].X, bounds.MinX), bounds.MaxX)
+				ring[i].Y = min(max(ring[i].Y, bounds.MinY), bounds.MaxY)
+			}
 		}
 		out, err := geom.NewPolygon(ring)
 		if err != nil {
@@ -196,6 +219,12 @@ func RectanglePolygon(rng *rand.Rand, querySize, aspect float64, bounds geom.Rec
 		geom.Pt(ox, oy), geom.Pt(ox+w, oy), geom.Pt(ox+w, oy+h), geom.Pt(ox, oy+h),
 	})
 }
+
+// maxMisfits is how many stars of too extreme an aspect ratio RandomPolygon
+// draws before it stretches one to fit. At query sizes up to 0.32 a misfit
+// is rare enough that no call reaches it, so those polygons are the ones
+// isotropic scaling alone returned (TestRandomPolygonOutputsPinned).
+const maxMisfits = 64
 
 // sortFloat64s is insertion sort; k is tiny (10 by default).
 func sortFloat64s(xs []float64) {

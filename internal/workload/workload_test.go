@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -152,6 +155,59 @@ func TestRandomPolygonAreaSmallerThanMBR(t *testing.T) {
 	}
 	if avg < 0.1 {
 		t.Errorf("polygons degenerate (avg ratio %.2f)", avg)
+	}
+}
+
+// TestRandomPolygonOutputsPinned holds the generator's polygons at the query
+// sizes every caller uses to a digest recorded before the anisotropic
+// fallback existed: the fallback may only answer what used to spin, never
+// change a polygon that used to come back.
+func TestRandomPolygonOutputsPinned(t *testing.T) {
+	h := sha256.New()
+	var buf [8]byte
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for _, qs := range []float64{1e-4, 1e-3, 0.01, 0.04, 0.16, 0.32} {
+			for _, k := range []int{3, 10, 25} {
+				for i := 0; i < 20; i++ {
+					pg := RandomPolygon(rng, PolygonConfig{Vertices: k, QuerySize: qs}, geom.NewRect(-2, 3, 5, 7))
+					for _, p := range pg.Outer {
+						binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.X))
+						h.Write(buf[:])
+						binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.Y))
+						h.Write(buf[:])
+					}
+				}
+			}
+		}
+	}
+	const want = "de9808c50639b7207626337de5176a0104c657c0b75c20585dea0f0278388578"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("generator outputs digest %s, recorded %s", got, want)
+	}
+}
+
+// TestRandomPolygonWholeUniverse: at QuerySize 1 the MBR must be the bounds
+// themselves, which an isotropically scaled star fits only when its aspect
+// ratio is the universe's exactly; the generator used to resample forever.
+func TestRandomPolygonWholeUniverse(t *testing.T) {
+	for _, b := range []geom.Rect{unitBounds(), geom.NewRect(-2, 3, 5, 7), geom.NewRect(0, 0, 1e-3, 40)} {
+		rng := rand.New(rand.NewSource(8))
+		for _, qs := range []float64{1, 0.97, 0.9} {
+			for trial := 0; trial < 20; trial++ {
+				pg := RandomPolygon(rng, PolygonConfig{Vertices: 10, QuerySize: qs}, b)
+				mbr := pg.Bounds()
+				if !b.ContainsRect(mbr) {
+					t.Fatalf("bounds %v, qs=%v: MBR %v escapes them", b, qs, mbr)
+				}
+				if want := qs * b.Area(); math.Abs(mbr.Area()-want) > want*1e-9 {
+					t.Fatalf("bounds %v, qs=%v: MBR area %v, want %v", b, qs, mbr.Area(), want)
+				}
+				if len(pg.Outer) != 10 || !pg.Outer.IsSimple() {
+					t.Fatalf("bounds %v, qs=%v: %d vertices, simple %v", b, qs, len(pg.Outer), pg.Outer.IsSimple())
+				}
+			}
+		}
 	}
 }
 
