@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -255,6 +256,46 @@ func TestStoreDataCountsIO(t *testing.T) {
 	}
 	if !equalIDs(sortedIDs(a), sortedIDs(b)) {
 		t.Error("methods disagree over store-backed data")
+	}
+}
+
+// TestStorePlacementIgnoresArrivalOrder builds one point set into a store
+// twice, Hilbert-sorted and shuffled: records are placed by position, so
+// every id still loads its own input point, and the same regions cost the
+// same page reads whichever order the points arrived in.
+func TestStorePlacementIgnoresArrivalOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	sorted := workload.UniformPoints(rng, 20000, unitBounds())
+	workload.HilbertSort(sorted, unitBounds())
+	shuffled := slices.Clone(sorted)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	regions := make([]Region, 32)
+	for i := range regions {
+		regions[i] = PolygonRegion(workload.RandomPolygon(rng, workload.PolygonConfig{Vertices: 10, QuerySize: 0.01}, unitBounds()))
+	}
+
+	var reads [2]float64
+	for li, pts := range [][]geom.Point{sorted, shuffled} {
+		data, err := NewStoreData(pts, unitBounds(), StoreConfig{PageSize: 4096, PoolPages: 64, PayloadBytes: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, want := range pts {
+			if got, err := data.Load(int64(id)); err != nil || got != want {
+				t.Fatalf("layout %d: Load(%d) = %v, %v; want %v", li, id, got, err, want)
+			}
+		}
+		eng := NewEngine(NewRTreeIndex(pts, 16), data)
+		for _, region := range regions {
+			data.Store().DropCache() // and zeroes the counters
+			if _, _, err := query(eng, VoronoiBFS, region); err != nil {
+				t.Fatal(err)
+			}
+			reads[li] += float64(data.IOStats().PageReads) / float64(len(regions))
+		}
+	}
+	if math.Abs(reads[0]-reads[1]) > 0.02*reads[0] {
+		t.Errorf("page reads per query: %.2f Hilbert-sorted, %.2f shuffled; want within 2 %%", reads[0], reads[1])
 	}
 }
 

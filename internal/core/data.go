@@ -3,9 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/geom"
+	"repro/internal/hilbert"
 	"repro/internal/storage"
 	"repro/internal/voronoi"
 )
@@ -167,8 +170,11 @@ type StoreConfig struct {
 }
 
 // NewStoreData builds the Voronoi topology over pts and materializes every
-// point as a record (coordinates + Voronoi neighbor ids + payload) in a
-// paged store.
+// point as a record (id + coordinates + payload) in a paged store. Records
+// go onto pages in the Hilbert order of their positions over bounds, ties
+// by id, whatever order pts arrives in: the candidates of an area query are
+// a connected patch of the plane, so placed this way they share pages.
+// Ids are still indexes into pts.
 func NewStoreData(pts []geom.Point, bounds geom.Rect, cfg StoreConfig) (*StoreData, error) {
 	mem, err := NewMemoryData(pts, bounds)
 	if err != nil {
@@ -179,19 +185,18 @@ func NewStoreData(pts []geom.Point, bounds geom.Rect, cfg StoreConfig) (*StoreDa
 		PoolPages:  cfg.PoolPages,
 		PoolShards: cfg.PoolShards,
 	})
-	payload := make([]byte, cfg.PayloadBytes)
-	var nbs []int64 // reused: Append has encoded the record when it returns
+	// A curve index of hilbert.Order 16 fits in 32 bits, so key and id pack
+	// into one word that sorts by key, then id.
+	sc := hilbert.NewScaler(bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY, hilbert.Order)
+	order := make([]uint64, len(pts))
 	for i, p := range pts {
-		nbs = nbs[:0]
-		for _, nb := range mem.Neighbors(int64(i), nil) {
-			nbs = append(nbs, int64(nb))
-		}
-		rec := storage.PointRecord{
-			ID:        int64(i),
-			Pos:       p,
-			Neighbors: nbs,
-			Payload:   payload,
-		}
+		order[i] = sc.D(p.X, p.Y)<<32 | uint64(i)
+	}
+	slices.Sort(order)
+	payload := make([]byte, cfg.PayloadBytes)
+	for _, k := range order {
+		id := int64(k & math.MaxUint32)
+		rec := storage.PointRecord{ID: id, Pos: pts[id], Payload: payload}
 		if err := builder.Append(rec); err != nil {
 			return nil, fmt.Errorf("core: building store: %w", err)
 		}

@@ -217,14 +217,9 @@ func (d *DynamicEngine) Insert(p geom.Point) (id int64, inserted bool, err error
 	if sid, dup := d.dt.SiteAt(p); dup {
 		return int64(sid), false, nil
 	}
-	// The R-tree holds exactly the triangulation's user sites under their
-	// site ids, so its nearest item is where the locate walk should start;
-	// while the tree is empty there is no hint to give (-1).
-	near := -1
-	if nn, _, ok := d.tree.NearestNeighbor(p); ok {
-		near = int(nn.ID)
-	}
-	sid, ins, err := d.dt.InsertSiteNear(p, near)
+	// The seed walk's grid names a site near p, so the locate walk starts
+	// there; while it holds no site there is no hint to give (-1).
+	sid, ins, err := d.dt.InsertSiteNear(p, int(d.hint.lookup(p)))
 	if err != nil {
 		if errors.Is(err, delaunay.ErrOutsideUniverse) {
 			// One exported sentinel for the condition across the whole stack.

@@ -115,7 +115,9 @@ func TestQueryCostsPinned(t *testing.T) {
 	// result and candidate count, but the walk arrives on another
 	// edge of the same triangle, the new site's ring starts its rotation
 	// there, and a boundary candidate is then reached from another neighbor
-	// first.
+	// first. Six of them (regions 9, 12, 17) moved by one again when the
+	// walk began to start at the hint grid's site instead, for the same
+	// reason.
 	wantDynamic := map[Method][]pinnedCost{
 		VoronoiBFS: {
 			{0, 3, 16, 0, 0},
@@ -127,15 +129,15 @@ func TestQueryCostsPinned(t *testing.T) {
 			{18, 45, 68, 0, 0},
 			{24, 49, 73, 0, 0},
 			{34, 66, 75, 0, 0},
-			{151, 215, 157, 0, 0},
+			{151, 215, 156, 0, 0},
 			{166, 227, 147, 0, 0},
 			{171, 228, 150, 0, 0},
-			{23, 53, 87, 0, 0},
+			{23, 53, 86, 0, 0},
 			{23, 52, 81, 0, 0},
 			{12, 44, 90, 0, 0},
 			{0, 3, 15, 0, 0},
 			{15, 34, 49, 0, 0},
-			{197, 257, 140, 0, 0},
+			{197, 257, 141, 0, 0},
 		},
 		VoronoiBFSStrict: {
 			{0, 2, 0, 13, 0},
@@ -147,15 +149,15 @@ func TestQueryCostsPinned(t *testing.T) {
 			{18, 44, 0, 66, 0},
 			{24, 51, 0, 75, 0},
 			{34, 67, 0, 77, 0},
-			{151, 216, 0, 158, 0},
+			{151, 216, 0, 157, 0},
 			{166, 228, 0, 150, 0},
 			{171, 229, 0, 153, 0},
-			{23, 53, 0, 85, 0},
+			{23, 53, 0, 84, 0},
 			{23, 52, 0, 84, 0},
 			{12, 46, 0, 91, 0},
 			{0, 2, 0, 11, 0},
 			{15, 34, 0, 48, 0},
-			{197, 257, 0, 140, 0},
+			{197, 257, 0, 141, 0},
 		},
 	}
 	pts, regions := pinnedRegions()

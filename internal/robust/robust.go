@@ -29,6 +29,18 @@ const (
 
 	ccwErrBound      = (3.0 + 16.0*epsilon) * epsilon
 	inCircleErrBound = (10.0 + 96.0*epsilon) * epsilon
+
+	// The relative bounds above assume no product underflows. One that
+	// does lands within 2^-1075 of its exact value, however small that is.
+	// Orient2D sends every triple whose products sum below ccwUnderflowFloor
+	// to the exact stage: above it, a subnormal product sits beside a normal
+	// one at least 2^21 times larger, so det is nowhere near zero. InCircle
+	// adds an absolute term instead, scaled by the lifts: every underflowed
+	// product feeds det through a factor no larger than their sum. Both
+	// constants are normal: a subnormal operand would cost every call a
+	// microcode assist on common x86 cores.
+	ccwUnderflowFloor = 0x1p-1000
+	underflowErr      = 0x1p-1020
 )
 
 // Orient2D returns the sign of the (exact) signed area of triangle
@@ -41,22 +53,42 @@ func Orient2D(ax, ay, bx, by, cx, cy float64) int {
 
 	var detSum float64
 	if detLeft > 0 {
-		if detRight <= 0 {
-			return sign(det)
+		if detRight < 0 {
+			return 1
 		}
 		detSum = detLeft + detRight
 	} else if detLeft < 0 {
-		if detRight >= 0 {
-			return sign(det)
+		if detRight > 0 {
+			return -1
 		}
 		detSum = -detLeft - detRight
-	} else {
-		return sign(det)
+	}
+	if detSum < ccwUnderflowFloor {
+		return orient2DTiny(ax, ay, bx, by, cx, cy, detLeft, detRight)
 	}
 
 	errBound := ccwErrBound * detSum
 	if det >= errBound || -det >= errBound {
 		return sign(det)
+	}
+	return orient2DExact(ax, ay, bx, by, cx, cy)
+}
+
+// orient2DTiny settles the triples Orient2D's filter leaves: a product is
+// zero, or both are near the subnormal range, where a product rounds with an
+// absolute error of up to 2^-1075 that the relative bound does not cover. A
+// zero product with a zero factor is exact (a difference is zero only when
+// its operands are equal), and every nonzero product has the sign of its
+// exact value, so det = -detRight or detLeft decides unless the other
+// product flushed to zero from nonzero factors. Everything else is exact.
+func orient2DTiny(ax, ay, bx, by, cx, cy, detLeft, detRight float64) int {
+	leftZero := detLeft == 0 && (ax == cx || by == cy)
+	rightZero := detRight == 0 && (ay == cy || bx == cx)
+	switch {
+	case leftZero && (rightZero || detRight != 0), rightZero && detLeft != 0:
+		return sign(detLeft - detRight)
+	case detLeft != detLeft || detRight != detRight:
+		return 0 // NaN: no sign to give, and big.Rat takes no NaN
 	}
 	return orient2DExact(ax, ay, bx, by, cx, cy)
 }
@@ -91,7 +123,10 @@ func InCircle(ax, ay, bx, by, cx, cy, dx, dy float64) int {
 	permanent := (abs(bdxcdy)+abs(cdxbdy))*alift +
 		(abs(cdxady)+abs(adxcdy))*blift +
 		(abs(adxbdy)+abs(bdxady))*clift
-	errBound := inCircleErrBound * permanent
+	// Every cross product is bounded by half the sum of two lifts, so an
+	// underflow anywhere on the way to det moves it by at most 2^-1075
+	// times the lifts' sum, far inside the absolute term.
+	errBound := inCircleErrBound*permanent + underflowErr*(alift+blift+clift+1)
 	if det > errBound || -det > errBound {
 		return sign(det)
 	}

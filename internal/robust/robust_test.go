@@ -283,3 +283,84 @@ func BenchmarkInCircleFastPath(b *testing.B) {
 		InCircle(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7])
 	}
 }
+
+// TestOrient2DUnderflow pins triples whose products flush to zero or land
+// in the subnormal range, where a relative error bound says nothing: each
+// once made the float filter return a sign the exact determinant denies.
+func TestOrient2DUnderflow(t *testing.T) {
+	triples := [][6]float64{
+		// Both products flush to zero, none of their factors is zero.
+		{1.9196119217864076e-239, -3.8558717841646146e-179, 0, 9.476190496762957e-176, 4.05242040733745e-225, -3.506894958413445e-192},
+		{-5.6482496838348847e-182, -9.125239518216767e-210, 1.1794095647455688e-235, -2.6816668758910256e-248, -1.7520459874976193e-207, 2.190057484372024e-208},
+		// The left product is exactly zero, the right one flushes.
+		{-3.1286113552061965e-248, 0, -2.8883110013837273e-275, 0, -2e-323, -3.971417272549486e-150},
+		// Both products round to the same subnormal: 1.5 and 2.0 × 2^-1074.
+		{0x1.8p-537, 0x1.4p-537, 0x1.999999999999ap-537, 0x1p-537, 0, 0},
+	}
+	for _, tr := range triples {
+		got := Orient2D(tr[0], tr[1], tr[2], tr[3], tr[4], tr[5])
+		if want := orient2DBig(tr[0], tr[1], tr[2], tr[3], tr[4], tr[5]); got != want || want == 0 {
+			t.Errorf("Orient2D(%v) = %d, exact %d", tr, got, want)
+		}
+	}
+}
+
+// TestInCircleUnderflow checks the in-circle filter against the exact
+// determinant at scales where its degree-two and degree-four products
+// underflow, half the time with one far coordinate to keep a lift large.
+func TestInCircleUnderflow(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 3000; i++ {
+		var v [8]float64
+		for j := range v {
+			if rng.Intn(4) == 0 {
+				continue
+			}
+			v[j] = math.Ldexp(float64(1+rng.Intn(16))/8, -290+rng.Intn(40))
+			if rng.Intn(2) == 0 {
+				v[j] = -v[j]
+			}
+		}
+		if rng.Intn(2) == 0 {
+			v[rng.Intn(8)] = math.Ldexp(1, -100+rng.Intn(200))
+		}
+		got := InCircle(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7])
+		if want := inCircleExact(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]); got != want {
+			t.Fatalf("InCircle(%v) = %d, exact %d", v, got, want)
+		}
+	}
+}
+
+// FuzzOrient2DExact compares Orient2D with the exact determinant over raw
+// float64 bit patterns: subnormals, zeros of either sign and magnitudes up
+// to 1e300, where the differences cannot overflow. NaN, ±Inf and larger
+// magnitudes are skipped.
+func FuzzOrient2DExact(f *testing.F) {
+	for _, s := range [][6]float64{
+		{0, 0, 1, 0, 0, 1},
+		{1.9196119217864076e-239, -3.8558717841646146e-179, 0, 9.476190496762957e-176, 4.05242040733745e-225, -3.506894958413445e-192},
+		{0x1.8p-537, 0x1.4p-537, 0x1.999999999999ap-537, 0x1p-537, 0, 0},
+		{5e-324, 0, 0, 5e-324, -5e-324, -5e-324},
+		{1e300, -1e300, -1e300, 1e300, 1e300, 1e300},
+		{1e300, 1e300, -1e300, -1e300, 1e-300, 1e-300},
+	} {
+		var u [6]uint64
+		for i, x := range s {
+			u[i] = math.Float64bits(x)
+		}
+		f.Add(u[0], u[1], u[2], u[3], u[4], u[5])
+	}
+	f.Fuzz(func(t *testing.T, a, b, c, d, e, g uint64) {
+		var v [6]float64
+		for i, u := range [6]uint64{a, b, c, d, e, g} {
+			v[i] = math.Float64frombits(u)
+			if math.IsNaN(v[i]) || math.Abs(v[i]) > 1e300 {
+				return
+			}
+		}
+		got := Orient2D(v[0], v[1], v[2], v[3], v[4], v[5])
+		if want := orient2DBig(v[0], v[1], v[2], v[3], v[4], v[5]); got != want {
+			t.Fatalf("Orient2D(%v) = %d, exact %d", v, got, want)
+		}
+	})
+}

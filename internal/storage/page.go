@@ -4,9 +4,11 @@
 // The paper frames the area query as IO-bound: the refinement step must
 // load each candidate's full geometry from the database before validating
 // it. This package supplies that database: a heap file of fixed-size pages
-// holding point records — coordinates, an application payload, and (in the
-// style of the VoR-tree, Sharifzadeh & Shahabi, VLDB 2010) the precomputed
-// Voronoi neighbor list of the point. Records are fetched through an LRU
+// holding point records — id, coordinates and an application payload, laid
+// out in whatever order the builder is fed (the engine feeds it along a
+// Hilbert curve, so the records a query reads share pages; the adjacency, as
+// in a VoR-tree, Sharifzadeh & Shahabi, VLDB 2010, stays with the resident
+// index and is not stored here). Records are fetched through an LRU
 // buffer pool that counts page reads, so both area-query methods can report
 // how much IO their candidate sets cost, and that checks every page it reads
 // against a checksum kept outside the page, so a page that changed after it

@@ -9,39 +9,33 @@ import (
 )
 
 // PointRecord is the stored representation of a spatial object: its
-// identifier, coordinates, the identifiers of its Voronoi neighbors
-// (VoR-tree layout, so neighbor expansion is one record fetch), and an
-// opaque application payload (attributes) that gives records realistic
-// width.
+// identifier, its coordinates — what the refinement step reads to validate a
+// candidate — and an opaque application payload (attributes) that gives
+// records realistic width. The Voronoi adjacency is not stored: the BFS
+// reads it from the resident index, so neighbor ids in the record would be
+// bytes every page read pays for and no query reads.
 type PointRecord struct {
-	ID        int64
-	Pos       geom.Point
-	Neighbors []int64
-	Payload   []byte
+	ID      int64
+	Pos     geom.Point
+	Payload []byte
 }
 
 // record encoding (little endian):
 //
 //	int64   ID
 //	float64 X, float64 Y
-//	uint16  neighbor count n
-//	int64   × n neighbors
 //	uint16  payload length m
 //	byte    × m payload
-const recordFixedLen = 8 + 8 + 8 + 2 + 2
+const recordFixedLen = 8 + 8 + 8 + 2
 
 // encodedLen returns the encoded size of r in bytes.
 func (r *PointRecord) encodedLen() int {
-	return recordFixedLen + 8*len(r.Neighbors) + len(r.Payload)
+	return recordFixedLen + len(r.Payload)
 }
 
-// checkEncodable reports whether r's neighbor list and payload fit the
-// uint16 counts the encoding gives them.
+// checkEncodable reports whether r's payload fits the uint16 length the
+// encoding gives it.
 func (r *PointRecord) checkEncodable() error {
-	if len(r.Neighbors) > math.MaxUint16 {
-		return fmt.Errorf("storage: record %d has %d neighbors, max %d",
-			r.ID, len(r.Neighbors), math.MaxUint16)
-	}
 	if len(r.Payload) > math.MaxUint16 {
 		return fmt.Errorf("storage: record %d payload %d bytes, max %d",
 			r.ID, len(r.Payload), math.MaxUint16)
@@ -62,38 +56,27 @@ func (r *PointRecord) appendTo(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.ID))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Pos.X))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Pos.Y))
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.Neighbors)))
-	for _, nb := range r.Neighbors {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(nb))
-	}
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.Payload)))
 	return append(dst, r.Payload...)
 }
 
-// recordLayout validates buf's framing — fixed header, neighbor list,
-// payload length — and returns the neighbor count with the payload's offset
-// and length. It is every truncation check a decode performs; decodeRecord
-// and decodePosition differ only in what they copy out afterwards.
+// recordLayout validates buf's framing — fixed header, payload — and returns
+// the payload's length, which starts at recordFixedLen. It is every
+// truncation check a decode performs; decodeRecord and decodePosition differ
+// only in what they copy out afterwards.
 //
 //vaq:noalloc
-func recordLayout(buf []byte) (neighbors, payloadOff, payloadLen int, err error) {
+func recordLayout(buf []byte) (payloadLen int, err error) {
 	if len(buf) < recordFixedLen {
 		//vaqvet:ignore noalloc cold failure path; the wrap allocates only on a corrupt page
-		return 0, 0, 0, fmt.Errorf("%w: record truncated (%d bytes)", ErrCorrupt, len(buf))
+		return 0, fmt.Errorf("%w: record truncated (%d bytes)", ErrCorrupt, len(buf))
 	}
-	n := int(binary.LittleEndian.Uint16(buf[24:26]))
-	off := 26 + 8*n
-	if len(buf) < off+2 {
+	m := int(binary.LittleEndian.Uint16(buf[24:recordFixedLen]))
+	if len(buf) < recordFixedLen+m {
 		//vaqvet:ignore noalloc cold failure path; the wrap allocates only on a corrupt page
-		return 0, 0, 0, fmt.Errorf("%w: neighbor list truncated", ErrCorrupt)
+		return 0, fmt.Errorf("%w: payload truncated", ErrCorrupt)
 	}
-	m := int(binary.LittleEndian.Uint16(buf[off:]))
-	off += 2
-	if len(buf) < off+m {
-		//vaqvet:ignore noalloc cold failure path; the wrap allocates only on a corrupt page
-		return 0, 0, 0, fmt.Errorf("%w: payload truncated", ErrCorrupt)
-	}
-	return n, off, m, nil
+	return m, nil
 }
 
 // recordPos reads the coordinates of a record recordLayout has accepted.
@@ -104,33 +87,26 @@ func recordPos(buf []byte) geom.Point {
 	}
 }
 
-// decodeRecord parses a record from buf. The returned record's Neighbors
-// and Payload are fresh copies, safe to retain.
+// decodeRecord parses a record from buf. The returned record's Payload is a
+// fresh copy, safe to retain.
 func decodeRecord(buf []byte) (PointRecord, error) {
-	n, off, m, err := recordLayout(buf)
+	m, err := recordLayout(buf)
 	if err != nil {
 		return PointRecord{}, err
 	}
 	r := PointRecord{ID: int64(binary.LittleEndian.Uint64(buf[0:8])), Pos: recordPos(buf)}
-	if n > 0 {
-		r.Neighbors = make([]int64, n)
-		for i := range r.Neighbors {
-			r.Neighbors[i] = int64(binary.LittleEndian.Uint64(buf[26+8*i:]))
-		}
-	}
 	if m > 0 {
-		r.Payload = append([]byte(nil), buf[off:off+m]...)
+		r.Payload = append([]byte(nil), buf[recordFixedLen:recordFixedLen+m]...)
 	}
 	return r, nil
 }
 
 // decodePosition is decodeRecord for a caller that wants the coordinates
-// alone: the same framing checks over the whole record, no neighbor list or
-// payload copied.
+// alone: the same framing checks over the whole record, no payload copied.
 //
 //vaq:noalloc
 func decodePosition(buf []byte) (geom.Point, error) {
-	if _, _, _, err := recordLayout(buf); err != nil {
+	if _, err := recordLayout(buf); err != nil {
 		return geom.Point{}, err
 	}
 	return recordPos(buf), nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -12,19 +13,18 @@ import (
 
 func sampleRecord(id int64) PointRecord {
 	return PointRecord{
-		ID:        id,
-		Pos:       geom.Pt(float64(id)*0.1, float64(id)*0.2),
-		Neighbors: []int64{id + 1, id + 2, id - 1},
-		Payload:   bytes.Repeat([]byte{byte(id)}, 16),
+		ID:      id,
+		Pos:     geom.Pt(float64(id)*0.1, float64(id)*0.2),
+		Payload: bytes.Repeat([]byte{byte(id)}, 16),
 	}
 }
 
 func TestRecordRoundTrip(t *testing.T) {
 	recs := []PointRecord{
 		{ID: 1, Pos: geom.Pt(0.5, -3.25)},
-		{ID: -42, Pos: geom.Pt(1e-300, 1e300), Neighbors: []int64{7}},
+		{ID: -42, Pos: geom.Pt(1e-300, 1e300), Payload: []byte{7}},
 		sampleRecord(9),
-		{ID: 0, Pos: geom.Pt(0, 0), Neighbors: nil, Payload: []byte{}},
+		{ID: 0, Pos: geom.Pt(0, 0), Payload: []byte{}},
 	}
 	for _, want := range recs {
 		buf, err := want.encode(nil)
@@ -41,9 +41,6 @@ func TestRecordRoundTrip(t *testing.T) {
 		if got.ID != want.ID || got.Pos != want.Pos {
 			t.Errorf("round trip: got %+v, want %+v", got, want)
 		}
-		if len(got.Neighbors) != len(want.Neighbors) {
-			t.Errorf("neighbors: got %v, want %v", got.Neighbors, want.Neighbors)
-		}
 		if len(got.Payload) != len(want.Payload) {
 			t.Errorf("payload: got %d bytes, want %d", len(got.Payload), len(want.Payload))
 		}
@@ -51,11 +48,11 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestRecordRoundTripProperty(t *testing.T) {
-	f := func(id int64, x, y float64, neighbors []int64, payload []byte) bool {
-		if len(neighbors) > 400 || len(payload) > 400 {
+	f := func(id int64, x, y float64, payload []byte) bool {
+		if len(payload) > 400 {
 			return true
 		}
-		want := PointRecord{ID: id, Pos: geom.Pt(x, y), Neighbors: neighbors, Payload: payload}
+		want := PointRecord{ID: id, Pos: geom.Pt(x, y), Payload: payload}
 		buf, err := want.encode(nil)
 		if err != nil {
 			return false
@@ -73,14 +70,6 @@ func TestRecordRoundTripProperty(t *testing.T) {
 		if x == x && y == y && got.Pos != want.Pos {
 			return false
 		}
-		if len(got.Neighbors) != len(neighbors) || len(got.Payload) != len(payload) {
-			return false
-		}
-		for i := range neighbors {
-			if got.Neighbors[i] != neighbors[i] {
-				return false
-			}
-		}
 		return bytes.Equal(got.Payload, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -97,8 +86,8 @@ func TestDecodeTruncated(t *testing.T) {
 	for cut := 0; cut < len(buf); cut++ {
 		if _, err := decodeRecord(buf[:cut]); err == nil {
 			// Truncations inside the payload tail can still parse when the
-			// length prefix survives; only header/neighbor cuts must fail.
-			if cut < recordFixedLen+8*len(rec.Neighbors) {
+			// length prefix survives; only header cuts must fail.
+			if cut < recordFixedLen {
 				t.Fatalf("decode of %d/%d bytes should fail", cut, len(buf))
 			}
 		}
@@ -129,7 +118,7 @@ func TestStoreBasic(t *testing.T) {
 			t.Fatalf("Get(%d): %v", i, err)
 		}
 		want := sampleRecord(i)
-		if rec.ID != want.ID || rec.Pos != want.Pos || !reflect.DeepEqual(rec.Neighbors, want.Neighbors) {
+		if !reflect.DeepEqual(rec, want) {
 			t.Fatalf("Get(%d) = %+v, want %+v", i, rec, want)
 		}
 	}
@@ -138,34 +127,50 @@ func TestStoreBasic(t *testing.T) {
 	}
 }
 
-// TestDuplicateIDRejected pins the dense-directory contract of Append: the
-// next id is the number of records so far; a repeat, a gap, a first id
-// other than 0 and a negative id are all rejected and leave the builder
-// usable.
+// TestDuplicateIDRejected pins the each-id-once contract of Append: ids
+// arrive in any order; a repeat, a negative id and one past the directory's
+// limit are rejected at Append and leave the builder usable; a gap is
+// rejected at Build. Every record is then found by its id wherever it went.
 func TestDuplicateIDRejected(t *testing.T) {
-	b := NewBuilder(Options{})
-	if err := b.Append(sampleRecord(1)); err == nil {
-		t.Error("first id 1 should be rejected")
-	}
-	for id := int64(0); id < 2; id++ {
+	b := NewBuilder(Options{PageSize: 256})
+	order := []int64{3, 0, 2}
+	for _, id := range order {
 		if err := b.Append(sampleRecord(id)); err != nil {
-			t.Fatal(err)
+			t.Fatalf("id %d: %v", id, err)
 		}
 	}
-	for _, id := range []int64{1, 0, 3, -1} {
+	for _, id := range []int64{3, 0, 2, -1, maxRecords} {
 		if err := b.Append(sampleRecord(id)); err == nil {
-			t.Errorf("id %d after 0,1 should be rejected", id)
+			t.Errorf("id %d after %v should be rejected", id, order)
 		}
 	}
-	if err := b.Append(sampleRecord(2)); err != nil {
-		t.Fatalf("in-order id after rejections: %v", err)
+	if err := b.Append(sampleRecord(1)); err != nil {
+		t.Fatalf("the missing id after rejections: %v", err)
 	}
 	st, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Len() != 3 {
-		t.Errorf("Len = %d, want 3", st.Len())
+	if st.Len() != 4 {
+		t.Errorf("Len = %d, want 4", st.Len())
+	}
+	for id := int64(0); id < 4; id++ {
+		if rec, err := st.Get(id); err != nil || !reflect.DeepEqual(rec, sampleRecord(id)) {
+			t.Errorf("Get(%d) = %+v, %v", id, rec, err)
+		}
+	}
+	if got, want := st.RIDOf(3), (RID{Page: 0, Slot: 0}); got != want {
+		t.Errorf("the first record appended is at %+v, want %+v", got, want)
+	}
+
+	gap := NewBuilder(Options{})
+	for _, id := range []int64{0, 2} {
+		if err := gap.Append(sampleRecord(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := gap.Build(); err == nil || !strings.Contains(err.Error(), "record id 1 missing") {
+		t.Errorf("Build over ids 0 and 2: err = %v, want id 1 missing", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -49,10 +50,19 @@ type Builder struct {
 	opts    Options
 	pages   [][]byte
 	sums    []uint32
-	dir     []RID
+	dir     []RID // indexed by record id; noRID where none was appended yet
+	records int   // the number of records appended
 	current *pageBuilder
 	err     error
 }
+
+// maxRecords bounds a record id: the directory is a slice indexed by id, so
+// an id is also the length a Builder grows it to.
+const maxRecords = 1 << 31
+
+// noRID marks a directory entry no record has filled; no page of a store
+// with fewer than 2^32-1 pages has its number.
+var noRID = RID{Page: ^uint32(0)}
 
 // NewBuilder returns a Builder with the given options.
 func NewBuilder(opts Options) *Builder {
@@ -65,17 +75,22 @@ func NewBuilder(opts Options) *Builder {
 	}
 }
 
-// Append adds a record. Ids are dense and arrive in order: the record's ID
-// must be the number of records appended so far, anything else (a repeat, a
-// gap, a negative id) is rejected. The record is encoded into the page under
-// construction before Append returns, so the caller may reuse rec's
-// Neighbors and Payload for the next one.
+// Append adds a record. Each id is appended once, in any order: a repeat or
+// a negative id is rejected here and leaves the builder usable, and Build
+// rejects a set of ids that leaves a gap, so the directory it fills by id is
+// dense. Pages fill in append order, so the order of the calls is the
+// layout of the heap file. The record is encoded into the page under
+// construction before Append returns, so the caller may reuse rec's Payload
+// for the next one.
 func (b *Builder) Append(rec PointRecord) error {
 	if b.err != nil {
 		return b.err
 	}
-	if rec.ID != int64(len(b.dir)) {
-		return fmt.Errorf("storage: record id %d out of order, want %d", rec.ID, len(b.dir))
+	if rec.ID < 0 || rec.ID >= maxRecords {
+		return fmt.Errorf("storage: record id %d out of range [0, %d)", rec.ID, maxRecords)
+	}
+	if rec.ID < int64(len(b.dir)) && b.dir[rec.ID] != noRID {
+		return fmt.Errorf("storage: record id %d appended twice", rec.ID)
 	}
 	if err := rec.checkEncodable(); err != nil {
 		b.err = err
@@ -88,8 +103,11 @@ func (b *Builder) Append(rec PointRecord) error {
 	if !b.current.fits(n) {
 		b.sealPage()
 	}
-	slot := b.current.add(&rec)
-	b.dir = append(b.dir, RID{Page: uint32(len(b.pages)), Slot: slot})
+	for int64(len(b.dir)) <= rec.ID {
+		b.dir = append(b.dir, noRID)
+	}
+	b.dir[rec.ID] = RID{Page: uint32(len(b.pages)), Slot: b.current.add(&rec)}
+	b.records++
 	return nil
 }
 
@@ -105,6 +123,10 @@ func (b *Builder) sealPage() {
 func (b *Builder) Build() (*Store, error) {
 	if b.err != nil {
 		return nil, b.err
+	}
+	if b.records != len(b.dir) {
+		missing := slices.Index(b.dir, noRID)
+		return nil, fmt.Errorf("storage: record id %d missing: ids must be 0..%d, each once", missing, len(b.dir)-1)
 	}
 	if !b.current.empty() {
 		b.sealPage()
