@@ -80,8 +80,8 @@ func TestCircleIntersectionStepAllocsZero(t *testing.T) {
 // collector — at zero allocations per query for both Voronoi rules, on
 // polygons and circles, given a pre-sized Dest and a warm scratch pool; and
 // likewise with CountOnly. It holds on the static engine and on a dynamic
-// snapshot alike: the one BFS loop builds no closures, and the snapshot's
-// ring walk fills the scratch-owned neighbor buffer.
+// snapshot alike: the one BFS loop builds no closures and slices both
+// layers' CSR adjacency in place.
 func TestQueryRegionSpecAllocsZero(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates inside sync.Pool")
@@ -226,7 +226,7 @@ func TestDynamicArenaMatchesCell(t *testing.T) {
 	}
 	for id := range sites {
 		var nbPts []geom.Point
-		for _, nb := range data.Neighbors(int64(id), nil) {
+		for _, nb := range data.Neighbors(int64(id)) {
 			nbPts = append(nbPts, sites[nb])
 		}
 		cell := voronoi.CellFromNeighbors(sites[id], nbPts, clip)

@@ -63,14 +63,9 @@ type DataAccess interface {
 	NumIDs() int
 	// Position returns the coordinates of id without performing record IO.
 	Position(id int64) geom.Point
-	// Neighbors returns the Voronoi neighbors of id. A layer whose
-	// adjacency is resident as int32 slices returns its own storage and
-	// ignores buf; a layer that has to walk for it appends to buf[:0] and
-	// returns that. Either way the result must not be modified and is
-	// valid only until the next call with the same buf. The engine
-	// recycles a returned slice that outgrew buf as the next call's buf,
-	// so a layer must answer the same way for its whole lifetime.
-	Neighbors(id int64, buf []int32) []int32
+	// Neighbors returns the Voronoi neighbors of id, in rotational order:
+	// the layer's resident storage, which must not be modified.
+	Neighbors(id int64) []int32
 	// Load fetches the full record of id for refinement and returns its
 	// authoritative coordinates.
 	Load(id int64) (geom.Point, error)

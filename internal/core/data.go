@@ -109,8 +109,8 @@ func (m *MemoryData) Coords() (xs, ys []float64) { return m.xs, m.ys }
 // Adjacency implements AdjacencySource.
 func (m *MemoryData) Adjacency() (off, nbrs []int32) { return m.nbrOff, m.nbrs }
 
-// Neighbors implements DataAccess: the resident CSR slice; buf is unused.
-func (m *MemoryData) Neighbors(id int64, _ []int32) []int32 {
+// Neighbors implements DataAccess: the resident CSR slice.
+func (m *MemoryData) Neighbors(id int64) []int32 {
 	return m.nbrs[m.nbrOff[id]:m.nbrOff[id+1]]
 }
 

@@ -14,34 +14,47 @@ import (
 	"repro/internal/voronoi"
 )
 
-// DynamicData adapts a dynamic Delaunay triangulation to the DataAccess
-// interface. Ids are the triangulation's site ids: the three fence sites
-// occupy 0..2 and are exposed as ordinary (far-away) points so the BFS can
-// route through them in sparse datasets; Each skips them, so the
-// brute-force oracle and scans see only user sites.
+// DynamicData is one epoch of a dynamic engine as a DataAccess: the
+// triangulation's sites and its Voronoi adjacency as they were when the
+// epoch was published, both resident and immutable. Ids are the
+// triangulation's site ids: the three fence sites occupy 0..2 and are
+// exposed as ordinary (far-away) points so the BFS can route through them in
+// sparse datasets; Each skips them, so the brute-force oracle and scans see
+// only user sites.
 type DynamicData struct {
-	dt *delaunay.Dynamic
+	// pts is the writer's append-only site slice pinned to this epoch's
+	// length (delaunay.Dynamic.Points): shared, never copied.
+	pts []geom.Point
+	// CSR adjacency (delaunay.Dynamic.Adjacency): the neighbors of id are
+	// nbrs[nbrOff[id]:nbrOff[id+1]], each ring starting where the
+	// triangulation's own walk starts it. The next epoch copies the rings no
+	// insert since has touched from these.
+	nbrOff, nbrs []int32
+	// clip is what the cells are clipped to: the universe, expanded so that
+	// fence-adjacent cells stay closed.
+	clip geom.Rect
 	// hint is the writer's grid as it was when this epoch was pinned
 	// (hintGrid.frozen): an entry the writer sets afterwards names a site this
 	// snapshot does not hold, and goes into a copy.
 	hint hintGrid
 
-	// arena is built by the first strict query against this snapshot (once
-	// per epoch, not per query) — DynamicData always wraps an immutable
-	// triangulation snapshot, so the arena never goes stale.
+	// arena is built by the first strict query against this epoch (once per
+	// epoch, not per query); the epoch never changes, so neither does it.
 	arena lazyArena
 }
 
 // NumIDs implements DataAccess (fence sites included).
-func (d *DynamicData) NumIDs() int { return d.dt.NumSites() }
+func (d *DynamicData) NumIDs() int { return len(d.pts) }
 
 // Position implements DataAccess.
-func (d *DynamicData) Position(id int64) geom.Point { return d.dt.Point(int(id)) }
+func (d *DynamicData) Position(id int64) geom.Point { return d.pts[id] }
 
-// Neighbors implements DataAccess: one closure-free walk of id's quad-edge
-// ring into buf, in rotational order.
-func (d *DynamicData) Neighbors(id int64, buf []int32) []int32 {
-	return d.dt.AppendNeighbors(int(id), buf[:0])
+// Adjacency implements AdjacencySource.
+func (d *DynamicData) Adjacency() (off, nbrs []int32) { return d.nbrOff, d.nbrs }
+
+// Neighbors implements DataAccess: the resident CSR slice.
+func (d *DynamicData) Neighbors(id int64) []int32 {
+	return d.nbrs[d.nbrOff[id]:d.nbrOff[id+1]]
 }
 
 // SeedHint implements DataAccess: a user site, never a fence site.
@@ -49,25 +62,23 @@ func (d *DynamicData) Neighbors(id int64, buf []int32) []int32 {
 //vaq:noalloc
 func (d *DynamicData) SeedHint(p geom.Point) int64 { return d.hint.lookup(p) }
 
-// Load implements DataAccess (in-memory, free).
-func (d *DynamicData) Load(id int64) (geom.Point, error) { return d.dt.Point(int(id)), nil }
+// Load implements DataAccess; the record is the resident position. The
+// engine's own queries read Position instead (see voronoiQuery.resident).
+func (d *DynamicData) Load(id int64) (geom.Point, error) { return d.pts[id], nil }
 
 // Each implements DataAccess over user sites only.
 func (d *DynamicData) Each(fn func(id int64, pos geom.Point) bool) {
-	for i := delaunay.FirstSiteID; i < d.dt.NumSites(); i++ {
-		if !fn(int64(i), d.dt.Point(i)) {
+	for i := delaunay.FirstSiteID; i < len(d.pts); i++ {
+		if !fn(int64(i), d.pts[i]) {
 			return
 		}
 	}
 }
 
 // CellArena implements DataAccess: every cell of the pinned epoch, clipped
-// to an expanded universe (so fence-adjacent cells stay closed). The O(n)
-// clipping pass is paid once per epoch, by its first strict query.
-func (d *DynamicData) CellArena() *voronoi.CellArena {
-	u := d.dt.Universe()
-	return d.arena.get(d, u.Expand(u.Width()+u.Height()+1))
-}
+// to an expanded universe. The O(n) clipping pass is paid once per epoch,
+// by its first strict query.
+func (d *DynamicData) CellArena() *voronoi.CellArena { return d.arena.get(d, d.clip) }
 
 // DynamicEngine answers area queries over a growing dataset: points are
 // inserted one at a time into a dynamic Delaunay triangulation and a
@@ -82,23 +93,27 @@ func (d *DynamicData) CellArena() *voronoi.CellArena {
 // number of goroutines can query a Snapshot's Engine concurrently with
 // insertion and never observe a half-applied update. Snapshots are rebuilt
 // lazily: the first read after a write publishes one, and every subsequent
-// read reuses the published epoch for free. A publish shares what it can with the writer: the
-// append-only point storage outright, and the R-tree by path copying — the
-// snapshot takes the root, O(1), and the next Insert copies the one
-// root-to-leaf path it writes, O(height). Only the triangulation's topology
-// arrays, which InsertSite's edge swaps mutate in place, are copied whole:
-// O(n) at memcpy speed, ≈ 0.7 ms at 50k sites, and what is left of a
-// publish. Every epoch's queries draw their scratch from one pool, so a new
-// epoch starts with the visited table the last one warmed.
+// read reuses the published epoch for free. A publish shares what it can
+// with the writer: the append-only point storage outright, and the R-tree by
+// path copying — the snapshot takes the root, O(1), and the next Insert
+// copies the one root-to-leaf path it writes, O(height). The Voronoi
+// adjacency, which InsertSite's edge swaps rewire in place, is published as
+// CSR arrays of its own (delaunay.Dynamic.Adjacency), so queries slice rings
+// as they do over MemoryData. Each epoch's arrays are patched from the
+// previous epoch's: the rings of the sites inserted since and of their
+// neighbors are walked, the rest copied in runs — ≈ 0.26 ms per
+// one-insert epoch at 54k sites on a 2-core Xeon @ 2.1 GHz, against
+// ≈ 9 ms for the first publish, which walks every ring. Every epoch's
+// queries draw their scratch from one pool, so a new epoch starts with the
+// visited table the last one warmed.
 //
-// An Insert costs what its four parts cost — at 50–60k uniform sites on the
-// reference host, ≈ 12 µs: the R-tree's nearest-neighbor lookup that tells
-// the triangulation where to start its locate walk (≈ 3 µs, no allocation),
-// the walk from there (≈ 1.2 µs; started from the previous insertion instead
-// it is 474 orientation tests, ≈ 25 µs), the star connection and in-circle
-// swaps (≈ 3 µs) and the R-tree's own insert down one path (≈ 5 µs). A
-// duplicate coordinate is answered from the triangulation's coordinate table
-// before any of that.
+// An Insert costs what its four parts cost — ≈ 8.4 µs at 50k uniform sites
+// on the same host: the hint grid names a site near the new one (≈ 0.2 µs),
+// the triangulation walks from there and connects and swaps (≈ 3.5 µs;
+// started from the previous insertion instead, the walk makes it ≈ 36 µs),
+// the R-tree inserts down one path (≈ 4.5 µs), and the grid records the site
+// (≈ 0.1 µs). A duplicate coordinate is answered from the triangulation's
+// coordinate table before any of that.
 //
 // Write visibility: a query that starts after an Insert call returns is
 // guaranteed to observe that insert; a query concurrent with an Insert
@@ -134,7 +149,7 @@ type DynamicEngine struct {
 }
 
 // SetPublishMetrics attaches a histogram that observes snapshot
-// publish latency (the topology-array copy of Snapshot). It must be called
+// publish latency (the adjacency patch of Snapshot). It must be called
 // before the engine is shared between goroutines — typically right
 // after NewDynamicEngine — and is a no-op with a nil histogram.
 func (d *DynamicEngine) SetPublishMetrics(h *obs.Histogram) { d.publishHist = h }
@@ -238,11 +253,11 @@ func (d *DynamicEngine) Insert(p geom.Point) (id int64, inserted bool, err error
 }
 
 // Snapshot pins the current epoch and returns its immutable view. The
-// first Snapshot after a write builds the view (a copy of the topology
-// arrays and an O(1) share of the R-tree, serialized with writers);
-// repeated Snapshots between writes return the same published view with no
-// copying or locking. The returned snapshot is safe for concurrent use and
-// stays valid — and unchanged — forever.
+// first Snapshot after a write builds the view (the adjacency patched from
+// the previous view's and an O(1) share of the R-tree, serialized with
+// writers); repeated Snapshots between writes return the same published view
+// with no copying or locking. The returned snapshot is safe for concurrent
+// use and stays valid — and unchanged — forever.
 func (d *DynamicEngine) Snapshot() *DynamicSnapshot {
 	// Fast path: the published snapshot is current. Loading the epoch
 	// first makes the check conservative — a concurrent insert can only
@@ -262,10 +277,22 @@ func (d *DynamicEngine) Snapshot() *DynamicSnapshot {
 	if d.publishHist != nil {
 		buildStart = time.Now()
 	}
-	data := &DynamicData{dt: d.dt.Snapshot(), hint: d.hint.frozen()}
+	// The adjacency is patched from the epoch this one replaces.
+	var prevOff, prevNbrs []int32
+	if prev := d.snap.Load(); prev != nil {
+		prevOff, prevNbrs = prev.data.Adjacency()
+	}
+	off, nbrs := d.dt.Adjacency(prevOff, prevNbrs)
+	u := d.dt.Universe()
+	data := &DynamicData{
+		pts:    d.dt.Points(),
+		nbrOff: off,
+		nbrs:   nbrs,
+		clip:   u.Expand(u.Width() + u.Height() + 1),
+		hint:   d.hint.frozen(),
+	}
 	s := &DynamicSnapshot{
 		epoch: e,
-		n:     d.dt.NumUserSites(),
 		data:  data,
 		eng:   newEngine(&RTreeIndex{tree: d.tree.Snapshot()}, data, d.scratch),
 	}
@@ -283,7 +310,6 @@ func (d *DynamicEngine) Snapshot() *DynamicSnapshot {
 // concurrent use from any number of goroutines.
 type DynamicSnapshot struct {
 	epoch uint64
-	n     int // user sites at the pinned epoch
 	data  *DynamicData
 	eng   *Engine
 }
@@ -293,7 +319,7 @@ type DynamicSnapshot struct {
 func (s *DynamicSnapshot) Epoch() uint64 { return s.epoch }
 
 // Len returns the number of points in the snapshot.
-func (s *DynamicSnapshot) Len() int { return s.n }
+func (s *DynamicSnapshot) Len() int { return s.data.NumIDs() - delaunay.FirstSiteID }
 
 // Point returns the coordinates of an inserted id present in the snapshot.
 // It panics when there is none — the fence sites' ids included.

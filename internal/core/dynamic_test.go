@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -228,6 +229,60 @@ func TestDynamicSnapshotPinsEpoch(t *testing.T) {
 	}
 	if len(live) < len(oracle) {
 		t.Fatalf("live query sees %d results, pinned %d", len(live), len(oracle))
+	}
+}
+
+// TestDynamicSnapshotNeighborsStableUnderInserts reads every ring of a
+// pinned snapshot, over and over, while another goroutine inserts and
+// publishes epoch after epoch, each patched from the one before: the pinned
+// rings never change, and the last epoch's equal a walk of every ring. CI
+// repeats it under the race detector.
+func TestDynamicSnapshotNeighborsStableUnderInserts(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	d := NewDynamicEngine(unitBounds())
+	for _, p := range workload.UniformPoints(rng, 2000, unitBounds()) {
+		if _, _, err := d.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pinned := d.Snapshot().data
+	want := make([][]int32, pinned.NumIDs())
+	for id := range want {
+		want[id] = slices.Clone(pinned.Neighbors(int64(id)))
+	}
+	more := workload.UniformPoints(rng, 500, unitBounds())
+	done := make(chan error, 1)
+	go func() {
+		for _, p := range more {
+			if _, _, err := d.Insert(p); err != nil {
+				done <- err
+				return
+			}
+			d.Snapshot()
+		}
+		done <- nil
+	}()
+	for writing := true; writing; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			writing = false // one more pass over a finished writer
+		default:
+		}
+		for id, ring := range want {
+			if got := pinned.Neighbors(int64(id)); !slices.Equal(got, ring) {
+				t.Fatalf("pinned ring of %d changed from %v to %v", id, ring, got)
+			}
+		}
+	}
+	last := d.Snapshot().data
+	d.mu.Lock()
+	off, nbrs := d.dt.Adjacency(nil, nil)
+	d.mu.Unlock()
+	if !slices.Equal(last.nbrOff, off) || !slices.Equal(last.nbrs, nbrs) {
+		t.Fatal("500 patched epochs do not hold the rings a walk of every site gives")
 	}
 }
 

@@ -139,10 +139,10 @@ func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.Que
 	// everything else (PhaseExpand: the index window walk plus the
 	// containment refinement). The traced path pays two clock reads per
 	// fetched candidate; the untraced path pays one branch. A resident
-	// record is read in place, as the Voronoi BFS reads it (see
+	// record is read as its position, as the Voronoi BFS reads it (see
 	// voronoiQuery.resident), so both methods pay the same in-memory load.
 	traced := tr != nil
-	mem, resident := e.data.(*MemoryData)
+	resident := residentRecords(e.data)
 	var fetch time.Duration
 	if traced {
 		scanStart := time.Now()
@@ -160,7 +160,7 @@ func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.Que
 		}
 		var pos geom.Point
 		if resident {
-			pos = mem.Position(id)
+			pos = e.data.Position(id)
 		} else {
 			var err error
 			if traced {
@@ -222,14 +222,14 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 	if as, ok := e.data.(AdjacencySource); ok {
 		q.nbrOff, q.nbrs = as.Adjacency()
 	}
-	_, q.resident = e.data.(*MemoryData)
+	q.resident = residentRecords(e.data)
 
 	// Line 3-4: p_seed := NN(P, arbitrary position in A).
 	var seedStart time.Time
 	if traced {
 		seedStart = time.Now()
 	}
-	seed, _ := e.seedWalk(region.InteriorPoint(), q.xs, q.ys, s) // eachRegion saw a non-empty index
+	seed, _ := e.seedWalk(region.InteriorPoint(), q.xs, q.ys) // eachRegion saw a non-empty index
 	var bfsStart time.Time
 	if traced {
 		tr.Add(obs.PhaseSeed, time.Since(seedStart))
@@ -270,14 +270,36 @@ type voronoiQuery struct {
 
 	// Structure-of-arrays coordinates (nil when the data layer has none).
 	xs, ys []float64
-	// CSR adjacency (nil when the data layer walks for its neighbors).
+	// CSR adjacency (nil when the data layer exposes only Neighbors).
 	nbrOff, nbrs []int32
-	// resident is set when the data layer is *MemoryData, whose records
-	// are xs and ys themselves: a load is two slice reads that cannot block
-	// or fail, so it takes no interface call, no error branch and no clock
-	// pair under tracing — it is not a page fetch. Every other layer's Load
-	// is the fetch, timed as PhasePageFetch.
+	// resident is residentRecords of the data layer: a candidate's load is
+	// read the way a neighbor's position is, with no error branch and no
+	// clock pair under tracing — it is not a page fetch. Every other layer's
+	// Load is the fetch, timed as PhasePageFetch.
 	resident bool
+}
+
+// residentRecords reports whether data's records are its resident
+// positions — *MemoryData's xs and ys, a dynamic epoch's pinned sites — so
+// that a load is a slice read that cannot block or fail. A StoreData holds
+// the same positions, but its records are the pages it fetches.
+func residentRecords(data DataAccess) bool {
+	switch data.(type) {
+	case *MemoryData, *DynamicData:
+		return true
+	}
+	return false
+}
+
+// position reads id's resident position: from the packed coordinate slices
+// when the data layer provides them, through Position otherwise.
+//
+//vaq:noalloc
+func (e *Engine) position(xs, ys []float64, id int32) geom.Point {
+	if xs != nil {
+		return geom.Point{X: xs[id], Y: ys[id]}
+	}
+	return e.data.Position(int64(id))
 }
 
 // testCell is the strict rule's one cell-vs-area decision, resolved by the
@@ -321,9 +343,8 @@ func (q *voronoiQuery) testSegment(from, to geom.Point) bool {
 }
 
 // voronoiBFS is the BFS of Algorithm 1, the one expansion loop every data
-// layer takes. It builds no closures: neighbor lists come back as slices
-// (the resident CSR arrays sliced in place, or the scratch-owned buffer a
-// walking layer fills), so the whole expansion is allocation-free. The
+// layer takes. It builds no closures: neighbor lists are the resident CSR
+// arrays, sliced in place, so the whole expansion is allocation-free. The
 // frontier holds the int32 ids the adjacency stores; an id is widened only
 // where it leaves the loop (the collector, a DataAccess call). stats travels
 // by value so the caller's copy never escapes; fetch is the accrued
@@ -341,7 +362,7 @@ func (e *Engine) voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch
 		p := s.queue[head]
 		var pos geom.Point
 		if q.resident {
-			pos = geom.Point{X: q.xs[p], Y: q.ys[p]}
+			pos = e.position(q.xs, q.ys, p)
 		} else {
 			var err error
 			if q.traced {
@@ -363,7 +384,7 @@ func (e *Engine) voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch
 		if q.nbrOff != nil {
 			nbs = q.nbrs[q.nbrOff[p]:q.nbrOff[p+1]]
 		} else {
-			nbs = s.neighbors(e.data, int64(p))
+			nbs = e.data.Neighbors(int64(p))
 		}
 		if q.region.ContainsPoint(pos) {
 			// Internal point: emit, then all unvisited Voronoi neighbors
@@ -385,12 +406,7 @@ func (e *Engine) voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch
 			if s.seen(nb) {
 				continue
 			}
-			var nbPos geom.Point
-			if q.xs != nil {
-				nbPos = geom.Point{X: q.xs[nb], Y: q.ys[nb]}
-			} else {
-				nbPos = e.data.Position(int64(nb))
-			}
+			nbPos := e.position(q.xs, q.ys, nb)
 			var enqueue bool
 			if q.strict {
 				enqueue = q.testCell(nb, nbPos, &stats)

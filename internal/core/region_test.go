@@ -119,7 +119,7 @@ type emptyData struct{}
 
 func (emptyData) NumIDs() int                              { return 0 }
 func (emptyData) Position(int64) geom.Point                { return geom.Point{} }
-func (emptyData) Neighbors(int64, []int32) []int32         { return nil }
+func (emptyData) Neighbors(int64) []int32                  { return nil }
 func (emptyData) Load(int64) (geom.Point, error)           { return geom.Point{}, nil }
 func (emptyData) SeedHint(geom.Point) int64                { return -1 }
 func (emptyData) Each(func(id int64, pos geom.Point) bool) {}

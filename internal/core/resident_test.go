@@ -19,7 +19,7 @@ type opaqueData struct{ d DataAccess }
 
 func (o opaqueData) NumIDs() int                                 { return o.d.NumIDs() }
 func (o opaqueData) Position(id int64) geom.Point                { return o.d.Position(id) }
-func (o opaqueData) Neighbors(id int64, buf []int32) []int32     { return o.d.Neighbors(id, buf) }
+func (o opaqueData) Neighbors(id int64) []int32                  { return o.d.Neighbors(id) }
 func (o opaqueData) Load(id int64) (geom.Point, error)           { return o.d.Load(id) }
 func (o opaqueData) Each(fn func(id int64, pos geom.Point) bool) { o.d.Each(fn) }
 func (o opaqueData) SeedHint(p geom.Point) int64                 { return o.d.SeedHint(p) }

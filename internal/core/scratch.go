@@ -22,9 +22,6 @@ type queryScratch struct {
 	gen     uint32
 	// queue is the BFS frontier, in the int32 ids the adjacency stores.
 	queue []int32
-	// nbuf is the neighbor buffer handed to DataAccess.Neighbors; layers
-	// with resident adjacency never touch it.
-	nbuf []int32
 	// out collects the running area query's results; set by
 	// Engine.collect for the query's duration and cleared before the
 	// scratch returns to the pool.
@@ -115,19 +112,6 @@ func (s *queryScratch) mark(id int32) bool {
 //
 //vaq:noalloc
 func (s *queryScratch) seen(id int32) bool { return s.visited[id] == s.gen }
-
-// neighbors returns id's Voronoi neighbors through the scratch's buffer,
-// keeping a buffer the data layer had to grow so later (and later queries')
-// calls fit without allocating.
-//
-//vaq:noalloc
-func (s *queryScratch) neighbors(data DataAccess, id int64) []int32 {
-	nbs := data.Neighbors(id, s.nbuf)
-	if cap(nbs) > cap(s.nbuf) {
-		s.nbuf = nbs[:0]
-	}
-	return nbs
-}
 
 // acquireScratch checks a scratch out of the engine's pool, sized to the
 // current id space with a fresh generation and an empty queue.

@@ -152,13 +152,13 @@ func (g *hintGrid) frozen() hintGrid {
 // site is nearer than any of them and the walk cannot stop on one.
 //
 //vaq:noalloc
-func (e *Engine) seedWalk(p geom.Point, xs, ys []float64, s *queryScratch) (seed int64, steps int) {
+func (e *Engine) seedWalk(p geom.Point, xs, ys []float64) (seed int64, steps int) {
 	cur := e.data.SeedHint(p)
-	best := e.siteDist2(p, xs, ys, cur)
+	best := p.Dist2(e.position(xs, ys, int32(cur)))
 	for {
 		next := cur
-		for _, nb := range s.neighbors(e.data, cur) {
-			if d := e.siteDist2(p, xs, ys, int64(nb)); d < best {
+		for _, nb := range e.data.Neighbors(cur) {
+			if d := p.Dist2(e.position(xs, ys, nb)); d < best {
 				next, best = int64(nb), d
 			}
 		}
@@ -168,17 +168,4 @@ func (e *Engine) seedWalk(p geom.Point, xs, ys []float64, s *queryScratch) (seed
 		cur = next
 		steps++
 	}
-}
-
-// siteDist2 is the squared distance from q to id's position, reading the
-// packed coordinate slices when the data layer provides them. Identical
-// arithmetic to q.Dist2(Position(id)) on both paths.
-//
-//vaq:noalloc
-func (e *Engine) siteDist2(q geom.Point, xs, ys []float64, id int64) float64 {
-	if xs != nil {
-		dx, dy := q.X-xs[id], q.Y-ys[id]
-		return dx*dx + dy*dy
-	}
-	return q.Dist2(e.data.Position(id))
 }

@@ -10,15 +10,13 @@ import (
 	"repro/internal/workload"
 )
 
-// walkFrom runs the seed walk of eng toward p on a scratch of its own.
+// walkFrom runs the seed walk of eng toward p.
 func walkFrom(eng *Engine, p geom.Point) (seed int64, steps int) {
 	var xs, ys []float64
 	if cs, ok := eng.data.(CoordSource); ok {
 		xs, ys = cs.Coords()
 	}
-	s := eng.acquireScratch()
-	defer eng.releaseScratch(s)
-	return eng.seedWalk(p, xs, ys, s)
+	return eng.seedWalk(p, xs, ys)
 }
 
 // dynamicOver returns a dynamic engine holding pts, inserted in order.
@@ -43,7 +41,7 @@ func checkSeedWalk(t *testing.T, name string, eng *Engine, sites []geom.Point, p
 		t.Fatalf("%s: SeedHint(%v) = %d with %d ids", name, p, hint, eng.data.NumIDs())
 	}
 	seed, _ := walkFrom(eng, p)
-	if d, ok := eng.data.(*DynamicData); ok && (d.dt.IsFence(int(hint)) || d.dt.IsFence(int(seed))) {
+	if _, ok := eng.data.(*DynamicData); ok && (hint < delaunay.FirstSiteID || seed < delaunay.FirstSiteID) {
 		t.Fatalf("%s: toward %v the walk went from %d to %d, and one is a fence site", name, p, hint, seed)
 	}
 	want := math.Inf(1)

@@ -16,8 +16,8 @@ import (
 // without full rebuilds.
 //
 // The locate walk starts at a caller-supplied neighbour: InsertSiteNear
-// takes the id of a site close to the new one (an engine that keeps a
-// spatial index asks it for the nearest) and walks from that site's ring, a
+// takes the id of a site close to the new one (an engine asks whatever
+// spatial lookup it keeps) and walks from that site's ring, a
 // handful of orientation tests. InsertSite, with nobody to ask, walks from
 // the previous insertion — O(√n) tests per insert on unsorted arrival. The
 // hint only chooses where the walk starts: the edges that result are the
@@ -29,7 +29,12 @@ import (
 // therefore falls inside the current triangulation, which keeps the locate
 // walk and hull handling trivial. Fence sites occupy ids 0..2; user sites
 // get ids from FirstSiteID upward. Neighbor queries may report fence ids —
-// callers that only care about user sites filter with IsFence.
+// callers that only care about user sites filter ids below FirstSiteID.
+//
+// A Dynamic belongs to one writer. What readers need they get from two calls
+// serialized with it, whose results later inserts leave alone: Points, a
+// prefix of the append-only site slice, and Adjacency, CSR rings patched
+// from the previous call's.
 type Dynamic struct {
 	pool     *edgePool
 	pts      []geom.Point
@@ -37,7 +42,6 @@ type Dynamic struct {
 	universe geom.Rect
 	start    edgeID // where an unhinted walk enters: an edge of the last insertion
 	byCoord  map[geom.Point]int32
-	frozen   bool // read-only snapshot view; InsertSite panics
 }
 
 // FirstSiteID is the id of the first user site in a Dynamic triangulation.
@@ -88,40 +92,86 @@ func NewDynamic(universe geom.Rect) *Dynamic {
 	return d
 }
 
-// Snapshot returns an immutable view of the triangulation as of this call.
-// The view answers every read-side query (Point, Neighbors,
-// AppendNeighbors, Validate, ...) with the topology frozen at snapshot time,
-// and is unaffected by later InsertSite calls on the live triangulation —
-// including from other goroutines, provided Snapshot itself is serialized
-// with the writer (the caller's epoch scheme does this).
-//
-// The snapshot is cheap in the copy-on-write sense: the point slice is
-// append-only, so it is shared with the live triangulation (pinned to its
-// current length); only the per-vertex and quad-edge topology arrays —
-// which InsertSite's swaps mutate in place — are copied, O(sites) with
-// memcpy constants. Calling InsertSite on a snapshot panics.
-func (d *Dynamic) Snapshot() *Dynamic {
-	return &Dynamic{
-		pool:     d.pool.snapshot(),
-		pts:      d.pts[:len(d.pts):len(d.pts)],
-		vertEdge: append([]edgeID(nil), d.vertEdge...),
-		universe: d.universe,
-		start:    d.start,
-		frozen:   true,
-	}
-}
-
 // NumSites returns the number of sites including the three fence sites.
 func (d *Dynamic) NumSites() int { return len(d.pts) }
-
-// NumUserSites returns the number of inserted (non-fence) sites.
-func (d *Dynamic) NumUserSites() int { return len(d.pts) - FirstSiteID }
 
 // Point returns the coordinates of site id.
 func (d *Dynamic) Point(id int) geom.Point { return d.pts[id] }
 
-// IsFence reports whether id is one of the three bootstrap fence sites.
-func (d *Dynamic) IsFence(id int) bool { return id < FirstSiteID }
+// Points returns the coordinates of every site, indexed by id, fence sites
+// first. Sites never move and InsertSite only appends, so the slice is the
+// triangulation's own storage pinned to its current length: it stays valid
+// and unchanged while the writer goes on inserting, from any goroutine, as
+// long as the call itself is serialized with the writer.
+func (d *Dynamic) Points() []geom.Point { return d.pts[:len(d.pts):len(d.pts)] }
+
+// Adjacency returns the triangulation's Voronoi adjacency in CSR form: the
+// neighbors of site v are nbrs[off[v]:off[v+1]], exactly the ring
+// AppendNeighbors(v) gives, starting where it starts. The arrays are new and
+// shared with nothing, so a reader may keep them while the writer inserts.
+//
+// prevOff and prevNbrs are an earlier result of Adjacency on this
+// triangulation, or nil. Every edge an insertion creates, deletes or
+// re-anchors a ring at has both ends on the new site's final star: the star
+// edges, the edges its swaps flip (both ends then on a triangle with the new
+// site, whose edges no later swap of that insertion removes), the edge an
+// on-edge site splits. An edge between a new site and an older one leaves
+// only when a later insertion flips or splits it, which puts the older one
+// on the later site's star. So the rings that can differ from prev's are
+// those of the sites inserted since and of their current neighbors: those
+// are walked, and every other ring is copied from prev in runs between
+// them. With no prev every ring is walked, O(sites); after k inserts a call
+// walks O(k) rings and copies the rest at memcpy speed.
+func (d *Dynamic) Adjacency(prevOff, prevNbrs []int32) (off, nbrs []int32) {
+	n, done := len(d.pts), max(len(prevOff)-1, 0)
+	off = make([]int32, n+1)
+	// The new sites' rings, walked first to find the older sites on them.
+	// Until they are appended after the older rings, off[v+1] holds the end
+	// of v's ring in fresh.
+	fresh := make([]int32, 0, 6*(n-done))
+	var stale []int32 // older sites on a new site's ring; may repeat
+	for v := done; v < n; v++ {
+		from := len(fresh)
+		fresh = d.AppendNeighbors(v, fresh)
+		for _, nb := range fresh[from:] {
+			if int(nb) < done {
+				stale = append(stale, nb)
+			}
+		}
+		off[v+1] = int32(len(fresh))
+	}
+	if done == 0 {
+		return off, fresh
+	}
+	slices.Sort(stale)
+	stale = slices.Compact(stale)
+
+	// A triangulation whose outer face is the fence triangle has 3n − 6
+	// edges, so its rings hold 6n − 12 entries in all.
+	nbrs = make([]int32, 0, 6*n-12)
+	v := 0
+	for _, w := range append(stale, int32(done)) {
+		// The rings of v..w-1 are prev's: one copy, offsets shifted by one
+		// constant.
+		shift := int32(len(nbrs)) - prevOff[v]
+		nbrs = append(nbrs, prevNbrs[prevOff[v]:prevOff[w]]...)
+		for u := v + 1; u <= int(w); u++ {
+			off[u] = prevOff[u] + shift
+		}
+		if int(w) == done {
+			break
+		}
+		nbrs = d.AppendNeighbors(int(w), nbrs)
+		off[w+1] = int32(len(nbrs))
+		v = int(w) + 1
+	}
+	base := int32(len(nbrs))
+	nbrs = append(nbrs, fresh...)
+	for u := done + 1; u <= n; u++ {
+		off[u] += base
+	}
+	return off, nbrs
+}
 
 // Universe returns the declared universe rectangle.
 func (d *Dynamic) Universe() geom.Rect { return d.universe }
@@ -221,7 +271,7 @@ func (d *Dynamic) InsertSite(x geom.Point) (id int, inserted bool, err error) {
 // SiteAt returns the id of the site at exactly x, if there is one. A caller
 // about to look up a hint for InsertSiteNear asks this first: a duplicate
 // needs no walk, so it needs no hint. It belongs to the writer, as InsertSite
-// does: a Snapshot view keeps no coordinate table and reports no site.
+// does.
 func (d *Dynamic) SiteAt(x geom.Point) (id int, ok bool) {
 	existing, ok := d.byCoord[x]
 	return int(existing), ok
@@ -232,9 +282,6 @@ func (d *Dynamic) SiteAt(x geom.Point) (id int, ok bool) {
 // a far site costs a longer walk, and an id that names no site (negative, or
 // not yet assigned) falls back to the previous insertion, as InsertSite does.
 func (d *Dynamic) InsertSiteNear(x geom.Point, near int) (id int, inserted bool, err error) {
-	if d.frozen {
-		panic("delaunay: InsertSite on a read-only Snapshot view")
-	}
 	if !d.universe.ContainsPoint(x) {
 		return 0, false, fmt.Errorf("%w: %v not in %v", ErrOutsideUniverse, x, d.universe)
 	}

@@ -13,8 +13,8 @@ func unitUniverse() geom.Rect { return geom.NewRect(0, 0, 1, 1) }
 
 func TestDynamicEmpty(t *testing.T) {
 	d := NewDynamic(unitUniverse())
-	if d.NumUserSites() != 0 || d.NumSites() != FirstSiteID {
-		t.Fatalf("fresh dynamic: %d user, %d total", d.NumUserSites(), d.NumSites())
+	if d.NumSites() != FirstSiteID {
+		t.Fatalf("fresh dynamic: %d sites, want the %d fence sites", d.NumSites(), FirstSiteID)
 	}
 	if err := d.Validate(); err != nil {
 		t.Error(err)
@@ -58,8 +58,8 @@ func TestDynamicInsertAndValidateIncrementally(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if d.NumUserSites() != 300 {
-		t.Errorf("user sites = %d", d.NumUserSites())
+	if d.NumSites() != FirstSiteID+300 {
+		t.Errorf("sites = %d, want 300 and the fence", d.NumSites())
 	}
 }
 
@@ -77,8 +77,8 @@ func TestDynamicDuplicateInsert(t *testing.T) {
 	if ins2 || id2 != id1 {
 		t.Errorf("duplicate insert: id=%d ins=%v, want id=%d ins=false", id2, ins2, id1)
 	}
-	if d.NumUserSites() != 1 {
-		t.Errorf("user sites = %d, want 1", d.NumUserSites())
+	if d.NumSites() != FirstSiteID+1 {
+		t.Errorf("sites = %d, want 1 and the fence", d.NumSites())
 	}
 }
 
@@ -191,69 +191,6 @@ func BenchmarkDynamicInsert(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func TestDynamicSnapshotIsolation(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	d := NewDynamic(unitUniverse())
-	for i := 0; i < 300; i++ {
-		if _, _, err := d.InsertSite(geom.Pt(rng.Float64(), rng.Float64())); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	snap := d.Snapshot()
-	if snap.NumSites() != d.NumSites() || snap.NumUserSites() != d.NumUserSites() {
-		t.Fatalf("snapshot site counts diverge: %d/%d vs %d/%d",
-			snap.NumSites(), snap.NumUserSites(), d.NumSites(), d.NumUserSites())
-	}
-	// Record the snapshot's full adjacency before mutating the original.
-	before := make([][]int32, snap.NumSites())
-	for v := range before {
-		before[v] = snap.AppendNeighbors(v, nil)
-	}
-
-	// Keep inserting into the live triangulation; the snapshot must not move.
-	for i := 0; i < 700; i++ {
-		if _, _, err := d.InsertSite(geom.Pt(rng.Float64(), rng.Float64())); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if snap.NumSites() != len(before) {
-		t.Fatalf("snapshot grew to %d sites", snap.NumSites())
-	}
-	if err := snap.Validate(); err != nil {
-		t.Errorf("snapshot no longer valid after live inserts: %v", err)
-	}
-	if err := d.Validate(); err != nil {
-		t.Errorf("live triangulation invalid: %v", err)
-	}
-	for v := range before {
-		after := snap.AppendNeighbors(v, nil)
-		if len(after) != len(before[v]) {
-			t.Fatalf("snapshot adjacency of %d changed: %v -> %v", v, before[v], after)
-		}
-		for i := range after {
-			if after[i] != before[v][i] {
-				t.Fatalf("snapshot adjacency of %d changed: %v -> %v", v, before[v], after)
-			}
-		}
-	}
-}
-
-func TestDynamicSnapshotInsertPanics(t *testing.T) {
-	d := NewDynamic(unitUniverse())
-	if _, _, err := d.InsertSite(geom.Pt(0.5, 0.5)); err != nil {
-		t.Fatal(err)
-	}
-	snap := d.Snapshot()
-	defer func() {
-		if recover() == nil {
-			t.Error("InsertSite on a snapshot should panic")
-		}
-	}()
-	snap.InsertSite(geom.Pt(0.25, 0.25)) //nolint:errcheck // must panic first
 }
 
 // hintPolicy is one way a caller can choose InsertSiteNear's hint; a nil hint

@@ -29,6 +29,49 @@ func latticeBytes(pts []geom.Point) []byte {
 	return out
 }
 
+// published is one Adjacency result together with copies of what it and
+// Points returned, to show that later inserts and later patches leave all
+// three alone.
+type published struct {
+	pts            []geom.Point
+	off, nbrs      []int32
+	ptsAt          []geom.Point
+	offAt, nbrsAt  []int32
+	insertsPrecede int
+}
+
+// publish takes d's adjacency, patched from the last one in pubs, checks it
+// against d's own rings, and appends it to pubs.
+func publish(t *testing.T, d *Dynamic, pubs []published, inserts int) []published {
+	t.Helper()
+	var prevOff, prevNbrs []int32
+	if len(pubs) > 0 {
+		prevOff, prevNbrs = pubs[len(pubs)-1].off, pubs[len(pubs)-1].nbrs
+	}
+	off, nbrs := d.Adjacency(prevOff, prevNbrs)
+	if len(off) != d.NumSites()+1 || off[0] != 0 || int(off[len(off)-1]) != len(nbrs) {
+		t.Fatalf("after insert %d: %d offsets from %d to %d over %d neighbors, %d sites",
+			inserts, len(off), off[0], off[len(off)-1], len(nbrs), d.NumSites())
+	}
+	for v := range d.NumSites() {
+		ring := nbrs[off[v]:off[v+1]]
+		if walk := d.AppendNeighbors(v, nil); !slices.Equal(ring, walk) {
+			t.Fatalf("after insert %d: site %d has published ring %v, walk %v", inserts, v, ring, walk)
+		}
+		for _, nb := range ring {
+			if !slices.Contains(nbrs[off[nb]:off[nb+1]], int32(v)) {
+				t.Fatalf("after insert %d: %d is on the ring of %d, not the other way", inserts, nb, v)
+			}
+		}
+	}
+	pts := d.Points()
+	return append(pubs, published{
+		pts: pts, off: off, nbrs: nbrs,
+		ptsAt: slices.Clone(pts), offAt: slices.Clone(off), nbrsAt: slices.Clone(nbrs),
+		insertsPrecede: inserts,
+	})
+}
+
 // FuzzBulkAndIncrementalAgree is the differential target of the two
 // builders: whatever sites the bytes spell, the divide-and-conquer build is
 // Delaunay (exhaustively), insertion one site at a time — each walk started
@@ -36,25 +79,32 @@ func latticeBytes(pts []geom.Point) []byte {
 // locally Delaunay after every insert, and when the triangulation is unique
 // (no site on the circumcircle of a triangle it is not a corner of) the two
 // give every site the same neighbors.
+//
+// It also takes the CSR adjacency a reader is given: after insert k when bit
+// k of the third argument (cycled) is set, after every insert when it is
+// empty, and after the last. Each is patched from the one before and must
+// hold every ring the live walk gives, from the neighbor the walk starts at,
+// symmetrically; and none of them, nor the site slices published with them,
+// may change afterwards.
 func FuzzBulkAndIncrementalAgree(f *testing.F) {
 	fix := degenerateFixtures()
 	for _, name := range []string{"collinear", "duplicates", "grid8"} {
-		f.Add(latticeBytes(fix[name]), []byte(nil))
-		f.Add(latticeBytes(fix[name]), []byte{0, 1, 2, 3, 5, 8, 13, 21})
+		f.Add(latticeBytes(fix[name]), []byte(nil), []byte(nil))
+		f.Add(latticeBytes(fix[name]), []byte{0, 1, 2, 3, 5, 8, 13, 21}, []byte{0x91})
 	}
-	f.Add([]byte{0x00, 0x20, 0x22, 0x02, 0x11}, []byte{1})                                             // square + centre
-	f.Add([]byte{0x66, 0x96, 0x99, 0x69, 0x55, 0xa5, 0xaa, 0x5a, 0x44, 0xb4, 0xbb, 0x4b}, []byte(nil)) // nested squares
+	f.Add([]byte{0x00, 0x20, 0x22, 0x02, 0x11}, []byte{1}, []byte{0x10})                                             // square + centre
+	f.Add([]byte{0x66, 0x96, 0x99, 0x69, 0x55, 0xa5, 0xaa, 0x5a, 0x44, 0xb4, 0xbb, 0x4b}, []byte(nil), []byte{0x88}) // nested squares
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		data := make([]byte, 16*seed) // the shorter, the likelier unique: about half at 16 sites
 		rng.Read(data)
-		f.Add(data, []byte(nil))
+		f.Add(data, []byte(nil), []byte{byte(seed)})
 		for i := range data { // clustered: a few positions, many times each
 			data[i] = data[i%5]
 		}
-		f.Add(data, []byte{byte(seed)})
+		f.Add(data, []byte{byte(seed)}, []byte(nil))
 	}
-	f.Fuzz(func(t *testing.T, data, hints []byte) {
+	f.Fuzz(func(t *testing.T, data, hints, publishAfter []byte) {
 		pts := latticeSites(data)
 		if len(pts) == 0 {
 			return
@@ -68,6 +118,7 @@ func FuzzBulkAndIncrementalAgree(f *testing.F) {
 		}
 
 		d := NewDynamic(geom.NewRect(0, 0, 15, 15))
+		var pubs []published
 		for k, p := range pts {
 			near := extremeSite(d, p, false)
 			if len(hints) > 0 {
@@ -78,6 +129,15 @@ func FuzzBulkAndIncrementalAgree(f *testing.F) {
 			}
 			if err := d.Validate(); err != nil {
 				t.Fatalf("site %d of %v, walk from %d: %v", k, pts, near, err)
+			}
+			bit := k % max(8*len(publishAfter), 1)
+			if len(publishAfter) == 0 || publishAfter[bit/8]>>(bit%8)&1 == 1 || k == len(pts)-1 {
+				pubs = publish(t, d, pubs, k+1)
+			}
+		}
+		for _, pub := range pubs {
+			if !slices.Equal(pub.pts, pub.ptsAt) || !slices.Equal(pub.off, pub.offAt) || !slices.Equal(pub.nbrs, pub.nbrsAt) {
+				t.Fatalf("sites %v: what was published after %d inserts changed after %d", pts, pub.insertsPrecede, len(pts))
 			}
 		}
 

@@ -87,19 +87,6 @@ func (p *edgePool) deleteEdge(e edgeID) {
 	p.free = append(p.free, base)
 }
 
-// snapshot returns a frozen copy of the pool's topology arrays. The copy
-// shares no mutable state with the original: traversals of the snapshot
-// (onext/org/dst walks) are unaffected by later makeEdge/splice/deleteEdge
-// calls on the live pool. The free list is not carried over — snapshots
-// are read-only views and never allocate edges.
-func (p *edgePool) snapshot() *edgePool {
-	return &edgePool{
-		onext: append([]edgeID(nil), p.onext...),
-		org:   append([]int32(nil), p.org...),
-		alive: append([]bool(nil), p.alive...),
-	}
-}
-
 // numQuads returns the total number of allocated quads (live and freed).
 func (p *edgePool) numQuads() int { return len(p.alive) }
 

@@ -29,39 +29,34 @@ type CellArena struct {
 func BuildCellArena(d *Diagram) *CellArena {
 	return CellArenaFromSites(d.NumSites(), d.bounds,
 		func(id int64) geom.Point { return d.tri.Point(int(id)) },
-		func(id int64, _ []int32) []int32 { return d.tri.Neighbors(int(id)) })
+		func(id int64) []int32 { return d.tri.Neighbors(int(id)) })
 }
 
 // CellArenaFromSites is the one arena builder: n sites, each cell clipped to
 // clip by the bisector half-planes toward the site's Voronoi neighbors.
 // site reports a site's coordinates; neighbors reports its neighbor ids in
-// the order CellFromNeighbors would receive their coordinates — resident
-// storage, or appended to buf[:0] — so packed rings match the per-call
-// construction exactly. The signatures are those of a record layer's
-// Position and Neighbors methods, which the engines' data layers pass.
+// the order CellFromNeighbors would receive their coordinates, so packed
+// rings match the per-call construction exactly. The signatures are those of
+// a record layer's Position and Neighbors methods, which the engines' data
+// layers pass.
 func CellArenaFromSites(
 	n int,
 	clip geom.Rect,
 	site func(id int64) geom.Point,
-	neighbors func(id int64, buf []int32) []int32,
+	neighbors func(id int64) []int32,
 ) *CellArena {
 	a := newCellArena(n)
 	corners := clip.Corners()
 	var ring, tmp []geom.Point
-	var nbuf []int32
 	for i := 0; i < n; i++ {
 		s := site(int64(i))
 		ring = append(ring[:0], corners[:]...)
-		nbs := neighbors(int64(i), nbuf)
-		for _, nb := range nbs {
+		for _, nb := range neighbors(int64(i)) {
 			tmp = clipHalfPlaneInto(tmp, ring, s, site(int64(nb)))
 			ring, tmp = tmp, ring
 			if len(ring) == 0 {
 				break
 			}
-		}
-		if cap(nbs) > cap(nbuf) {
-			nbuf = nbs[:0]
 		}
 		a.pushRing(ring)
 	}

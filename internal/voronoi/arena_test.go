@@ -140,15 +140,13 @@ func TestCellArenaFromSitesMatchesCellFromNeighbors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drive the builder the way a walking data layer does — neighbor ids
-	// appended into the buffer it is handed; rings must match
-	// CellFromNeighbors over the same neighbor sequences.
+	// Drive the builder the way a data layer does — its own coordinates and
+	// neighbor lists; rings must match CellFromNeighbors over the same
+	// neighbor sequences.
 	a := CellArenaFromSites(
 		d.NumSites(), unitBounds(),
 		func(id int64) geom.Point { return pts[id] },
-		func(id int64, buf []int32) []int32 {
-			return append(buf[:0], d.Triangulation().Neighbors(int(id))...)
-		},
+		func(id int64) []int32 { return d.Triangulation().Neighbors(int(id)) },
 	)
 	for i := 0; i < d.NumSites(); i++ {
 		nbs := d.Triangulation().Neighbors(i)

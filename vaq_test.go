@@ -3,6 +3,7 @@ package vaq
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -138,7 +139,8 @@ func TestDuplicatePointsError(t *testing.T) {
 // TestConstructorsRefuseWhatTheyDocument: a site outside bounds, or with a
 // NaN or infinite coordinate, and a polygon vertex that is not finite are
 // refused with their sentinel before anything is built — no panic in the
-// exact predicates, no unbounded allocation — by every constructor.
+// exact predicates, no unbounded allocation — by every constructor, and by
+// DynamicEngine.Insert, which leaves the epoch where it was.
 func TestConstructorsRefuseWhatTheyDocument(t *testing.T) {
 	bad := map[string]float64{"outside": 1.5, "NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)}
 	pts := UniformPoints(rand.New(rand.NewSource(6)), 500, UnitSquare())
@@ -154,6 +156,24 @@ func TestConstructorsRefuseWhatTheyDocument(t *testing.T) {
 		}, ErrOutsideUniverse},
 		"NewShardedEngine": {func(v float64) error {
 			_, err := NewShardedEngine(withSite(Pt(0.5, v)), UnitSquare(), WithShards(4))
+			return err
+		}, ErrOutsideUniverse},
+		"DynamicEngine.Insert": {func(v float64) error {
+			dyn := NewDynamicEngine(UnitSquare())
+			for _, p := range pts[:50] {
+				if _, _, err := dyn.Insert(p); err != nil {
+					return err
+				}
+			}
+			var err error
+			for _, p := range []Point{Pt(v, 0.5), Pt(0.5, v)} {
+				if _, _, err = dyn.Insert(p); !errors.Is(err, ErrOutsideUniverse) {
+					return err
+				}
+				if dyn.Epoch() != 50 {
+					return fmt.Errorf("epoch %d after refusing %v, want 50", dyn.Epoch(), p)
+				}
+			}
 			return err
 		}, ErrOutsideUniverse},
 		"NewPolygon": {func(v float64) error {
