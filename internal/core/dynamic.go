@@ -16,7 +16,9 @@ import (
 
 // DynamicData is one epoch of a dynamic engine as a DataAccess: the
 // triangulation's sites and its Voronoi adjacency as they were when the
-// epoch was published, both resident and immutable. Ids are the
+// epoch was published, both resident and immutable. A query reads both in
+// place, as it reads MemoryData's: the pinned points through
+// sitePositions, the rings as CSR slices. Ids are the
 // triangulation's site ids: the three fence sites occupy 0..2 and are
 // exposed as ordinary (far-away) points so the BFS can route through them in
 // sparse datasets; Each skips them, so the brute-force oracle and scans see
@@ -63,7 +65,7 @@ func (d *DynamicData) Neighbors(id int64) []int32 {
 func (d *DynamicData) SeedHint(p geom.Point) int64 { return d.hint.lookup(p) }
 
 // Load implements DataAccess; the record is the resident position. The
-// engine's own queries read Position instead (see voronoiQuery.resident).
+// engine's own queries read pts in place instead (see voronoiQuery.resident).
 func (d *DynamicData) Load(id int64) (geom.Point, error) { return d.pts[id], nil }
 
 // Each implements DataAccess over user sites only.

@@ -139,10 +139,12 @@ func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.Que
 	// everything else (PhaseExpand: the index window walk plus the
 	// containment refinement). The traced path pays two clock reads per
 	// fetched candidate; the untraced path pays one branch. A resident
-	// record is read as its position, as the Voronoi BFS reads it (see
-	// voronoiQuery.resident), so both methods pay the same in-memory load.
+	// record is read as its position, through the slices and the helper the
+	// Voronoi BFS reads it with (see voronoiQuery.resident), so both methods
+	// pay the same in-memory load.
 	traced := tr != nil
 	resident := residentRecords(e.data)
+	at := e.sitePositions()
 	var fetch time.Duration
 	if traced {
 		scanStart := time.Now()
@@ -160,7 +162,7 @@ func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.Que
 		}
 		var pos geom.Point
 		if resident {
-			pos = e.data.Position(id)
+			pos = e.position(&at, int32(id))
 		} else {
 			var err error
 			if traced {
@@ -213,12 +215,9 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 		q.rectRegion, _ = region.(RectIntersecter)
 		q.ringRegion, _ = region.(RingViewIntersecter)
 	}
-	// Structure-of-arrays coordinates and CSR adjacency, when the data layer
-	// keeps them resident: the loop reads neighbor positions and neighbor
-	// lists straight from the slices.
-	if cs, ok := e.data.(CoordSource); ok {
-		q.xs, q.ys = cs.Coords()
-	}
+	// Resident positions and CSR adjacency, when the data layer keeps them:
+	// the loop reads positions and neighbor lists straight from the slices.
+	q.sites = e.sitePositions()
 	if as, ok := e.data.(AdjacencySource); ok {
 		q.nbrOff, q.nbrs = as.Adjacency()
 	}
@@ -229,7 +228,7 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 	if traced {
 		seedStart = time.Now()
 	}
-	seed, _ := e.seedWalk(region.InteriorPoint(), q.xs, q.ys) // eachRegion saw a non-empty index
+	seed, _ := e.seedWalk(region.InteriorPoint(), &q.sites) // eachRegion saw a non-empty index
 	var bfsStart time.Time
 	if traced {
 		tr.Add(obs.PhaseSeed, time.Since(seedStart))
@@ -251,7 +250,10 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 }
 
 // voronoiQuery is the query-constant state of one Voronoi BFS, resolved
-// once per query.
+// once per query: the region and its optional tests, and the data layer's
+// resident slices — positions (MemoryData's xs and ys, a DynamicData epoch's
+// pinned points) and CSR adjacency — which the loop then reads in place,
+// with no interface call per id.
 type voronoiQuery struct {
 	region Region
 	strict bool
@@ -268,14 +270,14 @@ type voronoiQuery struct {
 	ringRegion RingViewIntersecter
 	regionMBR  geom.Rect
 
-	// Structure-of-arrays coordinates (nil when the data layer has none).
-	xs, ys []float64
+	// Resident positions (all nil when the data layer keeps none).
+	sites sitePositions
 	// CSR adjacency (nil when the data layer exposes only Neighbors).
 	nbrOff, nbrs []int32
 	// resident is residentRecords of the data layer: a candidate's load is
-	// read the way a neighbor's position is, with no error branch and no
-	// clock pair under tracing — it is not a page fetch. Every other layer's
-	// Load is the fetch, timed as PhasePageFetch.
+	// read from sites, as a neighbor's position is, with no error branch and
+	// no clock pair under tracing — it is not a page fetch. Every other
+	// layer's Load is the fetch, timed as PhasePageFetch.
 	resident bool
 }
 
@@ -291,13 +293,40 @@ func residentRecords(data DataAccess) bool {
 	return false
 }
 
-// position reads id's resident position: from the packed coordinate slices
-// when the data layer provides them, through Position otherwise.
+// sitePositions is a data layer's positions as slices the query loops read
+// in place, resolved once per query: the parallel xs and ys of a
+// CoordSource (MemoryData, StoreData), or a dynamic epoch's pinned points
+// (DynamicData.pts). All are nil on a layer that keeps neither.
+type sitePositions struct {
+	xs, ys []float64
+	pts    []geom.Point
+}
+
+// sitePositions resolves the resident positions of e's data layer.
+func (e *Engine) sitePositions() sitePositions {
+	switch d := e.data.(type) {
+	case *DynamicData:
+		return sitePositions{pts: d.pts}
+	case CoordSource:
+		xs, ys := d.Coords()
+		return sitePositions{xs: xs, ys: ys}
+	}
+	return sitePositions{}
+}
+
+// position reads id's position from at — the coordinate slices, else the
+// pinned points — with no interface call, and through Position only on a
+// layer that keeps neither. The Voronoi BFS's resident candidates and its
+// neighbors, the seed walk's sites and the traditional method's resident
+// loads all read here.
 //
 //vaq:noalloc
-func (e *Engine) position(xs, ys []float64, id int32) geom.Point {
-	if xs != nil {
-		return geom.Point{X: xs[id], Y: ys[id]}
+func (e *Engine) position(at *sitePositions, id int32) geom.Point {
+	switch {
+	case at.xs != nil:
+		return geom.Point{X: at.xs[id], Y: at.ys[id]}
+	case at.pts != nil:
+		return at.pts[id]
 	}
 	return e.data.Position(int64(id))
 }
@@ -362,7 +391,7 @@ func (e *Engine) voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch
 		p := s.queue[head]
 		var pos geom.Point
 		if q.resident {
-			pos = e.position(q.xs, q.ys, p)
+			pos = e.position(&q.sites, p)
 		} else {
 			var err error
 			if q.traced {
@@ -393,11 +422,7 @@ func (e *Engine) voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch
 			if !s.out.add(int64(p), pos) {
 				return stats, fetch, nil
 			}
-			for _, nb := range nbs {
-				if s.mark(nb) {
-					s.queue = append(s.queue, nb)
-				}
-			}
+			s.enqueueUnvisited(nbs)
 			continue
 		}
 		// Boundary/external point: expand only toward neighbors that pass
@@ -406,7 +431,7 @@ func (e *Engine) voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch
 			if s.seen(nb) {
 				continue
 			}
-			nbPos := e.position(q.xs, q.ys, nb)
+			nbPos := e.position(&q.sites, nb)
 			var enqueue bool
 			if q.strict {
 				enqueue = q.testCell(nb, nbPos, &stats)

@@ -12,9 +12,9 @@ import (
 )
 
 // opaqueData forwards every DataAccess method and nothing else: behind it
-// the engine finds no CoordSource, no AdjacencySource and no *MemoryData,
-// so every query takes the interface path — Load, Neighbors and Position
-// per id.
+// the engine finds no CoordSource, no AdjacencySource, no *MemoryData and
+// no *DynamicData — no coordinate slices, no pinned points — so every query
+// takes the interface path: Load, Neighbors and Position per id.
 type opaqueData struct{ d DataAccess }
 
 func (o opaqueData) NumIDs() int                                 { return o.d.NumIDs() }
@@ -38,12 +38,14 @@ func (c *countingStore) Load(id int64) (geom.Point, error) {
 	return c.StoreData.Load(id)
 }
 
-// TestResidentPathIsCostNeutral: reading coordinates and adjacency in place,
-// and records for free where they are resident, changes what a query costs,
-// never what it decides. Every method returns the same ids in the same order
-// with the same counters on MemoryData and StoreData, bare and behind a
-// wrapper that hides everything but DataAccess; and a store-backed query
-// calls Load exactly once per record it reports loaded.
+// TestResidentPathIsCostNeutral: reading coordinates, pinned points and
+// adjacency in place, and records for free where they are resident, changes
+// what a query costs, never what it decides. Every method returns the same
+// ids in the same order with the same counters on MemoryData and StoreData,
+// bare and behind a wrapper that hides everything but DataAccess, and —
+// over its own ids and index — on a dynamic snapshot of the same points,
+// bare and behind the wrapper; and a store-backed query calls Load exactly
+// once per record it reports loaded.
 func TestResidentPathIsCostNeutral(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	pts := workload.UniformPoints(rng, 20000, unitBounds())
@@ -57,16 +59,22 @@ func TestResidentPathIsCostNeutral(t *testing.T) {
 	}
 	counted := &countingStore{StoreData: store}
 	idx := NewRTreeIndex(pts, 16)
-	layers := []struct {
+	snap := dynamicOver(t, pts).Snapshot()
+	// Each group's first layer is its reference, checked against brute force;
+	// a dynamic snapshot has ids, an index and rings of its own.
+	groups := [][]struct {
 		name string
 		eng  *Engine
-	}{
+	}{{
 		{"memory", NewEngine(idx, mem)},
 		{"memory, opaque", NewEngine(idx, opaqueData{mem})},
 		{"store", NewEngine(idx, store)},
 		{"store, opaque", NewEngine(idx, opaqueData{store})},
 		{"store, counted", NewEngine(idx, counted)},
-	}
+	}, {
+		{"dynamic", snap.Engine()},
+		{"dynamic, opaque", NewEngine(snap.eng.idx, opaqueData{snap.data})},
+	}}
 
 	holed := geom.MustPolygon([]geom.Point{geom.Pt(0.2, 0.2), geom.Pt(0.7, 0.2), geom.Pt(0.7, 0.7), geom.Pt(0.2, 0.7)})
 	if err := holed.AddHole([]geom.Point{geom.Pt(0.3, 0.3), geom.Pt(0.6, 0.3), geom.Pt(0.6, 0.6), geom.Pt(0.3, 0.6)}); err != nil {
@@ -81,33 +89,35 @@ func TestResidentPathIsCostNeutral(t *testing.T) {
 	}
 	ctx := context.Background()
 	for name, region := range regions {
-		oracle, _, err := query(layers[0].eng, BruteForce, region)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if name == "no sites" && len(oracle) != 0 {
-			t.Fatalf("%s: brute force finds %d sites", name, len(oracle))
-		}
-		for _, m := range []Method{Traditional, VoronoiBFS, VoronoiBFSStrict} {
-			var wantIDs []int64
-			var want Stats
-			for i, l := range layers {
-				counted.loads = 0
-				ids, st, err := l.eng.QueryRegionSpec(ctx, region, QuerySpec{Method: m})
-				if err != nil {
-					t.Fatalf("%s, %s, %v: %v", l.name, name, m, err)
-				}
-				st.Duration = 0
-				if i == 0 {
-					wantIDs, want = ids, st
-					if !slices.Equal(sortedIDs(ids), sortedIDs(oracle)) {
-						t.Fatalf("%s, %s, %v: %d ids, brute force %d", l.name, name, m, len(ids), len(oracle))
+		for _, layers := range groups {
+			oracle, _, err := query(layers[0].eng, BruteForce, region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name == "no sites" && len(oracle) != 0 {
+				t.Fatalf("%s, %s: brute force finds %d sites", layers[0].name, name, len(oracle))
+			}
+			for _, m := range []Method{Traditional, VoronoiBFS, VoronoiBFSStrict} {
+				var wantIDs []int64
+				var want Stats
+				for i, l := range layers {
+					counted.loads = 0
+					ids, st, err := l.eng.QueryRegionSpec(ctx, region, QuerySpec{Method: m})
+					if err != nil {
+						t.Fatalf("%s, %s, %v: %v", l.name, name, m, err)
 					}
-				} else if !slices.Equal(ids, wantIDs) || st != want {
-					t.Errorf("%s, %s, %v: %d ids, %+v; memory: %d ids, %+v", l.name, name, m, len(ids), st, len(wantIDs), want)
-				}
-				if l.name == "store, counted" && counted.loads != st.RecordsLoaded {
-					t.Errorf("%s, %v: %d loads for %d records loaded", name, m, counted.loads, st.RecordsLoaded)
+					st.Duration = 0
+					if i == 0 {
+						wantIDs, want = ids, st
+						if !slices.Equal(sortedIDs(ids), sortedIDs(oracle)) {
+							t.Fatalf("%s, %s, %v: %d ids, brute force %d", l.name, name, m, len(ids), len(oracle))
+						}
+					} else if !slices.Equal(ids, wantIDs) || st != want {
+						t.Errorf("%s, %s, %v: %d ids, %+v; %s: %d ids, %+v", l.name, name, m, len(ids), st, layers[0].name, len(wantIDs), want)
+					}
+					if l.name == "store, counted" && counted.loads != st.RecordsLoaded {
+						t.Errorf("%s, %v: %d loads for %d records loaded", name, m, counted.loads, st.RecordsLoaded)
+					}
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -112,6 +113,32 @@ func (s *queryScratch) mark(id int32) bool {
 //
 //vaq:noalloc
 func (s *queryScratch) seen(id int32) bool { return s.visited[id] == s.gen }
+
+// enqueueUnvisited marks every id of ring and appends those that were not
+// marked yet to the queue, in ring order: mark and append per id, as the
+// interior step of the BFS asks, with no branch on the mark. Whether an
+// interior point's neighbor was already visited goes either way about half
+// the time, so a branch on it is mispredicted about as often. The queue
+// makes room for the whole ring; for each id the stamp and the id are
+// stored unconditionally, and the write index advances (a conditional move)
+// only past an id whose old stamp was stale.
+//
+//vaq:noalloc
+func (s *queryScratch) enqueueUnvisited(ring []int32) {
+	q := slices.Grow(s.queue, len(ring))
+	n := len(q)
+	q = q[:n+len(ring)]
+	visited, gen := s.visited, s.gen
+	for _, id := range ring {
+		stale := visited[id] != gen
+		visited[id] = gen
+		q[n] = id
+		if stale {
+			n++
+		}
+	}
+	s.queue = q[:n]
+}
 
 // acquireScratch checks a scratch out of the engine's pool, sized to the
 // current id space with a fresh generation and an empty queue.

@@ -152,13 +152,13 @@ func (g *hintGrid) frozen() hintGrid {
 // site is nearer than any of them and the walk cannot stop on one.
 //
 //vaq:noalloc
-func (e *Engine) seedWalk(p geom.Point, xs, ys []float64) (seed int64, steps int) {
+func (e *Engine) seedWalk(p geom.Point, at *sitePositions) (seed int64, steps int) {
 	cur := e.data.SeedHint(p)
-	best := p.Dist2(e.position(xs, ys, int32(cur)))
+	best := p.Dist2(e.position(at, int32(cur)))
 	for {
 		next := cur
 		for _, nb := range e.data.Neighbors(cur) {
-			if d := p.Dist2(e.position(xs, ys, nb)); d < best {
+			if d := p.Dist2(e.position(at, nb)); d < best {
 				next, best = int64(nb), d
 			}
 		}

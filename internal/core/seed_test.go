@@ -12,11 +12,8 @@ import (
 
 // walkFrom runs the seed walk of eng toward p.
 func walkFrom(eng *Engine, p geom.Point) (seed int64, steps int) {
-	var xs, ys []float64
-	if cs, ok := eng.data.(CoordSource); ok {
-		xs, ys = cs.Coords()
-	}
-	return eng.seedWalk(p, xs, ys)
+	at := eng.sitePositions()
+	return eng.seedWalk(p, &at)
 }
 
 // dynamicOver returns a dynamic engine holding pts, inserted in order.

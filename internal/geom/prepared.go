@@ -270,6 +270,5 @@ func (pp *PreparedPolygon) IntersectsRect(r Rect) bool {
 // touchesRect reports whether e shares a point with the closed rectangle,
 // behind the bounding-box gate.
 func (e *preparedEdge) touchesRect(r Rect) bool {
-	return e.bb.Intersects(r) &&
-		(r.ContainsPoint(e.a) || r.ContainsPoint(e.b) || Seg(e.a, e.b).IntersectsRect(r))
+	return e.bb.Intersects(r) && Seg(e.a, e.b).IntersectsRect(r)
 }
