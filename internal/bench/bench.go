@@ -160,7 +160,7 @@ func progress(cfg Config, format string, args ...interface{}) {
 type dataset struct {
 	n      int
 	eng    *core.Engine
-	store  *core.StoreData // nil for in-memory runs
+	data   *core.MemoryData
 	bounds geom.Rect
 }
 
@@ -170,13 +170,11 @@ func newDataset(cfg Config, n int, seed int64) (*dataset, error) {
 	pts := workload.UniformPoints(rng, n, bounds)
 
 	var (
-		data core.DataAccess
-		sd   *core.StoreData
+		data *core.MemoryData
 		err  error
 	)
 	if cfg.Store != nil {
-		sd, err = core.NewStoreData(pts, bounds, *cfg.Store)
-		data = sd
+		data, err = core.NewStoreData(pts, bounds, *cfg.Store)
 	} else {
 		data, err = core.NewMemoryData(pts, bounds)
 	}
@@ -184,7 +182,7 @@ func newDataset(cfg Config, n int, seed int64) (*dataset, error) {
 		return nil, fmt.Errorf("bench: building dataset (n=%d): %w", n, err)
 	}
 	idx := core.NewRTreeIndex(pts, 16)
-	return &dataset{n: n, eng: core.NewEngine(idx, data), store: sd, bounds: bounds}, nil
+	return &dataset{n: n, eng: core.NewEngine(idx, data), data: data, bounds: bounds}, nil
 }
 
 func runConfiguration(cfg Config, n int, querySize float64, seed int64) (Row, error) {
@@ -254,10 +252,7 @@ type methodAcc struct {
 // run answers region with method m, adds the query's statistics to acc
 // and returns the result ids.
 func (ds *dataset) run(region core.Region, m core.Method, acc *methodAcc) ([]int64, error) {
-	var ioBefore int
-	if ds.store != nil {
-		ioBefore = ds.store.IOStats().PageReads
-	}
+	ioBefore := ds.data.IOStats().PageReads // 0 in memory
 	start := time.Now()
 	ids, st, err := ds.eng.QueryRegionSpec(context.Background(), region, core.QuerySpec{Method: m})
 	elapsed := time.Since(start)
@@ -267,9 +262,7 @@ func (ds *dataset) run(region core.Region, m core.Method, acc *methodAcc) ([]int
 	acc.cand += st.Candidates
 	acc.red += st.RedundantValidations
 	acc.timesMs = append(acc.timesMs, float64(elapsed.Nanoseconds())/1e6)
-	if ds.store != nil {
-		acc.pageReads += ds.store.IOStats().PageReads - ioBefore
-	}
+	acc.pageReads += ds.data.IOStats().PageReads - ioBefore
 	return ids, nil
 }
 

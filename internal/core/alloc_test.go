@@ -28,13 +28,12 @@ func TestStrictIntersectionStepAllocsZero(t *testing.T) {
 	q.arena = data.CellArena()
 	q.rectRegion, _ = region.(RectIntersecter)
 	q.ringRegion, _ = region.(RingViewIntersecter)
-	xs, ys := data.Coords()
 
 	var stats Stats
 	hits := 0
 	allocs := testing.AllocsPerRun(20, func() {
 		for i := range pts {
-			if q.testCell(int32(i), geom.Point{X: xs[i], Y: ys[i]}, &stats) {
+			if q.testCell(int32(i), data.pts[i], &stats) {
 				hits++
 			}
 		}
@@ -62,12 +61,11 @@ func TestCircleIntersectionStepAllocsZero(t *testing.T) {
 	q.arena = data.CellArena()
 	q.rectRegion, _ = region.(RectIntersecter)
 	q.ringRegion, _ = region.(RingViewIntersecter)
-	xs, ys := data.Coords()
 
 	var stats Stats
 	allocs := testing.AllocsPerRun(20, func() {
 		for i := range pts {
-			q.testCell(int32(i), geom.Point{X: xs[i], Y: ys[i]}, &stats)
+			q.testCell(int32(i), data.pts[i], &stats)
 		}
 	})
 	if allocs != 0 {
@@ -208,25 +206,22 @@ func TestDynamicArenaMatchesCell(t *testing.T) {
 	snap := d.Snapshot()
 	data := snap.data
 	arena := data.CellArena()
-	if arena.NumCells() != data.NumIDs() {
-		t.Fatalf("arena covers %d cells, snapshot has %d ids", arena.NumCells(), data.NumIDs())
+	if arena.NumCells() != len(data.pts) {
+		t.Fatalf("arena covers %d cells, snapshot has %d ids", arena.NumCells(), len(data.pts))
 	}
 	if again := data.CellArena(); again != arena {
 		t.Fatal("CellArena rebuilt on second call; want cached per snapshot")
 	}
 	u := unitBounds()
 	clip := u.Expand(u.Width() + u.Height() + 1)
-	sites := make([]geom.Point, data.NumIDs())
-	for id := range sites {
-		sites[id] = data.Position(int64(id))
-	}
+	sites := data.pts
 	static, err := voronoi.New(sites, clip)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for id := range sites {
 		var nbPts []geom.Point
-		for _, nb := range data.Neighbors(int64(id)) {
+		for _, nb := range ring(data, id) {
 			nbPts = append(nbPts, sites[nb])
 		}
 		cell := voronoi.CellFromNeighbors(sites[id], nbPts, clip)

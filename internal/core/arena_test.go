@@ -98,15 +98,15 @@ func TestLazyArenaEqualsEagerBuild(t *testing.T) {
 func TestLazyArenaBuiltOnceUnderConcurrentFirstUse(t *testing.T) {
 	pts := workload.UniformPoints(rand.New(rand.NewSource(3)), 3000, unitBounds())
 	region := CircleRegion(geom.NewCircle(geom.Pt(0.4, 0.6), 0.15))
-	for name, build := range map[string]func() (DataAccess, *Engine){
-		"memory": func() (DataAccess, *Engine) {
+	for name, build := range map[string]func() (*MemoryData, *Engine){
+		"memory": func() (*MemoryData, *Engine) {
 			data, err := NewMemoryData(pts, unitBounds())
 			if err != nil {
 				t.Fatal(err)
 			}
 			return data, NewEngine(NewRTreeIndex(pts, 16), data)
 		},
-		"dynamic snapshot": func() (DataAccess, *Engine) {
+		"dynamic snapshot": func() (*MemoryData, *Engine) {
 			d := NewDynamicEngine(unitBounds())
 			for _, p := range pts {
 				if _, _, err := d.Insert(p); err != nil {

@@ -1,7 +1,7 @@
 // Package core implements the paper's contribution: the Voronoi-diagram
 // based area query (Algorithm 1) and the traditional filter-and-refine
-// baseline it is evaluated against, over one R-tree index and pluggable
-// data accessors.
+// baseline it is evaluated against, over one R-tree index and one record
+// layer.
 //
 // An area query returns every stored point inside a query polygon. The
 // traditional method window-queries the index with the polygon's MBR and
@@ -23,13 +23,16 @@
 // 3–4 of Algorithm 1, NN(P, a position in A), are a greedy walk on the
 // Delaunay graph the method holds anyway (seedWalk), started at the site a
 // coarse grid in the data layer names for that position, so a Voronoi query
-// touches no index node at all. Every data layer — MemoryData, StoreData,
-// the dynamic engine's per-epoch DynamicData — satisfies the same DataAccess
-// contract (positions, one adjacency method, the walk's hint, record loads,
-// a scan, the packed cell arena), and every flavor above this package
-// (static, store, sharded, snapshot, remote backend) reaches the same loop:
-// voronoiBFS, seeded by that walk, with the strict rule's cell test reading
-// the arena.
+// touches no index node at all. There is one record layer, MemoryData: the
+// sites' positions, their CSR adjacency, the walk's hint and the lazily
+// packed cell arena, all resident, and optionally a paged store the
+// candidates' records are fetched from (NewStoreData). A static engine, a
+// store-backed one and every epoch a dynamic engine publishes hold one, so
+// every flavor above this package (static, store, sharded, snapshot, remote
+// backend) reaches the same loop: voronoiBFS, seeded by that walk, slicing
+// positions and rings in place, with the strict rule's cell test reading the
+// arena. Its one branch on the layer is whether a record load is a page
+// fetch.
 package core
 
 import (
@@ -39,7 +42,6 @@ import (
 	"time"
 
 	"repro/internal/geom"
-	"repro/internal/voronoi"
 )
 
 // Errors returned by the engine.
@@ -50,59 +52,6 @@ var (
 	// outside the declared universe: a caller error, matchable by errors.Is.
 	ErrOutsideUniverse = errors.New("core: outside the declared universe")
 )
-
-// DataAccess is the record layer. Ids must be dense in [0, NumIDs()).
-//
-// Position, Neighbors, SeedHint and CellArena are index-resident information (the
-// R-tree leaf carries coordinates; the Voronoi topology and cells are
-// precomputed alongside the index, as in the VoR-tree): reading them costs
-// no simulated IO. Load is the refinement fetch of the full record — the
-// IO-accounted operation both methods pay once per candidate.
-type DataAccess interface {
-	// NumIDs returns the id space size.
-	NumIDs() int
-	// Position returns the coordinates of id without performing record IO.
-	Position(id int64) geom.Point
-	// Neighbors returns the Voronoi neighbors of id, in rotational order:
-	// the layer's resident storage, which must not be modified.
-	Neighbors(id int64) []int32
-	// Load fetches the full record of id for refinement and returns its
-	// authoritative coordinates.
-	Load(id int64) (geom.Point, error)
-	// Each iterates all records (sequential scan), for oracles and tools.
-	Each(fn func(id int64, pos geom.Point) bool)
-	// SeedHint returns the id of a stored site near p, where the seed walk
-	// of the Voronoi methods starts. Any live id is a correct answer — the
-	// walk ends at p's nearest site from anywhere — and a near one a short
-	// walk. It must be deterministic (the same p, the same id, whatever ran
-	// before), resident like Position, and is never called on a layer that
-	// holds no site.
-	SeedHint(p geom.Point) int64
-	// CellArena returns every clipped Voronoi cell packed into one
-	// immutable arena (contiguous vertices, ring offsets, per-cell boxes).
-	// The strict expansion rule runs entirely on it — bounding-box rejects
-	// and exact ring tests read dense memory with zero per-visit
-	// allocation. Never nil (a layer may build it on first use).
-	CellArena() *voronoi.CellArena
-}
-
-// CoordSource is optionally implemented by DataAccess implementations
-// whose point coordinates live in parallel x/y float64 slices
-// (structure-of-arrays storage). Distance and containment loops scan the
-// slices contiguously instead of calling Position through the interface
-// per id. The slices alias internal storage and must not be modified.
-type CoordSource interface {
-	Coords() (xs, ys []float64)
-}
-
-// AdjacencySource is optionally implemented by DataAccess implementations
-// whose Voronoi adjacency is resident in CSR form: the neighbors of id are
-// nbrs[off[id]:off[id+1]], in the order Neighbors returns them. The BFS
-// slices them in place instead of calling Neighbors per candidate. The
-// slices alias internal storage and must not be modified.
-type AdjacencySource interface {
-	Adjacency() (off, nbrs []int32)
-}
 
 // Method selects an area-query algorithm.
 type Method int
@@ -160,7 +109,8 @@ type Stats struct {
 	// the Delaunay graph from the data layer's hint and touches no index
 	// node.
 	IndexNodesVisited int
-	// RecordsLoaded counts refinement fetches through DataAccess.Load.
+	// RecordsLoaded counts candidate record loads: page fetches when the
+	// data layer has a store, reads of the resident position otherwise.
 	RecordsLoaded int
 	// PartitionsDropped counts partition calls a scatter-gather engine
 	// dropped under its degraded failure policy: non-zero marks a partial
@@ -173,13 +123,12 @@ type Stats struct {
 // Engine answers area queries over one dataset. After construction it
 // holds only immutable references to the index and data; all per-query
 // mutable state lives in pooled queryScratch values, so QueryRegionSpec
-// and EachRegion are safe for concurrent use from multiple goroutines — as
-// long as the DataAccess itself is read-safe (the index and MemoryData are
-// lock-free reads; StoreData serializes buffer-pool mutations behind its
-// lock shards).
+// and EachRegion are safe for concurrent use from multiple goroutines (the
+// index and the data layer's resident part are lock-free reads; a store
+// serializes buffer-pool mutations behind its lock shards).
 type Engine struct {
 	idx  *RTreeIndex
-	data DataAccess
+	data *MemoryData
 
 	// scratch pools per-query state (*queryScratch); see scratch.go. It is
 	// the engine's own, except that every epoch of a DynamicEngine borrows
@@ -188,12 +137,12 @@ type Engine struct {
 }
 
 // NewEngine returns an engine over the given index and data.
-func NewEngine(idx *RTreeIndex, data DataAccess) *Engine {
+func NewEngine(idx *RTreeIndex, data *MemoryData) *Engine {
 	return newEngine(idx, data, newScratchPool())
 }
 
 // newEngine is NewEngine over a scratch pool the caller supplies.
-func newEngine(idx *RTreeIndex, data DataAccess, scratch *sync.Pool) *Engine {
+func newEngine(idx *RTreeIndex, data *MemoryData, scratch *sync.Pool) *Engine {
 	return &Engine{idx: idx, data: data, scratch: scratch}
 }
 

@@ -281,8 +281,8 @@ func TestStorePlacementIgnoresArrivalOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		for id, want := range pts {
-			if got, err := data.Load(int64(id)); err != nil || got != want {
-				t.Fatalf("layout %d: Load(%d) = %v, %v; want %v", li, id, got, err, want)
+			if got, err := data.store.GetPosition(int64(id)); err != nil || got != want {
+				t.Fatalf("layout %d: record %d holds %v, %v; want %v", li, id, got, err, want)
 			}
 		}
 		eng := NewEngine(NewRTreeIndex(pts, 16), data)

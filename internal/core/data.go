@@ -18,53 +18,83 @@ import (
 // unreachable through the adjacency. Deduplicate before building.
 var ErrDuplicatePoints = errors.New("core: dataset contains duplicate coordinates")
 
-// MemoryData is an in-memory DataAccess: records live in Go slices and
-// Load performs no simulated IO. It is the fastest option and the one used
-// for pure-CPU benchmarking.
+// MemoryData is the record layer of every engine: what Algorithm 1 reads
+// beside the index, resident in memory, plus — optionally — a paged store its
+// candidates' records are fetched from.
 //
-// It retains exactly what queries read, all structure-of-arrays:
-// coordinates in parallel xs/ys float64 slices (CoordSource) and the Voronoi
-// adjacency as the triangulation's CSR offset/neighbor arrays. The diagram
-// and the triangulation under it — quad-edge pool, point copy, vertex tables
-// — are construction scaffolding and are released when NewMemoryData
-// returns. The clipped Voronoi cells, which only the strict expansion rule
-// and CellArea read, are derived from the two on first use (lazyArena).
+// It retains exactly what queries read: the sites' positions as one slice
+// and the Voronoi adjacency as CSR offset/neighbor arrays. Reading either
+// costs no simulated IO (the R-tree leaf carries coordinates and the
+// topology is precomputed alongside the index, as in the VoR-tree). The
+// diagram and the triangulation under a static layer — quad-edge pool,
+// point copy, vertex tables — are construction scaffolding, released when
+// NewMemoryData returns. The clipped Voronoi cells, which only the strict
+// expansion rule and CellArea read, are derived from the two on first use
+// (lazyArena).
+//
+// A record load — the refinement fetch both methods pay once per candidate
+// — reads the resident position, unless the layer has a store (NewStoreData):
+// then it is a page fetch through the store's sharded LRU buffer pool,
+// IO-accounted. Every layer is immutable once built and safe for concurrent
+// reads; the pool's counters and LRU state sit behind per-page-id lock
+// shards (StoreConfig.PoolShards tunes the count).
+//
+// A dynamic engine publishes one per epoch (DynamicEngine.Snapshot): its
+// ids are the triangulation's, and the three fence sites below
+// delaunay.FirstSiteID are ordinary far-away sites the BFS may route
+// through, which Len and Each skip.
 type MemoryData struct {
-	xs, ys []float64
+	// pts are the sites' positions, indexed by id. A dynamic epoch pins the
+	// writer's append-only slice (delaunay.Dynamic.Points): shared, never
+	// copied.
+	pts []geom.Point
+	// first is the first user id: 0, or delaunay.FirstSiteID on a dynamic
+	// epoch, whose lower ids are the fence sites.
+	first int
 	// CSR adjacency: the neighbors of id are nbrs[nbrOff[id]:nbrOff[id+1]],
-	// in counterclockwise rotational order.
+	// in counterclockwise rotational order. A dynamic epoch's are patched
+	// from the previous epoch's (delaunay.Dynamic.Adjacency).
 	nbrOff, nbrs []int32
-	bounds       geom.Rect // what the cells are clipped to
-	arena        lazyArena
-	// hint is laid over the points' own MBR, not bounds: a shard or a serving
-	// backend holds a slice of its universe, and a grid over the universe
-	// would spend most of its buckets on space the layer has no site in.
+	// clip is what the cells are clipped to: the bounds of a static layer, or
+	// a dynamic engine's universe expanded so that fence-adjacent cells stay
+	// closed.
+	clip  geom.Rect
+	arena lazyArena
+	// hint names the seed walk's start. A static layer lays it over the
+	// points' own MBR, not clip: a shard or a serving backend holds a slice
+	// of its universe, and a grid over the universe would spend most of its
+	// buckets on space the layer has no site in. A dynamic epoch keeps the
+	// writer's grid as it was when the epoch was pinned (hintGrid.frozen).
 	hint hintGrid
+	// store holds every user site's record on pages, when the layer was
+	// built by NewStoreData; nil otherwise.
+	store *storage.Store
 }
 
-// lazyArena is the one cell-arena policy of the resident data layers: built
-// by the first CellArena call — a strict query or CellArea — exactly once
-// however many goroutines race to it. The default method never reads a
-// cell, so an engine that runs nothing else never pays the clipping pass or
-// holds its ≈ 130 bytes per site.
+// lazyArena is the cell-arena policy of the data layer: built by the first
+// CellArena call — a strict query or CellArea — exactly once however many
+// goroutines race to it. The default method never reads a cell, so an
+// engine that runs nothing else never pays the clipping pass or holds its
+// ≈ 130 bytes per site.
 type lazyArena struct {
 	once  sync.Once
 	cells *voronoi.CellArena
 }
 
-// get returns d's cells clipped to clip, built from d's positions and
+// get returns d's cells clipped to d.clip, built from d's positions and
 // adjacency on the first call: bit-identical to voronoi.BuildCellArena over
 // the triangulation d was derived from (same coordinates, neighbor order
 // and clipping loop).
-func (l *lazyArena) get(d DataAccess, clip geom.Rect) *voronoi.CellArena {
+func (l *lazyArena) get(d *MemoryData) *voronoi.CellArena {
 	l.once.Do(func() {
-		l.cells = voronoi.CellArenaFromSites(d.NumIDs(), clip, d.Position, d.Neighbors)
+		l.cells = voronoi.CellArenaFromSites(len(d.pts), d.clip, d.Position,
+			func(id int64) []int32 { return d.nbrs[d.nbrOff[id]:d.nbrOff[id+1]] })
 	})
 	return l.cells
 }
 
-// NewMemoryData builds the Voronoi topology over pts and wraps it in a
-// DataAccess. bounds must contain all points (it bounds the Voronoi cells).
+// NewMemoryData builds the Voronoi topology over pts and keeps what queries
+// read of it. bounds must contain all points (it bounds the Voronoi cells).
 func NewMemoryData(pts []geom.Point, bounds geom.Rect) (*MemoryData, error) {
 	d, err := voronoi.New(pts, bounds)
 	if err != nil {
@@ -73,11 +103,7 @@ func NewMemoryData(pts []geom.Point, bounds geom.Rect) (*MemoryData, error) {
 	if d.NumSites() != len(pts) {
 		return nil, ErrDuplicatePoints
 	}
-	m := &MemoryData{
-		xs:     make([]float64, len(pts)),
-		ys:     make([]float64, len(pts)),
-		bounds: bounds,
-	}
+	m := &MemoryData{pts: slices.Clone(pts), clip: bounds}
 	// No duplicates, so every input index is its own canonical vertex and
 	// the triangulation's CSR arrays are indexed by id directly.
 	m.nbrOff, m.nbrs = d.Triangulation().Adjacency()
@@ -87,7 +113,6 @@ func NewMemoryData(pts []geom.Point, bounds geom.Rect) (*MemoryData, error) {
 	}
 	hint := newHintGrid(geom.RectFromPoints(pts...), side)
 	for i, p := range pts {
-		m.xs[i], m.ys[i] = p.X, p.Y
 		hint.add(int32(i), p)
 	}
 	hint.flood()
@@ -95,62 +120,28 @@ func NewMemoryData(pts []geom.Point, bounds geom.Rect) (*MemoryData, error) {
 	return m, nil
 }
 
-// NumIDs implements DataAccess.
-func (m *MemoryData) NumIDs() int { return len(m.xs) }
+// Len returns the number of user sites: fence sites excluded.
+func (m *MemoryData) Len() int { return len(m.pts) - m.first }
 
-// Position implements DataAccess.
-func (m *MemoryData) Position(id int64) geom.Point {
-	return geom.Point{X: m.xs[id], Y: m.ys[id]}
-}
+// Position returns the resident coordinates of id, without record IO.
+func (m *MemoryData) Position(id int64) geom.Point { return m.pts[id] }
 
-// Coords implements CoordSource.
-func (m *MemoryData) Coords() (xs, ys []float64) { return m.xs, m.ys }
-
-// Adjacency implements AdjacencySource.
-func (m *MemoryData) Adjacency() (off, nbrs []int32) { return m.nbrOff, m.nbrs }
-
-// Neighbors implements DataAccess: the resident CSR slice.
-func (m *MemoryData) Neighbors(id int64) []int32 {
-	return m.nbrs[m.nbrOff[id]:m.nbrOff[id+1]]
-}
-
-// SeedHint implements DataAccess.
-//
-//vaq:noalloc
-func (m *MemoryData) SeedHint(p geom.Point) int64 { return m.hint.lookup(p) }
-
-// Load implements DataAccess; in-memory data loads for free. The engine's
-// own queries do not call it: over a *MemoryData they read xs and ys in
-// place (see voronoiQuery.resident).
-func (m *MemoryData) Load(id int64) (geom.Point, error) {
-	return geom.Point{X: m.xs[id], Y: m.ys[id]}, nil
-}
-
-// Each implements DataAccess.
+// Each iterates the user sites in ascending id order (a sequential scan of
+// the resident positions, for the brute-force oracle and tools); fn
+// returning false stops it.
 func (m *MemoryData) Each(fn func(id int64, pos geom.Point) bool) {
-	for i := range m.xs {
-		if !fn(int64(i), geom.Point{X: m.xs[i], Y: m.ys[i]}) {
+	for i := m.first; i < len(m.pts); i++ {
+		if !fn(int64(i), m.pts[i]) {
 			return
 		}
 	}
 }
 
-// CellArena implements DataAccess.
-func (m *MemoryData) CellArena() *voronoi.CellArena { return m.arena.get(m, m.bounds) }
-
-// StoreData is a DataAccess whose Load goes through a paged object store
-// with a sharded LRU buffer pool, so every refinement fetch is
-// IO-accounted. Everything else is the embedded MemoryData: the Voronoi
-// topology, the raw coordinates and the lazily built cell arena stay in
-// memory (index-resident), as in a VoR-tree deployment, and Each — the
-// brute-force scan — reads them without touching the pool. It is safe for
-// concurrent use: the store is immutable and the pool's counters and LRU
-// state sit behind per-page-id lock shards (StoreConfig.PoolShards tunes the
-// count).
-type StoreData struct {
-	*MemoryData
-	store *storage.Store
-}
+// CellArena returns every clipped Voronoi cell packed into one immutable
+// arena (contiguous vertices, ring offsets, per-cell boxes), built on first
+// use. The strict expansion rule runs entirely on it — bounding-box rejects
+// and exact ring tests read dense memory with zero per-visit allocation.
+func (m *MemoryData) CellArena() *voronoi.CellArena { return m.arena.get(m) }
 
 // StoreConfig configures the simulated object store.
 type StoreConfig struct {
@@ -169,14 +160,15 @@ type StoreConfig struct {
 	PayloadBytes int
 }
 
-// NewStoreData builds the Voronoi topology over pts and materializes every
-// point as a record (id + coordinates + payload) in a paged store. Records
-// go onto pages in the Hilbert order of their positions over bounds, ties
-// by id, whatever order pts arrives in: the candidates of an area query are
-// a connected patch of the plane, so placed this way they share pages.
-// Ids are still indexes into pts.
-func NewStoreData(pts []geom.Point, bounds geom.Rect, cfg StoreConfig) (*StoreData, error) {
-	mem, err := NewMemoryData(pts, bounds)
+// NewStoreData builds the layer NewMemoryData builds and materializes every
+// point as a record (id + coordinates + payload) in a paged store, which
+// every candidate's record load then goes through. Records go onto pages in
+// the Hilbert order of their positions over bounds, ties by id, whatever
+// order pts arrives in: the candidates of an area query are a connected
+// patch of the plane, so placed this way they share pages. Ids are still
+// indexes into pts.
+func NewStoreData(pts []geom.Point, bounds geom.Rect, cfg StoreConfig) (*MemoryData, error) {
+	m, err := NewMemoryData(pts, bounds)
 	if err != nil {
 		return nil, err
 	}
@@ -201,25 +193,29 @@ func NewStoreData(pts []geom.Point, bounds geom.Rect, cfg StoreConfig) (*StoreDa
 			return nil, fmt.Errorf("core: building store: %w", err)
 		}
 	}
-	st, err := builder.Build()
-	if err != nil {
+	if m.store, err = builder.Build(); err != nil {
 		return nil, fmt.Errorf("core: building store: %w", err)
 	}
-	return &StoreData{MemoryData: mem, store: st}, nil
+	return m, nil
 }
 
-// Load implements DataAccess: it fetches the record's page through the
-// buffer pool, paying simulated IO, and reads the authoritative position
-// out of it without copying the rest of the record.
-func (s *StoreData) Load(id int64) (geom.Point, error) {
-	return s.store.GetPosition(id)
+// Store returns the paged store records are fetched from (for IO
+// statistics and cache control), nil when records are resident.
+func (m *MemoryData) Store() *storage.Store { return m.store }
+
+// IOStats returns the store's accumulated buffer pool statistics; zero
+// without a store.
+func (m *MemoryData) IOStats() storage.BufferPoolStats {
+	if m.store == nil {
+		return storage.BufferPoolStats{}
+	}
+	return m.store.Stats()
 }
 
-// Store exposes the underlying object store (for IO statistics).
-func (s *StoreData) Store() *storage.Store { return s.store }
-
-// IOStats returns the accumulated buffer pool statistics.
-func (s *StoreData) IOStats() storage.BufferPoolStats { return s.store.Stats() }
-
-// ResetIOStats zeroes the IO counters (cache contents are kept).
-func (s *StoreData) ResetIOStats() { s.store.ResetStats() }
+// ResetIOStats zeroes the store's IO counters (cache contents are kept); a
+// no-op without a store.
+func (m *MemoryData) ResetIOStats() {
+	if m.store != nil {
+		m.store.ResetStats()
+	}
+}

@@ -11,76 +11,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/rtree"
-	"repro/internal/voronoi"
 )
-
-// DynamicData is one epoch of a dynamic engine as a DataAccess: the
-// triangulation's sites and its Voronoi adjacency as they were when the
-// epoch was published, both resident and immutable. A query reads both in
-// place, as it reads MemoryData's: the pinned points through
-// sitePositions, the rings as CSR slices. Ids are the
-// triangulation's site ids: the three fence sites occupy 0..2 and are
-// exposed as ordinary (far-away) points so the BFS can route through them in
-// sparse datasets; Each skips them, so the brute-force oracle and scans see
-// only user sites.
-type DynamicData struct {
-	// pts is the writer's append-only site slice pinned to this epoch's
-	// length (delaunay.Dynamic.Points): shared, never copied.
-	pts []geom.Point
-	// CSR adjacency (delaunay.Dynamic.Adjacency): the neighbors of id are
-	// nbrs[nbrOff[id]:nbrOff[id+1]], each ring starting where the
-	// triangulation's own walk starts it. The next epoch copies the rings no
-	// insert since has touched from these.
-	nbrOff, nbrs []int32
-	// clip is what the cells are clipped to: the universe, expanded so that
-	// fence-adjacent cells stay closed.
-	clip geom.Rect
-	// hint is the writer's grid as it was when this epoch was pinned
-	// (hintGrid.frozen): an entry the writer sets afterwards names a site this
-	// snapshot does not hold, and goes into a copy.
-	hint hintGrid
-
-	// arena is built by the first strict query against this epoch (once per
-	// epoch, not per query); the epoch never changes, so neither does it.
-	arena lazyArena
-}
-
-// NumIDs implements DataAccess (fence sites included).
-func (d *DynamicData) NumIDs() int { return len(d.pts) }
-
-// Position implements DataAccess.
-func (d *DynamicData) Position(id int64) geom.Point { return d.pts[id] }
-
-// Adjacency implements AdjacencySource.
-func (d *DynamicData) Adjacency() (off, nbrs []int32) { return d.nbrOff, d.nbrs }
-
-// Neighbors implements DataAccess: the resident CSR slice.
-func (d *DynamicData) Neighbors(id int64) []int32 {
-	return d.nbrs[d.nbrOff[id]:d.nbrOff[id+1]]
-}
-
-// SeedHint implements DataAccess: a user site, never a fence site.
-//
-//vaq:noalloc
-func (d *DynamicData) SeedHint(p geom.Point) int64 { return d.hint.lookup(p) }
-
-// Load implements DataAccess; the record is the resident position. The
-// engine's own queries read pts in place instead (see voronoiQuery.resident).
-func (d *DynamicData) Load(id int64) (geom.Point, error) { return d.pts[id], nil }
-
-// Each implements DataAccess over user sites only.
-func (d *DynamicData) Each(fn func(id int64, pos geom.Point) bool) {
-	for i := delaunay.FirstSiteID; i < len(d.pts); i++ {
-		if !fn(int64(i), d.pts[i]) {
-			return
-		}
-	}
-}
-
-// CellArena implements DataAccess: every cell of the pinned epoch, clipped
-// to an expanded universe. The O(n) clipping pass is paid once per epoch,
-// by its first strict query.
-func (d *DynamicData) CellArena() *voronoi.CellArena { return d.arena.get(d, d.clip) }
 
 // DynamicEngine answers area queries over a growing dataset: points are
 // inserted one at a time into a dynamic Delaunay triangulation and a
@@ -100,12 +31,12 @@ func (d *DynamicData) CellArena() *voronoi.CellArena { return d.arena.get(d, d.c
 // path copying — the snapshot takes the root, O(1), and the next Insert
 // copies the one root-to-leaf path it writes, O(height). The Voronoi
 // adjacency, which InsertSite's edge swaps rewire in place, is published as
-// CSR arrays of its own (delaunay.Dynamic.Adjacency), so queries slice rings
-// as they do over MemoryData. Each epoch's arrays are patched from the
-// previous epoch's: the rings of the sites inserted since and of their
-// neighbors are walked, the rest copied in runs — ≈ 0.26 ms per
-// one-insert epoch at 54k sites on a 2-core Xeon @ 2.1 GHz, against
-// ≈ 9 ms for the first publish, which walks every ring. Every epoch's
+// CSR arrays of its own (delaunay.Dynamic.Adjacency); points and rings make
+// the epoch a MemoryData like a static engine's. Each epoch's arrays are
+// patched from the previous epoch's: the rings of the sites inserted since
+// and of their neighbors are walked, the rest copied in runs — ≈ 0.26 ms per
+// one-insert epoch at 54k sites on a 2-core Xeon @ 2.1 GHz, against ≈ 9 ms
+// for the first publish, which walks every ring. Every epoch's
 // queries draw their scratch from one pool, so a new epoch starts with the
 // visited table the last one warmed.
 //
@@ -213,8 +144,8 @@ func (d *DynamicEngine) PointOK(id int64) (geom.Point, bool) {
 	if id < int64(delaunay.FirstSiteID) {
 		return geom.Point{}, false
 	}
-	if s := d.snap.Load(); s != nil && id < int64(s.data.NumIDs()) {
-		return s.data.Position(id), true
+	if s := d.snap.Load(); s != nil && id < int64(len(s.data.pts)) {
+		return s.data.pts[id], true
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -282,12 +213,13 @@ func (d *DynamicEngine) Snapshot() *DynamicSnapshot {
 	// The adjacency is patched from the epoch this one replaces.
 	var prevOff, prevNbrs []int32
 	if prev := d.snap.Load(); prev != nil {
-		prevOff, prevNbrs = prev.data.Adjacency()
+		prevOff, prevNbrs = prev.data.nbrOff, prev.data.nbrs
 	}
 	off, nbrs := d.dt.Adjacency(prevOff, prevNbrs)
 	u := d.dt.Universe()
-	data := &DynamicData{
+	data := &MemoryData{
 		pts:    d.dt.Points(),
+		first:  delaunay.FirstSiteID,
 		nbrOff: off,
 		nbrs:   nbrs,
 		clip:   u.Expand(u.Width() + u.Height() + 1),
@@ -312,7 +244,7 @@ func (d *DynamicEngine) Snapshot() *DynamicSnapshot {
 // concurrent use from any number of goroutines.
 type DynamicSnapshot struct {
 	epoch uint64
-	data  *DynamicData
+	data  *MemoryData
 	eng   *Engine
 }
 
@@ -321,7 +253,7 @@ type DynamicSnapshot struct {
 func (s *DynamicSnapshot) Epoch() uint64 { return s.epoch }
 
 // Len returns the number of points in the snapshot.
-func (s *DynamicSnapshot) Len() int { return s.data.NumIDs() - delaunay.FirstSiteID }
+func (s *DynamicSnapshot) Len() int { return s.data.Len() }
 
 // Point returns the coordinates of an inserted id present in the snapshot.
 // It panics when there is none — the fence sites' ids included.
@@ -336,10 +268,10 @@ func (s *DynamicSnapshot) Point(id int64) geom.Point {
 // PointOK returns the coordinates of id and whether id is a user site
 // present in the snapshot (fence sites and out-of-range ids report false).
 func (s *DynamicSnapshot) PointOK(id int64) (geom.Point, bool) {
-	if id < int64(delaunay.FirstSiteID) || id >= int64(s.data.NumIDs()) {
+	if id < int64(delaunay.FirstSiteID) || id >= int64(len(s.data.pts)) {
 		return geom.Point{}, false
 	}
-	return s.data.Position(id), true
+	return s.data.pts[id], true
 }
 
 // EachPoint iterates the snapshot's points in ascending id order; fn

@@ -246,9 +246,9 @@ func TestDynamicSnapshotNeighborsStableUnderInserts(t *testing.T) {
 		}
 	}
 	pinned := d.Snapshot().data
-	want := make([][]int32, pinned.NumIDs())
+	want := make([][]int32, len(pinned.pts))
 	for id := range want {
-		want[id] = slices.Clone(pinned.Neighbors(int64(id)))
+		want[id] = slices.Clone(ring(pinned, id))
 	}
 	more := workload.UniformPoints(rng, 500, unitBounds())
 	done := make(chan error, 1)
@@ -271,9 +271,9 @@ func TestDynamicSnapshotNeighborsStableUnderInserts(t *testing.T) {
 			writing = false // one more pass over a finished writer
 		default:
 		}
-		for id, ring := range want {
-			if got := pinned.Neighbors(int64(id)); !slices.Equal(got, ring) {
-				t.Fatalf("pinned ring of %d changed from %v to %v", id, ring, got)
+		for id, was := range want {
+			if got := ring(pinned, id); !slices.Equal(got, was) {
+				t.Fatalf("pinned ring of %d changed from %v to %v", id, was, got)
 			}
 		}
 	}

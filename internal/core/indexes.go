@@ -49,10 +49,3 @@ func (x *RTreeIndex) Nearest(q geom.Point) (id int64, nodes int, ok bool) {
 	item, st, ok := x.tree.NearestNeighbor(q)
 	return item.ID, st.NodesVisited, ok
 }
-
-// Interface conformance checks.
-var (
-	_ DataAccess = (*MemoryData)(nil)
-	_ DataAccess = (*StoreData)(nil)
-	_ DataAccess = (*DynamicData)(nil)
-)

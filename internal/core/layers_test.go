@@ -1,0 +1,269 @@
+package core
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/delaunay"
+	"repro/internal/geom"
+	"repro/internal/obs"
+	"repro/internal/storage"
+	"repro/internal/workload"
+)
+
+// ring returns the Voronoi neighbors of id in d, in place.
+func ring(d *MemoryData, id int) []int32 { return d.nbrs[d.nbrOff[id]:d.nbrOff[id+1]] }
+
+// TestDataLayersAgree: where a record comes from changes what a query costs,
+// never what it decides. Every method returns the same ids in the same order
+// with the same counters on a memory layer and on a store layer over the same
+// points, and the same points — under ids shifted past the fence — on a
+// dynamic snapshot that inserted them in order. The store layer loads each
+// record it counts through its pool, exactly once: its page reads and hits
+// grow by Stats.RecordsLoaded. The memory layer fetches nothing.
+func TestDataLayersAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	pts := workload.UniformPoints(rng, 20000, unitBounds())
+	mem, err := NewMemoryData(pts, unitBounds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewStoreData(pts, unitBounds(), StoreConfig{PageSize: 1024, PoolPages: 8, PayloadBytes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := NewRTreeIndex(pts, 16)
+	memEng, storeEng := NewEngine(idx, mem), NewEngine(idx, store)
+	dynEng := dynamicOver(t, pts).Snapshot().Engine()
+
+	holed := geom.MustPolygon([]geom.Point{geom.Pt(0.2, 0.2), geom.Pt(0.7, 0.2), geom.Pt(0.7, 0.7), geom.Pt(0.2, 0.7)})
+	if err := holed.AddHole([]geom.Point{geom.Pt(0.3, 0.3), geom.Pt(0.6, 0.3), geom.Pt(0.6, 0.6), geom.Pt(0.3, 0.6)}); err != nil {
+		t.Fatal(err)
+	}
+	regions := map[string]Region{
+		"1 % polygon":    PolygonRegion(workload.RandomPolygon(rng, workload.PolygonConfig{Vertices: 10, QuerySize: 0.01}, unitBounds())),
+		"0.01 % polygon": PolygonRegion(workload.RandomPolygon(rng, workload.PolygonConfig{Vertices: 10, QuerySize: 0.0001}, unitBounds())),
+		"circle":         CircleRegion(geom.Circle{Center: geom.Pt(0.4, 0.6), R: 0.07}),
+		"holed":          PolygonRegion(holed),
+		"no sites":       PolygonRegion(geom.MustPolygon([]geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.5+1e-7, 0.5), geom.Pt(0.5, 0.5+1e-7)})),
+	}
+	ctx := context.Background()
+	accesses := func(st storage.BufferPoolStats) int { return st.PageReads + st.CacheHits }
+	for name, region := range regions {
+		oracle, _, err := query(memEng, BruteForce, region)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "no sites" && len(oracle) != 0 {
+			t.Fatalf("%s: brute force finds %d sites", name, len(oracle))
+		}
+		for _, m := range []Method{Traditional, VoronoiBFS, VoronoiBFSStrict, BruteForce} {
+			var tr obs.QueryTrace
+			want, wantSt, err := memEng.QueryRegionSpec(ctx, region, QuerySpec{Method: m, Trace: &tr})
+			if err != nil {
+				t.Fatalf("memory, %s, %v: %v", name, m, err)
+			}
+			if !slices.Equal(sortedIDs(want), sortedIDs(oracle)) {
+				t.Fatalf("memory, %s, %v: %d ids, brute force %d", name, m, len(want), len(oracle))
+			}
+			if f := tr.Phase(obs.PhasePageFetch); f != 0 || mem.IOStats() != (storage.BufferPoolStats{}) {
+				t.Errorf("memory, %s, %v: %v of page fetches, pool %+v", name, m, f, mem.IOStats())
+			}
+
+			before := accesses(store.IOStats())
+			got, st, err := storeEng.QueryRegionSpec(ctx, region, QuerySpec{Method: m})
+			if err != nil {
+				t.Fatalf("store, %s, %v: %v", name, m, err)
+			}
+			if n := accesses(store.IOStats()) - before; n != st.RecordsLoaded {
+				t.Errorf("store, %s, %v: %d pool accesses for %d records loaded", name, m, n, st.RecordsLoaded)
+			}
+			st.Duration, wantSt.Duration = 0, 0
+			if !slices.Equal(got, want) || st != wantSt {
+				t.Errorf("store, %s, %v: %d ids, %+v; memory: %d ids, %+v", name, m, len(got), st, len(want), wantSt)
+			}
+
+			dyn, _, err := query(dynEng, m, region)
+			if err != nil {
+				t.Fatalf("dynamic, %s, %v: %v", name, m, err)
+			}
+			for i := range dyn {
+				dyn[i] -= delaunay.FirstSiteID
+			}
+			if !slices.Equal(sortedIDs(dyn), sortedIDs(want)) {
+				t.Errorf("dynamic, %s, %v: %d ids, memory %d", name, m, len(dyn), len(want))
+			}
+		}
+	}
+}
+
+// checkLayerStructure asserts what every data layer is, whatever built it:
+//   - its CSR adjacency is symmetric, with no self and no repeated entry;
+//   - every user site lies inside the clip rectangle, and in its own clipped
+//     cell (closed containment);
+//   - the shoelace areas of all cells sum to the clip rectangle's area within
+//     a relative 1e-9: the cells tile it, leaving no neutral region. On a
+//     dynamic epoch that sum includes the fence sites' cells (the fence sites
+//     themselves lie outside the clip).
+func checkLayerStructure(t *testing.T, name string, d *MemoryData) {
+	t.Helper()
+	n := len(d.pts)
+	if len(d.nbrOff) != n+1 || d.nbrOff[0] != 0 || int(d.nbrOff[n]) != len(d.nbrs) {
+		t.Fatalf("%s: %d offsets for %d sites over %d neighbors", name, len(d.nbrOff), n, len(d.nbrs))
+	}
+	for id := range n {
+		r := ring(d, id)
+		for k, nb := range r {
+			switch {
+			case nb < 0 || int(nb) >= n:
+				t.Fatalf("%s: ring of %d names %d of %d sites", name, id, nb, n)
+			case int(nb) == id:
+				t.Fatalf("%s: ring of %d names itself: %v", name, id, r)
+			case slices.Contains(r[:k], nb):
+				t.Fatalf("%s: ring of %d names %d twice: %v", name, id, nb, r)
+			case !slices.Contains(ring(d, int(nb)), int32(id)):
+				t.Fatalf("%s: %d is on the ring of %d, not the other way", name, nb, id)
+			}
+		}
+	}
+	cells := d.CellArena()
+	if cells.NumCells() != n {
+		t.Fatalf("%s: %d cells for %d sites", name, cells.NumCells(), n)
+	}
+	area := 0.0
+	for id, p := range d.pts {
+		cell := cells.Ring(id)
+		if id >= d.first && (!d.clip.ContainsPoint(p) || !cell.ContainsPoint(p)) {
+			t.Fatalf("%s: site %d at %v lies outside its cell (box %v) or the clip %v", name, id, p, cells.CellBox(id), d.clip)
+		}
+		area += cell.Area()
+	}
+	if want := d.clip.Area(); math.Abs(area-want) > 1e-9*want {
+		t.Fatalf("%s: the cells of %d sites cover %.15g of the clip's %.15g", name, n, area, want)
+	}
+}
+
+// checkEpochs inserts pts in order into a dynamic engine over the unit
+// square, publishes after insert k when publish(k) says so and after the
+// last, and checks the structure of every epoch published.
+func checkEpochs(t *testing.T, name string, pts []geom.Point, publish func(k int) bool) {
+	t.Helper()
+	d := NewDynamicEngine(unitBounds())
+	for k, p := range pts {
+		if _, _, err := d.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+		if publish(k) || k == len(pts)-1 {
+			checkLayerStructure(t, name, d.Snapshot().data)
+		}
+	}
+}
+
+// TestDataLayerStructure runs checkLayerStructure over every arena fixture —
+// random and degenerate — as a memory layer, as a store layer, and as the
+// epochs of a dynamic engine that publishes after every few inserts.
+func TestDataLayerStructure(t *testing.T) {
+	for name, pts := range arenaFixtures() {
+		mem, err := NewMemoryData(pts, unitBounds())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLayerStructure(t, name+", memory", mem)
+		store, err := NewStoreData(pts, unitBounds(), StoreConfig{PageSize: 1024, PoolPages: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLayerStructure(t, name+", store", store)
+		stride := max(3, len(pts)/50)
+		checkEpochs(t, name+", dynamic", pts, func(k int) bool { return k%stride == stride-1 })
+	}
+}
+
+// Site shapes of FuzzDataLayerStructure's decoder.
+const (
+	layerLattice   = iota // as decoded: collinear runs and cocircular quadruples everywhere
+	layerCollinear        // every site on the square's diagonal
+	layerBoundary         // every site moved onto the nearest edge of the square
+	numLayerShapes
+)
+
+// decodeLayerSites spells at most 64 distinct sites in the unit square, a
+// byte each after the shape byte data[0]: x in the high nibble, y in the low,
+// on a 1/16 lattice whose last line is the square's far edge (nibble 15 is
+// 1), so every coordinate is exact. A repeated site is dropped.
+func decodeLayerSites(data []byte) []geom.Point {
+	if len(data) < 2 {
+		return nil
+	}
+	lattice := func(nibble byte) float64 {
+		if nibble == 15 {
+			return 1
+		}
+		return float64(nibble) / 16
+	}
+	shape := int(data[0]) % numLayerShapes
+	var sites []geom.Point
+	for _, b := range data[1:min(len(data), 65)] {
+		x, y := lattice(b>>4), lattice(b&15)
+		switch shape {
+		case layerCollinear:
+			y = x
+		case layerBoundary:
+			switch {
+			case min(x, 1-x) <= min(y, 1-y) && x < 0.5:
+				x = 0
+			case min(x, 1-x) <= min(y, 1-y):
+				x = 1
+			case y < 0.5:
+				y = 0
+			default:
+				y = 1
+			}
+		}
+		if s := geom.Pt(x, y); !slices.Contains(sites, s) {
+			sites = append(sites, s)
+		}
+	}
+	return sites
+}
+
+// FuzzDataLayerStructure holds every data layer to checkLayerStructure on
+// site sets biased toward the geometry Voronoi code gets wrong — collinear,
+// cocircular and boundary sites: built statically, and inserted into a
+// dynamic engine that publishes after insert k when bit k of the second
+// argument (cycled) is set, after every insert when it is empty, and after
+// the last.
+func FuzzDataLayerStructure(f *testing.F) {
+	square := []byte{0x44, 0xc4, 0xcc, 0x4c, 0x88}
+	lattice := []byte{0x00, 0x0f, 0xf0, 0xff, 0x37, 0x73, 0x55, 0x5a, 0xa5, 0xaa, 0x18, 0x81, 0xe2, 0x2e}
+	f.Add(append([]byte{layerLattice}, square...), []byte(nil))
+	f.Add(append([]byte{layerLattice}, lattice...), []byte{0x55})
+	f.Add(append([]byte{layerCollinear}, lattice...), []byte(nil))
+	f.Add(append([]byte{layerBoundary}, lattice...), []byte{0x0f})
+	f.Add([]byte{layerLattice, 0x77}, []byte(nil)) // one site
+	f.Add([]byte{layerBoundary, 0x00, 0xff}, []byte(nil))
+	rng := rand.New(rand.NewSource(34))
+	for n := 8; n <= 64; n *= 2 {
+		data := make([]byte, n+1)
+		rng.Read(data)
+		f.Add(data, []byte{byte(n)})
+	}
+	f.Fuzz(func(t *testing.T, data, publishAfter []byte) {
+		sites := decodeLayerSites(data)
+		if len(sites) == 0 {
+			return
+		}
+		mem, err := NewMemoryData(sites, unitBounds())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLayerStructure(t, "static", mem)
+		checkEpochs(t, "dynamic", sites, func(k int) bool {
+			bit := k % max(8*len(publishAfter), 1)
+			return len(publishAfter) == 0 || publishAfter[bit/8]>>(bit%8)&1 == 1
+		})
+	})
+}

@@ -97,14 +97,13 @@ func BenchmarkCellArenaIntersect(b *testing.B) {
 	q.arena = data.CellArena()
 	q.rectRegion, _ = region.(RectIntersecter)
 	q.ringRegion, _ = region.(RingViewIntersecter)
-	xs, ys := data.Coords()
 	var stats Stats
 	b.ReportAllocs()
 	b.ResetTimer()
 	hits := 0
 	for i := 0; i < b.N; i++ {
 		id := i % len(pts)
-		if q.testCell(int32(id), geom.Point{X: xs[id], Y: ys[id]}, &stats) {
+		if q.testCell(int32(id), data.pts[id], &stats) {
 			hits++
 		}
 	}

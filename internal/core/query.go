@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/storage"
 	"repro/internal/voronoi"
 )
 
@@ -137,20 +138,17 @@ func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.Que
 	var stopErr error
 	// Tracing splits the scan into record loads (PhasePageFetch) and
 	// everything else (PhaseExpand: the index window walk plus the
-	// containment refinement). The traced path pays two clock reads per
-	// fetched candidate; the untraced path pays one branch. A resident
-	// record is read as its position, through the slices and the helper the
-	// Voronoi BFS reads it with (see voronoiQuery.resident), so both methods
-	// pay the same in-memory load.
+	// containment refinement). A record is loaded as the Voronoi BFS loads
+	// it: the resident position, or a page fetch, timed under tracing, when
+	// the layer has a store.
 	traced := tr != nil
-	resident := residentRecords(e.data)
-	at := e.sitePositions()
-	var fetch time.Duration
+	pts, store := e.data.pts, e.data.store
+	var fetched time.Duration
 	if traced {
 		scanStart := time.Now()
 		defer func() {
-			tr.Add(obs.PhasePageFetch, fetch)
-			tr.Add(obs.PhaseExpand, time.Since(scanStart)-fetch)
+			tr.Add(obs.PhasePageFetch, fetched)
+			tr.Add(obs.PhaseExpand, time.Since(scanStart)-fetched)
 		}()
 	}
 	stats.IndexNodesVisited = e.idx.Window(region.Bounds(), func(id int64) bool {
@@ -161,18 +159,11 @@ func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.Que
 			}
 		}
 		var pos geom.Point
-		if resident {
-			pos = e.position(&at, int32(id))
+		if store == nil {
+			pos = pts[id]
 		} else {
 			var err error
-			if traced {
-				t0 := time.Now()
-				pos, err = e.data.Load(id)
-				fetch += time.Since(t0)
-			} else {
-				pos, err = e.data.Load(id)
-			}
-			if err != nil {
+			if pos, err = fetch(store, id, traced, &fetched); err != nil {
 				stopErr = fmt.Errorf("core: loading candidate %d: %w", id, err)
 				return false
 			}
@@ -185,6 +176,21 @@ func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.Que
 		return true
 	})
 	return stats, stopErr
+}
+
+// fetch is a store-backed layer's record load: it reads id's position off
+// the record's page through the buffer pool and, when traced, adds the time
+// it took to *spent.
+//
+//vaq:noalloc
+func fetch(store *storage.Store, id int64, traced bool, spent *time.Duration) (geom.Point, error) {
+	if !traced {
+		return store.GetPosition(id)
+	}
+	t0 := time.Now()
+	pos, err := store.GetPosition(id)
+	*spent += time.Since(t0)
+	return pos, err
 }
 
 // eachVoronoi implements Algorithm 1 of the paper.
@@ -204,31 +210,26 @@ func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.Que
 func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr *obs.QueryTrace, s *queryScratch) (Stats, error) {
 	var stats Stats
 	traced := tr != nil
+	d := e.data
 
 	// Resolve the query-constant expansion state once.
-	q := voronoiQuery{region: region, strict: strict, traced: traced}
+	q := voronoiQuery{region: region, strict: strict, traced: traced,
+		pts: d.pts, nbrOff: d.nbrOff, nbrs: d.nbrs, store: d.store}
 	if !strict {
 		q.boundary, _ = region.(BoundaryToucher)
 	} else {
-		q.arena = e.data.CellArena()
+		q.arena = d.CellArena()
 		q.regionMBR = region.Bounds()
 		q.rectRegion, _ = region.(RectIntersecter)
 		q.ringRegion, _ = region.(RingViewIntersecter)
 	}
-	// Resident positions and CSR adjacency, when the data layer keeps them:
-	// the loop reads positions and neighbor lists straight from the slices.
-	q.sites = e.sitePositions()
-	if as, ok := e.data.(AdjacencySource); ok {
-		q.nbrOff, q.nbrs = as.Adjacency()
-	}
-	q.resident = residentRecords(e.data)
 
 	// Line 3-4: p_seed := NN(P, arbitrary position in A).
 	var seedStart time.Time
 	if traced {
 		seedStart = time.Now()
 	}
-	seed, _ := e.seedWalk(region.InteriorPoint(), &q.sites) // eachRegion saw a non-empty index
+	seed, _ := d.seedWalk(region.InteriorPoint()) // eachRegion saw a non-empty index
 	var bfsStart time.Time
 	if traced {
 		tr.Add(obs.PhaseSeed, time.Since(seedStart))
@@ -238,22 +239,20 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 	s.mark(int32(seed))
 	s.queue = append(s.queue, int32(seed))
 
-	stats, fetch, err := e.voronoiBFS(ctx, q, s, stats)
+	stats, fetched, err := voronoiBFS(ctx, q, s, stats)
 	if traced {
 		// The BFS splits into record loads (PhasePageFetch) and the
 		// expansion proper (PhaseExpand); the loop accrues fetch time and
 		// funnels every exit path through here.
-		tr.Add(obs.PhasePageFetch, fetch)
-		tr.Add(obs.PhaseExpand, time.Since(bfsStart)-fetch)
+		tr.Add(obs.PhasePageFetch, fetched)
+		tr.Add(obs.PhaseExpand, time.Since(bfsStart)-fetched)
 	}
 	return stats, err
 }
 
 // voronoiQuery is the query-constant state of one Voronoi BFS, resolved
 // once per query: the region and its optional tests, and the data layer's
-// resident slices — positions (MemoryData's xs and ys, a DynamicData epoch's
-// pinned points) and CSR adjacency — which the loop then reads in place,
-// with no interface call per id.
+// slices — positions and CSR adjacency — which the loop then reads in place.
 type voronoiQuery struct {
 	region Region
 	strict bool
@@ -270,65 +269,12 @@ type voronoiQuery struct {
 	ringRegion RingViewIntersecter
 	regionMBR  geom.Rect
 
-	// Resident positions (all nil when the data layer keeps none).
-	sites sitePositions
-	// CSR adjacency (nil when the data layer exposes only Neighbors).
+	// The data layer: resident positions and CSR adjacency, and the store
+	// a candidate's record is fetched from (nil: the record is its resident
+	// position, read with no error branch and no clock pair under tracing).
+	pts          []geom.Point
 	nbrOff, nbrs []int32
-	// resident is residentRecords of the data layer: a candidate's load is
-	// read from sites, as a neighbor's position is, with no error branch and
-	// no clock pair under tracing — it is not a page fetch. Every other
-	// layer's Load is the fetch, timed as PhasePageFetch.
-	resident bool
-}
-
-// residentRecords reports whether data's records are its resident
-// positions — *MemoryData's xs and ys, a dynamic epoch's pinned sites — so
-// that a load is a slice read that cannot block or fail. A StoreData holds
-// the same positions, but its records are the pages it fetches.
-func residentRecords(data DataAccess) bool {
-	switch data.(type) {
-	case *MemoryData, *DynamicData:
-		return true
-	}
-	return false
-}
-
-// sitePositions is a data layer's positions as slices the query loops read
-// in place, resolved once per query: the parallel xs and ys of a
-// CoordSource (MemoryData, StoreData), or a dynamic epoch's pinned points
-// (DynamicData.pts). All are nil on a layer that keeps neither.
-type sitePositions struct {
-	xs, ys []float64
-	pts    []geom.Point
-}
-
-// sitePositions resolves the resident positions of e's data layer.
-func (e *Engine) sitePositions() sitePositions {
-	switch d := e.data.(type) {
-	case *DynamicData:
-		return sitePositions{pts: d.pts}
-	case CoordSource:
-		xs, ys := d.Coords()
-		return sitePositions{xs: xs, ys: ys}
-	}
-	return sitePositions{}
-}
-
-// position reads id's position from at — the coordinate slices, else the
-// pinned points — with no interface call, and through Position only on a
-// layer that keeps neither. The Voronoi BFS's resident candidates and its
-// neighbors, the seed walk's sites and the traditional method's resident
-// loads all read here.
-//
-//vaq:noalloc
-func (e *Engine) position(at *sitePositions, id int32) geom.Point {
-	switch {
-	case at.xs != nil:
-		return geom.Point{X: at.xs[id], Y: at.ys[id]}
-	case at.pts != nil:
-		return at.pts[id]
-	}
-	return e.data.Position(int64(id))
+	store        *storage.Store
 }
 
 // testCell is the strict rule's one cell-vs-area decision, resolved by the
@@ -372,55 +318,43 @@ func (q *voronoiQuery) testSegment(from, to geom.Point) bool {
 }
 
 // voronoiBFS is the BFS of Algorithm 1, the one expansion loop every data
-// layer takes. It builds no closures: neighbor lists are the resident CSR
-// arrays, sliced in place, so the whole expansion is allocation-free. The
-// frontier holds the int32 ids the adjacency stores; an id is widened only
-// where it leaves the loop (the collector, a DataAccess call). stats travels
-// by value so the caller's copy never escapes; fetch is the accrued
-// record-load time (for tracing).
+// layer takes. It builds no closures: positions and neighbor lists are the
+// layer's resident slices, read in place, so the whole expansion is
+// allocation-free. The frontier holds the int32 ids the adjacency stores;
+// an id is widened only where it leaves the loop (the collector, a page
+// fetch). stats travels by value so the caller's copy never escapes;
+// fetched is the accrued record-load time (for tracing).
 //
 //vaq:noalloc
-func (e *Engine) voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch, stats Stats) (Stats, time.Duration, error) {
-	var fetch time.Duration
+func voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch, stats Stats) (Stats, time.Duration, error) {
+	var fetched time.Duration
 	for head := 0; head < len(s.queue); head++ {
 		if head%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
-				return stats, fetch, err
+				return stats, fetched, err
 			}
 		}
 		p := s.queue[head]
 		var pos geom.Point
-		if q.resident {
-			pos = e.position(&q.sites, p)
+		if q.store == nil {
+			pos = q.pts[p]
 		} else {
 			var err error
-			if q.traced {
-				t0 := time.Now()
-				pos, err = e.data.Load(int64(p))
-				fetch += time.Since(t0)
-			} else {
-				pos, err = e.data.Load(int64(p))
-			}
-			if err != nil {
+			if pos, err = fetch(q.store, int64(p), q.traced, &fetched); err != nil {
 				//vaqvet:ignore noalloc cold failure path; the wrap allocates only when a record load already failed
-				return stats, fetch, fmt.Errorf("core: loading candidate %d: %w", p, err)
+				return stats, fetched, fmt.Errorf("core: loading candidate %d: %w", p, err)
 			}
 		}
 		stats.RecordsLoaded++
 		stats.Candidates++
 
-		var nbs []int32
-		if q.nbrOff != nil {
-			nbs = q.nbrs[q.nbrOff[p]:q.nbrOff[p+1]]
-		} else {
-			nbs = e.data.Neighbors(int64(p))
-		}
+		nbs := q.nbrs[q.nbrOff[p]:q.nbrOff[p+1]]
 		if q.region.ContainsPoint(pos) {
 			// Internal point: emit, then all unvisited Voronoi neighbors
 			// become candidates (Property 7 bounds them to
 			// internal/boundary).
 			if !s.out.add(int64(p), pos) {
-				return stats, fetch, nil
+				return stats, fetched, nil
 			}
 			s.enqueueUnvisited(nbs)
 			continue
@@ -431,7 +365,7 @@ func (e *Engine) voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch
 			if s.seen(nb) {
 				continue
 			}
-			nbPos := e.position(&q.sites, nb)
+			nbPos := q.pts[nb]
 			var enqueue bool
 			if q.strict {
 				enqueue = q.testCell(nb, nbPos, &stats)
@@ -445,7 +379,7 @@ func (e *Engine) voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch
 			}
 		}
 	}
-	return stats, fetch, nil
+	return stats, fetched, nil
 }
 
 // eachBruteForce scans every record; it is the correctness oracle.

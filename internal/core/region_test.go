@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/voronoi"
 )
 
 func TestCircleQueriesMatchOracle(t *testing.T) {
@@ -113,20 +112,8 @@ func BenchmarkCircleQueryVoronoi(b *testing.B) {
 	}
 }
 
-// emptyData models a dataset with no points, for pinning the empty-data
-// error contract without a constructible topology.
-type emptyData struct{}
-
-func (emptyData) NumIDs() int                              { return 0 }
-func (emptyData) Position(int64) geom.Point                { return geom.Point{} }
-func (emptyData) Neighbors(int64) []int32                  { return nil }
-func (emptyData) Load(int64) (geom.Point, error)           { return geom.Point{}, nil }
-func (emptyData) SeedHint(geom.Point) int64                { return -1 }
-func (emptyData) Each(func(id int64, pos geom.Point) bool) {}
-func (emptyData) CellArena() *voronoi.CellArena            { return nil }
-
 func TestQueryOnEmptyEngineIsErrNoData(t *testing.T) {
-	eng := NewEngine(NewRTreeIndex(nil, 16), emptyData{})
+	eng := NewEngine(NewRTreeIndex(nil, 16), new(MemoryData)) // a layer with no site
 	area := geom.MustPolygon([]geom.Point{
 		geom.Pt(0.1, 0.1), geom.Pt(0.5, 0.1), geom.Pt(0.3, 0.5),
 	})

@@ -146,7 +146,7 @@ func (s *queryScratch) enqueueUnvisited(ring []int32) {
 //vaq:pooled
 func (e *Engine) acquireScratch() *queryScratch {
 	s := e.scratch.Get().(*queryScratch)
-	s.ensureCapacity(e.data.NumIDs())
+	s.ensureCapacity(len(e.data.pts))
 	s.queue = s.queue[:0]
 	s.nextGen()
 	return s

@@ -143,27 +143,29 @@ func (g *hintGrid) frozen() hintGrid {
 // cell, so a site that is not p's nearest has a Delaunay neighbor strictly
 // nearer to p (p is on the far side of one of its cell's edges), and
 // stepping to the nearest neighbor while one is strictly nearer ends at the
-// nearest site. It starts at the data layer's hint and reads no index node
-// and no record. steps is the number of moves made — the walk's
+// nearest site. It starts at m's hint, slices m's positions and rings in
+// place, and reads no index node and no record. steps is the number of
+// moves made — the walk's
 // deterministic cost, pinned by TestSeedWalkStepsPinned.
 //
-// On a dynamic layer the graph includes the three fence sites; they lie
+// On a dynamic epoch the graph includes the three fence sites; they lie
 // several universe-diagonals away, so for p inside the universe some user
 // site is nearer than any of them and the walk cannot stop on one.
 //
 //vaq:noalloc
-func (e *Engine) seedWalk(p geom.Point, at *sitePositions) (seed int64, steps int) {
-	cur := e.data.SeedHint(p)
-	best := p.Dist2(e.position(at, int32(cur)))
+func (m *MemoryData) seedWalk(p geom.Point) (seed int64, steps int) {
+	pts, off, nbrs := m.pts, m.nbrOff, m.nbrs
+	cur := int32(m.hint.lookup(p))
+	best := p.Dist2(pts[cur])
 	for {
 		next := cur
-		for _, nb := range e.data.Neighbors(cur) {
-			if d := p.Dist2(e.position(at, nb)); d < best {
-				next, best = int64(nb), d
+		for _, nb := range nbrs[off[cur]:off[cur+1]] {
+			if d := p.Dist2(pts[nb]); d < best {
+				next, best = nb, d
 			}
 		}
 		if next == cur {
-			return cur, steps
+			return int64(cur), steps
 		}
 		cur = next
 		steps++

@@ -12,8 +12,7 @@ import (
 
 // walkFrom runs the seed walk of eng toward p.
 func walkFrom(eng *Engine, p geom.Point) (seed int64, steps int) {
-	at := eng.sitePositions()
-	return eng.seedWalk(p, &at)
+	return eng.data.seedWalk(p)
 }
 
 // dynamicOver returns a dynamic engine holding pts, inserted in order.
@@ -33,12 +32,13 @@ func dynamicOver(t testing.TB, pts []geom.Point) *DynamicEngine {
 // holds. Ids may differ where sites tie; the squared distance may not.
 func checkSeedWalk(t *testing.T, name string, eng *Engine, sites []geom.Point, p geom.Point) {
 	t.Helper()
-	hint := eng.data.SeedHint(p)
-	if hint < 0 || hint >= int64(eng.data.NumIDs()) {
-		t.Fatalf("%s: SeedHint(%v) = %d with %d ids", name, p, hint, eng.data.NumIDs())
+	d := eng.data
+	hint := d.hint.lookup(p)
+	if hint < 0 || hint >= int64(len(d.pts)) {
+		t.Fatalf("%s: hint toward %v is %d with %d ids", name, p, hint, len(d.pts))
 	}
 	seed, _ := walkFrom(eng, p)
-	if _, ok := eng.data.(*DynamicData); ok && (hint < delaunay.FirstSiteID || seed < delaunay.FirstSiteID) {
+	if hint < int64(d.first) || seed < int64(d.first) {
 		t.Fatalf("%s: toward %v the walk went from %d to %d, and one is a fence site", name, p, hint, seed)
 	}
 	want := math.Inf(1)
@@ -47,7 +47,7 @@ func checkSeedWalk(t *testing.T, name string, eng *Engine, sites []geom.Point, p
 	}
 	index := eng.idx // the walk's reference; Algorithm 1 itself no longer asks it
 	nn, _, _ := index.Nearest(p)
-	if got, byIndex := p.Dist2(eng.data.Position(seed)), p.Dist2(eng.data.Position(nn)); got != want || byIndex != want {
+	if got, byIndex := p.Dist2(d.pts[seed]), p.Dist2(d.pts[nn]); got != want || byIndex != want {
 		t.Fatalf("%s: nearest to %v of %v: walk %d at dist2 %g, index %d at %g, scan %g",
 			name, p, sites, seed, got, nn, byIndex, want)
 	}

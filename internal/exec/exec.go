@@ -95,8 +95,8 @@ func (o Options) Workers(n int) int {
 // ignored: one reuse buffer cannot back a batch of independent result
 // slices.
 //
-// The engine's DataAccess must be safe for concurrent use when
-// NumWorkers > 1 (both core.MemoryData and core.StoreData are).
+// Any NumWorkers is safe: a core.Engine answers concurrent queries, its
+// data layer's store included.
 func QueryBatch(ctx context.Context, eng *core.Engine, regions []core.Region, spec core.QuerySpec, opts Options) ([][]int64, core.Stats, error) {
 	n := len(regions)
 	agg := core.Stats{Method: spec.Method}

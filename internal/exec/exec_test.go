@@ -136,50 +136,28 @@ func TestAggregateStatsEqualSumOfSequentialStats(t *testing.T) {
 	}
 }
 
-// failingData poisons Load for one id, simulating an unreadable record.
-type failingData struct {
-	core.DataAccess
-	poisoned int64
-}
-
-var errPoisoned = errors.New("injected load failure")
-
-func (f *failingData) Load(id int64) (geom.Point, error) {
-	if id == f.poisoned {
-		return geom.Point{}, errPoisoned
-	}
-	return f.DataAccess.Load(id)
-}
-
+// TestBatchErrorStopsAndSurfaces: a query the engine refuses fails the
+// batch, on one worker and on four, with the engine's own error wrapped in
+// the batch's context.
 func TestBatchErrorStopsAndSurfaces(t *testing.T) {
+	eng := newEngine(t, 2000, 5)
 	rng := rand.New(rand.NewSource(5))
-	pts := workload.UniformPoints(rng, 2000, unitBounds())
-	data, err := core.NewMemoryData(pts, unitBounds())
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := core.NewRTreeIndex(pts, 16)
-
-	// Poison a point every wide query certainly loads: a brute-force result.
-	wide := workload.RandomPolygon(rng, workload.PolygonConfig{QuerySize: 0.3}, unitBounds())
-	okEng := core.NewEngine(idx, data)
-	ids, _, err := okEng.QueryRegionSpec(context.Background(), core.PolygonRegion(wide), core.QuerySpec{Method: core.BruteForce})
-	if err != nil || len(ids) == 0 {
-		t.Fatalf("oracle setup: %v (%d ids)", err, len(ids))
-	}
-	eng := core.NewEngine(idx, &failingData{DataAccess: data, poisoned: ids[0]})
-
-	regions := make([]core.Region, 32)
-	for i := range regions {
-		regions[i] = core.PolygonRegion(wide)
+	regions := mixedRegions(rng, 32)
+	spec := core.QuerySpec{Method: core.Method(99)}
+	_, _, want := eng.QueryRegionSpec(context.Background(), regions[0], spec)
+	if want == nil || !strings.Contains(want.Error(), "unknown method") {
+		t.Fatalf("engine error = %v, want an unknown method", want)
 	}
 	for _, workers := range []int{1, 4} {
-		_, _, err := QueryBatch(context.Background(), eng, regions, core.QuerySpec{Method: core.Traditional}, Options{NumWorkers: workers})
-		if !errors.Is(err, errPoisoned) {
-			t.Errorf("workers=%d: err = %v, want the injected failure", workers, err)
+		out, _, err := QueryBatch(context.Background(), eng, regions, spec, Options{NumWorkers: workers})
+		if err == nil || errors.Unwrap(err) == nil || errors.Unwrap(err).Error() != want.Error() {
+			t.Errorf("workers=%d: err = %v, want the engine's %q wrapped", workers, err, want)
 		}
 		if err != nil && !strings.Contains(err.Error(), "batch query") {
 			t.Errorf("workers=%d: error lacks batch context: %v", workers, err)
+		}
+		if out != nil {
+			t.Errorf("workers=%d: %d results alongside the error", workers, len(out))
 		}
 	}
 }

@@ -18,3 +18,11 @@ func (s *Store) FlipXBit52(id int64) {
 	start := binary.LittleEndian.Uint32(page[pageHeaderLen+slotDirLen*int(rid.Slot):])
 	page[start+8+6] ^= 0x10
 }
+
+// encode appends the record to dst, refused when checkEncodable refuses it.
+func (r *PointRecord) encode(dst []byte) ([]byte, error) {
+	if err := r.checkEncodable(); err != nil {
+		return nil, err
+	}
+	return r.appendTo(dst), nil
+}

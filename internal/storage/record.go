@@ -43,15 +43,8 @@ func (r *PointRecord) checkEncodable() error {
 	return nil
 }
 
-// encode appends the record to dst and returns the extended slice.
-func (r *PointRecord) encode(dst []byte) ([]byte, error) {
-	if err := r.checkEncodable(); err != nil {
-		return nil, err
-	}
-	return r.appendTo(dst), nil
-}
-
-// appendTo is encode for a record checkEncodable has accepted.
+// appendTo appends a record checkEncodable has accepted to dst and returns
+// the extended slice.
 func (r *PointRecord) appendTo(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.ID))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Pos.X))

@@ -36,9 +36,8 @@ func BuildCellArena(d *Diagram) *CellArena {
 // clip by the bisector half-planes toward the site's Voronoi neighbors.
 // site reports a site's coordinates; neighbors reports its neighbor ids in
 // the order CellFromNeighbors would receive their coordinates, so packed
-// rings match the per-call construction exactly. The signatures are those of
-// a record layer's Position and Neighbors methods, which the engines' data
-// layers pass.
+// rings match the per-call construction exactly. The engines' data layer
+// passes its Position method and a slice of its CSR adjacency.
 func CellArenaFromSites(
 	n int,
 	clip geom.Rect,

@@ -233,19 +233,19 @@ func registerPoolMetrics(reg *obs.Registry, flavor string, stats func() storage.
 
 // registerShardedPoolMetrics registers pool collectors summing every
 // shard's private store; a no-op when the engine is not store-backed.
-func registerShardedPoolMetrics(reg *obs.Registry, flavor string, stores []*core.StoreData) {
-	if len(stores) == 0 {
+func registerShardedPoolMetrics(reg *obs.Registry, flavor string, data []*core.MemoryData) {
+	if len(data) == 0 {
 		return
 	}
-	for _, sd := range stores {
-		if sd == nil {
+	for _, d := range data {
+		if d.Store() == nil {
 			return
 		}
 	}
 	registerPoolMetrics(reg, flavor, func() storage.BufferPoolStats {
 		var agg storage.BufferPoolStats
-		for _, sd := range stores {
-			st := sd.IOStats()
+		for _, d := range data {
+			st := d.IOStats()
 			agg.PageReads += st.PageReads
 			agg.CacheHits += st.CacheHits
 			agg.Evictions += st.Evictions

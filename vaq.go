@@ -322,9 +322,8 @@ func WithShards(n int) Option {
 // internal worker pool (see WithParallelism).
 type Engine struct {
 	querier
-	eng   *core.Engine
-	data  core.DataAccess
-	store *core.StoreData // nil without WithStore
+	eng  *core.Engine
+	data *core.MemoryData
 }
 
 // rtreeFanout is the maximum node fan-out of every engine's STR-packed
@@ -354,19 +353,17 @@ func checkSites(points []Point, bounds Rect) error {
 	return nil
 }
 
-// buildData constructs the configured record layer over points, returning
-// the store when one was configured (nil otherwise).
-func (c config) buildData(points []Point, bounds Rect) (core.DataAccess, *core.StoreData, error) {
+// buildData constructs the configured record layer over points: paged
+// when a store was configured.
+func (c config) buildData(points []Point, bounds Rect) (*core.MemoryData, error) {
 	if c.store != nil {
 		scfg := *c.store
 		if c.poolShardsSet {
 			scfg.PoolShards = c.poolShards
 		}
-		sd, err := core.NewStoreData(points, bounds, scfg)
-		return sd, sd, err
+		return core.NewStoreData(points, bounds, scfg)
 	}
-	data, err := core.NewMemoryData(points, bounds)
-	return data, nil, err
+	return core.NewMemoryData(points, bounds)
 }
 
 // NewEngine builds the Voronoi topology, the spatial index and (optionally)
@@ -378,7 +375,7 @@ func NewEngine(points []Point, bounds Rect, opts ...Option) (*Engine, error) {
 		return nil, err
 	}
 	cfg := newConfig(opts)
-	data, sd, err := cfg.buildData(points, bounds)
+	data, err := cfg.buildData(points, bounds)
 	if err != nil {
 		return nil, fmt.Errorf("vaq: %w", err)
 	}
@@ -386,18 +383,17 @@ func NewEngine(points []Point, bounds Rect, opts ...Option) (*Engine, error) {
 		querier: newQuerier(&cfg, flavorStatic),
 		eng:     core.NewEngine(core.NewRTreeIndex(points, rtreeFanout), data),
 		data:    data,
-		store:   sd,
 	}
 	e.universe = bounds
 	e.backend = &pooled{Engine: e.eng, opts: exec.Options{NumWorkers: cfg.parallelism, Metrics: e.qm.exec()}}
-	if cfg.metrics != nil && sd != nil {
-		registerPoolMetrics(cfg.metrics, flavorStatic, sd.IOStats)
+	if cfg.metrics != nil && data.Store() != nil {
+		registerPoolMetrics(cfg.metrics, flavorStatic, data.IOStats)
 	}
 	return e, nil
 }
 
 // Len returns the number of stored points.
-func (e *Engine) Len() int { return e.data.NumIDs() }
+func (e *Engine) Len() int { return e.data.Len() }
 
 // Bounds returns the engine's universe rectangle; a query region must lie
 // inside it (ErrOutsideUniverse).
@@ -416,7 +412,7 @@ func (e *Engine) Point(id int64) Point { return e.data.Position(id) }
 
 // PointOK returns the coordinates of id and whether id is a stored point.
 func (e *Engine) PointOK(id int64) (Point, bool) {
-	if id < 0 || id >= int64(e.data.NumIDs()) {
+	if id < 0 || id >= int64(e.data.Len()) {
 		return Point{}, false
 	}
 	return e.data.Position(id), true
@@ -441,20 +437,16 @@ func (e *Engine) CellArea(id int64) float64 {
 // the full pool picture (evictions, bytes, hit rate)
 // attach a registry with WithMetrics.
 func (e *Engine) IOStats() (reads, hits int, ok bool) {
-	if e.store == nil {
+	if e.data.Store() == nil {
 		return 0, 0, false
 	}
-	st := e.store.IOStats()
+	st := e.data.IOStats()
 	return st.PageReads, st.CacheHits, true
 }
 
 // ResetIOStats zeroes the IO counters (no-op without WithStore); registry
 // collectors registered by WithMetrics observe the same reset.
-func (e *Engine) ResetIOStats() {
-	if e.store != nil {
-		e.store.ResetIOStats()
-	}
-}
+func (e *Engine) ResetIOStats() { e.data.ResetIOStats() }
 
 // ShardedEngine answers area queries over a dataset partitioned into
 // spatially coherent shards along the Hilbert curve. Every shard is an
@@ -485,7 +477,7 @@ func (e *Engine) ResetIOStats() {
 // goroutines.
 type ShardedEngine struct {
 	partitioned
-	stores []*core.StoreData // per shard; all nil without WithStore
+	data []*core.MemoryData // per shard
 }
 
 // partitioned is what ShardedEngine and RemoteEngine share: the Querier
@@ -523,33 +515,29 @@ func NewShardedEngine(points []Point, bounds Rect, opts ...Option) (*ShardedEngi
 		return nil, err
 	}
 	cfg := newConfig(opts)
-	numStores := cfg.shards
-	if numStores < 1 {
-		numStores = 1 // shard.New clamps the same way
-	}
-	stores := make([]*core.StoreData, numStores)
+	data := make([]*core.MemoryData, max(cfg.shards, 1)) // shard.New clamps the same way
 	q := newQuerier(&cfg, flavorSharded)
 	se, err := shard.New(points, bounds, shard.Config{
 		Shards:      cfg.shards,
 		Parallelism: cfg.parallelism,
 		Metrics:     newShardMetrics(cfg.metrics, q.qm),
 		Build: func(si int, pts []Point, bounds Rect) (*core.Engine, error) {
-			data, sd, err := cfg.buildData(pts, bounds)
+			d, err := cfg.buildData(pts, bounds)
 			if err != nil {
 				return nil, err
 			}
-			if si < len(stores) {
-				stores[si] = sd // distinct si per call; no lock needed
+			if si < len(data) {
+				data[si] = d // distinct si per call; no lock needed
 			}
-			return core.NewEngine(core.NewRTreeIndex(pts, rtreeFanout), data), nil
+			return core.NewEngine(core.NewRTreeIndex(pts, rtreeFanout), d), nil
 		},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("vaq: %w", err)
 	}
-	e := &ShardedEngine{partitioned: overKernel(q, se), stores: stores[:se.NumShards()]}
+	e := &ShardedEngine{partitioned: overKernel(q, se), data: data[:se.NumShards()]}
 	if cfg.metrics != nil {
-		registerShardedPoolMetrics(cfg.metrics, flavorSharded, e.stores)
+		registerShardedPoolMetrics(cfg.metrics, flavorSharded, e.data)
 	}
 	return e, nil
 }
@@ -575,24 +563,22 @@ func (e *ShardedEngine) PointOK(id int64) (Point, bool) { return e.k.PointOK(id)
 // over every shard's private store, when it was built WithStore; ok is
 // false otherwise. Same semantics as Engine.IOStats.
 func (e *ShardedEngine) IOStats() (reads, hits int, ok bool) {
-	for _, sd := range e.stores {
-		if sd == nil {
+	for _, d := range e.data {
+		if d.Store() == nil {
 			return 0, 0, false
 		}
-		st := sd.IOStats()
+		st := d.IOStats()
 		reads += st.PageReads
 		hits += st.CacheHits
 	}
-	return reads, hits, len(e.stores) > 0
+	return reads, hits, len(e.data) > 0
 }
 
 // ResetIOStats zeroes every shard's IO counters (no-op without WithStore).
 // Same semantics as Engine.ResetIOStats.
 func (e *ShardedEngine) ResetIOStats() {
-	for _, sd := range e.stores {
-		if sd != nil {
-			sd.ResetIOStats()
-		}
+	for _, d := range e.data {
+		d.ResetIOStats()
 	}
 }
 
