@@ -37,7 +37,6 @@ func main() {
 		showIDs   = flag.Bool("ids", false, "print the matching point ids")
 		timeout   = flag.Duration("timeout", 0, "per-query deadline (0 = none), e.g. 50ms")
 		remote    = flag.String("remote", "", `comma-separated areaserve addresses ("host:port,host:port"); queries run remotely instead of building a local engine`)
-		degraded  = flag.Bool("degraded", false, "with -remote: drop failed backends instead of failing the query")
 	)
 	flag.Parse()
 
@@ -57,7 +56,7 @@ func main() {
 	rng := rand.New(rand.NewSource(*seed))
 	var eng vaq.Querier
 	if *remote != "" {
-		eng, err = dialRemote(*remote, *degraded)
+		eng, err = dialRemote(*remote)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -108,7 +107,7 @@ func main() {
 
 // dialRemote builds a RemoteEngine over the comma-separated address
 // list, defaulting bare host:port entries to http.
-func dialRemote(list string, degraded bool) (*vaq.RemoteEngine, error) {
+func dialRemote(list string) (*vaq.RemoteEngine, error) {
 	var urls []string
 	for _, a := range strings.Split(list, ",") {
 		a = strings.TrimSpace(a)
@@ -120,11 +119,7 @@ func dialRemote(list string, degraded bool) (*vaq.RemoteEngine, error) {
 		}
 		urls = append(urls, strings.TrimRight(a, "/"))
 	}
-	var opts []vaq.Option
-	if degraded {
-		opts = append(opts, vaq.WithDegradedFanOut())
-	}
-	eng, err := vaq.DialRemote(context.Background(), urls, opts...)
+	eng, err := vaq.DialRemote(context.Background(), urls)
 	if err != nil {
 		return nil, err
 	}

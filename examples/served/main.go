@@ -5,9 +5,9 @@
 // a local engine over the whole dataset — unary queries and NDJSON streams
 // alike.
 //
-// It then kills one backend to show the two partial-failure policies:
-// fail-fast (the default) surfaces the backend error, degraded
-// (WithDegradedFanOut) answers from the survivors.
+// It then kills one backend to show the failure policy: the query fails
+// with the backend's error rather than answering from the survivors, and
+// RemoteEngine.Dropped counts the failed backend call.
 //
 //	go run ./examples/served
 package main
@@ -89,25 +89,11 @@ func main() {
 	}
 	fmt.Printf("each:  %d frames streamed\n\n", streamed)
 
-	// Partial failure: shut one backend down hard and query again.
+	// A lost backend fails the query: a partial answer is never returned.
 	servers[1].Close()
 	if _, err := remote.Query(ctx, region); err != nil {
-		fmt.Printf("fail-fast after losing a backend: %v\n", err)
+		fmt.Printf("after losing a backend: %v (%d failed backend calls)\n", err, remote.Dropped())
 	}
-	degraded, err := vaq.NewRemoteEngine([]vaq.RemoteBackend{
-		{URL: urls[0], IDOffset: 0, Len: cuts[1]},
-		{URL: urls[1], IDOffset: int64(cuts[1]), Len: cuts[2] - cuts[1]},
-		{URL: urls[2], IDOffset: int64(cuts[2]), Len: len(points) - cuts[2]},
-	}, vaq.WithDegradedFanOut())
-	if err != nil {
-		log.Fatal(err)
-	}
-	partial, err := degraded.Query(ctx, region)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("degraded answers from survivors: %d of %d matches (%d backend queries dropped)\n",
-		len(partial), len(want), degraded.Dropped())
 
 	for _, srv := range servers {
 		srv.Close()

@@ -112,10 +112,6 @@ type Stats struct {
 	// RecordsLoaded counts candidate record loads: page fetches when the
 	// data layer has a store, reads of the resident position otherwise.
 	RecordsLoaded int
-	// PartitionsDropped counts partition calls a scatter-gather engine
-	// dropped under its degraded failure policy: non-zero marks a partial
-	// answer. 0 on every other path.
-	PartitionsDropped int
 	// Duration is the wall-clock time of the query.
 	Duration time.Duration
 }
@@ -162,7 +158,6 @@ func (s *Stats) Add(other Stats) {
 	s.CellTests += other.CellTests
 	s.IndexNodesVisited += other.IndexNodesVisited
 	s.RecordsLoaded += other.RecordsLoaded
-	s.PartitionsDropped += other.PartitionsDropped
 	s.Duration += other.Duration
 }
 

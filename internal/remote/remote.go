@@ -2,8 +2,8 @@
 // areaserve process a shard.Partition. Everything about answering a query
 // from several partitions — pruning backends whose advertised bounds miss
 // the region, the strict-method upgrade when more than one backend shares
-// the dataset, the concurrent fan-out, merging into ascending global id
-// order, Limit, and the partial-failure policy —
+// the dataset, the concurrent fan-out, failing the query when a backend
+// fails, merging into ascending global id order, and Limit —
 // is package shard's kernel, which Engine embeds; what lives here is one
 // partition call over the wire: encode the request, POST it with the retry
 // protocol, decode the response, add the backend's id offset. A remote
@@ -12,13 +12,9 @@
 //
 // Failure handling: unary calls (query, batch) are idempotent
 // and retry transport-level failures with exponential backoff; semantic
-// errors (bad request, no data) and caller cancellation never retry.
-// Config.Degraded hands the kernel its partial-failure policy: fail-fast
-// (default) surfaces the first backend error, degraded drops backends that
-// still fail after retries and serves from the survivors (erroring only
-// when every backend a region reached failed). Each streams are never
-// retried mid-flight and always fail fast — frames already yielded cannot
-// be unseen.
+// errors (bad request, no data) and caller cancellation never retry. A
+// backend that still fails after its retries fails the query. Each streams
+// are never retried mid-flight — frames already yielded cannot be unseen.
 package remote
 
 import (
@@ -30,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -83,10 +80,6 @@ type Config struct {
 	// RetryBackoff is the sleep before the first retry, doubling per
 	// attempt (default 50ms when Retries > 0).
 	RetryBackoff time.Duration
-	// Degraded selects the partial-failure policy: true drops backends
-	// that fail after retries and merges the survivors; false (default)
-	// fails the query on the first backend error.
-	Degraded bool
 }
 
 // Engine is the scatter-gather kernel over HTTP backends, plus the client
@@ -134,7 +127,7 @@ func New(backends []Backend, cfg Config, met *shard.Metrics) (*Engine, error) {
 	if !known {
 		universe = geom.EmptyRect()
 	}
-	e.Engine = shard.Over(parts, universe, len(parts), cfg.Degraded, met)
+	e.Engine = shard.Over(parts, universe, len(parts), met)
 	return e, nil
 }
 
@@ -268,51 +261,55 @@ func (e *Engine) post(ctx context.Context, baseURL, path string, body, dst any) 
 	}
 }
 
-// postOnce is a single attempt: per-try timeout, deadline header, error
-// classification.
+// postOnce is a single attempt: per-try timeout, the request, the retry
+// classification of its failure, and the decode.
 func (e *Engine) postOnce(ctx context.Context, baseURL, path string, payload []byte, dst any) error {
 	if e.cfg.PerTryTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.cfg.PerTryTimeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+path, bytes.NewReader(payload))
+	resp, err := e.send(ctx, baseURL+path, payload)
 	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	setTimeoutHeader(req, ctx)
-	resp, err := e.client.Do(req)
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return err
-		}
-		return &transientError{err}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		err := responseError(resp)
-		if _, transport := err.(*httpError); transport {
+		// Retryable: a round trip that failed on the way (a *url.Error the
+		// context did not cause) and an internal or missing wire code
+		// (*httpError); never the context's errors or a semantic code.
+		var ue *url.Error
+		transport := errors.As(err, &ue) && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
+		if _, internal := err.(*httpError); internal || transport {
 			return &transientError{err}
 		}
 		return err
 	}
+	defer resp.Body.Close()
 	if err := json.NewDecoder(resp.Body).Decode(dst); err != nil {
 		return &transientError{fmt.Errorf("decoding response: %w", err)}
 	}
 	return nil
 }
 
-// setTimeoutHeader propagates ctx's remaining budget, if any, in integer
-// milliseconds (rounded up so a sub-millisecond remainder still sends 1).
-func setTimeoutHeader(req *http.Request, ctx context.Context) {
-	if d, ok := ctx.Deadline(); ok {
-		ms := time.Until(d).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		req.Header.Set(wire.TimeoutHeader, strconv.FormatInt(ms, 10))
+// send POSTs a JSON payload to endpoint with ctx's remaining budget, if
+// any, in the deadline header (whole milliseconds, at least 1), and returns
+// a 200 response for the caller to read and close. A failed round trip
+// returns the client's error; any other status, its responseError.
+func (e *Engine) send(ctx context.Context, endpoint string, payload []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint, bytes.NewReader(payload))
+	if err != nil {
+		return nil, err
 	}
+	req.Header.Set("Content-Type", "application/json")
+	if d, ok := ctx.Deadline(); ok {
+		req.Header.Set(wire.TimeoutHeader, strconv.FormatInt(max(time.Until(d).Milliseconds(), 1), 10))
+	}
+	resp, err := e.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, responseError(resp)
+	}
+	return resp, nil
 }
 
 // backendPartition is one backend as the kernel's Partition: each method
@@ -403,20 +400,11 @@ func (e *Engine) streamOne(ctx context.Context, b Backend, req wire.QueryRequest
 	if err != nil {
 		return st, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, b.URL+"/v1/each", bytes.NewReader(payload))
-	if err != nil {
-		return st, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	setTimeoutHeader(hreq, ctx)
-	resp, err := e.client.Do(hreq)
+	resp, err := e.send(ctx, b.URL+"/v1/each", payload)
 	if err != nil {
 		return st, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return st, responseError(resp)
-	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 4096), 1<<20)
 	frames := 0

@@ -85,6 +85,12 @@ type handler struct {
 	cfg Config
 }
 
+// writeGrace is how long past a request's deadline its response may still
+// be written: room to deliver the error body or terminal frame that reports
+// the deadline. A client that stops reading holds the handler, its
+// goroutine and its query no longer than that.
+const writeGrace = time.Second
+
 // NewHandler returns the HTTP handler serving eng. Routes:
 //
 //	POST /v1/query     one area query        → wire.QueryResponse
@@ -197,7 +203,8 @@ type areaCall struct {
 
 // area is the preamble of the three area-query routes, written once: decode
 // the request (decodeArea), answer 400 if that fails, and otherwise hand
-// the call to serve under its deadline context.
+// the call to serve under its deadline context, with the response's writes
+// bounded by the same deadline plus writeGrace.
 func (h *handler) area(single bool, serve func(http.ResponseWriter, *areaCall)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		c, cancel, err := h.decodeArea(w, r, single)
@@ -206,6 +213,11 @@ func (h *handler) area(single bool, serve func(http.ResponseWriter, *areaCall)) 
 			return
 		}
 		defer cancel()
+		if d, ok := c.ctx.Deadline(); ok {
+			// A writer that cannot set a deadline (a recorder) has no peer
+			// to stall it.
+			_ = http.NewResponseController(w).SetWriteDeadline(d.Add(writeGrace))
+		}
 		serve(w, c)
 	}
 }
@@ -280,7 +292,8 @@ func (h *handler) queryAll(w http.ResponseWriter, c *areaCall) {
 // each streams one area query as NDJSON frames, riding the engine's
 // emit-callback path: every result is on the wire while the BFS is still
 // expanding. The terminal frame carries the statistics (or the error);
-// a stream without one was cut by a disconnect.
+// a stream without one was cut by a disconnect, or by a client that did not
+// read it before its deadline plus writeGrace.
 func (h *handler) each(w http.ResponseWriter, c *areaCall) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)

@@ -6,8 +6,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -237,16 +239,54 @@ func TestEachStreams(t *testing.T) {
 	}
 }
 
+// doneHandler wraps h and closes done when a request it serves returns.
+func doneHandler(h http.Handler) (http.Handler, <-chan struct{}) {
+	done := make(chan struct{})
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer close(done)
+		h.ServeHTTP(w, r)
+	}), done
+}
+
+// heldEngine streams the real engine's answer but, after the first result,
+// holds the stream until the request's context ends — the client hung up —
+// and then ignores that context, so the only thing that can stop the rest
+// of the stream is the handler's yield answering false. stopped reports
+// whether it did.
+type heldEngine struct {
+	*vaq.Engine
+	stopped atomic.Bool
+}
+
+func (h *heldEngine) Each(ctx context.Context, region vaq.Region, yield func(int64, vaq.Point) bool, opts ...vaq.QueryOpt) error {
+	first := true
+	return h.Engine.Each(context.Background(), region, func(id int64, p vaq.Point) bool {
+		if !yield(id, p) {
+			h.stopped.Store(true)
+			return false
+		}
+		if first {
+			first = false
+			select {
+			case <-ctx.Done():
+			case <-time.After(10 * time.Second):
+			}
+		}
+		return true
+	}, opts...)
+}
+
+// TestEachClientDisconnect: a client that hangs up mid-stream makes the
+// handler's next failed write stop the query, and the handler returns.
 func TestEachClientDisconnect(t *testing.T) {
-	eng := testEngine(t, 2000)
-	srv := httptest.NewServer(NewHandler(eng, Config{StreamFlushEvery: 1}))
+	eng := &heldEngine{Engine: testEngine(t, 2000)}
+	h, done := doneHandler(NewHandler(eng, Config{StreamFlushEvery: 1}))
+	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	// Query the whole universe so the stream is long, then hang up after
-	// the first frame. The handler must stop the query rather than keep
-	// writing into a dead connection.
+	// The whole universe: every point is a result, so the stream is long.
 	whole := vaq.PolygonRegion(vaq.MustPolygon([]vaq.Point{
-		{X: -0.1, Y: -0.1}, {X: 1.1, Y: -0.1}, {X: 1.1, Y: 1.1}, {X: -0.1, Y: 1.1},
+		{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}, {X: 0, Y: 1},
 	}))
 	wr, err := wire.EncodeRegion(whole)
 	if err != nil {
@@ -257,11 +297,67 @@ func TestEachClientDisconnect(t *testing.T) {
 	if !sc.Scan() {
 		t.Fatal("no first frame")
 	}
+	var fr wire.Frame
+	if err := json.Unmarshal(sc.Bytes(), &fr); err != nil || fr.EOF {
+		t.Fatalf("first frame %s (%v), want a data frame", sc.Bytes(), err)
+	}
 	resp.Body.Close() // mid-stream disconnect
 
-	// The server notices on its next write; nothing to assert beyond "no
-	// hang": give the handler a moment to unwind under -race.
-	time.Sleep(50 * time.Millisecond)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler still running 5s after the client hung up")
+	}
+	if !eng.stopped.Load() {
+		t.Error("the stream ran to its end into a dead connection: a failed write did not stop it")
+	}
+}
+
+// floodEngine streams one point forever, whatever its context says: a
+// result set larger than any socket buffer.
+type floodEngine struct{ *vaq.Engine }
+
+func (floodEngine) Each(_ context.Context, _ vaq.Region, yield func(int64, vaq.Point) bool, _ ...vaq.QueryOpt) error {
+	for id := int64(0); yield(id, vaq.Pt(0.5, 0.5)); id++ {
+	}
+	return nil
+}
+
+// TestEachSlowReaderBoundedByDeadline: a client that sends a /v1/each
+// request with a deadline and never reads the response cannot hold the
+// handler past that deadline plus writeGrace — its blocked write fails.
+func TestEachSlowReaderBoundedByDeadline(t *testing.T) {
+	h, done := doneHandler(NewHandler(floodEngine{testEngine(t, 100)}, Config{}))
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+
+	wr, err := wire.EncodeRegion(testRegion())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(wire.QueryRequest{Region: wr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const timeoutMs = 200
+	if _, err := fmt.Fprintf(conn, "POST /v1/each HTTP/1.1\r\nHost: vaq\r\nContent-Type: application/json\r\n%s: %d\r\nContent-Length: %d\r\n\r\n%s",
+		wire.TimeoutHeader, timeoutMs, len(body), body); err != nil {
+		t.Fatal(err)
+	}
+
+	// Nothing is read from conn: the handler fills the socket buffers and
+	// blocks in a write until the write deadline fails it.
+	bound := timeoutMs*time.Millisecond + writeGrace + 3*time.Second
+	select {
+	case <-done:
+	case <-time.After(bound):
+		t.Fatalf("handler still writing %v after a %dms deadline to a client that never reads", bound, timeoutMs)
+	}
 }
 
 func TestInfo(t *testing.T) {

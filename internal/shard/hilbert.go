@@ -123,7 +123,7 @@ func New(points []geom.Point, bounds geom.Rect, cfg Config) (*Engine, error) {
 	for si, s := range shards {
 		parts[si] = s
 	}
-	e := Over(parts, bounds, cfg.Parallelism, false, cfg.Metrics)
+	e := Over(parts, bounds, cfg.Parallelism, cfg.Metrics)
 	e.points = append([]geom.Point(nil), points...)
 	return e, nil
 }

@@ -80,24 +80,19 @@ func fakeStrips(n, per int) ([]*fakePart, []geom.Point) {
 	return parts, all
 }
 
-func over(parts []*fakePart, degraded bool) *Engine {
+func over(parts []*fakePart) *Engine {
 	ps := make([]Partition, len(parts))
 	for i, p := range parts {
 		ps[i] = p
 	}
-	return Over(ps, unitBounds(), 2, degraded, nil)
+	return Over(ps, unitBounds(), 2, nil)
 }
 
-// bruteInside is the oracle: ascending ids of pts inside region, skipping
-// the id ranges of the given (failed) parts.
-func bruteInside(pts []geom.Point, region core.Region, skip ...*fakePart) []int64 {
+// bruteInside is the oracle: ascending ids of pts inside region.
+func bruteInside(pts []geom.Point, region core.Region) []int64 {
 	var out []int64
 	for i, pt := range pts {
-		dropped := false
-		for _, p := range skip {
-			dropped = dropped || (int64(i) >= p.off && int64(i) < p.off+int64(len(p.pts)))
-		}
-		if !dropped && region.ContainsPoint(pt) {
+		if region.ContainsPoint(pt) {
 			out = append(out, int64(i))
 		}
 	}
@@ -110,10 +105,10 @@ func rectRegion(minX, minY, maxX, maxY float64) core.Region {
 	}))
 }
 
-// TestKernelFailurePolicy drives the partial-failure policy through every
-// query shape with one partition down: fail-fast errors, degraded answers
-// from the survivors and reports the drop, and a region whose every
-// partition failed errors under either policy.
+// TestKernelFailurePolicy drives every query shape with one partition
+// down: each one that reaches the partition fails with its error and no
+// ids, the failed call is counted in Dropped, and a region the partition is
+// pruned from is answered exactly.
 func TestKernelFailurePolicy(t *testing.T) {
 	ctx := context.Background()
 	boom := errors.New("boom")
@@ -122,87 +117,61 @@ func TestKernelFailurePolicy(t *testing.T) {
 	right := rectRegion(0.80, 0.2, 0.95, 0.8)  // reaches only strip 3
 	center := rectRegion(0.30, 0.2, 0.70, 0.8) // reaches strips 1 and 2
 
-	for _, degraded := range []bool{false, true} {
-		parts, all := fakeStrips(4, 200)
-		parts[0].err = boom
-		e := over(parts, degraded)
-
-		ids, st, err := e.QueryRegionSpec(ctx, wide, core.QuerySpec{})
-		switch {
-		case !degraded:
-			if !errors.Is(err, boom) || ids != nil {
-				t.Fatalf("fail-fast: ids=%v err=%v, want the partition's error", ids, err)
-			}
-		case err != nil:
-			t.Fatalf("degraded: %v", err)
-		default:
-			if want := bruteInside(all, wide, parts[0]); !slices.Equal(ids, want) {
-				t.Errorf("degraded: %d ids, want the survivors' %d", len(ids), len(want))
-			}
-			if st.PartitionsDropped != 1 || e.Dropped() != 1 {
-				t.Errorf("degraded: PartitionsDropped=%d Dropped()=%d, want 1 and 1", st.PartitionsDropped, e.Dropped())
-			}
-		}
-
-		// Every partition the region reached failed: an error either way,
-		// and not a counted drop.
-		before := e.Dropped()
-		if _, _, err := e.QueryRegionSpec(ctx, left, core.QuerySpec{}); !errors.Is(err, boom) {
-			t.Errorf("degraded=%v: all-failed query err = %v, want boom", degraded, err)
-		}
-		if e.Dropped() != before {
-			t.Errorf("degraded=%v: an all-failed query counted a drop", degraded)
-		}
-
-		// A region the dead partition is pruned from is untouched by it.
-		ids, st, err = e.QueryRegionSpec(ctx, right, core.QuerySpec{})
-		if err != nil || !slices.Equal(ids, bruteInside(all, right)) || st.PartitionsDropped != 0 {
-			t.Errorf("degraded=%v: pruned-from-failure query: err=%v dropped=%d", degraded, err, st.PartitionsDropped)
-		}
-
-		// Batch: the same policy per region.
-		out, st, err := e.QueryRegionsSpec(ctx, []core.Region{wide, right, center}, core.QuerySpec{})
-		if !degraded {
-			if !errors.Is(err, boom) {
-				t.Errorf("fail-fast batch err = %v", err)
-			}
-		} else if err != nil {
-			t.Errorf("degraded batch: %v", err)
-		} else {
-			for i, region := range []core.Region{wide, right, center} {
-				if want := bruteInside(all, region, parts[0]); !slices.Equal(out[i], want) {
-					t.Errorf("degraded batch region %d: %d ids, want %d", i, len(out[i]), len(want))
-				}
-			}
-			if st.PartitionsDropped != 1 {
-				t.Errorf("degraded batch PartitionsDropped = %d, want 1", st.PartitionsDropped)
-			}
-		}
-		if _, _, err := e.QueryRegionsSpec(ctx, []core.Region{right, left}, core.QuerySpec{}); !errors.Is(err, boom) {
-			t.Errorf("degraded=%v: batch with an all-failed region err = %v, want boom", degraded, err)
-		}
-
-		// Each always fails fast.
-		if _, err := e.EachRegion(ctx, wide, core.QuerySpec{}, func(int64, geom.Point) bool { return true }); !errors.Is(err, boom) {
-			t.Errorf("degraded=%v: Each err = %v, want boom", degraded, err)
+	parts, all := fakeStrips(4, 200)
+	parts[0].err = boom
+	e := over(parts)
+	dropped := func(step string, want uint64) {
+		t.Helper()
+		if got := e.Dropped(); got != want {
+			t.Errorf("%s: Dropped() = %d, want %d", step, got, want)
 		}
 	}
+
+	for _, region := range []core.Region{wide, left} {
+		if ids, _, err := e.QueryRegionSpec(ctx, region, core.QuerySpec{}); !errors.Is(err, boom) || ids != nil {
+			t.Fatalf("ids=%v err=%v, want the partition's error", ids, err)
+		}
+	}
+	dropped("two failed queries", 2)
+
+	// A region the dead partition is pruned from is untouched by it.
+	ids, _, err := e.QueryRegionSpec(ctx, right, core.QuerySpec{})
+	if err != nil || !slices.Equal(ids, bruteInside(all, right)) {
+		t.Errorf("pruned-from-failure query: err=%v, %d ids", err, len(ids))
+	}
+	out, _, err := e.QueryRegionsSpec(ctx, []core.Region{right, center}, core.QuerySpec{})
+	if err != nil || !slices.Equal(out[0], bruteInside(all, right)) || !slices.Equal(out[1], bruteInside(all, center)) {
+		t.Errorf("pruned-from-failure batch: err=%v", err)
+	}
+	dropped("healthy queries", 2)
+
+	// A batch with one region reaching the dead partition fails whole.
+	if out, _, err := e.QueryRegionsSpec(ctx, []core.Region{wide, right, center}, core.QuerySpec{}); !errors.Is(err, boom) || out != nil {
+		t.Errorf("batch: %d results, err = %v, want boom", len(out), err)
+	}
+	dropped("failed batch", 3)
+
+	if _, err := e.EachRegion(ctx, wide, core.QuerySpec{}, func(int64, geom.Point) bool { return true }); !errors.Is(err, boom) {
+		t.Errorf("Each err = %v, want boom", err)
+	}
+	dropped("failed Each", 4)
 }
 
 // TestKernelCancellationBeatsDegradation: a partition failing because the
-// caller's context ended is not a droppable failure.
+// caller's context ended reports the caller's error, and is not counted as
+// a failed partition call.
 func TestKernelCancellationBeatsDegradation(t *testing.T) {
 	parts, _ := fakeStrips(2, 50)
 	ctx, cancel := context.WithCancel(context.Background())
 	parts[1].err = context.Canceled // what a call cut short by its context reports
 	// One worker: partition 0 has answered by the time partition 1 is asked.
-	e := Over([]Partition{parts[0], &cancelOnCall{parts[1], cancel}}, unitBounds(), 1, true, nil)
-	ids, st, err := e.QueryRegionSpec(ctx, rectRegion(0.1, 0.1, 0.9, 0.9), core.QuerySpec{})
+	e := Over([]Partition{parts[0], &cancelOnCall{parts[1], cancel}}, unitBounds(), 1, nil)
+	ids, _, err := e.QueryRegionSpec(ctx, rectRegion(0.1, 0.1, 0.9, 0.9), core.QuerySpec{})
 	if !errors.Is(err, context.Canceled) || ids != nil {
 		t.Fatalf("ids=%v err=%v, want context.Canceled and no partial ids", ids, err)
 	}
-	if st.PartitionsDropped != 0 || e.Dropped() != 0 {
-		t.Errorf("cancellation was counted as a drop: %d / %d", st.PartitionsDropped, e.Dropped())
+	if n := e.Dropped(); n != 0 {
+		t.Errorf("cancellation was counted as a failed partition call: %d", n)
 	}
 }
 
@@ -225,7 +194,7 @@ func TestKernelUnknownBoundsAndEmptyPartitions(t *testing.T) {
 	parts[2].bounds = geom.EmptyRect() // bounds unknown
 	hollow := &fakePart{bounds: geom.NewRect(0, 0, 1, 1), off: int64(len(all))}
 	parts = append(parts, hollow)
-	e := over(parts, false)
+	e := over(parts)
 
 	// Geometrically inside strip 0 only.
 	region := rectRegion(0.05, 0.2, 0.25, 0.8)
@@ -246,12 +215,12 @@ func TestKernelUnknownBoundsAndEmptyPartitions(t *testing.T) {
 func TestKernelUniverseIsNotTheUnionOfPruningKeys(t *testing.T) {
 	parts, _ := fakeStrips(4, 50)
 	parts = []*fakePart{parts[0], parts[3]} // data in x < 0.25 and x >= 0.75
-	e := over(parts, false)
+	e := over(parts)
 	if e.Bounds() != unitBounds() {
 		t.Fatalf("Bounds() = %v, want the universe %v", e.Bounds(), unitBounds())
 	}
 	ps := []Partition{parts[0], parts[1]}
-	if blind := Over(ps, geom.EmptyRect(), 2, false, nil); !blind.Bounds().IsEmpty() {
+	if blind := Over(ps, geom.EmptyRect(), 2, nil); !blind.Bounds().IsEmpty() {
 		t.Errorf("unknown universe reads %v", blind.Bounds())
 	}
 
@@ -301,7 +270,7 @@ func TestKernelLimitBudget(t *testing.T) {
 	for i, p := range built.parts {
 		parts[i] = countingPart{p, &materialized}
 	}
-	e := Over(parts, unitBounds(), 4, false, nil)
+	e := Over(parts, unitBounds(), 4, nil)
 	wide := rectRegion(0.1, 0.1, 0.9, 0.9)
 	const limit = 25
 

@@ -35,13 +35,12 @@
 //     query is one task per surviving partition; a batch is one task per
 //     (region, partition) pair, except that a partition offering
 //     RegionsQuerier answers all its regions in one call.
-//   - Partial failure: fail-fast surfaces the first partition error;
-//     degraded (Over's flag) drops failed partitions, counts them in
-//     Dropped and Stats.PartitionsDropped, and fails a region only when
-//     every partition it was scattered to failed. A done caller context
-//     always wins: cancellation is never mistaken for a droppable failure.
-//     Each streams fail fast under either policy — yielded results cannot
-//     be withdrawn.
+//   - Fail fast: a failed partition fails the query, with the first
+//     partition error — there is no partial answer, because a missing
+//     partition leaves a hole in the tiling the union rests on. A done
+//     caller context always wins: its error is the query's, whatever the
+//     partitions reported, and a call it cut short is not counted as a
+//     partition failure in Dropped.
 //   - Gather: per region, merge into ascending global id order, truncate
 //     to Limit, count. In-process partitions additionally draw from one
 //     core.QuerySpec.Budget per region, so a limited query materializes at
@@ -122,7 +121,6 @@ type Engine struct {
 	bounds      geom.Rect
 	points      []geom.Point // global id -> position; engines built by New only
 	parallelism int
-	degraded    bool
 	dropped     atomic.Uint64
 	met         *Metrics
 }
@@ -131,16 +129,14 @@ type Engine struct {
 // rectangle every partition clips its cells to — what Bounds reports; empty
 // when the caller does not know it — and is never derived from the
 // partitions' pruning keys, whose union may be smaller. parallelism bounds
-// the scatter's worker pool (<= 0 means runtime.GOMAXPROCS); degraded
-// selects the drop-failed-partitions policy over fail-fast; met may be nil.
-func Over(parts []Partition, universe geom.Rect, parallelism int, degraded bool, met *Metrics) *Engine {
+// the scatter's worker pool (<= 0 means runtime.GOMAXPROCS); met may be nil.
+func Over(parts []Partition, universe geom.Rect, parallelism int, met *Metrics) *Engine {
 	e := &Engine{
 		parts:       parts,
 		batch:       make([]RegionsQuerier, len(parts)),
 		partBounds:  make([]geom.Rect, len(parts)),
 		bounds:      universe,
 		parallelism: parallelism,
-		degraded:    degraded,
 		met:         met,
 	}
 	for i, p := range parts {
@@ -174,8 +170,8 @@ func (e *Engine) Len() int { return e.length }
 // which is empty when Over's caller did not know it.
 func (e *Engine) Bounds() geom.Rect { return e.bounds }
 
-// Dropped returns the cumulative number of partition calls dropped under
-// the degraded policy; always 0 on a fail-fast engine.
+// Dropped returns the cumulative number of partition calls that failed
+// while the caller's context was live; each of them failed its query.
 func (e *Engine) Dropped() uint64 { return e.dropped.Load() }
 
 // survivors appends to dst the indexes of partitions that can contribute
@@ -227,8 +223,13 @@ func (e *Engine) partSpec(spec core.QuerySpec) core.QuerySpec {
 	return spec
 }
 
-// partErr names the failing partition.
-func (e *Engine) partErr(pi int, err error) error {
+// partErr names the failing partition and counts the failure in Dropped,
+// unless the caller's context is done: a call its caller cut short is not
+// the partition's failure.
+func (e *Engine) partErr(ctx context.Context, pi int, err error) error {
+	if ctx.Err() == nil {
+		e.dropped.Add(1)
+	}
 	return fmt.Errorf("%v: %w", e.parts[pi], err)
 }
 
@@ -242,14 +243,12 @@ type scattered struct {
 	pairs   []pair    // region-major: a region's pairs are contiguous
 	ids     [][]int64 // each pair's global ids; nil under CountOnly
 	counts  []int     // each pair's match count; only when a per-region cap needs them
-	errs    []error   // each pair's tolerated failure; degraded policy only
-	dropped int       // partition calls that failed and were tolerated
 }
 
 // scatter plans regions × partitions, runs the plan on the pool and folds
 // the partitions' statistics into agg. The error is the caller's context
 // error if it is done — whatever the partitions reported — and otherwise
-// the first partition failure under the fail-fast policy.
+// the first partition failure.
 func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.QuerySpec, agg *core.Stats) (scattered, error) {
 	sc := scattered{regions: len(regions)}
 	alive := make([]int, 0, len(e.parts))
@@ -283,9 +282,6 @@ func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.Q
 	}
 	if !spec.CountOnly {
 		sc.ids = make([][]int64, len(sc.pairs))
-	}
-	if e.degraded {
-		sc.errs = make([]error, len(sc.pairs))
 	}
 
 	// A task is the pairs (as indexes into sc.pairs) one partition answers
@@ -358,46 +354,30 @@ func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.Q
 		}
 		e.partDone(t0)
 		workerStats[worker].Add(st)
-		if err == nil {
-			return nil
-		}
-		err = e.partErr(part, err)
-		if !e.degraded {
-			return err
-		}
-		for _, i := range tk {
-			sc.errs[i] = err
+		if err != nil {
+			return e.partErr(ctx, part, err)
 		}
 		return nil
 	})
 	for _, ws := range workerStats {
 		agg.Add(ws)
 	}
-	// Cancellation beats degradation: a partition that failed because the
-	// caller gave up is not a droppable failure, and its siblings' partial
-	// ids are not an answer.
+	// Cancellation beats a partition failure: a partition that failed
+	// because the caller gave up reports the caller's error.
 	if err := ctx.Err(); err != nil {
 		return sc, err
 	}
 	if runErr != nil {
 		return sc, fmt.Errorf("shard: %w", runErr)
 	}
-	if e.degraded {
-		for _, tk := range tasks {
-			if sc.errs[tk[0]] != nil {
-				sc.dropped++
-			}
-		}
-	}
 	return sc, nil
 }
 
-// gather reduces a scatter region by region: apply the partial-failure
-// policy, then merge the partitions' ids into ascending order (into dst,
-// when given) truncated to Limit, or cap the count. out, when non-nil,
-// receives each region's ids. agg is finalized with the total result size
-// and the drop count.
-func (e *Engine) gather(sc *scattered, spec core.QuerySpec, dst []int64, out [][]int64, agg *core.Stats) error {
+// gather reduces a scatter region by region: merge the partitions' ids
+// into ascending order (into dst, when given) truncated to Limit, or cap
+// the count. out, when non-nil, receives each region's ids. agg is
+// finalized with the total result size.
+func gather(sc *scattered, spec core.QuerySpec, dst []int64, out [][]int64, agg *core.Stats) {
 	var mergeStart time.Time
 	if spec.Trace != nil {
 		mergeStart = time.Now()
@@ -407,20 +387,6 @@ func (e *Engine) gather(sc *scattered, spec core.QuerySpec, dst []int64, out [][
 		hi := lo
 		for hi < len(sc.pairs) && int(sc.pairs[hi].region) == qi {
 			hi++
-		}
-		if sc.dropped > 0 && hi > lo {
-			// Degraded tolerates partial loss, not total: with every
-			// partition the region reached gone there is nothing to answer
-			// from.
-			failed := 0
-			for _, err := range sc.errs[lo:hi] {
-				if err != nil {
-					failed++
-				}
-			}
-			if failed == hi-lo {
-				return fmt.Errorf("shard: %w", sc.errs[lo])
-			}
 		}
 		switch {
 		case sc.counts != nil:
@@ -448,11 +414,6 @@ func (e *Engine) gather(sc *scattered, spec core.QuerySpec, dst []int64, out [][
 		spec.Trace.Add(obs.PhaseMerge, time.Since(mergeStart))
 	}
 	agg.Finalize(total)
-	if sc.dropped > 0 {
-		agg.PartitionsDropped = sc.dropped
-		e.dropped.Add(uint64(sc.dropped))
-	}
-	return nil
 }
 
 // mergeSorted concatenates per-partition global id slices into dst
@@ -490,9 +451,7 @@ func (e *Engine) QueryRegionSpec(ctx context.Context, region core.Region, spec c
 		return nil, agg, err
 	}
 	var out [1][]int64
-	if err := e.gather(&sc, spec, spec.Dest, out[:], &agg); err != nil {
-		return nil, agg, err
-	}
+	gather(&sc, spec, spec.Dest, out[:], &agg)
 	return out[0], agg, nil
 }
 
@@ -511,9 +470,7 @@ func (e *Engine) QueryRegionsSpec(ctx context.Context, regions []core.Region, sp
 	if !spec.CountOnly && len(regions) > 0 {
 		out = make([][]int64, len(regions))
 	}
-	if err := e.gather(&sc, spec, nil, out, &agg); err != nil {
-		return nil, agg, err
-	}
+	gather(&sc, spec, nil, out, &agg)
 	return out, agg, nil
 }
 
@@ -523,7 +480,7 @@ func (e *Engine) QueryRegionsSpec(ctx context.Context, regions []core.Region, sp
 // global ids of different partitions interleave, so no overall id ordering
 // is implied. yield returning false stops the query. spec.Limit bounds the
 // total number of yields; spec.CountOnly and spec.Dest are ignored. A
-// partition failure ends the stream under either failure policy.
+// partition failure ends the stream.
 func (e *Engine) EachRegion(ctx context.Context, region core.Region, spec core.QuerySpec, yield func(id int64, pos geom.Point) bool) (core.Stats, error) {
 	agg := core.Stats{Method: spec.Method}
 	alive := e.survivors(nil, region)
@@ -545,7 +502,7 @@ func (e *Engine) EachRegion(ctx context.Context, region core.Region, spec core.Q
 		agg.Add(st)
 		if err != nil {
 			agg.Finalize(agg.ResultSize)
-			return agg, fmt.Errorf("shard: %w", e.partErr(pi, err))
+			return agg, fmt.Errorf("shard: %w", e.partErr(ctx, pi, err))
 		}
 		if stopped {
 			break

@@ -330,8 +330,7 @@ func (q *querier) QueryAll(ctx context.Context, regions []Region, opts ...QueryO
 // Each implements Querier. On a partitioned engine the partitions stream
 // one after another, each in its own discovery order; global ids from
 // different partitions interleave, so no overall id ordering is implied,
-// and a stream always fails fast — a partition failure mid-stream surfaces
-// immediately, even under WithDegradedFanOut.
+// and a partition failure mid-stream ends the stream with its error.
 func (q *querier) Each(ctx context.Context, region Region, yield func(id int64, p Point) bool, opts ...QueryOpt) error {
 	p := resolve(opts)
 	start := q.begin(&p)

@@ -26,10 +26,8 @@ import (
 //
 // Failure handling: unary queries (Query, QueryAll, Count) are idempotent
 // and retry transport-level failures per backend (WithRemoteRetries); Each
-// streams never retry. WithDegradedFanOut selects the partial-failure
-// policy — by default a backend failure (after retries) fails the query;
-// degraded drops the failed backends and serves from the survivors,
-// erroring only when every relevant backend fails.
+// streams never retry. A backend that still fails after its retries fails
+// the query: a RemoteEngine never answers from part of its backends.
 //
 // RemoteEngine implements Querier and is safe for concurrent use. It
 // composes with WithMetrics exactly like the local flavors (flavor label
@@ -53,15 +51,6 @@ func WithRemoteTimeout(d time.Duration) Option {
 // retry mid-flight.
 func WithRemoteRetries(n int, backoff time.Duration) Option {
 	return func(c *config) { c.remote.Retries, c.remote.RetryBackoff = n, backoff }
-}
-
-// WithDegradedFanOut switches the RemoteEngine's partial-failure policy
-// from fail-fast to degraded: backends that still fail after retries are
-// dropped from the fan-out and the query is answered from the survivors
-// (possibly missing their points), erroring only when every relevant
-// backend fails. The drop count is visible via RemoteEngine.Dropped.
-func WithDegradedFanOut() Option {
-	return func(c *config) { c.remote.Degraded = true }
 }
 
 // WithRemoteClient sets the http.Client a RemoteEngine uses (connection
@@ -115,7 +104,7 @@ func NewRemoteEngine(backends []RemoteBackend, opts ...Option) (*RemoteEngine, e
 // NumBackends returns the backend count.
 func (e *RemoteEngine) NumBackends() int { return e.k.NumShards() }
 
-// Dropped returns the cumulative number of backend queries dropped under
-// the degraded partial-failure policy (always 0 without
-// WithDegradedFanOut). Stats.PartitionsDropped reports the same per query.
+// Dropped returns the cumulative number of backend calls that failed while
+// the caller's context was live — each one failed its query. A caller's
+// own deadline or cancellation is never counted.
 func (e *RemoteEngine) Dropped() uint64 { return e.k.Dropped() }

@@ -4,8 +4,8 @@ package vaq_test
 // backends must answer every query byte-identically to a local engine
 // over the union of the backends' points — plus the wire-specific
 // contracts no local flavor has: deadline propagation into the server,
-// cancellation over the wire, mid-stream disconnects, retry and the
-// degraded partial-failure policy.
+// cancellation over the wire, mid-stream disconnects, retry, and a dead
+// backend failing the query.
 
 import (
 	"context"
@@ -44,13 +44,13 @@ type remoteFixture struct {
 // startFixture splits pts at the given cut indexes (uneven on purpose —
 // even splits hide id-offset bugs) and serves each chunk, every engine built
 // over the unit square.
-func startFixture(t *testing.T, pts []vaq.Point, cuts ...int) *remoteFixture {
+func startFixture(t testing.TB, pts []vaq.Point, cuts ...int) *remoteFixture {
 	t.Helper()
 	return startFixtureOver(t, pts, vaq.UnitSquare(), cuts...)
 }
 
 // startFixtureOver is startFixture with every engine built over universe.
-func startFixtureOver(t *testing.T, pts []vaq.Point, universe vaq.Rect, cuts ...int) *remoteFixture {
+func startFixtureOver(t testing.TB, pts []vaq.Point, universe vaq.Rect, cuts ...int) *remoteFixture {
 	t.Helper()
 	local, err := vaq.NewEngine(pts, universe)
 	if err != nil {
@@ -584,13 +584,26 @@ func TestRemoteTimeoutPerTry(t *testing.T) {
 	}
 }
 
-// TestRemoteDegraded verifies the partial-failure policy: fail-fast
-// errors when a backend is down; degraded serves the survivors' points
-// and counts the drop; a fully dead fleet still errors.
-func TestRemoteDegraded(t *testing.T) {
+// TestRemoteDeadBackendFails: with one backend dead, Query, QueryAll and
+// Each fail — never the survivors' ids with a nil error — and each failed
+// backend call counts in Dropped, which healthy traffic leaves at 0.
+func TestRemoteDeadBackendFails(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	pts := vaq.UniformPoints(rng, 1200, vaq.UnitSquare())
 	f := startFixture(t, pts, 600)
+	ctx := context.Background()
+	region := vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.5, 0.5), 0.15))
+
+	healthy := f.dial(t)
+	if _, err := healthy.Query(ctx, region); err != nil {
+		t.Fatal(err)
+	}
+	if err := healthy.Each(ctx, region, func(int64, vaq.Point) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if n := healthy.Dropped(); n != 0 {
+		t.Errorf("healthy traffic: Dropped() = %d, want 0", n)
+	}
 
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/info" {
@@ -600,46 +613,22 @@ func TestRemoteDegraded(t *testing.T) {
 		http.Error(w, `{"code":"internal","message":"down"}`, http.StatusInternalServerError)
 	}))
 	defer dead.Close()
-	urls := append(append([]string{}, f.urls...), dead.URL)
-	region := vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.5, 0.5), 0.15))
-
-	// Fail-fast (default): the dead backend fails the query.
-	ff, err := vaq.DialRemote(context.Background(), urls)
+	re, err := vaq.DialRemote(ctx, append(append([]string{}, f.urls...), dead.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ff.Query(context.Background(), region); err == nil {
-		t.Fatal("fail-fast query survived a dead backend")
+	if ids, err := re.Query(ctx, region); err == nil {
+		t.Errorf("Query answered %d ids with a dead backend", len(ids))
 	}
-
-	// Degraded: survivors answer; the drop is counted. The survivors are
-	// the full real dataset, so the answer equals the local oracle.
-	deg, err := vaq.DialRemote(context.Background(), urls, vaq.WithDegradedFanOut())
-	if err != nil {
-		t.Fatal(err)
+	if out, err := re.QueryAll(ctx, []vaq.Region{region, region}); err == nil {
+		t.Errorf("QueryAll answered %d results with a dead backend", len(out))
 	}
-	want, err := f.local.Query(context.Background(), region)
-	if err != nil {
-		t.Fatal(err)
+	if err := re.Each(ctx, region, func(int64, vaq.Point) bool { return true }); err == nil {
+		t.Error("Each ended cleanly with a dead backend")
 	}
-	got, err := deg.Query(context.Background(), region)
-	if err != nil {
-		t.Fatalf("degraded query failed: %v", err)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatal("degraded result diverges from the survivors' truth")
-	}
-	if deg.Dropped() == 0 {
-		t.Error("degraded drop not counted")
-	}
-
-	// Every backend dead: degraded still errors.
-	allDead, err := vaq.DialRemote(context.Background(), []string{dead.URL}, vaq.WithDegradedFanOut())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := allDead.Query(context.Background(), region); err == nil {
-		t.Fatal("fully dead fleet answered")
+	// One failed backend call per query: the batch is one /v1/queryall.
+	if n := re.Dropped(); n != 3 {
+		t.Errorf("Dropped() = %d after three failed queries, want 3", n)
 	}
 }
 

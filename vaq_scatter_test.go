@@ -2,8 +2,8 @@ package vaq_test
 
 // What the shared scatter-gather kernel promises across transports: the
 // same partitions answer identically in process and over HTTP, remote
-// batches are pruned per backend, cancellation is never mistaken for a
-// droppable failure, and a degraded partial answer is never memoized.
+// batches are pruned per backend, and cancellation is never mistaken for a
+// backend failure.
 
 import (
 	"bytes"
@@ -182,7 +182,7 @@ func TestTransportsAnswerIdentically(t *testing.T) {
 	for i, c := range chunks {
 		parts[i] = chunkPartition{c}
 	}
-	inProcess := vaq.OverPartitions(shard.Over(parts, vaq.UnitSquare(), 2, false, nil))
+	inProcess := vaq.OverPartitions(shard.Over(parts, vaq.UnitSquare(), 2, nil))
 
 	regions := []vaq.Region{
 		vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.1, 0.5), 0.05)),  // one strip: misses two data MBRs
@@ -326,11 +326,10 @@ func TestRemoteBatchIsPruned(t *testing.T) {
 	check(append(append([]vaq.Region{}, left...), both, right), [2]int64{1, 1}, [2]int64{4, 2})
 }
 
-// TestRemoteCancellationBeatsDegradation: under WithDegradedFanOut a
-// caller deadline that fires after one backend answered and before the
-// other did is the query's error — not a droppable backend failure
-// answered with the fast backend's partial ids.
-func TestRemoteCancellationBeatsDegradation(t *testing.T) {
+// TestRemoteCancellationIsNotABackendFailure: a caller deadline that fires
+// after one backend answered and before the other did is the query's error
+// — not a backend failure, and never the fast backend's partial ids.
+func TestRemoteCancellationIsNotABackendFailure(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	pts := vaq.UniformPoints(rng, 800, vaq.UnitSquare())
 	f := startFixture(t, pts) // one fast backend over everything
@@ -349,7 +348,7 @@ func TestRemoteCancellationBeatsDegradation(t *testing.T) {
 	}))
 	defer stuck.Close()
 
-	re, err := vaq.DialRemote(context.Background(), append(append([]string{}, f.urls...), stuck.URL), vaq.WithDegradedFanOut())
+	re, err := vaq.DialRemote(context.Background(), append(append([]string{}, f.urls...), stuck.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,60 +365,6 @@ func TestRemoteCancellationBeatsDegradation(t *testing.T) {
 		t.Fatalf("QueryAll err = %v; want context.DeadlineExceeded", err)
 	}
 	if n := re.Dropped(); n != 0 {
-		t.Errorf("Dropped() = %d: a caller deadline was counted as a dropped backend", n)
-	}
-}
-
-// TestDegradedAnswerIsNotCached: Stats.PartitionsDropped is the marker a
-// caller that memoizes answers must honor — set on the partial answer given
-// while a backend is down, zero on the complete one after it recovers.
-func TestDegradedAnswerIsNotCached(t *testing.T) {
-	rng := rand.New(rand.NewSource(74))
-	pts := vaq.UniformPoints(rng, 1200, vaq.UnitSquare())
-	f := startFixture(t, pts, 600)
-
-	// The second chunk again, behind a switch.
-	var down atomic.Bool
-	h := serve.NewHandler(f.chunks[1], serve.Config{IDOffset: 600, Flavor: "static"})
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if down.Load() {
-			http.Error(w, `{"code":"internal","message":"down"}`, http.StatusInternalServerError)
-			return
-		}
-		h.ServeHTTP(w, r)
-	}))
-	defer flaky.Close()
-
-	re, err := vaq.DialRemote(context.Background(), []string{f.urls[0], flaky.URL}, vaq.WithDegradedFanOut())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	region := vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.5, 0.5), 0.25))
-	want, err := f.local.Query(ctx, region)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	down.Store(true)
-	var st vaq.Stats
-	partial, err := re.Query(ctx, region, vaq.WithStatsInto(&st))
-	if err != nil {
-		t.Fatalf("degraded query failed: %v", err)
-	}
-	if slices.Equal(partial, want) || st.PartitionsDropped != 1 {
-		t.Fatalf("the outage did not show: %d of %d ids, PartitionsDropped=%d", len(partial), len(want), st.PartitionsDropped)
-	}
-
-	down.Store(false)
-	healed, err := re.Query(ctx, region, vaq.WithStatsInto(&st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(healed, want) {
-		t.Fatalf("after recovery: %d ids, oracle %d — the partial answer outlived the outage", len(healed), len(want))
-	}
-	if st.PartitionsDropped != 0 {
-		t.Errorf("healthy answer reports PartitionsDropped=%d", st.PartitionsDropped)
+		t.Errorf("Dropped() = %d: a caller deadline was counted as a failed backend call", n)
 	}
 }
