@@ -29,8 +29,9 @@ func (se shippedEngine) pointIDs(ids []int64) []int64 {
 }
 
 // shippedEngines builds both combinations over pts: "rtree", the STR
-// bulk-loaded R-tree over MemoryData (the static engine), and "rstar", the
-// dynamic engine's R*-split snapshot grown by inserting the same points.
+// bulk-loaded R-tree over MemoryData (the static engine), and "dynamic", a
+// snapshot of the dynamic engine grown by inserting the same points, whose
+// R-tree its first Traditional query packs.
 func shippedEngines(t *testing.T, pts []geom.Point) []shippedEngine {
 	t.Helper()
 	data, err := NewMemoryData(pts, unitBounds())
@@ -45,7 +46,7 @@ func shippedEngines(t *testing.T, pts []geom.Point) []shippedEngine {
 	}
 	return []shippedEngine{
 		{"rtree", NewEngine(NewRTreeIndex(pts, 16), data), 0},
-		{"rstar", de.Snapshot().Engine(), delaunay.FirstSiteID},
+		{"dynamic", de.Snapshot().Engine(), delaunay.FirstSiteID},
 	}
 }
 

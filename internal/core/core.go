@@ -17,13 +17,13 @@
 // reproduced.
 //
 // There is one index and one query path. RTreeIndex — the R-tree the paper
-// gives both methods, STR bulk-loaded for a fixed point set or the dynamic
-// engine's snapshot of its R*-inserted tree — answers the traditional
-// method's window. The Voronoi method does not ask it for its seed: lines
-// 3–4 of Algorithm 1, NN(P, a position in A), are a greedy walk on the
-// Delaunay graph the method holds anyway (seedWalk), started at the site a
-// coarse grid in the data layer names for that position, so a Voronoi query
-// touches no index node at all. There is one record layer, MemoryData: the
+// gives both methods, STR bulk-loaded over a static engine's points when it
+// is built and over a dynamic epoch's on its first traditional query —
+// answers the traditional method's window. The Voronoi method does not ask
+// it for its seed: lines 3–4 of Algorithm 1, NN(P, a position in A), are a
+// greedy walk on the Delaunay graph the method holds anyway (seedWalk),
+// started at the site a coarse grid in the data layer names for that
+// position, so a Voronoi query touches no index node at all. There is one record layer, MemoryData: the
 // sites' positions, their CSR adjacency, the walk's hint and the lazily
 // packed cell arena, all resident, and optionally a paged store the
 // candidates' records are fetched from (NewStoreData). A static engine, a
@@ -117,7 +117,8 @@ type Stats struct {
 }
 
 // Engine answers area queries over one dataset. After construction it
-// holds only immutable references to the index and data; all per-query
+// holds only immutable references to the index and data (a dynamic epoch's
+// index is packed once, on first use, under a sync.Once); all per-query
 // mutable state lives in pooled queryScratch values, so QueryRegionSpec
 // and EachRegion are safe for concurrent use from multiple goroutines (the
 // index and the data layer's resident part are lock-free reads; a store

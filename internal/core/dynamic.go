@@ -14,54 +14,55 @@ import (
 )
 
 // DynamicEngine answers area queries over a growing dataset: points are
-// inserted one at a time into a dynamic Delaunay triangulation and a
-// dynamic R-tree (R* split) — the update capability the paper leaves as
-// future work.
+// inserted one at a time into a dynamic Delaunay triangulation — the update
+// capability the paper leaves as future work.
 //
 // Concurrency follows an epoch-snapshot scheme. The live triangulation and
-// R-tree belong to the writer: Insert mutates them under an internal mutex
-// (multiple inserting goroutines are therefore serialized, not racy).
+// hint grid belong to the writer: Insert mutates them under an internal
+// mutex (multiple inserting goroutines are therefore serialized, not racy).
 // Queries never touch the live structures — every query pins the current
 // epoch's immutable snapshot, published through an atomic pointer, so any
 // number of goroutines can query a Snapshot's Engine concurrently with
 // insertion and never observe a half-applied update. Snapshots are rebuilt
 // lazily: the first read after a write publishes one, and every subsequent
-// read reuses the published epoch for free. A publish shares what it can
-// with the writer: the append-only point storage outright, and the R-tree by
-// path copying — the snapshot takes the root, O(1), and the next Insert
-// copies the one root-to-leaf path it writes, O(height). The Voronoi
-// adjacency, which InsertSite's edge swaps rewire in place, is published as
-// CSR arrays of its own (delaunay.Dynamic.Adjacency); points and rings make
-// the epoch a MemoryData like a static engine's. Each epoch's arrays are
-// patched from the previous epoch's: the rings of the sites inserted since
-// and of their neighbors are walked, the rest copied in runs — ≈ 0.26 ms per
-// one-insert epoch at 54k sites on a 2-core Xeon @ 2.1 GHz, against ≈ 9 ms
-// for the first publish, which walks every ring. Every epoch's
-// queries draw their scratch from one pool, so a new epoch starts with the
-// visited table the last one warmed.
+// read reuses the published epoch for free. A publish shares the writer's
+// append-only point storage outright. The Voronoi adjacency, which
+// InsertSite's edge swaps rewire in place, is published as CSR arrays of its
+// own (delaunay.Dynamic.Adjacency); points and rings make the epoch a
+// MemoryData like a static engine's. Each epoch's arrays are patched from
+// the previous epoch's: the rings of the sites inserted since and of their
+// neighbors are walked, the rest copied in runs — ≈ 0.26 ms per one-insert
+// epoch at 54k sites on a 2-core Xeon @ 2.1 GHz, against ≈ 9 ms for the
+// first publish, which walks every ring. Every epoch's queries draw their
+// scratch from one pool, so a new epoch starts with the visited table the
+// last one warmed.
 //
-// An Insert costs what its four parts cost — ≈ 8.4 µs at 50k uniform sites
-// on the same host: the hint grid names a site near the new one (≈ 0.2 µs),
-// the triangulation walks from there and connects and swaps (≈ 3.5 µs;
+// What only some methods read, an epoch builds on first use, once: the
+// strict rule's cell arena (lazyArena) and the traditional method's R-tree,
+// STR-packed over the epoch's points like a static engine's (RTreeIndex) —
+// ≈ 35 ms each at 60k sites on the same host. An epoch that runs neither
+// method builds neither, and the writer keeps no index at all.
+//
+// An Insert costs what its three parts cost — ≈ 3 µs at 50k uniform sites
+// on the same host: the hint grid names a site near the new one (≈ 0.3 µs),
+// the triangulation walks from there and connects and swaps (≈ 2.5 µs;
 // started from the previous insertion instead, the walk makes it ≈ 36 µs),
-// the R-tree inserts down one path (≈ 4.5 µs), and the grid records the site
-// (≈ 0.1 µs). A duplicate coordinate is answered from the triangulation's
-// coordinate table before any of that.
+// and the grid records the site (≈ 0.1 µs). A duplicate coordinate is
+// answered from the triangulation's coordinate table before any of that.
 //
 // Write visibility: a query that starts after an Insert call returns is
 // guaranteed to observe that insert; a query concurrent with an Insert
 // observes either the epoch before it or after it, never a mixture.
 type DynamicEngine struct {
-	mu   sync.Mutex        // serializes writers and snapshot publication
-	dt   *delaunay.Dynamic // guarded by mu (the pointer is set once; mu guards the mutable topology)
-	tree *rtree.Tree       // guarded by mu
+	mu sync.Mutex        // serializes writers and snapshot publication
+	dt *delaunay.Dynamic // guarded by mu (the pointer is set once; mu guards the mutable topology)
 	// hint is the seed walk's grid over the universe, at a fixed resolution;
 	// Insert records each site in it and every publish freezes it. Guarded by
 	// mu.
 	hint hintGrid
 
 	// epoch counts accepted inserts; it is bumped (under mu) after the
-	// triangulation and R-tree both reflect the new point, so a reader
+	// triangulation and the hint grid both reflect the new point, so a reader
 	// that observes epoch e and rebuilds under mu sees at least e points.
 	epoch atomic.Uint64
 	// snap is the most recently published snapshot (nil until first read).
@@ -111,7 +112,6 @@ func NewDynamicEngine(universe geom.Rect) *DynamicEngine {
 	dt := delaunay.NewDynamic(universe)
 	return &DynamicEngine{
 		dt:      dt,
-		tree:    rtree.New(16),
 		hint:    newHintGrid(dt.Universe(), dynamicHintSide),
 		scratch: newScratchPool(),
 	}
@@ -177,7 +177,6 @@ func (d *DynamicEngine) Insert(p geom.Point) (id int64, inserted bool, err error
 		return 0, false, err
 	}
 	if ins {
-		d.tree.Insert(int64(sid), geom.NewRect(p.X, p.Y, p.X, p.Y))
 		d.hint.add(int32(sid), p)
 		d.hint.flood()
 		d.epoch.Add(1)
@@ -187,10 +186,11 @@ func (d *DynamicEngine) Insert(p geom.Point) (id int64, inserted bool, err error
 
 // Snapshot pins the current epoch and returns its immutable view. The
 // first Snapshot after a write builds the view (the adjacency patched from
-// the previous view's and an O(1) share of the R-tree, serialized with
-// writers); repeated Snapshots between writes return the same published view
-// with no copying or locking. The returned snapshot is safe for concurrent
-// use and stays valid — and unchanged — forever.
+// the previous view's, serialized with writers; the R-tree is packed by the
+// view's first Traditional query, not here); repeated Snapshots between
+// writes return the same published view with no copying or locking. The
+// returned snapshot is safe for concurrent use and stays valid — and
+// unchanged — forever.
 func (d *DynamicEngine) Snapshot() *DynamicSnapshot {
 	// Fast path: the published snapshot is current. Loading the epoch
 	// first makes the check conservative — a concurrent insert can only
@@ -228,7 +228,7 @@ func (d *DynamicEngine) Snapshot() *DynamicSnapshot {
 	s := &DynamicSnapshot{
 		epoch: e,
 		data:  data,
-		eng:   newEngine(&RTreeIndex{tree: d.tree.Snapshot()}, data, d.scratch),
+		eng:   newEngine(&RTreeIndex{pts: data.pts, first: data.first, fanout: rtree.DefaultMaxEntries}, data, d.scratch),
 	}
 	d.snap.Store(s)
 	d.lastPublish.Store(time.Now().UnixNano())

@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/rtree"
 	"repro/internal/workload"
 )
 
@@ -128,12 +130,6 @@ func TestDynamicEngineDuplicateInsert(t *testing.T) {
 	}
 	if d.Len() != 1 {
 		t.Errorf("Len = %d", d.Len())
-	}
-	// A duplicate is settled by the coordinate table, before the R-tree is
-	// asked for a walk hint: with the tree gone, a lookup would dereference nil.
-	d.tree = nil
-	if id3, ins3, err := d.Insert(geom.Pt(0.4, 0.4)); err != nil || ins3 || id3 != id1 {
-		t.Errorf("duplicate insert without an index: id=%d ins=%v err=%v", id3, ins3, err)
 	}
 }
 
@@ -374,5 +370,67 @@ func TestDynamicConformanceAcrossMethods(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLazyIndexBuiltOnceUnderConcurrentFirstUse races Traditional queries
+// from several goroutines on one fresh dynamic epoch: every one must return
+// the brute-force ids and see the one tree the epoch packed. The Voronoi,
+// strict and brute-force queries run before them must leave it unpacked, and
+// so must the publish of the next epoch. CI repeats it under the race
+// detector.
+func TestLazyIndexBuiltOnceUnderConcurrentFirstUse(t *testing.T) {
+	pts := workload.UniformPoints(rand.New(rand.NewSource(71)), 3000, unitBounds())
+	d := NewDynamicEngine(unitBounds())
+	for _, p := range pts {
+		if _, _, err := d.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := d.Snapshot().Engine()
+	region := CircleRegion(geom.NewCircle(geom.Pt(0.6, 0.4), 0.15))
+	want, _, err := query(eng, BruteForce, region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Method{VoronoiBFS, VoronoiBFSStrict} {
+		if got, _, err := query(eng, m, region); err != nil || !equalIDs(sortedIDs(got), sortedIDs(want)) {
+			t.Fatalf("%v: %d ids (err %v), oracle %d", m, len(got), err, len(want))
+		}
+	}
+	if eng.idx.tree != nil {
+		t.Fatal("a run without a Traditional query packed the epoch's R-tree")
+	}
+
+	const goroutines = 8
+	trees := make([]*rtree.Tree, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, st, err := query(eng, Traditional, region)
+			if err != nil || !equalIDs(sortedIDs(got), sortedIDs(want)) || st.IndexNodesVisited == 0 {
+				t.Errorf("goroutine %d: Traditional returned %d ids over %d nodes (err %v), oracle %d",
+					g, len(got), st.IndexNodesVisited, err, len(want))
+			}
+			trees[g] = eng.idx.get()
+		}()
+	}
+	wg.Wait()
+	for g, tr := range trees {
+		if tr != trees[0] {
+			t.Fatalf("goroutine %d saw tree %p, goroutine 0 saw %p: packed more than once", g, tr, trees[0])
+		}
+	}
+	if eng.idx.pts != nil {
+		t.Error("the packed index still holds the points it was packed from")
+	}
+
+	if _, _, err := d.Insert(geom.Pt(0.6, 0.4)); err != nil {
+		t.Fatal(err)
+	}
+	if next := d.Snapshot().Engine(); next.idx.tree != nil {
+		t.Fatal("publishing an epoch packed its R-tree")
 	}
 }

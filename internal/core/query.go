@@ -97,9 +97,11 @@ func (e *Engine) collect(ctx context.Context, region Region, spec QuerySpec, c c
 }
 
 // eachRegion dispatches to the method implementations, wrapping them with
-// the shared bookkeeping (empty-index check, Method stamp, Duration).
+// the shared bookkeeping (empty-data check, Method stamp, Duration). The
+// check reads the data layer, not the index, so only a Traditional query
+// makes a dynamic epoch pack its R-tree.
 func (e *Engine) eachRegion(ctx context.Context, region Region, m Method, tr *obs.QueryTrace, s *queryScratch) (Stats, error) {
-	if e.idx.Len() == 0 {
+	if e.data.Len() == 0 {
 		return Stats{Method: m}, ErrNoData
 	}
 	start := time.Now()
@@ -229,7 +231,7 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 	if traced {
 		seedStart = time.Now()
 	}
-	seed, _ := d.seedWalk(region.InteriorPoint()) // eachRegion saw a non-empty index
+	seed, _ := d.seedWalk(region.InteriorPoint()) // eachRegion saw a non-empty layer
 	var bfsStart time.Time
 	if traced {
 		tr.Add(obs.PhaseSeed, time.Since(seedStart))

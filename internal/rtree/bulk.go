@@ -11,14 +11,16 @@ import (
 // (Leutenegger et al. 1997): sort by center x, tile into vertical slices,
 // sort each slice by center y, pack leaves bottom-up. STR produces nearly
 // square, minimally overlapping leaves — the standard choice for static
-// point data. The input slice is not modified.
+// point data. The input slice is not modified. maxEntries < 4 is replaced by
+// DefaultMaxEntries.
 func BulkLoad(items []Item, maxEntries int) *Tree {
-	t := New(maxEntries)
-	n := len(items)
-	if n == 0 {
+	if maxEntries < 4 {
+		maxEntries = DefaultMaxEntries
+	}
+	t := &Tree{root: &node{}, size: len(items), maxEntries: maxEntries}
+	if len(items) == 0 {
 		return t
 	}
-	t.size = n
 
 	sorted := append([]Item(nil), items...)
 	leaves := packLeaves(sorted, t.maxEntries)

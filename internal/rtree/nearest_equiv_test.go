@@ -125,18 +125,10 @@ func nnDatasets(rng *rand.Rand) []nnDataset {
 	}
 }
 
-// nnTrees builds every flavor of tree over items: bulk-loaded, grown by
-// insertion, and a Snapshot of each.
+// nnTrees packs items at a narrow and at the default fan-out: more levels
+// and ties between node MINDISTs at one, the engines' shape at the other.
 func nnTrees(items []Item) map[string]*Tree {
-	ins := New(8)
-	for _, it := range items {
-		ins.Insert(it.ID, it.Rect)
-	}
-	trees := map[string]*Tree{"bulk": BulkLoad(items, 8), "inserted": ins}
-	for _, name := range []string{"bulk", "inserted"} {
-		trees[name+"/snapshot"] = trees[name].Snapshot()
-	}
-	return trees
+	return map[string]*Tree{"fan-out 4": BulkLoad(items, 4), "fan-out 16": BulkLoad(items, DefaultMaxEntries)}
 }
 
 // TestBestFirstMatchesReference pins the pruned traversal to the reference

@@ -1,10 +1,8 @@
 package rtree
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"unsafe"
 
@@ -53,8 +51,8 @@ func collect(t *Tree, q geom.Rect) map[int64]bool {
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := New(0)
-	if tr.Len() != 0 {
+	tr := BulkLoad(nil, 0)
+	if tr.size != 0 {
 		t.Error("empty tree should have Len 0")
 	}
 	if got := collect(tr, geom.NewRect(0, 0, 1, 1)); len(got) != 0 {
@@ -63,18 +61,19 @@ func TestEmptyTree(t *testing.T) {
 	if _, _, ok := tr.NearestNeighbor(geom.Pt(0, 0)); ok {
 		t.Error("NN on empty tree should report !ok")
 	}
-	if err := tr.Validate(true); err != nil {
+	if err := tr.Validate(); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestInsertAndSearchSmall(t *testing.T) {
-	tr := New(4)
-	tr.Insert(1, geom.NewRect(0, 0, 1, 1))
-	tr.Insert(2, geom.NewRect(2, 2, 3, 3))
-	tr.Insert(3, geom.NewRect(0.5, 0.5, 2.5, 2.5))
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d", tr.Len())
+	tr := BulkLoad([]Item{
+		{1, geom.NewRect(0, 0, 1, 1)},
+		{2, geom.NewRect(2, 2, 3, 3)},
+		{3, geom.NewRect(0.5, 0.5, 2.5, 2.5)},
+	}, 4)
+	if tr.size != 3 {
+		t.Fatalf("Len = %d", tr.size)
 	}
 	got := collect(tr, geom.NewRect(0.9, 0.9, 1.1, 1.1))
 	if !got[1] || !got[3] || got[2] {
@@ -86,11 +85,8 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 5, 17, 100, 1000} {
 		items := randomRectItems(rng, n)
-		tr := New(8)
-		for _, it := range items {
-			tr.Insert(it.ID, it.Rect)
-		}
-		if err := tr.Validate(true); err != nil {
+		tr := BulkLoad(items, 8)
+		if err := tr.Validate(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		for trial := 0; trial < 100; trial++ {
@@ -114,10 +110,10 @@ func TestBulkLoadMatchesBruteForce(t *testing.T) {
 	for _, n := range []int{1, 16, 17, 256, 5000} {
 		items := randomPointItems(rng, n)
 		tr := BulkLoad(items, 16)
-		if tr.Len() != n {
-			t.Fatalf("n=%d: Len = %d", n, tr.Len())
+		if tr.size != n {
+			t.Fatalf("n=%d: Len = %d", n, tr.size)
 		}
-		if err := tr.Validate(false); err != nil {
+		if err := tr.Validate(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		for trial := 0; trial < 50; trial++ {
@@ -134,7 +130,7 @@ func TestBulkLoadMatchesBruteForce(t *testing.T) {
 
 func TestBulkLoadEmpty(t *testing.T) {
 	tr := BulkLoad(nil, 16)
-	if tr.Len() != 0 {
+	if tr.size != 0 {
 		t.Error("empty bulk load should be empty")
 	}
 	if got := collect(tr, geom.NewRect(0, 0, 1, 1)); len(got) != 0 {
@@ -175,11 +171,7 @@ func TestSearchStats(t *testing.T) {
 func TestNearestNeighborMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	items := randomPointItems(rng, 2000)
-	dynamic := New(8)
-	for _, it := range items {
-		dynamic.Insert(it.ID, it.Rect)
-	}
-	bulk := BulkLoad(items, 16)
+	trees := map[string]*Tree{"fan-out 8": BulkLoad(items, 8), "fan-out 16": BulkLoad(items, 16)}
 	for trial := 0; trial < 500; trial++ {
 		q := geom.Pt(rng.Float64()*1.4-0.2, rng.Float64()*1.4-0.2)
 		wantD := math.Inf(1)
@@ -188,7 +180,7 @@ func TestNearestNeighborMatchesBruteForce(t *testing.T) {
 				wantD = d
 			}
 		}
-		for name, tr := range map[string]*Tree{"dynamic": dynamic, "bulk": bulk} {
+		for name, tr := range trees {
 			got, _, ok := tr.NearestNeighbor(q)
 			if !ok {
 				t.Fatalf("%s: no NN", name)
@@ -200,16 +192,22 @@ func TestNearestNeighborMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestDuplicateRects packs 50 copies of one point: every leaf and every
+// internal slot has the same rectangle, and a window on it finds them all.
 func TestDuplicateRects(t *testing.T) {
-	tr := New(4)
 	r := geom.NewRect(0.5, 0.5, 0.5, 0.5)
-	for i := int64(0); i < 50; i++ {
-		tr.Insert(i, r)
+	items := make([]Item, 50)
+	for i := range items {
+		items[i] = Item{ID: int64(i), Rect: r}
 	}
+	tr := BulkLoad(items, 4)
 	if got := collect(tr, r); len(got) != 50 {
 		t.Errorf("found %d duplicates, want 50", len(got))
 	}
-	if err := tr.Validate(true); err != nil {
+	if nn, _, ok := tr.NearestNeighbor(geom.Pt(0.5, 0.5)); !ok || nn.Rect != r {
+		t.Errorf("NearestNeighbor = %v (ok=%v), want a copy of %v", nn, ok, r)
+	}
+	if err := tr.Validate(); err != nil {
 		t.Error(err)
 	}
 }
@@ -225,54 +223,14 @@ func height(tr *Tree) int {
 
 func TestHeightGrowsLogarithmically(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	tr := New(16)
-	for i := 0; i < 10000; i++ {
-		tr.Insert(int64(i), geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()))
-	}
-	if err := tr.Validate(true); err != nil { // every leaf at one depth
+	tr := BulkLoad(randomRectItems(rng, 10000), 16)
+	if err := tr.Validate(); err != nil { // every leaf at one depth
 		t.Fatal(err)
 	}
-	// With fan-out >= 6 (min fill), 10k items fit in height <= 6.
-	if h := height(tr); h > 6 {
-		t.Errorf("height = %d, suspiciously deep", h)
-	}
-}
-
-func TestBulkVsDynamicSameResults(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	items := randomRectItems(rng, 1000)
-	dyn := New(16)
-	for _, it := range items {
-		dyn.Insert(it.ID, it.Rect)
-	}
-	bulk := BulkLoad(items, 16)
-	for trial := 0; trial < 100; trial++ {
-		q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-		a, b := collect(dyn, q), collect(bulk, q)
-		if len(a) != len(b) {
-			t.Fatalf("dynamic found %d, bulk %d", len(a), len(b))
-		}
-	}
-	// Bulk-loaded trees should generally answer small queries with fewer
-	// node visits than insertion-built trees (packing quality).
-	var dynNodes, bulkNodes int
-	for trial := 0; trial < 200; trial++ {
-		cx, cy := rng.Float64(), rng.Float64()
-		q := geom.NewRect(cx, cy, cx+0.05, cy+0.05)
-		dynNodes += dyn.Search(q, func(int64, geom.Rect) bool { return true }).NodesVisited
-		bulkNodes += bulk.Search(q, func(int64, geom.Rect) bool { return true }).NodesVisited
-	}
-	if bulkNodes > dynNodes*2 {
-		t.Errorf("bulk tree much worse than dynamic: %d vs %d node visits", bulkNodes, dynNodes)
-	}
-}
-
-func BenchmarkInsert(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	tr := New(16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Insert(int64(i), geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()))
+	// STR fills every node but the last of each slice: 10k items at fan-out
+	// 16 pack into 625 leaves under 40, 3 and 1 nodes, the least height.
+	if h := height(tr); h != 4 {
+		t.Errorf("height = %d, want 4", h)
 	}
 }
 
@@ -304,229 +262,11 @@ func BenchmarkNNQuery(b *testing.B) {
 	}
 }
 
-// checkAgainstBruteForce compares an insertion-built tr with brute force over
-// items, the set it must hold: Len, Validate, a window over everything,
-// random windows and nearest neighbors.
-func checkAgainstBruteForce(t *testing.T, name string, tr *Tree, items []Item, rng *rand.Rand) {
-	t.Helper()
-	if tr.Len() != len(items) {
-		t.Fatalf("%s: Len = %d, want %d", name, tr.Len(), len(items))
-	}
-	if err := tr.Validate(true); err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	for trial := 0; trial < 40; trial++ {
-		q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-		if trial == 0 {
-			q = geom.NewRect(-1, -1, 2, 2)
-		}
-		got, want := collect(tr, q), bruteSearch(items, q)
-		if len(got) != len(want) {
-			t.Fatalf("%s: window %v returned %d items, want %d", name, q, len(got), len(want))
-		}
-		for id := range want {
-			if !got[id] {
-				t.Fatalf("%s: window %v misses id %d", name, q, id)
-			}
-		}
-		p := geom.Pt(rng.Float64(), rng.Float64())
-		wantD := math.Inf(1)
-		for _, it := range items {
-			wantD = math.Min(wantD, it.Rect.Dist2Point(p))
-		}
-		nn, _, ok := tr.NearestNeighbor(p)
-		if ok != (len(items) > 0) || (ok && nn.Rect.Dist2Point(p) != wantD) {
-			t.Fatalf("%s: NearestNeighbor(%v) = %v (ok=%v), want distance² %v", name, p, nn, ok, wantD)
-		}
-	}
-}
-
-// TestSnapshotIsolation inserts into each side of a Snapshot in turn and
-// checks both trees against their own item sets after each: the two share
-// every node neither has written since, so a write that skipped its copy
-// shows up in the other tree's answers, not in its Len.
-func TestSnapshotIsolation(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	tr := New(8)
-	items := randomPointItems(rng, 1400)
-	liveItems, base := items[:1100], items[:1000]
-	for _, it := range base {
-		tr.Insert(it.ID, it.Rect)
-	}
-	snap := tr.Snapshot()
-	checkAgainstBruteForce(t, "fresh snapshot", snap, base, rng)
-
-	// Mutate the original.
-	for _, it := range liveItems[len(base):] {
-		tr.Insert(it.ID, it.Rect)
-	}
-	checkAgainstBruteForce(t, "snapshot after live inserts", snap, base, rng)
-	checkAgainstBruteForce(t, "live tree after its inserts", tr, liveItems, rng)
-
-	// Mutate the snapshot, with more inserts than the original took, so
-	// they reach leaves the original has not copied.
-	snapItems := append(append([]Item(nil), base...), items[len(liveItems):]...)
-	for _, it := range snapItems[len(base):] {
-		snap.Insert(it.ID, it.Rect)
-	}
-	checkAgainstBruteForce(t, "snapshot after its inserts", snap, snapItems, rng)
-	checkAgainstBruteForce(t, "live tree after snapshot inserts", tr, liveItems, rng)
-}
-
-// TestSnapshotChain takes a snapshot every 1-7 inserts while a tree grows
-// from empty to past its second root split. Every snapshot shares nodes
-// with its neighbors in the chain; at the end each must still hold exactly
-// the prefix it pinned.
-func TestSnapshotChain(t *testing.T) {
-	for _, fanout := range []int{4, 16} {
-		rng := rand.New(rand.NewSource(int64(fanout)))
-		tr := New(fanout)
-		type pinned struct {
-			tree *Tree
-			n    int
-		}
-		chain := []pinned{{tr.Snapshot(), 0}}
-		var items []Item
-		next := 1 + rng.Intn(7)
-		for tall := 0; tall < 50; { // 50 more inserts at height 3
-			it := pointItem(int64(len(items)), rng.Float64(), rng.Float64())
-			items = append(items, it)
-			tr.Insert(it.ID, it.Rect)
-			if height(tr) >= 3 {
-				tall++
-			}
-			if next--; next == 0 {
-				chain = append(chain, pinned{tr.Snapshot(), len(items)})
-				next = 1 + rng.Intn(7)
-			}
-		}
-		for _, p := range chain {
-			name := fmt.Sprintf("fan-out %d, snapshot at %d of %d items", fanout, p.n, len(items))
-			checkAgainstBruteForce(t, name, p.tree, items[:p.n], rng)
-		}
-		checkAgainstBruteForce(t, fmt.Sprintf("fan-out %d, live tree", fanout), tr, items, rng)
-	}
-}
-
-// TestSnapshotReadersDuringInserts hands a snapshot per insert to readers
-// that search it while the writer goes on inserting into the tree it shares
-// nodes with. Run under -race: a write to a shared node is a report.
-func TestSnapshotReadersDuringInserts(t *testing.T) {
-	const (
-		inserts = 2000
-		readers = 4
-	)
-	type epoch struct {
-		tree *Tree
-		n    int
-	}
-	// Unbuffered: the writer runs one insert ahead of the slowest reader.
-	epochs := make(chan epoch)
-	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for e := range epochs {
-				if err := e.tree.Validate(true); err != nil {
-					t.Errorf("snapshot at %d items: %v", e.n, err)
-				}
-				all := e.tree.Search(geom.NewRect(-1, -1, 2, 2), func(int64, geom.Rect) bool { return true })
-				if all.Results != e.n || e.tree.Len() != e.n {
-					t.Errorf("snapshot at %d items holds %d (Len %d)", e.n, all.Results, e.tree.Len())
-				}
-				cx, cy := rng.Float64(), rng.Float64()
-				e.tree.Search(geom.NewRect(cx, cy, cx+0.3, cy+0.3), func(id int64, _ geom.Rect) bool {
-					if id >= int64(e.n) {
-						t.Errorf("snapshot at %d items returned id %d", e.n, id)
-					}
-					return true
-				})
-				if nn, _, ok := e.tree.NearestNeighbor(geom.Pt(cx, cy)); !ok || nn.ID >= int64(e.n) {
-					t.Errorf("snapshot at %d items: NearestNeighbor = %v (ok=%v)", e.n, nn, ok)
-				}
-			}
-		}(int64(r))
-	}
-	rng := rand.New(rand.NewSource(22))
-	tr := New(8)
-	for i := 0; i < inserts; i++ {
-		x, y := rng.Float64(), rng.Float64()
-		tr.Insert(int64(i), geom.NewRect(x, y, x, y))
-		epochs <- epoch{tr.Snapshot(), i + 1}
-	}
-	close(epochs)
-	wg.Wait()
-}
-
-// grownTree returns a fan-out-16 tree of n random points built by Insert,
-// as the dynamic engine builds its own. A size is built once per process —
-// under the race detector 50k inserts take seconds, and -count repeats the
-// pins below — and handed out as a Snapshot, the caller's to insert into.
-func grownTree(n int) *Tree {
-	tr := grownTrees[n]
-	if tr == nil {
-		rng := rand.New(rand.NewSource(int64(n)))
-		tr = New(16)
-		for _, it := range randomPointItems(rng, n) {
-			tr.Insert(it.ID, it.Rect)
-		}
-		grownTrees[n] = tr
-	}
-	return tr.Snapshot()
-}
-
-var grownTrees = map[int]*Tree{}
-
-var snapshotSink *Tree
-
-// TestTreeSnapshotAllocs pins Snapshot at O(1): the one Tree header,
-// however many items the tree holds.
-func TestTreeSnapshotAllocs(t *testing.T) {
-	for _, n := range []int{1000, 50000} {
-		tr := grownTree(n)
-		if allocs := testing.AllocsPerRun(100, func() { snapshotSink = tr.Snapshot() }); allocs > 1 {
-			t.Errorf("Snapshot of %d items: %.1f allocations, want <= 1", n, allocs)
-		}
-	}
-}
-
-// TestInsertAfterSnapshotAllocs pins what a Snapshot costs the next Insert:
-// copies of the nodes on one root-to-leaf path — a node and its two slices
-// each — and so a function of the height, not of the item count. The lowest
-// of 20 epochs is the one whose insert split nothing.
-func TestInsertAfterSnapshotAllocs(t *testing.T) {
-	var lowest, heights []int
-	for _, n := range []int{5000, 50000} {
-		tr := grownTree(n)
-		rng := rand.New(rand.NewSource(23))
-		epoch := func() {
-			snapshotSink = tr.Snapshot()
-			x, y := rng.Float64(), rng.Float64()
-			tr.Insert(int64(tr.Len()), geom.NewRect(x, y, x, y))
-		}
-		low := math.Inf(1)
-		for i := 0; i < 20; i++ {
-			low = math.Min(low, testing.AllocsPerRun(1, epoch))
-		}
-		h := height(tr)
-		t.Logf("%d items, height %d: %.0f allocations per Snapshot + Insert", n, h, low)
-		if low > float64(3*(h+1)) {
-			t.Errorf("%d items: Snapshot + Insert allocates %.0f times, want <= 3 x (height %d + 1)", n, low, h)
-		}
-		lowest, heights = append(lowest, int(low)), append(heights, h)
-	}
-	if more, levels := lowest[1]-lowest[0], heights[1]-heights[0]; more > 3*levels {
-		t.Errorf("ten times the items cost %d more allocations over %d more levels, want <= 3 per level", more, levels)
-	}
-}
-
-// TestNodeFitsThe80ByteSizeClass pins the node layout: a generation and three
-// slice headers. One more word — the leaf flag the node used to carry beside
-// its children — rounds every node up to the allocator's 96-byte class.
+// TestNodeFitsThe80ByteSizeClass pins the node layout: three slice headers,
+// 72 bytes, in the allocator's 80-byte class. Two more words — a leaf flag
+// beside the children, say — round every node up to the 96-byte class.
 func TestNodeFitsThe80ByteSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(node{}); got != 80 {
-		t.Fatalf("node is %d bytes, want 80", got)
+	if got := unsafe.Sizeof(node{}); got > 80 {
+		t.Fatalf("node is %d bytes, want at most 80", got)
 	}
 }

@@ -171,8 +171,8 @@ func writeError(w http.ResponseWriter, we *wire.Error) {
 	json.NewEncoder(w).Encode(we)
 }
 
-func badRequest(w http.ResponseWriter, err error) {
-	writeError(w, &wire.Error{Code: wire.CodeBadRequest, Message: err.Error()})
+func badRequest(err error) *wire.Error {
+	return &wire.Error{Code: wire.CodeBadRequest, Message: err.Error()}
 }
 
 // queryOpts translates wire options into the vaq option set, always
@@ -202,14 +202,14 @@ type areaCall struct {
 }
 
 // area is the preamble of the three area-query routes, written once: decode
-// the request (decodeArea), answer 400 if that fails, and otherwise hand
-// the call to serve under its deadline context, with the response's writes
-// bounded by the same deadline plus writeGrace.
+// the request under its deadline (decodeArea), answer its error if that
+// fails, and otherwise hand the call to serve under its deadline context,
+// with the response's writes bounded by the same deadline plus writeGrace.
 func (h *handler) area(single bool, serve func(http.ResponseWriter, *areaCall)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		c, cancel, err := h.decodeArea(w, r, single)
-		if err != nil {
-			badRequest(w, err)
+		c, cancel, werr := h.decodeArea(w, r, single)
+		if werr != nil {
+			writeError(w, werr)
 			return
 		}
 		defer cancel()
@@ -222,10 +222,49 @@ func (h *handler) area(single bool, serve func(http.ResponseWriter, *areaCall)) 
 	}
 }
 
-// decodeArea decodes the body — a wire.QueryRequest on the single-region
-// routes, a wire.BatchRequest on /v1/queryall — then its region(s),
-// translates the options and derives the deadline context.
-func (h *handler) decodeArea(w http.ResponseWriter, r *http.Request, single bool) (*areaCall, context.CancelFunc, error) {
+// decodeArea derives the deadline context, then decodes the request under
+// it (decodeCall): the deadline bounds the body's read too, so a client that
+// trickles its body holds the handler no longer than the budget it sent. A
+// body cut off by the deadline is answered with the deadline code, as a query
+// that ran over it is; any other decode failure is a bad request. On an error
+// the context is already cancelled.
+func (h *handler) decodeArea(w http.ResponseWriter, r *http.Request, single bool) (*areaCall, context.CancelFunc, *wire.Error) {
+	ctx, cancel, err := h.requestContext(r)
+	if err != nil {
+		return nil, nil, badRequest(err)
+	}
+	// As for the write deadline in area: a reader without a connection (a
+	// recorder) has no peer to stall it.
+	rc := http.NewResponseController(w)
+	d, bounded := ctx.Deadline()
+	if bounded {
+		_ = rc.SetReadDeadline(d)
+	}
+	c, err := h.decodeCall(w, r, single)
+	if bounded {
+		// Disarm it before the query runs. Once the body is at EOF, net/http
+		// reads the connection in the background; were that read to time
+		// out, it would cancel the connection's context, failing this query
+		// and every later one on the kept-alive connection as canceled.
+		// Go 1.24's server happens to clear the deadline when it starts that
+		// read; the handler does not rely on it.
+		_ = rc.SetReadDeadline(time.Time{})
+	}
+	if err != nil {
+		cancel()
+		if bounded && !time.Now().Before(d) {
+			return nil, nil, wire.EncodeError(fmt.Errorf("serve: reading the request body: %w", context.DeadlineExceeded))
+		}
+		return nil, nil, badRequest(err)
+	}
+	c.ctx = ctx
+	return c, cancel, nil
+}
+
+// decodeCall decodes the body — a wire.QueryRequest on the single-region
+// routes, a wire.BatchRequest on /v1/queryall — then its region(s), and
+// translates the options.
+func (h *handler) decodeCall(w http.ResponseWriter, r *http.Request, single bool) (*areaCall, error) {
 	var (
 		wregions []wire.Region
 		wopts    wire.Options
@@ -241,7 +280,7 @@ func (h *handler) decodeArea(w http.ResponseWriter, r *http.Request, single bool
 		wregions, wopts = req.Regions, req.Options
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	c := &areaCall{regions: make([]vaq.Region, len(wregions))}
 	for i, wr := range wregions {
@@ -249,15 +288,13 @@ func (h *handler) decodeArea(w http.ResponseWriter, r *http.Request, single bool
 			if !single {
 				err = fmt.Errorf("region %d: %w", i, err)
 			}
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if c.opts, err = queryOpts(wopts, &c.st); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var cancel context.CancelFunc
-	c.ctx, cancel, err = h.requestContext(r)
-	return c, cancel, err
+	return c, nil
 }
 
 func (h *handler) query(w http.ResponseWriter, c *areaCall) {

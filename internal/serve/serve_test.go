@@ -360,6 +360,115 @@ func TestEachSlowReaderBoundedByDeadline(t *testing.T) {
 	}
 }
 
+// TestTrickledBodyBoundedByDeadline: a client that announces a large body
+// under a 200 ms deadline and then sends it one byte every 100 ms cannot hold
+// the handler in the body's read past that deadline, whatever MaxTimeout
+// allows, and is answered with the deadline code, not a bad request.
+func TestTrickledBodyBoundedByDeadline(t *testing.T) {
+	h, done := doneHandler(NewHandler(testEngine(t, 100), Config{MaxTimeout: 30 * time.Second}))
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const timeoutMs = 200
+	if _, err := fmt.Fprintf(conn, "POST /v1/query HTTP/1.1\r\nHost: vaq\r\nContent-Type: application/json\r\n%s: %d\r\nContent-Length: 1000000\r\n\r\n",
+		wire.TimeoutHeader, timeoutMs); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		tick := time.NewTicker(100 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if _, err := conn.Write([]byte(" ")); err != nil {
+					return // the server gave up on the body
+				}
+			}
+		}
+	}()
+
+	bound := timeoutMs*time.Millisecond + 2*time.Second
+	select {
+	case <-done:
+	case <-time.After(bound):
+		t.Fatalf("handler still reading a trickled body %v after a %dms deadline", bound, timeoutMs)
+	}
+
+	conn.SetReadDeadline(time.Now().Add(bound))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var we wire.Error
+	decodeInto2(t, resp, &we)
+	if resp.StatusCode != http.StatusGatewayTimeout || we.Code != wire.CodeDeadline {
+		t.Errorf("trickled body: status %d code %q, want 504 %q", resp.StatusCode, we.Code, wire.CodeDeadline)
+	}
+}
+
+// TestDeadlineKeepsConnection: a query that runs past its Vaq-Timeout-Ms
+// answers with the deadline code and leaves its kept-alive connection
+// usable, so the next request on it is answered too.
+func TestDeadlineKeepsConnection(t *testing.T) {
+	srv := httptest.NewServer(NewHandler(&firstSlowEngine{Engine: testEngine(t, 100)}, Config{}))
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	wr, _ := wire.EncodeRegion(testRegion())
+	body, _ := json.Marshal(wire.QueryRequest{Region: wr})
+	br := bufio.NewReader(conn)
+	for i, want := range []int{http.StatusGatewayTimeout, http.StatusOK} {
+		if _, err := fmt.Fprintf(conn, "POST /v1/query HTTP/1.1\r\nHost: vaq\r\nContent-Type: application/json\r\n%s: 100\r\nContent-Length: %d\r\n\r\n%s",
+			wire.TimeoutHeader, len(body), body); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want || resp.Close {
+			t.Fatalf("request %d: status %d (close=%t): %s; want %d on a kept-alive connection", i, resp.StatusCode, resp.Close, msg, want)
+		}
+		var we wire.Error
+		if i == 0 && (json.Unmarshal(msg, &we) != nil || we.Code != wire.CodeDeadline) {
+			t.Fatalf("request 0: %s, want code %q", msg, wire.CodeDeadline)
+		}
+	}
+}
+
+// firstSlowEngine runs its first query 50 ms past the context's death, as a
+// query that checks its context only between steps does, forcing a deadline
+// error; it answers every later one.
+type firstSlowEngine struct {
+	*vaq.Engine
+	calls atomic.Int32
+}
+
+func (e *firstSlowEngine) Query(ctx context.Context, region vaq.Region, opts ...vaq.QueryOpt) ([]int64, error) {
+	if e.calls.Add(1) == 1 {
+		<-ctx.Done()
+		time.Sleep(50 * time.Millisecond)
+		return nil, ctx.Err()
+	}
+	return e.Engine.Query(ctx, region, opts...)
+}
+
 func TestInfo(t *testing.T) {
 	eng := testEngine(t, 100)
 	srv := httptest.NewServer(NewHandler(eng, Config{IDOffset: 1000, Flavor: "static"}))

@@ -73,8 +73,8 @@
 // guaranteed to see it. Queries between writes share the published
 // snapshot lock-free; the first query after a write republishes it — the
 // previous epoch's Voronoi adjacency patched where the inserts since
-// changed it (the R-tree is shared, not copied), serialized with the
-// writer, so that one query and any concurrent Insert briefly contend.
+// changed it, serialized with the writer, so that one query and any
+// concurrent Insert briefly contend.
 // Snapshot() pins one epoch explicitly for multi-query consistency.
 //
 // QueryAll additionally runs the batch itself in parallel on a bounded
@@ -119,7 +119,9 @@
 // site), paying the clipping pass — about 0.08 s at 200k points, once,
 // however many goroutines race to it. An engine that never runs the strict
 // rule never does; a sharded engine with more than one shard always runs
-// it; a dynamic engine builds one arena per epoch that sees it.
+// it; a dynamic engine builds one arena per epoch that sees it. A dynamic
+// epoch treats its R-tree the same way: the first Traditional query packs
+// it, and an epoch that runs none holds no leaf entry at all.
 //
 // The BFS expansion tests and the strict rule's cell-intersection checks
 // read that dense memory through zero-allocation views; no cell ring is
@@ -326,8 +328,8 @@ type Engine struct {
 	data *core.MemoryData
 }
 
-// rtreeFanout is the maximum node fan-out of every engine's STR-packed
-// R-tree (the dynamic engine's R* tree uses the same value).
+// rtreeFanout is the maximum node fan-out of the static and sharded engines'
+// STR-packed R-trees; a dynamic epoch packs its own at the same default.
 const rtreeFanout = 16
 
 // newConfig applies opts over the defaults every constructor shares.
@@ -602,8 +604,7 @@ var (
 // DynamicEngine answers area queries over a dataset that grows point by
 // point — the update capability the paper leaves as future work. Points
 // are inserted into a dynamic Delaunay triangulation (incremental
-// Guibas–Stolfi insertion) and an R*-split R-tree; queries run at any
-// moment with any method.
+// Guibas–Stolfi insertion); queries run at any moment with any method.
 //
 // A DynamicEngine is safe for concurrent use. It follows an epoch-snapshot
 // scheme: Insert mutates writer-private structures under an internal mutex
@@ -618,9 +619,11 @@ var (
 // Voronoi adjacency as flat neighbor arrays, its changed rings walked and
 // the rest copied from the previous epoch's — about a quarter of a
 // millisecond at 50k points after one insert, while the very first publish
-// walks every ring, about 9 ms — and the R-tree shared with the writer,
-// which copies only the path its next insert descends. All queries
-// between writes share the published epoch for free. Use Snapshot to pin
+// walks every ring, about 9 ms. The writer keeps no R-tree: an epoch's
+// first Traditional query STR-packs one over the epoch's points, as its
+// first strict query clips the cells — each about 35 ms at 60k points, once
+// per epoch that asks. All queries between writes share the published epoch
+// for free. Use Snapshot to pin
 // one epoch across several queries — e.g. a result query and its Count, or
 // a query and the brute-force oracle validating it.
 type DynamicEngine struct {
