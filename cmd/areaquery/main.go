@@ -22,6 +22,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro"
 )
@@ -91,14 +92,16 @@ func main() {
 			ctx, cancel = context.WithTimeout(ctx, *timeout)
 		}
 		var st vaq.Stats
+		start := time.Now()
 		ids, err := eng.Query(ctx, region, vaq.UsingMethod(m), vaq.WithStatsInto(&st))
+		elapsed := time.Since(start)
 		cancel()
 		if err != nil {
 			fatalf("%v: %v", m, err)
 		}
 		fmt.Printf("%-14s results=%-6d candidates=%-6d redundant=%-6d index_nodes=%-5d loads=%-6d time=%v\n",
 			m, st.ResultSize, st.Candidates, st.RedundantValidations,
-			st.IndexNodesVisited, st.RecordsLoaded, st.Duration)
+			st.IndexNodesVisited, st.RecordsLoaded, elapsed)
 		if *showIDs {
 			fmt.Printf("  ids: %v\n", ids)
 		}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"time"
 
 	"repro"
 )
@@ -45,13 +46,15 @@ func main() {
 		for _, m := range []vaq.Method{vaq.Traditional, vaq.VoronoiBFS} {
 			eng.ResetIOStats()
 			var st vaq.Stats
+			start := time.Now()
 			ids, err := eng.Query(ctx, zone, vaq.UsingMethod(m), vaq.WithStatsInto(&st))
+			elapsed := time.Since(start)
 			if err != nil {
 				log.Fatal(err)
 			}
 			reads, _, _ := eng.IOStats()
 			fmt.Printf("%4d | %-11s | %5d | %10d | %10d | %v\n",
-				zi, m, len(ids), st.Candidates, reads, st.Duration)
+				zi, m, len(ids), st.Candidates, reads, elapsed)
 			if m == vaq.Traditional {
 				totalTrad += reads
 			} else {

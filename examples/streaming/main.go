@@ -72,12 +72,14 @@ func main() {
 			continue
 		}
 		var st vaq.Stats
+		start := time.Now()
 		ids, err := snap.Query(ctx, watch, vaq.WithStatsInto(&st))
+		elapsed := time.Since(start)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%14d | %15d | %10d | %v\n",
-			snap.Epoch(), len(ids), st.Candidates, st.Duration)
+			snap.Epoch(), len(ids), st.Candidates, elapsed)
 	}
 	wg.Wait()
 

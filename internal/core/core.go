@@ -39,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/geom"
 )
@@ -112,8 +111,6 @@ type Stats struct {
 	// RecordsLoaded counts candidate record loads: page fetches when the
 	// data layer has a store, reads of the resident position otherwise.
 	RecordsLoaded int
-	// Duration is the wall-clock time of the query.
-	Duration time.Duration
 }
 
 // Engine answers area queries over one dataset. After construction it
@@ -148,9 +145,9 @@ func newEngine(idx *RTreeIndex, data *MemoryData, scratch *sync.Pool) *Engine {
 // stored. It is never the universe the cells are clipped to.
 func (e *Engine) DataBounds() geom.Rect { return e.idx.Bounds() }
 
-// Add accumulates other's counters (and Duration) into s. It is the merge
-// operation batch executors use to fold per-query or per-worker statistics
-// into an aggregate; Method is left untouched.
+// Add accumulates other's counters into s. It is the merge operation batch
+// executors use to fold per-query or per-worker statistics into an
+// aggregate; Method is left untouched.
 func (s *Stats) Add(other Stats) {
 	s.ResultSize += other.ResultSize
 	s.Candidates += other.Candidates
@@ -159,12 +156,10 @@ func (s *Stats) Add(other Stats) {
 	s.CellTests += other.CellTests
 	s.IndexNodesVisited += other.IndexNodesVisited
 	s.RecordsLoaded += other.RecordsLoaded
-	s.Duration += other.Duration
 }
 
 // Finalize sets the result-dependent counters of an aggregate after a
-// gather step (merging, Limit truncation and CountOnly capping change the
-// effective result size).
+// gather step (merging can change the effective result size).
 func (s *Stats) Finalize(resultSize int) {
 	s.ResultSize = resultSize
 	s.RedundantValidations = s.Candidates - resultSize

@@ -479,9 +479,6 @@ func TestStatsPlausibility(t *testing.T) {
 	if st.IndexNodesVisited != 0 {
 		t.Errorf("the seed walk touched %d index nodes", st.IndexNodesVisited)
 	}
-	if st.Duration <= 0 {
-		t.Error("duration not measured")
-	}
 
 	_, st2, err := query(eng, VoronoiBFSStrict, PolygonRegion(area))
 	if err != nil {

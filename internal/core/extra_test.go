@@ -106,13 +106,12 @@ func TestQueryBatchAggregates(t *testing.T) {
 		want.SegmentTests += st.SegmentTests
 		want.IndexNodesVisited += st.IndexNodesVisited
 		want.RecordsLoaded += st.RecordsLoaded
-		want.Duration += st.Duration
 	}
 	want.Method = VoronoiBFS
 	if agg != want {
 		t.Errorf("aggregate = %+v, want %+v", agg, want)
 	}
-	if agg.ResultSize == 0 || agg.Duration <= 0 {
+	if agg.ResultSize == 0 {
 		t.Errorf("aggregate is empty: %+v", agg)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/geom"
@@ -28,9 +27,6 @@ type QuerySpec struct {
 	// CountOnly skips materializing the result slice; the match count is
 	// reported in Stats.ResultSize.
 	CountOnly bool
-	// Limit stops the query after this many results when > 0. Which points
-	// are found first is method- and backend-dependent.
-	Limit int
 	// Dest, when non-nil, is the buffer results are appended into
 	// (overwriting from Dest[:0]), letting repeated queries reuse one
 	// allocation. Ignored with CountOnly.
@@ -39,12 +35,6 @@ type QuerySpec struct {
 	// expansion, page fetches) as the query runs. The nil path costs one
 	// pointer comparison.
 	Trace *obs.QueryTrace
-	// Budget, when non-nil, is a count of result slots shared with other
-	// queries running in this process: each result claims one, and the
-	// query stops when none is left. The scatter-gather kernel uses it to
-	// enforce one Limit across concurrent partition queries. Like Dest and
-	// Trace it is process-local and never crosses a wire.
-	Budget *atomic.Int64
 }
 
 // QueryRegionSpec runs an area query described by spec against region. It
@@ -54,7 +44,7 @@ type QuerySpec struct {
 // returned ids are nil when spec.CountOnly is set (the count is
 // Stats.ResultSize) and in method-dependent discovery order otherwise.
 func (e *Engine) QueryRegionSpec(ctx context.Context, region Region, spec QuerySpec) ([]int64, Stats, error) {
-	c := collector{limit: spec.Limit, countOnly: spec.CountOnly, budget: spec.Budget}
+	c := collector{countOnly: spec.CountOnly}
 	if !spec.CountOnly && spec.Dest != nil {
 		c.dest = spec.Dest[:0]
 	}
@@ -70,12 +60,11 @@ func (e *Engine) QueryRegionSpec(ctx context.Context, region Region, spec QueryS
 // EachRegion streams an area query: yield is called with each result (id
 // and position) as the algorithm discovers it — the Voronoi methods yield
 // during the BFS itself, so consumers see results before the query
-// completes. yield returning false stops the query cleanly; spec.Limit
-// bounds the number of yields; spec.CountOnly and spec.Dest are ignored
-// (nothing is materialized). The returned Stats count the yields in
-// ResultSize.
+// completes. yield returning false stops the query cleanly; spec.CountOnly
+// and spec.Dest are ignored (nothing is materialized). The returned Stats
+// count the yields in ResultSize.
 func (e *Engine) EachRegion(ctx context.Context, region Region, spec QuerySpec, yield func(id int64, pos geom.Point) bool) (Stats, error) {
-	_, stats, err := e.collect(ctx, region, spec, collector{limit: spec.Limit, yield: yield, budget: spec.Budget})
+	_, stats, err := e.collect(ctx, region, spec, collector{yield: yield})
 	return stats, err
 }
 
@@ -97,24 +86,22 @@ func (e *Engine) collect(ctx context.Context, region Region, spec QuerySpec, c c
 }
 
 // eachRegion dispatches to the method implementations, wrapping them with
-// the shared bookkeeping (empty-data check, Method stamp, Duration). The
-// check reads the data layer, not the index, so only a Traditional query
-// makes a dynamic epoch pack its R-tree.
+// the shared bookkeeping (empty-data check, Method stamp). The check reads
+// the data layer, not the index, so only a Traditional query makes a
+// dynamic epoch pack its R-tree.
 func (e *Engine) eachRegion(ctx context.Context, region Region, m Method, tr *obs.QueryTrace, s *queryScratch) (Stats, error) {
 	if e.data.Len() == 0 {
 		return Stats{Method: m}, ErrNoData
 	}
-	start := time.Now()
+	if err := ctx.Err(); err != nil {
+		// An already-cancelled context returns promptly on every method,
+		// before any index or record work.
+		return Stats{Method: m}, err
+	}
 	var (
 		stats Stats
 		err   error
 	)
-	if err = ctx.Err(); err != nil {
-		// An already-cancelled context returns promptly on every method,
-		// before any index or record work.
-		stats.Method = m
-		return stats, err
-	}
 	switch m {
 	case Traditional:
 		stats, err = e.eachTraditional(ctx, region, tr, &s.out)
@@ -128,7 +115,6 @@ func (e *Engine) eachRegion(ctx context.Context, region Region, m Method, tr *ob
 		return Stats{Method: m}, fmt.Errorf("core: unknown method %d", int(m))
 	}
 	stats.Method = m
-	stats.Duration = time.Since(start)
 	return stats, err
 }
 

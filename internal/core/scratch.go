@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/geom"
 )
@@ -35,30 +34,23 @@ type queryScratch struct {
 type collector struct {
 	dest      []int64
 	count     int
-	limit     int // stop after this many results when > 0
 	countOnly bool
 	yield     func(id int64, pos geom.Point) bool
-	budget    *atomic.Int64 // result slots shared across queries; see QuerySpec.Budget
 }
 
 // add records one result (id plus its authoritative loaded position);
-// false stops the query early with no error — yield declined or the limit
-// was reached.
+// false stops the query early with no error: yield declined.
 //
 //vaq:noalloc
 func (c *collector) add(id int64, pos geom.Point) bool {
-	if c.budget != nil && c.budget.Add(-1) < 0 {
-		return false
-	}
 	c.count++
 	if c.yield != nil {
-		if !c.yield(id, pos) {
-			return false
-		}
-	} else if !c.countOnly {
+		return c.yield(id, pos)
+	}
+	if !c.countOnly {
 		c.dest = append(c.dest, id)
 	}
-	return c.limit <= 0 || c.count < c.limit
+	return true
 }
 
 // newScratchPool returns a pool of empty scratches; acquireScratch sizes

@@ -84,13 +84,12 @@ func (o Options) Workers(n int) int {
 
 // QueryBatch answers every region per spec against the shared engine,
 // returning per-query results aligned with regions and aggregate
-// statistics. The aggregate is the sum over per-query stats — Duration is
-// summed per-query time, not batch wall clock, so it is comparable with a
-// sequential run of the same batch. On error the batch stops early and
-// returns the lowest-indexed error among those observed before the pool
-// drained (so a parallel run may name a later failing query than a
-// sequential one), with the aggregate statistics of the queries that did
-// complete. Cancelling ctx aborts un-claimed queries and surfaces as
+// statistics. The aggregate is the sum over per-query stats, so it equals
+// a sequential run of the same batch counter for counter. On error the
+// batch stops early and returns the lowest-indexed error among those
+// observed before the pool drained (so a parallel run may name a later
+// failing query than a sequential one), with the aggregate statistics of
+// the queries that did complete. Cancelling ctx aborts un-claimed queries and surfaces as
 // ctx.Err(), wrapped when a running query reported it. spec.Dest is
 // ignored: one reuse buffer cannot back a batch of independent result
 // slices.

@@ -91,8 +91,7 @@ func TestParallelMatchesSequentialQueryForQuery(t *testing.T) {
 
 func TestAggregateStatsEqualSumOfSequentialStats(t *testing.T) {
 	// The merge of per-worker stats must equal the sum of sequential
-	// per-query stats for every deterministic counter; only Duration is
-	// timing-dependent.
+	// per-query stats, counter for counter.
 	eng := newEngine(t, 5000, 3)
 	rng := rand.New(rand.NewSource(4))
 	regions := mixedRegions(rng, 40)
@@ -130,9 +129,6 @@ func TestAggregateStatsEqualSumOfSequentialStats(t *testing.T) {
 	}
 	if agg.RecordsLoaded != want.RecordsLoaded {
 		t.Errorf("RecordsLoaded = %d, want %d", agg.RecordsLoaded, want.RecordsLoaded)
-	}
-	if agg.Duration <= 0 {
-		t.Error("aggregate Duration missing")
 	}
 }
 

@@ -3,8 +3,8 @@
 // from several partitions — pruning backends whose advertised bounds miss
 // the region, the strict-method upgrade when more than one backend shares
 // the dataset, the concurrent fan-out, failing the query when a backend
-// fails, merging into ascending global id order, and Limit —
-// is package shard's kernel, which Engine embeds; what lives here is one
+// fails, merging into ascending global id order — is package shard's
+// kernel, which Engine embeds; what lives here is one
 // partition call over the wire: encode the request, POST it with the retry
 // protocol, decode the response, add the backend's id offset. A remote
 // engine therefore answers every query byte-identically to a local engine
@@ -328,7 +328,6 @@ func wireOptions(spec core.QuerySpec) wire.Options {
 	return wire.Options{
 		Method:    wire.MethodString(spec.Method),
 		CountOnly: spec.CountOnly,
-		Limit:     spec.Limit,
 	}
 }
 

@@ -186,9 +186,6 @@ func queryOpts(opts wire.Options, st *vaq.Stats) ([]vaq.QueryOpt, error) {
 	if opts.CountOnly {
 		out = append(out, vaq.CountOnly())
 	}
-	if opts.Limit > 0 {
-		out = append(out, vaq.Limit(opts.Limit))
-	}
 	return out, nil
 }
 

@@ -103,7 +103,7 @@ func TestQueryMatchesLocal(t *testing.T) {
 	}
 }
 
-func TestCountAndLimit(t *testing.T) {
+func TestCount(t *testing.T) {
 	eng := testEngine(t, 400)
 	srv := httptest.NewServer(NewHandler(eng, Config{}))
 	defer srv.Close()
@@ -138,11 +138,13 @@ func TestCountAndLimit(t *testing.T) {
 		}
 	}
 
-	var lim wire.QueryResponse
-	decodeInto(t, post(t, srv, "/v1/query",
-		wire.QueryRequest{Region: wr, Options: wire.Options{Limit: 3}}), &lim)
-	if len(lim.IDs) != 3 {
-		t.Errorf("limit 3 returned %d ids", len(lim.IDs))
+	// A query answers with its full id set: there is no "limit" option,
+	// and a request that carries one is refused like any unknown field.
+	resp := post(t, srv, "/v1/query", map[string]any{"region": wr, "options": map[string]any{"limit": 3}})
+	var we wire.Error
+	decodeInto2(t, resp, &we)
+	if resp.StatusCode != http.StatusBadRequest || we.Code != wire.CodeBadRequest {
+		t.Errorf("stale limit field: status %d code %q, want 400 %q", resp.StatusCode, we.Code, wire.CodeBadRequest)
 	}
 }
 

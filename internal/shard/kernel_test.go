@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/workload"
 )
 
 // fakePart is an in-memory Partition: a brute-force scan over its points,
@@ -39,7 +38,7 @@ func (p *fakePart) Each(_ context.Context, region core.Region, spec core.QuerySp
 			continue
 		}
 		st.ResultSize++
-		if !yield(p.off+int64(i), pt) || st.ResultSize == spec.Limit {
+		if !yield(p.off+int64(i), pt) {
 			break
 		}
 	}
@@ -244,62 +243,5 @@ func TestKernelUniverseIsNotTheUnionOfPruningKeys(t *testing.T) {
 		if n := p.calls.Load(); n != 0 {
 			t.Errorf("partition %d was contacted %d times for a region that misses its key", i, n)
 		}
-	}
-}
-
-// countingPart wraps a Partition and sums the ids its queries hand back.
-type countingPart struct {
-	Partition
-	materialized *atomic.Int64
-}
-
-func (c countingPart) Query(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error) {
-	ids, st, err := c.Partition.Query(ctx, region, spec)
-	c.materialized.Add(int64(len(ids)))
-	return ids, st, err
-}
-
-// TestKernelLimitBudget: the in-process shards of one query share a budget
-// of Limit result slots, so together they materialize at most Limit ids —
-// not Limit each — on single queries and per region of a batch.
-func TestKernelLimitBudget(t *testing.T) {
-	pts := workload.UniformPoints(rand.New(rand.NewSource(61)), 4000, unitBounds())
-	built := newSharded(t, pts, 8)
-	var materialized atomic.Int64
-	parts := make([]Partition, len(built.parts))
-	for i, p := range built.parts {
-		parts[i] = countingPart{p, &materialized}
-	}
-	e := Over(parts, unitBounds(), 4, nil)
-	wide := rectRegion(0.1, 0.1, 0.9, 0.9)
-	const limit = 25
-
-	for _, m := range []core.Method{core.VoronoiBFS, core.Traditional, core.BruteForce} {
-		materialized.Store(0)
-		ids, st, err := e.QueryRegionSpec(context.Background(), wide, core.QuerySpec{Method: m, Limit: limit})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ids) != limit || st.ResultSize != limit || !slices.IsSorted(ids) {
-			t.Errorf("%v: %d ids (ResultSize %d), want %d ascending", m, len(ids), st.ResultSize, limit)
-		}
-		if n := materialized.Load(); n > limit {
-			t.Errorf("%v: shards materialized %d ids for Limit %d", m, n, limit)
-		}
-	}
-
-	materialized.Store(0)
-	regions := []core.Region{wide, rectRegion(0.2, 0.2, 0.8, 0.8), rectRegion(0.0, 0.0, 0.5, 1.0)}
-	out, _, err := e.QueryRegionsSpec(context.Background(), regions, core.QuerySpec{Limit: limit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range out {
-		if len(out[i]) != limit {
-			t.Errorf("batch region %d: %d ids, want %d", i, len(out[i]), limit)
-		}
-	}
-	if n := materialized.Load(); n > int64(limit*len(regions)) {
-		t.Errorf("batch: shards materialized %d ids for %d regions of Limit %d", n, len(regions), limit)
 	}
 }

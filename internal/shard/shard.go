@@ -41,10 +41,9 @@
 //     caller context always wins: its error is the query's, whatever the
 //     partitions reported, and a call it cut short is not counted as a
 //     partition failure in Dropped.
-//   - Gather: per region, merge into ascending global id order, truncate
-//     to Limit, count. In-process partitions additionally draw from one
-//     core.QuerySpec.Budget per region, so a limited query materializes at
-//     most Limit ids across all of them.
+//   - Gather: per region, merge into ascending global id order and count.
+//     Under CountOnly nothing is merged: the count is the partitions'
+//     summed ResultSize.
 //
 // Every path takes a context.Context: cancellation abandons un-dispatched
 // tasks at the pool, running partition calls at their own boundaries, and
@@ -239,10 +238,8 @@ type pair struct{ region, part int32 }
 
 // scattered is the outcome of one fan-out, indexed like pairs.
 type scattered struct {
-	regions int
-	pairs   []pair    // region-major: a region's pairs are contiguous
-	ids     [][]int64 // each pair's global ids; nil under CountOnly
-	counts  []int     // each pair's match count; only when a per-region cap needs them
+	pairs []pair    // region-major: a region's pairs are contiguous
+	ids   [][]int64 // each pair's global ids; nil under CountOnly
 }
 
 // scatter plans regions × partitions, runs the plan on the pool and folds
@@ -250,7 +247,7 @@ type scattered struct {
 // error if it is done — whatever the partitions reported — and otherwise
 // the first partition failure.
 func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.QuerySpec, agg *core.Stats) (scattered, error) {
-	sc := scattered{regions: len(regions)}
+	var sc scattered
 	alive := make([]int, 0, len(e.parts))
 	for qi, region := range regions {
 		alive = e.survivors(alive[:0], region)
@@ -264,22 +261,6 @@ func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.Q
 		return sc, ctx.Err()
 	}
 	pspec := e.partSpec(spec)
-	// Limited result queries share one budget of Limit slots per region, so
-	// a region's whole fan-out materializes at most Limit ids instead of
-	// Limit per partition. (A partition behind a wire cannot see it and
-	// honors Limit alone; gather truncates.)
-	var budgets []atomic.Int64
-	if spec.Limit > 0 && !spec.CountOnly {
-		budgets = make([]atomic.Int64, len(regions))
-		for qi := range budgets {
-			budgets[qi].Store(int64(spec.Limit))
-		}
-	}
-	if spec.Limit > 0 && spec.CountOnly && len(e.parts) > 1 {
-		// min(Limit, matches) per region needs each partition's count for
-		// each region, which a batch call does not report.
-		sc.counts = make([]int, len(sc.pairs))
-	}
 	if !spec.CountOnly {
 		sc.ids = make([][]int64, len(sc.pairs))
 	}
@@ -293,7 +274,7 @@ func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.Q
 	var grouped [][]int32
 	for i, pr := range sc.pairs {
 		single[i] = int32(i)
-		if len(regions) > 1 && sc.counts == nil && e.batch[pr.part] != nil {
+		if len(regions) > 1 && e.batch[pr.part] != nil {
 			if grouped == nil {
 				grouped = make([][]int32, len(e.parts))
 			}
@@ -323,18 +304,10 @@ func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.Q
 		t0 := e.partStart()
 		if len(tk) == 1 {
 			i := tk[0]
-			qi := sc.pairs[i].region
-			ps := pspec
-			if budgets != nil {
-				ps.Budget = &budgets[qi]
-			}
 			var ids []int64
-			ids, st, err = e.parts[part].Query(ctx, regions[qi], ps)
+			ids, st, err = e.parts[part].Query(ctx, regions[sc.pairs[i].region], pspec)
 			if err == nil && sc.ids != nil {
 				sc.ids[i] = ids
-			}
-			if err == nil && sc.counts != nil {
-				sc.counts[i] = st.ResultSize
 			}
 		} else {
 			sub := make([]core.Region, len(tk))
@@ -374,41 +347,27 @@ func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.Q
 }
 
 // gather reduces a scatter region by region: merge the partitions' ids
-// into ascending order (into dst, when given) truncated to Limit, or cap
-// the count. out, when non-nil, receives each region's ids. agg is
-// finalized with the total result size.
+// into ascending order (into dst, when given). out receives each region's
+// ids. agg is finalized with the total result size, which under CountOnly
+// is the partitions' summed ResultSize, already in agg.
 func gather(sc *scattered, spec core.QuerySpec, dst []int64, out [][]int64, agg *core.Stats) {
 	var mergeStart time.Time
 	if spec.Trace != nil {
 		mergeStart = time.Now()
 	}
-	total, lo := 0, 0
-	for qi := 0; qi < sc.regions; qi++ {
-		hi := lo
-		for hi < len(sc.pairs) && int(sc.pairs[hi].region) == qi {
-			hi++
-		}
-		switch {
-		case sc.counts != nil:
-			c := 0
-			for _, n := range sc.counts[lo:hi] {
-				c += n
+	total := agg.ResultSize
+	if !spec.CountOnly {
+		total = 0
+		lo := 0
+		for qi := range out {
+			hi := lo
+			for hi < len(sc.pairs) && int(sc.pairs[hi].region) == qi {
+				hi++
 			}
-			total += min(c, spec.Limit)
-		case !spec.CountOnly:
-			ids := mergeSorted(dst, sc.ids[lo:hi])
-			if spec.Limit > 0 && len(ids) > spec.Limit {
-				ids = ids[:spec.Limit]
-			}
-			out[qi] = ids
-			total += len(ids)
+			out[qi] = mergeSorted(dst, sc.ids[lo:hi])
+			total += len(out[qi])
+			lo = hi
 		}
-		lo = hi
-	}
-	if spec.CountOnly && sc.counts == nil {
-		// The partitions' own counts stand: without a Limit nothing caps
-		// them, and a sole partition applied the cap itself.
-		total = agg.ResultSize
 	}
 	if spec.Trace != nil {
 		spec.Trace.Add(obs.PhaseMerge, time.Since(mergeStart))
@@ -441,8 +400,7 @@ func mergeSorted(dst []int64, parts [][]int64) []int64 {
 
 // QueryRegionSpec answers one area query: ids in ascending global order,
 // backed by spec.Dest when given. spec.CountOnly skips the merge (the
-// count is Stats.ResultSize); spec.Limit is a global bound, not one per
-// partition.
+// count is Stats.ResultSize).
 func (e *Engine) QueryRegionSpec(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error) {
 	agg := core.Stats{Method: spec.Method}
 	regions := [1]core.Region{region}
@@ -456,10 +414,10 @@ func (e *Engine) QueryRegionSpec(ctx context.Context, region core.Region, spec c
 }
 
 // QueryRegionsSpec answers a batch: results align with regions, each in
-// ascending global order; spec.Limit applies per region. With
-// spec.CountOnly the result is nil and the aggregate match count is
-// Stats.ResultSize. spec.Dest is ignored (one buffer cannot back a batch
-// of results). Cancellation abandons un-dispatched tasks.
+// ascending global order. With spec.CountOnly the result is nil and the
+// aggregate match count is Stats.ResultSize. spec.Dest is ignored (one
+// buffer cannot back a batch of results). Cancellation abandons
+// un-dispatched tasks.
 func (e *Engine) QueryRegionsSpec(ctx context.Context, regions []core.Region, spec core.QuerySpec) ([][]int64, core.Stats, error) {
 	agg := core.Stats{Method: spec.Method}
 	sc, err := e.scatter(ctx, regions, spec, &agg)
@@ -478,9 +436,8 @@ func (e *Engine) QueryRegionsSpec(ctx context.Context, regions []core.Region, sp
 // and position) as the partitions discover it. Surviving partitions are
 // walked one after another, each streaming in its own discovery order —
 // global ids of different partitions interleave, so no overall id ordering
-// is implied. yield returning false stops the query. spec.Limit bounds the
-// total number of yields; spec.CountOnly and spec.Dest are ignored. A
-// partition failure ends the stream.
+// is implied. yield returning false stops the query; spec.CountOnly and
+// spec.Dest are ignored. A partition failure ends the stream.
 func (e *Engine) EachRegion(ctx context.Context, region core.Region, spec core.QuerySpec, yield func(id int64, pos geom.Point) bool) (core.Stats, error) {
 	agg := core.Stats{Method: spec.Method}
 	alive := e.survivors(nil, region)
@@ -506,12 +463,6 @@ func (e *Engine) EachRegion(ctx context.Context, region core.Region, spec core.Q
 		}
 		if stopped {
 			break
-		}
-		if spec.Limit > 0 {
-			// The remaining limit travels to the next partition.
-			if pspec.Limit -= st.ResultSize; pspec.Limit <= 0 {
-				break
-			}
 		}
 	}
 	agg.Finalize(agg.ResultSize)

@@ -73,7 +73,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	seeds := []string{
 		`{"id":17,"x":0.25,"y":0.75}`,
 		`{"id":0,"x":0,"y":0}`,
-		`{"eof":true,"stats":{"method":"voronoi","result_size":3,"duration_ns":120}}`,
+		`{"eof":true,"stats":{"method":"voronoi","result_size":3,"candidates":5}}`,
 		`{"eof":true,"error":{"code":"canceled","message":"context canceled"}}`,
 		`{"id":-1,"x":-0.5,"y":1e-300}`,
 	}

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -292,13 +291,12 @@ func (r Region) Decode() (core.Region, error) {
 }
 
 // Options are the per-query options that travel with a request — exactly
-// the result-shaping subset of the vaq option set (method, count-only,
-// limit). Stats and trace destinations are caller-local and stay on their
-// side of the wire; the server always returns its statistics.
+// the result-shaping subset of the vaq option set (method, count-only).
+// Stats and trace destinations are caller-local and stay on their side of
+// the wire; the server always returns its statistics.
 type Options struct {
 	Method    string `json:"method,omitempty"`
 	CountOnly bool   `json:"count_only,omitempty"`
-	Limit     int    `json:"limit,omitempty"`
 }
 
 // MethodString names a method on the wire (core's String names are the
@@ -324,8 +322,8 @@ func ParseMethod(s string) (core.Method, error) {
 	}
 }
 
-// Stats is core.Stats on the wire. Duration travels as integer
-// nanoseconds.
+// Stats is core.Stats on the wire: the query's deterministic work
+// counters, so identical requests get identical bytes.
 type Stats struct {
 	Method               string `json:"method,omitempty"`
 	ResultSize           int    `json:"result_size,omitempty"`
@@ -335,7 +333,6 @@ type Stats struct {
 	CellTests            int    `json:"cell_tests,omitempty"`
 	IndexNodesVisited    int    `json:"index_nodes_visited,omitempty"`
 	RecordsLoaded        int    `json:"records_loaded,omitempty"`
-	DurationNs           int64  `json:"duration_ns,omitempty"`
 }
 
 // FromStats converts engine statistics to wire form.
@@ -349,7 +346,6 @@ func FromStats(st core.Stats) Stats {
 		CellTests:            st.CellTests,
 		IndexNodesVisited:    st.IndexNodesVisited,
 		RecordsLoaded:        st.RecordsLoaded,
-		DurationNs:           st.Duration.Nanoseconds(),
 	}
 }
 
@@ -369,7 +365,6 @@ func (s Stats) ToStats() core.Stats {
 		CellTests:            s.CellTests,
 		IndexNodesVisited:    s.IndexNodesVisited,
 		RecordsLoaded:        s.RecordsLoaded,
-		Duration:             time.Duration(s.DurationNs),
 	}
 }
 

@@ -160,7 +160,7 @@ func TestStatsRoundTrip(t *testing.T) {
 	st := core.Stats{
 		Method: core.VoronoiBFSStrict, ResultSize: 41, Candidates: 57,
 		RedundantValidations: 16, SegmentTests: 3, CellTests: 88,
-		IndexNodesVisited: 12, RecordsLoaded: 57, Duration: 1234567,
+		IndexNodesVisited: 12, RecordsLoaded: 57,
 	}
 	data, err := json.Marshal(FromStats(st))
 	if err != nil {

@@ -39,11 +39,13 @@ type MetricsRegistry = obs.Registry
 // counters, gauges, and histogram summaries (count/mean/p50/p90/p99/max).
 type MetricsSnapshot = obs.Snapshot
 
-// QueryTrace records the phase timeline of one traced query — candidate
-// generation, BFS expansion, page fetches, merge — plus the fan-out
-// marker. Attach one to a query with WithTraceInto and read it (or log its
-// String one-liner) after the call returns. A QueryTrace may be reused
-// across queries: each traced query resets it.
+// QueryTrace records the timeline of one traced query — its total time and
+// the phases candidate generation, BFS expansion, page fetches, merge —
+// plus the fan-out marker. It is the per-query clock (Stats counts work
+// only); across many queries, WithMetrics' vaq_query_latency_ns is. Attach
+// one to a query with WithTraceInto and read it (or log its String
+// one-liner) after the call returns. A QueryTrace may be reused across
+// queries: each traced query resets it.
 type QueryTrace = obs.QueryTrace
 
 // NewMetricsRegistry returns an empty metrics registry for WithMetrics.

@@ -94,23 +94,10 @@ func UsingMethod(m Method) QueryOpt {
 // per-region slices stay nil and the aggregate count lands in
 // Stats.ResultSize; Each ignores it.
 //
-// Interactions, identical on every backend: with Reuse, the buffer is a
-// no-op — nothing is materialized and Query returns nil, not buf[:0];
-// with Limit(n), the reported count is min(n, matches).
+// Interaction, identical on every backend: with Reuse, the buffer is a
+// no-op — nothing is materialized and Query returns nil, not buf[:0].
 func CountOnly() QueryOpt {
 	return func(p *queryPlan) { p.CountOnly = true }
-}
-
-// Limit stops a query after n results (n <= 0 means unlimited). The limit
-// is a global early-exit bound on every backend — a ShardedEngine returns
-// at most n ids across all shards, not per shard — but which n points are
-// returned is method- and backend-dependent; the returned ids are still in
-// ascending order among themselves. On QueryAll the limit applies per
-// region; on Each it bounds the number of yields.
-//
-// Interactions: with CountOnly the count is capped at n.
-func Limit(n int) QueryOpt {
-	return func(p *queryPlan) { p.Limit = n }
 }
 
 // WithStatsInto writes the query's statistics into st — per-query work
@@ -122,15 +109,17 @@ func WithStatsInto(st *Stats) QueryOpt {
 	return func(p *queryPlan) { p.stats = st }
 }
 
-// WithTraceInto records the query's phase timeline into tr:
+// WithTraceInto records the query's timeline into tr: its total time,
 // candidate-generation seed, BFS (or scan) expansion, page fetches, and —
-// on sharded engines — the gather merge, plus the fan-out marker. The write
-// happens on every outcome, including errors and cancellation. Each traced
-// query resets tr first, so one trace value can be reused across a query
-// loop; read it only after the call returns. On
-// QueryAll the trace spans the whole batch (phase times sum across the
-// batch's queries, which may run concurrently). Tracing is per query and
-// needs no registry; combine with WithMetrics freely.
+// on sharded engines — the gather merge, plus the fan-out marker. It is
+// the per-query clock: Stats carries work counters only, so a repeated
+// query repeats them exactly. The write happens on every outcome,
+// including errors and cancellation. Each traced query resets tr first, so
+// one trace value can be reused across a query loop; read it only after
+// the call returns. On QueryAll the trace spans the whole batch (phase
+// times sum across the batch's queries, which may run concurrently).
+// Tracing is per query and needs no registry; combine with WithMetrics
+// freely.
 func WithTraceInto(tr *QueryTrace) QueryOpt {
 	return func(p *queryPlan) { p.Trace = tr }
 }
@@ -148,9 +137,9 @@ func Reuse(buf []int64) QueryOpt {
 // query, without materializing results, on any backend. It is exactly
 // Query with CountOnly appended — caller options resolve once and keep
 // their documented semantics: a WithStatsInto receives the query's
-// statistics (the count is Stats.ResultSize), Limit caps the count, a
-// Reuse buffer is a no-op as on any CountOnly query, and a caller's own
-// CountOnly is redundant rather than conflicting.
+// statistics (the count is Stats.ResultSize), a Reuse buffer is a no-op
+// as on any CountOnly query, and a caller's own CountOnly is redundant
+// rather than conflicting.
 func Count(ctx context.Context, q Querier, region Region, opts ...QueryOpt) (int, error) {
 	p := resolve(opts)
 	st := p.stats

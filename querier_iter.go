@@ -19,9 +19,9 @@ import (
 // The sequence is single-use — range over it once, then call errf; a
 // second range re-runs the query from scratch (options included), which is
 // rarely what you want. All Each semantics carry over: results arrive in
-// discovery order (not ascending), Limit bounds the number of pairs, and
-// cancellation of ctx ends the sequence early with errf reporting
-// ctx.Err().
+// discovery order (not ascending), and cancellation of ctx ends the
+// sequence early with errf reporting ctx.Err(). To stop after n pairs,
+// break out of the loop.
 func Results(ctx context.Context, q Querier, region Region, opts ...QueryOpt) (iter.Seq2[int64, Point], func() error) {
 	var err error
 	seq := func(yield func(int64, Point) bool) {

@@ -74,18 +74,18 @@ func TestResultsEarlyBreak(t *testing.T) {
 		t.Fatalf("saw %d pairs, want 3", seen)
 	}
 
-	// Options thread through: Limit bounds the sequence.
+	// Options thread through: the method and the stats destination.
 	var st Stats
 	n := 0
-	seq, errf = Results(context.Background(), eng, region, Limit(5), WithStatsInto(&st))
+	seq, errf = Results(context.Background(), eng, region, UsingMethod(BruteForce), WithStatsInto(&st))
 	for range seq {
 		n++
 	}
 	if err := errf(); err != nil {
 		t.Fatal(err)
 	}
-	if n != 5 || st.ResultSize != 5 {
-		t.Fatalf("Limit(5) sequence yielded %d (stats %d), want 5", n, st.ResultSize)
+	if st.Method != BruteForce || st.ResultSize != n || n == 0 {
+		t.Fatalf("BruteForce sequence yielded %d (stats %d, method %v)", n, st.ResultSize, st.Method)
 	}
 }
 

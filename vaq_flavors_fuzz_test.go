@@ -1,20 +1,26 @@
-package vaq
+package vaq_test
 
 import (
 	"context"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"slices"
+	"sync/atomic"
 	"testing"
+
+	vaq "repro"
+	"repro/internal/serve"
 )
 
 // decodeFlavorSites reads up to 64 distinct sites, two bytes each, off a
 // 1/16 lattice over the closed unit square (a byte b is the coordinate
 // (b mod 17)/16): lattice sites are collinear and cocircular in bulk, and
 // those at 0 or 1 lie on the universe's edge.
-func decodeFlavorSites(data []byte) []Point {
-	var sites []Point
+func decodeFlavorSites(data []byte) []vaq.Point {
+	var sites []vaq.Point
 	for i := 0; i+1 < len(data) && len(sites) < 64; i += 2 {
-		p := Pt(float64(data[i]%17)/16, float64(data[i+1]%17)/16)
+		p := vaq.Pt(float64(data[i]%17)/16, float64(data[i+1]%17)/16)
 		if !slices.Contains(sites, p) {
 			sites = append(sites, p)
 		}
@@ -25,21 +31,22 @@ func decodeFlavorSites(data []byte) []Point {
 // decodeFlavorPolygon reads up to 16 vertices, two bytes each, off a 1/32
 // lattice over the unit square ((b mod 33)/32) — half the site lattice's
 // step, so vertices land on sites and edges run through them.
-func decodeFlavorPolygon(data []byte) []Point {
-	var ring []Point
+func decodeFlavorPolygon(data []byte) []vaq.Point {
+	var ring []vaq.Point
 	for i := 0; i+1 < len(data) && len(ring) < 16; i += 2 {
-		ring = append(ring, Pt(float64(data[i]%33)/32, float64(data[i+1]%33)/32))
+		ring = append(ring, vaq.Pt(float64(data[i]%33)/32, float64(data[i+1]%33)/32))
 	}
 	return ring
 }
 
 // FuzzFlavorsAgree runs one fuzzed polygon over one fuzzed lattice site set
-// on every in-process flavor — static, WithStore on small pages behind a
-// two-page pool, three shards, and a DynamicEngine snapshot — and holds each
-// method to a scan of the input sites: Traditional, VoronoiBFSStrict and
-// BruteForce must return exactly the sites the polygon contains, VoronoiBFS
-// (whose published rule may stop short) a subset of them. A polygon
-// NewPolygon refuses is skipped.
+// on every flavor — static, WithStore on small pages behind a two-page pool,
+// three shards, a DynamicEngine snapshot, and (from two sites up) a
+// RemoteEngine over two served halves of the sites — and holds each method
+// to a scan of the input sites: Traditional, VoronoiBFSStrict and
+// BruteForce must return exactly the sites the polygon contains, and Count
+// their number; VoronoiBFS (whose published rule may stop short) returns a
+// subset of them. A polygon NewPolygon refuses is skipped.
 func FuzzFlavorsAgree(f *testing.F) {
 	square := []byte{4, 4, 12, 4, 12, 12, 4, 12, 8, 8}                         // a square of sites and its centre
 	f.Add(square, []byte{4, 4, 28, 4, 28, 28, 4, 28})                          // a square through four sites
@@ -54,14 +61,29 @@ func FuzzFlavorsAgree(f *testing.F) {
 		rng.Read(poly)
 		f.Add(sites, poly)
 	}
+	// The remote flavor's two backends: started once, each serving through
+	// the handler the current input installed, over one client whose
+	// connections every input reuses.
+	var halves [2]atomic.Value // http.Handler
+	var urls [2]string
+	for i := range halves {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			halves[i].Load().(http.Handler).ServeHTTP(w, r)
+		}))
+		f.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	client := &http.Client{Transport: &http.Transport{}}
+	f.Cleanup(client.CloseIdleConnections)
+
 	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, siteBytes, polyBytes []byte) {
 		sites := decodeFlavorSites(siteBytes)
-		pg, err := NewPolygon(decodeFlavorPolygon(polyBytes))
+		pg, err := vaq.NewPolygon(decodeFlavorPolygon(polyBytes))
 		if len(sites) == 0 || err != nil {
 			return
 		}
-		region := PolygonRegion(pg)
+		region := vaq.PolygonRegion(pg)
 		var want []int64
 		for i, p := range sites {
 			if region.ContainsPoint(p) {
@@ -71,19 +93,19 @@ func FuzzFlavorsAgree(f *testing.F) {
 
 		type flavor struct {
 			name     string
-			q        Querier
+			q        vaq.Querier
 			toGlobal map[int64]int64 // nil: ids are input indexes
 		}
 		var flavors []flavor
 		for _, c := range []struct {
 			name string
-			new  func() (Querier, error)
+			new  func() (vaq.Querier, error)
 		}{
-			{"static", func() (Querier, error) { return NewEngine(sites, UnitSquare()) }},
-			{"store", func() (Querier, error) {
-				return NewEngine(sites, UnitSquare(), WithStore(StoreConfig{PageSize: 256, PoolPages: 2, PayloadBytes: 8}))
+			{"static", func() (vaq.Querier, error) { return vaq.NewEngine(sites, vaq.UnitSquare()) }},
+			{"store", func() (vaq.Querier, error) {
+				return vaq.NewEngine(sites, vaq.UnitSquare(), vaq.WithStore(vaq.StoreConfig{PageSize: 256, PoolPages: 2, PayloadBytes: 8}))
 			}},
-			{"sharded", func() (Querier, error) { return NewShardedEngine(sites, UnitSquare(), WithShards(3)) }},
+			{"sharded", func() (vaq.Querier, error) { return vaq.NewShardedEngine(sites, vaq.UnitSquare(), vaq.WithShards(3)) }},
 		} {
 			q, err := c.new()
 			if err != nil {
@@ -91,7 +113,7 @@ func FuzzFlavorsAgree(f *testing.F) {
 			}
 			flavors = append(flavors, flavor{c.name, q, nil})
 		}
-		dyn := NewDynamicEngine(UnitSquare())
+		dyn := vaq.NewDynamicEngine(vaq.UnitSquare())
 		toGlobal := make(map[int64]int64, len(sites))
 		for i, p := range sites {
 			id, inserted, err := dyn.Insert(p)
@@ -101,10 +123,29 @@ func FuzzFlavorsAgree(f *testing.F) {
 			toGlobal[id] = int64(i)
 		}
 		flavors = append(flavors, flavor{"snapshot", dyn.Snapshot(), toGlobal})
+		if h := len(sites) / 2; h > 0 {
+			var backends []vaq.RemoteBackend
+			for i, half := range [2][]vaq.Point{sites[:h], sites[h:]} {
+				eng, err := vaq.NewEngine(half, vaq.UnitSquare())
+				if err != nil {
+					t.Fatalf("remote half %d: %v", i, err)
+				}
+				off := int64(i * h)
+				halves[i].Store(serve.NewHandler(eng, serve.Config{IDOffset: off, Flavor: "static"}))
+				backends = append(backends, vaq.RemoteBackend{
+					URL: urls[i], IDOffset: off, Bounds: eng.DataBounds(), Universe: vaq.UnitSquare(), Len: eng.Len(),
+				})
+			}
+			re, err := vaq.NewRemoteEngine(backends, vaq.WithRemoteClient(client))
+			if err != nil {
+				t.Fatalf("remote: %v", err)
+			}
+			flavors = append(flavors, flavor{"remote", re, nil})
+		}
 
 		for _, fl := range flavors {
-			for _, m := range []Method{Traditional, VoronoiBFSStrict, BruteForce, VoronoiBFS} {
-				ids, err := fl.q.Query(ctx, region, UsingMethod(m))
+			for _, m := range []vaq.Method{vaq.Traditional, vaq.VoronoiBFSStrict, vaq.BruteForce, vaq.VoronoiBFS} {
+				ids, err := fl.q.Query(ctx, region, vaq.UsingMethod(m))
 				if err != nil {
 					t.Fatalf("%s/%v: %v", fl.name, m, err)
 				}
@@ -120,7 +161,7 @@ func FuzzFlavorsAgree(f *testing.F) {
 					}
 				}
 				slices.Sort(got)
-				if m == VoronoiBFS {
+				if m == vaq.VoronoiBFS {
 					for _, id := range got {
 						if _, found := slices.BinarySearch(want, id); !found {
 							t.Fatalf("%s/%v: site %d %v is outside %v", fl.name, m, id, sites[id], pg.Outer)
@@ -130,6 +171,9 @@ func FuzzFlavorsAgree(f *testing.F) {
 				}
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s/%v over %d sites: %v, scan %v; polygon %v", fl.name, m, len(sites), got, want, pg.Outer)
+				}
+				if n, err := vaq.Count(ctx, fl.q, region, vaq.UsingMethod(m)); err != nil || n != len(want) {
+					t.Fatalf("%s/%v over %d sites: Count %d (err %v), scan %d; polygon %v", fl.name, m, len(sites), n, err, len(want), pg.Outer)
 				}
 			}
 		}

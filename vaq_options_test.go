@@ -7,82 +7,6 @@ import (
 	"testing"
 )
 
-// TestLimitGlobalBoundAcrossShards pins that Limit(n) is a global bound on
-// every flavor — in particular on ShardedEngine, where the scatter once
-// handed the limit to each shard independently: with 7 shards and a region
-// whose matches per shard all exceed n, a per-shard limit would return up
-// to 7n ids. Every entry point is pinned: Query, Each (yield count),
-// QueryAll (per region), and the CountOnly cap.
-func TestLimitGlobalBoundAcrossShards(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	pts := UniformPoints(rng, 3500, UnitSquare())
-	flavors := buildFlavors(t, pts) // sharded flavor uses WithShards(7)
-	ctx := context.Background()
-
-	// A region covering nearly the whole universe: every one of the 7
-	// shards holds far more than `limit` matches, so a per-shard limit
-	// would overshoot 7-fold.
-	region := PolygonRegion(MustPolygon([]Point{
-		Pt(0.01, 0.01), Pt(0.99, 0.01), Pt(0.99, 0.99), Pt(0.01, 0.99),
-	}))
-	const limit = 20
-
-	oracle, err := flavors[0].q.Query(ctx, region, UsingMethod(BruteForce))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(oracle) < 7*limit {
-		t.Fatalf("region matches %d points — too few to exercise the per-shard overshoot", len(oracle))
-	}
-
-	for _, f := range flavors {
-		for _, m := range []Method{Traditional, VoronoiBFS, BruteForce} {
-			name := f.name + "/" + m.String()
-
-			var st Stats
-			got, err := f.q.Query(ctx, region, UsingMethod(m), Limit(limit), WithStatsInto(&st))
-			if err != nil {
-				t.Fatalf("%s: Query: %v", name, err)
-			}
-			if len(got) != limit {
-				t.Errorf("%s: Query returned %d ids, want exactly %d", name, len(got), limit)
-			}
-			if !slices.IsSorted(got) {
-				t.Errorf("%s: limited result not ascending", name)
-			}
-			if st.ResultSize != len(got) {
-				t.Errorf("%s: stats.ResultSize = %d, want %d", name, st.ResultSize, len(got))
-			}
-
-			yields := 0
-			err = f.q.Each(ctx, region, func(int64, Point) bool {
-				yields++
-				return true
-			}, UsingMethod(m), Limit(limit))
-			if err != nil {
-				t.Fatalf("%s: Each: %v", name, err)
-			}
-			if yields != limit {
-				t.Errorf("%s: Each yielded %d times, want exactly %d", name, yields, limit)
-			}
-
-			out, err := f.q.QueryAll(ctx, []Region{region, region}, UsingMethod(m), Limit(limit))
-			if err != nil {
-				t.Fatalf("%s: QueryAll: %v", name, err)
-			}
-			for i, ids := range out {
-				if len(ids) != limit {
-					t.Errorf("%s: QueryAll region %d returned %d ids, want %d", name, i, len(ids), limit)
-				}
-			}
-
-			if n, err := Count(ctx, f.q, region, UsingMethod(m), Limit(limit)); err != nil || n != limit {
-				t.Errorf("%s: Count with Limit = %d (err %v), want %d", name, n, err, limit)
-			}
-		}
-	}
-}
-
 // TestReuseEmptyResultNotNil pins the Dest contract on an empty result:
 // with a Reuse buffer, every flavor returns the (non-nil) buffer truncated
 // to length zero, exactly like the unsharded core engine — the sharded
@@ -168,15 +92,15 @@ func TestOptionInteractions(t *testing.T) {
 			t.Errorf("%s: overridden WithStatsInto was written: %+v", f.name, first)
 		}
 
-		// Count with a caller's Limit, Reuse and stats: one resolve, all
-		// semantics preserved (limit caps the count, buffer untouched).
+		// Count with a caller's method, Reuse and stats: one resolve, all
+		// semantics preserved (the method holds, buffer untouched).
 		var cst Stats
-		n, err := Count(ctx, f.q, region, Limit(5), Reuse(buf), WithStatsInto(&cst))
+		n, err := Count(ctx, f.q, region, UsingMethod(BruteForce), Reuse(buf), WithStatsInto(&cst))
 		if err != nil {
 			t.Fatalf("%s: Count: %v", f.name, err)
 		}
-		if n != 5 || cst.ResultSize != 5 {
-			t.Errorf("%s: Count with Limit(5) = %d (stats %d), want 5", f.name, n, cst.ResultSize)
+		if n != len(want) || cst.ResultSize != len(want) || cst.Method != BruteForce {
+			t.Errorf("%s: Count = %d (stats %d, %v), want %d by %v", f.name, n, cst.ResultSize, cst.Method, len(want), BruteForce)
 		}
 	}
 }

@@ -154,29 +154,6 @@ func TestQuerierConformance(t *testing.T) {
 							hst.ResultSize, hst.Method, len(oracle), m)
 					}
 
-					// Limit: an early-exit subset of the oracle.
-					for _, lim := range []int{1, 3, len(oracle) + 10} {
-						got, err := f.q.Query(ctx, region, UsingMethod(m), Limit(lim))
-						if err != nil {
-							t.Fatalf("Limit(%d): %v", lim, err)
-						}
-						want := lim
-						if len(oracle) < lim {
-							want = len(oracle)
-						}
-						if len(got) != want {
-							t.Fatalf("Limit(%d): %d ids, want %d", lim, len(got), want)
-						}
-						if !slices.IsSorted(got) {
-							t.Fatalf("Limit(%d): ids not ascending", lim)
-						}
-						for _, id := range got {
-							if _, ok := slices.BinarySearch(oracle, id); !ok {
-								t.Fatalf("Limit(%d): id %d not in oracle", lim, id)
-							}
-						}
-					}
-
 					// Reuse: same result, caller's buffer backs it when it
 					// fits.
 					buf := make([]int64, 0, len(oracle)+8)

@@ -148,26 +148,6 @@ func TestRemoteConformance(t *testing.T) {
 					t.Errorf("CountOnly count = %d, want %d", cst.ResultSize, len(oracle))
 				}
 
-				// Limit: exactly min(lim, total) valid matches, ascending.
-				for _, lim := range []int{1, 3, len(oracle) + 10} {
-					got, err := re.Query(ctx, region, vaq.UsingMethod(m), vaq.Limit(lim))
-					if err != nil {
-						t.Fatalf("Limit(%d): %v", lim, err)
-					}
-					want := min(lim, len(oracle))
-					if len(got) != want {
-						t.Fatalf("Limit(%d): %d ids, want %d", lim, len(got), want)
-					}
-					if !slices.IsSorted(got) {
-						t.Fatalf("Limit(%d): ids not ascending", lim)
-					}
-					for _, id := range got {
-						if _, ok := slices.BinarySearch(oracle, id); !ok {
-							t.Fatalf("Limit(%d): id %d not in oracle", lim, id)
-						}
-					}
-				}
-
 				// Each: streamed set covers the oracle, every position
 				// bit-exact from the wire.
 				var streamed []int64

@@ -109,7 +109,7 @@ func (p chunkPartition) Bounds() vaq.Rect { return p.bounds }
 func (p chunkPartition) Len() int         { return p.eng.Len() }
 
 func (p chunkPartition) opts(spec core.QuerySpec, st *vaq.Stats) []vaq.QueryOpt {
-	opts := []vaq.QueryOpt{vaq.UsingMethod(spec.Method), vaq.Limit(spec.Limit), vaq.WithStatsInto(st)}
+	opts := []vaq.QueryOpt{vaq.UsingMethod(spec.Method), vaq.WithStatsInto(st)}
 	if spec.CountOnly {
 		opts = append(opts, vaq.CountOnly())
 	}
