@@ -92,6 +92,6 @@ func main() {
 		singleWall.Seconds()/shardedWall.Seconds(), runtime.GOMAXPROCS(0),
 		shards*store.PoolPages, store.PoolPages)
 	fmt.Println("(shards scatter in parallel across cores; per-shard queries use the")
-	fmt.Println(" density-robust strict expansion, so single-core wall time trades a")
-	fmt.Println(" constant factor for exactness on sub-sampled shard diagrams)")
+	fmt.Println(" density-robust strict rule, exact on sub-sampled shard diagrams, which")
+	fmt.Println(" on a polygon validates only the sites along its boundary)")
 }

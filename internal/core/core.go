@@ -29,10 +29,11 @@
 // candidates' records are fetched from (NewStoreData). A static engine, a
 // store-backed one and every epoch a dynamic engine publishes hold one, so
 // every flavor above this package (static, store, sharded, snapshot, remote
-// backend) reaches the same loop: voronoiBFS, seeded by that walk, slicing
+// backend) reaches the same loops: voronoiBFS, seeded by that walk, slicing
 // positions and rings in place, with the strict rule's cell test reading the
-// arena. Its one branch on the layer is whether a record load is a page
-// fetch.
+// arena on circles and custom regions; and, for the strict rule on a
+// polygon, the boundary trace and flood of shell.go, which read no arena.
+// Their one branch on the layer is whether a record load is a page fetch.
 package core
 
 import (
@@ -63,10 +64,13 @@ const (
 	// VoronoiBFS is the paper's Algorithm 1 with the published expansion
 	// rule (segment p–pn intersects the area).
 	VoronoiBFS
-	// VoronoiBFSStrict is Algorithm 1 with the conservative expansion rule
-	// (Voronoi cell of pn intersects the area); complete for a connected
-	// area inside the rectangle the cells are clipped to, at any density
-	// and at higher expansion cost.
+	// VoronoiBFSStrict is Algorithm 1 made complete at any density. On a
+	// prepared polygon it traces the boundary through the diagram,
+	// validates only the sites whose cells meet it and their neighbours,
+	// and floods the interior untested (shell.go); on any other region it
+	// expands by the conservative rule (Voronoi cell of pn intersects the
+	// area), complete for a connected area inside the rectangle the cells
+	// are clipped to.
 	VoronoiBFSStrict
 	// BruteForce scans every record; the oracle baseline.
 	BruteForce
@@ -95,13 +99,19 @@ func (m Method) String() string {
 type Stats struct {
 	Method     Method
 	ResultSize int
-	// Candidates is the number of containment validations performed.
+	// Candidates is the number of containment validations performed. The
+	// strict rule on a polygon validates only the shell — the sites whose
+	// cells meet the boundary and their neighbours — and emits the rest of
+	// its results untested, so there it can be below ResultSize.
 	Candidates int
-	// RedundantValidations = Candidates - ResultSize.
+	// RedundantValidations counts the validations that found the point
+	// outside the area: Candidates - ResultSize wherever every result is
+	// validated (all but the strict rule on a polygon; see Candidates).
 	RedundantValidations int
 	// SegmentTests counts segment-vs-area tests (Voronoi method only).
 	SegmentTests int
-	// CellTests counts cell-vs-area tests (strict variant only).
+	// CellTests counts cell-vs-area tests: the strict variant on circles and
+	// custom regions only (on a polygon it traces the boundary instead).
 	CellTests int
 	// IndexNodesVisited counts index nodes touched by the window query of
 	// Traditional. It is 0 for the Voronoi methods, whose seed is a walk on
@@ -158,9 +168,8 @@ func (s *Stats) Add(other Stats) {
 	s.RecordsLoaded += other.RecordsLoaded
 }
 
-// Finalize sets the result-dependent counters of an aggregate after a
-// gather step (merging can change the effective result size).
+// Finalize sets the result size of a query or an aggregate once its
+// results are collected: the count the collector or a gather step saw.
 func (s *Stats) Finalize(resultSize int) {
 	s.ResultSize = resultSize
-	s.RedundantValidations = s.Candidates - resultSize
 }

@@ -73,7 +73,14 @@ func TestAllMethodsAgreeOnRandomWorkloads(t *testing.T) {
 			if stats.ResultSize != len(got) {
 				t.Fatalf("stats.ResultSize %d != len %d", stats.ResultSize, len(got))
 			}
-			if stats.RedundantValidations != stats.Candidates-stats.ResultSize {
+			// Every result is validated, except the interior sites the
+			// strict rule emits untested on a polygon.
+			redundant := stats.RedundantValidations
+			if m == VoronoiBFSStrict {
+				if redundant < 0 || stats.Candidates-redundant > stats.ResultSize {
+					t.Fatalf("redundant accounting broken: %+v", stats)
+				}
+			} else if redundant != stats.Candidates-stats.ResultSize {
 				t.Fatalf("redundant accounting broken: %+v", stats)
 			}
 		}
@@ -455,6 +462,10 @@ func TestQueriesAcrossStampWraps(t *testing.T) {
 	}
 }
 
+// customRegion hides every optional interface of the region it wraps, as a
+// caller's own Region type would.
+type customRegion struct{ Region }
+
 func TestStatsPlausibility(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	eng, _ := newUniformEngine(t, rng, 10000)
@@ -480,18 +491,47 @@ func TestStatsPlausibility(t *testing.T) {
 		t.Errorf("the seed walk touched %d index nodes", st.IndexNodesVisited)
 	}
 
+	// The strict rule on a polygon traces its boundary and validates only
+	// the shell: no cell tests, and fewer candidates than the cell-test
+	// expansion the same polygon gets as a custom Region. Circles and custom
+	// regions keep the cell tests.
 	_, st2, err := query(eng, VoronoiBFSStrict, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.CellTests == 0 {
-		t.Error("strict rule should perform cell tests")
-	}
-	if st2.SegmentTests != 0 {
-		t.Error("strict rule should not perform segment tests")
+	if st2.CellTests != 0 || st2.SegmentTests != 0 {
+		t.Errorf("strict rule on a polygon ran %d cell and %d segment tests", st2.CellTests, st2.SegmentTests)
 	}
 	if st2.IndexNodesVisited != 0 {
 		t.Errorf("the strict rule's seed walk touched %d index nodes", st2.IndexNodesVisited)
+	}
+	if st2.RecordsLoaded != st2.Candidates {
+		t.Errorf("strict rule loaded %d records for %d validations", st2.RecordsLoaded, st2.Candidates)
+	}
+	// The shell grows with the perimeter and the interior with the area, so
+	// the saving shows on a region of about a thousand results.
+	large := PolygonRegion(workload.RandomPolygon(rng, workload.PolygonConfig{Vertices: 10, QuerySize: 0.1}, unitBounds()))
+	_, stTraced, err := query(eng, VoronoiBFSStrict, large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stCustom, err := query(eng, VoronoiBFSStrict, customRegion{large})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stCustom.CellTests == 0 {
+		t.Error("strict rule on a custom region should perform cell tests")
+	}
+	if stTraced.Candidates >= stCustom.Candidates || stCustom.ResultSize != stTraced.ResultSize {
+		t.Errorf("traced strict: %d candidates for %d results; cell tests: %d for %d",
+			stTraced.Candidates, stTraced.ResultSize, stCustom.Candidates, stCustom.ResultSize)
+	}
+	_, stCircle, err := query(eng, VoronoiBFSStrict, CircleRegion(geom.Circle{Center: area.InteriorPoint(), R: 0.05}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stCircle.CellTests == 0 {
+		t.Error("strict rule on a circle should perform cell tests")
 	}
 
 	_, st3, err := query(eng, Traditional, PolygonRegion(area))

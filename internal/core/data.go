@@ -29,8 +29,8 @@ var ErrDuplicatePoints = errors.New("core: dataset contains duplicate coordinate
 // diagram and the triangulation under a static layer — quad-edge pool,
 // point copy, vertex tables — are construction scaffolding, released when
 // NewMemoryData returns. The clipped Voronoi cells, which only the strict
-// expansion rule and CellArea read, are derived from the two on first use
-// (lazyArena).
+// expansion rule on circles and custom regions and CellArea read, are
+// derived from the two on first use (lazyArena).
 //
 // A record load — the refinement fetch both methods pay once per candidate
 // — reads the resident position, unless the layer has a store (NewStoreData):
@@ -72,9 +72,10 @@ type MemoryData struct {
 }
 
 // lazyArena is the cell-arena policy of the data layer: built by the first
-// CellArena call — a strict query or CellArea — exactly once however many
-// goroutines race to it. The default method never reads a cell, so an
-// engine that runs nothing else never pays the clipping pass or holds its
+// CellArena call — a strict query on a circle or custom region, or CellArea
+// — exactly once however many goroutines race to it. The default method
+// never reads a cell, nor does the strict rule on a polygon, so an engine
+// that answers only polygons never pays the clipping pass or holds its
 // ≈ 130 bytes per site.
 type lazyArena struct {
 	once  sync.Once
@@ -139,8 +140,9 @@ func (m *MemoryData) Each(fn func(id int64, pos geom.Point) bool) {
 
 // CellArena returns every clipped Voronoi cell packed into one immutable
 // arena (contiguous vertices, ring offsets, per-cell boxes), built on first
-// use. The strict expansion rule runs entirely on it — bounding-box rejects
-// and exact ring tests read dense memory with zero per-visit allocation.
+// use. The strict expansion rule's cell tests run entirely on it —
+// bounding-box rejects and exact ring tests read dense memory with zero
+// per-visit allocation.
 func (m *MemoryData) CellArena() *voronoi.CellArena { return m.arena.get(m) }
 
 // StoreConfig configures the simulated object store.

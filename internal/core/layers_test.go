@@ -229,12 +229,27 @@ func decodeLayerSites(data []byte) []geom.Point {
 	return sites
 }
 
+// decodeLayerPolygon spells a polygon with a vertex per byte: x in the high
+// nibble, y in the low, at the odd multiples of 1/32 — the midpoints of the
+// sites' 1/16 lattice, where their bisectors and Voronoi vertices lie — so
+// its edges run along bisectors and through cocircular vertices. ok is false
+// when the bytes spell no simple polygon.
+func decodeLayerPolygon(data []byte) (geom.Polygon, bool) {
+	var ring []geom.Point
+	for _, b := range data {
+		ring = append(ring, geom.Pt(float64(2*(b>>4)+1)/32, float64(2*(b&15)+1)/32))
+	}
+	pg, err := geom.NewPolygon(ring)
+	return pg, err == nil
+}
+
 // FuzzDataLayerStructure holds every data layer to checkLayerStructure on
 // site sets biased toward the geometry Voronoi code gets wrong — collinear,
 // cocircular and boundary sites: built statically, and inserted into a
 // dynamic engine that publishes after insert k when bit k of the second
 // argument (cycled) is set, after every insert when it is empty, and after
-// the last.
+// the last. The second argument also spells a polygon (decodeLayerPolygon),
+// whose traced shell on the static layer must be the arena's (checkShell).
 func FuzzDataLayerStructure(f *testing.F) {
 	square := []byte{0x44, 0xc4, 0xcc, 0x4c, 0x88}
 	lattice := []byte{0x00, 0x0f, 0xf0, 0xff, 0x37, 0x73, 0x55, 0x5a, 0xa5, 0xaa, 0x18, 0x81, 0xe2, 0x2e}
@@ -244,6 +259,18 @@ func FuzzDataLayerStructure(f *testing.F) {
 	f.Add(append([]byte{layerBoundary}, lattice...), []byte{0x0f})
 	f.Add([]byte{layerLattice, 0x77}, []byte(nil)) // one site
 	f.Add([]byte{layerBoundary, 0x00, 0xff}, []byte(nil))
+	// A 4×4 block of the lattice under polygons whose edges lie along its
+	// bisectors and pass corner to corner through its cocircular Voronoi
+	// vertices.
+	var block []byte
+	for x := byte(5); x <= 8; x++ {
+		for y := byte(5); y <= 8; y++ {
+			block = append(block, x<<4|y)
+		}
+	}
+	f.Add(append([]byte{layerLattice}, block...), []byte{0x55, 0x75, 0x77, 0x57})
+	f.Add(append([]byte{layerLattice}, block...), []byte{0x55, 0x85, 0x58})
+	f.Add(append([]byte{layerLattice}, lattice...), []byte{0x33, 0xb3, 0xbb, 0x3b})
 	rng := rand.New(rand.NewSource(34))
 	for n := 8; n <= 64; n *= 2 {
 		data := make([]byte, n+1)
@@ -260,6 +287,9 @@ func FuzzDataLayerStructure(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkLayerStructure(t, "static", mem)
+		if pg, ok := decodeLayerPolygon(publishAfter); ok {
+			checkShell(t, "static", mem, pg)
+		}
 		checkEpochs(t, "dynamic", sites, func(k int) bool {
 			bit := k % max(8*len(publishAfter), 1)
 			return len(publishAfter) == 0 || publishAfter[bit/8]>>(bit%8)&1 == 1

@@ -82,22 +82,27 @@ func TestQueryCostsPinned(t *testing.T) {
 			{15, 34, 50, 0, 0},
 			{197, 257, 144, 0, 0},
 		},
+		// Regions 0–14, the polygons, were recorded again when the strict
+		// rule began to trace ∂R on polygons: Candidates is now the sites
+		// validated (the shell and its unmarked neighbours), and no cell is
+		// tested. Results did not move; the circles (15–17) keep the cell
+		// tests and their rows.
 		VoronoiBFSStrict: {
-			{0, 2, 0, 13, 0},
-			{0, 4, 0, 18, 0},
-			{1, 6, 0, 18, 0},
-			{2, 12, 0, 33, 0},
-			{3, 13, 0, 34, 0},
-			{2, 12, 0, 33, 0},
-			{18, 44, 0, 68, 0},
-			{24, 51, 0, 76, 0},
-			{34, 67, 0, 78, 0},
-			{151, 216, 0, 164, 0},
-			{166, 228, 0, 150, 0},
-			{171, 229, 0, 155, 0},
-			{23, 53, 0, 84, 0},
-			{23, 52, 0, 84, 0},
-			{12, 46, 0, 92, 0},
+			{0, 12, 0, 0, 0},
+			{0, 14, 0, 0, 0},
+			{1, 14, 0, 0, 0},
+			{2, 24, 0, 0, 0},
+			{3, 29, 0, 0, 0},
+			{2, 20, 0, 0, 0},
+			{18, 72, 0, 0, 0},
+			{24, 71, 0, 0, 0},
+			{34, 88, 0, 0, 0},
+			{151, 199, 0, 0, 0},
+			{166, 189, 0, 0, 0},
+			{171, 188, 0, 0, 0},
+			{23, 84, 0, 0, 0},
+			{23, 70, 0, 0, 0},
+			{12, 71, 0, 0, 0},
 			{0, 2, 0, 11, 0},
 			{15, 34, 0, 49, 0},
 			{197, 257, 0, 144, 0},
@@ -140,25 +145,47 @@ func TestQueryCostsPinned(t *testing.T) {
 			{197, 257, 141, 0, 0},
 		},
 		VoronoiBFSStrict: {
-			{0, 2, 0, 13, 0},
-			{0, 4, 0, 18, 0},
-			{1, 6, 0, 18, 0},
-			{2, 12, 0, 32, 0},
-			{3, 13, 0, 34, 0},
-			{2, 12, 0, 34, 0},
-			{18, 44, 0, 66, 0},
-			{24, 51, 0, 75, 0},
-			{34, 67, 0, 77, 0},
-			{151, 216, 0, 157, 0},
-			{166, 228, 0, 150, 0},
-			{171, 229, 0, 153, 0},
-			{23, 53, 0, 84, 0},
-			{23, 52, 0, 84, 0},
-			{12, 46, 0, 91, 0},
+			{0, 12, 0, 0, 0},
+			{0, 14, 0, 0, 0},
+			{1, 14, 0, 0, 0},
+			{2, 24, 0, 0, 0},
+			{3, 29, 0, 0, 0},
+			{2, 20, 0, 0, 0},
+			{18, 72, 0, 0, 0},
+			{24, 71, 0, 0, 0},
+			{34, 88, 0, 0, 0},
+			{151, 199, 0, 0, 0},
+			{166, 189, 0, 0, 0},
+			{171, 188, 0, 0, 0},
+			{23, 84, 0, 0, 0},
+			{23, 70, 0, 0, 0},
+			{12, 71, 0, 0, 0},
 			{0, 2, 0, 11, 0},
 			{15, 34, 0, 48, 0},
 			{197, 257, 0, 141, 0},
 		},
+	}
+	// The trace behind the strict rows of the polygons, through the
+	// unexported hook: the shell B, the cells the walk scanned (steps), the
+	// bisector crossings it evaluated, and the comparisons the float filter
+	// left to the exact stage. The same on every layer: no tie arises on
+	// these random sites, so the walk never depends on a ring's rotation.
+	wantShell := []shellCounts{
+		{2, 14, 110, 0},
+		{4, 15, 102, 0},
+		{3, 14, 85, 0},
+		{8, 20, 134, 0},
+		{10, 20, 154, 0},
+		{9, 20, 124, 0},
+		{28, 41, 272, 0},
+		{30, 40, 257, 0},
+		{36, 47, 299, 0},
+		{81, 95, 578, 0},
+		{67, 77, 477, 0},
+		{69, 81, 504, 0},
+		{33, 54, 336, 0},
+		{34, 51, 301, 0},
+		{31, 51, 324, 0},
 	}
 	pts, regions := pinnedRegions()
 	mem, err := NewMemoryData(pts, unitBounds())
@@ -190,6 +217,11 @@ func TestQueryCostsPinned(t *testing.T) {
 				if got != wantCosts[i] {
 					t.Errorf("%s, %v, region %d: cost %+v, recorded %+v", tc.name, m, i, got, wantCosts[i])
 				}
+			}
+		}
+		for i, want := range wantShell {
+			if _, got := traceShellOf(t, tc.eng.data, regions[i].(*geom.PreparedPolygon).Polygon()); got != want {
+				t.Errorf("%s, region %d: trace %+v, recorded %+v", tc.name, i, got, want)
 			}
 		}
 	}

@@ -108,7 +108,11 @@ func (e *Engine) eachRegion(ctx context.Context, region Region, m Method, tr *ob
 	case VoronoiBFS:
 		stats, err = e.eachVoronoi(ctx, region, false, tr, s)
 	case VoronoiBFSStrict:
-		stats, err = e.eachVoronoi(ctx, region, true, tr, s)
+		if pp, ok := region.(*geom.PreparedPolygon); ok {
+			stats, err = e.eachShell(ctx, pp, tr, s)
+		} else {
+			stats, err = e.eachVoronoi(ctx, region, true, tr, s)
+		}
 	case BruteForce:
 		stats, err = e.eachBruteForce(ctx, region, tr, &s.out)
 	default:
@@ -161,6 +165,7 @@ func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.Que
 		if region.ContainsPoint(pos) {
 			return out.add(id, pos)
 		}
+		stats.RedundantValidations++
 		return true
 	})
 	return stats, stopErr
@@ -191,7 +196,9 @@ func fetch(store *storage.Store, id int64, traced bool, spent *time.Duration) (g
 // Voronoi adjacency: internal points contribute all unvisited neighbors;
 // non-internal points contribute only neighbors reached by an expansion
 // test — the published rule tests the connecting segment against the
-// region, the strict rule tests the neighbor's Voronoi cell against it.
+// region, the strict rule tests the neighbor's Voronoi cell against it. (The
+// strict rule on a prepared polygon does not come here: eachShell traces
+// the boundary instead.)
 //
 // Results are emitted the moment the BFS validates them, so a streaming
 // consumer observes them while the expansion is still running.
@@ -241,6 +248,9 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 // voronoiQuery is the query-constant state of one Voronoi BFS, resolved
 // once per query: the region and its optional tests, and the data layer's
 // slices — positions and CSR adjacency — which the loop then reads in place.
+// The BFS runs the published rule on every region and the strict rule's cell
+// tests on circles and custom regions; a prepared polygon's strict query is
+// eachShell's, which needs neither the arena nor a per-neighbour test.
 type voronoiQuery struct {
 	region Region
 	strict bool
@@ -250,8 +260,8 @@ type voronoiQuery struct {
 	// (published rule; see testSegment).
 	boundary BoundaryToucher
 
-	// Strict-rule state: the packed cells, plus the region's optional
-	// accelerators.
+	// Strict-rule state (circles and custom regions): the packed cells,
+	// plus the region's optional accelerators.
 	arena      *voronoi.CellArena
 	rectRegion RectIntersecter
 	ringRegion RingViewIntersecter
@@ -347,6 +357,7 @@ func voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch, stats Stat
 			s.enqueueUnvisited(nbs)
 			continue
 		}
+		stats.RedundantValidations++
 		// Boundary/external point: expand only toward neighbors that pass
 		// the expansion test.
 		for _, nb := range nbs {
@@ -392,6 +403,7 @@ func (e *Engine) eachBruteForce(ctx context.Context, region Region, tr *obs.Quer
 		if bounds.ContainsPoint(pos) && region.ContainsPoint(pos) {
 			return out.add(id, pos)
 		}
+		stats.RedundantValidations++
 		return true
 	})
 	return stats, stopErr

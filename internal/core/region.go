@@ -16,10 +16,11 @@ type Region interface {
 
 // RingViewIntersecter is optionally implemented by Regions that can test
 // intersection against a structure-of-arrays ring view (a packed Voronoi
-// cell) exactly; the strict expansion rule uses it when present — prepared
-// polygons implement it — and falls back to a generic
-// vertex/edge/containment sweep over the view otherwise (exact for convex
-// rings, which Voronoi cells are).
+// cell) exactly; the strict expansion rule's cell tests use it when
+// present and fall back to a generic vertex/edge/containment sweep over the
+// view otherwise (exact for convex rings, which Voronoi cells are).
+// Prepared polygons implement it, but their strict queries trace the
+// boundary instead (shell.go), so no cell test reaches it.
 type RingViewIntersecter interface {
 	IntersectsRingView(geom.RingView) bool
 }
@@ -27,8 +28,8 @@ type RingViewIntersecter interface {
 // RectIntersecter is optionally implemented by Regions that can test
 // intersection against a rectangle exactly; the strict expansion rule uses
 // it to reject whole Voronoi cells by their precomputed bounding boxes
-// before building the exact cell ring. Prepared polygons and circles
-// implement it.
+// before building the exact cell ring. Circles implement it (prepared
+// polygons too, unused for the same reason as IntersectsRingView).
 type RectIntersecter interface {
 	IntersectsRect(geom.Rect) bool
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/geom"
+	"repro/internal/robust"
 )
 
 // queryScratch is the per-query mutable state of the engine: the
@@ -20,8 +21,14 @@ type queryScratch struct {
 	// at 200k sites both tables stay in L2.)
 	visited []uint32
 	gen     uint32
-	// queue is the BFS frontier, in the int32 ids the adjacency stores.
+	// queue is the BFS frontier, in the int32 ids the adjacency stores. A
+	// strict polygon query keeps its shell in it too: the traced cells
+	// first, then the validated sites found inside, then the flood.
 	queue []int32
+	// cross caches the trace's bisector crossings of one cell's neighbours,
+	// and ties lists the sites as near to a tie point; see shell.go.
+	cross []robust.Crossing
+	ties  []int32
 	// out collects the running area query's results; set by
 	// Engine.collect for the query's duration and cleared before the
 	// scratch returns to the pool.

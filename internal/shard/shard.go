@@ -24,13 +24,18 @@
 //     boundary point only when the connecting segment meets the region)
 //     can then step over a thin lobe of a concave query and strand a result
 //     island (observed on ~2% of 1%-area queries over a 200k-point dataset
-//     at 8 shards). VoronoiBFS therefore executes as VoronoiBFSStrict, whose
-//     cell-intersection expansion is complete at any density for a
-//     connected region inside the universe the partitions clip their cells
-//     to (the public Querier body refuses any other before it gets here).
-//     A sole partition holds the full diagram and runs the caller's method
-//     verbatim. Callers always see the method they asked for in
-//     Stats.Method.
+//     at 8 shards). VoronoiBFS therefore executes as VoronoiBFSStrict,
+//     which is complete at any density. On a polygon it traces the
+//     boundary through the partition's diagram, validates the sites whose
+//     cells meet it and their neighbours, and floods the interior
+//     untested: fewer validations than the published rule once the
+//     interior outgrows the shell (past ≈ 150 results per partition on
+//     TestQueryCostsPinned's sites). On a circle or a custom region it
+//     tests cells, complete for a connected region inside the universe
+//     the partitions clip their cells to (the public Querier body refuses
+//     any region escaping it before it gets here). A sole partition holds
+//     the full diagram and runs the caller's method verbatim. Callers
+//     always see the method they asked for in Stats.Method.
 //   - Scatter: one exec pool, Chunk 1, per-worker statistics. A single
 //     query is one task per surviving partition; a batch is one task per
 //     (region, partition) pair, except that a partition offering

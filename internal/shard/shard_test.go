@@ -474,14 +474,20 @@ func TestExecRunPrimitive(t *testing.T) {
 	}
 }
 
+// customRegion hides every optional interface of the region it wraps, as a
+// caller's own Region type would.
+type customRegion struct{ core.Region }
+
 // TestShardedVoronoiUsesStrictExpansion pins the density-robustness
-// upgrade: shard-local scatter must run VoronoiBFS with the cell-
-// intersection expansion (visible as cell tests, not segment tests),
+// upgrade: shard-local scatter must run VoronoiBFS with the strict rule,
 // because the published segment heuristic can strand result islands on
 // sub-sampled shard diagrams; and the caller's method must still be
-// reported.
+// reported. On a polygon the strict rule traces the boundary instead of
+// testing cells, so the upgrade shows as no segment tests and the strict
+// rule's candidate count, below what the cell tests validate on the same
+// polygon as a custom region; on a circle it shows as cell tests.
 func TestShardedVoronoiUsesStrictExpansion(t *testing.T) {
-	const n = 2000
+	const n = 20000
 	pts := workload.UniformPoints(rand.New(rand.NewSource(54)), n, unitBounds())
 	se := newSharded(t, pts, 7)
 	rng := rand.New(rand.NewSource(55))
@@ -494,18 +500,35 @@ func TestShardedVoronoiUsesStrictExpansion(t *testing.T) {
 	if st.Method != core.VoronoiBFS {
 		t.Errorf("Stats.Method = %v, want the caller's method", st.Method)
 	}
-	if st.CellTests == 0 || st.SegmentTests != 0 {
-		t.Errorf("expected cell-test expansion, got %d cell tests / %d segment tests",
+	if st.CellTests != 0 || st.SegmentTests != 0 {
+		t.Errorf("expected the traced strict rule, got %d cell tests / %d segment tests",
 			st.CellTests, st.SegmentTests)
 	}
 
 	// The explicit strict and traditional methods pass through unchanged.
-	_, st, err = query(se, core.VoronoiBFSStrict, core.PolygonRegion(area))
+	_, strict, err := query(se, core.VoronoiBFSStrict, core.PolygonRegion(area))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strict.CellTests != 0 || strict.SegmentTests != 0 || strict.Candidates != st.Candidates {
+		t.Errorf("strict: got %d candidates, %d cell tests / %d segment tests; upgraded VoronoiBFS %d candidates",
+			strict.Candidates, strict.CellTests, strict.SegmentTests, st.Candidates)
+	}
+	_, cells, err := query(se, core.VoronoiBFS, customRegion{core.PolygonRegion(area)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cells.CellTests == 0 || cells.SegmentTests != 0 || cells.Candidates <= strict.Candidates {
+		t.Errorf("custom region: %d candidates, %d cell tests / %d segment tests; traced %d candidates",
+			cells.Candidates, cells.CellTests, cells.SegmentTests, strict.Candidates)
+	}
+	_, st, err = query(se, core.VoronoiBFS, core.CircleRegion(geom.Circle{Center: area.InteriorPoint(), R: 0.05}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.CellTests == 0 || st.SegmentTests != 0 {
-		t.Errorf("strict: got %d cell tests / %d segment tests", st.CellTests, st.SegmentTests)
+		t.Errorf("circle: expected cell-test expansion, got %d cell tests / %d segment tests",
+			st.CellTests, st.SegmentTests)
 	}
 	_, st, err = query(se, core.Traditional, core.PolygonRegion(area))
 	if err != nil {

@@ -44,9 +44,9 @@
 // One contract holds on every flavor. A region whose bounding rectangle
 // escapes the engine's universe is refused with ErrOutsideUniverse; on any
 // other, every method returns the same result set, in ascending id order
-// on every backend — VoronoiBFSStrict given a connected region, and the
-// published VoronoiBFS except where the region is thin against the local
-// point spacing (see UsingMethod). Stats expose the work performed
+// on every backend — VoronoiBFSStrict on every polygon and every connected
+// region, and the published VoronoiBFS except where the region is thin
+// against the local point spacing (see UsingMethod). Stats expose the work performed
 // (candidates, redundant validations, index node visits, record loads and
 // — with WithStore — page IO). Cancelling ctx aborts the query (or the
 // un-started remainder of a batch) and returns ctx.Err().
@@ -111,19 +111,19 @@
 // its own point copy, vertex tables, about 120 bytes per site — is
 // construction scaffolding and is released when NewEngine returns.
 //
-// Only the strict expansion rule and CellArea read the clipped Voronoi
-// cells, so on every flavor they are built lazily: the first strict query
-// (or CellArea call) clips every cell once, from the coordinates and the
+// Only the strict expansion rule on circles and custom regions, and
+// CellArea, read the clipped Voronoi cells, so on every flavor they are
+// built lazily: the first such query (or CellArea call) clips every cell once, from the coordinates and the
 // adjacency above, into one contiguous cell arena of flat vertex slices,
 // int32 ring offsets and per-cell bounding boxes (roughly 130 bytes per
 // site), paying the clipping pass — about 0.08 s at 200k points, once,
-// however many goroutines race to it. An engine that never runs the strict
-// rule never does; a sharded engine with more than one shard always runs
-// it; a dynamic engine builds one arena per epoch that sees it. A dynamic
+// however many goroutines race to it. An engine that never runs them never
+// does — the strict rule on a polygon walks the unclipped diagram — and a
+// dynamic engine builds one arena per epoch that sees one. A dynamic
 // epoch treats its R-tree the same way: the first Traditional query packs
 // it, and an epoch that runs none holds no leaf entry at all.
 //
-// The BFS expansion tests and the strict rule's cell-intersection checks
+// The BFS expansion tests, the boundary trace and the cell-intersection checks
 // read that dense memory through zero-allocation views; no cell ring is
 // materialized on any query hot path. CellArea serves per-cell geometry from
 // the same storage.
@@ -196,9 +196,12 @@ const (
 	Traditional = core.Traditional
 	// VoronoiBFS is the paper's Algorithm 1 (the default).
 	VoronoiBFS = core.VoronoiBFS
-	// VoronoiBFSStrict replaces the segment expansion test with a Voronoi
-	// cell intersection test; complete for every connected region inside the
-	// universe, at any point density.
+	// VoronoiBFSStrict is Algorithm 1 complete at any point density. On a
+	// polygon it traces the boundary through the Voronoi diagram, validates
+	// only the sites whose cells meet it and their neighbours, and returns
+	// the interior untested; on circles and custom regions it replaces the
+	// segment expansion test with a Voronoi cell intersection test, complete
+	// for every connected region inside the universe.
 	VoronoiBFSStrict = core.VoronoiBFSStrict
 	// BruteForce scans every record (oracle; for testing).
 	BruteForce = core.BruteForce
@@ -423,7 +426,7 @@ func (e *Engine) PointOK(id int64) (Point, bool) {
 // CellArea returns the area of id's Voronoi cell (clipped to Bounds),
 // computed over the engine's packed cell arena — the flat vertex store
 // every cell is clipped into by the engine's first CellArea call or strict
-// query (about 0.08 s at 200k points, once) — so no ring is materialized.
+// query on a circle or custom region (about 0.08 s at 200k points, once) — so no ring is materialized.
 // The areas of all cells sum to the universe's area. It panics when id is
 // not in [0, Len()).
 func (e *Engine) CellArea(id int64) float64 {
@@ -462,13 +465,14 @@ func (e *Engine) ResetIOStats() { e.data.ResetIOStats() }
 // unsharded Engine would — in ascending id order, for any shard count.
 //
 // One method nuance: with more than one shard, shard-local execution of
-// VoronoiBFS uses the strict cell-intersection expansion rather than the
-// published segment rule. A shard's Voronoi diagram is a sub-sample of the
-// dataset, and on its sparser geometry the segment heuristic can strand
-// result islands inside thin concave queries; the strict rule is complete
-// at any density for a connected region. Stats.Method still reports the
-// requested method (with CellTests counted instead of SegmentTests). A
-// single shard holds the full diagram and runs the requested method as is.
+// VoronoiBFS uses the strict rule rather than the published segment rule.
+// A shard's Voronoi diagram is a sub-sample of the dataset, and on its
+// sparser geometry the segment heuristic can strand result islands inside
+// thin concave queries; the strict rule is complete at any density on
+// every polygon and every connected region. Stats.Method still reports the
+// requested method (with no SegmentTests: a polygon's boundary is traced,
+// a circle's cells are tested and counted in CellTests). A single shard
+// holds the full diagram and runs the requested method as is.
 //
 // Shard where one engine's data volume is the bottleneck: construction
 // parallelizes across shards, store-backed shards multiply total
@@ -621,8 +625,8 @@ var (
 // millisecond at 50k points after one insert, while the very first publish
 // walks every ring, about 9 ms. The writer keeps no R-tree: an epoch's
 // first Traditional query STR-packs one over the epoch's points, as its
-// first strict query clips the cells — each about 35 ms at 60k points, once
-// per epoch that asks. All queries between writes share the published epoch
+// first strict query on a circle or custom region clips the cells — each
+// about 35 ms at 60k points, once per epoch that asks. All queries between writes share the published epoch
 // for free. Use Snapshot to pin
 // one epoch across several queries — e.g. a result query and its Count, or
 // a query and the brute-force oracle validating it.

@@ -1,6 +1,7 @@
 package vaq_test
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"net/http"
@@ -28,15 +29,26 @@ func decodeFlavorSites(data []byte) []vaq.Point {
 	return sites
 }
 
-// decodeFlavorPolygon reads up to 16 vertices, two bytes each, off a 1/32
-// lattice over the unit square ((b mod 33)/32) — half the site lattice's
-// step, so vertices land on sites and edges run through them.
-func decodeFlavorPolygon(data []byte) []vaq.Point {
-	var ring []vaq.Point
-	for i := 0; i+1 < len(data) && len(ring) < 16; i += 2 {
-		ring = append(ring, vaq.Pt(float64(data[i]%33)/32, float64(data[i+1]%33)/32))
+// decodeFlavorPolygon reads a polygon off a 1/32 lattice over the unit
+// square ((b mod 33)/32) — half the site lattice's step, so vertices land on
+// sites, edges run through them and along their bisectors, and both pass
+// through the sites' cocircular Voronoi vertices. Up to 16 vertices, two
+// bytes each, spell the outer ring; after a byte 255 the rest spells one
+// hole the same way. ok is false when NewPolygon or AddHole refuses a ring.
+func decodeFlavorPolygon(data []byte) (pg vaq.Polygon, ok bool) {
+	ring := func(data []byte) []vaq.Point {
+		var ring []vaq.Point
+		for i := 0; i+1 < len(data) && len(ring) < 16; i += 2 {
+			ring = append(ring, vaq.Pt(float64(data[i]%33)/32, float64(data[i+1]%33)/32))
+		}
+		return ring
 	}
-	return ring
+	outer, hole, holed := bytes.Cut(data, []byte{255})
+	pg, err := vaq.NewPolygon(ring(outer))
+	if err == nil && holed {
+		err = pg.AddHole(ring(hole))
+	}
+	return pg, err == nil
 }
 
 // FuzzFlavorsAgree runs one fuzzed polygon over one fuzzed lattice site set
@@ -46,7 +58,7 @@ func decodeFlavorPolygon(data []byte) []vaq.Point {
 // to a scan of the input sites: Traditional, VoronoiBFSStrict and
 // BruteForce must return exactly the sites the polygon contains, and Count
 // their number; VoronoiBFS (whose published rule may stop short) returns a
-// subset of them. A polygon NewPolygon refuses is skipped.
+// subset of them. A polygon NewPolygon or AddHole refuses is skipped.
 func FuzzFlavorsAgree(f *testing.F) {
 	square := []byte{4, 4, 12, 4, 12, 12, 4, 12, 8, 8}                         // a square of sites and its centre
 	f.Add(square, []byte{4, 4, 28, 4, 28, 28, 4, 28})                          // a square through four sites
@@ -54,6 +66,21 @@ func FuzzFlavorsAgree(f *testing.F) {
 	f.Add(square, []byte{16, 0, 32, 16, 16, 32, 0, 16})                        // a diamond touching every edge
 	f.Add([]byte{0, 0, 16, 16, 0, 16, 16, 0}, []byte{0, 0, 32, 32, 0, 32})     // corner sites, an edge along the diagonal
 	f.Add([]byte{1, 8, 3, 8, 5, 8, 7, 8, 9, 8}, []byte{2, 16, 30, 15, 30, 17}) // collinear sites, a sliver across them
+	// The strict rule's trace of ∂R on a 3×3 block of sites 1/8 apart, whose
+	// bisectors lie on odd sixteenths and whose Voronoi vertices are each
+	// cocircular with four sites.
+	block := []byte{6, 6, 6, 8, 6, 10, 8, 6, 8, 8, 8, 10, 10, 6, 10, 8, 10, 10}
+	f.Add(block, []byte{14, 4, 14, 28, 28, 16})                                   // an edge along a bisector
+	f.Add(block, []byte{10, 10, 18, 18, 10, 26})                                  // an edge through a four-site Voronoi vertex
+	f.Add(block, []byte{14, 20, 26, 12, 26, 28})                                  // a vertex equidistant to two sites
+	f.Add(block, []byte{2, 2, 30, 2, 30, 30, 2, 30, 255, 15, 15, 17, 15, 16, 17}) // a hole inside one cell
+	f.Add(block, []byte{2, 16, 30, 16, 30, 17})                                   // a needle across the block
+	// Eight sites on one circle (offsets (±1, ±2) and (±2, ±1) from its
+	// centre) and an edge through the centre along no bisector: six of the
+	// cells meet ∂R only at that Voronoi vertex, and some lie on each side.
+	octagon := []byte{9, 10, 10, 9, 10, 7, 9, 6, 7, 6, 6, 7, 6, 9, 7, 10}
+	f.Add(octagon, []byte{6, 14, 26, 18, 16, 30})
+	f.Add(octagon, []byte{6, 14, 26, 18, 16, 2})
 	rng := rand.New(rand.NewSource(37))
 	for n := 8; n <= 128; n *= 2 {
 		sites, poly := make([]byte, n), make([]byte, 12)
@@ -79,8 +106,8 @@ func FuzzFlavorsAgree(f *testing.F) {
 	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, siteBytes, polyBytes []byte) {
 		sites := decodeFlavorSites(siteBytes)
-		pg, err := vaq.NewPolygon(decodeFlavorPolygon(polyBytes))
-		if len(sites) == 0 || err != nil {
+		pg, ok := decodeFlavorPolygon(polyBytes)
+		if len(sites) == 0 || !ok {
 			return
 		}
 		region := vaq.PolygonRegion(pg)

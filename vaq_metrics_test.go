@@ -303,6 +303,19 @@ func TestQueryTracePhases(t *testing.T) {
 		}
 	}
 
+	// The strict rule on a polygon times its ring starts as the seed, its
+	// walk and flood as the expansion and its validations' loads as page
+	// fetches.
+	if _, err := eng.Query(ctx, region, WithTraceInto(&tr), UsingMethod(VoronoiBFSStrict)); err != nil {
+		t.Fatal(err)
+	}
+	got = tr.String()
+	for _, want := range []string{"method=voronoi-strict", " seed=", " expand=", " page_fetch="} {
+		if !strings.Contains(got, want) {
+			t.Errorf("strict trace string %q is missing %q", got, want)
+		}
+	}
+
 	// Second run on the same trace, by a method with no seed phase: Begin
 	// must have reset the previous query's state.
 	if _, err := eng.Query(ctx, region, WithTraceInto(&tr), UsingMethod(Traditional)); err != nil {
