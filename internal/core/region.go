@@ -28,8 +28,8 @@ type RingViewIntersecter interface {
 // RectIntersecter is optionally implemented by Regions that can test
 // intersection against a rectangle exactly; the strict expansion rule uses
 // it to reject whole Voronoi cells by their precomputed bounding boxes
-// before building the exact cell ring. Circles implement it (prepared
-// polygons too, unused for the same reason as IntersectsRingView).
+// before building the exact cell ring. Circles implement it; prepared
+// polygons do not, since their strict queries test no cell.
 type RectIntersecter interface {
 	IntersectsRect(geom.Rect) bool
 }

@@ -131,7 +131,7 @@ func checkPreparedMatchesPolygon(t *testing.T, pg Polygon, stride int, extra ...
 			}
 			cell := Rect{g.xs[ix], g.ys[iy], g.xs[ix+1], g.ys[iy+1]}
 			for i, e := range after.edges {
-				if !e.bb.Intersects(cell) || !Seg(e.a, e.b).IntersectsRect(cell) {
+				if !fourEdges(Seg(e.a, e.b), cell) {
 					continue
 				}
 				if class != cellBoundary {
@@ -224,10 +224,9 @@ func exactRange(pts ...Point) bool {
 	return true
 }
 
-// checkShapesMatchPolygon holds the prepared segment, rectangle and ring
-// tests to the plain polygon's answers on the shapes q spans — the segment
-// q[0]-q[1], the rectangle on that diagonal, the ring of all of q — before
-// and after the grid exists. Where the orientation predicate is not exact
+// checkShapesMatchPolygon holds the prepared segment and ring tests to the
+// plain polygon's answers on the shapes q spans — the segment q[0]-q[1] and
+// the ring of all of q — before and after the grid exists. Where the orientation predicate is not exact
 // (see exactRange; on a non-finite coordinate it panics) the check is that
 // the grid changes nothing: the same answer or the same panic as the edge
 // loops.
@@ -238,7 +237,7 @@ func checkShapesMatchPolygon(t *testing.T, pg Polygon, before, after *PreparedPo
 		exact = exact && exactRange(r...)
 		return exact
 	})
-	s, r, ring := Seg(q[0], q[1]), NewRect(q[0].X, q[0].Y, q[1].X, q[1].Y), Ring(q)
+	s, ring := Seg(q[0], q[1]), Ring(q)
 	for _, c := range []struct {
 		name                string
 		plain, loop, listed func() bool
@@ -251,10 +250,6 @@ func checkShapesMatchPolygon(t *testing.T, pg Polygon, before, after *PreparedPo
 			func() bool { return pg.IntersectsSegment(s) },
 			func() bool { return before.IntersectsSegment(s) },
 			func() bool { return after.IntersectsSegment(s) }},
-		{"IntersectsRect",
-			func() bool { return pg.IntersectsRect(r) },
-			func() bool { return before.IntersectsRect(r) },
-			func() bool { return after.IntersectsRect(r) }},
 		{"IntersectsRingView",
 			func() bool { return pg.IntersectsRing(ring) },
 			func() bool { return before.IntersectsRingView(ViewRing(ring)) },
@@ -507,11 +502,11 @@ func FuzzPreparedContainsMatchesPolygon(f *testing.F) {
 	})
 }
 
-// FuzzPreparedShapesMatchPolygon is the segment, rectangle and ring twin of
-// the target above: whatever polygon the bytes spell, TouchesBoundary,
-// IntersectsSegment, IntersectsRect and IntersectsRingView answer as the
-// plain polygon does, on the edge loops and on the grid's lists, for the
-// shapes three fuzzed points span (see checkShapesMatchPolygon) — taken as
+// FuzzPreparedShapesMatchPolygon is the segment and ring twin of the target
+// above: whatever polygon the bytes spell, TouchesBoundary,
+// IntersectsSegment and IntersectsRingView answer as the plain polygon does,
+// on the edge loops and on the grid's lists, for the shapes three fuzzed
+// points span (see checkShapesMatchPolygon) — taken as
 // given, as positions relative to the MBR, and with the second and third
 // within two cells of the first, the boxes the lists serve.
 func FuzzPreparedShapesMatchPolygon(f *testing.F) {

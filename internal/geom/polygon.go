@@ -194,38 +194,6 @@ func (pg Polygon) IntersectsSegment(s Segment) bool {
 	return hit
 }
 
-// IntersectsRect reports whether the closed polygon and the closed
-// rectangle share at least one point.
-func (pg Polygon) IntersectsRect(r Rect) bool {
-	if !pg.Bounds().Intersects(r) {
-		return false
-	}
-	// Any rectangle corner inside the polygon, or any polygon vertex inside
-	// the rectangle, or any edge pair crossing.
-	for _, c := range r.Corners() {
-		if pg.ContainsPoint(c) {
-			return true
-		}
-	}
-	hit := false
-	pg.rings(func(ring Ring) bool {
-		for _, v := range ring {
-			if r.ContainsPoint(v) {
-				hit = true
-				return false
-			}
-		}
-		for i := range ring {
-			if Seg(ring[i], ring[(i+1)%len(ring)]).IntersectsRect(r) {
-				hit = true
-				return false
-			}
-		}
-		return true
-	})
-	return hit
-}
-
 // IntersectsRing reports whether the closed polygon and the closed region
 // bounded by ring share at least one point. Used by the strict expansion
 // rule with (convex) Voronoi cells.

@@ -267,29 +267,6 @@ func TestIntersectsSegment(t *testing.T) {
 	}
 }
 
-func TestIntersectsRect(t *testing.T) {
-	l := lShape()
-	tests := []struct {
-		name string
-		r    Rect
-		want bool
-	}{
-		{"rect inside polygon", NewRect(0.2, 0.2, 0.8, 0.8), true},
-		{"polygon inside rect", NewRect(-1, -1, 3, 3), true},
-		{"overlap arm", NewRect(1.5, 0.5, 3, 0.8), true},
-		{"inside notch", NewRect(1.2, 1.2, 1.8, 1.8), false},
-		{"touching notch corner", NewRect(1, 1, 1.8, 1.8), true},
-		{"fully outside", NewRect(3, 3, 4, 4), false},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := l.IntersectsRect(tc.r); got != tc.want {
-				t.Errorf("IntersectsRect = %v, want %v", got, tc.want)
-			}
-		})
-	}
-}
-
 func TestIntersectsRing(t *testing.T) {
 	l := lShape()
 	inside := Ring{Pt(0.2, 0.2), Pt(0.5, 0.2), Pt(0.35, 0.5)}

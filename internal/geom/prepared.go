@@ -230,45 +230,3 @@ func (e *preparedEdge) crosses(v RingView) bool {
 	}
 	return false
 }
-
-// IntersectsRect reports whether the closed polygon and the closed
-// rectangle share at least one point (used by the strict expansion rule
-// to discard Voronoi cells by bounding box, so it is hot). It mirrors
-// Polygon.IntersectsRect — rect corner inside polygon, polygon vertex
-// inside rect, or crossing edges — on the cached MBR, prepared
-// containment and the edges near the rectangle.
-func (pp *PreparedPolygon) IntersectsRect(r Rect) bool {
-	if !pp.bound.Intersects(r) {
-		return false
-	}
-	if r.ContainsRect(pp.bound) {
-		return true // rect swallows the polygon (vertices included)
-	}
-	// Boundary contact first; containment only when no edge touches the
-	// rect.
-	var buf [nearMax]uint16
-	if n, ok := pp.near(r, &buf); ok {
-		for _, i := range buf[:n] {
-			if pp.edges[i].touchesRect(r) {
-				return true
-			}
-		}
-	} else {
-		for i := range pp.edges {
-			if pp.edges[i].touchesRect(r) {
-				return true
-			}
-		}
-	}
-	// No boundary contact: the rect lies entirely in one face of the
-	// polygon arrangement (inside, inside a hole, or outside); one corner
-	// decides — from its cell's class alone when the rect covers no
-	// boundary cell.
-	return pp.ContainsPoint(Pt(r.MinX, r.MinY))
-}
-
-// touchesRect reports whether e shares a point with the closed rectangle,
-// behind the bounding-box gate.
-func (e *preparedEdge) touchesRect(r Rect) bool {
-	return e.bb.Intersects(r) && Seg(e.a, e.b).IntersectsRect(r)
-}

@@ -138,39 +138,6 @@ func BenchmarkIntersectsSegmentPrepared(b *testing.B) {
 	}
 }
 
-func TestPreparedIntersectsRectMatchesPlain(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	shapes := []Polygon{unitSquare(), lShape()}
-	for trial := 0; trial < 20; trial++ {
-		shapes = append(shapes, randomStarPolygon(rng, 3+rng.Intn(12)))
-	}
-	holed := MustPolygon([]Point{Pt(0, 0), Pt(1, 0), Pt(1, 1), Pt(0, 1)})
-	if err := holed.AddHole([]Point{Pt(0.3, 0.3), Pt(0.7, 0.3), Pt(0.7, 0.7), Pt(0.3, 0.7)}); err != nil {
-		t.Fatal(err)
-	}
-	shapes = append(shapes, holed)
-
-	for si, pg := range shapes {
-		pp := Prepare(pg)
-		for trial := 0; trial < 400; trial++ {
-			// Rects from tiny (cell-box scale) to polygon-swallowing.
-			cx, cy := rng.Float64()*2.4-0.2, rng.Float64()*2.4-0.2
-			w, h := rng.Float64()*rng.Float64()*2, rng.Float64()*rng.Float64()*2
-			r := NewRect(cx, cy, cx+w, cy+h)
-			if got, want := pp.IntersectsRect(r), pg.IntersectsRect(r); got != want {
-				t.Fatalf("shape %d: prepared IntersectsRect(%v) = %v, plain %v", si, r, got, want)
-			}
-		}
-		// Degenerate rects on vertices and edge midpoints.
-		for i, v := range pg.Outer {
-			r := NewRect(v.X, v.Y, v.X, v.Y)
-			if got, want := pp.IntersectsRect(r), pg.IntersectsRect(r); got != want {
-				t.Fatalf("shape %d: vertex rect %d: prepared %v, plain %v", si, i, got, want)
-			}
-		}
-	}
-}
-
 func TestPreparedIntersectsRingMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	shapes := []Polygon{unitSquare(), lShape()}
@@ -492,12 +459,10 @@ func TestShortSegmentMeetsAHoleAstrayOutsideTheGrid(t *testing.T) {
 		t.Fatalf("grid built = %v, with lists = %v; want a grid without lists", g != nil, g != nil && g.lists != nil)
 	}
 	s := Seg(Pt(0.99, 0.2), Pt(1.06, 0.2)) // two cells long, through the hole's edge at x = 1.055
-	box := s.Bounds()
 	ring := Ring{s.A, s.B, Pt(1.06, 0.21)}
 	if !pg.IntersectsSegment(s) || !pp.TouchesBoundary(s) || !pp.IntersectsSegment(s) ||
-		pp.IntersectsRect(box) != pg.IntersectsRect(box) || !pp.IntersectsRect(box) ||
 		pp.IntersectsRingView(ViewRing(ring)) != pg.IntersectsRing(ring) || !pp.IntersectsRingView(ViewRing(ring)) {
-		t.Fatalf("segment %v, its box and a ring on it must all meet the hole astray: TouchesBoundary %v, IntersectsRect %v, IntersectsRingView %v",
-			s, pp.TouchesBoundary(s), pp.IntersectsRect(box), pp.IntersectsRingView(ViewRing(ring)))
+		t.Fatalf("segment %v and a ring on it must both meet the hole astray: TouchesBoundary %v, IntersectsRingView %v",
+			s, pp.TouchesBoundary(s), pp.IntersectsRingView(ViewRing(ring)))
 	}
 }

@@ -117,34 +117,3 @@ func (s Segment) Dist2Point(p Point) float64 {
 	proj := s.A.Add(d.Scale(t))
 	return p.Dist2(proj)
 }
-
-// IntersectsRect reports whether the closed segment shares at least one
-// point with the closed rectangle.
-//
-// It is the separating-axis test for two closed convex shapes: they are
-// disjoint exactly when their projections on one of the rectangle's axes
-// (the bounding-box overlap test) or on the segment's normal (all four
-// corners strictly on one side of its line, by exact orientation) are.
-// A corner on the line, or corners on both sides, is contact. An endpoint
-// inside the rectangle is contact too, tested first; that is also what a
-// segment with a NaN coordinate, which fails every comparison after, meets
-// the rectangle at.
-func (s Segment) IntersectsRect(r Rect) bool {
-	if r.ContainsPoint(s.A) || r.ContainsPoint(s.B) {
-		return true
-	}
-	if !s.Bounds().Intersects(r) { // the empty rectangle included
-		return false
-	}
-	c := r.Corners()
-	o := Orient(s.A, s.B, c[0])
-	if o == Collinear {
-		return true
-	}
-	for _, p := range c[1:] {
-		if Orient(s.A, s.B, p) != o {
-			return true
-		}
-	}
-	return false
-}

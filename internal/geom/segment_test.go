@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -105,30 +104,6 @@ func TestSegmentDist2Point(t *testing.T) {
 	}
 }
 
-func TestSegmentIntersectsRect(t *testing.T) {
-	r := NewRect(0, 0, 2, 2)
-	tests := []struct {
-		name string
-		s    Segment
-		want bool
-	}{
-		{"fully inside", Seg(Pt(0.5, 0.5), Pt(1.5, 1.5)), true},
-		{"crossing through", Seg(Pt(-1, 1), Pt(3, 1)), true},
-		{"clipping corner", Seg(Pt(-1, 1), Pt(1, 3)), true},
-		{"touching edge", Seg(Pt(-1, 0), Pt(3, 0)), true},
-		{"outside above", Seg(Pt(-1, 3), Pt(3, 3)), false},
-		{"outside diagonal miss", Seg(Pt(3, 0), Pt(5, 2)), false},
-		{"endpoint on corner", Seg(Pt(2, 2), Pt(3, 3)), true},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.s.IntersectsRect(r); got != tc.want {
-				t.Errorf("IntersectsRect = %v, want %v", got, tc.want)
-			}
-		})
-	}
-}
-
 func TestSegmentIntersectsRandomizedSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 5000; i++ {
@@ -201,9 +176,9 @@ func TestIntersectsEarlyOutKeepsTheTruthTable(t *testing.T) {
 	}
 }
 
-// fourEdges is the segment–rectangle test IntersectsRect replaced: an
-// endpoint inside, else a bounding-box overlap and one of the rectangle's
-// four edges met. It is the reference of the two tests below.
+// fourEdges is the segment–rectangle reference: an endpoint inside, else a
+// bounding-box overlap and one of the rectangle's four edges met. The
+// containment grid's tests hold its cell classes and edge lists to it.
 func fourEdges(s Segment, r Rect) bool {
 	if r.IsEmpty() {
 		return false
@@ -221,105 +196,4 @@ func fourEdges(s Segment, r Rect) bool {
 		}
 	}
 	return false
-}
-
-// TestIntersectsRectKeepsTheTruthTable holds the separating-axis
-// IntersectsRect to the four-edge form over every segment on a 5 × 5
-// integer lattice, zero-length ones included, against every lattice box —
-// zero-width, zero-height and single-point boxes among them, which only a
-// corner on the segment's line can reach — and the empty rectangle.
-func TestIntersectsRectKeepsTheTruthTable(t *testing.T) {
-	const side = 5
-	var lattice []Point
-	for x := 0; x < side; x++ {
-		for y := 0; y < side; y++ {
-			lattice = append(lattice, Pt(float64(x), float64(y)))
-		}
-	}
-	boxes := []Rect{EmptyRect()}
-	for x0 := 0; x0 < side; x0++ {
-		for x1 := x0; x1 < side; x1++ {
-			for y0 := 0; y0 < side; y0++ {
-				for y1 := y0; y1 < side; y1++ {
-					boxes = append(boxes, NewRect(float64(x0), float64(y0), float64(x1), float64(y1)))
-				}
-			}
-		}
-	}
-	var hits, collinear int
-	for _, a := range lattice {
-		for _, b := range lattice {
-			s := Seg(a, b)
-			for _, r := range boxes {
-				got, want := s.IntersectsRect(r), fourEdges(s, r)
-				if got != want {
-					t.Fatalf("%v.IntersectsRect(%v) = %v, the four-edge form says %v", s, r, got, want)
-				}
-				if got {
-					hits++
-				}
-				if got && !r.ContainsPoint(a) && !r.ContainsPoint(b) && r.Width()*r.Height() == 0 &&
-					Orient(a, b, Pt(r.MinX, r.MinY)) == Collinear && Orient(a, b, Pt(r.MaxX, r.MaxY)) == Collinear {
-					collinear++ // decided by a corner on the line alone
-				}
-			}
-		}
-	}
-	if hits == 0 || collinear == 0 {
-		t.Fatalf("%d contacts, %d of them through collinear corners only: the lattice reaches too little", hits, collinear)
-	}
-}
-
-// FuzzSegmentIntersectsRect compares IntersectsRect with the four-edge form
-// over raw float64 bit patterns, NaN, ±Inf and subnormals included. An
-// infinite coordinate can carry an orientation into the exact stage, which
-// takes no infinity and panics; IntersectsRect computes a prefix of the
-// orientations of the corners against the segment's line that the four-edge
-// form computes first, in the same order, so it may panic only where the
-// reference did. Anywhere else they must agree.
-func FuzzSegmentIntersectsRect(f *testing.F) {
-	nan, inf := math.NaN(), math.Inf(1)
-	for _, s := range [][8]float64{
-		{0, 0, 2, 2, 1, 1, 3, 3},
-		{-1, 1, 1, 3, 0, 0, 2, 2},
-		{3, 0, 5, 2, 0, 0, 2, 2},
-		{1, 0, 1, 4, 1, 1, 1, 2},   // collinear with a zero-width box
-		{0, 0, 4, 4, 2, 2, 2, 2},   // through a single-point box
-		{nan, 0, 1, 1, 0, 0, 1, 1}, // NaN endpoint, the other inside
-		{nan, 0, 5, 5, 0, 0, 1, 1}, // NaN endpoint, the other outside
-		{0, 0, 1, 1, nan, 0, 2, 2}, // NaN side
-		{-1, 0, 0, -1, -inf, -1, -1, -1},
-		{inf, 0, 1, 1, -inf, 0, 1, 1},
-		{0, 0, 0, 0, inf, inf, -inf, -inf}, // EmptyRect
-		{1, 1e308, 1e308, 0, 1e308, 1e308, inf, 1e308},
-	} {
-		var u [8]uint64
-		for i, x := range s {
-			u[i] = math.Float64bits(x)
-		}
-		f.Add(u[0], u[1], u[2], u[3], u[4], u[5], u[6], u[7])
-	}
-	f.Fuzz(func(t *testing.T, ax, ay, bx, by, minX, minY, maxX, maxY uint64) {
-		v := func(u uint64) float64 { return math.Float64frombits(u) }
-		s := Seg(Pt(v(ax), v(ay)), Pt(v(bx), v(by)))
-		r := Rect{MinX: v(minX), MinY: v(minY), MaxX: v(maxX), MaxY: v(maxY)}
-		want, refPanicked := outcome(func() bool { return fourEdges(s, r) })
-		got, panicked := outcome(func() bool { return s.IntersectsRect(r) })
-		switch {
-		case panicked && !refPanicked:
-			t.Fatalf("%v.IntersectsRect(%v) panics; the four-edge form says %v", s, r, want)
-		case !refPanicked && got != want:
-			t.Fatalf("%v.IntersectsRect(%v) = %v, the four-edge form says %v", s, r, got, want)
-		}
-	})
-}
-
-// outcome runs f and reports its result, or that it panicked.
-func outcome(f func() bool) (v, panicked bool) {
-	defer func() {
-		if recover() != nil {
-			panicked = true
-		}
-	}()
-	return f(), false
 }

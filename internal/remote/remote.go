@@ -4,17 +4,18 @@
 // the region, the strict-method upgrade when more than one backend shares
 // the dataset, the concurrent fan-out, failing the query when a backend
 // fails, merging into ascending global id order — is package shard's
-// kernel, which Engine embeds; what lives here is one
-// partition call over the wire: encode the request, POST it with the retry
-// protocol, decode the response, add the backend's id offset. A remote
-// engine therefore answers every query byte-identically to a local engine
-// over the union of its backends' points.
+// kernel, which Engine embeds; what lives here is discovering the backends
+// (Dial) and one partition call over the wire: encode the request, POST it
+// once, decode the response, add the backend's id offset. A remote engine
+// therefore answers every query byte-identically to a local engine over the
+// union of its backends' points.
 //
-// Failure handling: unary calls (query, batch) are idempotent
-// and retry transport-level failures with exponential backoff; semantic
-// errors (bad request, no data) and caller cancellation never retry. A
-// backend that still fails after its retries fails the query. Each streams
-// are never retried mid-flight — frames already yielded cannot be unseen.
+// Failure handling: a backend call is one attempt under the caller's
+// context, whose remaining budget crosses the wire in the Vaq-Timeout-Ms
+// header. A call that fails — transport error, error response, truncated
+// body or stream — fails the query; nothing is retried, and an Each stream
+// could not be, since frames already yielded cannot be unseen. Unary
+// queries are idempotent: a caller may run a failed one again whole.
 package remote
 
 import (
@@ -25,8 +26,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
-	"net/url"
 	"strconv"
 	"time"
 
@@ -43,89 +44,55 @@ import (
 // decodes.
 const cancelStride = 64
 
-// Backend describes one areaserve instance. Dial fills everything but URL
-// from the backend's /v1/info.
+// Backend is one areaserve instance as its /v1/info describes it.
 type Backend struct {
 	// URL is the server base ("http://host:port"), no trailing slash.
 	URL string
 	// IDOffset is added to the backend's local ids to form global ids.
 	IDOffset int64
 	// Bounds is the pruning key: the backend is skipped for a region whose
-	// MBR misses it, so it must hold every point the backend can answer
-	// with — its advertised data_bounds, or its universe when it vouches
-	// for nothing tighter. A zero (empty) rect disables pruning for this
-	// backend.
+	// MBR misses it, so it holds every point the backend can answer with —
+	// its advertised data_bounds, or its universe when it vouches for
+	// nothing tighter.
 	Bounds geom.Rect
 	// Universe is the rectangle the backend clips its cells to and admits
 	// regions by (/v1/info's bounds); the client engine's universe is the
-	// union over its backends. Zero means "as Bounds" — and if that is
-	// zero too, the engine's universe is unknown and the backends alone
-	// admit regions.
+	// union over its backends.
 	Universe geom.Rect
-	// Len is the backend's point count (advisory; it feeds Engine.Len).
+	// Len is the backend's point count; it feeds Engine.Len.
 	Len int
 }
 
-// Config tunes the client engine.
-type Config struct {
-	// Client is the HTTP client used for every request; nil uses a
-	// dedicated client with sane defaults.
-	Client *http.Client
-	// PerTryTimeout bounds each unary attempt; 0 leaves attempts bounded
-	// only by the caller's context.
-	PerTryTimeout time.Duration
-	// Retries is the number of extra attempts after a retryable unary
-	// failure (transport error or 5xx). 0 disables retrying.
-	Retries int
-	// RetryBackoff is the sleep before the first retry, doubling per
-	// attempt (default 50ms when Retries > 0).
-	RetryBackoff time.Duration
-}
+// end is one past the backend's last global id.
+func (b Backend) end() int64 { return b.IDOffset + int64(b.Len) }
 
 // Engine is the scatter-gather kernel over HTTP backends, plus the client
-// state their calls share. It is immutable after construction and safe for
+// their calls share. It is immutable after construction and safe for
 // concurrent use.
 type Engine struct {
 	*shard.Engine // the kernel over one backendPartition per backend
-	cfg           Config
 	client        *http.Client
 }
 
-// New builds an engine over explicitly configured backends. met, when
-// non-nil, instruments the kernel's scatter. The scatter pool is as wide
-// as the backend list: every surviving backend is contacted concurrently,
-// and a lone survivor on the calling goroutine.
-func New(backends []Backend, cfg Config, met *shard.Metrics) (*Engine, error) {
-	if len(backends) == 0 {
-		return nil, errors.New("remote: no backends")
+// Dial discovers each URL's shape (Discover) and builds the engine over the
+// backends. client may be nil (a dedicated plain client); met, when non-nil,
+// instruments the kernel's scatter. The scatter pool is as wide as the
+// backend list: every surviving backend is contacted concurrently, and a
+// lone survivor on the calling goroutine.
+func Dial(ctx context.Context, urls []string, client *http.Client, met *shard.Metrics) (*Engine, error) {
+	if client == nil {
+		client = &http.Client{}
 	}
-	e := &Engine{cfg: cfg, client: cfg.Client}
-	if e.client == nil {
-		e.client = &http.Client{}
+	backends, err := Discover(ctx, urls, client)
+	if err != nil {
+		return nil, err
 	}
-	if e.cfg.Retries > 0 && e.cfg.RetryBackoff <= 0 {
-		e.cfg.RetryBackoff = 50 * time.Millisecond
-	}
+	e := &Engine{client: client}
 	parts := make([]shard.Partition, len(backends))
-	universe, known := geom.EmptyRect(), true
+	universe := geom.EmptyRect()
 	for i, b := range backends {
-		// The natural "bounds unknown" value is the zero Rect, but that is
-		// a degenerate point at the origin, not an empty rectangle — it
-		// would prune the backend from almost every fan-out. Normalize it
-		// to the true empty rect, which disables pruning instead.
-		if b.Bounds == (geom.Rect{}) {
-			b.Bounds = geom.EmptyRect()
-		}
-		if b.Universe == (geom.Rect{}) {
-			b.Universe = b.Bounds
-		}
-		// One backend of unknown extent leaves the engine's unknown.
-		known = known && !b.Universe.IsEmpty()
 		universe = universe.Union(b.Universe)
 		parts[i] = &backendPartition{e: e, b: b}
-	}
-	if !known {
-		universe = geom.EmptyRect()
 	}
 	e.Engine = shard.Over(parts, universe, len(parts), met)
 	return e, nil
@@ -133,9 +100,12 @@ func New(backends []Backend, cfg Config, met *shard.Metrics) (*Engine, error) {
 
 // Discover reads each URL's shape from GET /v1/info: id offsets, universe,
 // pruning key and sizes all come from the servers, so a client needs
-// nothing but addresses. A backend that answers anything but 200, or
-// advertises a data_bounds that is not a finite rectangle inside its bounds,
-// fails the dial. client may be nil. Each probe is a one-shot request
+// nothing but addresses. A backend that answers anything but 200,
+// advertises a bounds with no area, a data_bounds that is not a finite
+// rectangle inside its bounds, or a negative id_offset or len fails the
+// dial; so do two backends whose id ranges [id_offset, id_offset+len)
+// overlap — the same URL twice among them — since the union of their
+// answers would count the shared ids twice. Each probe is a one-shot request
 // (Connection: close): Discover leaves no idle connection in the client's
 // pool, so nothing it started — the connection's goroutines on either end,
 // and through the server's the engine behind it — outlives the call.
@@ -143,14 +113,19 @@ func Discover(ctx context.Context, urls []string, client *http.Client) ([]Backen
 	if len(urls) == 0 {
 		return nil, errors.New("remote: no backend URLs")
 	}
-	if client == nil {
-		client = &http.Client{}
-	}
 	backends := make([]Backend, len(urls))
 	for i, u := range urls {
 		var err error
 		if backends[i], err = probe(ctx, client, u); err != nil {
 			return nil, fmt.Errorf("remote: %s/v1/info: %w", u, err)
+		}
+	}
+	for j, b := range backends {
+		for _, a := range backends[:j] {
+			if a.IDOffset < b.end() && b.IDOffset < a.end() {
+				return nil, fmt.Errorf("remote: %s holds ids [%d, %d) and %s ids [%d, %d): id ranges overlap",
+					a.URL, a.IDOffset, a.end(), b.URL, b.IDOffset, b.end())
+			}
 		}
 	}
 	return backends, nil
@@ -175,11 +150,18 @@ func probe(ctx context.Context, client *http.Client, baseURL string) (Backend, e
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		return Backend{}, fmt.Errorf("decoding: %w", err)
 	}
+	if info.IDOffset < 0 || info.Len < 0 || info.IDOffset > math.MaxInt64-int64(info.Len) {
+		return Backend{}, fmt.Errorf("id_offset %d and len %d do not spell an id range", info.IDOffset, info.Len)
+	}
+	universe, err := info.Universe()
+	if err != nil {
+		return Backend{}, err
+	}
 	key, err := info.PruningKey()
 	if err != nil {
 		return Backend{}, err
 	}
-	return Backend{URL: baseURL, IDOffset: info.IDOffset, Bounds: key, Universe: info.Rect(), Len: info.Len}, nil
+	return Backend{URL: baseURL, IDOffset: info.IDOffset, Bounds: key, Universe: universe, Len: info.Len}, nil
 }
 
 type httpError struct {
@@ -210,80 +192,23 @@ func responseError(resp *http.Response) error {
 	return he
 }
 
-// transientError marks a unary attempt failure as retryable: transport
-// errors (connection refused, reset, truncated body) and responses whose
-// wire code is internal (or missing). Semantic wire errors and context
-// errors never carry the mark.
-type transientError struct{ err error }
-
-func (t *transientError) Error() string { return t.err.Error() }
-func (t *transientError) Unwrap() error { return t.err }
-
-func retryable(err error) bool {
-	var te *transientError
-	return errors.As(err, &te)
-}
-
-// post runs one unary request against a backend with the retry protocol:
-// up to 1+Retries attempts, each bounded by PerTryTimeout, deadline
-// propagated via the wire.TimeoutHeader, exponential backoff between
-// attempts, and no retry once the caller's own context is done.
-func (e *Engine) post(ctx context.Context, baseURL, path string, body, dst any) error {
+// postOnce is one unary request against a backend: encode body, POST it
+// under the caller's context, whose remaining budget crosses the wire in
+// wire.TimeoutHeader, and decode the 200 response into dst. There is no
+// retry: a failed call fails the query, and the caller may run a whole
+// idempotent query again.
+func (e *Engine) postOnce(ctx context.Context, baseURL, path string, body, dst any) error {
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return fmt.Errorf("remote: encoding request: %w", err)
 	}
-	backoff := e.cfg.RetryBackoff
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		lastErr = e.postOnce(ctx, baseURL, path, payload, dst)
-		if lastErr == nil {
-			return nil
-		}
-		// The caller's context ending trumps everything — its error is
-		// the query's error, and retrying against it is pointless.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// A deadline that fired while the caller is still alive was the
-		// per-attempt budget, not the caller's — retryable by design.
-		canRetry := retryable(lastErr) ||
-			(e.cfg.PerTryTimeout > 0 && errors.Is(lastErr, context.DeadlineExceeded))
-		if attempt >= e.cfg.Retries || !canRetry {
-			return lastErr
-		}
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		backoff *= 2
-	}
-}
-
-// postOnce is a single attempt: per-try timeout, the request, the retry
-// classification of its failure, and the decode.
-func (e *Engine) postOnce(ctx context.Context, baseURL, path string, payload []byte, dst any) error {
-	if e.cfg.PerTryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.cfg.PerTryTimeout)
-		defer cancel()
-	}
 	resp, err := e.send(ctx, baseURL+path, payload)
 	if err != nil {
-		// Retryable: a round trip that failed on the way (a *url.Error the
-		// context did not cause) and an internal or missing wire code
-		// (*httpError); never the context's errors or a semantic code.
-		var ue *url.Error
-		transport := errors.As(err, &ue) && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-		if _, internal := err.(*httpError); internal || transport {
-			return &transientError{err}
-		}
 		return err
 	}
 	defer resp.Body.Close()
 	if err := json.NewDecoder(resp.Body).Decode(dst); err != nil {
-		return &transientError{fmt.Errorf("decoding response: %w", err)}
+		return fmt.Errorf("decoding response: %w", err)
 	}
 	return nil
 }
@@ -345,7 +270,7 @@ func (p *backendPartition) Query(ctx context.Context, region core.Region, spec c
 		return nil, core.Stats{}, err
 	}
 	var resp wire.QueryResponse
-	if err := p.e.post(ctx, p.b.URL, "/v1/query", wire.QueryRequest{Region: wr, Options: wireOptions(spec)}, &resp); err != nil {
+	if err := p.e.postOnce(ctx, p.b.URL, "/v1/query", wire.QueryRequest{Region: wr, Options: wireOptions(spec)}, &resp); err != nil {
 		return nil, core.Stats{}, err
 	}
 	return p.remap(resp.IDs), toStats(resp.Stats), nil
@@ -362,7 +287,7 @@ func (p *backendPartition) QueryRegions(ctx context.Context, regions []core.Regi
 		}
 	}
 	var resp wire.BatchResponse
-	if err := p.e.post(ctx, p.b.URL, "/v1/queryall", req, &resp); err != nil {
+	if err := p.e.postOnce(ctx, p.b.URL, "/v1/queryall", req, &resp); err != nil {
 		return nil, core.Stats{}, err
 	}
 	out := make([][]int64, len(resp.Results))

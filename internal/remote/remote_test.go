@@ -55,35 +55,54 @@ func TestStreamOneStopsOnCanceledContext(t *testing.T) {
 }
 
 // TestDiscoverRefusesWhatIsNotAnInfo: /v1/info answering anything but 200,
-// or advertising a data_bounds no backend can mean, fails the dial and
-// names the URL. Before the status was looked at, a JSON error body decoded
-// into a zero wire.Info and became a silent backend of length 0 at offset 0.
+// or advertising a shape no backend can have — no universe, a data_bounds
+// outside it, a negative id range, ids another backend holds — fails the
+// dial and names the URL (both URLs, for an overlap). Before the status was
+// looked at, a JSON error body decoded into a zero wire.Info and became a
+// silent backend of length 0 at offset 0; before bounds was checked, an
+// all-zero one made the engine's universe unknown; before the id ranges
+// were, two backends over the same ids answered each of them twice.
 func TestDiscoverRefusesWhatIsNotAnInfo(t *testing.T) {
+	const ok = `{"len":5,"bounds":[0,0,1,1],"id_offset":40}`
 	for _, tc := range []struct {
 		name, body string
 		status     int
+		next       string // a second backend's /v1/info, dialled after the first; "" for none
 		want       string // a fragment of the error; "" for success
 	}{
-		{"error body", `{"code":"internal","message":"engine not ready"}`, http.StatusInternalServerError, "engine not ready"},
-		{"error body on 404", `{"code":"bad_request","message":"no such route"}`, http.StatusNotFound, "no such route"},
-		{"bare 503", `busy`, http.StatusServiceUnavailable, "http 503"},
-		{"not JSON", `<html>`, http.StatusOK, "decoding"},
-		{"data outside the universe", `{"len":5,"bounds":[0,0,1,1],"data_bounds":[0.5,0.5,1.5,0.9],"id_offset":0}`, http.StatusOK, "data_bounds"},
-		{"inverted data rectangle", `{"len":5,"bounds":[0,0,1,1],"data_bounds":[0.9,0.1,0.2,0.8],"id_offset":0}`, http.StatusOK, "data_bounds"},
-		{"non-finite data rectangle", `{"len":5,"bounds":[0,0,1,1],"data_bounds":[0,0,1e999,1],"id_offset":0}`, http.StatusOK, "decoding"},
-		{"data inside the universe", `{"len":5,"bounds":[0,0,1,1],"data_bounds":[0.1,0.2,0.6,0.7],"id_offset":40}`, http.StatusOK, ""},
-		{"no data_bounds", `{"len":5,"bounds":[0,0,1,1],"id_offset":40}`, http.StatusOK, ""},
+		{"error body", `{"code":"internal","message":"engine not ready"}`, http.StatusInternalServerError, "", "engine not ready"},
+		{"error body on 404", `{"code":"bad_request","message":"no such route"}`, http.StatusNotFound, "", "no such route"},
+		{"bare 503", `busy`, http.StatusServiceUnavailable, "", "http 503"},
+		{"not JSON", `<html>`, http.StatusOK, "", "decoding"},
+		{"data outside the universe", `{"len":5,"bounds":[0,0,1,1],"data_bounds":[0.5,0.5,1.5,0.9],"id_offset":0}`, http.StatusOK, "", "data_bounds"},
+		{"inverted data rectangle", `{"len":5,"bounds":[0,0,1,1],"data_bounds":[0.9,0.1,0.2,0.8],"id_offset":0}`, http.StatusOK, "", "data_bounds"},
+		{"non-finite data rectangle", `{"len":5,"bounds":[0,0,1,1],"data_bounds":[0,0,1e999,1],"id_offset":0}`, http.StatusOK, "", "decoding"},
+		{"no bounds", `{"len":5,"id_offset":40}`, http.StatusOK, "", "bounds"},
+		{"all-zero bounds", `{"len":5,"bounds":[0,0,0,0],"data_bounds":[0,0,0,0],"id_offset":40}`, http.StatusOK, "", "bounds"},
+		{"inverted bounds", `{"len":5,"bounds":[1,0,0,1],"id_offset":40}`, http.StatusOK, "", "bounds"},
+		{"negative offset", `{"len":5,"bounds":[0,0,1,1],"id_offset":-3}`, http.StatusOK, "", "id_offset"},
+		{"negative len", `{"len":-5,"bounds":[0,0,1,1],"id_offset":40}`, http.StatusOK, "", "id_offset"},
+		{"id range past int64", `{"len":5,"bounds":[0,0,1,1],"id_offset":9223372036854775806}`, http.StatusOK, "", "id_offset"},
+		{"overlapping ranges", ok, http.StatusOK, `{"len":5,"bounds":[0,0,1,1],"id_offset":44}`, "overlap"},
+		{"the same range", ok, http.StatusOK, ok, "overlap"},
+		{"adjacent ranges", ok, http.StatusOK, `{"len":5,"bounds":[0,0,1,1],"id_offset":45}`, ""},
+		{"data inside the universe", `{"len":5,"bounds":[0,0,1,1],"data_bounds":[0.1,0.2,0.6,0.7],"id_offset":40}`, http.StatusOK, "", ""},
+		{"no data_bounds", ok, http.StatusOK, "", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				w.WriteHeader(tc.status)
-				fmt.Fprint(w, tc.body)
-			}))
-			defer srv.Close()
-			backends, err := Discover(context.Background(), []string{srv.URL}, nil)
+			urls := []string{infoServer(t, tc.status, tc.body)}
+			if tc.next != "" {
+				urls = append(urls, infoServer(t, http.StatusOK, tc.next))
+			}
+			backends, err := Discover(context.Background(), urls, &http.Client{})
 			if tc.want != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), srv.URL) {
-					t.Fatalf("err = %v, want one naming %s and %q; backends %+v", err, srv.URL, tc.want, backends)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("err = %v, want one saying %q; backends %+v", err, tc.want, backends)
+				}
+				for _, u := range urls {
+					if !strings.Contains(err.Error(), u) {
+						t.Errorf("err = %v, want one naming %s", err, u)
+					}
 				}
 				return
 			}
@@ -91,7 +110,7 @@ func TestDiscoverRefusesWhatIsNotAnInfo(t *testing.T) {
 				t.Fatal(err)
 			}
 			b, unit := backends[0], geom.NewRect(0, 0, 1, 1)
-			wantKey := unit // without data_bounds the universe is the pruning key, as before the field
+			wantKey := unit // without data_bounds the universe is the pruning key
 			if strings.Contains(tc.body, "data_bounds") {
 				wantKey = geom.NewRect(0.1, 0.2, 0.6, 0.7)
 			}
@@ -100,4 +119,15 @@ func TestDiscoverRefusesWhatIsNotAnInfo(t *testing.T) {
 			}
 		})
 	}
+}
+
+// infoServer answers every request with status and body.
+func infoServer(t *testing.T, status int, body string) string {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(status)
+		fmt.Fprint(w, body)
+	}))
+	t.Cleanup(srv.Close)
+	return srv.URL
 }

@@ -61,24 +61,17 @@ type Config struct {
 	// for Prometheus text). Build the engine with vaq.WithMetrics on the
 	// same registry to see its query counters there.
 	Metrics *vaq.MetricsRegistry
-	// MaxBodyBytes caps request body size (default 16 MiB).
-	MaxBodyBytes int64
 	// MaxTimeout caps the client-requested deadline; 0 means no cap.
 	MaxTimeout time.Duration
-	// StreamFlushEvery is the frame interval between explicit flushes on
-	// /v1/each streams (default 64; 1 flushes every frame).
-	StreamFlushEvery int
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 16 << 20
-	}
-	if c.StreamFlushEvery <= 0 {
-		c.StreamFlushEvery = 64
-	}
-	return c
-}
+const (
+	// maxBodyBytes caps a request body; a larger one is a bad request.
+	maxBodyBytes = 16 << 20
+	// streamFlushEvery is the frame interval between explicit flushes on
+	// /v1/each streams.
+	streamFlushEvery = 64
+)
 
 type handler struct {
 	eng Engine
@@ -103,7 +96,7 @@ const writeGrace = time.Second
 // /v1/each stream reports errors in its terminal EOF frame instead, since
 // the status line is already on the wire when a query fails mid-stream.
 func NewHandler(eng Engine, cfg Config) http.Handler {
-	h := &handler{eng: eng, cfg: cfg.withDefaults()}
+	h := &handler{eng: eng, cfg: cfg}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/query", h.area(true, h.query))
 	mux.HandleFunc("POST /v1/queryall", h.area(false, h.queryAll))
@@ -144,7 +137,7 @@ func (h *handler) requestContext(r *http.Request) (context.Context, context.Canc
 // decodeBody JSON-decodes the size-capped request body into dst. The body
 // is one JSON value: anything but whitespace after it is refused.
 func (h *handler) decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
-	body := http.MaxBytesReader(w, r.Body, h.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -340,7 +333,7 @@ func (h *handler) each(w http.ResponseWriter, c *areaCall) {
 			return false // client went away; stop the query cleanly
 		}
 		frames++
-		if flusher != nil && frames%h.cfg.StreamFlushEvery == 0 {
+		if flusher != nil && frames%streamFlushEvery == 0 {
 			flusher.Flush()
 		}
 		return true

@@ -185,7 +185,7 @@ func TestQueryAll(t *testing.T) {
 
 func TestEachStreams(t *testing.T) {
 	eng := testEngine(t, 400)
-	srv := httptest.NewServer(NewHandler(eng, Config{StreamFlushEvery: 1}))
+	srv := httptest.NewServer(NewHandler(eng, Config{}))
 	defer srv.Close()
 
 	region := testRegion()
@@ -250,25 +250,24 @@ func doneHandler(h http.Handler) (http.Handler, <-chan struct{}) {
 	}), done
 }
 
-// heldEngine streams the real engine's answer but, after the first result,
-// holds the stream until the request's context ends — the client hung up —
-// and then ignores that context, so the only thing that can stop the rest
-// of the stream is the handler's yield answering false. stopped reports
-// whether it did.
+// heldEngine streams the real engine's answer but, once the handler has
+// flushed its first streamFlushEvery results, holds the stream until the
+// request's context ends — the client hung up — and then ignores that
+// context, so the only thing that can stop the rest of the stream is the
+// handler's yield answering false. stopped reports whether it did.
 type heldEngine struct {
 	*vaq.Engine
 	stopped atomic.Bool
 }
 
 func (h *heldEngine) Each(ctx context.Context, region vaq.Region, yield func(int64, vaq.Point) bool, opts ...vaq.QueryOpt) error {
-	first := true
+	yielded := 0
 	return h.Engine.Each(context.Background(), region, func(id int64, p vaq.Point) bool {
 		if !yield(id, p) {
 			h.stopped.Store(true)
 			return false
 		}
-		if first {
-			first = false
+		if yielded++; yielded == streamFlushEvery {
 			select {
 			case <-ctx.Done():
 			case <-time.After(10 * time.Second):
@@ -282,7 +281,7 @@ func (h *heldEngine) Each(ctx context.Context, region vaq.Region, yield func(int
 // handler's next failed write stop the query, and the handler returns.
 func TestEachClientDisconnect(t *testing.T) {
 	eng := &heldEngine{Engine: testEngine(t, 2000)}
-	h, done := doneHandler(NewHandler(eng, Config{StreamFlushEvery: 1}))
+	h, done := doneHandler(NewHandler(eng, Config{}))
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -485,8 +484,8 @@ func TestInfo(t *testing.T) {
 	if info.Len != 100 || info.IDOffset != 1000 || info.Flavor != "static" {
 		t.Errorf("info: %+v", info)
 	}
-	if b := info.Rect(); b != eng.Bounds() {
-		t.Errorf("bounds %v, want %v", b, eng.Bounds())
+	if b, err := info.Universe(); err != nil || b != eng.Bounds() {
+		t.Errorf("bounds %v (err %v), want %v", b, err, eng.Bounds())
 	}
 	key, err := info.PruningKey()
 	if err != nil || info.DataBounds == nil || key != eng.DataBounds() || key.Area() >= eng.Bounds().Area() {
@@ -536,8 +535,8 @@ func TestInfoDataBoundsByFlavor(t *testing.T) {
 		if err := json.Unmarshal(rr.Body.Bytes(), &info); err != nil {
 			t.Fatalf("%s: %v: %s", tc.name, err, rr.Body)
 		}
-		if info.Rect() != universe {
-			t.Errorf("%s: bounds %v, want the universe", tc.name, info.Bounds)
+		if u, err := info.Universe(); err != nil || u != universe {
+			t.Errorf("%s: bounds %v (err %v), want the universe", tc.name, info.Bounds, err)
 		}
 		switch {
 		case tc.want == nil && (info.DataBounds != nil || strings.Contains(rr.Body.String(), "data_bounds")):
@@ -808,11 +807,11 @@ func (s *slowEngine) Query(ctx context.Context, region vaq.Region, opts ...vaq.Q
 
 func TestBodySizeCap(t *testing.T) {
 	eng := testEngine(t, 100)
-	srv := httptest.NewServer(NewHandler(eng, Config{MaxBodyBytes: 128}))
+	srv := httptest.NewServer(NewHandler(eng, Config{}))
 	defer srv.Close()
 
 	big := `{"region":{"kind":"polygon","outer":[` +
-		strings.Repeat(`[0.1,0.1],`, 64) + `[0.2,0.2]]}}`
+		strings.Repeat(`[0.1,0.1],`, maxBodyBytes/10) + `[0.2,0.2]]}}`
 	resp, err := srv.Client().Post(srv.URL+"/v1/query", "application/json",
 		strings.NewReader(big))
 	if err != nil {

@@ -13,17 +13,16 @@ import (
 )
 
 // fakePart is an in-memory Partition: a brute-force scan over its points,
-// global id = off + index. It counts the calls it receives and fails every
-// one of them when err is set.
+// global id = off + index, pruned by their MBR. It counts the calls it
+// receives and fails every one of them when err is set.
 type fakePart struct {
-	bounds geom.Rect
-	pts    []geom.Point
-	off    int64
-	err    error
-	calls  atomic.Int64
+	pts   []geom.Point
+	off   int64
+	err   error
+	calls atomic.Int64
 }
 
-func (p *fakePart) Bounds() geom.Rect { return p.bounds }
+func (p *fakePart) Bounds() geom.Rect { return geom.RectFromPoints(p.pts...) }
 func (p *fakePart) Len() int          { return len(p.pts) }
 
 func (p *fakePart) Each(_ context.Context, region core.Region, spec core.QuerySpec, yield func(int64, geom.Point) bool) (core.Stats, error) {
@@ -57,7 +56,7 @@ func (p *fakePart) Query(ctx context.Context, region core.Region, spec core.Quer
 }
 
 // fakeStrips cuts the unit square into n vertical strips of per points
-// each, one fakePart per strip with tight bounds, plus the flat point set
+// each, one fakePart per strip, plus the flat point set
 // (index = global id).
 func fakeStrips(n, per int) ([]*fakePart, []geom.Point) {
 	rng := rand.New(rand.NewSource(7))
@@ -67,11 +66,9 @@ func fakeStrips(n, per int) ([]*fakePart, []geom.Point) {
 	)
 	for s := 0; s < n; s++ {
 		lo, hi := float64(s)/float64(n), float64(s+1)/float64(n)
-		p := &fakePart{off: int64(len(all)), bounds: geom.EmptyRect()}
+		p := &fakePart{off: int64(len(all))}
 		for i := 0; i < per; i++ {
-			pt := geom.Pt(lo+(hi-lo)*rng.Float64(), rng.Float64())
-			p.pts = append(p.pts, pt)
-			p.bounds = p.bounds.ExtendPoint(pt)
+			p.pts = append(p.pts, geom.Pt(lo+(hi-lo)*rng.Float64(), rng.Float64()))
 		}
 		parts = append(parts, p)
 		all = append(all, p.pts...)
@@ -185,25 +182,31 @@ func (c *cancelOnCall) Query(ctx context.Context, region core.Region, spec core.
 	return c.Partition.Query(ctx, region, spec)
 }
 
-// TestKernelUnknownBoundsAndEmptyPartitions: a partition with empty bounds
-// is never pruned, and one reporting Len 0 is pruned by its bounds like any
-// other.
-func TestKernelUnknownBoundsAndEmptyPartitions(t *testing.T) {
+// TestKernelPrunesEmptyPartitions: a partition is contacted only for a
+// region its key meets, so one holding no points — whose MBR is empty — is
+// contacted for none, not even the whole universe.
+func TestKernelPrunesEmptyPartitions(t *testing.T) {
 	parts, all := fakeStrips(3, 100)
-	parts[2].bounds = geom.EmptyRect() // bounds unknown
-	hollow := &fakePart{bounds: geom.NewRect(0, 0, 1, 1), off: int64(len(all))}
-	parts = append(parts, hollow)
-	e := over(parts)
+	hollow := &fakePart{off: int64(len(all))}
+	e := over(append(parts, hollow))
 
-	// Geometrically inside strip 0 only.
-	region := rectRegion(0.05, 0.2, 0.25, 0.8)
-	alive := e.survivors(nil, region)
-	if !slices.Equal(alive, []int{0, 2, 3}) {
-		t.Fatalf("survivors = %v, want strip 0, the unknown-bounds strip and the hollow one", alive)
+	for _, tc := range []struct {
+		region core.Region
+		alive  []int
+	}{
+		{rectRegion(0.05, 0.2, 0.25, 0.8), []int{0}}, // inside strip 0 only
+		{rectRegion(0, 0, 1, 1), []int{0, 1, 2}},     // the universe
+	} {
+		if alive := e.survivors(nil, tc.region); !slices.Equal(alive, tc.alive) {
+			t.Errorf("survivors = %v, want %v", alive, tc.alive)
+		}
+		ids, _, err := e.QueryRegionSpec(context.Background(), tc.region, core.QuerySpec{})
+		if err != nil || !slices.Equal(ids, bruteInside(all, tc.region)) {
+			t.Fatalf("query: err=%v, %d ids", err, len(ids))
+		}
 	}
-	ids, _, err := e.QueryRegionSpec(context.Background(), region, core.QuerySpec{})
-	if err != nil || !slices.Equal(ids, bruteInside(all, region)) {
-		t.Fatalf("query: err=%v, %d ids", err, len(ids))
+	if n := hollow.calls.Load(); n != 0 {
+		t.Errorf("the empty partition was contacted %d times", n)
 	}
 }
 
@@ -217,10 +220,6 @@ func TestKernelUniverseIsNotTheUnionOfPruningKeys(t *testing.T) {
 	e := over(parts)
 	if e.Bounds() != unitBounds() {
 		t.Fatalf("Bounds() = %v, want the universe %v", e.Bounds(), unitBounds())
-	}
-	ps := []Partition{parts[0], parts[1]}
-	if blind := Over(ps, geom.EmptyRect(), 2, nil); !blind.Bounds().IsEmpty() {
-		t.Errorf("unknown universe reads %v", blind.Bounds())
 	}
 
 	ctx := context.Background()

@@ -12,11 +12,10 @@
 // What the kernel decides, once, for every transport:
 //
 //   - Prune: a partition is contacted iff its bounds — its pruning key,
-//     ideally the tight MBR of its points — are empty (unknown) or
-//     intersect the region's MBR. The universe the partitions clip their
-//     cells to is a separate rectangle (Over's argument): it admits
-//     regions, it never prunes, and a region inside it that meets no
-//     partition's key answers empty. Fan-out and pruned counts go to
+//     ideally the tight MBR of its points — intersect the region's MBR. The
+//     universe the partitions clip their cells to is a separate rectangle
+//     (Over's argument): it admits regions, it never prunes, and a region
+//     inside it that meets no partition's key answers empty. Fan-out and pruned counts go to
 //     Metrics and the trace here and nowhere else.
 //   - Method upgrade: with more than one partition each holds a sub-sample
 //     of the dataset, so its cells are larger and its Delaunay segments
@@ -75,8 +74,9 @@ import (
 type Partition interface {
 	// Bounds is the pruning key: a rectangle containing every point the
 	// partition holds now or will ever hold — the tighter the better, and
-	// not the universe unless nothing tighter can be vouched for. The empty
-	// rectangle means "unknown": the partition is never pruned.
+	// not the universe unless nothing tighter can be vouched for. It is a
+	// real rectangle, empty only for a partition holding no point: a
+	// partition is contacted only for regions whose MBR meets it.
 	Bounds() geom.Rect
 	// Len is the partition's point count.
 	Len() int
@@ -130,10 +130,10 @@ type Engine struct {
 }
 
 // Over builds the kernel over explicit partitions. universe is the
-// rectangle every partition clips its cells to — what Bounds reports; empty
-// when the caller does not know it — and is never derived from the
-// partitions' pruning keys, whose union may be smaller. parallelism bounds
-// the scatter's worker pool (<= 0 means runtime.GOMAXPROCS); met may be nil.
+// rectangle every partition clips its cells to — what Bounds reports — and
+// must be a real one, never derived from the partitions' pruning keys,
+// whose union may be smaller. parallelism bounds the scatter's worker pool
+// (<= 0 means runtime.GOMAXPROCS); met may be nil.
 func Over(parts []Partition, universe geom.Rect, parallelism int, met *Metrics) *Engine {
 	e := &Engine{
 		parts:       parts,
@@ -170,8 +170,7 @@ func (e *Engine) ShardBounds(si int) geom.Rect { return e.partBounds[si] }
 // Len returns the total point count.
 func (e *Engine) Len() int { return e.length }
 
-// Bounds returns the universe rectangle — New's bounds, Over's universe —
-// which is empty when Over's caller did not know it.
+// Bounds returns the universe rectangle — New's bounds, Over's universe.
 func (e *Engine) Bounds() geom.Rect { return e.bounds }
 
 // Dropped returns the cumulative number of partition calls that failed
@@ -179,11 +178,11 @@ func (e *Engine) Bounds() geom.Rect { return e.bounds }
 func (e *Engine) Dropped() uint64 { return e.dropped.Load() }
 
 // survivors appends to dst the indexes of partitions that can contribute
-// to region: those whose bounds are unknown or intersect its MBR.
+// to region: those whose bounds intersect its MBR.
 func (e *Engine) survivors(dst []int, region core.Region) []int {
 	mbr := region.Bounds()
 	for pi, b := range e.partBounds {
-		if b.IsEmpty() || b.Intersects(mbr) {
+		if b.Intersects(mbr) {
 			dst = append(dst, pi)
 		}
 	}

@@ -413,18 +413,26 @@ type Info struct {
 	Flavor     string      `json:"flavor,omitempty"`
 }
 
-// Rect converts the universe quadruple to a rectangle.
-func (i Info) Rect() geom.Rect { return toRect(i.Bounds) }
+// Universe returns the bounds quadruple as a rectangle. A bounds with no
+// area — inverted, degenerate, or the all-zero value of a server that names
+// no universe — is refused: a client has nothing to admit regions by.
+func (i Info) Universe() (geom.Rect, error) {
+	u := toRect(i.Bounds)
+	if !(u.MinX < u.MaxX && u.MinY < u.MaxY) {
+		return geom.Rect{}, fmt.Errorf("wire: bounds %v is not a rectangle with area", i.Bounds)
+	}
+	return u, nil
+}
 
 // PruningKey returns the rectangle a client prunes this backend by:
 // DataBounds when advertised — which must be a finite rectangle inside the
 // universe, or the info is refused — and the universe otherwise.
 func (i Info) PruningKey() (geom.Rect, error) {
 	if i.DataBounds == nil {
-		return i.Rect(), nil
+		return i.Universe()
 	}
 	d := toRect(*i.DataBounds)
-	if !finite(i.DataBounds[:]...) || d.IsEmpty() || !i.Rect().ContainsRect(d) {
+	if !finite(i.DataBounds[:]...) || d.IsEmpty() || !toRect(i.Bounds).ContainsRect(d) {
 		return geom.Rect{}, fmt.Errorf("wire: data_bounds %v is not a finite rectangle inside bounds %v", *i.DataBounds, i.Bounds)
 	}
 	return d, nil

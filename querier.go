@@ -185,9 +185,10 @@ func (b *pooled) QueryRegionsSpec(ctx context.Context, regions []Region, spec co
 type querier struct {
 	backend backend
 	flavor  string // metric and trace label
-	// universe is the rectangle the engine's Voronoi cells tile (see admit);
-	// empty means unknown — a remote engine whose backends advertise no
-	// bounds — and then the backends' own refusal crosses the wire.
+	// universe is the rectangle the engine's Voronoi cells tile (see admit).
+	// It is empty only for a DynamicEngine built over the empty rectangle,
+	// which refuses every insert: admit then lets a finite region through
+	// to a backend that holds no point.
 	universe Rect
 	qm       *queryMetrics // nil without WithMetrics
 }

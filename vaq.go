@@ -143,13 +143,13 @@ package vaq
 import (
 	"fmt"
 	"math/rand"
+	"net/http"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/remote"
 	"repro/internal/shard"
 	"repro/internal/workload"
 )
@@ -273,9 +273,9 @@ type config struct {
 	shards      int
 	metrics     *obs.Registry
 	poolShards  int
-	// Remote-engine (DialRemote/NewRemoteEngine) knobs; local
-	// constructors ignore them.
-	remote remote.Config
+	// remoteClient is DialRemote's HTTP client (nil: a plain one); local
+	// constructors ignore it.
+	remoteClient *http.Client
 	// poolShardsSet records that WithBufferPoolShards was given, so an
 	// explicit 0 ("use the GOMAXPROCS default") still overrides a
 	// StoreConfig.PoolShards value.
@@ -505,9 +505,8 @@ func overKernel(q querier, k *shard.Engine) partitioned {
 func (e *partitioned) Len() int { return e.k.Len() }
 
 // Bounds returns the engine's universe rectangle — for a RemoteEngine, the
-// union of its backends' universes (not of their pruning keys), empty
-// (unknown) when a backend advertises none. A query region must lie inside
-// it (ErrOutsideUniverse).
+// union of its backends' universes (not of their pruning keys). A query
+// region must lie inside it (ErrOutsideUniverse).
 func (e *partitioned) Bounds() Rect { return e.universe }
 
 // NewShardedEngine partitions points into n shards (WithShards; default 1)
@@ -596,10 +595,9 @@ var (
 	ErrNoData = core.ErrNoData
 	// ErrOutsideUniverse is returned by Query, QueryAll and Each on every
 	// flavor when the region's bounding rectangle escapes the engine's
-	// universe (Bounds or Universe; a RemoteEngine that does not know its
-	// backends' bounds relays their refusal), and by NewEngine,
-	// NewShardedEngine and DynamicEngine.Insert for a point outside it (a
-	// NaN or infinite coordinate is outside). The region is refused, not
+	// universe (Bounds or Universe), and by NewEngine, NewShardedEngine and
+	// DynamicEngine.Insert for a point outside it (a NaN or infinite
+	// coordinate is outside). The region is refused, not
 	// clipped: the part of it inside the universe need not be connected, and
 	// Algorithm 1 reaches one component.
 	ErrOutsideUniverse = core.ErrOutsideUniverse

@@ -3,6 +3,8 @@ package vaq_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -29,17 +31,37 @@ func decodeFlavorSites(data []byte) []vaq.Point {
 	return sites
 }
 
-// decodeFlavorPolygon reads a polygon off a 1/32 lattice over the unit
+// decodeFlavorRegion reads a region off a 1/32 lattice over the unit
 // square ((b mod 33)/32) — half the site lattice's step, so vertices land on
 // sites, edges run through them and along their bisectors, and both pass
-// through the sites' cocircular Voronoi vertices. Up to 16 vertices, two
-// bytes each, spell the outer ring; after a byte 255 the rest spells one
-// hole the same way. ok is false when NewPolygon or AddHole refuses a ring.
-func decodeFlavorPolygon(data []byte) (pg vaq.Polygon, ok bool) {
+// through the sites' cocircular Voronoi vertices.
+//
+// Three to five bytes spell a circle: its centre on the lattice and its
+// radius (b mod 32 + 1)/32, so circles pass through sites in bulk. Six bytes
+// or more spell a polygon: up to 16 vertices, two bytes each, spell the
+// outer ring; after a byte 255 the rest spells one hole the same way. A
+// polygon coordinate byte 254 is one ulp past 1, just outside the universe.
+// ok is false when there are fewer than three bytes, or when NewPolygon or
+// AddHole refuses a ring.
+func decodeFlavorRegion(data []byte) (region vaq.Region, ok bool) {
+	coord := func(b byte) float64 { return float64(b%33) / 32 }
+	if len(data) < 6 {
+		if len(data) < 3 {
+			return nil, false
+		}
+		return vaq.CircleRegion(vaq.NewCircle(vaq.Pt(coord(data[0]), coord(data[1])), float64(data[2]%32+1)/32)), true
+	}
 	ring := func(data []byte) []vaq.Point {
 		var ring []vaq.Point
 		for i := 0; i+1 < len(data) && len(ring) < 16; i += 2 {
-			ring = append(ring, vaq.Pt(float64(data[i]%33)/32, float64(data[i+1]%33)/32))
+			xy := [2]float64{}
+			for j, b := range data[i : i+2] {
+				xy[j] = coord(b)
+				if b == 254 {
+					xy[j] = math.Nextafter(1, 2)
+				}
+			}
+			ring = append(ring, vaq.Pt(xy[0], xy[1]))
 		}
 		return ring
 	}
@@ -48,17 +70,21 @@ func decodeFlavorPolygon(data []byte) (pg vaq.Polygon, ok bool) {
 	if err == nil && holed {
 		err = pg.AddHole(ring(hole))
 	}
-	return pg, err == nil
+	return vaq.PolygonRegion(pg), err == nil
 }
 
-// FuzzFlavorsAgree runs one fuzzed polygon over one fuzzed lattice site set
-// on every flavor — static, WithStore on small pages behind a two-page pool,
-// three shards, a DynamicEngine snapshot, and (from two sites up) a
-// RemoteEngine over two served halves of the sites — and holds each method
-// to a scan of the input sites: Traditional, VoronoiBFSStrict and
-// BruteForce must return exactly the sites the polygon contains, and Count
-// their number; VoronoiBFS (whose published rule may stop short) returns a
-// subset of them. A polygon NewPolygon or AddHole refuses is skipped.
+// FuzzFlavorsAgree runs one fuzzed polygon or circle over one fuzzed
+// lattice site set on every flavor — static, WithStore on small pages
+// behind a two-page pool, three shards, a DynamicEngine snapshot, and (from
+// two sites up) a RemoteEngine dialled over two served halves of the sites,
+// whose kernel runs VoronoiBFS as the strict rule: on a circle, its cell
+// tests cross the wire — and holds each method to a scan of the input
+// sites: Traditional, VoronoiBFSStrict and BruteForce must return exactly
+// the sites the region contains, and Count their number; VoronoiBFS (whose
+// published rule may stop short) returns a subset of them. A region whose
+// MBR escapes the unit square must be refused by every flavor and method
+// with ErrOutsideUniverse. A polygon NewPolygon or AddHole refuses is
+// skipped.
 func FuzzFlavorsAgree(f *testing.F) {
 	square := []byte{4, 4, 12, 4, 12, 12, 4, 12, 8, 8}                         // a square of sites and its centre
 	f.Add(square, []byte{4, 4, 28, 4, 28, 28, 4, 28})                          // a square through four sites
@@ -81,6 +107,14 @@ func FuzzFlavorsAgree(f *testing.F) {
 	octagon := []byte{9, 10, 10, 9, 10, 7, 9, 6, 7, 6, 6, 7, 6, 9, 7, 10}
 	f.Add(octagon, []byte{6, 14, 26, 18, 16, 30})
 	f.Add(octagon, []byte{6, 14, 26, 18, 16, 2})
+	// Circles: through the four sites next to the block's centre, around
+	// all eight of the octagon's, and one whose MBR pokes out of the
+	// universe.
+	f.Add(block, []byte{16, 16, 3})
+	f.Add(octagon, []byte{16, 16, 4})
+	f.Add(square, []byte{32, 16, 3})
+	// A square through four sites whose right edge lies one ulp outside.
+	f.Add(square, []byte{4, 4, 254, 4, 254, 28, 4, 28})
 	rng := rand.New(rand.NewSource(37))
 	for n := 8; n <= 128; n *= 2 {
 		sites, poly := make([]byte, n), make([]byte, 12)
@@ -104,13 +138,13 @@ func FuzzFlavorsAgree(f *testing.F) {
 	f.Cleanup(client.CloseIdleConnections)
 
 	ctx := context.Background()
-	f.Fuzz(func(t *testing.T, siteBytes, polyBytes []byte) {
+	f.Fuzz(func(t *testing.T, siteBytes, regionBytes []byte) {
 		sites := decodeFlavorSites(siteBytes)
-		pg, ok := decodeFlavorPolygon(polyBytes)
+		region, ok := decodeFlavorRegion(regionBytes)
 		if len(sites) == 0 || !ok {
 			return
 		}
-		region := vaq.PolygonRegion(pg)
+		escapes := !vaq.UnitSquare().ContainsRect(region.Bounds())
 		var want []int64
 		for i, p := range sites {
 			if region.ContainsPoint(p) {
@@ -151,19 +185,14 @@ func FuzzFlavorsAgree(f *testing.F) {
 		}
 		flavors = append(flavors, flavor{"snapshot", dyn.Snapshot(), toGlobal})
 		if h := len(sites) / 2; h > 0 {
-			var backends []vaq.RemoteBackend
 			for i, half := range [2][]vaq.Point{sites[:h], sites[h:]} {
 				eng, err := vaq.NewEngine(half, vaq.UnitSquare())
 				if err != nil {
 					t.Fatalf("remote half %d: %v", i, err)
 				}
-				off := int64(i * h)
-				halves[i].Store(serve.NewHandler(eng, serve.Config{IDOffset: off, Flavor: "static"}))
-				backends = append(backends, vaq.RemoteBackend{
-					URL: urls[i], IDOffset: off, Bounds: eng.DataBounds(), Universe: vaq.UnitSquare(), Len: eng.Len(),
-				})
+				halves[i].Store(serve.NewHandler(eng, serve.Config{IDOffset: int64(i * h), Flavor: "static"}))
 			}
-			re, err := vaq.NewRemoteEngine(backends, vaq.WithRemoteClient(client))
+			re, err := vaq.DialRemote(ctx, urls[:], vaq.WithRemoteClient(client))
 			if err != nil {
 				t.Fatalf("remote: %v", err)
 			}
@@ -173,6 +202,14 @@ func FuzzFlavorsAgree(f *testing.F) {
 		for _, fl := range flavors {
 			for _, m := range []vaq.Method{vaq.Traditional, vaq.VoronoiBFSStrict, vaq.BruteForce, vaq.VoronoiBFS} {
 				ids, err := fl.q.Query(ctx, region, vaq.UsingMethod(m))
+				if escapes {
+					n, cerr := vaq.Count(ctx, fl.q, region, vaq.UsingMethod(m))
+					if !errors.Is(err, vaq.ErrOutsideUniverse) || ids != nil || !errors.Is(cerr, vaq.ErrOutsideUniverse) {
+						t.Fatalf("%s/%v: region with MBR %v beyond the universe: %d ids (err %v), Count %d (err %v); want ErrOutsideUniverse",
+							fl.name, m, region.Bounds(), len(ids), err, n, cerr)
+					}
+					continue
+				}
 				if err != nil {
 					t.Fatalf("%s/%v: %v", fl.name, m, err)
 				}
@@ -191,16 +228,16 @@ func FuzzFlavorsAgree(f *testing.F) {
 				if m == vaq.VoronoiBFS {
 					for _, id := range got {
 						if _, found := slices.BinarySearch(want, id); !found {
-							t.Fatalf("%s/%v: site %d %v is outside %v", fl.name, m, id, sites[id], pg.Outer)
+							t.Fatalf("%s/%v: site %d %v is outside the region %v", fl.name, m, id, sites[id], regionBytes)
 						}
 					}
 					continue
 				}
 				if !slices.Equal(got, want) {
-					t.Fatalf("%s/%v over %d sites: %v, scan %v; polygon %v", fl.name, m, len(sites), got, want, pg.Outer)
+					t.Fatalf("%s/%v over %d sites: %v, scan %v; region %v", fl.name, m, len(sites), got, want, regionBytes)
 				}
 				if n, err := vaq.Count(ctx, fl.q, region, vaq.UsingMethod(m)); err != nil || n != len(want) {
-					t.Fatalf("%s/%v over %d sites: Count %d (err %v), scan %d; polygon %v", fl.name, m, len(sites), n, err, len(want), pg.Outer)
+					t.Fatalf("%s/%v over %d sites: Count %d (err %v), scan %d; region %v", fl.name, m, len(sites), n, err, len(want), regionBytes)
 				}
 			}
 		}

@@ -214,21 +214,7 @@ func TestRegionEscapingTheUniverseIsRefusedNotAnswered(t *testing.T) {
 		for _, p := range pts {
 			universe = universe.ExtendPoint(p)
 		}
-		flavors := everyFlavor(t, pts, universe)
-		// A remote engine that does not know its backends' bounds admits
-		// everything; the backends' own refusal crosses the wire.
-		f := startFixtureOver(t, pts, universe, 800)
-		blind, err := vaq.NewRemoteEngine([]vaq.RemoteBackend{
-			{URL: f.urls[0], Len: 800}, {URL: f.urls[1], IDOffset: 800, Len: len(pts) - 800}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !blind.Bounds().IsEmpty() {
-			t.Fatalf("remote engine over backends of unknown bounds reports %v", blind.Bounds())
-		}
-		flavors = append(flavors, flavor{name: "remote, bounds unknown", q: blind})
-
-		for _, f := range flavors {
+		for _, f := range everyFlavor(t, pts, universe) {
 			name := fmt.Sprintf("seed %d %s", seed, f.name)
 			_, err := f.q.Query(ctx, escaping, vaq.UsingMethod(vaq.VoronoiBFSStrict))
 			if !errors.Is(err, vaq.ErrOutsideUniverse) {
@@ -294,17 +280,7 @@ func TestNonFiniteRegionIsRefused(t *testing.T) {
 		"NaN circle":      vaq.CircleRegion(vaq.NewCircle(vaq.Pt(nan, 0.5), 0.1)),
 	}
 	ctx := context.Background()
-	flavors := everyFlavor(t, pts, vaq.UnitSquare())
-	// A remote engine that knows no universe admits any finite region; it
-	// must still refuse these before it tries to put NaN on the wire.
-	f := startFixture(t, pts, 300)
-	blind, err := vaq.NewRemoteEngine([]vaq.RemoteBackend{
-		{URL: f.urls[0], Len: 300}, {URL: f.urls[1], IDOffset: 300, Len: len(pts) - 300}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	flavors = append(flavors, flavor{name: "remote, bounds unknown", q: blind})
-	for _, f := range flavors {
+	for _, f := range everyFlavor(t, pts, vaq.UnitSquare()) {
 		for rname, region := range regions {
 			for _, m := range []vaq.Method{vaq.VoronoiBFS, vaq.VoronoiBFSStrict, vaq.Traditional, vaq.BruteForce} {
 				name := fmt.Sprintf("%s, %s, %v", f.name, rname, m)

@@ -4,24 +4,22 @@ package vaq_test
 // backends must answer every query byte-identically to a local engine
 // over the union of the backends' points — plus the wire-specific
 // contracts no local flavor has: deadline propagation into the server,
-// cancellation over the wire, mid-stream disconnects, retry, and a dead
-// backend failing the query.
+// cancellation over the wire, mid-stream disconnects, one attempt per
+// backend call, a dead backend failing the query, and the dial refusing
+// backends that overlap.
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
 	"slices"
-	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -406,18 +404,18 @@ func TestRemoteEachTruncatedStream(t *testing.T) {
 	}
 }
 
-// flakyProxy fails the first n requests per path with a 500, then proxies
-// to the real handler.
+// flakyProxy fails the first n area-query POSTs with a 500, then proxies
+// to the real handler; it counts every POST it sees.
 type flakyProxy struct {
 	inner     http.Handler
-	failures  atomic.Int64
+	posts     atomic.Int64
 	remaining atomic.Int64
 }
 
 func (p *flakyProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if strings.HasPrefix(r.URL.Path, "/v1/") && r.Method == http.MethodPost {
+		p.posts.Add(1)
 		if p.remaining.Add(-1) >= 0 {
-			p.failures.Add(1)
 			http.Error(w, `{"code":"internal","message":"transient"}`, http.StatusInternalServerError)
 			return
 		}
@@ -425,9 +423,10 @@ func (p *flakyProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	p.inner.ServeHTTP(w, r)
 }
 
-// TestRemoteRetry verifies bounded retry-with-backoff: a backend that
-// 500s twice then recovers answers correctly with retries enabled, and
-// fails fast without them.
+// TestRemoteRetry pins that a backend call is one attempt: a backend that
+// answers its first request with a 500 fails the query after exactly that
+// one request, the failure counts once in Dropped, and the next query —
+// a caller retrying the whole idempotent query — is answered.
 func TestRemoteRetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	pts := vaq.UniformPoints(rng, 600, vaq.UnitSquare())
@@ -444,123 +443,23 @@ func TestRemoteRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Without retries: the transient 500 is the caller's problem.
-	proxy.remaining.Store(2)
+	proxy.remaining.Store(1)
 	re, err := vaq.DialRemote(context.Background(), []string{srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := re.Query(context.Background(), region); err == nil {
-		t.Fatal("no-retry query survived a 500")
+		t.Fatal("a query survived a 500")
 	}
-
-	// With retries: two failures are absorbed.
-	proxy.remaining.Store(2)
-	re, err = vaq.DialRemote(context.Background(), []string{srv.URL},
-		vaq.WithRemoteRetries(2, time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
+	if n := proxy.posts.Load(); n != 1 {
+		t.Errorf("the backend saw %d requests for one failed query, want 1", n)
+	}
+	if n := re.Dropped(); n != 1 {
+		t.Errorf("Dropped() = %d, want 1", n)
 	}
 	got, err := re.Query(context.Background(), region)
-	if err != nil {
-		t.Fatalf("retries did not absorb transient failures: %v", err)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatal("retried result diverges")
-	}
-}
-
-// stallingProxy holds the first n POSTs to /v1/query until the client gives
-// up on them, proxies everything else, and records every attempt's
-// Vaq-Timeout-Ms header.
-type stallingProxy struct {
-	inner     http.Handler
-	remaining atomic.Int64
-
-	mu       sync.Mutex
-	timeouts []string // guarded by mu
-}
-
-func (p *stallingProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/v1/query" {
-		p.mu.Lock()
-		p.timeouts = append(p.timeouts, r.Header.Get(wire.TimeoutHeader))
-		p.mu.Unlock()
-		if p.remaining.Add(-1) >= 0 {
-			// The server notices a vanished client only once the body is read.
-			io.Copy(io.Discard, r.Body)
-			select {
-			case <-r.Context().Done():
-			case <-time.After(5 * time.Second):
-			}
-			return
-		}
-	}
-	p.inner.ServeHTTP(w, r)
-}
-
-// TestRemoteTimeoutPerTry verifies WithRemoteTimeout bounds one attempt,
-// not the query: a backend that stalls its first /v1/query past the
-// per-try budget and answers the second is absorbed by one retry, every
-// attempt advertises at most that budget in Vaq-Timeout-Ms, and without
-// retries the stall surfaces as context.DeadlineExceeded while the
-// caller's own context is still live.
-func TestRemoteTimeoutPerTry(t *testing.T) {
-	const perTry = 200 * time.Millisecond
-	rng := rand.New(rand.NewSource(49))
-	eng, err := vaq.NewEngine(vaq.UniformPoints(rng, 600, vaq.UnitSquare()), vaq.UnitSquare())
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := &stallingProxy{inner: serve.NewHandler(eng, serve.Config{})}
-	srv := httptest.NewServer(proxy)
-	defer srv.Close()
-	region := vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.5, 0.5), 0.2))
-	want, err := eng.Query(context.Background(), region)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-
-	// Without retries the expired attempt is the query's error.
-	proxy.remaining.Store(1)
-	re, err := vaq.DialRemote(ctx, []string{srv.URL}, vaq.WithRemoteTimeout(perTry))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := re.Query(ctx, region); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("no-retry query over a stalled backend: err = %v, want DeadlineExceeded", err)
-	}
-	if ctx.Err() != nil {
-		t.Fatalf("caller's context ended (%v); the per-try budget should have fired first", ctx.Err())
-	}
-
-	// With one retry the second attempt answers.
-	proxy.remaining.Store(1)
-	re, err = vaq.DialRemote(ctx, []string{srv.URL},
-		vaq.WithRemoteTimeout(perTry), vaq.WithRemoteRetries(1, time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := re.Query(ctx, region)
-	if err != nil {
-		t.Fatalf("one retry did not absorb the stalled attempt: %v", err)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatal("retried result diverges")
-	}
-
-	proxy.mu.Lock()
-	defer proxy.mu.Unlock()
-	if len(proxy.timeouts) != 3 {
-		t.Fatalf("backend saw %d attempts, want 3 (one, then two)", len(proxy.timeouts))
-	}
-	for i, hdr := range proxy.timeouts {
-		ms, err := strconv.Atoi(hdr)
-		if err != nil || ms < 1 || ms > int(perTry.Milliseconds()) {
-			t.Errorf("attempt %d: %s = %q, want 1..%d", i, wire.TimeoutHeader, hdr, perTry.Milliseconds())
-		}
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("the query run again: %d ids (err %v), want %d", len(got), err, len(want))
 	}
 }
 
@@ -641,17 +540,15 @@ func TestRemoteMetrics(t *testing.T) {
 	}
 }
 
-// TestRemoteBackendBoundsAndUniverse pins the two rectangles of an explicit
-// RemoteBackend. Bounds is the pruning key and nothing else; Universe is
-// what the engine admits regions by. A backend list written before Universe
-// existed (the first row) behaves exactly as it did: the union of the
-// Bounds is the universe, and a region beyond it is refused client-side.
-func TestRemoteBackendBoundsAndUniverse(t *testing.T) {
+// TestRemoteBoundsAndUniverse pins the two rectangles a dialled
+// backend advertises. data_bounds is the pruning key and nothing else;
+// bounds, the universe, is what the engine admits regions by: a region
+// inside the universe and beyond every point answers empty, with no backend
+// contacted.
+func TestRemoteBoundsAndUniverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	pts := vaq.UniformPoints(rng, 1200, vaq.NewRect(0.1, 0.1, 0.8, 0.9))
 	f := startFixture(t, pts, 500)
-	keys := []vaq.Rect{f.chunks[0].DataBounds(), f.chunks[1].DataBounds()}
-	union := keys[0].Union(keys[1])
 	ctx := context.Background()
 
 	inside := vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.5, 0.5), 0.15))
@@ -661,51 +558,61 @@ func TestRemoteBackendBoundsAndUniverse(t *testing.T) {
 		t.Fatalf("oracle: %d ids, err %v", len(want), err)
 	}
 
-	for _, tc := range []struct {
-		name         string
-		key          func(i int) vaq.Rect
-		universe     vaq.Rect
-		wantUniverse vaq.Rect
-		refused      bool // beyondData is refused client-side
-	}{
-		{"bounds only, as before Universe existed", func(i int) vaq.Rect { return keys[i] }, vaq.Rect{}, union, true},
-		{"bounds and universe", func(i int) vaq.Rect { return keys[i] }, vaq.UnitSquare(), vaq.UnitSquare(), false},
-		{"universe only: never pruned", func(int) vaq.Rect { return vaq.Rect{} }, vaq.UnitSquare(), vaq.UnitSquare(), false},
+	var posts atomic.Int64
+	urls := make([]string, len(f.urls))
+	for i, u := range f.urls {
+		target, _ := url.Parse(u)
+		proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost {
+				posts.Add(1)
+			}
+			httputil.NewSingleHostReverseProxy(target).ServeHTTP(w, r)
+		}))
+		t.Cleanup(proxy.Close)
+		urls[i] = proxy.URL
+	}
+	re, err := vaq.DialRemote(ctx, urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Bounds() != vaq.UnitSquare() {
+		t.Errorf("Bounds() = %v, want the unit square", re.Bounds())
+	}
+	got, err := re.Query(ctx, inside)
+	if err != nil || !slices.Equal(got, want) {
+		t.Errorf("%d ids (err %v), oracle %d", len(got), err, len(want))
+	}
+	before := posts.Load()
+	got, err = re.Query(ctx, beyondData)
+	if contacted := posts.Load() - before; err != nil || len(got) != 0 || contacted != 0 {
+		t.Errorf("region inside the universe, beyond the data: %d ids, err %v, %d backends contacted; want an empty answer from none", len(got), err, contacted)
+	}
+}
+
+// TestDialRemoteRefusesOverlappingBackends: two backends claiming the same
+// global ids — one URL dialled twice, or two servers with overlapping
+// id_offset ranges — fail the dial with an error naming both URLs. Before
+// the check, one URL dialled twice answered every id twice with a nil
+// error, and Len and Count read double.
+func TestDialRemoteRefusesOverlappingBackends(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	pts := vaq.UniformPoints(rng, 400, vaq.UnitSquare())
+	f := startFixture(t, pts, 250)
+	shifted := httptest.NewServer(serve.NewHandler(f.chunks[1], serve.Config{IDOffset: 200}))
+	t.Cleanup(shifted.Close)
+	ctx := context.Background()
+	for _, urls := range [][]string{
+		{f.urls[0], f.urls[0]},
+		{f.urls[0], f.urls[1], f.urls[1]},
+		{f.urls[0], shifted.URL}, // [0, 250) and [200, 350)
 	} {
-		counts := make([]atomic.Int64, 2)
-		backends := make([]vaq.RemoteBackend, 2)
-		for i, u := range f.urls {
-			target, _ := url.Parse(u)
-			n := &counts[i]
-			proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				n.Add(1)
-				httputil.NewSingleHostReverseProxy(target).ServeHTTP(w, r)
-			}))
-			t.Cleanup(proxy.Close)
-			backends[i] = vaq.RemoteBackend{URL: proxy.URL, Bounds: tc.key(i), Universe: tc.universe, Len: f.chunks[i].Len()}
+		re, err := vaq.DialRemote(ctx, urls)
+		if err == nil {
+			t.Errorf("dial of %v: an engine of %d points over overlapping backends", urls, re.Len())
+			continue
 		}
-		backends[1].IDOffset = 500
-		re, err := vaq.NewRemoteEngine(backends)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if re.Bounds() != tc.wantUniverse {
-			t.Errorf("%s: Bounds() = %v, want %v", tc.name, re.Bounds(), tc.wantUniverse)
-		}
-		got, err := re.Query(ctx, inside)
-		if err != nil || !slices.Equal(got, want) {
-			t.Errorf("%s: %d ids (err %v), oracle %d", tc.name, len(got), err, len(want))
-		}
-		before := counts[0].Load() + counts[1].Load()
-		got, err = re.Query(ctx, beyondData)
-		contacted := counts[0].Load() + counts[1].Load() - before
-		switch {
-		case tc.refused && (!errors.Is(err, vaq.ErrOutsideUniverse) || contacted != 0):
-			t.Errorf("%s: region beyond the union of Bounds: err %v after %d requests, want a client-side ErrOutsideUniverse", tc.name, err, contacted)
-		case !tc.refused && (err != nil || len(got) != 0):
-			t.Errorf("%s: region inside the universe, beyond the data: %d ids, err %v, want an empty answer", tc.name, len(got), err)
-		case !tc.refused && (tc.key(0) == vaq.Rect{}) != (contacted == 2):
-			t.Errorf("%s: %d backends contacted for a region beyond every point", tc.name, contacted)
+		if a, b := urls[len(urls)-2], urls[len(urls)-1]; !strings.Contains(err.Error(), a) || !strings.Contains(err.Error(), b) || !strings.Contains(err.Error(), "overlap") {
+			t.Errorf("dial of %v: err = %v, want one naming %s and %s", urls, err, a, b)
 		}
 	}
 }

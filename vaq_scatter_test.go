@@ -63,15 +63,13 @@ type backendCounts struct {
 	regions  atomic.Int64 // regions across those requests
 }
 
-// serveChunks puts every chunk behind its own httptest server and returns
-// the explicit backend list (the pruning key and the universe /v1/info
-// advertises, so a dialled engine is configured identically) plus the
-// per-backend request counters.
-func serveChunks(t *testing.T, chunks []chunk) ([]vaq.RemoteBackend, []*backendCounts) {
+// serveChunks puts every chunk behind its own httptest server, dials the
+// servers, and returns the engine plus the per-backend request counters.
+func serveChunks(t *testing.T, chunks []chunk) (*vaq.RemoteEngine, []*backendCounts) {
 	t.Helper()
 	var (
-		backends []vaq.RemoteBackend
-		counts   []*backendCounts
+		urls   []string
+		counts []*backendCounts
 	)
 	for _, c := range chunks {
 		h := serve.NewHandler(c.eng, serve.Config{IDOffset: c.off, Flavor: "static"})
@@ -95,10 +93,14 @@ func serveChunks(t *testing.T, chunks []chunk) ([]vaq.RemoteBackend, []*backendC
 			h.ServeHTTP(w, r)
 		}))
 		t.Cleanup(srv.Close)
-		backends = append(backends, vaq.RemoteBackend{URL: srv.URL, IDOffset: c.off, Bounds: c.bounds, Universe: vaq.UnitSquare(), Len: c.eng.Len()})
+		urls = append(urls, srv.URL)
 		counts = append(counts, n)
 	}
-	return backends, counts
+	re, err := vaq.DialRemote(context.Background(), urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return re, counts
 }
 
 // chunkPartition is a chunk as an in-process shard.Partition, answering
@@ -138,11 +140,10 @@ func workOf(st vaq.Stats) [5]int {
 }
 
 // TestTransportsAnswerIdentically serves the same three chunks once as
-// in-process partitions and twice as HTTP backends of the one kernel —
-// configured explicitly, and dialled, so that the pruning keys are the
-// data_bounds /v1/info advertises: ids, fan-out and the aggregate work
-// counters of Query, QueryAll and Each must not differ, and all must match
-// the local oracle over the whole dataset. The dataset has an empty band
+// in-process partitions and once as dialled HTTP backends of the one
+// kernel, whose pruning keys are the data_bounds /v1/info advertises: ids,
+// fan-out and the aggregate work counters of Query, QueryAll and Each must
+// not differ, and all must match the local oracle over the whole dataset. The dataset has an empty band
 // (0.60 < x < 0.66) and the last cut falls in it, so one region lies inside
 // the universe and between every chunk's data.
 func TestTransportsAnswerIdentically(t *testing.T) {
@@ -160,23 +161,10 @@ func TestTransportsAnswerIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backends, _ := serveChunks(t, chunks)
-	overHTTP, err := vaq.NewRemoteEngine(backends)
-	if err != nil {
-		t.Fatal(err)
-	}
+	overHTTP, _ := serveChunks(t, chunks)
 	ctx := context.Background()
-	urls := make([]string, len(backends))
-	for i, b := range backends {
-		urls[i] = b.URL
-	}
-	dialled, err := vaq.DialRemote(ctx, urls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dialled.Bounds() != vaq.UnitSquare() || overHTTP.Bounds() != vaq.UnitSquare() {
-		t.Fatalf("universe: dialled %v, explicit %v, want the unit square, not the union of the data MBRs",
-			dialled.Bounds(), overHTTP.Bounds())
+	if overHTTP.Bounds() != vaq.UnitSquare() {
+		t.Fatalf("universe %v, want the unit square, not the union of the data MBRs", overHTTP.Bounds())
 	}
 	parts := make([]shard.Partition, len(chunks))
 	for i, c := range chunks {
@@ -203,8 +191,8 @@ func TestTransportsAnswerIdentically(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var a, b, c vaq.Stats
-			var ta, tb, tc vaq.QueryTrace
+			var a, b vaq.Stats
+			var ta, tb vaq.QueryTrace
 			got, err := inProcess.Query(ctx, region, vaq.UsingMethod(m), vaq.WithStatsInto(&a), vaq.WithTraceInto(&ta))
 			if err != nil {
 				t.Fatal(err)
@@ -213,18 +201,14 @@ func TestTransportsAnswerIdentically(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			viaInfo, err := dialled.Query(ctx, region, vaq.UsingMethod(m), vaq.WithStatsInto(&c), vaq.WithTraceInto(&tc))
-			if err != nil {
-				t.Fatal(err)
+			if !slices.Equal(got, want) || !slices.Equal(remote, want) {
+				t.Fatalf("%v region %d: in-process %d ids, HTTP %d ids, oracle %d", m, ri, len(got), len(remote), len(want))
 			}
-			if !slices.Equal(got, want) || !slices.Equal(remote, want) || !slices.Equal(viaInfo, want) {
-				t.Fatalf("%v region %d: in-process %d ids, HTTP %d ids, dialled %d ids, oracle %d", m, ri, len(got), len(remote), len(viaInfo), len(want))
+			if workOf(a) != workOf(b) {
+				t.Errorf("%v region %d: work in process %v, over HTTP %v", m, ri, workOf(a), workOf(b))
 			}
-			if workOf(a) != workOf(b) || workOf(a) != workOf(c) {
-				t.Errorf("%v region %d: work in process %v, over HTTP %v, dialled %v", m, ri, workOf(a), workOf(b), workOf(c))
-			}
-			if ta.FanOut() != tb.FanOut() || ta.FanOut() != tc.FanOut() {
-				t.Errorf("%v region %d: fan-out in process %d, over HTTP %d, dialled %d", m, ri, ta.FanOut(), tb.FanOut(), tc.FanOut())
+			if ta.FanOut() != tb.FanOut() {
+				t.Errorf("%v region %d: fan-out in process %d, over HTTP %d", m, ri, ta.FanOut(), tb.FanOut())
 			}
 			if n, pinned := wantFanOut[ri]; pinned && ta.FanOut() != n {
 				t.Errorf("%v region %d: fan-out %d, want %d", m, ri, ta.FanOut(), n)
@@ -253,18 +237,13 @@ func TestTransportsAnswerIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var c vaq.Stats
-		outC, err := dialled.QueryAll(ctx, regions, vaq.UsingMethod(m), vaq.WithStatsInto(&c))
-		if err != nil {
-			t.Fatal(err)
-		}
 		for ri := range regions {
-			if !slices.Equal(outA[ri], outB[ri]) || !slices.Equal(outA[ri], outC[ri]) {
-				t.Errorf("%v QueryAll region %d: %d ids in process, %d over HTTP, %d dialled", m, ri, len(outA[ri]), len(outB[ri]), len(outC[ri]))
+			if !slices.Equal(outA[ri], outB[ri]) {
+				t.Errorf("%v QueryAll region %d: %d ids in process, %d over HTTP", m, ri, len(outA[ri]), len(outB[ri]))
 			}
 		}
-		if workOf(a) != workOf(b) || workOf(a) != workOf(c) {
-			t.Errorf("%v QueryAll: work in process %v, over HTTP %v, dialled %v", m, workOf(a), workOf(b), workOf(c))
+		if workOf(a) != workOf(b) {
+			t.Errorf("%v QueryAll: work in process %v, over HTTP %v", m, workOf(a), workOf(b))
 		}
 	}
 }
@@ -280,11 +259,7 @@ func TestRemoteBatchIsPruned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backends, counts := serveChunks(t, chunks)
-	re, err := vaq.NewRemoteEngine(backends)
-	if err != nil {
-		t.Fatal(err)
-	}
+	re, counts := serveChunks(t, chunks)
 	ctx := context.Background()
 	left := []vaq.Region{
 		vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.1, 0.3), 0.05)),
