@@ -6,8 +6,8 @@ import (
 	vaq "repro"
 )
 
-// CellArea reads per-cell geometry straight from the engine's packed cell
-// arena: the areas of all Voronoi cells partition the universe exactly.
+// CellArea clips one Voronoi cell when it is asked: the areas of all cells
+// partition the universe exactly.
 func ExampleEngine_CellArea() {
 	// Four points splitting the unit square into four equal quadrant
 	// cells.

@@ -11,10 +11,28 @@ import (
 	"repro/internal/workload"
 )
 
-// TestStrictIntersectionStepAllocsZero pins the BFS cell-intersection step
-// — bounding-box reject, packed ring view, exact region-vs-ring test — at
-// zero allocations per visited cell. This is the tentpole guarantee of the
-// flat arena layout: the strict expansion never materializes a cell.
+// cellTestSweep runs the strict rule's cell test (testCell) on region
+// against every site of data, as the BFS does on one neighbour: the cell is
+// clipped from the site's ring into the scratch's reused buffers, then
+// tested exactly. It returns the allocations per sweep and the hits.
+func cellTestSweep(data *MemoryData, region Region) (allocs float64, hits int) {
+	q := voronoiQuery{region: region, strict: true, pts: data.pts, nbrOff: data.nbrOff, nbrs: data.nbrs, clip: data.clip}
+	s := new(queryScratch)
+	var stats Stats
+	allocs = testing.AllocsPerRun(20, func() {
+		for i := range data.pts {
+			if q.testCell(s, int32(i), data.pts[i], &stats) {
+				hits++
+			}
+		}
+	})
+	return allocs, hits
+}
+
+// TestStrictIntersectionStepAllocsZero pins the strict rule's cell test —
+// clip the cell on demand, then the exact region-vs-ring test — at zero
+// allocations per visited cell once the scratch's two buffers have grown,
+// on a polygon's predicates.
 func TestStrictIntersectionStepAllocsZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pts := workload.UniformPoints(rng, 5000, unitBounds())
@@ -23,21 +41,7 @@ func TestStrictIntersectionStepAllocsZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	area := workload.RandomPolygon(rng, workload.PolygonConfig{Vertices: 10, QuerySize: 0.05}, unitBounds())
-	region := PolygonRegion(area)
-	q := voronoiQuery{region: region, strict: true, regionMBR: region.Bounds()}
-	q.arena = data.CellArena()
-	q.rectRegion, _ = region.(RectIntersecter)
-	q.ringRegion, _ = region.(RingViewIntersecter)
-
-	var stats Stats
-	hits := 0
-	allocs := testing.AllocsPerRun(20, func() {
-		for i := range pts {
-			if q.testCell(int32(i), data.pts[i], &stats) {
-				hits++
-			}
-		}
-	})
+	allocs, hits := cellTestSweep(data, PolygonRegion(area))
 	if allocs != 0 {
 		t.Fatalf("strict intersection step allocates %.1f times per sweep, want 0", allocs)
 	}
@@ -46,30 +50,22 @@ func TestStrictIntersectionStepAllocsZero(t *testing.T) {
 	}
 }
 
-// TestCircleIntersectionStepAllocsZero pins the generic (non-prepared)
-// region fallback: circles take regionIntersectsRingView over the packed
-// coordinates and must not allocate either.
-func TestCircleIntersectionStepAllocsZero(t *testing.T) {
+// TestCustomRegionStrictStepAllocsZero pins one strict step of a custom
+// region — a disk behind a type with only Region's four methods, which the
+// strict rule expands by cell tests — at zero allocations too.
+func TestCustomRegionStrictStepAllocsZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	pts := workload.UniformPoints(rng, 3000, unitBounds())
 	data, err := NewMemoryData(pts, unitBounds())
 	if err != nil {
 		t.Fatal(err)
 	}
-	region := CircleRegion(geom.Circle{Center: geom.Pt(0.5, 0.5), R: 0.1})
-	q := voronoiQuery{region: region, strict: true, regionMBR: region.Bounds()}
-	q.arena = data.CellArena()
-	q.rectRegion, _ = region.(RectIntersecter)
-	q.ringRegion, _ = region.(RingViewIntersecter)
-
-	var stats Stats
-	allocs := testing.AllocsPerRun(20, func() {
-		for i := range pts {
-			q.testCell(int32(i), data.pts[i], &stats)
-		}
-	})
+	allocs, hits := cellTestSweep(data, customRegion{CircleRegion(geom.Circle{Center: geom.Pt(0.5, 0.5), R: 0.1})})
 	if allocs != 0 {
-		t.Fatalf("circle intersection step allocates %.1f times per sweep, want 0", allocs)
+		t.Fatalf("custom region's strict step allocates %.1f times per sweep, want 0", allocs)
+	}
+	if hits == 0 {
+		t.Fatal("intersection step never fired; test exercises nothing")
 	}
 }
 
@@ -105,7 +101,7 @@ func TestQueryRegionSpecAllocsZero(t *testing.T) {
 						t.Fatalf("%s, region %d, %+v: %d results, err %v", se.name, ri, spec.Method, st.ResultSize, err)
 					}
 				}
-				run() // warm the scratch pool (and a snapshot's lazily built arena)
+				run() // warm the scratch pool
 				if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 					t.Errorf("%s, region %d, %v (count only: %v): %.1f allocs per query, want 0",
 						se.name, ri, spec.Method, spec.CountOnly, allocs)
@@ -189,12 +185,11 @@ func TestDynamicInsertAllocs(t *testing.T) {
 	}
 }
 
-// TestDynamicArenaMatchesCell verifies the dynamic engine's lazily built
-// snapshot arena against cells constructed in the test: ring for ring,
-// exactly, against voronoi.CellFromNeighbors over the snapshot's own
-// adjacency (the parity the strict rule relies on), and by area against
-// voronoi.Diagram.Cell of a static diagram built from scratch over the same
-// sites — an independent triangulation of the same point set.
+// TestDynamicArenaMatchesCell verifies the cells a dynamic snapshot clips
+// on demand — from its own adjacency, as the strict rule and CellArea do —
+// against voronoi.Diagram.Cell of a static diagram built from scratch over
+// the same sites, an independent triangulation of the same point set: by
+// area, cell for cell, and together they tile the clip rectangle.
 func TestDynamicArenaMatchesCell(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	d := NewDynamicEngine(unitBounds())
@@ -203,39 +198,25 @@ func TestDynamicArenaMatchesCell(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := d.Snapshot()
-	data := snap.data
-	arena := data.CellArena()
-	if arena.NumCells() != len(data.pts) {
-		t.Fatalf("arena covers %d cells, snapshot has %d ids", arena.NumCells(), len(data.pts))
-	}
-	if again := data.CellArena(); again != arena {
-		t.Fatal("CellArena rebuilt on second call; want cached per snapshot")
-	}
+	data := d.Snapshot().data
 	u := unitBounds()
 	clip := u.Expand(u.Width() + u.Height() + 1)
-	sites := data.pts
-	static, err := voronoi.New(sites, clip)
+	if data.clip != clip {
+		t.Fatalf("snapshot clips its cells to %v, want %v", data.clip, clip)
+	}
+	static, err := voronoi.New(data.pts, clip)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := range sites {
-		var nbPts []geom.Point
-		for _, nb := range ring(data, id) {
-			nbPts = append(nbPts, sites[nb])
+	total := 0.0
+	for id := range data.pts {
+		got, want := data.CellArea(int64(id)), static.Cell(id).Area()
+		if math.Abs(got-want) > 1e-9*(1+want) {
+			t.Fatalf("id %d: clipped cell area %v, static diagram cell area %v", id, got, want)
 		}
-		cell := voronoi.CellFromNeighbors(sites[id], nbPts, clip)
-		view := arena.Ring(id)
-		if view.Len() != len(cell) {
-			t.Fatalf("id %d: arena ring has %d vertices, CellFromNeighbors %d", id, view.Len(), len(cell))
-		}
-		for j := range cell {
-			if view.At(j) != cell[j] {
-				t.Fatalf("id %d vertex %d: arena %v != CellFromNeighbors %v", id, j, view.At(j), cell[j])
-			}
-		}
-		if got, want := view.Area(), static.Cell(id).Area(); math.Abs(got-want) > 1e-9*(1+want) {
-			t.Fatalf("id %d: arena cell area %v, static diagram cell area %v", id, got, want)
-		}
+		total += got
+	}
+	if math.Abs(total-clip.Area()) > 1e-9*clip.Area() {
+		t.Fatalf("the cells cover %.15g of the clip's %.15g", total, clip.Area())
 	}
 }

@@ -23,17 +23,18 @@
 // it for its seed: lines 3–4 of Algorithm 1, NN(P, a position in A), are a
 // greedy walk on the Delaunay graph the method holds anyway (seedWalk),
 // started at the site a coarse grid in the data layer names for that
-// position, so a Voronoi query touches no index node at all. There is one record layer, MemoryData: the
-// sites' positions, their CSR adjacency, the walk's hint and the lazily
-// packed cell arena, all resident, and optionally a paged store the
+// position, so a Voronoi query touches no index node at all. There is one
+// record layer, MemoryData: the sites' positions, their CSR adjacency and
+// the walk's hint, all resident, and optionally a paged store the
 // candidates' records are fetched from (NewStoreData). A static engine, a
 // store-backed one and every epoch a dynamic engine publishes hold one, so
 // every flavor above this package (static, store, sharded, snapshot, remote
 // backend) reaches the same loops: voronoiBFS, seeded by that walk, slicing
-// positions and rings in place, with the strict rule's cell test reading the
-// arena on circles and custom regions; and, for the strict rule on a
-// polygon, the boundary trace and flood of shell.go, which read no arena.
-// Their one branch on the layer is whether a record load is a page fetch.
+// positions and rings in place, with the strict rule's cell test on a custom
+// region clipping each cell it tests from its ring; and, for the strict rule
+// on a polygon, the boundary trace and flood of shell.go. No layer keeps a
+// clipped cell. Their one branch on the layer is whether a record load is a
+// page fetch.
 package core
 
 import (
@@ -67,10 +68,11 @@ const (
 	// VoronoiBFSStrict is Algorithm 1 made complete at any density. On a
 	// prepared polygon it traces the boundary through the diagram,
 	// validates only the sites whose cells meet it and their neighbours,
-	// and floods the interior untested (shell.go); on any other region it
-	// expands by the conservative rule (Voronoi cell of pn intersects the
-	// area), complete for a connected area inside the rectangle the cells
-	// are clipped to.
+	// and floods the interior untested (shell.go). On a circle it is the
+	// published rule, exact on a convex region (see eachVoronoi). On a
+	// custom region it expands by the conservative rule (Voronoi cell of pn
+	// intersects the area), complete for a connected area inside the
+	// rectangle the cells are clipped to.
 	VoronoiBFSStrict
 	// BruteForce scans every record; the oracle baseline.
 	BruteForce
@@ -108,10 +110,12 @@ type Stats struct {
 	// outside the area: Candidates - ResultSize wherever every result is
 	// validated (all but the strict rule on a polygon; see Candidates).
 	RedundantValidations int
-	// SegmentTests counts segment-vs-area tests (Voronoi method only).
+	// SegmentTests counts segment-vs-area tests: the published rule, and the
+	// strict variant on a circle.
 	SegmentTests int
-	// CellTests counts cell-vs-area tests: the strict variant on circles and
-	// custom regions only (on a polygon it traces the boundary instead).
+	// CellTests counts cell-vs-area tests: the strict variant on custom
+	// regions only (on a polygon it traces the boundary instead, and on a
+	// circle it counts SegmentTests).
 	CellTests int
 	// IndexNodesVisited counts index nodes touched by the window query of
 	// Traditional. It is 0 for the Voronoi methods, whose seed is a walk on

@@ -493,8 +493,8 @@ func TestStatsPlausibility(t *testing.T) {
 
 	// The strict rule on a polygon traces its boundary and validates only
 	// the shell: no cell tests, and fewer candidates than the cell-test
-	// expansion the same polygon gets as a custom Region. Circles and custom
-	// regions keep the cell tests.
+	// expansion the same polygon gets as a custom Region. Custom regions
+	// keep the cell tests.
 	_, st2, err := query(eng, VoronoiBFSStrict, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
@@ -526,12 +526,22 @@ func TestStatsPlausibility(t *testing.T) {
 		t.Errorf("traced strict: %d candidates for %d results; cell tests: %d for %d",
 			stTraced.Candidates, stTraced.ResultSize, stCustom.Candidates, stCustom.ResultSize)
 	}
-	_, stCircle, err := query(eng, VoronoiBFSStrict, CircleRegion(geom.Circle{Center: area.InteriorPoint(), R: 0.05}))
+	// A disk is convex: the strict rule runs the segment rule on it, and
+	// costs what the published rule costs.
+	circle := CircleRegion(geom.Circle{Center: area.InteriorPoint(), R: 0.05})
+	_, stCircle, err := query(eng, VoronoiBFSStrict, circle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stCircle.CellTests == 0 {
-		t.Error("strict rule on a circle should perform cell tests")
+	_, stPublished, err := query(eng, VoronoiBFS, circle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stCircle.CellTests != 0 || stCircle.SegmentTests == 0 {
+		t.Errorf("strict rule on a circle ran %d cell and %d segment tests", stCircle.CellTests, stCircle.SegmentTests)
+	}
+	if stPublished.Method = VoronoiBFSStrict; stCircle != stPublished {
+		t.Errorf("strict rule on a circle: %+v, published rule %+v", stCircle, stPublished)
 	}
 
 	_, st3, err := query(eng, Traditional, PolygonRegion(area))

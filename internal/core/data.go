@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/hilbert"
@@ -28,9 +27,9 @@ var ErrDuplicatePoints = errors.New("core: dataset contains duplicate coordinate
 // topology is precomputed alongside the index, as in the VoR-tree). The
 // diagram and the triangulation under a static layer — quad-edge pool,
 // point copy, vertex tables — are construction scaffolding, released when
-// NewMemoryData returns. The clipped Voronoi cells, which only the strict
-// expansion rule on circles and custom regions and CellArea read, are
-// derived from the two on first use (lazyArena).
+// NewMemoryData returns. A clipped Voronoi cell, which only the strict
+// expansion rule on a custom region and CellArea read, is derived from the
+// two when it is read (voronoi.CellFromNeighbors), and never kept.
 //
 // A record load — the refinement fetch both methods pay once per candidate
 // — reads the resident position, unless the layer has a store (NewStoreData):
@@ -58,8 +57,7 @@ type MemoryData struct {
 	// clip is what the cells are clipped to: the bounds of a static layer, or
 	// a dynamic engine's universe expanded so that fence-adjacent cells stay
 	// closed.
-	clip  geom.Rect
-	arena lazyArena
+	clip geom.Rect
 	// hint names the seed walk's start. A static layer lays it over the
 	// points' own MBR, not clip: a shard or a serving backend holds a slice
 	// of its universe, and a grid over the universe would spend most of its
@@ -69,29 +67,6 @@ type MemoryData struct {
 	// store holds every user site's record on pages, when the layer was
 	// built by NewStoreData; nil otherwise.
 	store *storage.Store
-}
-
-// lazyArena is the cell-arena policy of the data layer: built by the first
-// CellArena call — a strict query on a circle or custom region, or CellArea
-// — exactly once however many goroutines race to it. The default method
-// never reads a cell, nor does the strict rule on a polygon, so an engine
-// that answers only polygons never pays the clipping pass or holds its
-// ≈ 130 bytes per site.
-type lazyArena struct {
-	once  sync.Once
-	cells *voronoi.CellArena
-}
-
-// get returns d's cells clipped to d.clip, built from d's positions and
-// adjacency on the first call: bit-identical to voronoi.BuildCellArena over
-// the triangulation d was derived from (same coordinates, neighbor order
-// and clipping loop).
-func (l *lazyArena) get(d *MemoryData) *voronoi.CellArena {
-	l.once.Do(func() {
-		l.cells = voronoi.CellArenaFromSites(len(d.pts), d.clip, d.Position,
-			func(id int64) []int32 { return d.nbrs[d.nbrOff[id]:d.nbrOff[id+1]] })
-	})
-	return l.cells
 }
 
 // NewMemoryData builds the Voronoi topology over pts and keeps what queries
@@ -138,12 +113,12 @@ func (m *MemoryData) Each(fn func(id int64, pos geom.Point) bool) {
 	}
 }
 
-// CellArena returns every clipped Voronoi cell packed into one immutable
-// arena (contiguous vertices, ring offsets, per-cell boxes), built on first
-// use. The strict expansion rule's cell tests run entirely on it —
-// bounding-box rejects and exact ring tests read dense memory with zero
-// per-visit allocation.
-func (m *MemoryData) CellArena() *voronoi.CellArena { return m.arena.get(m) }
+// CellArea returns the area of id's Voronoi cell clipped to the layer's clip
+// rectangle, clipping that one cell from id's CSR ring.
+func (m *MemoryData) CellArea(id int64) float64 {
+	cell, _ := voronoi.CellFromNeighbors(nil, nil, m.pts[id], m.nbrs[m.nbrOff[id]:m.nbrOff[id+1]], m.pts, m.clip)
+	return geom.Ring(cell).Area()
+}
 
 // StoreConfig configures the simulated object store.
 type StoreConfig struct {

@@ -37,11 +37,12 @@ import (
 // scratch from one pool, so a new epoch starts with the visited table the
 // last one warmed.
 //
-// What only some methods read, an epoch builds on first use, once: the
-// strict rule's cell arena (lazyArena) and the traditional method's R-tree,
-// STR-packed over the epoch's points like a static engine's (RTreeIndex) —
-// ≈ 35 ms each at 60k sites on the same host. An epoch that runs neither
-// method builds neither, and the writer keeps no index at all.
+// What only the traditional method reads, an epoch builds on first use,
+// once: its R-tree, STR-packed over the epoch's points like a static
+// engine's (RTreeIndex) — ≈ 35 ms at 60k sites on the same host. An epoch
+// that runs no Traditional query builds none, and the writer keeps no index
+// at all. No method builds anything else: the strict rule clips a custom
+// region's cells one at a time as it tests them.
 //
 // An Insert costs what its three parts cost — ≈ 3 µs at 50k uniform sites
 // on the same host: the hint grid names a site near the new one (≈ 0.3 µs),
@@ -273,10 +274,6 @@ func (s *DynamicSnapshot) PointOK(id int64) (geom.Point, bool) {
 	}
 	return s.data.pts[id], true
 }
-
-// EachPoint iterates the snapshot's points in ascending id order; fn
-// returning false stops the iteration.
-func (s *DynamicSnapshot) EachPoint(fn func(id int64, pos geom.Point) bool) { s.data.Each(fn) }
 
 // Engine returns the snapshot's immutable engine: every query against the
 // pinned epoch runs on it (ErrNoData while the snapshot is empty). Refusing

@@ -15,8 +15,8 @@ import (
 // There is one way to build it, packing pts[first:] with each id its
 // position. NewRTreeIndex does so at once; a dynamic epoch's index does so on
 // the first read — a Traditional query, Bounds or Nearest — exactly once
-// however many goroutines race to it, the policy lazyArena applies to the
-// cells, so an epoch that runs no Traditional query never packs a tree.
+// however many goroutines race to it, so an epoch that runs no Traditional
+// query never packs a tree.
 type RTreeIndex struct {
 	once sync.Once
 	tree *rtree.Tree

@@ -11,6 +11,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/voronoi"
 	"repro/internal/workload"
 )
 
@@ -99,6 +100,39 @@ func TestDataLayersAgree(t *testing.T) {
 	}
 }
 
+// siteFixtures are the point sets the data-layer and shell tests run over:
+// random ones and the degenerate geometry internal/voronoi pins its own
+// cells on — collinear sites (every cell a slab), a cocircular grid (every
+// Delaunay quad a tie) and sites on the universe's boundary.
+func siteFixtures() map[string][]geom.Point {
+	collinear := make([]geom.Point, 40)
+	for i := range collinear {
+		collinear[i] = geom.Pt(float64(i+1)/41, 0.5)
+	}
+	var grid []geom.Point
+	for i := 0; i < 12; i++ {
+		for j := 0; j < 12; j++ {
+			grid = append(grid, geom.Pt(float64(i)/12+1.0/24, float64(j)/12+1.0/24))
+		}
+	}
+	var hugging []geom.Point
+	for i := 0; i <= 10; i++ {
+		t := float64(i) / 10
+		hugging = append(hugging, geom.Pt(t, 0), geom.Pt(t, 1))
+		if i > 0 && i < 10 {
+			hugging = append(hugging, geom.Pt(0, t), geom.Pt(1, t))
+		}
+	}
+	hugging = append(hugging, geom.Pt(0.5, 0.5), geom.Pt(0.25, 0.7))
+	return map[string][]geom.Point{
+		"uniform":          workload.UniformPoints(rand.New(rand.NewSource(42)), 1500, unitBounds()),
+		"clustered":        workload.ClusteredPoints(rand.New(rand.NewSource(7)), 1500, 8, 0.01, unitBounds()),
+		"collinear":        collinear,
+		"cocircular grid":  grid,
+		"boundary-hugging": hugging,
+	}
+}
+
 // checkLayerStructure asserts what every data layer is, whatever built it:
 //   - its CSR adjacency is symmetric, with no self and no repeated entry;
 //   - every user site lies inside the clip rectangle, and in its own clipped
@@ -128,17 +162,14 @@ func checkLayerStructure(t *testing.T, name string, d *MemoryData) {
 			}
 		}
 	}
-	cells := d.CellArena()
-	if cells.NumCells() != n {
-		t.Fatalf("%s: %d cells for %d sites", name, cells.NumCells(), n)
-	}
 	area := 0.0
+	var cell, spare []geom.Point
 	for id, p := range d.pts {
-		cell := cells.Ring(id)
-		if id >= d.first && (!d.clip.ContainsPoint(p) || !cell.ContainsPoint(p)) {
-			t.Fatalf("%s: site %d at %v lies outside its cell (box %v) or the clip %v", name, id, p, cells.CellBox(id), d.clip)
+		cell, spare = voronoi.CellFromNeighbors(cell, spare, p, ring(d, id), d.pts, d.clip)
+		if id >= d.first && (!d.clip.ContainsPoint(p) || !(geom.Polygon{Outer: cell}).ContainsPoint(p)) {
+			t.Fatalf("%s: site %d at %v lies outside its cell %v or the clip %v", name, id, p, cell, d.clip)
 		}
-		area += cell.Area()
+		area += geom.Ring(cell).Area()
 	}
 	if want := d.clip.Area(); math.Abs(area-want) > 1e-9*want {
 		t.Fatalf("%s: the cells of %d sites cover %.15g of the clip's %.15g", name, n, area, want)
@@ -161,11 +192,11 @@ func checkEpochs(t *testing.T, name string, pts []geom.Point, publish func(k int
 	}
 }
 
-// TestDataLayerStructure runs checkLayerStructure over every arena fixture —
+// TestDataLayerStructure runs checkLayerStructure over every site fixture —
 // random and degenerate — as a memory layer, as a store layer, and as the
 // epochs of a dynamic engine that publishes after every few inserts.
 func TestDataLayerStructure(t *testing.T) {
-	for name, pts := range arenaFixtures() {
+	for name, pts := range siteFixtures() {
 		mem, err := NewMemoryData(pts, unitBounds())
 		if err != nil {
 			t.Fatal(err)
@@ -249,7 +280,7 @@ func decodeLayerPolygon(data []byte) (geom.Polygon, bool) {
 // dynamic engine that publishes after insert k when bit k of the second
 // argument (cycled) is set, after every insert when it is empty, and after
 // the last. The second argument also spells a polygon (decodeLayerPolygon),
-// whose traced shell on the static layer must be the arena's (checkShell).
+// whose traced shell on the static layer must be the cells' (checkShell).
 func FuzzDataLayerStructure(f *testing.F) {
 	square := []byte{0x44, 0xc4, 0xcc, 0x4c, 0x88}
 	lattice := []byte{0x00, 0x0f, 0xf0, 0xff, 0x37, 0x73, 0x55, 0x5a, 0xa5, 0xaa, 0x18, 0x81, 0xe2, 0x2e}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/voronoi"
 	"repro/internal/workload"
 )
 
@@ -61,51 +60,4 @@ func BenchmarkLayoutHilbertTraditional(b *testing.B) {
 func BenchmarkLayoutHilbertVoronoi(b *testing.B) {
 	eng, areas := layoutBenchSetup(b, true)
 	benchQueries(b, eng, VoronoiBFS, areas)
-}
-
-// BenchmarkCellArena measures the strict rule's cell-intersection machinery
-// in isolation: build cost of the packed arena, and the read-side
-// box-reject + exact ring-view test sweep over every cell (the BFS's
-// per-visit work, expected to run at 0 allocs/op).
-
-func BenchmarkCellArenaBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(13))
-	pts := workload.UniformPoints(rng, 100_000, unitBounds())
-	diag, err := voronoi.New(pts, unitBounds())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := voronoi.BuildCellArena(diag)
-		if a.NumCells() != len(pts) {
-			b.Fatal("bad arena")
-		}
-	}
-}
-
-func BenchmarkCellArenaIntersect(b *testing.B) {
-	rng := rand.New(rand.NewSource(13))
-	pts := workload.UniformPoints(rng, 100_000, unitBounds())
-	data, err := NewMemoryData(pts, unitBounds())
-	if err != nil {
-		b.Fatal(err)
-	}
-	region := PolygonRegion(workload.RandomPolygon(rng, workload.PolygonConfig{Vertices: 10, QuerySize: 0.01}, unitBounds()))
-	q := voronoiQuery{region: region, strict: true, regionMBR: region.Bounds()}
-	q.arena = data.CellArena()
-	q.rectRegion, _ = region.(RectIntersecter)
-	q.ringRegion, _ = region.(RingViewIntersecter)
-	var stats Stats
-	b.ReportAllocs()
-	b.ResetTimer()
-	hits := 0
-	for i := 0; i < b.N; i++ {
-		id := i % len(pts)
-		if q.testCell(int32(id), data.pts[id], &stats) {
-			hits++
-		}
-	}
-	_ = hits
 }

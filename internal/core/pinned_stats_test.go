@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -81,12 +82,19 @@ func TestQueryCostsPinned(t *testing.T) {
 			{0, 3, 15, 0, 0},
 			{15, 34, 50, 0, 0},
 			{197, 257, 144, 0, 0},
+			{0, 3, 15, 0, 0},
+			{15, 34, 50, 0, 0},
+			{197, 257, 144, 0, 0},
 		},
 		// Regions 0–14, the polygons, were recorded again when the strict
 		// rule began to trace ∂R on polygons: Candidates is now the sites
 		// validated (the shell and its unmarked neighbours), and no cell is
-		// tested. Results did not move; the circles (15–17) keep the cell
-		// tests and their rows.
+		// tested. Results did not move. The circles (15–17) were recorded
+		// again when the strict rule began to run the segment rule on a
+		// disk: their rows are now the VoronoiBFS rows. Regions 18–20 are
+		// the same circles as custom regions, which keep the cell tests;
+		// their rows were recorded while every strict circle still tested
+		// cells, and equal the circles' rows of then.
 		VoronoiBFSStrict: {
 			{0, 12, 0, 0, 0},
 			{0, 14, 0, 0, 0},
@@ -103,6 +111,9 @@ func TestQueryCostsPinned(t *testing.T) {
 			{23, 84, 0, 0, 0},
 			{23, 70, 0, 0, 0},
 			{12, 71, 0, 0, 0},
+			{0, 3, 15, 0, 0},
+			{15, 34, 50, 0, 0},
+			{197, 257, 144, 0, 0},
 			{0, 2, 0, 11, 0},
 			{15, 34, 0, 49, 0},
 			{197, 257, 0, 144, 0},
@@ -143,6 +154,9 @@ func TestQueryCostsPinned(t *testing.T) {
 			{0, 3, 15, 0, 0},
 			{15, 34, 49, 0, 0},
 			{197, 257, 141, 0, 0},
+			{0, 3, 15, 0, 0},
+			{15, 34, 49, 0, 0},
+			{197, 257, 141, 0, 0},
 		},
 		VoronoiBFSStrict: {
 			{0, 12, 0, 0, 0},
@@ -160,6 +174,9 @@ func TestQueryCostsPinned(t *testing.T) {
 			{23, 84, 0, 0, 0},
 			{23, 70, 0, 0, 0},
 			{12, 71, 0, 0, 0},
+			{0, 3, 15, 0, 0},
+			{15, 34, 49, 0, 0},
+			{197, 257, 141, 0, 0},
 			{0, 2, 0, 11, 0},
 			{15, 34, 0, 48, 0},
 			{197, 257, 0, 141, 0},
@@ -187,7 +204,15 @@ func TestQueryCostsPinned(t *testing.T) {
 		{34, 51, 301, 0},
 		{31, 51, 324, 0},
 	}
+	for name, table := range map[string]map[Method][]pinnedCost{"static": want, "dynamic": wantDynamic} {
+		if got, want := table[VoronoiBFSStrict][15:18], table[VoronoiBFS][15:18]; !slices.Equal(got, want) {
+			t.Errorf("%s table: strict circles %v, published circles %v; a disk runs the segment rule", name, got, want)
+		}
+	}
 	pts, regions := pinnedRegions()
+	for _, c := range regions[15:18] {
+		regions = append(regions, customRegion{c})
+	}
 	mem, err := NewMemoryData(pts, unitBounds())
 	if err != nil {
 		t.Fatal(err)

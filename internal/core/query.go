@@ -108,9 +108,14 @@ func (e *Engine) eachRegion(ctx context.Context, region Region, m Method, tr *ob
 	case VoronoiBFS:
 		stats, err = e.eachVoronoi(ctx, region, false, tr, s)
 	case VoronoiBFSStrict:
-		if pp, ok := region.(*geom.PreparedPolygon); ok {
-			stats, err = e.eachShell(ctx, pp, tr, s)
-		} else {
+		switch r := region.(type) {
+		case *geom.PreparedPolygon:
+			stats, err = e.eachShell(ctx, r, tr, s)
+		case circleRegion:
+			// A disk is convex: the segment rule is exact on it (see
+			// eachVoronoi).
+			stats, err = e.eachVoronoi(ctx, region, false, tr, s)
+		default:
 			stats, err = e.eachVoronoi(ctx, region, true, tr, s)
 		}
 	case BruteForce:
@@ -196,9 +201,14 @@ func fetch(store *storage.Store, id int64, traced bool, spent *time.Duration) (g
 // Voronoi adjacency: internal points contribute all unvisited neighbors;
 // non-internal points contribute only neighbors reached by an expansion
 // test — the published rule tests the connecting segment against the
-// region, the strict rule tests the neighbor's Voronoi cell against it. (The
-// strict rule on a prepared polygon does not come here: eachShell traces
-// the boundary instead.)
+// region, the strict rule tests the neighbor's Voronoi cell against it.
+//
+// The strict rule comes here only for a custom region. On a prepared
+// polygon eachShell traces the boundary instead. On a disk eachRegion runs
+// the published rule, which is exact there: the site nearest the centre is
+// in the disk whenever any site is, and the chord between two results lies
+// inside both the disk and the hull, so every result is in the seed's
+// component.
 //
 // Results are emitted the moment the BFS validates them, so a streaming
 // consumer observes them while the expansion is still running.
@@ -209,14 +219,9 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 
 	// Resolve the query-constant expansion state once.
 	q := voronoiQuery{region: region, strict: strict, traced: traced,
-		pts: d.pts, nbrOff: d.nbrOff, nbrs: d.nbrs, store: d.store}
+		pts: d.pts, nbrOff: d.nbrOff, nbrs: d.nbrs, clip: d.clip, store: d.store}
 	if !strict {
 		q.boundary, _ = region.(BoundaryToucher)
-	} else {
-		q.arena = d.CellArena()
-		q.regionMBR = region.Bounds()
-		q.rectRegion, _ = region.(RectIntersecter)
-		q.ringRegion, _ = region.(RingViewIntersecter)
 	}
 
 	// Line 3-4: p_seed := NN(P, arbitrary position in A).
@@ -246,11 +251,10 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 }
 
 // voronoiQuery is the query-constant state of one Voronoi BFS, resolved
-// once per query: the region and its optional tests, and the data layer's
+// once per query: the region and its optional test, and the data layer's
 // slices — positions and CSR adjacency — which the loop then reads in place.
 // The BFS runs the published rule on every region and the strict rule's cell
-// tests on circles and custom regions; a prepared polygon's strict query is
-// eachShell's, which needs neither the arena nor a per-neighbour test.
+// tests on custom regions.
 type voronoiQuery struct {
 	region Region
 	strict bool
@@ -260,44 +264,29 @@ type voronoiQuery struct {
 	// (published rule; see testSegment).
 	boundary BoundaryToucher
 
-	// Strict-rule state (circles and custom regions): the packed cells,
-	// plus the region's optional accelerators.
-	arena      *voronoi.CellArena
-	rectRegion RectIntersecter
-	ringRegion RingViewIntersecter
-	regionMBR  geom.Rect
-
-	// The data layer: resident positions and CSR adjacency, and the store
-	// a candidate's record is fetched from (nil: the record is its resident
-	// position, read with no error branch and no clock pair under tracing).
+	// The data layer: resident positions and CSR adjacency, the rectangle
+	// the strict rule clips a cell to, and the store a candidate's record is
+	// fetched from (nil: the record is its resident position, read with no
+	// error branch and no clock pair under tracing).
 	pts          []geom.Point
 	nbrOff, nbrs []int32
+	clip         geom.Rect
 	store        *storage.Store
 }
 
-// testCell is the strict rule's one cell-vs-area decision, resolved by the
-// cheapest exact path available: reject when the cell's packed bounding box
-// misses the region (the common case along the shell), accept when the site
-// itself is in the region (the site lies in its own cell), and only
-// otherwise test the exact cell ring — a zero-allocation view over the
-// packed vertices. Every gate agrees with the full test.
+// testCell is the strict rule's one cell-vs-area decision. It accepts when
+// the site itself is in the region (the site lies in its own cell), and only
+// otherwise clips the cell — from the site's CSR ring, into the scratch's
+// two reused buffers — and tests the exact ring.
 //
 //vaq:noalloc
-func (q *voronoiQuery) testCell(nb int32, nbPos geom.Point, stats *Stats) bool {
+func (q *voronoiQuery) testCell(s *queryScratch, nb int32, nbPos geom.Point, stats *Stats) bool {
 	stats.CellTests++
-	i := int(nb)
-	switch {
-	case !q.arena.InBox(i, q.regionMBR):
-		return false
-	case q.rectRegion != nil && !q.rectRegion.IntersectsRect(q.arena.CellBox(i)):
-		return false
-	case q.region.ContainsPoint(nbPos):
+	if q.region.ContainsPoint(nbPos) {
 		return true
 	}
-	if q.ringRegion != nil {
-		return q.ringRegion.IntersectsRingView(q.arena.Ring(i))
-	}
-	return regionIntersectsRingView(q.region, q.arena.Ring(i))
+	s.cell, s.spare = voronoi.CellFromNeighbors(s.cell, s.spare, nbPos, q.nbrs[q.nbrOff[nb]:q.nbrOff[nb+1]], q.pts, q.clip)
+	return regionIntersectsRing(q.region, s.cell)
 }
 
 // testSegment is the published rule's segment-vs-area decision for an edge
@@ -367,7 +356,7 @@ func voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch, stats Stat
 			nbPos := q.pts[nb]
 			var enqueue bool
 			if q.strict {
-				enqueue = q.testCell(nb, nbPos, &stats)
+				enqueue = q.testCell(s, nb, nbPos, &stats)
 			} else {
 				stats.SegmentTests++
 				enqueue = q.testSegment(pos, nbPos)

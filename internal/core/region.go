@@ -14,24 +14,14 @@ type Region interface {
 	InteriorPoint() geom.Point
 }
 
-// RingViewIntersecter is optionally implemented by Regions that can test
-// intersection against a structure-of-arrays ring view (a packed Voronoi
-// cell) exactly; the strict expansion rule's cell tests use it when
-// present and fall back to a generic vertex/edge/containment sweep over the
-// view otherwise (exact for convex rings, which Voronoi cells are).
-// Prepared polygons implement it, but their strict queries trace the
-// boundary instead (shell.go), so no cell test reaches it.
+// RingViewIntersecter is implemented by Regions that can test intersection
+// against a structure-of-arrays ring view (a packed Voronoi cell) exactly.
+// Prepared polygons implement it. No query calls it: the strict rule traces
+// a polygon's boundary (shell.go) and clips a custom region's cells one at a
+// time (regionIntersectsRing); the benchmark module's geom probe still
+// times it.
 type RingViewIntersecter interface {
 	IntersectsRingView(geom.RingView) bool
-}
-
-// RectIntersecter is optionally implemented by Regions that can test
-// intersection against a rectangle exactly; the strict expansion rule uses
-// it to reject whole Voronoi cells by their precomputed bounding boxes
-// before building the exact cell ring. Circles implement it; prepared
-// polygons do not, since their strict queries test no cell.
-type RectIntersecter interface {
-	IntersectsRect(geom.Rect) bool
 }
 
 // BoundaryToucher is optionally implemented by Regions that can test a
@@ -69,36 +59,27 @@ func (r circleRegion) Circle() geom.Circle { return r.c }
 func (r circleRegion) Bounds() geom.Rect                     { return r.c.Bounds() }
 func (r circleRegion) ContainsPoint(p geom.Point) bool       { return r.c.ContainsPoint(p) }
 func (r circleRegion) IntersectsSegment(s geom.Segment) bool { return r.c.IntersectsSegment(s) }
-func (r circleRegion) IntersectsRect(rect geom.Rect) bool    { return r.c.IntersectsRect(rect) }
 func (r circleRegion) InteriorPoint() geom.Point             { return r.c.InteriorPoint() }
 
-// regionIntersectsRingView reports whether region and the closed area
-// bounded by the packed ring v share a point, using RingViewIntersecter
-// when available and a generic vertex/edge/containment test otherwise
-// (exact for convex rings, which Voronoi cells are). It reads the arena
-// slices directly, so custom regions such as circles allocate nothing.
-func regionIntersectsRingView(region Region, v geom.RingView) bool {
-	n := v.Len()
-	if n == 0 {
-		return false
-	}
-	if ri, ok := region.(RingViewIntersecter); ok {
-		return ri.IntersectsRingView(v)
-	}
-	for i := 0; i < n; i++ {
-		if region.ContainsPoint(v.At(i)) {
+// regionIntersectsRing reports whether region and the closed area bounded by
+// the convex ring share a point: some vertex lies in the region, some edge
+// meets it, or the ring contains it whole. It is exact for convex rings,
+// which Voronoi cells are, and reads the ring in place, so it allocates
+// nothing.
+func regionIntersectsRing(region Region, ring geom.Ring) bool {
+	for _, p := range ring {
+		if region.ContainsPoint(p) {
 			return true
 		}
 	}
-	for i := 0; i < n; i++ {
+	for i := range ring {
 		j := i + 1
-		if j == n {
+		if j == len(ring) {
 			j = 0
 		}
-		if region.IntersectsSegment(geom.Seg(v.At(i), v.At(j))) {
+		if region.IntersectsSegment(geom.Seg(ring[i], ring[j])) {
 			return true
 		}
 	}
-	// Ring may contain the region entirely.
-	return v.ContainsPoint(region.InteriorPoint())
+	return geom.Polygon{Outer: ring}.ContainsPoint(region.InteriorPoint())
 }

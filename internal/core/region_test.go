@@ -65,33 +65,23 @@ func TestCircleVoronoiSavesCandidates(t *testing.T) {
 		trad, vor, 100*(1-float64(vor)/float64(trad)))
 }
 
-// viewRing packs r's coordinates the way the cell arena holds a cell.
-func viewRing(r geom.Ring) geom.RingView {
-	v := geom.RingView{XS: make([]float64, len(r)), YS: make([]float64, len(r))}
-	for i, p := range r {
-		v.XS[i], v.YS[i] = p.X, p.Y
-	}
-	return v
-}
-
 func TestRegionIntersectsRingGeneric(t *testing.T) {
-	// circleRegion does not implement RingViewIntersecter, so the generic
-	// path is exercised by strict-mode queries above; unit-test the helper
-	// too.
+	// The strict rule's cell test on a custom region ends in this helper;
+	// unit-test it too.
 	c := CircleRegion(geom.NewCircle(geom.Pt(0.5, 0.5), 0.1))
 	inside := geom.Ring{geom.Pt(0.48, 0.48), geom.Pt(0.52, 0.48), geom.Pt(0.5, 0.52)}
-	if !regionIntersectsRingView(c, viewRing(inside)) {
+	if !regionIntersectsRing(c, inside) {
 		t.Error("ring inside circle should intersect")
 	}
 	far := geom.Ring{geom.Pt(0.9, 0.9), geom.Pt(0.95, 0.9), geom.Pt(0.92, 0.95)}
-	if regionIntersectsRingView(c, viewRing(far)) {
+	if regionIntersectsRing(c, far) {
 		t.Error("distant ring should not intersect")
 	}
 	surrounding := geom.Ring{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(0, 1)}
-	if !regionIntersectsRingView(c, viewRing(surrounding)) {
+	if !regionIntersectsRing(c, surrounding) {
 		t.Error("ring containing the whole circle should intersect")
 	}
-	if regionIntersectsRingView(c, geom.RingView{}) {
+	if regionIntersectsRing(c, nil) {
 		t.Error("empty ring should not intersect")
 	}
 }

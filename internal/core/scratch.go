@@ -29,6 +29,9 @@ type queryScratch struct {
 	// and ties lists the sites as near to a tie point; see shell.go.
 	cross []robust.Crossing
 	ties  []int32
+	// cell and spare are the two buffers the strict rule clips a custom
+	// region's cell into (testCell), reused from cell to cell.
+	cell, spare []geom.Point
 	// out collects the running area query's results; set by
 	// Engine.collect for the query's duration and cleared before the
 	// scratch returns to the pool.

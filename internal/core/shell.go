@@ -29,8 +29,7 @@ import (
 //
 // Every site of R is returned, for any polygon: a site of R whose cell
 // misses ∂R lies in a face of R that some path of such cells links to a
-// neighbour of B. The cells are never clipped, so the trace needs no cell
-// arena.
+// neighbour of B. The cells are never clipped.
 
 // shellCounts is the trace's deterministic cost: the size of B (shell), the
 // cells whose neighbours it scanned (steps), the bisector crossings it

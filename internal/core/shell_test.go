@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/voronoi"
 )
 
 // traceShellOf is the unexported hook onto the trace: the set B traceShell
@@ -30,28 +31,28 @@ func traceShellOf(t testing.TB, d *MemoryData, pg geom.Polygon) ([]int32, shellC
 	return b, counts
 }
 
-// arenaShell is the brute-force B: every site whose closed clipped cell, as
-// the arena packs it, shares a point with an edge of some ring of pg.
-func arenaShell(d *MemoryData, pg geom.Polygon) []int32 {
-	arena := d.CellArena()
+// cellShell is the brute-force B: every site whose closed clipped cell, as
+// voronoi.Diagram.Cell clips it, shares a point with an edge of some ring of
+// pg.
+func cellShell(d *MemoryData, cells *voronoi.Diagram, pg geom.Polygon) []int32 {
 	var b []int32
-	for i := d.first; i < arena.NumCells(); i++ {
-		if cellMeetsBoundary(arena.Ring(i), pg) {
+	for i := d.first; i < len(d.pts); i++ {
+		if cellMeetsBoundary(cells.Cell(i), pg) {
 			b = append(b, int32(i))
 		}
 	}
 	return b
 }
 
-func cellMeetsBoundary(v geom.RingView, pg geom.Polygon) bool {
+func cellMeetsBoundary(cell geom.Ring, pg geom.Polygon) bool {
 	for _, r := range append([]geom.Ring{pg.Outer}, pg.Holes...) {
 		for i := range r {
 			e := geom.Seg(r[i], r[(i+1)%len(r)])
-			if v.ContainsPoint(e.A) {
+			if (geom.Polygon{Outer: cell}).ContainsPoint(e.A) {
 				return true
 			}
-			for j, k := v.Len()-1, 0; k < v.Len(); j, k = k, k+1 {
-				if e.Intersects(geom.Seg(v.At(j), v.At(k))) {
+			for j, k := len(cell)-1, 0; k < len(cell); j, k = k, k+1 {
+				if e.Intersects(geom.Seg(cell[j], cell[k])) {
 					return true
 				}
 			}
@@ -61,21 +62,24 @@ func cellMeetsBoundary(v geom.RingView, pg geom.Polygon) bool {
 }
 
 // checkShell fails t unless the trace of pg on d stamps exactly the cells
-// the arena says meet ∂pg. The arena's vertices are bisector crossings
-// rounded to the last place, so on sites off the dyadic lattice (1/12, 1/10,
-// 1/41 steps) it cannot tell a cell that touches ∂pg from one a rounding
-// error away. A cell the two disagree on must be such a one — its packed
-// ring within arenaTieTol of ∂pg — and is then settled by the definition,
-// exactly: some point of ∂pg no other site is strictly nearer to.
+// Diagram.Cell says meet ∂pg. Their vertices are bisector crossings rounded
+// to the last place, so on sites off the dyadic lattice (1/12, 1/10, 1/41
+// steps) they cannot tell a cell that touches ∂pg from one a rounding error
+// away. A cell the two disagree on must be such a one — its clipped ring
+// within cellTieTol of ∂pg — and is then settled by the definition, exactly:
+// some point of ∂pg no other site is strictly nearer to.
 func checkShell(t *testing.T, name string, d *MemoryData, pg geom.Polygon) {
 	t.Helper()
+	cells, err := voronoi.New(d.pts, d.clip)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, _ := traceShellOf(t, d, pg)
-	want := arenaShell(d, pg)
-	arena := d.CellArena()
+	want := cellShell(d, cells, pg)
 	for _, id := range symmetricDifference(got, want) {
 		traced := slices.Contains(got, id)
-		if dist := ringBoundaryDist(arena.Ring(int(id)), pg); dist > arenaTieTol {
-			t.Errorf("%s: cell %d is %v by the trace, %v by the arena, whose ring is %g from the boundary",
+		if dist := ringBoundaryDist(cells.Cell(int(id)), pg); dist > cellTieTol {
+			t.Errorf("%s: cell %d is %v by the trace, %v by Diagram.Cell, whose ring is %g from the boundary",
 				name, id, traced, !traced, dist)
 			continue
 		}
@@ -85,9 +89,9 @@ func checkShell(t *testing.T, name string, d *MemoryData, pg geom.Polygon) {
 	}
 }
 
-// arenaTieTol bounds how far a packed ring lies from its exact cell on the
+// cellTieTol bounds how far a clipped ring lies from its exact cell on the
 // unit square: a few ulps of a bisector crossing.
-const arenaTieTol = 1e-12
+const cellTieTol = 1e-12
 
 func symmetricDifference(a, b []int32) []int32 {
 	var out []int32
@@ -106,13 +110,13 @@ func symmetricDifference(a, b []int32) []int32 {
 
 // ringBoundaryDist is the distance between the ring's edges and ∂pg: zero
 // when they cross.
-func ringBoundaryDist(v geom.RingView, pg geom.Polygon) float64 {
+func ringBoundaryDist(cell geom.Ring, pg geom.Polygon) float64 {
 	best := math.Inf(1)
 	for _, r := range append([]geom.Ring{pg.Outer}, pg.Holes...) {
 		for i := range r {
 			e := geom.Seg(r[i], r[(i+1)%len(r)])
-			for j, k := v.Len()-1, 0; k < v.Len(); j, k = k, k+1 {
-				f := geom.Seg(v.At(j), v.At(k))
+			for j, k := len(cell)-1, 0; k < len(cell); j, k = k, k+1 {
+				f := geom.Seg(cell[j], cell[k])
 				if e.Intersects(f) {
 					return 0
 				}
@@ -203,12 +207,12 @@ func shellPolygons() []geom.Polygon {
 
 // TestShellIsTheBoundaryCells holds the trace to its definition: B is every
 // cell whose closed cell meets ∂R, and nothing else, on the pinned sites and
-// on the arena's degenerate site sets (lattice, collinear, boundary), with
-// the brute-force answer read off the clipped cell arena (settled exactly
-// where the arena's rounding cannot tell; see checkShell).
+// on the degenerate site sets (lattice, collinear, boundary), with the
+// brute-force answer read off voronoi.Diagram.Cell (settled exactly where
+// its rounding cannot tell; see checkShell).
 func TestShellIsTheBoundaryCells(t *testing.T) {
 	pinned, _ := pinnedRegions()
-	fixtures := arenaFixtures()
+	fixtures := siteFixtures()
 	fixtures["pinned"] = pinned
 	for name, pts := range fixtures {
 		d, err := NewMemoryData(pts, unitBounds())
@@ -218,26 +222,5 @@ func TestShellIsTheBoundaryCells(t *testing.T) {
 		for i, pg := range shellPolygons() {
 			checkShell(t, fmt.Sprintf("%s, polygon %d", name, i), d, pg)
 		}
-	}
-}
-
-// TestDynamicStrictPolygonBuildsNoArena: an epoch that answers only strict
-// polygon queries never packs its cells.
-func TestDynamicStrictPolygonBuildsNoArena(t *testing.T) {
-	pts, regions := pinnedRegions()
-	de := NewDynamicEngine(unitBounds())
-	for _, p := range pts[:500] {
-		if _, _, err := de.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := de.Snapshot()
-	for _, r := range regions[:15] {
-		if _, _, err := snap.Engine().QueryRegionSpec(context.Background(), r, QuerySpec{Method: VoronoiBFSStrict}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if snap.Engine().data.arena.cells != nil {
-		t.Error("strict polygon queries built the epoch's cell arena")
 	}
 }

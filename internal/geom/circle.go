@@ -33,24 +33,19 @@ func (c Circle) Area() float64 { return math.Pi * c.R * c.R }
 // Perimeter returns the circumference 2πr.
 func (c Circle) Perimeter() float64 { return 2 * math.Pi * c.R }
 
-// ContainsPoint reports whether p lies in the closed disk.
+// ContainsPoint reports whether p lies in the closed disk and in its
+// bounding rectangle. Bounds rounds the disk's extent, so a point exactly at
+// distance R can fall one ulp outside it; requiring both gives membership
+// one definition, the one the MBR filters of the traditional method and the
+// brute-force scan apply first.
 func (c Circle) ContainsPoint(p Point) bool {
-	return c.Center.Dist2(p) <= c.R*c.R
+	return c.Bounds().ContainsPoint(p) && c.Center.Dist2(p) <= c.R*c.R
 }
 
 // IntersectsSegment reports whether the closed segment shares at least one
 // point with the closed disk.
 func (c Circle) IntersectsSegment(s Segment) bool {
 	return s.Dist2Point(c.Center) <= c.R*c.R
-}
-
-// IntersectsRect reports whether the closed disk and the closed rectangle
-// share at least one point.
-func (c Circle) IntersectsRect(r Rect) bool {
-	if r.IsEmpty() {
-		return false
-	}
-	return r.Dist2Point(c.Center) <= c.R*c.R
 }
 
 // InteriorPoint returns the center — always interior for r > 0.

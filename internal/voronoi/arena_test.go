@@ -140,21 +140,18 @@ func TestCellArenaFromSitesMatchesCellFromNeighbors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drive the builder the way a data layer does — its own coordinates and
-	// neighbor lists; rings must match CellFromNeighbors over the same
-	// neighbor sequences.
+	// Drive the builder from plain coordinates and neighbor lists; rings
+	// must match CellFromNeighbors over the same neighbor sequences.
 	a := CellArenaFromSites(
 		d.NumSites(), unitBounds(),
 		func(id int64) geom.Point { return pts[id] },
 		func(id int64) []int32 { return d.Triangulation().Neighbors(int(id)) },
 	)
+	// CellFromNeighbors reuses its two buffers from site to site, as the
+	// engines do.
+	var want, spare []geom.Point
 	for i := 0; i < d.NumSites(); i++ {
-		nbs := d.Triangulation().Neighbors(i)
-		nbPts := make([]geom.Point, len(nbs))
-		for j, nb := range nbs {
-			nbPts[j] = pts[nb]
-		}
-		want := CellFromNeighbors(pts[i], nbPts, unitBounds())
+		want, spare = CellFromNeighbors(want, spare, pts[i], d.Triangulation().Neighbors(i), pts, unitBounds())
 		view := a.Ring(i)
 		if view.Len() != len(want) {
 			t.Fatalf("site %d: arena ring has %d vertices, want %d", i, view.Len(), len(want))

@@ -5,8 +5,9 @@
 // neighbors VN(P, p) of a site — exactly its Delaunay neighbors (Property 4:
 // the structures are dual), so they are read off the triangulation — and,
 // for the strict expansion variant and for rendering, the cell polygon of a
-// site, clipped to a bounding rectangle. Engines take every cell at once,
-// packed into a CellArena.
+// site, clipped to a bounding rectangle. Engines clip one cell at a time,
+// when a query needs it (CellFromNeighbors); a CellArena packs every cell at
+// once.
 package voronoi
 
 import (
@@ -63,28 +64,30 @@ func (d *Diagram) Cell(i int) geom.Ring {
 	return ring
 }
 
-// CellFromNeighbors computes the Voronoi cell of a site given its Voronoi
-// neighbors' coordinates, clipped to bounds — the same construction Cell
-// uses, exposed for callers (such as the dynamic triangulation) that hold
-// the topology themselves.
-func CellFromNeighbors(site geom.Point, neighbors []geom.Point, bounds geom.Rect) geom.Ring {
+// CellFromNeighbors computes the Voronoi cell of site given its Voronoi
+// neighbors pts[nbrs[0]], pts[nbrs[1]], ..., clipped to bounds — the
+// construction Cell makes, for callers (such as the engines' data layer)
+// that hold the topology themselves. It clips into ring and tmp, which it
+// reuses as two ping-pong buffers (nil ones allocate), and returns the cell
+// and the other buffer for the next call; an empty cell has no vertices.
+func CellFromNeighbors(ring, tmp []geom.Point, site geom.Point, nbrs []int32, pts []geom.Point, bounds geom.Rect) (cell, spare []geom.Point) {
 	corners := bounds.Corners()
-	ring := geom.Ring(corners[:])
-	for _, nb := range neighbors {
-		ring = clipHalfPlaneInto(nil, ring, site, nb)
+	ring = append(ring[:0], corners[:]...)
+	for _, nb := range nbrs {
+		tmp = clipHalfPlaneInto(tmp, ring, site, pts[nb])
+		ring, tmp = tmp, ring
 		if len(ring) == 0 {
-			return nil
+			break
 		}
 	}
-	return ring
+	return ring, tmp
 }
 
 // clipHalfPlaneInto clips ring to the half-plane of locations at least as
 // close to site as to other (Sutherland–Hodgman against the perpendicular
-// bisector), writing into dst[:0] — the arena builder ping-pongs between two
-// scratch buffers; a nil dst allocates. Cell and the arena builder share
-// this one code path, so the arena's packed rings are bit-identical to the
-// per-call rings.
+// bisector), writing into dst[:0] — CellFromNeighbors and the arena builder
+// ping-pong between two scratch buffers; a nil dst allocates. Cell and both
+// share this one code path, so their rings are bit-identical.
 func clipHalfPlaneInto(dst, ring []geom.Point, site, other geom.Point) []geom.Point {
 	dst = dst[:0]
 	for i := range ring {

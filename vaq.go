@@ -111,22 +111,16 @@
 // its own point copy, vertex tables, about 120 bytes per site — is
 // construction scaffolding and is released when NewEngine returns.
 //
-// Only the strict expansion rule on circles and custom regions, and
-// CellArea, read the clipped Voronoi cells, so on every flavor they are
-// built lazily: the first such query (or CellArea call) clips every cell once, from the coordinates and the
-// adjacency above, into one contiguous cell arena of flat vertex slices,
-// int32 ring offsets and per-cell bounding boxes (roughly 130 bytes per
-// site), paying the clipping pass — about 0.08 s at 200k points, once,
-// however many goroutines race to it. An engine that never runs them never
-// does — the strict rule on a polygon walks the unclipped diagram — and a
-// dynamic engine builds one arena per epoch that sees one. A dynamic
-// epoch treats its R-tree the same way: the first Traditional query packs
-// it, and an epoch that runs none holds no leaf entry at all.
+// No engine keeps a clipped Voronoi cell. The strict expansion rule on a
+// custom region clips the cell of each neighbour it tests, from the
+// coordinates and the adjacency above, into two buffers the query reuses,
+// and CellArea clips its one cell the same way; nothing is built ahead of a
+// query, on any flavor or dynamic epoch. A dynamic epoch's R-tree is the one
+// thing built on first use: the first Traditional query packs it, and an
+// epoch that runs none holds no leaf entry at all.
 //
-// The BFS expansion tests, the boundary trace and the cell-intersection checks
-// read that dense memory through zero-allocation views; no cell ring is
-// materialized on any query hot path. CellArea serves per-cell geometry from
-// the same storage.
+// The BFS expansion tests, the boundary trace and the cell clipping read
+// that dense memory in place; no query hot path allocates.
 //
 // # Static analysis
 //
@@ -199,9 +193,10 @@ const (
 	// VoronoiBFSStrict is Algorithm 1 complete at any point density. On a
 	// polygon it traces the boundary through the Voronoi diagram, validates
 	// only the sites whose cells meet it and their neighbours, and returns
-	// the interior untested; on circles and custom regions it replaces the
-	// segment expansion test with a Voronoi cell intersection test, complete
-	// for every connected region inside the universe.
+	// the interior untested. On a circle it runs the segment expansion test
+	// of VoronoiBFS, exact on a convex region. On a custom region it
+	// replaces the segment test with a Voronoi cell intersection test,
+	// complete for every connected region inside the universe.
 	VoronoiBFSStrict = core.VoronoiBFSStrict
 	// BruteForce scans every record (oracle; for testing).
 	BruteForce = core.BruteForce
@@ -251,14 +246,6 @@ func RandomQueryPolygon(rng *rand.Rand, vertices int, querySize float64, bounds 
 // traditional method's best case, for ablations.
 func RectangleQueryPolygon(rng *rand.Rand, querySize, aspect float64, bounds Rect) Polygon {
 	return workload.RectanglePolygon(rng, querySize, aspect, bounds)
-}
-
-// HilbertSort reorders points in place along a Hilbert curve over bounds,
-// the spatial clustering a production store applies to its heap file. It
-// improves the memory locality of both query methods (and especially the
-// Voronoi BFS).
-func HilbertSort(points []Point, bounds Rect) {
-	workload.HilbertSort(points, bounds)
 }
 
 // StoreConfig configures the simulated paged object store (see WithStore).
@@ -424,14 +411,10 @@ func (e *Engine) PointOK(id int64) (Point, bool) {
 }
 
 // CellArea returns the area of id's Voronoi cell (clipped to Bounds),
-// computed over the engine's packed cell arena — the flat vertex store
-// every cell is clipped into by the engine's first CellArea call or strict
-// query on a circle or custom region (about 0.08 s at 200k points, once) — so no ring is materialized.
+// clipping that one cell from id's Voronoi neighbours when it is called.
 // The areas of all cells sum to the universe's area. It panics when id is
 // not in [0, Len()).
-func (e *Engine) CellArea(id int64) float64 {
-	return e.data.CellArena().CellArea(int(id))
-}
+func (e *Engine) CellArea(id int64) float64 { return e.data.CellArea(id) }
 
 // IOStats returns the engine's cumulative simulated IO counters — buffer
 // pool misses (reads) and hits — when it was built WithStore; ok is false
@@ -470,8 +453,8 @@ func (e *Engine) ResetIOStats() { e.data.ResetIOStats() }
 // sparser geometry the segment heuristic can strand result islands inside
 // thin concave queries; the strict rule is complete at any density on
 // every polygon and every connected region. Stats.Method still reports the
-// requested method (with no SegmentTests: a polygon's boundary is traced,
-// a circle's cells are tested and counted in CellTests). A single shard
+// requested method (a polygon's boundary is traced, with no SegmentTests; a
+// circle, convex, keeps the segment test, exact on it). A single shard
 // holds the full diagram and runs the requested method as is.
 //
 // Shard where one engine's data volume is the bottleneck: construction
@@ -622,12 +605,11 @@ var (
 // the rest copied from the previous epoch's — about a quarter of a
 // millisecond at 50k points after one insert, while the very first publish
 // walks every ring, about 9 ms. The writer keeps no R-tree: an epoch's
-// first Traditional query STR-packs one over the epoch's points, as its
-// first strict query on a circle or custom region clips the cells — each
-// about 35 ms at 60k points, once per epoch that asks. All queries between writes share the published epoch
-// for free. Use Snapshot to pin
-// one epoch across several queries — e.g. a result query and its Count, or
-// a query and the brute-force oracle validating it.
+// first Traditional query STR-packs one over the epoch's points, about
+// 35 ms at 60k points, once per epoch that asks; no other method builds
+// anything. All queries between writes share the published epoch for free.
+// Use Snapshot to pin one epoch across several queries — e.g. a result
+// query and its Count, or a query and the brute-force oracle validating it.
 type DynamicEngine struct {
 	d *core.DynamicEngine
 	// proto is every Snapshot's querier, less the backend each one pins;
@@ -734,8 +716,3 @@ func (s *Snapshot) Point(id int64) Point { return s.s.Point(id) }
 // PointOK returns the coordinates of id and whether id is a point present
 // in the snapshot.
 func (s *Snapshot) PointOK(id int64) (Point, bool) { return s.s.PointOK(id) }
-
-// EachPoint iterates the snapshot's points in ascending id order; fn
-// returning false stops the iteration. (Each — the Querier method —
-// streams an area query instead.)
-func (s *Snapshot) EachPoint(fn func(id int64, p Point) bool) { s.s.EachPoint(fn) }

@@ -19,11 +19,19 @@ import (
 // decodeFlavorSites reads up to 64 distinct sites, two bytes each, off a
 // 1/16 lattice over the closed unit square (a byte b is the coordinate
 // (b mod 17)/16): lattice sites are collinear and cocircular in bulk, and
-// those at 0 or 1 lie on the universe's edge.
+// those at 0 or 1 lie on the universe's edge. A byte from 238 up is the
+// coordinate (b−238)/17 instead: off the dyadic lattice, where distances and
+// bounds round.
 func decodeFlavorSites(data []byte) []vaq.Point {
+	coord := func(b byte) float64 {
+		if b >= 238 {
+			return float64(b-238) / 17
+		}
+		return float64(b%17) / 16
+	}
 	var sites []vaq.Point
 	for i := 0; i+1 < len(data) && len(sites) < 64; i += 2 {
-		p := vaq.Pt(float64(data[i]%17)/16, float64(data[i+1]%17)/16)
+		p := vaq.Pt(coord(data[i]), coord(data[i+1]))
 		if !slices.Contains(sites, p) {
 			sites = append(sites, p)
 		}
@@ -36,15 +44,24 @@ func decodeFlavorSites(data []byte) []vaq.Point {
 // sites, edges run through them and along their bisectors, and both pass
 // through the sites' cocircular Voronoi vertices.
 //
-// Three to five bytes spell a circle: its centre on the lattice and its
-// radius (b mod 32 + 1)/32, so circles pass through sites in bulk. Six bytes
-// or more spell a polygon: up to 16 vertices, two bytes each, spell the
-// outer ring; after a byte 255 the rest spells one hole the same way. A
-// polygon coordinate byte 254 is one ulp past 1, just outside the universe.
-// ok is false when there are fewer than three bytes, or when NewPolygon or
-// AddHole refuses a ring.
-func decodeFlavorRegion(data []byte) (region vaq.Region, ok bool) {
+// Three or five bytes spell a circle: its centre on the lattice and its
+// radius (b mod 32 + 1)/32, so circles pass through sites in bulk. Four
+// bytes spell a circle through a site: its centre the midpoint of sites
+// data[0] and data[1], its radius the distance from there to site data[2]
+// (each mod the site count; the fourth byte is not read). Six bytes or more
+// spell a polygon: up to 16 vertices, two bytes each, spell the outer ring;
+// after a byte 255 the rest spells one hole the same way. A polygon
+// coordinate byte 254 is one ulp past 1, just outside the universe. ok is
+// false when there are fewer than three bytes or no site, or when
+// NewPolygon or AddHole refuses a ring.
+func decodeFlavorRegion(data []byte, sites []vaq.Point) (region vaq.Region, ok bool) {
 	coord := func(b byte) float64 { return float64(b%33) / 32 }
+	if len(data) == 4 && len(sites) > 0 {
+		site := func(b byte) vaq.Point { return sites[int(b)%len(sites)] }
+		a, b := site(data[0]), site(data[1])
+		centre := vaq.Pt((a.X+b.X)/2, (a.Y+b.Y)/2)
+		return vaq.CircleRegion(vaq.NewCircle(centre, math.Sqrt(centre.Dist2(site(data[2]))))), true
+	}
 	if len(data) < 6 {
 		if len(data) < 3 {
 			return nil, false
@@ -77,14 +94,15 @@ func decodeFlavorRegion(data []byte) (region vaq.Region, ok bool) {
 // lattice site set on every flavor — static, WithStore on small pages
 // behind a two-page pool, three shards, a DynamicEngine snapshot, and (from
 // two sites up) a RemoteEngine dialled over two served halves of the sites,
-// whose kernel runs VoronoiBFS as the strict rule: on a circle, its cell
-// tests cross the wire — and holds each method to a scan of the input
-// sites: Traditional, VoronoiBFSStrict and BruteForce must return exactly
+// whose kernel runs VoronoiBFS as the strict rule on each backend — and
+// holds each method to a scan of the input sites: Traditional, VoronoiBFSStrict and BruteForce must return exactly
 // the sites the region contains, and Count their number; VoronoiBFS (whose
 // published rule may stop short) returns a subset of them. A region whose
 // MBR escapes the unit square must be refused by every flavor and method
 // with ErrOutsideUniverse. A polygon NewPolygon or AddHole refuses is
-// skipped.
+// skipped. testdata/fuzz/FuzzFlavorsAgree holds sites 1/17 apart on a row
+// and the circle centred between sites 1 and 12 through site 1, which the
+// circle's MBR rounds out.
 func FuzzFlavorsAgree(f *testing.F) {
 	square := []byte{4, 4, 12, 4, 12, 12, 4, 12, 8, 8}                         // a square of sites and its centre
 	f.Add(square, []byte{4, 4, 28, 4, 28, 28, 4, 28})                          // a square through four sites
@@ -140,7 +158,7 @@ func FuzzFlavorsAgree(f *testing.F) {
 	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, siteBytes, regionBytes []byte) {
 		sites := decodeFlavorSites(siteBytes)
-		region, ok := decodeFlavorRegion(regionBytes)
+		region, ok := decodeFlavorRegion(regionBytes, sites)
 		if len(sites) == 0 || !ok {
 			return
 		}

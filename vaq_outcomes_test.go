@@ -303,3 +303,43 @@ func TestNonFiniteRegionIsRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestCircleMembershipHasOneDefinition: a site exactly on a circle can lie
+// one ulp outside the circle's rounded MBR. Traditional and BruteForce filter
+// by that MBR, the Voronoi rules by containment alone, so the disk must
+// refuse such a site too, or the methods disagree. Sites 1/17 apart on a row
+// and three off it; the circle is centred between sites 1 and 12 and passes
+// through site 1. Every method on every flavor returns sites 2–12.
+func TestCircleMembershipHasOneDefinition(t *testing.T) {
+	var pts []vaq.Point
+	for i := 0; i <= 16; i++ {
+		pts = append(pts, vaq.Pt(float64(i)/17, 0.5))
+	}
+	pts = append(pts, vaq.Pt(0.5, 0.1), vaq.Pt(0.5, 0.9), vaq.Pt(0.1, 0.9))
+	centre := vaq.Pt((pts[1].X+pts[12].X)/2, (pts[1].Y+pts[12].Y)/2)
+	disk := vaq.NewCircle(centre, math.Sqrt(centre.Dist2(pts[1])))
+	if disk.Bounds().ContainsPoint(pts[1]) {
+		t.Fatalf("fixture: site 1 %v lies inside the MBR %v", pts[1], disk.Bounds())
+	}
+	region := vaq.CircleRegion(disk)
+	want := []int64{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	ctx := context.Background()
+	for _, f := range everyFlavor(t, pts, vaq.UnitSquare()) {
+		var first []int64
+		for _, m := range []vaq.Method{vaq.Traditional, vaq.VoronoiBFS, vaq.VoronoiBFSStrict, vaq.BruteForce} {
+			ids, err := f.q.Query(ctx, region, vaq.UsingMethod(m))
+			if err != nil {
+				t.Fatalf("%s, %v: %v", f.name, m, err)
+			}
+			if first == nil {
+				first = ids
+			}
+			if !slices.Equal(ids, first) || len(ids) != len(want) {
+				t.Errorf("%s, %v: %v; want the %d ids %v gave", f.name, m, ids, len(want), first)
+			}
+			if f.label != "dynamic" && !slices.Equal(ids, want) {
+				t.Errorf("%s, %v: %v, want %v", f.name, m, ids, want)
+			}
+		}
+	}
+}

@@ -37,6 +37,9 @@ func idsEqual(a, b []int64) bool {
 }
 
 // mixedBatch builds a region batch alternating polygons and circles.
+// customRegion hides every method of a region but Region's own.
+type customRegion struct{ Region }
+
 func mixedBatch(rng *rand.Rand, count int) []Region {
 	regions := make([]Region, count)
 	for i := range regions {
@@ -108,9 +111,15 @@ func TestParallelBatchStatsEqualSequentialSum(t *testing.T) {
 	seqEng := parallelTestEngine(t, 5000, WithParallelism(1))
 	rng := rand.New(rand.NewSource(31))
 	regions := mixedBatch(rng, 40)
+	// A custom region — here a region behind a type with only Region's
+	// methods — is the one the strict rule expands by cell tests.
+	for _, r := range regions[:6] {
+		regions = append(regions, customRegion{r})
+	}
 
-	// Both Voronoi variants, so SegmentTests (published rule) and CellTests
-	// (strict rule) are each pinned with nonzero counts.
+	// Both Voronoi variants, so SegmentTests (published rule, and strict on
+	// circles) and CellTests (strict rule on custom regions) are each pinned
+	// with nonzero counts.
 	for _, m := range []Method{VoronoiBFS, VoronoiBFSStrict} {
 		// Sum sequential per-query stats one query at a time (batches of
 		// one on a sequential engine), then compare against the parallel
