@@ -67,8 +67,10 @@ const (
 	VoronoiBFS
 	// VoronoiBFSStrict is Algorithm 1 made complete at any density. On a
 	// prepared polygon it traces the boundary through the diagram,
-	// validates only the sites whose cells meet it and their neighbours,
-	// and floods the interior untested (shell.go). On a circle it is the
+	// validates only the sites whose cells meet it and the neighbours of
+	// those cells it did not cross exactly once, places the other
+	// neighbours by the trace's ring indices, and floods the interior
+	// untested (shell.go). On a circle it is the
 	// published rule, exact on a convex region (see eachVoronoi). On a
 	// custom region it expands by the conservative rule (Voronoi cell of pn
 	// intersects the area), complete for a connected area inside the
@@ -103,8 +105,9 @@ type Stats struct {
 	ResultSize int
 	// Candidates is the number of containment validations performed. The
 	// strict rule on a polygon validates only the shell — the sites whose
-	// cells meet the boundary and their neighbours — and emits the rest of
-	// its results untested, so there it can be below ResultSize.
+	// cells meet the boundary, and the neighbours of the cells the trace
+	// did not cross exactly once — and emits the rest of its results
+	// untested, so there it can be below ResultSize.
 	Candidates int
 	// RedundantValidations counts the validations that found the point
 	// outside the area: Candidates - ResultSize wherever every result is

@@ -280,7 +280,8 @@ func decodeLayerPolygon(data []byte) (geom.Polygon, bool) {
 // dynamic engine that publishes after insert k when bit k of the second
 // argument (cycled) is set, after every insert when it is empty, and after
 // the last. The second argument also spells a polygon (decodeLayerPolygon),
-// whose traced shell on the static layer must be the cells' (checkShell).
+// whose traced shell on the static layer must be the cells' (checkShell),
+// with every neighbour its passes classify on its exact side (checkSides).
 func FuzzDataLayerStructure(f *testing.F) {
 	square := []byte{0x44, 0xc4, 0xcc, 0x4c, 0x88}
 	lattice := []byte{0x00, 0x0f, 0xf0, 0xff, 0x37, 0x73, 0x55, 0x5a, 0xa5, 0xaa, 0x18, 0x81, 0xe2, 0x2e}
@@ -320,6 +321,7 @@ func FuzzDataLayerStructure(f *testing.F) {
 		checkLayerStructure(t, "static", mem)
 		if pg, ok := decodeLayerPolygon(publishAfter); ok {
 			checkShell(t, "static", mem, pg)
+			checkSides(t, "static", mem, pg)
 		}
 		checkEpochs(t, "dynamic", sites, func(k int) bool {
 			bit := k % max(8*len(publishAfter), 1)

@@ -29,6 +29,9 @@ type queryScratch struct {
 	// and ties lists the sites as near to a tie point; see shell.go.
 	cross []robust.Crossing
 	ties  []int32
+	// passes holds, beside the shell in the queue's prefix, the trace's
+	// pass through each of its cells: see shellPass.
+	passes []shellPass
 	// cell and spare are the two buffers the strict rule clips a custom
 	// region's cell into (testCell), reused from cell to cell.
 	cell, spare []geom.Point

@@ -21,15 +21,23 @@ import (
 // query therefore runs in three stages:
 //
 //  1. Trace (traceShell): walk each ring of ∂R, holes included, through the
-//     diagram, stamping every site whose closed cell meets it — the set B.
-//  2. Validate: test every site of B, and every unstamped neighbour of one,
-//     against R.
+//     diagram, stamping every site whose closed cell meets it — the set B —
+//     and noting, per cell, the ring indices of the neighbours the walk
+//     entered it from and left it through (shellPass).
+//  2. Validate: test every site of B against R. An unstamped neighbour of a
+//     cell the trace crossed exactly once is classified by its ring index
+//     alone (shellPass.arc): ∂R cuts that cell in two, and the neighbour
+//     lies on the side of the arc of the cell's boundary its edge is on.
+//     Every other unstamped neighbour of B — of a cell crossed more than
+//     once, entered and left through one edge, met at a tie, or the ring's
+//     first cell unless the walk's last entry closes it, and of every cell
+//     of a polygon with holes — is tested against R.
 //  3. Flood: from the unstamped sites found inside R, flood the unstamped
 //     Delaunay neighbours and emit them with no test and no record load.
 //
-// Every site of R is returned, for any polygon: a site of R whose cell
-// misses ∂R lies in a face of R that some path of such cells links to a
-// neighbour of B. The cells are never clipped.
+// Every site of R is returned, for any simple polygon: a site of R whose
+// cell misses ∂R lies in a face of R that some path of such cells links to
+// a neighbour of B. The cells are never clipped.
 
 // shellCounts is the trace's deterministic cost: the size of B (shell), the
 // cells whose neighbours it scanned (steps), the bisector crossings it
@@ -54,23 +62,51 @@ func (e *Engine) eachShell(ctx context.Context, pp *geom.PreparedPolygon, tr *ob
 			tr.Add(obs.PhaseExpand, time.Since(start)-seeded-fetched)
 		}()
 	}
-	d := e.data
-	if _, err := d.traceShell(ctx, pp.Polygon(), s, traced, &seeded); err != nil {
+	d, pg := e.data, pp.Polygon()
+	left := insideLeft(pg)
+	if _, err := d.traceShell(ctx, pg, left != 0, s, traced, &seeded); err != nil {
 		return Stats{}, err
 	}
-	stats, loads, err := d.floodShell(ctx, pp, s, traced)
+	stats, loads, err := d.floodShell(ctx, pp, left, s, traced)
 	fetched = loads
 	return stats, err
 }
 
-// floodShell runs stages 2 and 3 over the shell s.queue holds: validate its
-// sites and their unstamped neighbours, then flood from the ones inside.
-// fetched is the accrued record-load time (for tracing).
+// insideLeft reports which side of pg's outer ring, walked in vertex order,
+// is inside pg: +1 the left (the ring runs counter-clockwise), −1 the right.
+// One exact orientation at the lowest vertex decides it, which is a strict
+// turn on a simple ring. It is 0 for a polygon with holes (or a degenerate
+// ring), whose passes stage 2 does not read: left of a hole is not the side
+// left of the outer ring is.
 //
 //vaq:noalloc
-func (d *MemoryData) floodShell(ctx context.Context, region Region, s *queryScratch, traced bool) (stats Stats, fetched time.Duration, err error) {
+func insideLeft(pg geom.Polygon) int {
+	r := pg.Outer
+	if len(pg.Holes) > 0 || len(r) < 3 {
+		return 0
+	}
+	lo := 0
+	for i, p := range r {
+		if p.Y < r[lo].Y || p.Y == r[lo].Y && p.X < r[lo].X {
+			lo = i
+		}
+	}
+	return int(geom.Orient(r[(lo+len(r)-1)%len(r)], r[lo], r[(lo+1)%len(r)]))
+}
+
+// floodShell runs stages 2 and 3 over the shell s.queue holds: validate its
+// sites, classify or validate their unstamped neighbours, then flood from
+// the ones inside. left is insideLeft of the polygon: when it is not 0,
+// s.passes holds the trace's pass through each cell of the shell, and a
+// neighbour of a cell crossed exactly once goes to the side its ring index
+// puts it on — emitted and flooded from when that side is inside, dropped
+// otherwise — with no record load and no test. fetched is the accrued
+// record-load time (for tracing).
+//
+//vaq:noalloc
+func (d *MemoryData) floodShell(ctx context.Context, region Region, left int, s *queryScratch, traced bool) (stats Stats, fetched time.Duration, err error) {
 	v := shellValidator{d: d, region: region, s: s, traced: traced}
-	off, nbrs := d.nbrOff, d.nbrs
+	pts, off, nbrs := d.pts, d.nbrOff, d.nbrs
 	shell := len(s.queue)
 	for i := 0; i < shell; i++ {
 		if i%cancelStride == 0 {
@@ -82,8 +118,24 @@ func (d *MemoryData) floodShell(ctx context.Context, region Region, s *queryScra
 		if _, stop, err := v.validate(p); stop {
 			return v.stats, v.fetched, err
 		}
-		for _, nb := range nbrs[off[p]:off[p+1]] {
+		ring := nbrs[off[p]:off[p+1]]
+		from, span := 0, 0
+		if left != 0 {
+			from, span = s.passes[i].arc(len(ring))
+		}
+		for j, nb := range ring {
 			if !s.mark(nb) {
+				continue
+			}
+			if span > 0 {
+				// nb's closed cell misses ∂R and shares an edge with p's
+				// cell on one side of the pass: it lies on that side.
+				if insideOfPass(j, from, span, len(ring), left) {
+					if !s.out.add(int64(nb), pts[nb]) {
+						return v.stats, v.fetched, nil
+					}
+					s.queue = append(s.queue, nb)
+				}
 				continue
 			}
 			inside, stop, err := v.validate(nb)
@@ -95,9 +147,10 @@ func (d *MemoryData) floodShell(ctx context.Context, region Region, s *queryScra
 			}
 		}
 	}
-	// The queue now holds the shell, then the validated interior sites;
-	// everything the flood appends after them is emitted untested.
-	pts, untested := d.pts, len(s.queue)
+	// The queue now holds the shell, then the classified and validated
+	// interior sites, all emitted; everything the flood appends after them
+	// is emitted untested.
+	untested := len(s.queue)
 	for head := shell; head < len(s.queue); head++ {
 		if head%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -111,6 +164,55 @@ func (d *MemoryData) floodShell(ctx context.Context, region Region, s *queryScra
 		s.enqueueUnvisited(nbrs[off[p]:off[p+1]])
 	}
 	return v.stats, v.fetched, nil
+}
+
+// shellPass is the trace's pass through one cell of B: the ring indices of
+// the neighbour the walk entered the cell from (in) and of the one it left
+// through (out), each noPass until it first crosses that edge. A cell the
+// walk leaves twice, or meets at a tie, holds spoiledPass. The ring's first
+// cell has no entry until the walk comes back into it: that entry closes
+// its pass, which began at the ring's first vertex, unless the walk leaves
+// the cell again. (Any other cell the walk enters twice it leaves twice, or
+// ends the ring in, and then the ring's first vertex is a tie.)
+type shellPass struct{ in, out int32 }
+
+const noPass = -1
+
+// spoiledPass is the pass of a cell the walk left twice or met at a tie:
+// stage 2 validates its neighbours.
+var spoiledPass = shellPass{-2, -2}
+
+// arc returns how the pass cuts a ring of deg neighbours: ∂R runs through
+// the cell from edge in to edge out, so the neighbours strictly
+// counter-clockwise from out to in — ring indices from+1 … from+span−1,
+// cyclically — lie left of ∂R and the others, but those two, right. span
+// is 0 when the pass classifies nothing: when it is spoiled or unfinished,
+// and when in and out are one edge, which leaves the side of every other
+// edge undecided.
+//
+//vaq:noalloc
+func (p shellPass) arc(deg int) (from, span int) {
+	if p.in < 0 || p.out < 0 {
+		return 0, 0
+	}
+	span = int(p.in - p.out)
+	if span < 0 {
+		span += deg
+	}
+	return int(p.out), span
+}
+
+// insideOfPass reports whether ring index j of a ring of deg neighbours
+// lies inside R by a pass's arc (from, span): in the left arc when left,
+// insideLeft of the polygon, is +1, in the right one when it is −1.
+//
+//vaq:noalloc
+func insideOfPass(j, from, span, deg, left int) bool {
+	k := j - from
+	if k < 0 {
+		k += deg
+	}
+	return (0 < k && k < span) == (left > 0)
 }
 
 // shellValidator is stage 2's one containment test per site, with its
@@ -147,12 +249,14 @@ func (v *shellValidator) validate(p int32) (inside, stop bool, err error) {
 
 // traceShell stamps every site whose closed Voronoi cell meets the boundary
 // of pg — every ring, holes included — and appends each to s.queue once:
-// the set B. Ring starts (the seed walk and its exact confirmation) are
-// timed into *seeded when traced.
+// the set B. With passes it also records, in s.passes beside B, the walk's
+// pass through each cell (shellPass). Ring starts (the seed walk and its
+// exact confirmation) are timed into *seeded when traced.
 //
 //vaq:noalloc
-func (d *MemoryData) traceShell(ctx context.Context, pg geom.Polygon, s *queryScratch, traced bool, seeded *time.Duration) (shellCounts, error) {
-	t := shellTracer{pts: d.pts, off: d.nbrOff, nbrs: d.nbrs, s: s}
+func (d *MemoryData) traceShell(ctx context.Context, pg geom.Polygon, passes bool, s *queryScratch, traced bool, seeded *time.Duration) (shellCounts, error) {
+	t := shellTracer{pts: d.pts, off: d.nbrOff, nbrs: d.nbrs, s: s, passes: passes}
+	s.passes = s.passes[:0]
 	if err := t.ring(ctx, d, pg.Outer, traced, seeded); err != nil {
 		return t.counts, err
 	}
@@ -171,15 +275,69 @@ type shellTracer struct {
 	off, nbrs []int32
 	s         *queryScratch
 	counts    shellCounts
+	// passes turns on the pass bookkeeping: s.passes[i] is the pass through
+	// s.queue[i]. cur indexes the cell the walk is in and first the ring's
+	// first cell.
+	passes     bool
+	cur, first int
+	// from is the cell the walk has just crossed from, until the step after
+	// the crossing reads its ring index; -1 otherwise.
+	from int32
 }
 
-// mark adds site p to B unless it is there.
+// enter moves the walk into p, across the bisector of p and from (or to
+// a ring's first vertex, from −1), and stamps p into B unless it is there.
 //
 //vaq:noalloc
-func (t *shellTracer) mark(p int32) {
+func (t *shellTracer) enter(p, from int32) {
+	t.from = from
 	if t.s.mark(p) {
 		t.s.queue = append(t.s.queue, p)
+		if t.passes {
+			t.s.passes = append(t.s.passes, shellPass{noPass, noPass})
+			t.cur = len(t.s.passes) - 1
+		}
+		return
 	}
+	if t.passes {
+		t.cur = t.find(p)
+	}
+}
+
+// stamp adds a site met at a tie to B, spoiling its pass.
+//
+//vaq:noalloc
+func (t *shellTracer) stamp(p int32) {
+	if t.s.mark(p) {
+		t.s.queue = append(t.s.queue, p)
+		if t.passes {
+			t.s.passes = append(t.s.passes, spoiledPass)
+		}
+		return
+	}
+	if t.passes {
+		t.s.passes[t.find(p)] = spoiledPass
+	}
+}
+
+// find returns the index of p in B: the current cell, the ring's first, or
+// one found searching back from the last stamped. The walk comes back to a
+// cell, or meets it at a tie, seldom and soon after it left it.
+//
+//vaq:noalloc
+func (t *shellTracer) find(p int32) int {
+	q := t.s.queue
+	switch {
+	case q[t.cur] == p:
+		return t.cur
+	case q[t.first] == p:
+		return t.first
+	}
+	i := len(q) - 1
+	for q[i] != p {
+		i--
+	}
+	return i
 }
 
 // frame is the frame of segment a→b and site c.
@@ -191,19 +349,30 @@ func (t *shellTracer) frame(a, b geom.Point, c int32) robust.Frame {
 }
 
 // crossings evaluates, once per step, the crossing of f with the bisector
-// of c and each of its neighbours, into the scratch's cache.
+// of c and each of its neighbours nbs, into the scratch's cache — all but
+// that of from, the cell the walk has just crossed from along f, whose ring
+// index it returns as in (−1 when from is not among them). The walk crossed
+// their bisector heading into c, at E > 0 in from's frame, so E is exactly
+// its negation in c's: its crossing lies behind.
 //
 //vaq:noalloc
-func (t *shellTracer) crossings(f *robust.Frame, c int32) []robust.Crossing {
-	nbs := t.nbrs[t.off[c]:t.off[c+1]]
-	cross := slices.Grow(t.s.cross[:0], len(nbs))[:len(nbs)]
+func (t *shellTracer) crossings(f *robust.Frame, nbs []int32, from int32) (cross []robust.Crossing, in int) {
+	cross = slices.Grow(t.s.cross[:0], len(nbs))[:len(nbs)]
+	in = -1
 	for j, nb := range nbs {
+		if nb == from {
+			in = j
+			continue
+		}
 		p := t.pts[nb]
 		f.Crossing(&cross[j], p.X, p.Y)
 	}
 	t.s.cross = cross
 	t.counts.crossings += len(nbs)
-	return cross
+	if in >= 0 {
+		t.counts.crossings--
+	}
+	return cross, in
 }
 
 // ring traces one ring. Its first vertex's cell comes from seedWalk and is
@@ -244,7 +413,8 @@ func (t *shellTracer) ring(ctx context.Context, d *MemoryData, ring geom.Ring, t
 	for moved := true; moved; {
 		moved, tied = false, false
 		f := t.frame(v0, v1, c)
-		for j := range t.crossings(&f, c) {
+		cross, _ := t.crossings(&f, t.nbrs[t.off[c]:t.off[c+1]], -1)
+		for j := range cross {
 			switch f.CrossingOrder(&t.s.cross[j], &robust.AtStart) {
 			case -1:
 				c, moved = t.nbrs[t.off[c]+int32(j)], true
@@ -257,7 +427,8 @@ func (t *shellTracer) ring(ctx context.Context, d *MemoryData, ring geom.Ring, t
 		}
 		t.counts.exact += f.Exact()
 	}
-	t.mark(c)
+	t.enter(c, -1)
+	t.first = t.cur
 	if tied {
 		f := t.frame(v0, v1, c)
 		t.ties(&f, c, &robust.AtStart)
@@ -287,14 +458,22 @@ func (t *shellTracer) ring(ctx context.Context, d *MemoryData, ring geom.Ring, t
 // step scans the neighbours of c, whose cell holds the walk's point on f's
 // segment, and returns the cell the walk goes on in: the neighbour across
 // the bisector the segment crosses first, stamped, or c itself with done
-// when the segment ends in c's cell. It stamps the ties on the way.
+// when the segment ends in c's cell. It stamps the ties on the way, and
+// notes the edges the walk entered and leaves c's cell through in its pass.
 //
 //vaq:noalloc
 func (t *shellTracer) step(f *robust.Frame, c int32) (next int32, done bool) {
-	cross := t.crossings(f, c)
 	nbs := t.nbrs[t.off[c]:t.off[c+1]]
+	cross, in := t.crossings(f, nbs, t.from)
+	t.from = -1
+	if in >= 0 && t.passes && t.s.passes[t.cur].in == noPass {
+		t.s.passes[t.cur].in = int32(in)
+	}
 	best, tie, along := -1, false, false
 	for j, nb := range nbs {
+		if j == in {
+			continue // the walk came from nb: its crossing lies behind
+		}
 		x := &cross[j]
 		switch f.Heading(x) {
 		case -1:
@@ -302,7 +481,7 @@ func (t *shellTracer) step(f *robust.Frame, c int32) (next int32, done bool) {
 		case 0:
 			if f.CrossingOrder(x, &robust.AtStart) == 0 {
 				// The edge lies along their bisector.
-				t.mark(nb)
+				t.stamp(nb)
 				along = true
 			}
 			continue
@@ -335,8 +514,15 @@ func (t *shellTracer) step(f *robust.Frame, c int32) (next int32, done bool) {
 	if tie || along {
 		t.ties(f, c, &cross[best])
 	}
+	if t.passes {
+		if pass := &t.s.passes[t.cur]; pass.out == noPass {
+			pass.out = int32(best)
+		} else {
+			*pass = spoiledPass
+		}
+	}
 	next = nbs[best]
-	t.mark(next)
+	t.enter(next, c)
 	return next, false
 }
 
@@ -345,10 +531,12 @@ func (t *shellTracer) step(f *robust.Frame, c int32) (next int32, done bool) {
 // are linked to c through Delaunay edges among themselves (they lie on one
 // empty circle, whose polygon the triangulation triangulates), so a search
 // from c over neighbours that pass the test reaches all of them; it lists
-// them in the scratch's ties.
+// them in the scratch's ties. Every one of them, c included, has its pass
+// spoiled.
 //
 //vaq:noalloc
 func (t *shellTracer) ties(f *robust.Frame, c int32, at *robust.Crossing) {
+	t.stamp(c)
 	ties := t.s.ties[:0]
 	ties = append(ties, c)
 	for i := 0; i < len(ties); i++ {
@@ -362,7 +550,7 @@ func (t *shellTracer) ties(f *robust.Frame, c int32, at *robust.Crossing) {
 			t.counts.crossings++
 			if f.CrossingOrder(&x, at) == 0 {
 				ties = append(ties, m)
-				t.mark(m)
+				t.stamp(m)
 			}
 		}
 	}

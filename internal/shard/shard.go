@@ -26,10 +26,10 @@
 //     at 8 shards). VoronoiBFS therefore executes as VoronoiBFSStrict,
 //     which is complete at any density. On a polygon it traces the
 //     boundary through the partition's diagram, validates the sites whose
-//     cells meet it and their neighbours, and floods the interior
-//     untested: fewer validations than the published rule once the
-//     interior outgrows the shell (past ≈ 150 results per partition on
-//     TestQueryCostsPinned's sites). On a circle it is the segment rule
+//     cells meet it (and the neighbours of the few cells it did not cross
+//     exactly once), and floods the interior untested: fewer validations
+//     than the published rule once the interior outgrows the shell (past
+//     ≈ 20 results per partition on TestQueryCostsPinned's sites). On a circle it is the segment rule
 //     again, which convexity makes exact on any sub-sample, so there the
 //     upgrade changes nothing. On a custom region it tests cells, clipped
 //     as they are tested, complete for a connected region inside the

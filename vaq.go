@@ -191,8 +191,10 @@ const (
 	// VoronoiBFS is the paper's Algorithm 1 (the default).
 	VoronoiBFS = core.VoronoiBFS
 	// VoronoiBFSStrict is Algorithm 1 complete at any point density. On a
-	// polygon it traces the boundary through the Voronoi diagram, validates
-	// only the sites whose cells meet it and their neighbours, and returns
+	// polygon it traces the boundary through the Voronoi diagram and
+	// validates only the sites whose cells meet it, and the neighbours of
+	// those cells the trace did not cross exactly once; it places every
+	// other neighbour inside or outside from the trace alone, and returns
 	// the interior untested. On a circle it runs the segment expansion test
 	// of VoronoiBFS, exact on a convex region. On a custom region it
 	// replaces the segment test with a Voronoi cell intersection test,
