@@ -101,7 +101,6 @@ func (m Method) String() string {
 // in the query area was validated against its loaded record, and a
 // validation is redundant when the point turns out to lie outside.
 type Stats struct {
-	Method     Method
 	ResultSize int
 	// Candidates is the number of containment validations performed. The
 	// strict rule on a polygon validates only the shell — the sites whose
@@ -164,7 +163,7 @@ func (e *Engine) DataBounds() geom.Rect { return e.idx.Bounds() }
 
 // Add accumulates other's counters into s. It is the merge operation batch
 // executors use to fold per-query or per-worker statistics into an
-// aggregate; Method is left untouched.
+// aggregate.
 func (s *Stats) Add(other Stats) {
 	s.ResultSize += other.ResultSize
 	s.Candidates += other.Candidates
@@ -173,10 +172,4 @@ func (s *Stats) Add(other Stats) {
 	s.CellTests += other.CellTests
 	s.IndexNodesVisited += other.IndexNodesVisited
 	s.RecordsLoaded += other.RecordsLoaded
-}
-
-// Finalize sets the result size of a query or an aggregate once its
-// results are collected: the count the collector or a gather step saw.
-func (s *Stats) Finalize(resultSize int) {
-	s.ResultSize = resultSize
 }

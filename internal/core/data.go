@@ -28,8 +28,8 @@ var ErrDuplicatePoints = errors.New("core: dataset contains duplicate coordinate
 // diagram and the triangulation under a static layer — quad-edge pool,
 // point copy, vertex tables — are construction scaffolding, released when
 // NewMemoryData returns. A clipped Voronoi cell, which only the strict
-// expansion rule on a custom region and CellArea read, is derived from the
-// two when it is read (voronoi.CellFromNeighbors), and never kept.
+// expansion rule on a custom region reads, is derived from the two when it
+// is read (voronoi.CellFromNeighbors), and never kept.
 //
 // A record load — the refinement fetch both methods pay once per candidate
 // — reads the resident position, unless the layer has a store (NewStoreData):
@@ -111,13 +111,6 @@ func (m *MemoryData) Each(fn func(id int64, pos geom.Point) bool) {
 			return
 		}
 	}
-}
-
-// CellArea returns the area of id's Voronoi cell clipped to the layer's clip
-// rectangle, clipping that one cell from id's CSR ring.
-func (m *MemoryData) CellArea(id int64) float64 {
-	cell, _ := voronoi.CellFromNeighbors(nil, nil, m.pts[id], m.nbrs[m.nbrOff[id]:m.nbrOff[id+1]], m.pts, m.clip)
-	return geom.Ring(cell).Area()
 }
 
 // StoreConfig configures the simulated object store.

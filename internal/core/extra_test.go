@@ -91,8 +91,7 @@ func TestCountMatchesQuery(t *testing.T) {
 func TestQueryBatchAggregates(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	eng, _ := newUniformEngine(t, rng, 3000)
-	agg := Stats{Method: VoronoiBFS}
-	var want Stats
+	var agg, want Stats
 	for i := 0; i < 5; i++ {
 		area := workload.RandomPolygon(rng, workload.PolygonConfig{QuerySize: 0.02}, unitBounds())
 		_, st, err := query(eng, VoronoiBFS, PolygonRegion(area))
@@ -107,7 +106,6 @@ func TestQueryBatchAggregates(t *testing.T) {
 		want.IndexNodesVisited += st.IndexNodesVisited
 		want.RecordsLoaded += st.RecordsLoaded
 	}
-	want.Method = VoronoiBFS
 	if agg != want {
 		t.Errorf("aggregate = %+v, want %+v", agg, want)
 	}

@@ -77,7 +77,7 @@ func (e *Engine) collect(ctx context.Context, region Region, spec QuerySpec, c c
 	s := e.acquireScratch()
 	s.out = c
 	stats, err := e.eachRegion(ctx, region, spec.Method, spec.Trace, s)
-	stats.Finalize(s.out.count)
+	stats.ResultSize = s.out.count
 	ids := s.out.dest
 	s.out = collector{}
 	e.releaseScratch(s)
@@ -85,46 +85,40 @@ func (e *Engine) collect(ctx context.Context, region Region, spec QuerySpec, c c
 	return ids, stats, err
 }
 
-// eachRegion dispatches to the method implementations, wrapping them with
-// the shared bookkeeping (empty-data check, Method stamp). The check reads
-// the data layer, not the index, so only a Traditional query makes a
-// dynamic epoch pack its R-tree.
+// eachRegion dispatches to the method implementations after the shared
+// empty-data and cancellation checks. The first reads the data layer, not
+// the index, so only a Traditional query makes a dynamic epoch pack its
+// R-tree.
 func (e *Engine) eachRegion(ctx context.Context, region Region, m Method, tr *obs.QueryTrace, s *queryScratch) (Stats, error) {
 	if e.data.Len() == 0 {
-		return Stats{Method: m}, ErrNoData
+		return Stats{}, ErrNoData
 	}
 	if err := ctx.Err(); err != nil {
 		// An already-cancelled context returns promptly on every method,
 		// before any index or record work.
-		return Stats{Method: m}, err
+		return Stats{}, err
 	}
-	var (
-		stats Stats
-		err   error
-	)
 	switch m {
 	case Traditional:
-		stats, err = e.eachTraditional(ctx, region, tr, &s.out)
+		return e.eachTraditional(ctx, region, tr, &s.out)
 	case VoronoiBFS:
-		stats, err = e.eachVoronoi(ctx, region, false, tr, s)
+		return e.eachVoronoi(ctx, region, false, tr, s)
 	case VoronoiBFSStrict:
 		switch r := region.(type) {
 		case *geom.PreparedPolygon:
-			stats, err = e.eachShell(ctx, r, tr, s)
-		case circleRegion:
+			return e.eachShell(ctx, r, tr, s)
+		case geom.Circle:
 			// A disk is convex: the segment rule is exact on it (see
 			// eachVoronoi).
-			stats, err = e.eachVoronoi(ctx, region, false, tr, s)
+			return e.eachVoronoi(ctx, region, false, tr, s)
 		default:
-			stats, err = e.eachVoronoi(ctx, region, true, tr, s)
+			return e.eachVoronoi(ctx, region, true, tr, s)
 		}
 	case BruteForce:
-		stats, err = e.eachBruteForce(ctx, region, tr, &s.out)
+		return e.eachBruteForce(ctx, region, tr, &s.out)
 	default:
-		return Stats{Method: m}, fmt.Errorf("core: unknown method %d", int(m))
+		return Stats{}, fmt.Errorf("core: unknown method %d", int(m))
 	}
-	stats.Method = m
-	return stats, err
 }
 
 // eachTraditional implements the classic filter-and-refine area query: the

@@ -5,8 +5,8 @@ import "repro/internal/geom"
 // Region is the query-shape contract the area-query algorithms need: an
 // MBR for the traditional filter, containment for refinement, segment
 // intersection for the published expansion rule, and an interior anchor
-// for the seed. Polygons (via PolygonRegion) and circles (via
-// CircleRegion) implement it; custom shapes can too.
+// for the seed. Prepared polygons (PolygonRegion), plain polygons and
+// circles implement it; custom shapes can too.
 type Region interface {
 	Bounds() geom.Rect
 	ContainsPoint(geom.Point) bool
@@ -46,20 +46,8 @@ func Polygons(areas []geom.Polygon) []Region {
 	return regions
 }
 
-// CircleRegion wraps a disk as a Region.
-func CircleRegion(c geom.Circle) Region { return circleRegion{c} }
-
-type circleRegion struct{ c geom.Circle }
-
-// Circle returns the underlying disk, mirroring
-// PreparedPolygon.Polygon: the accessor the wire codec recovers the exact
-// geometry through.
-func (r circleRegion) Circle() geom.Circle { return r.c }
-
-func (r circleRegion) Bounds() geom.Rect                     { return r.c.Bounds() }
-func (r circleRegion) ContainsPoint(p geom.Point) bool       { return r.c.ContainsPoint(p) }
-func (r circleRegion) IntersectsSegment(s geom.Segment) bool { return r.c.IntersectsSegment(s) }
-func (r circleRegion) InteriorPoint() geom.Point             { return r.c.InteriorPoint() }
+// CircleRegion returns the disk as a Region: a geom.Circle is one.
+func CircleRegion(c geom.Circle) Region { return c }
 
 // regionIntersectsRing reports whether region and the closed area bounded by
 // the convex ring share a point: some vertex lies in the region, some edge

@@ -356,7 +356,7 @@ func checkSides(t *testing.T, name string, d *MemoryData, pg geom.Polygon) int {
 // reversed is pg with its outer ring walked the other way round.
 func reversed(pg geom.Polygon) geom.Polygon {
 	out := pg.Clone()
-	out.Outer.Reverse()
+	slices.Reverse(out.Outer)
 	return out
 }
 

@@ -98,7 +98,7 @@ func (o Options) Workers(n int) int {
 // data layer's store included.
 func QueryBatch(ctx context.Context, eng *core.Engine, regions []core.Region, spec core.QuerySpec, opts Options) ([][]int64, core.Stats, error) {
 	n := len(regions)
-	agg := core.Stats{Method: spec.Method}
+	var agg core.Stats
 	if n == 0 {
 		return nil, agg, nil
 	}

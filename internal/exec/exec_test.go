@@ -109,9 +109,6 @@ func TestAggregateStatsEqualSumOfSequentialStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg.Method != core.VoronoiBFS {
-		t.Errorf("aggregate Method = %v", agg.Method)
-	}
 	if agg.ResultSize != want.ResultSize {
 		t.Errorf("ResultSize = %d, want %d", agg.ResultSize, want.ResultSize)
 	}

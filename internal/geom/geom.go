@@ -3,24 +3,9 @@
 // together with the predicates the area-query algorithms rely on
 // (point-in-polygon, segment/polygon intersection, orientation).
 //
-// All coordinates are float64. Predicates that decide topology (orientation,
-// in-circle) delegate to package robust so that degenerate inputs (collinear
-// or cocircular points) are resolved exactly rather than by rounding luck.
+// All coordinates are float64, and the kernel has no tolerance: points are
+// compared exactly (a ring drops only exactly repeated vertices), and the
+// predicates that decide topology (orientation, in-circle) delegate to
+// package robust so that degenerate inputs (collinear or cocircular points)
+// are resolved exactly rather than by rounding luck.
 package geom
-
-import "math"
-
-// Eps is the tolerance used by the few non-exact comparisons in this package
-// (e.g. deduplicating nearly identical vertices). Topological predicates do
-// not use it; they are exact.
-const Eps = 1e-12
-
-// almostEqual reports whether a and b differ by at most Eps in absolute
-// terms, scaled by their magnitude for large values.
-func almostEqual(a, b float64) bool {
-	diff := math.Abs(a - b)
-	if diff <= Eps {
-		return true
-	}
-	return diff <= Eps*math.Max(math.Abs(a), math.Abs(b))
-}

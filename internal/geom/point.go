@@ -46,16 +46,6 @@ func (p Point) Dist2(q Point) float64 {
 // Equal reports exact coordinate equality.
 func (p Point) Equal(q Point) bool { return p.X == q.X && p.Y == q.Y }
 
-// Near reports whether p and q coincide within Eps.
-func (p Point) Near(q Point) bool {
-	return almostEqual(p.X, q.X) && almostEqual(p.Y, q.Y)
-}
-
-// Lerp returns the point p + t·(q-p).
-func (p Point) Lerp(q Point, t float64) Point {
-	return Point{p.X + t*(q.X-p.X), p.Y + t*(q.Y-p.Y)}
-}
-
 // Orientation classifies the turn a→b→c.
 type Orientation int
 

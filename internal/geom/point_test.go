@@ -38,19 +38,6 @@ func TestDistances(t *testing.T) {
 	}
 }
 
-func TestLerp(t *testing.T) {
-	a, b := Pt(0, 0), Pt(10, 20)
-	if got := a.Lerp(b, 0); got != a {
-		t.Errorf("Lerp(0) = %v", got)
-	}
-	if got := a.Lerp(b, 1); got != b {
-		t.Errorf("Lerp(1) = %v", got)
-	}
-	if got := a.Lerp(b, 0.5); got != Pt(5, 10) {
-		t.Errorf("Lerp(0.5) = %v", got)
-	}
-}
-
 func TestOrientWrapsRobust(t *testing.T) {
 	if got := Orient(Pt(0, 0), Pt(1, 0), Pt(0, 1)); got != CounterClockwise {
 		t.Errorf("ccw triple: got %v", got)

@@ -112,15 +112,6 @@ func (pg Polygon) rings(fn func(Ring) bool) {
 	}
 }
 
-// NumVertices returns the total vertex count over all rings.
-func (pg Polygon) NumVertices() int {
-	n := len(pg.Outer)
-	for _, h := range pg.Holes {
-		n += len(h)
-	}
-	return n
-}
-
 // Bounds returns the polygon's minimum bounding rectangle (holes cannot
 // extend it).
 func (pg Polygon) Bounds() Rect { return pg.Outer.Bounds() }
@@ -375,16 +366,6 @@ func (r Ring) Centroid() Point {
 	return Point{cx / (3 * a), cy / (3 * a)}
 }
 
-// IsCounterClockwise reports whether the ring winds counterclockwise.
-func (r Ring) IsCounterClockwise() bool { return r.SignedArea() > 0 }
-
-// Reverse reverses the winding order in place.
-func (r Ring) Reverse() {
-	for i, j := 0, len(r)-1; i < j; i, j = i+1, j-1 {
-		r[i], r[j] = r[j], r[i]
-	}
-}
-
 // IsSimple reports whether no two non-adjacent edges intersect and adjacent
 // edges meet only at their shared vertex. O(n²); intended for validation of
 // small query polygons, not bulk data.
@@ -417,27 +398,6 @@ func (r Ring) IsSimple() bool {
 			} else if ei.Intersects(ej) {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-// IsConvex reports whether the ring is convex (collinear runs allowed).
-func (r Ring) IsConvex() bool {
-	n := len(r)
-	if n < 3 {
-		return false
-	}
-	var dir Orientation
-	for i := 0; i < n; i++ {
-		o := Orient(r[i], r[(i+1)%n], r[(i+2)%n])
-		if o == Collinear {
-			continue
-		}
-		if dir == Collinear {
-			dir = o
-		} else if o != dir {
-			return false
 		}
 	}
 	return true

@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -56,26 +57,21 @@ func TestPolygonMeasures(t *testing.T) {
 	if got := l.Area(); got != 3 {
 		t.Errorf("L area = %v, want 3", got)
 	}
-	if got := l.NumVertices(); got != 6 {
-		t.Errorf("L vertices = %v", got)
-	}
 }
 
+// TestRingWindingHelpers: the sign of SignedArea is the winding.
 func TestRingWindingHelpers(t *testing.T) {
 	ccw := Ring{Pt(0, 0), Pt(1, 0), Pt(1, 1)}
-	if !ccw.IsCounterClockwise() {
-		t.Error("ccw ring misclassified")
+	if ccw.SignedArea() != 0.5 {
+		t.Errorf("ccw signed area = %v, want 0.5", ccw.SignedArea())
 	}
 	cw := Ring{Pt(0, 0), Pt(1, 1), Pt(1, 0)}
-	if cw.IsCounterClockwise() {
-		t.Error("cw ring misclassified")
+	if cw.SignedArea() != -0.5 {
+		t.Errorf("cw signed area = %v, want -0.5", cw.SignedArea())
 	}
-	cw.Reverse()
-	if !cw.IsCounterClockwise() {
-		t.Error("Reverse should flip winding")
-	}
-	if ccw.SignedArea() != 0.5 {
-		t.Errorf("signed area = %v", ccw.SignedArea())
+	slices.Reverse(cw)
+	if cw.SignedArea() != 0.5 {
+		t.Errorf("reversing the cw ring gives signed area %v, want 0.5", cw.SignedArea())
 	}
 }
 
@@ -325,19 +321,6 @@ func TestInteriorPointWithHoles(t *testing.T) {
 	}
 }
 
-func TestIsConvex(t *testing.T) {
-	if !unitSquare().Outer.IsConvex() {
-		t.Error("square should be convex")
-	}
-	if lShape().Outer.IsConvex() {
-		t.Error("L-shape should not be convex")
-	}
-	withCollinear := Ring{Pt(0, 0), Pt(1, 0), Pt(2, 0), Pt(2, 2), Pt(0, 2)}
-	if !withCollinear.IsConvex() {
-		t.Error("convex ring with collinear run misclassified")
-	}
-}
-
 func TestIsSimple(t *testing.T) {
 	if !(Ring{Pt(0, 0), Pt(1, 0), Pt(1, 1)}).IsSimple() {
 		t.Error("triangle should be simple")
@@ -356,15 +339,15 @@ func TestIsSimple(t *testing.T) {
 }
 
 func TestCentroid(t *testing.T) {
-	if got := unitSquare().Outer.Centroid(); !got.Near(Pt(0.5, 0.5)) {
+	if got := unitSquare().Outer.Centroid(); got != Pt(0.5, 0.5) {
 		t.Errorf("square centroid = %v", got)
 	}
 	tri := Ring{Pt(0, 0), Pt(3, 0), Pt(0, 3)}
-	if got := tri.Centroid(); !got.Near(Pt(1, 1)) {
+	if got := tri.Centroid(); got != Pt(1, 1) {
 		t.Errorf("triangle centroid = %v", got)
 	}
 	degenerate := Ring{Pt(0, 0), Pt(1, 1), Pt(2, 2)}
-	if got := degenerate.Centroid(); !got.Near(Pt(1, 1)) {
+	if got := degenerate.Centroid(); got != Pt(1, 1) {
 		t.Errorf("degenerate centroid fell back incorrectly: %v", got)
 	}
 }

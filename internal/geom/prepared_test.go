@@ -417,7 +417,8 @@ func BenchmarkTouchesBoundary(b *testing.B) {
 				// Within a segment's length of the boundary, as the
 				// candidates Algorithm 1 tests from are.
 				i := rng.Intn(vertices)
-				a := pg.Outer[i].Lerp(pg.Outer[(i+1)%vertices], rng.Float64())
+				p, q, f := pg.Outer[i], pg.Outer[(i+1)%vertices], rng.Float64()
+				a := Pt(p.X+f*(q.X-p.X), p.Y+f*(q.Y-p.Y))
 				ang := rng.Float64() * 2 * math.Pi
 				d := rng.Float64() * cells / gridSize
 				a = Pt(a.X+math.Cos(ang)*d*mbr.Width(), a.Y+math.Sin(ang)*d*mbr.Height())

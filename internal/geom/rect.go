@@ -70,9 +70,6 @@ func (r Rect) Height() float64 {
 // Area returns the area of the rectangle (0 for empty rectangles).
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
-// Margin returns half the perimeter; R*-tree style node quality metric.
-func (r Rect) Margin() float64 { return r.Width() + r.Height() }
-
 // Center returns the center point of the rectangle.
 func (r Rect) Center() Point {
 	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
@@ -102,21 +99,6 @@ func (r Rect) Intersects(s Rect) bool {
 		r.MinY <= s.MaxY && s.MinY <= r.MaxY
 }
 
-// Intersection returns the overlapping region of r and s, which may be
-// empty.
-func (r Rect) Intersection(s Rect) Rect {
-	out := Rect{
-		MinX: math.Max(r.MinX, s.MinX),
-		MinY: math.Max(r.MinY, s.MinY),
-		MaxX: math.Min(r.MaxX, s.MaxX),
-		MaxY: math.Min(r.MaxY, s.MaxY),
-	}
-	if out.IsEmpty() {
-		return EmptyRect()
-	}
-	return out
-}
-
 // Union returns the smallest rectangle containing both r and s.
 func (r Rect) Union(s Rect) Rect {
 	if r.IsEmpty() {
@@ -136,11 +118,6 @@ func (r Rect) Union(s Rect) Rect {
 // ExtendPoint returns the smallest rectangle containing r and p.
 func (r Rect) ExtendPoint(p Point) Rect {
 	return r.Union(Rect{p.X, p.Y, p.X, p.Y})
-}
-
-// Enlargement returns how much r's area grows if extended to include s.
-func (r Rect) Enlargement(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
 }
 
 // Dist2Point returns the squared distance from p to the closest point of the

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -45,9 +46,6 @@ func TestRectMeasures(t *testing.T) {
 	if r.Area() != 12 {
 		t.Errorf("area = %v", r.Area())
 	}
-	if r.Margin() != 7 {
-		t.Errorf("margin = %v", r.Margin())
-	}
 	if r.Center() != Pt(2.5, 4) {
 		t.Errorf("center = %v", r.Center())
 	}
@@ -75,22 +73,18 @@ func TestRectContains(t *testing.T) {
 
 func TestRectIntersection(t *testing.T) {
 	a := NewRect(0, 0, 4, 4)
-	b := NewRect(2, 2, 6, 6)
-	got := a.Intersection(b)
-	if got != NewRect(2, 2, 4, 4) {
-		t.Errorf("intersection = %v", got)
+	if !a.Intersects(NewRect(2, 2, 6, 6)) {
+		t.Error("overlapping rects should intersect")
 	}
-	c := NewRect(5, 5, 7, 7)
-	if !a.Intersection(c).IsEmpty() {
-		t.Error("disjoint rects should intersect to empty")
+	if a.Intersects(NewRect(5, 5, 7, 7)) {
+		t.Error("disjoint rects should not intersect")
 	}
-	// Touching edges intersect (closed semantics).
-	d := NewRect(4, 0, 8, 4)
-	if !a.Intersects(d) {
-		t.Error("edge-touching rects should intersect")
+	// Touching edges and corners intersect (closed semantics).
+	if !a.Intersects(NewRect(4, 0, 8, 4)) || !a.Intersects(NewRect(4, 4, 5, 5)) {
+		t.Error("edge- and corner-touching rects should intersect")
 	}
-	if got := a.Intersection(d); got.Area() != 0 || got.IsEmpty() {
-		t.Errorf("edge-touching intersection should be a degenerate non-empty rect, got %v", got)
+	if a.Intersects(EmptyRect()) || EmptyRect().Intersects(a) {
+		t.Error("nothing intersects the empty rect")
 	}
 }
 
@@ -123,16 +117,6 @@ func TestRectExpand(t *testing.T) {
 	}
 }
 
-func TestRectEnlargement(t *testing.T) {
-	r := NewRect(0, 0, 2, 2)
-	if got := r.Enlargement(NewRect(0, 0, 1, 1)); got != 0 {
-		t.Errorf("no enlargement for contained rect, got %v", got)
-	}
-	if got := r.Enlargement(NewRect(0, 0, 4, 2)); got != 4 {
-		t.Errorf("enlargement = %v, want 4", got)
-	}
-}
-
 func TestUnionCommutesAndContains(t *testing.T) {
 	f := func(x1, y1, x2, y2, x3, y3, x4, y4 float64) bool {
 		if anyBad(x1, y1, x2, y2, x3, y3, x4, y4) {
@@ -156,8 +140,10 @@ func TestIntersectionSymmetricProperty(t *testing.T) {
 		if a.Intersects(b) != b.Intersects(a) {
 			t.Fatalf("Intersects not symmetric for %v, %v", a, b)
 		}
-		if a.Intersects(b) != !a.Intersection(b).IsEmpty() {
-			t.Fatalf("Intersects disagrees with Intersection for %v, %v", a, b)
+		overlap := math.Max(a.MinX, b.MinX) <= math.Min(a.MaxX, b.MaxX) &&
+			math.Max(a.MinY, b.MinY) <= math.Min(a.MaxY, b.MaxY)
+		if a.Intersects(b) != overlap {
+			t.Fatalf("Intersects disagrees with the overlap of the extents for %v, %v", a, b)
 		}
 	}
 }
@@ -175,7 +161,7 @@ func TestRectFromPoints(t *testing.T) {
 func TestCornersOrder(t *testing.T) {
 	c := NewRect(0, 0, 1, 1).Corners()
 	ring := Ring(c[:])
-	if !ring.IsCounterClockwise() {
+	if ring.SignedArea() <= 0 {
 		t.Error("corners should wind counterclockwise")
 	}
 }

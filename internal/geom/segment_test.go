@@ -64,7 +64,7 @@ func TestSegmentContainsPoint(t *testing.T) {
 
 func TestIntersectionPoint(t *testing.T) {
 	p, ok := Seg(Pt(0, 0), Pt(2, 2)).IntersectionPoint(Seg(Pt(0, 2), Pt(2, 0)))
-	if !ok || !p.Near(Pt(1, 1)) {
+	if !ok || p != Pt(1, 1) {
 		t.Errorf("crossing point = %v, %v", p, ok)
 	}
 	if _, ok := Seg(Pt(0, 0), Pt(1, 0)).IntersectionPoint(Seg(Pt(0, 1), Pt(1, 1))); ok {

@@ -17,18 +17,19 @@ const (
 	// a PR may not edit the benchmark. It leaves with the next [benchmark]
 	// PR.
 	PhaseCacheLookup Phase = iota
-	// PhaseSeed is candidate generation: locating the BFS seed site via
-	// the nearest-neighbor search (Voronoi methods only).
+	// PhaseSeed is locating where a Voronoi query starts: the greedy walk
+	// on the Delaunay graph to the BFS seed site, and the strict rule's
+	// ring starts on a polygon's boundary (Voronoi methods only).
 	PhaseSeed
 	// PhaseExpand is the main scan: BFS expansion over the Voronoi
 	// adjacency, or the filter-and-refine loop of the traditional and
 	// brute-force methods, excluding time spent in page fetches.
 	PhaseExpand
-	// PhasePageFetch is time spent loading candidate records through the
-	// data layer's Load (buffer-pool fetches for store-backed engines). It
-	// is zero where the records are resident: over core.MemoryData — the
-	// static, sharded and served engines — a candidate's coordinates are
-	// read in place, which cannot block and is not timed as a fetch.
+	// PhasePageFetch is time spent fetching candidate records through the
+	// buffer pool of a data layer that has a store. It is zero where the
+	// layer has none (the default on every flavor, dynamic epochs always):
+	// a candidate's position is then read in place, which cannot block and
+	// is not timed as a fetch.
 	PhasePageFetch
 	// PhaseMerge is the sharded engine's sorted merge of per-shard
 	// results.

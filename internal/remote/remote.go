@@ -4,9 +4,9 @@
 // the region, the strict-method upgrade when more than one backend shares
 // the dataset, the concurrent fan-out, failing the query when a backend
 // fails, merging into ascending global id order — is package shard's
-// kernel, which Engine embeds; what lives here is discovering the backends
-// (Dial) and one partition call over the wire: encode the request, POST it
-// once, decode the response, add the backend's id offset. A remote engine
+// kernel, which Dial returns; what lives here is discovering the backends
+// and one partition call over the wire: encode the request, POST it once,
+// decode the response, add the backend's id offset. A remote engine
 // therefore answers every query byte-identically to a local engine over the
 // union of its backends' points.
 //
@@ -44,8 +44,8 @@ import (
 // decodes.
 const cancelStride = 64
 
-// Backend is one areaserve instance as its /v1/info describes it.
-type Backend struct {
+// backend is one areaserve instance as its /v1/info describes it.
+type backend struct {
 	// URL is the server base ("http://host:port"), no trailing slash.
 	URL string
 	// IDOffset is added to the backend's local ids to form global ids.
@@ -59,46 +59,37 @@ type Backend struct {
 	// regions by (/v1/info's bounds); the client engine's universe is the
 	// union over its backends.
 	Universe geom.Rect
-	// Len is the backend's point count; it feeds Engine.Len.
+	// Len is the backend's point count; it feeds the kernel's Len.
 	Len int
 }
 
 // end is one past the backend's last global id.
-func (b Backend) end() int64 { return b.IDOffset + int64(b.Len) }
+func (b backend) end() int64 { return b.IDOffset + int64(b.Len) }
 
-// Engine is the scatter-gather kernel over HTTP backends, plus the client
-// their calls share. It is immutable after construction and safe for
-// concurrent use.
-type Engine struct {
-	*shard.Engine // the kernel over one backendPartition per backend
-	client        *http.Client
-}
-
-// Dial discovers each URL's shape (Discover) and builds the engine over the
-// backends. client may be nil (a dedicated plain client); met, when non-nil,
-// instruments the kernel's scatter. The scatter pool is as wide as the
-// backend list: every surviving backend is contacted concurrently, and a
-// lone survivor on the calling goroutine.
-func Dial(ctx context.Context, urls []string, client *http.Client, met *shard.Metrics) (*Engine, error) {
+// Dial discovers each URL's shape (discover) and returns the scatter-gather
+// kernel over one partition per backend, all calling through client. client
+// may be nil (a dedicated plain client); met, when non-nil, instruments the
+// kernel's scatter. The scatter pool is as wide as the backend list: every
+// surviving backend is contacted concurrently, and a lone survivor on the
+// calling goroutine. The kernel is immutable and safe for concurrent use.
+func Dial(ctx context.Context, urls []string, client *http.Client, met *shard.Metrics) (*shard.Engine, error) {
 	if client == nil {
 		client = &http.Client{}
 	}
-	backends, err := Discover(ctx, urls, client)
+	backends, err := discover(ctx, urls, client)
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{client: client}
 	parts := make([]shard.Partition, len(backends))
 	universe := geom.EmptyRect()
 	for i, b := range backends {
 		universe = universe.Union(b.Universe)
-		parts[i] = &backendPartition{e: e, b: b}
+		parts[i] = &backendPartition{client: client, b: b}
 	}
-	e.Engine = shard.Over(parts, universe, len(parts), met)
-	return e, nil
+	return shard.Over(parts, universe, len(parts), met), nil
 }
 
-// Discover reads each URL's shape from GET /v1/info: id offsets, universe,
+// discover reads each URL's shape from GET /v1/info: id offsets, universe,
 // pruning key and sizes all come from the servers, so a client needs
 // nothing but addresses. A backend that answers anything but 200,
 // advertises a bounds with no area, a data_bounds that is not a finite
@@ -106,14 +97,14 @@ func Dial(ctx context.Context, urls []string, client *http.Client, met *shard.Me
 // dial; so do two backends whose id ranges [id_offset, id_offset+len)
 // overlap — the same URL twice among them — since the union of their
 // answers would count the shared ids twice. Each probe is a one-shot request
-// (Connection: close): Discover leaves no idle connection in the client's
+// (Connection: close): discover leaves no idle connection in the client's
 // pool, so nothing it started — the connection's goroutines on either end,
 // and through the server's the engine behind it — outlives the call.
-func Discover(ctx context.Context, urls []string, client *http.Client) ([]Backend, error) {
+func discover(ctx context.Context, urls []string, client *http.Client) ([]backend, error) {
 	if len(urls) == 0 {
 		return nil, errors.New("remote: no backend URLs")
 	}
-	backends := make([]Backend, len(urls))
+	backends := make([]backend, len(urls))
 	for i, u := range urls {
 		var err error
 		if backends[i], err = probe(ctx, client, u); err != nil {
@@ -132,36 +123,36 @@ func Discover(ctx context.Context, urls []string, client *http.Client) ([]Backen
 }
 
 // probe is one one-shot GET /v1/info, read into the backend it describes.
-func probe(ctx context.Context, client *http.Client, baseURL string) (Backend, error) {
+func probe(ctx context.Context, client *http.Client, baseURL string) (backend, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/info", nil)
 	if err != nil {
-		return Backend{}, err
+		return backend{}, err
 	}
 	req.Close = true
 	resp, err := client.Do(req)
 	if err != nil {
-		return Backend{}, err
+		return backend{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return Backend{}, responseError(resp)
+		return backend{}, responseError(resp)
 	}
 	var info wire.Info
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return Backend{}, fmt.Errorf("decoding: %w", err)
+		return backend{}, fmt.Errorf("decoding: %w", err)
 	}
 	if info.IDOffset < 0 || info.Len < 0 || info.IDOffset > math.MaxInt64-int64(info.Len) {
-		return Backend{}, fmt.Errorf("id_offset %d and len %d do not spell an id range", info.IDOffset, info.Len)
+		return backend{}, fmt.Errorf("id_offset %d and len %d do not spell an id range", info.IDOffset, info.Len)
 	}
 	universe, err := info.Universe()
 	if err != nil {
-		return Backend{}, err
+		return backend{}, err
 	}
 	key, err := info.PruningKey()
 	if err != nil {
-		return Backend{}, err
+		return backend{}, err
 	}
-	return Backend{URL: baseURL, IDOffset: info.IDOffset, Bounds: key, Universe: universe, Len: info.Len}, nil
+	return backend{URL: baseURL, IDOffset: info.IDOffset, Bounds: key, Universe: universe, Len: info.Len}, nil
 }
 
 type httpError struct {
@@ -192,17 +183,17 @@ func responseError(resp *http.Response) error {
 	return he
 }
 
-// postOnce is one unary request against a backend: encode body, POST it
+// postOnce is one unary request against the backend: encode body, POST it
 // under the caller's context, whose remaining budget crosses the wire in
 // wire.TimeoutHeader, and decode the 200 response into dst. There is no
 // retry: a failed call fails the query, and the caller may run a whole
 // idempotent query again.
-func (e *Engine) postOnce(ctx context.Context, baseURL, path string, body, dst any) error {
+func (p *backendPartition) postOnce(ctx context.Context, path string, body, dst any) error {
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return fmt.Errorf("remote: encoding request: %w", err)
 	}
-	resp, err := e.send(ctx, baseURL+path, payload)
+	resp, err := p.send(ctx, path, payload)
 	if err != nil {
 		return err
 	}
@@ -213,12 +204,13 @@ func (e *Engine) postOnce(ctx context.Context, baseURL, path string, body, dst a
 	return nil
 }
 
-// send POSTs a JSON payload to endpoint with ctx's remaining budget, if
-// any, in the deadline header (whole milliseconds, at least 1), and returns
-// a 200 response for the caller to read and close. A failed round trip
-// returns the client's error; any other status, its responseError.
-func (e *Engine) send(ctx context.Context, endpoint string, payload []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint, bytes.NewReader(payload))
+// send POSTs a JSON payload to the backend's path with ctx's remaining
+// budget, if any, in the deadline header (whole milliseconds, at least 1),
+// and returns a 200 response for the caller to read and close. A failed
+// round trip returns the client's error; any other status, its
+// responseError.
+func (p *backendPartition) send(ctx context.Context, path string, payload []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.b.URL+path, bytes.NewReader(payload))
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +218,7 @@ func (e *Engine) send(ctx context.Context, endpoint string, payload []byte) (*ht
 	if d, ok := ctx.Deadline(); ok {
 		req.Header.Set(wire.TimeoutHeader, strconv.FormatInt(max(time.Until(d).Milliseconds(), 1), 10))
 	}
-	resp, err := e.client.Do(req)
+	resp, err := p.client.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -238,10 +230,11 @@ func (e *Engine) send(ctx context.Context, endpoint string, payload []byte) (*ht
 }
 
 // backendPartition is one backend as the kernel's Partition: each method
-// is one wire call, answered in global id space.
+// is one wire call through the client every backend of the engine shares,
+// answered in global id space.
 type backendPartition struct {
-	e *Engine
-	b Backend
+	client *http.Client
+	b      backend
 }
 
 func (p *backendPartition) Bounds() geom.Rect { return p.b.Bounds }
@@ -270,7 +263,7 @@ func (p *backendPartition) Query(ctx context.Context, region core.Region, spec c
 		return nil, core.Stats{}, err
 	}
 	var resp wire.QueryResponse
-	if err := p.e.postOnce(ctx, p.b.URL, "/v1/query", wire.QueryRequest{Region: wr, Options: wireOptions(spec)}, &resp); err != nil {
+	if err := p.postOnce(ctx, "/v1/query", wire.QueryRequest{Region: wr, Options: wireOptions(spec)}, &resp); err != nil {
 		return nil, core.Stats{}, err
 	}
 	return p.remap(resp.IDs), toStats(resp.Stats), nil
@@ -287,7 +280,7 @@ func (p *backendPartition) QueryRegions(ctx context.Context, regions []core.Regi
 		}
 	}
 	var resp wire.BatchResponse
-	if err := p.e.postOnce(ctx, p.b.URL, "/v1/queryall", req, &resp); err != nil {
+	if err := p.postOnce(ctx, "/v1/queryall", req, &resp); err != nil {
 		return nil, core.Stats{}, err
 	}
 	out := make([][]int64, len(resp.Results))
@@ -304,7 +297,7 @@ func (p *backendPartition) Each(ctx context.Context, region core.Region, spec co
 	if err != nil {
 		return core.Stats{}, err
 	}
-	return p.e.streamOne(ctx, p.b, wire.QueryRequest{Region: wr, Options: wireOptions(spec)}, yield)
+	return p.streamOne(ctx, wire.QueryRequest{Region: wr, Options: wireOptions(spec)}, yield)
 }
 
 // toStats decodes a response's optional statistics.
@@ -315,16 +308,16 @@ func toStats(ws *wire.Stats) core.Stats {
 	return ws.ToStats()
 }
 
-// streamOne runs one backend's /v1/each stream to completion (or yield
+// streamOne runs the backend's /v1/each stream to completion (or yield
 // stop). A stream that ends without an EOF frame was truncated by a
 // disconnect and reports an error rather than passing as complete.
-func (e *Engine) streamOne(ctx context.Context, b Backend, req wire.QueryRequest, yield func(id int64, pos geom.Point) bool) (core.Stats, error) {
+func (p *backendPartition) streamOne(ctx context.Context, req wire.QueryRequest, yield func(id int64, pos geom.Point) bool) (core.Stats, error) {
 	var st core.Stats
 	payload, err := json.Marshal(req)
 	if err != nil {
 		return st, err
 	}
-	resp, err := e.send(ctx, b.URL+"/v1/each", payload)
+	resp, err := p.send(ctx, "/v1/each", payload)
 	if err != nil {
 		return st, err
 	}
@@ -359,7 +352,7 @@ func (e *Engine) streamOne(ctx context.Context, b Backend, req wire.QueryRequest
 			return st, nil
 		}
 		st.ResultSize++ // what was consumed, whatever yield answers
-		if !yield(fr.ID+b.IDOffset, geom.Point{X: fr.X, Y: fr.Y}) {
+		if !yield(fr.ID+p.b.IDOffset, geom.Point{X: fr.X, Y: fr.Y}) {
 			return st, nil // the server notices the closed connection on its next write
 		}
 	}

@@ -30,12 +30,12 @@ func TestStreamOneStopsOnCanceledContext(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	e := &Engine{client: srv.Client()}
+	p := &backendPartition{client: srv.Client(), b: backend{URL: srv.URL}}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	yields := 0
-	st, err := e.streamOne(ctx, Backend{URL: srv.URL}, wire.QueryRequest{},
+	st, err := p.streamOne(ctx, wire.QueryRequest{},
 		func(id int64, pos geom.Point) bool {
 			yields++
 			if yields == 1 {
@@ -94,7 +94,7 @@ func TestDiscoverRefusesWhatIsNotAnInfo(t *testing.T) {
 			if tc.next != "" {
 				urls = append(urls, infoServer(t, http.StatusOK, tc.next))
 			}
-			backends, err := Discover(context.Background(), urls, &http.Client{})
+			backends, err := discover(context.Background(), urls, &http.Client{})
 			if tc.want != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Fatalf("err = %v, want one saying %q; backends %+v", err, tc.want, backends)

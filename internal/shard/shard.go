@@ -36,8 +36,7 @@
 //     universe the partitions clip their cells to (the public Querier body
 //     refuses any region escaping it before it gets here). A sole
 //     partition holds the full diagram and runs the caller's method
-//     verbatim. Callers always see the method they asked for in
-//     Stats.Method.
+//     verbatim.
 //   - Scatter: one exec pool, Chunk 1, per-worker statistics. A single
 //     query is one task per surviving partition; a batch is one task per
 //     (region, partition) pair, except that a partition offering
@@ -379,7 +378,7 @@ func gather(sc *scattered, spec core.QuerySpec, dst []int64, out [][]int64, agg 
 	if spec.Trace != nil {
 		spec.Trace.Add(obs.PhaseMerge, time.Since(mergeStart))
 	}
-	agg.Finalize(total)
+	agg.ResultSize = total
 }
 
 // mergeSorted concatenates per-partition global id slices into dst
@@ -409,7 +408,7 @@ func mergeSorted(dst []int64, parts [][]int64) []int64 {
 // backed by spec.Dest when given. spec.CountOnly skips the merge (the
 // count is Stats.ResultSize).
 func (e *Engine) QueryRegionSpec(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error) {
-	agg := core.Stats{Method: spec.Method}
+	var agg core.Stats
 	regions := [1]core.Region{region}
 	sc, err := e.scatter(ctx, regions[:], spec, &agg)
 	if err != nil {
@@ -426,7 +425,7 @@ func (e *Engine) QueryRegionSpec(ctx context.Context, region core.Region, spec c
 // buffer cannot back a batch of results). Cancellation abandons
 // un-dispatched tasks.
 func (e *Engine) QueryRegionsSpec(ctx context.Context, regions []core.Region, spec core.QuerySpec) ([][]int64, core.Stats, error) {
-	agg := core.Stats{Method: spec.Method}
+	var agg core.Stats
 	sc, err := e.scatter(ctx, regions, spec, &agg)
 	if err != nil {
 		return nil, agg, err
@@ -446,7 +445,7 @@ func (e *Engine) QueryRegionsSpec(ctx context.Context, regions []core.Region, sp
 // is implied. yield returning false stops the query; spec.CountOnly and
 // spec.Dest are ignored. A partition failure ends the stream.
 func (e *Engine) EachRegion(ctx context.Context, region core.Region, spec core.QuerySpec, yield func(id int64, pos geom.Point) bool) (core.Stats, error) {
-	agg := core.Stats{Method: spec.Method}
+	var agg core.Stats
 	alive := e.survivors(nil, region)
 	e.observeFanOut(spec.Trace, len(alive))
 	pspec := e.partSpec(spec)
@@ -465,13 +464,11 @@ func (e *Engine) EachRegion(ctx context.Context, region core.Region, spec core.Q
 		e.partDone(t0)
 		agg.Add(st)
 		if err != nil {
-			agg.Finalize(agg.ResultSize)
 			return agg, fmt.Errorf("shard: %w", e.partErr(ctx, pi, err))
 		}
 		if stopped {
 			break
 		}
 	}
-	agg.Finalize(agg.ResultSize)
 	return agg, ctx.Err()
 }

@@ -498,9 +498,6 @@ func TestShardedVoronoiUsesStrictExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Method != core.VoronoiBFS {
-		t.Errorf("Stats.Method = %v, want the caller's method", st.Method)
-	}
 	if st.CellTests != 0 || st.SegmentTests != 0 {
 		t.Errorf("expected the traced strict rule, got %d cell tests / %d segment tests",
 			st.CellTests, st.SegmentTests)

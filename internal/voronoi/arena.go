@@ -145,10 +145,3 @@ func (a *CellArena) InBox(i int, r geom.Rect) bool {
 	return a.boxes[j] <= r.MaxX && r.MinX <= a.boxes[j+2] &&
 		a.boxes[j+1] <= r.MaxY && r.MinY <= a.boxes[j+3]
 }
-
-// CellArea returns the area of cell i, computed by the shoelace formula
-// over the packed coordinates — equal to Cell(i).Area() with no
-// allocation.
-//
-//vaq:noalloc
-func (a *CellArena) CellArea(i int) float64 { return a.Ring(i).Area() }

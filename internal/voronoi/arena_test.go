@@ -65,8 +65,8 @@ func checkArenaParity(t *testing.T, pts []geom.Point, bounds geom.Rect) {
 			if box, want := a.CellBox(i), cell.Bounds(); box != want {
 				t.Fatalf("site %d: CellBox = %v, want %v", i, box, want)
 			}
-			if got, want := a.CellArea(i), cell.Area(); got != want {
-				t.Fatalf("site %d: CellArea = %v, want %v", i, got, want)
+			if got, want := view.Area(), cell.Area(); got != want {
+				t.Fatalf("site %d: packed ring area = %v, want %v", i, got, want)
 			}
 			if !a.InBox(i, cell.Bounds()) {
 				t.Fatalf("site %d: InBox rejects the cell's own bounds", i)

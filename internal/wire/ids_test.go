@@ -136,7 +136,7 @@ func TestQueryResponseDecodeAllocs(t *testing.T) {
 	for i := range ids {
 		ids[i] = int64(i * 197)
 	}
-	body, err := json.Marshal(QueryResponse{IDs: ids, Count: len(ids), Stats: &Stats{Method: "voronoi-strict", ResultSize: len(ids), Candidates: 1177}})
+	body, err := json.Marshal(QueryResponse{IDs: ids, Count: len(ids), Stats: &Stats{ResultSize: len(ids), Candidates: 1177}})
 	if err != nil {
 		t.Fatal(err)
 	}

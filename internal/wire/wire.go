@@ -195,46 +195,41 @@ type Region struct {
 	R      float64   `json:"r,omitempty"`
 }
 
-// polygonSource is implemented by regions whose underlying polygon is
-// recoverable (geom.PreparedPolygon, the shape behind vaq.PolygonRegion).
-type polygonSource interface{ Polygon() geom.Polygon }
-
-// circleSource is implemented by regions whose underlying circle is
-// recoverable (core's circle region).
-type circleSource interface{ Circle() geom.Circle }
-
-// EncodeRegion converts a core.Region into its wire form. Prepared
-// polygons and circle regions are supported; custom Region implementations
+// EncodeRegion converts a core.Region into its wire form. Prepared and
+// plain polygons and circles are supported; custom Region implementations
 // (whose geometry the codec cannot see) return an error. Non-finite
 // coordinates are rejected.
 func EncodeRegion(r core.Region) (Region, error) {
-	var out Region
 	switch src := r.(type) {
-	case polygonSource:
-		pg := src.Polygon()
-		out.Kind = KindPolygon
-		var err error
-		if out.Outer, err = encodeRing(pg.Outer); err != nil {
-			return Region{}, err
-		}
-		for _, h := range pg.Holes {
-			ring, err := encodeRing(h)
-			if err != nil {
-				return Region{}, err
-			}
-			out.Holes = append(out.Holes, ring)
-		}
-		return out, nil
-	case circleSource:
-		c := src.Circle()
-		if !finite(c.Center.X, c.Center.Y, c.R) {
+	case *geom.PreparedPolygon:
+		return encodePolygon(src.Polygon())
+	case geom.Polygon:
+		return encodePolygon(src)
+	case geom.Circle:
+		if !finite(src.Center.X, src.Center.Y, src.R) {
 			return Region{}, errNonFinite
 		}
-		center := FromPoint(c.Center)
-		return Region{Kind: KindCircle, Center: &center, R: c.R}, nil
+		center := FromPoint(src.Center)
+		return Region{Kind: KindCircle, Center: &center, R: src.R}, nil
 	default:
 		return Region{}, fmt.Errorf("wire: region type %T has no wire encoding", r)
 	}
+}
+
+func encodePolygon(pg geom.Polygon) (Region, error) {
+	out := Region{Kind: KindPolygon}
+	var err error
+	if out.Outer, err = encodeRing(pg.Outer); err != nil {
+		return Region{}, err
+	}
+	for _, h := range pg.Holes {
+		ring, err := encodeRing(h)
+		if err != nil {
+			return Region{}, err
+		}
+		out.Holes = append(out.Holes, ring)
+	}
+	return out, nil
 }
 
 func encodeRing(r geom.Ring) ([]Coord, error) {
@@ -325,48 +320,22 @@ func ParseMethod(s string) (core.Method, error) {
 // Stats is core.Stats on the wire: the query's deterministic work
 // counters, so identical requests get identical bytes.
 type Stats struct {
-	Method               string `json:"method,omitempty"`
-	ResultSize           int    `json:"result_size,omitempty"`
-	Candidates           int    `json:"candidates,omitempty"`
-	RedundantValidations int    `json:"redundant_validations,omitempty"`
-	SegmentTests         int    `json:"segment_tests,omitempty"`
-	CellTests            int    `json:"cell_tests,omitempty"`
-	IndexNodesVisited    int    `json:"index_nodes_visited,omitempty"`
-	RecordsLoaded        int    `json:"records_loaded,omitempty"`
+	ResultSize           int `json:"result_size,omitempty"`
+	Candidates           int `json:"candidates,omitempty"`
+	RedundantValidations int `json:"redundant_validations,omitempty"`
+	SegmentTests         int `json:"segment_tests,omitempty"`
+	CellTests            int `json:"cell_tests,omitempty"`
+	IndexNodesVisited    int `json:"index_nodes_visited,omitempty"`
+	RecordsLoaded        int `json:"records_loaded,omitempty"`
 }
 
-// FromStats converts engine statistics to wire form.
-func FromStats(st core.Stats) Stats {
-	return Stats{
-		Method:               MethodString(st.Method),
-		ResultSize:           st.ResultSize,
-		Candidates:           st.Candidates,
-		RedundantValidations: st.RedundantValidations,
-		SegmentTests:         st.SegmentTests,
-		CellTests:            st.CellTests,
-		IndexNodesVisited:    st.IndexNodesVisited,
-		RecordsLoaded:        st.RecordsLoaded,
-	}
-}
+// FromStats converts engine statistics to wire form. The two structs have
+// the same fields, so a counter added to core.Stats without its wire member
+// fails to compile here.
+func FromStats(st core.Stats) Stats { return Stats(st) }
 
-// ToStats converts back. An unknown method string degrades to the value's
-// zero method rather than failing — statistics are advisory.
-func (s Stats) ToStats() core.Stats {
-	m, err := ParseMethod(s.Method)
-	if err != nil {
-		m = 0
-	}
-	return core.Stats{
-		Method:               m,
-		ResultSize:           s.ResultSize,
-		Candidates:           s.Candidates,
-		RedundantValidations: s.RedundantValidations,
-		SegmentTests:         s.SegmentTests,
-		CellTests:            s.CellTests,
-		IndexNodesVisited:    s.IndexNodesVisited,
-		RecordsLoaded:        s.RecordsLoaded,
-	}
-}
+// ToStats converts back.
+func (s Stats) ToStats() core.Stats { return core.Stats(s) }
 
 // QueryRequest is the body of POST /v1/query.
 type QueryRequest struct {

@@ -15,30 +15,30 @@ import (
 )
 
 // sameGeometry reports whether a and b are the same shape bit for bit —
-// the codec's equality contract — read through the two accessors the codec
-// itself decodes through. It compares math.Float64bits, so -0 and +0 differ.
+// the codec's equality contract — read through the concrete types the codec
+// encodes, a prepared polygon and a plain one alike. It compares
+// math.Float64bits, so -0 and +0 differ.
 func sameGeometry(a, b core.Region) bool {
 	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	sameRing := func(x, y geom.Ring) bool {
 		return slices.EqualFunc(x, y, func(p, q geom.Point) bool { return same(p.X, q.X) && same(p.Y, q.Y) })
 	}
-	switch a := a.(type) {
-	case polygonSource:
-		b, ok := b.(polygonSource)
-		if !ok {
-			return false
+	polygon := func(r core.Region) (geom.Polygon, bool) {
+		switch r := r.(type) {
+		case *geom.PreparedPolygon:
+			return r.Polygon(), true
+		case geom.Polygon:
+			return r, true
 		}
-		pa, pb := a.Polygon(), b.Polygon()
-		return sameRing(pa.Outer, pb.Outer) && slices.EqualFunc(pa.Holes, pb.Holes, sameRing)
-	case circleSource:
-		b, ok := b.(circleSource)
-		if !ok {
-			return false
-		}
-		ca, cb := a.Circle(), b.Circle()
-		return same(ca.Center.X, cb.Center.X) && same(ca.Center.Y, cb.Center.Y) && same(ca.R, cb.R)
+		return geom.Polygon{}, false
 	}
-	return false
+	if pa, ok := polygon(a); ok {
+		pb, ok := polygon(b)
+		return ok && sameRing(pa.Outer, pb.Outer) && slices.EqualFunc(pa.Holes, pb.Holes, sameRing)
+	}
+	ca, okA := a.(geom.Circle)
+	cb, okB := b.(geom.Circle)
+	return okA && okB && same(ca.Center.X, cb.Center.X) && same(ca.Center.Y, cb.Center.Y) && same(ca.R, cb.R)
 }
 
 // roundTrip encodes region → JSON → decodes and returns the result.
@@ -85,6 +85,7 @@ func TestRegionRoundTripExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	regions["holed"] = core.PolygonRegion(holed)
+	regions["plain holed"] = holed // a geom.Polygon is a Region unprepared
 
 	for name, r := range regions {
 		dec := roundTrip(t, r)
@@ -158,7 +159,7 @@ func TestMethodRoundTrip(t *testing.T) {
 
 func TestStatsRoundTrip(t *testing.T) {
 	st := core.Stats{
-		Method: core.VoronoiBFSStrict, ResultSize: 41, Candidates: 57,
+		ResultSize: 41, Candidates: 57,
 		RedundantValidations: 16, SegmentTests: 3, CellTests: 88,
 		IndexNodesVisited: 12, RecordsLoaded: 57,
 	}

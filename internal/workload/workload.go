@@ -4,12 +4,12 @@
 // scaled so the polygon's MBR covers a chosen fraction of the universe —
 // the paper's "query size" knob.
 //
-// This is the root module's only generator package: vaq.go re-exports it
-// (UniformPoints, RandomQueryPolygon, HilbertSort, ...) and the internal
-// tests and cmd/areabench's sweeps import it. The nested benchmark module
-// keeps its own frozen copy in benchmark/inputs.go so that a change here
-// cannot move the referee's inputs; the two are not meant to be kept in
-// step.
+// This is the root module's only generator package: vaq.go wraps its
+// generators (UniformPoints, ClusteredPoints, RandomQueryPolygon,
+// RectangleQueryPolygon), and the internal tests and cmd/areabench's sweeps
+// import it. The nested benchmark module keeps its own frozen copy in
+// benchmark/inputs.go so that a change here cannot move the referee's
+// inputs; the two are not meant to be kept in step.
 package workload
 
 import (

@@ -272,7 +272,7 @@ func (q *querier) Query(ctx context.Context, region Region, opts ...QueryOpt) ([
 	p := resolve(opts)
 	start := q.begin(&p)
 	var ids []int64
-	st := Stats{Method: p.Method}
+	var st Stats
 	err := q.admit(region)
 	if err == nil {
 		ids, st, err = q.backend.QueryRegionSpec(ctx, region, p.QuerySpec)
@@ -296,7 +296,7 @@ func (q *querier) QueryAll(ctx context.Context, regions []Region, opts ...QueryO
 	p := resolve(opts)
 	start := q.begin(&p)
 	var out [][]int64
-	st := Stats{Method: p.Method}
+	var st Stats
 	var err error
 	for i, region := range regions {
 		if err = q.admit(region); err != nil {
@@ -324,7 +324,7 @@ func (q *querier) QueryAll(ctx context.Context, regions []Region, opts ...QueryO
 func (q *querier) Each(ctx context.Context, region Region, yield func(id int64, p Point) bool, opts ...QueryOpt) error {
 	p := resolve(opts)
 	start := q.begin(&p)
-	st := Stats{Method: p.Method}
+	var st Stats
 	err := q.admit(region)
 	if err == nil {
 		st, err = q.backend.EachRegion(ctx, region, p.QuerySpec, yield)

@@ -74,7 +74,8 @@ func TestResultsEarlyBreak(t *testing.T) {
 		t.Fatalf("saw %d pairs, want 3", seen)
 	}
 
-	// Options thread through: the method and the stats destination.
+	// Options thread through: the method (a brute-force scan validates
+	// every point) and the stats destination.
 	var st Stats
 	n := 0
 	seq, errf = Results(context.Background(), eng, region, UsingMethod(BruteForce), WithStatsInto(&st))
@@ -84,8 +85,8 @@ func TestResultsEarlyBreak(t *testing.T) {
 	if err := errf(); err != nil {
 		t.Fatal(err)
 	}
-	if st.Method != BruteForce || st.ResultSize != n || n == 0 {
-		t.Fatalf("BruteForce sequence yielded %d (stats %d, method %v)", n, st.ResultSize, st.Method)
+	if st.Candidates != eng.Len() || st.ResultSize != n || n == 0 {
+		t.Fatalf("BruteForce sequence yielded %d (stats %+v over %d points)", n, st, eng.Len())
 	}
 }
 

@@ -56,11 +56,11 @@ func DialRemote(ctx context.Context, urls []string, opts ...Option) (*RemoteEngi
 	q := newQuerier(&cfg, flavorRemote)
 	// The kernel exports the scatter series the sharded flavor does, under
 	// flavor="remote".
-	re, err := remote.Dial(ctx, urls, cfg.remoteClient, newShardMetrics(cfg.metrics, q.qm))
+	k, err := remote.Dial(ctx, urls, cfg.remoteClient, newShardMetrics(cfg.metrics, q.qm))
 	if err != nil {
 		return nil, err
 	}
-	return &RemoteEngine{overKernel(q, re.Engine)}, nil
+	return &RemoteEngine{overKernel(q, k)}, nil
 }
 
 // NumBackends returns the backend count.

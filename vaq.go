@@ -113,9 +113,8 @@
 //
 // No engine keeps a clipped Voronoi cell. The strict expansion rule on a
 // custom region clips the cell of each neighbour it tests, from the
-// coordinates and the adjacency above, into two buffers the query reuses,
-// and CellArea clips its one cell the same way; nothing is built ahead of a
-// query, on any flavor or dynamic epoch. A dynamic epoch's R-tree is the one
+// coordinates and the adjacency above, into two buffers the query reuses;
+// nothing is built ahead of a query, on any flavor or dynamic epoch. A dynamic epoch's R-tree is the one
 // thing built on first use: the first Traditional query packs it, and an
 // epoch that runs none holds no leaf entry at all.
 //
@@ -170,15 +169,17 @@ type (
 	Method = core.Method
 	// Stats reports the work one query performed.
 	Stats = core.Stats
-	// Region is a prepared query shape — build one with PolygonRegion or
-	// CircleRegion; polygons and circles can share one QueryAll batch.
+	// Region is a query shape. A Polygon and a Circle are Regions as they
+	// are; PolygonRegion prepares a polygon for repeated tests, and the
+	// strict method traces only a prepared polygon's boundary. Polygons and
+	// circles can share one QueryAll batch.
 	Region = core.Region
 )
 
 // PolygonRegion prepares a polygon for (repeated or batched) querying.
 func PolygonRegion(pg Polygon) Region { return core.PolygonRegion(pg) }
 
-// CircleRegion prepares a circle for (repeated or batched) querying.
+// CircleRegion returns c as a Region; a Circle is one already.
 func CircleRegion(c Circle) Region { return core.CircleRegion(c) }
 
 // Polygons prepares a polygon slice as a Region batch for QueryAll.
@@ -412,12 +413,6 @@ func (e *Engine) PointOK(id int64) (Point, bool) {
 	return e.data.Position(id), true
 }
 
-// CellArea returns the area of id's Voronoi cell (clipped to Bounds),
-// clipping that one cell from id's Voronoi neighbours when it is called.
-// The areas of all cells sum to the universe's area. It panics when id is
-// not in [0, Len()).
-func (e *Engine) CellArea(id int64) float64 { return e.data.CellArea(id) }
-
 // IOStats returns the engine's cumulative simulated IO counters — buffer
 // pool misses (reads) and hits — when it was built WithStore; ok is false
 // otherwise. The counters cover all queries since construction or the
@@ -454,10 +449,10 @@ func (e *Engine) ResetIOStats() { e.data.ResetIOStats() }
 // A shard's Voronoi diagram is a sub-sample of the dataset, and on its
 // sparser geometry the segment heuristic can strand result islands inside
 // thin concave queries; the strict rule is complete at any density on
-// every polygon and every connected region. Stats.Method still reports the
-// requested method (a polygon's boundary is traced, with no SegmentTests; a
-// circle, convex, keeps the segment test, exact on it). A single shard
-// holds the full diagram and runs the requested method as is.
+// every polygon and every connected region. A polygon's boundary is then
+// traced, with no SegmentTests; a circle, convex, keeps the segment test,
+// exact on it. A single shard holds the full diagram and runs the requested
+// method as is.
 //
 // Shard where one engine's data volume is the bottleneck: construction
 // parallelizes across shards, store-backed shards multiply total

@@ -85,8 +85,12 @@ func TestOptionInteractions(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Errorf("%s: duplicate-option query diverged", f.name)
 		}
-		if last.Method != VoronoiBFS {
-			t.Errorf("%s: last UsingMethod did not win (got %v)", f.name, last.Method)
+		var solo Stats
+		if _, err := f.q.Query(ctx, region, UsingMethod(VoronoiBFS), WithStatsInto(&solo)); err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if last != solo {
+			t.Errorf("%s: last UsingMethod did not win: stats %+v, VoronoiBFS's %+v", f.name, last, solo)
 		}
 		if first != (Stats{}) {
 			t.Errorf("%s: overridden WithStatsInto was written: %+v", f.name, first)
@@ -99,8 +103,12 @@ func TestOptionInteractions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Count: %v", f.name, err)
 		}
-		if n != len(want) || cst.ResultSize != len(want) || cst.Method != BruteForce {
-			t.Errorf("%s: Count = %d (stats %d, %v), want %d by %v", f.name, n, cst.ResultSize, cst.Method, len(want), BruteForce)
+		var bst Stats
+		if _, err := f.q.Query(ctx, region, UsingMethod(BruteForce), CountOnly(), WithStatsInto(&bst)); err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if n != len(want) || cst.ResultSize != len(want) || cst != bst {
+			t.Errorf("%s: Count = %d (stats %+v), want %d by BruteForce (stats %+v)", f.name, n, cst, len(want), bst)
 		}
 	}
 }

@@ -135,7 +135,7 @@ func TestEveryOutcomeIsObservedOnce(t *testing.T) {
 						vaq.UsingMethod(vaq.Traditional), vaq.WithTraceInto(&tr), vaq.WithStatsInto(&st)); err != nil {
 						t.Fatal(err)
 					}
-					if st.Candidates == 0 || !strings.Contains(tr.String(), "method=traditional ") {
+					if st.IndexNodesVisited == 0 || !strings.Contains(tr.String(), "method=traditional ") {
 						t.Fatalf("setup query left stats %+v, %s", st, tr.String())
 					}
 					before := f.reg.Snapshot().Counters
@@ -150,8 +150,9 @@ func TestEveryOutcomeIsObservedOnce(t *testing.T) {
 						t.Fatalf("err = %v, want %v", err, o.is)
 					}
 
-					if st.Method != o.method {
-						t.Errorf("WithStatsInto not written: still holds method %v", st.Method)
+					// No outcome's method walks the index, as the setup query's did.
+					if st.IndexNodesVisited != 0 {
+						t.Errorf("WithStatsInto not written: still holds the setup query's %+v", st)
 					}
 					if o.counter == "" && st.ResultSize == 0 {
 						t.Errorf("WithStatsInto holds no results after a successful call: %+v", st)
@@ -341,5 +342,69 @@ func TestCircleMembershipHasOneDefinition(t *testing.T) {
 				t.Errorf("%s, %v: %v, want %v", f.name, m, ids, want)
 			}
 		}
+	}
+}
+
+// TestPlainShapesAreRegions: a Polygon and a Circle are Regions as they are,
+// so every flavor answers them exactly as it answers PolygonRegion and
+// CircleRegion, under every method and in a mixed batch — the remote flavor
+// included, whose codec once refused both as having no wire encoding and
+// counted each refusal as a failed backend call. The strict method on a
+// plain circle runs the segment rule, as on CircleRegion, with no cell
+// test.
+func TestPlainShapesAreRegions(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	pts := vaq.UniformPoints(rng, 2000, vaq.UnitSquare())
+	circle := vaq.NewCircle(vaq.Pt(0.45, 0.55), 0.1)
+	polygon := vaq.RandomQueryPolygon(rng, 10, 0.05, vaq.UnitSquare())
+	plain := []vaq.Region{circle, polygon}
+	wrapped := []vaq.Region{vaq.CircleRegion(circle), vaq.PolygonRegion(polygon)}
+	ctx := context.Background()
+
+	for _, f := range everyFlavor(t, pts, vaq.UnitSquare()) {
+		for _, m := range []vaq.Method{vaq.Traditional, vaq.VoronoiBFS, vaq.VoronoiBFSStrict, vaq.BruteForce} {
+			for i := range plain {
+				want, err := f.q.Query(ctx, wrapped[i], vaq.UsingMethod(m))
+				if err != nil {
+					t.Fatalf("%s/%v: wrapped %T: %v", f.name, m, plain[i], err)
+				}
+				got, err := f.q.Query(ctx, plain[i], vaq.UsingMethod(m))
+				if err != nil {
+					t.Fatalf("%s/%v: plain %T: %v", f.name, m, plain[i], err)
+				}
+				if len(want) == 0 || !slices.Equal(got, want) {
+					t.Errorf("%s/%v: plain %T answers %d ids, wrapped %d", f.name, m, plain[i], len(got), len(want))
+				}
+			}
+			want, err := f.q.QueryAll(ctx, wrapped, vaq.UsingMethod(m))
+			if err != nil {
+				t.Fatalf("%s/%v: wrapped batch: %v", f.name, m, err)
+			}
+			got, err := f.q.QueryAll(ctx, plain, vaq.UsingMethod(m))
+			if err != nil {
+				t.Fatalf("%s/%v: plain batch: %v", f.name, m, err)
+			}
+			if !slices.EqualFunc(got, want, slices.Equal[[]int64]) {
+				t.Errorf("%s/%v: the plain batch diverges from the wrapped one", f.name, m)
+			}
+		}
+		if re, ok := f.q.(*vaq.RemoteEngine); ok && re.Dropped() != 0 {
+			t.Errorf("%s: %d backend calls failed", f.name, re.Dropped())
+		}
+	}
+
+	eng, err := vaq.NewEngine(pts, vaq.UnitSquare())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stPlain, stWrapped vaq.Stats
+	if _, err := eng.Query(ctx, circle, vaq.UsingMethod(vaq.VoronoiBFSStrict), vaq.WithStatsInto(&stPlain)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Query(ctx, wrapped[0], vaq.UsingMethod(vaq.VoronoiBFSStrict), vaq.WithStatsInto(&stWrapped)); err != nil {
+		t.Fatal(err)
+	}
+	if stPlain.CellTests != 0 || stPlain.SegmentTests == 0 || stPlain != stWrapped {
+		t.Errorf("strict on a plain circle: %+v, on CircleRegion %+v", stPlain, stWrapped)
 	}
 }
