@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/rtree"
 	"repro/internal/workload"
 )
 
@@ -181,7 +182,7 @@ func newDataset(cfg Config, n int, seed int64) (*dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: building dataset (n=%d): %w", n, err)
 	}
-	idx := core.NewRTreeIndex(pts, 16)
+	idx := core.NewRTreeIndex(data.Positions(), rtree.DefaultMaxEntries)
 	return &dataset{n: n, eng: core.NewEngine(idx, data), data: data, bounds: bounds}, nil
 }
 

@@ -66,7 +66,7 @@ const (
 	// rule (segment p–pn intersects the area).
 	VoronoiBFS
 	// VoronoiBFSStrict is Algorithm 1 made complete at any density. On a
-	// prepared polygon it traces the boundary through the diagram,
+	// polygon, plain or prepared, it traces the boundary through the diagram,
 	// validates only the sites whose cells meet it and the neighbours of
 	// those cells it did not cross exactly once, places the other
 	// neighbours by the trace's ring indices, and floods the interior

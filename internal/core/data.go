@@ -102,6 +102,11 @@ func (m *MemoryData) Len() int { return len(m.pts) - m.first }
 // Position returns the resident coordinates of id, without record IO.
 func (m *MemoryData) Position(id int64) geom.Point { return m.pts[id] }
 
+// Positions returns the resident positions, indexed by id: the layer's own
+// slice, shared, for an index to read in place (NewRTreeIndex). The caller
+// must not modify it.
+func (m *MemoryData) Positions() []geom.Point { return m.pts }
+
 // Each iterates the user sites in ascending id order (a sequential scan of
 // the resident positions, for the brute-force oracle and tools); fn
 // returning false stops it.

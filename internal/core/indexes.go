@@ -16,20 +16,22 @@ import (
 // position. NewRTreeIndex does so at once; a dynamic epoch's index does so on
 // the first read — a Traditional query, Bounds or Nearest — exactly once
 // however many goroutines race to it, so an epoch that runs no Traditional
-// query never packs a tree.
+// query never packs a tree. The tree's leaves are int32 ids that read pts in
+// place: an engine indexes its data layer's own positions (MemoryData's
+// Positions, or a dynamic epoch's pinned slice), so each site's position is
+// stored once.
 type RTreeIndex struct {
 	once sync.Once
 	tree *rtree.Tree
-	// pts, first and fanout are what the tree is packed from; pts must not
-	// change until then, and is dropped once it is, so an index never
-	// retains its caller's slice.
+	// pts, first and fanout are what the tree is packed from; pts is what it
+	// reads, and must not change while the index is in use.
 	pts    []geom.Point
 	first  int
 	fanout int
 }
 
 // NewRTreeIndex bulk-loads an STR-packed R-tree over pts with ids equal to
-// slice indices.
+// slice indices. The index keeps pts and reads it on every query.
 func NewRTreeIndex(pts []geom.Point, maxEntries int) *RTreeIndex {
 	x := &RTreeIndex{pts: pts, fanout: maxEntries}
 	x.get()
@@ -38,15 +40,7 @@ func NewRTreeIndex(pts []geom.Point, maxEntries int) *RTreeIndex {
 
 // get returns the tree, packing it on the first call.
 func (x *RTreeIndex) get() *rtree.Tree {
-	x.once.Do(func() {
-		items := make([]rtree.Item, len(x.pts)-x.first)
-		for i := range items {
-			p := x.pts[x.first+i]
-			items[i] = rtree.Item{ID: int64(x.first + i), Rect: geom.NewRect(p.X, p.Y, p.X, p.Y)}
-		}
-		x.tree = rtree.BulkLoad(items, x.fanout)
-		x.pts = nil
-	})
+	x.once.Do(func() { x.tree = rtree.BulkLoad(x.pts, x.first, x.fanout) })
 	return x.tree
 }
 
@@ -54,8 +48,7 @@ func (x *RTreeIndex) get() *rtree.Tree {
 // closed rectangle q; fn returning false stops the scan. It returns the
 // number of index nodes visited.
 func (x *RTreeIndex) Window(q geom.Rect, fn func(id int64) bool) int {
-	st := x.get().Search(q, func(id int64, _ geom.Rect) bool { return fn(id) })
-	return st.NodesVisited
+	return x.get().Search(q, fn)
 }
 
 // Bounds returns the bounding rectangle of the stored points, read off the
@@ -68,6 +61,5 @@ func (x *RTreeIndex) Bounds() geom.Rect { return x.get().Bounds() }
 // as what the benchmark's rtree.seed_* probe measures and what the seed
 // walk's tests compare against.
 func (x *RTreeIndex) Nearest(q geom.Point) (id int64, nodes int, ok bool) {
-	item, st, ok := x.get().NearestNeighbor(q)
-	return item.ID, st.NodesVisited, ok
+	return x.get().NearestNeighbor(q)
 }

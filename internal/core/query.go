@@ -106,7 +106,9 @@ func (e *Engine) eachRegion(ctx context.Context, region Region, m Method, tr *ob
 	case VoronoiBFSStrict:
 		switch r := region.(type) {
 		case *geom.PreparedPolygon:
-			return e.eachShell(ctx, r, tr, s)
+			return e.eachShell(ctx, r.Polygon(), r, tr, s)
+		case geom.Polygon:
+			return e.eachShell(ctx, r, r, tr, s)
 		case geom.Circle:
 			// A disk is convex: the segment rule is exact on it (see
 			// eachVoronoi).

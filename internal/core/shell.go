@@ -11,7 +11,7 @@ import (
 	"repro/internal/robust"
 )
 
-// The strict rule on a prepared polygon R validates only the shell: the
+// The strict rule on a polygon R validates only the shell: the
 // cells that meet ∂R. A closed Voronoi cell that misses ∂R lies wholly
 // inside or wholly outside R, so one containment test settles every site of
 // such a cell, and a Delaunay neighbour of a site whose cell lies inside R
@@ -47,10 +47,11 @@ type shellCounts struct {
 	shell, steps, crossings, exact int
 }
 
-// eachShell is VoronoiBFSStrict on a prepared polygon: trace, validate,
-// flood. Ring starts are timed under PhaseSeed, the walk and the flood under
+// eachShell is VoronoiBFSStrict on a polygon pg: trace, validate, flood.
+// region is pg itself, or its prepared form, and answers the validations.
+// Ring starts are timed under PhaseSeed, the walk and the flood under
 // PhaseExpand, and the validations' record loads under PhasePageFetch.
-func (e *Engine) eachShell(ctx context.Context, pp *geom.PreparedPolygon, tr *obs.QueryTrace, s *queryScratch) (Stats, error) {
+func (e *Engine) eachShell(ctx context.Context, pg geom.Polygon, region Region, tr *obs.QueryTrace, s *queryScratch) (Stats, error) {
 	traced := tr != nil
 	var start time.Time
 	var seeded, fetched time.Duration
@@ -62,12 +63,12 @@ func (e *Engine) eachShell(ctx context.Context, pp *geom.PreparedPolygon, tr *ob
 			tr.Add(obs.PhaseExpand, time.Since(start)-seeded-fetched)
 		}()
 	}
-	d, pg := e.data, pp.Polygon()
+	d := e.data
 	left := insideLeft(pg)
 	if _, err := d.traceShell(ctx, pg, left != 0, s, traced, &seeded); err != nil {
 		return Stats{}, err
 	}
-	stats, loads, err := d.floodShell(ctx, pp, left, s, traced)
+	stats, loads, err := d.floodShell(ctx, region, left, s, traced)
 	fetched = loads
 	return stats, err
 }

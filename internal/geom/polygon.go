@@ -3,6 +3,8 @@ package geom
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 )
 
 // Ring is a closed polygonal chain. The closing edge from the last vertex
@@ -118,9 +120,9 @@ func (pg Polygon) Bounds() Rect { return pg.Outer.Bounds() }
 
 // Area returns the area of the polygon: |outer| minus the hole areas.
 func (pg Polygon) Area() float64 {
-	a := absf(pg.Outer.SignedArea())
+	a := math.Abs(pg.Outer.SignedArea())
 	for _, h := range pg.Holes {
-		a -= absf(h.SignedArea())
+		a -= math.Abs(h.SignedArea())
 	}
 	return a
 }
@@ -264,7 +266,7 @@ func (pg Polygon) InteriorPoint() Point {
 			}
 			return true
 		})
-		sortFloats(ys)
+		slices.Sort(ys)
 		for j := 0; j+1 < len(ys); j++ {
 			mid := Pt(x, (ys[j]+ys[j+1])/2)
 			if pg.ContainsPointStrict(mid) {
@@ -329,7 +331,7 @@ func (r Ring) SignedArea() float64 {
 }
 
 // Area returns the absolute enclosed area.
-func (r Ring) Area() float64 { return absf(r.SignedArea()) }
+func (r Ring) Area() float64 { return math.Abs(r.SignedArea()) }
 
 // Perimeter returns the total edge length.
 func (r Ring) Perimeter() float64 {
@@ -490,21 +492,4 @@ func (r Ring) interiorPoint() Point {
 		return Point{(prev.X + v.X + next.X) / 3, (prev.Y + v.Y + next.Y) / 3}
 	}
 	return Midpoint(v, r[best])
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// sortFloats is a tiny insertion sort to avoid importing sort for a
-// handful of values.
-func sortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

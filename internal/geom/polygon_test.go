@@ -183,7 +183,7 @@ func randomStarPolygon(rng *rand.Rand, k int) Polygon {
 	for i := range angles {
 		angles[i] = rng.Float64() * 2 * math.Pi
 	}
-	sortFloats(angles)
+	slices.Sort(angles)
 	// Drop duplicate angles to guarantee simplicity.
 	pts := make([]Point, 0, k)
 	for i, a := range angles {

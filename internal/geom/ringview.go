@@ -1,5 +1,7 @@
 package geom
 
+import "math"
+
 // RingView is a zero-allocation view of a closed ring whose vertices live
 // in parallel coordinate slices — the structure-of-arrays layout of a
 // packed cell arena (voronoi.CellArena). As with Ring, the closing edge
@@ -61,7 +63,7 @@ func (v RingView) SignedArea() float64 {
 }
 
 // Area returns the absolute enclosed area.
-func (v RingView) Area() float64 { return absf(v.SignedArea()) }
+func (v RingView) Area() float64 { return math.Abs(v.SignedArea()) }
 
 // ContainsPoint reports whether p lies in the closed region bounded by the
 // view's ring — identical to (Polygon{Outer: ring}).ContainsPoint over the

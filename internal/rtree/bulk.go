@@ -1,111 +1,83 @@
 package rtree
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 )
 
-// BulkLoad builds a tree from items using Sort-Tile-Recursive packing
-// (Leutenegger et al. 1997): sort by center x, tile into vertical slices,
-// sort each slice by center y, pack leaves bottom-up. STR produces nearly
-// square, minimally overlapping leaves — the standard choice for static
-// point data. The input slice is not modified. maxEntries < 4 is replaced by
+// BulkLoad builds a tree over the points pts[first:], each id its index in
+// pts, using Sort-Tile-Recursive packing (Leutenegger et al. 1997): sort by
+// x, tile into vertical slices, sort each slice by y, pack leaves bottom-up.
+// STR produces nearly square, minimally overlapping leaves — the standard
+// choice for static point data. The ids are packed into one int32 array, of
+// which every leaf is a run. The tree keeps pts and reads it on every query:
+// the caller must not change pts[first:] while the tree is in use. Ids must
+// fit in an int32, as the CSR adjacency's do. maxEntries < 4 is replaced by
 // DefaultMaxEntries.
-func BulkLoad(items []Item, maxEntries int) *Tree {
+func BulkLoad(pts []geom.Point, first, maxEntries int) *Tree {
 	if maxEntries < 4 {
 		maxEntries = DefaultMaxEntries
 	}
-	t := &Tree{root: &node{}, size: len(items), maxEntries: maxEntries}
-	if len(items) == 0 {
+	t := &Tree{root: &node{}, pts: pts, size: max(len(pts)-first, 0), maxEntries: maxEntries}
+	if t.size == 0 {
 		return t
 	}
-
-	sorted := append([]Item(nil), items...)
-	leaves := packLeaves(sorted, t.maxEntries)
-	level := make([]*node, len(leaves))
-	copy(level, leaves)
+	ids := make([]int32, t.size)
+	for i := range ids {
+		ids[i] = int32(first + i)
+	}
+	level := t.packLeaves(ids)
 	for len(level) > 1 {
-		level = packInternal(level, t.maxEntries)
+		level = t.packInternal(level)
 	}
 	t.root = level[0]
 	return t
 }
 
-// packLeaves distributes items into leaf nodes with STR tiling.
-func packLeaves(items []Item, cap int) []*node {
-	n := len(items)
-	leafCount := (n + cap - 1) / cap
-	sliceCount := int(math.Ceil(math.Sqrt(float64(leafCount))))
-	sliceSize := sliceCount * cap
+// strSliceSize returns STR's slice size for n entries packed cap to a node:
+// the entries are cut into ⌈√(nodes)⌉ vertical slices of that many nodes
+// each.
+func strSliceSize(n, cap int) int {
+	nodes := (n + cap - 1) / cap
+	return int(math.Ceil(math.Sqrt(float64(nodes)))) * cap
+}
 
-	sort.Slice(items, func(i, j int) bool {
-		return items[i].Rect.Center().X < items[j].Rect.Center().X
-	})
-
-	var leaves []*node
-	for s := 0; s < n; s += sliceSize {
-		end := s + sliceSize
-		if end > n {
-			end = n
-		}
-		slice := items[s:end]
-		sort.Slice(slice, func(i, j int) bool {
-			return slice[i].Rect.Center().Y < slice[j].Rect.Center().Y
-		})
-		for i := 0; i < len(slice); i += cap {
-			j := i + cap
-			if j > len(slice) {
-				j = len(slice)
-			}
-			leaf := &node{}
-			for _, it := range slice[i:j] {
-				leaf.rects = append(leaf.rects, it.Rect)
-				leaf.ids = append(leaf.ids, it.ID)
-			}
-			leaves = append(leaves, leaf)
+// packLeaves sorts ids in place with STR tiling and cuts it into leaves.
+func (t *Tree) packLeaves(ids []int32) []*node {
+	byX := func(a, b int32) int { return cmp.Compare(t.pts[a].X, t.pts[b].X) }
+	byY := func(a, b int32) int { return cmp.Compare(t.pts[a].Y, t.pts[b].Y) }
+	slices.SortFunc(ids, byX)
+	leaves := make([]*node, 0, (len(ids)+t.maxEntries-1)/t.maxEntries)
+	for slice := range slices.Chunk(ids, strSliceSize(len(ids), t.maxEntries)) {
+		slices.SortFunc(slice, byY)
+		for run := range slices.Chunk(slice, t.maxEntries) {
+			leaves = append(leaves, &node{ids: run})
 		}
 	}
 	return leaves
 }
 
 // packInternal groups one tree level into parents with STR tiling.
-func packInternal(children []*node, cap int) []*node {
+func (t *Tree) packInternal(children []*node) []*node {
 	type cn struct {
 		n *node
 		b geom.Rect
 	}
 	cs := make([]cn, len(children))
 	for i, c := range children {
-		cs[i] = cn{n: c, b: c.bounds()}
+		cs[i] = cn{n: c, b: t.bounds(c)}
 	}
-	parentCount := (len(cs) + cap - 1) / cap
-	sliceCount := int(math.Ceil(math.Sqrt(float64(parentCount))))
-	sliceSize := sliceCount * cap
-
-	sort.Slice(cs, func(i, j int) bool {
-		return cs[i].b.Center().X < cs[j].b.Center().X
-	})
+	slices.SortFunc(cs, func(a, b cn) int { return cmp.Compare(a.b.Center().X, b.b.Center().X) })
 	var parents []*node
-	for s := 0; s < len(cs); s += sliceSize {
-		end := s + sliceSize
-		if end > len(cs) {
-			end = len(cs)
-		}
-		slice := cs[s:end]
-		sort.Slice(slice, func(i, j int) bool {
-			return slice[i].b.Center().Y < slice[j].b.Center().Y
-		})
-		for i := 0; i < len(slice); i += cap {
-			j := i + cap
-			if j > len(slice) {
-				j = len(slice)
-			}
-			p := &node{}
-			for _, c := range slice[i:j] {
-				p.rects = append(p.rects, c.b)
-				p.children = append(p.children, c.n)
+	for slice := range slices.Chunk(cs, strSliceSize(len(cs), t.maxEntries)) {
+		slices.SortFunc(slice, func(a, b cn) int { return cmp.Compare(a.b.Center().Y, b.b.Center().Y) })
+		for group := range slices.Chunk(slice, t.maxEntries) {
+			p := &node{rects: make([]geom.Rect, len(group)), children: make([]*node, len(group))}
+			for i, c := range group {
+				p.rects[i], p.children[i] = c.b, c.n
 			}
 			parents = append(parents, p)
 		}

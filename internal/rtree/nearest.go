@@ -26,7 +26,7 @@ func (a *nnEntry) before(b *nnEntry) bool {
 }
 
 // nnStackEntries sizes the frontier's stack buffer (4.5 KiB). A
-// nearest-neighbor search pushes only nodes nearer than the best item met,
+// nearest-neighbor search pushes only nodes nearer than the best point met,
 // which at fan-out 16 is every child on the way down to the first leaf and
 // few after it: over 200k points the frontier peaks at 50 to 80 entries and
 // at 139 in the worst of 20 000 lookups. A frontier that does outgrow the
@@ -77,26 +77,25 @@ func nnPop(h []nnEntry) (nnEntry, []nnEntry) {
 	return top, h
 }
 
-// NearestNeighbor returns the stored item closest to q (by MINDIST of its
-// rectangle; for point data this is the true nearest point), using
-// best-first search (Hjaltason & Samet): pop the nearest frontier node,
-// scan it if it is a leaf, push its children if it is not. Items never
-// enter the heap — best tracks the nearest one met — and only nodes nearer
-// than best are pushed, so the frontier stays within its stack buffer and
-// nothing is allocated; the search ends when the nearest remaining node is
-// no nearer than best. ok is false for an empty tree.
+// NearestNeighbor returns the id of the indexed point closest to q and the
+// number of nodes visited, using best-first search (Hjaltason & Samet): pop
+// the nearest frontier node, scan it if it is a leaf, push its children if it
+// is not. Points never enter the heap — best tracks the nearest one met — and
+// only nodes nearer than best are pushed, so the frontier stays within its
+// stack buffer and nothing is allocated; the search ends when the nearest
+// remaining node is no nearer than best. Of points at one distance, the
+// first met wins. ok is false for an empty tree.
 //
 //vaq:noalloc
-func (t *Tree) NearestNeighbor(q geom.Point) (item Item, st QueryStats, ok bool) {
+func (t *Tree) NearestNeighbor(q geom.Point) (id int64, nodes int, ok bool) {
 	if t.size == 0 {
-		return Item{}, st, false
+		return 0, 0, false
 	}
 	var buf [nnStackEntries]nnEntry
 	h := nnPush(buf[:0], nnEntry{n: t.root})
 	seq := uint32(1)
 	best := math.Inf(1)
-	var bestLeaf *node
-	bestSlot := 0
+	bestID := int32(-1)
 	for len(h) > 0 {
 		var e nnEntry
 		e, h = nnPop(h)
@@ -104,12 +103,11 @@ func (t *Tree) NearestNeighbor(q geom.Point) (item Item, st QueryStats, ok bool)
 			break
 		}
 		n := e.n
-		st.NodesVisited++
+		nodes++
 		if n.leaf() {
-			st.EntriesScanned += len(n.rects)
-			for i := range n.rects {
-				if d := n.rects[i].Dist2Point(q); d < best {
-					best, bestLeaf, bestSlot = d, n, i
+			for _, id := range n.ids {
+				if d := t.pts[id].Dist2(q); d < best {
+					best, bestID = d, id
 				}
 			}
 			continue
@@ -121,9 +119,5 @@ func (t *Tree) NearestNeighbor(q geom.Point) (item Item, st QueryStats, ok bool)
 			}
 		}
 	}
-	if bestLeaf == nil {
-		return Item{}, st, false
-	}
-	st.Results++
-	return Item{ID: bestLeaf.ids[bestSlot], Rect: bestLeaf.rects[bestSlot]}, st, true
+	return int64(bestID), nodes, bestID >= 0
 }

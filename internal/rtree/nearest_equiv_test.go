@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"container/heap"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -11,14 +10,14 @@ import (
 
 // refEntry and refHeap are the reference best-first search's frontier: the
 // textbook formulation on container/heap that pushes every child and every
-// leaf item and prunes nothing. With legacy set it orders by distance alone,
+// leaf point and prunes nothing. With legacy set it orders by distance alone,
 // as the search did before the typed heap (ties then fall to the heap's
 // mechanics); otherwise it applies the documented total order (distance,
-// item before node, push order).
+// point before node, push order).
 type refEntry struct {
 	dist2 float64
-	node  *node // nil for an item
-	item  Item
+	node  *node // nil for a point
+	id    int64
 	seq   int
 }
 
@@ -46,10 +45,11 @@ func (h *refHeap) Pop() interface{} {
 	return x
 }
 
-func refNearest(t *Tree, q geom.Point, legacy bool) ([]Item, QueryStats) {
-	var st QueryStats
+// refNearest returns the reference's first point and the nodes it visited;
+// ok is false for an empty tree.
+func refNearest(t *Tree, q geom.Point, legacy bool) (id int64, nodes int, ok bool) {
 	if t.size == 0 {
-		return nil, st
+		return 0, 0, false
 	}
 	h := &refHeap{legacy: legacy}
 	seq := 0
@@ -58,34 +58,29 @@ func refNearest(t *Tree, q geom.Point, legacy bool) ([]Item, QueryStats) {
 		seq++
 		heap.Push(h, e)
 	}
-	push(refEntry{dist2: t.root.bounds().Dist2Point(q), node: t.root})
-	var out []Item
+	push(refEntry{dist2: t.Bounds().Dist2Point(q), node: t.root})
 	for h.Len() > 0 {
 		e := heap.Pop(h).(refEntry)
 		if e.node == nil {
-			out = append(out, e.item)
-			st.Results++
-			break
+			return e.id, nodes, true
 		}
-		st.NodesVisited++
+		nodes++
+		for _, pid := range e.node.ids {
+			push(refEntry{dist2: t.pts[pid].Dist2(q), id: int64(pid)})
+		}
 		for i, r := range e.node.rects {
-			if e.node.leaf() {
-				st.EntriesScanned++
-				push(refEntry{dist2: r.Dist2Point(q), item: Item{ID: e.node.ids[i], Rect: r}})
-			} else {
-				push(refEntry{dist2: r.Dist2Point(q), node: e.node.children[i]})
-			}
+			push(refEntry{dist2: r.Dist2Point(q), node: e.node.children[i]})
 		}
 	}
-	return out, st
+	return 0, nodes, false
 }
 
 // nnDataset is one point set of the equivalence suite. tieFree marks sets
-// whose item distances from the suite's queries are distinct, where the
+// whose point distances from the suite's queries are distinct, where the
 // legacy distance-only order decides everything too.
 type nnDataset struct {
 	name    string
-	items   []Item
+	pts     []geom.Point
 	queries []geom.Point
 	tieFree bool
 }
@@ -98,18 +93,18 @@ func nnDatasets(rng *rand.Rand) []nnDataset {
 		}
 		return qs
 	}
-	clustered := make([]Item, 1000)
+	clustered := make([]geom.Point, 1000)
 	for i := range clustered {
 		cx, cy := float64(i%5)*0.2+0.1, float64(i%3)*0.3+0.2
-		clustered[i] = pointItem(int64(i), cx+rng.NormFloat64()*0.01, cy+rng.NormFloat64()*0.01)
+		clustered[i] = geom.Pt(cx+rng.NormFloat64()*0.01, cy+rng.NormFloat64()*0.01)
 	}
 	// An integer lattice queried at lattice points and cell centres: four or
-	// eight items tie at every rank, and node MINDISTs tie with item
+	// eight points tie at every rank, and node MINDISTs tie with point
 	// distances.
-	var lattice []Item
+	var lattice []geom.Point
 	for x := 0; x < 24; x++ {
 		for y := 0; y < 24; y++ {
-			lattice = append(lattice, pointItem(int64(len(lattice)), float64(x), float64(y)))
+			lattice = append(lattice, geom.Pt(float64(x), float64(y)))
 		}
 	}
 	var latticeQueries []geom.Point
@@ -118,48 +113,44 @@ func nnDatasets(rng *rand.Rand) []nnDataset {
 		latticeQueries = append(latticeQueries, geom.Pt(x, y), geom.Pt(x+0.5, y+0.5), geom.Pt(x+0.5, y))
 	}
 	return []nnDataset{
-		{"random", randomPointItems(rng, 1200), randomQueries(30), true},
+		{"random", randomPoints(rng, 1200), randomQueries(30), true},
 		{"clustered", clustered, randomQueries(30), true},
 		{"duplicate-distance", lattice, latticeQueries, false},
-		{"single-leaf", randomPointItems(rng, 7), randomQueries(30), true},
+		{"single-leaf", randomPoints(rng, 7), randomQueries(30), true},
 	}
 }
 
-// nnTrees packs items at a narrow and at the default fan-out: more levels
+// nnTrees packs pts at a narrow and at the default fan-out: more levels
 // and ties between node MINDISTs at one, the engines' shape at the other.
-func nnTrees(items []Item) map[string]*Tree {
-	return map[string]*Tree{"fan-out 4": BulkLoad(items, 4), "fan-out 16": BulkLoad(items, DefaultMaxEntries)}
+func nnTrees(pts []geom.Point) map[string]*Tree {
+	return map[string]*Tree{"fan-out 4": BulkLoad(pts, 0, 4), "fan-out 16": BulkLoad(pts, 0, DefaultMaxEntries)}
 }
 
 // TestBestFirstMatchesReference pins the pruned traversal to the reference
-// run for one neighbor: NearestNeighbor returns the item the reference
-// reports first, having visited the same number of nodes and scanned the
-// same entries, and no stored item is nearer. On tie-free sets the same
-// holds against the legacy distance-only order, so seeds and NodesVisited
-// are what they were before the typed heap.
+// run for one neighbor: NearestNeighbor returns the point the reference
+// reports first, having visited the same number of nodes, and no indexed
+// point is nearer. On tie-free sets the same holds against the legacy
+// distance-only order, so seeds and node counts are what they were before
+// the typed heap.
 func TestBestFirstMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, ds := range nnDatasets(rng) {
-		for treeName, tr := range nnTrees(ds.items) {
+		for treeName, tr := range nnTrees(ds.pts) {
 			for _, q := range ds.queries {
-				nn, nnSt, ok := tr.NearestNeighbor(q)
-				want, wantSt := refNearest(tr, q, false)
-				if !ok || nn != want[0] || nnSt != wantSt {
-					t.Fatalf("%s/%s q=%v: NearestNeighbor %v %+v ok=%v, reference %v %+v",
-						ds.name, treeName, q, nn, nnSt, ok, want, wantSt)
+				nn, nodes, ok := tr.NearestNeighbor(q)
+				want, wantNodes, _ := refNearest(tr, q, false)
+				if !ok || nn != want || nodes != wantNodes {
+					t.Fatalf("%s/%s q=%v: NearestNeighbor %d (%d nodes) ok=%v, reference %d (%d nodes)",
+						ds.name, treeName, q, nn, nodes, ok, want, wantNodes)
 				}
 				if ds.tieFree {
-					legacy, legacySt := refNearest(tr, q, true)
-					if nn != legacy[0] || nnSt.NodesVisited != legacySt.NodesVisited {
-						t.Fatalf("%s/%s q=%v: NearestNeighbor %v (%d nodes), legacy order %v (%d nodes)",
-							ds.name, treeName, q, nn, nnSt.NodesVisited, legacy, legacySt.NodesVisited)
+					legacy, legacyNodes, _ := refNearest(tr, q, true)
+					if nn != legacy || nodes != legacyNodes {
+						t.Fatalf("%s/%s q=%v: NearestNeighbor %d (%d nodes), legacy order %d (%d nodes)",
+							ds.name, treeName, q, nn, nodes, legacy, legacyNodes)
 					}
 				}
-				bruteD2 := math.Inf(1)
-				for _, it := range ds.items {
-					bruteD2 = math.Min(bruteD2, it.Rect.Dist2Point(q))
-				}
-				if d2 := nn.Rect.Dist2Point(q); d2 != bruteD2 {
+				if d2, bruteD2 := ds.pts[nn].Dist2(q), bruteNearest(ds.pts, q); d2 != bruteD2 {
 					t.Fatalf("%s/%s q=%v: NearestNeighbor at %g, brute force %g", ds.name, treeName, q, d2, bruteD2)
 				}
 			}
@@ -171,7 +162,7 @@ func TestBestFirstMatchesReference(t *testing.T) {
 // frontier lives in a stack buffer and nothing is boxed.
 func TestNearestNeighborAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	tr := BulkLoad(randomPointItems(rng, 50000), DefaultMaxEntries)
+	tr := BulkLoad(randomPoints(rng, 50000), 0, DefaultMaxEntries)
 	qs := make([]geom.Point, 64)
 	for i := range qs {
 		qs[i] = geom.Pt(rng.Float64(), rng.Float64())

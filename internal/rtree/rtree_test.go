@@ -9,33 +9,21 @@ import (
 	"repro/internal/geom"
 )
 
-func pointItem(id int64, x, y float64) Item {
-	return Item{ID: id, Rect: geom.NewRect(x, y, x, y)}
-}
-
-func randomPointItems(rng *rand.Rand, n int) []Item {
-	items := make([]Item, n)
-	for i := range items {
-		items[i] = pointItem(int64(i), rng.Float64(), rng.Float64())
+func randomPoints(rng *rand.Rand, n int) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Pt(rng.Float64(), rng.Float64())
 	}
-	return items
+	return pts
 }
 
-func randomRectItems(rng *rand.Rand, n int) []Item {
-	items := make([]Item, n)
-	for i := range items {
-		x, y := rng.Float64(), rng.Float64()
-		items[i] = Item{ID: int64(i), Rect: geom.NewRect(x, y, x+rng.Float64()*0.05, y+rng.Float64()*0.05)}
-	}
-	return items
-}
-
-// bruteSearch is the oracle for window queries.
-func bruteSearch(items []Item, q geom.Rect) map[int64]bool {
+// bruteSearch is the oracle for window queries: a scan of pts[first:]
+// against the closed rectangle q.
+func bruteSearch(pts []geom.Point, first int, q geom.Rect) map[int64]bool {
 	out := make(map[int64]bool)
-	for _, it := range items {
-		if q.Intersects(it.Rect) {
-			out[it.ID] = true
+	for i := first; i < len(pts); i++ {
+		if q.ContainsPoint(pts[i]) {
+			out[int64(i)] = true
 		}
 	}
 	return out
@@ -43,15 +31,25 @@ func bruteSearch(items []Item, q geom.Rect) map[int64]bool {
 
 func collect(t *Tree, q geom.Rect) map[int64]bool {
 	out := make(map[int64]bool)
-	t.Search(q, func(id int64, _ geom.Rect) bool {
+	t.Search(q, func(id int64) bool {
 		out[id] = true
 		return true
 	})
 	return out
 }
 
+// bruteNearest is the oracle for NearestNeighbor: the least squared
+// distance from q to any of pts.
+func bruteNearest(pts []geom.Point, q geom.Point) float64 {
+	d := math.Inf(1)
+	for _, p := range pts {
+		d = math.Min(d, p.Dist2(q))
+	}
+	return d
+}
+
 func TestEmptyTree(t *testing.T) {
-	tr := BulkLoad(nil, 0)
+	tr := BulkLoad(nil, 0, 0)
 	if tr.size != 0 {
 		t.Error("empty tree should have Len 0")
 	}
@@ -66,33 +64,39 @@ func TestEmptyTree(t *testing.T) {
 	}
 }
 
+// TestInsertAndSearchSmall packs the points after the first two of a slice:
+// ids are positions in the whole slice, the two before first are never
+// reported, and a point on the window's edge is inside it.
 func TestInsertAndSearchSmall(t *testing.T) {
-	tr := BulkLoad([]Item{
-		{1, geom.NewRect(0, 0, 1, 1)},
-		{2, geom.NewRect(2, 2, 3, 3)},
-		{3, geom.NewRect(0.5, 0.5, 2.5, 2.5)},
-	}, 4)
+	pts := []geom.Point{geom.Pt(1, 1), geom.Pt(1, 1), geom.Pt(1, 1), geom.Pt(2, 2), geom.Pt(1.1, 0.9)}
+	tr := BulkLoad(pts, 2, 4)
 	if tr.size != 3 {
 		t.Fatalf("Len = %d", tr.size)
 	}
 	got := collect(tr, geom.NewRect(0.9, 0.9, 1.1, 1.1))
-	if !got[1] || !got[3] || got[2] {
-		t.Errorf("search = %v, want {1,3}", got)
+	if !got[2] || !got[4] || len(got) != 2 {
+		t.Errorf("search = %v, want {2,4}", got)
+	}
+	if id, _, ok := tr.NearestNeighbor(geom.Pt(0, 0)); !ok || id != 2 {
+		t.Errorf("NearestNeighbor = %d (ok=%v), want 2", id, ok)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestSearchMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 5, 17, 100, 1000} {
-		items := randomRectItems(rng, n)
-		tr := BulkLoad(items, 8)
+		pts := randomPoints(rng, n)
+		tr := BulkLoad(pts, 0, 8)
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		for trial := 0; trial < 100; trial++ {
 			q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
 			got := collect(tr, q)
-			want := bruteSearch(items, q)
+			want := bruteSearch(pts, 0, q)
 			if len(got) != len(want) {
 				t.Fatalf("n=%d query %v: got %d results, want %d", n, q, len(got), len(want))
 			}
@@ -108,8 +112,8 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 func TestBulkLoadMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{1, 16, 17, 256, 5000} {
-		items := randomPointItems(rng, n)
-		tr := BulkLoad(items, 16)
+		pts := randomPoints(rng, n)
+		tr := BulkLoad(pts, 0, 16)
 		if tr.size != n {
 			t.Fatalf("n=%d: Len = %d", n, tr.size)
 		}
@@ -120,7 +124,7 @@ func TestBulkLoadMatchesBruteForce(t *testing.T) {
 			cx, cy := rng.Float64(), rng.Float64()
 			q := geom.NewRect(cx, cy, cx+0.2, cy+0.2)
 			got := collect(tr, q)
-			want := bruteSearch(items, q)
+			want := bruteSearch(pts, 0, q)
 			if len(got) != len(want) {
 				t.Fatalf("n=%d: got %d results, want %d", n, len(got), len(want))
 			}
@@ -129,20 +133,25 @@ func TestBulkLoadMatchesBruteForce(t *testing.T) {
 }
 
 func TestBulkLoadEmpty(t *testing.T) {
-	tr := BulkLoad(nil, 16)
+	// A slice of points all below first — a dynamic epoch's fence sites
+	// and nothing else — packs no id.
+	tr := BulkLoad([]geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.2, 0.7)}, 2, 16)
 	if tr.size != 0 {
 		t.Error("empty bulk load should be empty")
 	}
 	if got := collect(tr, geom.NewRect(0, 0, 1, 1)); len(got) != 0 {
 		t.Error("search should find nothing")
 	}
+	if _, _, ok := tr.NearestNeighbor(geom.Pt(0.5, 0.5)); ok {
+		t.Error("NN on empty tree should report !ok")
+	}
 }
 
 func TestSearchEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	tr := BulkLoad(randomPointItems(rng, 500), 16)
+	tr := BulkLoad(randomPoints(rng, 500), 0, 16)
 	calls := 0
-	tr.Search(geom.NewRect(0, 0, 1, 1), func(int64, geom.Rect) bool {
+	tr.Search(geom.NewRect(0, 0, 1, 1), func(int64) bool {
 		calls++
 		return calls < 10
 	})
@@ -153,40 +162,37 @@ func TestSearchEarlyStop(t *testing.T) {
 
 func TestSearchStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	tr := BulkLoad(randomPointItems(rng, 2000), 16)
-	st := tr.Search(geom.NewRect(0.4, 0.4, 0.6, 0.6), func(int64, geom.Rect) bool { return true })
-	if st.Results == 0 || st.NodesVisited == 0 || st.EntriesScanned < st.Results {
-		t.Errorf("implausible stats: %+v", st)
+	tr := BulkLoad(randomPoints(rng, 2000), 0, 16)
+	found := 0
+	nodes := tr.Search(geom.NewRect(0.4, 0.4, 0.6, 0.6), func(int64) bool { found++; return true })
+	if found == 0 || nodes == 0 {
+		t.Errorf("implausible search: %d results over %d nodes", found, nodes)
 	}
 	// A tiny query should visit far fewer nodes than a full scan.
-	full := tr.Search(tr.Bounds(), func(int64, geom.Rect) bool { return true })
-	if st.NodesVisited >= full.NodesVisited {
-		t.Errorf("selective query visited %d nodes, full scan %d", st.NodesVisited, full.NodesVisited)
+	all := 0
+	full := tr.Search(tr.Bounds(), func(int64) bool { all++; return true })
+	if nodes >= full {
+		t.Errorf("selective query visited %d nodes, full scan %d", nodes, full)
 	}
-	if full.Results != 2000 {
-		t.Errorf("full scan found %d, want 2000", full.Results)
+	if all != 2000 {
+		t.Errorf("full scan found %d, want 2000", all)
 	}
 }
 
 func TestNearestNeighborMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	items := randomPointItems(rng, 2000)
-	trees := map[string]*Tree{"fan-out 8": BulkLoad(items, 8), "fan-out 16": BulkLoad(items, 16)}
+	pts := randomPoints(rng, 2000)
+	trees := map[string]*Tree{"fan-out 8": BulkLoad(pts, 0, 8), "fan-out 16": BulkLoad(pts, 0, 16)}
 	for trial := 0; trial < 500; trial++ {
 		q := geom.Pt(rng.Float64()*1.4-0.2, rng.Float64()*1.4-0.2)
-		wantD := math.Inf(1)
-		for _, it := range items {
-			if d := it.Rect.Dist2Point(q); d < wantD {
-				wantD = d
-			}
-		}
+		wantD := bruteNearest(pts, q)
 		for name, tr := range trees {
-			got, _, ok := tr.NearestNeighbor(q)
+			id, _, ok := tr.NearestNeighbor(q)
 			if !ok {
 				t.Fatalf("%s: no NN", name)
 			}
-			if got.Rect.Dist2Point(q) != wantD {
-				t.Fatalf("%s: NN dist %v, want %v", name, got.Rect.Dist2Point(q), wantD)
+			if d := pts[id].Dist2(q); d != wantD {
+				t.Fatalf("%s: NN dist %v, want %v", name, d, wantD)
 			}
 		}
 	}
@@ -195,17 +201,17 @@ func TestNearestNeighborMatchesBruteForce(t *testing.T) {
 // TestDuplicateRects packs 50 copies of one point: every leaf and every
 // internal slot has the same rectangle, and a window on it finds them all.
 func TestDuplicateRects(t *testing.T) {
-	r := geom.NewRect(0.5, 0.5, 0.5, 0.5)
-	items := make([]Item, 50)
-	for i := range items {
-		items[i] = Item{ID: int64(i), Rect: r}
+	p := geom.Pt(0.5, 0.5)
+	pts := make([]geom.Point, 50)
+	for i := range pts {
+		pts[i] = p
 	}
-	tr := BulkLoad(items, 4)
-	if got := collect(tr, r); len(got) != 50 {
+	tr := BulkLoad(pts, 0, 4)
+	if got := collect(tr, geom.NewRect(p.X, p.Y, p.X, p.Y)); len(got) != 50 {
 		t.Errorf("found %d duplicates, want 50", len(got))
 	}
-	if nn, _, ok := tr.NearestNeighbor(geom.Pt(0.5, 0.5)); !ok || nn.Rect != r {
-		t.Errorf("NearestNeighbor = %v (ok=%v), want a copy of %v", nn, ok, r)
+	if id, _, ok := tr.NearestNeighbor(p); !ok || pts[id] != p {
+		t.Errorf("NearestNeighbor = %d (ok=%v), want a copy of %v", id, ok, p)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Error(err)
@@ -223,11 +229,11 @@ func height(tr *Tree) int {
 
 func TestHeightGrowsLogarithmically(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	tr := BulkLoad(randomRectItems(rng, 10000), 16)
+	tr := BulkLoad(randomPoints(rng, 10000), 0, 16)
 	if err := tr.Validate(); err != nil { // every leaf at one depth
 		t.Fatal(err)
 	}
-	// STR fills every node but the last of each slice: 10k items at fan-out
+	// STR fills every node but the last of each slice: 10k points at fan-out
 	// 16 pack into 625 leaves under 40, 3 and 1 nodes, the least height.
 	if h := height(tr); h != 4 {
 		t.Errorf("height = %d, want 4", h)
@@ -236,26 +242,26 @@ func TestHeightGrowsLogarithmically(t *testing.T) {
 
 func BenchmarkBulkLoad100k(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	items := randomPointItems(rng, 100_000)
+	pts := randomPoints(rng, 100_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BulkLoad(items, 16)
+		BulkLoad(pts, 0, 16)
 	}
 }
 
 func BenchmarkWindowQuery(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	tr := BulkLoad(randomPointItems(rng, 100_000), 16)
+	tr := BulkLoad(randomPoints(rng, 100_000), 0, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cx, cy := rng.Float64()*0.9, rng.Float64()*0.9
-		tr.Search(geom.NewRect(cx, cy, cx+0.1, cy+0.1), func(int64, geom.Rect) bool { return true })
+		tr.Search(geom.NewRect(cx, cy, cx+0.1, cy+0.1), func(int64) bool { return true })
 	}
 }
 
 func BenchmarkNNQuery(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
-	tr := BulkLoad(randomPointItems(rng, 100_000), 16)
+	tr := BulkLoad(randomPoints(rng, 100_000), 0, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.NearestNeighbor(geom.Pt(rng.Float64(), rng.Float64()))

@@ -15,6 +15,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -121,7 +122,7 @@ func RandomPolygon(rng *rand.Rand, cfg PolygonConfig, bounds geom.Rect) geom.Pol
 		for i := range angles {
 			angles[i] = rng.Float64() * 2 * math.Pi
 		}
-		sortFloat64s(angles)
+		slices.Sort(angles)
 		distinct := true
 		for i := 1; i < k; i++ {
 			if angles[i]-angles[i-1] < 1e-6 {
@@ -225,12 +226,3 @@ func RectanglePolygon(rng *rand.Rand, querySize, aspect float64, bounds geom.Rec
 // is rare enough that no call reaches it, so those polygons are the ones
 // isotropic scaling alone returned (TestRandomPolygonOutputsPinned).
 const maxMisfits = 64
-
-// sortFloat64s is insertion sort; k is tiny (10 by default).
-func sortFloat64s(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}

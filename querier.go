@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/geom"
 )
 
 // Querier is the one query surface of this package: a single logical
@@ -213,9 +214,10 @@ func (q *querier) begin(p *queryPlan) time.Time {
 }
 
 // admit is the region precondition of Query, QueryAll and Each on every
-// flavor, checked before the backend is touched: the region's
-// MBR must lie inside the universe. The part of an escaping region inside
-// the universe need not be connected, and a Voronoi expansion from one seed
+// flavor, checked before the backend is touched: the region's MBR must lie
+// inside the universe, and then, on a RemoteEngine, the region must have a
+// wire form (ErrCustomRegion). The part of an escaping region inside the
+// universe need not be connected, and a Voronoi expansion from one seed
 // reaches one component, so such a region is refused rather than answered.
 // So is a region — a custom one, or a circle built around such a centre;
 // NewPolygon lets no such vertex through — whose MBR or interior point has a
@@ -230,7 +232,20 @@ func (q *querier) admit(region Region) error {
 	if !q.universe.IsEmpty() && !q.universe.ContainsRect(mbr) {
 		return fmt.Errorf("vaq: query area %v exceeds the engine universe %v: %w", mbr, q.universe, ErrOutsideUniverse)
 	}
+	if q.flavor == flavorRemote && !hasWireForm(region) {
+		return fmt.Errorf("vaq: a %T has no wire form: %w", region, ErrCustomRegion)
+	}
 	return nil
+}
+
+// hasWireForm reports whether wire.EncodeRegion encodes region: a polygon,
+// plain or prepared, or a circle.
+func hasWireForm(region Region) bool {
+	switch region.(type) {
+	case *geom.PreparedPolygon, geom.Polygon, geom.Circle:
+		return true
+	}
+	return false
 }
 
 // finite reports whether no v is NaN or ±Inf (v-v is 0 for exactly the

@@ -103,20 +103,25 @@
 //
 // An engine retains exactly what its queries read, in flat
 // structure-of-arrays form, and nothing of what built it. Per site that
-// is: the coordinates in parallel x/y float64 slices (16 bytes, the one
-// copy — the Point accessor reads it too); the Voronoi adjacency as CSR
-// arrays, one int32 offset plus one int32 per neighbor (about 28 bytes — a
-// site averages six neighbors); and the site's R-tree leaf entry. The
-// Delaunay triangulation the adjacency is derived from — quad-edge pool,
-// its own point copy, vertex tables, about 120 bytes per site — is
-// construction scaffolding and is released when NewEngine returns.
+// is: the position in one []Point (16 bytes, the one copy — the Point
+// accessor and the R-tree's leaves read it in place); the Voronoi adjacency
+// as CSR arrays, one int32 offset plus one int32 per neighbor (about 28
+// bytes — a site averages six neighbors); and the site's R-tree leaf entry,
+// an int32 id (4 bytes, plus about 8 for the nodes above it at fan-out 16:
+// leaf headers, and one child rectangle per leaf in the internal nodes).
+// The Delaunay triangulation the adjacency is derived from — quad-edge
+// pool, its own point copy, vertex tables, about 120 bytes per site — is
+// construction scaffolding and is released when NewEngine returns. A
+// ShardedEngine's scatter-gather kernel keeps one more copy of the
+// positions, which Point reads.
 //
 // No engine keeps a clipped Voronoi cell. The strict expansion rule on a
 // custom region clips the cell of each neighbour it tests, from the
-// coordinates and the adjacency above, into two buffers the query reuses;
-// nothing is built ahead of a query, on any flavor or dynamic epoch. A dynamic epoch's R-tree is the one
-// thing built on first use: the first Traditional query packs it, and an
-// epoch that runs none holds no leaf entry at all.
+// positions and the adjacency above, into two buffers the query reuses;
+// nothing is built ahead of a query, on any flavor or dynamic epoch. A
+// dynamic epoch's R-tree is the one thing built on first use: the first
+// Traditional query packs it over the epoch's pinned positions, and an
+// epoch that runs none holds no R-tree at all.
 //
 // The BFS expansion tests, the boundary trace and the cell clipping read
 // that dense memory in place; no query hot path allocates.
@@ -134,6 +139,7 @@
 package vaq
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -143,6 +149,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/rtree"
 	"repro/internal/shard"
 	"repro/internal/workload"
 )
@@ -171,8 +178,9 @@ type (
 	Stats = core.Stats
 	// Region is a query shape. A Polygon and a Circle are Regions as they
 	// are; PolygonRegion prepares a polygon for repeated tests, and the
-	// strict method traces only a prepared polygon's boundary. Polygons and
-	// circles can share one QueryAll batch.
+	// strict method traces a polygon's boundary either way. Polygons and
+	// circles can share one QueryAll batch. A custom Region runs on every
+	// local flavor; a RemoteEngine refuses it (ErrCustomRegion).
 	Region = core.Region
 )
 
@@ -321,10 +329,6 @@ type Engine struct {
 	data *core.MemoryData
 }
 
-// rtreeFanout is the maximum node fan-out of the static and sharded engines'
-// STR-packed R-trees; a dynamic epoch packs its own at the same default.
-const rtreeFanout = 16
-
 // newConfig applies opts over the defaults every constructor shares.
 func newConfig(opts []Option) config {
 	cfg := config{shards: 1}
@@ -376,7 +380,7 @@ func NewEngine(points []Point, bounds Rect, opts ...Option) (*Engine, error) {
 	}
 	e := &Engine{
 		querier: newQuerier(&cfg, flavorStatic),
-		eng:     core.NewEngine(core.NewRTreeIndex(points, rtreeFanout), data),
+		eng:     core.NewEngine(core.NewRTreeIndex(data.Positions(), rtree.DefaultMaxEntries), data),
 		data:    data,
 	}
 	e.universe = bounds
@@ -514,7 +518,7 @@ func NewShardedEngine(points []Point, bounds Rect, opts ...Option) (*ShardedEngi
 			if si < len(data) {
 				data[si] = d // distinct si per call; no lock needed
 			}
-			return core.NewEngine(core.NewRTreeIndex(pts, rtreeFanout), d), nil
+			return core.NewEngine(core.NewRTreeIndex(d.Positions(), rtree.DefaultMaxEntries), d), nil
 		},
 	})
 	if err != nil {
@@ -581,6 +585,11 @@ var (
 	// clipped: the part of it inside the universe need not be connected, and
 	// Algorithm 1 reaches one component.
 	ErrOutsideUniverse = core.ErrOutsideUniverse
+	// ErrCustomRegion is returned by a RemoteEngine's Query, QueryAll and
+	// Each for a Region that is neither a Polygon (prepared or plain) nor a
+	// Circle: the wire carries only those. No request is sent, and Dropped
+	// does not count it.
+	ErrCustomRegion = errors.New("vaq: a remote engine answers polygons and circles only")
 )
 
 // DynamicEngine answers area queries over a dataset that grows point by

@@ -68,12 +68,15 @@ func everyFlavor(t *testing.T, pts []vaq.Point, universe vaq.Rect) []flavor {
 // and Each, whether the call succeeds, fails on the caller's input or finds
 // its context cancelled, WithStatsInto is written, a reused WithTraceInto
 // trace is reset and finished, and the registry counts the call exactly
-// once, under the right outcome.
+// once, under the right outcome. A custom Region succeeds on every local
+// flavor and is the caller's error on the remote one, which sends no request
+// for it and counts no failed backend call.
 func TestEveryOutcomeIsObservedOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	pts := vaq.UniformPoints(rng, 1500, vaq.UnitSquare())
 	good := vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.5, 0.5), 0.1))
 	outside := vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.95, 0.5), 0.1)) // pokes out of the unit square
+	custom := anchoredRegion{good, good.InteriorPoint(), good.Bounds()}
 	const badMethod = vaq.Method(99)
 
 	flavors := everyFlavor(t, pts, vaq.UnitSquare())
@@ -87,16 +90,21 @@ func TestEveryOutcomeIsObservedOnce(t *testing.T) {
 		method  vaq.Method
 		counter string // the outcome counter the call must bump; "" for success
 		is      error  // what the error must match; nil for success
+		remote  bool   // counter and is hold on the remote flavor only; the rest succeed
 	}
 	outcomes := []outcome{
-		{"ok", context.Background(), []vaq.Region{good, good, good}, vaq.VoronoiBFS, "", nil},
-		{"unknown method", context.Background(), []vaq.Region{good, good}, badMethod, "vaq_query_errors_total", nil},
-		{"outside universe", context.Background(), []vaq.Region{good, outside}, vaq.VoronoiBFS, "vaq_query_errors_total", vaq.ErrOutsideUniverse},
-		{"cancelled", cancelled, []vaq.Region{good, good}, vaq.VoronoiBFS, "vaq_query_cancellations_total", context.Canceled},
+		{"ok", context.Background(), []vaq.Region{good, good, good}, vaq.VoronoiBFS, "", nil, false},
+		{"unknown method", context.Background(), []vaq.Region{good, good}, badMethod, "vaq_query_errors_total", nil, false},
+		{"outside universe", context.Background(), []vaq.Region{good, outside}, vaq.VoronoiBFS, "vaq_query_errors_total", vaq.ErrOutsideUniverse, false},
+		{"cancelled", cancelled, []vaq.Region{good, good}, vaq.VoronoiBFS, "vaq_query_cancellations_total", context.Canceled, false},
+		{"custom region", context.Background(), []vaq.Region{good, custom}, vaq.VoronoiBFS, "vaq_query_errors_total", vaq.ErrCustomRegion, true},
 	}
 
 	for _, f := range flavors {
 		for _, o := range outcomes {
+			if o.remote && f.label != "remote" {
+				o.counter, o.is = "", nil
+			}
 			methodLabel := o.method.String()
 			if o.method == badMethod {
 				methodLabel = "other"
@@ -139,8 +147,16 @@ func TestEveryOutcomeIsObservedOnce(t *testing.T) {
 						t.Fatalf("setup query left stats %+v, %s", st, tr.String())
 					}
 					before := f.reg.Snapshot().Counters
+					re, _ := f.q.(*vaq.RemoteEngine)
+					var dropped uint64
+					if re != nil {
+						dropped = re.Dropped()
+					}
 
 					err := op.call(vaq.UsingMethod(o.method), vaq.WithTraceInto(&tr), vaq.WithStatsInto(&st))
+					if o.remote && re != nil && re.Dropped() != dropped {
+						t.Errorf("Dropped moved by %d on a caller error", re.Dropped()-dropped)
+					}
 					switch {
 					case o.counter == "" && err != nil:
 						t.Fatal(err)
@@ -349,9 +365,11 @@ func TestCircleMembershipHasOneDefinition(t *testing.T) {
 // so every flavor answers them exactly as it answers PolygonRegion and
 // CircleRegion, under every method and in a mixed batch — the remote flavor
 // included, whose codec once refused both as having no wire encoding and
-// counted each refusal as a failed backend call. The strict method on a
-// plain circle runs the segment rule, as on CircleRegion, with no cell
-// test.
+// counted each refusal as a failed backend call. Their Stats equal the
+// wrapped shapes' under every method, on one engine and on shards: the
+// strict method traces a plain polygon's boundary, as it does
+// PolygonRegion's, and runs the segment rule on a plain circle, with no
+// cell test on either.
 func TestPlainShapesAreRegions(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	pts := vaq.UniformPoints(rng, 2000, vaq.UnitSquare())
@@ -393,18 +411,85 @@ func TestPlainShapesAreRegions(t *testing.T) {
 		}
 	}
 
+	// The work is the same too, under every method: strict traces a plain
+	// polygon's boundary as it does PolygonRegion's, and runs the segment rule
+	// on a plain circle, with no cell test on either — on one engine and on
+	// shards, where VoronoiBFS runs as strict.
 	eng, err := vaq.NewEngine(pts, vaq.UnitSquare())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stPlain, stWrapped vaq.Stats
-	if _, err := eng.Query(ctx, circle, vaq.UsingMethod(vaq.VoronoiBFSStrict), vaq.WithStatsInto(&stPlain)); err != nil {
+	sharded, err := vaq.NewShardedEngine(pts, vaq.UnitSquare(), vaq.WithShards(4))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Query(ctx, wrapped[0], vaq.UsingMethod(vaq.VoronoiBFSStrict), vaq.WithStatsInto(&stWrapped)); err != nil {
+	for name, q := range map[string]vaq.Querier{"static": eng, "sharded": sharded} {
+		for _, m := range []vaq.Method{vaq.Traditional, vaq.VoronoiBFS, vaq.VoronoiBFSStrict, vaq.BruteForce} {
+			for i := range plain {
+				var stPlain, stWrapped vaq.Stats
+				if _, err := q.Query(ctx, plain[i], vaq.UsingMethod(m), vaq.WithStatsInto(&stPlain)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := q.Query(ctx, wrapped[i], vaq.UsingMethod(m), vaq.WithStatsInto(&stWrapped)); err != nil {
+					t.Fatal(err)
+				}
+				segmentRule := i == 0 && m == vaq.VoronoiBFSStrict
+				if stPlain.CellTests != 0 || stPlain != stWrapped || segmentRule && stPlain.SegmentTests == 0 {
+					t.Errorf("%s/%v: plain %T %+v, wrapped %+v", name, m, plain[i], stPlain, stWrapped)
+				}
+			}
+		}
+	}
+}
+
+// TestNoEngineReadsItsCallersSlice: an engine indexes and answers from its
+// own copy of the positions — its R-tree's leaves read that copy in place —
+// so a caller that reuses its input slice after construction changes no
+// answer. On a static, a store-backed and a sharded engine every point of
+// the slice is then mirrored through the square's centre, and every method,
+// Traditional included, must return the ids it returned before.
+func TestNoEngineReadsItsCallersSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	pts := vaq.UniformPoints(rng, 2000, vaq.UnitSquare())
+	regions := []vaq.Region{
+		vaq.PolygonRegion(vaq.RandomQueryPolygon(rng, 10, 0.05, vaq.UnitSquare())),
+		vaq.NewCircle(vaq.Pt(0.3, 0.65), 0.12),
+	}
+	methods := []vaq.Method{vaq.Traditional, vaq.VoronoiBFS, vaq.VoronoiBFSStrict, vaq.BruteForce}
+	engines := map[string]vaq.Querier{}
+	var err error
+	if engines["static"], err = vaq.NewEngine(pts, vaq.UnitSquare()); err != nil {
 		t.Fatal(err)
 	}
-	if stPlain.CellTests != 0 || stPlain.SegmentTests == 0 || stPlain != stWrapped {
-		t.Errorf("strict on a plain circle: %+v, on CircleRegion %+v", stPlain, stWrapped)
+	if engines["store"], err = vaq.NewEngine(pts, vaq.UnitSquare(), vaq.WithStore(vaq.StoreConfig{PageSize: 4096, PoolPages: 8})); err != nil {
+		t.Fatal(err)
+	}
+	if engines["sharded"], err = vaq.NewShardedEngine(pts, vaq.UnitSquare(), vaq.WithShards(3)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	answers := func() map[string][]int64 {
+		out := map[string][]int64{}
+		for name, q := range engines {
+			for _, m := range methods {
+				for i, r := range regions {
+					ids, err := q.Query(ctx, r, vaq.UsingMethod(m))
+					if err != nil {
+						t.Fatal(err)
+					}
+					out[fmt.Sprintf("%s/%v/region %d", name, m, i)] = ids
+				}
+			}
+		}
+		return out
+	}
+	before := answers()
+	for i, p := range pts {
+		pts[i] = vaq.Pt(1-p.X, 1-p.Y)
+	}
+	for key, got := range answers() {
+		if len(before[key]) == 0 || !slices.Equal(got, before[key]) {
+			t.Errorf("%s: %d ids after the caller's slice changed, %d before", key, len(got), len(before[key]))
+		}
 	}
 }
