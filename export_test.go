@@ -6,5 +6,5 @@ import "repro/internal/shard"
 // partitions as a ShardedEngine, so the external test package can put the
 // same partitions behind both transports.
 func OverPartitions(k *shard.Engine) *ShardedEngine {
-	return &ShardedEngine{partitioned: overKernel(querier{flavor: flavorSharded}, k)}
+	return &ShardedEngine{querier{k: k, flavor: flavorSharded}}
 }

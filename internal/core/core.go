@@ -41,8 +41,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"repro/internal/geom"
 )
 
 // Errors returned by the engine.
@@ -156,10 +154,8 @@ func newEngine(idx *RTreeIndex, data *MemoryData, scratch *sync.Pool) *Engine {
 	return &Engine{idx: idx, data: data, scratch: scratch}
 }
 
-// DataBounds returns the bounding rectangle of the stored points — the
-// index's root MBR, so O(fan-out) and allocation-free; empty when nothing is
-// stored. It is never the universe the cells are clipped to.
-func (e *Engine) DataBounds() geom.Rect { return e.idx.Bounds() }
+// Data returns the engine's data layer.
+func (e *Engine) Data() *MemoryData { return e.data }
 
 // Add accumulates other's counters into s. It is the merge operation batch
 // executors use to fold per-query or per-worker statistics into an

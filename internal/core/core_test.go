@@ -11,10 +11,32 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/hilbert"
 	"repro/internal/workload"
 )
 
 func unitBounds() geom.Rect { return geom.NewRect(0, 0, 1, 1) }
+
+// hilbertSort reorders pts in place along a Hilbert curve over bounds, the
+// order a spatial store lays its records out in (neighbouring points share
+// pages and cache lines).
+func hilbertSort(pts []geom.Point, bounds geom.Rect) {
+	sc := hilbert.NewScaler(bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY, hilbert.Order)
+	keys := make([]uint64, len(pts))
+	for i, p := range pts {
+		keys[i] = sc.D(p.X, p.Y)
+	}
+	idx := make([]int, len(pts))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
+	out := make([]geom.Point, len(pts))
+	for i, j := range idx {
+		out[i] = pts[j]
+	}
+	copy(pts, out)
+}
 
 // query runs region with method m and no deadline.
 func query(q *Engine, m Method, region Region) ([]int64, Stats, error) {
@@ -273,7 +295,7 @@ func TestStoreDataCountsIO(t *testing.T) {
 func TestStorePlacementIgnoresArrivalOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	sorted := workload.UniformPoints(rng, 20000, unitBounds())
-	workload.HilbertSort(sorted, unitBounds())
+	hilbertSort(sorted, unitBounds())
 	shuffled := slices.Clone(sorted)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	regions := make([]Region, 32)

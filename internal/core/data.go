@@ -99,8 +99,15 @@ func NewMemoryData(pts []geom.Point, bounds geom.Rect) (*MemoryData, error) {
 // Len returns the number of user sites: fence sites excluded.
 func (m *MemoryData) Len() int { return len(m.pts) - m.first }
 
-// Position returns the resident coordinates of id, without record IO.
-func (m *MemoryData) Position(id int64) geom.Point { return m.pts[id] }
+// PositionOK returns the resident coordinates of id, without record IO,
+// and whether id is a user site of the layer (fence sites and out-of-range
+// ids report false).
+func (m *MemoryData) PositionOK(id int64) (geom.Point, bool) {
+	if id < int64(m.first) || id >= int64(len(m.pts)) {
+		return geom.Point{}, false
+	}
+	return m.pts[id], true
+}
 
 // Positions returns the resident positions, indexed by id: the layer's own
 // slice, shared, for an index to read in place (NewRTreeIndex). The caller

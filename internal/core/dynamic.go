@@ -253,9 +253,6 @@ type DynamicSnapshot struct {
 // inserts it reflects).
 func (s *DynamicSnapshot) Epoch() uint64 { return s.epoch }
 
-// Len returns the number of points in the snapshot.
-func (s *DynamicSnapshot) Len() int { return s.data.Len() }
-
 // Point returns the coordinates of an inserted id present in the snapshot.
 // It panics when there is none — the fence sites' ids included.
 func (s *DynamicSnapshot) Point(id int64) geom.Point {
@@ -268,12 +265,7 @@ func (s *DynamicSnapshot) Point(id int64) geom.Point {
 
 // PointOK returns the coordinates of id and whether id is a user site
 // present in the snapshot (fence sites and out-of-range ids report false).
-func (s *DynamicSnapshot) PointOK(id int64) (geom.Point, bool) {
-	if id < int64(delaunay.FirstSiteID) || id >= int64(len(s.data.pts)) {
-		return geom.Point{}, false
-	}
-	return s.data.pts[id], true
-}
+func (s *DynamicSnapshot) PointOK(id int64) (geom.Point, bool) { return s.data.PositionOK(id) }
 
 // Engine returns the snapshot's immutable engine: every query against the
 // pinned epoch runs on it (ErrNoData while the snapshot is empty). Refusing

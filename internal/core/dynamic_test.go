@@ -182,8 +182,8 @@ func TestDynamicSnapshotPinsEpoch(t *testing.T) {
 	area := workload.RandomPolygon(rng, workload.PolygonConfig{QuerySize: 0.2}, unitBounds())
 
 	snap := d.Snapshot()
-	if snap.Epoch() != 400 || snap.Len() != 400 {
-		t.Fatalf("snapshot epoch/len = %d/%d, want 400/400", snap.Epoch(), snap.Len())
+	if snap.Epoch() != 400 || snap.data.Len() != 400 {
+		t.Fatalf("snapshot epoch/len = %d/%d, want 400/400", snap.Epoch(), snap.data.Len())
 	}
 	if again := d.Snapshot(); again != snap {
 		t.Error("repeated Snapshot between writes should return the published view")
@@ -357,7 +357,7 @@ func TestDynamicConformanceAcrossMethods(t *testing.T) {
 						}
 						if !equalIDs(sortedIDs(got), sortedIDs(oracle)) {
 							t.Fatalf("%s batch %d (%d pts) %v: %d results, oracle %d",
-								wl.name, batch, snap.Len(), m, len(got), len(oracle))
+								wl.name, batch, snap.data.Len(), m, len(got), len(oracle))
 						}
 					}
 					// Count agrees with the same snapshot too.

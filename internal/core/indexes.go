@@ -51,10 +51,6 @@ func (x *RTreeIndex) Window(q geom.Rect, fn func(id int64) bool) int {
 	return x.get().Search(q, fn)
 }
 
-// Bounds returns the bounding rectangle of the stored points, read off the
-// R-tree's root — no pass over the points; empty when nothing is stored.
-func (x *RTreeIndex) Bounds() geom.Rect { return x.get().Bounds() }
-
 // Nearest returns the stored point id closest to q; ok is false when the
 // index is empty. The second return is the number of index nodes visited.
 // No query calls it: it is the lookup the paper seeds Algorithm 1 with, kept

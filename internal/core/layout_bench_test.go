@@ -28,7 +28,7 @@ func layoutBenchSetup(b *testing.B, hilbertSorted bool) (*Engine, []geom.Polygon
 	rng := rand.New(rand.NewSource(13))
 	pts := workload.UniformPoints(rng, 100_000, unitBounds())
 	if hilbertSorted {
-		workload.HilbertSort(pts, unitBounds())
+		hilbertSort(pts, unitBounds())
 	}
 	data, err := NewMemoryData(pts, unitBounds())
 	if err != nil {

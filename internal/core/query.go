@@ -119,8 +119,17 @@ func (e *Engine) eachRegion(ctx context.Context, region Region, m Method, tr *ob
 	case BruteForce:
 		return e.eachBruteForce(ctx, region, tr, &s.out)
 	default:
-		return Stats{}, fmt.Errorf("core: unknown method %d", int(m))
+		return Stats{}, CheckMethod(m)
 	}
+}
+
+// CheckMethod is nil for a defined Method and otherwise the error every
+// query entry reports for it.
+func CheckMethod(m Method) error {
+	if m < Traditional || m > BruteForce {
+		return fmt.Errorf("core: unknown method %d", int(m))
+	}
+	return nil
 }
 
 // eachTraditional implements the classic filter-and-refine area query: the

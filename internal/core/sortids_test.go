@@ -278,7 +278,7 @@ func BenchmarkSortIDs(b *testing.B) {
 	presenceAgainstRadix := map[string]func([]int64){"presence": presenceOnly, "radix": radixOnly}
 	rng := rand.New(rand.NewSource(3))
 	pts := workload.UniformPoints(rng, 200_000, unitBounds())
-	workload.HilbertSort(pts, unitBounds())
+	hilbertSort(pts, unitBounds())
 	data, err := NewMemoryData(pts, unitBounds())
 	if err != nil {
 		b.Fatal(err)

@@ -95,7 +95,9 @@ func (o Options) Workers(n int) int {
 // slices.
 //
 // Any NumWorkers is safe: a core.Engine answers concurrent queries, its
-// data layer's store included.
+// data layer's store included. No engine flavor calls it — every one
+// batches through the scatter-gather kernel (package shard), on Run; the
+// benchmark's pool probe still does.
 func QueryBatch(ctx context.Context, eng *core.Engine, regions []core.Region, spec core.QuerySpec, opts Options) ([][]int64, core.Stats, error) {
 	n := len(regions)
 	var agg core.Stats

@@ -101,8 +101,8 @@ func (t *QueryTrace) Add(p Phase, d time.Duration) {
 	t.mu.Unlock()
 }
 
-// SetFanOut records how many shards a sharded query scattered to.
-// No-op on a nil receiver.
+// SetFanOut records how many partitions a query scattered to after
+// pruning. No-op on a nil receiver.
 func (t *QueryTrace) SetFanOut(n int) {
 	if t == nil {
 		return
@@ -146,7 +146,9 @@ func (t *QueryTrace) Phase(p Phase) time.Duration {
 	return t.phases[p]
 }
 
-// FanOut returns the recorded shard fan-out (0 for unsharded queries).
+// FanOut returns the recorded fan-out: the partitions the query reached
+// after pruning — 1 when an engine's only shard (a static engine's, a
+// dynamic epoch's) answered it, 0 when pruning left none.
 func (t *QueryTrace) FanOut() int {
 	if t == nil {
 		return 0

@@ -266,7 +266,11 @@ func (p *backendPartition) Query(ctx context.Context, region core.Region, spec c
 	if err := p.postOnce(ctx, "/v1/query", wire.QueryRequest{Region: wr, Options: wireOptions(spec)}, &resp); err != nil {
 		return nil, core.Stats{}, err
 	}
-	return p.remap(resp.IDs), toStats(resp.Stats), nil
+	ids := p.remap(resp.IDs)
+	if spec.Dest != nil && !spec.CountOnly {
+		ids = append(spec.Dest[:0], ids...)
+	}
+	return ids, toStats(resp.Stats), nil
 }
 
 // QueryRegions makes the backend a shard.RegionsQuerier: a batch is one

@@ -23,29 +23,21 @@ import (
 	"repro/internal/wire"
 )
 
-// Engine is what the handler serves: the Querier surface plus the size
-// accessor every vaq engine provides.
+// Engine is what the handler serves: the Querier surface plus the size and
+// universe accessors every vaq engine provides. Bounds feeds /v1/info's
+// bounds field.
 type Engine interface {
 	vaq.Querier
 	Len() int
+	Bounds() vaq.Rect
 }
 
-// bounded is satisfied by static and sharded engines; universed by the
-// dynamic flavors. Either feeds /v1/info's bounds field, the universe.
-type bounded interface{ Bounds() vaq.Rect }
-type universed interface{ Universe() vaq.Rect }
-
-// dataBounded and sharded are the engines whose point set is fixed, so the
-// MBR of their points can be vouched for as /v1/info's data_bounds: a static
-// engine reads it off its index root, a sharded one is the union of its
-// shards'. A dynamic engine is neither, on purpose — its data MBR grows
+// dataBounded is the engine whose point set is fixed, a *vaq.Engine of any
+// shard count, so the MBR of its points can be vouched for as /v1/info's
+// data_bounds. A dynamic engine is not one, on purpose — its data MBR grows
 // after a client has dialled, and a client holding the old one would prune
 // a backend that holds an answer.
 type dataBounded interface{ DataBounds() vaq.Rect }
-type sharded interface {
-	NumShards() int
-	ShardBounds(si int) vaq.Rect
-}
 
 // Config tunes a handler.
 type Config struct {
@@ -355,22 +347,14 @@ func (h *handler) each(w http.ResponseWriter, c *areaCall) {
 }
 
 func (h *handler) info(w http.ResponseWriter, r *http.Request) {
-	info := wire.Info{Len: h.eng.Len(), IDOffset: h.cfg.IDOffset, Flavor: h.cfg.Flavor}
-	switch e := h.eng.(type) {
-	case bounded:
-		info.Bounds = wire.FromRect(e.Bounds())
-	case universed:
-		info.Bounds = wire.FromRect(e.Universe())
+	info := wire.Info{
+		Len:      h.eng.Len(),
+		IDOffset: h.cfg.IDOffset,
+		Flavor:   h.cfg.Flavor,
+		Bounds:   wire.FromRect(h.eng.Bounds()),
 	}
-	switch e := h.eng.(type) {
-	case dataBounded:
+	if e, ok := h.eng.(dataBounded); ok {
 		info.SetDataBounds(e.DataBounds())
-	case sharded:
-		data := e.ShardBounds(0) // a sharded engine has at least one shard
-		for si := 1; si < e.NumShards(); si++ {
-			data = data.Union(e.ShardBounds(si))
-		}
-		info.SetDataBounds(data)
 	}
 	writeJSON(w, info)
 }

@@ -34,41 +34,62 @@ type Config struct {
 	Metrics *Metrics
 }
 
-// localShard is the in-process Partition: a contiguous run of the
-// dataset's Hilbert order (package hilbert), so a compact tile of the
-// plane with a tight bounding rectangle, owning a full core.Engine — its
+// localShard is the in-process Partition, owning a full core.Engine — its
 // own spatial index, Voronoi topology and (when the builder attaches one)
-// record store.
+// record store. New builds one per contiguous run of the dataset's Hilbert
+// order (package hilbert), so a compact tile of the plane with a tight
+// bounding rectangle; OverEngine wraps a dynamic epoch's engine.
 type localShard struct {
 	index  int
 	eng    *core.Engine
 	bounds geom.Rect
-	global []int64 // local id -> global id, ascending
+	global []int64 // local id -> global id, ascending; nil when they are equal
 }
 
 func (s *localShard) Bounds() geom.Rect { return s.bounds }
-func (s *localShard) Len() int          { return len(s.global) }
+func (s *localShard) Len() int          { return s.eng.Data().Len() }
 func (s *localShard) String() string    { return fmt.Sprintf("shard %d", s.index) }
 
 func (s *localShard) Query(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error) {
 	ids, st, err := s.eng.QueryRegionSpec(ctx, region, spec)
-	for i, id := range ids { // a fresh slice: spec.Dest is nil
-		ids[i] = s.global[id]
+	if s.global != nil {
+		for i, id := range ids { // the engine's own slice, or spec.Dest
+			ids[i] = s.global[id]
+		}
 	}
 	return ids, st, err
 }
 
 func (s *localShard) Each(ctx context.Context, region core.Region, spec core.QuerySpec, yield func(id int64, pos geom.Point) bool) (core.Stats, error) {
+	if s.global == nil {
+		return s.eng.EachRegion(ctx, region, spec, yield)
+	}
 	return s.eng.EachRegion(ctx, region, spec, func(id int64, pos geom.Point) bool {
 		return yield(s.global[id], pos)
 	})
+}
+
+// point returns the position of a global id and whether the shard holds
+// it: the shard's own, found by a binary search of its id map.
+func (s *localShard) point(id int64) (geom.Point, bool) {
+	if s.global != nil {
+		i, ok := slices.BinarySearch(s.global, id)
+		if !ok {
+			return geom.Point{}, false
+		}
+		id = int64(i)
+	}
+	return s.eng.Data().PositionOK(id)
 }
 
 // New partitions points into cfg.Shards Hilbert-contiguous shards, builds
 // every shard's engine (in parallel on the scatter pool) and returns the
 // fail-fast kernel over them. bounds must contain every point. Global ids
 // are the indexes of points, exactly as in an unsharded engine over the
-// same slice, and results are identical for every shard count.
+// same slice, and results are identical for every shard count. One shard
+// is the whole slice as it stands: no curve keys, no sort, no id map.
+// The kernel keeps no copy of points; Build gets them, or a shard's run of
+// them, and its engine keeps what it needs.
 func New(points []geom.Point, bounds geom.Rect, cfg Config) (*Engine, error) {
 	if cfg.Build == nil {
 		return nil, fmt.Errorf("shard: Config.Build is required")
@@ -77,32 +98,39 @@ func New(points []geom.Point, bounds geom.Rect, cfg Config) (*Engine, error) {
 		return nil, core.ErrNoData
 	}
 
-	sc := hilbert.NewScaler(bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY, hilbert.Order)
-	keys := make([]uint64, len(points))
-	for i, p := range points {
-		keys[i] = sc.D(p.X, p.Y)
-	}
-	runs := hilbert.Partition(keys, cfg.Shards)
-
-	shards := make([]*localShard, len(runs))
-	shardPts := make([][]geom.Point, len(runs)) // local id -> position, for Build only
-	for si, run := range runs {
-		// Ascending global order inside the shard keeps the remapping
-		// stable across shard counts and makes merged output ordering
-		// independent of the Hilbert traversal direction.
-		global := make([]int64, len(run))
-		for i, idx := range run {
-			global[i] = int64(idx)
+	var shards []*localShard
+	var shardPts [][]geom.Point // local id -> position, for Build only
+	if cfg.Shards <= 1 || len(points) == 1 {
+		shards = []*localShard{{bounds: geom.RectFromPoints(points...)}}
+		shardPts = [][]geom.Point{points}
+	} else {
+		sc := hilbert.NewScaler(bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY, hilbert.Order)
+		keys := make([]uint64, len(points))
+		for i, p := range points {
+			keys[i] = sc.D(p.X, p.Y)
 		}
-		slices.Sort(global)
-		pts := make([]geom.Point, len(global))
-		mbr := geom.EmptyRect()
-		for i, id := range global {
-			pts[i] = points[id]
-			mbr = mbr.ExtendPoint(pts[i])
+		runs := hilbert.Partition(keys, cfg.Shards)
+		shards = make([]*localShard, len(runs))
+		shardPts = make([][]geom.Point, len(runs))
+		for si, run := range runs {
+			// Ascending global order inside the shard keeps the remapping
+			// stable across shard counts and makes merged output ordering
+			// independent of the Hilbert traversal direction.
+			global := make([]int64, len(run))
+			for i, idx := range run {
+				global[i] = int64(idx)
+			}
+			slices.Sort(global)
+			pts := make([]geom.Point, len(global))
+			for i, id := range global {
+				pts[i] = points[id]
+			}
+			if global[len(global)-1] == int64(len(global)-1) {
+				global = nil // the run is 0..n-1: local ids are global
+			}
+			shards[si] = &localShard{index: si, bounds: geom.RectFromPoints(pts...), global: global}
+			shardPts[si] = pts
 		}
-		shards[si] = &localShard{index: si, bounds: mbr, global: global}
-		shardPts[si] = pts
 	}
 
 	err := exec.Run(context.Background(), len(shards),
@@ -123,9 +151,14 @@ func New(points []geom.Point, bounds geom.Rect, cfg Config) (*Engine, error) {
 	for si, s := range shards {
 		parts[si] = s
 	}
-	e := Over(parts, bounds, cfg.Parallelism, cfg.Metrics)
-	e.points = append([]geom.Point(nil), points...)
-	return e, nil
+	return Over(parts, bounds, cfg.Parallelism, cfg.Metrics), nil
+}
+
+// OverEngine returns the kernel over one engine whose ids are global — a
+// dynamic epoch's. Its one partition is keyed by universe, so nothing the
+// caller admits is pruned, and no index is read to key it.
+func OverEngine(eng *core.Engine, universe geom.Rect, parallelism int, met *Metrics) *Engine {
+	return Over([]Partition{&localShard{eng: eng, bounds: universe}}, universe, parallelism, met)
 }
 
 // ShardEngine returns the engine of shard si of an engine built by New,
@@ -133,14 +166,24 @@ func New(points []geom.Point, bounds geom.Rect, cfg Config) (*Engine, error) {
 func (e *Engine) ShardEngine(si int) *core.Engine { return e.parts[si].(*localShard).eng }
 
 // Point returns the position of a global id of an engine built by New; it
-// panics when id is out of range. PointOK is the bounds-checked variant.
-func (e *Engine) Point(id int64) geom.Point { return e.points[id] }
-
-// PointOK returns the position of a global id and whether the id is in
-// range.
-func (e *Engine) PointOK(id int64) (geom.Point, bool) {
-	if id < 0 || id >= int64(len(e.points)) {
-		return geom.Point{}, false
+// panics when no shard holds id. PointOK is the checked variant.
+func (e *Engine) Point(id int64) geom.Point {
+	p, ok := e.PointOK(id)
+	if !ok {
+		panic(fmt.Sprintf("shard: Point(%d): no shard holds this id", id))
 	}
-	return e.points[id], true
+	return p
+}
+
+// PointOK returns the position of a global id of an engine built by New
+// and whether a shard holds it, read from that shard's own data layer.
+func (e *Engine) PointOK(id int64) (geom.Point, bool) {
+	for _, p := range e.parts {
+		if s, ok := p.(*localShard); ok {
+			if pos, ok := s.point(id); ok {
+				return pos, true
+			}
+		}
+	}
+	return geom.Point{}, false
 }

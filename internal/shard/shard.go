@@ -1,9 +1,11 @@
 // Package shard is the scatter-gather kernel: it answers area queries over
 // a dataset split into partitions by pruning the partitions a region cannot
 // touch, scattering the query to the survivors, and gathering their answers
-// into one result. The kernel runs over the small Partition interface and
-// knows nothing about where a partition lives. Two implementations plug
-// into it: the Hilbert-built in-process shard of this package (New), and
+// into one result. Every engine flavor queries through it. The kernel runs
+// over the small Partition interface and knows nothing about where a
+// partition lives. Two implementations plug into it: the in-process shard
+// of this package — a Hilbert run of a static dataset (New, where one shard
+// is the whole dataset) or a dynamic epoch's engine (OverEngine) — and
 // package remote's HTTP backend (Over). Taking the union of per-partition
 // answers is exact for either, because every partition's clipped Voronoi
 // diagram still tiles the universe — the BFS inside a partition finds
@@ -11,6 +13,8 @@
 //
 // What the kernel decides, once, for every transport:
 //
+//   - Refuse: an unknown method fails at the kernel's entry, before
+//     pruning, so on every region.
 //   - Prune: a partition is contacted iff its bounds — its pruning key,
 //     ideally the tight MBR of its points — intersect the region's MBR. The
 //     universe the partitions clip their cells to is a separate rectangle
@@ -37,17 +41,21 @@
 //     refuses any region escaping it before it gets here). A sole
 //     partition holds the full diagram and runs the caller's method
 //     verbatim.
-//   - Scatter: one exec pool, Chunk 1, per-worker statistics. A single
-//     query is one task per surviving partition; a batch is one task per
-//     (region, partition) pair, except that a partition offering
-//     RegionsQuerier answers all its regions in one call.
+//   - Scatter: one exec pool, per-worker statistics. A batch is one task
+//     per (region, partition) pair, except that a partition offering
+//     RegionsQuerier answers all its regions in one call. A single query
+//     with one survivor skips the pool: it answers on the calling
+//     goroutine, into the caller's reuse buffer, allocating nothing.
 //   - Fail fast: a failed partition fails the query, with the first
 //     partition error — there is no partial answer, because a missing
-//     partition leaves a hole in the tiling the union rests on. A done
+//     partition leaves a hole in the tiling the union rests on. A batch
+//     names the failing region by its index in the batch, except when the
+//     failed call was a RegionsQuerier's, which answers several. A done
 //     caller context always wins: its error is the query's, whatever the
 //     partitions reported, and a call it cut short is not counted as a
 //     partition failure in Dropped.
-//   - Gather: per region, merge into ascending global id order and count.
+//   - Gather: per region, merge into ascending global id order and count;
+//     a region one partition answered is sorted in place, not copied.
 //     Under CountOnly nothing is merged: the count is the partitions'
 //     summed ResultSize.
 //
@@ -57,6 +65,7 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -83,7 +92,10 @@ type Partition interface {
 	// Len is the partition's point count.
 	Len() int
 	// Query answers one area query; ids come back in any order, nil under
-	// spec.CountOnly (the count is Stats.ResultSize). spec.Dest is nil.
+	// spec.CountOnly (the count is Stats.ResultSize). A partition may
+	// append its ids into spec.Dest (from Dest[:0]); the kernel hands the
+	// caller's buffer through only when the partition is a region's sole
+	// survivor, and strips it otherwise.
 	Query(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error)
 	// Each streams one area query, counting the yields in Stats.ResultSize.
 	Each(ctx context.Context, region core.Region, spec core.QuerySpec, yield func(id int64, pos geom.Point) bool) (core.Stats, error)
@@ -91,7 +103,7 @@ type Partition interface {
 
 // RegionsQuerier is implemented by partitions for which one call over
 // several regions is cheaper than one call per region (an HTTP backend
-// answers them in one round trip). The kernel detects it at construction
+// answers them in one round trip). The kernel detects it by type assertion
 // and hands such a partition every region of a batch it survives at once.
 // Results align with regions; under spec.CountOnly they are nil and
 // Stats.ResultSize is the total over the regions.
@@ -116,16 +128,36 @@ type Metrics struct {
 	Exec *exec.Metrics
 }
 
+// NewMetrics resolves the kernel's series in reg — its scatter's and its
+// worker pool's — each name suffixed with labels (`{flavor="static"}`, say),
+// so that kernels given the same labels aggregate. A nil reg yields nil.
+func NewMetrics(reg *obs.Registry, labels string) *Metrics {
+	if reg == nil {
+		return nil
+	}
+	return &Metrics{
+		FanOut:       reg.Histogram("vaq_shard_fanout" + labels),
+		ShardsPruned: reg.Counter("vaq_shard_pruned_total" + labels),
+		ShardQueries: reg.Counter("vaq_shard_queries_total" + labels),
+		ShardLatency: reg.Histogram("vaq_shard_latency_ns" + labels),
+		Exec: &exec.Metrics{
+			Tasks:         reg.Counter("vaq_exec_tasks_total" + labels),
+			Chunks:        reg.Counter("vaq_exec_chunks_total" + labels),
+			ChunkWait:     reg.Histogram("vaq_exec_chunk_wait_ns" + labels),
+			WorkerBusy:    reg.Histogram("vaq_exec_worker_busy_ns" + labels),
+			ActiveWorkers: reg.Gauge("vaq_exec_active_workers" + labels),
+		},
+	}
+}
+
 // Engine is the kernel over one set of partitions. Like core.Engine it is
 // immutable after construction and safe for concurrent use from any number
 // of goroutines.
 type Engine struct {
 	parts       []Partition
-	batch       []RegionsQuerier // batch[i] is parts[i]'s batch call; nil without one
-	partBounds  []geom.Rect      // parts[i].Bounds(), read once
+	partBounds  []geom.Rect // parts[i].Bounds(), read once
 	length      int
 	bounds      geom.Rect
-	points      []geom.Point // global id -> position; engines built by New only
 	parallelism int
 	dropped     atomic.Uint64
 	met         *Metrics
@@ -139,14 +171,12 @@ type Engine struct {
 func Over(parts []Partition, universe geom.Rect, parallelism int, met *Metrics) *Engine {
 	e := &Engine{
 		parts:       parts,
-		batch:       make([]RegionsQuerier, len(parts)),
 		partBounds:  make([]geom.Rect, len(parts)),
 		bounds:      universe,
 		parallelism: parallelism,
 		met:         met,
 	}
 	for i, p := range parts {
-		e.batch[i], _ = p.(RegionsQuerier)
 		e.partBounds[i] = p.Bounds()
 		e.length += p.Len()
 	}
@@ -178,6 +208,16 @@ func (e *Engine) Bounds() geom.Rect { return e.bounds }
 // Dropped returns the cumulative number of partition calls that failed
 // while the caller's context was live; each of them failed its query.
 func (e *Engine) Dropped() uint64 { return e.dropped.Load() }
+
+// DataBounds returns the union of the partitions' pruning keys — for an
+// engine built by New, the bounding rectangle of its points.
+func (e *Engine) DataBounds() geom.Rect {
+	r := geom.EmptyRect()
+	for _, b := range e.partBounds {
+		r = r.Union(b)
+	}
+	return r
+}
 
 // survivors appends to dst the indexes of partitions that can contribute
 // to region: those whose bounds intersect its MBR.
@@ -218,13 +258,11 @@ func (e *Engine) partDone(t0 time.Time) {
 }
 
 // partSpec is the spec partitions execute: the caller's with the method
-// upgraded (see the package comment) and the reuse buffer stripped —
-// per-partition results cannot share one buffer.
+// upgraded (see the package comment).
 func (e *Engine) partSpec(spec core.QuerySpec) core.QuerySpec {
 	if len(e.parts) > 1 && spec.Method == core.VoronoiBFS {
 		spec.Method = core.VoronoiBFSStrict
 	}
-	spec.Dest = nil
 	return spec
 }
 
@@ -267,20 +305,22 @@ func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.Q
 		return sc, ctx.Err()
 	}
 	pspec := e.partSpec(spec)
+	pspec.Dest = nil // per-partition results cannot share one buffer
 	if !spec.CountOnly {
 		sc.ids = make([][]int64, len(sc.pairs))
 	}
 
 	// A task is the pairs (as indexes into sc.pairs) one partition answers
-	// in one call: a single pair — a full partition query, expensive enough
-	// that Chunk 1 is the right steal size — except that a RegionsQuerier
-	// takes all its pairs of a batch at once.
+	// in one call: a single pair, except that a RegionsQuerier takes all
+	// its pairs of a batch at once. Across partitions a worker claims one
+	// pair at a time; over one partition a pair is a whole query, claimed
+	// exec.DefaultChunk at a time, as exec.QueryBatch claims them.
 	tasks := make([][]int32, 0, len(sc.pairs))
 	single := make([]int32, len(sc.pairs))
 	var grouped [][]int32
 	for i, pr := range sc.pairs {
 		single[i] = int32(i)
-		if len(regions) > 1 && e.batch[pr.part] != nil {
+		if _, ok := e.parts[pr.part].(RegionsQuerier); ok && len(regions) > 1 {
 			if grouped == nil {
 				grouped = make([][]int32, len(e.parts))
 			}
@@ -295,7 +335,10 @@ func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.Q
 		}
 	}
 
-	opts := exec.Options{NumWorkers: e.parallelism, Chunk: 1}
+	opts := exec.Options{NumWorkers: e.parallelism}
+	if len(e.parts) > 1 {
+		opts.Chunk = 1
+	}
 	if e.met != nil {
 		opts.Metrics = e.met.Exec
 	}
@@ -321,7 +364,7 @@ func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.Q
 				sub[j] = regions[sc.pairs[i].region]
 			}
 			var res [][]int64
-			res, st, err = e.batch[part].QueryRegions(ctx, sub, pspec)
+			res, st, err = e.parts[part].(RegionsQuerier).QueryRegions(ctx, sub, pspec)
 			if err == nil && sc.ids != nil && len(res) != len(sub) {
 				err = fmt.Errorf("batch answered %d results for %d regions", len(res), len(sub))
 			}
@@ -334,9 +377,12 @@ func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.Q
 		e.partDone(t0)
 		workerStats[worker].Add(st)
 		if err != nil {
-			return e.partErr(ctx, part, err)
+			err = e.partErr(ctx, part, err)
+			if len(tk) == 1 {
+				err = fmt.Errorf("region %d: %w", sc.pairs[tk[0]].region, err)
+			}
 		}
-		return nil
+		return err
 	})
 	for _, ws := range workerStats {
 		agg.Add(ws)
@@ -357,10 +403,7 @@ func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.Q
 // ids. agg is finalized with the total result size, which under CountOnly
 // is the partitions' summed ResultSize, already in agg.
 func gather(sc *scattered, spec core.QuerySpec, dst []int64, out [][]int64, agg *core.Stats) {
-	var mergeStart time.Time
-	if spec.Trace != nil {
-		mergeStart = time.Now()
-	}
+	mergeStart := startMerge(spec.Trace)
 	total := agg.ResultSize
 	if !spec.CountOnly {
 		total = 0
@@ -375,16 +418,30 @@ func gather(sc *scattered, spec core.QuerySpec, dst []int64, out [][]int64, agg 
 			lo = hi
 		}
 	}
-	if spec.Trace != nil {
-		spec.Trace.Add(obs.PhaseMerge, time.Since(mergeStart))
-	}
+	endMerge(spec.Trace, mergeStart)
 	agg.ResultSize = total
+}
+
+// startMerge and endMerge bracket the gather's merge phase in the trace;
+// without one neither reads the clock.
+func startMerge(tr *obs.QueryTrace) (t0 time.Time) {
+	if tr != nil {
+		t0 = time.Now()
+	}
+	return t0
+}
+
+func endMerge(tr *obs.QueryTrace, t0 time.Time) {
+	if tr != nil {
+		tr.Add(obs.PhaseMerge, time.Since(t0))
+	}
 }
 
 // mergeSorted concatenates per-partition global id slices into dst
 // (reusing its capacity; nil for a fresh slice) and sorts them ascending,
-// the canonical result order. An empty result with a reuse buffer is
-// dst[:0], not nil — the unpartitioned engines' Dest contract.
+// the canonical result order. Without dst, a partition's slice that is the
+// whole result is sorted in place and handed through. An empty result with
+// a reuse buffer is dst[:0], not nil — the Dest contract of core.Engine.
 func mergeSorted(dst []int64, parts [][]int64) []int64 {
 	total := 0
 	for _, p := range parts {
@@ -395,6 +452,10 @@ func mergeSorted(dst []int64, parts [][]int64) []int64 {
 			return nil
 		}
 		return dst[:0]
+	}
+	if dst == nil && len(parts) == 1 {
+		core.SortIDs(parts[0])
+		return parts[0]
 	}
 	dst = slices.Grow(dst[:0], total)
 	for _, p := range parts {
@@ -408,6 +469,13 @@ func mergeSorted(dst []int64, parts [][]int64) []int64 {
 // backed by spec.Dest when given. spec.CountOnly skips the merge (the
 // count is Stats.ResultSize).
 func (e *Engine) QueryRegionSpec(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error) {
+	if err := core.CheckMethod(spec.Method); err != nil {
+		return nil, core.Stats{}, err
+	}
+	var buf [8]int // survivors stay on the stack
+	if alive := e.survivors(buf[:0], region); len(alive) <= 1 {
+		return e.querySole(ctx, region, spec, alive)
+	}
 	var agg core.Stats
 	regions := [1]core.Region{region}
 	sc, err := e.scatter(ctx, regions[:], spec, &agg)
@@ -419,12 +487,40 @@ func (e *Engine) QueryRegionSpec(ctx context.Context, region core.Region, spec c
 	return out[0], agg, nil
 }
 
+// querySole is QueryRegionSpec when at most one partition survives
+// pruning: that partition answers on the calling goroutine, into
+// spec.Dest, and its ids are sorted in place. It observes, wraps and
+// counts exactly what the scatter does.
+func (e *Engine) querySole(ctx context.Context, region core.Region, spec core.QuerySpec, alive []int) ([]int64, core.Stats, error) {
+	e.observeFanOut(spec.Trace, len(alive))
+	ids, st, err := spec.Dest[:0], core.Stats{}, error(nil)
+	if len(alive) == 1 {
+		t0 := e.partStart()
+		ids, st, err = e.parts[alive[0]].Query(ctx, region, e.partSpec(spec))
+		e.partDone(t0)
+		if err != nil {
+			err = fmt.Errorf("shard: %w", e.partErr(ctx, alive[0], err))
+		}
+	}
+	// As in scatter, the caller's error beats the partition's.
+	if err = cmp.Or(ctx.Err(), err); err != nil || spec.CountOnly {
+		return nil, st, err
+	}
+	t0 := startMerge(spec.Trace)
+	core.SortIDs(ids)
+	endMerge(spec.Trace, t0)
+	return ids, st, nil
+}
+
 // QueryRegionsSpec answers a batch: results align with regions, each in
 // ascending global order. With spec.CountOnly the result is nil and the
 // aggregate match count is Stats.ResultSize. spec.Dest is ignored (one
 // buffer cannot back a batch of results). Cancellation abandons
 // un-dispatched tasks.
 func (e *Engine) QueryRegionsSpec(ctx context.Context, regions []core.Region, spec core.QuerySpec) ([][]int64, core.Stats, error) {
+	if err := core.CheckMethod(spec.Method); err != nil {
+		return nil, core.Stats{}, err
+	}
 	var agg core.Stats
 	sc, err := e.scatter(ctx, regions, spec, &agg)
 	if err != nil {
@@ -445,18 +541,29 @@ func (e *Engine) QueryRegionsSpec(ctx context.Context, regions []core.Region, sp
 // is implied. yield returning false stops the query; spec.CountOnly and
 // spec.Dest are ignored. A partition failure ends the stream.
 func (e *Engine) EachRegion(ctx context.Context, region core.Region, spec core.QuerySpec, yield func(id int64, pos geom.Point) bool) (core.Stats, error) {
-	var agg core.Stats
-	alive := e.survivors(nil, region)
+	if err := core.CheckMethod(spec.Method); err != nil {
+		return core.Stats{}, err
+	}
+	var buf [8]int
+	alive := e.survivors(buf[:0], region)
 	e.observeFanOut(spec.Trace, len(alive))
 	pspec := e.partSpec(spec)
 	pspec.CountOnly = false
-	stopped := false
-	each := func(id int64, pos geom.Point) bool {
-		stopped = !yield(id, pos)
-		return !stopped
+	// A sole survivor streams straight into yield. Several are walked until
+	// yield stops, which only a wrapper sees; it is built, and allocated,
+	// for them alone.
+	each, stopped := yield, func() bool { return false }
+	if len(alive) > 1 {
+		stop := false
+		each = func(id int64, pos geom.Point) bool {
+			stop = !yield(id, pos)
+			return !stop
+		}
+		stopped = func() bool { return stop }
 	}
+	var agg core.Stats
 	for _, pi := range alive {
-		if ctx.Err() != nil {
+		if ctx.Err() != nil || stopped() {
 			break
 		}
 		t0 := e.partStart()
@@ -465,9 +572,6 @@ func (e *Engine) EachRegion(ctx context.Context, region core.Region, spec core.Q
 		agg.Add(st)
 		if err != nil {
 			return agg, fmt.Errorf("shard: %w", e.partErr(ctx, pi, err))
-		}
-		if stopped {
-			break
 		}
 	}
 	return agg, ctx.Err()

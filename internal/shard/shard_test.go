@@ -2,15 +2,18 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/geom"
+	"repro/internal/hilbert"
 	"repro/internal/workload"
 )
 
@@ -70,12 +73,25 @@ func equalIDs(a, b []int64) bool {
 	return true
 }
 
-// testWorkloads returns the uniform and clustered datasets the conformance
-// grid runs over.
+// testWorkloads returns the datasets the conformance grid runs over:
+// uniform, clustered, and uniform in the curve order New cuts its shards
+// from, so that a shard's global ids are a contiguous range — shard 0's
+// being 0..k-1, which it keeps no id map for.
 func testWorkloads(n int) map[string][]geom.Point {
+	uniform := workload.UniformPoints(rand.New(rand.NewSource(41)), n, unitBounds())
+	sc := hilbert.NewScaler(0, 0, 1, 1, hilbert.Order)
+	keys := make([]uint64, n)
+	for i, p := range uniform {
+		keys[i] = sc.D(p.X, p.Y)
+	}
+	curve := make([]geom.Point, 0, n)
+	for _, i := range hilbert.Partition(keys, 1)[0] {
+		curve = append(curve, uniform[i])
+	}
 	return map[string][]geom.Point{
-		"uniform":   workload.UniformPoints(rand.New(rand.NewSource(41)), n, unitBounds()),
+		"uniform":   uniform,
 		"clustered": workload.ClusteredPoints(rand.New(rand.NewSource(42)), n, 8, 0.03, unitBounds()),
+		"curve":     curve,
 	}
 }
 
@@ -206,8 +222,9 @@ func TestGlobalIDStability(t *testing.T) {
 }
 
 // TestShardPartitionInvariants pins the partition: every point lands in
-// exactly one shard, shard sizes are near-equal, and each shard's bounds
-// contain its points.
+// exactly one shard, which PointOK reads its position from, shard sizes are
+// near-equal, each shard's bounds contain its points, and a shard whose
+// ids are 0..k-1 keeps no id map.
 func TestShardPartitionInvariants(t *testing.T) {
 	const n = 1000
 	for wname, pts := range testWorkloads(n) {
@@ -242,6 +259,26 @@ func TestShardPartitionInvariants(t *testing.T) {
 				if !unitBounds().ContainsRect(b) {
 					t.Errorf("%s shard %d: bounds %v outside universe", wname, si, b)
 				}
+			}
+			for id, want := range pts {
+				if p, ok := se.PointOK(int64(id)); !ok || p != want {
+					t.Fatalf("%s shards=%d: PointOK(%d) = %v, %v, want %v", wname, shards, id, p, ok, want)
+				}
+				holders := 0
+				for si, p := range se.parts {
+					if _, ok := p.(*localShard).point(int64(id)); ok {
+						holders++
+						if !se.ShardBounds(si).ContainsPoint(want) {
+							t.Fatalf("%s shards=%d: shard %d's bounds miss its point %d", wname, shards, si, id)
+						}
+					}
+				}
+				if holders != 1 {
+					t.Fatalf("%s shards=%d: %d shards hold point %d", wname, shards, holders, id)
+				}
+			}
+			if mapped := se.parts[0].(*localShard).global != nil; mapped != (wname != "curve" && se.NumShards() > 1) {
+				t.Errorf("%s shards=%d: shard 0 keeps an id map: %v", wname, shards, mapped)
 			}
 		}
 	}
@@ -534,5 +571,80 @@ func TestShardedVoronoiUsesStrictExpansion(t *testing.T) {
 	}
 	if st.CellTests != 0 || st.SegmentTests != 0 {
 		t.Errorf("traditional: got %d cell tests / %d segment tests", st.CellTests, st.SegmentTests)
+	}
+}
+
+// failOn is a partition that fails every call for one region.
+type failOn struct {
+	Partition
+	bad core.Region
+	err error
+}
+
+func (p failOn) String() string { return fmt.Sprint(p.Partition) }
+
+func (p failOn) Query(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error) {
+	if region == p.bad {
+		return nil, core.Stats{}, p.err
+	}
+	return p.Partition.Query(ctx, region, spec)
+}
+
+func (p failOn) Each(ctx context.Context, region core.Region, spec core.QuerySpec, yield func(id int64, pos geom.Point) bool) (core.Stats, error) {
+	if region == p.bad {
+		return core.Stats{}, p.err
+	}
+	return p.Partition.Each(ctx, region, spec, yield)
+}
+
+// TestErrorsNameTheirSource pins where the kernel's errors come from. A
+// failing partition is named, its error still matches with errors.Is, and
+// Dropped counts the call; a batch names the failing region by its index
+// in the batch, even after a region ahead of it was pruned away. An
+// unknown method fails before pruning, so on every region, the pruned one
+// included, and no partition is called.
+func TestErrorsNameTheirSource(t *testing.T) {
+	pts := workload.UniformPoints(rand.New(rand.NewSource(56)), 1000, geom.NewRect(0, 0, 0.5, 0.5))
+	boom := errors.New("boom")
+	bad := core.CircleRegion(geom.NewCircle(geom.Pt(0.25, 0.25), 0.05))
+	missed := core.CircleRegion(geom.NewCircle(geom.Pt(0.8, 0.8), 0.05)) // outside the points' MBR
+	ctx := context.Background()
+	for _, shards := range []int{1, 3} {
+		inner := newSharded(t, pts, shards)
+		parts := make([]Partition, len(inner.parts))
+		for i, p := range inner.parts {
+			parts[i] = failOn{p, bad, boom}
+		}
+		k := Over(parts, unitBounds(), 2, nil)
+		spec := core.QuerySpec{Method: core.VoronoiBFS}
+		_, _, qerr := k.QueryRegionSpec(ctx, bad, spec)
+		_, _, berr := k.QueryRegionsSpec(ctx, []core.Region{missed, bad}, spec)
+		_, eerr := k.EachRegion(ctx, bad, spec, func(int64, geom.Point) bool { return true })
+		for name, err := range map[string]error{"Query": qerr, "QueryRegions": berr, "Each": eerr} {
+			if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "shard: ") || !strings.Contains(err.Error(), ": shard ") {
+				t.Errorf("%d shards: %s: %v, want the kernel's prefix, the partition and boom", shards, name, err)
+			}
+		}
+		if shards == 1 && (qerr.Error() != "shard: shard 0: boom" || eerr.Error() != "shard: shard 0: boom") {
+			t.Errorf("one shard: Query %v, Each %v; want %q", qerr, eerr, "shard: shard 0: boom")
+		}
+		if !strings.Contains(fmt.Sprint(berr), "region 1: shard ") {
+			t.Errorf("%d shards: batch error %v does not name region 1", shards, berr)
+		}
+		if k.Dropped() == 0 {
+			t.Errorf("%d shards: Dropped did not count the failed calls", shards)
+		}
+
+		spec.Method = core.Method(99)
+		for _, r := range []core.Region{missed, bad} {
+			_, _, qerr := k.QueryRegionSpec(ctx, r, spec)
+			_, _, berr := k.QueryRegionsSpec(ctx, []core.Region{r}, spec)
+			_, eerr := k.EachRegion(ctx, r, spec, func(int64, geom.Point) bool { return true })
+			for name, err := range map[string]error{"Query": qerr, "QueryRegions": berr, "Each": eerr} {
+				if fmt.Sprint(err) != "core: unknown method 99" {
+					t.Errorf("%d shards: %s with an unknown method: %v", shards, name, err)
+				}
+			}
+		}
 	}
 }

@@ -16,34 +16,9 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"repro/internal/geom"
-	"repro/internal/hilbert"
 )
-
-// HilbertSort reorders pts in place along a Hilbert curve over bounds.
-// Spatially clustering the dataset this way mirrors how a production
-// spatial store lays out records (neighboring points share pages and cache
-// lines), which benefits both area-query methods and especially the
-// Voronoi BFS, whose access pattern is spatially local.
-func HilbertSort(pts []geom.Point, bounds geom.Rect) {
-	sc := hilbert.NewScaler(bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY, hilbert.Order)
-	keys := make([]uint64, len(pts))
-	for i, p := range pts {
-		keys[i] = sc.D(p.X, p.Y)
-	}
-	idx := make([]int, len(pts))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	out := make([]geom.Point, len(pts))
-	for i, j := range idx {
-		out[i] = pts[j]
-	}
-	copy(pts, out)
-}
 
 // UniformPoints returns n points uniformly distributed in bounds.
 func UniformPoints(rng *rand.Rand, n int, bounds geom.Rect) []geom.Point {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/storage"
@@ -61,9 +60,11 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 func MetricsHandler(reg *MetricsRegistry) http.Handler { return obs.Handler(reg) }
 
 // WithMetrics instruments the engine under construction with reg: query
-// counts, latencies, errors and cancellations by method; batch and
-// worker-pool behavior; and snapshot-time collectors lifting the buffer
-// pool and (for dynamic engines) epoch state. Without this option — or
+// counts, latencies, errors and cancellations by method; batch, worker-pool
+// and scatter-gather behavior (fan-out, pruned partitions, per-partition
+// latency — one partition on a static engine built by NewEngine and on a
+// dynamic epoch); and snapshot-time collectors lifting the buffer pool and
+// (for dynamic engines) epoch state. Without this option — or
 // with a nil reg — the engine runs fully uninstrumented: the disabled path
 // costs one nil pointer comparison per query, no atomics.
 func WithMetrics(reg *MetricsRegistry) Option {
@@ -95,8 +96,6 @@ func methodLabel(slot int) string {
 // hot path touches only atomics. A nil *queryMetrics disables everything
 // (all methods are nil-safe).
 type queryMetrics struct {
-	flavor string
-
 	queries       [numMethodSlots]*obs.Counter
 	errs          [numMethodSlots]*obs.Counter
 	cancels       [numMethodSlots]*obs.Counter
@@ -107,8 +106,6 @@ type queryMetrics struct {
 
 	batches      *obs.Counter
 	batchLatency *obs.Histogram
-
-	execM *exec.Metrics
 }
 
 // newQueryMetrics resolves the per-query metric handles for one flavor.
@@ -118,7 +115,7 @@ func newQueryMetrics(reg *obs.Registry, flavor string) *queryMetrics {
 	if reg == nil {
 		return nil
 	}
-	qm := &queryMetrics{flavor: flavor, execM: newExecMetrics(reg, flavor)}
+	qm := &queryMetrics{}
 	for slot := 0; slot < numMethodSlots; slot++ {
 		lbl := fmt.Sprintf("{flavor=%q,method=%q}", flavor, methodLabel(slot))
 		qm.queries[slot] = reg.Counter("vaq_queries_total" + lbl)
@@ -133,15 +130,6 @@ func newQueryMetrics(reg *obs.Registry, flavor string) *queryMetrics {
 	qm.batches = reg.Counter("vaq_batches_total" + fl)
 	qm.batchLatency = reg.Histogram("vaq_batch_latency_ns" + fl)
 	return qm
-}
-
-// exec returns the worker-pool metric set (nil when uninstrumented), for
-// threading into exec.Options.
-func (qm *queryMetrics) exec() *exec.Metrics {
-	if qm == nil {
-		return nil
-	}
-	return qm.execM
 }
 
 // observe records one completed query: count, latency, the work counters
@@ -191,39 +179,16 @@ func (qm *queryMetrics) countOutcome(slot int, err error) {
 	}
 }
 
-// newExecMetrics resolves the worker-pool metric set for one flavor.
-func newExecMetrics(reg *obs.Registry, flavor string) *exec.Metrics {
-	fl := fmt.Sprintf("{flavor=%q}", flavor)
-	return &exec.Metrics{
-		Tasks:         reg.Counter("vaq_exec_tasks_total" + fl),
-		Chunks:        reg.Counter("vaq_exec_chunks_total" + fl),
-		ChunkWait:     reg.Histogram("vaq_exec_chunk_wait_ns" + fl),
-		WorkerBusy:    reg.Histogram("vaq_exec_worker_busy_ns" + fl),
-		ActiveWorkers: reg.Gauge("vaq_exec_active_workers" + fl),
-	}
+// newShardMetrics resolves the kernel's scatter and worker-pool series for
+// one flavor (nil when uninstrumented).
+func newShardMetrics(reg *obs.Registry, flavor string) *shard.Metrics {
+	return shard.NewMetrics(reg, fmt.Sprintf("{flavor=%q}", flavor))
 }
 
-// newShardMetrics resolves the scatter-gather metric set of a partitioned
-// engine (nil when uninstrumented), sharing the flavor's exec metrics so
-// scatter tasks and batch tasks land in one pool view.
-func newShardMetrics(reg *obs.Registry, qm *queryMetrics) *shard.Metrics {
-	if qm == nil {
-		return nil
-	}
-	fl := fmt.Sprintf("{flavor=%q}", qm.flavor)
-	return &shard.Metrics{
-		FanOut:       reg.Histogram("vaq_shard_fanout" + fl),
-		ShardsPruned: reg.Counter("vaq_shard_pruned_total" + fl),
-		ShardQueries: reg.Counter("vaq_shard_queries_total" + fl),
-		ShardLatency: reg.Histogram("vaq_shard_latency_ns" + fl),
-		Exec:         qm.execM,
-	}
-}
-
-// registerPoolMetrics lifts a store's cumulative BufferPoolStats into the
-// registry as snapshot-time collectors: the pool keeps its existing
-// counters and pays nothing new on the hot path; each registry snapshot
-// reads them through stats.
+// registerPoolMetrics lifts the cumulative BufferPoolStats of a store-backed
+// engine's shards into the registry as snapshot-time collectors: the pools
+// keep their existing counters and pay nothing new on the hot path; each
+// registry snapshot reads them through stats.
 func registerPoolMetrics(reg *obs.Registry, flavor string, stats func() storage.BufferPoolStats) {
 	fl := fmt.Sprintf("{flavor=%q}", flavor)
 	reg.RegisterGaugeFunc("vaq_bufpool_page_reads_total"+fl, func() float64 { return float64(stats().PageReads) })
@@ -231,30 +196,6 @@ func registerPoolMetrics(reg *obs.Registry, flavor string, stats func() storage.
 	reg.RegisterGaugeFunc("vaq_bufpool_evictions_total"+fl, func() float64 { return float64(stats().Evictions) })
 	reg.RegisterGaugeFunc("vaq_bufpool_bytes_read_total"+fl, func() float64 { return float64(stats().BytesRead) })
 	reg.RegisterGaugeFunc("vaq_bufpool_hit_rate"+fl, func() float64 { return stats().HitRate() })
-}
-
-// registerShardedPoolMetrics registers pool collectors summing every
-// shard's private store; a no-op when the engine is not store-backed.
-func registerShardedPoolMetrics(reg *obs.Registry, flavor string, data []*core.MemoryData) {
-	if len(data) == 0 {
-		return
-	}
-	for _, d := range data {
-		if d.Store() == nil {
-			return
-		}
-	}
-	registerPoolMetrics(reg, flavor, func() storage.BufferPoolStats {
-		var agg storage.BufferPoolStats
-		for _, d := range data {
-			st := d.IOStats()
-			agg.PageReads += st.PageReads
-			agg.CacheHits += st.CacheHits
-			agg.Evictions += st.Evictions
-			agg.BytesRead += st.BytesRead
-		}
-		return agg
-	})
 }
 
 // registerDynamicMetrics attaches the epoch-publish histogram and the

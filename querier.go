@@ -6,15 +6,15 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/geom"
+	"repro/internal/shard"
 )
 
 // Querier is the one query surface of this package: a single logical
 // operation — the area query of the paper — expressed once and implemented
-// by every engine flavor. *Engine (static), *ShardedEngine
-// (scatter-gather), *DynamicEngine (growing dataset) and *Snapshot
-// (epoch-pinned view) all satisfy it, so code written against Querier runs
+// by every engine flavor. *Engine (static or sharded), *DynamicEngine
+// (growing dataset), *Snapshot (epoch-pinned view) and *RemoteEngine
+// (HTTP backends) all satisfy it, so code written against Querier runs
 // unchanged on any backend.
 //
 // All three methods accept a context.Context and honor cancellation and
@@ -47,9 +47,9 @@ type Querier interface {
 // Compile-time checks: every engine flavor implements Querier.
 var (
 	_ Querier = (*Engine)(nil)
-	_ Querier = (*ShardedEngine)(nil)
 	_ Querier = (*DynamicEngine)(nil)
 	_ Querier = (*Snapshot)(nil)
+	_ Querier = (*RemoteEngine)(nil)
 )
 
 // QueryOpt customizes one query (or batch). Options compose: the zero
@@ -111,8 +111,9 @@ func WithStatsInto(st *Stats) QueryOpt {
 }
 
 // WithTraceInto records the query's timeline into tr: its total time,
-// candidate-generation seed, BFS (or scan) expansion, page fetches, and —
-// on sharded engines — the gather merge, plus the fan-out marker. It is
+// candidate-generation seed, BFS (or scan) expansion, page fetches, the
+// gather merge (the ascending sort, when one partition answered), and the
+// fan-out marker — how many partitions the query reached. It is
 // the per-query clock: Stats carries work counters only, so a repeated
 // query repeats them exactly. The write happens on every outcome,
 // including errors and cancellation. Each traced query resets tr first, so
@@ -154,52 +155,31 @@ func Count(ctx context.Context, q Querier, region Region, opts ...QueryOpt) (int
 	return st.ResultSize, nil
 }
 
-// backend is what the one Querier body needs of an engine, in the internal
-// request shape: one region, a batch, a stream. The scatter-gather kernel
-// (*shard.Engine, over in-process shards or HTTP backends) is one as it
-// stands; an unpartitioned engine becomes one through pooled.
-type backend interface {
-	QueryRegionSpec(ctx context.Context, region Region, spec core.QuerySpec) ([]int64, Stats, error)
-	QueryRegionsSpec(ctx context.Context, regions []Region, spec core.QuerySpec) ([][]int64, Stats, error)
-	EachRegion(ctx context.Context, region Region, spec core.QuerySpec, yield func(id int64, p Point) bool) (Stats, error)
-}
-
-// pooled is the backend of the unpartitioned flavors: single regions go
-// straight to the embedded engine — a static engine's own, or the one
-// pinning an epoch of a dynamic engine — and a batch runs on the exec worker
-// pool.
-type pooled struct {
-	*core.Engine
-	opts exec.Options
-}
-
-// QueryRegionsSpec implements backend.
-func (b *pooled) QueryRegionsSpec(ctx context.Context, regions []Region, spec core.QuerySpec) ([][]int64, Stats, error) {
-	return exec.QueryBatch(ctx, b.Engine, regions, spec, b.opts)
-}
-
-// querier is the one Querier body. Engine, ShardedEngine, RemoteEngine and
-// Snapshot embed it and differ only in the backend behind it; everything
-// between a caller and that backend — option resolution, region admission,
-// canonical ascending order, the WithStatsInto handoff, the trace and the
-// registry observation — is written here once.
+// querier is the one Querier body. Engine, RemoteEngine and Snapshot embed
+// it and differ only in the partitions behind its scatter-gather kernel —
+// in-process shards (one for NewEngine), HTTP backends, or a dynamic
+// epoch's engine; everything between a caller and the kernel — option
+// resolution, region admission, the WithStatsInto handoff, the trace and
+// the registry observation — is written here once.
 type querier struct {
-	backend backend
-	flavor  string // metric and trace label
-	// universe is the rectangle the engine's Voronoi cells tile (see admit).
-	// It is empty only for a DynamicEngine built over the empty rectangle,
-	// which refuses every insert: admit then lets a finite region through
-	// to a backend that holds no point.
-	universe Rect
-	qm       *queryMetrics // nil without WithMetrics
+	k      *shard.Engine
+	flavor string        // metric and trace label
+	qm     *queryMetrics // nil without WithMetrics
 }
 
 // newQuerier resolves what cfg asks of every flavor — the registry's
-// per-query handles; the constructor then attaches the backend and the
-// universe.
+// per-query handles; the constructor then attaches the kernel.
 func newQuerier(cfg *config, flavor string) querier {
 	return querier{flavor: flavor, qm: newQueryMetrics(cfg.metrics, flavor)}
 }
+
+// Len returns the number of stored points.
+func (q *querier) Len() int { return q.k.Len() }
+
+// Bounds returns the engine's universe rectangle — for a RemoteEngine, the
+// union of its backends' universes (not of their pruning keys). A query
+// region must lie inside it (ErrOutsideUniverse).
+func (q *querier) Bounds() Rect { return q.k.Bounds() }
 
 // begin starts the per-query clock when instrumentation is on — a registry
 // handle set, a caller trace, or both. The zero time means "off"; end does
@@ -214,9 +194,11 @@ func (q *querier) begin(p *queryPlan) time.Time {
 }
 
 // admit is the region precondition of Query, QueryAll and Each on every
-// flavor, checked before the backend is touched: the region's MBR must lie
+// flavor, checked before the kernel is touched: the region's MBR must lie
 // inside the universe, and then, on a RemoteEngine, the region must have a
-// wire form (ErrCustomRegion). The part of an escaping region inside the
+// wire form (ErrCustomRegion). Only a DynamicEngine built over the empty
+// rectangle has no universe; it refuses every insert, so it answers every
+// finite region with ErrNoData. The part of an escaping region inside the
 // universe need not be connected, and a Voronoi expansion from one seed
 // reaches one component, so such a region is refused rather than answered.
 // So is a region — a custom one, or a circle built around such a centre;
@@ -229,8 +211,12 @@ func (q *querier) admit(region Region) error {
 	if !finite(mbr.MinX, mbr.MinY, mbr.MaxX, mbr.MaxY, seed.X, seed.Y) {
 		return fmt.Errorf("vaq: query area with bounds %v and interior point %v has a NaN or infinite coordinate: %w", mbr, seed, ErrOutsideUniverse)
 	}
-	if !q.universe.IsEmpty() && !q.universe.ContainsRect(mbr) {
-		return fmt.Errorf("vaq: query area %v exceeds the engine universe %v: %w", mbr, q.universe, ErrOutsideUniverse)
+	u := q.k.Bounds()
+	if u.IsEmpty() {
+		return ErrNoData
+	}
+	if !u.ContainsRect(mbr) {
+		return fmt.Errorf("vaq: query area %v exceeds the engine universe %v: %w", mbr, u, ErrOutsideUniverse)
 	}
 	if q.flavor == flavorRemote && !hasWireForm(region) {
 		return fmt.Errorf("vaq: a %T has no wire form: %w", region, ErrCustomRegion)
@@ -290,23 +276,22 @@ func (q *querier) Query(ctx context.Context, region Region, opts ...QueryOpt) ([
 	var st Stats
 	err := q.admit(region)
 	if err == nil {
-		ids, st, err = q.backend.QueryRegionSpec(ctx, region, p.QuerySpec)
+		ids, st, err = q.k.QueryRegionSpec(ctx, region, p.QuerySpec)
 	}
 	q.end(&p, start, singleQuery, &st, err)
 	if err != nil {
 		return nil, err
 	}
-	core.SortIDs(ids)
 	return ids, nil
 }
 
-// QueryAll implements Querier. An unpartitioned engine spreads the regions
-// over its worker pool. A partitioned one prunes them per partition: in
-// process every (region, surviving shard) pair is one worker-pool task, so
-// batches exploit intra- and inter-query parallelism at once; over HTTP
-// each backend answers the regions that reach it in one round trip. On a
-// DynamicEngine the whole batch runs against one pinned epoch: every query
-// in it sees the same dataset even while inserts continue.
+// QueryAll implements Querier. The kernel prunes the regions per
+// partition: in process every (region, surviving partition) pair is one
+// worker-pool task, so batches exploit intra- and inter-query parallelism
+// at once; over HTTP each backend answers the regions that reach it in one
+// round trip. On a DynamicEngine the whole batch runs against one pinned
+// epoch: every query in it sees the same dataset even while inserts
+// continue.
 func (q *querier) QueryAll(ctx context.Context, regions []Region, opts ...QueryOpt) ([][]int64, error) {
 	p := resolve(opts)
 	start := q.begin(&p)
@@ -320,14 +305,11 @@ func (q *querier) QueryAll(ctx context.Context, regions []Region, opts ...QueryO
 		}
 	}
 	if err == nil {
-		out, st, err = q.backend.QueryRegionsSpec(ctx, regions, p.QuerySpec)
+		out, st, err = q.k.QueryRegionsSpec(ctx, regions, p.QuerySpec)
 	}
 	q.end(&p, start, len(regions), &st, err)
 	if err != nil {
 		return nil, err
-	}
-	for _, ids := range out {
-		core.SortIDs(ids)
 	}
 	return out, nil
 }
@@ -342,7 +324,7 @@ func (q *querier) Each(ctx context.Context, region Region, yield func(id int64, 
 	var st Stats
 	err := q.admit(region)
 	if err == nil {
-		st, err = q.backend.EachRegion(ctx, region, p.QuerySpec, yield)
+		st, err = q.k.EachRegion(ctx, region, p.QuerySpec, yield)
 	}
 	q.end(&p, start, singleQuery, &st, err)
 	return err

@@ -34,7 +34,7 @@ import (
 // composes with WithMetrics exactly like the local flavors (flavor label
 // "remote").
 type RemoteEngine struct {
-	partitioned
+	querier
 }
 
 // WithRemoteClient sets the http.Client a RemoteEngine uses (connection
@@ -54,13 +54,11 @@ func WithRemoteClient(hc *http.Client) Option {
 func DialRemote(ctx context.Context, urls []string, opts ...Option) (*RemoteEngine, error) {
 	cfg := newConfig(opts)
 	q := newQuerier(&cfg, flavorRemote)
-	// The kernel exports the scatter series the sharded flavor does, under
-	// flavor="remote".
-	k, err := remote.Dial(ctx, urls, cfg.remoteClient, newShardMetrics(cfg.metrics, q.qm))
-	if err != nil {
+	var err error
+	if q.k, err = remote.Dial(ctx, urls, cfg.remoteClient, newShardMetrics(cfg.metrics, flavorRemote)); err != nil {
 		return nil, err
 	}
-	return &RemoteEngine{overKernel(q, k)}, nil
+	return &RemoteEngine{q}, nil
 }
 
 // NumBackends returns the backend count.

@@ -54,8 +54,9 @@
 // # Concurrency model
 //
 // Every Querier backend is safe for concurrent use from any number of
-// goroutines. An Engine is immutable after NewEngine returns: the spatial
-// index, the Voronoi topology and the point data are never modified by
+// goroutines. An Engine is immutable after NewEngine (or NewShardedEngine)
+// returns: the spatial index, the Voronoi topology and the point data of
+// every shard are never modified by
 // queries, and all per-query scratch state is pooled internally. Engines
 // built WithStore are included: the record store is immutable and its
 // buffer pool partitions the LRU state and counters over per-page lock
@@ -63,7 +64,7 @@
 // contend when they land on one shard at the same instant. A page is
 // loaded under its shard's lock — the store lives in memory, a load is a
 // slice index — so two goroutines missing on one page count one read and
-// one hit. A ShardedEngine is likewise immutable after construction.
+// one hit.
 //
 // A DynamicEngine is safe for concurrent use via epoch snapshots: Insert
 // mutates writer-private structures under an internal mutex (concurrent
@@ -97,7 +98,8 @@
 // To scale any dataset past one engine's construction and query cost,
 // partition it with NewShardedEngine: n Hilbert-coherent shards, each an
 // independent engine with its own index, topology and store, queried by
-// scatter-gather with shard-MBR pruning.
+// scatter-gather with shard-MBR pruning. NewEngine is the same Engine with
+// one shard; every flavor answers through that one scatter-gather kernel.
 //
 // # Memory layout
 //
@@ -111,9 +113,11 @@
 // leaf headers, and one child rectangle per leaf in the internal nodes).
 // The Delaunay triangulation the adjacency is derived from — quad-edge
 // pool, its own point copy, vertex tables, about 120 bytes per site — is
-// construction scaffolding and is released when NewEngine returns. A
-// ShardedEngine's scatter-gather kernel keeps one more copy of the
-// positions, which Point reads.
+// construction scaffolding and is released when NewEngine returns. With
+// more than one shard, each shard also keeps its local-to-global id map,
+// ascending, which Point binary-searches: per site, then, 16 bytes of
+// position, about 28 of CSR, 8 of id map and about 12 of index. One shard
+// keeps no id map — its ids are the global ones.
 //
 // No engine keeps a clipped Voronoi cell. The strict expansion rule on a
 // custom region clips the cell of each neighbour it tests, from the
@@ -146,11 +150,11 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/rtree"
 	"repro/internal/shard"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -317,17 +321,44 @@ func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
 
-// Engine answers area queries over a fixed point set; it is the static
-// Querier backend. Engines are read-safe after construction: any number
-// of goroutines may share one Engine and query it concurrently
-// (WithStore engines included — their buffer pool shards its locks by
-// page id), and QueryAll spreads a batch over an
-// internal worker pool (see WithParallelism).
+// Engine answers area queries over a fixed point set, partitioned into
+// spatially coherent shards along the Hilbert curve — one shard, the whole
+// set, when built by NewEngine; n with NewShardedEngine(WithShards(n)).
+// Every shard is an independent engine — its own spatial index, Voronoi
+// topology and (with WithStore) record store with a private buffer pool —
+// and queries run through one scatter-gather kernel: shards whose points'
+// bounding rectangle misses the query's MBR are pruned (a region inside
+// the universe that meets no shard answers empty, with zero Stats), the
+// survivors fan out onto the worker pool (see WithParallelism) — a sole
+// survivor answers on the calling goroutine — and per-shard results merge
+// under a stable global id mapping. Global ids are indexes into the
+// original points slice, and every query method returns the identical id
+// set for any shard count, in ascending id order.
+//
+// One method nuance: with more than one shard, shard-local execution of
+// VoronoiBFS uses the strict rule rather than the published segment rule.
+// A shard's Voronoi diagram is a sub-sample of the dataset, and on its
+// sparser geometry the segment heuristic can strand result islands inside
+// thin concave queries; the strict rule is complete at any density on
+// every polygon and every connected region. A polygon's boundary is then
+// traced, with no SegmentTests; a circle, convex, keeps the segment test,
+// exact on it. A single shard holds the full diagram and runs the requested
+// method as is.
+//
+// Shard where one engine's data volume is the bottleneck: construction
+// parallelizes across shards, store-backed shards multiply total
+// buffer-pool capacity (each shard's pool has its own lock shards on top
+// — see WithBufferPoolShards), and batch throughput scales with both
+// query and shard parallelism. An Engine is immutable after construction
+// and safe for concurrent use from any number of goroutines (WithStore
+// engines included — their buffer pools shard their locks by page id).
 type Engine struct {
 	querier
-	eng  *core.Engine
-	data *core.MemoryData
 }
+
+// ShardedEngine is Engine under the name NewShardedEngine returns: code
+// that names either names the one engine type.
+type ShardedEngine = Engine
 
 // newConfig applies opts over the defaults every constructor shares.
 func newConfig(opts []Option) config {
@@ -366,157 +397,39 @@ func (c config) buildData(points []Point, bounds Rect) (*core.MemoryData, error)
 }
 
 // NewEngine builds the Voronoi topology, the spatial index and (optionally)
-// the record store over points. bounds must contain every point
-// (ErrOutsideUniverse otherwise); the points must have pairwise distinct
-// coordinates.
+// the record store over points: an Engine of one shard, flavor "static" in
+// metrics and traces. WithShards does not apply. bounds must contain every
+// point (ErrOutsideUniverse otherwise); the points must have pairwise
+// distinct coordinates.
 func NewEngine(points []Point, bounds Rect, opts ...Option) (*Engine, error) {
-	if err := checkSites(points, bounds); err != nil {
-		return nil, err
-	}
-	cfg := newConfig(opts)
-	data, err := cfg.buildData(points, bounds)
-	if err != nil {
-		return nil, fmt.Errorf("vaq: %w", err)
-	}
-	e := &Engine{
-		querier: newQuerier(&cfg, flavorStatic),
-		eng:     core.NewEngine(core.NewRTreeIndex(data.Positions(), rtree.DefaultMaxEntries), data),
-		data:    data,
-	}
-	e.universe = bounds
-	e.backend = &pooled{Engine: e.eng, opts: exec.Options{NumWorkers: cfg.parallelism, Metrics: e.qm.exec()}}
-	if cfg.metrics != nil && data.Store() != nil {
-		registerPoolMetrics(cfg.metrics, flavorStatic, data.IOStats)
-	}
-	return e, nil
+	return newEngine(points, bounds, flavorStatic, append(opts[:len(opts):len(opts)], WithShards(1)))
 }
-
-// Len returns the number of stored points.
-func (e *Engine) Len() int { return e.data.Len() }
-
-// Bounds returns the engine's universe rectangle; a query region must lie
-// inside it (ErrOutsideUniverse).
-func (e *Engine) Bounds() Rect { return e.universe }
-
-// DataBounds returns the bounding rectangle of the stored points — tighter
-// than Bounds whenever the points do not reach every edge of the universe.
-// It is read off the spatial index's root, so it costs no pass over the
-// points. areaserve advertises it as /v1/info's data_bounds, the key a
-// RemoteEngine prunes its fan-out by.
-func (e *Engine) DataBounds() Rect { return e.eng.DataBounds() }
-
-// Point returns the coordinates of a stored id. It panics when id is not
-// in [0, Len()); use PointOK for a bounds-checked lookup.
-func (e *Engine) Point(id int64) Point { return e.data.Position(id) }
-
-// PointOK returns the coordinates of id and whether id is a stored point.
-func (e *Engine) PointOK(id int64) (Point, bool) {
-	if id < 0 || id >= int64(e.data.Len()) {
-		return Point{}, false
-	}
-	return e.data.Position(id), true
-}
-
-// IOStats returns the engine's cumulative simulated IO counters — buffer
-// pool misses (reads) and hits — when it was built WithStore; ok is false
-// otherwise. The counters cover all queries since construction or the
-// last ResetIOStats, across all goroutines. Identical semantics on every
-// store-backed flavor: a ShardedEngine sums its shards' private stores (a
-// DynamicEngine keeps its records in memory and has no IO to report). For
-// the full pool picture (evictions, bytes, hit rate)
-// attach a registry with WithMetrics.
-func (e *Engine) IOStats() (reads, hits int, ok bool) {
-	if e.data.Store() == nil {
-		return 0, 0, false
-	}
-	st := e.data.IOStats()
-	return st.PageReads, st.CacheHits, true
-}
-
-// ResetIOStats zeroes the IO counters (no-op without WithStore); registry
-// collectors registered by WithMetrics observe the same reset.
-func (e *Engine) ResetIOStats() { e.data.ResetIOStats() }
-
-// ShardedEngine answers area queries over a dataset partitioned into
-// spatially coherent shards along the Hilbert curve. Every shard is an
-// independent engine — its own spatial index, Voronoi topology and (with
-// WithStore) record store with a private buffer pool — and queries run by
-// scatter-gather: shards whose bounds miss the query's MBR are pruned,
-// the survivors fan out onto the worker pool (see WithParallelism), and
-// per-shard results merge under a stable global id mapping. Global ids
-// are indexes into the original points slice, exactly as in an unsharded
-// Engine, and every query method returns the identical id set an
-// unsharded Engine would — in ascending id order, for any shard count.
-//
-// One method nuance: with more than one shard, shard-local execution of
-// VoronoiBFS uses the strict rule rather than the published segment rule.
-// A shard's Voronoi diagram is a sub-sample of the dataset, and on its
-// sparser geometry the segment heuristic can strand result islands inside
-// thin concave queries; the strict rule is complete at any density on
-// every polygon and every connected region. A polygon's boundary is then
-// traced, with no SegmentTests; a circle, convex, keeps the segment test,
-// exact on it. A single shard holds the full diagram and runs the requested
-// method as is.
-//
-// Shard where one engine's data volume is the bottleneck: construction
-// parallelizes across shards, store-backed shards multiply total
-// buffer-pool capacity (each shard's pool has its own lock shards on top
-// — see WithBufferPoolShards), and batch throughput scales with both
-// query and shard parallelism. A ShardedEngine is immutable after
-// construction and safe for concurrent use from any number of
-// goroutines.
-type ShardedEngine struct {
-	partitioned
-	data []*core.MemoryData // per shard
-}
-
-// partitioned is what ShardedEngine and RemoteEngine share: the Querier
-// body over one scatter-gather kernel (package shard) — run over in-process
-// shards by one, over HTTP backends by the other — and the accessors the
-// kernel answers.
-type partitioned struct {
-	querier
-	k *shard.Engine // the querier's backend, by its own type
-}
-
-// overKernel finishes q with k as its backend and k's universe as its own.
-func overKernel(q querier, k *shard.Engine) partitioned {
-	q.backend, q.universe = k, k.Bounds()
-	return partitioned{querier: q, k: k}
-}
-
-// Len returns the total number of stored points.
-func (e *partitioned) Len() int { return e.k.Len() }
-
-// Bounds returns the engine's universe rectangle — for a RemoteEngine, the
-// union of its backends' universes (not of their pruning keys). A query
-// region must lie inside it (ErrOutsideUniverse).
-func (e *partitioned) Bounds() Rect { return e.universe }
 
 // NewShardedEngine partitions points into n shards (WithShards; default 1)
-// by Hilbert order and builds every shard's engine in parallel. All
-// NewEngine options apply, per shard: each shard gets its own R-tree and
-// — with WithStore — its own paged record store.
-// bounds must contain every point (ErrOutsideUniverse otherwise); points
-// must have pairwise distinct coordinates.
+// by Hilbert order and builds every shard's engine in parallel, flavor
+// "sharded" in metrics and traces. All NewEngine options apply, per shard:
+// each shard gets its own R-tree and — with WithStore — its own paged
+// record store. bounds must contain every point (ErrOutsideUniverse
+// otherwise); points must have pairwise distinct coordinates.
 func NewShardedEngine(points []Point, bounds Rect, opts ...Option) (*ShardedEngine, error) {
+	return newEngine(points, bounds, flavorSharded, opts)
+}
+
+// newEngine is the one constructor of a local static engine.
+func newEngine(points []Point, bounds Rect, flavor string, opts []Option) (*Engine, error) {
 	if err := checkSites(points, bounds); err != nil {
 		return nil, err
 	}
 	cfg := newConfig(opts)
-	data := make([]*core.MemoryData, max(cfg.shards, 1)) // shard.New clamps the same way
-	q := newQuerier(&cfg, flavorSharded)
-	se, err := shard.New(points, bounds, shard.Config{
+	e := &Engine{querier: newQuerier(&cfg, flavor)}
+	k, err := shard.New(points, bounds, shard.Config{
 		Shards:      cfg.shards,
 		Parallelism: cfg.parallelism,
-		Metrics:     newShardMetrics(cfg.metrics, q.qm),
-		Build: func(si int, pts []Point, bounds Rect) (*core.Engine, error) {
+		Metrics:     newShardMetrics(cfg.metrics, flavor),
+		Build: func(_ int, pts []Point, bounds Rect) (*core.Engine, error) {
 			d, err := cfg.buildData(pts, bounds)
 			if err != nil {
 				return nil, err
-			}
-			if si < len(data) {
-				data[si] = d // distinct si per call; no lock needed
 			}
 			return core.NewEngine(core.NewRTreeIndex(d.Positions(), rtree.DefaultMaxEntries), d), nil
 		},
@@ -524,62 +437,85 @@ func NewShardedEngine(points []Point, bounds Rect, opts ...Option) (*ShardedEngi
 	if err != nil {
 		return nil, fmt.Errorf("vaq: %w", err)
 	}
-	e := &ShardedEngine{partitioned: overKernel(q, se), data: data[:se.NumShards()]}
-	if cfg.metrics != nil {
-		registerShardedPoolMetrics(cfg.metrics, flavorSharded, e.data)
+	e.k = k
+	if _, stored := e.poolStats(); stored && cfg.metrics != nil {
+		registerPoolMetrics(cfg.metrics, flavor, func() storage.BufferPoolStats {
+			st, _ := e.poolStats()
+			return st
+		})
 	}
 	return e, nil
 }
 
 // NumShards returns the shard count (after clamping to the point count).
-func (e *ShardedEngine) NumShards() int { return e.k.NumShards() }
+func (e *Engine) NumShards() int { return e.k.NumShards() }
 
 // ShardSizes returns the per-shard point counts.
-func (e *ShardedEngine) ShardSizes() []int { return e.k.ShardSizes() }
+func (e *Engine) ShardSizes() []int { return e.k.ShardSizes() }
 
 // ShardBounds returns the tight bounding rectangle of one shard's points.
-func (e *ShardedEngine) ShardBounds(si int) Rect { return e.k.ShardBounds(si) }
+func (e *Engine) ShardBounds(si int) Rect { return e.k.ShardBounds(si) }
+
+// DataBounds returns the bounding rectangle of the stored points, the
+// union of the shards' — tighter than Bounds whenever the points do not
+// reach every edge of the universe. areaserve advertises it as /v1/info's
+// data_bounds, the key a RemoteEngine prunes its fan-out by.
+func (e *Engine) DataBounds() Rect { return e.k.DataBounds() }
 
 // Point returns the coordinates of a stored (global) id. It panics when
 // id is not in [0, Len()); use PointOK for a bounds-checked lookup.
-func (e *ShardedEngine) Point(id int64) Point { return e.k.Point(id) }
+func (e *Engine) Point(id int64) Point { return e.k.Point(id) }
 
-// PointOK returns the coordinates of a global id and whether id is a
-// stored point.
-func (e *ShardedEngine) PointOK(id int64) (Point, bool) { return e.k.PointOK(id) }
+// PointOK returns the coordinates of id and whether id is a stored point.
+func (e *Engine) PointOK(id int64) (Point, bool) { return e.k.PointOK(id) }
 
-// IOStats returns the engine's cumulative simulated IO counters, summed
-// over every shard's private store, when it was built WithStore; ok is
-// false otherwise. Same semantics as Engine.IOStats.
-func (e *ShardedEngine) IOStats() (reads, hits int, ok bool) {
-	for _, d := range e.data {
-		if d.Store() == nil {
-			return 0, 0, false
-		}
-		st := d.IOStats()
-		reads += st.PageReads
-		hits += st.CacheHits
-	}
-	return reads, hits, len(e.data) > 0
+// IOStats returns the engine's cumulative simulated IO counters — buffer
+// pool misses (reads) and hits, summed over every shard's private store —
+// when it was built WithStore; ok is false otherwise. The counters cover
+// all queries since construction or the last ResetIOStats, across all
+// goroutines. (A DynamicEngine keeps its records in memory and has no IO
+// to report.) For the full pool picture (evictions, bytes, hit rate)
+// attach a registry with WithMetrics.
+func (e *Engine) IOStats() (reads, hits int, ok bool) {
+	st, ok := e.poolStats()
+	return st.PageReads, st.CacheHits, ok
 }
 
-// ResetIOStats zeroes every shard's IO counters (no-op without WithStore).
-// Same semantics as Engine.ResetIOStats.
-func (e *ShardedEngine) ResetIOStats() {
-	for _, d := range e.data {
-		d.ResetIOStats()
+// ResetIOStats zeroes every shard's IO counters (no-op without WithStore);
+// registry collectors registered by WithMetrics observe the same reset.
+func (e *Engine) ResetIOStats() {
+	for si := range e.k.NumShards() {
+		e.k.ShardEngine(si).Data().ResetIOStats()
 	}
+}
+
+// poolStats sums the shards' buffer-pool counters; ok is false unless
+// every shard is store-backed.
+func (e *Engine) poolStats() (agg storage.BufferPoolStats, ok bool) {
+	for si := range e.k.NumShards() {
+		d := e.k.ShardEngine(si).Data()
+		if d.Store() == nil {
+			return storage.BufferPoolStats{}, false
+		}
+		st := d.IOStats()
+		agg.PageReads += st.PageReads
+		agg.CacheHits += st.CacheHits
+		agg.Evictions += st.Evictions
+		agg.BytesRead += st.BytesRead
+	}
+	return agg, true
 }
 
 // Sentinel errors, matchable with errors.Is. They distinguish caller
 // errors from engine failure.
 var (
 	// ErrNoData is returned by every query entry point (Query, QueryAll,
-	// Each, Count) when the engine holds no points.
+	// Each, Count) when the engine holds no points, and by NewEngine and
+	// NewShardedEngine for an empty point set.
 	ErrNoData = core.ErrNoData
 	// ErrOutsideUniverse is returned by Query, QueryAll and Each on every
 	// flavor when the region's bounding rectangle escapes the engine's
-	// universe (Bounds or Universe), and by NewEngine, NewShardedEngine and
+	// universe (Bounds), and by NewEngine, NewShardedEngine and
 	// DynamicEngine.Insert for a point outside it (a NaN or infinite
 	// coordinate is outside). The region is refused, not
 	// clipped: the part of it inside the universe need not be connected, and
@@ -618,10 +554,12 @@ var (
 // query and its Count, or a query and the brute-force oracle validating it.
 type DynamicEngine struct {
 	d *core.DynamicEngine
-	// proto is every Snapshot's querier, less the backend each one pins;
-	// pool is the worker pool their QueryAll runs on.
-	proto querier
-	pool  exec.Options
+	// proto is every Snapshot's querier, less the kernel each one builds
+	// over its epoch; parallelism and met are what that kernel runs with.
+	proto       querier
+	universe    Rect
+	parallelism int
+	met         *shard.Metrics
 	// snap is the Snapshot wrapping the core snapshot most recently pinned,
 	// reused for as long as that one stays the published epoch.
 	snap atomic.Pointer[Snapshot]
@@ -634,9 +572,13 @@ type DynamicEngine struct {
 // others describe static construction and are ignored.
 func NewDynamicEngine(universe Rect, opts ...Option) *DynamicEngine {
 	cfg := newConfig(opts)
-	e := &DynamicEngine{d: core.NewDynamicEngine(universe), proto: newQuerier(&cfg, flavorDynamic)}
-	e.proto.universe = universe
-	e.pool = exec.Options{NumWorkers: cfg.parallelism, Metrics: e.proto.qm.exec()}
+	e := &DynamicEngine{
+		d:           core.NewDynamicEngine(universe),
+		proto:       newQuerier(&cfg, flavorDynamic),
+		universe:    universe,
+		parallelism: cfg.parallelism,
+		met:         newShardMetrics(cfg.metrics, flavorDynamic),
+	}
 	if cfg.metrics != nil {
 		registerDynamicMetrics(cfg.metrics, e.d)
 	}
@@ -661,8 +603,8 @@ func (e *DynamicEngine) Snapshot() *Snapshot {
 	if cur != nil && cur.s == cs {
 		return cur
 	}
-	s := &Snapshot{querier: e.proto, s: cs, pool: pooled{Engine: cs.Engine(), opts: e.pool}}
-	s.backend = &s.pool
+	s := &Snapshot{querier: e.proto, s: cs}
+	s.k = shard.OverEngine(cs.Engine(), e.universe, e.parallelism, e.met)
 	if !e.snap.CompareAndSwap(cur, s) {
 		// A concurrent pinner published first; share its wrapper unless a
 		// write came between and it pinned a later epoch.
@@ -680,8 +622,9 @@ func (e *DynamicEngine) Len() int { return e.d.Len() }
 // far. Snapshots report the epoch they pinned.
 func (e *DynamicEngine) Epoch() uint64 { return e.d.Epoch() }
 
-// Universe returns the engine's universe rectangle.
-func (e *DynamicEngine) Universe() Rect { return e.proto.universe }
+// Bounds returns the engine's universe rectangle; a query region must lie
+// inside it (ErrOutsideUniverse).
+func (e *DynamicEngine) Bounds() Rect { return e.universe }
 
 // Point returns the coordinates of an inserted id. Safe to call
 // concurrently with Insert. It panics when id was never returned by
@@ -700,20 +643,13 @@ func (e *DynamicEngine) PointOK(id int64) (Point, bool) { return e.d.PointOK(id)
 // Snapshot. Snapshots are safe for concurrent use from any
 // number of goroutines and remain valid (and frozen) indefinitely.
 type Snapshot struct {
-	querier // the parent DynamicEngine's universe and metrics, over the pinned epoch
+	querier // the parent DynamicEngine's metrics, over a kernel on the pinned epoch
 	s       *core.DynamicSnapshot
-	pool    pooled // the querier's backend, held by value: one allocation per epoch
 }
 
 // Epoch returns the epoch the snapshot pinned (the number of inserts it
 // reflects).
 func (s *Snapshot) Epoch() uint64 { return s.s.Epoch() }
-
-// Len returns the number of points in the snapshot.
-func (s *Snapshot) Len() int { return s.s.Len() }
-
-// Universe returns the universe rectangle.
-func (s *Snapshot) Universe() Rect { return s.universe }
 
 // Point returns the coordinates of an id present in the snapshot. It
 // panics when id is not present; use PointOK for a bounds-checked lookup.

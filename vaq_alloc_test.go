@@ -97,6 +97,55 @@ func TestDynamicEngineQueryAllocs(t *testing.T) {
 	}
 }
 
+// TestShardedEngineQueryAllocs pins the same path on a 4-shard engine for
+// regions that meet one shard's bounding rectangle only: the kernel hands
+// the query to that shard on the calling goroutine, into the caller's
+// buffer, and adds no allocation to the static engine's.
+func TestShardedEngineQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates inside sync.Pool")
+	}
+	rng := rand.New(rand.NewSource(11))
+	pts := UniformPoints(rng, 5000, UnitSquare())
+	eng, err := NewShardedEngine(pts, UnitSquare(), WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// survivors counts the shards whose bounds meet r's MBR.
+	survivors := func(r Region) int {
+		n := 0
+		for si := range eng.NumShards() {
+			if eng.ShardBounds(si).Intersects(r.Bounds()) {
+				n++
+			}
+		}
+		return n
+	}
+	var regions []Region
+	for si := range eng.NumShards() {
+		c := eng.ShardBounds(si).Center()
+		regions = append(regions, CircleRegion(NewCircle(c, 0.04)))
+		for len(regions) < 2*(si+1) {
+			pg := RandomQueryPolygon(rng, 10, 0.01, UnitSquare())
+			if r := PolygonRegion(pg); pg.Bounds().ContainsPoint(c) && survivors(r) == 1 {
+				regions = append(regions, r)
+			}
+		}
+	}
+	for i, r := range regions {
+		if n := survivors(r); n != 1 {
+			t.Fatalf("region %d meets %d shards' bounds, want 1", i, n)
+		}
+	}
+	allocs := queryAllocs(t, eng.Len(), regions, func(r Region, buf []int64) ([]int64, error) {
+		return eng.Query(context.Background(), r, Reuse(buf))
+	})
+	t.Logf("%.2f allocs per query", allocs)
+	if allocs > 2 {
+		t.Fatalf("ShardedEngine.Query(ctx, r, Reuse(buf)) inside one shard: %.2f allocs per query, want <= 2", allocs)
+	}
+}
+
 // TestStoreEngineQueryAllocs pins the same path over a paged store: a
 // record load copies nothing out of its page and a page miss on a full
 // pool reuses the frame it evicts, so nothing allocates beyond the two

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/geom"
 )
 
 // TestDynamicEngineConcurrentInsertQuery is the epoch-snapshot soak: one
@@ -290,14 +292,19 @@ func TestDynamicOutsideUniverseSentinel(t *testing.T) {
 	}
 }
 
+// TestDynamicEmptyEngineErrNoData: an engine holding no point answers
+// ErrNoData — over a real universe, and over the empty rectangle, which
+// refuses every insert and admits every finite region.
 func TestDynamicEmptyEngineErrNoData(t *testing.T) {
-	eng := NewDynamicEngine(UnitSquare())
 	area := MustPolygon([]Point{Pt(0.1, 0.1), Pt(0.5, 0.1), Pt(0.3, 0.5)})
-	if _, _, err := queryWith(eng, VoronoiBFS, area); !errors.Is(err, ErrNoData) {
-		t.Errorf("Query on empty: err = %v, want ErrNoData", err)
-	}
-	if _, _, err := queryBatch(eng, VoronoiBFS, []Polygon{area}); !errors.Is(err, ErrNoData) {
-		t.Errorf("QueryBatch on empty: err = %v, want ErrNoData", err)
+	for _, universe := range []Rect{UnitSquare(), geom.EmptyRect()} {
+		eng := NewDynamicEngine(universe)
+		if _, _, err := queryWith(eng, VoronoiBFS, area); !errors.Is(err, ErrNoData) {
+			t.Errorf("%v: Query on empty: err = %v, want ErrNoData", universe, err)
+		}
+		if _, _, err := queryBatch(eng, VoronoiBFS, []Polygon{area}); !errors.Is(err, ErrNoData) {
+			t.Errorf("%v: QueryBatch on empty: err = %v, want ErrNoData", universe, err)
+		}
 	}
 }
 

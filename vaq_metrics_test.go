@@ -297,7 +297,7 @@ func TestQueryTracePhases(t *testing.T) {
 		t.Error("traced query reported no total time")
 	}
 	got := tr.String()
-	for _, want := range []string{"flavor=static", "method=voronoi", " seed=", " expand=", " page_fetch="} {
+	for _, want := range []string{"flavor=static", "method=voronoi", " fanout=1 ", " seed=", " expand=", " page_fetch="} {
 		if !strings.Contains(got, want) {
 			t.Errorf("trace string %q is missing %q", got, want)
 		}
@@ -337,6 +337,21 @@ func TestQueryTracePhases(t *testing.T) {
 	}
 	if str.FanOut() < 1 || str.FanOut() > 6 {
 		t.Errorf("sharded fan-out = %d, want 1..6", str.FanOut())
+	}
+
+	// A dynamic epoch is one partition, keyed by the universe: fan-out 1.
+	dyn := NewDynamicEngine(UnitSquare())
+	for _, p := range pts {
+		if _, _, err := dyn.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var dtr QueryTrace
+	if _, err := dyn.Snapshot().Query(ctx, region, WithTraceInto(&dtr)); err != nil {
+		t.Fatal(err)
+	}
+	if dtr.FanOut() != 1 {
+		t.Errorf("snapshot fan-out = %d, want 1: %s", dtr.FanOut(), &dtr)
 	}
 }
 

@@ -445,9 +445,11 @@ func TestPlainShapesAreRegions(t *testing.T) {
 // TestNoEngineReadsItsCallersSlice: an engine indexes and answers from its
 // own copy of the positions — its R-tree's leaves read that copy in place —
 // so a caller that reuses its input slice after construction changes no
-// answer. On a static, a store-backed and a sharded engine every point of
-// the slice is then mirrored through the square's centre, and every method,
-// Traditional included, must return the ids it returned before.
+// answer. On a static, a store-backed, a 3-shard and an 8-shard engine every
+// point of the slice is then mirrored through the square's centre, and every
+// method, Traditional included, must return the ids it returned before, and
+// Point and PointOK the input position of every id (read from the owning
+// shard's own positions), refusing -1 and Len().
 func TestNoEngineReadsItsCallersSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	pts := vaq.UniformPoints(rng, 2000, vaq.UnitSquare())
@@ -456,7 +458,7 @@ func TestNoEngineReadsItsCallersSlice(t *testing.T) {
 		vaq.NewCircle(vaq.Pt(0.3, 0.65), 0.12),
 	}
 	methods := []vaq.Method{vaq.Traditional, vaq.VoronoiBFS, vaq.VoronoiBFSStrict, vaq.BruteForce}
-	engines := map[string]vaq.Querier{}
+	engines := map[string]*vaq.Engine{}
 	var err error
 	if engines["static"], err = vaq.NewEngine(pts, vaq.UnitSquare()); err != nil {
 		t.Fatal(err)
@@ -467,6 +469,10 @@ func TestNoEngineReadsItsCallersSlice(t *testing.T) {
 	if engines["sharded"], err = vaq.NewShardedEngine(pts, vaq.UnitSquare(), vaq.WithShards(3)); err != nil {
 		t.Fatal(err)
 	}
+	if engines["sharded-8"], err = vaq.NewShardedEngine(pts, vaq.UnitSquare(), vaq.WithShards(8)); err != nil {
+		t.Fatal(err)
+	}
+	input := slices.Clone(pts)
 	ctx := context.Background()
 	answers := func() map[string][]int64 {
 		out := map[string][]int64{}
@@ -490,6 +496,18 @@ func TestNoEngineReadsItsCallersSlice(t *testing.T) {
 	for key, got := range answers() {
 		if len(before[key]) == 0 || !slices.Equal(got, before[key]) {
 			t.Errorf("%s: %d ids after the caller's slice changed, %d before", key, len(got), len(before[key]))
+		}
+	}
+	for name, e := range engines {
+		for id, want := range input {
+			if p, ok := e.PointOK(int64(id)); !ok || p != want || e.Point(int64(id)) != want {
+				t.Fatalf("%s: PointOK(%d) = %v, %v, want %v", name, id, p, ok, want)
+			}
+		}
+		for _, bad := range []int64{-1, int64(e.Len())} {
+			if p, ok := e.PointOK(bad); ok {
+				t.Errorf("%s: PointOK(%d) = %v, true; want false", name, bad, p)
+			}
 		}
 	}
 }

@@ -1,10 +1,13 @@
 package vaq
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/geom"
 )
 
 var shardedTestCounts = []int{1, 2, 7, 16}
@@ -123,6 +126,61 @@ func TestShardedEngineConformance(t *testing.T) {
 				if !idsEqual(gotReg[i], sortIDs(wantReg[i])) {
 					t.Errorf("%s: QueryRegions %d diverged", name, i)
 				}
+			}
+		}
+	}
+}
+
+// TestOneShardIsTheStaticEngine pins the pruning policy NewEngine shares
+// with a one-shard NewShardedEngine: the two answer every method with equal
+// ids and Stats — polygons and circles over the points, and a region in
+// universe space no point's bounding rectangle reaches, which both answer
+// empty with zero Stats. An unknown method fails on every region, that one
+// included, with the same error on both.
+func TestOneShardIsTheStaticEngine(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	pts := UniformPoints(rng, 2000, NewRect(0, 0, 0.7, 0.7))
+	static, err := NewEngine(pts, UnitSquare())
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := NewShardedEngine(pts, UnitSquare(), WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if static.DataBounds() != one.DataBounds() || static.DataBounds() != geom.RectFromPoints(pts...) {
+		t.Fatalf("DataBounds %v and %v, want the points' MBR %v", static.DataBounds(), one.DataBounds(), geom.RectFromPoints(pts...))
+	}
+	empty := PolygonRegion(MustPolygon([]Point{Pt(0.8, 0.75), Pt(0.95, 0.8), Pt(0.85, 0.95)}))
+	regions := []Region{
+		PolygonRegion(RandomQueryPolygon(rng, 10, 0.02, NewRect(0, 0, 0.7, 0.7))),
+		PolygonRegion(RandomQueryPolygon(rng, 10, 0.002, NewRect(0, 0, 0.7, 0.7))),
+		NewCircle(Pt(0.35, 0.35), 0.1),
+		empty,
+	}
+	ctx := context.Background()
+	for _, m := range []Method{Traditional, VoronoiBFS, VoronoiBFSStrict, BruteForce, Method(99)} {
+		for ri, r := range regions {
+			var sst, ost Stats
+			sids, serr := static.Query(ctx, r, UsingMethod(m), WithStatsInto(&sst))
+			oids, oerr := one.Query(ctx, r, UsingMethod(m), WithStatsInto(&ost))
+			if !idsEqual(sids, oids) || sst != ost || fmt.Sprint(serr) != fmt.Sprint(oerr) {
+				t.Errorf("%v region %d: static %d ids %+v %v; one shard %d ids %+v %v", m, ri, len(sids), sst, serr, len(oids), ost, oerr)
+			}
+			if m == Method(99) {
+				const want = "core: unknown method 99"
+				if serr == nil || serr.Error() != want || sst != (Stats{}) {
+					t.Errorf("unknown method on region %d: %v, %+v; want %q and zero Stats", ri, serr, sst, want)
+				}
+				_, aerr := static.QueryAll(ctx, []Region{empty, r}, UsingMethod(m))
+				eerr := static.Each(ctx, r, func(int64, Point) bool { return true }, UsingMethod(m))
+				if fmt.Sprint(aerr) != want || fmt.Sprint(eerr) != want {
+					t.Errorf("unknown method on region %d: QueryAll %v, Each %v; want %q", ri, aerr, eerr, want)
+				}
+				continue
+			}
+			if r == empty && (len(sids) != 0 || sst != (Stats{}) || serr != nil) {
+				t.Errorf("%v: the region outside the points' MBR answered %d ids, %+v, %v; want none, zero Stats, no error", m, len(sids), sst, serr)
 			}
 		}
 	}

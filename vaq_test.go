@@ -230,8 +230,8 @@ func TestClusteredWorkloadEndToEnd(t *testing.T) {
 func TestDynamicEnginePublicAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	eng := NewDynamicEngine(UnitSquare())
-	if eng.Universe() != UnitSquare() {
-		t.Error("Universe mismatch")
+	if eng.Bounds() != UnitSquare() {
+		t.Error("Bounds mismatch")
 	}
 	var ids []int64
 	for i := 0; i < 1000; i++ {
