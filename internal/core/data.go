@@ -6,10 +6,10 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/delaunay"
 	"repro/internal/geom"
 	"repro/internal/hilbert"
 	"repro/internal/storage"
-	"repro/internal/voronoi"
 )
 
 // ErrDuplicatePoints is returned by the data constructors: Algorithm 1
@@ -24,12 +24,25 @@ var ErrDuplicatePoints = errors.New("core: dataset contains duplicate coordinate
 // It retains exactly what queries read: the sites' positions as one slice
 // and the Voronoi adjacency as CSR offset/neighbor arrays. Reading either
 // costs no simulated IO (the R-tree leaf carries coordinates and the
-// topology is precomputed alongside the index, as in the VoR-tree). The
-// diagram and the triangulation under a static layer — quad-edge pool,
-// point copy, vertex tables — are construction scaffolding, released when
-// NewMemoryData returns. A clipped Voronoi cell, which only the strict
-// expansion rule on a custom region reads, is derived from the two when it
-// is read (voronoi.CellFromNeighbors), and never kept.
+// topology is precomputed alongside the index, as in the VoR-tree). A
+// clipped Voronoi cell, which only the strict expansion rule on a custom
+// region reads, is derived from the two when it is read
+// (voronoi.CellFromNeighbors), and never kept.
+//
+// Every layer is one triangulation, built one way: a delaunay.Dynamic
+// fenced by the layer's universe. Its ids are [0, len(pts)); the user sites
+// are [first, last) and the three fence sites the rest — [last, last+3) on
+// a static layer, whose user ids are the caller's indexes, and
+// [0, delaunay.FirstSiteID) on a dynamic epoch, whose user ids follow them.
+// By the fence lemma (package delaunay), every location of the universe is
+// strictly nearer a user site than any fence site. So inside the universe
+// a clipped cell is the user site's own and a fence site's is empty, and
+// every bisector the strict rule or the shell trace crosses there is two
+// user sites' bisector: the fence moves only edges between cells that meet
+// outside the universe. A fence site is therefore an ordinary far-away site
+// the BFS may route through and never a result. Len, Each, PositionOK and
+// Positions report user sites only, and a store holds no fence record, so
+// a fence site's position is always read resident.
 //
 // A record load — the refinement fetch both methods pay once per candidate
 // — reads the resident position, unless the layer has a store (NewStoreData):
@@ -38,18 +51,17 @@ var ErrDuplicatePoints = errors.New("core: dataset contains duplicate coordinate
 // reads; the pool's counters and LRU state sit behind per-page-id lock
 // shards (StoreConfig.PoolShards tunes the count).
 //
-// A dynamic engine publishes one per epoch (DynamicEngine.Snapshot): its
-// ids are the triangulation's, and the three fence sites below
-// delaunay.FirstSiteID are ordinary far-away sites the BFS may route
-// through, which Len and Each skip.
+// A dynamic engine publishes one per epoch (DynamicEngine.Snapshot), with
+// the triangulation's own ids.
 type MemoryData struct {
 	// pts are the sites' positions, indexed by id. A dynamic epoch pins the
 	// writer's append-only slice (delaunay.Dynamic.Points): shared, never
 	// copied.
 	pts []geom.Point
-	// first is the first user id: 0, or delaunay.FirstSiteID on a dynamic
-	// epoch, whose lower ids are the fence sites.
-	first int
+	// [first, last) are the user ids: [0, n) on a static layer of n sites,
+	// [delaunay.FirstSiteID, len(pts)) on a dynamic epoch. The other three
+	// ids are the fence sites.
+	first, last int
 	// CSR adjacency: the neighbors of id are nbrs[nbrOff[id]:nbrOff[id+1]],
 	// in counterclockwise rotational order. A dynamic epoch's are patched
 	// from the previous epoch's (delaunay.Dynamic.Adjacency).
@@ -70,19 +82,25 @@ type MemoryData struct {
 }
 
 // NewMemoryData builds the Voronoi topology over pts and keeps what queries
-// read of it. bounds must contain all points (it bounds the Voronoi cells).
+// read of it. bounds must contain all points: it is the universe the fence
+// surrounds and the rectangle cells are clipped to.
 func NewMemoryData(pts []geom.Point, bounds geom.Rect) (*MemoryData, error) {
-	d, err := voronoi.New(pts, bounds)
+	m, _, err := newMemoryData(pts, bounds)
+	return m, err
+}
+
+// newMemoryData is NewMemoryData, also returning the curve order it
+// inserted the sites in.
+func newMemoryData(pts []geom.Point, bounds geom.Rect) (*MemoryData, []int32, error) {
+	order := curveOrder(pts, bounds)
+	sites, off, nbrs, err := delaunay.Bulk(pts, bounds, order)
+	if errors.Is(err, delaunay.ErrDuplicateSite) {
+		return nil, nil, fmt.Errorf("%w: %w", ErrDuplicatePoints, err)
+	}
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("core: triangulating %d sites: %w", len(pts), err)
 	}
-	if d.NumSites() != len(pts) {
-		return nil, ErrDuplicatePoints
-	}
-	m := &MemoryData{pts: slices.Clone(pts), clip: bounds}
-	// No duplicates, so every input index is its own canonical vertex and
-	// the triangulation's CSR arrays are indexed by id directly.
-	m.nbrOff, m.nbrs = d.Triangulation().Adjacency()
+	m := &MemoryData{pts: sites, last: len(pts), nbrOff: off, nbrs: nbrs, clip: bounds}
 	side := 1
 	for side*side*sitesPerBucket < len(pts) {
 		side++
@@ -93,32 +111,53 @@ func NewMemoryData(pts []geom.Point, bounds geom.Rect) (*MemoryData, error) {
 	}
 	hint.flood()
 	m.hint = hint.frozen()
-	return m, nil
+	return m, order, nil
+}
+
+// curveOrder returns the indexes of pts sorted by the Hilbert key of their
+// positions over bounds, ties by index: the order NewMemoryData inserts the
+// sites in, each walk starting at the previous site, and NewStoreData lays
+// their records on pages in.
+func curveOrder(pts []geom.Point, bounds geom.Rect) []int32 {
+	// A curve index of hilbert.Order 16 fits in 32 bits, so key and id pack
+	// into one word that sorts by key, then id.
+	sc := hilbert.NewScaler(bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY, hilbert.Order)
+	keys := make([]uint64, len(pts))
+	for i, p := range pts {
+		keys[i] = sc.D(p.X, p.Y)<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	order := make([]int32, len(keys))
+	for i, k := range keys {
+		order[i] = int32(k & math.MaxUint32)
+	}
+	return order
 }
 
 // Len returns the number of user sites: fence sites excluded.
-func (m *MemoryData) Len() int { return len(m.pts) - m.first }
+func (m *MemoryData) Len() int { return m.last - m.first }
 
 // PositionOK returns the resident coordinates of id, without record IO,
 // and whether id is a user site of the layer (fence sites and out-of-range
 // ids report false).
 func (m *MemoryData) PositionOK(id int64) (geom.Point, bool) {
-	if id < int64(m.first) || id >= int64(len(m.pts)) {
+	if id < int64(m.first) || id >= int64(m.last) {
 		return geom.Point{}, false
 	}
 	return m.pts[id], true
 }
 
-// Positions returns the resident positions, indexed by id: the layer's own
-// slice, shared, for an index to read in place (NewRTreeIndex). The caller
-// must not modify it.
-func (m *MemoryData) Positions() []geom.Point { return m.pts }
+// Positions returns the resident positions of ids [0, last), the user
+// sites' and, on a dynamic epoch, the fence sites' below them: the layer's
+// own slice, shared, for an index to read in place (NewRTreeIndex). The
+// caller must not modify it.
+func (m *MemoryData) Positions() []geom.Point { return m.pts[:m.last:m.last] }
 
 // Each iterates the user sites in ascending id order (a sequential scan of
 // the resident positions, for the brute-force oracle and tools); fn
 // returning false stops it.
 func (m *MemoryData) Each(fn func(id int64, pos geom.Point) bool) {
-	for i := m.first; i < len(m.pts); i++ {
+	for i := m.first; i < m.last; i++ {
 		if !fn(int64(i), m.pts[i]) {
 			return
 		}
@@ -145,12 +184,12 @@ type StoreConfig struct {
 // NewStoreData builds the layer NewMemoryData builds and materializes every
 // point as a record (id + coordinates + payload) in a paged store, which
 // every candidate's record load then goes through. Records go onto pages in
-// the Hilbert order of their positions over bounds, ties by id, whatever
-// order pts arrives in: the candidates of an area query are a connected
-// patch of the plane, so placed this way they share pages. Ids are still
-// indexes into pts.
+// the order the sites were inserted in (curveOrder), whatever order pts
+// arrives in: the candidates of an area query are a connected patch of the
+// plane, so placed this way they share pages. Ids are still indexes into
+// pts; the fence sites have no record.
 func NewStoreData(pts []geom.Point, bounds geom.Rect, cfg StoreConfig) (*MemoryData, error) {
-	m, err := NewMemoryData(pts, bounds)
+	m, order, err := newMemoryData(pts, bounds)
 	if err != nil {
 		return nil, err
 	}
@@ -159,18 +198,9 @@ func NewStoreData(pts []geom.Point, bounds geom.Rect, cfg StoreConfig) (*MemoryD
 		PoolPages:  cfg.PoolPages,
 		PoolShards: cfg.PoolShards,
 	})
-	// A curve index of hilbert.Order 16 fits in 32 bits, so key and id pack
-	// into one word that sorts by key, then id.
-	sc := hilbert.NewScaler(bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY, hilbert.Order)
-	order := make([]uint64, len(pts))
-	for i, p := range pts {
-		order[i] = sc.D(p.X, p.Y)<<32 | uint64(i)
-	}
-	slices.Sort(order)
 	payload := make([]byte, cfg.PayloadBytes)
-	for _, k := range order {
-		id := int64(k & math.MaxUint32)
-		rec := storage.PointRecord{ID: id, Pos: pts[id], Payload: payload}
+	for _, id := range order {
+		rec := storage.PointRecord{ID: int64(id), Pos: pts[id], Payload: payload}
 		if err := builder.Append(rec); err != nil {
 			return nil, fmt.Errorf("core: building store: %w", err)
 		}

@@ -217,10 +217,11 @@ func (d *DynamicEngine) Snapshot() *DynamicSnapshot {
 		prevOff, prevNbrs = prev.data.nbrOff, prev.data.nbrs
 	}
 	off, nbrs := d.dt.Adjacency(prevOff, prevNbrs)
-	u := d.dt.Universe()
+	pts, u := d.dt.Points(), d.dt.Universe()
 	data := &MemoryData{
-		pts:    d.dt.Points(),
+		pts:    pts,
 		first:  delaunay.FirstSiteID,
+		last:   len(pts),
 		nbrOff: off,
 		nbrs:   nbrs,
 		clip:   u.Expand(u.Width() + u.Height() + 1),

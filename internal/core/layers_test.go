@@ -18,6 +18,44 @@ import (
 // ring returns the Voronoi neighbors of id in d, in place.
 func ring(d *MemoryData, id int) []int32 { return d.nbrs[d.nbrOff[id]:d.nbrOff[id+1]] }
 
+// scanCell is the reference Voronoi cell of site id among pts, clipped to
+// clip, found by scans and from no triangulation: clip cut by the bisector
+// of id and every other site, fence sites included, near enough to cut it.
+// A site more than twice as far as the farthest vertex of a cell cut by some
+// of the sites cannot cut it, so the sites within ρ cut it until ρ covers
+// twice that vertex's distance.
+func scanCell(pts []geom.Point, id int, clip geom.Rect) geom.Ring {
+	site := pts[id]
+	rho2 := clip.Area() / float64(len(pts)) // about one site's share of clip
+	var near []int32
+	for {
+		near = near[:0]
+		for j, p := range pts {
+			if j != id && site.Dist2(p) <= rho2 {
+				near = append(near, int32(j))
+			}
+		}
+		cell, _ := voronoi.CellFromNeighbors(nil, nil, site, near, pts, clip)
+		r2 := 0.0
+		for _, v := range cell {
+			r2 = max(r2, site.Dist2(v))
+		}
+		if 4*r2 <= rho2 {
+			return cell
+		}
+		rho2 = 4 * r2
+	}
+}
+
+// scanCells is scanCell of every site of d, by id, clipped to d's clip.
+func scanCells(d *MemoryData) []geom.Ring {
+	cells := make([]geom.Ring, len(d.pts))
+	for id := range d.pts {
+		cells[id] = scanCell(d.pts, id, d.clip)
+	}
+	return cells
+}
+
 // TestDataLayersAgree: where a record comes from changes what a query costs,
 // never what it decides. Every method returns the same ids in the same order
 // with the same counters on a memory layer and on a store layer over the same
@@ -134,16 +172,54 @@ func siteFixtures() map[string][]geom.Point {
 }
 
 // checkLayerStructure asserts what every data layer is, whatever built it:
-//   - its CSR adjacency is symmetric, with no self and no repeated entry;
+//   - its fence is exactly three sites outside the clip rectangle: ids
+//     [last, last+3) on a static layer, whose user ids are [0, last), and
+//     [0, 3) on a dynamic epoch, whose user ids follow them;
+//   - Len, Each, PositionOK and Positions report the user sites and no fence
+//     site;
+//   - its CSR adjacency is symmetric, with no self and no repeated entry, and
+//     every ring, the fence sites' included, runs counterclockwise once
+//     round its site: each two consecutive neighbours make a left turn about
+//     it, but for the fence sites' outer face;
 //   - every user site lies inside the clip rectangle, and in its own clipped
 //     cell (closed containment);
-//   - the shoelace areas of all cells sum to the clip rectangle's area within
-//     a relative 1e-9: the cells tile it, leaving no neutral region. On a
-//     dynamic epoch that sum includes the fence sites' cells (the fence sites
-//     themselves lie outside the clip).
+//   - the shoelace areas of all cells, the fence sites' included, sum to the
+//     clip rectangle's area within a relative 1e-9: the cells tile it,
+//     leaving no neutral region.
 func checkLayerStructure(t *testing.T, name string, d *MemoryData) {
 	t.Helper()
 	n := len(d.pts)
+	fence := []int{d.last, d.last + 1, d.last + 2}
+	switch {
+	case d.first == 0 && d.last == n-delaunay.FirstSiteID:
+	case d.first == delaunay.FirstSiteID && d.last == n:
+		fence = []int{0, 1, 2}
+	default:
+		t.Fatalf("%s: user ids [%d, %d) of %d sites", name, d.first, d.last, n)
+	}
+	for _, f := range fence {
+		if d.clip.ContainsPoint(d.pts[f]) {
+			t.Fatalf("%s: fence site %d at %v lies in the clip %v", name, f, d.pts[f], d.clip)
+		}
+		if _, ok := d.PositionOK(int64(f)); ok {
+			t.Fatalf("%s: PositionOK reports fence site %d", name, f)
+		}
+	}
+	if d.Len() != d.last-d.first || len(d.Positions()) != d.last {
+		t.Fatalf("%s: Len %d, %d positions, for user ids [%d, %d)", name, d.Len(), len(d.Positions()), d.first, d.last)
+	}
+	next := d.first
+	d.Each(func(id int64, pos geom.Point) bool {
+		if p, ok := d.PositionOK(id); id != int64(next) || !ok || p != pos || pos != d.pts[id] {
+			t.Fatalf("%s: Each yields %d at %v after %d user sites from %d", name, id, pos, next-d.first, d.first)
+		}
+		next++
+		return true
+	})
+	if next != d.last {
+		t.Fatalf("%s: Each yields %d user sites, want %d", name, next-d.first, d.last-d.first)
+	}
+
 	if len(d.nbrOff) != n+1 || d.nbrOff[0] != 0 || int(d.nbrOff[n]) != len(d.nbrs) {
 		t.Fatalf("%s: %d offsets for %d sites over %d neighbors", name, len(d.nbrOff), n, len(d.nbrs))
 	}
@@ -161,18 +237,48 @@ func checkLayerStructure(t *testing.T, name string, d *MemoryData) {
 				t.Fatalf("%s: %d is on the ring of %d, not the other way", name, nb, id)
 			}
 		}
+		checkRingTurns(t, name, d, id, fence)
 	}
 	area := 0.0
 	var cell, spare []geom.Point
 	for id, p := range d.pts {
 		cell, spare = voronoi.CellFromNeighbors(cell, spare, p, ring(d, id), d.pts, d.clip)
-		if id >= d.first && (!d.clip.ContainsPoint(p) || !(geom.Polygon{Outer: cell}).ContainsPoint(p)) {
+		if id >= d.first && id < d.last && (!d.clip.ContainsPoint(p) || !(geom.Polygon{Outer: cell}).ContainsPoint(p)) {
 			t.Fatalf("%s: site %d at %v lies outside its cell %v or the clip %v", name, id, p, cell, d.clip)
 		}
 		area += geom.Ring(cell).Area()
 	}
 	if want := d.clip.Area(); math.Abs(area-want) > 1e-9*want {
 		t.Fatalf("%s: the cells of %d sites cover %.15g of the clip's %.15g", name, n, area, want)
+	}
+}
+
+// checkRingTurns fails t unless the ring of id runs counterclockwise once
+// round it: its neighbours' angles about id ascend but for one wrap, and
+// each two consecutive ones turn left about id — but for the one pair of a
+// fence site's ring that bounds the outer face, the other two fence sites.
+func checkRingTurns(t *testing.T, name string, d *MemoryData, id int, fence []int) {
+	t.Helper()
+	r, c := ring(d, id), d.pts[id]
+	wraps, reflex := 0, 0
+	for k, a := range r {
+		b := r[(k+1)%len(r)]
+		pa, pb := d.pts[a], d.pts[b]
+		if math.Atan2(pb.Y-c.Y, pb.X-c.X) < math.Atan2(pa.Y-c.Y, pa.X-c.X) {
+			wraps++
+		}
+		if geom.Orient(c, pa, pb) <= 0 {
+			if !slices.Contains(fence, id) || !slices.Contains(fence, int(a)) || !slices.Contains(fence, int(b)) {
+				t.Fatalf("%s: neighbours %d, %d of %d turn right about it: %v", name, a, b, id, r)
+			}
+			reflex++
+		}
+	}
+	if slices.Contains(fence, id) && reflex != 1 {
+		t.Fatalf("%s: fence site %d has %d reflex turns in its ring %v", name, id, reflex, r)
+	}
+	if wraps != 1 {
+		t.Fatalf("%s: ring of %d winds %d times: %v", name, id, wraps, r)
 	}
 }
 
@@ -320,7 +426,7 @@ func FuzzDataLayerStructure(f *testing.F) {
 		}
 		checkLayerStructure(t, "static", mem)
 		if pg, ok := decodeLayerPolygon(publishAfter); ok {
-			checkShell(t, "static", mem, pg)
+			checkShell(t, "static", mem, scanCells(mem), pg)
 			checkSides(t, "static", mem, pg)
 		}
 		checkEpochs(t, "dynamic", sites, func(k int) bool {

@@ -61,6 +61,15 @@ func pinnedCosts(t *testing.T, eng *Engine, regions []Region, m Method) []pinned
 // or which neighbors it enqueues. IndexNodes was 4–10 per region while the
 // seed came from the index and is 0 since it is a walk on the Delaunay
 // graph; no other column moved with it.
+//
+// SegmentTests in thirteen rows of the static table (VoronoiBFS 6, 8–13,
+// 16, 17, 19, 20; strict 16, 17) and CellTests in two (strict 19, 20) were
+// recorded again, by one to four each, when static layers began to be built
+// like a dynamic epoch, by fenced insertion in curve order: a ring now
+// starts its rotation where the insertion left it, and a hull site's holds
+// fence sites, so a boundary candidate tests its unseen neighbours in
+// another order and a few more or fewer of them are already marked. No
+// Results or Candidates count moved.
 func TestQueryCostsPinned(t *testing.T) {
 	want := map[Method][]pinnedCost{
 		VoronoiBFS: {
@@ -70,21 +79,21 @@ func TestQueryCostsPinned(t *testing.T) {
 			{2, 12, 32, 0, 0},
 			{3, 14, 37, 0, 0},
 			{2, 10, 29, 0, 0},
-			{18, 45, 71, 0, 0},
+			{18, 45, 68, 0, 0},
 			{24, 49, 72, 0, 0},
-			{34, 66, 74, 0, 0},
-			{151, 215, 162, 0, 0},
-			{166, 227, 148, 0, 0},
-			{171, 228, 153, 0, 0},
-			{23, 53, 86, 0, 0},
-			{23, 52, 81, 0, 0},
+			{34, 66, 75, 0, 0},
+			{151, 215, 158, 0, 0},
+			{166, 227, 147, 0, 0},
+			{171, 228, 149, 0, 0},
+			{23, 53, 85, 0, 0},
+			{23, 52, 79, 0, 0},
 			{12, 44, 91, 0, 0},
 			{0, 3, 15, 0, 0},
-			{15, 34, 50, 0, 0},
-			{197, 257, 144, 0, 0},
+			{15, 34, 48, 0, 0},
+			{197, 257, 146, 0, 0},
 			{0, 3, 15, 0, 0},
-			{15, 34, 50, 0, 0},
-			{197, 257, 144, 0, 0},
+			{15, 34, 48, 0, 0},
+			{197, 257, 146, 0, 0},
 		},
 		// Regions 0–14, the polygons, were recorded again when the strict
 		// rule began to trace ∂R on polygons: Candidates is now the sites
@@ -115,11 +124,11 @@ func TestQueryCostsPinned(t *testing.T) {
 			{23, 44, 0, 0, 0},
 			{12, 45, 0, 0, 0},
 			{0, 3, 15, 0, 0},
-			{15, 34, 50, 0, 0},
-			{197, 257, 144, 0, 0},
+			{15, 34, 48, 0, 0},
+			{197, 257, 146, 0, 0},
 			{0, 2, 0, 11, 0},
-			{15, 34, 0, 49, 0},
-			{197, 257, 0, 144, 0},
+			{15, 34, 0, 47, 0},
+			{197, 257, 0, 146, 0},
 		},
 	}
 	// The same regions on a DynamicSnapshot grown by inserting the same

@@ -224,7 +224,7 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 
 	// Resolve the query-constant expansion state once.
 	q := voronoiQuery{region: region, strict: strict, traced: traced,
-		pts: d.pts, nbrOff: d.nbrOff, nbrs: d.nbrs, clip: d.clip, store: d.store}
+		pts: d.pts, nbrOff: d.nbrOff, nbrs: d.nbrs, clip: d.clip, store: d.store, stored: int32(d.last)}
 	if !strict {
 		q.boundary, _ = region.(BoundaryToucher)
 	}
@@ -272,11 +272,13 @@ type voronoiQuery struct {
 	// The data layer: resident positions and CSR adjacency, the rectangle
 	// the strict rule clips a cell to, and the store a candidate's record is
 	// fetched from (nil: the record is its resident position, read with no
-	// error branch and no clock pair under tracing).
+	// error branch and no clock pair under tracing). A store holds the
+	// records of ids below stored; the fence sites above have none.
 	pts          []geom.Point
 	nbrOff, nbrs []int32
 	clip         geom.Rect
 	store        *storage.Store
+	stored       int32
 }
 
 // testCell is the strict rule's one cell-vs-area decision. It accepts when
@@ -328,7 +330,7 @@ func voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch, stats Stat
 		}
 		p := s.queue[head]
 		var pos geom.Point
-		if q.store == nil {
+		if q.store == nil || p >= q.stored {
 			pos = q.pts[p]
 		} else {
 			var err error

@@ -148,9 +148,9 @@ func (g *hintGrid) frozen() hintGrid {
 // moves made — the walk's
 // deterministic cost, pinned by TestSeedWalkStepsPinned.
 //
-// On a dynamic epoch the graph includes the three fence sites; they lie
-// several universe-diagonals away, so for p inside the universe some user
-// site is nearer than any of them and the walk cannot stop on one.
+// The graph includes the layer's three fence sites; by the fence lemma
+// (package delaunay), for p inside the universe some user site is nearer
+// than any of them, so the walk never steps onto one.
 //
 //vaq:noalloc
 func (m *MemoryData) seedWalk(p geom.Point) (seed int64, steps int) {

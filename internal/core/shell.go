@@ -233,7 +233,7 @@ type shellValidator struct {
 //vaq:noalloc
 func (v *shellValidator) validate(p int32) (inside, stop bool, err error) {
 	pos := v.d.pts[p]
-	if v.d.store != nil {
+	if v.d.store != nil && int(p) < v.d.last { // a fence site has no record
 		if pos, err = fetch(v.d.store, int64(p), v.traced, &v.fetched); err != nil {
 			//vaqvet:ignore noalloc cold failure path; the wrap allocates only when a record load already failed
 			return false, true, fmt.Errorf("core: loading candidate %d: %w", p, err)

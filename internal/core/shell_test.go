@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/voronoi"
 )
 
 // traceShellOf is the unexported hook onto the trace: the set B traceShell
@@ -77,13 +76,13 @@ func shellSidesOf(t testing.TB, d *MemoryData, pg geom.Polygon) (crossed []shell
 	return crossed, sides
 }
 
-// cellShell is the brute-force B: every site whose closed clipped cell, as
-// voronoi.Diagram.Cell clips it, shares a point with an edge of some ring of
+// cellShell is the brute-force B: every user site whose closed clipped
+// cell, cells[id] (scanCells), shares a point with an edge of some ring of
 // pg.
-func cellShell(d *MemoryData, cells *voronoi.Diagram, pg geom.Polygon) []int32 {
+func cellShell(d *MemoryData, cells []geom.Ring, pg geom.Polygon) []int32 {
 	var b []int32
-	for i := d.first; i < len(d.pts); i++ {
-		if cellMeetsBoundary(cells.Cell(i), pg) {
+	for i := d.first; i < d.last; i++ {
+		if cellMeetsBoundary(cells[i], pg) {
 			b = append(b, int32(i))
 		}
 	}
@@ -108,24 +107,21 @@ func cellMeetsBoundary(cell geom.Ring, pg geom.Polygon) bool {
 }
 
 // checkShell fails t unless the trace of pg on d stamps exactly the cells
-// Diagram.Cell says meet ∂pg. Their vertices are bisector crossings rounded
-// to the last place, so on sites off the dyadic lattice (1/12, 1/10, 1/41
-// steps) they cannot tell a cell that touches ∂pg from one a rounding error
-// away. A cell the two disagree on must be such a one — its clipped ring
-// within cellTieTol of ∂pg — and is then settled by the definition, exactly:
-// some point of ∂pg no other site is strictly nearer to.
-func checkShell(t *testing.T, name string, d *MemoryData, pg geom.Polygon) {
+// that meet ∂pg by the reference cells of d, scanCells(d). Their vertices
+// are bisector crossings rounded to the last place, so on sites off the
+// dyadic lattice (1/12, 1/10, 1/41 steps) they cannot tell a cell that
+// touches ∂pg from one a rounding error away. A cell the two disagree on
+// must be such a one — its clipped ring within cellTieTol of ∂pg — and is
+// then settled by the definition, exactly: some point of ∂pg no other site
+// is strictly nearer to.
+func checkShell(t *testing.T, name string, d *MemoryData, cells []geom.Ring, pg geom.Polygon) {
 	t.Helper()
-	cells, err := voronoi.New(d.pts, d.clip)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, _ := traceShellOf(t, d, pg)
 	want := cellShell(d, cells, pg)
 	for _, id := range symmetricDifference(got, want) {
 		traced := slices.Contains(got, id)
-		if dist := ringBoundaryDist(cells.Cell(int(id)), pg); dist > cellTieTol {
-			t.Errorf("%s: cell %d is %v by the trace, %v by Diagram.Cell, whose ring is %g from the boundary",
+		if dist := ringBoundaryDist(cells[id], pg); dist > cellTieTol {
+			t.Errorf("%s: cell %d is %v by the trace, %v by its reference cell, whose ring is %g from the boundary",
 				name, id, traced, !traced, dist)
 			continue
 		}
@@ -277,8 +273,8 @@ func shellPolygons() []geom.Polygon {
 // TestShellIsTheBoundaryCells holds the trace to its definition: B is every
 // cell whose closed cell meets ∂R, and nothing else, on the pinned sites and
 // on the degenerate site sets (lattice, collinear, boundary), with the
-// brute-force answer read off voronoi.Diagram.Cell (settled exactly where
-// its rounding cannot tell; see checkShell).
+// brute-force answer read off the reference cells (settled exactly where
+// their rounding cannot tell; see checkShell).
 func TestShellIsTheBoundaryCells(t *testing.T) {
 	pinned, _ := pinnedRegions()
 	fixtures := siteFixtures()
@@ -288,8 +284,9 @@ func TestShellIsTheBoundaryCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cells := scanCells(d)
 		for i, pg := range shellPolygons() {
-			checkShell(t, fmt.Sprintf("%s, polygon %d", name, i), d, pg)
+			checkShell(t, fmt.Sprintf("%s, polygon %d", name, i), d, cells, pg)
 		}
 	}
 }

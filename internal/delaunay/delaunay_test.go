@@ -2,6 +2,8 @@ package delaunay
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/robust"
 )
 
 func uniformPoints(rng *rand.Rand, n int) []geom.Point {
@@ -19,11 +22,107 @@ func uniformPoints(rng *rand.Rand, n int) []geom.Point {
 	return pts
 }
 
-// numEdges counts the undirected Delaunay edges from the adjacency, where
-// every edge appears once in each endpoint's list.
+// numEdges counts the undirected Delaunay edges from the rings, where every
+// edge appears once in each endpoint's.
 func numEdges(tr *Triangulation) int {
-	_, nbrs := tr.Adjacency()
-	return len(nbrs) / 2
+	entries := 0
+	for i := range tr.NumSites() {
+		entries += len(tr.Neighbors(i))
+	}
+	return entries / 2
+}
+
+// bulk is Bulk fenced by the points' bounding rectangle, in slice order, as
+// Build runs it.
+func bulk(t *testing.T, pts []geom.Point) (sites []geom.Point, off, nbrs []int32) {
+	t.Helper()
+	sites, off, nbrs, err := Bulk(pts, geom.RectFromPoints(pts...), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sites, off, nbrs
+}
+
+// fencedTriangles lists the bounded faces of a fenced triangulation in CSR
+// form, Bulk's, each once, from its smallest corner v: every two neighbors a
+// and b consecutive in v's ring. The outer face, the one whose corners are
+// all fence sites (ids n and up), is left out.
+func fencedTriangles(n int, off, nbrs []int32) [][3]int32 {
+	var tris [][3]int32
+	for v := range len(off) - 1 {
+		ring := nbrs[off[v]:off[v+1]]
+		for j, a := range ring {
+			b := ring[(j+1)%len(ring)]
+			if int32(v) < a && int32(v) < b && (v < n || int(a) < n || int(b) < n) {
+				tris = append(tris, [3]int32{int32(v), a, b})
+			}
+		}
+	}
+	return tris
+}
+
+// userTriangles are the fenced triangles with no fence corner.
+func userTriangles(n int, off, nbrs []int32) [][3]int32 {
+	var tris [][3]int32
+	for _, tri := range fencedTriangles(n, off, nbrs) {
+		if max(tri[0], tri[1], tri[2]) < int32(n) {
+			tris = append(tris, tri)
+		}
+	}
+	return tris
+}
+
+// checkFenced holds Bulk's output over n = len(sites)−3 user sites to the
+// definition of a Delaunay triangulation whose outer face is the fence
+// triangle, by scans, not by the builder's own bookkeeping: every ring names
+// other sites, once each, symmetrically; there are 3(n+3)−6 edges; the
+// bounded faces are 2(n+3)−5 distinct counterclockwise triangles; and, when
+// exhaustive, no site — fence sites included — lies strictly inside the
+// circumcircle of any of them.
+func checkFenced(sites []geom.Point, off, nbrs []int32, exhaustive bool) error {
+	v3, n := len(sites), len(sites)-FirstSiteID
+	if len(off) != v3+1 || off[0] != 0 || int(off[v3]) != len(nbrs) {
+		return fmt.Errorf("%d offsets for %d sites over %d neighbors", len(off), v3, len(nbrs))
+	}
+	for v := range v3 {
+		ring := nbrs[off[v]:off[v+1]]
+		for k, nb := range ring {
+			switch {
+			case nb < 0 || int(nb) >= v3 || int(nb) == v || slices.Contains(ring[:k], nb):
+				return fmt.Errorf("ring of %d is %v", v, ring)
+			case !slices.Contains(nbrs[off[nb]:off[nb+1]], int32(v)):
+				return fmt.Errorf("%d is on the ring of %d, not the other way", nb, v)
+			}
+		}
+	}
+	if got, want := len(nbrs)/2, 3*v3-6; got != want {
+		return fmt.Errorf("%d edges over %d sites, want %d", got, v3, want)
+	}
+	tris := fencedTriangles(n, off, nbrs)
+	if got, want := len(tris), 2*v3-5; got != want {
+		return fmt.Errorf("%d bounded faces over %d sites, want %d", got, v3, want)
+	}
+	seen := make(map[[3]int32]bool, len(tris))
+	for _, tri := range tris {
+		a, b, c := sites[tri[0]], sites[tri[1]], sites[tri[2]]
+		if robust.Orient2D(a.X, a.Y, b.X, b.Y, c.X, c.Y) <= 0 {
+			return fmt.Errorf("face %v is not a counterclockwise triangle", tri)
+		}
+		if seen[tri] {
+			return fmt.Errorf("face %v twice", tri)
+		}
+		seen[tri] = true
+		if !exhaustive {
+			continue
+		}
+		for v, x := range sites {
+			if int32(v) != tri[0] && int32(v) != tri[1] && int32(v) != tri[2] &&
+				robust.InCircle(a.X, a.Y, b.X, b.Y, c.X, c.Y, x.X, x.Y) > 0 {
+				return fmt.Errorf("site %d inside the circumcircle of %v", v, tri)
+			}
+		}
+	}
+	return nil
 }
 
 func TestBuildRejectsEmpty(t *testing.T) {
@@ -73,11 +172,11 @@ func TestTriangleCCWAndCW(t *testing.T) {
 		if numEdges(tr) != 3 {
 			t.Errorf("edges = %d, want 3", numEdges(tr))
 		}
-		tris := tr.Triangles()
-		if len(tris) != 1 {
+		sites, off, nbrs := bulk(t, pts)
+		if tris := userTriangles(len(pts), off, nbrs); len(tris) != 1 {
 			t.Fatalf("triangles = %v, want exactly 1", tris)
 		}
-		if err := tr.Validate(true); err != nil {
+		if err := checkFenced(sites, off, nbrs, true); err != nil {
 			t.Error(err)
 		}
 	}
@@ -92,7 +191,7 @@ func TestCollinearPoints(t *testing.T) {
 	if numEdges(tr) != 4 {
 		t.Errorf("collinear chain edges = %d, want 4", numEdges(tr))
 	}
-	if len(tr.Triangles()) != 0 {
+	if _, off, nbrs := bulk(t, pts); len(userTriangles(len(pts), off, nbrs)) != 0 {
 		t.Error("collinear points should produce no triangles")
 	}
 	// Chain adjacency: interior points have 2 neighbors, endpoints 1.
@@ -106,32 +205,19 @@ func TestCollinearPoints(t *testing.T) {
 	}
 }
 
+// TestDuplicatePoints: two points at one position would be one site under
+// two ids, so the build refuses them.
 func TestDuplicatePoints(t *testing.T) {
 	pts := []geom.Point{
 		geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1),
 		geom.Pt(1, 0), // duplicate of index 1
 		geom.Pt(0, 0), // duplicate of index 0
 	}
-	tr, err := Build(pts)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Build(pts); !errors.Is(err, ErrDuplicateSite) {
+		t.Errorf("Build err = %v, want ErrDuplicateSite", err)
 	}
-	if tr.NumSites() != 3 {
-		t.Errorf("distinct sites = %d, want 3", tr.NumSites())
-	}
-	// A duplicate's neighbors are its first occurrence's neighbors, and
-	// only first occurrences appear in anyone's list.
-	for dup, first := range map[int]int{3: 1, 4: 0} {
-		if got, want := tr.Neighbors(dup), tr.Neighbors(first); !slices.Equal(got, want) {
-			t.Errorf("duplicate %d neighbors %v != first occurrence %d neighbors %v", dup, got, first, want)
-		}
-	}
-	for i := range pts {
-		for _, nb := range tr.Neighbors(i) {
-			if nb > 2 {
-				t.Errorf("Neighbors(%d) = %v names a duplicate", i, tr.Neighbors(i))
-			}
-		}
+	if _, _, _, err := Bulk(pts, geom.NewRect(0, 0, 1, 1), []int32{4, 3, 2, 1, 0}); !errors.Is(err, ErrDuplicateSite) {
+		t.Errorf("Bulk err = %v, want ErrDuplicateSite", err)
 	}
 }
 
@@ -144,11 +230,11 @@ func TestSquareWithCenter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Validate(true); err != nil {
+	sites, off, nbrs := bulk(t, pts)
+	if err := checkFenced(sites, off, nbrs, true); err != nil {
 		t.Error(err)
 	}
-	tris := tr.Triangles()
-	if len(tris) != 4 {
+	if tris := userTriangles(len(pts), off, nbrs); len(tris) != 4 {
 		t.Errorf("triangles = %d, want 4 (fan around center)", len(tris))
 	}
 	if got := len(tr.Neighbors(4)); got != 4 {
@@ -163,9 +249,7 @@ func TestGridDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Validate(false); err != nil {
-		t.Fatal(err)
-	}
+	sites, off, nbrs := bulk(t, integerGrid(8))
 	// Euler: for n points with h on the hull, triangles = 2n-2-h,
 	// edges = 3n-3-h... but cocircular ties allow any diagonal choice; the
 	// counts still must satisfy Euler's formula exactly.
@@ -173,14 +257,14 @@ func TestGridDegenerate(t *testing.T) {
 	h := 4 * (8 - 1) // every boundary point of the grid is on the hull
 	wantTris := 2*n - 2 - h
 	wantEdges := 3*n - 3 - h
-	if got := len(tr.Triangles()); got != wantTris {
+	if got := len(userTriangles(n, off, nbrs)); got != wantTris {
 		t.Errorf("triangles = %d, want %d (n=%d h=%d)", got, wantTris, n, h)
 	}
 	if got := numEdges(tr); got != wantEdges {
 		t.Errorf("edges = %d, want %d", got, wantEdges)
 	}
 	// Empty circumcircle must hold non-strictly (no point strictly inside).
-	if err := tr.Validate(true); err != nil {
+	if err := checkFenced(sites, off, nbrs, true); err != nil {
 		t.Error(err)
 	}
 }
@@ -188,12 +272,8 @@ func TestGridDegenerate(t *testing.T) {
 func TestEmptyCircumcircleRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for _, n := range []int{4, 10, 50, 200} {
-		pts := uniformPoints(rng, n)
-		tr, err := Build(pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Validate(true); err != nil {
+		sites, off, nbrs := bulk(t, uniformPoints(rng, n))
+		if err := checkFenced(sites, off, nbrs, true); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
@@ -203,12 +283,14 @@ func TestEulerFormulaRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	for trial := 0; trial < 20; trial++ {
 		n := 10 + rng.Intn(500)
-		tr, err := Build(uniformPoints(rng, n))
+		pts := uniformPoints(rng, n)
+		tr, err := Build(pts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// V - E + F = 2 with the outer face counted: E = n + triangles - 1.
-		tris := len(tr.Triangles())
+		_, off, nbrs := bulk(t, pts)
+		tris := len(userTriangles(n, off, nbrs))
 		if got, want := numEdges(tr), n+tris-1; got != want {
 			t.Fatalf("trial %d: edges=%d want %d (n=%d triangles=%d)", trial, got, want, n, tris)
 		}
@@ -253,11 +335,8 @@ func TestNeighborsOrderedCCW(t *testing.T) {
 
 func TestNeighborSymmetryLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(707))
-	tr, err := Build(uniformPoints(rng, 5000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(false); err != nil {
+	sites, off, nbrs := bulk(t, uniformPoints(rng, 5000))
+	if err := checkFenced(sites, off, nbrs, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -268,67 +347,50 @@ func TestEmptyCircumcircleSampledLarge(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(808))
 	pts := uniformPoints(rng, 20000)
-	tr, err := Build(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tris := tr.Triangles()
+	sites, off, nbrs := bulk(t, pts)
+	tris := fencedTriangles(len(pts), off, nbrs)
 	// Sample triangles; for each, check the empty-circumcircle property
 	// against the sites adjacent to its three corners (the only candidates
 	// that could violate it locally) plus random far sites.
 	for trial := 0; trial < 2000; trial++ {
 		tri := tris[rng.Intn(len(tris))]
+		a, b, c := sites[tri[0]], sites[tri[1]], sites[tri[2]]
 		check := func(v int32) {
 			if v == tri[0] || v == tri[1] || v == tri[2] {
 				return
 			}
-			if tr.inCircle(tri[0], tri[1], tri[2], v) {
+			if x := sites[v]; robust.InCircle(a.X, a.Y, b.X, b.Y, c.X, c.Y, x.X, x.Y) > 0 {
 				t.Fatalf("site %d strictly inside circumcircle of %v", v, tri)
 			}
 		}
 		for _, c := range tri {
-			for _, nb := range tr.Neighbors(int(c)) {
+			for _, nb := range nbrs[off[c]:off[c+1]] {
 				check(nb)
 			}
 		}
 		for k := 0; k < 5; k++ {
-			check(int32(rng.Intn(len(pts))))
+			check(int32(rng.Intn(len(sites))))
 		}
 	}
 }
 
 func TestTrianglesAreCCWAndDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
-	tr, err := Build(uniformPoints(rng, 1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[Triangle]bool)
-	for _, tri := range tr.Triangles() {
-		if !tr.ccw(tri[0], tri[1], tri[2]) {
+	sites, off, nbrs := bulk(t, uniformPoints(rng, 1000))
+	seen := make(map[[3]int32]bool)
+	for _, tri := range fencedTriangles(1000, off, nbrs) {
+		a, b, c := sites[tri[0]], sites[tri[1]], sites[tri[2]]
+		if robust.Orient2D(a.X, a.Y, b.X, b.Y, c.X, c.Y) <= 0 {
 			t.Fatalf("triangle %v not CCW", tri)
 		}
-		// Canonicalize rotation for the duplicate check.
-		c := tri
-		for c[0] != min3(c[0], c[1], c[2]) {
-			c = Triangle{c[1], c[2], c[0]}
+		if seen[tri] { // fencedTriangles starts every face at its smallest corner
+			t.Fatalf("duplicate triangle %v", tri)
 		}
-		if seen[c] {
-			t.Fatalf("duplicate triangle %v", c)
-		}
-		seen[c] = true
+		seen[tri] = true
 	}
-}
-
-func min3(a, b, c int32) int32 {
-	m := a
-	if b < m {
-		m = b
+	if got, want := len(seen), 2*(1000+FirstSiteID)-5; got != want {
+		t.Fatalf("%d triangles, want %d", got, want)
 	}
-	if c < m {
-		m = c
-	}
-	return m
 }
 
 // clusteredDuplicates returns 50 random positions, each one to four times.
@@ -344,17 +406,32 @@ func clusteredDuplicates() []geom.Point {
 	return pts
 }
 
+// TestClusteredDuplicateHeavyInput: a duplicate anywhere refuses the build,
+// and the distinct positions build a Delaunay triangulation.
 func TestClusteredDuplicateHeavyInput(t *testing.T) {
-	tr, err := Build(clusteredDuplicates())
-	if err != nil {
-		t.Fatal(err)
+	pts := clusteredDuplicates()
+	if _, err := Build(pts); !errors.Is(err, ErrDuplicateSite) {
+		t.Fatalf("Build err = %v, want ErrDuplicateSite", err)
 	}
-	if tr.NumSites() != 50 {
-		t.Errorf("distinct sites = %d, want 50", tr.NumSites())
+	distinct := distinctPoints(pts)
+	if len(distinct) != 50 {
+		t.Fatalf("distinct sites = %d, want 50", len(distinct))
 	}
-	if err := tr.Validate(true); err != nil {
+	sites, off, nbrs := bulk(t, distinct)
+	if err := checkFenced(sites, off, nbrs, true); err != nil {
 		t.Error(err)
 	}
+}
+
+// distinctPoints is pts without its repeats, first occurrences in order.
+func distinctPoints(pts []geom.Point) []geom.Point {
+	var out []geom.Point
+	for _, p := range pts {
+		if !slices.Contains(out, p) {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 func BenchmarkBuild10k(b *testing.B) {
@@ -393,7 +470,7 @@ func integerGrid(side int) []geom.Point {
 
 // degenerateFixtures returns the package's degenerate inputs by name, plus
 // three random ones: the inputs whose triangulation TestAdjacencyDigestsPinned
-// pins and FuzzBulkAndIncrementalAgree starts from.
+// pins and FuzzDelaunayBuilds starts from.
 func degenerateFixtures() map[string][]geom.Point {
 	return map[string][]geom.Point{
 		"collinear": {geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0), geom.Pt(3, 0), geom.Pt(4, 0)},
@@ -414,52 +491,56 @@ func degenerateFixtures() map[string][]geom.Point {
 
 // adjacencyDigest is the FNV-1a hash of the CSR arrays, offsets then
 // neighbors, each value as four little-endian bytes.
-func adjacencyDigest(tr *Triangulation) uint64 {
+func adjacencyDigest(off, nbrs []int32) uint64 {
 	h := fnv.New64a()
-	off, nbrs := tr.Adjacency()
 	binary.Write(h, binary.LittleEndian, off)  //nolint:errcheck // a hash never fails to write
 	binary.Write(h, binary.LittleEndian, nbrs) //nolint:errcheck
 	return h.Sum64()
 }
 
-// TestAdjacencyDigestsPinned pins every decision Build makes on the inputs
-// where decisions are hard: the digests were recorded at commit 0d5ed78,
-// before inCircle answered a triangle's own corner without package robust,
-// so equality here means that shortcut changed no edge — not even the
-// diagonal chosen in a cocircular tie.
+// TestAdjacencyDigestsPinned pins every decision Bulk makes, fenced by the
+// points' bounding rectangle and in slice order, on the inputs where
+// decisions are hard: the edges, the diagonal chosen in a cocircular tie and
+// the neighbor each ring starts at. An input with a repeated position pins
+// the refusal instead (a zero digest).
 func TestAdjacencyDigestsPinned(t *testing.T) {
 	want := map[string]uint64{
-		"collinear":     0x87b702017a34ef49,
-		"duplicates":    0xf96db41791d3f1c5,
-		"square+centre": 0x380a7899620ac505,
-		"grid8":         0x348d9060bf273d18,
-		"grid30":        0xc9c6e640cd8ae930,
-		"clustered":     0xf0433be72f99e833,
-		"random101":     0x8eaed05e113c69bb,
-		"random202":     0x6d09b4c495bc6f49,
-		"random707":     0xf0e6895ba2272670,
+		"collinear":     0x1a4881908f8971dd,
+		"duplicates":    0,
+		"square+centre": 0x2e6a3a6cd80a6bab,
+		"grid8":         0x1a7b0bdd3c8712f5,
+		"grid30":        0xa8b23a9cbbc1a080,
+		"clustered":     0,
+		"random101":     0x86ff67ff424d9a2,
+		"random202":     0x275a4753dcf5c126,
+		"random707":     0x1652441469295bc6,
 	}
 	for name, pts := range degenerateFixtures() {
-		tr, err := Build(pts)
+		sites, off, nbrs, err := Bulk(pts, geom.RectFromPoints(pts...), nil)
+		if want[name] == 0 {
+			if !errors.Is(err, ErrDuplicateSite) {
+				t.Errorf("%s: err = %v, want ErrDuplicateSite", name, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := tr.Validate(true); err != nil {
+		if err := checkFenced(sites, off, nbrs, true); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		if got := adjacencyDigest(tr); got != want[name] {
+		if got := adjacencyDigest(off, nbrs); got != want[name] {
 			t.Errorf("%s: adjacency digest %#x, want %#x", name, got, want[name])
 		}
 	}
 }
 
-// TestBuildUniformAllocs pins the rule in the package comment by what
-// breaking it costs. On points in general position Build allocates its
-// arrays and nothing else (39 measured; 1.72 million before the rule, every
-// one of them a big.Rat deciding that a triangle's corner is not inside its
-// circumcircle). On the integer grid, where quadruples of distinct sites
-// really are cocircular, the exact path must still run (136 982 measured)
-// and the result must still be Delaunay.
+// TestBuildUniformAllocs pins what a build costs in allocations. On points
+// in general position no orientation or in-circle decision gets past
+// package robust's floating-point filter, so Build allocates its arrays and
+// nothing else (13 measured). On the integer grid, where quadruples of
+// distinct sites really are cocircular, the exact path must still run
+// (132 646 measured) and the result must still be Delaunay.
 func TestBuildUniformAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a 20k-point build per run is slow under the race detector")
@@ -476,10 +557,8 @@ func TestBuildUniformAllocs(t *testing.T) {
 	}
 
 	grid := integerGrid(30)
-	var tr *Triangulation
 	allocs = testing.AllocsPerRun(1, func() {
-		var err error
-		if tr, err = Build(grid); err != nil {
+		if _, err := Build(grid); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -487,7 +566,8 @@ func TestBuildUniformAllocs(t *testing.T) {
 	if allocs <= 10000 {
 		t.Errorf("Build of the 30x30 grid allocates %.0f times, want > 10000: cocircular quadruples no longer reach the exact predicate", allocs)
 	}
-	if err := tr.Validate(true); err != nil {
+	sites, off, nbrs := bulk(t, grid)
+	if err := checkFenced(sites, off, nbrs, true); err != nil {
 		t.Error(err)
 	}
 }

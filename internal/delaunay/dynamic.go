@@ -41,7 +41,10 @@ type Dynamic struct {
 	vertEdge []edgeID
 	universe geom.Rect
 	start    edgeID // where an unhinted walk enters: an edge of the last insertion
-	byCoord  map[geom.Point]int32
+	// byCoord answers SiteAt, and a duplicate insert, without a walk. Bulk's
+	// triangulation keeps none: its inserts find a duplicate by the walk,
+	// which ends at the site already there.
+	byCoord map[geom.Point]int32
 }
 
 // FirstSiteID is the id of the first user site in a Dynamic triangulation.
@@ -53,8 +56,20 @@ var ErrOutsideUniverse = errors.New("delaunay: point outside the declared univer
 
 // NewDynamic returns a dynamic triangulation accepting sites within
 // universe. The fence triangle is several universe-diagonals away, so
-// fence sites never shadow user sites in in-universe proximity queries.
+// fence sites never shadow user sites in in-universe proximity queries (see
+// the package's fence lemma).
 func NewDynamic(universe geom.Rect) *Dynamic {
+	d := newDynamic(universe, 0)
+	d.byCoord = make(map[geom.Point]int32, 64)
+	for id, p := range d.pts {
+		d.byCoord[p] = int32(id)
+	}
+	return d
+}
+
+// newDynamic is NewDynamic with room for sites user sites and no coordinate
+// table.
+func newDynamic(universe geom.Rect, sites int) *Dynamic {
 	if universe.IsEmpty() {
 		universe = geom.NewRect(0, 0, 1, 1)
 	}
@@ -71,23 +86,21 @@ func NewDynamic(universe geom.Rect) *Dynamic {
 		geom.Pt(c.X+3*m, c.Y-2*m),
 		geom.Pt(c.X, c.Y+3*m),
 	}
+	n := sites + FirstSiteID
 	d := &Dynamic{
-		pool:     newEdgePool(64),
+		pool:     newEdgePool(max(3*n, 64)), // one quad per edge
+		pts:      make([]geom.Point, 0, n),
+		vertEdge: make([]edgeID, 0, n),
 		universe: universe,
-		byCoord:  make(map[geom.Point]int32, 64),
 	}
-	for _, p := range fence {
-		d.byCoord[p] = int32(len(d.pts))
-		d.pts = append(d.pts, p)
-	}
-	// Same wiring as the static 3-point base case (which Validate-level
-	// tests exercise heavily): a: 0->1, b: 1->2, then close the triangle.
+	d.pts = append(d.pts, fence[:]...)
+	// a: 0->1, b: 1->2, then close the counterclockwise triangle.
 	p := d.pool
 	a := p.makeEdge(0, 1)
 	b := p.makeEdge(1, 2)
 	p.splice(sym(a), b)
 	cEdge := p.connect(b, a) // 2->0
-	d.vertEdge = []edgeID{a, b, cEdge}
+	d.vertEdge = append(d.vertEdge, a, b, cEdge)
 	d.start = a
 	return d
 }
@@ -308,7 +321,9 @@ func (d *Dynamic) InsertSiteNear(x geom.Point, near int) (id int, inserted bool,
 
 	newID := int32(len(d.pts))
 	d.pts = append(d.pts, x)
-	d.byCoord[x] = newID
+	if d.byCoord != nil {
+		d.byCoord[x] = newID
+	}
 	d.vertEdge = append(d.vertEdge, nilEdge)
 
 	// Connect x to every vertex of the containing face.
@@ -391,8 +406,8 @@ func (d *Dynamic) Validate() error {
 			}
 		}
 	}
-	for q := 0; q < p.numQuads(); q++ {
-		if !p.quadAlive(q) {
+	for q, alive := range p.alive {
+		if !alive {
 			continue
 		}
 		e := edgeID(q * 4)

@@ -3,7 +3,6 @@ package delaunay
 import (
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/geom"
@@ -107,10 +106,9 @@ func TestDynamicOnEdgeInsertion(t *testing.T) {
 }
 
 func TestDynamicMatchesStaticBuild(t *testing.T) {
-	// Insert random points dynamically; compare the neighbor structure
-	// restricted to user sites against the static divide-and-conquer
-	// triangulation built over user points + fence points (Delaunay is
-	// unique for points in general position).
+	// Insert random points one by one, unhinted; compare every site's
+	// neighbors with a bulk build of the same points in reverse order under
+	// the same fence (Delaunay is unique for points in general position).
 	rng := rand.New(rand.NewSource(2))
 	d := NewDynamic(unitUniverse())
 	var pts []geom.Point
@@ -121,33 +119,32 @@ func TestDynamicMatchesStaticBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	all := make([]geom.Point, 0, len(pts)+FirstSiteID)
-	for i := 0; i < FirstSiteID; i++ {
-		all = append(all, d.Point(i))
+	order := make([]int32, len(pts))
+	for i := range order {
+		order[i] = int32(len(pts) - 1 - i)
 	}
-	all = append(all, pts...)
-	static, err := Build(all)
+	sites, off, nbrs, err := Bulk(pts, unitUniverse(), order)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := 0; id < d.NumSites(); id++ {
-		want := append([]int32(nil), static.Neighbors(id)...)
-		got := d.AppendNeighbors(id, nil)
-		sortInt32(want)
-		sortInt32(got)
-		if len(got) != len(want) {
-			t.Fatalf("site %d: dynamic degree %d, static %d", id, len(got), len(want))
+	for v, p := range sites {
+		id, ok := d.SiteAt(p)
+		if !ok {
+			t.Fatalf("site %v is not in the dynamic triangulation", p)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("site %d: neighbors %v vs %v", id, got, want)
-			}
+		var got, want []geom.Point
+		for _, nb := range d.AppendNeighbors(id, nil) {
+			got = append(got, d.Point(int(nb)))
+		}
+		for _, nb := range nbrs[off[v]:off[v+1]] {
+			want = append(want, sites[nb])
+		}
+		slices.SortFunc(got, comparePoints)
+		slices.SortFunc(want, comparePoints)
+		if !slices.Equal(got, want) {
+			t.Fatalf("site %v: neighbors %v inserted, %v built", p, got, want)
 		}
 	}
-}
-
-func sortInt32(xs []int32) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 }
 
 func TestDynamicCocircularInsertions(t *testing.T) {

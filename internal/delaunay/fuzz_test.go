@@ -2,12 +2,12 @@ package delaunay
 
 import (
 	"cmp"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/robust"
 )
 
 // latticeSites spells at most 64 sites on the 16×16 integer lattice, a byte
@@ -72,13 +72,14 @@ func publish(t *testing.T, d *Dynamic, pubs []published, inserts int) []publishe
 	})
 }
 
-// FuzzBulkAndIncrementalAgree is the differential target of the two
-// builders: whatever sites the bytes spell, the divide-and-conquer build is
-// Delaunay (exhaustively), insertion one site at a time — each walk started
-// where the fuzzer says, or at the nearest site when it says nothing — is
-// locally Delaunay after every insert, and when the triangulation is unique
-// (no site on the circumcircle of a triangle it is not a corner of) the two
-// give every site the same neighbors.
+// FuzzDelaunayBuilds holds the one builder to the definition of a Delaunay
+// triangulation on whatever sites the bytes spell. Built at once (Bulk,
+// fenced by the sites' bounding rectangle), a set with a repeated position is
+// refused, and its distinct positions pass checkFenced's scans: symmetric
+// rings, 3(n+3)−6 edges, and counterclockwise triangles, the fence's
+// included, whose circumcircles hold no site. Inserted one site at a time —
+// each walk started where the fuzzer says, or at the nearest site when it
+// says nothing — the triangulation is locally Delaunay after every insert.
 //
 // It also takes the CSR adjacency a reader is given: after insert k when bit
 // k of the third argument (cycled) is set, after every insert when it is
@@ -86,7 +87,7 @@ func publish(t *testing.T, d *Dynamic, pubs []published, inserts int) []publishe
 // hold every ring the live walk gives, from the neighbor the walk starts at,
 // symmetrically; and none of them, nor the site slices published with them,
 // may change afterwards.
-func FuzzBulkAndIncrementalAgree(f *testing.F) {
+func FuzzDelaunayBuilds(f *testing.F) {
 	fix := degenerateFixtures()
 	for _, name := range []string{"collinear", "duplicates", "grid8"} {
 		f.Add(latticeBytes(fix[name]), []byte(nil), []byte(nil))
@@ -109,12 +110,18 @@ func FuzzBulkAndIncrementalAgree(f *testing.F) {
 		if len(pts) == 0 {
 			return
 		}
-		bulk, err := Build(pts)
+		distinct := distinctPoints(pts)
+		if len(distinct) < len(pts) {
+			if _, _, _, err := Bulk(pts, geom.RectFromPoints(pts...), nil); !errors.Is(err, ErrDuplicateSite) {
+				t.Fatalf("bulk build of %v: err = %v, want ErrDuplicateSite", pts, err)
+			}
+		}
+		sites, off, nbrs, err := Bulk(distinct, geom.RectFromPoints(distinct...), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := bulk.Validate(true); err != nil {
-			t.Fatalf("bulk build of %v: %v", pts, err)
+		if err := checkFenced(sites, off, nbrs, true); err != nil {
+			t.Fatalf("bulk build of %v: %v", distinct, err)
 		}
 
 		d := NewDynamic(geom.NewRect(0, 0, 15, 15))
@@ -141,42 +148,6 @@ func FuzzBulkAndIncrementalAgree(f *testing.F) {
 			}
 		}
 
-		// The bulk builder's view of what the incremental one holds: the
-		// fence sites, then the user sites.
-		all := append([]geom.Point{d.Point(0), d.Point(1), d.Point(2)}, pts...)
-		fenced, err := Build(all)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fenced.Validate(true); err != nil {
-			t.Fatalf("bulk build of %v: %v", all, err)
-		}
-		for _, tri := range fenced.Triangles() {
-			a, b, c := all[tri[0]], all[tri[1]], all[tri[2]]
-			for _, x := range all {
-				if x != a && x != b && x != c && robust.InCircle(a.X, a.Y, b.X, b.Y, c.X, c.Y, x.X, x.Y) == 0 {
-					return // a cocircular tie: either diagonal is Delaunay
-				}
-			}
-		}
-		for i, p := range all {
-			id, ok := d.SiteAt(p)
-			if !ok {
-				t.Fatalf("inserted site %v is not in the dynamic triangulation", p)
-			}
-			var got, want []geom.Point
-			for _, nb := range d.AppendNeighbors(id, nil) {
-				got = append(got, d.Point(int(nb)))
-			}
-			for _, nb := range fenced.Neighbors(i) {
-				want = append(want, all[nb])
-			}
-			slices.SortFunc(got, comparePoints)
-			slices.SortFunc(want, comparePoints)
-			if !slices.Equal(got, want) {
-				t.Fatalf("sites %v: %v has neighbors %v inserted, %v built", pts, p, got, want)
-			}
-		}
 	})
 }
 

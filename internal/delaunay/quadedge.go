@@ -33,7 +33,6 @@ func invRot(e edgeID) edgeID { return e&^3 | (e+3)&3 }
 
 func (p *edgePool) lnext(e edgeID) edgeID { return rot(p.onext[invRot(e)]) }
 func (p *edgePool) oprev(e edgeID) edgeID { return rot(p.onext[rot(e)]) }
-func (p *edgePool) rprev(e edgeID) edgeID { return p.onext[sym(e)] }
 
 func (p *edgePool) dst(e edgeID) int32 { return p.org[sym(e)] }
 
@@ -86,9 +85,3 @@ func (p *edgePool) deleteEdge(e edgeID) {
 	p.alive[base>>2] = false
 	p.free = append(p.free, base)
 }
-
-// numQuads returns the total number of allocated quads (live and freed).
-func (p *edgePool) numQuads() int { return len(p.alive) }
-
-// quadAlive reports whether quad q is live.
-func (p *edgePool) quadAlive(q int) bool { return p.alive[q] }

@@ -2,6 +2,7 @@ package voronoi
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -37,10 +38,7 @@ func clamp01(v float64) float64 {
 // identical areas.
 func checkArenaParity(t *testing.T, pts []geom.Point, bounds geom.Rect) {
 	t.Helper()
-	d, err := New(pts, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newDiagram(t, pts, bounds)
 	a := BuildCellArena(d)
 	if a.NumCells() != d.NumSites() {
 		t.Fatalf("NumCells = %d, want %d", a.NumCells(), d.NumSites())
@@ -103,55 +101,35 @@ func TestCellArenaParityCollinear(t *testing.T) {
 }
 
 func TestCellArenaParityDuplicateHeavy(t *testing.T) {
-	// Heavy coordinate reuse: a coarse grid sampled with replacement. New
-	// dedups coincident sites, so the diagram (and arena) cover the
-	// distinct locations only.
+	// Heavy coordinate reuse: a coarse grid sampled with replacement, its
+	// repeats dropped (a triangulation refuses them), leaves a lattice whose
+	// every Delaunay quad is cocircular.
 	rng := rand.New(rand.NewSource(99))
-	pts := make([]geom.Point, 0, 600)
-	for len(pts) < cap(pts) {
-		pts = append(pts, geom.Pt(float64(rng.Intn(12))/12+1.0/24, float64(rng.Intn(12))/12+1.0/24))
-	}
-	d, err := New(pts, unitBounds())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.NumSites() >= len(pts) {
-		t.Fatalf("expected dedup: %d sites from %d points", d.NumSites(), len(pts))
-	}
-	a := BuildCellArena(d)
-	for i := 0; i < d.NumSites(); i++ {
-		cell := d.Cell(i)
-		view := a.Ring(i)
-		if view.Len() != len(cell) {
-			t.Fatalf("site %d: arena ring has %d vertices, Cell has %d", i, view.Len(), len(cell))
-		}
-		for j := range cell {
-			if view.At(j) != cell[j] {
-				t.Fatalf("site %d vertex %d: arena %v != Cell %v", i, j, view.At(j), cell[j])
-			}
+	var pts []geom.Point
+	for range 600 {
+		if p := geom.Pt(float64(rng.Intn(12))/12+1.0/24, float64(rng.Intn(12))/12+1.0/24); !slices.Contains(pts, p) {
+			pts = append(pts, p)
 		}
 	}
+	checkArenaParity(t, pts, unitBounds())
 }
 
 func TestCellArenaFromSitesMatchesCellFromNeighbors(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts := uniformPoints(rng, 300)
-	d, err := New(pts, unitBounds())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newDiagram(t, pts, unitBounds())
 	// Drive the builder from plain coordinates and neighbor lists; rings
 	// must match CellFromNeighbors over the same neighbor sequences.
 	a := CellArenaFromSites(
 		d.NumSites(), unitBounds(),
 		func(id int64) geom.Point { return pts[id] },
-		func(id int64) []int32 { return d.Triangulation().Neighbors(int(id)) },
+		func(id int64) []int32 { return d.tri.Neighbors(int(id)) },
 	)
 	// CellFromNeighbors reuses its two buffers from site to site, as the
 	// engines do.
 	var want, spare []geom.Point
 	for i := 0; i < d.NumSites(); i++ {
-		want, spare = CellFromNeighbors(want, spare, pts[i], d.Triangulation().Neighbors(i), pts, unitBounds())
+		want, spare = CellFromNeighbors(want, spare, pts[i], d.tri.Neighbors(i), pts, unitBounds())
 		view := a.Ring(i)
 		if view.Len() != len(want) {
 			t.Fatalf("site %d: arena ring has %d vertices, want %d", i, view.Len(), len(want))

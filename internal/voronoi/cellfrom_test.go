@@ -11,13 +11,10 @@ import (
 func TestCellFromNeighborsMatchesDiagramCell(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := uniformPoints(rng, 200)
-	d, err := New(pts, unitBounds())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newDiagram(t, pts, unitBounds())
 	for i := 0; i < len(pts); i += 7 {
 		a := d.Cell(i)
-		b, _ := CellFromNeighbors(nil, nil, pts[i], d.Triangulation().Neighbors(i), pts, unitBounds())
+		b, _ := CellFromNeighbors(nil, nil, pts[i], d.tri.Neighbors(i), pts, unitBounds())
 		if math.Abs(a.Area()-geom.Ring(b).Area()) > 1e-9 {
 			t.Fatalf("site %d: diagram cell area %v, reconstructed %v", i, a.Area(), geom.Ring(b).Area())
 		}

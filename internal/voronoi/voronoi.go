@@ -11,37 +11,29 @@
 package voronoi
 
 import (
-	"fmt"
-
 	"repro/internal/delaunay"
 	"repro/internal/geom"
 )
 
-// Diagram is a Voronoi diagram over a fixed point set, valid within Bounds.
-// It is immutable and safe for concurrent readers.
+// Diagram is the Voronoi diagram of a triangulation's sites, clipped to a
+// rectangle; FromTriangulation says where its cells are exact. It is
+// immutable and safe for concurrent readers.
 type Diagram struct {
 	tri    *delaunay.Triangulation
 	bounds geom.Rect
 }
 
-// New builds the Voronoi diagram of pts, with cells clipped to bounds.
-// bounds should contain all points; it is also the universe for unbounded
-// hull cells.
-func New(pts []geom.Point, bounds geom.Rect) (*Diagram, error) {
-	t, err := delaunay.Build(pts)
-	if err != nil {
-		return nil, fmt.Errorf("voronoi: %w", err)
-	}
-	return FromTriangulation(t, bounds), nil
-}
-
-// FromTriangulation wraps an existing triangulation without rebuilding it.
+// FromTriangulation wraps a triangulation without rebuilding it, with cells
+// clipped to bounds. Its rings are a fenced build's with the fence sites
+// dropped (delaunay.Build), so a cell is exact inside the points' bounding
+// rectangle grown by (w+h)/4 on every side, for a w×h rectangle: every
+// location there lies within 1.5(w+h) of every site and more than 2(w+h)
+// from every fence site, so a bisector the dropped fence stood for bounds no
+// cell there (see package delaunay's fence lemma). Beyond it, two hull sites
+// whose edge the fence replaced may both claim a location.
 func FromTriangulation(t *delaunay.Triangulation, bounds geom.Rect) *Diagram {
 	return &Diagram{tri: t, bounds: bounds}
 }
-
-// Triangulation returns the underlying Delaunay triangulation.
-func (d *Diagram) Triangulation() *delaunay.Triangulation { return d.tri }
 
 // NumSites returns the number of distinct sites.
 func (d *Diagram) NumSites() int { return d.tri.NumSites() }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/delaunay"
 	"repro/internal/geom"
 )
 
@@ -18,17 +19,19 @@ func uniformPoints(rng *rand.Rand, n int) []geom.Point {
 
 func unitBounds() geom.Rect { return geom.NewRect(0, 0, 1, 1) }
 
-func TestNewRejectsEmpty(t *testing.T) {
-	if _, err := New(nil, unitBounds()); err == nil {
-		t.Error("New(nil) should fail")
+// newDiagram is the diagram of pts clipped to bounds, over the triangulation
+// delaunay.Build makes of them.
+func newDiagram(tb testing.TB, pts []geom.Point, bounds geom.Rect) *Diagram {
+	tb.Helper()
+	tri, err := delaunay.Build(pts)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	return FromTriangulation(tri, bounds)
 }
 
 func TestTwoSitesCellsSplitBounds(t *testing.T) {
-	d, err := New([]geom.Point{geom.Pt(0.25, 0.5), geom.Pt(0.75, 0.5)}, unitBounds())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newDiagram(t, []geom.Point{geom.Pt(0.25, 0.5), geom.Pt(0.75, 0.5)}, unitBounds())
 	c0, c1 := d.Cell(0), d.Cell(1)
 	if math.Abs(c0.Area()-0.5) > 1e-9 || math.Abs(c1.Area()-0.5) > 1e-9 {
 		t.Errorf("cell areas = %v, %v; want 0.5 each", c0.Area(), c1.Area())
@@ -49,10 +52,7 @@ func TestTwoSitesCellsSplitBounds(t *testing.T) {
 func TestCellContainsItsSite(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := uniformPoints(rng, 400)
-	d, err := New(pts, unitBounds())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newDiagram(t, pts, unitBounds())
 	for i := range pts {
 		cell := d.Cell(i)
 		if len(cell) < 3 {
@@ -71,10 +71,7 @@ func TestCellsPartitionBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{1, 2, 3, 10, 100, 500} {
 		pts := uniformPoints(rng, n)
-		d, err := New(pts, unitBounds())
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := newDiagram(t, pts, unitBounds())
 		var sum float64
 		for i := 0; i < n; i++ {
 			sum += d.Cell(i).Area()
@@ -89,10 +86,7 @@ func TestCellMembershipMatchesNearestSite(t *testing.T) {
 	// Property 3: q ∈ V(P, p) ⇔ p is the nearest site to q. Sampled.
 	rng := rand.New(rand.NewSource(3))
 	pts := uniformPoints(rng, 200)
-	d, err := New(pts, unitBounds())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newDiagram(t, pts, unitBounds())
 	cells := make([]geom.Polygon, len(pts))
 	for i := range pts {
 		cells[i] = geom.Polygon{Outer: d.Cell(i)}
@@ -127,14 +121,11 @@ func TestCellMembershipMatchesNearestSite(t *testing.T) {
 func TestNeighborsSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pts := uniformPoints(rng, 500)
-	d, err := New(pts, unitBounds())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newDiagram(t, pts, unitBounds())
 	for i := range pts {
-		for _, nb := range d.Triangulation().Neighbors(i) {
+		for _, nb := range d.tri.Neighbors(i) {
 			found := false
-			for _, back := range d.Triangulation().Neighbors(int(nb)) {
+			for _, back := range d.tri.Neighbors(int(nb)) {
 				if int(back) == i {
 					found = true
 					break
@@ -153,10 +144,7 @@ func TestAdjacentCellsShareBisectorEdge(t *testing.T) {
 	// must be equidistant.
 	rng := rand.New(rand.NewSource(5))
 	pts := uniformPoints(rng, 100)
-	d, err := New(pts, unitBounds())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newDiagram(t, pts, unitBounds())
 	for i := 0; i < 20; i++ {
 		site := pts[i]
 		cell := d.Cell(i)
@@ -178,11 +166,8 @@ func TestAdjacentCellsShareBisectorEdge(t *testing.T) {
 func TestFromTriangulationSharesTopology(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	pts := uniformPoints(rng, 50)
-	d1, err := New(pts, unitBounds())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2 := FromTriangulation(d1.Triangulation(), geom.NewRect(-1, -1, 2, 2))
+	d1 := newDiagram(t, pts, unitBounds())
+	d2 := FromTriangulation(d1.tri, geom.NewRect(-1, -1, 2, 2))
 	if d2.NumSites() != d1.NumSites() {
 		t.Error("site count changed")
 	}
@@ -198,10 +183,7 @@ func TestFromTriangulationSharesTopology(t *testing.T) {
 
 func TestCollinearSitesCells(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0.2, 0.5), geom.Pt(0.5, 0.5), geom.Pt(0.8, 0.5)}
-	d, err := New(pts, unitBounds())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newDiagram(t, pts, unitBounds())
 	// Cells are three vertical slabs.
 	if math.Abs(d.Cell(0).Area()-0.35) > 1e-9 ||
 		math.Abs(d.Cell(1).Area()-0.30) > 1e-9 ||
@@ -212,11 +194,8 @@ func TestCollinearSitesCells(t *testing.T) {
 
 func TestSiteAccessors(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0.1, 0.2), geom.Pt(0.9, 0.8)}
-	d, err := New(pts, unitBounds())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tri := d.Triangulation(); tri.Point(0) != pts[0] || tri.Point(1) != pts[1] {
+	d := newDiagram(t, pts, unitBounds())
+	if tri := d.tri; tri.Point(0) != pts[0] || tri.Point(1) != pts[1] {
 		t.Error("site coordinates mismatch")
 	}
 	if d.NumSites() != 2 {
@@ -227,10 +206,7 @@ func TestSiteAccessors(t *testing.T) {
 func BenchmarkCell(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	pts := uniformPoints(rng, 10_000)
-	d, err := New(pts, unitBounds())
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := newDiagram(b, pts, unitBounds())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Cell(i % len(pts))

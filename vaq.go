@@ -112,8 +112,13 @@
 // an int32 id (4 bytes, plus about 8 for the nodes above it at fan-out 16:
 // leaf headers, and one child rectangle per leaf in the internal nodes).
 // The Delaunay triangulation the adjacency is derived from — quad-edge
-// pool, its own point copy, vertex tables, about 120 bytes per site — is
-// construction scaffolding and is released when NewEngine returns. With
+// pool, its own point copy, vertex table, the curve order it was inserted
+// in — is construction scaffolding and is released when NewEngine returns.
+// It was built inside a fence of three far-away sites, which every layer
+// (each shard) keeps as ordinary sites after its own: three positions,
+// their three CSR rings, and an entry for each fence edge in the ring of
+// each hull site it reaches — a few hundred bytes per layer. No query
+// returns a fence site, and a store holds no record of one. With
 // more than one shard, each shard also keeps its local-to-global id map,
 // ascending, which Point binary-searches: per site, then, 16 bytes of
 // position, about 28 of CSR, 8 of id map and about 12 of index. One shard
