@@ -32,7 +32,7 @@
 // backend) reaches the same loops: voronoiBFS, seeded by that walk, slicing
 // positions and rings in place, with the strict rule's cell test on a custom
 // region clipping each cell it tests from its ring; and, for the strict rule
-// on a polygon, the boundary trace and flood of shell.go. No layer keeps a
+// on a polygon, the boundary walk and flood of shell.go. No layer keeps a
 // clipped cell. Their one branch on the layer is whether a record load is a
 // page fetch.
 package core
@@ -64,11 +64,10 @@ const (
 	// rule (segment p–pn intersects the area).
 	VoronoiBFS
 	// VoronoiBFSStrict is Algorithm 1 made complete at any density. On a
-	// polygon, plain or prepared, it traces the boundary through the diagram,
-	// validates only the sites whose cells meet it and the neighbours of
-	// those cells it did not cross exactly once, places the other
-	// neighbours by the trace's ring indices, and floods the interior
-	// untested (shell.go). On a circle it is the
+	// polygon, plain or prepared, it walks the boundary through the
+	// Delaunay triangles, places the ends of every edge the boundary meets
+	// by the side of it they lie on, validates only those it cannot place,
+	// and floods the interior untested (shell.go). On a circle it is the
 	// published rule, exact on a convex region (see eachVoronoi). On a
 	// custom region it expands by the conservative rule (Voronoi cell of pn
 	// intersects the area), complete for a connected area inside the
@@ -101,10 +100,9 @@ func (m Method) String() string {
 type Stats struct {
 	ResultSize int
 	// Candidates is the number of containment validations performed. The
-	// strict rule on a polygon validates only the shell — the sites whose
-	// cells meet the boundary, and the neighbours of the cells the trace
-	// did not cross exactly once — and emits the rest of its results
-	// untested, so there it can be below ResultSize.
+	// strict rule on a polygon validates only the sites of the edges its
+	// boundary meets that their sides of it cannot place, and emits the
+	// rest of its results untested, so there it can be below ResultSize.
 	Candidates int
 	// RedundantValidations counts the validations that found the point
 	// outside the area: Candidates - ResultSize wherever every result is
@@ -114,7 +112,7 @@ type Stats struct {
 	// strict variant on a circle.
 	SegmentTests int
 	// CellTests counts cell-vs-area tests: the strict variant on custom
-	// regions only (on a polygon it traces the boundary instead, and on a
+	// regions only (on a polygon it walks the boundary instead, and on a
 	// circle it counts SegmentTests).
 	CellTests int
 	// IndexNodesVisited counts index nodes touched by the window query of

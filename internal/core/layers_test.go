@@ -47,15 +47,6 @@ func scanCell(pts []geom.Point, id int, clip geom.Rect) geom.Ring {
 	}
 }
 
-// scanCells is scanCell of every site of d, by id, clipped to d's clip.
-func scanCells(d *MemoryData) []geom.Ring {
-	cells := make([]geom.Ring, len(d.pts))
-	for id := range d.pts {
-		cells[id] = scanCell(d.pts, id, d.clip)
-	}
-	return cells
-}
-
 // TestDataLayersAgree: where a record comes from changes what a query costs,
 // never what it decides. Every method returns the same ids in the same order
 // with the same counters on a memory layer and on a store layer over the same
@@ -386,8 +377,9 @@ func decodeLayerPolygon(data []byte) (geom.Polygon, bool) {
 // dynamic engine that publishes after insert k when bit k of the second
 // argument (cycled) is set, after every insert when it is empty, and after
 // the last. The second argument also spells a polygon (decodeLayerPolygon),
-// whose traced shell on the static layer must be the cells' (checkShell),
-// with every neighbour its passes classify on its exact side (checkSides).
+// whose walked shell on the static layer must be the ends of the Delaunay
+// edges meeting it (checkShell), with every site the strict query places
+// untested on its exact side (checkSides).
 func FuzzDataLayerStructure(f *testing.F) {
 	square := []byte{0x44, 0xc4, 0xcc, 0x4c, 0x88}
 	lattice := []byte{0x00, 0x0f, 0xf0, 0xff, 0x37, 0x73, 0x55, 0x5a, 0xa5, 0xaa, 0x18, 0x81, 0xe2, 0x2e}
@@ -426,7 +418,7 @@ func FuzzDataLayerStructure(f *testing.F) {
 		}
 		checkLayerStructure(t, "static", mem)
 		if pg, ok := decodeLayerPolygon(publishAfter); ok {
-			checkShell(t, "static", mem, scanCells(mem), pg)
+			checkShell(t, "static", mem, pg)
 			checkSides(t, "static", mem, pg)
 		}
 		checkEpochs(t, "dynamic", sites, func(k int) bool {

@@ -97,32 +97,34 @@ func TestQueryCostsPinned(t *testing.T) {
 		},
 		// Regions 0–14, the polygons, were recorded again when the strict
 		// rule began to trace ∂R on polygons: Candidates is now the sites
-		// validated (the shell and its unmarked neighbours), and no cell is
-		// tested. Results did not move. Their Candidates were recorded again
-		// (in both tables) when stage 2 began to place the neighbours of a
-		// cell the trace crossed once by ring index, unvalidated: thirteen of
-		// fifteen fell, Results did not move. The circles (15–17) were recorded
-		// again when the strict rule began to run the segment rule on a
+		// validated, and no cell is tested. Results did not move. Their
+		// Candidates were recorded again (in both tables) when stage 2 began
+		// to place the neighbours of a cell the trace crossed once by ring
+		// index, and again when a walk through the Delaunay triangles
+		// replaced the trace: only the sites their side records cannot place
+		// are validated now (0–15 a polygon, from 9–96). Results did not
+		// move. The circles (15–17) were recorded again when the strict
+		// rule began to run the segment rule on a
 		// disk: their rows are now the VoronoiBFS rows. Regions 18–20 are
 		// the same circles as custom regions, which keep the cell tests;
 		// their rows were recorded while every strict circle still tested
 		// cells, and equal the circles' rows of then.
 		VoronoiBFSStrict: {
-			{0, 12, 0, 0, 0},
-			{0, 9, 0, 0, 0},
-			{1, 14, 0, 0, 0},
-			{2, 19, 0, 0, 0},
-			{3, 10, 0, 0, 0},
-			{2, 10, 0, 0, 0},
-			{18, 37, 0, 0, 0},
-			{24, 30, 0, 0, 0},
-			{34, 36, 0, 0, 0},
-			{151, 96, 0, 0, 0},
-			{166, 67, 0, 0, 0},
-			{171, 78, 0, 0, 0},
-			{23, 58, 0, 0, 0},
-			{23, 44, 0, 0, 0},
-			{12, 45, 0, 0, 0},
+			{0, 3, 0, 0, 0},
+			{0, 5, 0, 0, 0},
+			{1, 0, 0, 0, 0},
+			{2, 0, 0, 0, 0},
+			{3, 7, 0, 0, 0},
+			{2, 4, 0, 0, 0},
+			{18, 10, 0, 0, 0},
+			{24, 3, 0, 0, 0},
+			{34, 9, 0, 0, 0},
+			{151, 8, 0, 0, 0},
+			{166, 3, 0, 0, 0},
+			{171, 8, 0, 0, 0},
+			{23, 15, 0, 0, 0},
+			{23, 11, 0, 0, 0},
+			{12, 9, 0, 0, 0},
 			{0, 3, 15, 0, 0},
 			{15, 34, 48, 0, 0},
 			{197, 257, 146, 0, 0},
@@ -171,21 +173,21 @@ func TestQueryCostsPinned(t *testing.T) {
 			{197, 257, 141, 0, 0},
 		},
 		VoronoiBFSStrict: {
-			{0, 12, 0, 0, 0},
-			{0, 9, 0, 0, 0},
-			{1, 14, 0, 0, 0},
-			{2, 19, 0, 0, 0},
-			{3, 10, 0, 0, 0},
-			{2, 10, 0, 0, 0},
-			{18, 37, 0, 0, 0},
-			{24, 30, 0, 0, 0},
-			{34, 36, 0, 0, 0},
-			{151, 96, 0, 0, 0},
-			{166, 67, 0, 0, 0},
-			{171, 78, 0, 0, 0},
-			{23, 58, 0, 0, 0},
-			{23, 44, 0, 0, 0},
-			{12, 45, 0, 0, 0},
+			{0, 3, 0, 0, 0},
+			{0, 5, 0, 0, 0},
+			{1, 0, 0, 0, 0},
+			{2, 0, 0, 0, 0},
+			{3, 7, 0, 0, 0},
+			{2, 4, 0, 0, 0},
+			{18, 10, 0, 0, 0},
+			{24, 3, 0, 0, 0},
+			{34, 9, 0, 0, 0},
+			{151, 8, 0, 0, 0},
+			{166, 3, 0, 0, 0},
+			{171, 8, 0, 0, 0},
+			{23, 15, 0, 0, 0},
+			{23, 11, 0, 0, 0},
+			{12, 9, 0, 0, 0},
 			{0, 3, 15, 0, 0},
 			{15, 34, 49, 0, 0},
 			{197, 257, 141, 0, 0},
@@ -194,28 +196,25 @@ func TestQueryCostsPinned(t *testing.T) {
 			{197, 257, 0, 141, 0},
 		},
 	}
-	// The trace behind the strict rows of the polygons, through the
-	// unexported hook: the shell B, the cells the walk scanned (steps), the
-	// bisector crossings it evaluated, and the comparisons the float filter
-	// left to the exact stage. The crossings were recorded again when a step
-	// after a crossing began to skip the neighbour the walk came from. The same on every layer: no tie arises on
-	// these random sites, so the walk never depends on a ring's rotation.
-	wantShell := []shellCounts{
-		{2, 14, 106, 0},
-		{4, 15, 97, 0},
-		{3, 14, 81, 0},
-		{8, 20, 124, 0},
-		{10, 20, 144, 0},
-		{9, 20, 114, 0},
-		{28, 41, 241, 0},
-		{30, 40, 227, 0},
-		{36, 47, 262, 0},
-		{81, 95, 493, 0},
-		{67, 77, 410, 0},
-		{69, 81, 433, 0},
-		{33, 54, 292, 0},
-		{34, 51, 260, 0},
-		{31, 51, 283, 0},
+	// The walk behind the strict rows of the polygons, through the
+	// unexported hook: the shell B, the triangles and sites the walk stepped
+	// through, and the exact orientations it took.
+	wantShell := []walkCounts{
+		{3, 4, 57},
+		{5, 8, 64},
+		{6, 5, 56},
+		{12, 12, 71},
+		{14, 27, 100},
+		{10, 16, 78},
+		{43, 54, 156},
+		{44, 49, 146},
+		{54, 65, 177},
+		{128, 141, 330},
+		{116, 119, 285},
+		{110, 121, 289},
+		{50, 69, 183},
+		{52, 72, 189},
+		{44, 60, 169},
 	}
 	for name, table := range map[string]map[Method][]pinnedCost{"static": want, "dynamic": wantDynamic} {
 		if got, want := table[VoronoiBFSStrict][15:18], table[VoronoiBFS][15:18]; !slices.Equal(got, want) {
@@ -258,9 +257,39 @@ func TestQueryCostsPinned(t *testing.T) {
 			}
 		}
 		for i, want := range wantShell {
-			if _, got := traceShellOf(t, tc.eng.data, regions[i].(*geom.PreparedPolygon).Polygon()); got != want {
-				t.Errorf("%s, region %d: trace %+v, recorded %+v", tc.name, i, got, want)
+			if _, _, got := shellSidesOf(t, tc.eng.data, regions[i].(*geom.PreparedPolygon).Polygon()); got != want {
+				t.Errorf("%s, region %d: walk %+v, recorded %+v", tc.name, i, got, want)
 			}
 		}
+	}
+
+	// The sites left of x = 0.5, a layer as one of two shards holds them,
+	// under a square across its hull: the walk stamps fence sites there, and
+	// drops them untested.
+	var half []geom.Point
+	for _, p := range pts {
+		if p.X < 0.5 {
+			half = append(half, p)
+		}
+	}
+	hd, err := NewMemoryData(half, unitBounds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	across := geom.MustPolygon([]geom.Point{geom.Pt(0.4, 0.3), geom.Pt(0.7, 0.3), geom.Pt(0.7, 0.6), geom.Pt(0.4, 0.6)})
+	b, _, walk := shellSidesOf(t, hd, across)
+	fence := 0
+	for _, p := range b {
+		if int(p) >= hd.last {
+			fence++
+		}
+	}
+	got := [2]pinnedCost{
+		pinnedCosts(t, NewEngine(nil, hd), []Region{across}, VoronoiBFS)[0],
+		pinnedCosts(t, NewEngine(nil, hd), []Region{across}, VoronoiBFSStrict)[0],
+	}
+	if want := [2]pinnedCost{{202, 253, 140, 0, 0}, {202, 3, 0, 0, 0}}; got != want || walk != (walkCounts{101, 105, 234}) || fence != 1 {
+		t.Errorf("half layer: published %+v, strict %+v, walk %+v with %d fence sites; recorded %+v, %+v, {101 105 234} and 1",
+			got[0], got[1], walk, fence, want[0], want[1])
 	}
 }

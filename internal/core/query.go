@@ -209,7 +209,7 @@ func fetch(store *storage.Store, id int64, traced bool, spent *time.Duration) (g
 // region, the strict rule tests the neighbor's Voronoi cell against it.
 //
 // The strict rule comes here only for a custom region. On a prepared
-// polygon eachShell traces the boundary instead. On a disk eachRegion runs
+// polygon eachShell walks the boundary instead. On a disk eachRegion runs
 // the published rule, which is exact there: the site nearest the centre is
 // in the disk whenever any site is, and the chord between two results lies
 // inside both the disk and the hull, so every result is in the seed's

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/geom"
-	"repro/internal/robust"
 )
 
 // queryScratch is the per-query mutable state of the engine: the
@@ -22,16 +21,12 @@ type queryScratch struct {
 	visited []uint32
 	gen     uint32
 	// queue is the BFS frontier, in the int32 ids the adjacency stores. A
-	// strict polygon query keeps its shell in it too: the traced cells
-	// first, then the validated sites found inside, then the flood.
+	// strict polygon query keeps its shell in it too: the walked sites
+	// first, then those inside R, then the flood.
 	queue []int32
-	// cross caches the trace's bisector crossings of one cell's neighbours,
-	// and ties lists the sites as near to a tie point; see shell.go.
-	cross []robust.Crossing
-	ties  []int32
-	// passes holds, beside the shell in the queue's prefix, the trace's
-	// pass through each of its cells: see shellPass.
-	passes []shellPass
+	// sides holds, beside the shell in the queue's prefix, each shell
+	// site's side records (sideIn, sideOut, sideCheck; see shell.go).
+	sides []uint8
 	// cell and spare are the two buffers the strict rule clips a custom
 	// region's cell into (testCell), reused from cell to cell.
 	cell, spare []geom.Point

@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"math"
 	"math/big"
 	"slices"
 	"testing"
@@ -11,241 +11,77 @@ import (
 	"repro/internal/geom"
 )
 
-// traceShellOf is the unexported hook onto the trace: the set B traceShell
-// stamps for pg on d, sorted, with its counts.
-func traceShellOf(t testing.TB, d *MemoryData, pg geom.Polygon) ([]int32, shellCounts) {
+// shellSidesOf is the unexported hook onto the walk: the set B walkShell
+// stamps for pg on d, in stamping order, with each site's side records and
+// the walk's counts.
+func shellSidesOf(t testing.TB, d *MemoryData, pg geom.Polygon) ([]int32, []uint8, walkCounts) {
 	t.Helper()
 	s := new(queryScratch)
 	s.ensureCapacity(len(d.pts))
 	s.nextGen()
-	counts, err := d.traceShell(context.Background(), pg, insideLeft(pg) != 0, s, false, nil)
+	counts, err := d.walkShell(context.Background(), pg, holesAdmitted(pg), s, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := slices.Clone(s.queue)
+	if len(s.sides) != len(s.queue) {
+		t.Fatalf("%d side records for a shell of %d", len(s.sides), len(s.queue))
+	}
+	return s.queue, s.sides, counts
+}
+
+// walkShellOf is B sorted, checked to hold no site twice.
+func walkShellOf(t testing.TB, d *MemoryData, pg geom.Polygon) []int32 {
+	t.Helper()
+	b, _, _ := shellSidesOf(t, d, pg)
+	b = slices.Clone(b)
 	slices.Sort(b)
 	if len(slices.Compact(slices.Clone(b))) != len(b) {
-		t.Fatalf("the trace listed a cell twice: %v", b)
+		t.Fatalf("the walk stamped a site twice: %v", b)
 	}
-	return b, counts
+	return b
 }
 
-// shellSide is one classification of stage 2: the pass through a cell of
-// B puts nb, a neighbour outside B, inside or outside the polygon.
-type shellSide struct {
-	cell, nb int32
-	inside   bool
-}
-
-// shellCross is a cell of B whose pass classifies: the walk crossed it once,
-// from neighbour in to neighbour out.
-type shellCross struct{ cell, in, out int32 }
-
-// shellSidesOf is the unexported hook onto stage 2's classification: it
-// traces pg on d and reads each pass as floodShell does, returning the cells
-// crossed once and, for each, every neighbour outside B with the side its
-// pass puts it on — also those floodShell reaches first from another cell.
-func shellSidesOf(t testing.TB, d *MemoryData, pg geom.Polygon) (crossed []shellCross, sides []shellSide) {
-	t.Helper()
-	s := new(queryScratch)
-	s.ensureCapacity(len(d.pts))
-	s.nextGen()
-	left := insideLeft(pg)
-	if _, err := d.traceShell(context.Background(), pg, left != 0, s, false, nil); err != nil {
-		t.Fatal(err)
-	}
-	if left == 0 {
-		return nil, nil
-	}
-	if len(s.passes) != len(s.queue) {
-		t.Fatalf("%d passes for a shell of %d", len(s.passes), len(s.queue))
-	}
-	for i, p := range s.queue {
-		nbs := ring(d, int(p))
-		from, span := s.passes[i].arc(len(nbs))
-		if span == 0 {
-			continue
-		}
-		crossed = append(crossed, shellCross{p, nbs[(from+span)%len(nbs)], nbs[from]})
-		for j, nb := range nbs {
-			if !s.seen(nb) {
-				sides = append(sides, shellSide{p, nb, insideOfPass(j, from, span, len(nbs), left)})
-			}
-		}
-	}
-	return crossed, sides
-}
-
-// cellShell is the brute-force B: every user site whose closed clipped
-// cell, cells[id] (scanCells), shares a point with an edge of some ring of
-// pg.
-func cellShell(d *MemoryData, cells []geom.Ring, pg geom.Polygon) []int32 {
+// edgeShell is the brute-force B: both ends of every Delaunay edge of d,
+// fence sites' included, whose closed segment meets a ring of pg, by the
+// exact segment test over the CSR rings.
+func edgeShell(d *MemoryData, pg geom.Polygon) []int32 {
 	var b []int32
-	for i := d.first; i < d.last; i++ {
-		if cellMeetsBoundary(cells[i], pg) {
-			b = append(b, int32(i))
+	for p := range d.pts {
+		for _, n := range ring(d, p) {
+			if edgeMeetsBoundary(geom.Seg(d.pts[p], d.pts[n]), pg) {
+				b = append(b, int32(p))
+				break
+			}
 		}
 	}
 	return b
 }
 
-func cellMeetsBoundary(cell geom.Ring, pg geom.Polygon) bool {
+func edgeMeetsBoundary(e geom.Segment, pg geom.Polygon) bool {
 	for _, r := range append([]geom.Ring{pg.Outer}, pg.Holes...) {
 		for i := range r {
-			e := geom.Seg(r[i], r[(i+1)%len(r)])
-			if (geom.Polygon{Outer: cell}).ContainsPoint(e.A) {
+			if e.Intersects(geom.Seg(r[i], r[(i+1)%len(r)])) {
 				return true
-			}
-			for j, k := len(cell)-1, 0; k < len(cell); j, k = k, k+1 {
-				if e.Intersects(geom.Seg(cell[j], cell[k])) {
-					return true
-				}
 			}
 		}
 	}
 	return false
 }
 
-// checkShell fails t unless the trace of pg on d stamps exactly the cells
-// that meet ∂pg by the reference cells of d, scanCells(d). Their vertices
-// are bisector crossings rounded to the last place, so on sites off the
-// dyadic lattice (1/12, 1/10, 1/41 steps) they cannot tell a cell that
-// touches ∂pg from one a rounding error away. A cell the two disagree on
-// must be such a one — its clipped ring within cellTieTol of ∂pg — and is
-// then settled by the definition, exactly: some point of ∂pg no other site
-// is strictly nearer to.
-func checkShell(t *testing.T, name string, d *MemoryData, cells []geom.Ring, pg geom.Polygon) {
+// checkShell fails t unless the walk of pg on d stamps exactly the ends of
+// the Delaunay edges that meet ∂pg.
+func checkShell(t *testing.T, name string, d *MemoryData, pg geom.Polygon) {
 	t.Helper()
-	got, _ := traceShellOf(t, d, pg)
-	want := cellShell(d, cells, pg)
-	for _, id := range symmetricDifference(got, want) {
-		traced := slices.Contains(got, id)
-		if dist := ringBoundaryDist(cells[id], pg); dist > cellTieTol {
-			t.Errorf("%s: cell %d is %v by the trace, %v by its reference cell, whose ring is %g from the boundary",
-				name, id, traced, !traced, dist)
-			continue
-		}
-		if exact := exactCellMeetsBoundary(d.pts, int(id), pg); exact != traced {
-			t.Errorf("%s: cell %d is %v by the trace, %v by the exact definition", name, id, traced, exact)
-		}
+	if got, want := walkShellOf(t, d, pg), edgeShell(d, pg); !slices.Equal(got, want) {
+		t.Errorf("%s: the walk stamps %v, the edges meeting ∂pg end at %v", name, got, want)
 	}
 }
 
-// cellTieTol bounds how far a clipped ring lies from its exact cell on the
-// unit square: a few ulps of a bisector crossing.
-const cellTieTol = 1e-12
-
-func symmetricDifference(a, b []int32) []int32 {
-	var out []int32
-	for _, id := range a {
-		if !slices.Contains(b, id) {
-			out = append(out, id)
-		}
-	}
-	for _, id := range b {
-		if !slices.Contains(a, id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// ringBoundaryDist is the distance between the ring's edges and ∂pg: zero
-// when they cross.
-func ringBoundaryDist(cell geom.Ring, pg geom.Polygon) float64 {
-	best := math.Inf(1)
-	for _, r := range append([]geom.Ring{pg.Outer}, pg.Holes...) {
-		for i := range r {
-			e := geom.Seg(r[i], r[(i+1)%len(r)])
-			for j, k := len(cell)-1, 0; k < len(cell); j, k = k, k+1 {
-				f := geom.Seg(cell[j], cell[k])
-				if e.Intersects(f) {
-					return 0
-				}
-				best = min(best, e.Dist2Point(f.A), e.Dist2Point(f.B), f.Dist2Point(e.A), f.Dist2Point(e.B))
-			}
-		}
-	}
-	return math.Sqrt(best)
-}
-
-// exactCellMeetsBoundary decides, in big.Rat, whether some point of an edge
-// a→b of pg is as near to site c as to every other site: along the edge,
-// |x(t)−n|² − |x(t)−c|² = N − tE (robust.Crossing), so c is a nearest site
-// on the t of [0, 1] with tE ≤ N for every n.
-func exactCellMeetsBoundary(pts []geom.Point, c int, pg geom.Polygon) bool {
-	return exactNearestOnBoundary(pts, c, -1, nil, pg)
-}
-
-// exactNearestOnBoundary is exactCellMeetsBoundary against the sites
-// rivals lists (every site when nil), restricted, when n ≥ 0, to the points
-// as near to site n as to c. With c's Delaunay neighbours as rivals it
-// decides whether ∂pg meets the closed Voronoi edge of c and n: a cell is
-// the intersection of the half-planes its neighbours' bisectors bound.
-func exactNearestOnBoundary(pts []geom.Point, c, n int, rivals []int32, pg geom.Polygon) bool {
-	if rivals == nil {
-		for m := range pts {
-			rivals = append(rivals, int32(m))
-		}
-	}
-	r := func(x float64) *big.Rat { return new(big.Rat).SetFloat64(x) }
-	dot := func(ux, uy, vx, vy *big.Rat) *big.Rat {
-		return new(big.Rat).Add(new(big.Rat).Mul(ux, vx), new(big.Rat).Mul(uy, vy))
-	}
-	for _, ring := range append([]geom.Ring{pg.Outer}, pg.Holes...) {
-		for i := range ring {
-			a, b := ring[i], ring[(i+1)%len(ring)]
-			lo, hi := big.NewRat(0, 1), big.NewRat(1, 1)
-			var at *big.Rat // the t at which n is as near, when only one is
-			for _, m := range rivals {
-				if int(m) == c {
-					continue
-				}
-				ux := new(big.Rat).Sub(r(pts[m].X), r(pts[c].X))
-				uy := new(big.Rat).Sub(r(pts[m].Y), r(pts[c].Y))
-				vx := new(big.Rat).Sub(new(big.Rat).Add(r(pts[m].X), r(pts[c].X)), r(2*a.X))
-				vy := new(big.Rat).Sub(new(big.Rat).Add(r(pts[m].Y), r(pts[c].Y)), r(2*a.Y))
-				nn := dot(ux, uy, vx, vy)
-				e := dot(ux, uy, new(big.Rat).Sub(r(b.X), r(a.X)), new(big.Rat).Sub(r(b.Y), r(a.Y)))
-				e.Add(e, e)
-				if int(m) == n {
-					switch {
-					case e.Sign() != 0:
-						at = new(big.Rat).Quo(nn, e)
-					case nn.Sign() != 0:
-						hi = big.NewRat(-1, 1) // the edge runs parallel to their bisector, off it
-					}
-				}
-				switch e.Sign() {
-				case 0:
-					if nn.Sign() < 0 {
-						hi = big.NewRat(-1, 1) // m is nearer along the whole edge
-					}
-				case 1:
-					if t := new(big.Rat).Quo(nn, e); t.Cmp(hi) < 0 {
-						hi = t
-					}
-				default:
-					if t := new(big.Rat).Quo(nn, e); t.Cmp(lo) > 0 {
-						lo = t
-					}
-				}
-				if lo.Cmp(hi) > 0 {
-					break
-				}
-			}
-			if at != nil && at.Cmp(lo) >= 0 && at.Cmp(hi) <= 0 || at == nil && lo.Cmp(hi) <= 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// shellPolygons are the polygons TestShellIsTheBoundaryCells traces on the
-// degenerate site sets: the pinned polygons, lattice-aligned ones whose
-// edges run along bisectors and through Voronoi vertices of the cocircular
-// grid, and one with a hole.
+// shellPolygons are the polygons the shell tests walk on the degenerate site
+// sets: the pinned polygons, lattice-aligned ones whose edges run along
+// bisectors, through sites and through Voronoi vertices of the cocircular
+// grid, a spike through the grid's Delaunay edges, two with holes, and two
+// literals with holes AddHole refuses.
 func shellPolygons() []geom.Polygon {
 	_, regions := pinnedRegions()
 	var pgs []geom.Polygon
@@ -261,20 +97,37 @@ func shellPolygons() []geom.Polygon {
 	if err := holed.AddHole(rect(0.375, 0.375, 0.625, 0.625)); err != nil {
 		panic(err)
 	}
+	// Its outer ring runs clockwise, and its holes one each way.
+	twoHoles := geom.MustPolygon([]geom.Point{geom.Pt(0.05, 0.95), geom.Pt(0.95, 0.95), geom.Pt(0.95, 0.05), geom.Pt(0.05, 0.05)})
+	for _, h := range [][]geom.Point{rect(0.1, 0.1, 0.45, 0.9), {geom.Pt(0.5, 0.2), geom.Pt(0.5, 0.8), geom.Pt(0.9, 0.5)}} {
+		if err := twoHoles.AddHole(h); err != nil {
+			panic(err)
+		}
+	}
 	return append(pgs,
 		geom.MustPolygon(rect(0.25, 0.25, 0.75, 0.75)),
 		geom.MustPolygon(rect(1.0/12, 1.0/12, 7.0/12, 5.0/12)),
+		geom.MustPolygon(rect(1.0/24, 1.0/24, 13.0/24, 11.0/24)),
 		geom.MustPolygon([]geom.Point{geom.Pt(0.5, 0.1), geom.Pt(0.9, 0.5), geom.Pt(0.5, 0.9), geom.Pt(0.1, 0.5)}),
 		geom.MustPolygon([]geom.Point{geom.Pt(0, 0.5), geom.Pt(1, 0.5), geom.Pt(0.5, 0.75)}),
+		geom.MustPolygon([]geom.Point{geom.Pt(0.1, 0.3), geom.Pt(0.8, 0.52), geom.Pt(0.1, 0.31)}),
+		// A vertex inside a grid edge, met crossing a triangle, then along
+		// the edge.
+		geom.MustPolygon([]geom.Point{geom.Pt(2.0/24, 5.0/24), geom.Pt(9.0/24, 5.0/24), geom.Pt(9.0/24, 0.5), geom.Pt(0.05, 0.4)}),
 		holed,
+		twoHoles,
+		// Literals AddHole would refuse: a hole across the outer ring (in
+		// its MBR, where ContainsPoint is even-odd), and one hole in
+		// another.
+		geom.Polygon{Outer: geom.Ring{geom.Pt(0.1, 0.1), geom.Pt(0.9, 0.1), geom.Pt(0.1, 0.9)}, Holes: []geom.Ring{rect(0.4, 0.4, 0.7, 0.7)}},
+		geom.Polygon{Outer: rect(0.1, 0.1, 0.9, 0.9), Holes: []geom.Ring{rect(0.2, 0.2, 0.8, 0.8), rect(0.3, 0.3, 0.7, 0.7)}},
 	)
 }
 
-// TestShellIsTheBoundaryCells holds the trace to its definition: B is every
-// cell whose closed cell meets ∂R, and nothing else, on the pinned sites and
-// on the degenerate site sets (lattice, collinear, boundary), with the
-// brute-force answer read off the reference cells (settled exactly where
-// their rounding cannot tell; see checkShell).
+// TestShellIsTheBoundaryCells holds the walk to its definition: B is both
+// ends of every Delaunay edge that meets ∂R, and nothing else, on the pinned
+// sites and on the degenerate site sets (lattice, collinear, boundary),
+// under every polygon of shellPolygons walked both ways round.
 func TestShellIsTheBoundaryCells(t *testing.T) {
 	pinned, _ := pinnedRegions()
 	fixtures := siteFixtures()
@@ -284,9 +137,9 @@ func TestShellIsTheBoundaryCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cells := scanCells(d)
 		for i, pg := range shellPolygons() {
-			checkShell(t, fmt.Sprintf("%s, polygon %d", name, i), d, cells, pg)
+			checkShell(t, fmt.Sprintf("%s, polygon %d", name, i), d, pg)
+			checkShell(t, fmt.Sprintf("%s, polygon %d reversed", name, i), d, reversed(pg))
 		}
 	}
 }
@@ -317,53 +170,70 @@ func ratContains(pg geom.Polygon, p geom.Point) bool {
 	return odd
 }
 
-// checkSides fails t unless every side the passes of pg's trace on d put a
-// neighbour on is its site's, by ratContains, and no polygon with holes is
-// classified. On a small site set it also settles, exactly, that a cell
-// crossed once meets ∂pg on no edge but the two it was crossed through: a
-// cell met at a tie — a Voronoi vertex on ∂pg, an edge along a bisector, a
-// ring vertex on a cell's edge — falls back. It returns the sides checked.
-func checkSides(t *testing.T, name string, d *MemoryData, pg geom.Polygon) int {
+// checkSides fails t unless every site the strict query on pg places
+// without a test lies on the side ratContains says: the sites of B its
+// records classify (fence sites dropped as outside), and every site the
+// flood emits, so that the answer is exactly ratContains' and the query
+// validates exactly the sites the records leave undecided. It returns how
+// many sites of B were classified, and how many had disagreeing records.
+func checkSides(t *testing.T, name string, d *MemoryData, pg geom.Polygon) (classified, disagreed int) {
 	t.Helper()
-	crossed, sides := shellSidesOf(t, d, pg)
-	if len(pg.Holes) > 0 && len(crossed) > 0 {
-		t.Errorf("%s: a polygon with holes classified %d cells", name, len(crossed))
-	}
-	for _, sd := range sides {
-		if want := ratContains(pg, d.pts[sd.nb]); sd.inside != want {
-			t.Errorf("%s: the pass through %d puts %d at %v inside=%v, exactly %v",
-				name, sd.cell, sd.nb, d.pts[sd.nb], sd.inside, want)
-		}
-	}
-	if len(d.pts) > 200 {
-		return len(sides)
-	}
-	for _, x := range crossed {
-		for _, nb := range ring(d, int(x.cell)) {
-			crossedHere := nb == x.in || nb == x.out
-			if meets := exactNearestOnBoundary(d.pts, int(x.cell), int(nb), ring(d, int(x.cell)), pg); meets != crossedHere {
-				t.Errorf("%s: cell %d, crossed once from %d to %d: ∂pg meets its edge with %d: %v",
-					name, x.cell, x.in, x.out, nb, meets)
+	b, sides, _ := shellSidesOf(t, d, pg)
+	validated := 0
+	for i, p := range b {
+		inside := sides[i] == sideIn
+		switch {
+		case int(p) < d.first || int(p) >= d.last:
+			inside = false
+		case sides[i] == sideIn || sides[i] == sideOut:
+		default:
+			validated++
+			if sides[i] == sideIn|sideOut {
+				disagreed++
 			}
+			continue
+		}
+		classified++
+		if want := ratContains(pg, d.pts[p]); inside != want {
+			t.Errorf("%s: site %d at %v with records %03b placed inside=%v, exactly %v", name, p, d.pts[p], sides[i], inside, want)
 		}
 	}
-	return len(sides)
+	var want []int64
+	for p := d.first; p < d.last; p++ {
+		if ratContains(pg, d.pts[p]) {
+			want = append(want, int64(p))
+		}
+	}
+	ids, st, err := query(NewEngine(nil, d), VoronoiBFSStrict, pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(ids)
+	if !slices.Equal(ids, want) {
+		t.Errorf("%s: the strict query returns %d sites, %d lie inside: %v against %v", name, len(ids), len(want), ids, want)
+	}
+	if st.Candidates != validated {
+		t.Errorf("%s: the strict query validated %d sites, the records leave %d undecided", name, st.Candidates, validated)
+	}
+	return classified, disagreed
 }
 
-// reversed is pg with its outer ring walked the other way round.
+// reversed is pg with every ring walked the other way round.
 func reversed(pg geom.Polygon) geom.Polygon {
 	out := pg.Clone()
 	slices.Reverse(out.Outer)
+	for _, h := range out.Holes {
+		slices.Reverse(h)
+	}
 	return out
 }
 
-// TestShellClassificationIsExact holds stage 2's classification to its
+// TestShellClassificationIsExact holds the classification to its
 // definition: on the pinned sites and the degenerate sets, under every
-// polygon of shellPolygons walked both ways round, each neighbour a pass
-// classifies lies on the side it says, exactly (checkSides), and on the
-// small sets no cell met at a tie classifies. A square along the bisectors
-// of a grid with exact coordinates meets every cell at a tie, so none
-// classifies there.
+// polygon of shellPolygons walked both ways round, with holes and without,
+// each site the query places without a test lies on the side it says,
+// exactly (checkSides). Some sites are classified, and some are validated
+// for records that disagree.
 func TestShellClassificationIsExact(t *testing.T) {
 	pinned, _ := pinnedRegions()
 	fixtures := siteFixtures()
@@ -371,37 +241,40 @@ func TestShellClassificationIsExact(t *testing.T) {
 	var pgs []geom.Polygon
 	for _, pg := range shellPolygons() {
 		pgs = append(pgs, pg, reversed(pg))
+		if len(pg.Holes) > 0 {
+			outer := geom.Polygon{Outer: pg.Outer}
+			pgs = append(pgs, outer, reversed(outer))
+		}
 	}
-	classified := 0
+	classified, disagreed := 0, 0
 	for name, pts := range fixtures {
 		d, err := NewMemoryData(pts, unitBounds())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, pg := range pgs {
-			classified += checkSides(t, fmt.Sprintf("%s, polygon %d", name, i), d, pg)
+			c, dis := checkSides(t, fmt.Sprintf("%s, polygon %d", name, i), d, pg)
+			classified += c
+			disagreed += dis
 		}
 	}
-	if classified == 0 {
-		t.Fatal("no pass classified a neighbour")
+	if classified == 0 || disagreed == 0 {
+		t.Fatalf("%d sites classified, %d with disagreeing records: the fixtures exercise neither", classified, disagreed)
 	}
-	// On a grid whose coordinates are exact, a square along its bisectors
-	// meets every cell it touches at a tie: no pass classifies.
-	var grid []geom.Point
-	for i := range 16 {
-		for j := range 16 {
-			grid = append(grid, geom.Pt(float64(2*i+1)/32, float64(2*j+1)/32))
-		}
-	}
-	d, err := NewMemoryData(grid, unitBounds())
+}
+
+// TestWalkOutsideTheUniverseFails: a ring that leaves the fence triangle
+// crosses an edge of two fence sites, and the strict query fails there
+// rather than walking a ring of a fence site's that has no triangle. Every
+// flavor refuses such a region before it queries.
+func TestWalkOutsideTheUniverseFails(t *testing.T) {
+	pts, _ := pinnedRegions()
+	d, err := NewMemoryData(pts, unitBounds())
 	if err != nil {
 		t.Fatal(err)
 	}
-	square := geom.MustPolygon([]geom.Point{geom.Pt(0.25, 0.25), geom.Pt(0.75, 0.25), geom.Pt(0.75, 0.75), geom.Pt(0.25, 0.75)})
-	for _, pg := range []geom.Polygon{square, reversed(square)} {
-		if crossed, _ := shellSidesOf(t, d, pg); len(crossed) != 0 {
-			t.Errorf("a square along an exact grid's bisectors classified %d cells, all met at ties", len(crossed))
-		}
-		checkSides(t, "exact grid", d, pg)
+	far := geom.MustPolygon([]geom.Point{geom.Pt(0.5, 0.5), geom.Pt(100, 0.5), geom.Pt(100, 0.6)})
+	if _, _, err := query(NewEngine(nil, d), VoronoiBFSStrict, far); !errors.Is(err, errWalkEscaped) {
+		t.Fatalf("a ring out to x = 100: err %v, want %v", err, errWalkEscaped)
 	}
 }

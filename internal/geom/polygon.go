@@ -11,10 +11,10 @@ import (
 // back to the first is implicit; callers should not repeat the first vertex.
 type Ring []Point
 
-// Polygon is a simple polygon, optionally with holes. The area of the
-// polygon is the interior of Outer minus the interiors of Holes, evaluated
-// with the even-odd rule; containment is closed (boundary points are
-// contained).
+// Polygon is a simple polygon, optionally with holes strictly inside its
+// outer ring and apart from each other (AddHole). The area of the polygon is
+// the interior of Outer minus the interiors of Holes; containment is closed
+// (boundary points are contained).
 type Polygon struct {
 	Outer Ring
 	Holes []Ring
@@ -73,17 +73,39 @@ func MustPolygon(outer []Point) Polygon {
 	return pg
 }
 
-// AddHole validates ring as a simple ring and adds it as a hole. The caller
-// is responsible for the hole lying inside the outer ring and holes being
-// disjoint; containment uses the even-odd rule so overlapping holes simply
-// flip parity.
+// AddHole validates hole as a simple ring strictly inside the outer ring,
+// meeting neither it nor another hole and nesting with none, and adds it:
+// a hole that is not is ErrSelfIntersect. So every boundary point of the
+// polygon has its interior on one side and its exterior on the other.
 func (pg *Polygon) AddHole(hole []Point) error {
 	ring, err := validRing(hole)
 	if err != nil {
 		return err
 	}
+	// Rings that do not meet are nested or apart, which one vertex tells.
+	if ringsMeet(ring, pg.Outer) || !pg.Outer.crossesRay(ring[0]) {
+		return ErrSelfIntersect
+	}
+	for _, h := range pg.Holes {
+		if ringsMeet(ring, h) || h.crossesRay(ring[0]) || ring.crossesRay(h[0]) {
+			return ErrSelfIntersect
+		}
+	}
 	pg.Holes = append(pg.Holes, ring)
 	return nil
+}
+
+// ringsMeet reports whether an edge of r meets an edge of s.
+func ringsMeet(r, s Ring) bool {
+	for i := range r {
+		e := Seg(r[i], r[(i+1)%len(r)])
+		for j := range s {
+			if e.Intersects(Seg(s[j], s[(j+1)%len(s)])) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // normalizeRing removes consecutive duplicates and a repeated closing

@@ -239,6 +239,77 @@ func TestAddHoleValidation(t *testing.T) {
 	}
 }
 
+// TestAddHoleRefusesMalformedHoles: a hole must lie strictly inside the
+// outer ring and apart from every other hole. One that crosses or touches
+// the outer ring, lies outside it, or crosses, touches, holds or sits in
+// another hole is ErrSelfIntersect, and the polygon keeps the holes it had.
+func TestAddHoleRefusesMalformedHoles(t *testing.T) {
+	square := func(x0, y0, x1, y1 float64) []Point {
+		return []Point{Pt(x0, y0), Pt(x1, y0), Pt(x1, y1), Pt(x0, y1)}
+	}
+	for name, hole := range map[string][]Point{
+		"crossing the outer ring":         square(0.5, 0.5, 1.5, 1.5),
+		"touching the outer ring":         {Pt(0, 0.5), Pt(0.5, 0.4), Pt(0.5, 0.6)},
+		"along an outer edge":             square(0, 0.2, 0.2, 0.4),
+		"holding the outer ring":          square(-1, -1, 2, 2),
+		"outside the outer ring":          square(2, 2, 3, 3),
+		"crossing the first hole":         square(0.3, 0.3, 0.5, 0.5),
+		"touching the first hole":         square(0.4, 0.1, 0.6, 0.2),
+		"nested in the first hole":        square(0.15, 0.25, 0.35, 0.35),
+		"holding the first hole":          square(0.05, 0.05, 0.45, 0.95),
+		"sharing the first hole's corner": square(0.4, 0.9, 0.6, 0.95),
+	} {
+		pg := unitSquare()
+		if err := pg.AddHole(square(0.1, 0.2, 0.4, 0.9)); err != nil {
+			t.Fatalf("the first hole: %v", err)
+		}
+		if err := pg.AddHole(hole); err != ErrSelfIntersect || len(pg.Holes) != 1 {
+			t.Errorf("a hole %s: err %v, %d holes; want ErrSelfIntersect and 1", name, err, len(pg.Holes))
+		}
+	}
+	pg := unitSquare()
+	for _, h := range [][]Point{square(0.1, 0.2, 0.4, 0.9), square(0.5, 0.5, 0.9, 0.9), {Pt(0.5, 0.1), Pt(0.9, 0.1), Pt(0.7, 0.4)}} {
+		if err := pg.AddHole(h); err != nil {
+			t.Fatalf("a hole apart from the others: %v", err)
+		}
+	}
+
+	// Scaled and shifted random stars as holes of random stars: the ones
+	// that meet or leave their outer ring, by a scan of every edge pair and
+	// vertex, are refused, and only those.
+	rng := rand.New(rand.NewSource(49))
+	refused := 0
+	for trial := range 400 {
+		pg := randomStarPolygon(rng, 3+rng.Intn(12))
+		star := randomStarPolygon(rng, 3+rng.Intn(12)).Outer
+		scale, dx, dy := 0.1+0.8*rng.Float64(), 0.4*rng.Float64()-0.2, 0.4*rng.Float64()-0.2
+		hole := make([]Point, len(star))
+		for i, p := range star {
+			hole[i] = Pt(0.5+(p.X-0.5)*scale+dx, 0.5+(p.Y-0.5)*scale+dy)
+		}
+		malformed := !pg.ContainsPointStrict(hole[0])
+		for i := range hole {
+			for j := range pg.Outer {
+				if Seg(hole[i], hole[(i+1)%len(hole)]).Intersects(Seg(pg.Outer[j], pg.Outer[(j+1)%len(pg.Outer)])) {
+					malformed = true
+				}
+			}
+		}
+		switch err := pg.AddHole(hole); {
+		case malformed && err != ErrSelfIntersect:
+			t.Errorf("trial %d: a hole that meets or leaves its outer ring: err %v", trial, err)
+		case !malformed && err != nil:
+			t.Errorf("trial %d: a hole strictly inside its outer ring: err %v", trial, err)
+		case malformed:
+			refused++
+		}
+	}
+	if refused == 0 || refused == 400 {
+		t.Fatalf("%d of 400 holes refused: the probe exercises one case only", refused)
+	}
+	t.Logf("%d of 400 holes meet or leave their outer ring, all refused", refused)
+}
+
 func TestIntersectsSegment(t *testing.T) {
 	l := lShape()
 	tests := []struct {

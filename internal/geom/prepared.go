@@ -172,7 +172,7 @@ func (pp *PreparedPolygon) InteriorPoint() Point { return pp.interior }
 
 // IntersectsRingView reports whether the polygon intersects the closed
 // region bounded by the ring v views, a cell of a packed arena. No query
-// calls it: the strict rule on a polygon traces the boundary instead, and
+// calls it: the strict rule on a polygon walks the boundary instead, and
 // only the benchmark's probes still time it. It decides as Polygon.IntersectsRing
 // does (edge crossings, then vertex containment both ways) but reuses the
 // cached polygon MBR, the prepared containment test and the edges near the

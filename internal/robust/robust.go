@@ -16,11 +16,6 @@
 //
 // For uniformly random inputs the fallback triggers almost never, so the
 // amortized cost is a handful of multiplications per call.
-//
-// Frame.CrossingOrder (crossing.go) is built the same way: it orders the
-// points where a segment crosses the bisectors of one site with others,
-// which is how the strict query rule walks a polygon's boundary through the
-// Voronoi diagram.
 package robust
 
 import "math/big"

@@ -624,11 +624,24 @@ func TestErrorMapping(t *testing.T) {
 	}
 
 	// Structurally invalid region.
+	var we wire.Error
 	bad := wire.QueryRequest{Region: wire.Region{Kind: "blob"}}
 	resp = post(t, srv, "/v1/query", bad)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad region: status %d", resp.StatusCode)
+	}
+
+	// A hole that crosses its outer ring: AddHole refuses it, so the request
+	// is a caller error, not an even-odd region.
+	sq := func(x0, y0, x1, y1 float64) []wire.Coord {
+		return []wire.Coord{{X: x0, Y: y0}, {X: x1, Y: y0}, {X: x1, Y: y1}, {X: x0, Y: y1}}
+	}
+	crossing := wire.Region{Kind: wire.KindPolygon, Outer: sq(0.2, 0.2, 0.6, 0.6), Holes: [][]wire.Coord{sq(0.4, 0.4, 0.8, 0.8)}}
+	resp = post(t, srv, "/v1/query", wire.QueryRequest{Region: crossing})
+	decodeInto2(t, resp, &we)
+	if resp.StatusCode != http.StatusBadRequest || we.Code != wire.CodeBadRequest {
+		t.Errorf("a hole across the outer ring: status %d code %q, want 400 %q", resp.StatusCode, we.Code, wire.CodeBadRequest)
 	}
 
 	// Unknown method.
@@ -647,7 +660,7 @@ func TestErrorMapping(t *testing.T) {
 	if resp.StatusCode != 422 {
 		t.Errorf("query on empty: status %d", resp.StatusCode)
 	}
-	var we wire.Error
+	we = wire.Error{}
 	decodeInto2(t, resp, &we)
 	if we.Code != wire.CodeNoData {
 		t.Errorf("code %q, want %q", we.Code, wire.CodeNoData)

@@ -28,12 +28,11 @@
 //     can then step over a thin lobe of a concave query and strand a result
 //     island (observed on ~2% of 1%-area queries over a 200k-point dataset
 //     at 8 shards). VoronoiBFS therefore executes as VoronoiBFSStrict,
-//     which is complete at any density. On a polygon it traces the
-//     boundary through the partition's diagram, validates the sites whose
-//     cells meet it (and the neighbours of the few cells it did not cross
-//     exactly once), and floods the interior untested: fewer validations
-//     than the published rule once the interior outgrows the shell (past
-//     ≈ 20 results per partition on TestQueryCostsPinned's sites). On a circle it is the segment rule
+//     which is complete at any density. On a polygon it walks the
+//     boundary through the partition's triangles, validates the few sites
+//     of the edges it meets that their sides of it cannot place, and
+//     floods the interior untested: on every polygon of
+//     TestQueryCostsPinned, at most the published rule's validations. On a circle it is the segment rule
 //     again, which convexity makes exact on any sub-sample, so there the
 //     upgrade changes nothing. On a custom region it tests cells, clipped
 //     as they are tested, complete for a connected region inside the

@@ -132,7 +132,7 @@
 // Traditional query packs it over the epoch's pinned positions, and an
 // epoch that runs none holds no R-tree at all.
 //
-// The BFS expansion tests, the boundary trace and the cell clipping read
+// The BFS expansion tests, the boundary walk and the cell clipping read
 // that dense memory in place; no query hot path allocates.
 //
 // # Static analysis
@@ -187,7 +187,7 @@ type (
 	Stats = core.Stats
 	// Region is a query shape. A Polygon and a Circle are Regions as they
 	// are; PolygonRegion prepares a polygon for repeated tests, and the
-	// strict method traces a polygon's boundary either way. Polygons and
+	// strict method walks a polygon's boundary either way. Polygons and
 	// circles can share one QueryAll batch. A custom Region runs on every
 	// local flavor; a RemoteEngine refuses it (ErrCustomRegion).
 	Region = core.Region
@@ -209,14 +209,18 @@ const (
 	// VoronoiBFS is the paper's Algorithm 1 (the default).
 	VoronoiBFS = core.VoronoiBFS
 	// VoronoiBFSStrict is Algorithm 1 complete at any point density. On a
-	// polygon it traces the boundary through the Voronoi diagram and
-	// validates only the sites whose cells meet it, and the neighbours of
-	// those cells the trace did not cross exactly once; it places every
-	// other neighbour inside or outside from the trace alone, and returns
-	// the interior untested. On a circle it runs the segment expansion test
-	// of VoronoiBFS, exact on a convex region. On a custom region it
-	// replaces the segment test with a Voronoi cell intersection test,
-	// complete for every connected region inside the universe.
+	// polygon it walks each ring of the boundary straight through the
+	// Delaunay triangles, placing both ends of every Delaunay edge the
+	// boundary meets inside or outside by the side of it they lie on; it
+	// validates only the sites placed both ways, on the boundary, or by an
+	// edge through a polygon vertex, and returns the interior untested.
+	// AddHole keeps holes strictly inside the outer ring and apart, so
+	// each ring places sites by its own side; on a literal whose holes are
+	// not, every site by the boundary is validated. On a circle it runs the
+	// segment expansion test of VoronoiBFS, exact on a convex region. On a
+	// custom region it replaces the segment test with a Voronoi cell
+	// intersection test, complete for every connected region inside the
+	// universe.
 	VoronoiBFSStrict = core.VoronoiBFSStrict
 	// BruteForce scans every record (oracle; for testing).
 	BruteForce = core.BruteForce
@@ -346,7 +350,7 @@ func WithShards(n int) Option {
 // sparser geometry the segment heuristic can strand result islands inside
 // thin concave queries; the strict rule is complete at any density on
 // every polygon and every connected region. A polygon's boundary is then
-// traced, with no SegmentTests; a circle, convex, keeps the segment test,
+// walked, with no SegmentTests; a circle, convex, keeps the segment test,
 // exact on it. A single shard holds the full diagram and runs the requested
 // method as is.
 //

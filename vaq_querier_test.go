@@ -122,8 +122,10 @@ func TestQuerierConformance(t *testing.T) {
 						t.Errorf("stats.ResultSize = %d, want %d", st.ResultSize, len(got))
 					}
 					// Every result is validated, except the sites the strict
-					// rule on a polygon emits untested (Stats.Candidates).
-					if m == VoronoiBFSStrict {
+					// rule on a polygon emits untested (Stats.Candidates). Over
+					// several shards the kernel runs VoronoiBFS as the strict
+					// rule too.
+					if m == VoronoiBFSStrict || m == VoronoiBFS && f.name == "sharded" {
 						if st.RecordsLoaded != st.Candidates || st.RedundantValidations < 0 ||
 							st.Candidates-st.RedundantValidations > st.ResultSize {
 							t.Errorf("strict accounting broken: %+v", st)
