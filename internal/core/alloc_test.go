@@ -4,8 +4,11 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
+	"repro/internal/delaunay"
 	"repro/internal/geom"
 	"repro/internal/voronoi"
 	"repro/internal/workload"
@@ -16,7 +19,7 @@ import (
 // clipped from the site's ring into the scratch's reused buffers, then
 // tested exactly. It returns the allocations per sweep and the hits.
 func cellTestSweep(data *MemoryData, region Region) (allocs float64, hits int) {
-	q := voronoiQuery{region: region, strict: true, pts: data.pts, nbrOff: data.nbrOff, nbrs: data.nbrs, clip: data.clip}
+	q := voronoiQuery{region: region, strict: true, pts: data.pts, rings: data.rings, clip: data.clip}
 	s := new(queryScratch)
 	var stats Stats
 	allocs = testing.AllocsPerRun(20, func() {
@@ -75,7 +78,7 @@ func TestCustomRegionStrictStepAllocsZero(t *testing.T) {
 // polygons and circles, given a pre-sized Dest and a warm scratch pool; and
 // likewise with CountOnly. It holds on the static engine and on a dynamic
 // snapshot alike: the one BFS loop builds no closures and slices both
-// layers' CSR adjacency in place.
+// layers' ring chunks in place.
 func TestQueryRegionSpecAllocsZero(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates inside sync.Pool")
@@ -113,11 +116,13 @@ func TestQueryRegionSpecAllocsZero(t *testing.T) {
 
 // TestDynamicPublishAllocs pins what one epoch of a dynamic engine
 // allocates — an Insert, the Snapshot that publishes it and the first query
-// on that snapshot: the fixed handful of snapshot headers, topology arrays
-// and the unbuilt R-tree index, and nothing for the query, whose scratch
-// comes warm from the pool every epoch shares. A count, not a size: it must
-// not grow with the sites. The lowest of 20 epochs is one whose insert grew
-// no array.
+// on that snapshot: the fixed handful of snapshot headers, chunk table and
+// the unbuilt R-tree index, one array per ring chunk the publish rebuilt,
+// and nothing for the query, whose scratch comes warm from the pool every
+// epoch shares. The chunks are counted off the table (those the previous
+// epoch's does not hold; TestPublishAllocs pins their bytes), and what is
+// left is a count, not a size: it must not grow with the sites. The lowest
+// of 20 epochs is one whose insert grew no array.
 func TestDynamicPublishAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates inside sync.Pool")
@@ -129,13 +134,22 @@ func TestDynamicPublishAllocs(t *testing.T) {
 		rng := rand.New(rand.NewSource(59))
 		d := NewDynamicEngine(unitBounds())
 		dest := make([]int64, 0, n)
+		rebuilt := 0
 		epoch := func() {
+			prev := d.Snapshot().data.rings
 			if _, _, err := d.Insert(geom.Pt(rng.Float64(), rng.Float64())); err != nil {
 				t.Fatal(err)
 			}
-			_, st, err := d.Snapshot().Engine().QueryRegionSpec(ctx, region, QuerySpec{Method: VoronoiBFS, Dest: dest})
+			snap := d.Snapshot()
+			_, st, err := snap.Engine().QueryRegionSpec(ctx, region, QuerySpec{Method: VoronoiBFS, Dest: dest})
 			if err != nil || st.ResultSize == 0 {
 				t.Fatalf("%d sites: %d results, err %v", d.Len(), st.ResultSize, err)
+			}
+			rebuilt = 0
+			for k, b := range snap.data.rings {
+				if k >= len(prev) || &b[0] != &prev[k][0] {
+					rebuilt++
+				}
 			}
 		}
 		for d.Len() < n {
@@ -143,18 +157,70 @@ func TestDynamicPublishAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		low := math.Inf(1)
+		low, lowAll := math.Inf(1), math.Inf(1)
 		for i := 0; i < 20; i++ {
-			low = math.Min(low, testing.AllocsPerRun(1, epoch))
+			allocs := testing.AllocsPerRun(1, epoch)
+			if rebuilt == 0 {
+				t.Fatalf("%d sites: a publish rebuilt no ring chunk", n)
+			}
+			low, lowAll = math.Min(low, allocs-float64(rebuilt)), math.Min(lowAll, allocs)
 		}
-		t.Logf("%d sites: %.0f allocations per Insert + Snapshot + query", n, low)
-		if low > 16 {
-			t.Errorf("%d sites: Insert + Snapshot + query allocates %.0f times, want <= 16", n, low)
+		t.Logf("%d sites: %.0f allocations per Insert + Snapshot + query, %.0f besides the ring chunks rebuilt", n, lowAll, low)
+		if lowAll > 16 {
+			t.Errorf("%d sites: Insert + Snapshot + query allocates %.0f times, want <= 16", n, lowAll)
 		}
 		lowest = append(lowest, low)
 	}
 	if more := lowest[1] - lowest[0]; more > 0 {
 		t.Errorf("ten times the sites cost %.0f more allocations per epoch, want none", more)
+	}
+}
+
+// TestPublishAllocsFollowTheChange pins the bytes a one-insert publish
+// allocates — the chunk table, the ring chunks it rebuilt and the
+// snapshot's fixed headers — at about 10k and at about 80k preloaded sites:
+// the mean over 256 publishes may grow by the table's n/ChunkSites headers
+// and by one chunk, no more. A chunk holds ≈ 7 KB of a uniform
+// triangulation's rings, and the one chunk of slack is what fewer chunks to
+// fall in saves the smaller engine: at 10k the new site's ≈ 6 neighbors
+// share a chunk more often. Both preloads end at a chunk boundary, so the
+// last chunk, which every publish rebuilds, fills the same way at both
+// sizes. Copying every ring, as one flat array per epoch did, would add
+// ≈ 1.9 MB.
+func TestPublishAllocsFollowTheChange(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins run on an uninstrumented build")
+	}
+	const publishes = 256
+	sizes := []int{40*delaunay.ChunkSites - delaunay.FirstSiteID, 312*delaunay.ChunkSites - delaunay.FirstSiteID}
+	var mean []float64
+	for _, n := range sizes {
+		rng := rand.New(rand.NewSource(71))
+		d := NewDynamicEngine(unitBounds())
+		for d.Len() < n {
+			if _, _, err := d.Insert(geom.Pt(rng.Float64(), rng.Float64())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.Snapshot()
+		var before, after runtime.MemStats
+		total := uint64(0)
+		for range publishes {
+			if _, _, err := d.Insert(geom.Pt(rng.Float64(), rng.Float64())); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&before)
+			d.Snapshot()
+			runtime.ReadMemStats(&after)
+			total += after.TotalAlloc - before.TotalAlloc
+		}
+		mean = append(mean, float64(total)/publishes)
+		t.Logf("%d sites: %.0f B per one-insert publish", n, mean[len(mean)-1])
+	}
+	chunk := float64(4 * (delaunay.ChunkSites + 1 + 6*delaunay.ChunkSites))
+	table := float64(unsafe.Sizeof([]int32(nil))) * float64(sizes[1]-sizes[0]) / delaunay.ChunkSites
+	if grew := mean[1] - mean[0]; grew > table+chunk {
+		t.Errorf("a one-insert publish allocates %.0f B more at %d sites than at %d, want <= %.0f (the table's growth and one chunk)", grew, sizes[1], sizes[0], table+chunk)
 	}
 }
 
@@ -206,7 +272,7 @@ func TestDynamicArenaMatchesCell(t *testing.T) {
 	}
 	total := 0.0
 	for id := range data.pts {
-		cell, _ := voronoi.CellFromNeighbors(nil, nil, data.pts[id], data.nbrs[data.nbrOff[id]:data.nbrOff[id+1]], data.pts, data.clip)
+		cell, _ := voronoi.CellFromNeighbors(nil, nil, data.pts[id], ring(data, id), data.pts, data.clip)
 		got, want := geom.Ring(cell).Area(), scanCell(data.pts, id, clip).Area()
 		if math.Abs(got-want) > 1e-9*(1+want) {
 			t.Fatalf("id %d: clipped cell area %v, reference cell area %v", id, got, want)

@@ -24,7 +24,7 @@
 // greedy walk on the Delaunay graph the method holds anyway (seedWalk),
 // started at the site a coarse grid in the data layer names for that
 // position, so a Voronoi query touches no index node at all. There is one
-// record layer, MemoryData: the sites' positions, their CSR adjacency and
+// record layer, MemoryData: the sites' positions, their ring chunks and
 // the walk's hint, all resident, and optionally a paged store the
 // candidates' records are fetched from (NewStoreData). A static engine, a
 // store-backed one and every epoch a dynamic engine publishes hold one, so

@@ -22,7 +22,8 @@ var ErrDuplicatePoints = errors.New("core: dataset contains duplicate coordinate
 // candidates' records are fetched from.
 //
 // It retains exactly what queries read: the sites' positions as one slice
-// and the Voronoi adjacency as CSR offset/neighbor arrays. Reading either
+// and the Voronoi adjacency as a table of fixed-size CSR chunks
+// (delaunay.Rings), each ring read in place through rings.Ring. Reading either
 // costs no simulated IO (the R-tree leaf carries coordinates and the
 // topology is precomputed alongside the index, as in the VoR-tree). A
 // clipped Voronoi cell, which only the strict expansion rule on a custom
@@ -62,10 +63,12 @@ type MemoryData struct {
 	// [delaunay.FirstSiteID, len(pts)) on a dynamic epoch. The other three
 	// ids are the fence sites.
 	first, last int
-	// CSR adjacency: the neighbors of id are nbrs[nbrOff[id]:nbrOff[id+1]],
-	// in counterclockwise rotational order. A dynamic epoch's are patched
-	// from the previous epoch's (delaunay.Dynamic.Adjacency).
-	nbrOff, nbrs []int32
+	// rings holds the neighbors of every id, rings.Ring(id), in
+	// counterclockwise rotational order: ChunkSites sites to a chunk. A
+	// static layer's chunks lie end to end in one array (delaunay.Bulk); a
+	// dynamic epoch shares every chunk the inserts since the previous epoch
+	// left alone with that epoch (delaunay.Dynamic.Adjacency).
+	rings delaunay.Rings
 	// clip is what the cells are clipped to: the bounds of a static layer, or
 	// a dynamic engine's universe expanded so that fence-adjacent cells stay
 	// closed.
@@ -93,14 +96,14 @@ func NewMemoryData(pts []geom.Point, bounds geom.Rect) (*MemoryData, error) {
 // inserted the sites in.
 func newMemoryData(pts []geom.Point, bounds geom.Rect) (*MemoryData, []int32, error) {
 	order := curveOrder(pts, bounds)
-	sites, off, nbrs, err := delaunay.Bulk(pts, bounds, order)
+	sites, rings, err := delaunay.Bulk(pts, bounds, order)
 	if errors.Is(err, delaunay.ErrDuplicateSite) {
 		return nil, nil, fmt.Errorf("%w: %w", ErrDuplicatePoints, err)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: triangulating %d sites: %w", len(pts), err)
 	}
-	m := &MemoryData{pts: sites, last: len(pts), nbrOff: off, nbrs: nbrs, clip: bounds}
+	m := &MemoryData{pts: sites, last: len(pts), rings: rings, clip: bounds}
 	side := 1
 	for side*side*sitesPerBucket < len(pts) {
 		side++

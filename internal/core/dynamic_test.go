@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/delaunay"
 	"repro/internal/geom"
 	"repro/internal/rtree"
 	"repro/internal/workload"
@@ -144,6 +145,30 @@ func BenchmarkDynamicEngineInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkPublish times the Snapshot that publishes one Insert, on an
+// engine preloaded with 50k uniform sites: the ring chunks the insert
+// changed rebuilt, the rest shared. The insert itself is not timed.
+func BenchmarkPublish(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	d := NewDynamicEngine(unitBounds())
+	for d.Len() < 50_000 {
+		if _, _, err := d.Insert(geom.Pt(rng.Float64(), rng.Float64())); err != nil {
+			b.Fatal(err)
+		}
+	}
+	d.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, _, err := d.Insert(geom.Pt(rng.Float64(), rng.Float64())); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		d.Snapshot()
+	}
+}
+
 func BenchmarkDynamicEngineQuery(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	d := NewDynamicEngine(unitBounds())
@@ -275,10 +300,131 @@ func TestDynamicSnapshotNeighborsStableUnderInserts(t *testing.T) {
 	}
 	last := d.Snapshot().data
 	d.mu.Lock()
-	off, nbrs := d.dt.Adjacency(nil, nil)
+	walked := d.dt.Adjacency(nil, 0)
 	d.mu.Unlock()
-	if !slices.Equal(last.nbrOff, off) || !slices.Equal(last.nbrs, nbrs) {
+	if !slices.EqualFunc(last.rings, walked, slices.Equal) {
 		t.Fatal("500 patched epochs do not hold the rings a walk of every site gives")
+	}
+}
+
+// TestSnapshotRingsSurviveInserts pins epochs where ring chunks are shared
+// or rebuilt at their edges — at ChunkSites−1, ChunkSites and ChunkSites+1
+// sites, fence sites included, and after an insert that rewrites a fence
+// site's ring (every fence ring lies in chunk 0) — then inserts two chunks'
+// worth more, publishing every epoch, while other goroutines query the
+// pinned snapshots and read their rings. Every pinned epoch keeps the rings
+// it was published with, equal to the writer's own walk at that time, and
+// keeps answering as it did. CI repeats it under the race detector.
+func TestSnapshotRingsSurviveInserts(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	d := NewDynamicEngine(unitBounds())
+	insert := func(p geom.Point) int64 {
+		t.Helper()
+		id, ok, err := d.Insert(p)
+		if err != nil || !ok {
+			t.Fatalf("insert %v: id %d, inserted %v, err %v", p, id, ok, err)
+		}
+		return id
+	}
+	type pin struct {
+		snap  *DynamicSnapshot
+		rings [][]int32 // a copy of every ring, taken when pinned
+		ids   []int64   // the answer to area
+	}
+	area := PolygonRegion(geom.MustPolygon([]geom.Point{geom.Pt(0.02, 0.02), geom.Pt(0.7, 0.1), geom.Pt(0.4, 0.6)}))
+	var pins []pin
+	take := func() {
+		t.Helper()
+		snap := d.Snapshot()
+		p := pin{snap: snap, rings: make([][]int32, len(snap.data.pts))}
+		d.mu.Lock()
+		for id := range p.rings {
+			p.rings[id] = slices.Clone(ring(snap.data, id))
+			if walk := d.dt.AppendNeighbors(id, nil); !slices.Equal(p.rings[id], walk) {
+				d.mu.Unlock()
+				t.Fatalf("epoch %d: ring of %d published as %v, the writer walks %v", snap.Epoch(), id, p.rings[id], walk)
+			}
+		}
+		d.mu.Unlock()
+		ids, _, err := query(snap.Engine(), VoronoiBFS, area)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.ids = sortedIDs(ids)
+		pins = append(pins, p)
+	}
+	for _, sites := range []int{delaunay.ChunkSites - 1, delaunay.ChunkSites, delaunay.ChunkSites + 1} {
+		for d.Len()+delaunay.FirstSiteID < sites {
+			insert(geom.Pt(rng.Float64(), rng.Float64()))
+		}
+		take()
+	}
+	// A site close to a universe corner, outside the hull of the others,
+	// joins a fence site's ring.
+	fenced := false
+	for _, p := range []geom.Point{geom.Pt(1e-6, 1e-6), geom.Pt(1-1e-6, 1e-6), geom.Pt(1e-6, 1-1e-6), geom.Pt(1-1e-6, 1-1e-6)} {
+		id := insert(p)
+		d.mu.Lock()
+		for _, nb := range d.dt.AppendNeighbors(int(id), nil) {
+			fenced = fenced || nb < delaunay.FirstSiteID
+		}
+		d.mu.Unlock()
+		if fenced {
+			break
+		}
+	}
+	if !fenced {
+		t.Fatal("no corner insert rewrote a fence site's ring")
+	}
+	take()
+
+	stop := make(chan struct{})
+	errs := make(chan error, len(pins))
+	var wg sync.WaitGroup
+	for _, p := range pins {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+				ids, _, err := query(p.snap.Engine(), VoronoiBFS, area)
+				if err == nil && !equalIDs(sortedIDs(ids), p.ids) {
+					err = errors.New("a pinned epoch's answer changed")
+				}
+				for id, was := range p.rings {
+					if err == nil && !slices.Equal(ring(p.snap.data, id), was) {
+						err = errors.New("a pinned epoch's ring changed")
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for target := d.Len() + 2*delaunay.ChunkSites; d.Len() < target; {
+		insert(geom.Pt(rng.Float64(), rng.Float64()))
+		d.Snapshot()
+	}
+	close(stop)
+	wg.Wait()
+	for range pins {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range pins {
+		for id, was := range p.rings {
+			if got := ring(p.snap.data, id); !slices.Equal(got, was) {
+				t.Fatalf("epoch %d: ring of %d changed from %v to %v", p.snap.Epoch(), id, was, got)
+			}
+		}
 	}
 }
 

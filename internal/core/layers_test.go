@@ -15,8 +15,9 @@ import (
 	"repro/internal/workload"
 )
 
-// ring returns the Voronoi neighbors of id in d, in place.
-func ring(d *MemoryData, id int) []int32 { return d.nbrs[d.nbrOff[id]:d.nbrOff[id+1]] }
+// ring returns the Voronoi neighbors of id in d, in place, through the
+// accessor every query reads them by.
+func ring(d *MemoryData, id int) []int32 { return d.rings.Ring(int32(id)) }
 
 // scanCell is the reference Voronoi cell of site id among pts, clipped to
 // clip, found by scans and from no triangulation: clip cut by the bisector
@@ -168,7 +169,10 @@ func siteFixtures() map[string][]geom.Point {
 //     [0, 3) on a dynamic epoch, whose user ids follow them;
 //   - Len, Each, PositionOK and Positions report the user sites and no fence
 //     site;
-//   - its CSR adjacency is symmetric, with no self and no repeated entry, and
+//   - its ring chunks are laid out as delaunay.Rings says: one per
+//     ChunkSites ids, each with offsets that start at ChunkSites+1, never
+//     decrease and end at the chunk's length;
+//   - its adjacency is symmetric, with no self and no repeated entry, and
 //     every ring, the fence sites' included, runs counterclockwise once
 //     round its site: each two consecutive neighbours make a left turn about
 //     it, but for the fence sites' outer face;
@@ -211,8 +215,18 @@ func checkLayerStructure(t *testing.T, name string, d *MemoryData) {
 		t.Fatalf("%s: Each yields %d user sites, want %d", name, next-d.first, d.last-d.first)
 	}
 
-	if len(d.nbrOff) != n+1 || d.nbrOff[0] != 0 || int(d.nbrOff[n]) != len(d.nbrs) {
-		t.Fatalf("%s: %d offsets for %d sites over %d neighbors", name, len(d.nbrOff), n, len(d.nbrs))
+	if want := (n + delaunay.ChunkSites - 1) / delaunay.ChunkSites; len(d.rings) != want {
+		t.Fatalf("%s: %d ring chunks for %d sites, want %d", name, len(d.rings), n, want)
+	}
+	for k, b := range d.rings {
+		if len(b) <= delaunay.ChunkSites || b[0] != delaunay.ChunkSites+1 || int(b[delaunay.ChunkSites]) != len(b) {
+			t.Fatalf("%s: ring chunk %d of %d entries does not hold its offsets then its rings", name, k, len(b))
+		}
+		for i := range delaunay.ChunkSites {
+			if b[i] > b[i+1] {
+				t.Fatalf("%s: ring chunk %d: offset %d is %d, offset %d is %d", name, k, i, b[i], i+1, b[i+1])
+			}
+		}
 	}
 	for id := range n {
 		r := ring(d, id)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/delaunay"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -224,7 +225,7 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 
 	// Resolve the query-constant expansion state once.
 	q := voronoiQuery{region: region, strict: strict, traced: traced,
-		pts: d.pts, nbrOff: d.nbrOff, nbrs: d.nbrs, clip: d.clip, store: d.store, stored: int32(d.last)}
+		pts: d.pts, rings: d.rings, clip: d.clip, store: d.store, stored: int32(d.last)}
 	if !strict {
 		q.boundary, _ = region.(BoundaryToucher)
 	}
@@ -257,7 +258,7 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 
 // voronoiQuery is the query-constant state of one Voronoi BFS, resolved
 // once per query: the region and its optional test, and the data layer's
-// slices — positions and CSR adjacency — which the loop then reads in place.
+// slices — positions and ring chunks — which the loop then reads in place.
 // The BFS runs the published rule on every region and the strict rule's cell
 // tests on custom regions.
 type voronoiQuery struct {
@@ -269,21 +270,21 @@ type voronoiQuery struct {
 	// (published rule; see testSegment).
 	boundary BoundaryToucher
 
-	// The data layer: resident positions and CSR adjacency, the rectangle
+	// The data layer: resident positions and ring chunks, the rectangle
 	// the strict rule clips a cell to, and the store a candidate's record is
 	// fetched from (nil: the record is its resident position, read with no
 	// error branch and no clock pair under tracing). A store holds the
 	// records of ids below stored; the fence sites above have none.
-	pts          []geom.Point
-	nbrOff, nbrs []int32
-	clip         geom.Rect
-	store        *storage.Store
-	stored       int32
+	pts    []geom.Point
+	rings  delaunay.Rings
+	clip   geom.Rect
+	store  *storage.Store
+	stored int32
 }
 
 // testCell is the strict rule's one cell-vs-area decision. It accepts when
 // the site itself is in the region (the site lies in its own cell), and only
-// otherwise clips the cell — from the site's CSR ring, into the scratch's
+// otherwise clips the cell — from the site's ring, into the scratch's
 // two reused buffers — and tests the exact ring.
 //
 //vaq:noalloc
@@ -292,7 +293,7 @@ func (q *voronoiQuery) testCell(s *queryScratch, nb int32, nbPos geom.Point, sta
 	if q.region.ContainsPoint(nbPos) {
 		return true
 	}
-	s.cell, s.spare = voronoi.CellFromNeighbors(s.cell, s.spare, nbPos, q.nbrs[q.nbrOff[nb]:q.nbrOff[nb+1]], q.pts, q.clip)
+	s.cell, s.spare = voronoi.CellFromNeighbors(s.cell, s.spare, nbPos, q.rings.Ring(nb), q.pts, q.clip)
 	return regionIntersectsRing(q.region, s.cell)
 }
 
@@ -342,7 +343,7 @@ func voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch, stats Stat
 		stats.RecordsLoaded++
 		stats.Candidates++
 
-		nbs := q.nbrs[q.nbrOff[p]:q.nbrOff[p+1]]
+		nbs := q.rings.Ring(p)
 		if q.region.ContainsPoint(pos) {
 			// Internal point: emit, then all unvisited Voronoi neighbors
 			// become candidates (Property 7 bounds them to

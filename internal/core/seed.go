@@ -154,12 +154,12 @@ func (g *hintGrid) frozen() hintGrid {
 //
 //vaq:noalloc
 func (m *MemoryData) seedWalk(p geom.Point) (seed int64, steps int) {
-	pts, off, nbrs := m.pts, m.nbrOff, m.nbrs
+	pts, rings := m.pts, m.rings
 	cur := int32(m.hint.lookup(p))
 	best := p.Dist2(pts[cur])
 	for {
 		next := cur
-		for _, nb := range nbrs[off[cur]:off[cur+1]] {
+		for _, nb := range rings.Ring(cur) {
 			if d := p.Dist2(pts[nb]); d < best {
 				next, best = nb, d
 			}

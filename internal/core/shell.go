@@ -7,6 +7,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/delaunay"
 	"repro/internal/geom"
 	"repro/internal/obs"
 )
@@ -144,7 +145,7 @@ func ringsMeet(r, s geom.Ring) bool {
 //
 //vaq:noalloc
 func (d *MemoryData) floodShell(ctx context.Context, region Region, s *queryScratch, traced bool) (stats Stats, fetched time.Duration, err error) {
-	pts, off, nbrs := d.pts, d.nbrOff, d.nbrs
+	pts, rings := d.pts, d.rings
 	shell := len(s.queue)
 	for i := 0; i < shell; i++ {
 		if i%cancelStride == 0 {
@@ -189,7 +190,7 @@ func (d *MemoryData) floodShell(ctx context.Context, region Region, s *queryScra
 		if head >= untested && !s.out.add(int64(p), pts[p]) {
 			return stats, fetched, nil
 		}
-		s.enqueueUnvisited(nbrs[off[p]:off[p+1]])
+		s.enqueueUnvisited(rings.Ring(p))
 	}
 	return stats, fetched, nil
 }
@@ -201,7 +202,7 @@ func (d *MemoryData) floodShell(ctx context.Context, region Region, s *queryScra
 //
 //vaq:noalloc
 func (d *MemoryData) walkShell(ctx context.Context, pg geom.Polygon, sided bool, s *queryScratch, traced bool, seeded *time.Duration) (walkCounts, error) {
-	w := walker{pts: d.pts, off: d.nbrOff, nbrs: d.nbrs, first: int32(d.first), last: int32(d.last), s: s, sided: sided}
+	w := walker{pts: d.pts, rings: d.rings, first: int32(d.first), last: int32(d.last), s: s, sided: sided}
 	s.sides = s.sides[:0]
 	err := w.ring(ctx, d, pg.Outer, false, traced, seeded)
 	for _, h := range pg.Holes {
@@ -224,7 +225,7 @@ const (
 // walker walks rings of ∂R through the triangles of one data layer.
 type walker struct {
 	pts         []geom.Point
-	off, nbrs   []int32
+	rings       delaunay.Rings
 	first, last int32
 	s           *queryScratch
 	counts      walkCounts
@@ -359,10 +360,10 @@ func (w *walker) record(p int32, o geom.Orientation) {
 func (w *walker) across(u, v int32) (int32, bool) {
 	switch {
 	case w.first <= u && u < w.last:
-		r := w.nbrs[w.off[u]:w.off[u+1]]
+		r := w.rings.Ring(u)
 		return r[(slices.Index(r, v)+1)%len(r)], true
 	case w.first <= v && v < w.last:
-		r := w.nbrs[w.off[v]:w.off[v+1]]
+		r := w.rings.Ring(v)
 		return r[(slices.Index(r, u)+len(r)-1)%len(r)], true
 	}
 	return 0, false
@@ -473,7 +474,7 @@ func (w *walker) cross() int {
 func (w *walker) pivot(ringVertex bool) int {
 	v := w.v
 	w.record(v, 0)
-	c := w.nbrs[w.off[v]:w.off[v+1]]
+	c := w.rings.Ring(v)
 	k := len(c) - 1
 	last := w.orient(c[k])
 	prev, exit, along := last, 0, false

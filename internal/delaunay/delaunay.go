@@ -1,7 +1,7 @@
 // Package delaunay builds the Delaunay triangulation of a planar point set
 // and answers the topology query the Voronoi-based area query needs: the
 // Delaunay (equivalently, Voronoi) neighbors of every site, as per-site rings
-// or as the CSR arrays an engine keeps.
+// or as the chunked CSR table an engine keeps (Rings).
 //
 // There is one construction: Dynamic's insertion (Guibas & Stolfi's
 // InsertSite), one site at a time into a triangulation whose outer face is a
@@ -54,11 +54,12 @@ var (
 // lists their indexes (every index once; nil is slice order), each walk
 // starting at the previous insertion. The result is relabelled so that
 // pts[i] is site i and the fence sites are n, n+1 and n+2, for n = len(pts):
-// sites holds pts followed by the fence sites, and the neighbors of site v
-// are nbrs[off[v]:off[v+1]], counterclockwise. A triangulation whose outer
-// face is the fence triangle has 3(n+3)−6 edges, so nbrs has 6(n+3)−12
-// entries. sites, off and nbrs are new.
-func Bulk(pts []geom.Point, bounds geom.Rect, order []int32) (sites []geom.Point, off, nbrs []int32, err error) {
+// sites holds pts followed by the fence sites, and rings.Ring(v) is the ring
+// of site v, counterclockwise. A triangulation whose outer face is the fence
+// triangle has 3(n+3)−6 edges, so its rings hold 6(n+3)−12 entries; the
+// chunks lie end to end in one array of exactly that many entries and their
+// offsets. sites and rings are new.
+func Bulk(pts []geom.Point, bounds geom.Rect, order []int32) (sites []geom.Point, rings Rings, err error) {
 	n := len(pts)
 	d := newDynamic(bounds, n)
 	// label takes an insertion's id to the caller's: the fence sites first,
@@ -71,9 +72,9 @@ func Bulk(pts []geom.Point, bounds geom.Rect, order []int32) (sites []geom.Point
 			i = order[k]
 		}
 		if _, inserted, err := d.InsertSite(pts[i]); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		} else if !inserted {
-			return nil, nil, nil, fmt.Errorf("%w: %v", ErrDuplicateSite, pts[i])
+			return nil, nil, fmt.Errorf("%w: %v", ErrDuplicateSite, pts[i])
 		}
 		label = append(label, i)
 	}
@@ -82,25 +83,31 @@ func Bulk(pts []geom.Point, bounds geom.Rect, order []int32) (sites []geom.Point
 		id[u] = int32(v)
 	}
 	sites = append(append(make([]geom.Point, 0, n+FirstSiteID), pts...), d.pts[:FirstSiteID]...)
-	off = make([]int32, len(label)+1)
-	nbrs = make([]int32, 0, 6*len(label)-12)
-	for u, v := range id {
-		from := len(nbrs)
-		nbrs = d.AppendNeighbors(int(v), nbrs)
-		for j := from; j < len(nbrs); j++ {
-			nbrs[j] = label[nbrs[j]]
+	ring := func(u int, b []int32) []int32 {
+		from := len(b)
+		b = d.AppendNeighbors(int(id[u]), b)
+		for j := from; j < len(b); j++ {
+			b[j] = label[b[j]]
 		}
-		off[u+1] = int32(len(nbrs))
+		return b
 	}
-	return sites, off, nbrs, nil
+	rings = make(Rings, chunks(len(label)))
+	all := make([]int32, 0, len(rings)*(ChunkSites+1)+6*len(label)-12)
+	for k := range rings {
+		lo := k << chunkShift
+		from := len(all)
+		all = appendChunk(all, lo, min(lo+ChunkSites, len(label)), ring, nil, 0, nil)
+		rings[k] = all[from:len(all):len(all)]
+	}
+	return sites, rings, nil
 }
 
 // Triangulation is the Delaunay triangulation of a point set as Build
 // leaves it: each site's user neighbors, in counterclockwise order. It is
 // immutable and safe for concurrent readers.
 type Triangulation struct {
-	pts       []geom.Point
-	off, nbrs []int32
+	pts   []geom.Point
+	rings Rings
 }
 
 // Build triangulates pts with Bulk, fenced by their bounding rectangle, in
@@ -111,24 +118,28 @@ func Build(pts []geom.Point) (*Triangulation, error) {
 	if len(pts) == 0 {
 		return nil, ErrNoPoints
 	}
-	sites, off, nbrs, err := Bulk(pts, geom.RectFromPoints(pts...), nil)
+	sites, rings, err := Bulk(pts, geom.RectFromPoints(pts...), nil)
 	if err != nil {
 		return nil, err
 	}
-	// Compact each ring in place: a ring never grows, so every write lands
+	// Compact each chunk in place: a ring never grows, so every write lands
 	// at or before the entry being read.
-	n, w, lo := len(pts), 0, int32(0)
-	for v := range n {
-		hi := off[v+1]
-		for _, nb := range nbrs[lo:hi] {
-			if int(nb) < n {
-				nbrs[w] = nb
-				w++
+	n := len(pts)
+	for k, b := range rings {
+		w, lo := b[0], b[0]
+		for i := range int32(ChunkSites) {
+			hi := b[i+1]
+			for _, nb := range b[lo:hi] {
+				if int(nb) < n {
+					b[w] = nb
+					w++
+				}
 			}
+			lo, b[i+1] = hi, w
 		}
-		lo, off[v+1] = hi, int32(w)
+		rings[k] = b[:w]
 	}
-	return &Triangulation{pts: sites[:n:n], off: off[:n+1], nbrs: nbrs[:w]}, nil
+	return &Triangulation{pts: sites[:n:n], rings: rings}, nil
 }
 
 // NumSites returns the number of sites.
@@ -140,4 +151,4 @@ func (t *Triangulation) Point(i int) geom.Point { return t.pts[i] }
 // Neighbors returns the Delaunay (equivalently Voronoi) neighbors of site i,
 // in counterclockwise rotational order. The returned slice aliases internal
 // storage and must not be modified.
-func (t *Triangulation) Neighbors(i int) []int32 { return t.nbrs[t.off[i]:t.off[i+1]] }
+func (t *Triangulation) Neighbors(i int) []int32 { return t.rings.Ring(int32(i)) }

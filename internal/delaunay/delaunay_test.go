@@ -33,14 +33,49 @@ func numEdges(tr *Triangulation) int {
 }
 
 // bulk is Bulk fenced by the points' bounding rectangle, in slice order, as
-// Build runs it.
+// Build runs it, with its rings checked chunk by chunk and laid out flat.
 func bulk(t *testing.T, pts []geom.Point) (sites []geom.Point, off, nbrs []int32) {
 	t.Helper()
-	sites, off, nbrs, err := Bulk(pts, geom.RectFromPoints(pts...), nil)
+	sites, rings, err := Bulk(pts, geom.RectFromPoints(pts...), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := checkChunks(rings, len(sites)); err != nil {
+		t.Fatal(err)
+	}
+	off, nbrs = flatten(rings, len(sites))
 	return sites, off, nbrs
+}
+
+// checkChunks holds a table of ring chunks over n sites to its layout: one
+// chunk per ChunkSites sites, each with offsets that start at ChunkSites+1,
+// never decrease, and end at the chunk's length.
+func checkChunks(rings Rings, n int) error {
+	if want := (n + ChunkSites - 1) / ChunkSites; len(rings) != want {
+		return fmt.Errorf("%d chunks for %d sites, want %d", len(rings), n, want)
+	}
+	for k, b := range rings {
+		if len(b) <= ChunkSites || b[0] != ChunkSites+1 || int(b[ChunkSites]) != len(b) {
+			return fmt.Errorf("chunk %d of %d entries has offsets from %v to %v", k, len(b), b[:min(len(b), 1)], b[min(len(b), ChunkSites)-1:min(len(b), ChunkSites+1)])
+		}
+		for i := range ChunkSites {
+			if b[i] > b[i+1] {
+				return fmt.Errorf("chunk %d: offset %d is %d, offset %d is %d", k, i, b[i], i+1, b[i+1])
+			}
+		}
+	}
+	return nil
+}
+
+// flatten lays the rings of sites [0, n) out as one CSR: the ring of v is
+// nbrs[off[v]:off[v+1]].
+func flatten(rings Rings, n int) (off, nbrs []int32) {
+	off = make([]int32, n+1)
+	for v := range n {
+		nbrs = append(nbrs, rings.Ring(int32(v))...)
+		off[v+1] = int32(len(nbrs))
+	}
+	return off, nbrs
 }
 
 // fencedTriangles lists the bounded faces of a fenced triangulation in CSR
@@ -216,7 +251,7 @@ func TestDuplicatePoints(t *testing.T) {
 	if _, err := Build(pts); !errors.Is(err, ErrDuplicateSite) {
 		t.Errorf("Build err = %v, want ErrDuplicateSite", err)
 	}
-	if _, _, _, err := Bulk(pts, geom.NewRect(0, 0, 1, 1), []int32{4, 3, 2, 1, 0}); !errors.Is(err, ErrDuplicateSite) {
+	if _, _, err := Bulk(pts, geom.NewRect(0, 0, 1, 1), []int32{4, 3, 2, 1, 0}); !errors.Is(err, ErrDuplicateSite) {
 		t.Errorf("Bulk err = %v, want ErrDuplicateSite", err)
 	}
 }
@@ -489,8 +524,8 @@ func degenerateFixtures() map[string][]geom.Point {
 	}
 }
 
-// adjacencyDigest is the FNV-1a hash of the CSR arrays, offsets then
-// neighbors, each value as four little-endian bytes.
+// adjacencyDigest is the FNV-1a hash of the rings laid out flat (flatten),
+// offsets then neighbors, each value as four little-endian bytes.
 func adjacencyDigest(off, nbrs []int32) uint64 {
 	h := fnv.New64a()
 	binary.Write(h, binary.LittleEndian, off)  //nolint:errcheck // a hash never fails to write
@@ -516,7 +551,7 @@ func TestAdjacencyDigestsPinned(t *testing.T) {
 		"random707":     0x1652441469295bc6,
 	}
 	for name, pts := range degenerateFixtures() {
-		sites, off, nbrs, err := Bulk(pts, geom.RectFromPoints(pts...), nil)
+		sites, rings, err := Bulk(pts, geom.RectFromPoints(pts...), nil)
 		if want[name] == 0 {
 			if !errors.Is(err, ErrDuplicateSite) {
 				t.Errorf("%s: err = %v, want ErrDuplicateSite", name, err)
@@ -526,6 +561,10 @@ func TestAdjacencyDigestsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		if err := checkChunks(rings, len(sites)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		off, nbrs := flatten(rings, len(sites))
 		if err := checkFenced(sites, off, nbrs, true); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}

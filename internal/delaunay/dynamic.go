@@ -33,7 +33,7 @@ import (
 //
 // A Dynamic belongs to one writer. What readers need they get from two calls
 // serialized with it, whose results later inserts leave alone: Points, a
-// prefix of the append-only site slice, and Adjacency, CSR rings patched
+// prefix of the append-only site slice, and Adjacency, ring chunks patched
 // from the previous call's.
 type Dynamic struct {
 	pool     *edgePool
@@ -45,6 +45,9 @@ type Dynamic struct {
 	// triangulation keeps none: its inserts find a duplicate by the walk,
 	// which ends at the site already there.
 	byCoord map[geom.Point]int32
+	// stale, dirty and chunk are Adjacency's scratch, kept between calls so
+	// that a patch allocates only what it returns.
+	stale, dirty, chunk []int32
 }
 
 // FirstSiteID is the id of the first user site in a Dynamic triangulation.
@@ -118,72 +121,78 @@ func (d *Dynamic) Point(id int) geom.Point { return d.pts[id] }
 // long as the call itself is serialized with the writer.
 func (d *Dynamic) Points() []geom.Point { return d.pts[:len(d.pts):len(d.pts)] }
 
-// Adjacency returns the triangulation's Voronoi adjacency in CSR form: the
-// neighbors of site v are nbrs[off[v]:off[v+1]], exactly the ring
-// AppendNeighbors(v) gives, starting where it starts. The arrays are new and
-// shared with nothing, so a reader may keep them while the writer inserts.
+// Adjacency returns the triangulation's Voronoi adjacency: the ring of every
+// site, exactly the ring AppendNeighbors gives, starting where it starts. A
+// reader may keep it while the writer inserts: no chunk of it is written
+// again.
 //
-// prevOff and prevNbrs are an earlier result of Adjacency on this
-// triangulation, or nil. Every edge an insertion creates, deletes or
-// re-anchors a ring at has both ends on the new site's final star: the star
-// edges, the edges its swaps flip (both ends then on a triangle with the new
-// site, whose edges no later swap of that insertion removes), the edge an
-// on-edge site splits. An edge between a new site and an older one leaves
-// only when a later insertion flips or splits it, which puts the older one
-// on the later site's star. So the rings that can differ from prev's are
-// those of the sites inserted since and of their current neighbors: those
-// are walked, and every other ring is copied from prev in runs between
-// them. With no prev every ring is walked, O(sites); after k inserts a call
-// walks O(k) rings and copies the rest at memcpy speed.
-func (d *Dynamic) Adjacency(prevOff, prevNbrs []int32) (off, nbrs []int32) {
-	n, done := len(d.pts), max(len(prevOff)-1, 0)
-	off = make([]int32, n+1)
-	// The new sites' rings, walked first to find the older sites on them.
-	// Until they are appended after the older rings, off[v+1] holds the end
-	// of v's ring in fresh.
-	fresh := make([]int32, 0, 6*(n-done))
-	var stale []int32 // older sites on a new site's ring; may repeat
-	for v := done; v < n; v++ {
-		from := len(fresh)
-		fresh = d.AppendNeighbors(v, fresh)
-		for _, nb := range fresh[from:] {
-			if int(nb) < done {
-				stale = append(stale, nb)
+// prev is an earlier result of Adjacency on this triangulation, taken when
+// it held prevSites sites, or nil (and 0). Every edge an insertion creates,
+// deletes or re-anchors a ring at has both ends on the new site's final
+// star: the star edges, the edges its swaps flip (both ends then on a
+// triangle with the new site, whose edges no later swap of that insertion
+// removes), the edge an on-edge site splits. An edge between a new site and
+// an older one leaves only when a later insertion flips or splits it, which
+// puts the older one on the later site's star. So the rings that can differ
+// from prev's are those of the sites inserted since and of their current
+// neighbors. The result copies prev's table and rebuilds only the chunks
+// that hold one of those rings, each into an array of its own — walking
+// those rings, copying the chunk's others from prev in runs — and every
+// other chunk is prev's own. A chunk no table holds any more is garbage
+// like any other, so sharing leaves nothing to compact. With no prev every
+// ring is walked, O(sites); after k inserts a call copies n/ChunkSites
+// headers and rebuilds O(k) chunks.
+func (d *Dynamic) Adjacency(prev Rings, prevSites int) Rings {
+	n, done := len(d.pts), prevSites
+	if done == n {
+		return prev
+	}
+	rings := make(Rings, chunks(n))
+	copy(rings, prev)
+	// The older sites on a new site's ring, sorted and each once.
+	stale := d.stale[:0]
+	if done > 0 {
+		for v := done; v < n; v++ {
+			d.chunk = d.AppendNeighbors(v, d.chunk[:0])
+			for _, nb := range d.chunk {
+				if int(nb) < done {
+					stale = append(stale, nb)
+				}
 			}
 		}
-		off[v+1] = int32(len(fresh))
+		slices.Sort(stale)
+		stale = slices.Compact(stale)
 	}
-	if done == 0 {
-		return off, fresh
+	// The chunks to rebuild, ascending: those of the stale sites, then every
+	// chunk from the first new site's on.
+	dirty := d.dirty[:0]
+	for _, v := range stale {
+		if k := v >> chunkShift; len(dirty) == 0 || dirty[len(dirty)-1] != k {
+			dirty = append(dirty, k)
+		}
 	}
-	slices.Sort(stale)
-	stale = slices.Compact(stale)
+	for k := int32(done >> chunkShift); int(k) < len(rings); k++ {
+		if len(dirty) == 0 || dirty[len(dirty)-1] < k {
+			dirty = append(dirty, k)
+		}
+	}
 
-	// A triangulation whose outer face is the fence triangle has 3n − 6
-	// edges, so its rings hold 6n − 12 entries in all.
-	nbrs = make([]int32, 0, 6*n-12)
-	v := 0
-	for _, w := range append(stale, int32(done)) {
-		// The rings of v..w-1 are prev's: one copy, offsets shifted by one
-		// constant.
-		shift := int32(len(nbrs)) - prevOff[v]
-		nbrs = append(nbrs, prevNbrs[prevOff[v]:prevOff[w]]...)
-		for u := v + 1; u <= int(w); u++ {
-			off[u] = prevOff[u] + shift
+	b, next := d.chunk, 0 // stale[next:] are in the chunks to come
+	for _, k := range dirty {
+		lo := int(k) << chunkShift
+		var old []int32
+		if int(k) < len(prev) {
+			old = prev[k]
 		}
-		if int(w) == done {
-			break
+		from := next
+		for next < len(stale) && int(stale[next]) < lo+ChunkSites {
+			next++
 		}
-		nbrs = d.AppendNeighbors(int(w), nbrs)
-		off[w+1] = int32(len(nbrs))
-		v = int(w) + 1
+		b = appendChunk(b[:0], lo, min(lo+ChunkSites, n), d.AppendNeighbors, old, done, stale[from:next])
+		rings[k] = slices.Clone(b)
 	}
-	base := int32(len(nbrs))
-	nbrs = append(nbrs, fresh...)
-	for u := done + 1; u <= n; u++ {
-		off[u] += base
-	}
-	return off, nbrs
+	d.stale, d.dirty, d.chunk = stale, dirty, b
+	return rings
 }
 
 // Universe returns the declared universe rectangle.

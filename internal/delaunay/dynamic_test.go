@@ -123,7 +123,7 @@ func TestDynamicMatchesStaticBuild(t *testing.T) {
 	for i := range order {
 		order[i] = int32(len(pts) - 1 - i)
 	}
-	sites, off, nbrs, err := Bulk(pts, unitUniverse(), order)
+	sites, rings, err := Bulk(pts, unitUniverse(), order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestDynamicMatchesStaticBuild(t *testing.T) {
 		for _, nb := range d.AppendNeighbors(id, nil) {
 			got = append(got, d.Point(int(nb)))
 		}
-		for _, nb := range nbrs[off[v]:off[v+1]] {
+		for _, nb := range rings.Ring(int32(v)) {
 			want = append(want, sites[nb])
 		}
 		slices.SortFunc(got, comparePoints)

@@ -30,46 +30,80 @@ func latticeBytes(pts []geom.Point) []byte {
 }
 
 // published is one Adjacency result together with copies of what it and
-// Points returned, to show that later inserts and later patches leave all
-// three alone.
+// Points returned, to show that later inserts and later patches leave both
+// alone.
 type published struct {
 	pts            []geom.Point
-	off, nbrs      []int32
+	rings          Rings
 	ptsAt          []geom.Point
-	offAt, nbrsAt  []int32
+	ringsAt        [][]int32
 	insertsPrecede int
 }
 
-// publish takes d's adjacency, patched from the last one in pubs, checks it
-// against d's own rings, and appends it to pubs.
+// publish takes d's adjacency, patched from the last one in pubs, and checks
+// it against d's own rings and against the last one: its chunks are laid out
+// as Rings says, every ring is the walk's, symmetrically, and a chunk is the
+// last one's own exactly when it holds no new site and none of its rings
+// changed. It appends the adjacency to pubs.
 func publish(t *testing.T, d *Dynamic, pubs []published, inserts int) []published {
 	t.Helper()
-	var prevOff, prevNbrs []int32
+	var last published
 	if len(pubs) > 0 {
-		prevOff, prevNbrs = pubs[len(pubs)-1].off, pubs[len(pubs)-1].nbrs
+		last = pubs[len(pubs)-1]
 	}
-	off, nbrs := d.Adjacency(prevOff, prevNbrs)
-	if len(off) != d.NumSites()+1 || off[0] != 0 || int(off[len(off)-1]) != len(nbrs) {
-		t.Fatalf("after insert %d: %d offsets from %d to %d over %d neighbors, %d sites",
-			inserts, len(off), off[0], off[len(off)-1], len(nbrs), d.NumSites())
+	rings := d.Adjacency(last.rings, len(last.pts))
+	if err := checkChunks(rings, d.NumSites()); err != nil {
+		t.Fatalf("after insert %d: %v", inserts, err)
 	}
+	var walk []int32
 	for v := range d.NumSites() {
-		ring := nbrs[off[v]:off[v+1]]
-		if walk := d.AppendNeighbors(v, nil); !slices.Equal(ring, walk) {
+		ring := rings.Ring(int32(v))
+		if walk = d.AppendNeighbors(v, walk[:0]); !slices.Equal(ring, walk) {
 			t.Fatalf("after insert %d: site %d has published ring %v, walk %v", inserts, v, ring, walk)
 		}
 		for _, nb := range ring {
-			if !slices.Contains(nbrs[off[nb]:off[nb+1]], int32(v)) {
+			if !slices.Contains(rings.Ring(nb), int32(v)) {
 				t.Fatalf("after insert %d: %d is on the ring of %d, not the other way", inserts, nb, v)
 			}
 		}
 	}
+	for k := range last.rings {
+		lo, hi := k*ChunkSites, min((k+1)*ChunkSites, d.NumSites())
+		same := hi <= len(last.pts)
+		for v := lo; v < hi && same; v++ {
+			same = slices.Equal(rings.Ring(int32(v)), last.rings.Ring(int32(v)))
+		}
+		if shared := &rings[k][0] == &last.rings[k][0]; shared != same {
+			t.Fatalf("after insert %d: chunk %d of sites [%d, %d) shared %v, unchanged %v", inserts, k, lo, hi, shared, same)
+		}
+	}
 	pts := d.Points()
 	return append(pubs, published{
-		pts: pts, off: off, nbrs: nbrs,
-		ptsAt: slices.Clone(pts), offAt: slices.Clone(off), nbrsAt: slices.Clone(nbrs),
+		pts: pts, rings: rings,
+		ptsAt: slices.Clone(pts), ringsAt: cloneRings(rings),
 		insertsPrecede: inserts,
 	})
+}
+
+func cloneRings(rings Rings) [][]int32 {
+	out := make([][]int32, len(rings))
+	for k, b := range rings {
+		out[k] = slices.Clone(b)
+	}
+	return out
+}
+
+// fillers returns n sites in general position over [0, 15]², none on the
+// integer lattice latticeSites spells, the same n every time: few enough
+// degenerate quadruples that they leave the exact predicates to the
+// lattice sites.
+func fillers(n int) []geom.Point {
+	rng := rand.New(rand.NewSource(257))
+	out := make([]geom.Point, n)
+	for i := range out {
+		out[i] = geom.Pt(15*rng.Float64(), 15*rng.Float64())
+	}
+	return out
 }
 
 // FuzzDelaunayBuilds holds the one builder to the definition of a Delaunay
@@ -81,12 +115,16 @@ func publish(t *testing.T, d *Dynamic, pubs []published, inserts int) []publishe
 // each walk started where the fuzzer says, or at the nearest site when it
 // says nothing — the triangulation is locally Delaunay after every insert.
 //
-// It also takes the CSR adjacency a reader is given: after insert k when bit
+// It also takes the ring chunks a reader is given: after insert k when bit
 // k of the third argument (cycled) is set, after every insert when it is
 // empty, and after the last. Each is patched from the one before and must
 // hold every ring the live walk gives, from the neighbor the walk starts at,
-// symmetrically; and none of them, nor the site slices published with them,
-// may change afterwards.
+// symmetrically, sharing exactly the chunks no ring of which changed; and
+// none of them, nor the site slices published with them, may change
+// afterwards. The sites are inserted twice: into an empty triangulation, and
+// after enough fillers that the ids of the first half of them fill chunk 0
+// and the rest start chunk 1, so the patches cross a chunk boundary
+// wherever the fuzzer publishes.
 func FuzzDelaunayBuilds(f *testing.F) {
 	fix := degenerateFixtures()
 	for _, name := range []string{"collinear", "duplicates", "grid8"} {
@@ -112,14 +150,11 @@ func FuzzDelaunayBuilds(f *testing.F) {
 		}
 		distinct := distinctPoints(pts)
 		if len(distinct) < len(pts) {
-			if _, _, _, err := Bulk(pts, geom.RectFromPoints(pts...), nil); !errors.Is(err, ErrDuplicateSite) {
+			if _, _, err := Bulk(pts, geom.RectFromPoints(pts...), nil); !errors.Is(err, ErrDuplicateSite) {
 				t.Fatalf("bulk build of %v: err = %v, want ErrDuplicateSite", pts, err)
 			}
 		}
-		sites, off, nbrs, err := Bulk(distinct, geom.RectFromPoints(distinct...), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sites, off, nbrs := bulk(t, distinct)
 		if err := checkFenced(sites, off, nbrs, true); err != nil {
 			t.Fatalf("bulk build of %v: %v", distinct, err)
 		}
@@ -137,18 +172,41 @@ func FuzzDelaunayBuilds(f *testing.F) {
 			if err := d.Validate(); err != nil {
 				t.Fatalf("site %d of %v, walk from %d: %v", k, pts, near, err)
 			}
-			bit := k % max(8*len(publishAfter), 1)
-			if len(publishAfter) == 0 || publishAfter[bit/8]>>(bit%8)&1 == 1 || k == len(pts)-1 {
+			if publishes(publishAfter, k, len(pts)) {
 				pubs = publish(t, d, pubs, k+1)
 			}
 		}
-		for _, pub := range pubs {
-			if !slices.Equal(pub.pts, pub.ptsAt) || !slices.Equal(pub.off, pub.offAt) || !slices.Equal(pub.nbrs, pub.nbrsAt) {
-				t.Fatalf("sites %v: what was published after %d inserts changed after %d", pts, pub.insertsPrecede, len(pts))
+
+		padded := NewDynamic(geom.NewRect(0, 0, 15, 15))
+		for _, p := range fillers(ChunkSites - FirstSiteID - (len(pts)+1)/2) {
+			if _, _, err := padded.InsertSite(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		padPubs := publish(t, padded, nil, 0)
+		for k, p := range pts {
+			if _, _, err := padded.InsertSite(p); err != nil {
+				t.Fatal(err)
+			}
+			if publishes(publishAfter, k, len(pts)) {
+				padPubs = publish(t, padded, padPubs, k+1)
 			}
 		}
 
+		for _, pub := range append(pubs, padPubs...) {
+			if !slices.Equal(pub.pts, pub.ptsAt) || !slices.EqualFunc(pub.rings, pub.ringsAt, slices.Equal) {
+				t.Fatalf("sites %v: what was published after %d inserts changed after %d", pts, pub.insertsPrecede, len(pts))
+			}
+		}
 	})
+}
+
+// publishes reports whether FuzzDelaunayBuilds publishes after insert k of
+// n: when bit k of publishAfter (cycled) is set, after every insert when it
+// is empty, and after the last.
+func publishes(publishAfter []byte, k, n int) bool {
+	bit := k % max(8*len(publishAfter), 1)
+	return len(publishAfter) == 0 || publishAfter[bit/8]>>(bit%8)&1 == 1 || k == n-1
 }
 
 func comparePoints(a, b geom.Point) int {

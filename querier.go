@@ -205,11 +205,19 @@ func (q *querier) begin(p *queryPlan) time.Time {
 // NewPolygon lets no such vertex through — whose MBR or interior point has a
 // NaN or infinite coordinate: no rectangle contains it, and a seed walk
 // toward NaN stops where it started, at a site that has nothing to do with
-// the region.
+// the region. And so is a region whose interior point lies outside its own
+// MBR, as a literal Polygon's does when its ring crosses itself into a
+// bowtie: the seed would be no site of the region. A self-crossing ring
+// whose interior point falls inside its MBR is not caught here.
 func (q *querier) admit(region Region) error {
 	mbr, seed := region.Bounds(), region.InteriorPoint()
 	if !finite(mbr.MinX, mbr.MinY, mbr.MaxX, mbr.MaxY, seed.X, seed.Y) {
 		return fmt.Errorf("vaq: query area with bounds %v and interior point %v has a NaN or infinite coordinate: %w", mbr, seed, ErrOutsideUniverse)
+	}
+	if !mbr.ContainsPoint(seed) {
+		// No point of an area lies outside its MBR, so the area is not what
+		// it claims: a literal Polygon whose ring crosses itself, say.
+		return fmt.Errorf("vaq: query area with bounds %v has its interior point %v outside them: %w", mbr, seed, ErrOutsideUniverse)
 	}
 	u := q.k.Bounds()
 	if u.IsEmpty() {

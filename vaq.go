@@ -528,7 +528,9 @@ var (
 	// DynamicEngine.Insert for a point outside it (a NaN or infinite
 	// coordinate is outside). The region is refused, not
 	// clipped: the part of it inside the universe need not be connected, and
-	// Algorithm 1 reaches one component.
+	// Algorithm 1 reaches one component. A region whose interior point lies
+	// outside its own bounding rectangle — a literal Polygon whose ring
+	// crosses itself into a bowtie — is refused with it too.
 	ErrOutsideUniverse = core.ErrOutsideUniverse
 	// ErrCustomRegion is returned by a RemoteEngine's Query, QueryAll and
 	// Each for a Region that is neither a Polygon (prepared or plain) nor a

@@ -321,6 +321,47 @@ func TestNonFiniteRegionIsRefused(t *testing.T) {
 	}
 }
 
+// TestBowtieIsRefused: a literal Polygon whose outer ring crosses itself
+// into a bowtie has its interior point far outside its own MBR (the
+// centroid of a ring of zero signed area), and was answered wrongly with a
+// nil error — over 5000 sites VoronoiBFS returned no id and
+// VoronoiBFSStrict 4412 where brute force finds 977. Plain or prepared, it
+// is refused with ErrOutsideUniverse by Query, QueryAll and Each on every
+// flavor, under every method.
+func TestBowtieIsRefused(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pts := vaq.UniformPoints(rng, 5000, vaq.UnitSquare())
+	bowtie := vaq.Polygon{Outer: vaq.Ring{vaq.Pt(0.2, 0.2), vaq.Pt(0.8, 0.8), vaq.Pt(0.8, 0.2), vaq.Pt(0.2, 0.8)}}
+	if p := bowtie.InteriorPoint(); bowtie.Bounds().ContainsPoint(p) {
+		t.Fatalf("the bowtie's interior point %v lies inside its MBR %v: the fixture no longer shows the fault", p, bowtie.Bounds())
+	}
+	disk := vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.5, 0.5), 0.1))
+	regions := map[string]vaq.Region{"plain": bowtie, "prepared": vaq.PolygonRegion(bowtie)}
+	ctx := context.Background()
+	for _, f := range everyFlavor(t, pts, vaq.UnitSquare()) {
+		for rname, region := range regions {
+			for _, m := range []vaq.Method{vaq.VoronoiBFS, vaq.VoronoiBFSStrict, vaq.Traditional, vaq.BruteForce} {
+				name := fmt.Sprintf("%s, %s bowtie, %v", f.name, rname, m)
+				ids, err := f.q.Query(ctx, region, vaq.UsingMethod(m))
+				if !errors.Is(err, vaq.ErrOutsideUniverse) || ids != nil {
+					t.Errorf("%s: Query returned %d ids, err %v; want ErrOutsideUniverse", name, len(ids), err)
+				}
+				_, err = f.q.QueryAll(ctx, []vaq.Region{disk, region}, vaq.UsingMethod(m))
+				if !errors.Is(err, vaq.ErrOutsideUniverse) || !strings.Contains(err.Error(), "batch query 1") {
+					t.Errorf("%s: QueryAll err = %v, want ErrOutsideUniverse naming query 1", name, err)
+				}
+				err = f.q.Each(ctx, region, func(int64, vaq.Point) bool {
+					t.Errorf("%s: Each yielded a result", name)
+					return false
+				}, vaq.UsingMethod(m))
+				if !errors.Is(err, vaq.ErrOutsideUniverse) {
+					t.Errorf("%s: Each err = %v, want ErrOutsideUniverse", name, err)
+				}
+			}
+		}
+	}
+}
+
 // TestCircleMembershipHasOneDefinition: a site exactly on a circle can lie
 // one ulp outside the circle's rounded MBR. Traditional and BruteForce filter
 // by that MBR, the Voronoi rules by containment alone, so the disk must
