@@ -62,6 +62,7 @@ var errWalkEscaped = errors.New("core: the polygon leaves the data layer's unive
 
 // eachShell is VoronoiBFSStrict on a polygon pg: walk, classify, flood.
 // region is pg itself, or its prepared form, and answers the validations.
+// pg is valid (geom.CheckPolygon): every flavor refuses one that is not.
 // Locating each ring's first vertex is timed under PhaseSeed, the walk and
 // the flood under PhaseExpand, and the validations' record loads under
 // PhasePageFetch.
@@ -78,7 +79,7 @@ func (e *Engine) eachShell(ctx context.Context, pg geom.Polygon, region Region, 
 		}()
 	}
 	d := e.data
-	if _, err := d.walkShell(ctx, pg, holesAdmitted(pg), s, traced, &seeded); err != nil {
+	if _, err := d.walkShell(ctx, pg, s, traced, &seeded); err != nil {
 		return Stats{}, err
 	}
 	stats, loads, err := d.floodShell(ctx, region, s, traced)
@@ -99,44 +100,6 @@ func insideLeft(r geom.Ring) geom.Orientation {
 		}
 	}
 	return geom.Orient(r[(lo+len(r)-1)%len(r)], r[lo], r[(lo+1)%len(r)])
-}
-
-// holesAdmitted reports whether AddHole would admit the holes of pg: each
-// a simple ring strictly inside the outer ring and apart from the others.
-// Only then does a ring's inside side hold along all of it. A Polygon built
-// as a literal may skip AddHole; its walk then records no side, and every
-// site of B is validated, which is exact under the even-odd rule whatever
-// its holes.
-//
-//vaq:noalloc
-func holesAdmitted(pg geom.Polygon) bool {
-	outer := geom.Polygon{Outer: pg.Outer}
-	for i, h := range pg.Holes {
-		if !h.IsSimple() || !outer.ContainsPointStrict(h[0]) || ringsMeet(h, pg.Outer) {
-			return false
-		}
-		for _, g := range pg.Holes[:i] {
-			if (geom.Polygon{Outer: g}).IntersectsRing(h) { // they meet or nest
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// ringsMeet reports whether an edge of r meets an edge of s.
-//
-//vaq:noalloc
-func ringsMeet(r, s geom.Ring) bool {
-	for i := range r {
-		e := geom.Seg(r[i], r[(i+1)%len(r)])
-		for j := range s {
-			if e.Intersects(geom.Seg(s[j], s[(j+1)%len(s)])) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // floodShell classifies or validates the shell s.queue holds, by its side
@@ -196,13 +159,12 @@ func (d *MemoryData) floodShell(ctx context.Context, region Region, s *queryScra
 }
 
 // walkShell stamps B for pg — every ring, holes included — into s.queue,
-// each site once, with its side records in s.sides: sideCheck for every
-// site unless sided. Locating each ring's first vertex is timed into
-// *seeded when traced.
+// each site once, with its side records in s.sides. Locating each ring's
+// first vertex is timed into *seeded when traced.
 //
 //vaq:noalloc
-func (d *MemoryData) walkShell(ctx context.Context, pg geom.Polygon, sided bool, s *queryScratch, traced bool, seeded *time.Duration) (walkCounts, error) {
-	w := walker{pts: d.pts, rings: d.rings, first: int32(d.first), last: int32(d.last), s: s, sided: sided}
+func (d *MemoryData) walkShell(ctx context.Context, pg geom.Polygon, s *queryScratch, traced bool, seeded *time.Duration) (walkCounts, error) {
+	w := walker{pts: d.pts, rings: d.rings, first: int32(d.first), last: int32(d.last), s: s}
 	s.sides = s.sides[:0]
 	err := w.ring(ctx, d, pg.Outer, false, traced, seeded)
 	for _, h := range pg.Holes {
@@ -230,12 +192,12 @@ type walker struct {
 	s           *queryScratch
 	counts      walkCounts
 	// stamping is off while the walk locates a ring's first vertex; in is
-	// the side of the ring R lies on, 0 when not sided; a→b is the ring
-	// segment walked.
-	stamping, sided bool
-	in              geom.Orientation
-	a, b            geom.Point
-	l, r, v         int32
+	// the side of the ring R lies on (0 when its lowest vertex is repeated);
+	// a→b is the ring segment walked.
+	stamping bool
+	in       geom.Orientation
+	a, b     geom.Point
+	l, r, v  int32
 	// Where b lies, once reached, and the next segment starts: at site at
 	// (≥ 0), or else in the closed triangle tri (counter-clockwise).
 	at  int32
@@ -253,10 +215,7 @@ func (w *walker) ring(ctx context.Context, d *MemoryData, ring geom.Ring, hole b
 		return nil
 	}
 	in := insideLeft(ring)
-	switch {
-	case !w.sided:
-		in = 0
-	case hole:
+	if hole {
 		in = -in
 	}
 	var seedStart time.Time
@@ -323,8 +282,8 @@ func (w *walker) beyond(p, q int32) geom.Orientation {
 	return geom.Orient(w.pts[p], w.pts[q], w.b)
 }
 
-// record stamps p into B with the side of R orientation o puts it on,
-// sideCheck for 0 or when the walk records no side.
+// record stamps p into B with the side of R orientation o puts it on:
+// sideCheck for 0, or on a ring whose lowest vertex repeats (in is 0).
 //
 //vaq:noalloc
 func (w *walker) record(p int32, o geom.Orientation) {

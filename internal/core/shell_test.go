@@ -19,7 +19,7 @@ func shellSidesOf(t testing.TB, d *MemoryData, pg geom.Polygon) ([]int32, []uint
 	s := new(queryScratch)
 	s.ensureCapacity(len(d.pts))
 	s.nextGen()
-	counts, err := d.walkShell(context.Background(), pg, holesAdmitted(pg), s, false, nil)
+	counts, err := d.walkShell(context.Background(), pg, s, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +80,7 @@ func checkShell(t *testing.T, name string, d *MemoryData, pg geom.Polygon) {
 // shellPolygons are the polygons the shell tests walk on the degenerate site
 // sets: the pinned polygons, lattice-aligned ones whose edges run along
 // bisectors, through sites and through Voronoi vertices of the cocircular
-// grid, a spike through the grid's Delaunay edges, two with holes, and two
-// literals with holes AddHole refuses.
+// grid, a spike through the grid's Delaunay edges, and two with holes.
 func shellPolygons() []geom.Polygon {
 	_, regions := pinnedRegions()
 	var pgs []geom.Polygon
@@ -116,11 +115,6 @@ func shellPolygons() []geom.Polygon {
 		geom.MustPolygon([]geom.Point{geom.Pt(2.0/24, 5.0/24), geom.Pt(9.0/24, 5.0/24), geom.Pt(9.0/24, 0.5), geom.Pt(0.05, 0.4)}),
 		holed,
 		twoHoles,
-		// Literals AddHole would refuse: a hole across the outer ring (in
-		// its MBR, where ContainsPoint is even-odd), and one hole in
-		// another.
-		geom.Polygon{Outer: geom.Ring{geom.Pt(0.1, 0.1), geom.Pt(0.9, 0.1), geom.Pt(0.1, 0.9)}, Holes: []geom.Ring{rect(0.4, 0.4, 0.7, 0.7)}},
-		geom.Polygon{Outer: rect(0.1, 0.1, 0.9, 0.9), Holes: []geom.Ring{rect(0.2, 0.2, 0.8, 0.8), rect(0.3, 0.3, 0.7, 0.7)}},
 	)
 }
 

@@ -465,7 +465,8 @@ func fuzzBytes(pts ...Point) []byte {
 // table above: whatever polygon the bytes spell, the prepared form answers
 // containment as the plain polygon does, before and after its grid exists,
 // on the grid-breaking probes and on the fuzzer's own point — taken as
-// given and as a position relative to the MBR.
+// given and as a position relative to the MBR. And CheckPolygon and
+// Prepare's Err judge the literal as NewPolygon and AddHole do.
 func FuzzPreparedContainsMatchesPolygon(f *testing.F) {
 	star := randomStarPolygon(rand.New(rand.NewSource(5)), 10)
 	square := []Point{Pt(0, 0), Pt(1, 0), Pt(1, 1), Pt(0, 1)}
@@ -489,6 +490,17 @@ func FuzzPreparedContainsMatchesPolygon(f *testing.F) {
 	f.Add(lattice(0, 0, 64, 0, 64, 64, 0, 64, 16, 16, 48, 16, 48, 48, 16, 48), uint8(4), uint8(fuzzLattice|fuzzGiga), 0.25, 0.25)
 	f.Fuzz(func(t *testing.T, data []byte, holeAt, mode uint8, px, py float64) {
 		pg := fuzzPolygon(data, holeAt, mode)
+		// The literal's verdict is the constructors': the error building its
+		// rings through NewPolygon and AddHole returns.
+		built, want := NewPolygon(pg.Outer)
+		for _, h := range pg.Holes {
+			if want == nil {
+				want = built.AddHole(h)
+			}
+		}
+		if plain, prepared := CheckPolygon(pg), Prepare(pg).Err(); plain != want || prepared != want {
+			t.Fatalf("CheckPolygon %v, Prepare's Err %v; NewPolygon and AddHole return %v\n%v", plain, prepared, want, pg)
+		}
 		// Thinned to keep executions per second up; the table test above
 		// runs the full lattice.
 		stride := 2

@@ -14,7 +14,8 @@ type Ring []Point
 // Polygon is a simple polygon, optionally with holes strictly inside its
 // outer ring and apart from each other (AddHole). The area of the polygon is
 // the interior of Outer minus the interiors of Holes; containment is closed
-// (boundary points are contained).
+// (boundary points are contained). A Polygon written as a literal skips
+// NewPolygon and AddHole; CheckPolygon tells whether they would build it.
 type Polygon struct {
 	Outer Ring
 	Holes []Ring
@@ -37,11 +38,23 @@ func NewPolygon(outer []Point) (Polygon, error) {
 	if err != nil {
 		return Polygon{}, err
 	}
-	return Polygon{Outer: ring}, nil
+	return Polygon{Outer: slices.Clone(ring)}, nil
+}
+
+// CheckPolygon returns the error NewPolygon(pg.Outer) and then AddHole of
+// each hole in order would, nil when they build pg: the one definition of a
+// valid polygon. It allocates nothing for normalized rings, and normalizing
+// a passed hole changes neither the edges it meets nor its first vertex.
+func CheckPolygon(pg Polygon) error {
+	outer, err := validRing(pg.Outer)
+	for i := 0; err == nil && i < len(pg.Holes); i++ {
+		_, err = checkHole(outer, pg.Holes[:i], pg.Holes[i])
+	}
+	return err
 }
 
 // validRing normalizes pts and validates the result. The finiteness check
-// comes first: the exact predicates behind IsSimple have no answer for a
+// comes first: the exact predicates behind isSimple have no answer for a
 // NaN or infinite coordinate.
 func validRing(pts []Point) (Ring, error) {
 	for _, p := range pts {
@@ -54,7 +67,7 @@ func validRing(pts []Point) (Ring, error) {
 	if len(ring) < 3 {
 		return nil, ErrTooFewVertices
 	}
-	if !ring.IsSimple() {
+	if !ring.isSimple() {
 		return nil, ErrSelfIntersect
 	}
 	if ring.SignedArea() == 0 {
@@ -78,21 +91,30 @@ func MustPolygon(outer []Point) Polygon {
 // a hole that is not is ErrSelfIntersect. So every boundary point of the
 // polygon has its interior on one side and its exterior on the other.
 func (pg *Polygon) AddHole(hole []Point) error {
+	ring, err := checkHole(pg.Outer, pg.Holes, hole)
+	if err == nil {
+		pg.Holes = append(pg.Holes, slices.Clone(ring))
+	}
+	return err
+}
+
+// checkHole is AddHole's check of hole against the rings outer and holes,
+// returning hole normalized. Rings that do not meet are nested or apart,
+// which one vertex tells.
+func checkHole(outer Ring, holes []Ring, hole []Point) (Ring, error) {
 	ring, err := validRing(hole)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Rings that do not meet are nested or apart, which one vertex tells.
-	if ringsMeet(ring, pg.Outer) || !pg.Outer.crossesRay(ring[0]) {
-		return ErrSelfIntersect
+	if ringsMeet(ring, outer) || !outer.crossesRay(ring[0]) {
+		return nil, ErrSelfIntersect
 	}
-	for _, h := range pg.Holes {
+	for _, h := range holes {
 		if ringsMeet(ring, h) || h.crossesRay(ring[0]) || ring.crossesRay(h[0]) {
-			return ErrSelfIntersect
+			return nil, ErrSelfIntersect
 		}
 	}
-	pg.Holes = append(pg.Holes, ring)
-	return nil
+	return ring, nil
 }
 
 // ringsMeet reports whether an edge of r meets an edge of s.
@@ -108,20 +130,18 @@ func ringsMeet(r, s Ring) bool {
 	return false
 }
 
-// normalizeRing removes consecutive duplicates and a repeated closing
-// vertex.
+// normalizeRing drops a repeated closing vertex and consecutive duplicates,
+// returning pts itself, trimmed, when it has no consecutive duplicates.
 func normalizeRing(pts []Point) Ring {
-	out := make(Ring, 0, len(pts))
-	for _, p := range pts {
-		if len(out) > 0 && out[len(out)-1].Equal(p) {
-			continue
+	for len(pts) > 1 && pts[0] == pts[len(pts)-1] {
+		pts = pts[:len(pts)-1]
+	}
+	for i := 1; i < len(pts); i++ {
+		if pts[i] == pts[i-1] {
+			return slices.Compact(slices.Clone(pts))
 		}
-		out = append(out, p)
 	}
-	for len(out) > 1 && out[0].Equal(out[len(out)-1]) {
-		out = out[:len(out)-1]
-	}
-	return out
+	return pts
 }
 
 // rings iterates the outer ring then each hole.
@@ -202,51 +222,6 @@ func (pg Polygon) IntersectsSegment(s Segment) bool {
 			if s.Intersects(e) {
 				hit = true
 				return false
-			}
-		}
-		return true
-	})
-	return hit
-}
-
-// IntersectsRing reports whether the closed polygon and the closed region
-// bounded by ring share at least one point. Used by the strict expansion
-// rule with (convex) Voronoi cells.
-func (pg Polygon) IntersectsRing(ring Ring) bool {
-	if len(ring) == 0 {
-		return false
-	}
-	if !pg.Bounds().Intersects(ring.Bounds()) {
-		return false
-	}
-	for _, v := range ring {
-		if pg.ContainsPoint(v) {
-			return true
-		}
-	}
-	other := Polygon{Outer: ring}
-	var anyVertex bool
-	pg.rings(func(r Ring) bool {
-		for _, v := range r {
-			if other.ContainsPoint(v) {
-				anyVertex = true
-				return false
-			}
-		}
-		return true
-	})
-	if anyVertex {
-		return true
-	}
-	hit := false
-	pg.rings(func(r Ring) bool {
-		for i := range r {
-			e := Seg(r[i], r[(i+1)%len(r)])
-			for j := range ring {
-				if e.Intersects(Seg(ring[j], ring[(j+1)%len(ring)])) {
-					hit = true
-					return false
-				}
 			}
 		}
 		return true
@@ -390,10 +365,10 @@ func (r Ring) Centroid() Point {
 	return Point{cx / (3 * a), cy / (3 * a)}
 }
 
-// IsSimple reports whether no two non-adjacent edges intersect and adjacent
+// isSimple reports whether no two non-adjacent edges intersect and adjacent
 // edges meet only at their shared vertex. O(n²); intended for validation of
 // small query polygons, not bulk data.
-func (r Ring) IsSimple() bool {
+func (r Ring) isSimple() bool {
 	n := len(r)
 	if n < 3 {
 		return false

@@ -334,6 +334,52 @@ func TestIntersectsSegment(t *testing.T) {
 	}
 }
 
+// IntersectsRing reports whether the closed polygon and the closed region
+// bounded by ring share at least one point: the plain oracle the prepared
+// ring tests (IntersectsRingView) and the grid's lists are held to. No
+// query calls a polygon–ring test, so it lives here.
+func (pg Polygon) IntersectsRing(ring Ring) bool {
+	if len(ring) == 0 {
+		return false
+	}
+	if !pg.Bounds().Intersects(ring.Bounds()) {
+		return false
+	}
+	for _, v := range ring {
+		if pg.ContainsPoint(v) {
+			return true
+		}
+	}
+	other := Polygon{Outer: ring}
+	var anyVertex bool
+	pg.rings(func(r Ring) bool {
+		for _, v := range r {
+			if other.ContainsPoint(v) {
+				anyVertex = true
+				return false
+			}
+		}
+		return true
+	})
+	if anyVertex {
+		return true
+	}
+	hit := false
+	pg.rings(func(r Ring) bool {
+		for i := range r {
+			e := Seg(r[i], r[(i+1)%len(r)])
+			for j := range ring {
+				if e.Intersects(Seg(ring[j], ring[(j+1)%len(ring)])) {
+					hit = true
+					return false
+				}
+			}
+		}
+		return true
+	})
+	return hit
+}
+
 func TestIntersectsRing(t *testing.T) {
 	l := lShape()
 	inside := Ring{Pt(0.2, 0.2), Pt(0.5, 0.2), Pt(0.35, 0.5)}
@@ -393,18 +439,18 @@ func TestInteriorPointWithHoles(t *testing.T) {
 }
 
 func TestIsSimple(t *testing.T) {
-	if !(Ring{Pt(0, 0), Pt(1, 0), Pt(1, 1)}).IsSimple() {
+	if !(Ring{Pt(0, 0), Pt(1, 0), Pt(1, 1)}).isSimple() {
 		t.Error("triangle should be simple")
 	}
 	bowtie := Ring{Pt(0, 0), Pt(2, 2), Pt(2, 0), Pt(0, 2)}
-	if bowtie.IsSimple() {
+	if bowtie.isSimple() {
 		t.Error("bowtie should not be simple")
 	}
 	spike := Ring{Pt(0, 0), Pt(2, 0), Pt(1, 0), Pt(1, 1)}
-	if spike.IsSimple() {
+	if spike.isSimple() {
 		t.Error("ring with doubled-back spike should not be simple")
 	}
-	if (Ring{Pt(0, 0), Pt(1, 1)}).IsSimple() {
+	if (Ring{Pt(0, 0), Pt(1, 1)}).isSimple() {
 		t.Error("two-vertex ring cannot be simple")
 	}
 }

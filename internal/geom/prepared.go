@@ -15,6 +15,7 @@ import "sync/atomic"
 // Prepare returns.
 type PreparedPolygon struct {
 	pg       Polygon
+	err      error // CheckPolygon's verdict on pg
 	bound    Rect
 	interior Point
 	edges    []preparedEdge
@@ -33,10 +34,14 @@ type preparedEdge struct {
 	bb   Rect
 }
 
-// Prepare returns a PreparedPolygon for pg. pg must not be mutated while
-// the prepared form is in use.
+// Prepare returns a PreparedPolygon for pg, with CheckPolygon's verdict
+// (Err) and, when that is nil, its interior point. pg must not be mutated
+// while the prepared form is in use.
 func Prepare(pg Polygon) *PreparedPolygon {
-	pp := &PreparedPolygon{pg: pg, bound: pg.Bounds(), interior: pg.InteriorPoint()}
+	pp := &PreparedPolygon{pg: pg, err: CheckPolygon(pg), bound: pg.Bounds()}
+	if pp.err == nil {
+		pp.interior = pg.InteriorPoint()
+	}
 	add := func(r Ring) bool {
 		for i := range r {
 			a, b := r[i], r[(i+1)%len(r)]
@@ -50,6 +55,9 @@ func Prepare(pg Polygon) *PreparedPolygon {
 
 // Polygon returns the underlying polygon.
 func (pp *PreparedPolygon) Polygon() Polygon { return pp.pg }
+
+// Err returns CheckPolygon's verdict on the polygon, recorded by Prepare.
+func (pp *PreparedPolygon) Err() error { return pp.err }
 
 // Bounds returns the polygon's MBR.
 func (pp *PreparedPolygon) Bounds() Rect { return pp.bound }
@@ -166,18 +174,18 @@ func (pp *PreparedPolygon) IntersectsSegment(s Segment) bool {
 	return pp.TouchesBoundary(s) || pp.ContainsPoint(s.A)
 }
 
-// InteriorPoint returns a point strictly inside the polygon
-// (Polygon.InteriorPoint, computed once by Prepare).
+// InteriorPoint returns a point strictly inside a valid polygon
+// (Polygon.InteriorPoint, computed once by Prepare), the zero Point else.
 func (pp *PreparedPolygon) InteriorPoint() Point { return pp.interior }
 
 // IntersectsRingView reports whether the polygon intersects the closed
 // region bounded by the ring v views, a cell of a packed arena. No query
 // calls it: the strict rule on a polygon walks the boundary instead, and
-// only the benchmark's probes still time it. It decides as Polygon.IntersectsRing
-// does (edge crossings, then vertex containment both ways) but reuses the
-// cached polygon MBR, the prepared containment test and the edges near the
-// ring's box (per-edge bounding boxes when the grid cannot tell), and reads
-// the packed coordinate slices directly, with zero allocation.
+// only the benchmark's probes still time it. It decides by edge crossings,
+// then vertex containment both ways, reusing the cached polygon MBR, the
+// prepared containment test and the edges near the ring's box (per-edge
+// bounding boxes when the grid cannot tell), and reads the packed
+// coordinate slices directly, with zero allocation.
 func (pp *PreparedPolygon) IntersectsRingView(v RingView) bool {
 	if v.Len() == 0 {
 		return false

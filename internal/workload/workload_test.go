@@ -104,8 +104,8 @@ func TestRandomPolygonQuerySize(t *testing.T) {
 			if len(pg.Outer) != 10 {
 				t.Fatalf("vertices = %d, want 10", len(pg.Outer))
 			}
-			if !pg.Outer.IsSimple() {
-				t.Fatalf("polygon not simple: %v", pg.Outer)
+			if _, err := geom.NewPolygon(pg.Outer); err != nil {
+				t.Fatalf("polygon not valid (%v): %v", err, pg.Outer)
 			}
 		}
 	}
@@ -221,8 +221,8 @@ func TestRandomPolygonWholeUniverse(t *testing.T) {
 				if want := qs * b.Area(); math.Abs(mbr.Area()-want) > want*1e-9 {
 					t.Fatalf("bounds %v, qs=%v: MBR area %v, want %v", b, qs, mbr.Area(), want)
 				}
-				if len(pg.Outer) != 10 || !pg.Outer.IsSimple() {
-					t.Fatalf("bounds %v, qs=%v: %d vertices, simple %v", b, qs, len(pg.Outer), pg.Outer.IsSimple())
+				if _, err := geom.NewPolygon(pg.Outer); len(pg.Outer) != 10 || err != nil {
+					t.Fatalf("bounds %v, qs=%v: %d vertices, NewPolygon err %v", b, qs, len(pg.Outer), err)
 				}
 			}
 		}

@@ -194,29 +194,34 @@ func (q *querier) begin(p *queryPlan) time.Time {
 }
 
 // admit is the region precondition of Query, QueryAll and Each on every
-// flavor, checked before the kernel is touched: the region's MBR must lie
-// inside the universe, and then, on a RemoteEngine, the region must have a
-// wire form (ErrCustomRegion). Only a DynamicEngine built over the empty
-// rectangle has no universe; it refuses every insert, so it answers every
-// finite region with ErrNoData. The part of an escaping region inside the
-// universe need not be connected, and a Voronoi expansion from one seed
-// reaches one component, so such a region is refused rather than answered.
-// So is a region — a custom one, or a circle built around such a centre;
-// NewPolygon lets no such vertex through — whose MBR or interior point has a
-// NaN or infinite coordinate: no rectangle contains it, and a seed walk
-// toward NaN stops where it started, at a site that has nothing to do with
-// the region. And so is a region whose interior point lies outside its own
-// MBR, as a literal Polygon's does when its ring crosses itself into a
-// bowtie: the seed would be no site of the region. A self-crossing ring
-// whose interior point falls inside its MBR is not caught here.
+// flavor, checked before the kernel is touched. First, a polygon must be
+// one NewPolygon and AddHole would build (geom.CheckPolygon: recorded by
+// Prepare, or run on every query, O(n²), for a plain Polygon); it is asked
+// before the interior point, which a non-finite vertex would panic. Then
+// the region's MBR and interior point must be finite — a seed walk toward
+// NaN stops where it started — the interior point must lie in the MBR, as
+// a custom region's need not, and the MBR inside the universe: the part of
+// an escaping region inside it need not be connected, and a Voronoi
+// expansion from one seed reaches one component. Only a DynamicEngine
+// built over the empty rectangle has no universe; it refuses every insert,
+// so it answers every finite region with ErrNoData. Last, on a
+// RemoteEngine the region must have a wire form (ErrCustomRegion).
 func (q *querier) admit(region Region) error {
+	var invalid error
+	switch r := region.(type) {
+	case *geom.PreparedPolygon:
+		invalid = r.Err()
+	case geom.Polygon:
+		invalid = geom.CheckPolygon(r)
+	}
+	if invalid != nil {
+		return fmt.Errorf("vaq: query polygon: %w", invalid)
+	}
 	mbr, seed := region.Bounds(), region.InteriorPoint()
 	if !finite(mbr.MinX, mbr.MinY, mbr.MaxX, mbr.MaxY, seed.X, seed.Y) {
 		return fmt.Errorf("vaq: query area with bounds %v and interior point %v has a NaN or infinite coordinate: %w", mbr, seed, ErrOutsideUniverse)
 	}
 	if !mbr.ContainsPoint(seed) {
-		// No point of an area lies outside its MBR, so the area is not what
-		// it claims: a literal Polygon whose ring crosses itself, say.
 		return fmt.Errorf("vaq: query area with bounds %v has its interior point %v outside them: %w", mbr, seed, ErrOutsideUniverse)
 	}
 	u := q.k.Bounds()

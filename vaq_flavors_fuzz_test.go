@@ -50,27 +50,33 @@ func decodeFlavorSites(data []byte) []vaq.Point {
 // data[0] and data[1], its radius the distance from there to site data[2]
 // (each mod the site count; the fourth byte is not read). Six bytes or more
 // spell a polygon: up to 16 vertices, two bytes each, spell the outer ring;
-// after a byte 255 the rest spells one hole the same way. A polygon
+// after each byte 255 the rest spells a hole the same way. A polygon
 // coordinate byte 254 is one ulp past 1, just outside the universe. ok is
 // false when there are fewer than three bytes or no site, or when
 // NewPolygon refuses the outer ring; a hole AddHole refuses (one not
 // strictly inside the outer ring, say) is dropped.
-func decodeFlavorRegion(data []byte, sites []vaq.Point) (region vaq.Region, ok bool) {
+//
+// A polygon whose first byte is 253 is a literal instead: the byte is
+// dropped, and the rings make a plain Polygon as they are spelled, through
+// neither NewPolygon nor AddHole, so a ring may cross itself and a hole
+// cross the outer ring or another. refused is then the error those two
+// return building the same rings, nil when they build it.
+func decodeFlavorRegion(data []byte, sites []vaq.Point) (region vaq.Region, refused error, ok bool) {
 	coord := func(b byte) float64 { return float64(b%33) / 32 }
 	if len(data) == 4 && len(sites) > 0 {
 		site := func(b byte) vaq.Point { return sites[int(b)%len(sites)] }
 		a, b := site(data[0]), site(data[1])
 		centre := vaq.Pt((a.X+b.X)/2, (a.Y+b.Y)/2)
-		return vaq.CircleRegion(vaq.NewCircle(centre, math.Sqrt(centre.Dist2(site(data[2]))))), true
+		return vaq.CircleRegion(vaq.NewCircle(centre, math.Sqrt(centre.Dist2(site(data[2]))))), nil, true
 	}
 	if len(data) < 6 {
 		if len(data) < 3 {
-			return nil, false
+			return nil, nil, false
 		}
-		return vaq.CircleRegion(vaq.NewCircle(vaq.Pt(coord(data[0]), coord(data[1])), float64(data[2]%32+1)/32)), true
+		return vaq.CircleRegion(vaq.NewCircle(vaq.Pt(coord(data[0]), coord(data[1])), float64(data[2]%32+1)/32)), nil, true
 	}
-	ring := func(data []byte) []vaq.Point {
-		var ring []vaq.Point
+	ring := func(data []byte) vaq.Ring {
+		var ring vaq.Ring
 		for i := 0; i+1 < len(data) && len(ring) < 16; i += 2 {
 			xy := [2]float64{}
 			for j, b := range data[i : i+2] {
@@ -83,12 +89,28 @@ func decodeFlavorRegion(data []byte, sites []vaq.Point) (region vaq.Region, ok b
 		}
 		return ring
 	}
-	outer, hole, holed := bytes.Cut(data, []byte{255})
-	pg, err := vaq.NewPolygon(ring(outer))
-	if err == nil && holed {
-		_ = pg.AddHole(ring(hole)) // a refused hole is dropped
+	literal := data[0] == 253
+	if literal {
+		data = data[1:]
 	}
-	return vaq.PolygonRegion(pg), err == nil
+	parts := bytes.Split(data, []byte{255})
+	lit := vaq.Polygon{Outer: ring(parts[0])}
+	for _, h := range parts[1:] {
+		lit.Holes = append(lit.Holes, ring(h))
+	}
+	pg, err := vaq.NewPolygon(lit.Outer)
+	for _, h := range lit.Holes {
+		if err != nil {
+			break
+		}
+		if herr := pg.AddHole(h); literal {
+			err = herr // a refused hole is dropped unless the polygon is a literal
+		}
+	}
+	if literal {
+		return lit, err, true
+	}
+	return vaq.PolygonRegion(pg), nil, err == nil
 }
 
 // FuzzFlavorsAgree runs one fuzzed polygon or circle over one fuzzed
@@ -100,10 +122,15 @@ func decodeFlavorRegion(data []byte, sites []vaq.Point) (region vaq.Region, ok b
 // the sites the region contains, and Count their number; VoronoiBFS (whose
 // published rule may stop short) returns a subset of them. A region whose
 // MBR escapes the unit square must be refused by every flavor and method
-// with ErrOutsideUniverse. A polygon NewPolygon refuses is skipped.
+// with ErrOutsideUniverse. A polygon NewPolygon refuses is skipped, and a
+// literal one that NewPolygon or AddHole would refuse must be refused by
+// every flavor and method with their error, Count included.
 // testdata/fuzz/FuzzFlavorsAgree holds sites 1/17 apart on a row and the
 // circle centred between sites 1 and 12 through site 1, which the
-// circle's MBR rounds out.
+// circle's MBR rounds out, and, over 64 sites on a grid, literals: a
+// bowtie, a figure-eight, a ring that doubles back across itself, a ring
+// pinched at a vertex, a hole across the outer ring and a hole in another
+// (all refused), and a square whose lowest vertex is repeated (answered).
 func FuzzFlavorsAgree(f *testing.F) {
 	square := []byte{4, 4, 12, 4, 12, 12, 4, 12, 8, 8}                         // a square of sites and its centre
 	f.Add(square, []byte{4, 4, 28, 4, 28, 28, 4, 28})                          // a square through four sites
@@ -159,7 +186,7 @@ func FuzzFlavorsAgree(f *testing.F) {
 	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, siteBytes, regionBytes []byte) {
 		sites := decodeFlavorSites(siteBytes)
-		region, ok := decodeFlavorRegion(regionBytes, sites)
+		region, refused, ok := decodeFlavorRegion(regionBytes, sites)
 		if len(sites) == 0 || !ok {
 			return
 		}
@@ -221,6 +248,14 @@ func FuzzFlavorsAgree(f *testing.F) {
 		for _, fl := range flavors {
 			for _, m := range []vaq.Method{vaq.Traditional, vaq.VoronoiBFSStrict, vaq.BruteForce, vaq.VoronoiBFS} {
 				ids, err := fl.q.Query(ctx, region, vaq.UsingMethod(m))
+				if refused != nil {
+					n, cerr := vaq.Count(ctx, fl.q, region, vaq.UsingMethod(m))
+					if !errors.Is(err, refused) || ids != nil || !errors.Is(cerr, refused) {
+						t.Fatalf("%s/%v: a literal NewPolygon or AddHole refuse with %v: %d ids (err %v), Count %d (err %v); region %v",
+							fl.name, m, refused, len(ids), err, n, cerr, regionBytes)
+					}
+					continue
+				}
 				if escapes {
 					n, cerr := vaq.Count(ctx, fl.q, region, vaq.UsingMethod(m))
 					if !errors.Is(err, vaq.ErrOutsideUniverse) || ids != nil || !errors.Is(cerr, vaq.ErrOutsideUniverse) {

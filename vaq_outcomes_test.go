@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	vaq "repro"
@@ -19,6 +20,7 @@ type flavor struct {
 	name, label string // label is the flavor's metric and trace label
 	q           vaq.Querier
 	reg         *vaq.MetricsRegistry
+	requests    *atomic.Int64 // the remote flavor's backend requests; nil on the others
 }
 
 // everyFlavor builds the six shipped flavors over pts and universe: static,
@@ -35,7 +37,7 @@ func everyFlavor(t *testing.T, pts []vaq.Point, universe vaq.Rect) []flavor {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		flavors = append(flavors, flavor{name, label, q, reg})
+		flavors = append(flavors, flavor{name: name, label: label, q: q, reg: reg})
 	}
 	dynamic := func(m vaq.Option) *vaq.DynamicEngine {
 		d := vaq.NewDynamicEngine(universe, m)
@@ -57,9 +59,9 @@ func everyFlavor(t *testing.T, pts []vaq.Point, universe vaq.Rect) []flavor {
 	})
 	add("dynamic", "dynamic", func(m vaq.Option) (vaq.Querier, error) { return dynamic(m), nil })
 	add("snapshot", "dynamic", func(m vaq.Option) (vaq.Querier, error) { return dynamic(m).Snapshot(), nil })
-	add("remote", "remote", func(m vaq.Option) (vaq.Querier, error) {
-		return startFixtureOver(t, pts, universe, len(pts)*2/5).dial(t, m), nil
-	})
+	fixture := startFixtureOver(t, pts, universe, len(pts)*2/5)
+	add("remote", "remote", func(m vaq.Option) (vaq.Querier, error) { return fixture.dial(t, m), nil })
+	flavors[len(flavors)-1].requests = &fixture.requests
 	return flavors
 }
 
@@ -321,41 +323,88 @@ func TestNonFiniteRegionIsRefused(t *testing.T) {
 	}
 }
 
-// TestBowtieIsRefused: a literal Polygon whose outer ring crosses itself
-// into a bowtie has its interior point far outside its own MBR (the
-// centroid of a ring of zero signed area), and was answered wrongly with a
-// nil error — over 5000 sites VoronoiBFS returned no id and
-// VoronoiBFSStrict 4412 where brute force finds 977. Plain or prepared, it
-// is refused with ErrOutsideUniverse by Query, QueryAll and Each on every
-// flavor, under every method.
-func TestBowtieIsRefused(t *testing.T) {
+// TestNonSimpleLiteralsAreRefused: a Polygon written as a literal skips
+// NewPolygon and AddHole, and one they would refuse was answered — a ring
+// that crosses itself whose interior point lies inside its MBR (the
+// figure-eight, the ring that doubles back) got thousands of wrong ids from
+// VoronoiBFSStrict over 5000 sites, fence ids that name no point among them,
+// and crashed the sharded engine in a worker goroutine; a bowtie, whose
+// interior point leaves its MBR, was refused as outside the universe; a
+// ring pinched at a vertex and holes that cross the outer ring or nest were
+// answered on a path that validated every boundary site; and a NaN or
+// infinite vertex panicked Prepare and every query on the plain literal.
+// Plain or prepared, each is refused with the error NewPolygon or AddHole
+// returns for it — ErrSelfIntersect, or ErrNonFinite — by Query, QueryAll
+// and Each on every flavor, under every method, with no id and no yield;
+// the remote flavor sends no request and counts no dropped call.
+func TestNonSimpleLiteralsAreRefused(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pts := vaq.UniformPoints(rng, 5000, vaq.UnitSquare())
-	bowtie := vaq.Polygon{Outer: vaq.Ring{vaq.Pt(0.2, 0.2), vaq.Pt(0.8, 0.8), vaq.Pt(0.8, 0.2), vaq.Pt(0.2, 0.8)}}
-	if p := bowtie.InteriorPoint(); bowtie.Bounds().ContainsPoint(p) {
-		t.Fatalf("the bowtie's interior point %v lies inside its MBR %v: the fixture no longer shows the fault", p, bowtie.Bounds())
+	ring := func(xy ...float64) vaq.Ring {
+		var r vaq.Ring
+		for i := 0; i+1 < len(xy); i += 2 {
+			r = append(r, vaq.Pt(xy[i], xy[i+1]))
+		}
+		return r
+	}
+	rect := func(x0, y0, x1, y1 float64) vaq.Ring { return ring(x0, y0, x1, y0, x1, y1, x0, y1) }
+	type literal struct {
+		pg   vaq.Polygon
+		want error
+	}
+	literals := map[string]literal{
+		"bowtie":         {vaq.Polygon{Outer: ring(0.2, 0.2, 0.8, 0.8, 0.8, 0.2, 0.2, 0.8)}, vaq.ErrSelfIntersect},
+		"figure-eight":   {vaq.Polygon{Outer: ring(0.1, 0.1, 0.9, 0.6, 0.9, 0.1, 0.1, 0.3)}, vaq.ErrSelfIntersect},
+		"doubling back":  {vaq.Polygon{Outer: ring(0.1, 0.1, 0.9, 0.1, 0.9, 0.9, 0.3, 0.9, 0.3, 0.05, 0.2, 0.05, 0.2, 0.95, 0.1, 0.95)}, vaq.ErrSelfIntersect},
+		"pinched":        {vaq.Polygon{Outer: ring(0.1, 0.1, 0.5, 0.5, 0.9, 0.3, 0.9, 0.9, 0.5, 0.5, 0.1, 0.6)}, vaq.ErrSelfIntersect},
+		"hole across":    {vaq.Polygon{Outer: ring(0.1, 0.1, 0.9, 0.1, 0.1, 0.9), Holes: []vaq.Ring{rect(0.4, 0.4, 0.7, 0.7)}}, vaq.ErrSelfIntersect},
+		"hole in a hole": {vaq.Polygon{Outer: rect(0.1, 0.1, 0.9, 0.9), Holes: []vaq.Ring{rect(0.2, 0.2, 0.8, 0.8), rect(0.3, 0.3, 0.7, 0.7)}}, vaq.ErrSelfIntersect},
+		"NaN vertex":     {vaq.Polygon{Outer: ring(0.1, 0.1, 0.9, 0.1, math.NaN(), 0.9, 0.1, 0.9)}, vaq.ErrNonFinite},
+		"infinite hole":  {vaq.Polygon{Outer: rect(0.1, 0.1, 0.9, 0.9), Holes: []vaq.Ring{ring(0.4, 0.4, math.Inf(1), 0.4, 0.5, 0.6)}}, vaq.ErrNonFinite},
+	}
+	for name, lit := range literals {
+		pg, err := vaq.NewPolygon(lit.pg.Outer)
+		for _, h := range lit.pg.Holes {
+			if err == nil {
+				err = pg.AddHole(h)
+			}
+		}
+		if err != lit.want {
+			t.Fatalf("%s: building it through NewPolygon and AddHole: err %v, want %v", name, err, lit.want)
+		}
 	}
 	disk := vaq.CircleRegion(vaq.NewCircle(vaq.Pt(0.5, 0.5), 0.1))
-	regions := map[string]vaq.Region{"plain": bowtie, "prepared": vaq.PolygonRegion(bowtie)}
 	ctx := context.Background()
 	for _, f := range everyFlavor(t, pts, vaq.UnitSquare()) {
-		for rname, region := range regions {
-			for _, m := range []vaq.Method{vaq.VoronoiBFS, vaq.VoronoiBFSStrict, vaq.Traditional, vaq.BruteForce} {
-				name := fmt.Sprintf("%s, %s bowtie, %v", f.name, rname, m)
-				ids, err := f.q.Query(ctx, region, vaq.UsingMethod(m))
-				if !errors.Is(err, vaq.ErrOutsideUniverse) || ids != nil {
-					t.Errorf("%s: Query returned %d ids, err %v; want ErrOutsideUniverse", name, len(ids), err)
-				}
-				_, err = f.q.QueryAll(ctx, []vaq.Region{disk, region}, vaq.UsingMethod(m))
-				if !errors.Is(err, vaq.ErrOutsideUniverse) || !strings.Contains(err.Error(), "batch query 1") {
-					t.Errorf("%s: QueryAll err = %v, want ErrOutsideUniverse naming query 1", name, err)
-				}
-				err = f.q.Each(ctx, region, func(int64, vaq.Point) bool {
-					t.Errorf("%s: Each yielded a result", name)
-					return false
-				}, vaq.UsingMethod(m))
-				if !errors.Is(err, vaq.ErrOutsideUniverse) {
-					t.Errorf("%s: Each err = %v, want ErrOutsideUniverse", name, err)
+		re, _ := f.q.(*vaq.RemoteEngine)
+		for lname, lit := range literals {
+			for form, region := range map[string]vaq.Region{"plain": lit.pg, "prepared": vaq.PolygonRegion(lit.pg)} {
+				for _, m := range []vaq.Method{vaq.VoronoiBFS, vaq.VoronoiBFSStrict, vaq.Traditional, vaq.BruteForce} {
+					name := fmt.Sprintf("%s, %s %s, %v", f.name, form, lname, m)
+					var requests int64
+					var dropped uint64
+					if re != nil {
+						requests, dropped = f.requests.Load(), re.Dropped()
+					}
+					ids, err := f.q.Query(ctx, region, vaq.UsingMethod(m))
+					if !errors.Is(err, lit.want) || ids != nil {
+						t.Errorf("%s: Query returned %d ids, err %v; want %v", name, len(ids), err, lit.want)
+					}
+					all, err := f.q.QueryAll(ctx, []vaq.Region{disk, region}, vaq.UsingMethod(m))
+					if !errors.Is(err, lit.want) || !strings.Contains(err.Error(), "batch query 1") || all != nil {
+						t.Errorf("%s: QueryAll returned %d results, err %v; want %v naming query 1", name, len(all), err, lit.want)
+					}
+					err = f.q.Each(ctx, region, func(int64, vaq.Point) bool {
+						t.Errorf("%s: Each yielded a result", name)
+						return false
+					}, vaq.UsingMethod(m))
+					if !errors.Is(err, lit.want) {
+						t.Errorf("%s: Each err = %v, want %v", name, err, lit.want)
+					}
+					if re != nil && (f.requests.Load() != requests || re.Dropped() != dropped) {
+						t.Errorf("%s: the backends saw %d requests and Dropped moved by %d, want neither",
+							name, f.requests.Load()-requests, re.Dropped()-dropped)
+					}
 				}
 			}
 		}

@@ -37,6 +37,9 @@ type remoteFixture struct {
 	local  *vaq.Engine
 	urls   []string
 	chunks []*vaq.Engine // per-backend engines, for direct inspection
+	// requests counts the requests the backends received, /v1/info
+	// excepted: the calls queries made.
+	requests atomic.Int64
 }
 
 // startFixture splits pts at the given cut indexes (uneven on purpose —
@@ -65,9 +68,12 @@ func startFixtureOver(t testing.TB, pts []vaq.Point, universe vaq.Rect, cuts ...
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(serve.NewHandler(eng, serve.Config{
-			IDOffset: int64(start),
-			Flavor:   "static",
+		h := serve.NewHandler(eng, serve.Config{IDOffset: int64(start), Flavor: "static"})
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/info" {
+				f.requests.Add(1)
+			}
+			h.ServeHTTP(w, r)
 		}))
 		t.Cleanup(srv.Close)
 		f.urls = append(f.urls, srv.URL)
