@@ -54,14 +54,25 @@ func benchAreas(seed int64, querySize float64, count int) []Polygon {
 	return areas
 }
 
-// runAreaQueries measures m over pre-generated areas and reports candidate
-// metrics.
-func runAreaQueries(b *testing.B, eng *Engine, m Method, areas []Polygon) {
+// prepared prepares each area once, outside any timed loop, as a caller
+// that queries a region repeatedly does.
+func prepared(areas []Polygon) func(i int) Region {
+	regions := make([]Region, len(areas))
+	for i, area := range areas {
+		regions[i] = PolygonRegion(area)
+	}
+	return func(i int) Region { return regions[i%len(regions)] }
+}
+
+// runAreaQueries measures m over the regions region(i) returns for the
+// i-th query and reports candidate metrics.
+func runAreaQueries(b *testing.B, eng *Engine, m Method, region func(i int) Region) {
 	b.Helper()
 	var candidates, redundant, results int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st, err := queryWith(eng, m, areas[i%len(areas)])
+		var st Stats
+		_, err := eng.Query(context.Background(), region(i), UsingMethod(m), WithStatsInto(&st))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,7 +90,7 @@ func runAreaQueries(b *testing.B, eng *Engine, m Method, areas []Polygon) {
 // rules").
 func BenchmarkAblationExpansionRule(b *testing.B) {
 	const n = 100_000
-	areas := benchAreas(7, 0.01, 64)
+	areas := prepared(benchAreas(7, 0.01, 64))
 	b.Run("published", func(b *testing.B) {
 		runAreaQueries(b, benchEngine(b, n), VoronoiBFS, areas)
 	})
@@ -102,7 +113,7 @@ func BenchmarkAblationStoreIO(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	areas := benchAreas(9, 0.01, 64)
+	areas := prepared(benchAreas(9, 0.01, 64))
 	for _, m := range []Method{Traditional, VoronoiBFS} {
 		b.Run(m.String(), func(b *testing.B) {
 			var reads0 int
@@ -126,16 +137,17 @@ func BenchmarkAblationRectangleQuery(b *testing.B) {
 	for i := range areas {
 		areas[i] = RectangleQueryPolygon(rng, 0.01, 1, UnitSquare())
 	}
+	regions := prepared(areas)
 	for _, m := range []Method{Traditional, VoronoiBFS} {
 		b.Run(m.String(), func(b *testing.B) {
-			runAreaQueries(b, benchEngine(b, n), m, areas)
+			runAreaQueries(b, benchEngine(b, n), m, regions)
 		})
 	}
 }
 
 // BenchmarkAblationPolygonComplexity sweeps the query polygon vertex count
 // (the paper fixes 10), showing how boundary complexity affects both
-// methods. Each call prepares its region (queryWith), so the timings are
+// methods. Each call prepares its region, so the timings are
 // what a one-shot caller pays, the prepared polygon's lazy grid build
 // included; k = 100 is there because that grid has a fixed size and falls
 // back to the O(edges) loop on its boundary cells.
@@ -149,7 +161,7 @@ func BenchmarkAblationPolygonComplexity(b *testing.B) {
 		}
 		for _, m := range []Method{Traditional, VoronoiBFS} {
 			b.Run(fmt.Sprintf("k=%d/%v", k, m), func(b *testing.B) {
-				runAreaQueries(b, benchEngine(b, n), m, areas)
+				runAreaQueries(b, benchEngine(b, n), m, func(i int) Region { return PolygonRegion(areas[i%len(areas)]) })
 			})
 		}
 	}
@@ -166,11 +178,7 @@ func BenchmarkAblationPolygonComplexity(b *testing.B) {
 func BenchmarkMetricsOverhead(b *testing.B) {
 	rng := rand.New(rand.NewSource(211))
 	pts := UniformPoints(rng, 50_000, UnitSquare())
-	areas := benchAreas(212, 0.01, 64)
-	regions := make([]Region, len(areas))
-	for i, pg := range areas {
-		regions[i] = PolygonRegion(pg)
-	}
+	region := prepared(benchAreas(212, 0.01, 64))
 	ctx := context.Background()
 	buf := make([]int64, 0, 4096)
 
@@ -178,7 +186,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 		b.Helper()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Query(ctx, regions[i%len(regions)], Reuse(buf)); err != nil {
+			if _, err := eng.Query(ctx, region(i), Reuse(buf)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -210,7 +218,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 		var tr QueryTrace
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Query(ctx, regions[i%len(regions)], Reuse(buf), WithTraceInto(&tr)); err != nil {
+			if _, err := eng.Query(ctx, region(i), Reuse(buf), WithTraceInto(&tr)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -57,11 +57,8 @@ func CheckPolygon(pg Polygon) error {
 // comes first: the exact predicates behind isSimple have no answer for a
 // NaN or infinite coordinate.
 func validRing(pts []Point) (Ring, error) {
-	for _, p := range pts {
-		// x-x is 0 for every finite x and NaN for NaN and ±Inf.
-		if p.X-p.X != 0 || p.Y-p.Y != 0 {
-			return nil, ErrNonFinite
-		}
+	if !finitePoints(pts) {
+		return nil, ErrNonFinite
 	}
 	ring := normalizeRing(pts)
 	if len(ring) < 3 {
@@ -74,6 +71,17 @@ func validRing(pts []Point) (Ring, error) {
 		return nil, ErrZeroArea
 	}
 	return ring, nil
+}
+
+// finitePoints reports whether every coordinate of pts is finite.
+func finitePoints(pts []Point) bool {
+	for _, p := range pts {
+		// x-x is 0 for every finite x and NaN for NaN and ±Inf.
+		if p.X-p.X != 0 || p.Y-p.Y != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // MustPolygon is NewPolygon that panics on invalid input; intended for
@@ -237,8 +245,17 @@ func (pg Polygon) IntersectsSegment(s Segment) bool {
 // (prev, v, next) is empty of other vertices its centroid is interior,
 // otherwise the midpoint of v and the contained vertex farthest from the
 // chord is interior. If holes swallow both candidates, it falls back to
-// scanning midpoints of a vertical decomposition.
+// scanning midpoints of a vertical decomposition. A polygon with a NaN or
+// infinite vertex has no interior point: it returns the zero Point.
 func (pg Polygon) InteriorPoint() Point {
+	finite := true
+	pg.rings(func(r Ring) bool {
+		finite = finitePoints(r)
+		return finite
+	})
+	if !finite {
+		return Point{}
+	}
 	if c := pg.Outer.Centroid(); pg.ContainsPointStrict(c) {
 		return c
 	}

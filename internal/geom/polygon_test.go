@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -435,6 +436,25 @@ func TestInteriorPointWithHoles(t *testing.T) {
 	p := pg.InteriorPoint()
 	if !pg.ContainsPointStrict(p) {
 		t.Errorf("interior point %v swallowed by hole", p)
+	}
+}
+
+// TestInteriorPointNonFinite: a literal with a NaN or infinite vertex, in
+// its outer ring or a hole, has no interior point; InteriorPoint returns
+// the zero Point instead of handing the coordinate to the exact predicates.
+func TestInteriorPointNonFinite(t *testing.T) {
+	square := []Point{Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4)}
+	for name, pg := range map[string]Polygon{
+		"NaN outer vertex": {Outer: Ring{Pt(0, 0), Pt(math.NaN(), 0), Pt(4, 4), Pt(0, 4)}},
+		"infinite hole vertex": {Outer: square, Holes: []Ring{
+			{Pt(1, 1), Pt(math.Inf(1), 1), Pt(2, 2)}}},
+	} {
+		if p := pg.InteriorPoint(); p != (Point{}) {
+			t.Errorf("%s: InteriorPoint = %v, want the zero Point", name, p)
+		}
+		if err := CheckPolygon(pg); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%s: CheckPolygon = %v, want ErrNonFinite", name, err)
+		}
 	}
 }
 

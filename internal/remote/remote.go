@@ -5,10 +5,13 @@
 // the dataset, the concurrent fan-out, failing the query when a backend
 // fails, merging into ascending global id order — is package shard's
 // kernel, which Dial returns; what lives here is discovering the backends
-// and one partition call over the wire: encode the request, POST it once,
-// decode the response, add the backend's id offset. A remote engine
-// therefore answers every query byte-identically to a local engine over the
-// union of its backends' points.
+// and one partition call over the wire: append the request (AppendJSON),
+// POST it once, read the response body whole (one io.ReadFull when it
+// states its length) and decode it in one pass — ids straight into the
+// caller's reuse buffer — then add the backend's id offset. The batch call
+// (/v1/queryall) reads its body the same way but stays on encoding/json. A
+// remote engine therefore answers every query byte-identically to a local
+// engine over the union of its backends' points.
 //
 // Failure handling: a backend call is one attempt under the caller's
 // context, whose remaining budget crosses the wire in the Vaq-Timeout-Ms
@@ -183,22 +186,26 @@ func responseError(resp *http.Response) error {
 	return he
 }
 
-// postOnce is one unary request against the backend: encode body, POST it
-// under the caller's context, whose remaining budget crosses the wire in
-// wire.TimeoutHeader, and decode the 200 response into dst. There is no
-// retry: a failed call fails the query, and the caller may run a whole
-// idempotent query again.
-func (p *backendPartition) postOnce(ctx context.Context, path string, body, dst any) error {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("remote: encoding request: %w", err)
-	}
+// post is one unary request against the backend: POST payload under the
+// caller's context, whose remaining budget crosses the wire in
+// wire.TimeoutHeader, read the 200 response's body whole into a pooled
+// buffer and hand it to decode, which must keep nothing that aliases it.
+// There is no retry: a failed call fails the query, and the caller may run
+// a whole idempotent query again.
+func (p *backendPartition) post(ctx context.Context, path string, payload []byte, decode func(body []byte) error) error {
 	resp, err := p.send(ctx, path, payload)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(dst); err != nil {
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	body, err := wire.ReadBody(resp.Body, resp.ContentLength, *buf)
+	*buf = body
+	if err != nil {
+		return fmt.Errorf("reading response: %w", err)
+	}
+	if err := decode(body); err != nil {
 		return fmt.Errorf("decoding response: %w", err)
 	}
 	return nil
@@ -262,13 +269,20 @@ func (p *backendPartition) Query(ctx context.Context, region core.Region, spec c
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
+	payload, err := wire.QueryRequest{Region: wr, Options: wireOptions(spec)}.AppendJSON(nil)
+	if err != nil {
+		return nil, core.Stats{}, fmt.Errorf("remote: encoding request: %w", err)
+	}
 	var resp wire.QueryResponse
-	if err := p.postOnce(ctx, "/v1/query", wire.QueryRequest{Region: wr, Options: wireOptions(spec)}, &resp); err != nil {
+	if err := p.post(ctx, "/v1/query", payload, func(body []byte) (err error) {
+		resp, err = wire.DecodeQueryResponse(body, spec.Dest) // straight into the caller's buffer
+		return err
+	}); err != nil {
 		return nil, core.Stats{}, err
 	}
 	ids := p.remap(resp.IDs)
-	if spec.Dest != nil && !spec.CountOnly {
-		ids = append(spec.Dest[:0], ids...)
+	if ids == nil && spec.Dest != nil && !spec.CountOnly {
+		ids = spec.Dest[:0] // an empty result with a reuse buffer is not nil
 	}
 	return ids, toStats(resp.Stats), nil
 }
@@ -283,8 +297,14 @@ func (p *backendPartition) QueryRegions(ctx context.Context, regions []core.Regi
 			return nil, core.Stats{}, fmt.Errorf("region %d: %w", i, err)
 		}
 	}
+	payload, err := json.Marshal(req)
+	if err != nil {
+		return nil, core.Stats{}, fmt.Errorf("remote: encoding request: %w", err)
+	}
 	var resp wire.BatchResponse
-	if err := p.postOnce(ctx, "/v1/queryall", req, &resp); err != nil {
+	if err := p.post(ctx, "/v1/queryall", payload, func(body []byte) error {
+		return json.NewDecoder(bytes.NewReader(body)).Decode(&resp)
+	}); err != nil {
 		return nil, core.Stats{}, err
 	}
 	out := make([][]int64, len(resp.Results))
@@ -317,7 +337,7 @@ func toStats(ws *wire.Stats) core.Stats {
 // disconnect and reports an error rather than passing as complete.
 func (p *backendPartition) streamOne(ctx context.Context, req wire.QueryRequest, yield func(id int64, pos geom.Point) bool) (core.Stats, error) {
 	var st core.Stats
-	payload, err := json.Marshal(req)
+	payload, err := req.AppendJSON(nil)
 	if err != nil {
 		return st, err
 	}

@@ -3,17 +3,20 @@
 // count_only option) and QueryAll, plus server-streamed Each as chunked
 // NDJSON — speaking the canonical wire codec (package wire), with
 // client deadlines propagated from the Vaq-Timeout-Ms header into every
-// query's context. cmd/areaserve is the binary around it; the handler
-// itself is dependency-free stdlib net/http, mountable into any mux, and
-// safe for any number of concurrent requests (the engines already are).
+// query's context. An area route reads its request body whole into a
+// pooled buffer. /v1/query and /v1/each decode it in one pass
+// (wire.DecodeQueryRequest), and /v1/query appends its response into the
+// same buffer, written in one Write with a Content-Length; /v1/queryall
+// stays on encoding/json. cmd/areaserve is the binary around it; the
+// handler itself is dependency-free stdlib net/http, mountable into any
+// mux, and safe for any number of concurrent requests (the engines already
+// are).
 package serve
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -126,21 +129,6 @@ func (h *handler) requestContext(r *http.Request) (context.Context, context.Canc
 	return ctx, cancel, nil
 }
 
-// decodeBody JSON-decodes the size-capped request body into dst. The body
-// is one JSON value: anything but whitespace after it is refused.
-func (h *handler) decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("serve: trailing data after the request body")
-	}
-	return nil
-}
-
 // writeJSON writes a 200 with the JSON form of v.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -181,6 +169,7 @@ type areaCall struct {
 	regions []vaq.Region   // one on the single-region routes
 	opts    []vaq.QueryOpt // the wire options, with statistics routed into st
 	st      vaq.Stats
+	buf     *[]byte // from wire.GetBuffer: the request body, then the response
 }
 
 // area is the preamble of the three area-query routes, written once: decode
@@ -189,7 +178,9 @@ type areaCall struct {
 // with the response's writes bounded by the same deadline plus writeGrace.
 func (h *handler) area(single bool, serve func(http.ResponseWriter, *areaCall)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		c, cancel, werr := h.decodeArea(w, r, single)
+		buf := wire.GetBuffer()
+		defer wire.PutBuffer(buf)
+		c, cancel, werr := h.decodeArea(w, r, single, buf)
 		if werr != nil {
 			writeError(w, werr)
 			return
@@ -210,7 +201,7 @@ func (h *handler) area(single bool, serve func(http.ResponseWriter, *areaCall)) 
 // body cut off by the deadline is answered with the deadline code, as a query
 // that ran over it is; any other decode failure is a bad request. On an error
 // the context is already cancelled.
-func (h *handler) decodeArea(w http.ResponseWriter, r *http.Request, single bool) (*areaCall, context.CancelFunc, *wire.Error) {
+func (h *handler) decodeArea(w http.ResponseWriter, r *http.Request, single bool, buf *[]byte) (*areaCall, context.CancelFunc, *wire.Error) {
 	ctx, cancel, err := h.requestContext(r)
 	if err != nil {
 		return nil, nil, badRequest(err)
@@ -222,7 +213,7 @@ func (h *handler) decodeArea(w http.ResponseWriter, r *http.Request, single bool
 	if bounded {
 		_ = rc.SetReadDeadline(d)
 	}
-	c, err := h.decodeCall(w, r, single)
+	c, err := h.decodeCall(w, r, single, buf)
 	if bounded {
 		// Disarm it before the query runs. Once the body is at EOF, net/http
 		// reads the connection in the background; were that read to time
@@ -243,28 +234,36 @@ func (h *handler) decodeArea(w http.ResponseWriter, r *http.Request, single bool
 	return c, cancel, nil
 }
 
-// decodeCall decodes the body — a wire.QueryRequest on the single-region
-// routes, a wire.BatchRequest on /v1/queryall — then its region(s), and
-// translates the options.
-func (h *handler) decodeCall(w http.ResponseWriter, r *http.Request, single bool) (*areaCall, error) {
+// decodeCall reads the body into buf and decodes it — a wire.QueryRequest
+// on the single-region routes, a wire.BatchRequest on /v1/queryall — then
+// its region(s), and translates the options.
+func (h *handler) decodeCall(w http.ResponseWriter, r *http.Request, single bool, buf *[]byte) (*areaCall, error) {
+	length := r.ContentLength
+	if length > maxBodyBytes {
+		length = -1 // read up to the cap, which refuses it
+	}
+	body, err := wire.ReadBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), length, *buf)
+	*buf = body
+	if err != nil {
+		return nil, err
+	}
 	var (
 		wregions []wire.Region
 		wopts    wire.Options
-		err      error
 	)
 	if single {
 		var req wire.QueryRequest
-		err = h.decodeBody(w, r, &req)
+		req, err = wire.DecodeQueryRequest(body)
 		wregions, wopts = []wire.Region{req.Region}, req.Options
 	} else {
 		var req wire.BatchRequest
-		err = h.decodeBody(w, r, &req)
+		err = wire.DecodeStrict(body, &req)
 		wregions, wopts = req.Regions, req.Options
 	}
 	if err != nil {
 		return nil, err
 	}
-	c := &areaCall{regions: make([]vaq.Region, len(wregions))}
+	c := &areaCall{regions: make([]vaq.Region, len(wregions)), buf: buf}
 	for i, wr := range wregions {
 		if c.regions[i], err = wr.Decode(); err != nil {
 			if !single {
@@ -286,7 +285,18 @@ func (h *handler) query(w http.ResponseWriter, c *areaCall) {
 		return
 	}
 	ws := wire.FromStats(c.st)
-	writeJSON(w, wire.QueryResponse{IDs: ids, Count: c.st.ResultSize, Stats: &ws})
+	c.respond(w, wire.QueryResponse{IDs: ids, Count: c.st.ResultSize, Stats: &ws}.AppendJSON((*c.buf)[:0]))
+}
+
+// respond writes a 200 whose body is value, a JSON value appended to the
+// call's buffer, and the newline json.Encoder writes after one: a single
+// Write with a Content-Length, so the response is not chunked.
+func (c *areaCall) respond(w http.ResponseWriter, value []byte) {
+	*c.buf = append(value, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(*c.buf)))
+	w.Write(*c.buf)
 }
 
 func (h *handler) queryAll(w http.ResponseWriter, c *areaCall) {

@@ -183,6 +183,36 @@ func TestQueryAll(t *testing.T) {
 	}
 }
 
+// TestUnaryResponsesAreEncoderBytes: /v1/query answers with the bytes
+// json.Encoder writes for its response — the appended form changes none —
+// in one body of stated length, not chunked.
+func TestUnaryResponsesAreEncoderBytes(t *testing.T) {
+	eng := testEngine(t, 4000) // the id array passes net/http's 2 KB chunking threshold
+	srv := httptest.NewServer(NewHandler(eng, Config{}))
+	defer srv.Close()
+	wr, _ := wire.EncodeRegion(testRegion())
+	for _, opts := range []wire.Options{{}, {CountOnly: true}} {
+		resp := post(t, srv, "/v1/query", wire.QueryRequest{Region: wr, Options: opts})
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%+v: status %d, err %v: %s", opts, resp.StatusCode, err, body)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%+v: Content-Length %d, transfer encoding %v for a %d-byte body", opts, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		var got wire.QueryResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		json.NewEncoder(&want).Encode(got)
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Errorf("%+v: served\n %s\njson.Encoder writes\n %s", opts, body, want.Bytes())
+		}
+	}
+}
+
 func TestEachStreams(t *testing.T) {
 	eng := testEngine(t, 400)
 	srv := httptest.NewServer(NewHandler(eng, Config{}))

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 )
 
 // IDs is a result id array on the wire. It encodes as the plain []int64 it
@@ -24,23 +25,27 @@ const maxFastDigits = 18
 // malformed input) is left to encoding/json, so what is accepted, what is
 // refused and every value are its.
 func (ids *IDs) UnmarshalJSON(data []byte) error {
-	if out, ok := decodeIDs(data); ok {
+	if out, ok := appendIDs(nil, data); ok {
 		*ids = out
 		return nil
 	}
 	return json.Unmarshal(data, (*[]int64)(ids))
 }
 
-// decodeIDs decodes the canonical form, or reports that data is not in it.
-func decodeIDs(data []byte) (IDs, bool) {
+// appendIDs decodes the canonical form into dst[:0], or reports that data
+// is not in it. A canonical [] is an empty slice, never nil.
+func appendIDs(dst IDs, data []byte) (IDs, bool) {
 	n := len(data)
 	if n < 2 || data[0] != '[' || data[n-1] != ']' {
 		return nil, false
 	}
 	if n == 2 {
-		return IDs{}, true // encoding/json decodes [] to an empty slice, not nil
+		if dst == nil {
+			return IDs{}, true // encoding/json decodes [] to an empty slice, not nil
+		}
+		return dst[:0], true
 	}
-	out := make(IDs, 0, bytes.Count(data, []byte{','})+1)
+	out := slices.Grow(dst[:0], bytes.Count(data, []byte{','})+1)
 	for i := 1; ; i++ { // data[i] starts an integer
 		neg := data[i] == '-'
 		if neg {

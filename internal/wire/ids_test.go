@@ -129,21 +129,23 @@ func TestResponsesEncodeAsPlainSlices(t *testing.T) {
 }
 
 // TestQueryResponseDecodeAllocs pins what decoding a 1000-id response may
-// allocate: the id array once, the statistics, and encoding/json's own
-// bookkeeping — not one value per id.
+// allocate: the id array once and the statistics — not one value per id,
+// and nothing of encoding/json's. Under the race detector the decode
+// still runs, held to the bound that instrumentation leaves it.
 func TestQueryResponseDecodeAllocs(t *testing.T) {
+	bound := 2.0
+	if raceEnabled {
+		bound = 3
+	}
 	ids := make(IDs, 1000)
 	for i := range ids {
 		ids[i] = int64(i * 197)
 	}
-	body, err := json.Marshal(QueryResponse{IDs: ids, Count: len(ids), Stats: &Stats{ResultSize: len(ids), Candidates: 1177}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := QueryResponse{IDs: ids, Count: len(ids), Stats: &Stats{ResultSize: len(ids), Candidates: 1177}}.AppendJSON(nil)
 	var resp QueryResponse
 	allocs := testing.AllocsPerRun(20, func() {
-		resp = QueryResponse{}
-		if err := json.Unmarshal(body, &resp); err != nil {
+		var err error
+		if resp, err = DecodeQueryResponse(body, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -151,7 +153,7 @@ func TestQueryResponseDecodeAllocs(t *testing.T) {
 		t.Fatalf("decoded %d ids, stats %+v", len(resp.IDs), resp.Stats)
 	}
 	t.Logf("%.0f allocations per 1000-id QueryResponse", allocs)
-	if allocs > 12 {
-		t.Errorf("decoding a 1000-id QueryResponse allocates %.0f times, want <= 12", allocs)
+	if allocs > bound {
+		t.Errorf("decoding a 1000-id QueryResponse allocates %.0f times, want <= %.0f", allocs, bound)
 	}
 }

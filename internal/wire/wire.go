@@ -51,10 +51,14 @@ func finite(vs ...float64) bool {
 // MarshalJSON implements json.Marshaler as the array form, byte for byte
 // what json.Marshal([2]float64{c.X, c.Y}) writes, without the nested call.
 func (c Coord) MarshalJSON() ([]byte, error) {
+	return c.appendJSON(make([]byte, 0, 48)) // two shortest-form float64s are at most 24 bytes each
+}
+
+// appendJSON appends the array form MarshalJSON writes.
+func (c Coord) appendJSON(b []byte) ([]byte, error) {
 	if !finite(c.X, c.Y) {
 		return nil, errNonFinite
 	}
-	b := make([]byte, 0, 48) // two shortest-form float64s are at most 24 bytes each
 	b = append(b, '[')
 	b = appendFloat(b, c.X)
 	b = append(b, ',')
@@ -259,16 +263,17 @@ func decodeRing(cs []Coord) []geom.Point {
 func (r Region) Decode() (core.Region, error) {
 	switch r.Kind {
 	case KindPolygon:
-		pg, err := geom.NewPolygon(decodeRing(r.Outer))
-		if err != nil {
+		// Prepare checks the literal once: Err is the error NewPolygon and
+		// AddHole would return.
+		pg := geom.Polygon{Outer: decodeRing(r.Outer)}
+		for _, h := range r.Holes {
+			pg.Holes = append(pg.Holes, decodeRing(h))
+		}
+		pp := geom.Prepare(pg)
+		if err := pp.Err(); err != nil {
 			return nil, fmt.Errorf("wire: polygon: %w", err)
 		}
-		for i, h := range r.Holes {
-			if err := pg.AddHole(decodeRing(h)); err != nil {
-				return nil, fmt.Errorf("wire: polygon hole %d: %w", i, err)
-			}
-		}
-		return core.PolygonRegion(pg), nil
+		return pp, nil
 	case KindCircle:
 		if r.Center == nil {
 			return nil, errors.New("wire: circle region missing center")
