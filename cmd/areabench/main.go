@@ -64,6 +64,11 @@ func main() {
 		if err != nil {
 			fatalf("bad -datasizes: %v", err)
 		}
+		for _, n := range sizes {
+			if n < 0 {
+				fatalf("bad -datasizes: %d, a point count is at least 0", n)
+			}
+		}
 		cfg.DataSizes = sizes
 	}
 	if *querySizes != "" {

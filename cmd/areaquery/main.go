@@ -41,11 +41,14 @@ func main() {
 	)
 	flag.Parse()
 
-	// A bad -polygon, or a -querysize the random polygon cannot have (it
-	// would silently be drawn at 1%), is refused before anything is built or
-	// dialled.
+	// A negative -n, a bad -polygon, or a -querysize the random polygon
+	// cannot have (it would silently be drawn at 1%), is refused before
+	// anything is built or dialled.
 	var area vaq.Polygon
 	var err error
+	if *n < 0 {
+		fatalf("bad -n: %d, a point count is at least 0", *n)
+	}
 	if *polygon != "" {
 		if area, err = parsePolygon(*polygon); err != nil {
 			fatalf("bad -polygon: %v", err)

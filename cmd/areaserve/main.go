@@ -14,9 +14,9 @@
 //
 //	areaserve -n 200000 -shard 2/3 -addr :8090
 //
-// The chunks of a group are runs of the dataset's Hilbert order, as the
-// sharded engine cuts its shards: compact tiles of the plane, the same
-// ones in every process started with the same -seed and -n. Global ids
+// Chunk i of k is run i of hilbert.Runs(points, unit square, k), the cut
+// the sharded engine makes into k shards: a compact tile of the plane, the
+// same in every process started with the same -seed and -n. Global ids
 // under -shard are positions in that order (chunk i starts where chunk
 // i-1 ended), not generator indexes; the points they name are the same
 // set, so counts and coordinates agree with an unsharded server.
@@ -36,6 +36,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -58,6 +59,9 @@ func main() {
 		drain      = flag.Duration("drain", 10*time.Second, "grace period for in-flight requests on shutdown")
 	)
 	flag.Parse()
+	if *n < 0 {
+		fatalf("bad -n: %d, a point count is at least 0", *n)
+	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	var pts []vaq.Point
@@ -121,9 +125,10 @@ func buildEngine(flavor string, pts []vaq.Point, shards int, reg *vaq.MetricsReg
 	case "static":
 		return vaq.NewEngine(pts, vaq.UnitSquare(), opts...)
 	case "sharded":
-		if shards > 0 {
-			opts = append(opts, vaq.WithShards(shards))
+		if shards <= 0 {
+			shards = runtime.NumCPU()
 		}
+		opts = append(opts, vaq.WithShards(shards))
 		return vaq.NewShardedEngine(pts, vaq.UnitSquare(), opts...)
 	case "dynamic":
 		eng := vaq.NewDynamicEngine(vaq.UnitSquare(), opts...)
@@ -138,19 +143,13 @@ func buildEngine(flavor string, pts []vaq.Point, shards int, reg *vaq.MetricsReg
 	}
 }
 
-// hilbertChunk returns chunk i of k (1-based) of pts cut along the Hilbert
-// curve over the unit square, and the number of points in the chunks
-// before it — the chunk's global id offset. The order depends on pts alone,
-// so every process of a group computes the same cut.
+// hilbertChunk returns chunk i of k (1-based) of pts, run i of
+// hilbert.Runs over the unit square, and the number of points in the
+// chunks before it — the chunk's global id offset. The order depends on
+// pts alone, so every process of a group computes the same cut.
 func hilbertChunk(pts []vaq.Point, i, k int) (offset int, chunk []vaq.Point) {
-	u := vaq.UnitSquare()
-	sc := hilbert.NewScaler(u.MinX, u.MinY, u.MaxX, u.MaxY, hilbert.Order)
-	keys := make([]uint64, len(pts))
-	for j, p := range pts {
-		keys[j] = sc.D(p.X, p.Y)
-	}
-	runs := hilbert.Partition(keys, k)
-	if i > len(runs) {
+	runs := hilbert.Runs(pts, vaq.UnitSquare(), k)
+	if i > len(runs) || len(runs[i-1]) == 0 {
 		fatalf("-shard %d/%d: only %d points to cut", i, k, len(pts))
 	}
 	for _, run := range runs[:i-1] {

@@ -21,18 +21,8 @@ func unitBounds() geom.Rect { return geom.NewRect(0, 0, 1, 1) }
 // order a spatial store lays its records out in (neighbouring points share
 // pages and cache lines).
 func hilbertSort(pts []geom.Point, bounds geom.Rect) {
-	sc := hilbert.NewScaler(bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY, hilbert.Order)
-	keys := make([]uint64, len(pts))
-	for i, p := range pts {
-		keys[i] = sc.D(p.X, p.Y)
-	}
-	idx := make([]int, len(pts))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
 	out := make([]geom.Point, len(pts))
-	for i, j := range idx {
+	for i, j := range hilbert.Runs(pts, bounds, 1)[0] {
 		out[i] = pts[j]
 	}
 	copy(pts, out)

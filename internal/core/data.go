@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
-	"slices"
 
 	"repro/internal/delaunay"
 	"repro/internal/geom"
@@ -92,10 +90,11 @@ func NewMemoryData(pts []geom.Point, bounds geom.Rect) (*MemoryData, error) {
 	return m, err
 }
 
-// newMemoryData is NewMemoryData, also returning the curve order it
-// inserted the sites in.
+// newMemoryData is NewMemoryData, also returning the order it inserted the
+// sites in: their Hilbert order over bounds, ties by index, so each walk
+// starts at the previous site.
 func newMemoryData(pts []geom.Point, bounds geom.Rect) (*MemoryData, []int32, error) {
-	order := curveOrder(pts, bounds)
+	order := hilbert.Runs(pts, bounds, 1)[0]
 	sites, rings, err := delaunay.Bulk(pts, bounds, order)
 	if errors.Is(err, delaunay.ErrDuplicateSite) {
 		return nil, nil, fmt.Errorf("%w: %w", ErrDuplicatePoints, err)
@@ -115,26 +114,6 @@ func newMemoryData(pts []geom.Point, bounds geom.Rect) (*MemoryData, []int32, er
 	hint.flood()
 	m.hint = hint.frozen()
 	return m, order, nil
-}
-
-// curveOrder returns the indexes of pts sorted by the Hilbert key of their
-// positions over bounds, ties by index: the order NewMemoryData inserts the
-// sites in, each walk starting at the previous site, and NewStoreData lays
-// their records on pages in.
-func curveOrder(pts []geom.Point, bounds geom.Rect) []int32 {
-	// A curve index of hilbert.Order 16 fits in 32 bits, so key and id pack
-	// into one word that sorts by key, then id.
-	sc := hilbert.NewScaler(bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY, hilbert.Order)
-	keys := make([]uint64, len(pts))
-	for i, p := range pts {
-		keys[i] = sc.D(p.X, p.Y)<<32 | uint64(i)
-	}
-	slices.Sort(keys)
-	order := make([]int32, len(keys))
-	for i, k := range keys {
-		order[i] = int32(k & math.MaxUint32)
-	}
-	return order
 }
 
 // Len returns the number of user sites: fence sites excluded.
@@ -187,10 +166,10 @@ type StoreConfig struct {
 // NewStoreData builds the layer NewMemoryData builds and materializes every
 // point as a record (id + coordinates + payload) in a paged store, which
 // every candidate's record load then goes through. Records go onto pages in
-// the order the sites were inserted in (curveOrder), whatever order pts
-// arrives in: the candidates of an area query are a connected patch of the
-// plane, so placed this way they share pages. Ids are still indexes into
-// pts; the fence sites have no record.
+// the order the sites were inserted in (their Hilbert order), whatever
+// order pts arrives in: the candidates of an area query are a connected
+// patch of the plane, so placed this way they share pages. Ids are still
+// indexes into pts; the fence sites have no record.
 func NewStoreData(pts []geom.Point, bounds geom.Rect, cfg StoreConfig) (*MemoryData, error) {
 	m, order, err := newMemoryData(pts, bounds)
 	if err != nil {

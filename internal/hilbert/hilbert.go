@@ -1,21 +1,76 @@
-// Package hilbert maps 2-D grid coordinates to positions along a Hilbert
-// space-filling curve and back.
+// Package hilbert owns the repository's one curve order: Runs sorts points
+// along a Hilbert space-filling curve over a bounding box and cuts that
+// order into runs of near-equal size.
 //
-// The curve is used as a spatial sort: points close on the curve are close
-// in the plane, which makes Hilbert order an excellent insertion order for
-// incremental Delaunay construction (near-linear walks between consecutive
-// insertions) and a good packing order for bulk-loaded R-trees.
+// Points close on the curve are close in the plane, so the one order serves
+// three purposes: it is the order a static layer inserts its sites in (each
+// Delaunay walk starts at the previous site, a few steps away) and lays its
+// store's records on pages in, and its runs are the compact tiles the
+// sharded engine's shards and areaserve's chunks hold.
 package hilbert
 
-import "sort"
+import (
+	"math"
+	"slices"
 
-// Order is the default curve order used by the helpers in this repository:
-// a 2^16 × 2^16 grid, giving 32-bit curve positions.
-const Order = 16
+	"repro/internal/geom"
+)
 
-// XYToD converts grid coordinates (x, y) in [0, 2^order) to the distance
+// order is the curve order: a 2^16 × 2^16 grid, so a curve index fits in
+// 32 bits and packs with a point's index into one word.
+const order = 16
+
+// Runs returns the indexes of pts sorted along the Hilbert curve over
+// bounds, ties broken by index, cut into parts runs of near-equal size: the
+// first len(pts)%parts runs hold one index more. parts is clamped to
+// [1, max(len(pts), 1)], so no run is empty unless pts is, and then there is
+// one empty run. A point outside bounds sorts as if clamped onto it.
+func Runs(pts []geom.Point, bounds geom.Rect, parts int) [][]int32 {
+	// Key above index in one word: sorting the words sorts by key, then
+	// index.
+	keys := make([]uint64, len(pts))
+	for i, p := range pts {
+		x := grid(p.X, bounds.MinX, bounds.MaxX)
+		y := grid(p.Y, bounds.MinY, bounds.MaxY)
+		keys[i] = xyToD(order, x, y)<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	idx := make([]int32, len(keys))
+	for i, k := range keys {
+		idx[i] = int32(k & math.MaxUint32)
+	}
+	parts = max(1, min(parts, len(idx)))
+	runs := make([][]int32, parts)
+	size, extra := len(idx)/parts, len(idx)%parts
+	for p := range runs {
+		n := size
+		if p < extra {
+			n++
+		}
+		runs[p], idx = idx[:n:n], idx[n:]
+	}
+	return runs
+}
+
+// grid maps v in [lo, hi] onto a column of the curve's grid, clamping a
+// value outside; a flat axis (hi <= lo) maps everything to column 0.
+func grid(v, lo, hi float64) uint32 {
+	span := hi - lo
+	if span <= 0 {
+		return 0
+	}
+	f := (v - lo) / span
+	if f < 0 {
+		f = 0
+	} else if f > 1 {
+		f = 1
+	}
+	return uint32(f * float64(uint64(1)<<order-1))
+}
+
+// xyToD converts grid coordinates (x, y) in [0, 2^order) to the distance
 // along the Hilbert curve of the given order.
-func XYToD(order uint, x, y uint32) uint64 {
+func xyToD(order uint, x, y uint32) uint64 {
 	var rx, ry uint32
 	var d uint64
 	for s := uint32(1) << (order - 1); s > 0; s >>= 1 {
@@ -35,21 +90,6 @@ func XYToD(order uint, x, y uint32) uint64 {
 	return d
 }
 
-// DToXY converts a distance along the Hilbert curve of the given order back
-// to grid coordinates. It is the inverse of XYToD.
-func DToXY(order uint, d uint64) (x, y uint32) {
-	t := d
-	for s := uint32(1); s < uint32(1)<<order; s <<= 1 {
-		rx := uint32(1) & uint32(t/2)
-		ry := uint32(1) & uint32(t^uint64(rx))
-		x, y = rot(s, x, y, rx, ry)
-		x += s * rx
-		y += s * ry
-		t /= 4
-	}
-	return x, y
-}
-
 // rot rotates/flips a quadrant appropriately.
 func rot(n, x, y, rx, ry uint32) (uint32, uint32) {
 	if ry == 0 {
@@ -60,88 +100,4 @@ func rot(n, x, y, rx, ry uint32) (uint32, uint32) {
 		x, y = y, x
 	}
 	return x, y
-}
-
-// Partition splits the index range [0, len(keys)) into at most parts
-// contiguous runs of Hilbert-curve order: indexes are sorted by key (ties
-// broken by index, so the result is deterministic) and cut into runs of
-// near-equal size — the first len(keys)%parts runs hold one extra item.
-// Because consecutive curve positions are adjacent in the plane, each run
-// is a spatially coherent tile; this is the shard assignment used by the
-// sharded engine. parts is clamped to [1, len(keys)], so no returned run
-// is empty; a nil result means keys was empty.
-func Partition(keys []uint64, parts int) [][]int {
-	n := len(keys)
-	if n == 0 {
-		return nil
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > n {
-		parts = n
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ka, kb := keys[order[a]], keys[order[b]]
-		if ka != kb {
-			return ka < kb
-		}
-		return order[a] < order[b]
-	})
-	out := make([][]int, parts)
-	size, extra := n/parts, n%parts
-	pos := 0
-	for p := 0; p < parts; p++ {
-		run := size
-		if p < extra {
-			run++
-		}
-		out[p] = order[pos : pos+run : pos+run]
-		pos += run
-	}
-	return out
-}
-
-// Scaler maps float64 coordinates in a bounding box onto Hilbert distances,
-// for sorting arbitrary planar point sets.
-type Scaler struct {
-	minX, minY   float64
-	spanX, spanY float64
-	order        uint
-	side         float64
-}
-
-// NewScaler returns a Scaler for points inside the box
-// [minX,maxX]×[minY,maxY]. Degenerate (zero-span) boxes are handled by
-// mapping the flat axis to 0.
-func NewScaler(minX, minY, maxX, maxY float64, order uint) *Scaler {
-	return &Scaler{
-		minX: minX, minY: minY,
-		spanX: maxX - minX, spanY: maxY - minY,
-		order: order,
-		side:  float64(uint64(1)<<order - 1),
-	}
-}
-
-// D returns the Hilbert distance of (x, y). Coordinates outside the box are
-// clamped.
-func (s *Scaler) D(x, y float64) uint64 {
-	return XYToD(s.order, s.grid(x, s.minX, s.spanX), s.grid(y, s.minY, s.spanY))
-}
-
-func (s *Scaler) grid(v, min, span float64) uint32 {
-	if span <= 0 {
-		return 0
-	}
-	f := (v - min) / span
-	if f < 0 {
-		f = 0
-	} else if f > 1 {
-		f = 1
-	}
-	return uint32(f * s.side)
 }

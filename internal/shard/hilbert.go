@@ -104,12 +104,7 @@ func New(points []geom.Point, bounds geom.Rect, cfg Config) (*Engine, error) {
 		shards = []*localShard{{bounds: geom.RectFromPoints(points...)}}
 		shardPts = [][]geom.Point{points}
 	} else {
-		sc := hilbert.NewScaler(bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY, hilbert.Order)
-		keys := make([]uint64, len(points))
-		for i, p := range points {
-			keys[i] = sc.D(p.X, p.Y)
-		}
-		runs := hilbert.Partition(keys, cfg.Shards)
+		runs := hilbert.Runs(points, bounds, cfg.Shards)
 		shards = make([]*localShard, len(runs))
 		shardPts = make([][]geom.Point, len(runs))
 		for si, run := range runs {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -79,13 +80,8 @@ func equalIDs(a, b []int64) bool {
 // being 0..k-1, which it keeps no id map for.
 func testWorkloads(n int) map[string][]geom.Point {
 	uniform := workload.UniformPoints(rand.New(rand.NewSource(41)), n, unitBounds())
-	sc := hilbert.NewScaler(0, 0, 1, 1, hilbert.Order)
-	keys := make([]uint64, n)
-	for i, p := range uniform {
-		keys[i] = sc.D(p.X, p.Y)
-	}
 	curve := make([]geom.Point, 0, n)
-	for _, i := range hilbert.Partition(keys, 1)[0] {
+	for _, i := range hilbert.Runs(uniform, unitBounds(), 1)[0] {
 		curve = append(curve, uniform[i])
 	}
 	return map[string][]geom.Point{
@@ -221,10 +217,23 @@ func TestGlobalIDStability(t *testing.T) {
 	}
 }
 
-// TestShardPartitionInvariants pins the partition: every point lands in
-// exactly one shard, which PointOK reads its position from, shard sizes are
-// near-equal, each shard's bounds contain its points, and a shard whose
-// ids are 0..k-1 keeps no id map.
+// shardIDs returns the global ids a shard holds, ascending.
+func shardIDs(s *localShard) []int64 {
+	if s.global != nil {
+		return s.global
+	}
+	ids := make([]int64, s.eng.Data().Len())
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	return ids
+}
+
+// TestShardPartitionInvariants pins the partition: shard i holds exactly
+// run i of hilbert.Runs, every point lands in exactly one shard, which
+// PointOK reads its position from, shard sizes are near-equal, each shard's
+// bounds contain its points, and a shard whose ids are 0..k-1 keeps no id
+// map.
 func TestShardPartitionInvariants(t *testing.T) {
 	const n = 1000
 	for wname, pts := range testWorkloads(n) {
@@ -254,10 +263,20 @@ func TestShardPartitionInvariants(t *testing.T) {
 			if max-min > 1 {
 				t.Errorf("%s shards=%d: size spread %d..%d", wname, shards, min, max)
 			}
+			runs := hilbert.Runs(pts, unitBounds(), shards)
 			for si := 0; si < se.NumShards(); si++ {
 				b := se.ShardBounds(si)
 				if !unitBounds().ContainsRect(b) {
 					t.Errorf("%s shard %d: bounds %v outside universe", wname, si, b)
+				}
+				var want []int64
+				for _, id := range runs[si] {
+					want = append(want, int64(id))
+				}
+				slices.Sort(want)
+				if got := shardIDs(se.parts[si].(*localShard)); !slices.Equal(got, want) {
+					t.Errorf("%s shards=%d: shard %d holds %d ids, not run %d of hilbert.Runs (%d ids)",
+						wname, shards, si, len(got), si, len(want))
 				}
 			}
 			for id, want := range pts {

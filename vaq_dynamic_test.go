@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -104,7 +105,7 @@ func TestDynamicEngineConcurrentInsertQuery(t *testing.T) {
 						recordError(err)
 						return
 					}
-					if !equal(sorted(got), want) {
+					if !slices.Equal(sorted(got), want) {
 						recordError(fmt.Errorf("epoch %d %v: %d results, oracle %d",
 							snap.Epoch(), m, len(got), len(oracle)))
 						return
@@ -126,7 +127,7 @@ func TestDynamicEngineConcurrentInsertQuery(t *testing.T) {
 					recordError(err)
 					return
 				}
-				if !equal(sorted(batch[0]), want) || !equal(sorted(batch[1]), want) {
+				if !slices.Equal(sorted(batch[0]), want) || !slices.Equal(sorted(batch[1]), want) {
 					recordError(fmt.Errorf("epoch %d batch diverged from pinned oracle", snap.Epoch()))
 					return
 				}
@@ -182,7 +183,7 @@ func TestDynamicEngineConcurrentInsertQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equal(sorted(got), sorted(oracle)) {
+	if !slices.Equal(sorted(got), sorted(oracle)) {
 		t.Fatalf("final epoch %d: voronoi diverged from oracle", final.Epoch())
 	}
 	distinct := 0

@@ -2,7 +2,7 @@ package vaq
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -16,24 +16,6 @@ func parallelTestEngine(t testing.TB, n int, opts ...Option) *Engine {
 		t.Fatal(err)
 	}
 	return eng
-}
-
-func sortIDs(ids []int64) []int64 {
-	out := append([]int64(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func idsEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // mixedBatch builds a region batch alternating polygons and circles.
@@ -76,7 +58,7 @@ func TestQueryBatchParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("%v parallel: %v", m, err)
 		}
 		for i := range regions {
-			if !idsEqual(sortIDs(par[i]), sortIDs(seq[i])) {
+			if !slices.Equal(sorted(par[i]), sorted(seq[i])) {
 				t.Fatalf("%v query %d: parallel %d ids, sequential %d",
 					m, i, len(par[i]), len(seq[i]))
 			}
@@ -97,7 +79,7 @@ func TestQueryBatchParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range areas {
-		if !idsEqual(sortIDs(par[i]), sortIDs(seq[i])) {
+		if !slices.Equal(sorted(par[i]), sorted(seq[i])) {
 			t.Fatalf("QueryBatch query %d diverged", i)
 		}
 	}
@@ -183,7 +165,7 @@ func TestGoroutinesShareOneEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle[i] = sortIDs(ids)
+		oracle[i] = sorted(ids)
 	}
 
 	var wg sync.WaitGroup
@@ -199,7 +181,7 @@ func TestGoroutinesShareOneEngine(t *testing.T) {
 					errs <- err
 					return
 				}
-				if !idsEqual(sortIDs(ids), oracle[i]) {
+				if !slices.Equal(sorted(ids), oracle[i]) {
 					errs <- errDiverged
 					return
 				}
@@ -255,7 +237,7 @@ func TestStoreEngineBatchRunsParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !idsEqual(sortIDs(out[i]), sortIDs(want)) {
+		if !slices.Equal(sorted(out[i]), sorted(want)) {
 			t.Fatalf("store batch query %d diverged", i)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -60,7 +61,7 @@ func TestShardedEngineConformance(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s %v: sharded: %v", name, m, err)
 					}
-					if !idsEqual(got, sortIDs(want)) {
+					if !slices.Equal(got, sorted(want)) {
 						t.Errorf("%s %v area %d: %d ids, single %d", name, m, ai, len(got), len(want))
 					}
 					cnt, _, err := countOf(sharded, m, area)
@@ -80,7 +81,7 @@ func TestShardedEngineConformance(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s %v: sharded circle: %v", name, m, err)
 					}
-					if !idsEqual(got, sortIDs(want)) {
+					if !slices.Equal(got, sorted(want)) {
 						t.Errorf("%s %v circle %d diverged", name, m, ci)
 					}
 				}
@@ -96,7 +97,7 @@ func TestShardedEngineConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !idsEqual(got, sortIDs(want)) {
+				if !slices.Equal(got, sorted(want)) {
 					t.Errorf("%s: Query area %d diverged", name, ai)
 				}
 			}
@@ -109,7 +110,7 @@ func TestShardedEngineConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range areas {
-				if !idsEqual(gotBatch[i], sortIDs(wantBatch[i])) {
+				if !slices.Equal(gotBatch[i], sorted(wantBatch[i])) {
 					t.Errorf("%s: QueryBatch %d diverged", name, i)
 				}
 			}
@@ -123,7 +124,7 @@ func TestShardedEngineConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range regions {
-				if !idsEqual(gotReg[i], sortIDs(wantReg[i])) {
+				if !slices.Equal(gotReg[i], sorted(wantReg[i])) {
 					t.Errorf("%s: QueryRegions %d diverged", name, i)
 				}
 			}
@@ -164,7 +165,7 @@ func TestOneShardIsTheStaticEngine(t *testing.T) {
 			var sst, ost Stats
 			sids, serr := static.Query(ctx, r, UsingMethod(m), WithStatsInto(&sst))
 			oids, oerr := one.Query(ctx, r, UsingMethod(m), WithStatsInto(&ost))
-			if !idsEqual(sids, oids) || sst != ost || fmt.Sprint(serr) != fmt.Sprint(oerr) {
+			if !slices.Equal(sids, oids) || sst != ost || fmt.Sprint(serr) != fmt.Sprint(oerr) {
 				t.Errorf("%v region %d: static %d ids %+v %v; one shard %d ids %+v %v", m, ri, len(sids), sst, serr, len(oids), ost, oerr)
 			}
 			if m == Method(99) {
@@ -219,7 +220,7 @@ func TestShardedEngineStoreBacked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !idsEqual(got, sortIDs(want)) {
+		if !slices.Equal(got, sorted(want)) {
 			t.Fatalf("rep %d diverged", rep)
 		}
 		if len(want) > 0 && st.RecordsLoaded == 0 {
@@ -253,7 +254,7 @@ func TestShardedGlobalIDStability(t *testing.T) {
 		}
 		if first == nil {
 			first = got
-		} else if !idsEqual(got, first) {
+		} else if !slices.Equal(got, first) {
 			t.Errorf("shards=%d: ids differ from shards=%d", shards, shardedTestCounts[0])
 		}
 		for _, id := range got {
@@ -288,7 +289,7 @@ func TestConcurrentShardedEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle[i] = sortIDs(ids)
+		oracle[i] = sorted(ids)
 	}
 
 	var wg sync.WaitGroup
@@ -305,7 +306,7 @@ func TestConcurrentShardedEngine(t *testing.T) {
 						errs <- err
 						return
 					}
-					if !idsEqual(ids, oracle[i]) {
+					if !slices.Equal(ids, oracle[i]) {
 						errs <- fmt.Errorf("worker %d rep %d: query diverged", worker, rep)
 						return
 					}
@@ -315,7 +316,7 @@ func TestConcurrentShardedEngine(t *testing.T) {
 						errs <- err
 						return
 					}
-					if !idsEqual(out[0], oracle[i]) {
+					if !slices.Equal(out[0], oracle[i]) {
 						errs <- fmt.Errorf("worker %d rep %d: batch diverged", worker, rep)
 						return
 					}

@@ -7,30 +7,15 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/geom"
 )
 
-func sorted(ids []int64) []int64 {
-	out := append([]int64(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func equal(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+// sorted returns a sorted copy of ids, for comparing id sets with
+// slices.Equal.
+func sorted(ids []int64) []int64 { return slices.Sorted(slices.Values(ids)) }
 
 func TestQuickstartFlow(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -88,7 +73,7 @@ func TestMethodsAgreeViaPublicAPI(t *testing.T) {
 		g := sorted(got)
 		if i == 0 {
 			want = g
-		} else if !equal(g, want) {
+		} else if !slices.Equal(g, want) {
 			t.Fatalf("%v disagrees with Traditional", m)
 		}
 	}
@@ -222,7 +207,7 @@ func TestClusteredWorkloadEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equal(sorted(a), sorted(b)) {
+	if !slices.Equal(sorted(a), sorted(b)) {
 		t.Error("methods disagree on clustered data")
 	}
 }
@@ -253,7 +238,7 @@ func TestDynamicEnginePublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equal(sorted(a), sorted(b)) {
+	if !slices.Equal(sorted(a), sorted(b)) {
 		t.Error("dynamic query diverges from oracle")
 	}
 	// Result points are really inside.
@@ -374,7 +359,7 @@ func TestQueryCirclePublicAPI(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
-		if !equal(sorted(got), want) {
+		if !slices.Equal(sorted(got), want) {
 			t.Fatalf("%v circle query: %d results, want %d", m, len(got), len(want))
 		}
 	}
