@@ -65,8 +65,8 @@ func main() {
 			fatalf("bad -datasizes: %v", err)
 		}
 		for _, n := range sizes {
-			if n < 0 {
-				fatalf("bad -datasizes: %d, a point count is at least 0", n)
+			if n < 1 {
+				fatalf("bad -datasizes: %d, a point count is at least 1", n)
 			}
 		}
 		cfg.DataSizes = sizes

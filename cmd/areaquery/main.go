@@ -41,13 +41,13 @@ func main() {
 	)
 	flag.Parse()
 
-	// A negative -n, a bad -polygon, or a -querysize the random polygon
+	// An -n below 1, a bad -polygon, or a -querysize the random polygon
 	// cannot have (it would silently be drawn at 1%), is refused before
 	// anything is built or dialled.
 	var area vaq.Polygon
 	var err error
-	if *n < 0 {
-		fatalf("bad -n: %d, a point count is at least 0", *n)
+	if *n < 1 {
+		fatalf("bad -n: %d, a point count is at least 1", *n)
 	}
 	if *polygon != "" {
 		if area, err = parsePolygon(*polygon); err != nil {

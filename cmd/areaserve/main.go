@@ -59,8 +59,8 @@ func main() {
 		drain      = flag.Duration("drain", 10*time.Second, "grace period for in-flight requests on shutdown")
 	)
 	flag.Parse()
-	if *n < 0 {
-		fatalf("bad -n: %d, a point count is at least 0", *n)
+	if *n < 1 {
+		fatalf("bad -n: %d, a point count is at least 1", *n)
 	}
 
 	rng := rand.New(rand.NewSource(*seed))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -48,7 +49,7 @@ func TestRandomAnchorMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !equalIDs(sortedIDs(got), sortedIDs(oracle)) {
+			if !slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(oracle))) {
 				t.Fatalf("trial %d rep %d: random-anchor result %d, oracle %d",
 					trial, rep, len(got), len(oracle))
 			}

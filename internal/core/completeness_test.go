@@ -42,7 +42,7 @@ func TestStrictRuleIsAlwaysComplete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalIDs(sortedIDs(strict), sortedIDs(oracle)) {
+		if !slices.Equal(slices.Sorted(slices.Values(strict)), slices.Sorted(slices.Values(oracle))) {
 			t.Fatalf("trial %d: strict rule missed results (%d vs oracle %d)",
 				trial, len(strict), len(oracle))
 		}
@@ -50,7 +50,7 @@ func TestStrictRuleIsAlwaysComplete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalIDs(sortedIDs(published), sortedIDs(oracle)) {
+		if !slices.Equal(slices.Sorted(slices.Values(published)), slices.Sorted(slices.Values(oracle))) {
 			publishedMisses++
 		}
 	}
@@ -181,7 +181,7 @@ func TestStrictCirclesAreExact(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got = sortedIDs(got); !equalIDs(got, want) {
+					if got = slices.Sorted(slices.Values(got)); !slices.Equal(got, want) {
 						t.Fatalf("%s, %d sites: circle %v returned %v, the scan %v", name, len(pts), region.Bounds(), got, want)
 					}
 					queries++

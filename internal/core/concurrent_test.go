@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestSharedEngineConcurrentQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle[i] = sortedIDs(ids)
+		oracle[i] = slices.Sorted(slices.Values(ids))
 	}
 
 	for _, workers := range []int{2, 8} {
@@ -41,7 +42,7 @@ func TestSharedEngineConcurrentQueries(t *testing.T) {
 						errs <- err
 						return
 					}
-					if !equalIDs(sortedIDs(ids), oracle[i]) {
+					if !slices.Equal(slices.Sorted(slices.Values(ids)), oracle[i]) {
 						errs <- errMismatch(worker, i)
 						return
 					}

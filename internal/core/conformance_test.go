@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/delaunay"
@@ -21,7 +22,7 @@ type shippedEngine struct {
 
 // pointIDs returns the query result as sorted indexes of the point slice.
 func (se shippedEngine) pointIDs(ids []int64) []int64 {
-	out := sortedIDs(ids)
+	out := slices.Sorted(slices.Values(ids))
 	for i := range out {
 		out[i] -= se.idOffset
 	}
@@ -114,7 +115,7 @@ func TestCrossMethodConformance(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s/%v: %v", q.name, m, err)
 							}
-							if !equalIDs(se.pointIDs(got), oracle[qi]) {
+							if !slices.Equal(se.pointIDs(got), oracle[qi]) {
 								t.Errorf("%s/%v: %d ids, oracle %d",
 									q.name, m, len(got), len(oracle[qi]))
 							}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 
@@ -33,24 +32,6 @@ func query(q *Engine, m Method, region Region) ([]int64, Stats, error) {
 	return q.QueryRegionSpec(context.Background(), region, QuerySpec{Method: m})
 }
 
-func sortedIDs(ids []int64) []int64 {
-	out := append([]int64(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func equalIDs(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // newUniformEngine builds an engine over n uniform points with an R-tree.
 func newUniformEngine(t testing.TB, rng *rand.Rand, n int) (*Engine, []geom.Point) {
 	t.Helper()
@@ -75,10 +56,10 @@ func TestAllMethodsAgreeOnRandomWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, m, err)
 			}
-			gotSorted := sortedIDs(got)
+			gotSorted := slices.Sorted(slices.Values(got))
 			if i == 0 {
 				want = gotSorted
-			} else if !equalIDs(gotSorted, want) {
+			} else if !slices.Equal(gotSorted, want) {
 				t.Fatalf("trial %d: %v returned %d ids, %v returned %d ids",
 					trial, methods[0], len(want), m, len(gotSorted))
 			}
@@ -190,13 +171,13 @@ func TestConcaveAndHoleQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantSorted := sortedIDs(want)
+		wantSorted := slices.Sorted(slices.Values(want))
 		for _, m := range []Method{Traditional, VoronoiBFS, VoronoiBFSStrict} {
 			got, _, err := query(eng, m, PolygonRegion(area))
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, m, err)
 			}
-			if !equalIDs(sortedIDs(got), wantSorted) {
+			if !slices.Equal(slices.Sorted(slices.Values(got)), wantSorted) {
 				t.Fatalf("%s/%v: got %d ids, oracle %d", name, m, len(got), len(want))
 			}
 		}
@@ -220,7 +201,7 @@ func TestAllIndexesAgree(t *testing.T) {
 			got := se.pointIDs(ids)
 			if want == nil {
 				want = got
-			} else if !equalIDs(got, want) {
+			} else if !slices.Equal(got, want) {
 				t.Fatalf("%s/%v disagrees: %d vs %d ids", se.name, m, len(got), len(want))
 			}
 		}
@@ -273,7 +254,7 @@ func TestStoreDataCountsIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalIDs(sortedIDs(a), sortedIDs(b)) {
+	if !slices.Equal(slices.Sorted(slices.Values(a)), slices.Sorted(slices.Values(b))) {
 		t.Error("methods disagree over store-backed data")
 	}
 }
@@ -367,7 +348,7 @@ func TestEngineReusableAcrossManyQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalIDs(sortedIDs(a), sortedIDs(b)) {
+		if !slices.Equal(slices.Sorted(slices.Values(a)), slices.Sorted(slices.Values(b))) {
 			t.Fatalf("trial %d: voronoi diverged from oracle", trial)
 		}
 	}
@@ -464,7 +445,7 @@ func TestQueriesAcrossStampWraps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !equalIDs(sortedIDs(got), sortedIDs(want)) {
+			if !slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(want))) {
 				t.Fatalf("%s, query %d, %v: %d ids, brute force %d", tc.name, i, m, len(got), len(want))
 			}
 		}

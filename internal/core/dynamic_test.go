@@ -47,7 +47,7 @@ func TestDynamicEngineMatchesOracleWhileGrowing(t *testing.T) {
 				if err != nil {
 					t.Fatalf("batch %d %v: %v", batch, m, err)
 				}
-				if !equalIDs(sortedIDs(got), sortedIDs(oracle)) {
+				if !slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(oracle))) {
 					t.Fatalf("batch %d (%d pts) %v: %d results, oracle %d",
 						batch, d.Len(), m, len(got), len(oracle))
 				}
@@ -109,7 +109,7 @@ func TestDynamicEngineSparse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalIDs(sortedIDs(got), sortedIDs(oracle)) {
+		if !slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(oracle))) {
 			t.Fatalf("trial %d: sparse dynamic voronoi diverged (%d vs %d)",
 				trial, len(got), len(oracle))
 		}
@@ -229,14 +229,14 @@ func TestDynamicSnapshotPinsEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalIDs(sortedIDs(before), sortedIDs(after)) {
+	if !slices.Equal(slices.Sorted(slices.Values(before)), slices.Sorted(slices.Values(after))) {
 		t.Fatalf("pinned snapshot answers changed: %d -> %d results", len(before), len(after))
 	}
 	oracle, _, err := query(snap.Engine(), BruteForce, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalIDs(sortedIDs(after), sortedIDs(oracle)) {
+	if !slices.Equal(slices.Sorted(slices.Values(after)), slices.Sorted(slices.Values(oracle))) {
 		t.Fatalf("snapshot voronoi diverged from its own oracle")
 	}
 
@@ -350,7 +350,7 @@ func TestSnapshotRingsSurviveInserts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.ids = sortedIDs(ids)
+		p.ids = slices.Sorted(slices.Values(ids))
 		pins = append(pins, p)
 	}
 	for _, sites := range []int{delaunay.ChunkSites - 1, delaunay.ChunkSites, delaunay.ChunkSites + 1} {
@@ -393,7 +393,7 @@ func TestSnapshotRingsSurviveInserts(t *testing.T) {
 				default:
 				}
 				ids, _, err := query(p.snap.Engine(), VoronoiBFS, area)
-				if err == nil && !equalIDs(sortedIDs(ids), p.ids) {
+				if err == nil && !slices.Equal(slices.Sorted(slices.Values(ids)), p.ids) {
 					err = errors.New("a pinned epoch's answer changed")
 				}
 				for id, was := range p.rings {
@@ -501,7 +501,7 @@ func TestDynamicConformanceAcrossMethods(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s batch %d %v: %v", wl.name, batch, m, err)
 						}
-						if !equalIDs(sortedIDs(got), sortedIDs(oracle)) {
+						if !slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(oracle))) {
 							t.Fatalf("%s batch %d (%d pts) %v: %d results, oracle %d",
 								wl.name, batch, snap.data.Len(), m, len(got), len(oracle))
 						}
@@ -541,7 +541,7 @@ func TestLazyIndexBuiltOnceUnderConcurrentFirstUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []Method{VoronoiBFS, VoronoiBFSStrict} {
-		if got, _, err := query(eng, m, region); err != nil || !equalIDs(sortedIDs(got), sortedIDs(want)) {
+		if got, _, err := query(eng, m, region); err != nil || !slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(want))) {
 			t.Fatalf("%v: %d ids (err %v), oracle %d", m, len(got), err, len(want))
 		}
 	}
@@ -557,7 +557,7 @@ func TestLazyIndexBuiltOnceUnderConcurrentFirstUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			got, st, err := query(eng, Traditional, region)
-			if err != nil || !equalIDs(sortedIDs(got), sortedIDs(want)) || st.IndexNodesVisited == 0 {
+			if err != nil || !slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(want))) || st.IndexNodesVisited == 0 {
 				t.Errorf("goroutine %d: Traditional returned %d ids over %d nodes (err %v), oracle %d",
 					g, len(got), st.IndexNodesVisited, err, len(want))
 			}

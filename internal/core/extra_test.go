@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestConcurrentSharedEngineRaceFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle[i] = sortedIDs(ids)
+		oracle[i] = slices.Sorted(slices.Values(ids))
 	}
 
 	const workers = 8
@@ -42,7 +43,7 @@ func TestConcurrentSharedEngineRaceFree(t *testing.T) {
 					errs <- err
 					return
 				}
-				if !equalIDs(sortedIDs(ids), oracle[i]) {
+				if !slices.Equal(slices.Sorted(slices.Values(ids)), oracle[i]) {
 					errs <- errMismatch(worker, i)
 					return
 				}
@@ -130,7 +131,7 @@ func TestRectangleQueriesFavorTraditional(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalIDs(sortedIDs(a), sortedIDs(b)) {
+		if !slices.Equal(slices.Sorted(slices.Values(a)), slices.Sorted(slices.Values(b))) {
 			t.Fatal("methods disagree on rectangle query")
 		}
 		// Traditional candidates should be (almost) exactly the result set:

@@ -97,7 +97,7 @@ func TestDataLayersAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("memory, %s, %v: %v", name, m, err)
 			}
-			if !slices.Equal(sortedIDs(want), sortedIDs(oracle)) {
+			if !slices.Equal(slices.Sorted(slices.Values(want)), slices.Sorted(slices.Values(oracle))) {
 				t.Fatalf("memory, %s, %v: %d ids, brute force %d", name, m, len(want), len(oracle))
 			}
 			if f := tr.Phase(obs.PhasePageFetch); f != 0 || mem.IOStats() != (storage.BufferPoolStats{}) {
@@ -123,7 +123,7 @@ func TestDataLayersAgree(t *testing.T) {
 			for i := range dyn {
 				dyn[i] -= delaunay.FirstSiteID
 			}
-			if !slices.Equal(sortedIDs(dyn), sortedIDs(want)) {
+			if !slices.Equal(slices.Sorted(slices.Values(dyn)), slices.Sorted(slices.Values(want))) {
 				t.Errorf("dynamic, %s, %v: %d ids, memory %d", name, m, len(dyn), len(want))
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -27,7 +28,7 @@ func TestCircleQueriesMatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, m, err)
 			}
-			if !equalIDs(sortedIDs(got), want) {
+			if !slices.Equal(slices.Sorted(slices.Values(got)), want) {
 				t.Fatalf("trial %d %v: %d results, oracle %d", trial, m, len(got), len(want))
 			}
 			if st.ResultSize != len(got) {

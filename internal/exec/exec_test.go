@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,24 +14,6 @@ import (
 )
 
 func unitBounds() geom.Rect { return geom.NewRect(0, 0, 1, 1) }
-
-func sortedIDs(ids []int64) []int64 {
-	out := append([]int64(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func equalIDs(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 func newEngine(t testing.TB, n int, seed int64) *core.Engine {
 	t.Helper()
@@ -80,7 +62,7 @@ func TestParallelMatchesSequentialQueryForQuery(t *testing.T) {
 				t.Fatalf("%v workers=%d: %v", m, workers, err)
 			}
 			for i := range regions {
-				if !equalIDs(sortedIDs(par[i]), sortedIDs(seq[i])) {
+				if !slices.Equal(slices.Sorted(slices.Values(par[i])), slices.Sorted(slices.Values(seq[i]))) {
 					t.Fatalf("%v workers=%d: query %d diverged (%d vs %d ids)",
 						m, workers, i, len(par[i]), len(seq[i]))
 				}
@@ -177,7 +159,7 @@ func TestEmptyAndOversubscribedBatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalIDs(sortedIDs(ids), sortedIDs(want)) {
+		if !slices.Equal(slices.Sorted(slices.Values(ids)), slices.Sorted(slices.Values(want))) {
 			t.Fatalf("query %d diverged with oversubscribed pool", i)
 		}
 	}

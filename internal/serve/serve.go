@@ -5,12 +5,12 @@
 // client deadlines propagated from the Vaq-Timeout-Ms header into every
 // query's context. An area route reads its request body whole into a
 // pooled buffer. /v1/query and /v1/each decode it in one pass
-// (wire.DecodeQueryRequest), and /v1/query appends its response into the
-// same buffer, written in one Write with a Content-Length; /v1/queryall
-// stays on encoding/json. cmd/areaserve is the binary around it; the
-// handler itself is dependency-free stdlib net/http, mountable into any
-// mux, and safe for any number of concurrent requests (the engines already
-// are).
+// (wire.DecodeQueryRequest), and /v1/query has the engine answer into a
+// pooled id slice, then appends its response into the same body buffer,
+// written in one Write with a Content-Length; /v1/queryall stays on
+// encoding/json. cmd/areaserve is the binary around it; the handler itself
+// is dependency-free stdlib net/http, mountable into any mux, and safe for
+// any number of concurrent requests (the engines already are).
 package serve
 
 import (
@@ -20,6 +20,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	vaq "repro"
@@ -155,7 +156,8 @@ func queryOpts(opts wire.Options, st *vaq.Stats) ([]vaq.QueryOpt, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := []vaq.QueryOpt{vaq.UsingMethod(m), vaq.WithStatsInto(st)}
+	// Room for CountOnly and the Reuse /v1/query appends.
+	out := append(make([]vaq.QueryOpt, 0, 4), vaq.UsingMethod(m), vaq.WithStatsInto(st))
 	if opts.CountOnly {
 		out = append(out, vaq.CountOnly())
 	}
@@ -278,8 +280,19 @@ func (h *handler) decodeCall(w http.ResponseWriter, r *http.Request, single bool
 	return c, nil
 }
 
+// idBufs holds the id slices /v1/query's engine calls answer into.
+var idBufs = sync.Pool{New: func() any { return new([]int64) }}
+
+// query answers /v1/query: the engine writes the ids into a pooled slice
+// (vaq.Reuse), respond appends them to the call's buffer as the body, and
+// the slice, grown or not, goes back to its pool once the body is written.
 func (h *handler) query(w http.ResponseWriter, c *areaCall) {
-	ids, err := h.eng.Query(c.ctx, c.regions[0], c.opts...)
+	bp := idBufs.Get().(*[]int64)
+	defer idBufs.Put(bp)
+	ids, err := h.eng.Query(c.ctx, c.regions[0], append(c.opts, vaq.Reuse(*bp))...)
+	if cap(ids) > cap(*bp) {
+		*bp = ids[:0]
+	}
 	if err != nil {
 		writeError(w, wire.EncodeError(err))
 		return

@@ -42,9 +42,11 @@
 //     verbatim.
 //   - Scatter: one exec pool, per-worker statistics. A batch is one task
 //     per (region, partition) pair, except that a partition offering
-//     RegionsQuerier answers all its regions in one call. A single query
-//     with one survivor skips the pool: it answers on the calling
-//     goroutine, into the caller's reuse buffer, allocating nothing.
+//     RegionsQuerier answers all its regions in one call. A pair's task
+//     lends its partition a pooled id buffer as spec.Dest, so a warm
+//     scatter grows no answer from nil. A single query with one survivor
+//     skips the pool: it answers on the calling goroutine, into the
+//     caller's reuse buffer, allocating nothing.
 //   - Fail fast: a failed partition fails the query, with the first
 //     partition error — there is no partial answer, because a missing
 //     partition leaves a hole in the tiling the union rests on. A batch
@@ -53,9 +55,11 @@
 //     caller context always wins: its error is the query's, whatever the
 //     partitions reported, and a call it cut short is not counted as a
 //     partition failure in Dropped.
-//   - Gather: per region, merge into ascending global id order and count;
-//     a region one partition answered is sorted in place, not copied.
-//     Under CountOnly nothing is merged: the count is the partitions'
+//   - Gather: per region, copy the partitions' ids into the caller's
+//     buffer (or a fresh slice sized to the result), sort them into
+//     ascending global id order and count; then every lent buffer goes
+//     back to its pool, so no result the caller holds shares memory with
+//     it. Under CountOnly nothing is merged: the count is the partitions'
 //     summed ResultSize.
 //
 // Every path takes a context.Context: cancellation abandons un-dispatched
@@ -68,6 +72,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -92,9 +97,10 @@ type Partition interface {
 	Len() int
 	// Query answers one area query; ids come back in any order, nil under
 	// spec.CountOnly (the count is Stats.ResultSize). A partition may
-	// append its ids into spec.Dest (from Dest[:0]); the kernel hands the
-	// caller's buffer through only when the partition is a region's sole
-	// survivor, and strips it otherwise.
+	// append its ids into spec.Dest (from Dest[:0]), and the ids it
+	// returns are the kernel's to sort and to reuse: the caller's buffer
+	// when the partition is a region's sole survivor, a pooled one the
+	// kernel takes back after the merge otherwise.
 	Query(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error)
 	// Each streams one area query, counting the yields in Stats.ResultSize.
 	Each(ctx context.Context, region core.Region, spec core.QuerySpec, yield func(id int64, pos geom.Point) bool) (core.Stats, error)
@@ -281,16 +287,37 @@ type pair struct{ region, part int32 }
 
 // scattered is the outcome of one fan-out, indexed like pairs.
 type scattered struct {
-	pairs []pair    // region-major: a region's pairs are contiguous
-	ids   [][]int64 // each pair's global ids; nil under CountOnly
+	pairs []pair     // region-major: a region's pairs are contiguous
+	ids   [][]int64  // each pair's global ids; nil under CountOnly
+	bufs  []*[]int64 // the idBufs buffer a single-pair task lent, or nil
 }
 
-// scatter plans regions × partitions, runs the plan on the pool and folds
-// the partitions' statistics into agg. The error is the caller's context
-// error if it is done — whatever the partitions reported — and otherwise
-// the first partition failure.
-func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.QuerySpec, agg *core.Stats) (scattered, error) {
-	var sc scattered
+// idBufs holds the buffers scatter lends partitions as spec.Dest. gather
+// copies out of them and release returns them, so a warm scatter grows no
+// partition's answer from nil.
+var idBufs = sync.Pool{New: func() any { return new([]int64) }}
+
+// release returns the buffers scatter lent to idBufs, each keeping the
+// larger of its own capacity and that of the answer written into it. No
+// slice gather produced may alias them: mergeSorted always copies.
+func (sc *scattered) release() {
+	for i, bp := range sc.bufs {
+		if bp == nil {
+			continue
+		}
+		if ids := sc.ids[i]; cap(ids) > cap(*bp) {
+			*bp = ids[:0]
+		}
+		idBufs.Put(bp)
+	}
+}
+
+// scatter plans regions × partitions into sc, runs the plan on the pool
+// and folds the partitions' statistics into agg. The error is the caller's
+// context error if it is done — whatever the partitions reported — and
+// otherwise the first partition failure. Whatever the error, the caller
+// releases sc once it has gathered it.
+func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.QuerySpec, agg *core.Stats, sc *scattered) error {
 	alive := make([]int, 0, len(e.parts))
 	for qi, region := range regions {
 		alive = e.survivors(alive[:0], region)
@@ -301,12 +328,13 @@ func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.Q
 		}
 	}
 	if len(sc.pairs) == 0 {
-		return sc, ctx.Err()
+		return ctx.Err()
 	}
 	pspec := e.partSpec(spec)
-	pspec.Dest = nil // per-partition results cannot share one buffer
+	pspec.Dest = nil // a single-pair task lends its own; a batch call gets none
 	if !spec.CountOnly {
 		sc.ids = make([][]int64, len(sc.pairs))
+		sc.bufs = make([]*[]int64, len(sc.pairs))
 	}
 
 	// A task is the pairs (as indexes into sc.pairs) one partition answers
@@ -352,8 +380,13 @@ func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.Q
 		t0 := e.partStart()
 		if len(tk) == 1 {
 			i := tk[0]
+			qspec := pspec
+			if sc.ids != nil {
+				bp := idBufs.Get().(*[]int64)
+				sc.bufs[i], qspec.Dest = bp, (*bp)[:0]
+			}
 			var ids []int64
-			ids, st, err = e.parts[part].Query(ctx, regions[sc.pairs[i].region], pspec)
+			ids, st, err = e.parts[part].Query(ctx, regions[sc.pairs[i].region], qspec)
 			if err == nil && sc.ids != nil {
 				sc.ids[i] = ids
 			}
@@ -389,12 +422,12 @@ func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.Q
 	// Cancellation beats a partition failure: a partition that failed
 	// because the caller gave up reports the caller's error.
 	if err := ctx.Err(); err != nil {
-		return sc, err
+		return err
 	}
 	if runErr != nil {
-		return sc, fmt.Errorf("shard: %w", runErr)
+		return fmt.Errorf("shard: %w", runErr)
 	}
-	return sc, nil
+	return nil
 }
 
 // gather reduces a scatter region by region: merge the partitions' ids
@@ -437,10 +470,11 @@ func endMerge(tr *obs.QueryTrace, t0 time.Time) {
 }
 
 // mergeSorted concatenates per-partition global id slices into dst
-// (reusing its capacity; nil for a fresh slice) and sorts them ascending,
-// the canonical result order. Without dst, a partition's slice that is the
-// whole result is sorted in place and handed through. An empty result with
-// a reuse buffer is dst[:0], not nil — the Dest contract of core.Engine.
+// (reusing its capacity; nil for a fresh slice sized to the result) and
+// sorts them ascending, the canonical result order. It always copies: a
+// part may be a pooled buffer that release hands to the next query. An
+// empty result with a reuse buffer is dst[:0], not nil — the Dest contract
+// of core.Engine.
 func mergeSorted(dst []int64, parts [][]int64) []int64 {
 	total := 0
 	for _, p := range parts {
@@ -451,10 +485,6 @@ func mergeSorted(dst []int64, parts [][]int64) []int64 {
 			return nil
 		}
 		return dst[:0]
-	}
-	if dst == nil && len(parts) == 1 {
-		core.SortIDs(parts[0])
-		return parts[0]
 	}
 	dst = slices.Grow(dst[:0], total)
 	for _, p := range parts {
@@ -475,9 +505,13 @@ func (e *Engine) QueryRegionSpec(ctx context.Context, region core.Region, spec c
 	if alive := e.survivors(buf[:0], region); len(alive) <= 1 {
 		return e.querySole(ctx, region, spec, alive)
 	}
-	var agg core.Stats
+	var (
+		agg core.Stats
+		sc  scattered
+	)
 	regions := [1]core.Region{region}
-	sc, err := e.scatter(ctx, regions[:], spec, &agg)
+	err := e.scatter(ctx, regions[:], spec, &agg, &sc)
+	defer sc.release()
 	if err != nil {
 		return nil, agg, err
 	}
@@ -520,8 +554,12 @@ func (e *Engine) QueryRegionsSpec(ctx context.Context, regions []core.Region, sp
 	if err := core.CheckMethod(spec.Method); err != nil {
 		return nil, core.Stats{}, err
 	}
-	var agg core.Stats
-	sc, err := e.scatter(ctx, regions, spec, &agg)
+	var (
+		agg core.Stats
+		sc  scattered
+	)
+	err := e.scatter(ctx, regions, spec, &agg, &sc)
+	defer sc.release()
 	if err != nil {
 		return nil, agg, err
 	}

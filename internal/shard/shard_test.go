@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -54,24 +53,6 @@ func query(q interface {
 	QueryRegionSpec(context.Context, core.Region, core.QuerySpec) ([]int64, core.Stats, error)
 }, m core.Method, region core.Region) ([]int64, core.Stats, error) {
 	return q.QueryRegionSpec(context.Background(), region, core.QuerySpec{Method: m})
-}
-
-func sorted(ids []int64) []int64 {
-	out := append([]int64(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func equalIDs(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // testWorkloads returns the datasets the conformance grid runs over:
@@ -133,7 +114,7 @@ func TestConformanceToSingleEngine(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s %v: sharded: %v", name, m, err)
 					}
-					if !equalIDs(got, sorted(want)) {
+					if !slices.Equal(got, slices.Sorted(slices.Values(want))) {
 						t.Errorf("%s %v area %d: %d ids, oracle %d", name, m, ai, len(got), len(want))
 					}
 
@@ -154,7 +135,7 @@ func TestConformanceToSingleEngine(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s %v: sharded circle: %v", name, m, err)
 					}
-					if !equalIDs(got, sorted(want)) {
+					if !slices.Equal(got, slices.Sorted(slices.Values(want))) {
 						t.Errorf("%s %v circle %d diverged", name, m, ci)
 					}
 				}
@@ -178,7 +159,7 @@ func TestConformanceToSingleEngine(t *testing.T) {
 				t.Fatalf("%s: oracle batch: %v", name, err)
 			}
 			for i := range regions {
-				if !equalIDs(got[i], sorted(want[i])) {
+				if !slices.Equal(got[i], slices.Sorted(slices.Values(want[i]))) {
 					t.Errorf("%s: batch query %d diverged", name, i)
 				}
 			}
@@ -205,7 +186,7 @@ func TestGlobalIDStability(t *testing.T) {
 			first = got
 			continue
 		}
-		if !equalIDs(got, first) {
+		if !slices.Equal(got, first) {
 			t.Errorf("shards=%d: result differs from shards=%d", shards, testShardCounts[0])
 		}
 	}
@@ -387,7 +368,7 @@ func TestConcurrentShardedQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracleIDs[i] = sorted(ids)
+		oracleIDs[i] = slices.Sorted(slices.Values(ids))
 	}
 
 	var wg sync.WaitGroup
@@ -405,7 +386,7 @@ func TestConcurrentShardedQueries(t *testing.T) {
 						errs <- err
 						return
 					}
-					if !equalIDs(ids, oracleIDs[i]) {
+					if !slices.Equal(ids, oracleIDs[i]) {
 						errs <- fmt.Errorf("worker %d: query %d diverged", worker, i)
 						return
 					}
@@ -429,7 +410,7 @@ func TestConcurrentShardedQueries(t *testing.T) {
 						errs <- err
 						return
 					}
-					if !equalIDs(out[0], oracleIDs[i]) || !equalIDs(out[1], oracleIDs[j]) {
+					if !slices.Equal(out[0], oracleIDs[i]) || !slices.Equal(out[1], oracleIDs[j]) {
 						errs <- fmt.Errorf("worker %d: batch %d diverged", worker, i)
 						return
 					}
@@ -486,7 +467,7 @@ func TestSingleShardMatchesUnsharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalIDs(got, sorted(want)) {
+		if !slices.Equal(got, slices.Sorted(slices.Values(want))) {
 			t.Fatalf("rep %d diverged", rep)
 		}
 	}

@@ -200,3 +200,70 @@ func TestStoreEngineQueryAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedEngineScatterAllocs pins the scatter path on an 8-shard
+// engine: a warm QueryAll of 32 regions allocates each region's result and
+// a few slices per batch, and a warm Query over several shards the
+// scatter's plan, but neither grows a shard's answer from nil — every
+// (region, shard) answer lands in a pooled buffer the kernel takes back
+// after the merge.
+func TestShardedEngineScatterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates inside sync.Pool")
+	}
+	rng := rand.New(rand.NewSource(12))
+	pts := UniformPoints(rng, 20000, UnitSquare())
+	eng, err := NewShardedEngine(pts, UnitSquare(), WithShards(8), WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	survivors := func(r Region) int {
+		n := 0
+		for si := range eng.NumShards() {
+			if eng.ShardBounds(si).Intersects(r.Bounds()) {
+				n++
+			}
+		}
+		return n
+	}
+	var batch, spread []Region
+	for len(batch) < 32 {
+		var r Region = CircleRegion(NewCircle(Pt(0.1+0.8*rng.Float64(), 0.1+0.8*rng.Float64()), 0.04))
+		if len(batch)%2 == 0 {
+			r = PolygonRegion(RandomQueryPolygon(rng, 10, 0.01, UnitSquare()))
+		}
+		batch = append(batch, r)
+		if survivors(r) >= 2 {
+			spread = append(spread, r)
+		}
+	}
+	if len(spread) < 4 {
+		t.Fatalf("only %d of 32 regions meet two shards; the test exercises no scatter", len(spread))
+	}
+	for _, r := range batch {
+		for i := 0; i < 1024; i++ {
+			r.ContainsPoint(r.InteriorPoint())
+		}
+	}
+	ctx := context.Background()
+	queryAll := func() {
+		if _, err := eng.QueryAll(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queryAll()
+	perRegion := testing.AllocsPerRun(20, queryAll) / float64(len(batch))
+	single := queryAllocs(t, eng.Len(), spread, func(r Region, buf []int64) ([]int64, error) {
+		return eng.Query(ctx, r, Reuse(buf))
+	})
+	t.Logf("QueryAll: %.2f allocs per region; Query over >= 2 shards: %.2f allocs per query", perRegion, single)
+	// The floors: a batch's result slices and its plan, 1.81 per region;
+	// one query's options, plan and exec pool, 20. Growing the shards'
+	// answers from nil added ≈ 10 per region and ≈ 9 per query.
+	if perRegion > 2 {
+		t.Errorf("QueryAll of 32 regions on 8 shards: %.2f allocs per region, want <= 2", perRegion)
+	}
+	if single > 21 {
+		t.Errorf("Query(ctx, r, Reuse(buf)) over >= 2 of 8 shards: %.2f allocs per query, want <= 21", single)
+	}
+}
