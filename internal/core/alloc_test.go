@@ -141,7 +141,7 @@ func TestDynamicPublishAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			snap := d.Snapshot()
-			_, st, err := snap.Engine().QueryRegionSpec(ctx, region, QuerySpec{Method: VoronoiBFS, Dest: dest})
+			_, st, err := snap.QueryRegionSpec(ctx, region, QuerySpec{Method: VoronoiBFS, Dest: dest})
 			if err != nil || st.ResultSize == 0 {
 				t.Fatalf("%d sites: %d results, err %v", d.Len(), st.ResultSize, err)
 			}

@@ -47,7 +47,7 @@ func shippedEngines(t *testing.T, pts []geom.Point) []shippedEngine {
 	}
 	return []shippedEngine{
 		{"rtree", NewEngine(NewRTreeIndex(pts, 16), data), 0},
-		{"dynamic", de.Snapshot().Engine(), delaunay.FirstSiteID},
+		{"dynamic", de.Snapshot(), delaunay.FirstSiteID},
 	}
 }
 

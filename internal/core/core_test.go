@@ -430,7 +430,7 @@ func TestQueriesAcrossStampWraps(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			return dyn.Snapshot().Engine()
+			return dyn.Snapshot()
 		}, dynWrapped},
 	} {
 		for i := 0; i < queries; i++ {

@@ -21,11 +21,11 @@ import (
 // hint grid belong to the writer: Insert mutates them under an internal
 // mutex (multiple inserting goroutines are therefore serialized, not racy).
 // Queries never touch the live structures — every query pins the current
-// epoch's immutable snapshot, published through an atomic pointer, so any
-// number of goroutines can query a Snapshot's Engine concurrently with
-// insertion and never observe a half-applied update. Snapshots are rebuilt
-// lazily: the first read after a write publishes one, and every subsequent
-// read reuses the published epoch for free. A publish shares the writer's
+// epoch's immutable Engine, published through an atomic pointer, so any
+// number of goroutines can query it concurrently with insertion and never
+// observe a half-applied update. Epochs are published lazily: the first
+// read after a write publishes one, and every subsequent read reuses the
+// published epoch for free. A publish shares the writer's
 // append-only point storage outright. The Voronoi adjacency, which
 // InsertSite's edge swaps rewire in place, is published as a table of
 // fixed-size ring chunks (delaunay.Rings, delaunay.Dynamic.Adjacency);
@@ -64,15 +64,16 @@ type DynamicEngine struct {
 	// mu.
 	hint hintGrid
 
-	// epoch counts accepted inserts; it is bumped (under mu) after the
+	// n counts accepted inserts; it is bumped (under mu) after the
 	// triangulation and the hint grid both reflect the new point, so a reader
-	// that observes epoch e and rebuilds under mu sees at least e points.
-	epoch atomic.Uint64
-	// snap is the most recently published snapshot (nil until first read).
-	snap atomic.Pointer[DynamicSnapshot]
+	// that observes n and publishes under mu sees at least n points.
+	n atomic.Int64
+	// snap is the most recently published epoch's engine (nil until first
+	// read); its data layer's Len is the insert count it reflects.
+	snap atomic.Pointer[Engine]
 	// scratch is the one query-scratch pool every epoch's Engine borrows, so
 	// the first query of an epoch finds the table the previous one warmed.
-	// Allocated on its own: a pinned snapshot reaches the pool, and must not
+	// Allocated on its own: a pinned epoch reaches the pool, and must not
 	// reach the writer through it.
 	scratch *sync.Pool
 
@@ -120,28 +121,14 @@ func NewDynamicEngine(universe geom.Rect) *DynamicEngine {
 	}
 }
 
-// Len returns the number of inserted points (as of the current epoch).
-func (d *DynamicEngine) Len() int { return int(d.epoch.Load()) }
-
-// Epoch returns the current epoch: the number of accepted inserts.
-// Snapshots report the epoch they were pinned at.
-func (d *DynamicEngine) Epoch() uint64 { return d.epoch.Load() }
-
-// Point returns the coordinates of an inserted id; see PointOK for its
-// concurrency. It panics when id was never returned by Insert — the fence
-// sites' ids included.
-func (d *DynamicEngine) Point(id int64) geom.Point {
-	p, ok := d.PointOK(id)
-	if !ok {
-		panic(fmt.Sprintf("core: Point(%d): no inserted point has this id", id))
-	}
-	return p
-}
+// Len returns the number of inserted points: the current epoch, which
+// counts accepted inserts.
+func (d *DynamicEngine) Len() int { return int(d.n.Load()) }
 
 // PointOK returns the coordinates of id and whether id is a user site the
 // engine currently holds. Safe to call concurrently with Insert. Ids
-// covered by the published snapshot are served lock-free (positions never
-// change once assigned); only ids newer than the snapshot fall back to the
+// covered by the published epoch are served lock-free (positions never
+// change once assigned); only ids newer than that epoch fall back to the
 // writer mutex.
 func (d *DynamicEngine) PointOK(id int64) (geom.Point, bool) {
 	if id < int64(delaunay.FirstSiteID) {
@@ -182,31 +169,34 @@ func (d *DynamicEngine) Insert(p geom.Point) (id int64, inserted bool, err error
 	if ins {
 		d.hint.add(int32(sid), p)
 		d.hint.flood()
-		d.epoch.Add(1)
+		d.n.Add(1)
 	}
 	return int64(sid), ins, nil
 }
 
-// Snapshot pins the current epoch and returns its immutable view. The
-// first Snapshot after a write builds the view (the adjacency patched from
-// the previous view's, serialized with writers; the R-tree is packed by the
-// view's first Traditional query, not here); repeated Snapshots between
-// writes return the same published view with no copying or locking. The
-// returned snapshot is safe for concurrent use and stays valid — and
-// unchanged — forever.
-func (d *DynamicEngine) Snapshot() *DynamicSnapshot {
-	// Fast path: the published snapshot is current. Loading the epoch
-	// first makes the check conservative — a concurrent insert can only
-	// force an unnecessary rebuild, never return a snapshot older than an
-	// insert that completed before this call.
-	e := d.epoch.Load()
-	if s := d.snap.Load(); s != nil && s.epoch == e {
+// Snapshot pins the current epoch and returns its immutable engine: every
+// query on it sees exactly the points inserted before the call, however
+// many inserts follow, and its data layer's Len is their count (ErrNoData
+// while it is zero). The first Snapshot after a write publishes the epoch
+// (the adjacency patched from the previous epoch's, serialized with
+// writers; the R-tree is packed by the epoch's first Traditional query, not
+// here); repeated Snapshots between writes return the same published
+// engine with no copying or locking. The engine is safe for concurrent use
+// and stays valid — and unchanged — forever. Refusing a region outside the
+// universe is the public Querier body's job.
+func (d *DynamicEngine) Snapshot() *Engine {
+	// Fast path: the published epoch is current. Loading the count first
+	// makes the check conservative — a concurrent insert can only force an
+	// unnecessary publish, never return an epoch older than an insert that
+	// completed before this call.
+	n := int(d.n.Load())
+	if s := d.snap.Load(); s != nil && s.data.Len() == n {
 		return s
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	e = d.epoch.Load() // stable: writers bump it only under mu
-	if s := d.snap.Load(); s != nil && s.epoch == e {
+	n = int(d.n.Load()) // stable: writers bump it only under mu
+	if s := d.snap.Load(); s != nil && s.data.Len() == n {
 		return s
 	}
 	var buildStart time.Time
@@ -229,11 +219,7 @@ func (d *DynamicEngine) Snapshot() *DynamicSnapshot {
 		clip:  u.Expand(u.Width() + u.Height() + 1),
 		hint:  d.hint.frozen(),
 	}
-	s := &DynamicSnapshot{
-		epoch: e,
-		data:  data,
-		eng:   newEngine(&RTreeIndex{pts: data.pts, first: data.first, fanout: rtree.DefaultMaxEntries}, data, d.scratch),
-	}
+	s := newEngine(&RTreeIndex{pts: data.pts, first: data.first, fanout: rtree.DefaultMaxEntries}, data, d.scratch)
 	d.snap.Store(s)
 	d.lastPublish.Store(time.Now().UnixNano())
 	if d.publishHist != nil {
@@ -241,36 +227,3 @@ func (d *DynamicEngine) Snapshot() *DynamicSnapshot {
 	}
 	return s
 }
-
-// DynamicSnapshot is an immutable, epoch-pinned view of a DynamicEngine:
-// every query on it sees exactly the points inserted before it was taken,
-// no matter how many inserts have happened since. Snapshots are safe for
-// concurrent use from any number of goroutines.
-type DynamicSnapshot struct {
-	epoch uint64
-	data  *MemoryData
-	eng   *Engine
-}
-
-// Epoch returns the epoch the snapshot was pinned at (the number of
-// inserts it reflects).
-func (s *DynamicSnapshot) Epoch() uint64 { return s.epoch }
-
-// Point returns the coordinates of an inserted id present in the snapshot.
-// It panics when there is none — the fence sites' ids included.
-func (s *DynamicSnapshot) Point(id int64) geom.Point {
-	p, ok := s.PointOK(id)
-	if !ok {
-		panic(fmt.Sprintf("core: Point(%d): no point of the snapshot has this id", id))
-	}
-	return p
-}
-
-// PointOK returns the coordinates of id and whether id is a user site
-// present in the snapshot (fence sites and out-of-range ids report false).
-func (s *DynamicSnapshot) PointOK(id int64) (geom.Point, bool) { return s.data.PositionOK(id) }
-
-// Engine returns the snapshot's immutable engine: every query against the
-// pinned epoch runs on it (ErrNoData while the snapshot is empty). Refusing
-// a region outside the universe is the public Querier body's job.
-func (s *DynamicSnapshot) Engine() *Engine { return s.eng }

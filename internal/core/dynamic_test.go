@@ -19,7 +19,7 @@ import (
 func TestDynamicEngineEmpty(t *testing.T) {
 	d := NewDynamicEngine(unitBounds())
 	area := geom.MustPolygon([]geom.Point{geom.Pt(0.1, 0.1), geom.Pt(0.5, 0.1), geom.Pt(0.3, 0.5)})
-	if _, _, err := query(d.Snapshot().Engine(), VoronoiBFS, PolygonRegion(area)); err != ErrNoData {
+	if _, _, err := query(d.Snapshot(), VoronoiBFS, PolygonRegion(area)); err != ErrNoData {
 		t.Errorf("empty dynamic engine: err = %v, want ErrNoData", err)
 	}
 }
@@ -38,12 +38,12 @@ func TestDynamicEngineMatchesOracleWhileGrowing(t *testing.T) {
 				Vertices:  10,
 				QuerySize: 0.05,
 			}, unitBounds())
-			oracle, _, err := query(d.Snapshot().Engine(), BruteForce, PolygonRegion(area))
+			oracle, _, err := query(d.Snapshot(), BruteForce, PolygonRegion(area))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, m := range []Method{Traditional, VoronoiBFS, VoronoiBFSStrict} {
-				got, _, err := query(d.Snapshot().Engine(), m, PolygonRegion(area))
+				got, _, err := query(d.Snapshot(), m, PolygonRegion(area))
 				if err != nil {
 					t.Fatalf("batch %d %v: %v", batch, m, err)
 				}
@@ -71,7 +71,7 @@ func TestDynamicEngineNoFenceLeakage(t *testing.T) {
 		geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(0, 1),
 	})
 	for _, m := range []Method{Traditional, VoronoiBFS, BruteForce} {
-		ids, _, err := query(d.Snapshot().Engine(), m, PolygonRegion(area))
+		ids, _, err := query(d.Snapshot(), m, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestDynamicEngineNoFenceLeakage(t *testing.T) {
 			t.Fatalf("%v: %d results, want %d", m, len(ids), n)
 		}
 		for _, id := range ids {
-			if !unitBounds().ContainsPoint(d.Point(id)) {
+			if p, ok := d.PointOK(id); !ok || !unitBounds().ContainsPoint(p) {
 				t.Fatalf("%v: result %d outside universe (fence leak?)", m, id)
 			}
 		}
@@ -101,11 +101,11 @@ func TestDynamicEngineSparse(t *testing.T) {
 	}
 	for trial := 0; trial < 50; trial++ {
 		area := workload.RandomPolygon(rng, workload.PolygonConfig{QuerySize: 0.2}, unitBounds())
-		oracle, _, err := query(d.Snapshot().Engine(), BruteForce, PolygonRegion(area))
+		oracle, _, err := query(d.Snapshot(), BruteForce, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := query(d.Snapshot().Engine(), VoronoiBFS, PolygonRegion(area))
+		got, _, err := query(d.Snapshot(), VoronoiBFS, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func BenchmarkDynamicEngineQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := query(d.Snapshot().Engine(), VoronoiBFS, PolygonRegion(areas[i%len(areas)])); err != nil {
+		if _, _, err := query(d.Snapshot(), VoronoiBFS, PolygonRegion(areas[i%len(areas)])); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,13 +207,13 @@ func TestDynamicSnapshotPinsEpoch(t *testing.T) {
 	area := workload.RandomPolygon(rng, workload.PolygonConfig{QuerySize: 0.2}, unitBounds())
 
 	snap := d.Snapshot()
-	if snap.Epoch() != 400 || snap.data.Len() != 400 {
-		t.Fatalf("snapshot epoch/len = %d/%d, want 400/400", snap.Epoch(), snap.data.Len())
+	if snap.data.Len() != 400 {
+		t.Fatalf("snapshot len = %d, want 400", snap.data.Len())
 	}
 	if again := d.Snapshot(); again != snap {
 		t.Error("repeated Snapshot between writes should return the published view")
 	}
-	before, _, err := query(snap.Engine(), VoronoiBFS, PolygonRegion(area))
+	before, _, err := query(snap, VoronoiBFS, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,14 +225,14 @@ func TestDynamicSnapshotPinsEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after, _, err := query(snap.Engine(), VoronoiBFS, PolygonRegion(area))
+	after, _, err := query(snap, VoronoiBFS, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(slices.Sorted(slices.Values(before)), slices.Sorted(slices.Values(after))) {
 		t.Fatalf("pinned snapshot answers changed: %d -> %d results", len(before), len(after))
 	}
-	oracle, _, err := query(snap.Engine(), BruteForce, PolygonRegion(area))
+	oracle, _, err := query(snap, BruteForce, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +241,10 @@ func TestDynamicSnapshotPinsEpoch(t *testing.T) {
 	}
 
 	// The live engine, on the other hand, reflects the new epoch.
-	if d.Epoch() != 800 {
-		t.Fatalf("live epoch = %d, want 800", d.Epoch())
+	if d.Len() != 800 {
+		t.Fatalf("live epoch = %d, want 800", d.Len())
 	}
-	live, _, err := query(d.Snapshot().Engine(), BruteForce, PolygonRegion(area))
+	live, _, err := query(d.Snapshot(), BruteForce, PolygonRegion(area))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestSnapshotRingsSurviveInserts(t *testing.T) {
 		return id
 	}
 	type pin struct {
-		snap  *DynamicSnapshot
+		snap  *Engine
 		rings [][]int32 // a copy of every ring, taken when pinned
 		ids   []int64   // the answer to area
 	}
@@ -342,11 +342,11 @@ func TestSnapshotRingsSurviveInserts(t *testing.T) {
 			p.rings[id] = slices.Clone(ring(snap.data, id))
 			if walk := d.dt.AppendNeighbors(id, nil); !slices.Equal(p.rings[id], walk) {
 				d.mu.Unlock()
-				t.Fatalf("epoch %d: ring of %d published as %v, the writer walks %v", snap.Epoch(), id, p.rings[id], walk)
+				t.Fatalf("epoch %d: ring of %d published as %v, the writer walks %v", snap.data.Len(), id, p.rings[id], walk)
 			}
 		}
 		d.mu.Unlock()
-		ids, _, err := query(snap.Engine(), VoronoiBFS, area)
+		ids, _, err := query(snap, VoronoiBFS, area)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,7 +392,7 @@ func TestSnapshotRingsSurviveInserts(t *testing.T) {
 					return
 				default:
 				}
-				ids, _, err := query(p.snap.Engine(), VoronoiBFS, area)
+				ids, _, err := query(p.snap, VoronoiBFS, area)
 				if err == nil && !slices.Equal(slices.Sorted(slices.Values(ids)), p.ids) {
 					err = errors.New("a pinned epoch's answer changed")
 				}
@@ -422,7 +422,7 @@ func TestSnapshotRingsSurviveInserts(t *testing.T) {
 	for _, p := range pins {
 		for id, was := range p.rings {
 			if got := ring(p.snap.data, id); !slices.Equal(got, was) {
-				t.Fatalf("epoch %d: ring of %d changed from %v to %v", p.snap.Epoch(), id, was, got)
+				t.Fatalf("epoch %d: ring of %d changed from %v to %v", p.snap.data.Len(), id, was, got)
 			}
 		}
 	}
@@ -433,7 +433,7 @@ func TestSnapshotRingsSurviveInserts(t *testing.T) {
 // that published it — does not reach the engine itself.
 func TestDynamicSnapshotDoesNotPinWriter(t *testing.T) {
 	collected := make(chan struct{})
-	snap := func() *DynamicSnapshot {
+	snap := func() *Engine {
 		d := NewDynamicEngine(unitBounds())
 		runtime.SetFinalizer(d, func(*DynamicEngine) { close(collected) })
 		for _, p := range []geom.Point{geom.Pt(0.2, 0.2), geom.Pt(0.8, 0.3), geom.Pt(0.5, 0.9)} {
@@ -444,7 +444,7 @@ func TestDynamicSnapshotDoesNotPinWriter(t *testing.T) {
 		return d.Snapshot()
 	}()
 	area := geom.MustPolygon([]geom.Point{geom.Pt(0.1, 0.1), geom.Pt(0.9, 0.1), geom.Pt(0.5, 0.95)})
-	if _, _, err := query(snap.Engine(), VoronoiBFS, PolygonRegion(area)); err != nil {
+	if _, _, err := query(snap, VoronoiBFS, PolygonRegion(area)); err != nil {
 		t.Fatal(err) // the pool now holds a scratch this snapshot warmed
 	}
 	for i := 0; i < 50; i++ {
@@ -492,12 +492,12 @@ func TestDynamicConformanceAcrossMethods(t *testing.T) {
 						Vertices:  10,
 						QuerySize: 0.05,
 					}, unitBounds())
-					oracle, _, err := query(snap.Engine(), BruteForce, PolygonRegion(area))
+					oracle, _, err := query(snap, BruteForce, PolygonRegion(area))
 					if err != nil {
 						t.Fatal(err)
 					}
 					for _, m := range []Method{Traditional, VoronoiBFS, VoronoiBFSStrict} {
-						got, _, err := query(snap.Engine(), m, PolygonRegion(area))
+						got, _, err := query(snap, m, PolygonRegion(area))
 						if err != nil {
 							t.Fatalf("%s batch %d %v: %v", wl.name, batch, m, err)
 						}
@@ -507,7 +507,7 @@ func TestDynamicConformanceAcrossMethods(t *testing.T) {
 						}
 					}
 					// Count agrees with the same snapshot too.
-					ids, cnt, err := snap.Engine().QueryRegionSpec(context.Background(), PolygonRegion(area),
+					ids, cnt, err := snap.QueryRegionSpec(context.Background(), PolygonRegion(area),
 						QuerySpec{Method: VoronoiBFS, CountOnly: true})
 					if err != nil || ids != nil || cnt.ResultSize != len(oracle) {
 						t.Fatalf("%s batch %d CountOnly = %d (ids %v, err %v), oracle %d",
@@ -534,7 +534,7 @@ func TestLazyIndexBuiltOnceUnderConcurrentFirstUse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng := d.Snapshot().Engine()
+	eng := d.Snapshot()
 	region := CircleRegion(geom.NewCircle(geom.Pt(0.6, 0.4), 0.15))
 	want, _, err := query(eng, BruteForce, region)
 	if err != nil {
@@ -577,7 +577,7 @@ func TestLazyIndexBuiltOnceUnderConcurrentFirstUse(t *testing.T) {
 	if _, _, err := d.Insert(geom.Pt(0.6, 0.4)); err != nil {
 		t.Fatal(err)
 	}
-	if next := d.Snapshot().Engine(); next.idx.tree != nil {
+	if next := d.Snapshot(); next.idx.tree != nil {
 		t.Fatal("publishing an epoch packed its R-tree")
 	}
 }

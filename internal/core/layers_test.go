@@ -68,7 +68,7 @@ func TestDataLayersAgree(t *testing.T) {
 	}
 	idx := NewRTreeIndex(pts, 16)
 	memEng, storeEng := NewEngine(idx, mem), NewEngine(idx, store)
-	dynEng := dynamicOver(t, pts).Snapshot().Engine()
+	dynEng := dynamicOver(t, pts).Snapshot()
 
 	holed := geom.MustPolygon([]geom.Point{geom.Pt(0.2, 0.2), geom.Pt(0.7, 0.2), geom.Pt(0.7, 0.7), geom.Pt(0.2, 0.7)})
 	if err := holed.AddHole([]geom.Point{geom.Pt(0.3, 0.3), geom.Pt(0.6, 0.3), geom.Pt(0.6, 0.6), geom.Pt(0.3, 0.6)}); err != nil {

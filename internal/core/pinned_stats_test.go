@@ -133,7 +133,7 @@ func TestQueryCostsPinned(t *testing.T) {
 			{197, 257, 0, 146, 0},
 		},
 	}
-	// The same regions on a DynamicSnapshot grown by inserting the same
+	// The same regions on a dynamic epoch grown by inserting the same
 	// points, recorded while that data layer still ran its own callback BFS
 	// loop. The counts differ from the static table only where the two
 	// differ for real — the quad-edge ring starts its rotation at another
@@ -247,7 +247,7 @@ func TestQueryCostsPinned(t *testing.T) {
 	}{
 		{"memory", NewEngine(idx, mem), want},
 		{"store", NewEngine(idx, store), want},
-		{"dynamic snapshot", de.Snapshot().Engine(), wantDynamic},
+		{"dynamic snapshot", de.Snapshot(), wantDynamic},
 	} {
 		for m, wantCosts := range tc.want {
 			for i, got := range pinnedCosts(t, tc.eng, regions, m) {

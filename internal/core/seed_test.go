@@ -205,8 +205,8 @@ func FuzzSeedWalk(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		checkSeedWalk(t, "dynamic", de.Snapshot().Engine(), sites, p)
-		checkSeedWalk(t, "snapshot pinned before later inserts", early.Engine(), sites[:half], p)
+		checkSeedWalk(t, "dynamic", de.Snapshot(), sites, p)
+		checkSeedWalk(t, "snapshot pinned before later inserts", early, sites[:half], p)
 	})
 }
 
@@ -226,7 +226,7 @@ func TestSeedWalkNeverStopsOnFence(t *testing.T) {
 		{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1), geom.Pt(1, 1)},
 		workload.UniformPoints(rng, 7, unitBounds()),
 	} {
-		eng := dynamicOver(t, sites).Snapshot().Engine()
+		eng := dynamicOver(t, sites).Snapshot()
 		queries := append(workload.UniformPoints(rng, 200, unitBounds()),
 			geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1), geom.Pt(1, 1), geom.Pt(0.5, 0), geom.Pt(1, 0.5))
 		for _, p := range queries {
@@ -286,7 +286,7 @@ func TestSeedWalkStepsPinned(t *testing.T) {
 			want [3]cost
 		}{
 			{"static", NewEngine(NewRTreeIndex(fix.pts, 16), mem), fix.static},
-			{"dynamic", dynamicOver(t, fix.pts).Snapshot().Engine(), fix.dynam},
+			{"dynamic", dynamicOver(t, fix.pts).Snapshot(), fix.dynam},
 		} {
 			for k, kind := range []string{"region anchors", "near a site", "anywhere"} {
 				var got cost

@@ -4,15 +4,14 @@
 // per-query scratch state is isolated (see core.Engine): every query reads
 // the shared immutable index, Voronoi topology and point data, and writes
 // only its own result slot. The executor therefore needs no locking on the
-// hot path — workers claim chunks of the query slice from a shared atomic
-// cursor (chunked work-stealing: large enough claims to amortize the
-// cursor contention, small enough that an unlucky worker stuck on an
-// expensive query strands at most one chunk), accumulate statistics into a
-// per-worker Stats, and the per-worker stats merge into one aggregate
-// after the pool drains.
+// hot path — workers claim one task at a time from a shared atomic cursor
+// (a task is a query or a partition call, microseconds to milliseconds, so
+// the claim is cheap beside it and no worker strands queued work behind a
+// slow one), accumulate statistics into a per-worker Stats, and the
+// per-worker stats merge into one aggregate after the pool drains.
 //
 // Every entry point takes a context.Context: cancellation is checked
-// between chunk claims (so un-dispatched work is abandoned immediately)
+// between claims (so un-dispatched work is abandoned immediately)
 // and inside each query (core checks on candidate boundaries), and
 // surfaces as ctx.Err() together with the statistics of the work already
 // performed.
@@ -30,21 +29,12 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultChunk is the number of consecutive queries a worker claims per
-// steal when Options.Chunk is unset. Area queries are microseconds to
-// milliseconds each, so single-query claims would rattle the shared cursor
-// while very large claims would serialize the tail of the batch.
-const DefaultChunk = 8
-
 // Options configures a batch run.
 type Options struct {
 	// NumWorkers is the goroutine count; <= 0 means runtime.GOMAXPROCS(0).
 	// The pool never spawns more workers than there are queries, and 1
 	// runs the whole batch on the calling goroutine.
 	NumWorkers int
-	// Chunk is the number of queries claimed per steal; <= 0 means
-	// DefaultChunk.
-	Chunk int
 	// Metrics, when non-nil, instruments the pool (see Metrics). Nil
 	// costs a few predictable branches per task and no clock read.
 	Metrics *Metrics
@@ -56,10 +46,8 @@ type Options struct {
 type Metrics struct {
 	// Tasks counts tasks executed (queries for QueryBatch).
 	Tasks *obs.Counter
-	// Chunks counts chunk claims from the shared cursor.
-	Chunks *obs.Counter
-	// ChunkWait is the time from a worker finishing one chunk to
-	// claiming the next, in ns — cursor contention shows up here.
+	// ChunkWait is the time a worker takes to claim its next task from
+	// the shared cursor, in ns — cursor contention shows up here.
 	ChunkWait *obs.Histogram
 	// WorkerBusy is the total time each worker spent inside tasks over
 	// one batch, in ns; the spread across observations is the utilization
@@ -132,21 +120,19 @@ func QueryBatch(ctx context.Context, eng *core.Engine, regions []core.Region, sp
 // identifies the executing goroutine in [0, Workers(n)), so fn can
 // accumulate into per-worker state without locking; with one worker
 // everything runs on the calling goroutine. On error the pool stops
-// claiming new tasks and the lowest-indexed observed error wins, wrapped
-// with its task index. Cancelling ctx stops chunk claiming; when no task
-// error occurred first, Run returns ctx.Err() unwrapped. The pool always
-// drains before Run returns — no goroutine outlives the call.
+// claiming new tasks and the lowest-indexed observed error wins, returned
+// as fn returned it: fn names its task in the error when a caller needs
+// that. Cancelling ctx stops claiming; when no task error occurred first,
+// Run returns ctx.Err(). The pool always drains before Run returns — no
+// goroutine outlives the call.
 func Run(ctx context.Context, n int, opts Options, fn func(worker, i int) error) error {
-	idx, err := run(ctx, n, opts, fn)
-	if idx >= 0 {
-		return fmt.Errorf("exec: task %d: %w", idx, err)
-	}
+	_, err := run(ctx, n, opts, fn)
 	return err
 }
 
 // run is the pool: fn(worker, i) for every i in [0, n), on opts.Workers(n)
 // goroutines — or, when that is one, on the calling goroutine, through the
-// same loop. Each worker claims chunks of indexes from a shared cursor,
+// same loop. Each worker claims one index at a time from a shared cursor,
 // re-checking ctx before every claim so cancellation abandons all
 // un-dispatched work; on the first error all workers stop claiming and the
 // lowest-indexed observed error wins. run returns that error, unwrapped,
@@ -167,10 +153,7 @@ func run(ctx context.Context, n int, opts Options, fn func(worker, i int) error)
 		firstErr error
 		firstIdx int
 	)
-	workers, chunk, m := opts.Workers(n), opts.Chunk, opts.Metrics
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
+	workers, m := opts.Workers(n), opts.Metrics
 	work := func(worker int) { // nothing reads the clock without Metrics
 		var busy time.Duration
 		if m != nil {
@@ -185,35 +168,28 @@ func run(ctx context.Context, n int, opts Options, fn func(worker, i int) error)
 			if m != nil {
 				t0 = time.Now()
 			}
-			start := int(cursor.Add(int64(chunk))) - chunk
-			if start >= n {
+			i := int(cursor.Add(1)) - 1
+			if i >= n {
 				return
 			}
 			if m != nil {
-				m.Chunks.Inc()
-				m.ChunkWait.Observe(time.Since(t0))
+				t1 := time.Now()
+				m.ChunkWait.Observe(t1.Sub(t0))
+				t0 = t1
 			}
-			for i, end := start, min(start+chunk, n); i < end; i++ {
-				if failed.Load() {
-					return
+			err := fn(worker, i)
+			if m != nil {
+				busy += time.Since(t0)
+				m.Tasks.Inc()
+			}
+			if err != nil {
+				mu.Lock()
+				if firstErr == nil || i < firstIdx {
+					firstErr, firstIdx = err, i
 				}
-				if m != nil {
-					t0 = time.Now()
-				}
-				err := fn(worker, i)
-				if m != nil {
-					busy += time.Since(t0)
-					m.Tasks.Inc()
-				}
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil || i < firstIdx {
-						firstErr, firstIdx = err, i
-					}
-					mu.Unlock()
-					failed.Store(true)
-					return
-				}
+				mu.Unlock()
+				failed.Store(true)
+				return
 			}
 		}
 	}

@@ -87,7 +87,7 @@ func TestAggregateStatsEqualSumOfSequentialStats(t *testing.T) {
 		want.Add(st)
 	}
 
-	_, agg, err := QueryBatch(context.Background(), eng, regions, core.QuerySpec{Method: core.VoronoiBFS}, Options{NumWorkers: 4, Chunk: 3})
+	_, agg, err := QueryBatch(context.Background(), eng, regions, core.QuerySpec{Method: core.VoronoiBFS}, Options{NumWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestEmptyAndOversubscribedBatches(t *testing.T) {
 	// More workers than queries must clamp, not deadlock or skip.
 	rng := rand.New(rand.NewSource(7))
 	regions := mixedRegions(rng, 3)
-	out, _, err = QueryBatch(context.Background(), eng, regions, core.QuerySpec{Method: core.VoronoiBFS}, Options{NumWorkers: 64, Chunk: 100})
+	out, _, err = QueryBatch(context.Background(), eng, regions, core.QuerySpec{Method: core.VoronoiBFS}, Options{NumWorkers: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

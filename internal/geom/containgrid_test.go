@@ -67,10 +67,11 @@ func breakerProbes(pg Polygon, g *containGrid, stride int) []Point {
 // that every edge is in the list of each cell it touches and each row it
 // spans. It returns whether a grid was built.
 //
-// A polygon with a non-finite vertex never gets that far — the exact
-// orientation predicate panics on NaN and ±Inf, in Prepare's anchor search
-// and in the plain polygon alike — so for those the check is only that the
-// builder, handed the edges directly, refuses without indexing anything.
+// A polygon with a non-finite vertex has no answer to hold the prepared
+// form to — the orientation predicate calls a triple with a NaN or ±Inf
+// coordinate collinear whenever its filter cannot sign it — so for those
+// the check is only that the builder, handed the edges directly, refuses
+// without indexing anything.
 //
 // stride > 1 thins the probes and the cells checked, for polygons whose
 // coordinates span so many magnitudes that every orientation test falls
@@ -167,9 +168,7 @@ func preparedPair(t *testing.T, pg Polygon) (before, after *PreparedPolygon) {
 }
 
 // finitePolygon reports whether every vertex of pg is finite. A polygon
-// with a NaN or ±Inf vertex never answers a query: the exact orientation
-// predicate panics on it, in Prepare's anchor search and in the plain
-// polygon alike.
+// with a NaN or ±Inf vertex never answers a query: NewPolygon refuses it.
 func finitePolygon(pg Polygon) bool {
 	finite := true
 	pg.rings(func(r Ring) bool {
@@ -179,17 +178,6 @@ func finitePolygon(pg Polygon) bool {
 		return true
 	})
 	return finite
-}
-
-// answer runs a predicate and reports what it said, or that it panicked —
-// which the exact orientation predicate does on a non-finite coordinate.
-func answer(f func() bool) (got, panicked bool) {
-	defer func() {
-		if recover() != nil {
-			panicked = true
-		}
-	}()
-	return f(), false
 }
 
 // touchesBoundaryPlain is TouchesBoundary by definition: MBR reject, then
@@ -226,10 +214,9 @@ func exactRange(pts ...Point) bool {
 
 // checkShapesMatchPolygon holds the prepared segment and ring tests to the
 // plain polygon's answers on the shapes q spans — the segment q[0]-q[1] and
-// the ring of all of q — before and after the grid exists. Where the orientation predicate is not exact
-// (see exactRange; on a non-finite coordinate it panics) the check is that
-// the grid changes nothing: the same answer or the same panic as the edge
-// loops.
+// the ring of all of q — before and after the grid exists. Where the
+// orientation predicate is not exact (see exactRange) the check is that the
+// grid changes nothing: the same answer as the edge loops.
 func checkShapesMatchPolygon(t *testing.T, pg Polygon, before, after *PreparedPolygon, q ...Point) {
 	t.Helper()
 	exact := exactRange(q...)
@@ -255,17 +242,15 @@ func checkShapesMatchPolygon(t *testing.T, pg Polygon, before, after *PreparedPo
 			func() bool { return before.IntersectsRingView(ViewRing(ring)) },
 			func() bool { return after.IntersectsRingView(ViewRing(ring)) }},
 	} {
-		loop, loopPanicked := answer(c.loop)
-		listed, listedPanicked := answer(c.listed)
-		if loop != listed || loopPanicked != listedPanicked {
-			t.Fatalf("%s(%v): edge loop %v (panicked %v), grid %v (panicked %v)\n%v",
-				c.name, q, loop, loopPanicked, listed, listedPanicked, pg)
+		loop, listed := c.loop(), c.listed()
+		if loop != listed {
+			t.Fatalf("%s(%v): edge loop %v, grid %v\n%v", c.name, q, loop, listed, pg)
 		}
 		if !exact {
 			continue
 		}
-		if want := c.plain(); loopPanicked || loop != want {
-			t.Fatalf("%s(%v) = %v (panicked %v), plain polygon %v\n%v", c.name, q, loop, loopPanicked, want, pg)
+		if want := c.plain(); loop != want {
+			t.Fatalf("%s(%v) = %v, plain polygon %v\n%v", c.name, q, loop, want, pg)
 		}
 	}
 	if before.grid.Load() != nil {

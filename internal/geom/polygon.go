@@ -296,8 +296,8 @@ func (pg Polygon) InteriorPoint() Point {
 // ContainsPointStrict reports whether p lies strictly inside the polygon
 // (boundary points excluded). The MBR reject comes first so a non-finite p
 // — InteriorPoint's centroid, when a huge polygon's cross products
-// overflow — never reaches the exact orientation predicate, which panics
-// on NaN and ±Inf.
+// overflow — never reaches the orientation predicate, which has no sign to
+// give a NaN or ±Inf coordinate.
 func (pg Polygon) ContainsPointStrict(p Point) bool {
 	if !pg.Bounds().ContainsPoint(p) {
 		return false

@@ -18,7 +18,10 @@
 // amortized cost is a handful of multiplications per call.
 package robust
 
-import "math/big"
+import (
+	"math"
+	"math/big"
+)
 
 // Error-bound coefficients. Derived the same way as Shewchuk's: each is
 // (k + c·epsilon)·epsilon for a small constant, rounded up generously. They
@@ -155,7 +158,17 @@ func abs(x float64) float64 {
 // information because every finite float64 is a dyadic rational.
 func rat(x float64) *big.Rat { return new(big.Rat).SetFloat64(x) }
 
+// orient2DExact evaluates the determinant exactly. A NaN or infinite
+// coordinate has no exact value, and big.Rat takes none: the filter sends
+// such a triple here only when its products cancel to NaN or turn NaN
+// themselves, and it is reported collinear, as orient2DTiny reports a NaN
+// product.
 func orient2DExact(ax, ay, bx, by, cx, cy float64) int {
+	for _, v := range [...]float64{ax, ay, bx, by, cx, cy} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0
+		}
+	}
 	// det = (ax-cx)(by-cy) - (ay-cy)(bx-cx), evaluated exactly.
 	acx := new(big.Rat).Sub(rat(ax), rat(cx))
 	bcy := new(big.Rat).Sub(rat(by), rat(cy))

@@ -333,8 +333,8 @@ func TestInCircleUnderflow(t *testing.T) {
 
 // FuzzOrient2DExact compares Orient2D with the exact determinant over raw
 // float64 bit patterns: subnormals, zeros of either sign and magnitudes up
-// to 1e300, where the differences cannot overflow. NaN, ±Inf and larger
-// magnitudes are skipped.
+// to 1e300, where the differences cannot overflow. On NaN, ±Inf and larger
+// magnitudes it asks only that Orient2D returns.
 func FuzzOrient2DExact(f *testing.F) {
 	for _, s := range [][6]float64{
 		{0, 0, 1, 0, 0, 1},
@@ -343,6 +343,11 @@ func FuzzOrient2DExact(f *testing.F) {
 		{5e-324, 0, 0, 5e-324, -5e-324, -5e-324},
 		{1e300, -1e300, -1e300, 1e300, 1e300, 1e300},
 		{1e300, 1e300, -1e300, -1e300, 1e-300, 1e-300},
+		// Non-finite triples whose products cancel to NaN, or turn NaN,
+		// after the filter: the exact stage used to take them to big.Rat,
+		// which holds no NaN or ±Inf, and panic.
+		{0, 0, 0, 0, 1, math.Inf(1)},
+		{1, math.NaN(), 0, 1, 0, 0},
 	} {
 		var u [6]uint64
 		for i, x := range s {
@@ -354,11 +359,13 @@ func FuzzOrient2DExact(f *testing.F) {
 		var v [6]float64
 		for i, u := range [6]uint64{a, b, c, d, e, g} {
 			v[i] = math.Float64frombits(u)
-			if math.IsNaN(v[i]) || math.Abs(v[i]) > 1e300 {
+		}
+		got := Orient2D(v[0], v[1], v[2], v[3], v[4], v[5]) // returns on every input
+		for _, x := range v {
+			if !(math.Abs(x) <= 1e300) { // NaN, ±Inf, or differences that can overflow
 				return
 			}
 		}
-		got := Orient2D(v[0], v[1], v[2], v[3], v[4], v[5])
 		if want := orient2DBig(v[0], v[1], v[2], v[3], v[4], v[5]); got != want {
 			t.Fatalf("Orient2D(%v) = %d, exact %d", v, got, want)
 		}

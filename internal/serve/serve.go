@@ -130,10 +130,16 @@ func (h *handler) requestContext(r *http.Request) (context.Context, context.Canc
 	return ctx, cancel, nil
 }
 
-// writeJSON writes a 200 with the JSON form of v.
+// writeJSON writes a 200 with the JSON form of v, or a 500 when v has none
+// (a NaN or ±Inf has no JSON number).
 func writeJSON(w http.ResponseWriter, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, &wire.Error{Code: wire.CodeInternal, Message: fmt.Sprintf("serve: encoding the response: %v", err)})
+		return
+	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	json.NewEncoder(w).Encode(v)
+	w.Write(append(b, '\n'))
 }
 
 // writeError writes the classified error body. Client-side cancellation
@@ -150,14 +156,18 @@ func badRequest(err error) *wire.Error {
 }
 
 // queryOpts translates wire options into the vaq option set, always
-// routing statistics into st (the response carries them back).
+// routing statistics into st (the response carries them back). A request
+// that names no method runs vaq's default.
 func queryOpts(opts wire.Options, st *vaq.Stats) ([]vaq.QueryOpt, error) {
-	m, err := wire.ParseMethod(opts.Method)
-	if err != nil {
-		return nil, err
+	// Room for the method, CountOnly and the Reuse /v1/query appends.
+	out := append(make([]vaq.QueryOpt, 0, 4), vaq.WithStatsInto(st))
+	if opts.Method != "" {
+		m, err := wire.ParseMethod(opts.Method)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, vaq.UsingMethod(m))
 	}
-	// Room for CountOnly and the Reuse /v1/query appends.
-	out := append(make([]vaq.QueryOpt, 0, 4), vaq.UsingMethod(m), vaq.WithStatsInto(st))
 	if opts.CountOnly {
 		out = append(out, vaq.CountOnly())
 	}
@@ -374,7 +384,11 @@ func (h *handler) info(w http.ResponseWriter, r *http.Request) {
 		Len:      h.eng.Len(),
 		IDOffset: h.cfg.IDOffset,
 		Flavor:   h.cfg.Flavor,
-		Bounds:   wire.FromRect(h.eng.Bounds()),
+	}
+	// A universe with no area (the empty rectangle's is ±Inf, which JSON
+	// cannot carry) goes out all zero, which a client refuses by name.
+	if u := h.eng.Bounds(); u.MinX < u.MaxX && u.MinY < u.MaxY {
+		info.Bounds = wire.FromRect(u)
 	}
 	if e, ok := h.eng.(dataBounded); ok {
 		info.SetDataBounds(e.DataBounds())

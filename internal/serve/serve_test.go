@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	vaq "repro"
+	"repro/internal/geom"
 	"repro/internal/wire"
 )
 
@@ -248,7 +250,7 @@ func TestEachStreams(t *testing.T) {
 			}
 			break
 		}
-		if p := eng.Point(fr.ID); p.X != fr.X || p.Y != fr.Y {
+		if p, ok := eng.PointOK(fr.ID); !ok || p.X != fr.X || p.Y != fr.Y {
 			t.Errorf("frame %d coords %v,%v, want %v", fr.ID, fr.X, fr.Y, p)
 		}
 		ids = append(ids, fr.ID)
@@ -574,6 +576,73 @@ func TestInfoDataBoundsByFlavor(t *testing.T) {
 		case tc.want != nil && (info.DataBounds == nil || *info.DataBounds != *tc.want):
 			t.Errorf("%s: data_bounds %v, want %v", tc.name, info.DataBounds, *tc.want)
 		}
+	}
+}
+
+// TestInfoUniverseWithoutArea: a dynamic engine over the empty rectangle
+// has a universe of ±Inf, which JSON cannot carry. /v1/info sends the
+// all-zero bounds for it, which DialRemote refuses by name; and a universe
+// with area but infinite edges, which the encoder refuses, answers a 500
+// carrying a wire.Error, never a 200 with an empty body.
+func TestInfoUniverseWithoutArea(t *testing.T) {
+	srv := httptest.NewServer(NewHandler(vaq.NewDynamicEngine(geom.EmptyRect()), Config{}))
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/v1/info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info wire.Info
+	decodeInto(t, resp, &info)
+	if info.Bounds != ([4]float64{}) || info.DataBounds != nil {
+		t.Errorf("empty universe: bounds %v, data_bounds %v; want all zero and none", info.Bounds, info.DataBounds)
+	}
+	if _, err := vaq.DialRemote(context.Background(), []string{srv.URL}); err == nil || !strings.Contains(err.Error(), "not a rectangle with area") {
+		t.Errorf("DialRemote over an empty universe: %v, want the bounds refused by name", err)
+	}
+
+	inf := math.Inf(1)
+	rr := httptest.NewRecorder()
+	NewHandler(vaq.NewDynamicEngine(vaq.NewRect(-inf, -inf, inf, inf)), Config{}).
+		ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/info", nil))
+	var we wire.Error
+	if err := json.Unmarshal(rr.Body.Bytes(), &we); err != nil || rr.Code != http.StatusInternalServerError || we.Code != wire.CodeInternal {
+		t.Errorf("infinite universe: status %d, body %q (%v); want a 500 %q", rr.Code, rr.Body, err, wire.CodeInternal)
+	}
+}
+
+// TestUnnamedMethodRunsTheDefault: the engine owns the default method. A
+// request that names none runs what a local query with no options runs —
+// the same work counters — and a named method still selects its own.
+func TestUnnamedMethodRunsTheDefault(t *testing.T) {
+	eng := testEngine(t, 400)
+	srv := httptest.NewServer(NewHandler(eng, Config{}))
+	defer srv.Close()
+	region := testRegion()
+	wr, _ := wire.EncodeRegion(region)
+	var ran []wire.Stats
+	for _, method := range []string{"", "traditional"} {
+		var opts []vaq.QueryOpt
+		if method != "" {
+			m, err := wire.ParseMethod(method)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts = append(opts, vaq.UsingMethod(m))
+		}
+		var st vaq.Stats
+		want, err := eng.Query(context.Background(), region, append(opts, vaq.WithStatsInto(&st))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got wire.QueryResponse
+		decodeInto(t, post(t, srv, "/v1/query", wire.QueryRequest{Region: wr, Options: wire.Options{Method: method}}), &got)
+		if len(got.IDs) != len(want) || got.Stats == nil || *got.Stats != wire.FromStats(st) {
+			t.Errorf("method %q: %d ids, stats %+v; a local query gives %d ids, stats %+v", method, len(got.IDs), got.Stats, len(want), wire.FromStats(st))
+		}
+		ran = append(ran, wire.FromStats(st))
+	}
+	if ran[0] == ran[1] {
+		t.Errorf("the default and traditional did the same work %+v: the test cannot tell them apart", ran[0])
 	}
 }
 

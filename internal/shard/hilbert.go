@@ -129,7 +129,7 @@ func New(points []geom.Point, bounds geom.Rect, cfg Config) (*Engine, error) {
 	}
 
 	err := exec.Run(context.Background(), len(shards),
-		exec.Options{NumWorkers: cfg.Parallelism, Chunk: 1},
+		exec.Options{NumWorkers: cfg.Parallelism},
 		func(_, si int) error {
 			eng, err := cfg.Build(si, shardPts[si], bounds)
 			if err != nil {
@@ -160,18 +160,9 @@ func OverEngine(eng *core.Engine, universe geom.Rect, parallelism int, met *Metr
 // for instrumentation.
 func (e *Engine) ShardEngine(si int) *core.Engine { return e.parts[si].(*localShard).eng }
 
-// Point returns the position of a global id of an engine built by New; it
-// panics when no shard holds id. PointOK is the checked variant.
-func (e *Engine) Point(id int64) geom.Point {
-	p, ok := e.PointOK(id)
-	if !ok {
-		panic(fmt.Sprintf("shard: Point(%d): no shard holds this id", id))
-	}
-	return p
-}
-
-// PointOK returns the position of a global id of an engine built by New
-// and whether a shard holds it, read from that shard's own data layer.
+// PointOK returns the position of a global id and whether a shard holds
+// it, read from that shard's own data layer: a shard of an engine built by
+// New, or the one engine of OverEngine.
 func (e *Engine) PointOK(id int64) (geom.Point, bool) {
 	for _, p := range e.parts {
 		if s, ok := p.(*localShard); ok {

@@ -147,7 +147,6 @@ func NewMetrics(reg *obs.Registry, labels string) *Metrics {
 		ShardLatency: reg.Histogram("vaq_shard_latency_ns" + labels),
 		Exec: &exec.Metrics{
 			Tasks:         reg.Counter("vaq_exec_tasks_total" + labels),
-			Chunks:        reg.Counter("vaq_exec_chunks_total" + labels),
 			ChunkWait:     reg.Histogram("vaq_exec_chunk_wait_ns" + labels),
 			WorkerBusy:    reg.Histogram("vaq_exec_worker_busy_ns" + labels),
 			ActiveWorkers: reg.Gauge("vaq_exec_active_workers" + labels),
@@ -339,9 +338,7 @@ func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.Q
 
 	// A task is the pairs (as indexes into sc.pairs) one partition answers
 	// in one call: a single pair, except that a RegionsQuerier takes all
-	// its pairs of a batch at once. Across partitions a worker claims one
-	// pair at a time; over one partition a pair is a whole query, claimed
-	// exec.DefaultChunk at a time, as exec.QueryBatch claims them.
+	// its pairs of a batch at once. A worker claims one task at a time.
 	tasks := make([][]int32, 0, len(sc.pairs))
 	single := make([]int32, len(sc.pairs))
 	var grouped [][]int32
@@ -363,9 +360,6 @@ func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.Q
 	}
 
 	opts := exec.Options{NumWorkers: e.parallelism}
-	if len(e.parts) > 1 {
-		opts.Chunk = 1
-	}
 	if e.met != nil {
 		opts.Metrics = e.met.Exec
 	}

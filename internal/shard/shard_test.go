@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -474,11 +473,12 @@ func TestSingleShardMatchesUnsharded(t *testing.T) {
 }
 
 // TestExecRunPrimitive covers the exported pool primitive the scatter path
-// rides on: full coverage of indexes, per-worker slots in range, error
-// indexing, sequential fallback.
+// rides on: full coverage of indexes, per-worker slots in range, the
+// lowest-indexed error returned as the task returned it, sequential
+// fallback.
 func TestExecRunPrimitive(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		opts := exec.Options{NumWorkers: workers, Chunk: 2}
+		opts := exec.Options{NumWorkers: workers}
 		hits := make([]int32, 100)
 		err := exec.Run(context.Background(), len(hits), opts, func(worker, i int) error {
 			if worker < 0 || worker >= opts.Workers(len(hits)) {
@@ -502,8 +502,8 @@ func TestExecRunPrimitive(t *testing.T) {
 			}
 			return nil
 		})
-		if err == nil {
-			t.Fatalf("workers=%d: error swallowed", workers)
+		if fmt.Sprint(err) != "fail at 3" {
+			t.Fatalf("workers=%d: err = %v, want the lowest-indexed task's own error", workers, err)
 		}
 	}
 	if err := exec.Run(context.Background(), 0, exec.Options{}, func(_, _ int) error { return fmt.Errorf("never") }); err != nil {
@@ -597,10 +597,11 @@ func (p failOn) Each(ctx context.Context, region core.Region, spec core.QuerySpe
 	return p.Partition.Each(ctx, region, spec, yield)
 }
 
-// TestErrorsNameTheirSource pins where the kernel's errors come from. A
-// failing partition is named, its error still matches with errors.Is, and
-// Dropped counts the call; a batch names the failing region by its index
-// in the batch, even after a region ahead of it was pruned away. An
+// TestErrorsNameTheirSource pins where the kernel's errors come from, word
+// for word. A failing partition is named, its error still matches with
+// errors.Is, and Dropped counts the call; a batch names the failing region
+// by its index in the batch, even after a region ahead of it was pruned
+// away. An
 // unknown method fails before pruning, so on every region, the pruned one
 // included, and no partition is called.
 func TestErrorsNameTheirSource(t *testing.T) {
@@ -620,16 +621,25 @@ func TestErrorsNameTheirSource(t *testing.T) {
 		_, _, qerr := k.QueryRegionSpec(ctx, bad, spec)
 		_, _, berr := k.QueryRegionsSpec(ctx, []core.Region{missed, bad}, spec)
 		_, eerr := k.EachRegion(ctx, bad, spec, func(int64, geom.Point) bool { return true })
-		for name, err := range map[string]error{"Query": qerr, "QueryRegions": berr, "Each": eerr} {
-			if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "shard: ") || !strings.Contains(err.Error(), ": shard ") {
-				t.Errorf("%d shards: %s: %v, want the kernel's prefix, the partition and boom", shards, name, err)
+		// The failing call is the first partition the region reaches: the
+		// scatter's lowest-indexed task, whose error the pool returns as
+		// the task wrote it.
+		first := slices.IndexFunc(parts, func(p Partition) bool { return p.Bounds().Intersects(bad.Bounds()) })
+		region0 := "" // a sole partition answers a single region without a scatter
+		if shards > 1 {
+			region0 = "region 0: "
+		}
+		for name, c := range map[string]struct {
+			err  error
+			want string
+		}{
+			"Query":        {qerr, fmt.Sprintf("shard: %sshard %d: boom", region0, first)},
+			"QueryRegions": {berr, fmt.Sprintf("shard: region 1: shard %d: boom", first)},
+			"Each":         {eerr, fmt.Sprintf("shard: shard %d: boom", first)},
+		} {
+			if !errors.Is(c.err, boom) || fmt.Sprint(c.err) != c.want {
+				t.Errorf("%d shards: %s: %v, want %q matching boom", shards, name, c.err, c.want)
 			}
-		}
-		if shards == 1 && (qerr.Error() != "shard: shard 0: boom" || eerr.Error() != "shard: shard 0: boom") {
-			t.Errorf("one shard: Query %v, Each %v; want %q", qerr, eerr, "shard: shard 0: boom")
-		}
-		if !strings.Contains(fmt.Sprint(berr), "region 1: shard ") {
-			t.Errorf("%d shards: batch error %v does not name region 1", shards, berr)
 		}
 		if k.Dropped() == 0 {
 			t.Errorf("%d shards: Dropped did not count the failed calls", shards)

@@ -303,23 +303,16 @@ type Options struct {
 // canonical wire values).
 func MethodString(m core.Method) string { return m.String() }
 
-// ParseMethod inverts MethodString. The empty string selects the default
-// method (VoronoiBFS, matching the zero option set).
+// ParseMethod inverts MethodString over the defined methods, Traditional
+// through BruteForce. Any other string is refused, the empty one included:
+// a request that names no method leaves the choice to the engine's default.
 func ParseMethod(s string) (core.Method, error) {
-	switch s {
-	case "":
-		return core.VoronoiBFS, nil
-	case core.Traditional.String():
-		return core.Traditional, nil
-	case core.VoronoiBFS.String():
-		return core.VoronoiBFS, nil
-	case core.VoronoiBFSStrict.String():
-		return core.VoronoiBFSStrict, nil
-	case core.BruteForce.String():
-		return core.BruteForce, nil
-	default:
-		return 0, fmt.Errorf("wire: unknown method %q", s)
+	for m := core.Traditional; m <= core.BruteForce; m++ {
+		if m.String() == s {
+			return m, nil
+		}
 	}
+	return 0, fmt.Errorf("wire: unknown method %q", s)
 }
 
 // Stats is core.Stats on the wire: the query's deterministic work

@@ -149,11 +149,10 @@ func TestMethodRoundTrip(t *testing.T) {
 			t.Errorf("method %v: round-trip got (%v, %v)", m, back, err)
 		}
 	}
-	if m, err := ParseMethod(""); err != nil || m != core.VoronoiBFS {
-		t.Errorf("empty method: got (%v, %v), want default VoronoiBFS", m, err)
-	}
-	if _, err := ParseMethod("dijkstra"); err == nil {
-		t.Error("unknown method parsed without error")
+	for _, s := range []string{"", "dijkstra", core.Method(99).String()} {
+		if m, err := ParseMethod(s); err == nil {
+			t.Errorf("method %q parsed as %v without error", s, m)
+		}
 	}
 }
 

@@ -204,7 +204,7 @@ func registerPoolMetrics(reg *obs.Registry, flavor string, stats func() storage.
 func registerDynamicMetrics(reg *obs.Registry, d *core.DynamicEngine) {
 	fl := fmt.Sprintf("{flavor=%q}", flavorDynamic)
 	d.SetPublishMetrics(reg.Histogram("vaq_dynamic_publish_latency_ns" + fl))
-	reg.RegisterGaugeFunc("vaq_dynamic_epoch"+fl, func() float64 { return float64(d.Epoch()) })
+	reg.RegisterGaugeFunc("vaq_dynamic_epoch"+fl, func() float64 { return float64(d.Len()) })
 	reg.RegisterGaugeFunc("vaq_dynamic_snapshot_age_seconds"+fl, func() float64 {
 		t, ok := d.LastPublish()
 		if !ok {

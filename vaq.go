@@ -86,8 +86,8 @@
 //
 // Attach a MetricsRegistry with WithMetrics to any flavor and every layer
 // reports in: query counts, latency percentiles, errors and cancellations
-// by method; batch and worker-pool behavior (chunk waits, worker busy
-// skew); shard fan-out and per-shard straggler latency; buffer-pool
+// by method; batch and worker-pool behavior (tasks, claim waits, worker
+// busy skew); shard fan-out and per-shard straggler latency; buffer-pool
 // counters; and, on dynamic engines, epoch-publish latency and snapshot
 // age. Read it with Snapshot or serve it over HTTP with MetricsHandler
 // (JSON or Prometheus text). For a single query's anatomy, WithTraceInto
@@ -473,10 +473,6 @@ func (e *Engine) ShardBounds(si int) Rect { return e.k.ShardBounds(si) }
 // data_bounds, the key a RemoteEngine prunes its fan-out by.
 func (e *Engine) DataBounds() Rect { return e.k.DataBounds() }
 
-// Point returns the coordinates of a stored (global) id. It panics when
-// id is not in [0, Len()); use PointOK for a bounds-checked lookup.
-func (e *Engine) Point(id int64) Point { return e.k.Point(id) }
-
 // PointOK returns the coordinates of id and whether id is a stored point.
 func (e *Engine) PointOK(id int64) (Point, bool) { return e.k.PointOK(id) }
 
@@ -554,7 +550,7 @@ var (
 // A DynamicEngine is safe for concurrent use. It follows an epoch-snapshot
 // scheme: Insert mutates writer-private structures under an internal mutex
 // (so concurrent inserters serialize rather than race), and every query
-// pins the immutable snapshot of the epoch current when it started —
+// pins the immutable engine of the epoch current when it started —
 // published through an atomic pointer — so any number of goroutines can
 // query while insertion proceeds and never observe a half-applied update.
 // Write visibility: a query started after Insert returns is guaranteed to
@@ -578,7 +574,7 @@ type DynamicEngine struct {
 	universe    Rect
 	parallelism int
 	met         *shard.Metrics
-	// snap is the Snapshot wrapping the core snapshot most recently pinned,
+	// snap is the Snapshot wrapping the epoch engine most recently pinned,
 	// reused for as long as that one stays the published epoch.
 	snap atomic.Pointer[Snapshot]
 }
@@ -616,17 +612,17 @@ func (e *DynamicEngine) Insert(p Point) (id int64, inserted bool, err error) {
 // call, regardless of concurrent or later inserts. Repeated Snapshot
 // calls between writes return the same published view at no cost.
 func (e *DynamicEngine) Snapshot() *Snapshot {
-	cs := e.d.Snapshot()
+	eng := e.d.Snapshot()
 	cur := e.snap.Load()
-	if cur != nil && cur.s == cs {
+	if cur != nil && cur.eng == eng {
 		return cur
 	}
-	s := &Snapshot{querier: e.proto, s: cs}
-	s.k = shard.OverEngine(cs.Engine(), e.universe, e.parallelism, e.met)
+	s := &Snapshot{querier: e.proto, eng: eng}
+	s.k = shard.OverEngine(eng, e.universe, e.parallelism, e.met)
 	if !e.snap.CompareAndSwap(cur, s) {
 		// A concurrent pinner published first; share its wrapper unless a
 		// write came between and it pinned a later epoch.
-		if won := e.snap.Load(); won.s == cs {
+		if won := e.snap.Load(); won.eng == eng {
 			return won
 		}
 	}
@@ -637,42 +633,34 @@ func (e *DynamicEngine) Snapshot() *Snapshot {
 func (e *DynamicEngine) Len() int { return e.d.Len() }
 
 // Epoch returns the current epoch — the number of accepted inserts so
-// far. Snapshots report the epoch they pinned.
-func (e *DynamicEngine) Epoch() uint64 { return e.d.Epoch() }
+// far, which is Len. Snapshots report the epoch they pinned.
+func (e *DynamicEngine) Epoch() uint64 { return uint64(e.d.Len()) }
 
 // Bounds returns the engine's universe rectangle; a query region must lie
 // inside it (ErrOutsideUniverse).
 func (e *DynamicEngine) Bounds() Rect { return e.universe }
-
-// Point returns the coordinates of an inserted id. Safe to call
-// concurrently with Insert. It panics when id was never returned by
-// Insert; use PointOK for a bounds-checked lookup.
-func (e *DynamicEngine) Point(id int64) Point { return e.d.Point(id) }
 
 // PointOK returns the coordinates of id and whether id is an inserted
 // point the engine currently holds. Safe to call concurrently with
 // Insert.
 func (e *DynamicEngine) PointOK(id int64) (Point, bool) { return e.d.PointOK(id) }
 
-// Snapshot is an immutable, epoch-pinned view of a DynamicEngine. Every
-// query on it runs against exactly the points inserted before it was
-// taken — no matter how many inserts have happened since — so a method
-// query, its Count and a brute-force oracle all agree when run on one
-// Snapshot. Snapshots are safe for concurrent use from any
-// number of goroutines and remain valid (and frozen) indefinitely.
+// Snapshot is an immutable, epoch-pinned view of a DynamicEngine: the
+// engine its epoch published. Every query on it runs against exactly the
+// points inserted before it was taken — no matter how many inserts have
+// happened since — so a method query, its Count and a brute-force oracle
+// all agree when run on one Snapshot, and its Len is the epoch. Snapshots
+// are safe for concurrent use from any number of goroutines and remain
+// valid (and frozen) indefinitely.
 type Snapshot struct {
-	querier // the parent DynamicEngine's metrics, over a kernel on the pinned epoch
-	s       *core.DynamicSnapshot
+	querier              // the parent DynamicEngine's metrics, over a kernel on eng
+	eng     *core.Engine // the pinned epoch
 }
 
-// Epoch returns the epoch the snapshot pinned (the number of inserts it
-// reflects).
-func (s *Snapshot) Epoch() uint64 { return s.s.Epoch() }
-
-// Point returns the coordinates of an id present in the snapshot. It
-// panics when id is not present; use PointOK for a bounds-checked lookup.
-func (s *Snapshot) Point(id int64) Point { return s.s.Point(id) }
+// Epoch returns the epoch the snapshot pinned: the number of inserts it
+// reflects, which is Len.
+func (s *Snapshot) Epoch() uint64 { return uint64(s.Len()) }
 
 // PointOK returns the coordinates of id and whether id is a point present
 // in the snapshot.
-func (s *Snapshot) PointOK(id int64) (Point, bool) { return s.s.PointOK(id) }
+func (s *Snapshot) PointOK(id int64) (Point, bool) { return s.k.PointOK(id) }

@@ -142,7 +142,7 @@ func TestDynamicEngineConcurrentInsertQuery(t *testing.T) {
 					return
 				}
 				for _, id := range live {
-					if !area.ContainsPoint(eng.Point(id)) {
+					if p, ok := eng.PointOK(id); !ok || !area.ContainsPoint(p) {
 						recordError(fmt.Errorf("live query result %d outside area", id))
 						return
 					}
@@ -309,11 +309,11 @@ func TestDynamicEmptyEngineErrNoData(t *testing.T) {
 	}
 }
 
-// TestDynamicPointPanicsOnUnknownIDs pins Point's contract on both dynamic
-// flavors: the id Insert returned resolves, and every other id panics — the
-// ids below it, which the triangulation's fence sites occupy, like any id
-// that was never issued. PointOK reports false for exactly those.
-func TestDynamicPointPanicsOnUnknownIDs(t *testing.T) {
+// TestDynamicPointOKRefusesUnknownIDs pins PointOK's contract on both
+// dynamic flavors: the id Insert returned resolves, and every other id
+// reports false — the ids below it, which the triangulation's fence sites
+// occupy, like any id that was never issued.
+func TestDynamicPointOKRefusesUnknownIDs(t *testing.T) {
 	eng := NewDynamicEngine(UnitSquare())
 	p := Pt(0.25, 0.75)
 	id, _, err := eng.Insert(p)
@@ -321,12 +321,11 @@ func TestDynamicPointPanicsOnUnknownIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	pointers := map[string]interface {
-		Point(int64) Point
 		PointOK(int64) (Point, bool)
 	}{"engine": eng, "snapshot": eng.Snapshot()}
 	for name, e := range pointers {
-		if got, ok := e.PointOK(id); !ok || got != p || e.Point(id) != p {
-			t.Errorf("%s: inserted id %d resolves to %v (ok=%v) and %v, want %v", name, id, got, ok, e.Point(id), p)
+		if got, ok := e.PointOK(id); !ok || got != p {
+			t.Errorf("%s: inserted id %d resolves to %v (ok=%v), want %v", name, id, got, ok, p)
 		}
 		for bad := int64(-1); bad <= id+1; bad++ {
 			if bad == id {
@@ -335,14 +334,6 @@ func TestDynamicPointPanicsOnUnknownIDs(t *testing.T) {
 			if got, ok := e.PointOK(bad); ok {
 				t.Errorf("%s: PointOK(%d) = %v, true for an id Insert never returned", name, bad, got)
 			}
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s: Point(%d) returned for an id Insert never returned", name, bad)
-					}
-				}()
-				e.Point(bad)
-			}()
 		}
 	}
 }
@@ -359,10 +350,14 @@ func TestDynamicEngineParityWithStatic(t *testing.T) {
 	dyn := NewDynamicEngine(UnitSquare())
 	// Dynamic site ids start after the triangulation's fence sites, so
 	// compare by position rather than raw id.
-	toPos := func(eng interface{ Point(int64) Point }, ids []int64) []Point {
+	toPos := func(eng interface{ PointOK(int64) (Point, bool) }, ids []int64) []Point {
 		out := make([]Point, len(ids))
 		for i, id := range ids {
-			out[i] = eng.Point(id)
+			p, ok := eng.PointOK(id)
+			if !ok {
+				t.Fatalf("result id %d has no point", id)
+			}
+			out[i] = p
 		}
 		sort.Slice(out, func(a, b int) bool {
 			if out[a].X != out[b].X {

@@ -258,8 +258,8 @@ func TestShardedGlobalIDStability(t *testing.T) {
 			t.Errorf("shards=%d: ids differ from shards=%d", shards, shardedTestCounts[0])
 		}
 		for _, id := range got {
-			if sharded.Point(id) != pts[id] {
-				t.Fatalf("shards=%d: Point(%d) does not match input slice", shards, id)
+			if p, ok := sharded.PointOK(id); !ok || p != pts[id] {
+				t.Fatalf("shards=%d: PointOK(%d) does not match input slice", shards, id)
 			}
 		}
 	}

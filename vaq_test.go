@@ -45,7 +45,7 @@ func TestQuickstartFlow(t *testing.T) {
 	inIDs := make(map[int64]bool)
 	for _, id := range ids {
 		inIDs[id] = true
-		if !area.ContainsPoint(eng.Point(id)) {
+		if p, ok := eng.PointOK(id); !ok || !area.ContainsPoint(p) {
 			t.Errorf("returned id %d outside area", id)
 		}
 	}
@@ -243,7 +243,7 @@ func TestDynamicEnginePublicAPI(t *testing.T) {
 	}
 	// Result points are really inside.
 	for _, id := range a {
-		if !area.ContainsPoint(eng.Point(id)) {
+		if p, ok := eng.PointOK(id); !ok || !area.ContainsPoint(p) {
 			t.Errorf("result %d outside area", id)
 		}
 	}
@@ -264,10 +264,9 @@ func TestPointOKPublicAPI(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		pointOK func(id int64) (Point, bool)
-		point   func(id int64) Point
 	}{
-		{"engine", eng.PointOK, eng.Point},
-		{"sharded", sharded.PointOK, sharded.Point},
+		{"engine", eng.PointOK},
+		{"sharded", sharded.PointOK},
 	} {
 		if p, ok := tc.pointOK(0); !ok || p != pts[0] {
 			t.Errorf("%s: PointOK(0) = %v, %v", tc.name, p, ok)
@@ -280,8 +279,8 @@ func TestPointOKPublicAPI(t *testing.T) {
 				t.Errorf("%s: PointOK(%d) should report false", tc.name, bad)
 			}
 		}
-		if got := tc.point(42); got != pts[42] {
-			t.Errorf("%s: Point(42) = %v, want %v", tc.name, got, pts[42])
+		if got, ok := tc.pointOK(42); !ok || got != pts[42] {
+			t.Errorf("%s: PointOK(42) = %v, %v, want %v", tc.name, got, ok, pts[42])
 		}
 	}
 
