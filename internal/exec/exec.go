@@ -18,6 +18,7 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -64,10 +65,7 @@ func (o Options) Workers(n int) int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > n {
-		w = n
-	}
-	return w
+	return min(w, n)
 }
 
 // QueryBatch answers every region per spec against the shared engine,
@@ -95,17 +93,17 @@ func QueryBatch(ctx context.Context, eng *core.Engine, regions []core.Region, sp
 	spec.Dest = nil
 	out := make([][]int64, n)
 	workerStats := make([]core.Stats, opts.Workers(n))
-	idx, err := run(ctx, n, opts, func(worker, i int) error {
+	err := Run(ctx, n, opts, func(worker, i int) error {
 		ids, st, err := eng.QueryRegionSpec(ctx, regions[i], spec)
 		workerStats[worker].Add(st)
 		out[i] = ids
-		return err
+		if err != nil {
+			return fmt.Errorf("exec: batch query %d: %w", i, err)
+		}
+		return nil
 	})
 	for _, ws := range workerStats {
 		agg.Add(ws)
-	}
-	if idx >= 0 {
-		return nil, agg, fmt.Errorf("exec: batch query %d: %w", idx, err)
 	}
 	if err != nil {
 		return nil, agg, err
@@ -113,101 +111,119 @@ func QueryBatch(ctx context.Context, eng *core.Engine, regions []core.Region, sp
 	return out, agg, nil
 }
 
-// Run executes fn(worker, i) for every i in [0, n) on a pool sized by
-// opts. It is the pool primitive beneath QueryBatch, exported for callers
-// with non-query task shapes — the sharded engine submits shard
-// construction and per-(query, shard) scatter tasks through it. worker
-// identifies the executing goroutine in [0, Workers(n)), so fn can
-// accumulate into per-worker state without locking; with one worker
-// everything runs on the calling goroutine. On error the pool stops
-// claiming new tasks and the lowest-indexed observed error wins, returned
-// as fn returned it: fn names its task in the error when a caller needs
-// that. Cancelling ctx stops claiming; when no task error occurred first,
-// Run returns ctx.Err(). The pool always drains before Run returns — no
-// goroutine outlives the call.
+// Run executes fn(worker, i) for every i in [0, n) on opts.Workers(n)
+// goroutines — or, when that is one, on the calling goroutine, through the
+// same loop. It is the pool beneath QueryBatch and the kernel (package
+// shard), which submits shard construction and scatter tasks through it.
+// worker identifies the executing goroutine in [0, Workers(n)), so fn can
+// accumulate into per-worker state without locking. Each worker claims one
+// index at a time from a shared cursor, re-checking ctx before every claim
+// so cancellation abandons all un-dispatched work; on the first error all
+// workers stop claiming and the lowest-indexed observed error wins,
+// returned as fn returned it: fn names its task in the error when a caller
+// needs that. Otherwise Run returns ctx.Err(), which is nil when every task
+// ran. A sole task is simply called, outside the pool and its Metrics. The
+// pool always drains before Run returns — no goroutine outlives the call —
+// and a warm Run allocates nothing of its own.
 func Run(ctx context.Context, n int, opts Options, fn func(worker, i int) error) error {
-	_, err := run(ctx, n, opts, fn)
+	switch err := ctx.Err(); {
+	case n <= 0:
+		return nil
+	case err != nil:
+		return err
+	case n == 1:
+		return cmp.Or(fn(0, 0), ctx.Err())
+	}
+	r := runs.Get().(*run)
+	defer runs.Put(r)
+	return r.do(ctx, n, opts, fn)
+}
+
+// run is one Run's shared state. It comes from runs, and keeps the bodies
+// of the goroutines it has started, each bound once to its worker index,
+// so a warm Run starts its workers without building a closure.
+type run struct {
+	ctx      context.Context
+	n        int
+	fn       func(worker, i int) error
+	m        *Metrics
+	cursor   atomic.Int64
+	failed   atomic.Bool
+	mu       sync.Mutex
+	firstErr error
+	firstIdx int
+	wg       sync.WaitGroup
+	workers  []func() // workers[w] runs work(w), then marks wg done
+}
+
+var runs = sync.Pool{New: func() any { return new(run) }}
+
+// do is Run's pool over n >= 2 tasks. It leaves r as runs holds it: no
+// reference to the call's context, function or error.
+func (r *run) do(ctx context.Context, n int, opts Options, fn func(worker, i int) error) error {
+	r.ctx, r.n, r.fn, r.m = ctx, n, fn, opts.Metrics
+	if workers := opts.Workers(n); workers == 1 {
+		r.work(0)
+	} else {
+		// The caller waits rather than working: a goroutine it starts sits
+		// in its P's runnext slot, which another P steals only after a delay.
+		for w := len(r.workers); w < workers; w++ {
+			r.workers = append(r.workers, func() {
+				defer r.wg.Done()
+				r.work(w)
+			})
+		}
+		r.wg.Add(workers)
+		for _, body := range r.workers[:workers] {
+			go body()
+		}
+		r.wg.Wait()
+	}
+	err := cmp.Or(r.firstErr, ctx.Err())
+	r.ctx, r.fn, r.m, r.firstErr = nil, nil, nil, nil
+	r.cursor.Store(0)
+	r.failed.Store(false)
 	return err
 }
 
-// run is the pool: fn(worker, i) for every i in [0, n), on opts.Workers(n)
-// goroutines — or, when that is one, on the calling goroutine, through the
-// same loop. Each worker claims one index at a time from a shared cursor,
-// re-checking ctx before every claim so cancellation abandons all
-// un-dispatched work; on the first error all workers stop claiming and the
-// lowest-indexed observed error wins. run returns that error, unwrapped,
-// with its index; otherwise index -1 with ctx.Err(), which is nil when
-// every task ran. It always waits for every spawned worker to exit.
-func run(ctx context.Context, n int, opts Options, fn func(worker, i int) error) (int, error) {
-	if n <= 0 {
-		return -1, nil
+// work claims and runs tasks until none is left, one fails or ctx is done.
+// Nothing reads the clock without Metrics.
+func (r *run) work(worker int) {
+	var busy time.Duration
+	if m := r.m; m != nil {
+		m.ActiveWorkers.Add(1)
+		defer func() {
+			m.ActiveWorkers.Add(-1)
+			m.WorkerBusy.Observe(busy)
+		}()
 	}
-	if err := ctx.Err(); err != nil {
-		return -1, err
-	}
-	var (
-		cursor atomic.Int64
-		failed atomic.Bool
-
-		mu       sync.Mutex
-		firstErr error
-		firstIdx int
-	)
-	workers, m := opts.Workers(n), opts.Metrics
-	work := func(worker int) { // nothing reads the clock without Metrics
-		var busy time.Duration
-		if m != nil {
-			m.ActiveWorkers.Add(1)
-			defer func() {
-				m.ActiveWorkers.Add(-1)
-				m.WorkerBusy.Observe(busy)
-			}()
+	for !r.failed.Load() && r.ctx.Err() == nil {
+		var t0 time.Time
+		if r.m != nil {
+			t0 = time.Now()
 		}
-		for !failed.Load() && ctx.Err() == nil {
-			var t0 time.Time
-			if m != nil {
-				t0 = time.Now()
+		i := int(r.cursor.Add(1)) - 1
+		if i >= r.n {
+			return
+		}
+		if r.m != nil {
+			t1 := time.Now()
+			r.m.ChunkWait.Observe(t1.Sub(t0))
+			t0 = t1
+		}
+		err := r.fn(worker, i)
+		if r.m != nil {
+			busy += time.Since(t0)
+			r.m.Tasks.Inc()
+		}
+		if err != nil {
+			r.mu.Lock()
+			if r.firstErr == nil || i < r.firstIdx {
+				r.firstErr, r.firstIdx = err, i
 			}
-			i := int(cursor.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if m != nil {
-				t1 := time.Now()
-				m.ChunkWait.Observe(t1.Sub(t0))
-				t0 = t1
-			}
-			err := fn(worker, i)
-			if m != nil {
-				busy += time.Since(t0)
-				m.Tasks.Inc()
-			}
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil || i < firstIdx {
-					firstErr, firstIdx = err, i
-				}
-				mu.Unlock()
-				failed.Store(true)
-				return
-			}
+			r.mu.Unlock()
+			r.failed.Store(true)
+			return
 		}
 	}
-	if workers == 1 {
-		work(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work(w)
-			}()
-		}
-		wg.Wait()
-	}
-	if firstErr != nil {
-		return firstIdx, firstErr
-	}
-	return -1, ctx.Err()
 }

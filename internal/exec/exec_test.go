@@ -3,9 +3,12 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -161,6 +164,72 @@ func TestEmptyAndOversubscribedBatches(t *testing.T) {
 		}
 		if !slices.Equal(slices.Sorted(slices.Values(ids)), slices.Sorted(slices.Values(want))) {
 			t.Fatalf("query %d diverged with oversubscribed pool", i)
+		}
+	}
+}
+
+// TestRunStartsCleanAfterFailure: Run's state is pooled, so a Run after
+// a failed, a cancelled or a narrower one must still run every task once,
+// on workers in [0, Workers(n)), and report no stale error — also while
+// other goroutines Run at the same time.
+func TestRunStartsCleanAfterFailure(t *testing.T) {
+	boom := errors.New("boom")
+	rounds := func(g int) error {
+		for round := range 20 {
+			workers := 2 + (g+round)%3
+			opts := Options{NumWorkers: workers}
+			err := Run(context.Background(), 8, opts, func(_, i int) error {
+				if i == 3 {
+					return boom
+				}
+				return nil
+			})
+			if err != boom {
+				return fmt.Errorf("round %d: failing run: err = %v, want boom", round, err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			err = Run(ctx, 8, opts, func(_, i int) error {
+				cancel()
+				return nil
+			})
+			if err != context.Canceled {
+				return fmt.Errorf("round %d: cancelled run: err = %v, want %v", round, err, context.Canceled)
+			}
+			seen := make([]atomic.Int32, 64)
+			err = Run(context.Background(), len(seen), opts, func(w, i int) error {
+				if w < 0 || w >= workers {
+					return fmt.Errorf("task %d on worker %d of %d", i, w, workers)
+				}
+				seen[i].Add(1)
+				return nil
+			})
+			if err != nil {
+				return fmt.Errorf("round %d: clean run: %v", round, err)
+			}
+			for i := range seen {
+				if c := seen[i].Load(); c != 1 {
+					return fmt.Errorf("round %d: task %d ran %d times", round, i, c)
+				}
+			}
+		}
+		return nil
+	}
+	if err := rounds(0); err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, 3)
+	var wg sync.WaitGroup
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[g] = rounds(g)
+		}()
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Errorf("goroutine %d: %v", g, err)
 		}
 	}
 }

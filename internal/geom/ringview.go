@@ -1,7 +1,5 @@
 package geom
 
-import "math"
-
 // RingView is a zero-allocation view of a closed ring whose vertices live
 // in parallel coordinate slices — the structure-of-arrays layout of a
 // packed cell arena (voronoi.CellArena). As with Ring, the closing edge
@@ -43,27 +41,6 @@ func (v RingView) Bounds() Rect {
 	}
 	return r
 }
-
-// SignedArea returns the signed area (positive when counterclockwise),
-// with Ring.SignedArea's arithmetic.
-func (v RingView) SignedArea() float64 {
-	n := len(v.XS)
-	if n < 3 {
-		return 0
-	}
-	var s float64
-	for i := 0; i < n; i++ {
-		j := i + 1
-		if j == n {
-			j = 0
-		}
-		s += v.XS[i]*v.YS[j] - v.YS[i]*v.XS[j]
-	}
-	return s / 2
-}
-
-// Area returns the absolute enclosed area.
-func (v RingView) Area() float64 { return math.Abs(v.SignedArea()) }
 
 // ContainsPoint reports whether p lies in the closed region bounded by the
 // view's ring — identical to (Polygon{Outer: ring}).ContainsPoint over the

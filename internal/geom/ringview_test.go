@@ -69,12 +69,6 @@ func TestRingViewMatchesRing(t *testing.T) {
 		if v.Bounds() != ring.Bounds() {
 			t.Fatalf("Bounds = %v, want %v", v.Bounds(), ring.Bounds())
 		}
-		if v.SignedArea() != ring.SignedArea() {
-			t.Fatalf("SignedArea = %v, want %v", v.SignedArea(), ring.SignedArea())
-		}
-		if v.Area() != ring.Area() {
-			t.Fatalf("Area = %v, want %v", v.Area(), ring.Area())
-		}
 		pg := Polygon{Outer: ring}
 		// Probe containment on a grid plus the vertices themselves
 		// (boundary cases must agree too).
@@ -107,9 +101,6 @@ func TestRingViewEmpty(t *testing.T) {
 	}
 	if v.ContainsPoint(Pt(0, 0)) {
 		t.Fatal("empty view contains a point")
-	}
-	if v.Area() != 0 {
-		t.Fatalf("empty view area = %v", v.Area())
 	}
 }
 

@@ -98,14 +98,14 @@ func New(points []geom.Point, bounds geom.Rect, cfg Config) (*Engine, error) {
 		return nil, core.ErrNoData
 	}
 
-	var shards []*localShard
+	var shards []Partition
 	var shardPts [][]geom.Point // local id -> position, for Build only
 	if cfg.Shards <= 1 || len(points) == 1 {
-		shards = []*localShard{{bounds: geom.RectFromPoints(points...)}}
+		shards = []Partition{&localShard{bounds: geom.RectFromPoints(points...)}}
 		shardPts = [][]geom.Point{points}
 	} else {
 		runs := hilbert.Runs(points, bounds, cfg.Shards)
-		shards = make([]*localShard, len(runs))
+		shards = make([]Partition, len(runs))
 		shardPts = make([][]geom.Point, len(runs))
 		for si, run := range runs {
 			// Ascending global order inside the shard keeps the remapping
@@ -135,18 +135,14 @@ func New(points []geom.Point, bounds geom.Rect, cfg Config) (*Engine, error) {
 			if err != nil {
 				return fmt.Errorf("building shard %d (%d points): %w", si, len(shardPts[si]), err)
 			}
-			shards[si].eng = eng
+			shards[si].(*localShard).eng = eng
 			return nil
 		})
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
 
-	parts := make([]Partition, len(shards))
-	for si, s := range shards {
-		parts[si] = s
-	}
-	return Over(parts, bounds, cfg.Parallelism, cfg.Metrics), nil
+	return Over(shards, bounds, cfg.Parallelism, cfg.Metrics), nil
 }
 
 // OverEngine returns the kernel over one engine whose ids are global — a

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync/atomic"
@@ -10,6 +11,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // fakePart is an in-memory Partition: a brute-force scan over its points,
@@ -45,7 +48,7 @@ func (p *fakePart) Each(_ context.Context, region core.Region, spec core.QuerySp
 }
 
 func (p *fakePart) Query(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error) {
-	var ids []int64
+	ids := spec.Dest[:0]
 	st, err := p.Each(ctx, region, spec, func(id int64, _ geom.Point) bool {
 		if !spec.CountOnly {
 			ids = append(ids, id)
@@ -241,6 +244,143 @@ func TestKernelUniverseIsNotTheUnionOfPruningKeys(t *testing.T) {
 	for i, p := range parts {
 		if n := p.calls.Load(); n != 0 {
 			t.Errorf("partition %d was contacted %d times for a region that misses its key", i, n)
+		}
+	}
+}
+
+// batchPart is a fakePart that also answers several regions in one call,
+// as an HTTP backend does, and counts those calls.
+type batchPart struct {
+	*fakePart
+	batches atomic.Int64
+}
+
+func (p *batchPart) QueryRegions(ctx context.Context, regions []core.Region, spec core.QuerySpec) ([][]int64, core.Stats, error) {
+	p.batches.Add(1)
+	var (
+		agg core.Stats
+		out [][]int64
+	)
+	for _, r := range regions {
+		ids, st, err := p.Query(ctx, r, spec)
+		if err != nil {
+			return nil, agg, err
+		}
+		agg.Add(st)
+		if !spec.CountOnly {
+			out = append(out, ids)
+		}
+	}
+	return out, agg, nil
+}
+
+// TestSingleRegionPathIgnoresPartitionCount: a query is a one-region
+// scatter whatever the partition count, so over 1, 2 and 8 shards and
+// over RegionsQuerier fakes, QueryRegionSpec — plain, into a Reuse buffer,
+// or counting only — and a one-region QueryRegionsSpec return the same
+// ids, Stats and trace fan-out, the ids are the scan's, and a RegionsQuerier
+// is asked one region at a time. A batch of every region then answers
+// each region alike, its Stats the sum of the single queries', and a
+// RegionsQuerier answers its share of it in one call.
+func TestSingleRegionPathIgnoresPartitionCount(t *testing.T) {
+	ctx := context.Background()
+	data := geom.NewRect(0, 0, 0.8, 0.8)
+	pts := workload.UniformPoints(rand.New(rand.NewSource(57)), 3000, data)
+	engines := map[string]*Engine{}
+	for _, shards := range []int{1, 2, 8} {
+		engines[fmt.Sprintf("%d shards", shards)] = newSharded(t, pts, shards)
+	}
+	strips, all := fakeStrips(4, 200)
+	batchers := make([]Partition, len(strips))
+	for i, p := range strips {
+		batchers[i] = &batchPart{fakePart: p}
+	}
+	engines["RegionsQuerier"] = Over(batchers, unitBounds(), 2, nil)
+
+	regions := []core.Region{
+		rectRegion(0.05, 0.05, 0.15, 0.15), // one shard or strip
+		rectRegion(0.1, 0.2, 0.7, 0.6),     // several
+		core.CircleRegion(geom.NewCircle(geom.Pt(0.4, 0.4), 0.2)),
+		rectRegion(0.85, 0.85, 0.95, 0.95), // beyond the shards' points
+	}
+	for name, e := range engines {
+		oracle := pts
+		if name == "RegionsQuerier" {
+			oracle = all
+		}
+		for _, m := range []core.Method{core.VoronoiBFS, core.Traditional} {
+			var sum core.Stats
+			for ri, r := range regions {
+				want := bruteInside(oracle, r)
+				for _, variant := range []string{"plain", "reuse", "count"} {
+					var tq, tb obs.QueryTrace
+					spec := core.QuerySpec{Method: m, Trace: &tq}
+					switch variant {
+					case "reuse":
+						spec.Dest = make([]int64, 0, len(oracle))
+					case "count":
+						spec.CountOnly = true
+					}
+					ids, st, err := e.QueryRegionSpec(ctx, r, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					spec.Trace = &tb
+					out, bst, err := e.QueryRegionsSpec(ctx, []core.Region{r}, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					what := fmt.Sprintf("%s, %v, region %d, %s", name, m, ri, variant)
+					if variant == "count" {
+						if ids != nil || out != nil {
+							t.Errorf("%s: ids returned under CountOnly", what)
+						}
+					} else if !slices.Equal(ids, want) || !slices.Equal(out[0], want) {
+						t.Errorf("%s: %d and %d ids, the scan finds %d", what, len(ids), len(out[0]), len(want))
+					}
+					if variant == "reuse" && len(ids) > 0 && &ids[0] != &spec.Dest[:1][0] {
+						t.Errorf("%s: the ids are not in the Reuse buffer", what)
+					}
+					if st != bst || st.ResultSize != len(want) {
+						t.Errorf("%s: Stats %+v, one-region batch %+v, %d results", what, st, bst, len(want))
+					}
+					if tq.FanOut() != tb.FanOut() {
+						t.Errorf("%s: fan-out %d, one-region batch %d", what, tq.FanOut(), tb.FanOut())
+					}
+					if variant == "plain" {
+						sum.Add(st)
+					}
+				}
+			}
+			out, st, err := e.QueryRegionsSpec(ctx, regions, core.QuerySpec{Method: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ri, r := range regions {
+				if !slices.Equal(out[ri], bruteInside(oracle, r)) {
+					t.Errorf("%s, %v: batch region %d differs from the scan", name, m, ri)
+				}
+			}
+			if st != sum {
+				t.Errorf("%s, %v: batch Stats %+v, single queries sum to %+v", name, m, st, sum)
+			}
+		}
+	}
+	// One multi-region batch per method; a strip whose share of it is a
+	// single region is asked that region alone.
+	for i, p := range batchers {
+		share := 0
+		for _, r := range regions {
+			if p.Bounds().Intersects(r.Bounds()) {
+				share++
+			}
+		}
+		want := int64(0)
+		if share > 1 {
+			want = 2
+		}
+		if n := p.(*batchPart).batches.Load(); n != want {
+			t.Errorf("strip %d, a share of %d regions: %d batch calls, want %d", i, share, n, want)
 		}
 	}
 }

@@ -40,27 +40,31 @@
 //     refuses any region escaping it before it gets here). A sole
 //     partition holds the full diagram and runs the caller's method
 //     verbatim.
-//   - Scatter: one exec pool, per-worker statistics. A batch is one task
-//     per (region, partition) pair, except that a partition offering
-//     RegionsQuerier answers all its regions in one call. A pair's task
-//     lends its partition a pooled id buffer as spec.Dest, so a warm
-//     scatter grows no answer from nil. A single query with one survivor
-//     skips the pool: it answers on the calling goroutine, into the
-//     caller's reuse buffer, allocating nothing.
+//   - Scatter: a single query is a batch of one region, and both run one
+//     plan, taken from a pool with all its slices. A plan is one task per
+//     (region, partition) pair, except that a partition offering
+//     RegionsQuerier answers all its regions of a batch of several in one
+//     call. A pair's task lends its partition a pooled id buffer as
+//     spec.Dest, so a warm scatter grows no answer from nil — except the
+//     plan's only pair, which answers into the caller's buffer. The plan's
+//     tasks run on the exec pool, with per-task statistics; the pool
+//     calls a sole task on the calling goroutine. A warm scatter allocates
+//     nothing of its own.
 //   - Fail fast: a failed partition fails the query, with the first
 //     partition error — there is no partial answer, because a missing
-//     partition leaves a hole in the tiling the union rests on. A batch
-//     names the failing region by its index in the batch, except when the
-//     failed call was a RegionsQuerier's, which answers several. A done
-//     caller context always wins: its error is the query's, whatever the
-//     partitions reported, and a call it cut short is not counted as a
-//     partition failure in Dropped.
+//     partition leaves a hole in the tiling the union rests on. A single
+//     query's error names no region; a batch names the failing region by
+//     its index in the batch, except when the failed call was a
+//     RegionsQuerier's, which answers several. A done caller context
+//     always wins: its error is the query's, whatever the partitions
+//     reported, and a call it cut short is not counted as a partition
+//     failure in Dropped.
 //   - Gather: per region, copy the partitions' ids into the caller's
-//     buffer (or a fresh slice sized to the result), sort them into
-//     ascending global id order and count; then every lent buffer goes
-//     back to its pool, so no result the caller holds shares memory with
-//     it. Under CountOnly nothing is merged: the count is the partitions'
-//     summed ResultSize.
+//     buffer (or a fresh slice sized to the result) — the plan's only
+//     pair's ids are already there — sort them into ascending global id
+//     order and count; then every lent buffer goes back to its pool, so no
+//     result the caller holds shares memory with it. Under CountOnly
+//     nothing is merged: the count is the partitions' summed ResultSize.
 //
 // Every path takes a context.Context: cancellation abandons un-dispatched
 // tasks at the pool, running partition calls at their own boundaries, and
@@ -68,7 +72,6 @@
 package shard
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -96,11 +99,12 @@ type Partition interface {
 	// Len is the partition's point count.
 	Len() int
 	// Query answers one area query; ids come back in any order, nil under
-	// spec.CountOnly (the count is Stats.ResultSize). A partition may
-	// append its ids into spec.Dest (from Dest[:0]), and the ids it
-	// returns are the kernel's to sort and to reuse: the caller's buffer
-	// when the partition is a region's sole survivor, a pooled one the
-	// kernel takes back after the merge otherwise.
+	// spec.CountOnly (the count is Stats.ResultSize). A partition appends
+	// its ids into spec.Dest (from Dest[:0]; an empty answer is Dest[:0]
+	// when Dest is not nil), and the ids it returns are the kernel's to
+	// sort and to reuse: the caller's buffer when the partition is the
+	// query's only pair, a pooled one the kernel takes back after the
+	// merge otherwise.
 	Query(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error)
 	// Each streams one area query, counting the yields in Stats.ResultSize.
 	Each(ctx context.Context, region core.Region, spec core.QuerySpec, yield func(id int64, pos geom.Point) bool) (core.Stats, error)
@@ -158,13 +162,14 @@ func NewMetrics(reg *obs.Registry, labels string) *Metrics {
 // immutable after construction and safe for concurrent use from any number
 // of goroutines.
 type Engine struct {
-	parts       []Partition
-	partBounds  []geom.Rect // parts[i].Bounds(), read once
-	length      int
-	bounds      geom.Rect
-	parallelism int
-	dropped     atomic.Uint64
-	met         *Metrics
+	parts      []Partition
+	partBounds []geom.Rect // parts[i].Bounds(), read once
+	batchers   []bool      // parts[i] is a RegionsQuerier
+	length     int
+	bounds     geom.Rect
+	pool       exec.Options // the scatter's worker pool
+	dropped    atomic.Uint64
+	met        *Metrics
 }
 
 // Over builds the kernel over explicit partitions. universe is the
@@ -174,14 +179,19 @@ type Engine struct {
 // (<= 0 means runtime.GOMAXPROCS); met may be nil.
 func Over(parts []Partition, universe geom.Rect, parallelism int, met *Metrics) *Engine {
 	e := &Engine{
-		parts:       parts,
-		partBounds:  make([]geom.Rect, len(parts)),
-		bounds:      universe,
-		parallelism: parallelism,
-		met:         met,
+		parts:      parts,
+		partBounds: make([]geom.Rect, len(parts)),
+		batchers:   make([]bool, len(parts)),
+		bounds:     universe,
+		pool:       exec.Options{NumWorkers: parallelism},
+		met:        met,
+	}
+	if met != nil {
+		e.pool.Metrics = met.Exec
 	}
 	for i, p := range parts {
 		e.partBounds[i] = p.Bounds()
+		_, e.batchers[i] = p.(RegionsQuerier)
 		e.length += p.Len()
 	}
 	return e
@@ -262,8 +272,9 @@ func (e *Engine) partDone(t0 time.Time) {
 }
 
 // partSpec is the spec partitions execute: the caller's with the method
-// upgraded (see the package comment).
+// upgraded (see the package comment) and no Dest.
 func (e *Engine) partSpec(spec core.QuerySpec) core.QuerySpec {
+	spec.Dest = nil
 	if len(e.parts) > 1 && spec.Method == core.VoronoiBFS {
 		spec.Method = core.VoronoiBFSStrict
 	}
@@ -280,142 +291,114 @@ func (e *Engine) partErr(ctx context.Context, pi int, err error) error {
 	return fmt.Errorf("%v: %w", e.parts[pi], err)
 }
 
-// pair is the unit of scattered work: one region on one partition that
-// survived pruning for it.
-type pair struct{ region, part int32 }
-
-// scattered is the outcome of one fan-out, indexed like pairs.
-type scattered struct {
-	pairs []pair     // region-major: a region's pairs are contiguous
-	ids   [][]int64  // each pair's global ids; nil under CountOnly
-	bufs  []*[]int64 // the idBufs buffer a single-pair task lent, or nil
+// pair is the unit of scattered work — one region on one partition that
+// survived pruning for it — and its answer.
+type pair struct {
+	region, part int32
+	ids          []int64  // global ids; nil under CountOnly
+	buf          *[]int64 // the idBufs buffer a single-pair task lent, or nil
 }
 
-// idBufs holds the buffers scatter lends partitions as spec.Dest. gather
-// copies out of them and release returns them, so a warm scatter grows no
-// partition's answer from nil.
+// plan is one scatter's whole working state, from pruning to release. It
+// comes from plans and is reset by length, so a warm scatter allocates
+// none of it; release drops every reference it holds before it goes back.
+type plan struct {
+	e       *Engine
+	ctx     context.Context
+	spec    core.QuerySpec             // the partitions' spec: method upgraded, no Dest
+	dest    []int64                    // the caller's Dest; nil for a batch
+	batch   bool                       // a task's error names its region
+	sole    bool                       // one task of one pair: it answers into dest
+	alive   []int                      // one region's survivors, reused region by region
+	pairs   []pair                     // region-major: a region's pairs are contiguous
+	order   []int32                    // pair indexes, task by task
+	regions []core.Region              // each pair's region, aligned with order
+	cuts    []int32                    // task ti is order[cuts[ti]:cuts[ti+1]]
+	stats   []core.Stats               // per task
+	run     func(worker, ti int) error // p.task, bound once per pooled plan
+}
+
+// plans holds the kernel's plans, each with its task method bound once.
+var plans = sync.Pool{New: func() any {
+	p := new(plan)
+	p.run = p.task
+	return p
+}}
+
+// idBufs holds the buffers a task lends its partition as spec.Dest.
 var idBufs = sync.Pool{New: func() any { return new([]int64) }}
 
-// release returns the buffers scatter lent to idBufs, each keeping the
-// larger of its own capacity and that of the answer written into it. No
-// slice gather produced may alias them: mergeSorted always copies.
-func (sc *scattered) release() {
-	for i, bp := range sc.bufs {
-		if bp == nil {
-			continue
-		}
-		if ids := sc.ids[i]; cap(ids) > cap(*bp) {
-			*bp = ids[:0]
-		}
-		idBufs.Put(bp)
+// query is the kernel's one query path: plan regions × partitions, run
+// the plan, gather it into out, which aligns with regions, and add its
+// statistics to agg. The error is the caller's context error if it is
+// done — whatever the partitions reported — and otherwise the first
+// partition failure.
+func (e *Engine) query(ctx context.Context, regions []core.Region, spec core.QuerySpec, batch bool, out [][]int64, agg *core.Stats) error {
+	if err := core.CheckMethod(spec.Method); err != nil {
+		return err
 	}
+	p := plans.Get().(*plan)
+	defer p.release()
+	p.build(e, ctx, regions, spec, batch)
+	err := p.scatter(agg)
+	if err == nil {
+		p.gather(out, agg)
+	}
+	return err
 }
 
-// scatter plans regions × partitions into sc, runs the plan on the pool
-// and folds the partitions' statistics into agg. The error is the caller's
-// context error if it is done — whatever the partitions reported — and
-// otherwise the first partition failure. Whatever the error, the caller
-// releases sc once it has gathered it.
-func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.QuerySpec, agg *core.Stats, sc *scattered) error {
-	alive := make([]int, 0, len(e.parts))
+// build prunes every region, observing its fan-out, and cuts the
+// surviving pairs into tasks: one per pair, except that a RegionsQuerier
+// takes all its pairs of a batch of several regions in one call.
+func (p *plan) build(e *Engine, ctx context.Context, regions []core.Region, spec core.QuerySpec, batch bool) {
+	p.e, p.ctx, p.spec, p.dest, p.batch = e, ctx, e.partSpec(spec), spec.Dest, batch
+	p.pairs = p.pairs[:0]
 	for qi, region := range regions {
-		alive = e.survivors(alive[:0], region)
-		e.observeFanOut(spec.Trace, len(alive))
-		sc.pairs = slices.Grow(sc.pairs, len(alive))
-		for _, pi := range alive {
-			sc.pairs = append(sc.pairs, pair{region: int32(qi), part: int32(pi)})
+		p.alive = e.survivors(p.alive[:0], region)
+		e.observeFanOut(spec.Trace, len(p.alive))
+		for _, pi := range p.alive {
+			p.pairs = append(p.pairs, pair{region: int32(qi), part: int32(pi)})
 		}
 	}
-	if len(sc.pairs) == 0 {
-		return ctx.Err()
+	grouped := func(pi int) bool { return len(regions) > 1 && e.batchers[pi] }
+	p.order, p.regions, p.cuts = p.order[:0], p.regions[:0], append(p.cuts[:0], 0)
+	for i, pr := range p.pairs {
+		if !grouped(int(pr.part)) {
+			p.order = append(p.order, int32(i))
+			p.regions = append(p.regions, regions[pr.region])
+			p.cuts = append(p.cuts, int32(len(p.order)))
+		}
 	}
-	pspec := e.partSpec(spec)
-	pspec.Dest = nil // a single-pair task lends its own; a batch call gets none
-	if !spec.CountOnly {
-		sc.ids = make([][]int64, len(sc.pairs))
-		sc.bufs = make([]*[]int64, len(sc.pairs))
-	}
-
-	// A task is the pairs (as indexes into sc.pairs) one partition answers
-	// in one call: a single pair, except that a RegionsQuerier takes all
-	// its pairs of a batch at once. A worker claims one task at a time.
-	tasks := make([][]int32, 0, len(sc.pairs))
-	single := make([]int32, len(sc.pairs))
-	var grouped [][]int32
-	for i, pr := range sc.pairs {
-		single[i] = int32(i)
-		if _, ok := e.parts[pr.part].(RegionsQuerier); ok && len(regions) > 1 {
-			if grouped == nil {
-				grouped = make([][]int32, len(e.parts))
-			}
-			grouped[pr.part] = append(grouped[pr.part], int32(i))
+	for pi := range e.parts {
+		if !grouped(pi) {
 			continue
 		}
-		tasks = append(tasks, single[i:i+1])
-	}
-	for _, g := range grouped {
-		if len(g) > 0 {
-			tasks = append(tasks, g)
+		lo := len(p.order)
+		for i, pr := range p.pairs {
+			if int(pr.part) == pi {
+				p.order = append(p.order, int32(i))
+				p.regions = append(p.regions, regions[pr.region])
+			}
+		}
+		if len(p.order) > lo {
+			p.cuts = append(p.cuts, int32(len(p.order)))
 		}
 	}
+	p.sole = len(p.order) == 1
+}
 
-	opts := exec.Options{NumWorkers: e.parallelism}
-	if e.met != nil {
-		opts.Metrics = e.met.Exec
-	}
-	workerStats := make([]core.Stats, opts.Workers(len(tasks)))
-	runErr := exec.Run(ctx, len(tasks), opts, func(worker, ti int) error {
-		tk := tasks[ti]
-		part := int(sc.pairs[tk[0]].part)
-		var (
-			st  core.Stats
-			err error
-		)
-		t0 := e.partStart()
-		if len(tk) == 1 {
-			i := tk[0]
-			qspec := pspec
-			if sc.ids != nil {
-				bp := idBufs.Get().(*[]int64)
-				sc.bufs[i], qspec.Dest = bp, (*bp)[:0]
-			}
-			var ids []int64
-			ids, st, err = e.parts[part].Query(ctx, regions[sc.pairs[i].region], qspec)
-			if err == nil && sc.ids != nil {
-				sc.ids[i] = ids
-			}
-		} else {
-			sub := make([]core.Region, len(tk))
-			for j, i := range tk {
-				sub[j] = regions[sc.pairs[i].region]
-			}
-			var res [][]int64
-			res, st, err = e.parts[part].(RegionsQuerier).QueryRegions(ctx, sub, pspec)
-			if err == nil && sc.ids != nil && len(res) != len(sub) {
-				err = fmt.Errorf("batch answered %d results for %d regions", len(res), len(sub))
-			}
-			if err == nil && sc.ids != nil {
-				for j, i := range tk {
-					sc.ids[i] = res[j]
-				}
-			}
-		}
-		e.partDone(t0)
-		workerStats[worker].Add(st)
-		if err != nil {
-			err = e.partErr(ctx, part, err)
-			if len(tk) == 1 {
-				err = fmt.Errorf("region %d: %w", sc.pairs[tk[0]].region, err)
-			}
-		}
-		return err
-	})
-	for _, ws := range workerStats {
-		agg.Add(ws)
+// scatter runs the plan's tasks on the exec pool, which calls a sole task
+// on the calling goroutine, and adds the tasks' statistics to agg.
+func (p *plan) scatter(agg *core.Stats) error {
+	n := len(p.cuts) - 1
+	p.stats = append(p.stats[:0], make([]core.Stats, n)...) // zeroed, not allocated
+	runErr := exec.Run(p.ctx, n, p.e.pool, p.run)
+	for i := range p.stats {
+		agg.Add(p.stats[i])
 	}
 	// Cancellation beats a partition failure: a partition that failed
 	// because the caller gave up reports the caller's error.
-	if err := ctx.Err(); err != nil {
+	if err := p.ctx.Err(); err != nil {
 		return err
 	}
 	if runErr != nil {
@@ -424,119 +407,131 @@ func (e *Engine) scatter(ctx context.Context, regions []core.Region, spec core.Q
 	return nil
 }
 
-// gather reduces a scatter region by region: merge the partitions' ids
-// into ascending order (into dst, when given). out receives each region's
-// ids. agg is finalized with the total result size, which under CountOnly
-// is the partitions' summed ResultSize, already in agg.
-func gather(sc *scattered, spec core.QuerySpec, dst []int64, out [][]int64, agg *core.Stats) {
-	mergeStart := startMerge(spec.Trace)
-	total := agg.ResultSize
-	if !spec.CountOnly {
-		total = 0
+// task runs task ti: one partition call. A single-pair call
+// answers into the caller's Dest when it is the plan's only pair, and into
+// a pooled id buffer otherwise. A batch names the failing region in the
+// error, unless the call answered several.
+func (p *plan) task(_, ti int) error {
+	e, ctx, lo, hi := p.e, p.ctx, p.cuts[ti], p.cuts[ti+1]
+	tk := p.order[lo:hi]
+	part, st, err := int(p.pairs[tk[0]].part), core.Stats{}, error(nil)
+	t0 := e.partStart()
+	if len(tk) == 1 {
+		pr := &p.pairs[tk[0]]
+		spec := p.spec
+		switch {
+		case spec.CountOnly:
+		case p.sole:
+			spec.Dest = p.dest
+		default:
+			pr.buf = idBufs.Get().(*[]int64)
+			spec.Dest = (*pr.buf)[:0]
+		}
+		pr.ids, st, err = e.parts[part].Query(ctx, p.regions[lo], spec)
+	} else {
+		var res [][]int64
+		res, st, err = e.parts[part].(RegionsQuerier).QueryRegions(ctx, p.regions[lo:hi], p.spec)
+		switch {
+		case err != nil || p.spec.CountOnly:
+		case len(res) != len(tk):
+			err = fmt.Errorf("batch answered %d results for %d regions", len(res), len(tk))
+		default:
+			for j, i := range tk {
+				p.pairs[i].ids = res[j]
+			}
+		}
+	}
+	e.partDone(t0)
+	p.stats[ti] = st
+	if err != nil {
+		err = e.partErr(ctx, part, err)
+		if p.batch && len(tk) == 1 {
+			err = fmt.Errorf("region %d: %w", p.pairs[tk[0]].region, err)
+		}
+	}
+	return err
+}
+
+// gather reduces the plan region by region: merge the partitions' ids
+// into ascending order (into the caller's Dest, when given), or sort the
+// sole pair's, already there, in place. out receives each region's ids.
+// agg is finalized with the total result size, which under CountOnly is
+// the partitions' summed ResultSize, already in agg.
+func (p *plan) gather(out [][]int64, agg *core.Stats) {
+	var t0 time.Time // the merge phase's start; read only for a trace
+	if p.spec.Trace != nil {
+		t0 = time.Now()
+	}
+	if !p.spec.CountOnly {
+		agg.ResultSize = 0
 		lo := 0
 		for qi := range out {
 			hi := lo
-			for hi < len(sc.pairs) && int(sc.pairs[hi].region) == qi {
+			for hi < len(p.pairs) && int(p.pairs[hi].region) == qi {
 				hi++
 			}
-			out[qi] = mergeSorted(dst, sc.ids[lo:hi])
-			total += len(out[qi])
+			if p.sole && hi > lo {
+				out[qi] = p.pairs[lo].ids
+				core.SortIDs(out[qi])
+			} else {
+				out[qi] = mergeSorted(p.dest, p.pairs[lo:hi])
+			}
+			agg.ResultSize += len(out[qi])
 			lo = hi
 		}
 	}
-	endMerge(spec.Trace, mergeStart)
-	agg.ResultSize = total
-}
-
-// startMerge and endMerge bracket the gather's merge phase in the trace;
-// without one neither reads the clock.
-func startMerge(tr *obs.QueryTrace) (t0 time.Time) {
-	if tr != nil {
-		t0 = time.Now()
-	}
-	return t0
-}
-
-func endMerge(tr *obs.QueryTrace, t0 time.Time) {
-	if tr != nil {
-		tr.Add(obs.PhaseMerge, time.Since(t0))
+	if p.spec.Trace != nil {
+		p.spec.Trace.Add(obs.PhaseMerge, time.Since(t0))
 	}
 }
 
-// mergeSorted concatenates per-partition global id slices into dst
-// (reusing its capacity; nil for a fresh slice sized to the result) and
-// sorts them ascending, the canonical result order. It always copies: a
-// part may be a pooled buffer that release hands to the next query. An
-// empty result with a reuse buffer is dst[:0], not nil — the Dest contract
-// of core.Engine.
-func mergeSorted(dst []int64, parts [][]int64) []int64 {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total == 0 {
-		if dst == nil {
-			return nil
+// release returns each lent buffer to idBufs, keeping the larger of its
+// own capacity and its answer's, drops every reference and puts the plan
+// back. No slice gather produced aliases a buffer: mergeSorted always
+// copies, and a sole pair was lent none.
+func (p *plan) release() {
+	for i := range p.pairs {
+		if pr := &p.pairs[i]; pr.buf != nil {
+			if cap(pr.ids) > cap(*pr.buf) {
+				*pr.buf = pr.ids[:0]
+			}
+			idBufs.Put(pr.buf)
 		}
-		return dst[:0]
+	}
+	clear(p.regions)
+	clear(p.pairs)
+	p.e, p.ctx, p.spec, p.dest = nil, nil, core.QuerySpec{}, nil
+	plans.Put(p)
+}
+
+// mergeSorted concatenates the pairs' global ids into dst (reusing its
+// capacity; nil for a fresh slice sized to the result) and sorts them
+// ascending, the canonical result order. It always copies: a pair's ids
+// may be a pooled buffer that release hands to the next query. An empty
+// result with a reuse buffer is dst[:0], not nil — the Dest contract of
+// core.Engine.
+func mergeSorted(dst []int64, pairs []pair) []int64 {
+	total := 0
+	for _, pr := range pairs {
+		total += len(pr.ids)
 	}
 	dst = slices.Grow(dst[:0], total)
-	for _, p := range parts {
-		dst = append(dst, p...)
+	for _, pr := range pairs {
+		dst = append(dst, pr.ids...)
 	}
 	core.SortIDs(dst)
 	return dst
 }
 
-// QueryRegionSpec answers one area query: ids in ascending global order,
-// backed by spec.Dest when given. spec.CountOnly skips the merge (the
-// count is Stats.ResultSize).
+// QueryRegionSpec answers one area query — a batch of one region whose
+// error names no region: ids in ascending global order, backed by
+// spec.Dest when given. spec.CountOnly skips the merge (the count is
+// Stats.ResultSize).
 func (e *Engine) QueryRegionSpec(ctx context.Context, region core.Region, spec core.QuerySpec) ([]int64, core.Stats, error) {
-	if err := core.CheckMethod(spec.Method); err != nil {
-		return nil, core.Stats{}, err
-	}
-	var buf [8]int // survivors stay on the stack
-	if alive := e.survivors(buf[:0], region); len(alive) <= 1 {
-		return e.querySole(ctx, region, spec, alive)
-	}
-	var (
-		agg core.Stats
-		sc  scattered
-	)
-	regions := [1]core.Region{region}
-	err := e.scatter(ctx, regions[:], spec, &agg, &sc)
-	defer sc.release()
-	if err != nil {
-		return nil, agg, err
-	}
-	var out [1][]int64
-	gather(&sc, spec, spec.Dest, out[:], &agg)
-	return out[0], agg, nil
-}
-
-// querySole is QueryRegionSpec when at most one partition survives
-// pruning: that partition answers on the calling goroutine, into
-// spec.Dest, and its ids are sorted in place. It observes, wraps and
-// counts exactly what the scatter does.
-func (e *Engine) querySole(ctx context.Context, region core.Region, spec core.QuerySpec, alive []int) ([]int64, core.Stats, error) {
-	e.observeFanOut(spec.Trace, len(alive))
-	ids, st, err := spec.Dest[:0], core.Stats{}, error(nil)
-	if len(alive) == 1 {
-		t0 := e.partStart()
-		ids, st, err = e.parts[alive[0]].Query(ctx, region, e.partSpec(spec))
-		e.partDone(t0)
-		if err != nil {
-			err = fmt.Errorf("shard: %w", e.partErr(ctx, alive[0], err))
-		}
-	}
-	// As in scatter, the caller's error beats the partition's.
-	if err = cmp.Or(ctx.Err(), err); err != nil || spec.CountOnly {
-		return nil, st, err
-	}
-	t0 := startMerge(spec.Trace)
-	core.SortIDs(ids)
-	endMerge(spec.Trace, t0)
-	return ids, st, nil
+	var st core.Stats
+	var out [1][]int64 // nil on error: gather never ran
+	err := e.query(ctx, []core.Region{region}, spec, false, out[:], &st)
+	return out[0], st, err
 }
 
 // QueryRegionsSpec answers a batch: results align with regions, each in
@@ -545,24 +540,16 @@ func (e *Engine) querySole(ctx context.Context, region core.Region, spec core.Qu
 // buffer cannot back a batch of results). Cancellation abandons
 // un-dispatched tasks.
 func (e *Engine) QueryRegionsSpec(ctx context.Context, regions []core.Region, spec core.QuerySpec) ([][]int64, core.Stats, error) {
-	if err := core.CheckMethod(spec.Method); err != nil {
-		return nil, core.Stats{}, err
-	}
-	var (
-		agg core.Stats
-		sc  scattered
-	)
-	err := e.scatter(ctx, regions, spec, &agg, &sc)
-	defer sc.release()
-	if err != nil {
-		return nil, agg, err
-	}
 	var out [][]int64
 	if !spec.CountOnly && len(regions) > 0 {
 		out = make([][]int64, len(regions))
 	}
-	gather(&sc, spec, nil, out, &agg)
-	return out, agg, nil
+	spec.Dest = nil
+	var st core.Stats
+	if err := e.query(ctx, regions, spec, true, out, &st); err != nil {
+		return nil, st, err
+	}
+	return out, st, nil
 }
 
 // EachRegion streams an area query: yield receives each result (global id

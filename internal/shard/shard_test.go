@@ -599,11 +599,11 @@ func (p failOn) Each(ctx context.Context, region core.Region, spec core.QuerySpe
 
 // TestErrorsNameTheirSource pins where the kernel's errors come from, word
 // for word. A failing partition is named, its error still matches with
-// errors.Is, and Dropped counts the call; a batch names the failing region
-// by its index in the batch, even after a region ahead of it was pruned
-// away. An
-// unknown method fails before pruning, so on every region, the pruned one
-// included, and no partition is called.
+// errors.Is, and Dropped counts the call. A single query's error names no
+// region, on one partition or several; a batch names the failing region by
+// its index in the batch, even after a region ahead of it was pruned away.
+// An unknown method fails before pruning, so on every region, the pruned
+// one included, and no partition is called.
 func TestErrorsNameTheirSource(t *testing.T) {
 	pts := workload.UniformPoints(rand.New(rand.NewSource(56)), 1000, geom.NewRect(0, 0, 0.5, 0.5))
 	boom := errors.New("boom")
@@ -625,15 +625,11 @@ func TestErrorsNameTheirSource(t *testing.T) {
 		// scatter's lowest-indexed task, whose error the pool returns as
 		// the task wrote it.
 		first := slices.IndexFunc(parts, func(p Partition) bool { return p.Bounds().Intersects(bad.Bounds()) })
-		region0 := "" // a sole partition answers a single region without a scatter
-		if shards > 1 {
-			region0 = "region 0: "
-		}
 		for name, c := range map[string]struct {
 			err  error
 			want string
 		}{
-			"Query":        {qerr, fmt.Sprintf("shard: %sshard %d: boom", region0, first)},
+			"Query":        {qerr, fmt.Sprintf("shard: shard %d: boom", first)},
 			"QueryRegions": {berr, fmt.Sprintf("shard: region 1: shard %d: boom", first)},
 			"Each":         {eerr, fmt.Sprintf("shard: shard %d: boom", first)},
 		} {

@@ -6,9 +6,8 @@ import "repro/internal/geom"
 // contiguous structure-of-arrays vertex store: flat xs/ys coordinate
 // slices, int32 ring offsets, and per-cell bounding boxes packed four
 // floats apiece. It is built once at diagram construction and then read
-// by the strict-expansion BFS with zero per-visit allocation — Ring
-// returns a view over the packed slices and InBox tests a bounding box
-// without materializing a Rect.
+// with zero per-visit allocation — Ring returns a view over the packed
+// slices.
 //
 // Rings are stored exactly as Diagram.Cell computes them (the builders
 // share Cell's clipping code path), so arena reads and per-call cell
@@ -19,7 +18,7 @@ import "repro/internal/geom"
 // readers.
 type CellArena struct {
 	xs, ys []float64
-	offs   []int32   // len NumCells+1; ring i is [offs[i], offs[i+1])
+	offs   []int32   // one per cell, plus one; ring i is [offs[i], offs[i+1])
 	boxes  []float64 // 4 per cell: minX, minY, maxX, maxY
 }
 
@@ -27,18 +26,18 @@ type CellArena struct {
 // rings (and their order) are identical to calling d.Cell(i) for each
 // site.
 func BuildCellArena(d *Diagram) *CellArena {
-	return CellArenaFromSites(d.NumSites(), d.bounds,
+	return cellArenaFromSites(d.NumSites(), d.bounds,
 		func(id int64) geom.Point { return d.tri.Point(int(id)) },
 		func(id int64) []int32 { return d.tri.Neighbors(int(id)) })
 }
 
-// CellArenaFromSites is the one arena builder: n sites, each cell clipped to
+// cellArenaFromSites is the one arena builder: n sites, each cell clipped to
 // clip by the bisector half-planes toward the site's Voronoi neighbors.
 // site reports a site's coordinates; neighbors reports its neighbor ids in
 // the order CellFromNeighbors would receive their coordinates, so packed
-// rings match the per-call construction exactly. The engines' data layer
-// passes its Position method and a slice of its CSR adjacency.
-func CellArenaFromSites(
+// rings match the per-call construction exactly. BuildCellArena reads
+// them from the diagram's triangulation.
+func cellArenaFromSites(
 	n int,
 	clip geom.Rect,
 	site func(id int64) geom.Point,
@@ -105,11 +104,6 @@ func (a *CellArena) pushRing(ring []geom.Point) {
 	a.boxes = append(a.boxes, minX, minY, maxX, maxY)
 }
 
-// NumCells returns the number of packed cells.
-//
-//vaq:noalloc
-func (a *CellArena) NumCells() int { return len(a.offs) - 1 }
-
 // Bytes returns the arena's retained memory in bytes (coordinate slices,
 // offsets and packed boxes) — the flat layout's whole cost.
 func (a *CellArena) Bytes() int {
@@ -123,25 +117,4 @@ func (a *CellArena) Bytes() int {
 func (a *CellArena) Ring(i int) geom.RingView {
 	lo, hi := a.offs[i], a.offs[i+1]
 	return geom.RingView{XS: a.xs[lo:hi], YS: a.ys[lo:hi]}
-}
-
-// CellBox returns the bounding rectangle of cell i (EmptyRect for a
-// degenerate cell), equal to Cell(i).Bounds().
-//
-//vaq:noalloc
-func (a *CellArena) CellBox(i int) geom.Rect {
-	j := 4 * i
-	return geom.Rect{MinX: a.boxes[j], MinY: a.boxes[j+1], MaxX: a.boxes[j+2], MaxY: a.boxes[j+3]}
-}
-
-// InBox reports whether cell i's bounding box intersects r — the BFS's
-// first, dense-memory reject. Identical to CellBox(i).Intersects(r): the
-// plain comparisons reject empty boxes (and empty r) by themselves, since
-// an empty box's MinX exceeds every MaxX.
-//
-//vaq:noalloc
-func (a *CellArena) InBox(i int, r geom.Rect) bool {
-	j := 4 * i
-	return a.boxes[j] <= r.MaxX && r.MinX <= a.boxes[j+2] &&
-		a.boxes[j+1] <= r.MaxY && r.MinY <= a.boxes[j+3]
 }

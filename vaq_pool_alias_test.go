@@ -11,13 +11,14 @@ import (
 )
 
 // TestResultsSurvivePooledBuffers pins that no answer shares memory with a
-// pooled buffer: a multi-shard scatter answers each (region, shard) pair
-// into a buffer the kernel takes back after the merge, and a server answers
+// pooled buffer: a scatter answers each (region, shard) pair into a buffer
+// the kernel takes back after the merge, and a server answers
 // /v1/query into an id slice it takes back after the response. Results of
 // QueryAll and Query on an 8-shard engine and on a 2-backend RemoteEngine
 // are copied, other regions then run through the same pools on three
 // goroutines at once, and every result must equal its copy and a single
-// engine's answer. Run it under -race too.
+// engine's answer; so must each goroutine's sole-survivor answers, held
+// in its own Reuse buffers while it queries on. Run it under -race too.
 func TestResultsSurvivePooledBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	pts := vaq.UniformPoints(rng, 4000, vaq.UnitSquare())
@@ -46,19 +47,27 @@ func TestResultsSurvivePooledBuffers(t *testing.T) {
 	}
 	// A batch region that meets one shard is merged from one pooled
 	// buffer: the case a merge that handed its only part through got wrong.
+	var sole []vaq.Region
 	for si := range sharded.NumShards() {
 		if r := vaq.CircleRegion(vaq.NewCircle(sharded.ShardBounds(si).Center(), 0.02)); survivors(r) == 1 {
-			regions = slices.Insert(regions, 0, r)
+			sole = append(sole, r)
 		}
 	}
+	regions = append(sole, regions...)
 	first, later := regions[:len(regions)-16], regions[len(regions)-16:]
-	if spread := slices.IndexFunc(first, func(r vaq.Region) bool { return survivors(r) > 1 }); survivors(first[0]) != 1 || spread < 0 {
+	if spread := slices.IndexFunc(first, func(r vaq.Region) bool { return survivors(r) > 1 }); len(sole) == 0 || spread < 0 {
 		t.Fatalf("no region meets one shard, or none several; the test exercises nothing")
 	}
 	ctx := context.Background()
 	wantLater := make([][]int64, len(later))
 	for i, r := range later {
 		if wantLater[i], err = f.local.Query(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantSole := make([][]int64, len(sole))
+	for i, r := range sole {
+		if wantSole[i], err = f.local.Query(ctx, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,12 +101,31 @@ func TestResultsSurvivePooledBuffers(t *testing.T) {
 			}
 			// The later queries run on three goroutines at once, so the
 			// pools also hand buffers across concurrent queries; each
-			// answer is checked as it arrives.
+			// answer is checked as it arrives. Each goroutine first asks
+			// every sole-survivor region into a Reuse buffer of its own —
+			// on the sharded engine a one-task scatter run on the calling
+			// goroutine — and checks those answers after all its queries.
 			var wg sync.WaitGroup
 			for range 3 {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
+					reused := make([][]int64, len(sole))
+					for i, r := range sole {
+						ids, err := q.Query(ctx, r, vaq.Reuse(make([]int64, 0, 64)))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						reused[i] = ids
+					}
+					defer func() {
+						for i, ids := range reused {
+							if !slices.Equal(ids, wantSole[i]) {
+								t.Errorf("sole-survivor region %d: the Reuse answer changed or differs from the single engine's %d ids", i, len(wantSole[i]))
+							}
+						}
+					}()
 					batch, err := q.QueryAll(ctx, later)
 					if err != nil {
 						t.Error(err)
