@@ -88,6 +88,12 @@ func main() {
 		methods = append(methods, vaq.VoronoiBFSStrict)
 	}
 	region := vaq.PolygonRegion(area)
+	// The first Traditional query on an engine packs its R-tree (see
+	// vaq.Traditional); pay that here, so that time= and -timeout measure
+	// the query alone.
+	if _, err := vaq.Count(context.Background(), eng, region, vaq.UsingMethod(vaq.Traditional)); err != nil {
+		fatalf("%v: %v", vaq.Traditional, err)
+	}
 	for _, m := range methods {
 		ctx := context.Background()
 		cancel := context.CancelFunc(func() {})

@@ -17,9 +17,9 @@
 // reproduced.
 //
 // There is one index and one query path. RTreeIndex — the R-tree the paper
-// gives both methods, STR bulk-loaded over a static engine's points when it
-// is built and over a dynamic epoch's on its first traditional query —
-// answers the traditional method's window. The Voronoi method does not ask
+// gives both methods, STR bulk-loaded over an engine's points (a static
+// layer's or a dynamic epoch's) on its first traditional query — answers
+// the traditional method's window. The Voronoi method does not ask
 // it for its seed: lines 3–4 of Algorithm 1, NN(P, a position in A), are a
 // greedy walk on the Delaunay graph the method holds anyway (seedWalk),
 // started at the site a coarse grid in the data layer names for that
@@ -125,13 +125,13 @@ type Stats struct {
 	RecordsLoaded int
 }
 
-// Engine answers area queries over one dataset. After construction it
-// holds only immutable references to the index and data (a dynamic epoch's
-// index is packed once, on first use, under a sync.Once); all per-query
-// mutable state lives in pooled queryScratch values, so QueryRegionSpec
-// and EachRegion are safe for concurrent use from multiple goroutines (the
-// index and the data layer's resident part are lock-free reads; a store
-// serializes buffer-pool mutations behind its lock shards).
+// Engine answers area queries over one dataset. After construction it holds
+// only immutable references to the index and data (its index is packed once,
+// on first use, under a sync.Once: LazyRTreeIndex); all per-query mutable
+// state lives in pooled queryScratch values, so QueryRegionSpec and
+// EachRegion are safe for concurrent use from multiple goroutines (the index
+// and the data layer's resident part are lock-free reads; a store serializes
+// buffer-pool mutations behind its lock shards).
 type Engine struct {
 	idx  *RTreeIndex
 	data *MemoryData
@@ -154,6 +154,11 @@ func newEngine(idx *RTreeIndex, data *MemoryData, scratch *sync.Pool) *Engine {
 
 // Data returns the engine's data layer.
 func (e *Engine) Data() *MemoryData { return e.data }
+
+// IndexPacked reports whether the engine's R-tree has been packed, which its
+// first Traditional query does (LazyRTreeIndex). It reads without
+// synchronization: call it only while no query can be packing the tree.
+func (e *Engine) IndexPacked() bool { return e.idx.tree != nil }
 
 // Add accumulates other's counters into s. It is the merge operation batch
 // executors use to fold per-query or per-worker statistics into an

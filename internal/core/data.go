@@ -131,7 +131,7 @@ func (m *MemoryData) PositionOK(id int64) (geom.Point, bool) {
 
 // Positions returns the resident positions of ids [0, last), the user
 // sites' and, on a dynamic epoch, the fence sites' below them: the layer's
-// own slice, shared, for an index to read in place (NewRTreeIndex). The
+// own slice, shared, for an index to read in place (LazyRTreeIndex). The
 // caller must not modify it.
 func (m *MemoryData) Positions() []geom.Point { return m.pts[:m.last:m.last] }
 

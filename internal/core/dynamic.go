@@ -10,7 +10,6 @@ import (
 	"repro/internal/delaunay"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/rtree"
 )
 
 // DynamicEngine answers area queries over a growing dataset: points are
@@ -40,8 +39,8 @@ import (
 // epoch starts with the visited table the last one warmed.
 //
 // What only the traditional method reads, an epoch builds on first use,
-// once: its R-tree, STR-packed over the epoch's points like a static
-// engine's (RTreeIndex) — ≈ 35 ms at 60k sites on the same host. An epoch
+// once: its R-tree, STR-packed over the epoch's points as every engine's is
+// (LazyRTreeIndex) — ≈ 35 ms at 60k sites on the same host. An epoch
 // that runs no Traditional query builds none, and the writer keeps no index
 // at all. No method builds anything else: the strict rule clips a custom
 // region's cells one at a time as it tests them.
@@ -219,7 +218,7 @@ func (d *DynamicEngine) Snapshot() *Engine {
 		clip:  u.Expand(u.Width() + u.Height() + 1),
 		hint:  d.hint.frozen(),
 	}
-	s := newEngine(&RTreeIndex{pts: data.pts, first: data.first, fanout: rtree.DefaultMaxEntries}, data, d.scratch)
+	s := newEngine(LazyRTreeIndex(data), data, d.scratch)
 	d.snap.Store(s)
 	d.lastPublish.Store(time.Now().UnixNano())
 	if d.publishHist != nil {

@@ -520,58 +520,83 @@ func TestDynamicConformanceAcrossMethods(t *testing.T) {
 }
 
 // TestLazyIndexBuiltOnceUnderConcurrentFirstUse races Traditional queries
-// from several goroutines on one fresh dynamic epoch: every one must return
-// the brute-force ids and see the one tree the epoch packed, over the
-// epoch's own position slice. The Voronoi,
-// strict and brute-force queries run before them must leave it unpacked, and
-// so must the publish of the next epoch. CI repeats it under the race
-// detector.
+// from several goroutines on a fresh engine — over a NewMemoryData layer,
+// over a NewStoreData layer and on a dynamic epoch, each indexed by
+// LazyRTreeIndex: every one must return the brute-force ids and see the one
+// tree the engine packed, over the layer's own position slice. The Voronoi,
+// strict and brute-force queries run before them must leave it unpacked,
+// and on the dynamic engine so must the publish of the next epoch. CI
+// repeats it under the race detector.
 func TestLazyIndexBuiltOnceUnderConcurrentFirstUse(t *testing.T) {
 	pts := workload.UniformPoints(rand.New(rand.NewSource(71)), 3000, unitBounds())
-	d := NewDynamicEngine(unitBounds())
-	for _, p := range pts {
-		if _, _, err := d.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng := d.Snapshot()
-	region := CircleRegion(geom.NewCircle(geom.Pt(0.6, 0.4), 0.15))
-	want, _, err := query(eng, BruteForce, region)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []Method{VoronoiBFS, VoronoiBFSStrict} {
-		if got, _, err := query(eng, m, region); err != nil || !slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(want))) {
-			t.Fatalf("%v: %d ids (err %v), oracle %d", m, len(got), err, len(want))
-		}
-	}
-	if eng.idx.tree != nil {
-		t.Fatal("a run without a Traditional query packed the epoch's R-tree")
-	}
-
-	const goroutines = 8
-	trees := make([]*rtree.Tree, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, st, err := query(eng, Traditional, region)
-			if err != nil || !slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(want))) || st.IndexNodesVisited == 0 {
-				t.Errorf("goroutine %d: Traditional returned %d ids over %d nodes (err %v), oracle %d",
-					g, len(got), st.IndexNodesVisited, err, len(want))
+	static := func(build func() (*MemoryData, error)) func(t *testing.T) *Engine {
+		return func(t *testing.T) *Engine {
+			data, err := build()
+			if err != nil {
+				t.Fatal(err)
 			}
-			trees[g] = eng.idx.get()
-		}()
-	}
-	wg.Wait()
-	for g, tr := range trees {
-		if tr != trees[0] {
-			t.Fatalf("goroutine %d saw tree %p, goroutine 0 saw %p: packed more than once", g, tr, trees[0])
+			return NewEngine(LazyRTreeIndex(data), data)
 		}
 	}
-	if len(eng.idx.pts) != len(eng.data.pts) || &eng.idx.pts[0] != &eng.data.pts[0] {
-		t.Error("the packed index does not share the epoch's position slice")
+	d := NewDynamicEngine(unitBounds())
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T) *Engine
+	}{
+		{"memory", static(func() (*MemoryData, error) { return NewMemoryData(pts, unitBounds()) })},
+		{"store", static(func() (*MemoryData, error) {
+			return NewStoreData(pts, unitBounds(), StoreConfig{PageSize: 4096, PoolPages: 64, PayloadBytes: 64})
+		})},
+		{"dynamic", func(t *testing.T) *Engine {
+			for _, p := range pts {
+				if _, _, err := d.Insert(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return d.Snapshot()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := tc.build(t)
+			region := CircleRegion(geom.NewCircle(geom.Pt(0.6, 0.4), 0.15))
+			want, _, err := query(eng, BruteForce, region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range []Method{VoronoiBFS, VoronoiBFSStrict} {
+				if got, _, err := query(eng, m, region); err != nil || !slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(want))) {
+					t.Fatalf("%v: %d ids (err %v), oracle %d", m, len(got), err, len(want))
+				}
+			}
+			if eng.idx.tree != nil {
+				t.Fatal("a run without a Traditional query packed the engine's R-tree")
+			}
+
+			const goroutines = 8
+			trees := make([]*rtree.Tree, goroutines)
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got, st, err := query(eng, Traditional, region)
+					if err != nil || !slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(want))) || st.IndexNodesVisited == 0 {
+						t.Errorf("goroutine %d: Traditional returned %d ids over %d nodes (err %v), oracle %d",
+							g, len(got), st.IndexNodesVisited, err, len(want))
+					}
+					trees[g] = eng.idx.get()
+				}()
+			}
+			wg.Wait()
+			for g, tr := range trees {
+				if tr == nil || tr != trees[0] {
+					t.Fatalf("goroutine %d saw tree %p, goroutine 0 saw %p: packed more than once", g, tr, trees[0])
+				}
+			}
+			if pos := eng.data.Positions(); len(eng.idx.pts) != len(pos) || &eng.idx.pts[0] != &pos[0] {
+				t.Error("the packed index does not share the layer's position slice")
+			}
+		})
 	}
 
 	if _, _, err := d.Insert(geom.Pt(0.6, 0.4)); err != nil {

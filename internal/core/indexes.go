@@ -13,13 +13,13 @@ import (
 // Delaunay graph, see seedWalk.)
 //
 // There is one way to build it, packing pts[first:] with each id its
-// position. NewRTreeIndex does so at once; a dynamic epoch's index does so on
-// the first read — a Traditional query, Bounds or Nearest — exactly once
-// however many goroutines race to it, so an epoch that runs no Traditional
-// query never packs a tree. The tree's leaves are int32 ids that read pts in
-// place: an engine indexes its data layer's own positions (MemoryData's
-// Positions, or a dynamic epoch's pinned slice), so each site's position is
-// stored once.
+// position, and an engine's index does so on its first Traditional query,
+// exactly once however many goroutines race to it (LazyRTreeIndex). Only
+// Traditional reads the tree, so an engine — static, store-backed, a shard
+// or a dynamic epoch — that runs no Traditional query never packs one. The
+// tree's leaves are int32 ids that read pts in place: an engine indexes its
+// data layer's own positions (MemoryData.Positions), so each site's position
+// is stored once.
 type RTreeIndex struct {
 	once sync.Once
 	tree *rtree.Tree
@@ -30,8 +30,19 @@ type RTreeIndex struct {
 	fanout int
 }
 
+// LazyRTreeIndex returns the index of an engine over data: an R-tree over the
+// layer's user sites, read in place, packed (rtree.DefaultMaxEntries to a
+// node) by the first Window or Nearest call, not here.
+func LazyRTreeIndex(data *MemoryData) *RTreeIndex {
+	return &RTreeIndex{pts: data.Positions(), first: data.first, fanout: rtree.DefaultMaxEntries}
+}
+
 // NewRTreeIndex bulk-loads an STR-packed R-tree over pts with ids equal to
-// slice indices. The index keeps pts and reads it on every query.
+// slice indices. The index keeps pts and reads it on every query. It packs
+// at once, so that what times the pack (the benchmark's rtree.bulk_build_s)
+// or a Traditional query against a ready tree (areabench's Table I) measures
+// each alone; an engine's index waits for its first Traditional query
+// instead (LazyRTreeIndex).
 func NewRTreeIndex(pts []geom.Point, maxEntries int) *RTreeIndex {
 	x := &RTreeIndex{pts: pts, fanout: maxEntries}
 	x.get()

@@ -42,14 +42,18 @@ func Prepare(pg Polygon) *PreparedPolygon {
 	if pp.err == nil {
 		pp.interior = pg.InteriorPoint()
 	}
-	add := func(r Ring) bool {
+	n := len(pg.Outer)
+	for _, h := range pg.Holes {
+		n += len(h)
+	}
+	pp.edges = make([]preparedEdge, 0, n)
+	pg.rings(func(r Ring) bool {
 		for i := range r {
 			a, b := r[i], r[(i+1)%len(r)]
 			pp.edges = append(pp.edges, preparedEdge{a: a, b: b, bb: NewRect(a.X, a.Y, b.X, b.Y)})
 		}
 		return true
-	}
-	pg.rings(add)
+	})
 	return pp
 }
 

@@ -334,15 +334,30 @@ func TestGridBuildAllocs(t *testing.T) {
 	t.Logf("%d boundary cells, %d list entries, %d bytes of lists", g.lists[0]-1, len(g.lists), 2*len(g.lists))
 }
 
-// TestPrepareAllocs pins what every region pays up front: the grid is not
-// in it (it is built lazily, see gridAfter), so a one-shot caller and the
-// request decoder allocate what they did before there was one.
+// TestPrepareAllocs pins what every region pays up front: the prepared
+// form and one edge array sized from every ring, on a 10-vertex star and on
+// one with a hole. The grid is not in it (it is built lazily, see
+// gridAfter), so a one-shot caller and the request decoder pay only these.
 func TestPrepareAllocs(t *testing.T) {
-	pg := randomStarPolygon(rand.New(rand.NewSource(3)), 10)
-	var pp *PreparedPolygon
-	allocs := testing.AllocsPerRun(20, func() { pp = Prepare(pg) })
-	if allocs > 6 || pp.grid.Load() != nil {
-		t.Fatalf("Prepare(10 vertices): %.0f allocs (want <= 6), grid built = %v (want false)", allocs, pp.grid.Load() != nil)
+	star := randomStarPolygon(rand.New(rand.NewSource(3)), 10)
+	holed := star.Clone()
+	if err := holed.AddHole([]Point{Pt(0.48, 0.48), Pt(0.52, 0.48), Pt(0.52, 0.52), Pt(0.48, 0.52)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		pg   Polygon
+	}{{"star", star}, {"holed", holed}} {
+		var pp *PreparedPolygon
+		allocs := testing.AllocsPerRun(20, func() { pp = Prepare(tc.pg) })
+		edges := len(tc.pg.Outer)
+		for _, h := range tc.pg.Holes {
+			edges += len(h)
+		}
+		if allocs > 2 || pp.Err() != nil || len(pp.edges) != edges || pp.grid.Load() != nil {
+			t.Fatalf("Prepare(%s, %d edges): %.0f allocs (want <= 2), err %v, %d edges packed, grid built = %v (want false)",
+				tc.name, edges, allocs, pp.Err(), len(pp.edges), pp.grid.Load() != nil)
+		}
 	}
 }
 

@@ -155,12 +155,11 @@ func badRequest(err error) *wire.Error {
 	return &wire.Error{Code: wire.CodeBadRequest, Message: err.Error()}
 }
 
-// queryOpts translates wire options into the vaq option set, always
-// routing statistics into st (the response carries them back). A request
-// that names no method runs vaq's default.
-func queryOpts(opts wire.Options, st *vaq.Stats) ([]vaq.QueryOpt, error) {
-	// Room for the method, CountOnly and the Reuse /v1/query appends.
-	out := append(make([]vaq.QueryOpt, 0, 4), vaq.WithStatsInto(st))
+// queryOpts translates wire options into the vaq option set, appended to
+// dst[:0], always routing statistics into st (the response carries them
+// back). A request that names no method runs vaq's default.
+func queryOpts(dst []vaq.QueryOpt, opts wire.Options, st *vaq.Stats) ([]vaq.QueryOpt, error) {
+	out := append(dst[:0], vaq.WithStatsInto(st))
 	if opts.Method != "" {
 		m, err := wire.ParseMethod(opts.Method)
 		if err != nil {
@@ -180,8 +179,11 @@ type areaCall struct {
 	ctx     context.Context
 	regions []vaq.Region   // one on the single-region routes
 	opts    []vaq.QueryOpt // the wire options, with statistics routed into st
-	st      vaq.Stats
-	buf     *[]byte // from wire.GetBuffer: the request body, then the response
+	// optBuf backs opts: room for the statistics, the method, CountOnly and
+	// the Reuse /v1/query appends.
+	optBuf [4]vaq.QueryOpt
+	st     vaq.Stats
+	buf    *[]byte // from wire.GetBuffer: the request body, then the response
 }
 
 // area is the preamble of the three area-query routes, written once: decode
@@ -284,7 +286,7 @@ func (h *handler) decodeCall(w http.ResponseWriter, r *http.Request, single bool
 			return nil, err
 		}
 	}
-	if c.opts, err = queryOpts(wopts, &c.st); err != nil {
+	if c.opts, err = queryOpts(c.optBuf[:0], wopts, &c.st); err != nil {
 		return nil, err
 	}
 	return c, nil

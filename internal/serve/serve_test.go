@@ -934,3 +934,51 @@ func TestBodySizeCap(t *testing.T) {
 		t.Errorf("oversized body: status %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestServedQueryAllocs pins what one /v1/query of a 10-vertex polygon that
+// names its method allocates, at 34: the request and the recorder (11 of
+// them), then the handler's reading and decoding the body (a defined
+// method's name is not copied out of it), preparing the polygon (two: the
+// prepared form and one edge array), the option set (held in the call, and
+// a defined method's option is built once, not per request), the query
+// and the response.
+func TestServedQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates inside sync.Pool")
+	}
+	eng := testEngine(t, 2000)
+	h := NewHandler(eng, Config{})
+	region := vaq.PolygonRegion(vaq.RandomQueryPolygon(rand.New(rand.NewSource(9)), 10, 0.01, vaq.UnitSquare()))
+	wr, err := wire.EncodeRegion(region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wr.Outer) != 10 {
+		t.Fatalf("region has %d vertices, want 10", len(wr.Outer))
+	}
+	body, err := json.Marshal(wire.QueryRequest{Region: wr, Options: wire.Options{Method: wire.MethodString(vaq.VoronoiBFS)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.Query(context.Background(), region)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("local query: %d ids, err %v", len(want), err)
+	}
+	var rec *httptest.ResponseRecorder
+	serve := func() {
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+	}
+	serve()
+	allocs := testing.AllocsPerRun(50, serve)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	if got, err := wire.DecodeQueryResponse(rec.Body.Bytes(), nil); err != nil || got.Count != len(want) {
+		t.Fatalf("served count %d (err %v), local %d", got.Count, err, len(want))
+	}
+	t.Logf("%.0f allocs per served query", allocs)
+	if allocs > 34 {
+		t.Fatalf("/v1/query of a 10-vertex polygon: %.0f allocs, want <= 34", allocs)
+	}
+}

@@ -34,7 +34,7 @@ func clamp01(v float64) float64 {
 
 // checkArenaParity verifies that the packed arena agrees with per-call
 // Diagram.Cell on every site: identical rings (exact float equality — the
-// builders share the clipping code path) and identical bounding boxes.
+// builders share the clipping code path).
 func checkArenaParity(t *testing.T, pts []geom.Point, bounds geom.Rect) {
 	t.Helper()
 	d := newDiagram(t, pts, bounds)
@@ -55,19 +55,11 @@ func checkArenaParity(t *testing.T, pts []geom.Point, bounds geom.Rect) {
 				t.Fatalf("site %d vertex %d: arena %v != Cell %v", i, j, view.At(j), cell[j])
 			}
 		}
-		b := a.boxes[4*i : 4*i+4]
-		box := geom.Rect{MinX: b[0], MinY: b[1], MaxX: b[2], MaxY: b[3]}
-		if len(cell) == 0 && box.MinX <= box.MaxX {
-			t.Fatalf("site %d: degenerate cell packed non-empty box %v", i, box)
-		}
-		if want := cell.Bounds(); len(cell) > 0 && box != want {
-			t.Fatalf("site %d: packed box %v, want %v", i, box, want)
-		}
 		verts += view.Len()
 	}
-	// Nothing is retained beyond the rings: two float64 per vertex, a
-	// four-float64 box and an int32 offset per cell, one closing offset.
-	if got, want := a.Bytes(), 16*verts+36*cells+4; got != want {
+	// Nothing is retained beyond the rings: two float64 per vertex and an
+	// int32 offset per cell, one closing offset.
+	if got, want := a.Bytes(), 16*verts+4*cells+4; got != want {
 		t.Fatalf("Bytes = %d, want %d for %d vertices in %d cells", got, want, verts, cells)
 	}
 }

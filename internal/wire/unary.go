@@ -379,25 +379,28 @@ func (c *canonical) float() float64 {
 }
 
 // str reads a string of printable ASCII without escapes.
-func (c *canonical) str() string {
+func (c *canonical) str() string { return string(c.strBytes()) }
+
+// strBytes is str's bytes, read in place.
+func (c *canonical) strBytes() []byte {
 	if c.next() != '"' {
 		c.ok = false
-		return ""
+		return nil
 	}
 	start := c.i + 1
 	end := start
 	for ; end < len(c.data) && c.data[end] != '"'; end++ {
 		if b := c.data[end]; b < 0x20 || b >= 0x80 || b == '\\' {
 			c.ok = false
-			return ""
+			return nil
 		}
 	}
 	if end == len(c.data) {
 		c.ok = false
-		return ""
+		return nil
 	}
 	c.i = end + 1
-	return string(c.data[start:end])
+	return c.data[start:end]
 }
 
 // closing returns the index of the first b at or after the cursor, or -1.
@@ -491,7 +494,7 @@ func (c *canonical) options() Options {
 	members := 0
 	c.need("{")
 	if c.member(&members, `"method":`) {
-		o.Method = c.str()
+		o.Method = methodName(c.strBytes())
 	}
 	if c.member(&members, `"count_only":true`) {
 		o.CountOnly = true

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // unaryExamples are messages of both kinds as the two ends exchange them:
@@ -117,6 +119,39 @@ func TestQueryResponseAppendAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() { buf = resp.AppendJSON(buf[:0]) })
 	if allocs != 0 {
 		t.Errorf("appending a 1000-id QueryResponse into a reused buffer allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestMethodNameAllocs: a decoded request that names a defined method costs
+// what one that names none does — it gets the method's name without a copy
+// of the body's bytes — and one that names anything else gets its own copy,
+// which the pooled body can be reused under.
+func TestMethodNameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	const region = `{"region":{"kind":"circle","center":[0.5,0.5],"r":0.1},"options":{`
+	decodeAllocs := func(body []byte) (QueryRequest, float64) {
+		var req QueryRequest
+		var err error
+		allocs := testing.AllocsPerRun(20, func() { req, err = DecodeQueryRequest(body) })
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		return req, allocs
+	}
+	_, unnamed := decodeAllocs([]byte(region + `}}`))
+	for m := core.Traditional; m <= core.BruteForce; m++ {
+		req, allocs := decodeAllocs([]byte(region + `"method":"` + m.String() + `"}}`))
+		if req.Options.Method != m.String() || allocs != unnamed {
+			t.Errorf("%v: method %q in %.0f allocs, want the name in %.0f, as with no method", m, req.Options.Method, allocs, unnamed)
+		}
+	}
+	body := []byte(region + `"method":"voronoi-lax"}}`)
+	req, err := DecodeQueryRequest(body)
+	clear(body)
+	if err != nil || req.Options.Method != "voronoi-lax" {
+		t.Errorf("an unknown method decoded to %q (err %v), want its own copy of voronoi-lax", req.Options.Method, err)
 	}
 }
 

@@ -315,6 +315,17 @@ func ParseMethod(s string) (core.Method, error) {
 	return 0, fmt.Errorf("wire: unknown method %q", s)
 }
 
+// methodName returns b as a string, without allocating when it names a
+// defined method, as a request that names one does.
+func methodName(b []byte) string {
+	for m := core.Traditional; m <= core.BruteForce; m++ {
+		if s := m.String(); string(b) == s {
+			return s
+		}
+	}
+	return string(b)
+}
+
 // Stats is core.Stats on the wire: the query's deterministic work
 // counters, so identical requests get identical bytes.
 type Stats struct {

@@ -86,6 +86,23 @@ func resolve(opts []QueryOpt) queryPlan {
 // rules" states both conditions exactly). Where they agree the methods
 // differ in the work performed (see Stats).
 func UsingMethod(m Method) QueryOpt {
+	if core.CheckMethod(m) == nil {
+		return methodOpts[m]
+	}
+	return usingMethod(m) // an unknown method fails at query time
+}
+
+// methodOpts is UsingMethod's option for each defined method, built once so
+// that naming a method per query (as the serving tier does) allocates
+// nothing.
+var methodOpts = [...]QueryOpt{
+	Traditional:      usingMethod(Traditional),
+	VoronoiBFS:       usingMethod(VoronoiBFS),
+	VoronoiBFSStrict: usingMethod(VoronoiBFSStrict),
+	BruteForce:       usingMethod(BruteForce),
+}
+
+func usingMethod(m Method) QueryOpt {
 	return func(p *queryPlan) { p.Method = m }
 }
 

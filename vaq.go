@@ -108,9 +108,10 @@
 // is: the position in one []Point (16 bytes, the one copy — the Point
 // accessor and the R-tree's leaves read it in place); the Voronoi adjacency
 // as CSR arrays, one int32 offset plus one int32 per neighbor (about 28
-// bytes — a site averages six neighbors); and the site's R-tree leaf entry,
-// an int32 id (4 bytes, plus about 8 for the nodes above it at fan-out 16:
-// leaf headers, and one child rectangle per leaf in the internal nodes).
+// bytes — a site averages six neighbors); and, once a Traditional query has
+// packed the R-tree, the site's leaf entry, an int32 id (4 bytes, plus about
+// 8 for the nodes above it at fan-out 16: leaf headers, and one child
+// rectangle per leaf in the internal nodes).
 // The Delaunay triangulation the adjacency is derived from — quad-edge
 // pool, its own point copy, vertex table, the curve order it was inserted
 // in — is construction scaffolding and is released when NewEngine returns.
@@ -121,16 +122,16 @@
 // returns a fence site, and a store holds no record of one. With
 // more than one shard, each shard also keeps its local-to-global id map,
 // ascending, which Point binary-searches: per site, then, 16 bytes of
-// position, about 28 of CSR, 8 of id map and about 12 of index. One shard
-// keeps no id map — its ids are the global ones.
+// position, about 28 of CSR, 8 of id map and, once packed, about 12 of
+// index. One shard keeps no id map — its ids are the global ones.
 //
 // No engine keeps a clipped Voronoi cell. The strict expansion rule on a
 // custom region clips the cell of each neighbour it tests, from the
 // positions and the adjacency above, into two buffers the query reuses;
-// nothing is built ahead of a query, on any flavor or dynamic epoch. A
-// dynamic epoch's R-tree is the one thing built on first use: the first
-// Traditional query packs it over the epoch's pinned positions, and an
-// epoch that runs none holds no R-tree at all.
+// nothing is built ahead of a query, on any flavor or dynamic epoch. The
+// R-tree is the one thing built on first use: an engine's (each shard's,
+// each dynamic epoch's) first Traditional query packs it over the layer's
+// positions, and an engine that runs none holds no R-tree at all.
 //
 // The BFS expansion tests, the boundary walk and the cell clipping read
 // that dense memory in place; no query hot path allocates.
@@ -157,7 +158,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/rtree"
 	"repro/internal/shard"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -206,7 +206,13 @@ func Polygons(areas []Polygon) []Region { return core.Polygons(areas) }
 
 // The available query methods.
 const (
-	// Traditional is MBR window filter + point-in-polygon refinement.
+	// Traditional is MBR window filter + point-in-polygon refinement. It is
+	// the only method that reads an R-tree, and an engine packs its tree
+	// on its first Traditional query, not at construction: that query (on
+	// each shard it reaches, or each dynamic epoch) pays the STR pack,
+	// ≈ 0.1 s at 200k points on a 2-core Xeon. Traditional queries racing
+	// it wait for that one pack (a sync.Once), and none of them can be
+	// cancelled midway through it. Every later one reads the packed tree.
 	Traditional = core.Traditional
 	// VoronoiBFS is the paper's Algorithm 1 (the default).
 	VoronoiBFS = core.VoronoiBFS
@@ -407,8 +413,9 @@ func (c config) buildData(points []Point, bounds Rect) (*core.MemoryData, error)
 	return core.NewMemoryData(points, bounds)
 }
 
-// NewEngine builds the Voronoi topology, the spatial index and (optionally)
-// the record store over points: an Engine of one shard, flavor "static" in
+// NewEngine builds the Voronoi topology and (optionally) the record store
+// over points — the spatial index waits for the first Traditional query
+// (see Traditional): an Engine of one shard, flavor "static" in
 // metrics and traces. WithShards does not apply. bounds must contain every
 // point (ErrOutsideUniverse otherwise); the points must have pairwise
 // distinct coordinates.
@@ -419,7 +426,8 @@ func NewEngine(points []Point, bounds Rect, opts ...Option) (*Engine, error) {
 // NewShardedEngine partitions points into n shards (WithShards; default 1)
 // by Hilbert order and builds every shard's engine in parallel, flavor
 // "sharded" in metrics and traces. All NewEngine options apply, per shard:
-// each shard gets its own R-tree and — with WithStore — its own paged
+// each shard gets its own R-tree (packed by the first Traditional query
+// that reaches the shard) and — with WithStore — its own paged
 // record store. bounds must contain every point (ErrOutsideUniverse
 // otherwise); points must have pairwise distinct coordinates.
 func NewShardedEngine(points []Point, bounds Rect, opts ...Option) (*ShardedEngine, error) {
@@ -442,7 +450,7 @@ func newEngine(points []Point, bounds Rect, flavor string, opts []Option) (*Engi
 			if err != nil {
 				return nil, err
 			}
-			return core.NewEngine(core.NewRTreeIndex(d.Positions(), rtree.DefaultMaxEntries), d), nil
+			return core.NewEngine(core.LazyRTreeIndex(d), d), nil
 		},
 	})
 	if err != nil {
