@@ -251,6 +251,38 @@ func TestDynamicInsertAllocs(t *testing.T) {
 	}
 }
 
+// TestDynamicWriterFootprint pins what a dynamic engine's writer keeps per
+// site: the triangulation (positions, one edge per site to enter its ring,
+// two origins and four onext entries per edge) and the hint grid, nothing
+// beside them.
+// After 20k uniform inserts it must hold at most 125 B of live heap per
+// site, measured as the HeapAlloc growth between two collections (≈ 94 B
+// on linux/amd64).
+func TestDynamicWriterFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates beside the engine")
+	}
+	const n, limit = 20000, 125
+	pts := workload.UniformPoints(rand.New(rand.NewSource(67)), n, unitBounds())
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d := NewDynamicEngine(unitBounds())
+	for _, p := range pts {
+		if _, _, err := d.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(d)
+	perSite := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	t.Logf("the writer holds %.1f B per site after %d inserts", perSite, n)
+	if perSite > limit {
+		t.Errorf("the writer holds %.1f B per site after %d inserts, want <= %d", perSite, n, limit)
+	}
+}
+
 // TestDynamicArenaMatchesCell verifies the cells a dynamic snapshot clips
 // on demand — from its own adjacency, as the strict rule does — against
 // the reference cells of the same sites, fence included, which scanCell

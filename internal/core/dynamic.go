@@ -49,8 +49,11 @@ import (
 // on the same host: the hint grid names a site near the new one (≈ 0.3 µs),
 // the triangulation walks from there and connects and swaps (≈ 2.5 µs;
 // started from the previous insertion instead, the walk makes it ≈ 36 µs),
-// and the grid records the site (≈ 0.1 µs). A duplicate coordinate is
-// answered from the triangulation's coordinate table before any of that.
+// and the grid records the site (≈ 0.1 µs). A duplicate coordinate costs
+// the lookup and a walk of a step or two — none when its bucket names the
+// site itself — which ends at the site already there, and changes nothing.
+// The writer keeps the grid and the triangulation and nothing beside them:
+// ≈ 94 B of live heap per site at 20k sites (TestDynamicWriterFootprint).
 //
 // Write visibility: a query that starts after an Insert call returns is
 // guaranteed to observe that insert; a query concurrent with an Insert
@@ -151,11 +154,9 @@ func (d *DynamicEngine) PointOK(id int64) (geom.Point, bool) {
 func (d *DynamicEngine) Insert(p geom.Point) (id int64, inserted bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if sid, dup := d.dt.SiteAt(p); dup {
-		return int64(sid), false, nil
-	}
 	// The seed walk's grid names a site near p, so the locate walk starts
-	// there; while it holds no site there is no hint to give (-1).
+	// there; while it holds no site there is no hint to give (-1). A
+	// duplicate is the site the walk ends at.
 	sid, ins, err := d.dt.InsertSiteNear(p, int(d.hint.lookup(p)))
 	if err != nil {
 		if errors.Is(err, delaunay.ErrOutsideUniverse) {

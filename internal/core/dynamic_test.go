@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -116,21 +117,75 @@ func TestDynamicEngineSparse(t *testing.T) {
 	}
 }
 
+// TestDynamicEngineDuplicateInsert repeats an inserted coordinate where a
+// locate walk could miss it: the walk, started at the hint grid's site, must
+// end at the site already there. Each repeat answers the first insert's id,
+// not inserted, leaves Len alone, and the next epoch answers the whole
+// universe exactly.
 func TestDynamicEngineDuplicateInsert(t *testing.T) {
-	d := NewDynamicEngine(unitBounds())
-	id1, ins, err := d.Insert(geom.Pt(0.4, 0.4))
-	if err != nil || !ins {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(5))
+	uniform := func(n int) []geom.Point { return workload.UniformPoints(rng, n, unitBounds()) }
+	// A collinear row, its ends first: (8/16, 1/2) splits the Delaunay edge
+	// joining them, and every later site splits an edge of the row.
+	row := []geom.Point{geom.Pt(1.0/16, 0.5), geom.Pt(15.0/16, 0.5), geom.Pt(8.0/16, 0.5)}
+	for k := 2; k < 15; k++ {
+		if k != 8 {
+			row = append(row, geom.Pt(float64(k)/16, 0.5))
+		}
 	}
-	id2, ins2, err := d.Insert(geom.Pt(0.4, 0.4))
-	if err != nil {
-		t.Fatal(err)
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name   string
+		pts    []geom.Point // inserted in order
+		repeat geom.Point   // equal (==) to one of pts
+	}{
+		{"previous insert", []geom.Point{geom.Pt(0.4, 0.4)}, geom.Pt(0.4, 0.4)},
+		{"early site after 10k others", append([]geom.Point{geom.Pt(0.3, 0.7)}, uniform(10000)...), geom.Pt(0.3, 0.7)},
+		{"universe corner", append([]geom.Point{geom.Pt(1, 0), geom.Pt(0, 0), geom.Pt(1, 1), geom.Pt(0, 1)}, uniform(500)...), geom.Pt(1, 0)},
+		{"split a collinear row's edge", row, geom.Pt(0.5, 0.5)},
+		{"-0 against +0", append([]geom.Point{geom.Pt(0, 0.25)}, uniform(500)...), geom.Pt(negZero, 0.25)},
 	}
-	if ins2 || id2 != id1 {
-		t.Errorf("duplicate insert: id=%d ins=%v", id2, ins2)
-	}
-	if d.Len() != 1 {
-		t.Errorf("Len = %d", d.Len())
+	everything := PolygonRegion(geom.MustPolygon([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(0, 1)}))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDynamicEngine(unitBounds())
+			first := int64(-1)
+			for i, p := range tc.pts {
+				id, ins, err := d.Insert(p)
+				if err != nil || !ins {
+					t.Fatalf("insert %d %v: id=%d ins=%v err=%v", i, p, id, ins, err)
+				}
+				if p == tc.repeat {
+					first = id
+				}
+			}
+			d.Snapshot() // the repeat must find the site in a published triangulation too
+			id, ins, err := d.Insert(tc.repeat)
+			if err != nil || ins || id != first {
+				t.Fatalf("repeat of %v: id=%d ins=%v err=%v, want %d false", tc.repeat, id, ins, err, first)
+			}
+			if d.Len() != len(tc.pts) {
+				t.Fatalf("Len = %d after the repeat, want %d", d.Len(), len(tc.pts))
+			}
+			s := d.Snapshot()
+			want, _, err := query(s, BruteForce, everything)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) != len(tc.pts) {
+				t.Fatalf("brute force finds %d sites, want %d", len(want), len(tc.pts))
+			}
+			slices.Sort(want)
+			for _, m := range []Method{VoronoiBFS, VoronoiBFSStrict, Traditional} {
+				got, _, err := query(s, m, everything)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if slices.Sort(got); !slices.Equal(got, want) {
+					t.Fatalf("%v: %d results, brute force %d", m, len(got), len(want))
+				}
+			}
+		})
 	}
 }
 

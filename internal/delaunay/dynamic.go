@@ -31,6 +31,14 @@ import (
 // get ids from FirstSiteID upward. Neighbor queries may report fence ids —
 // callers that only care about user sites filter ids below FirstSiteID.
 //
+// A duplicate coordinate is found by the walk too: from any start, locate
+// ends at an edge out of or into the site already there, so an insert of an
+// existing coordinate returns that site's id and changes nothing. Bulk's
+// inserts and a dynamic engine's rely on that alike; there is no coordinate
+// table. The triangulation is all a Dynamic keeps: the site slice, one edge
+// per site to enter its ring, and the quad-edge pool, whose quads hold four
+// onext entries and one origin per primal half-edge and no flag.
+//
 // A Dynamic belongs to one writer. What readers need they get from two calls
 // serialized with it, whose results later inserts leave alone: Points, a
 // prefix of the append-only site slice, and Adjacency, ring chunks patched
@@ -41,10 +49,6 @@ type Dynamic struct {
 	vertEdge []edgeID
 	universe geom.Rect
 	start    edgeID // where an unhinted walk enters: an edge of the last insertion
-	// byCoord answers SiteAt, and a duplicate insert, without a walk. Bulk's
-	// triangulation keeps none: its inserts find a duplicate by the walk,
-	// which ends at the site already there.
-	byCoord map[geom.Point]int32
 	// stale, dirty and chunk are Adjacency's scratch, kept between calls so
 	// that a patch allocates only what it returns.
 	stale, dirty, chunk []int32
@@ -61,17 +65,9 @@ var ErrOutsideUniverse = errors.New("delaunay: point outside the declared univer
 // universe. The fence triangle is several universe-diagonals away, so
 // fence sites never shadow user sites in in-universe proximity queries (see
 // the package's fence lemma).
-func NewDynamic(universe geom.Rect) *Dynamic {
-	d := newDynamic(universe, 0)
-	d.byCoord = make(map[geom.Point]int32, 64)
-	for id, p := range d.pts {
-		d.byCoord[p] = int32(id)
-	}
-	return d
-}
+func NewDynamic(universe geom.Rect) *Dynamic { return newDynamic(universe, 0) }
 
-// newDynamic is NewDynamic with room for sites user sites and no coordinate
-// table.
+// newDynamic is NewDynamic with room for sites user sites.
 func newDynamic(universe geom.Rect, sites int) *Dynamic {
 	if universe.IsEmpty() {
 		universe = geom.NewRect(0, 0, 1, 1)
@@ -210,19 +206,19 @@ func (d *Dynamic) inCircle(a, b, c, x int32) bool {
 
 // rightOfPt reports whether x lies strictly right of directed edge e.
 func (d *Dynamic) rightOfPt(x geom.Point, e edgeID) bool {
-	o := d.pts[d.pool.org[e]]
+	o := d.pts[d.pool.org(e)]
 	t := d.pts[d.pool.dst(e)]
 	return robust.Orient2D(x.X, x.Y, t.X, t.Y, o.X, o.Y) > 0
 }
 
 // rightOfID reports whether site v lies strictly right of edge e.
 func (d *Dynamic) rightOfID(v int32, e edgeID) bool {
-	return d.ccw(v, d.pool.dst(e), d.pool.org[e])
+	return d.ccw(v, d.pool.dst(e), d.pool.org(e))
 }
 
 // onEdge reports whether x lies on the closed segment of edge e.
 func (d *Dynamic) onEdge(x geom.Point, e edgeID) bool {
-	a := d.pts[d.pool.org[e]]
+	a := d.pts[d.pool.org(e)]
 	b := d.pts[d.pool.dst(e)]
 	if robust.Orient2D(a.X, a.Y, b.X, b.Y, x.X, x.Y) != 0 {
 		return false
@@ -240,7 +236,7 @@ func (d *Dynamic) locate(x geom.Point, e edgeID) edgeID {
 			panic("delaunay: locate walk did not terminate") // impossible on valid input
 		}
 		switch {
-		case x == d.pts[p.org[e]] || x == d.pts[p.dst(e)]:
+		case x == d.pts[p.org(e)] || x == d.pts[p.dst(e)]:
 			return e
 		case d.rightOfPt(x, e):
 			e = sym(e)
@@ -270,33 +266,24 @@ func (d *Dynamic) swap(e edgeID) {
 	b := p.oprev(sym(e))
 	// a shares org with e, b with sym(e): they survive the swap and can
 	// anchor the vertex→edge table.
-	d.vertEdge[p.org[e]] = a
-	d.vertEdge[p.org[sym(e)]] = b
+	d.vertEdge[p.org(e)] = a
+	d.vertEdge[p.org(sym(e))] = b
 	p.splice(e, a)
 	p.splice(sym(e), b)
 	p.splice(e, p.lnext(a))
 	p.splice(sym(e), p.lnext(b))
-	p.org[e] = p.dst(a)
-	p.org[sym(e)] = p.dst(b)
-	d.vertEdge[p.org[e]] = e
-	d.vertEdge[p.org[sym(e)]] = sym(e)
+	p.setOrg(e, p.dst(a))
+	p.setOrg(sym(e), p.dst(b))
+	d.vertEdge[p.org(e)] = e
+	d.vertEdge[p.org(sym(e))] = sym(e)
 }
 
 // InsertSite adds a site and restores the Delaunay property. It returns
 // the site's id; inserted reports whether a new site was created (false
 // when the coordinate already exists, in which case the existing id is
-// returned).
+// returned: the locate walk ends at it).
 func (d *Dynamic) InsertSite(x geom.Point) (id int, inserted bool, err error) {
 	return d.InsertSiteNear(x, -1)
-}
-
-// SiteAt returns the id of the site at exactly x, if there is one. A caller
-// about to look up a hint for InsertSiteNear asks this first: a duplicate
-// needs no walk, so it needs no hint. It belongs to the writer, as InsertSite
-// does.
-func (d *Dynamic) SiteAt(x geom.Point) (id int, ok bool) {
-	existing, ok := d.byCoord[x]
-	return int(existing), ok
 }
 
 // InsertSiteNear is InsertSite with the locate walk started at site near,
@@ -307,9 +294,6 @@ func (d *Dynamic) InsertSiteNear(x geom.Point, near int) (id int, inserted bool,
 	if !d.universe.ContainsPoint(x) {
 		return 0, false, fmt.Errorf("%w: %v not in %v", ErrOutsideUniverse, x, d.universe)
 	}
-	if existing, dup := d.byCoord[x]; dup {
-		return int(existing), false, nil
-	}
 	p := d.pool
 
 	from := d.start
@@ -317,8 +301,8 @@ func (d *Dynamic) InsertSiteNear(x geom.Point, near int) (id int, inserted bool,
 		from = d.vertEdge[near]
 	}
 	e := d.locate(x, from)
-	if x == d.pts[p.org[e]] {
-		return int(p.org[e]), false, nil
+	if x == d.pts[p.org(e)] {
+		return int(p.org(e)), false, nil
 	}
 	if x == d.pts[p.dst(e)] {
 		return int(p.dst(e)), false, nil
@@ -330,13 +314,10 @@ func (d *Dynamic) InsertSiteNear(x geom.Point, near int) (id int, inserted bool,
 
 	newID := int32(len(d.pts))
 	d.pts = append(d.pts, x)
-	if d.byCoord != nil {
-		d.byCoord[x] = newID
-	}
 	d.vertEdge = append(d.vertEdge, nilEdge)
 
 	// Connect x to every vertex of the containing face.
-	base := p.makeEdge(p.org[e], newID)
+	base := p.makeEdge(p.org(e), newID)
 	d.vertEdge[newID] = sym(base)
 	p.splice(base, e)
 	startingEdge := base
@@ -352,7 +333,7 @@ func (d *Dynamic) InsertSiteNear(x geom.Point, near int) (id int, inserted bool,
 	for {
 		t := p.oprev(e)
 		if d.rightOfID(p.dst(t), e) &&
-			d.inCircle(p.org[e], p.dst(t), p.dst(e), newID) {
+			d.inCircle(p.org(e), p.dst(t), p.dst(e), newID) {
 			d.swap(e)
 			e = p.oprev(e)
 		} else if p.onext[e] == startingEdge {
@@ -369,7 +350,7 @@ func (d *Dynamic) InsertSiteNear(x geom.Point, near int) (id int, inserted bool,
 func (d *Dynamic) deleteEdgeFixingVerts(e edgeID) {
 	p := d.pool
 	for _, side := range [2]edgeID{e, sym(e)} {
-		v := p.org[side]
+		v := p.org(side)
 		if d.vertEdge[v] == side {
 			if next := p.onext[side]; next != side {
 				d.vertEdge[v] = next
@@ -401,40 +382,41 @@ func (d *Dynamic) AppendNeighbors(id int, buf []int32) []int32 {
 	}
 }
 
-// Validate checks neighbor symmetry, vertex→edge table consistency and the
+// Validate checks neighbor symmetry, vertex→edge table consistency, that
+// the rings hold both directions of every quad off the free list, and the
 // local Delaunay property of every internal edge. Intended for tests.
 func (d *Dynamic) Validate() error {
 	p := d.pool
+	halfEdges := 0
 	for v := range d.pts {
-		if start := d.vertEdge[v]; start != nilEdge && int(p.org[start]) != v {
-			return fmt.Errorf("delaunay: vertEdge[%d] has org %d", v, p.org[start])
+		start := d.vertEdge[v]
+		if start != nilEdge && int(p.org(start)) != v {
+			return fmt.Errorf("delaunay: vertEdge[%d] has org %d", v, p.org(start))
 		}
 		for _, nb := range d.AppendNeighbors(v, nil) {
 			if !slices.Contains(d.AppendNeighbors(int(nb), nil), int32(v)) {
 				return fmt.Errorf("delaunay: dynamic adjacency not symmetric at %d", v)
 			}
 		}
+		for e := start; e != nilEdge; {
+			halfEdges++
+			a, b := p.org(e), p.dst(e)
+			c := p.dst(p.lnext(e)) // apex of the left face
+			x := p.dst(p.oprev(e)) // apex of the right face
+			// Each edge once, from its lower end, when both its faces are
+			// counterclockwise triangles (not the outer face, not a boundary
+			// configuration).
+			if a < b && c != x && p.lnext(p.lnext(p.lnext(e))) == e &&
+				d.ccw(a, b, c) && d.ccw(b, a, x) && d.inCircle(a, b, c, x) {
+				return fmt.Errorf("delaunay: edge %d-%d not locally Delaunay (apexes %d, %d)", a, b, c, x)
+			}
+			if e = p.onext[e]; e == start {
+				break
+			}
+		}
 	}
-	for q, alive := range p.alive {
-		if !alive {
-			continue
-		}
-		e := edgeID(q * 4)
-		a, b := p.org[e], p.dst(e)
-		c := p.dst(p.lnext(e)) // apex of the left face
-		x := p.dst(p.oprev(e)) // apex of the right face
-		if c == x {
-			continue
-		}
-		if p.lnext(p.lnext(p.lnext(e))) != e {
-			continue // left face is not a triangle (outer face)
-		}
-		if !d.ccw(a, b, c) || !d.ccw(b, a, x) {
-			continue // boundary configuration
-		}
-		if d.inCircle(a, b, c, x) {
-			return fmt.Errorf("delaunay: edge %d-%d not locally Delaunay (apexes %d, %d)", a, b, c, x)
-		}
+	if live := 2 * (len(p.onext)/4 - len(p.free)); halfEdges != live {
+		return fmt.Errorf("delaunay: rings hold %d half-edges, the pool %d", halfEdges, live)
 	}
 	return nil
 }

@@ -128,7 +128,7 @@ func TestDynamicMatchesStaticBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v, p := range sites {
-		id, ok := d.SiteAt(p)
+		id, ok := siteAt(d, p)
 		if !ok {
 			t.Fatalf("site %v is not in the dynamic triangulation", p)
 		}
@@ -303,8 +303,8 @@ func TestHintedCocircularAndOnEdgeInsertions(t *testing.T) {
 		repointed := -1
 		for s := 1; s <= 4; s++ {
 			side := float64(s) * 0.125
-			a, _ := d.SiteAt(geom.Pt(0.5-side, 0.5-side))
-			b, _ := d.SiteAt(geom.Pt(0.5+side, 0.5-side))
+			a, _ := siteAt(d, geom.Pt(0.5-side, 0.5-side))
+			b, _ := siteAt(d, geom.Pt(0.5+side, 0.5-side))
 			ab := edgeFromTo(d, a, b)
 			if ab == nilEdge {
 				t.Fatalf("%s hint: sites %d and %d are not neighbors", pol.name, a, b)
@@ -325,7 +325,7 @@ func TestHintedCocircularAndOnEdgeInsertions(t *testing.T) {
 			if err := d.Validate(); err != nil {
 				t.Fatalf("%s hint, midpoint %v: %v", pol.name, mid, err)
 			}
-			if m, ok := d.SiteAt(mid); !ok || edgeFromTo(d, m, a) == nilEdge || edgeFromTo(d, m, b) == nilEdge {
+			if m, ok := siteAt(d, mid); !ok || edgeFromTo(d, m, a) == nilEdge || edgeFromTo(d, m, b) == nilEdge {
 				t.Fatalf("%s hint: midpoint %v is not joined to both ends of the edge it split", pol.name, mid)
 			}
 		}
@@ -344,4 +344,11 @@ func edgeFromTo(d *Dynamic, a, b int) edgeID {
 			return nilEdge
 		}
 	}
+}
+
+// siteAt returns the id of the site at exactly x, found by a scan of the
+// sites, and whether there is one.
+func siteAt(d *Dynamic, x geom.Point) (int, bool) {
+	i := slices.Index(d.Points(), x)
+	return i, i >= 0
 }

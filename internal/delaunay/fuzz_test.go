@@ -113,7 +113,10 @@ func fillers(n int) []geom.Point {
 // rings, 3(n+3)−6 edges, and counterclockwise triangles, the fence's
 // included, whose circumcircles hold no site. Inserted one site at a time —
 // each walk started where the fuzzer says, or at the nearest site when it
-// says nothing — the triangulation is locally Delaunay after every insert.
+// says nothing — the triangulation is locally Delaunay after every insert,
+// and a repeated position answers the id its first insert returned, not
+// inserted, from every start the fuzzer can name (−1 through one past the
+// last site): the walk alone finds it.
 //
 // It also takes the ring chunks a reader is given: after insert k when bit
 // k of the third argument (cycled) is set, after every insert when it is
@@ -161,13 +164,30 @@ func FuzzDelaunayBuilds(f *testing.F) {
 
 		d := NewDynamic(geom.NewRect(0, 0, 15, 15))
 		var pubs []published
+		first := map[geom.Point]int{} // the id each position's first insert returned
 		for k, p := range pts {
 			near := extremeSite(d, p, false)
 			if len(hints) > 0 {
 				near = int(hints[k%len(hints)])%(d.NumSites()+2) - 1 // -1 … one past the last site
 			}
-			if _, _, err := d.InsertSiteNear(p, near); err != nil {
+			id, inserted, err := d.InsertSiteNear(p, near)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if want, repeat := first[p]; !repeat {
+				if !inserted {
+					t.Fatalf("first insert of %v walked from %d: site %d, not inserted", p, near, id)
+				}
+				first[p] = id
+			} else if inserted || id != want {
+				t.Fatalf("repeat of %v (site %d) walked from %d: id %d, inserted %v", p, want, near, id, inserted)
+			} else {
+				// The walk alone finds a repeat, from wherever it starts.
+				for near := -1; near <= d.NumSites(); near++ {
+					if id, inserted, err := d.InsertSiteNear(p, near); err != nil || inserted || id != want {
+						t.Fatalf("repeat of %v (site %d) walked from %d: id %d, inserted %v, err %v", p, want, near, id, inserted, err)
+					}
+				}
 			}
 			if err := d.Validate(); err != nil {
 				t.Fatalf("site %d of %v, walk from %d: %v", k, pts, near, err)

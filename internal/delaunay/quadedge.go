@@ -5,7 +5,10 @@ package delaunay
 // Edges are identified by int32 ids. Four directed edge slots make up a
 // quad: id&^3 is the quad base, id&3 the rotation. Slot 0 and slot 2 are the
 // two directions of the primal edge; slots 1 and 3 are the dual edge (used
-// only to make Splice work, no data stored for them).
+// only to make Splice work, no data stored for them). So a quad holds four
+// onext entries and two origins, one per primal half-edge, read through org
+// and written through setOrg; nothing marks a quad live or free beyond the
+// free list.
 
 type edgeID = int32
 
@@ -14,16 +17,14 @@ const nilEdge edgeID = -1
 // edgePool holds the quad-edge arrays. The zero value is ready to use.
 type edgePool struct {
 	onext []edgeID // next edge CCW around origin, indexed by edge id
-	org   []int32  // origin vertex, valid for even (primal) edge ids
-	alive []bool   // per quad
+	orgs  []int32  // origin vertex of primal edge e at e>>1: two per quad
 	free  []edgeID // freed quad bases for reuse
 }
 
 func newEdgePool(hint int) *edgePool {
 	return &edgePool{
 		onext: make([]edgeID, 0, 4*hint),
-		org:   make([]int32, 0, 4*hint),
-		alive: make([]bool, 0, hint),
+		orgs:  make([]int32, 0, 2*hint),
 	}
 }
 
@@ -34,7 +35,13 @@ func invRot(e edgeID) edgeID { return e&^3 | (e+3)&3 }
 func (p *edgePool) lnext(e edgeID) edgeID { return rot(p.onext[invRot(e)]) }
 func (p *edgePool) oprev(e edgeID) edgeID { return rot(p.onext[rot(e)]) }
 
-func (p *edgePool) dst(e edgeID) int32 { return p.org[sym(e)] }
+// org returns the origin of primal edge e (slot 0 or 2 of its quad).
+func (p *edgePool) org(e edgeID) int32 { return p.orgs[e>>1] }
+
+// setOrg makes v the origin of primal edge e.
+func (p *edgePool) setOrg(e edgeID, v int32) { p.orgs[e>>1] = v }
+
+func (p *edgePool) dst(e edgeID) int32 { return p.org(sym(e)) }
 
 // makeEdge allocates an isolated primal edge (its own onext) together with
 // its dual loop, and returns the primal slot-0 edge id.
@@ -43,19 +50,17 @@ func (p *edgePool) makeEdge(orgV, dstV int32) edgeID {
 	if n := len(p.free); n > 0 {
 		e = p.free[n-1]
 		p.free = p.free[:n-1]
-		p.alive[e>>2] = true
 	} else {
 		e = edgeID(len(p.onext))
 		p.onext = append(p.onext, 0, 0, 0, 0)
-		p.org = append(p.org, 0, 0, 0, 0)
-		p.alive = append(p.alive, true)
+		p.orgs = append(p.orgs, 0, 0)
 	}
 	p.onext[e] = e
 	p.onext[e+1] = e + 3
 	p.onext[e+2] = e + 2
 	p.onext[e+3] = e + 1
-	p.org[e] = orgV
-	p.org[e+2] = dstV
+	p.setOrg(e, orgV)
+	p.setOrg(sym(e), dstV)
 	return e
 }
 
@@ -71,7 +76,7 @@ func (p *edgePool) splice(a, b edgeID) {
 // connect adds a new edge from dst(a) to org(b) so that the three edges
 // share the same left face.
 func (p *edgePool) connect(a, b edgeID) edgeID {
-	e := p.makeEdge(p.dst(a), p.org[b])
+	e := p.makeEdge(p.dst(a), p.org(b))
 	p.splice(e, p.lnext(a))
 	p.splice(sym(e), b)
 	return e
@@ -81,7 +86,5 @@ func (p *edgePool) connect(a, b edgeID) edgeID {
 func (p *edgePool) deleteEdge(e edgeID) {
 	p.splice(e, p.oprev(e))
 	p.splice(sym(e), p.oprev(sym(e)))
-	base := e &^ 3
-	p.alive[base>>2] = false
-	p.free = append(p.free, base)
+	p.free = append(p.free, e&^3)
 }

@@ -3,6 +3,7 @@ package vaq
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -335,6 +336,44 @@ func TestDynamicPointOKRefusesUnknownIDs(t *testing.T) {
 				t.Errorf("%s: PointOK(%d) = %v, true for an id Insert never returned", name, bad, got)
 			}
 		}
+	}
+}
+
+// TestDynamicDuplicateOfEarlySite repeats the first insert after thousands
+// of others, once as -0 where it was +0: the walk finds the site already
+// there, so the repeat answers its id, not inserted, Len stays, and the next
+// epoch answers the whole universe as brute force does.
+func TestDynamicDuplicateOfEarlySite(t *testing.T) {
+	eng := NewDynamicEngine(UnitSquare())
+	first, _, err := eng.Insert(Pt(0, 0.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range UniformPoints(rand.New(rand.NewSource(59)), 5000, UnitSquare()) {
+		if _, _, err := eng.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := eng.Len()
+	id, inserted, err := eng.Insert(Pt(math.Copysign(0, -1), 0.25))
+	if err != nil || inserted || id != first {
+		t.Fatalf("repeat: id=%d inserted=%v err=%v, want %d false", id, inserted, err, first)
+	}
+	if eng.Len() != n {
+		t.Fatalf("Len = %d after the repeat, want %d", eng.Len(), n)
+	}
+	everything := MustPolygon([]Point{Pt(0, 0), Pt(1, 0), Pt(1, 1), Pt(0, 1)})
+	want, _, err := queryWith(eng, BruteForce, everything)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := queryWith(eng, VoronoiBFS, everything)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(want)
+	if slices.Sort(got); len(want) != n || !slices.Equal(got, want) {
+		t.Fatalf("whole universe: %d results, brute force %d, Len %d", len(got), len(want), n)
 	}
 }
 
