@@ -45,6 +45,14 @@ func main() {
 	if *vertices < 3 {
 		fatalf("bad -vertices: %d, a polygon has at least 3", *vertices)
 	}
+	// bench.measure runs 10 repeats for a count below 1, which the sweep
+	// header would still print as asked.
+	if *repeats < 1 {
+		fatalf("bad -repeats: %d, a mean needs at least 1", *repeats)
+	}
+	if *payload < 0 {
+		fatalf("bad -payload: %d bytes per record, want at least 0", *payload)
+	}
 	cfg := bench.PaperConfig(*repeats)
 	cfg.Seed = *seed
 	cfg.Vertices = *vertices

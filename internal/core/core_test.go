@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -306,6 +307,15 @@ func TestDuplicatePointsRejected(t *testing.T) {
 	}
 	if _, err := NewStoreData(pts, unitBounds(), StoreConfig{}); !errors.Is(err, ErrDuplicatePoints) {
 		t.Errorf("store err = %v, want ErrDuplicatePoints", err)
+	}
+}
+
+// TestNegativePayloadRefused: a negative StoreConfig.PayloadBytes is an
+// error naming the field, not a makeslice panic.
+func TestNegativePayloadRefused(t *testing.T) {
+	pts := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.2, 0.2), geom.Pt(0.7, 0.3)}
+	if _, err := NewStoreData(pts, unitBounds(), StoreConfig{PayloadBytes: -1}); err == nil || !strings.Contains(err.Error(), "PayloadBytes") {
+		t.Errorf("err = %v, want one naming PayloadBytes", err)
 	}
 }
 

@@ -159,7 +159,7 @@ type StoreConfig struct {
 	// storage.Options.PoolShards for the rounding rules).
 	PoolShards int
 	// PayloadBytes of opaque attribute data per record, giving records
-	// realistic width. Zero is allowed.
+	// realistic width. Zero is allowed; a negative count is refused.
 	PayloadBytes int
 }
 
@@ -171,6 +171,9 @@ type StoreConfig struct {
 // patch of the plane, so placed this way they share pages. Ids are still
 // indexes into pts; the fence sites have no record.
 func NewStoreData(pts []geom.Point, bounds geom.Rect, cfg StoreConfig) (*MemoryData, error) {
+	if cfg.PayloadBytes < 0 {
+		return nil, fmt.Errorf("core: StoreConfig.PayloadBytes is %d, want at least 0", cfg.PayloadBytes)
+	}
 	m, order, err := newMemoryData(pts, bounds)
 	if err != nil {
 		return nil, err

@@ -9,9 +9,9 @@
 // POST it once, read the response body whole (one io.ReadFull when it
 // states its length) and decode it in one pass — ids straight into the
 // caller's reuse buffer — then add the backend's id offset. The batch call
-// (/v1/queryall) reads its body the same way but stays on encoding/json. A
-// remote engine therefore answers every query byte-identically to a local
-// engine over the union of its backends' points.
+// (/v1/queryall) sends and reads the same messages, one per line. A remote
+// engine therefore answers every query byte-identically to a local engine
+// over the union of its backends' points.
 //
 // Failure handling: a backend call is one attempt under the caller's
 // context, whose remaining budget crosses the wire in the Vaq-Timeout-Ms
@@ -288,30 +288,52 @@ func (p *backendPartition) Query(ctx context.Context, region core.Region, spec c
 }
 
 // QueryRegions makes the backend a shard.RegionsQuerier: a batch is one
-// /v1/queryall round trip.
+// /v1/queryall round trip, a request line per region.
 func (p *backendPartition) QueryRegions(ctx context.Context, regions []core.Region, spec core.QuerySpec) ([][]int64, core.Stats, error) {
-	req := wire.BatchRequest{Regions: make([]wire.Region, len(regions)), Options: wireOptions(spec)}
+	opts := wireOptions(spec)
+	var payload []byte
 	for i, r := range regions {
-		var err error
-		if req.Regions[i], err = wire.EncodeRegion(r); err != nil {
+		wr, err := wire.EncodeRegion(r)
+		if err == nil {
+			payload, err = wire.QueryRequest{Region: wr, Options: opts}.AppendJSON(payload)
+		}
+		if err != nil {
 			return nil, core.Stats{}, fmt.Errorf("region %d: %w", i, err)
 		}
+		payload = append(payload, '\n')
 	}
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, core.Stats{}, fmt.Errorf("remote: encoding request: %w", err)
-	}
-	var resp wire.BatchResponse
-	if err := p.post(ctx, "/v1/queryall", payload, func(body []byte) error {
-		return json.NewDecoder(bytes.NewReader(body)).Decode(&resp)
+	var out [][]int64
+	var st core.Stats
+	if err := p.post(ctx, "/v1/queryall", payload, func(body []byte) (err error) {
+		out, st, err = p.readBatch(body)
+		return err
 	}); err != nil {
 		return nil, core.Stats{}, err
 	}
-	out := make([][]int64, len(resp.Results))
-	for i, ids := range resp.Results {
-		out[i] = p.remap(ids)
+	return out, st, nil
+}
+
+// readBatch reads a /v1/queryall response body: the region lines' ids in
+// global id space, then the last line's statistics. A body whose statistics
+// come early, carry ids or never come was cut short or is not an answer.
+func (p *backendPartition) readBatch(body []byte) ([][]int64, core.Stats, error) {
+	var out [][]int64
+	for len(body) > 0 {
+		var line []byte
+		line, body, _ = bytes.Cut(body, []byte{'\n'})
+		resp, err := wire.DecodeQueryResponse(line, nil)
+		switch {
+		case err != nil:
+			return nil, core.Stats{}, err
+		case resp.Stats == nil:
+			out = append(out, p.remap(resp.IDs))
+		case len(body) > 0 || resp.IDs != nil:
+			return nil, core.Stats{}, errors.New("statistics on a line with ids or before the last")
+		default:
+			return out, resp.Stats.ToStats(), nil
+		}
 	}
-	return out, toStats(resp.Stats), nil
+	return nil, core.Stats{}, errors.New("no statistics line: the batch was cut short")
 }
 
 // Each streams the backend's /v1/each frames as they arrive: global id

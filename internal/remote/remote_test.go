@@ -131,3 +131,42 @@ func infoServer(t *testing.T, status int, body string) string {
 	t.Cleanup(srv.Close)
 	return srv.URL
 }
+
+// TestReadBatchRefusesWhatIsNotAWholeBatch: a /v1/queryall body is read as
+// region lines then one statistics line without ids. A body cut at a line
+// boundary (no statistics line), statistics on a line with ids or before the
+// last, or a blank line is an error, never an answer.
+func TestReadBatchRefusesWhatIsNotAWholeBatch(t *testing.T) {
+	const last = `{"count":2,"stats":{"result_size":2,"candidates":3}}`
+	for _, tc := range []struct {
+		name, body string
+		want       string // a fragment of the error; "" for success
+	}{
+		{"whole", `{"ids":[1,2],"count":2}` + "\n" + `{"count":0}` + "\n" + last + "\n", ""},
+		{"count only", last + "\n", ""},
+		{"no final newline", `{"ids":[1,2],"count":2}` + "\n" + last, ""},
+		{"empty", "", "cut short"},
+		{"cut at a line", `{"ids":[1,2],"count":2}` + "\n" + `{"count":0}` + "\n", "cut short"},
+		{"ids on the last line", `{"ids":[1,2],"count":2,"stats":{"result_size":2}}` + "\n", "statistics"},
+		{"empty ids on the last line", `{"ids":[],"count":0,"stats":{}}` + "\n", "statistics"},
+		{"statistics before the last", last + "\n" + `{"ids":[1,2],"count":2}` + "\n" + last + "\n", "statistics"},
+		{"blank line", `{"ids":[1,2],"count":2}` + "\n\n" + last + "\n", "EOF"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &backendPartition{b: backend{IDOffset: 100}}
+			out, st, err := p.readBatch([]byte(tc.body))
+			if tc.want != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("err = %v, want one saying %q; read %v, %+v", err, tc.want, out, st)
+				}
+				return
+			}
+			if err != nil || st.ResultSize != 2 || st.Candidates != 3 {
+				t.Fatalf("read %v, %+v, err %v", out, st, err)
+			}
+			if strings.HasPrefix(tc.body, `{"ids"`) && (len(out) < 1 || out[0][0] != 101 || out[0][1] != 102) {
+				t.Errorf("read %v, want the first region's ids 101, 102", out)
+			}
+		})
+	}
+}

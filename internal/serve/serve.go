@@ -4,18 +4,20 @@
 // NDJSON — speaking the canonical wire codec (package wire), with
 // client deadlines propagated from the Vaq-Timeout-Ms header into every
 // query's context. An area route reads its request body whole into a
-// pooled buffer. /v1/query and /v1/each decode it in one pass
-// (wire.DecodeQueryRequest), and /v1/query has the engine answer into a
-// pooled id slice, then appends its response into the same body buffer,
-// written in one Write with a Content-Length; /v1/queryall stays on
-// encoding/json. cmd/areaserve is the binary around it; the handler itself
+// pooled buffer and decodes it in one pass (wire.DecodeQueryRequest: the
+// body on /v1/query and /v1/each, each line on /v1/queryall). /v1/query has
+// the engine answer into a pooled id slice; it and /v1/queryall append
+// their response into the same body buffer, written in one Write with a
+// Content-Length. cmd/areaserve is the binary around it; the handler itself
 // is dependency-free stdlib net/http, mountable into any mux, and safe for
 // any number of concurrent requests (the engines already are).
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -83,7 +85,7 @@ const writeGrace = time.Second
 // NewHandler returns the HTTP handler serving eng. Routes:
 //
 //	POST /v1/query     one area query        → wire.QueryResponse
-//	POST /v1/queryall  a batch               → wire.BatchResponse
+//	POST /v1/queryall  a batch, a request line per region → response lines (package wire)
 //	POST /v1/each      streamed area query   → NDJSON wire.Frame lines
 //	GET  /v1/info      backend shape         → wire.Info
 //	GET  /metrics      registry snapshot (when Config.Metrics is set)
@@ -248,9 +250,9 @@ func (h *handler) decodeArea(w http.ResponseWriter, r *http.Request, single bool
 	return c, cancel, nil
 }
 
-// decodeCall reads the body into buf and decodes it — a wire.QueryRequest
-// on the single-region routes, a wire.BatchRequest on /v1/queryall — then
-// its region(s), and translates the options.
+// decodeCall reads the body into buf and decodes it — one wire.QueryRequest
+// on the single-region routes, one per line, all with the first's options,
+// on /v1/queryall — then its region(s), and translates the options.
 func (h *handler) decodeCall(w http.ResponseWriter, r *http.Request, single bool, buf *[]byte) (*areaCall, error) {
 	length := r.ContentLength
 	if length > maxBodyBytes {
@@ -261,32 +263,32 @@ func (h *handler) decodeCall(w http.ResponseWriter, r *http.Request, single bool
 	if err != nil {
 		return nil, err
 	}
-	var (
-		wregions []wire.Region
-		wopts    wire.Options
-	)
-	if single {
-		var req wire.QueryRequest
-		req, err = wire.DecodeQueryRequest(body)
-		wregions, wopts = []wire.Region{req.Region}, req.Options
-	} else {
-		var req wire.BatchRequest
-		err = wire.DecodeStrict(body, &req)
-		wregions, wopts = req.Regions, req.Options
-	}
-	if err != nil {
-		return nil, err
-	}
-	c := &areaCall{regions: make([]vaq.Region, len(wregions)), buf: buf}
-	for i, wr := range wregions {
-		if c.regions[i], err = wr.Decode(); err != nil {
+	c := &areaCall{buf: buf}
+	var opts wire.Options
+	for rest := body; len(c.regions) == 0 || len(rest) > 0; {
+		msg := rest // the whole body on the single-region routes
+		rest = nil
+		if !single {
+			msg, rest, _ = bytes.Cut(msg, []byte{'\n'})
+		}
+		req, err := wire.DecodeQueryRequest(msg)
+		if err == nil && len(c.regions) > 0 && req.Options != opts {
+			err = errors.New("options differ from region 0's")
+		}
+		var region vaq.Region
+		if err == nil {
+			region, err = req.Region.Decode()
+		}
+		if err != nil {
 			if !single {
-				err = fmt.Errorf("region %d: %w", i, err)
+				err = fmt.Errorf("region %d: %w", len(c.regions), err)
 			}
 			return nil, err
 		}
+		opts = req.Options
+		c.regions = append(c.regions, region)
 	}
-	if c.opts, err = queryOpts(c.optBuf[:0], wopts, &c.st); err != nil {
+	if c.opts, err = queryOpts(c.optBuf[:0], opts, &c.st); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -313,8 +315,8 @@ func (h *handler) query(w http.ResponseWriter, c *areaCall) {
 	c.respond(w, wire.QueryResponse{IDs: ids, Count: c.st.ResultSize, Stats: &ws}.AppendJSON((*c.buf)[:0]))
 }
 
-// respond writes a 200 whose body is value, a JSON value appended to the
-// call's buffer, and the newline json.Encoder writes after one: a single
+// respond writes a 200 whose body is value, JSON appended to the call's
+// buffer, and the newline json.Encoder writes after a value: a single
 // Write with a Content-Length, so the response is not chunked.
 func (c *areaCall) respond(w http.ResponseWriter, value []byte) {
 	*c.buf = append(value, '\n')
@@ -324,23 +326,20 @@ func (c *areaCall) respond(w http.ResponseWriter, value []byte) {
 	w.Write(*c.buf)
 }
 
+// queryAll answers /v1/queryall: a line per region without statistics
+// (none under count_only), then the batch's total count and statistics.
 func (h *handler) queryAll(w http.ResponseWriter, c *areaCall) {
 	results, err := h.eng.QueryAll(c.ctx, c.regions, c.opts...)
 	if err != nil {
 		writeError(w, wire.EncodeError(err))
 		return
 	}
-	// Align nil sub-slices to empty so the JSON is [] per region, never
-	// null — a batch of n regions always decodes to n slices.
-	out := make([]wire.IDs, len(results))
-	for i, ids := range results {
-		if ids == nil {
-			ids = []int64{}
-		}
-		out[i] = ids
+	b := (*c.buf)[:0]
+	for _, ids := range results {
+		b = append(wire.QueryResponse{IDs: ids, Count: len(ids)}.AppendJSON(b), '\n')
 	}
 	ws := wire.FromStats(c.st)
-	writeJSON(w, wire.BatchResponse{Results: out, Stats: &ws})
+	c.respond(w, wire.QueryResponse{Count: c.st.ResultSize, Stats: &ws}.AppendJSON(b))
 }
 
 // each streams one area query as NDJSON frames, riding the engine's

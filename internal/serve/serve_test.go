@@ -150,6 +150,27 @@ func TestCount(t *testing.T) {
 	}
 }
 
+// batchBody is a /v1/queryall body: json.Marshal of each region's
+// QueryRequest and a newline.
+func batchBody(t *testing.T, regions []vaq.Region, opts ...wire.Options) []byte {
+	t.Helper()
+	var body []byte
+	for i, r := range regions {
+		wr, err := wire.EncodeRegion(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, _ := json.Marshal(wire.QueryRequest{Region: wr, Options: opts[i%len(opts)]})
+		body = append(append(body, line...), '\n')
+	}
+	return body
+}
+
+// TestQueryAll pins /v1/queryall's bytes: a line per region, json.Marshal
+// of its QueryResponse without statistics, then one of the total count and
+// the statistics, in one body of stated length — no region line under
+// count_only — and a 400 naming the region whose options differ from the
+// first line's.
 func TestQueryAll(t *testing.T) {
 	eng := testEngine(t, 400)
 	srv := httptest.NewServer(NewHandler(eng, Config{}))
@@ -157,31 +178,58 @@ func TestQueryAll(t *testing.T) {
 
 	inside := testRegion()
 	empty := vaq.CircleRegion(vaq.NewCircle(vaq.Point{X: 0.001, Y: 0.001}, 1e-9))
-	regions := []vaq.Region{inside, empty}
-	want, err := eng.QueryAll(context.Background(), regions)
+	regions := []vaq.Region{inside, empty, inside}
+	line := func(m wire.QueryResponse) []byte {
+		b, _ := json.Marshal(m)
+		return append(b, '\n')
+	}
+	for _, opts := range []wire.Options{{}, {CountOnly: true}} {
+		var st vaq.Stats
+		qopts := []vaq.QueryOpt{vaq.WithStatsInto(&st)}
+		if opts.CountOnly {
+			qopts = append(qopts, vaq.CountOnly())
+		}
+		results, err := eng.QueryAll(context.Background(), regions, qopts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		for _, ids := range results {
+			want = append(want, line(wire.QueryResponse{IDs: ids, Count: len(ids)})...)
+		}
+		ws := wire.FromStats(st)
+		want = append(want, line(wire.QueryResponse{Count: st.ResultSize, Stats: &ws})...)
+
+		resp, err := srv.Client().Post(srv.URL+"/v1/queryall", "application/x-ndjson", bytes.NewReader(batchBody(t, regions, opts)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%+v: status %d, err %v: %s", opts, resp.StatusCode, err, got)
+		}
+		if resp.ContentLength != int64(len(got)) {
+			t.Errorf("%+v: Content-Length %d for a %d-byte body", opts, resp.ContentLength, len(got))
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%+v: served\n%s\nwant\n%s", opts, got, want)
+		}
+		if lines := bytes.Count(got, []byte{'\n'}); lines != len(results)+1 || st.ResultSize == 0 {
+			t.Errorf("%+v: %d lines for %d results, %d matches", opts, lines, len(results), st.ResultSize)
+		}
+	}
+
+	mixed := batchBody(t, regions, wire.Options{}, wire.Options{}, wire.Options{CountOnly: true})
+	resp, err := srv.Client().Post(srv.URL+"/v1/queryall", "application/x-ndjson", bytes.NewReader(mixed))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	req := wire.BatchRequest{Regions: make([]wire.Region, len(regions))}
-	for i, r := range regions {
-		if req.Regions[i], err = wire.EncodeRegion(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var got wire.BatchResponse
-	decodeInto(t, post(t, srv, "/v1/queryall", req), &got)
-	if len(got.Results) != len(want) {
-		t.Fatalf("got %d results, want %d", len(got.Results), len(want))
-	}
-	for i := range want {
-		if len(got.Results[i]) != len(want[i]) {
-			t.Errorf("region %d: got %d ids, want %d", i, len(got.Results[i]), len(want[i]))
-		}
-	}
-	// The empty region's slice must decode as an empty slice, not nil.
-	if got.Results[1] == nil {
-		t.Error("empty region decoded to nil (JSON null), want []")
+	var we wire.Error
+	err = json.NewDecoder(resp.Body).Decode(&we)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusBadRequest || we.Code != wire.CodeBadRequest || !strings.Contains(we.Message, "region 2") {
+		t.Errorf("lines with differing options: status %d, %+v (err %v); want a 400 naming region 2", resp.StatusCode, we, err)
 	}
 }
 
@@ -699,19 +747,23 @@ func TestErrorMapping(t *testing.T) {
 		t.Errorf("malformed body: status %d", resp.StatusCode)
 	}
 
-	// A body is one JSON value: whatever follows it — a word, a second
-	// value — is refused, on every endpoint that reads one. Trailing
-	// whitespace is not data.
+	// A body is one JSON value, and so is each line of a /v1/queryall body:
+	// whatever follows it — a word, a second value — is refused, on every
+	// endpoint. Trailing whitespace is not data; on /v1/queryall a newline
+	// ends the line, and a whitespace line after it is an empty message.
 	wr, _ := wire.EncodeRegion(testRegion())
 	single, _ := json.Marshal(wire.QueryRequest{Region: wr})
-	batch, _ := json.Marshal(wire.BatchRequest{Regions: []wire.Region{wr}})
-	for path, body := range map[string][]byte{"/v1/query": single, "/v1/queryall": batch, "/v1/each": single} {
+	for _, path := range []string{"/v1/query", "/v1/queryall", "/v1/each"} {
 		for tail, want := range map[string]int{
 			" \n\t":          http.StatusOK,
+			" \t\r\n":        http.StatusOK,
 			" trailing":      http.StatusBadRequest,
 			` {"garbage":1}`: http.StatusBadRequest,
 		} {
-			resp, err := srv.Client().Post(srv.URL+path, "application/json", strings.NewReader(string(body)+tail))
+			if path == "/v1/queryall" && tail == " \n\t" {
+				want = http.StatusBadRequest
+			}
+			resp, err := srv.Client().Post(srv.URL+path, "application/json", strings.NewReader(string(single)+tail))
 			if err != nil {
 				t.Fatal(err)
 			}

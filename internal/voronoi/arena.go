@@ -8,8 +8,8 @@ import "repro/internal/geom"
 // with zero per-visit allocation — Ring returns a view over the packed
 // slices.
 //
-// Rings are stored exactly as Diagram.Cell computes them (the builders
-// share Cell's clipping code path), so arena reads and per-call cell
+// Rings are stored exactly as CellFromNeighbors clips them (the builders
+// share its clipping code path), so arena reads and per-call cell
 // construction agree bit-for-bit. A degenerate (empty) cell occupies zero
 // vertices.
 //
@@ -20,9 +20,8 @@ type CellArena struct {
 	offs   []int32 // one per cell, plus one; ring i is [offs[i], offs[i+1])
 }
 
-// BuildCellArena clips every cell of d once and packs the rings. The
-// rings (and their order) are identical to calling d.Cell(i) for each
-// site.
+// BuildCellArena clips every cell of d once and packs the rings, each the
+// ring CellFromNeighbors clips for its site.
 func BuildCellArena(d *Diagram) *CellArena {
 	return cellArenaFromSites(d.NumSites(), d.bounds,
 		func(id int64) geom.Point { return d.tri.Point(int(id)) },

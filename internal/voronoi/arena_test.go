@@ -32,8 +32,8 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// checkArenaParity verifies that the packed arena agrees with per-call
-// Diagram.Cell on every site: identical rings (exact float equality — the
+// checkArenaParity verifies that the packed arena agrees with the per-call
+// cell on every site: identical rings (exact float equality — the
 // builders share the clipping code path).
 func checkArenaParity(t *testing.T, pts []geom.Point, bounds geom.Rect) {
 	t.Helper()
@@ -45,7 +45,7 @@ func checkArenaParity(t *testing.T, pts []geom.Point, bounds geom.Rect) {
 	}
 	verts := 0
 	for i := 0; i < d.NumSites(); i++ {
-		cell := d.Cell(i)
+		cell := d.cell(i)
 		view := a.Ring(i)
 		if view.Len() != len(cell) {
 			t.Fatalf("site %d: arena ring has %d vertices, Cell has %d", i, view.Len(), len(cell))

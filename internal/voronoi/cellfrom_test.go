@@ -13,7 +13,7 @@ func TestCellFromNeighborsMatchesDiagramCell(t *testing.T) {
 	pts := uniformPoints(rng, 200)
 	d := newDiagram(t, pts, unitBounds())
 	for i := 0; i < len(pts); i += 7 {
-		a := d.Cell(i)
+		a := d.cell(i)
 		b, _ := CellFromNeighbors(nil, nil, pts[i], d.tri.Neighbors(i), pts, unitBounds())
 		if math.Abs(a.Area()-geom.Ring(b).Area()) > 1e-9 {
 			t.Fatalf("site %d: diagram cell area %v, reconstructed %v", i, a.Area(), geom.Ring(b).Area())

@@ -38,28 +38,10 @@ func FromTriangulation(t *delaunay.Triangulation, bounds geom.Rect) *Diagram {
 // NumSites returns the number of distinct sites.
 func (d *Diagram) NumSites() int { return d.tri.NumSites() }
 
-// Cell returns the Voronoi cell of site i clipped to the diagram bounds, as
-// a counterclockwise ring. The cell is computed as the intersection of the
-// bounding rectangle with the bisector half-planes toward each Voronoi
-// neighbor, which is exact up to floating-point bisector crossings and
-// needs no special-casing for unbounded hull cells.
-func (d *Diagram) Cell(i int) geom.Ring {
-	site := d.tri.Point(i)
-	corners := d.bounds.Corners()
-	ring := geom.Ring(corners[:])
-	for _, nb := range d.tri.Neighbors(i) {
-		ring = clipHalfPlaneInto(nil, ring, site, d.tri.Point(int(nb)))
-		if len(ring) == 0 {
-			return nil
-		}
-	}
-	return ring
-}
-
 // CellFromNeighbors computes the Voronoi cell of site given its Voronoi
-// neighbors pts[nbrs[0]], pts[nbrs[1]], ..., clipped to bounds — the
-// construction Cell makes, for callers (such as the engines' data layer)
-// that hold the topology themselves. It clips into ring and tmp, which it
+// neighbors pts[nbrs[0]], pts[nbrs[1]], ..., clipped to bounds, for
+// callers (such as the engines' data layer) that hold the topology
+// themselves. It clips into ring and tmp, which it
 // reuses as two ping-pong buffers (nil ones allocate), and returns the cell
 // and the other buffer for the next call; an empty cell has no vertices.
 func CellFromNeighbors(ring, tmp []geom.Point, site geom.Point, nbrs []int32, pts []geom.Point, bounds geom.Rect) (cell, spare []geom.Point) {

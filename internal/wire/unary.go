@@ -11,15 +11,14 @@ import (
 )
 
 // The two messages of /v1/query — QueryRequest and QueryResponse — have
-// one hand-written codec, used on both ends of the route. Each AppendJSON
-// appends exactly the bytes json.Marshal writes for the message (a
-// server's response adds the newline json.Encoder writes after it), so no
-// byte on the wire differs from the reflective encoding. Each Decode
-// function parses that canonical form in one pass and hands every other
-// input to encoding/json, so what is accepted, what is refused and every
-// value are encoding/json's; the fuzz targets in fuzz_test.go hold both
-// halves to it. /v1/queryall, which no measured workload sends over the
-// wire, stays on encoding/json (DecodeStrict).
+// one hand-written codec, used on both ends of the route and, line by
+// line, of /v1/queryall. Each AppendJSON appends exactly the bytes
+// json.Marshal writes for the message (a server's response, and every
+// batch line, adds the newline json.Encoder writes after it), so no byte on
+// the wire differs from the reflective encoding. Each Decode function
+// parses that canonical form in one pass and hands every other input to
+// encoding/json, so what is accepted, what is refused and every value are
+// encoding/json's; the fuzz targets in fuzz_test.go hold both halves to it.
 
 // AppendJSON appends r as json.Marshal writes it, or fails where it fails:
 // on a non-finite coordinate or radius.
@@ -38,8 +37,14 @@ func (r QueryRequest) AppendJSON(b []byte) ([]byte, error) {
 func (r QueryResponse) AppendJSON(b []byte) []byte {
 	b = append(b, '{')
 	if len(r.IDs) > 0 {
-		b = append(b, `"ids":`...)
-		b = append(r.IDs.appendJSON(b), ',')
+		b = append(b, `"ids":[`...)
+		for i, id := range r.IDs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, id, 10)
+		}
+		b = append(b, "],"...)
 	}
 	b = append(b, `"count":`...)
 	b = strconv.AppendInt(b, int64(r.Count), 10)
@@ -163,21 +168,6 @@ func (s *Stats) appendMember(b []byte) []byte {
 	return append(b, '}')
 }
 
-// appendJSON appends ids as a JSON array, null when ids is nil.
-func (ids IDs) appendJSON(b []byte) []byte {
-	if ids == nil {
-		return append(b, "null"...)
-	}
-	b = append(b, '[')
-	for i, id := range ids {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, id, 10)
-	}
-	return append(b, ']')
-}
-
 // appendString appends s as json.Marshal writes a string. Printable ASCII
 // other than the quote, the backslash and the three characters
 // encoding/json escapes for HTML is written as it is; any other string is
@@ -234,42 +224,34 @@ func PutBuffer(b *[]byte) {
 	}
 }
 
-// DecodeQueryRequest decodes the body of POST /v1/query or /v1/each. The
-// body is one JSON value with no member QueryRequest lacks, followed by
-// nothing but whitespace: the canonical form is parsed in one pass, and
-// any other input is decoded by a json.Decoder that disallows unknown
-// fields.
+// DecodeQueryRequest decodes the body of POST /v1/query or /v1/each, or
+// one line of /v1/queryall's. The message is one JSON value with no member
+// QueryRequest lacks, followed by nothing but whitespace: the canonical
+// form is parsed in one pass, and any other input is decoded by a
+// json.Decoder that disallows unknown fields.
 func DecodeQueryRequest(data []byte) (QueryRequest, error) {
 	var req QueryRequest
 	if c := canonicalOf(data); c.queryRequest(&req) {
 		return req, nil
 	}
 	var v QueryRequest // req may hold part of a message the cursor gave up on
-	err := DecodeStrict(data, &v)
-	return v, err
-}
-
-// DecodeStrict decodes data into v as one JSON value, refusing members v
-// lacks and anything but whitespace after the value: how the server reads
-// a request body that is not in the canonical form, and every
-// /v1/queryall body.
-func DecodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
+	if err := dec.Decode(&v); err != nil {
+		return v, err
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("wire: trailing data after the request body")
+		return v, errors.New("wire: trailing data after the request")
 	}
-	return nil
+	return v, nil
 }
 
-// DecodeQueryResponse decodes the body of a successful /v1/query as a
-// json.Decoder reads its first value. On the canonical form the ids are
-// appended to dst[:0], so a caller may pass a buffer to reuse; a body
-// without ids decodes to nil IDs whatever dst is.
-func DecodeQueryResponse(data []byte, dst IDs) (QueryResponse, error) {
+// DecodeQueryResponse decodes the body of a successful /v1/query, or one
+// line of /v1/queryall's, as a json.Decoder reads its first value. On the
+// canonical form the ids are appended to dst[:0], so a caller may pass a
+// buffer to reuse; a message without ids decodes to nil IDs whatever dst
+// is.
+func DecodeQueryResponse(data []byte, dst []int64) (QueryResponse, error) {
 	var resp QueryResponse
 	if c := canonicalOf(data); c.queryResponse(&resp, dst) {
 		return resp, nil
@@ -521,7 +503,7 @@ func (c *canonical) stats() *Stats {
 
 // ids reads an id array through appendIDs, appending to dst[:0]; null is
 // nil.
-func (c *canonical) ids(dst IDs) IDs {
+func (c *canonical) ids(dst []int64) []int64 {
 	if c.lit("null") {
 		return nil
 	}
@@ -548,7 +530,7 @@ func (c *canonical) queryRequest(req *QueryRequest) bool {
 	return c.done()
 }
 
-func (c *canonical) queryResponse(resp *QueryResponse, dst IDs) bool {
+func (c *canonical) queryResponse(resp *QueryResponse, dst []int64) bool {
 	members := 0
 	c.need("{")
 	if c.member(&members, `"ids":`) {

@@ -17,7 +17,7 @@ func unaryExamples() []any {
 	center := Coord{X: 0.5, Y: math.Copysign(0, -1)}
 	polygon := Region{Kind: KindPolygon, Outer: sq, Holes: [][]Coord{hole}}
 	circle := Region{Kind: KindCircle, Center: &center, R: 1e-7}
-	ids := IDs{0, 7, -3, 999999999999999999, -999999999999999999}
+	ids := []int64{0, 7, -3, 999999999999999999, -999999999999999999}
 	return []any{
 		QueryRequest{Region: polygon},
 		QueryRequest{Region: circle, Options: Options{Method: "voronoi-bfs-strict", CountOnly: true}},
@@ -25,7 +25,7 @@ func unaryExamples() []any {
 		QueryResponse{IDs: ids, Count: len(ids), Stats: &Stats{ResultSize: 5, Candidates: 6, RecordsLoaded: -1}},
 		QueryResponse{Count: 12, Stats: &Stats{}},
 		QueryResponse{},
-		QueryResponse{IDs: IDs{}, Stats: &Stats{CellTests: 3}},
+		QueryResponse{IDs: []int64{}, Stats: &Stats{CellTests: 3}},
 	}
 }
 
@@ -94,7 +94,7 @@ func TestUnaryEncodeMatchesEncoder(t *testing.T) {
 // TestQueryResponseDecodesIntoDest: a buffer passed to DecodeQueryResponse
 // holds the ids when it is large enough.
 func TestQueryResponseDecodesIntoDest(t *testing.T) {
-	dst := make(IDs, 0, 8)
+	dst := make([]int64, 0, 8)
 	resp, err := DecodeQueryResponse([]byte(`{"ids":[4,5,6],"count":3}`+"\n"), dst)
 	if err != nil || len(resp.IDs) != 3 || &resp.IDs[0] != &dst[:1][0] {
 		t.Fatalf("decoded %v (err %v), not into the buffer", resp.IDs, err)
@@ -110,7 +110,7 @@ func TestQueryResponseAppendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
-	ids := make(IDs, 1000)
+	ids := make([]int64, 1000)
 	for i := range ids {
 		ids[i] = int64(i * 197)
 	}
@@ -166,7 +166,7 @@ func BenchmarkUnaryCodec(b *testing.B) {
 		outer[i] = Coord{X: 0.5 + 0.1*math.Cos(a), Y: 0.5 + 0.1*math.Sin(a)}
 	}
 	req := QueryRequest{Region: Region{Kind: KindPolygon, Outer: outer}, Options: Options{Method: "voronoi-bfs-strict"}}
-	ids := make(IDs, 1000)
+	ids := make([]int64, 1000)
 	for i := range ids {
 		ids[i] = int64(i*197 + 50000)
 	}

@@ -12,9 +12,12 @@
 // structurally invalid shapes (degenerate rings, negative radii), so a
 // decoded region is always safe to query.
 //
-// Streaming results ride in NDJSON frames (see Frame): one JSON value per
-// line, data frames carrying id and coordinates, a final EOF frame
-// carrying the query's statistics or its error.
+// A batch (/v1/queryall) is NDJSON of the /v1/query messages: a
+// QueryRequest line per region, all with the same options, answered by a
+// QueryResponse line per region (none under count-only) without statistics
+// and a last one with the total count and the statistics, without ids.
+// Streaming results ride in NDJSON frames (see Frame): data frames carrying
+// id and coordinates, a final EOF frame the statistics or the error.
 package wire
 
 import (
@@ -86,20 +89,22 @@ func appendFloat(b []byte, f float64) []byte {
 }
 
 // UnmarshalJSON implements json.Unmarshaler, rejecting anything but a
-// two-element array of finite numbers. The form MarshalJSON writes — two
-// JSON numbers, no whitespace — is parsed in place; every other input takes
-// the encoding/json path (unmarshalCoordSlow), so what is accepted, what is
-// refused and every value are that path's.
+// two-element array of finite numbers. Only encoding/json's reflective
+// decoder calls it; the one-pass decoders read a coordinate with parsePair.
 func (c *Coord) UnmarshalJSON(data []byte) error {
-	if x, y, ok := parsePair(data); ok {
-		c.X, c.Y = x, y
-		return nil
+	var a [2]float64
+	if err := json.Unmarshal(data, &a); err != nil {
+		return err
 	}
-	return c.unmarshalSlow(data)
+	if !finite(a[0], a[1]) {
+		return errNonFinite
+	}
+	c.X, c.Y = a[0], a[1]
+	return nil
 }
 
 // parsePair parses the canonical form "[number,number]", or reports that
-// data is not in it (or that a number overflows, which is the slow path's
+// data is not in it (or that a number overflows, which is encoding/json's
 // to report).
 func parsePair(data []byte) (x, y float64, ok bool) {
 	n := len(data)
@@ -119,20 +124,6 @@ func parsePair(data []byte) (x, y float64, ok bool) {
 	x, errX := strconv.ParseFloat(string(data[1:i]), 64)
 	y, errY := strconv.ParseFloat(string(data[i+1:j]), 64)
 	return x, y, errX == nil && errY == nil
-}
-
-// unmarshalSlow is UnmarshalJSON through encoding/json: the reference the
-// fast path is fuzzed against.
-func (c *Coord) unmarshalSlow(data []byte) error {
-	var a [2]float64
-	if err := json.Unmarshal(data, &a); err != nil {
-		return err
-	}
-	if !finite(a[0], a[1]) {
-		return errNonFinite
-	}
-	c.X, c.Y = a[0], a[1]
-	return nil
 }
 
 // numberEnd returns the index just past the JSON number starting at
@@ -346,32 +337,20 @@ func FromStats(st core.Stats) Stats { return Stats(st) }
 // ToStats converts back.
 func (s Stats) ToStats() core.Stats { return core.Stats(s) }
 
-// QueryRequest is the body of POST /v1/query.
+// QueryRequest is the body of POST /v1/query and /v1/each, and one line
+// of a /v1/queryall body.
 type QueryRequest struct {
 	Region  Region  `json:"region"`
 	Options Options `json:"options"`
 }
 
-// QueryResponse is the body of a successful /v1/query.
-// Count always holds the match count; IDs is nil under count-only.
+// QueryResponse is the body of a successful /v1/query, and one line of a
+// /v1/queryall response. Count always holds the match count; IDs is nil
+// under count-only.
 type QueryResponse struct {
-	IDs   IDs    `json:"ids,omitempty"`
-	Count int    `json:"count"`
-	Stats *Stats `json:"stats,omitempty"`
-}
-
-// BatchRequest is the body of POST /v1/queryall.
-type BatchRequest struct {
-	Regions []Region `json:"regions"`
-	Options Options  `json:"options"`
-}
-
-// BatchResponse is the body of a successful /v1/queryall: one result
-// slice per request region, aligned, plus the batch's aggregate
-// statistics.
-type BatchResponse struct {
-	Results []IDs  `json:"results"`
-	Stats   *Stats `json:"stats,omitempty"`
+	IDs   []int64 `json:"ids,omitempty"`
+	Count int     `json:"count"`
+	Stats *Stats  `json:"stats,omitempty"`
 }
 
 // Info is the body of GET /v1/info: what a client needs to fan out to

@@ -132,29 +132,25 @@ func TestAnswersAreDeterministic(t *testing.T) {
 	}
 
 	// Over the wire: two identical request bodies, byte-identical
-	// response bodies, on every area route.
-	wr, err := wire.EncodeRegion(regions[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var batch []wire.Region
-	for _, region := range regions {
-		w, err := wire.EncodeRegion(region)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch = append(batch, w)
-	}
+	// response bodies, on every area route. A /v1/queryall body is a
+	// request line per region.
 	opts := wire.Options{Method: vaq.VoronoiBFSStrict.String()}
-	for path, req := range map[string]any{
-		"/v1/query":    wire.QueryRequest{Region: wr, Options: opts},
-		"/v1/queryall": wire.BatchRequest{Regions: batch, Options: opts},
-		"/v1/each":     wire.QueryRequest{Region: wr, Options: opts},
-	} {
-		body, err := json.Marshal(req)
+	var single, batch []byte
+	for i, region := range regions {
+		wr, err := wire.EncodeRegion(region)
 		if err != nil {
 			t.Fatal(err)
 		}
+		line, err := json.Marshal(wire.QueryRequest{Region: wr, Options: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			single = line
+		}
+		batch = append(append(batch, line...), '\n')
+	}
+	for path, body := range map[string][]byte{"/v1/query": single, "/v1/queryall": batch, "/v1/each": single} {
 		var got [2][]byte
 		for i := range got {
 			resp, err := http.Post(fx.urls[0]+path, "application/json", bytes.NewReader(body))

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	vaq "repro"
+	"repro/internal/geom"
 	"repro/internal/serve"
 )
 
@@ -124,7 +125,9 @@ func decodeFlavorRegion(data []byte, sites []vaq.Point) (region vaq.Region, refu
 // MBR escapes the unit square must be refused by every flavor and method
 // with ErrOutsideUniverse. A polygon NewPolygon refuses is skipped, and a
 // literal one that NewPolygon or AddHole would refuse must be refused by
-// every flavor and method with their error, Count included.
+// every flavor and method with their error, Count included. A circle also
+// runs as half of a disconnected custom region (twoDisks), when its mirror
+// across x = 1/2 misses it.
 // testdata/fuzz/FuzzFlavorsAgree holds sites 1/17 apart on a row and the
 // circle centred between sites 1 and 12 through site 1, which the
 // circle's MBR rounds out, and, over 64 sites on a grid, literals: a
@@ -159,6 +162,9 @@ func FuzzFlavorsAgree(f *testing.F) {
 	f.Add(block, []byte{16, 16, 3})
 	f.Add(octagon, []byte{16, 16, 4})
 	f.Add(square, []byte{32, 16, 3})
+	// A circle through the block's left middle site, whose mirror passes
+	// through its right one: two disks, the custom region's components.
+	f.Add(block, []byte{8, 16, 3})
 	// A square through four sites whose right edge lies one ulp outside.
 	f.Add(square, []byte{4, 4, 254, 4, 254, 28, 4, 28})
 	rng := rand.New(rand.NewSource(37))
@@ -245,8 +251,25 @@ func FuzzFlavorsAgree(f *testing.F) {
 			flavors = append(flavors, flavor{"remote", re, nil})
 		}
 
+		// sorted maps a flavor's ids to input indexes, ascending.
+		sorted := func(fl flavor, m vaq.Method, ids []int64) []int64 {
+			got := make([]int64, len(ids))
+			for i, id := range ids {
+				got[i] = id
+				if fl.toGlobal != nil {
+					g, ok := fl.toGlobal[id]
+					if !ok {
+						t.Fatalf("%s/%v: id %d is no inserted site", fl.name, m, id)
+					}
+					got[i] = g
+				}
+			}
+			slices.Sort(got)
+			return got
+		}
+		methods := []vaq.Method{vaq.Traditional, vaq.VoronoiBFSStrict, vaq.BruteForce, vaq.VoronoiBFS}
 		for _, fl := range flavors {
-			for _, m := range []vaq.Method{vaq.Traditional, vaq.VoronoiBFSStrict, vaq.BruteForce, vaq.VoronoiBFS} {
+			for _, m := range methods {
 				ids, err := fl.q.Query(ctx, region, vaq.UsingMethod(m))
 				if refused != nil {
 					n, cerr := vaq.Count(ctx, fl.q, region, vaq.UsingMethod(m))
@@ -267,18 +290,7 @@ func FuzzFlavorsAgree(f *testing.F) {
 				if err != nil {
 					t.Fatalf("%s/%v: %v", fl.name, m, err)
 				}
-				got := make([]int64, len(ids))
-				for i, id := range ids {
-					got[i] = id
-					if fl.toGlobal != nil {
-						g, ok := fl.toGlobal[id]
-						if !ok {
-							t.Fatalf("%s/%v: id %d is no inserted site", fl.name, m, id)
-						}
-						got[i] = g
-					}
-				}
-				slices.Sort(got)
+				got := sorted(fl, m, ids)
 				if m == vaq.VoronoiBFS {
 					for _, id := range got {
 						if _, found := slices.BinarySearch(want, id); !found {
@@ -295,5 +307,65 @@ func FuzzFlavorsAgree(f *testing.F) {
 				}
 			}
 		}
+
+		// A circle and its mirror image across x = 1/2, when the two are
+		// disjoint, make a disconnected custom region. A local flavor's
+		// Traditional and BruteForce return exactly the sites a scan finds
+		// in either disk; the Voronoi methods, whose expansion starts in one
+		// component, a subset of them; the remote flavor refuses it before
+		// sending anything, having no wire form for it.
+		circle, isCircle := region.(vaq.Circle)
+		if !isCircle || escapes || math.Abs(1-2*circle.Center.X) <= 2*circle.R {
+			return
+		}
+		custom := twoDisks{circle, vaq.NewCircle(vaq.Pt(1-circle.Center.X, circle.Center.Y), circle.R)}
+		if !vaq.UnitSquare().ContainsRect(custom.Bounds()) {
+			return
+		}
+		var wantCustom []int64
+		for i, p := range sites {
+			if custom.ContainsPoint(p) {
+				wantCustom = append(wantCustom, int64(i))
+			}
+		}
+		for _, fl := range flavors {
+			for _, m := range methods {
+				ids, err := fl.q.Query(ctx, custom, vaq.UsingMethod(m))
+				if fl.name == "remote" {
+					if !errors.Is(err, vaq.ErrCustomRegion) || ids != nil {
+						t.Fatalf("remote/%v: a custom region: %d ids (err %v); want ErrCustomRegion", m, len(ids), err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s/%v: two disks %v: %v", fl.name, m, custom, err)
+				}
+				got := sorted(fl, m, ids)
+				if m == vaq.Traditional || m == vaq.BruteForce {
+					if !slices.Equal(got, wantCustom) {
+						t.Fatalf("%s/%v: two disks %v over %d sites: %v, scan %v", fl.name, m, custom, len(sites), got, wantCustom)
+					}
+					continue
+				}
+				for _, id := range got {
+					if _, found := slices.BinarySearch(wantCustom, id); !found {
+						t.Fatalf("%s/%v: site %d %v is outside the two disks %v", fl.name, m, id, sites[id], custom)
+					}
+				}
+			}
+		}
 	})
 }
+
+// twoDisks is a custom Region of two disjoint disks: disconnected, with no
+// wire form, and none of the optional interfaces a Polygon or Circle has.
+type twoDisks struct{ a, b vaq.Circle }
+
+func (r twoDisks) Bounds() vaq.Rect { return r.a.Bounds().Union(r.b.Bounds()) }
+func (r twoDisks) ContainsPoint(p vaq.Point) bool {
+	return r.a.ContainsPoint(p) || r.b.ContainsPoint(p)
+}
+func (r twoDisks) IntersectsSegment(s geom.Segment) bool {
+	return r.a.IntersectsSegment(s) || r.b.IntersectsSegment(s)
+}
+func (r twoDisks) InteriorPoint() vaq.Point { return r.a.InteriorPoint() }

@@ -6,6 +6,7 @@ package vaq_test
 // answer or an error — never a partial answer with a nil error.
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"math/rand"
@@ -24,6 +25,10 @@ type hostilePlan struct {
 	host  string // the backend's host:port
 	cut   int    // response body bytes delivered before the cut
 	stall bool   // at the cut, block until the request's context ends instead of ending the body
+	// lines moves the cut back to the last line boundary before it and
+	// drops the body's stated length, so only what the lines say can tell
+	// the cut body from a whole one.
+	lines bool
 }
 
 // hostileTransport applies the current plan to every area-query response;
@@ -38,6 +43,17 @@ func (h *hostileTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 	p := h.plan.Load()
 	if err != nil || p == nil || req.URL.Host != p.host || req.URL.Path == "/v1/info" {
 		return resp, err
+	}
+	if p.lines {
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		body = body[:bytes.LastIndexByte(body[:min(p.cut, len(body))], '\n')+1]
+		resp.Body, resp.ContentLength = io.NopCloser(bytes.NewReader(body)), -1
+		resp.Header.Del("Content-Length")
+		return resp, nil
 	}
 	resp.Body = &hostileBody{ReadCloser: resp.Body, left: p.cut, stall: p.stall, ctx: req.Context()}
 	return resp, nil
@@ -70,8 +86,11 @@ func (b *hostileBody) Read(p []byte) (int, error) {
 
 // FuzzRemoteHostileBackend: seed draws a polygon and a circle, op picks
 // Query, QueryAll or Each, backend the misbehaving one of two, and cut and
-// stall what its responses do. A cut past the end of a body leaves it
-// whole, so the healthy path is in the corpus too.
+// stall what its responses do. QueryAll runs again with the body cut at the
+// last line boundary before cut and sent without its length, plainly and
+// under CountOnly, whose answer is the last line's count alone. A cut past
+// the end of a body leaves it whole, so the healthy path is in the corpus
+// too.
 func FuzzRemoteHostileBackend(f *testing.F) {
 	pts := vaq.UniformPoints(rand.New(rand.NewSource(83)), 600, vaq.UnitSquare())
 	fx := startFixture(f, pts, 300)
@@ -95,6 +114,7 @@ func FuzzRemoteHostileBackend(f *testing.F) {
 	f.Add(int64(3), uint8(2), uint8(0), uint16(200), false)   // Each, cut mid-stream
 	f.Add(int64(4), uint8(2), uint8(1), uint16(120), true)    // Each, stalled mid-stream
 	f.Add(int64(5), uint8(0), uint8(1), uint16(65535), false) // Query, whole body
+	f.Add(int64(6), uint8(1), uint8(0), uint16(200), false)   // QueryAll, cut at a line: the region lines arrive, the last does not
 	f.Fuzz(func(t *testing.T, seed int64, op, backend uint8, cut uint16, stall bool) {
 		rng := rand.New(rand.NewSource(seed))
 		regions := []vaq.Region{
@@ -122,6 +142,14 @@ func FuzzRemoteHostileBackend(f *testing.F) {
 		case 1:
 			if out, err := re.QueryAll(ctx, regions); err == nil && !slices.EqualFunc(out, want, slices.Equal[[]int64]) {
 				t.Fatalf("QueryAll: %d results with a nil error differ from brute force", len(out))
+			}
+			ht.plan.Store(&hostilePlan{host: hosts[int(backend)%len(hosts)], cut: int(cut), lines: true})
+			if out, err := re.QueryAll(ctx, regions); err == nil && !slices.EqualFunc(out, want, slices.Equal[[]int64]) {
+				t.Fatalf("QueryAll cut at a line: %d results with a nil error differ from brute force", len(out))
+			}
+			var st vaq.Stats
+			if _, err := re.QueryAll(ctx, regions, vaq.CountOnly(), vaq.WithStatsInto(&st)); err == nil && st.ResultSize != len(want[0])+len(want[1]) {
+				t.Fatalf("QueryAll cut at a line, CountOnly: %d with a nil error, brute force %d", st.ResultSize, len(want[0])+len(want[1]))
 			}
 		case 2:
 			var got []int64

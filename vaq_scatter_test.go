@@ -81,13 +81,8 @@ func serveChunks(t *testing.T, chunks []chunk) (*vaq.RemoteEngine, []*backendCou
 				n.regions.Add(1)
 			case "/v1/queryall":
 				body, _ := io.ReadAll(r.Body)
-				var req wire.BatchRequest
-				if err := json.Unmarshal(body, &req); err != nil {
-					http.Error(w, err.Error(), http.StatusBadRequest)
-					return
-				}
 				n.requests.Add(1)
-				n.regions.Add(int64(len(req.Regions)))
+				n.regions.Add(int64(bytes.Count(body, []byte{'\n'}))) // a line per region
 				r.Body = io.NopCloser(bytes.NewReader(body))
 			}
 			h.ServeHTTP(w, r)

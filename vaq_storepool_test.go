@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -90,5 +91,21 @@ func TestStoreBackedQueryAllSoak(t *testing.T) {
 				t.Errorf("no cache hits across %d identical batches: %d reads", goroutines*reps, reads)
 			}
 		})
+	}
+}
+
+// TestNegativePayloadRefused: WithStore with a negative PayloadBytes fails
+// the constructor with an error naming the field, on one shard or several,
+// where it used to panic in makeslice.
+func TestNegativePayloadRefused(t *testing.T) {
+	pts := UniformPoints(rand.New(rand.NewSource(5)), 200, UnitSquare())
+	for _, shards := range []int{1, 3} {
+		eng, err := NewShardedEngine(pts, UnitSquare(), WithShards(shards), WithStore(StoreConfig{PayloadBytes: -1}))
+		if err == nil || !strings.Contains(err.Error(), "PayloadBytes") {
+			t.Errorf("%d shards: engine %v, err %v; want an error naming PayloadBytes", shards, eng, err)
+		}
+	}
+	if _, err := NewEngine(pts, UnitSquare(), WithStore(StoreConfig{PayloadBytes: -1})); err == nil {
+		t.Error("NewEngine: a negative PayloadBytes built an engine")
 	}
 }
