@@ -45,8 +45,8 @@ func main() {
 	if *vertices < 3 {
 		fatalf("bad -vertices: %d, a polygon has at least 3", *vertices)
 	}
-	// bench.measure runs 10 repeats for a count below 1, which the sweep
-	// header would still print as asked.
+	// The sweeps refuse this (and -vertices below 3) too, but only after
+	// the sweep header is printed.
 	if *repeats < 1 {
 		fatalf("bad -repeats: %d, a mean needs at least 1", *repeats)
 	}

@@ -112,8 +112,24 @@ func (r Row) TimeSavings() float64 {
 	return 1 - r.Voronoi.TimeMs/r.Traditional.TimeMs
 }
 
+// check refuses a configuration whose rows would not hold what they are
+// labelled with: a mean over no repeats, or a polygon of fewer than three
+// vertices (workload.RandomPolygon would draw its default instead).
+func (cfg Config) check() error {
+	if cfg.Repeats < 1 {
+		return fmt.Errorf("bench: %d repeats, a mean needs at least 1", cfg.Repeats)
+	}
+	if cfg.Vertices < 3 {
+		return fmt.Errorf("bench: %d vertices, a polygon has at least 3", cfg.Vertices)
+	}
+	return nil
+}
+
 // RunDataSizeSweep regenerates Table I (and the data of Figs. 4 and 5).
 func RunDataSizeSweep(cfg Config) ([]Row, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	rows := make([]Row, 0, len(cfg.DataSizes))
 	for i, n := range cfg.DataSizes {
 		row, err := runConfiguration(cfg, n, cfg.FixedQuerySize, cfg.Seed+int64(i))
@@ -131,6 +147,9 @@ func RunDataSizeSweep(cfg Config) ([]Row, error) {
 
 // RunQuerySizeSweep regenerates Table II (and the data of Figs. 6 and 7).
 func RunQuerySizeSweep(cfg Config) ([]Row, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	// One dataset, swept query sizes — as in the paper.
 	ds, err := newDataset(cfg, cfg.FixedDataSize, cfg.Seed+1000)
 	if err != nil {
@@ -198,20 +217,11 @@ func runConfiguration(cfg Config, n int, querySize float64, seed int64) (Row, er
 // through both methods and averages the statistics.
 func (ds *dataset) measure(cfg Config, querySize float64, seed int64) (Row, error) {
 	rng := rand.New(rand.NewSource(seed))
-	repeats := cfg.Repeats
-	if repeats <= 0 {
-		repeats = 10
-	}
-	vertices := cfg.Vertices
-	if vertices < 3 {
-		vertices = 10
-	}
-
 	var traditional, voronoi methodAcc
 	resultSum, mismatches := 0, 0
-	for rep := 0; rep < repeats; rep++ {
+	for rep := 0; rep < cfg.Repeats; rep++ {
 		area := workload.RandomPolygon(rng, workload.PolygonConfig{
-			Vertices:  vertices,
+			Vertices:  cfg.Vertices,
 			QuerySize: querySize,
 		}, ds.bounds)
 		region := core.PolygonRegion(area)
@@ -236,7 +246,7 @@ func (ds *dataset) measure(cfg Config, querySize float64, seed int64) (Row, erro
 	return Row{
 		DataSize:    ds.n,
 		QuerySize:   querySize,
-		ResultSize:  float64(resultSum) / float64(repeats),
+		ResultSize:  float64(resultSum) / float64(cfg.Repeats),
 		Traditional: traditional.result(),
 		Voronoi:     voronoi.result(),
 		Mismatches:  mismatches,

@@ -112,6 +112,25 @@ func TestStoreBackedSweepCountsIO(t *testing.T) {
 	}
 }
 
+// TestSweepsRefuseWhatTheirRowsCannotHold: a sweep returns an error for a
+// repeat count below 1 or fewer than 3 vertices, before it builds a dataset
+// (PaperConfig's first one holds 10⁵ points), rather than measure something
+// its rows would be labelled as what was asked.
+func TestSweepsRefuseWhatTheirRowsCannotHold(t *testing.T) {
+	few := PaperConfig(5)
+	few.Vertices = 2
+	for name, cfg := range map[string]Config{"no repeats": PaperConfig(0), "two vertices": few} {
+		for sweep, run := range map[string]func(Config) ([]Row, error){
+			"data size":  RunDataSizeSweep,
+			"query size": RunQuerySizeSweep,
+		} {
+			if rows, err := run(cfg); err == nil {
+				t.Errorf("%s, %s sweep: %d rows and no error", name, sweep, len(rows))
+			}
+		}
+	}
+}
+
 func TestPaperConfigShape(t *testing.T) {
 	cfg := PaperConfig(1000)
 	if len(cfg.DataSizes) != 10 || cfg.DataSizes[0] != 1e5 || cfg.DataSizes[9] != 1e6 {

@@ -39,8 +39,8 @@ var ErrDuplicatePoints = errors.New("core: dataset contains duplicate coordinate
 // every bisector the strict rule or the shell trace crosses there is two
 // user sites' bisector: the fence moves only edges between cells that meet
 // outside the universe. A fence site is therefore an ordinary far-away site
-// the BFS may route through and never a result. Len, Each, PositionOK and
-// Positions report user sites only, and a store holds no fence record, so
+// the BFS may route through and never a result. Len, Each and Positions
+// report user sites only, and a store holds no fence record, so
 // a fence site's position is always read resident.
 //
 // A record load — the refinement fetch both methods pay once per candidate
@@ -118,16 +118,6 @@ func newMemoryData(pts []geom.Point, bounds geom.Rect) (*MemoryData, []int32, er
 
 // Len returns the number of user sites: fence sites excluded.
 func (m *MemoryData) Len() int { return m.last - m.first }
-
-// PositionOK returns the resident coordinates of id, without record IO,
-// and whether id is a user site of the layer (fence sites and out-of-range
-// ids report false).
-func (m *MemoryData) PositionOK(id int64) (geom.Point, bool) {
-	if id < int64(m.first) || id >= int64(m.last) {
-		return geom.Point{}, false
-	}
-	return m.pts[id], true
-}
 
 // Positions returns the resident positions of ids [0, last), the user
 // sites' and, on a dynamic epoch, the fence sites' below them: the layer's

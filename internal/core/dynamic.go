@@ -127,26 +127,6 @@ func NewDynamicEngine(universe geom.Rect) *DynamicEngine {
 // counts accepted inserts.
 func (d *DynamicEngine) Len() int { return int(d.n.Load()) }
 
-// PointOK returns the coordinates of id and whether id is a user site the
-// engine currently holds. Safe to call concurrently with Insert. Ids
-// covered by the published epoch are served lock-free (positions never
-// change once assigned); only ids newer than that epoch fall back to the
-// writer mutex.
-func (d *DynamicEngine) PointOK(id int64) (geom.Point, bool) {
-	if id < int64(delaunay.FirstSiteID) {
-		return geom.Point{}, false
-	}
-	if s := d.snap.Load(); s != nil && id < int64(len(s.data.pts)) {
-		return s.data.pts[id], true
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if id >= int64(d.dt.NumSites()) {
-		return geom.Point{}, false
-	}
-	return d.dt.Point(int(id)), true
-}
-
 // Insert adds a point and returns its id. Inserting an existing coordinate
 // returns the existing id with inserted == false. Inserts from multiple
 // goroutines are serialized by an internal mutex; in-flight queries keep

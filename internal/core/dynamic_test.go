@@ -71,8 +71,10 @@ func TestDynamicEngineNoFenceLeakage(t *testing.T) {
 	area := geom.MustPolygon([]geom.Point{
 		geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(0, 1),
 	})
+	snap := d.Snapshot()
+	pos := snap.Data().Positions()
 	for _, m := range []Method{Traditional, VoronoiBFS, BruteForce} {
-		ids, _, err := query(d.Snapshot(), m, PolygonRegion(area))
+		ids, _, err := query(snap, m, PolygonRegion(area))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +82,7 @@ func TestDynamicEngineNoFenceLeakage(t *testing.T) {
 			t.Fatalf("%v: %d results, want %d", m, len(ids), n)
 		}
 		for _, id := range ids {
-			if p, ok := d.PointOK(id); !ok || !unitBounds().ContainsPoint(p) {
+			if id < delaunay.FirstSiteID || id >= int64(len(pos)) || !unitBounds().ContainsPoint(pos[id]) {
 				t.Fatalf("%v: result %d outside universe (fence leak?)", m, id)
 			}
 		}

@@ -167,8 +167,7 @@ func siteFixtures() map[string][]geom.Point {
 //   - its fence is exactly three sites outside the clip rectangle: ids
 //     [last, last+3) on a static layer, whose user ids are [0, last), and
 //     [0, 3) on a dynamic epoch, whose user ids follow them;
-//   - Len, Each, PositionOK and Positions report the user sites and no fence
-//     site;
+//   - Len, Each and Positions report the user sites and no fence site;
 //   - its ring chunks are laid out as delaunay.Rings says: one per
 //     ChunkSites ids, each with offsets that start at ChunkSites+1, never
 //     decrease and end at the chunk's length;
@@ -196,16 +195,13 @@ func checkLayerStructure(t *testing.T, name string, d *MemoryData) {
 		if d.clip.ContainsPoint(d.pts[f]) {
 			t.Fatalf("%s: fence site %d at %v lies in the clip %v", name, f, d.pts[f], d.clip)
 		}
-		if _, ok := d.PositionOK(int64(f)); ok {
-			t.Fatalf("%s: PositionOK reports fence site %d", name, f)
-		}
 	}
 	if d.Len() != d.last-d.first || len(d.Positions()) != d.last {
 		t.Fatalf("%s: Len %d, %d positions, for user ids [%d, %d)", name, d.Len(), len(d.Positions()), d.first, d.last)
 	}
 	next := d.first
 	d.Each(func(id int64, pos geom.Point) bool {
-		if p, ok := d.PositionOK(id); id != int64(next) || !ok || p != pos || pos != d.pts[id] {
+		if id != int64(next) || pos != d.pts[id] {
 			t.Fatalf("%s: Each yields %d at %v after %d user sites from %d", name, id, pos, next-d.first, d.first)
 		}
 		next++

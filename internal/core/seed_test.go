@@ -38,8 +38,8 @@ func checkSeedWalk(t *testing.T, name string, eng *Engine, sites []geom.Point, p
 		t.Fatalf("%s: hint toward %v is %d with %d ids", name, p, hint, len(d.pts))
 	}
 	seed, _ := walkFrom(eng, p)
-	_, hintUser := d.PositionOK(hint)
-	if _, seedUser := d.PositionOK(seed); !hintUser || !seedUser {
+	user := func(id int64) bool { return id >= int64(d.first) && id < int64(d.last) }
+	if !user(hint) || !user(seed) {
 		t.Fatalf("%s: toward %v the walk went from %d to %d, and one is a fence site", name, p, hint, seed)
 	}
 	want := math.Inf(1)

@@ -104,12 +104,6 @@ func newDynamic(universe geom.Rect, sites int) *Dynamic {
 	return d
 }
 
-// NumSites returns the number of sites including the three fence sites.
-func (d *Dynamic) NumSites() int { return len(d.pts) }
-
-// Point returns the coordinates of site id.
-func (d *Dynamic) Point(id int) geom.Point { return d.pts[id] }
-
 // Points returns the coordinates of every site, indexed by id, fence sites
 // first. Sites never move and InsertSite only appends, so the slice is the
 // triangulation's own storage pinned to its current length: it stays valid

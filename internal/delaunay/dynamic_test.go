@@ -12,8 +12,8 @@ func unitUniverse() geom.Rect { return geom.NewRect(0, 0, 1, 1) }
 
 func TestDynamicEmpty(t *testing.T) {
 	d := NewDynamic(unitUniverse())
-	if d.NumSites() != FirstSiteID {
-		t.Fatalf("fresh dynamic: %d sites, want the %d fence sites", d.NumSites(), FirstSiteID)
+	if len(d.Points()) != FirstSiteID {
+		t.Fatalf("fresh dynamic: %d sites, want the %d fence sites", len(d.Points()), FirstSiteID)
 	}
 	if err := d.Validate(); err != nil {
 		t.Error(err)
@@ -45,8 +45,8 @@ func TestDynamicInsertAndValidateIncrementally(t *testing.T) {
 		if !inserted {
 			t.Fatalf("random point %v reported duplicate", p)
 		}
-		if d.Point(id) != p {
-			t.Fatalf("Point(%d) = %v, want %v", id, d.Point(id), p)
+		if d.Points()[id] != p {
+			t.Fatalf("Points()[%d] = %v, want %v", id, d.Points()[id], p)
 		}
 		if i%25 == 0 {
 			if err := d.Validate(); err != nil {
@@ -57,8 +57,8 @@ func TestDynamicInsertAndValidateIncrementally(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if d.NumSites() != FirstSiteID+300 {
-		t.Errorf("sites = %d, want 300 and the fence", d.NumSites())
+	if len(d.Points()) != FirstSiteID+300 {
+		t.Errorf("sites = %d, want 300 and the fence", len(d.Points()))
 	}
 }
 
@@ -76,8 +76,8 @@ func TestDynamicDuplicateInsert(t *testing.T) {
 	if ins2 || id2 != id1 {
 		t.Errorf("duplicate insert: id=%d ins=%v, want id=%d ins=false", id2, ins2, id1)
 	}
-	if d.NumSites() != FirstSiteID+1 {
-		t.Errorf("sites = %d, want 1 and the fence", d.NumSites())
+	if len(d.Points()) != FirstSiteID+1 {
+		t.Errorf("sites = %d, want 1 and the fence", len(d.Points()))
 	}
 }
 
@@ -134,7 +134,7 @@ func TestDynamicMatchesStaticBuild(t *testing.T) {
 		}
 		var got, want []geom.Point
 		for _, nb := range d.AppendNeighbors(id, nil) {
-			got = append(got, d.Point(int(nb)))
+			got = append(got, d.Points()[nb])
 		}
 		for _, nb := range rings.Ring(int32(v)) {
 			want = append(want, sites[nb])
@@ -202,17 +202,17 @@ var hintPolicies = []hintPolicy{
 	{"none", nil},
 	{"nearest", func(d *Dynamic, x geom.Point) int { return extremeSite(d, x, false) }},
 	{"farthest", func(d *Dynamic, x geom.Point) int { return extremeSite(d, x, true) }},
-	{"fence", func(d *Dynamic, x geom.Point) int { return d.NumSites() % FirstSiteID }},
+	{"fence", func(d *Dynamic, x geom.Point) int { return len(d.Points()) % FirstSiteID }},
 	{"negative", func(*Dynamic, geom.Point) int { return -1 }},
-	{"unassigned", func(d *Dynamic, x geom.Point) int { return d.NumSites() + d.NumSites()%2 }},
+	{"unassigned", func(d *Dynamic, x geom.Point) int { return len(d.Points()) + len(d.Points())%2 }},
 }
 
 // extremeSite returns the user site nearest to x, or farthest from it; -1
 // while there is none.
 func extremeSite(d *Dynamic, x geom.Point, farthest bool) int {
 	best, bestD := -1, 0.0
-	for id := FirstSiteID; id < d.NumSites(); id++ {
-		dist := d.Point(id).Dist2(x)
+	for id := FirstSiteID; id < len(d.Points()); id++ {
+		dist := d.Points()[id].Dist2(x)
 		if best == -1 || (dist > bestD) == farthest {
 			best, bestD = id, dist
 		}
@@ -260,7 +260,7 @@ func TestHintChangesOnlyTheWalk(t *testing.T) {
 		if err := d.Validate(); err != nil {
 			t.Fatalf("%s: %v", pol.name, err)
 		}
-		rings := make([][]int32, d.NumSites())
+		rings := make([][]int32, len(d.Points()))
 		for id := range rings {
 			rings[id] = canonicalRing(d, id)
 		}

@@ -52,11 +52,11 @@ func publish(t *testing.T, d *Dynamic, pubs []published, inserts int) []publishe
 		last = pubs[len(pubs)-1]
 	}
 	rings := d.Adjacency(last.rings, len(last.pts))
-	if err := checkChunks(rings, d.NumSites()); err != nil {
+	if err := checkChunks(rings, len(d.Points())); err != nil {
 		t.Fatalf("after insert %d: %v", inserts, err)
 	}
 	var walk []int32
-	for v := range d.NumSites() {
+	for v := range len(d.Points()) {
 		ring := rings.Ring(int32(v))
 		if walk = d.AppendNeighbors(v, walk[:0]); !slices.Equal(ring, walk) {
 			t.Fatalf("after insert %d: site %d has published ring %v, walk %v", inserts, v, ring, walk)
@@ -68,7 +68,7 @@ func publish(t *testing.T, d *Dynamic, pubs []published, inserts int) []publishe
 		}
 	}
 	for k := range last.rings {
-		lo, hi := k*ChunkSites, min((k+1)*ChunkSites, d.NumSites())
+		lo, hi := k*ChunkSites, min((k+1)*ChunkSites, len(d.Points()))
 		same := hi <= len(last.pts)
 		for v := lo; v < hi && same; v++ {
 			same = slices.Equal(rings.Ring(int32(v)), last.rings.Ring(int32(v)))
@@ -168,7 +168,7 @@ func FuzzDelaunayBuilds(f *testing.F) {
 		for k, p := range pts {
 			near := extremeSite(d, p, false)
 			if len(hints) > 0 {
-				near = int(hints[k%len(hints)])%(d.NumSites()+2) - 1 // -1 … one past the last site
+				near = int(hints[k%len(hints)])%(len(d.Points())+2) - 1 // -1 … one past the last site
 			}
 			id, inserted, err := d.InsertSiteNear(p, near)
 			if err != nil {
@@ -183,7 +183,7 @@ func FuzzDelaunayBuilds(f *testing.F) {
 				t.Fatalf("repeat of %v (site %d) walked from %d: id %d, inserted %v", p, want, near, id, inserted)
 			} else {
 				// The walk alone finds a repeat, from wherever it starts.
-				for near := -1; near <= d.NumSites(); near++ {
+				for near := -1; near <= len(d.Points()); near++ {
 					if id, inserted, err := d.InsertSiteNear(p, near); err != nil || inserted || id != want {
 						t.Fatalf("repeat of %v (site %d) walked from %d: id %d, inserted %v, err %v", p, want, near, id, inserted, err)
 					}

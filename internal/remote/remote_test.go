@@ -135,7 +135,8 @@ func infoServer(t *testing.T, status int, body string) string {
 // TestReadBatchRefusesWhatIsNotAWholeBatch: a /v1/queryall body is read as
 // region lines then one statistics line without ids. A body cut at a line
 // boundary (no statistics line), statistics on a line with ids or before the
-// last, or a blank line is an error, never an answer.
+// last, a blank line, or a line with a second message after its own is an
+// error, never an answer.
 func TestReadBatchRefusesWhatIsNotAWholeBatch(t *testing.T) {
 	const last = `{"count":2,"stats":{"result_size":2,"candidates":3}}`
 	for _, tc := range []struct {
@@ -151,6 +152,8 @@ func TestReadBatchRefusesWhatIsNotAWholeBatch(t *testing.T) {
 		{"empty ids on the last line", `{"ids":[],"count":0,"stats":{}}` + "\n", "statistics"},
 		{"statistics before the last", last + "\n" + `{"ids":[1,2],"count":2}` + "\n" + last + "\n", "statistics"},
 		{"blank line", `{"ids":[1,2],"count":2}` + "\n\n" + last + "\n", "EOF"},
+		{"two messages on a line", `{"ids":[1,2],"count":2}{"count":0}` + "\n" + last + "\n", "trailing data"},
+		{"two messages on the last line", `{"ids":[1,2],"count":2}` + "\n" + last + `{"count":0}` + "\n", "trailing data"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := &backendPartition{b: backend{IDOffset: 100}}

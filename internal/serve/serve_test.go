@@ -25,16 +25,21 @@ import (
 
 func testEngine(t *testing.T, n int) *vaq.Engine {
 	t.Helper()
+	eng, err := vaq.NewEngine(testPoints(n), vaq.NewRect(0, 0, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// testPoints returns testEngine's n points, indexed by id.
+func testPoints(n int) []vaq.Point {
 	rng := rand.New(rand.NewSource(42))
 	pts := make([]vaq.Point, n)
 	for i := range pts {
 		pts[i] = vaq.Point{X: rng.Float64(), Y: rng.Float64()}
 	}
-	eng, err := vaq.NewEngine(pts, vaq.NewRect(0, 0, 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
+	return pts
 }
 
 func testRegion() vaq.Region {
@@ -264,7 +269,7 @@ func TestUnaryResponsesAreEncoderBytes(t *testing.T) {
 }
 
 func TestEachStreams(t *testing.T) {
-	eng := testEngine(t, 400)
+	eng, pts := testEngine(t, 400), testPoints(400)
 	srv := httptest.NewServer(NewHandler(eng, Config{}))
 	defer srv.Close()
 
@@ -298,8 +303,8 @@ func TestEachStreams(t *testing.T) {
 			}
 			break
 		}
-		if p, ok := eng.PointOK(fr.ID); !ok || p.X != fr.X || p.Y != fr.Y {
-			t.Errorf("frame %d coords %v,%v, want %v", fr.ID, fr.X, fr.Y, p)
+		if fr.ID < 0 || fr.ID >= int64(len(pts)) || pts[fr.ID] != vaq.Pt(fr.X, fr.Y) {
+			t.Fatalf("frame %d at %v,%v is not an input point", fr.ID, fr.X, fr.Y)
 		}
 		ids = append(ids, fr.ID)
 	}

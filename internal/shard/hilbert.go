@@ -69,19 +69,6 @@ func (s *localShard) Each(ctx context.Context, region core.Region, spec core.Que
 	})
 }
 
-// point returns the position of a global id and whether the shard holds
-// it: the shard's own, found by a binary search of its id map.
-func (s *localShard) point(id int64) (geom.Point, bool) {
-	if s.global != nil {
-		i, ok := slices.BinarySearch(s.global, id)
-		if !ok {
-			return geom.Point{}, false
-		}
-		id = int64(i)
-	}
-	return s.eng.Data().PositionOK(id)
-}
-
 // New partitions points into cfg.Shards Hilbert-contiguous shards, builds
 // every shard's engine (in parallel on the scatter pool) and returns the
 // fail-fast kernel over them. bounds must contain every point. Global ids
@@ -155,17 +142,3 @@ func OverEngine(eng *core.Engine, universe geom.Rect, parallelism int, met *Metr
 // ShardEngine returns the engine of shard si of an engine built by New,
 // for instrumentation.
 func (e *Engine) ShardEngine(si int) *core.Engine { return e.parts[si].(*localShard).eng }
-
-// PointOK returns the position of a global id and whether a shard holds
-// it, read from that shard's own data layer: a shard of an engine built by
-// New, or the one engine of OverEngine.
-func (e *Engine) PointOK(id int64) (geom.Point, bool) {
-	for _, p := range e.parts {
-		if s, ok := p.(*localShard); ok {
-			if pos, ok := s.point(id); ok {
-				return pos, true
-			}
-		}
-	}
-	return geom.Point{}, false
-}

@@ -210,8 +210,8 @@ func shardIDs(s *localShard) []int64 {
 }
 
 // TestShardPartitionInvariants pins the partition: shard i holds exactly
-// run i of hilbert.Runs, every point lands in exactly one shard, which
-// PointOK reads its position from, shard sizes are near-equal, each shard's
+// run i of hilbert.Runs, every point lands in exactly one shard, whose own
+// positions hold it, shard sizes are near-equal, each shard's
 // bounds contain its points, and a shard whose ids are 0..k-1 keeps no id
 // map.
 func TestShardPartitionInvariants(t *testing.T) {
@@ -244,6 +244,7 @@ func TestShardPartitionInvariants(t *testing.T) {
 				t.Errorf("%s shards=%d: size spread %d..%d", wname, shards, min, max)
 			}
 			runs := hilbert.Runs(pts, unitBounds(), shards)
+			held := make([][]int64, se.NumShards()) // each shard's global ids
 			for si := 0; si < se.NumShards(); si++ {
 				b := se.ShardBounds(si)
 				if !unitBounds().ContainsRect(b) {
@@ -254,19 +255,20 @@ func TestShardPartitionInvariants(t *testing.T) {
 					want = append(want, int64(id))
 				}
 				slices.Sort(want)
-				if got := shardIDs(se.parts[si].(*localShard)); !slices.Equal(got, want) {
+				held[si] = shardIDs(se.parts[si].(*localShard))
+				if got := held[si]; !slices.Equal(got, want) {
 					t.Errorf("%s shards=%d: shard %d holds %d ids, not run %d of hilbert.Runs (%d ids)",
 						wname, shards, si, len(got), si, len(want))
 				}
 			}
 			for id, want := range pts {
-				if p, ok := se.PointOK(int64(id)); !ok || p != want {
-					t.Fatalf("%s shards=%d: PointOK(%d) = %v, %v, want %v", wname, shards, id, p, ok, want)
-				}
 				holders := 0
 				for si, p := range se.parts {
-					if _, ok := p.(*localShard).point(int64(id)); ok {
+					if local, ok := slices.BinarySearch(held[si], int64(id)); ok {
 						holders++
+						if got := p.(*localShard).eng.Data().Positions()[local]; got != want {
+							t.Fatalf("%s shards=%d: shard %d holds point %d at %v, want %v", wname, shards, si, id, got, want)
+						}
 						if !se.ShardBounds(si).ContainsPoint(want) {
 							t.Fatalf("%s shards=%d: shard %d's bounds miss its point %d", wname, shards, si, id)
 						}

@@ -87,7 +87,7 @@ func (b *Builder) Append(rec PointRecord) error {
 		return b.err
 	}
 	if rec.ID < 0 || rec.ID >= maxRecords {
-		return fmt.Errorf("storage: record id %d out of range [0, %d)", rec.ID, maxRecords)
+		return fmt.Errorf("storage: record id %d out of range [0, %d)", rec.ID, int64(maxRecords))
 	}
 	if rec.ID < int64(len(b.dir)) && b.dir[rec.ID] != noRID {
 		return fmt.Errorf("storage: record id %d appended twice", rec.ID)

@@ -227,8 +227,8 @@ func PutBuffer(b *[]byte) {
 // DecodeQueryRequest decodes the body of POST /v1/query or /v1/each, or
 // one line of /v1/queryall's. The message is one JSON value with no member
 // QueryRequest lacks, followed by nothing but whitespace: the canonical
-// form is parsed in one pass, and any other input is decoded by a
-// json.Decoder that disallows unknown fields.
+// form is parsed in one pass, and any other input is decoded by
+// decodeWhole with unknown fields disallowed.
 func DecodeQueryRequest(data []byte) (QueryRequest, error) {
 	var req QueryRequest
 	if c := canonicalOf(data); c.queryRequest(&req) {
@@ -237,28 +237,36 @@ func DecodeQueryRequest(data []byte) (QueryRequest, error) {
 	var v QueryRequest // req may hold part of a message the cursor gave up on
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&v); err != nil {
-		return v, err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return v, errors.New("wire: trailing data after the request")
-	}
-	return v, nil
+	err := decodeWhole(dec, &v)
+	return v, err
 }
 
 // DecodeQueryResponse decodes the body of a successful /v1/query, or one
-// line of /v1/queryall's, as a json.Decoder reads its first value. On the
-// canonical form the ids are appended to dst[:0], so a caller may pass a
-// buffer to reuse; a message without ids decodes to nil IDs whatever dst
-// is.
+// line of /v1/queryall's: one JSON value followed by nothing but
+// whitespace, as DecodeQueryRequest reads a request, but with unknown
+// members ignored. On the canonical form the ids are appended to dst[:0],
+// so a caller may pass a buffer to reuse; a message without ids decodes to
+// nil IDs whatever dst is.
 func DecodeQueryResponse(data []byte, dst []int64) (QueryResponse, error) {
 	var resp QueryResponse
 	if c := canonicalOf(data); c.queryResponse(&resp, dst) {
 		return resp, nil
 	}
 	var v QueryResponse // resp may hold part of a message the cursor gave up on
-	err := json.NewDecoder(bytes.NewReader(data)).Decode(&v)
+	err := decodeWhole(json.NewDecoder(bytes.NewReader(data)), &v)
 	return v, err
+}
+
+// decodeWhole is both decoders' fallback: dec's input is one value for v,
+// then EOF.
+func decodeWhole(dec *json.Decoder, v any) error {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("wire: trailing data after the message")
+	}
+	return nil
 }
 
 // canonical is a cursor over a message that may be in the canonical form:

@@ -104,6 +104,28 @@ func TestQueryResponseDecodesIntoDest(t *testing.T) {
 	}
 }
 
+// TestTrailingDataIsRefused: a message followed by a second one is an
+// error on both decoders and on their encoding/json reference, canonical
+// first message or not.
+func TestTrailingDataIsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		kind int
+		data string
+	}{
+		{0, `{"region":{"kind":"circle","center":[0.5,0.5],"r":0.25},"options":{}}{"options":{}}`},
+		{1, `{"count":1}{"count":2}`},
+		{1, `{"ids":[1],"count":1}` + "\n" + `{"count":2}`},
+		{1, `{"count": 1} 2`},
+	} {
+		if _, err := handDecode(tc.kind, []byte(tc.data), nil); err == nil {
+			t.Errorf("%s %q decodes", unaryKinds[tc.kind], tc.data)
+		}
+		if _, err := referenceDecode(tc.kind, []byte(tc.data)); err == nil {
+			t.Errorf("%s %q: the reference decodes it", unaryKinds[tc.kind], tc.data)
+		}
+	}
+}
+
 // TestQueryResponseAppendAllocs: appending a 1000-id response into a
 // reused buffer allocates nothing.
 func TestQueryResponseAppendAllocs(t *testing.T) {

@@ -40,7 +40,8 @@ type Querier interface {
 	// its coordinates as the algorithm discovers it — for the Voronoi
 	// methods, while the BFS is still expanding — so consumers can act on
 	// early results without waiting for, or materializing, the full set.
-	// yield returning false stops the query cleanly.
+	// yield returning false stops the query cleanly. It is the one place a
+	// result's position comes from: no flavor looks one up by id.
 	Each(ctx context.Context, region Region, yield func(id int64, p Point) bool, opts ...QueryOpt) error
 }
 

@@ -105,8 +105,8 @@
 //
 // An engine retains exactly what its queries read, in flat
 // structure-of-arrays form, and nothing of what built it. Per site that
-// is: the position in one []Point (16 bytes, the one copy — the Point
-// accessor and the R-tree's leaves read it in place); the Voronoi adjacency
+// is: the position in one []Point (16 bytes, the one copy — Each yields
+// it and the R-tree's leaves read it in place); the Voronoi adjacency
 // as CSR arrays, one int32 offset plus one int32 per neighbor (about 28
 // bytes — a site averages six neighbors); and, once a Traditional query has
 // packed the R-tree, the site's leaf entry, an int32 id (4 bytes, plus about
@@ -121,7 +121,7 @@
 // each hull site it reaches — a few hundred bytes per layer. No query
 // returns a fence site, and a store holds no record of one. With
 // more than one shard, each shard also keeps its local-to-global id map,
-// ascending, which Point binary-searches: per site, then, 16 bytes of
+// ascending, through which its results are renamed: per site, then, 16 bytes of
 // position, about 28 of CSR, 8 of id map and, once packed, about 12 of
 // index. One shard keeps no id map — its ids are the global ones.
 //
@@ -481,9 +481,6 @@ func (e *Engine) ShardBounds(si int) Rect { return e.k.ShardBounds(si) }
 // data_bounds, the key a RemoteEngine prunes its fan-out by.
 func (e *Engine) DataBounds() Rect { return e.k.DataBounds() }
 
-// PointOK returns the coordinates of id and whether id is a stored point.
-func (e *Engine) PointOK(id int64) (Point, bool) { return e.k.PointOK(id) }
-
 // IOStats returns the engine's cumulative simulated IO counters — buffer
 // pool misses (reads) and hits, summed over every shard's private store —
 // when it was built WithStore; ok is false otherwise. The counters cover
@@ -648,11 +645,6 @@ func (e *DynamicEngine) Epoch() uint64 { return uint64(e.d.Len()) }
 // inside it (ErrOutsideUniverse).
 func (e *DynamicEngine) Bounds() Rect { return e.universe }
 
-// PointOK returns the coordinates of id and whether id is an inserted
-// point the engine currently holds. Safe to call concurrently with
-// Insert.
-func (e *DynamicEngine) PointOK(id int64) (Point, bool) { return e.d.PointOK(id) }
-
 // Snapshot is an immutable, epoch-pinned view of a DynamicEngine: the
 // engine its epoch published. Every query on it runs against exactly the
 // points inserted before it was taken — no matter how many inserts have
@@ -668,7 +660,3 @@ type Snapshot struct {
 // Epoch returns the epoch the snapshot pinned: the number of inserts it
 // reflects, which is Len.
 func (s *Snapshot) Epoch() uint64 { return uint64(s.Len()) }
-
-// PointOK returns the coordinates of id and whether id is a point present
-// in the snapshot.
-func (s *Snapshot) PointOK(id int64) (Point, bool) { return s.k.PointOK(id) }

@@ -1,6 +1,7 @@
 package vaq
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -134,19 +135,24 @@ func TestDynamicEngineConcurrentInsertQuery(t *testing.T) {
 				}
 
 				// The engine-level entry points run concurrently with Insert
-				// too; their epoch is pinned internally, so verify invariants
-				// that hold at any epoch: results lie inside the area and
-				// ids resolve to points.
-				live, _, err := queryWith(eng, VoronoiBFS, area)
+				// too; their epoch is pinned internally, so verify an
+				// invariant that holds at any epoch: every streamed result
+				// lies inside the area.
+				outside := int64(-1)
+				err = eng.Each(context.Background(), PolygonRegion(area), func(id int64, p Point) bool {
+					if !area.ContainsPoint(p) {
+						outside = id
+						return false
+					}
+					return true
+				}, UsingMethod(VoronoiBFS))
 				if err != nil {
 					recordError(err)
 					return
 				}
-				for _, id := range live {
-					if p, ok := eng.PointOK(id); !ok || !area.ContainsPoint(p) {
-						recordError(fmt.Errorf("live query result %d outside area", id))
-						return
-					}
+				if outside >= 0 {
+					recordError(fmt.Errorf("live query result %d outside area", outside))
+					return
 				}
 				if _, _, err := queryBatch(eng, VoronoiBFS, []Polygon{area}); err != nil {
 					recordError(err)
@@ -310,35 +316,6 @@ func TestDynamicEmptyEngineErrNoData(t *testing.T) {
 	}
 }
 
-// TestDynamicPointOKRefusesUnknownIDs pins PointOK's contract on both
-// dynamic flavors: the id Insert returned resolves, and every other id
-// reports false — the ids below it, which the triangulation's fence sites
-// occupy, like any id that was never issued.
-func TestDynamicPointOKRefusesUnknownIDs(t *testing.T) {
-	eng := NewDynamicEngine(UnitSquare())
-	p := Pt(0.25, 0.75)
-	id, _, err := eng.Insert(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pointers := map[string]interface {
-		PointOK(int64) (Point, bool)
-	}{"engine": eng, "snapshot": eng.Snapshot()}
-	for name, e := range pointers {
-		if got, ok := e.PointOK(id); !ok || got != p {
-			t.Errorf("%s: inserted id %d resolves to %v (ok=%v), want %v", name, id, got, ok, p)
-		}
-		for bad := int64(-1); bad <= id+1; bad++ {
-			if bad == id {
-				continue
-			}
-			if got, ok := e.PointOK(bad); ok {
-				t.Errorf("%s: PointOK(%d) = %v, true for an id Insert never returned", name, bad, got)
-			}
-		}
-	}
-}
-
 // TestDynamicDuplicateOfEarlySite repeats the first insert after thousands
 // of others, once as -0 where it was +0: the walk finds the site already
 // there, so the repeat answers its id, not inserted, Len stays, and the next
@@ -389,10 +366,11 @@ func TestDynamicEngineParityWithStatic(t *testing.T) {
 	dyn := NewDynamicEngine(UnitSquare())
 	// Dynamic site ids start after the triangulation's fence sites, so
 	// compare by position rather than raw id.
-	toPos := func(eng interface{ PointOK(int64) (Point, bool) }, ids []int64) []Point {
+	staticPos, dynPos := make(map[int64]Point, len(pts)), make(map[int64]Point, len(pts))
+	toPos := func(pos map[int64]Point, ids []int64) []Point {
 		out := make([]Point, len(ids))
 		for i, id := range ids {
-			p, ok := eng.PointOK(id)
+			p, ok := pos[id]
 			if !ok {
 				t.Fatalf("result id %d has no point", id)
 			}
@@ -406,10 +384,12 @@ func TestDynamicEngineParityWithStatic(t *testing.T) {
 		})
 		return out
 	}
-	for _, p := range pts {
-		if _, _, err := dyn.Insert(p); err != nil {
+	for i, p := range pts {
+		id, _, err := dyn.Insert(p)
+		if err != nil {
 			t.Fatal(err)
 		}
+		staticPos[int64(i)], dynPos[id] = p, p
 	}
 	for trial := 0; trial < 10; trial++ {
 		area := RandomQueryPolygon(rng, 10, 0.04, UnitSquare())
@@ -421,7 +401,7 @@ func TestDynamicEngineParityWithStatic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, dp := toPos(static, s), toPos(dyn, d)
+		sp, dp := toPos(staticPos, s), toPos(dynPos, d)
 		if len(sp) != len(dp) {
 			t.Fatalf("trial %d: static %d results, dynamic %d", trial, len(sp), len(dp))
 		}

@@ -21,6 +21,9 @@ type flavor struct {
 	q           vaq.Querier
 	reg         *vaq.MetricsRegistry
 	requests    *atomic.Int64 // the remote flavor's backend requests; nil on the others
+	// at is the point each id was built from: the caller's pts[id], or on
+	// the dynamic flavors the point Insert returned the id for.
+	at func(id int64) (vaq.Point, bool)
 }
 
 // everyFlavor builds the six shipped flavors over pts and universe: static,
@@ -31,36 +34,50 @@ type flavor struct {
 func everyFlavor(t *testing.T, pts []vaq.Point, universe vaq.Rect) []flavor {
 	t.Helper()
 	var flavors []flavor
-	add := func(name, label string, build func(vaq.Option) (vaq.Querier, error)) {
+	add := func(name, label string, at func(int64) (vaq.Point, bool), build func(vaq.Option) (vaq.Querier, error)) {
 		reg := vaq.NewMetricsRegistry()
 		q, err := build(vaq.WithMetrics(reg))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		flavors = append(flavors, flavor{name: name, label: label, q: q, reg: reg})
+		flavors = append(flavors, flavor{name: name, label: label, q: q, reg: reg, at: at})
 	}
+	input := slices.Clone(pts)
+	byIndex := func(id int64) (vaq.Point, bool) {
+		if id < 0 || id >= int64(len(input)) {
+			return vaq.Point{}, false
+		}
+		return input[id], true
+	}
+	inserted := map[int64]vaq.Point{} // both dynamic engines' ids: one insert order
+	byInsert := func(id int64) (vaq.Point, bool) { p, ok := inserted[id]; return p, ok }
 	dynamic := func(m vaq.Option) *vaq.DynamicEngine {
 		d := vaq.NewDynamicEngine(universe, m)
 		for _, p := range pts {
-			if _, _, err := d.Insert(p); err != nil {
+			id, _, err := d.Insert(p)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if q, ok := inserted[id]; ok && q != p {
+				t.Fatalf("Insert returned id %d for %v and for %v", id, q, p)
+			}
+			inserted[id] = p
 		}
 		return d
 	}
-	add("static", "static", func(m vaq.Option) (vaq.Querier, error) {
+	add("static", "static", byIndex, func(m vaq.Option) (vaq.Querier, error) {
 		return vaq.NewEngine(pts, universe, m)
 	})
-	add("store", "static", func(m vaq.Option) (vaq.Querier, error) {
+	add("store", "static", byIndex, func(m vaq.Option) (vaq.Querier, error) {
 		return vaq.NewEngine(pts, universe, m, vaq.WithStore(vaq.StoreConfig{PageSize: 4096, PoolPages: 8}))
 	})
-	add("sharded", "sharded", func(m vaq.Option) (vaq.Querier, error) {
+	add("sharded", "sharded", byIndex, func(m vaq.Option) (vaq.Querier, error) {
 		return vaq.NewShardedEngine(pts, universe, m, vaq.WithShards(4))
 	})
-	add("dynamic", "dynamic", func(m vaq.Option) (vaq.Querier, error) { return dynamic(m), nil })
-	add("snapshot", "dynamic", func(m vaq.Option) (vaq.Querier, error) { return dynamic(m).Snapshot(), nil })
+	add("dynamic", "dynamic", byInsert, func(m vaq.Option) (vaq.Querier, error) { return dynamic(m), nil })
+	add("snapshot", "dynamic", byInsert, func(m vaq.Option) (vaq.Querier, error) { return dynamic(m).Snapshot(), nil })
 	fixture := startFixtureOver(t, pts, universe, len(pts)*2/5)
-	add("remote", "remote", func(m vaq.Option) (vaq.Querier, error) { return fixture.dial(t, m), nil })
+	add("remote", "remote", byIndex, func(m vaq.Option) (vaq.Querier, error) { return fixture.dial(t, m), nil })
 	flavors[len(flavors)-1].requests = &fixture.requests
 	return flavors
 }
@@ -535,45 +552,39 @@ func TestPlainShapesAreRegions(t *testing.T) {
 // TestNoEngineReadsItsCallersSlice: an engine indexes and answers from its
 // own copy of the positions — its R-tree's leaves read that copy in place —
 // so a caller that reuses its input slice after construction changes no
-// answer. On a static, a store-backed, a 3-shard and an 8-shard engine every
-// point of the slice is then mirrored through the square's centre, and every
-// method, Traditional included, must return the ids it returned before, and
-// Point and PointOK the input position of every id (read from the owning
-// shard's own positions), refusing -1 and Len().
+// answer. On every flavor and an 8-shard engine every point of the slice is
+// then mirrored through the square's centre, and every method, Traditional
+// included, must return the ids it returned before. Each is where a result's
+// position comes from: it must yield exactly Query's ids, each with the
+// point it was built from (the input position, or on a dynamic flavor the
+// point Insert returned the id for), and over the whole universe every id.
 func TestNoEngineReadsItsCallersSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	pts := vaq.UniformPoints(rng, 2000, vaq.UnitSquare())
 	regions := []vaq.Region{
 		vaq.PolygonRegion(vaq.RandomQueryPolygon(rng, 10, 0.05, vaq.UnitSquare())),
 		vaq.NewCircle(vaq.Pt(0.3, 0.65), 0.12),
+		vaq.PolygonRegion(vaq.MustPolygon([]vaq.Point{vaq.Pt(0, 0), vaq.Pt(1, 0), vaq.Pt(1, 1), vaq.Pt(0, 1)})),
 	}
+	const everything = 2 // the region holding every point
 	methods := []vaq.Method{vaq.Traditional, vaq.VoronoiBFS, vaq.VoronoiBFSStrict, vaq.BruteForce}
-	engines := map[string]*vaq.Engine{}
-	var err error
-	if engines["static"], err = vaq.NewEngine(pts, vaq.UnitSquare()); err != nil {
+	flavors := everyFlavor(t, pts, vaq.UnitSquare())
+	sharded8, err := vaq.NewShardedEngine(pts, vaq.UnitSquare(), vaq.WithShards(8))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if engines["store"], err = vaq.NewEngine(pts, vaq.UnitSquare(), vaq.WithStore(vaq.StoreConfig{PageSize: 4096, PoolPages: 8})); err != nil {
-		t.Fatal(err)
-	}
-	if engines["sharded"], err = vaq.NewShardedEngine(pts, vaq.UnitSquare(), vaq.WithShards(3)); err != nil {
-		t.Fatal(err)
-	}
-	if engines["sharded-8"], err = vaq.NewShardedEngine(pts, vaq.UnitSquare(), vaq.WithShards(8)); err != nil {
-		t.Fatal(err)
-	}
-	input := slices.Clone(pts)
+	flavors = append(flavors, flavor{name: "sharded-8", q: sharded8, at: flavors[0].at})
 	ctx := context.Background()
 	answers := func() map[string][]int64 {
 		out := map[string][]int64{}
-		for name, q := range engines {
+		for _, f := range flavors {
 			for _, m := range methods {
 				for i, r := range regions {
-					ids, err := q.Query(ctx, r, vaq.UsingMethod(m))
+					ids, err := f.q.Query(ctx, r, vaq.UsingMethod(m))
 					if err != nil {
 						t.Fatal(err)
 					}
-					out[fmt.Sprintf("%s/%v/region %d", name, m, i)] = ids
+					out[fmt.Sprintf("%s/%v/region %d", f.name, m, i)] = ids
 				}
 			}
 		}
@@ -588,15 +599,30 @@ func TestNoEngineReadsItsCallersSlice(t *testing.T) {
 			t.Errorf("%s: %d ids after the caller's slice changed, %d before", key, len(got), len(before[key]))
 		}
 	}
-	for name, e := range engines {
-		for id, want := range input {
-			if p, ok := e.PointOK(int64(id)); !ok || p != want {
-				t.Fatalf("%s: PointOK(%d) = %v, %v, want %v", name, id, p, ok, want)
-			}
-		}
-		for _, bad := range []int64{-1, int64(e.Len())} {
-			if p, ok := e.PointOK(bad); ok {
-				t.Errorf("%s: PointOK(%d) = %v, true; want false", name, bad, p)
+	for _, f := range flavors {
+		for _, m := range methods {
+			for i, r := range regions {
+				key := fmt.Sprintf("%s/%v/region %d", f.name, m, i)
+				var yielded []int64
+				var moved error
+				err := f.q.Each(ctx, r, func(id int64, p vaq.Point) bool {
+					if want, ok := f.at(id); !ok || p != want {
+						moved = fmt.Errorf("id %d yielded at %v, built from %v (known %v)", id, p, want, ok)
+						return false
+					}
+					yielded = append(yielded, id)
+					return true
+				}, vaq.UsingMethod(m))
+				if err != nil || moved != nil {
+					t.Fatalf("%s: Each: %v, %v", key, err, moved)
+				}
+				slices.Sort(yielded)
+				if want := slices.Sorted(slices.Values(before[key])); !slices.Equal(yielded, want) {
+					t.Errorf("%s: Each yielded %d ids, Query returned %d", key, len(yielded), len(want))
+				}
+				if i == everything && len(yielded) != len(pts) {
+					t.Errorf("%s: Each over the universe yielded %d ids, want %d", key, len(yielded), len(pts))
+				}
 			}
 		}
 	}

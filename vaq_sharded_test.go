@@ -257,10 +257,15 @@ func TestShardedGlobalIDStability(t *testing.T) {
 		} else if !slices.Equal(got, first) {
 			t.Errorf("shards=%d: ids differ from shards=%d", shards, shardedTestCounts[0])
 		}
-		for _, id := range got {
-			if p, ok := sharded.PointOK(id); !ok || p != pts[id] {
-				t.Fatalf("shards=%d: PointOK(%d) does not match input slice", shards, id)
+		err = sharded.Each(context.Background(), PolygonRegion(area), func(id int64, p Point) bool {
+			if p != pts[id] {
+				t.Errorf("shards=%d: Each yields id %d at %v, input slice has %v", shards, id, p, pts[id])
+				return false
 			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

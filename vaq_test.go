@@ -45,7 +45,7 @@ func TestQuickstartFlow(t *testing.T) {
 	inIDs := make(map[int64]bool)
 	for _, id := range ids {
 		inIDs[id] = true
-		if p, ok := eng.PointOK(id); !ok || !area.ContainsPoint(p) {
+		if !area.ContainsPoint(pts[id]) {
 			t.Errorf("returned id %d outside area", id)
 		}
 	}
@@ -218,13 +218,14 @@ func TestDynamicEnginePublicAPI(t *testing.T) {
 	if eng.Bounds() != UnitSquare() {
 		t.Error("Bounds mismatch")
 	}
-	var ids []int64
+	pos := make(map[int64]Point) // id -> the point Insert returned it for
 	for i := 0; i < 1000; i++ {
-		id, ins, err := eng.Insert(Pt(rng.Float64(), rng.Float64()))
+		p := Pt(rng.Float64(), rng.Float64())
+		id, ins, err := eng.Insert(p)
 		if err != nil || !ins {
 			t.Fatalf("insert %d: ins=%v err=%v", i, ins, err)
 		}
-		ids = append(ids, id)
+		pos[id] = p
 	}
 	if eng.Len() != 1000 {
 		t.Fatalf("Len = %d", eng.Len())
@@ -243,67 +244,8 @@ func TestDynamicEnginePublicAPI(t *testing.T) {
 	}
 	// Result points are really inside.
 	for _, id := range a {
-		if p, ok := eng.PointOK(id); !ok || !area.ContainsPoint(p) {
+		if p, ok := pos[id]; !ok || !area.ContainsPoint(p) {
 			t.Errorf("result %d outside area", id)
-		}
-	}
-	_ = ids
-}
-
-func TestPointOKPublicAPI(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pts := UniformPoints(rng, 500, UnitSquare())
-	eng, err := NewEngine(pts, UnitSquare())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := NewShardedEngine(pts, UnitSquare(), WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name    string
-		pointOK func(id int64) (Point, bool)
-	}{
-		{"engine", eng.PointOK},
-		{"sharded", sharded.PointOK},
-	} {
-		if p, ok := tc.pointOK(0); !ok || p != pts[0] {
-			t.Errorf("%s: PointOK(0) = %v, %v", tc.name, p, ok)
-		}
-		if p, ok := tc.pointOK(499); !ok || p != pts[499] {
-			t.Errorf("%s: PointOK(499) = %v, %v", tc.name, p, ok)
-		}
-		for _, bad := range []int64{-1, 500, 1 << 40} {
-			if _, ok := tc.pointOK(bad); ok {
-				t.Errorf("%s: PointOK(%d) should report false", tc.name, bad)
-			}
-		}
-		if got, ok := tc.pointOK(42); !ok || got != pts[42] {
-			t.Errorf("%s: PointOK(42) = %v, %v, want %v", tc.name, got, ok, pts[42])
-		}
-	}
-
-	// The dynamic flavors: ids come from Insert, fence sites and unknown
-	// ids report false.
-	dyn := NewDynamicEngine(UnitSquare())
-	id, _, err := dyn.Insert(Pt(0.25, 0.75))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, ok := dyn.PointOK(id); !ok || p != Pt(0.25, 0.75) {
-		t.Errorf("dynamic: PointOK(%d) = %v, %v", id, p, ok)
-	}
-	snap := dyn.Snapshot()
-	if p, ok := snap.PointOK(id); !ok || p != Pt(0.25, 0.75) {
-		t.Errorf("snapshot: PointOK(%d) = %v, %v", id, p, ok)
-	}
-	for _, bad := range []int64{-1, 0, id + 1000} {
-		if _, ok := dyn.PointOK(bad); ok {
-			t.Errorf("dynamic: PointOK(%d) should report false", bad)
-		}
-		if _, ok := snap.PointOK(bad); ok {
-			t.Errorf("snapshot: PointOK(%d) should report false", bad)
 		}
 	}
 }
