@@ -10,7 +10,8 @@ counts as used), all built with inlining off (-gcflags=all=-l), so that a
 function inlined into its callers still has a symbol of its own.
 
 A declared function that is not linked is dead outside its tests. KEPT
-names the ones kept on purpose; any other fails the run.
+names the ones kept on purpose; any other fails the run, and so does a KEPT
+entry that matches no unlinked function, so the list cannot go stale.
 
 Usage: python3 .github/unlinked.py   (from the repository root)
 """
@@ -24,13 +25,12 @@ import tempfile
 MODULE = "repro"
 
 # Unlinked on purpose, by declared name ("*" matches any package and
-# receiver): the structural self-checks tests call, the store's two size
-# accessors, and the probe tests use to see that no default query packs an
+# receiver): the structural self-checks tests call, the pool's shard-count
+# accessor, and the probe tests use to see that no default query packs an
 # R-tree.
 KEPT = [
     "*.Validate",
     "repro/internal/storage.(*bufferPool).numShards",
-    "repro/internal/storage.(*Store).NumPages",
     "repro/internal/core.(*Engine).IndexPacked",
 ]
 
@@ -147,14 +147,13 @@ def linked(root, tmp, decl):
     return len(bins), syms
 
 
+def matches(k, name):
+    """Whether KEPT entry k names the declared function name."""
+    return name.endswith(k[1:]) if k.startswith("*.") else name == k
+
+
 def kept(name):
-    for k in KEPT:
-        if k.startswith("*."):
-            if name.endswith(k[1:]):
-                return True
-        elif name == k:
-            return True
-    return False
+    return any(matches(k, name) for k in KEPT)
 
 
 def main():
@@ -169,10 +168,14 @@ def main():
         ok = kept(d)
         failed |= not ok
         print(f"  {'kept' if ok else 'UNLINKED'}  {d}")
+    stale = [k for k in KEPT if not any(matches(k, d) for d in unlinked)]
+    for k in stale:
+        print(f"  STALE  {k}")
     if failed:
         print("a function no program links is dead outside its tests: delete it, or add it to KEPT with the reason", file=sys.stderr)
-        return 1
-    return 0
+    if stale:
+        print("a KEPT entry matches no unlinked function: drop it from KEPT", file=sys.stderr)
+    return 1 if failed or stale else 0
 
 
 if __name__ == "__main__":

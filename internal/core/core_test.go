@@ -282,7 +282,7 @@ func TestStorePlacementIgnoresArrivalOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		for id, want := range pts {
-			if got, err := data.store.GetPosition(int64(id)); err != nil || got != want {
+			if got, err := data.store.GetPosition(int64(id), nil, 0, nil); err != nil || got != want {
 				t.Fatalf("layout %d: record %d holds %v, %v; want %v", li, id, got, err, want)
 			}
 		}

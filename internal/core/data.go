@@ -45,10 +45,12 @@ var ErrDuplicatePoints = errors.New("core: dataset contains duplicate coordinate
 //
 // A record load — the refinement fetch both methods pay once per candidate
 // — reads the resident position, unless the layer has a store (NewStoreData):
-// then it is a page fetch through the store's sharded LRU buffer pool,
-// IO-accounted. Every layer is immutable once built and safe for concurrent
-// reads; the pool's counters and LRU state sit behind per-page-id lock
-// shards (StoreConfig.PoolShards tunes the count).
+// then it reads the record off its page, and the query's first load on a
+// page fetches the page through the store's sharded LRU buffer pool,
+// IO-accounted; the query's pin record (queryScratch.pins) lets its later
+// loads on that page read it in place. Every layer is immutable once built
+// and safe for concurrent reads; the pool's counters and LRU state sit
+// behind per-page-id lock shards (StoreConfig.PoolShards tunes the count).
 //
 // A dynamic engine publishes one per epoch (DynamicEngine.Snapshot), with
 // the triangulation's own ids.

@@ -52,9 +52,12 @@ func scanCell(pts []geom.Point, id int, clip geom.Rect) geom.Ring {
 // never what it decides. Every method returns the same ids in the same order
 // with the same counters on a memory layer and on a store layer over the same
 // points, and the same points — under ids shifted past the fence — on a
-// dynamic snapshot that inserted them in order. The store layer loads each
-// record it counts through its pool, exactly once: its page reads and hits
-// grow by Stats.RecordsLoaded. The memory layer fetches nothing.
+// dynamic snapshot that inserted them in order. The store layer reads each
+// page its loaded records lie on through its pool exactly once per query:
+// its page reads and hits grow by the number of those pages, which a cold
+// twin store with an unbounded pool counts as its page reads (each page it
+// is asked for misses once, however often it is asked). The memory layer
+// fetches nothing.
 func TestDataLayersAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	pts := workload.UniformPoints(rng, 20000, unitBounds())
@@ -66,8 +69,12 @@ func TestDataLayersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	twin, err := NewStoreData(pts, unitBounds(), StoreConfig{PageSize: 1024, PoolPages: -1, PayloadBytes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
 	idx := NewRTreeIndex(pts, 16)
-	memEng, storeEng := NewEngine(idx, mem), NewEngine(idx, store)
+	memEng, storeEng, twinEng := NewEngine(idx, mem), NewEngine(idx, store), NewEngine(idx, twin)
 	dynEng := dynamicOver(t, pts).Snapshot()
 
 	holed := geom.MustPolygon([]geom.Point{geom.Pt(0.2, 0.2), geom.Pt(0.7, 0.2), geom.Pt(0.7, 0.7), geom.Pt(0.2, 0.7)})
@@ -109,8 +116,13 @@ func TestDataLayersAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("store, %s, %v: %v", name, m, err)
 			}
-			if n := accesses(store.IOStats()) - before; n != st.RecordsLoaded {
-				t.Errorf("store, %s, %v: %d pool accesses for %d records loaded", name, m, n, st.RecordsLoaded)
+			twin.Store().DropCache()
+			if _, _, err := twinEng.QueryRegionSpec(ctx, region, QuerySpec{Method: m}); err != nil {
+				t.Fatalf("twin store, %s, %v: %v", name, m, err)
+			}
+			pages := twin.IOStats().PageReads
+			if n := accesses(store.IOStats()) - before; n != pages || (pages == 0) != (st.RecordsLoaded == 0) || pages > st.RecordsLoaded {
+				t.Errorf("store, %s, %v: %d pool accesses for %d records loaded on %d pages", name, m, n, st.RecordsLoaded, pages)
 			}
 			if !slices.Equal(got, want) || st != wantSt {
 				t.Errorf("store, %s, %v: %d ids, %+v; memory: %d ids, %+v", name, m, len(got), st, len(want), wantSt)

@@ -101,7 +101,7 @@ func (e *Engine) eachRegion(ctx context.Context, region Region, m Method, tr *ob
 	}
 	switch m {
 	case Traditional:
-		return e.eachTraditional(ctx, region, tr, &s.out)
+		return e.eachTraditional(ctx, region, tr, s)
 	case VoronoiBFS:
 		return e.eachVoronoi(ctx, region, false, tr, s)
 	case VoronoiBFSStrict:
@@ -136,18 +136,19 @@ func CheckMethod(m Method) error {
 // eachTraditional implements the classic filter-and-refine area query: the
 // index filters with the region's MBR; every candidate's record is loaded
 // and validated with a containment test.
-func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.QueryTrace, out *collector) (Stats, error) {
+func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.QueryTrace, s *queryScratch) (Stats, error) {
 	var stats Stats
 	var stopErr error
-	// Tracing splits the scan into record loads (PhasePageFetch) and
+	// Tracing splits the scan into pool reads (PhasePageFetch) and
 	// everything else (PhaseExpand: the index window walk plus the
 	// containment refinement). A record is loaded as the Voronoi BFS loads
-	// it: the resident position, or a page fetch, timed under tracing, when
-	// the layer has a store.
-	traced := tr != nil
+	// it: the resident position, or a read through the query's pin record
+	// when the layer has a store.
 	pts, store := e.data.pts, e.data.store
 	var fetched time.Duration
-	if traced {
+	var spent *time.Duration // &fetched when traced
+	if tr != nil {
+		spent = &fetched
 		scanStart := time.Now()
 		defer func() {
 			tr.Add(obs.PhasePageFetch, fetched)
@@ -166,7 +167,7 @@ func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.Que
 			pos = pts[id]
 		} else {
 			var err error
-			if pos, err = fetch(store, id, traced, &fetched); err != nil {
+			if pos, err = s.fetch(store, id, spent); err != nil {
 				stopErr = fmt.Errorf("core: loading candidate %d: %w", id, err)
 				return false
 			}
@@ -174,27 +175,12 @@ func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.Que
 		stats.RecordsLoaded++
 		stats.Candidates++
 		if region.ContainsPoint(pos) {
-			return out.add(id, pos)
+			return s.out.add(id, pos)
 		}
 		stats.RedundantValidations++
 		return true
 	})
 	return stats, stopErr
-}
-
-// fetch is a store-backed layer's record load: it reads id's position off
-// the record's page through the buffer pool and, when traced, adds the time
-// it took to *spent.
-//
-//vaq:noalloc
-func fetch(store *storage.Store, id int64, traced bool, spent *time.Duration) (geom.Point, error) {
-	if !traced {
-		return store.GetPosition(id)
-	}
-	t0 := time.Now()
-	pos, err := store.GetPosition(id)
-	*spent += time.Since(t0)
-	return pos, err
 }
 
 // eachVoronoi implements Algorithm 1 of the paper.
@@ -247,8 +233,8 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 
 	stats, fetched, err := voronoiBFS(ctx, q, s, stats)
 	if traced {
-		// The BFS splits into record loads (PhasePageFetch) and the
-		// expansion proper (PhaseExpand); the loop accrues fetch time and
+		// The BFS splits into pool reads (PhasePageFetch) and the
+		// expansion proper (PhaseExpand); the loop accrues pool time and
 		// funnels every exit path through here.
 		tr.Add(obs.PhasePageFetch, fetched)
 		tr.Add(obs.PhaseExpand, time.Since(bfsStart)-fetched)
@@ -273,8 +259,8 @@ type voronoiQuery struct {
 	// The data layer: resident positions and ring chunks, the rectangle
 	// the strict rule clips a cell to, and the store a candidate's record is
 	// fetched from (nil: the record is its resident position, read with no
-	// error branch and no clock pair under tracing). A store holds the
-	// records of ids below stored; the fence sites above have none.
+	// error branch). A store holds the records of ids below stored; the
+	// fence sites above have none.
 	pts    []geom.Point
 	rings  delaunay.Rings
 	clip   geom.Rect
@@ -318,11 +304,15 @@ func (q *voronoiQuery) testSegment(from, to geom.Point) bool {
 // allocation-free. The frontier holds the int32 ids the adjacency stores;
 // an id is widened only where it leaves the loop (the collector, a page
 // fetch). stats travels by value so the caller's copy never escapes;
-// fetched is the accrued record-load time (for tracing).
+// fetched is the accrued pool-read time (for tracing).
 //
 //vaq:noalloc
 func voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch, stats Stats) (Stats, time.Duration, error) {
 	var fetched time.Duration
+	var spent *time.Duration // &fetched when traced
+	if q.traced {
+		spent = &fetched
+	}
 	for head := 0; head < len(s.queue); head++ {
 		if head%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -335,7 +325,7 @@ func voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch, stats Stat
 			pos = q.pts[p]
 		} else {
 			var err error
-			if pos, err = fetch(q.store, int64(p), q.traced, &fetched); err != nil {
+			if pos, err = s.fetch(q.store, int64(p), spent); err != nil {
 				//vaqvet:ignore noalloc cold failure path; the wrap allocates only when a record load already failed
 				return stats, fetched, fmt.Errorf("core: loading candidate %d: %w", p, err)
 			}

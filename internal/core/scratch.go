@@ -3,8 +3,10 @@ package core
 import (
 	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/geom"
+	"repro/internal/storage"
 )
 
 // queryScratch is the per-query mutable state of the engine: the
@@ -20,6 +22,11 @@ type queryScratch struct {
 	// at 200k sites both tables stay in L2.)
 	visited []uint32
 	gen     uint32
+	// pins is the pin record of a store-backed layer: pins[p] == gen means
+	// "page p was read through the buffer pool this query", so the query's
+	// later record loads on p read the page in place (Store.GetPosition).
+	// One stamp per store page, stamped and cleared with visited.
+	pins []uint32
 	// queue is the BFS frontier, in the int32 ids the adjacency stores. A
 	// strict polygon query keeps its shell in it too: the walked sites
 	// first, then those inside R, then the flood.
@@ -93,6 +100,7 @@ func (s *queryScratch) nextGen() {
 	s.gen++
 	if s.gen == 0 { // wrapped: all stamps are stale-but-plausible, clear
 		clear(s.visited)
+		clear(s.pins)
 		s.gen = 1
 	}
 }
@@ -140,13 +148,27 @@ func (s *queryScratch) enqueueUnvisited(ring []int32) {
 	s.queue = q[:n]
 }
 
+// fetch is a store-backed layer's record load: id's position, read through
+// the query's pin record, so only the query's first load on a page goes
+// through the buffer pool. spent, when non-nil (traced), accrues the time of
+// that pool read alone; the clock is not read for a load on a pinned page.
+//
+//vaq:noalloc
+func (s *queryScratch) fetch(store *storage.Store, id int64, spent *time.Duration) (geom.Point, error) {
+	return store.GetPosition(id, s.pins, s.gen, spent)
+}
+
 // acquireScratch checks a scratch out of the engine's pool, sized to the
-// current id space with a fresh generation and an empty queue.
+// current id space (and pin record to the store's pages) with a fresh
+// generation and an empty queue.
 //
 //vaq:pooled
 func (e *Engine) acquireScratch() *queryScratch {
 	s := e.scratch.Get().(*queryScratch)
 	s.ensureCapacity(len(e.data.pts))
+	if st := e.data.store; st != nil && len(s.pins) < st.NumPages() {
+		s.pins = make([]uint32, st.NumPages())
+	}
 	s.queue = s.queue[:0]
 	s.nextGen()
 	return s

@@ -64,7 +64,7 @@ var errWalkEscaped = errors.New("core: the polygon leaves the data layer's unive
 // region is pg itself, or its prepared form, and answers the validations.
 // pg is valid (geom.CheckPolygon): every flavor refuses one that is not.
 // Locating each ring's first vertex is timed under PhaseSeed, the walk and
-// the flood under PhaseExpand, and the validations' record loads under
+// the flood under PhaseExpand, and the validations' pool reads under
 // PhasePageFetch.
 func (e *Engine) eachShell(ctx context.Context, pg geom.Polygon, region Region, tr *obs.QueryTrace, s *queryScratch) (Stats, error) {
 	traced := tr != nil
@@ -104,11 +104,15 @@ func insideLeft(r geom.Ring) geom.Orientation {
 
 // floodShell classifies or validates the shell s.queue holds, by its side
 // records in s.sides, then floods from its sites inside R. fetched is the
-// accrued record-load time (for tracing).
+// accrued pool-read time (for tracing).
 //
 //vaq:noalloc
 func (d *MemoryData) floodShell(ctx context.Context, region Region, s *queryScratch, traced bool) (stats Stats, fetched time.Duration, err error) {
 	pts, rings := d.pts, d.rings
+	var spent *time.Duration // &fetched when traced
+	if traced {
+		spent = &fetched
+	}
 	shell := len(s.queue)
 	for i := 0; i < shell; i++ {
 		if i%cancelStride == 0 {
@@ -123,7 +127,7 @@ func (d *MemoryData) floodShell(ctx context.Context, region Region, s *queryScra
 			continue // outside R; a fence site lies outside the universe
 		case s.sides[i] != sideIn:
 			if d.store != nil {
-				if pos, err = fetch(d.store, int64(p), traced, &fetched); err != nil {
+				if pos, err = s.fetch(d.store, int64(p), spent); err != nil {
 					//vaqvet:ignore noalloc cold failure path; the wrap allocates only when a record load already failed
 					return stats, fetched, fmt.Errorf("core: loading candidate %d: %w", p, err)
 				}

@@ -25,11 +25,14 @@ const (
 	// adjacency, or the filter-and-refine loop of the traditional and
 	// brute-force methods, excluding time spent in page fetches.
 	PhaseExpand
-	// PhasePageFetch is time spent fetching candidate records through the
-	// buffer pool of a data layer that has a store. It is zero where the
-	// layer has none (the default on every flavor, dynamic epochs always):
-	// a candidate's position is then read in place, which cannot block and
-	// is not timed as a fetch.
+	// PhasePageFetch is time spent reading store pages through the buffer
+	// pool of a data layer that has a store: a query's first record load
+	// on each page. Its later loads on the page read it in place and are
+	// not timed as a fetch (they count under PhaseExpand), nor is a load
+	// where the layer has no store (the default on every flavor, dynamic
+	// epochs always): a candidate's position is then read in place, which
+	// cannot block. So PhasePageFetch reads the clock once per page a
+	// query fetches, not once per record.
 	PhasePageFetch
 	// PhaseMerge is the sharded engine's sorted merge of per-shard
 	// results.

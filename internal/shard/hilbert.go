@@ -43,7 +43,7 @@ type localShard struct {
 	index  int
 	eng    *core.Engine
 	bounds geom.Rect
-	global []int64 // local id -> global id, ascending; nil when they are equal
+	global []int32 // local id -> global id, ascending; nil when they are equal
 }
 
 func (s *localShard) Bounds() geom.Rect { return s.bounds }
@@ -54,7 +54,7 @@ func (s *localShard) Query(ctx context.Context, region core.Region, spec core.Qu
 	ids, st, err := s.eng.QueryRegionSpec(ctx, region, spec)
 	if s.global != nil {
 		for i, id := range ids { // the engine's own slice, or spec.Dest
-			ids[i] = s.global[id]
+			ids[i] = int64(s.global[id])
 		}
 	}
 	return ids, st, err
@@ -65,7 +65,7 @@ func (s *localShard) Each(ctx context.Context, region core.Region, spec core.Que
 		return s.eng.EachRegion(ctx, region, spec, yield)
 	}
 	return s.eng.EachRegion(ctx, region, spec, func(id int64, pos geom.Point) bool {
-		return yield(s.global[id], pos)
+		return yield(int64(s.global[id]), pos)
 	})
 }
 
@@ -97,17 +97,15 @@ func New(points []geom.Point, bounds geom.Rect, cfg Config) (*Engine, error) {
 		for si, run := range runs {
 			// Ascending global order inside the shard keeps the remapping
 			// stable across shard counts and makes merged output ordering
-			// independent of the Hilbert traversal direction.
-			global := make([]int64, len(run))
-			for i, idx := range run {
-				global[i] = int64(idx)
-			}
-			slices.Sort(global)
-			pts := make([]geom.Point, len(global))
-			for i, id := range global {
+			// independent of the Hilbert traversal direction. The run,
+			// sorted in place, is the id map.
+			slices.Sort(run)
+			pts := make([]geom.Point, len(run))
+			for i, id := range run {
 				pts[i] = points[id]
 			}
-			if global[len(global)-1] == int64(len(global)-1) {
+			global := run
+			if int(run[len(run)-1]) == len(run)-1 {
 				global = nil // the run is 0..n-1: local ids are global
 			}
 			shards[si] = &localShard{index: si, bounds: geom.RectFromPoints(pts...), global: global}

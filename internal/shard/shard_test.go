@@ -199,12 +199,12 @@ func TestGlobalIDStability(t *testing.T) {
 
 // shardIDs returns the global ids a shard holds, ascending.
 func shardIDs(s *localShard) []int64 {
-	if s.global != nil {
-		return s.global
-	}
 	ids := make([]int64, s.eng.Data().Len())
 	for i := range ids {
 		ids[i] = int64(i)
+		if s.global != nil {
+			ids[i] = int64(s.global[i])
+		}
 	}
 	return ids
 }

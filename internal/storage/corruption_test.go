@@ -104,7 +104,7 @@ func TestStoreDetectsFlippedByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pos, err := st.GetPosition(victim); err != nil || pos != geom.Pt(0.5, 1) {
+	if pos, err := st.GetPosition(victim, nil, 0, nil); err != nil || pos != geom.Pt(0.5, 1) {
 		t.Fatalf("before the flip: GetPosition = %v, %v", pos, err)
 	}
 
@@ -112,13 +112,13 @@ func TestStoreDetectsFlippedByte(t *testing.T) {
 	st.FlipXBit52(victim)
 	st.DropCache()
 
-	if pos, err := st.GetPosition(victim); !errors.Is(err, ErrCorrupt) {
+	if pos, err := st.GetPosition(victim, nil, 0, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("after the flip: GetPosition = %v, %v for a stored (0.5, 1); want ErrCorrupt", pos, err)
 	}
 	for attempt := 0; attempt < 2; attempt++ {
 		for id := int64(0); id < int64(st.Len()); id++ {
 			rec, err := st.Get(id)
-			pos, posErr := st.GetPosition(id)
+			pos, posErr := st.GetPosition(id, nil, 0, nil)
 			if st.RIDOf(id).Page == bad {
 				if !errors.Is(err, ErrCorrupt) || !errors.Is(posErr, ErrCorrupt) {
 					t.Fatalf("attempt %d, id %d on the corrupt page: Get = %v, %v; GetPosition = %v, %v; want ErrCorrupt",

@@ -12,7 +12,9 @@
 // buffer pool that counts page reads, so both area-query methods can report
 // how much IO their candidate sets cost, and that checks every page it reads
 // against a checksum kept outside the page, so a page that changed after it
-// was written is an ErrCorrupt, never a wrong answer.
+// was written is an ErrCorrupt, never a wrong answer. A query pins each
+// page it has fetched (Store.GetPosition's pin record), so the pool sees a
+// page once per query however many of its records the query loads.
 package storage
 
 import (

@@ -9,8 +9,11 @@ import (
 // BufferPoolStats counts the IO behavior of a store since creation or the
 // last ResetStats.
 type BufferPoolStats struct {
-	PageReads int   // pool misses: pages fetched from the backing file
-	CacheHits int   // pool hits
+	PageReads int // pool misses: pages fetched from the backing file
+	// CacheHits counts pool hits: each Get that finds its page resident,
+	// but a query (GetPosition with a pin record) only at its first read
+	// of a page, so at most once per page per query.
+	CacheHits int
 	BytesRead int64 // bytes fetched from the backing file
 	Evictions int   // frames evicted to make room
 }

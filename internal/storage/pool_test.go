@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // testPages returns a load function over n synthetic pages (each filled
@@ -196,7 +197,7 @@ func TestGetPositionMatchesGet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pos, err := posOnly.GetPosition(id)
+		pos, err := posOnly.GetPosition(id, nil, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,13 +208,56 @@ func TestGetPositionMatchesGet(t *testing.T) {
 	if got, want := posOnly.Stats(), full.Stats(); got != want {
 		t.Fatalf("GetPosition IO %+v, Get IO %+v", got, want)
 	}
-	if _, err := posOnly.GetPosition(40); !errors.Is(err, ErrNotFound) {
+	if _, err := posOnly.GetPosition(40, nil, 0, nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("GetPosition(missing id): err %v, want ErrNotFound", err)
 	}
 }
 
+// TestGetPositionPinsEachPageOnce reads every record through one pin
+// record, in an order that returns to each page many times, over a pool of
+// two pages: the pool is asked for each page once per generation, however
+// often the pass comes back to it or evicts it, and every position matches
+// Get's. A zero generation pins nothing, though the record holds zeros; a
+// new generation asks again.
+func TestGetPositionPinsEachPageOnce(t *testing.T) {
+	b := NewBuilder(Options{PageSize: 256, PoolPages: 2})
+	for i := int64(0); i < 40; i++ {
+		if err := b.Append(sampleRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	accesses := func() int { s := st.Stats(); return s.PageReads + s.CacheHits }
+	pins := make([]uint32, st.NumPages())
+	order := make([]int64, 0, 120)
+	for round := 0; round < 3; round++ {
+		for i := int64(0); i < 40; i++ {
+			order = append(order, (i*7+int64(round))%40) // strides across pages
+		}
+	}
+	for _, c := range []struct {
+		gen  uint32
+		want int
+	}{{0, len(order)}, {1, st.NumPages()}, {1, 0}, {2, st.NumPages()}} {
+		before := accesses()
+		for _, id := range order {
+			pos, err := st.GetPosition(id, pins, c.gen, nil)
+			if err != nil || pos != sampleRecord(id).Pos {
+				t.Fatalf("gen %d, id %d: %v, %v; stored %v", c.gen, id, pos, err, sampleRecord(id).Pos)
+			}
+		}
+		if got := accesses() - before; got != c.want {
+			t.Errorf("gen %d: %d pool accesses for %d reads over %d pages, want %d", c.gen, got, len(order), st.NumPages(), c.want)
+		}
+	}
+}
+
 // TestGetPositionAllocs pins the position-only read at zero allocations
-// when the page is resident: nothing is copied out of it.
+// when the page is resident or pinned, timed or not: nothing is copied out
+// of it.
 func TestGetPositionAllocs(t *testing.T) {
 	b := NewBuilder(Options{PageSize: 4096, PoolPages: -1})
 	for i := int64(0); i < 200; i++ {
@@ -225,14 +269,19 @@ func TestGetPositionAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pins := make([]uint32, st.NumPages())
+	var spent time.Duration
 	read := func() {
 		for id := int64(0); id < 200; id++ {
-			if _, err := st.GetPosition(id); err != nil {
+			if _, err := st.GetPosition(id, nil, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.GetPosition(id, pins, 1, &spent); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	read() // make every page resident
+	read() // make every page resident, and pinned
 	if allocs := testing.AllocsPerRun(20, read); allocs != 0 {
 		t.Fatalf("GetPosition allocates %.1f times per 200 resident reads, want 0", allocs)
 	}

@@ -192,7 +192,7 @@ func TestGetOutsideDirectory(t *testing.T) {
 		if _, err := st.Get(id); !errors.Is(err, ErrNotFound) {
 			t.Errorf("Get(%d): err = %v, want ErrNotFound", id, err)
 		}
-		if _, err := st.GetPosition(id); !errors.Is(err, ErrNotFound) {
+		if _, err := st.GetPosition(id, nil, 0, nil); !errors.Is(err, ErrNotFound) {
 			t.Errorf("GetPosition(%d): err = %v, want ErrNotFound", id, err)
 		}
 	}

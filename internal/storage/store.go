@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
+	"time"
 
 	"repro/internal/geom"
 )
@@ -13,13 +14,17 @@ import (
 // so it has no file format and cannot be opened from one. A record fetch is
 // a directory lookup (ids are dense), a buffer-pool fetch — one shard lock,
 // one index lookup, one LRU splice — and the slot and record framing
-// checks; the pool's counters expose the simulated IO cost. A page is
-// checksummed when it is read into the pool, not when it is hit, against a
-// sum kept with the directory rather than in the page: a page whose bytes
-// changed after Build never enters the pool, and every fetch of a record on
-// it fails with ErrCorrupt. Get, Stats, ResetStats and DropCache are safe
-// for concurrent use: the pages, their sums and the directory are
-// immutable, and all mutable state is the pool's (see bufferPool).
+// checks; the pool's counters expose the simulated IO cost. A query reads
+// positions through a pin record (GetPosition), so it fetches each page
+// through the pool once, and its later record loads on that page are the
+// directory lookup and the framing checks alone. A page is checksummed when
+// it is read into the pool, not when it is hit, against a sum kept with the
+// directory rather than in the page: a page whose bytes changed after Build
+// never enters the pool, is never pinned, and every fetch of a record on it
+// fails with ErrCorrupt. Get, GetPosition, Stats, ResetStats and DropCache
+// are safe for concurrent use (a pin record is its caller's own): the
+// pages, their sums and the directory are immutable, and all mutable state
+// is the pool's (see bufferPool).
 type Store struct {
 	pages [][]byte
 	sums  []uint32 // indexed by page id: the CRC-32C of the page as sealed
@@ -160,36 +165,60 @@ func (s *Store) NumPages() int { return len(s.pages) }
 // deep-copies every variable field at this boundary, so callers may
 // mutate the record freely.
 func (s *Store) Get(id int64) (PointRecord, error) {
-	raw, err := s.rawRecord(id)
+	raw, err := s.rawRecord(id, nil, 0, nil)
 	if err != nil {
 		return PointRecord{}, err
 	}
 	return decodeRecord(raw)
 }
 
-// GetPosition fetches only the coordinates of the record with the given
-// id. It costs the same IO as Get — directory lookup, buffer-pool fetch,
-// slot and framing checks — but copies nothing out of the page, which is
-// all a refinement step that validates a candidate's position needs.
-func (s *Store) GetPosition(id int64) (geom.Point, error) {
-	raw, err := s.rawRecord(id)
+// GetPosition reads only the coordinates of the record with the given id,
+// through the caller's pin record: pins holds one stamp per page (NumPages
+// of them) and gen, which is never 0, is the stamp of the caller's current
+// pass (a query). The first read on a page not stamped gen goes through the
+// buffer pool, so a page the pool misses is checksummed on its way in, and
+// stamps the page once the pool has returned it; every later read on the
+// page skips the pool and reads the page's bytes, which never change, so a
+// stamped page that the pool has since evicted still reads right. A page
+// that fails its checksum is never stamped. A nil pins stamps nothing: every
+// read goes through the pool, as Get's does. Either way the slot and record
+// framing checks run and nothing is copied out of the page. spent, when
+// non-nil, accrues the time the pool reads took, and the clock is read
+// around those alone.
+func (s *Store) GetPosition(id int64, pins []uint32, gen uint32, spent *time.Duration) (geom.Point, error) {
+	raw, err := s.rawRecord(id, pins, gen, spent)
 	if err != nil {
 		return geom.Point{}, err
 	}
 	return decodePosition(raw)
 }
 
-// rawRecord returns id's encoded record through the buffer pool. The bytes
-// alias the cached page and are read-only (see bufferPool.fetch); they must
-// not leave the package undecoded.
-func (s *Store) rawRecord(id int64) ([]byte, error) {
+// rawRecord returns id's encoded record, read through the pin record as
+// GetPosition describes. The bytes alias the heap page (and any pool frame
+// holding it) and are read-only (see bufferPool.fetch); they must not leave
+// the package undecoded.
+func (s *Store) rawRecord(id int64, pins []uint32, gen uint32, spent *time.Duration) ([]byte, error) {
 	if id < 0 || id >= int64(len(s.dir)) {
 		return nil, fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
 	rid := s.dir[id]
-	page, err := s.pool.fetch(rid.Page)
-	if err != nil {
-		return nil, err
+	page := s.pages[rid.Page]
+	if int(rid.Page) >= len(pins) || pins[rid.Page] != gen || gen == 0 {
+		var t0 time.Time
+		if spent != nil {
+			t0 = time.Now()
+		}
+		var err error
+		page, err = s.pool.fetch(rid.Page)
+		if spent != nil {
+			*spent += time.Since(t0)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if int(rid.Page) < len(pins) {
+			pins[rid.Page] = gen
+		}
 	}
 	return pageRecord(page, rid.Slot)
 }

@@ -121,8 +121,9 @@
 // each hull site it reaches — a few hundred bytes per layer. No query
 // returns a fence site, and a store holds no record of one. With
 // more than one shard, each shard also keeps its local-to-global id map,
-// ascending, through which its results are renamed: per site, then, 16 bytes of
-// position, about 28 of CSR, 8 of id map and, once packed, about 12 of
+// ascending int32 ids, through which its results are renamed (widened to
+// int64 as they leave the shard): per site, then, 16 bytes of
+// position, about 28 of CSR, 4 of id map and, once packed, about 12 of
 // index. One shard keeps no id map — its ids are the global ones.
 //
 // No engine keeps a clipped Voronoi cell. The strict expansion rule on a
@@ -483,7 +484,9 @@ func (e *Engine) DataBounds() Rect { return e.k.DataBounds() }
 
 // IOStats returns the engine's cumulative simulated IO counters — buffer
 // pool misses (reads) and hits, summed over every shard's private store —
-// when it was built WithStore; ok is false otherwise. The counters cover
+// when it was built WithStore; ok is false otherwise. A query asks the pool
+// for each page once, at its first record load there, so a hit is a
+// page's first load in a query that found it resident, not a record load. The counters cover
 // all queries since construction or the last ResetIOStats, across all
 // goroutines. (A DynamicEngine keeps its records in memory and has no IO
 // to report.) For the full pool picture (evictions, bytes, hit rate)
