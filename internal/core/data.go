@@ -48,7 +48,8 @@ var ErrDuplicatePoints = errors.New("core: dataset contains duplicate coordinate
 // then it reads the record off its page, and the query's first load on a
 // page fetches the page through the store's sharded LRU buffer pool,
 // IO-accounted; the query's pin record (queryScratch.pins) lets its later
-// loads on that page read it in place. Every layer is immutable once built
+// loads on that page read it in place while the page stays resident (one
+// that has left the pool is fetched, and counted, again). Every layer is immutable once built
 // and safe for concurrent reads; the pool's counters and LRU state sit
 // behind per-page-id lock shards (StoreConfig.PoolShards tunes the count).
 //

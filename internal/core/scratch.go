@@ -22,11 +22,13 @@ type queryScratch struct {
 	// at 200k sites both tables stay in L2.)
 	visited []uint32
 	gen     uint32
-	// pins is the pin record of a store-backed layer: pins[p] == gen means
-	// "page p was read through the buffer pool this query", so the query's
-	// later record loads on p read the page in place (Store.GetPosition).
-	// One stamp per store page, stamped and cleared with visited.
-	pins []uint32
+	// pins is the pin record of a store-backed layer: a stamp of gen in
+	// pins[p]'s high half means "page p was read through the buffer pool
+	// this query", and the low half is the page's departure count then, so
+	// the query's later record loads on p read the page in place while it
+	// stays resident (Store.GetPosition). One stamp per store page, cleared
+	// with visited.
+	pins []uint64
 	// queue is the BFS frontier, in the int32 ids the adjacency stores. A
 	// strict polygon query keeps its shell in it too: the walked sites
 	// first, then those inside R, then the flood.
@@ -149,9 +151,10 @@ func (s *queryScratch) enqueueUnvisited(ring []int32) {
 }
 
 // fetch is a store-backed layer's record load: id's position, read through
-// the query's pin record, so only the query's first load on a page goes
-// through the buffer pool. spent, when non-nil (traced), accrues the time of
-// that pool read alone; the clock is not read for a load on a pinned page.
+// the query's pin record, so only the query's first load on a page (or a
+// load on a page that has left the pool since) goes through the buffer
+// pool. spent, when non-nil (traced), accrues the time of those pool reads
+// alone; the clock is not read for a load on a pinned page.
 //
 //vaq:noalloc
 func (s *queryScratch) fetch(store *storage.Store, id int64, spent *time.Duration) (geom.Point, error) {
@@ -167,7 +170,7 @@ func (e *Engine) acquireScratch() *queryScratch {
 	s := e.scratch.Get().(*queryScratch)
 	s.ensureCapacity(len(e.data.pts))
 	if st := e.data.store; st != nil && len(s.pins) < st.NumPages() {
-		s.pins = make([]uint32, st.NumPages())
+		s.pins = make([]uint64, st.NumPages())
 	}
 	s.queue = s.queue[:0]
 	s.nextGen()

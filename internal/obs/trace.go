@@ -27,7 +27,8 @@ const (
 	PhaseExpand
 	// PhasePageFetch is time spent reading store pages through the buffer
 	// pool of a data layer that has a store: a query's first record load
-	// on each page. Its later loads on the page read it in place and are
+	// on each page (and a load on a page that has left the pool since).
+	// Its later loads on a resident page read it in place and are
 	// not timed as a fetch (they count under PhaseExpand), nor is a load
 	// where the layer has no store (the default on every flavor, dynamic
 	// epochs always): a candidate's position is then read in place, which

@@ -8,10 +8,10 @@ import (
 
 // FuzzStoreCorruption flips bits of one byte of one page of a small fixed
 // store and reads every record back cold, through Get, through GetPosition
-// alone and, twice, through one pin record (the second pass reads pinned
-// pages in place). A read returns either the record that was stored or an
-// error wrapping ErrCorrupt — never a different value, never a panic — and
-// an empty mask changes nothing. A flipped page is never pinned, so every
+// alone and, twice, through one pin record (the second pass reads the pages
+// still resident in place). A read returns either the record that was
+// stored or an error wrapping ErrCorrupt — never a different value, never a
+// panic — and an empty mask changes nothing. A flipped page is never pinned, so every
 // record on it keeps failing, and every other page is pinned by its first
 // read.
 func FuzzStoreCorruption(f *testing.F) {
@@ -39,7 +39,7 @@ func FuzzStoreCorruption(f *testing.F) {
 		st.pages[p][int(offset)%len(st.pages[p])] ^= mask
 		st.DropCache()
 		const gen = 1
-		pins := make([]uint32, st.NumPages())
+		pins := make([]uint64, st.NumPages())
 		for pass := 0; pass < 2; pass++ {
 			for id := int64(0); id < records; id++ {
 				want := sampleRecord(id)
@@ -61,7 +61,7 @@ func FuzzStoreCorruption(f *testing.F) {
 			}
 		}
 		for q, stamp := range pins {
-			if flipped := mask != 0 && uint32(q) == p; (stamp == gen) == flipped {
+			if flipped := mask != 0 && uint32(q) == p; (stamp>>32 == gen) == flipped {
 				t.Fatalf("page %d (flipped %v) stamped %d after reading every record", q, flipped, stamp)
 			}
 		}

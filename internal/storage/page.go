@@ -14,7 +14,9 @@
 // against a checksum kept outside the page, so a page that changed after it
 // was written is an ErrCorrupt, never a wrong answer. A query pins each
 // page it has fetched (Store.GetPosition's pin record), so the pool sees a
-// page once per query however many of its records the query loads.
+// page once per query however many of its records the query loads, unless
+// the page leaves the pool in between: then it is asked for, and counted,
+// again.
 package storage
 
 import (

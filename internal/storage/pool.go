@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // BufferPoolStats counts the IO behavior of a store since creation or the
@@ -11,8 +12,9 @@ import (
 type BufferPoolStats struct {
 	PageReads int // pool misses: pages fetched from the backing file
 	// CacheHits counts pool hits: each Get that finds its page resident,
-	// but a query (GetPosition with a pin record) only at its first read
-	// of a page, so at most once per page per query.
+	// but a query (GetPosition with a pin record) only where it asks the
+	// pool: at its first read of a page, and again only if the page has
+	// left the pool since.
 	CacheHits int
 	BytesRead int64 // bytes fetched from the backing file
 	Evictions int   // frames evicted to make room
@@ -62,6 +64,12 @@ type bufferPool struct {
 	// load reads and verifies one page of the backing file. It runs under
 	// the shard lock and must not re-enter the pool.
 	load func(pageID uint32) ([]byte, error)
+	// departed counts, by page id, the times the page left the pool:
+	// evicted, dropped by reset, or read with caching disabled and not
+	// kept. It is written under the page's shard lock and read without
+	// it, so a pin record can tell a page still resident since it was
+	// fetched (the count it saw then) from one that is not.
+	departed []atomic.Uint32
 }
 
 // poolShard is one lock shard: a private LRU cache over the pages whose
@@ -84,7 +92,7 @@ type poolShard struct {
 // frames[0].next is the most recently used frame, frames[0].prev the least.
 type frame struct {
 	prev, next int32
-	slot       uint32 // the index entry that points here
+	page       uint32 // the page held; page>>shift is the index entry that points here
 	data       []byte // read-only while installed
 }
 
@@ -124,10 +132,11 @@ func newBufferPool(capacity, shards, pages int, load func(pageID uint32) ([]byte
 		per = (capacity + n - 1) / n
 	}
 	bp := &bufferPool{
-		shards: make([]poolShard, n),
-		mask:   uint32(n - 1),
-		shift:  uint8(bits.TrailingZeros(uint(n))),
-		load:   load,
+		shards:   make([]poolShard, n),
+		mask:     uint32(n - 1),
+		shift:    uint8(bits.TrailingZeros(uint(n))),
+		load:     load,
+		departed: make([]atomic.Uint32, pages),
 	}
 	slots := (pages + n - 1) / n
 	for i := range bp.shards {
@@ -162,7 +171,7 @@ func (bp *bufferPool) fetch(pageID uint32) ([]byte, error) {
 	s.mu.Lock()
 	fi := s.index[slot]
 	if fi == 0 {
-		return s.miss(pageID, slot, bp.load)
+		return s.miss(bp, pageID, slot)
 	}
 	s.stats.CacheHits++
 	fr := s.frames
@@ -195,25 +204,27 @@ func (s *poolShard) pushFront(fi int32) {
 	fr[first].prev, fr[0].next = fi, fi
 }
 
-// miss reads pageID with load and installs it. It is entered with s.mu
-// held and releases it: the deferred unlock keeps the shard usable when
-// load panics. A load that panics or returns an error — the page failed
-// verification — counts nothing and installs nothing, so every later fetch
-// of the page reads it again and reports the same failure. On a full
-// shard the evicted frame is reused for the incoming page, so a
-// steady-state miss allocates nothing.
+// miss reads pageID with bp's loader and installs it in shard s. It is
+// entered with s.mu held and releases it: the deferred unlock keeps the
+// shard usable when load panics. A load that panics or returns an error —
+// the page failed verification — counts nothing and installs nothing, so
+// every later fetch of the page reads it again and reports the same
+// failure. On a full shard the evicted frame is reused for the incoming
+// page, so a steady-state miss allocates nothing.
 //
 //vaq:locked mu
-func (s *poolShard) miss(pageID, slot uint32, load func(uint32) ([]byte, error)) ([]byte, error) {
+func (s *poolShard) miss(bp *bufferPool, pageID, slot uint32) ([]byte, error) {
 	defer s.mu.Unlock()
-	data, err := load(pageID)
+	data, err := bp.load(pageID)
 	if err != nil {
 		return nil, err
 	}
 	s.stats.PageReads++
 	s.stats.BytesRead += int64(len(data))
 	if s.capacity == 0 {
-		// Caching disabled: every access is its own simulated read.
+		// Caching disabled: every access is its own simulated read, and
+		// the page leaves as soon as it is read.
+		bp.departed[pageID].Add(1)
 		return data, nil
 	}
 	var fi int32
@@ -222,11 +233,13 @@ func (s *poolShard) miss(pageID, slot uint32, load func(uint32) ([]byte, error))
 		s.frames = append(s.frames, frame{})
 	} else {
 		fi = s.frames[0].prev // least recently used: its frame takes the new page
-		s.index[s.frames[fi].slot] = 0
+		old := s.frames[fi].page
+		s.index[old>>bp.shift] = 0
+		bp.departed[old].Add(1)
 		s.stats.Evictions++
 		s.unlink(fi)
 	}
-	s.frames[fi].slot, s.frames[fi].data = slot, data
+	s.frames[fi].page, s.frames[fi].data = pageID, data
 	s.pushFront(fi)
 	s.index[slot] = fi
 	return data, nil
@@ -237,6 +250,9 @@ func (bp *bufferPool) reset() {
 	for i := range bp.shards {
 		s := &bp.shards[i]
 		s.mu.Lock()
+		for _, f := range s.frames[1:] {
+			bp.departed[f.page].Add(1)
+		}
 		clear(s.index)
 		s.frames = s.frames[:1]
 		s.frames[0] = frame{}

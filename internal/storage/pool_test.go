@@ -213,46 +213,97 @@ func TestGetPositionMatchesGet(t *testing.T) {
 	}
 }
 
-// TestGetPositionPinsEachPageOnce reads every record through one pin
-// record, in an order that returns to each page many times, over a pool of
-// two pages: the pool is asked for each page once per generation, however
-// often the pass comes back to it or evicts it, and every position matches
-// Get's. A zero generation pins nothing, though the record holds zeros; a
-// new generation asks again.
+// TestGetPositionPinsEachPageOnce reads records through one pin record
+// and checks what the pool is asked and what it counts. A pool that holds
+// every page is asked for each page once per generation, however often the
+// pass comes back to it, and again after DropCache; a new generation asks
+// again. Over a pool of two pages, a read whose page is not resident always
+// asks the pool and counts a page read, and a pass that reads each page's
+// records together asks once per page; with caching disabled every read is
+// a page read. Every position matches the stored one.
 func TestGetPositionPinsEachPageOnce(t *testing.T) {
-	b := NewBuilder(Options{PageSize: 256, PoolPages: 2})
-	for i := int64(0); i < 40; i++ {
-		if err := b.Append(sampleRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	accesses := func() int { s := st.Stats(); return s.PageReads + s.CacheHits }
-	pins := make([]uint32, st.NumPages())
-	order := make([]int64, 0, 120)
-	for round := 0; round < 3; round++ {
+	build := func(poolPages int) *Store {
+		b := NewBuilder(Options{PageSize: 256, PoolPages: poolPages})
 		for i := int64(0); i < 40; i++ {
-			order = append(order, (i*7+int64(round))%40) // strides across pages
-		}
-	}
-	for _, c := range []struct {
-		gen  uint32
-		want int
-	}{{0, len(order)}, {1, st.NumPages()}, {1, 0}, {2, st.NumPages()}} {
-		before := accesses()
-		for _, id := range order {
-			pos, err := st.GetPosition(id, pins, c.gen, nil)
-			if err != nil || pos != sampleRecord(id).Pos {
-				t.Fatalf("gen %d, id %d: %v, %v; stored %v", c.gen, id, pos, err, sampleRecord(id).Pos)
+			if err := b.Append(sampleRecord(i)); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if got := accesses() - before; got != c.want {
-			t.Errorf("gen %d: %d pool accesses for %d reads over %d pages, want %d", c.gen, got, len(order), st.NumPages(), c.want)
+		st, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	accesses := func(st *Store) int { s := st.Stats(); return s.PageReads + s.CacheHits }
+	var sequential, strided []int64
+	for round := 0; round < 3; round++ {
+		for i := int64(0); i < 40; i++ {
+			sequential = append(sequential, i)
+			strided = append(strided, (i*7+int64(round))%40) // strides across pages
 		}
 	}
+	read := func(st *Store, pins []uint64, gen uint32, order []int64, each func(id int64, wasResident bool, reads int)) {
+		t.Helper()
+		for _, id := range order {
+			p := st.dir[id].Page
+			wasResident, before := resident(st, p), st.Stats().PageReads
+			pos, err := st.GetPosition(id, pins, gen, nil)
+			if err != nil || pos != sampleRecord(id).Pos {
+				t.Fatalf("gen %d, id %d: %v, %v; stored %v", gen, id, pos, err, sampleRecord(id).Pos)
+			}
+			if each != nil {
+				each(id, wasResident, st.Stats().PageReads-before)
+			}
+		}
+	}
+
+	st := build(-1)
+	pins := make([]uint64, st.NumPages())
+	for _, c := range []struct {
+		gen  uint32
+		drop bool
+		want int
+	}{{1, false, st.NumPages()}, {1, false, 0}, {1, true, st.NumPages()}, {2, false, st.NumPages()}} {
+		if c.drop {
+			st.DropCache()
+		}
+		before := accesses(st)
+		read(st, pins, c.gen, strided, nil)
+		if got := accesses(st) - before; got != c.want {
+			t.Errorf("unbounded pool, gen %d, dropped %v: %d pool accesses for %d reads over %d pages, want %d", c.gen, c.drop, got, len(strided), st.NumPages(), c.want)
+		}
+	}
+
+	st = build(2)
+	pins = make([]uint64, st.NumPages())
+	before := accesses(st)
+	read(st, pins, 1, sequential, nil)
+	if got := accesses(st) - before; got != 3*st.NumPages() {
+		t.Errorf("two-page pool, each page's records together: %d pool accesses over %d pages in 3 passes, want %d", got, st.NumPages(), 3*st.NumPages())
+	}
+	read(st, pins, 2, strided, func(id int64, wasResident bool, reads int) {
+		if !wasResident && reads != 1 {
+			t.Errorf("two-page pool, id %d on a page not resident: %d page reads, want 1", id, reads)
+		}
+	})
+
+	st = build(0)
+	pins = make([]uint64, st.NumPages())
+	read(st, pins, 1, sequential, func(id int64, _ bool, reads int) {
+		if reads != 1 {
+			t.Errorf("caching disabled, id %d: %d page reads, want 1", id, reads)
+		}
+	})
+}
+
+// resident reports whether page p is in st's pool.
+func resident(st *Store, p uint32) bool {
+	bp := st.pool
+	s := &bp.shards[p&bp.mask]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.index[p>>bp.shift] != 0
 }
 
 // TestGetPositionAllocs pins the position-only read at zero allocations
@@ -269,7 +320,7 @@ func TestGetPositionAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pins := make([]uint32, st.NumPages())
+	pins := make([]uint64, st.NumPages())
 	var spent time.Duration
 	read := func() {
 		for id := int64(0); id < 200; id++ {

@@ -15,16 +15,19 @@ import (
 // a directory lookup (ids are dense), a buffer-pool fetch — one shard lock,
 // one index lookup, one LRU splice — and the slot and record framing
 // checks; the pool's counters expose the simulated IO cost. A query reads
-// positions through a pin record (GetPosition), so it fetches each page
-// through the pool once, and its later record loads on that page are the
-// directory lookup and the framing checks alone. A page is checksummed when
-// it is read into the pool, not when it is hit, against a sum kept with the
-// directory rather than in the page: a page whose bytes changed after Build
-// never enters the pool, is never pinned, and every fetch of a record on it
-// fails with ErrCorrupt. Get, GetPosition, Stats, ResetStats and DropCache
-// are safe for concurrent use (a pin record is its caller's own): the
-// pages, their sums and the directory are immutable, and all mutable state
-// is the pool's (see bufferPool).
+// positions through a pin record (GetPosition): it asks the pool for a page
+// at its first load there, and its later loads on the page, while the page
+// stays resident, are the directory lookup, a check that the page has not
+// left the pool, and the framing checks. A load on a page that has left the
+// pool asks the pool again, so every simulated read is counted; a page's
+// recency in the pool is its query's first load on it, not its last. A page
+// is checksummed when it is read into the pool, not when it is hit, against
+// a sum kept with the directory rather than in the page: a page whose bytes
+// changed after Build never enters the pool, is never pinned, and every
+// fetch of a record on it fails with ErrCorrupt. Get, GetPosition, Stats,
+// ResetStats and DropCache are safe for concurrent use (a pin record is its
+// caller's own): the pages, their sums and the directory are immutable, and
+// all mutable state is the pool's (see bufferPool).
 type Store struct {
 	pages [][]byte
 	sums  []uint32 // indexed by page id: the CRC-32C of the page as sealed
@@ -174,18 +177,19 @@ func (s *Store) Get(id int64) (PointRecord, error) {
 
 // GetPosition reads only the coordinates of the record with the given id,
 // through the caller's pin record: pins holds one stamp per page (NumPages
-// of them) and gen, which is never 0, is the stamp of the caller's current
-// pass (a query). The first read on a page not stamped gen goes through the
-// buffer pool, so a page the pool misses is checksummed on its way in, and
-// stamps the page once the pool has returned it; every later read on the
-// page skips the pool and reads the page's bytes, which never change, so a
-// stamped page that the pool has since evicted still reads right. A page
-// that fails its checksum is never stamped. A nil pins stamps nothing: every
-// read goes through the pool, as Get's does. Either way the slot and record
-// framing checks run and nothing is copied out of the page. spent, when
-// non-nil, accrues the time the pool reads took, and the clock is read
-// around those alone.
-func (s *Store) GetPosition(id int64, pins []uint32, gen uint32, spent *time.Duration) (geom.Point, error) {
+// of them) and gen is the caller's current pass (a query), never 0. A read
+// asks the buffer pool for its page unless the pass has already done so and
+// the page has not left the pool since, so a page the pool misses is
+// checksummed on its way in, a page still resident is read in place with
+// no pool round trip, and a read that the pool would count as a page read
+// always goes through it and is counted. The stamp records the pass and
+// the page's departure count (bufferPool.departed) as they stood before
+// the pool was asked; a page that fails its checksum is never stamped. A
+// nil pins stamps nothing: every read goes through the pool, as Get's
+// does. Either way the slot and record framing checks run and nothing is
+// copied out of the page. spent, when non-nil, accrues the time the pool
+// reads took, and the clock is read around those alone.
+func (s *Store) GetPosition(id int64, pins []uint64, gen uint32, spent *time.Duration) (geom.Point, error) {
 	raw, err := s.rawRecord(id, pins, gen, spent)
 	if err != nil {
 		return geom.Point{}, err
@@ -197,28 +201,31 @@ func (s *Store) GetPosition(id int64, pins []uint32, gen uint32, spent *time.Dur
 // GetPosition describes. The bytes alias the heap page (and any pool frame
 // holding it) and are read-only (see bufferPool.fetch); they must not leave
 // the package undecoded.
-func (s *Store) rawRecord(id int64, pins []uint32, gen uint32, spent *time.Duration) ([]byte, error) {
+func (s *Store) rawRecord(id int64, pins []uint64, gen uint32, spent *time.Duration) ([]byte, error) {
 	if id < 0 || id >= int64(len(s.dir)) {
 		return nil, fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
 	rid := s.dir[id]
-	page := s.pages[rid.Page]
-	if int(rid.Page) >= len(pins) || pins[rid.Page] != gen || gen == 0 {
-		var t0 time.Time
-		if spent != nil {
-			t0 = time.Now()
+	var stamp uint64
+	if int(rid.Page) < len(pins) {
+		stamp = uint64(gen)<<32 | uint64(s.pool.departed[rid.Page].Load())
+		if pins[rid.Page] == stamp {
+			return pageRecord(s.pages[rid.Page], rid.Slot)
 		}
-		var err error
-		page, err = s.pool.fetch(rid.Page)
-		if spent != nil {
-			*spent += time.Since(t0)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if int(rid.Page) < len(pins) {
-			pins[rid.Page] = gen
-		}
+	}
+	var t0 time.Time
+	if spent != nil {
+		t0 = time.Now()
+	}
+	page, err := s.pool.fetch(rid.Page)
+	if spent != nil {
+		*spent += time.Since(t0)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if int(rid.Page) < len(pins) {
+		pins[rid.Page] = stamp
 	}
 	return pageRecord(page, rid.Slot)
 }

@@ -485,12 +485,13 @@ func (e *Engine) DataBounds() Rect { return e.k.DataBounds() }
 // IOStats returns the engine's cumulative simulated IO counters — buffer
 // pool misses (reads) and hits, summed over every shard's private store —
 // when it was built WithStore; ok is false otherwise. A query asks the pool
-// for each page once, at its first record load there, so a hit is a
-// page's first load in a query that found it resident, not a record load. The counters cover
-// all queries since construction or the last ResetIOStats, across all
-// goroutines. (A DynamicEngine keeps its records in memory and has no IO
-// to report.) For the full pool picture (evictions, bytes, hit rate)
-// attach a registry with WithMetrics.
+// for a page at its first record load there, and again only if the page
+// has left the pool since, so a hit is such an ask that found the page
+// resident, not a record load. The counters cover all queries since
+// construction or the last ResetIOStats, across all goroutines. (A
+// DynamicEngine keeps its records in memory and has no IO to report.) For
+// the full pool picture (evictions, bytes, hit rate) attach a registry with
+// WithMetrics.
 func (e *Engine) IOStats() (reads, hits int, ok bool) {
 	st, ok := e.poolStats()
 	return st.PageReads, st.CacheHits, ok

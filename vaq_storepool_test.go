@@ -14,9 +14,9 @@ import (
 // one store-backed engine whose pool capacity is far below the page count,
 // so evictions and contended misses on one lock shard happen mid-batch —
 // and every result must stay byte-identical to the brute-force oracle.
-// After the soak the pool still hits: one record's page, asked for by the
-// same query twice, is found resident the second time. Swept at 1 lock
-// shard and the default shard count.
+// Then the goroutines all repeat one query that loads one record at once:
+// its page is read at most once and every other ask hits, however the
+// asks interleave. Swept at 1 lock shard and the default shard count.
 func TestStoreBackedQueryAllSoak(t *testing.T) {
 	const (
 		points     = 4000
@@ -87,22 +87,30 @@ func TestStoreBackedQueryAllSoak(t *testing.T) {
 			if !ok || reads == 0 {
 				t.Fatalf("store-backed engine reported no page reads (reads=%d ok=%v)", reads, ok)
 			}
-			// A query asks the pool for each page once, at its first record
-			// load there, so whether the soak's queries found one another's
-			// pages resident is up to timing. A window around pts[0] alone
-			// loads one record: asked twice in a row, its page is a miss or a
-			// hit, then a hit.
+			// A query asks the pool for a page once while it stays resident,
+			// so whether the soak's queries found one another's pages resident
+			// is up to timing. A window around pts[0] loads one record: when
+			// every goroutine asks only for it, its page is read at most once
+			// and never evicted, so every other ask is a hit.
 			p, d := pts[0], 1e-6
 			one := PolygonRegion(MustPolygon([]Point{Pt(p.X-d, p.Y-d), Pt(p.X+d, p.Y-d), Pt(p.X+d, p.Y+d), Pt(p.X-d, p.Y+d)}))
-			if ids, err := eng.Query(ctx, one, UsingMethod(Traditional)); err != nil || len(ids) != 1 {
-				t.Fatalf("window around pts[0]: %v, %v", ids, err)
-			}
 			reads, hits, _ := eng.IOStats()
-			if _, err := eng.Query(ctx, one, UsingMethod(Traditional)); err != nil {
-				t.Fatal(err)
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for rep := 0; rep < reps; rep++ {
+						if ids, err := eng.Query(ctx, one, UsingMethod(Traditional)); err != nil || len(ids) != 1 {
+							t.Errorf("goroutine %d rep %d, window around pts[0]: %v, %v", g, rep, ids, err)
+							return
+						}
+					}
+				}(g)
 			}
-			if r, h, _ := eng.IOStats(); r != reads || h != hits+1 {
-				t.Errorf("repeating a one-record query after the soak: reads %d -> %d, hits %d -> %d; want one more hit", reads, r, hits, h)
+			wg.Wait()
+			r, h, _ := eng.IOStats()
+			if r-reads > 1 || r-reads+h-hits != goroutines*reps {
+				t.Errorf("%d concurrent one-record queries: %d page reads, %d hits; want at most 1 read and one ask each", goroutines*reps, r-reads, h-hits)
 			}
 		})
 	}
