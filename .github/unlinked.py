@@ -25,12 +25,10 @@ import tempfile
 MODULE = "repro"
 
 # Unlinked on purpose, by declared name ("*" matches any package and
-# receiver): the structural self-checks tests call, the pool's shard-count
-# accessor, and the probe tests use to see that no default query packs an
-# R-tree.
+# receiver): the structural self-checks tests call, and the probe tests use
+# to see that no default query packs an R-tree.
 KEPT = [
     "*.Validate",
-    "repro/internal/storage.(*bufferPool).numShards",
     "repro/internal/core.(*Engine).IndexPacked",
 ]
 

@@ -74,7 +74,7 @@ type MethodResult struct {
 	Candidates float64
 	Redundant  float64
 	TimeMs     float64
-	PageReads  float64 // only populated with a store-backed run
+	PageReads  float64 // only measured with a store-backed run (Row.Stored)
 	TimeSD     float64 // standard deviation of per-query ms
 }
 
@@ -86,6 +86,9 @@ type Row struct {
 	ResultSize  float64
 	Traditional MethodResult
 	Voronoi     MethodResult
+	// Stored records that the sweep ran over the paged store, so each
+	// method's PageReads were measured.
+	Stored bool
 	// Mismatches counts repeats on which the Voronoi method's result set
 	// differed from the traditional one. The published expansion rule is a
 	// heuristic that can, on adversarially thin polygons relative to the
@@ -249,6 +252,7 @@ func (ds *dataset) measure(cfg Config, querySize float64, seed int64) (Row, erro
 		ResultSize:  float64(resultSum) / float64(cfg.Repeats),
 		Traditional: traditional.result(),
 		Voronoi:     voronoi.result(),
+		Stored:      cfg.Store != nil,
 		Mismatches:  mismatches,
 	}, nil
 }
@@ -303,27 +307,42 @@ func (a *methodAcc) result() MethodResult {
 	}
 }
 
+// pageColumns heads the two columns a table over the store adds: each
+// method's page reads per query.
+const pageColumns = " | Trad pages/query | Vor pages/query"
+
 // FormatTable renders rows in the layout of the paper's tables: one line
 // per configuration with result size, candidate counts and times for both
-// methods. labelQuery selects the first column (data size vs query size).
+// methods, and, when the sweep ran over the store, their page reads.
+// labelQuery selects the first column (data size vs query size).
 func FormatTable(rows []Row, labelQuery bool) string {
+	stored := len(rows) > 0 && rows[0].Stored
 	var b strings.Builder
 	if labelQuery {
-		b.WriteString("Query size | Result size | Trad candidates | Trad time(ms) | Vor candidates | Vor time(ms) | Cand saved | Time saved\n")
+		b.WriteString("Query size | Result size | Trad candidates | Trad time(ms) | Vor candidates | Vor time(ms) | Cand saved | Time saved")
 	} else {
-		b.WriteString("Data size  | Result size | Trad candidates | Trad time(ms) | Vor candidates | Vor time(ms) | Cand saved | Time saved\n")
+		b.WriteString("Data size  | Result size | Trad candidates | Trad time(ms) | Vor candidates | Vor time(ms) | Cand saved | Time saved")
 	}
-	b.WriteString(strings.Repeat("-", 120) + "\n")
+	rule := 120
+	if stored {
+		b.WriteString(pageColumns)
+		rule += len(pageColumns)
+	}
+	b.WriteString("\n" + strings.Repeat("-", rule) + "\n")
 	for _, r := range rows {
 		label := fmt.Sprintf("%-10d", r.DataSize)
 		if labelQuery {
 			label = fmt.Sprintf("%9.0f%%", r.QuerySize*100)
 		}
-		fmt.Fprintf(&b, "%s | %11.2f | %15.2f | %13.3f | %14.2f | %12.3f | %9.1f%% | %9.1f%%\n",
+		fmt.Fprintf(&b, "%s | %11.2f | %15.2f | %13.3f | %14.2f | %12.3f | %9.1f%% | %9.1f%%",
 			label, r.ResultSize,
 			r.Traditional.Candidates, r.Traditional.TimeMs,
 			r.Voronoi.Candidates, r.Voronoi.TimeMs,
 			r.CandidateSavings()*100, r.TimeSavings()*100)
+		if stored {
+			fmt.Fprintf(&b, " | %16.2f | %15.2f", r.Traditional.PageReads, r.Voronoi.PageReads)
+		}
+		b.WriteString("\n")
 	}
 	return b.String()
 }

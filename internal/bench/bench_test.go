@@ -110,6 +110,9 @@ func TestStoreBackedSweepCountsIO(t *testing.T) {
 	if r.Traditional.PageReads == 0 && r.Voronoi.PageReads == 0 {
 		t.Error("store-backed run should report page reads")
 	}
+	if table := FormatTable(rows, false); !strings.Contains(table, pageColumns) {
+		t.Errorf("a table over the store has no page-read columns:\n%s", table)
+	}
 }
 
 // TestSweepsRefuseWhatTheirRowsCannotHold: a sweep returns an error for a
@@ -159,6 +162,9 @@ func TestFormatTable(t *testing.T) {
 	table2 := FormatTable(rows, false)
 	if !strings.Contains(table2, "Data size") {
 		t.Errorf("data-size table format unexpected:\n%s", table2)
+	}
+	if strings.Contains(table+table2, "pages") {
+		t.Errorf("an in-memory table has page-read columns:\n%s", table)
 	}
 }
 

@@ -34,7 +34,9 @@
 // region clipping each cell it tests from its ring; and, for the strict rule
 // on a polygon, the boundary walk and flood of shell.go. No layer keeps a
 // clipped cell. Their one branch on the layer is whether a record load is a
-// page fetch.
+// page fetch, and it is written once: every loop loads a candidate's record
+// through queryScratch.load. A traced query's time is split once too, in
+// Engine.eachRegion, from the seed and pool-read time the scratch accrued.
 package core
 
 import (

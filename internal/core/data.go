@@ -43,15 +43,16 @@ var ErrDuplicatePoints = errors.New("core: dataset contains duplicate coordinate
 // report user sites only, and a store holds no fence record, so
 // a fence site's position is always read resident.
 //
-// A record load — the refinement fetch both methods pay once per candidate
-// — reads the resident position, unless the layer has a store (NewStoreData):
-// then it reads the record off its page, and the query's first load on a
-// page fetches the page through the store's sharded LRU buffer pool,
-// IO-accounted; the query's pin record (queryScratch.pins) lets its later
-// loads on that page read it in place while the page stays resident (one
-// that has left the pool is fetched, and counted, again). Every layer is immutable once built
-// and safe for concurrent reads; the pool's counters and LRU state sit
-// behind per-page-id lock shards (StoreConfig.PoolShards tunes the count).
+// A record load — the refinement fetch both methods pay once per candidate,
+// made by queryScratch.load alone — reads the resident position, unless the
+// layer has a store (NewStoreData): then it reads the record off its page
+// in the store, and the query's first load on a page fetches the page
+// through the store's sharded LRU buffer pool, IO-accounted; the query's
+// pin record (queryScratch.pins) lets its later loads on that page skip the
+// pool while the page stays resident (one that has left the pool is
+// fetched, and counted, again). Every layer is immutable once built and
+// safe for concurrent reads; the pool's counters and LRU state sit behind
+// per-page-id lock shards (StoreConfig.PoolShards tunes the count).
 //
 // A dynamic engine publishes one per epoch (DynamicEngine.Snapshot), with
 // the triangulation's own ids.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/delaunay"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/storage"
 	"repro/internal/voronoi"
 )
 
@@ -86,10 +85,12 @@ func (e *Engine) collect(ctx context.Context, region Region, spec QuerySpec, c c
 	return ids, stats, err
 }
 
-// eachRegion dispatches to the method implementations after the shared
-// empty-data and cancellation checks. The first reads the data layer, not
-// the index, so only a Traditional query makes a dynamic epoch pack its
-// R-tree.
+// eachRegion runs the method after the shared empty-data and cancellation
+// checks. The first reads the data layer, not the index, so only a
+// Traditional query makes a dynamic epoch pack its R-tree. A traced query
+// splits its time here, the same way for every method: the seed lookups
+// and the buffer pool reads the scratch accrued (PhaseSeed,
+// PhasePageFetch), and the rest of the method's run (PhaseExpand).
 func (e *Engine) eachRegion(ctx context.Context, region Region, m Method, tr *obs.QueryTrace, s *queryScratch) (Stats, error) {
 	if e.data.Len() == 0 {
 		return Stats{}, ErrNoData
@@ -99,26 +100,43 @@ func (e *Engine) eachRegion(ctx context.Context, region Region, m Method, tr *ob
 		// before any index or record work.
 		return Stats{}, err
 	}
+	var start time.Time
+	s.spent = nil
+	if tr != nil {
+		s.seeded, s.fetched, s.spent = 0, 0, &s.fetched
+		start = time.Now()
+	}
+	stats, err := e.run(ctx, region, m, s)
+	if tr != nil {
+		tr.Add(obs.PhaseSeed, s.seeded)
+		tr.Add(obs.PhasePageFetch, s.fetched)
+		tr.Add(obs.PhaseExpand, time.Since(start)-s.seeded-s.fetched)
+	}
+	return stats, err
+}
+
+// run dispatches to the method implementations.
+func (e *Engine) run(ctx context.Context, region Region, m Method, s *queryScratch) (Stats, error) {
 	switch m {
 	case Traditional:
-		return e.eachTraditional(ctx, region, tr, s)
+		return e.eachTraditional(ctx, region, s)
 	case VoronoiBFS:
-		return e.eachVoronoi(ctx, region, false, tr, s)
+		return e.eachVoronoi(ctx, region, false, s)
 	case VoronoiBFSStrict:
 		switch r := region.(type) {
 		case *geom.PreparedPolygon:
-			return e.eachShell(ctx, r.Polygon(), r, tr, s)
+			return e.eachShell(ctx, r.Polygon(), r, s)
 		case geom.Polygon:
-			return e.eachShell(ctx, r, r, tr, s)
+			return e.eachShell(ctx, r, r, s)
 		case geom.Circle:
 			// A disk is convex: the segment rule is exact on it (see
 			// eachVoronoi).
-			return e.eachVoronoi(ctx, region, false, tr, s)
+			return e.eachVoronoi(ctx, region, false, s)
 		default:
-			return e.eachVoronoi(ctx, region, true, tr, s)
+			return e.eachVoronoi(ctx, region, true, s)
 		}
 	case BruteForce:
-		return e.eachBruteForce(ctx, region, tr, &s.out)
+		return e.eachBruteForce(ctx, region, &s.out)
 	default:
 		return Stats{}, CheckMethod(m)
 	}
@@ -136,25 +154,10 @@ func CheckMethod(m Method) error {
 // eachTraditional implements the classic filter-and-refine area query: the
 // index filters with the region's MBR; every candidate's record is loaded
 // and validated with a containment test.
-func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.QueryTrace, s *queryScratch) (Stats, error) {
+func (e *Engine) eachTraditional(ctx context.Context, region Region, s *queryScratch) (Stats, error) {
 	var stats Stats
 	var stopErr error
-	// Tracing splits the scan into pool reads (PhasePageFetch) and
-	// everything else (PhaseExpand: the index window walk plus the
-	// containment refinement). A record is loaded as the Voronoi BFS loads
-	// it: the resident position, or a read through the query's pin record
-	// when the layer has a store.
-	pts, store := e.data.pts, e.data.store
-	var fetched time.Duration
-	var spent *time.Duration // &fetched when traced
-	if tr != nil {
-		spent = &fetched
-		scanStart := time.Now()
-		defer func() {
-			tr.Add(obs.PhasePageFetch, fetched)
-			tr.Add(obs.PhaseExpand, time.Since(scanStart)-fetched)
-		}()
-	}
+	d := e.data
 	stats.IndexNodesVisited = e.idx.Window(region.Bounds(), func(id int64) bool {
 		if stats.Candidates%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -162,15 +165,10 @@ func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.Que
 				return false
 			}
 		}
-		var pos geom.Point
-		if store == nil {
-			pos = pts[id]
-		} else {
-			var err error
-			if pos, err = s.fetch(store, id, spent); err != nil {
-				stopErr = fmt.Errorf("core: loading candidate %d: %w", id, err)
-				return false
-			}
+		pos, err := s.load(d, int32(id))
+		if err != nil {
+			stopErr = err
+			return false
 		}
 		stats.RecordsLoaded++
 		stats.Candidates++
@@ -204,42 +202,29 @@ func (e *Engine) eachTraditional(ctx context.Context, region Region, tr *obs.Que
 //
 // Results are emitted the moment the BFS validates them, so a streaming
 // consumer observes them while the expansion is still running.
-func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr *obs.QueryTrace, s *queryScratch) (Stats, error) {
-	var stats Stats
-	traced := tr != nil
+func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, s *queryScratch) (Stats, error) {
 	d := e.data
 
 	// Resolve the query-constant expansion state once.
-	q := voronoiQuery{region: region, strict: strict, traced: traced,
-		pts: d.pts, rings: d.rings, clip: d.clip, store: d.store, stored: int32(d.last)}
+	q := voronoiQuery{region: region, strict: strict, data: d, pts: d.pts, rings: d.rings, clip: d.clip}
 	if !strict {
 		q.boundary, _ = region.(BoundaryToucher)
 	}
 
-	// Line 3-4: p_seed := NN(P, arbitrary position in A).
+	// Line 3-4: p_seed := NN(P, arbitrary position in A), timed as the
+	// seed when the query is traced.
 	var seedStart time.Time
-	if traced {
+	if s.spent != nil {
 		seedStart = time.Now()
 	}
 	seed, _ := d.seedWalk(region.InteriorPoint()) // eachRegion saw a non-empty layer
-	var bfsStart time.Time
-	if traced {
-		tr.Add(obs.PhaseSeed, time.Since(seedStart))
-		bfsStart = time.Now()
+	if s.spent != nil {
+		s.seeded += time.Since(seedStart)
 	}
 
 	s.mark(int32(seed))
 	s.queue = append(s.queue, int32(seed))
-
-	stats, fetched, err := voronoiBFS(ctx, q, s, stats)
-	if traced {
-		// The BFS splits into pool reads (PhasePageFetch) and the
-		// expansion proper (PhaseExpand); the loop accrues pool time and
-		// funnels every exit path through here.
-		tr.Add(obs.PhasePageFetch, fetched)
-		tr.Add(obs.PhaseExpand, time.Since(bfsStart)-fetched)
-	}
-	return stats, err
+	return voronoiBFS(ctx, q, s)
 }
 
 // voronoiQuery is the query-constant state of one Voronoi BFS, resolved
@@ -250,22 +235,18 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, tr
 type voronoiQuery struct {
 	region Region
 	strict bool
-	traced bool
 
 	// boundary is the region's boundary-only segment test, when it has one
 	// (published rule; see testSegment).
 	boundary BoundaryToucher
 
-	// The data layer: resident positions and ring chunks, the rectangle
-	// the strict rule clips a cell to, and the store a candidate's record is
-	// fetched from (nil: the record is its resident position, read with no
-	// error branch). A store holds the records of ids below stored; the
-	// fence sites above have none.
-	pts    []geom.Point
-	rings  delaunay.Rings
-	clip   geom.Rect
-	store  *storage.Store
-	stored int32
+	// The data layer, which a candidate's record is loaded from
+	// (queryScratch.load), and its resident positions and ring chunks and
+	// the rectangle the strict rule clips a cell to.
+	data  *MemoryData
+	pts   []geom.Point
+	rings delaunay.Rings
+	clip  geom.Rect
 }
 
 // testCell is the strict rule's one cell-vs-area decision. It accepts when
@@ -302,33 +283,22 @@ func (q *voronoiQuery) testSegment(from, to geom.Point) bool {
 // layer takes. It builds no closures: positions and neighbor lists are the
 // layer's resident slices, read in place, so the whole expansion is
 // allocation-free. The frontier holds the int32 ids the adjacency stores;
-// an id is widened only where it leaves the loop (the collector, a page
-// fetch). stats travels by value so the caller's copy never escapes;
-// fetched is the accrued pool-read time (for tracing).
+// an id is widened only where it leaves the loop (the collector, a record
+// load).
 //
 //vaq:noalloc
-func voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch, stats Stats) (Stats, time.Duration, error) {
-	var fetched time.Duration
-	var spent *time.Duration // &fetched when traced
-	if q.traced {
-		spent = &fetched
-	}
+func voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch) (Stats, error) {
+	var stats Stats
 	for head := 0; head < len(s.queue); head++ {
 		if head%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
-				return stats, fetched, err
+				return stats, err
 			}
 		}
 		p := s.queue[head]
-		var pos geom.Point
-		if q.store == nil || p >= q.stored {
-			pos = q.pts[p]
-		} else {
-			var err error
-			if pos, err = s.fetch(q.store, int64(p), spent); err != nil {
-				//vaqvet:ignore noalloc cold failure path; the wrap allocates only when a record load already failed
-				return stats, fetched, fmt.Errorf("core: loading candidate %d: %w", p, err)
-			}
+		pos, err := s.load(q.data, p)
+		if err != nil {
+			return stats, err
 		}
 		stats.RecordsLoaded++
 		stats.Candidates++
@@ -339,7 +309,7 @@ func voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch, stats Stat
 			// become candidates (Property 7 bounds them to
 			// internal/boundary).
 			if !s.out.add(int64(p), pos) {
-				return stats, fetched, nil
+				return stats, nil
 			}
 			s.enqueueUnvisited(nbs)
 			continue
@@ -365,19 +335,15 @@ func voronoiBFS(ctx context.Context, q voronoiQuery, s *queryScratch, stats Stat
 			}
 		}
 	}
-	return stats, fetched, nil
+	return stats, nil
 }
 
 // eachBruteForce scans every record; it is the correctness oracle.
-func (e *Engine) eachBruteForce(ctx context.Context, region Region, tr *obs.QueryTrace, out *collector) (Stats, error) {
+// It touches no index and loads no record through the store, so a traced
+// scan is all PhaseExpand.
+func (e *Engine) eachBruteForce(ctx context.Context, region Region, out *collector) (Stats, error) {
 	var stats Stats
 	var stopErr error
-	// The whole scan is one expansion phase: brute force touches no index
-	// and loads no records through the store.
-	if tr != nil {
-		scanStart := time.Now()
-		defer func() { tr.Add(obs.PhaseExpand, time.Since(scanStart)) }()
-	}
 	bounds := region.Bounds()
 	e.data.Each(func(id int64, pos geom.Point) bool {
 		if stats.Candidates%cancelStride == 0 {

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/geom"
-	"repro/internal/storage"
 )
 
 // queryScratch is the per-query mutable state of the engine: the
@@ -29,6 +29,12 @@ type queryScratch struct {
 	// stays resident (Store.GetPosition). One stamp per store page, cleared
 	// with visited.
 	pins []uint64
+	// The running query's trace split: when it is traced, spent points at
+	// fetched, which GetPosition accrues the buffer pool reads into, and
+	// the seed lookups accrue into seeded; untraced, spent is nil and no
+	// clock is read. Engine.eachRegion sets them and reads them back.
+	spent           *time.Duration
+	seeded, fetched time.Duration
 	// queue is the BFS frontier, in the int32 ids the adjacency stores. A
 	// strict polygon query keeps its shell in it too: the walked sites
 	// first, then those inside R, then the flood.
@@ -150,15 +156,38 @@ func (s *queryScratch) enqueueUnvisited(ring []int32) {
 	s.queue = q[:n]
 }
 
-// fetch is a store-backed layer's record load: id's position, read through
-// the query's pin record, so only the query's first load on a page (or a
-// load on a page that has left the pool since) goes through the buffer
-// pool. spent, when non-nil (traced), accrues the time of those pool reads
-// alone; the clock is not read for a load on a pinned page.
+// load is a candidate's record load, the one every method makes before it
+// validates the candidate: p's resident position, or p's record when d has
+// a store (loadRecord). The store side is a call of its own so that load
+// stays within the inliner's budget, which one call to GetPosition alone
+// nearly fills.
 //
 //vaq:noalloc
-func (s *queryScratch) fetch(store *storage.Store, id int64, spent *time.Duration) (geom.Point, error) {
-	return store.GetPosition(id, s.pins, s.gen, spent)
+func (s *queryScratch) load(d *MemoryData, p int32) (pos geom.Point, err error) {
+	pos = d.pts[p]
+	if d.store != nil {
+		pos, err = s.loadRecord(d, p)
+	}
+	return
+}
+
+// loadRecord reads p's position off its record in d's store, through the
+// query's pin record (Store.GetPosition): only the query's first load on a
+// page, or a load on a page that has left the pool since, goes through the
+// buffer pool, and the pool's time accrues into fetched while the query is
+// traced. A fence site has no record: its position is the resident one.
+//
+//vaq:noalloc
+func (s *queryScratch) loadRecord(d *MemoryData, p int32) (geom.Point, error) {
+	if int(p) >= d.last {
+		return d.pts[p], nil
+	}
+	pos, err := d.store.GetPosition(int64(p), s.pins, s.gen, s.spent)
+	if err != nil {
+		//vaqvet:ignore noalloc cold failure path; the wrap allocates only when a record load already failed
+		return pos, fmt.Errorf("core: loading candidate %d: %w", p, err)
+	}
+	return pos, nil
 }
 
 // acquireScratch checks a scratch out of the engine's pool, sized to the

@@ -3,13 +3,11 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"slices"
 	"time"
 
 	"repro/internal/delaunay"
 	"repro/internal/geom"
-	"repro/internal/obs"
 )
 
 // The strict rule on a polygon R walks each ring of ∂R straight through the
@@ -63,28 +61,13 @@ var errWalkEscaped = errors.New("core: the polygon leaves the data layer's unive
 // eachShell is VoronoiBFSStrict on a polygon pg: walk, classify, flood.
 // region is pg itself, or its prepared form, and answers the validations.
 // pg is valid (geom.CheckPolygon): every flavor refuses one that is not.
-// Locating each ring's first vertex is timed under PhaseSeed, the walk and
-// the flood under PhaseExpand, and the validations' pool reads under
-// PhasePageFetch.
-func (e *Engine) eachShell(ctx context.Context, pg geom.Polygon, region Region, tr *obs.QueryTrace, s *queryScratch) (Stats, error) {
-	traced := tr != nil
-	var start time.Time
-	var seeded, fetched time.Duration
-	if traced {
-		start = time.Now()
-		defer func() {
-			tr.Add(obs.PhaseSeed, seeded)
-			tr.Add(obs.PhasePageFetch, fetched)
-			tr.Add(obs.PhaseExpand, time.Since(start)-seeded-fetched)
-		}()
-	}
+// Locating each ring's first vertex is the query's seed lookup.
+func (e *Engine) eachShell(ctx context.Context, pg geom.Polygon, region Region, s *queryScratch) (Stats, error) {
 	d := e.data
-	if _, err := d.walkShell(ctx, pg, s, traced, &seeded); err != nil {
+	if _, err := d.walkShell(ctx, pg, s); err != nil {
 		return Stats{}, err
 	}
-	stats, loads, err := d.floodShell(ctx, region, s, traced)
-	fetched = loads
-	return stats, err
+	return d.floodShell(ctx, region, s)
 }
 
 // insideLeft is +1 when ring r, walked in vertex order, runs
@@ -103,21 +86,16 @@ func insideLeft(r geom.Ring) geom.Orientation {
 }
 
 // floodShell classifies or validates the shell s.queue holds, by its side
-// records in s.sides, then floods from its sites inside R. fetched is the
-// accrued pool-read time (for tracing).
+// records in s.sides, then floods from its sites inside R.
 //
 //vaq:noalloc
-func (d *MemoryData) floodShell(ctx context.Context, region Region, s *queryScratch, traced bool) (stats Stats, fetched time.Duration, err error) {
+func (d *MemoryData) floodShell(ctx context.Context, region Region, s *queryScratch) (stats Stats, err error) {
 	pts, rings := d.pts, d.rings
-	var spent *time.Duration // &fetched when traced
-	if traced {
-		spent = &fetched
-	}
 	shell := len(s.queue)
 	for i := 0; i < shell; i++ {
 		if i%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
-				return stats, fetched, err
+				return stats, err
 			}
 		}
 		p := s.queue[i]
@@ -126,11 +104,8 @@ func (d *MemoryData) floodShell(ctx context.Context, region Region, s *queryScra
 		case int(p) < d.first || int(p) >= d.last, s.sides[i] == sideOut:
 			continue // outside R; a fence site lies outside the universe
 		case s.sides[i] != sideIn:
-			if d.store != nil {
-				if pos, err = s.fetch(d.store, int64(p), spent); err != nil {
-					//vaqvet:ignore noalloc cold failure path; the wrap allocates only when a record load already failed
-					return stats, fetched, fmt.Errorf("core: loading candidate %d: %w", p, err)
-				}
+			if pos, err = s.load(d, p); err != nil {
+				return stats, err
 			}
 			stats.RecordsLoaded++
 			stats.Candidates++
@@ -140,7 +115,7 @@ func (d *MemoryData) floodShell(ctx context.Context, region Region, s *queryScra
 			}
 		}
 		if !s.out.add(int64(p), pos) {
-			return stats, fetched, nil
+			return stats, nil
 		}
 		s.queue = append(s.queue, p)
 	}
@@ -150,30 +125,29 @@ func (d *MemoryData) floodShell(ctx context.Context, region Region, s *queryScra
 	for head := shell; head < len(s.queue); head++ {
 		if head%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
-				return stats, fetched, err
+				return stats, err
 			}
 		}
 		p := s.queue[head]
 		if head >= untested && !s.out.add(int64(p), pts[p]) {
-			return stats, fetched, nil
+			return stats, nil
 		}
 		s.enqueueUnvisited(rings.Ring(p))
 	}
-	return stats, fetched, nil
+	return stats, nil
 }
 
 // walkShell stamps B for pg — every ring, holes included — into s.queue,
-// each site once, with its side records in s.sides. Locating each ring's
-// first vertex is timed into *seeded when traced.
+// each site once, with its side records in s.sides.
 //
 //vaq:noalloc
-func (d *MemoryData) walkShell(ctx context.Context, pg geom.Polygon, s *queryScratch, traced bool, seeded *time.Duration) (walkCounts, error) {
+func (d *MemoryData) walkShell(ctx context.Context, pg geom.Polygon, s *queryScratch) (walkCounts, error) {
 	w := walker{pts: d.pts, rings: d.rings, first: int32(d.first), last: int32(d.last), s: s}
 	s.sides = s.sides[:0]
-	err := w.ring(ctx, d, pg.Outer, false, traced, seeded)
+	err := w.ring(ctx, d, pg.Outer, false)
 	for _, h := range pg.Holes {
 		if err == nil {
-			err = w.ring(ctx, d, h, true, traced, seeded)
+			err = w.ring(ctx, d, h, true)
 		}
 	}
 	w.counts.shell = len(s.queue)
@@ -211,10 +185,11 @@ type walker struct {
 // ring walks one ring, the outer one or a hole: from the site seedWalk
 // finds nearest its first vertex to that vertex, stamping nothing, then
 // round the ring. R lies left of a counter-clockwise outer ring and of a
-// clockwise hole.
+// clockwise hole. The first part is timed as the seed when the query is
+// traced.
 //
 //vaq:noalloc
-func (w *walker) ring(ctx context.Context, d *MemoryData, ring geom.Ring, hole bool, traced bool, seeded *time.Duration) error {
+func (w *walker) ring(ctx context.Context, d *MemoryData, ring geom.Ring, hole bool) error {
 	if len(ring) == 0 {
 		return nil
 	}
@@ -223,7 +198,7 @@ func (w *walker) ring(ctx context.Context, d *MemoryData, ring geom.Ring, hole b
 		in = -in
 	}
 	var seedStart time.Time
-	if traced {
+	if w.s.spent != nil {
 		seedStart = time.Now()
 	}
 	seed, _ := d.seedWalk(ring[0])
@@ -231,8 +206,8 @@ func (w *walker) ring(ctx context.Context, d *MemoryData, ring geom.Ring, hole b
 	if err := w.segment(ctx, w.pts[seed], ring[0]); err != nil {
 		return err
 	}
-	if traced {
-		*seeded += time.Since(seedStart)
+	if w.s.spent != nil {
+		w.s.seeded += time.Since(seedStart)
 	}
 	w.stamping = true
 	for i, a := range ring {

@@ -19,7 +19,7 @@ func shellSidesOf(t testing.TB, d *MemoryData, pg geom.Polygon) ([]int32, []uint
 	s := new(queryScratch)
 	s.ensureCapacity(len(d.pts))
 	s.nextGen()
-	counts, err := d.walkShell(context.Background(), pg, s, false, nil)
+	counts, err := d.walkShell(context.Background(), pg, s)
 	if err != nil {
 		t.Fatal(err)
 	}

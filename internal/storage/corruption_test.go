@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -9,42 +10,45 @@ import (
 	"repro/internal/geom"
 )
 
-// TestDecodeNeverPanicsOnCorruption flips random bytes in encoded records
-// and pages: decoding must either succeed or fail with an error — never
-// panic or over-read. The position-only decode must reach the same verdict
-// on every buffer (it skips the copies, not the checks) and the same
-// coordinates.
+// TestDecodeNeverPanicsOnCorruption flips random bytes of a record on its
+// page and, now and then, shortens its slot: the framing checks either
+// refuse the record or accept bytes that decode without panicking or
+// reading past the record, and the position read alone matches the full
+// decode's.
 func TestDecodeNeverPanicsOnCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rec := sampleRecord(7)
-	clean, err := rec.encode(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := onePage(t, rec)
+	start := int(binary.LittleEndian.Uint32(clean[pageHeaderLen:]))
 	for trial := 0; trial < 5000; trial++ {
-		buf := append([]byte(nil), clean...)
-		// Corrupt 1-4 random bytes.
+		page := append([]byte(nil), clean...)
+		// Corrupt 1-4 random bytes of the record.
 		for k := 0; k <= rng.Intn(4); k++ {
-			buf[rng.Intn(len(buf))] ^= byte(1 + rng.Intn(255))
+			page[start+rng.Intn(rec.encodedLen())] ^= byte(1 + rng.Intn(255))
 		}
 		// Optionally truncate.
 		if rng.Intn(3) == 0 {
-			buf = buf[:rng.Intn(len(buf)+1)]
+			binary.LittleEndian.PutUint16(page[pageHeaderLen+4:], uint16(rng.Intn(rec.encodedLen()+1)))
 		}
-		rec, err := decodeRecord(buf) // must not panic
-		pos, posErr := decodePosition(buf)
-		if (err == nil) != (posErr == nil) {
-			t.Fatalf("trial %d: decodeRecord err %v, decodePosition err %v", trial, err, posErr)
+		buf, err := slotRecord(page, 0)
+		if err != nil {
+			continue
 		}
+		got := decodeRecord(buf) // must not panic
+		pos := recordPos(buf)
 		// Compare bit patterns: a flipped byte can make a coordinate NaN.
-		if err == nil && (math.Float64bits(pos.X) != math.Float64bits(rec.Pos.X) ||
-			math.Float64bits(pos.Y) != math.Float64bits(rec.Pos.Y)) {
-			t.Fatalf("trial %d: decodePosition %v, decodeRecord %v", trial, pos, rec.Pos)
+		if math.Float64bits(pos.X) != math.Float64bits(got.Pos.X) ||
+			math.Float64bits(pos.Y) != math.Float64bits(got.Pos.Y) {
+			t.Fatalf("trial %d: recordPos %v, decodeRecord %v", trial, pos, got.Pos)
+		}
+		if len(got.Payload) > len(buf)-recordFixedLen {
+			t.Fatalf("trial %d: a %d-byte payload out of a %d-byte record", trial, len(got.Payload), len(buf))
 		}
 	}
 }
 
-// TestPageRecordNeverPanicsOnCorruption does the same at page level.
+// TestPageRecordNeverPanicsOnCorruption does the same at page level: the
+// slot directory and the records are corrupted alike.
 func TestPageRecordNeverPanicsOnCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	b := newPageBuilder(512)
@@ -62,8 +66,8 @@ func TestPageRecordNeverPanicsOnCorruption(t *testing.T) {
 			page[rng.Intn(len(page))] ^= byte(1 + rng.Intn(255))
 		}
 		for slot := uint16(0); slot < 12; slot++ {
-			if raw, err := pageRecord(page, slot); err == nil {
-				_, _ = decodeRecord(raw) // must not panic
+			if raw, err := slotRecord(page, slot); err == nil {
+				_ = decodeRecord(raw) // must not panic
 			}
 		}
 	}
@@ -71,15 +75,12 @@ func TestPageRecordNeverPanicsOnCorruption(t *testing.T) {
 
 // TestPageRecordBadSlot covers out-of-range and corrupt-directory paths.
 func TestPageRecordBadSlot(t *testing.T) {
-	b := newPageBuilder(256)
-	rec := sampleRecord(1)
-	b.add(&rec)
-	page := b.seal()
-	if _, err := pageRecord(page, 1); err == nil {
-		t.Error("out-of-range slot should fail")
+	page := onePage(t, sampleRecord(1))
+	if _, err := slotRecord(page, 1); !errors.Is(err, ErrNotFound) {
+		t.Errorf("out-of-range slot: err %v, want ErrNotFound", err)
 	}
-	if _, err := pageRecord(nil, 0); err == nil {
-		t.Error("nil page should fail")
+	if _, err := slotRecord(nil, 0); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("nil page: err %v, want ErrCorrupt", err)
 	}
 }
 

@@ -8,15 +8,16 @@
 // out in whatever order the builder is fed (the engine feeds it along a
 // Hilbert curve, so the records a query reads share pages; the adjacency, as
 // in a VoR-tree, Sharifzadeh & Shahabi, VLDB 2010, stays with the resident
-// index and is not stored here). Records are fetched through an LRU
-// buffer pool that counts page reads, so both area-query methods can report
-// how much IO their candidate sets cost, and that checks every page it reads
-// against a checksum kept outside the page, so a page that changed after it
-// was written is an ErrCorrupt, never a wrong answer. A query pins each
-// page it has fetched (Store.GetPosition's pin record), so the pool sees a
-// page once per query however many of its records the query loads, unless
-// the page leaves the pool in between: then it is asked for, and counted,
-// again.
+// index and is not stored here). A record is read out of the store's own
+// page after its page is fetched through an LRU buffer pool that holds no
+// bytes: it keeps which pages are resident and counts page reads, so both
+// area-query methods can report how much IO their candidate sets cost, and
+// it checks every page it reads against a checksum kept outside the page,
+// so a page that changed after it was written is an ErrCorrupt, never a
+// wrong answer. A query pins each page it has fetched
+// (Store.GetPosition's pin record), so the pool sees a page once per query
+// however many of its records the query loads, unless the page leaves the
+// pool in between: then it is asked for, and counted, again.
 package storage
 
 import (
@@ -100,13 +101,23 @@ func (b *pageBuilder) seal() []byte {
 	return buf
 }
 
-// pageRecord extracts the slot-th record from a sealed page.
-func pageRecord(page []byte, slot uint16) ([]byte, error) {
+// slotRecord returns the slot-th record of a sealed page with every framing
+// check passed: the slot is in the page's directory, its entry and the
+// bytes the entry names lie inside the page, and those bytes hold the
+// record's fixed header and the whole payload the header declares. It is
+// every check a record read makes below the page checksum, so what a reader
+// copies out of the record afterwards (recordPos, decodeRecord) cannot
+// fail. The bytes alias the heap page and are read-only; they must not
+// leave the package undecoded.
+//
+//vaq:noalloc
+func slotRecord(page []byte, slot uint16) ([]byte, error) {
 	if len(page) < pageHeaderLen {
 		return nil, ErrCorrupt
 	}
 	count := binary.LittleEndian.Uint16(page[0:pageHeaderLen])
 	if slot >= count {
+		//vaqvet:ignore noalloc cold failure path; the wrap allocates only on a corrupt directory
 		return nil, fmt.Errorf("%w: slot %d of %d", ErrNotFound, slot, count)
 	}
 	dir := pageHeaderLen + slotDirLen*int(slot)
@@ -114,10 +125,18 @@ func pageRecord(page []byte, slot uint16) ([]byte, error) {
 		return nil, ErrCorrupt
 	}
 	start := binary.LittleEndian.Uint32(page[dir:])
-	length := binary.LittleEndian.Uint16(page[dir+4:])
-	end := start + uint32(length)
+	end := start + uint32(binary.LittleEndian.Uint16(page[dir+4:]))
 	if start > end || end > uint32(len(page)) {
 		return nil, ErrCorrupt
 	}
-	return page[start:end], nil
+	rec := page[start:end]
+	if len(rec) < recordFixedLen {
+		//vaqvet:ignore noalloc cold failure path; the wrap allocates only on a corrupt page
+		return nil, fmt.Errorf("%w: record truncated (%d bytes)", ErrCorrupt, len(rec))
+	}
+	if m := int(binary.LittleEndian.Uint16(rec[24:recordFixedLen])); len(rec) < recordFixedLen+m {
+		//vaqvet:ignore noalloc cold failure path; the wrap allocates only on a corrupt page
+		return nil, fmt.Errorf("%w: payload truncated", ErrCorrupt)
+	}
+	return rec, nil
 }

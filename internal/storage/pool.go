@@ -7,16 +7,18 @@ import (
 	"sync/atomic"
 )
 
-// BufferPoolStats counts the IO behavior of a store since creation or the
-// last ResetStats.
+// BufferPoolStats counts the simulated IO of a store since creation or the
+// last ResetStats: the pool's accesses, which are what a disk-backed pool
+// would read or find cached, though every record is read out of the
+// store's own pages.
 type BufferPoolStats struct {
-	PageReads int // pool misses: pages fetched from the backing file
+	PageReads int // pool misses: pages read and checksummed
 	// CacheHits counts pool hits: each Get that finds its page resident,
 	// but a query (GetPosition with a pin record) only where it asks the
 	// pool: at its first read of a page, and again only if the page has
 	// left the pool since.
 	CacheHits int
-	BytesRead int64 // bytes fetched from the backing file
+	BytesRead int64 // bytes those page reads covered
 	Evictions int   // frames evicted to make room
 }
 
@@ -41,14 +43,17 @@ func (s *BufferPoolStats) add(other BufferPoolStats) {
 // overhead outweighs any contention win.
 const maxPoolShards = 128
 
-// bufferPool is a fixed-capacity page cache partitioned into power-of-two
-// lock shards keyed by page id. Each shard owns its own frame index, LRU
+// bufferPool is the simulated page cache of a fixed capacity, partitioned
+// into power-of-two lock shards keyed by page id. It holds no page bytes:
+// the store reads every record out of its own pages, and the pool keeps
+// only which pages are resident, their LRU order, the count of each page's
+// departures and the IO counters. Each shard owns its own frame index, LRU
 // order and counters behind a private mutex, so fetches of pages in
 // different shards never contend. A miss reads the page through load while
-// holding its shard's lock: the only loader in the tree indexes the store's
-// in-memory page slice and checksums what it finds, so there is no slow IO
-// to move off the lock, and two goroutines missing on one page serialize
-// into one read and one hit.
+// holding its shard's lock: the only loader in the tree checksums the
+// store's in-memory page and reports its size, so there is no slow IO to
+// move off the lock, and two goroutines missing on one page serialize into
+// one read and one hit.
 //
 // A total capacity of 0 disables caching (every access is a miss),
 // modeling a cold read path; a negative capacity is unbounded. A positive
@@ -61,9 +66,10 @@ type bufferPool struct {
 	shards []poolShard
 	mask   uint32 // pageID & mask picks the shard
 	shift  uint8  // pageID >> shift is the page's slot in its shard's index
-	// load reads and verifies one page of the backing file. It runs under
-	// the shard lock and must not re-enter the pool.
-	load func(pageID uint32) ([]byte, error)
+	// load reads and verifies one page of the backing file and returns
+	// its size in bytes. It runs under the shard lock and must not re-enter
+	// the pool.
+	load func(pageID uint32) (int, error)
 	// departed counts, by page id, the times the page left the pool:
 	// evicted, dropped by reset, or read with caching disabled and not
 	// kept. It is written under the page's shard lock and read without
@@ -88,12 +94,11 @@ type poolShard struct {
 	_        [32]byte        // pad to 128 bytes
 }
 
-// frame is one cached page and its place in the shard's LRU order:
+// frame is one resident page's place in the shard's LRU order:
 // frames[0].next is the most recently used frame, frames[0].prev the least.
 type frame struct {
 	prev, next int32
 	page       uint32 // the page held; page>>shift is the index entry that points here
-	data       []byte // read-only while installed
 }
 
 // normalizePoolShards resolves a requested shard count against the pool
@@ -125,7 +130,7 @@ func normalizePoolShards(capacity, shards int) int {
 // capacity split over the given number of lock shards (see
 // normalizePoolShards for how the count is resolved; 1 is a single-lock
 // pool). A missing page is read with load.
-func newBufferPool(capacity, shards, pages int, load func(pageID uint32) ([]byte, error)) *bufferPool {
+func newBufferPool(capacity, shards, pages int, load func(pageID uint32) (int, error)) *bufferPool {
 	n := normalizePoolShards(capacity, shards)
 	per := capacity // 0 and negative apply per shard unchanged
 	if capacity > 0 {
@@ -150,20 +155,11 @@ func newBufferPool(capacity, shards, pages int, load func(pageID uint32) ([]byte
 	return bp
 }
 
-// numShards returns the resolved lock-shard count.
-func (bp *bufferPool) numShards() int { return len(bp.shards) }
-
-// fetch returns the page via the cache, reading it with the pool's loader
-// on a miss. A hit is lock, index, splice, unlock.
-//
-// The returned slice aliases the cached frame (and, through the loader,
-// the backing heap file) and MUST be treated read-only: mutating it would
-// corrupt the page for every later reader. Store.Get is the enforcement
-// boundary — decodeRecord deep-copies every variable field, so nothing
-// the public API returns shares memory with the pool (pinned by
-// TestStoreGetRecordIsolation). Page bytes never change, which is also
-// why returning them after dropping the shard lock is safe.
-func (bp *bufferPool) fetch(pageID uint32) ([]byte, error) {
+// fetch makes the page resident, reading it with the pool's loader on a
+// miss, and counts the access; a nil error means the page passed its
+// checksum and the caller may read it. A hit is lock, index, splice,
+// unlock.
+func (bp *bufferPool) fetch(pageID uint32) error {
 	// Low-bit masking: the builder numbers pages sequentially, so
 	// consecutive pages round-robin across the shards.
 	s := &bp.shards[pageID&bp.mask]
@@ -179,9 +175,8 @@ func (bp *bufferPool) fetch(pageID uint32) ([]byte, error) {
 		s.unlink(fi)
 		s.pushFront(fi)
 	}
-	data := fr[fi].data
 	s.mu.Unlock()
-	return data, nil
+	return nil
 }
 
 // unlink takes frame fi out of the LRU list.
@@ -213,19 +208,19 @@ func (s *poolShard) pushFront(fi int32) {
 // page, so a steady-state miss allocates nothing.
 //
 //vaq:locked mu
-func (s *poolShard) miss(bp *bufferPool, pageID, slot uint32) ([]byte, error) {
+func (s *poolShard) miss(bp *bufferPool, pageID, slot uint32) error {
 	defer s.mu.Unlock()
-	data, err := bp.load(pageID)
+	size, err := bp.load(pageID)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.stats.PageReads++
-	s.stats.BytesRead += int64(len(data))
+	s.stats.BytesRead += int64(size)
 	if s.capacity == 0 {
 		// Caching disabled: every access is its own simulated read, and
 		// the page leaves as soon as it is read.
 		bp.departed[pageID].Add(1)
-		return data, nil
+		return nil
 	}
 	var fi int32
 	if s.capacity < 0 || len(s.frames) <= s.capacity {
@@ -239,10 +234,10 @@ func (s *poolShard) miss(bp *bufferPool, pageID, slot uint32) ([]byte, error) {
 		s.stats.Evictions++
 		s.unlink(fi)
 	}
-	s.frames[fi].page, s.frames[fi].data = pageID, data
+	s.frames[fi].page = pageID
 	s.pushFront(fi)
 	s.index[slot] = fi
-	return data, nil
+	return nil
 }
 
 // reset clears the cache contents and statistics.

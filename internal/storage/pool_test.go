@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,28 +10,22 @@ import (
 	"time"
 )
 
-// testPages returns a load function over n synthetic pages (each filled
-// with its page id) plus a counter of performed loads.
-func testPages(n, pageSize int) (load func(uint32) ([]byte, error), loads *atomic.Int64) {
-	pages := make([][]byte, n)
-	for i := range pages {
-		pages[i] = bytes.Repeat([]byte{byte(i + 1)}, pageSize)
-	}
+// testPages returns a load function over synthetic pages of pageSize bytes
+// plus a counter of performed loads.
+func testPages(pageSize int) (load func(uint32) (int, error), loads *atomic.Int64) {
 	loads = &atomic.Int64{}
-	return func(p uint32) ([]byte, error) {
+	return func(uint32) (int, error) {
 		loads.Add(1)
-		return pages[p], nil
+		return pageSize, nil
 	}, loads
 }
 
 // mustFetch is fetch for a page whose load cannot fail.
-func mustFetch(t *testing.T, bp *bufferPool, p uint32) []byte {
+func mustFetch(t *testing.T, bp *bufferPool, p uint32) {
 	t.Helper()
-	data, err := bp.fetch(p)
-	if err != nil {
+	if err := bp.fetch(p); err != nil {
 		t.Errorf("fetch(%d): %v", p, err)
 	}
-	return data
 }
 
 // TestPoolShardNormalization pins how the shard count is resolved against
@@ -74,10 +67,10 @@ func TestPoolShardNormalization(t *testing.T) {
 // sequential use.
 func TestShardedPoolCountingExact(t *testing.T) {
 	const pageSize = 64
-	load, loads := testPages(32, pageSize)
+	load, loads := testPages(pageSize)
 	bp := newBufferPool(8, 4, 32, load) // 4 shards × 2 frames
-	if got := bp.numShards(); got != 4 {
-		t.Fatalf("numShards = %d, want 4", got)
+	if got := len(bp.shards); got != 4 {
+		t.Fatalf("%d shards, want 4", got)
 	}
 
 	// Touch 8 distinct pages: all misses.
@@ -120,32 +113,10 @@ func TestShardedPoolCountingExact(t *testing.T) {
 	}
 }
 
-// TestFetchStableAcrossHitAndMiss pins fetch's read-only contract from
-// the consumer side: the bytes a fetch returns are identical across the
-// miss that loads a page and every later hit on its cached frame, on
-// both the cached and the cache-disabled paths. (Mutating the returned
-// slice is forbidden — isolation for callers is enforced one level up,
-// at the Store.Get decode boundary; see TestStoreGetRecordIsolation.)
-func TestFetchStableAcrossHitAndMiss(t *testing.T) {
-	for _, capacity := range []int{4, 0} {
-		t.Run(fmt.Sprintf("capacity=%d", capacity), func(t *testing.T) {
-			load, _ := testPages(4, 32)
-			want := bytes.Repeat([]byte{3}, 32)
-			bp := newBufferPool(capacity, 2, 4, load)
-			for i := 0; i < 3; i++ {
-				if got := mustFetch(t, bp, 2); !bytes.Equal(got, want) {
-					t.Fatalf("fetch %d returned wrong bytes", i)
-				}
-			}
-		})
-	}
-}
-
 // TestStoreGetRecordIsolation is the aliasing regression test at the
-// Store boundary (the enforcement point of the pool's read-only page
-// contract): mutating every mutable field of a record decoded out of a
-// fetched page must leave subsequent Gets of the same record — served
-// from the same cached frame — unaffected.
+// Store boundary: mutating every mutable field of a record decoded out of
+// a page must leave subsequent Gets of the same record — read off the same
+// heap page — unaffected.
 func TestStoreGetRecordIsolation(t *testing.T) {
 	b := NewBuilder(Options{PageSize: 256, PoolPages: 4})
 	for i := int64(0); i < 30; i++ {
@@ -164,7 +135,7 @@ func TestStoreGetRecordIsolation(t *testing.T) {
 	for i := range rec.Payload {
 		rec.Payload[i] = 0xEE
 	}
-	again, err := st.Get(7) // same page: served from the cache
+	again, err := st.Get(7) // same page, resident
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,32 +314,25 @@ func TestGetPositionAllocs(t *testing.T) {
 // page is read once and the other fetch is a hit — in every interleaving.
 // The second goroutine starts while the first is provably inside load.
 func TestConcurrentMissOnOnePage(t *testing.T) {
-	load, loads := testPages(4, 32)
-	want := bytes.Repeat([]byte{2}, 32)
+	load, loads := testPages(32)
 
 	entered, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	bp := newBufferPool(8, 2, 4, func(p uint32) ([]byte, error) {
+	bp := newBufferPool(8, 2, 4, func(p uint32) (int, error) {
 		once.Do(func() { close(entered) })
 		<-release
 		return load(p)
 	})
 	var wg sync.WaitGroup
-	results := make([][]byte, 2)
 	wg.Add(1)
-	go func() { defer wg.Done(); results[0] = mustFetch(t, bp, 1) }()
+	go func() { defer wg.Done(); mustFetch(t, bp, 1) }()
 	<-entered
 	wg.Add(1)
-	go func() { defer wg.Done(); results[1] = mustFetch(t, bp, 1) }()
+	go func() { defer wg.Done(); mustFetch(t, bp, 1) }()
 	runtime.Gosched() // let the second fetch reach the held lock
 	close(release)
 	wg.Wait()
 
-	for i, r := range results {
-		if !bytes.Equal(r, want) {
-			t.Fatalf("caller %d got wrong bytes", i)
-		}
-	}
 	if loads.Load() != 1 {
 		t.Fatalf("loads = %d, want 1", loads.Load())
 	}
@@ -388,7 +352,7 @@ func TestConcurrentResetSoak(t *testing.T) {
 		workers  = 8
 		reps     = 400
 	)
-	load, _ := testPages(pages, pageSize)
+	load, _ := testPages(pageSize)
 	bp := newBufferPool(16, 0, pages, load)
 
 	var wg sync.WaitGroup
@@ -405,12 +369,7 @@ func TestConcurrentResetSoak(t *testing.T) {
 				case i%17 == 0:
 					_ = bp.snapshot()
 				default:
-					p := uint32((w*31 + i*7) % pages)
-					data := mustFetch(t, bp, p)
-					if len(data) != pageSize || data[0] != byte(p+1) {
-						t.Errorf("worker %d: bad page %d data", w, p)
-						return
-					}
+					mustFetch(t, bp, uint32((w*31+i*7)%pages))
 				}
 			}
 		}(w)
@@ -460,7 +419,7 @@ func BenchmarkStoreParallelFetch(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(name, func(b *testing.B) {
-			b.ReportMetric(float64(st.pool.numShards()), "shards")
+			b.ReportMetric(float64(len(st.pool.shards)), "shards")
 			var worker atomic.Int64
 			b.RunParallel(func(pb *testing.PB) {
 				// Per-goroutine id sequence: no shared state on the hot
@@ -484,9 +443,9 @@ func BenchmarkStoreParallelFetch(b *testing.B) {
 // stranded lock) loads and counts normally, and nothing of the failed
 // attempt was counted or installed.
 func TestPanickingLoadDoesNotStrandPage(t *testing.T) {
-	load, _ := testPages(4, 32)
+	load, _ := testPages(32)
 	failing := true
-	bp := newBufferPool(8, 2, 4, func(p uint32) ([]byte, error) {
+	bp := newBufferPool(8, 2, 4, func(p uint32) (int, error) {
 		if failing {
 			panic("simulated IO failure")
 		}
@@ -499,14 +458,11 @@ func TestPanickingLoadDoesNotStrandPage(t *testing.T) {
 				t.Fatal("load panic did not propagate to the fetching goroutine")
 			}
 		}()
-		_, _ = bp.fetch(1) // panics: nothing is returned
+		_ = bp.fetch(1) // panics: nothing is returned
 	}()
 
 	failing = false
-	want := bytes.Repeat([]byte{2}, 32)
-	if got := mustFetch(t, bp, 1); !bytes.Equal(got, want) {
-		t.Fatal("post-panic fetch returned wrong bytes")
-	}
+	mustFetch(t, bp, 1)
 	if st, want := bp.snapshot(), (BufferPoolStats{PageReads: 1, BytesRead: 32}); st != want {
 		t.Errorf("post-panic stats: %+v, want %+v", st, want)
 	}
@@ -517,7 +473,7 @@ func TestPanickingLoadDoesNotStrandPage(t *testing.T) {
 // allocates nothing — no frame, no list element, no index growth.
 func TestPoolSteadyStateMissAllocs(t *testing.T) {
 	const pages = 16
-	load, _ := testPages(pages, 64)
+	load, _ := testPages(64)
 	bp := newBufferPool(4, 1, pages, load)
 	next := uint32(0)
 	cycle := func() {

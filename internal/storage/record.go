@@ -53,26 +53,7 @@ func (r *PointRecord) appendTo(dst []byte) []byte {
 	return append(dst, r.Payload...)
 }
 
-// recordLayout validates buf's framing — fixed header, payload — and returns
-// the payload's length, which starts at recordFixedLen. It is every
-// truncation check a decode performs; decodeRecord and decodePosition differ
-// only in what they copy out afterwards.
-//
-//vaq:noalloc
-func recordLayout(buf []byte) (payloadLen int, err error) {
-	if len(buf) < recordFixedLen {
-		//vaqvet:ignore noalloc cold failure path; the wrap allocates only on a corrupt page
-		return 0, fmt.Errorf("%w: record truncated (%d bytes)", ErrCorrupt, len(buf))
-	}
-	m := int(binary.LittleEndian.Uint16(buf[24:recordFixedLen]))
-	if len(buf) < recordFixedLen+m {
-		//vaqvet:ignore noalloc cold failure path; the wrap allocates only on a corrupt page
-		return 0, fmt.Errorf("%w: payload truncated", ErrCorrupt)
-	}
-	return m, nil
-}
-
-// recordPos reads the coordinates of a record recordLayout has accepted.
+// recordPos reads the coordinates of a record slotRecord has accepted.
 func recordPos(buf []byte) geom.Point {
 	return geom.Point{
 		X: math.Float64frombits(binary.LittleEndian.Uint64(buf[8:16])),
@@ -80,27 +61,12 @@ func recordPos(buf []byte) geom.Point {
 	}
 }
 
-// decodeRecord parses a record from buf. The returned record's Payload is a
-// fresh copy, safe to retain.
-func decodeRecord(buf []byte) (PointRecord, error) {
-	m, err := recordLayout(buf)
-	if err != nil {
-		return PointRecord{}, err
-	}
+// decodeRecord parses a record slotRecord has accepted. The returned
+// record's Payload is a fresh copy, safe to retain.
+func decodeRecord(buf []byte) PointRecord {
 	r := PointRecord{ID: int64(binary.LittleEndian.Uint64(buf[0:8])), Pos: recordPos(buf)}
-	if m > 0 {
+	if m := int(binary.LittleEndian.Uint16(buf[24:recordFixedLen])); m > 0 {
 		r.Payload = append([]byte(nil), buf[recordFixedLen:recordFixedLen+m]...)
 	}
-	return r, nil
-}
-
-// decodePosition is decodeRecord for a caller that wants the coordinates
-// alone: the same framing checks over the whole record, no payload copied.
-//
-//vaq:noalloc
-func decodePosition(buf []byte) (geom.Point, error) {
-	if _, err := recordLayout(buf); err != nil {
-		return geom.Point{}, err
-	}
-	return recordPos(buf), nil
+	return r
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"strings"
@@ -34,10 +35,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		if len(buf) != want.encodedLen() {
 			t.Errorf("encodedLen = %d, actual %d", want.encodedLen(), len(buf))
 		}
-		got, err := decodeRecord(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := decodeRecord(buf)
 		if got.ID != want.ID || got.Pos != want.Pos {
 			t.Errorf("round trip: got %+v, want %+v", got, want)
 		}
@@ -57,10 +55,7 @@ func TestRecordRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := decodeRecord(buf)
-		if err != nil {
-			return false
-		}
+		got := decodeRecord(buf)
 		if got.ID != want.ID {
 			return false
 		}
@@ -77,21 +72,39 @@ func TestRecordRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestDecodeTruncated shortens a record's slot length byte by byte: every
+// cut, in the fixed header or in the payload its header declares, is
+// refused as corrupt, and only the whole record reads.
 func TestDecodeTruncated(t *testing.T) {
 	rec := sampleRecord(5)
-	buf, err := rec.encode(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut < len(buf); cut++ {
-		if _, err := decodeRecord(buf[:cut]); err == nil {
-			// Truncations inside the payload tail can still parse when the
-			// length prefix survives; only header cuts must fail.
-			if cut < recordFixedLen {
-				t.Fatalf("decode of %d/%d bytes should fail", cut, len(buf))
+	page := onePage(t, rec)
+	full := rec.encodedLen()
+	for cut := 0; cut <= full; cut++ {
+		binary.LittleEndian.PutUint16(page[pageHeaderLen+4:], uint16(cut))
+		got, err := slotRecord(page, 0)
+		if cut < full {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("a record cut to %d of %d bytes: err %v, want ErrCorrupt", cut, full, err)
 			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(decodeRecord(got), rec) {
+			t.Fatalf("the whole record: %+v, %v", decodeRecord(got), err)
 		}
 	}
+}
+
+// onePage seals recs into one 512-byte page.
+func onePage(t *testing.T, recs ...PointRecord) []byte {
+	t.Helper()
+	b := newPageBuilder(512)
+	for i := range recs {
+		if !b.fits(recs[i].encodedLen()) {
+			t.Fatalf("record %d does not fit the page", i)
+		}
+		b.add(&recs[i])
+	}
+	return b.seal()
 }
 
 func TestStoreBasic(t *testing.T) {

@@ -11,10 +11,12 @@ import (
 
 // Store is a read-only paged object store built once by a Builder and held
 // in memory for the life of the process: it simulates the paper's database,
-// so it has no file format and cannot be opened from one. A record fetch is
-// a directory lookup (ids are dense), a buffer-pool fetch — one shard lock,
-// one index lookup, one LRU splice — and the slot and record framing
-// checks; the pool's counters expose the simulated IO cost. A query reads
+// so it has no file format and cannot be opened from one. Every record is
+// read out of the store's own pages; the buffer pool (bufferPool) holds no
+// bytes, only which pages a read would find resident, and counts the
+// simulated IO. A record read is a directory lookup (ids are dense), a
+// pool fetch of its page — one shard lock, one index lookup, one LRU splice
+// — and the slot and record framing checks (slotRecord). A query reads
 // positions through a pin record (GetPosition): it asks the pool for a page
 // at its first load there, and its later loads on the page, while the page
 // stays resident, are the directory lookup, a check that the page has not
@@ -27,7 +29,7 @@ import (
 // fetch of a record on it fails with ErrCorrupt. Get, GetPosition, Stats,
 // ResetStats and DropCache are safe for concurrent use (a pin record is its
 // caller's own): the pages, their sums and the directory are immutable, and
-// all mutable state is the pool's (see bufferPool).
+// all mutable state is the pool's.
 type Store struct {
 	pages [][]byte
 	sums  []uint32 // indexed by page id: the CRC-32C of the page as sealed
@@ -145,15 +147,15 @@ func (b *Builder) Build() (*Store, error) {
 }
 
 // readPage is the pool's loader: the simulated read of page p, verified
-// against the checksum taken when the page was sealed. The one sequential
-// pass also pulls the page through the CPU cache, so the record fetches
-// that follow on it find their lines resident.
-func (s *Store) readPage(p uint32) ([]byte, error) {
+// against the checksum taken when the page was sealed, reporting the bytes
+// read. The one sequential pass also pulls the page through the CPU cache,
+// so the record reads that follow on it find their lines resident.
+func (s *Store) readPage(p uint32) (int, error) {
 	page := s.pages[p]
 	if crc32.Checksum(page, castagnoli) != s.sums[p] {
-		return nil, fmt.Errorf("%w: page %d does not match its checksum", ErrCorrupt, p)
+		return 0, fmt.Errorf("%w: page %d does not match its checksum", ErrCorrupt, p)
 	}
-	return page, nil
+	return len(page), nil
 }
 
 // Len returns the number of stored records.
@@ -163,16 +165,22 @@ func (s *Store) Len() int { return len(s.dir) }
 func (s *Store) NumPages() int { return len(s.pages) }
 
 // Get fetches the record with the given id through the buffer pool. The
-// returned record shares no memory with the cache or the heap file:
-// fetched pages are read-only inside the store, and decodeRecord
-// deep-copies every variable field at this boundary, so callers may
-// mutate the record freely.
+// returned record shares no memory with the heap file: decodeRecord
+// deep-copies every variable field at this boundary, so callers may mutate
+// the record freely.
 func (s *Store) Get(id int64) (PointRecord, error) {
-	raw, err := s.rawRecord(id, nil, 0, nil)
+	if id < 0 || id >= int64(len(s.dir)) {
+		return PointRecord{}, fmt.Errorf("%w: id %d", ErrNotFound, id)
+	}
+	rid := s.dir[id]
+	if err := s.pool.fetch(rid.Page); err != nil {
+		return PointRecord{}, err
+	}
+	rec, err := slotRecord(s.pages[rid.Page], rid.Slot)
 	if err != nil {
 		return PointRecord{}, err
 	}
-	return decodeRecord(raw)
+	return decodeRecord(rec), nil
 }
 
 // GetPosition reads only the coordinates of the record with the given id,
@@ -180,54 +188,49 @@ func (s *Store) Get(id int64) (PointRecord, error) {
 // of them) and gen is the caller's current pass (a query), never 0. A read
 // asks the buffer pool for its page unless the pass has already done so and
 // the page has not left the pool since, so a page the pool misses is
-// checksummed on its way in, a page still resident is read in place with
-// no pool round trip, and a read that the pool would count as a page read
-// always goes through it and is counted. The stamp records the pass and
-// the page's departure count (bufferPool.departed) as they stood before
+// checksummed on its way in, and a read that the pool would count as a page
+// read always goes through it and is counted. The stamp records the pass
+// and the page's departure count (bufferPool.departed) as they stood before
 // the pool was asked; a page that fails its checksum is never stamped. A
 // nil pins stamps nothing: every read goes through the pool, as Get's
-// does. Either way the slot and record framing checks run and nothing is
-// copied out of the page. spent, when non-nil, accrues the time the pool
-// reads took, and the clock is read around those alone.
+// does. Either way the record is read out of the store's own page, through
+// the slot and record framing checks (slotRecord), and nothing is copied
+// out of the page but the coordinates. spent, when non-nil, accrues the
+// time the pool reads took, and the clock is read around those alone.
+//
+//vaq:noalloc
 func (s *Store) GetPosition(id int64, pins []uint64, gen uint32, spent *time.Duration) (geom.Point, error) {
-	raw, err := s.rawRecord(id, pins, gen, spent)
-	if err != nil {
-		return geom.Point{}, err
-	}
-	return decodePosition(raw)
-}
-
-// rawRecord returns id's encoded record, read through the pin record as
-// GetPosition describes. The bytes alias the heap page (and any pool frame
-// holding it) and are read-only (see bufferPool.fetch); they must not leave
-// the package undecoded.
-func (s *Store) rawRecord(id int64, pins []uint64, gen uint32, spent *time.Duration) ([]byte, error) {
 	if id < 0 || id >= int64(len(s.dir)) {
-		return nil, fmt.Errorf("%w: id %d", ErrNotFound, id)
+		//vaqvet:ignore noalloc cold failure path; the wrap allocates only for an id the store does not hold
+		return geom.Point{}, fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
 	rid := s.dir[id]
 	var stamp uint64
-	if int(rid.Page) < len(pins) {
+	pinning := int(rid.Page) < len(pins)
+	if pinning {
 		stamp = uint64(gen)<<32 | uint64(s.pool.departed[rid.Page].Load())
-		if pins[rid.Page] == stamp {
-			return pageRecord(s.pages[rid.Page], rid.Slot)
+	}
+	if !pinning || pins[rid.Page] != stamp {
+		var t0 time.Time
+		if spent != nil {
+			t0 = time.Now()
+		}
+		err := s.pool.fetch(rid.Page)
+		if spent != nil {
+			*spent += time.Since(t0)
+		}
+		if err != nil {
+			return geom.Point{}, err
+		}
+		if pinning {
+			pins[rid.Page] = stamp
 		}
 	}
-	var t0 time.Time
-	if spent != nil {
-		t0 = time.Now()
-	}
-	page, err := s.pool.fetch(rid.Page)
-	if spent != nil {
-		*spent += time.Since(t0)
-	}
+	rec, err := slotRecord(s.pages[rid.Page], rid.Slot)
 	if err != nil {
-		return nil, err
+		return geom.Point{}, err
 	}
-	if int(rid.Page) < len(pins) {
-		pins[rid.Page] = stamp
-	}
-	return pageRecord(page, rid.Slot)
+	return recordPos(rec), nil
 }
 
 // Stats returns the accumulated buffer pool statistics.

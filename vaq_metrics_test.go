@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // metricName builds the labeled per-query metric name the registry uses.
@@ -324,6 +326,54 @@ func TestQueryTracePhases(t *testing.T) {
 	got = tr.String()
 	if !strings.Contains(got, "method=traditional") || strings.Contains(got, " seed=") {
 		t.Errorf("reused trace kept the previous query's state: %q", got)
+	}
+
+	// Every method's time is split one way: the phases are never negative
+	// and sum to at most the total; only a Voronoi method seeds, and only a
+	// store engine's record loads read pages. The store here caches no page
+	// and holds every record on one 64 KiB page, so each load checksums the
+	// whole page and the pool's time outweighs what the total adds around
+	// the method: a phase that counted it twice would pass the total.
+	mem, err := NewEngine(pts, UnitSquare())
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncached, err := NewEngine(pts, UnitSquare(), WithStore(StoreConfig{PageSize: 1 << 16, PoolPages: 0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	circle := CircleRegion(NewCircle(Pt(0.5, 0.5), 0.15))
+	for _, layer := range []struct {
+		name   string
+		eng    *Engine
+		stored bool
+	}{{"memory", mem, false}, {"store", uncached, true}} {
+		for _, q := range []struct {
+			m      Method
+			region Region
+		}{
+			{Traditional, region}, {VoronoiBFS, region}, {VoronoiBFSStrict, region},
+			{VoronoiBFSStrict, circle}, {VoronoiBFSStrict, customRegion{region}}, {BruteForce, region},
+		} {
+			var qt QueryTrace
+			if _, err := layer.eng.Query(ctx, q.region, WithTraceInto(&qt), UsingMethod(q.m)); err != nil {
+				t.Fatal(err)
+			}
+			seed, expand, fetch := qt.Phase(obs.PhaseSeed), qt.Phase(obs.PhaseExpand), qt.Phase(obs.PhasePageFetch)
+			where := fmt.Sprintf("%s %s on %T: %s", layer.name, q.m, q.region, &qt)
+			if seed < 0 || expand < 0 || fetch < 0 {
+				t.Errorf("%s: a negative phase", where)
+			}
+			if seed+expand+fetch > qt.Total() {
+				t.Errorf("%s: seed + expand + page_fetch = %s, above the total", where, seed+expand+fetch)
+			}
+			if (q.m == Traditional || q.m == BruteForce) && seed != 0 {
+				t.Errorf("%s: a seed phase", where)
+			}
+			if (!layer.stored || q.m == BruteForce) && fetch != 0 {
+				t.Errorf("%s: a page_fetch phase", where)
+			}
+		}
 	}
 
 	// Sharded: fan-out recorded, and the gather merge phase exists.
