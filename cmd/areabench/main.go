@@ -33,7 +33,6 @@ func main() {
 		useStore   = flag.Bool("store", false, "back records with the paged store (adds IO accounting)")
 		payload    = flag.Int("payload", 64, "payload bytes per record (with -store)")
 		poolPages  = flag.Int("poolpages", 256, "buffer pool pages (with -store)")
-		poolShards = flag.Int("poolshards", 0, "buffer pool lock shards (with -store; 0 = GOMAXPROCS-based, 1 = single lock)")
 		pageSize   = flag.Int("pagesize", 4096, "page size in bytes (with -store)")
 		quiet      = flag.Bool("q", false, "suppress progress output")
 	)
@@ -63,7 +62,7 @@ func main() {
 		cfg.Store = &core.StoreConfig{
 			PageSize:     *pageSize,
 			PoolPages:    *poolPages,
-			PoolShards:   *poolShards,
+			PoolShards:   1, // one LRU: the sweeps query on one goroutine
 			PayloadBytes: *payload,
 		}
 	}

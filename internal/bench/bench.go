@@ -265,8 +265,12 @@ type methodAcc struct {
 }
 
 // run answers region with method m, adds the query's statistics to acc
-// and returns the result ids.
+// and returns the result ids. It empties the store's pool first, so each
+// method's page reads count every page it needs from an empty pool.
 func (ds *dataset) run(region core.Region, m core.Method, acc *methodAcc) ([]int64, error) {
+	if st := ds.data.Store(); st != nil {
+		st.DropCache()
+	}
 	ioBefore := ds.data.IOStats().PageReads // 0 in memory
 	start := time.Now()
 	ids, st, err := ds.eng.QueryRegionSpec(context.Background(), region, core.QuerySpec{Method: m})

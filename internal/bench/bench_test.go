@@ -98,17 +98,28 @@ func TestVoronoiBeatsTraditionalOnCandidates(t *testing.T) {
 	}
 }
 
+// TestStoreBackedSweepCountsIO: each method's page column counts the pages
+// it reads from an empty pool. A page holds at most
+// PageSize/(PayloadBytes+24) records — each carries its id and position
+// beside the payload — so a method that loads k records per query reads at
+// least k over that many pages. The pool here holds every page of the
+// store, so a method whose query ran on the pages the other one left
+// resident would read fewer.
 func TestStoreBackedSweepCountsIO(t *testing.T) {
 	cfg := smallConfig()
-	cfg.DataSizes = []int{3000}
-	cfg.Store = &core.StoreConfig{PageSize: 1024, PoolPages: 16, PayloadBytes: 32}
+	cfg.Store = &core.StoreConfig{PageSize: 1024, PoolPages: 1024, PayloadBytes: 32}
+	perPage := float64(cfg.Store.PageSize / (cfg.Store.PayloadBytes + 24))
 	rows, err := RunDataSizeSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rows[0]
-	if r.Traditional.PageReads == 0 && r.Voronoi.PageReads == 0 {
-		t.Error("store-backed run should report page reads")
+	for _, r := range rows {
+		for name, m := range map[string]MethodResult{"Traditional": r.Traditional, "Voronoi": r.Voronoi} {
+			if m.PageReads < m.Candidates/perPage || m.PageReads == 0 {
+				t.Errorf("%d points: %s loads %.2f records and reads %.2f pages per query; a page holds at most %.0f records",
+					r.DataSize, name, m.Candidates, m.PageReads, perPage)
+			}
+		}
 	}
 	if table := FormatTable(rows, false); !strings.Contains(table, pageColumns) {
 		t.Errorf("a table over the store has no page-read columns:\n%s", table)

@@ -285,8 +285,8 @@ func TestQueryCostsPinned(t *testing.T) {
 		}
 	}
 	got := [2]pinnedCost{
-		pinnedCosts(t, NewEngine(nil, hd), []Region{across}, VoronoiBFS)[0],
-		pinnedCosts(t, NewEngine(nil, hd), []Region{across}, VoronoiBFSStrict)[0],
+		pinnedCosts(t, NewEngine(nil, hd), []Region{PolygonRegion(across)}, VoronoiBFS)[0],
+		pinnedCosts(t, NewEngine(nil, hd), []Region{PolygonRegion(across)}, VoronoiBFSStrict)[0],
 	}
 	if want := [2]pinnedCost{{202, 253, 140, 0, 0}, {202, 3, 0, 0, 0}}; got != want || walk != (walkCounts{101, 105, 234}) || fence != 1 {
 		t.Errorf("half layer: published %+v, strict %+v, walk %+v with %d fence sites; recorded %+v, %+v, {101 105 234} and 1",

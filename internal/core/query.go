@@ -125,9 +125,7 @@ func (e *Engine) run(ctx context.Context, region Region, m Method, s *queryScrat
 	case VoronoiBFSStrict:
 		switch r := region.(type) {
 		case *geom.PreparedPolygon:
-			return e.eachShell(ctx, r.Polygon(), r, s)
-		case geom.Polygon:
-			return e.eachShell(ctx, r, r, s)
+			return e.eachShell(ctx, r, s)
 		case geom.Circle:
 			// A disk is convex: the segment rule is exact on it (see
 			// eachVoronoi).
@@ -194,7 +192,7 @@ func (e *Engine) eachTraditional(ctx context.Context, region Region, s *queryScr
 // region, the strict rule tests the neighbor's Voronoi cell against it.
 //
 // The strict rule comes here only for a custom region. On a prepared
-// polygon eachShell walks the boundary instead. On a disk eachRegion runs
+// polygon eachShell walks the boundary instead. On a disk run takes
 // the published rule, which is exact there: the site nearest the centre is
 // in the disk whenever any site is, and the chord between two results lies
 // inside both the disk and the hull, so every result is in the seed's
@@ -207,9 +205,7 @@ func (e *Engine) eachVoronoi(ctx context.Context, region Region, strict bool, s 
 
 	// Resolve the query-constant expansion state once.
 	q := voronoiQuery{region: region, strict: strict, data: d, pts: d.pts, rings: d.rings, clip: d.clip}
-	if !strict {
-		q.boundary, _ = region.(BoundaryToucher)
-	}
+	q.polygon, _ = region.(*geom.PreparedPolygon)
 
 	// Line 3-4: p_seed := NN(P, arbitrary position in A), timed as the
 	// seed when the query is traced.
@@ -236,9 +232,9 @@ type voronoiQuery struct {
 	region Region
 	strict bool
 
-	// boundary is the region's boundary-only segment test, when it has one
-	// (published rule; see testSegment).
-	boundary BoundaryToucher
+	// polygon is the region when it is a prepared polygon, whose
+	// boundary-only segment test the published rule takes (testSegment).
+	polygon *geom.PreparedPolygon
 
 	// The data layer, which a candidate's record is loaded from
 	// (queryScratch.load), and its resident positions and ring chunks and
@@ -267,14 +263,14 @@ func (q *voronoiQuery) testCell(s *queryScratch, nb int32, nbPos geom.Point, sta
 // testSegment is the published rule's segment-vs-area decision for an edge
 // leaving a candidate at from that the BFS has just found outside the
 // region. With the anchor outside, the closed segment meets the closed
-// region exactly when it touches the region's boundary, so a region that
-// can test its boundary alone skips both containment scans of
-// IntersectsSegment and decides identically.
+// region exactly when it touches the region's boundary, so on a prepared
+// polygon TouchesBoundary skips both containment scans of IntersectsSegment
+// and decides identically.
 //
 //vaq:noalloc
 func (q *voronoiQuery) testSegment(from, to geom.Point) bool {
-	if q.boundary != nil {
-		return q.boundary.TouchesBoundary(geom.Seg(from, to))
+	if q.polygon != nil {
+		return q.polygon.TouchesBoundary(geom.Seg(from, to))
 	}
 	return q.region.IntersectsSegment(geom.Seg(from, to))
 }

@@ -5,8 +5,8 @@ import "repro/internal/geom"
 // Region is the query-shape contract the area-query algorithms need: an
 // MBR for the traditional filter, containment for refinement, segment
 // intersection for the published expansion rule, and an interior anchor
-// for the seed. Prepared polygons (PolygonRegion), plain polygons and
-// circles implement it; custom shapes can too.
+// for the seed. Prepared polygons (PolygonRegion) and circles implement it;
+// custom shapes can too. vaq's admission prepares a plain polygon first.
 type Region interface {
 	Bounds() geom.Rect
 	ContainsPoint(geom.Point) bool
@@ -22,16 +22,6 @@ type Region interface {
 // times it.
 type RingViewIntersecter interface {
 	IntersectsRingView(geom.RingView) bool
-}
-
-// BoundaryToucher is optionally implemented by Regions that can test a
-// segment against their boundary alone, without deciding containment. The
-// published expansion rule uses it for its segment tests, all of which
-// start at a point the BFS has just found outside the region; there
-// TouchesBoundary(s) must equal IntersectsSegment(s). Prepared polygons
-// implement it.
-type BoundaryToucher interface {
-	TouchesBoundary(geom.Segment) bool
 }
 
 // PolygonRegion wraps a polygon as a Region with prepared-predicate speed.

@@ -58,16 +58,15 @@ const (
 // the layer's universe, which every flavor refuses before it queries.
 var errWalkEscaped = errors.New("core: the polygon leaves the data layer's universe")
 
-// eachShell is VoronoiBFSStrict on a polygon pg: walk, classify, flood.
-// region is pg itself, or its prepared form, and answers the validations.
-// pg is valid (geom.CheckPolygon): every flavor refuses one that is not.
+// eachShell is VoronoiBFSStrict on a polygon: walk, classify, flood. The
+// polygon is valid (pp.Err() is nil): every flavor refuses one that is not.
 // Locating each ring's first vertex is the query's seed lookup.
-func (e *Engine) eachShell(ctx context.Context, pg geom.Polygon, region Region, s *queryScratch) (Stats, error) {
+func (e *Engine) eachShell(ctx context.Context, pp *geom.PreparedPolygon, s *queryScratch) (Stats, error) {
 	d := e.data
-	if _, err := d.walkShell(ctx, pg, s); err != nil {
+	if _, err := d.walkShell(ctx, pp.Polygon(), s); err != nil {
 		return Stats{}, err
 	}
-	return d.floodShell(ctx, region, s)
+	return d.floodShell(ctx, pp, s)
 }
 
 // insideLeft is +1 when ring r, walked in vertex order, runs
@@ -89,7 +88,7 @@ func insideLeft(r geom.Ring) geom.Orientation {
 // records in s.sides, then floods from its sites inside R.
 //
 //vaq:noalloc
-func (d *MemoryData) floodShell(ctx context.Context, region Region, s *queryScratch) (stats Stats, err error) {
+func (d *MemoryData) floodShell(ctx context.Context, pp *geom.PreparedPolygon, s *queryScratch) (stats Stats, err error) {
 	pts, rings := d.pts, d.rings
 	shell := len(s.queue)
 	for i := 0; i < shell; i++ {
@@ -109,7 +108,7 @@ func (d *MemoryData) floodShell(ctx context.Context, region Region, s *queryScra
 			}
 			stats.RecordsLoaded++
 			stats.Candidates++
-			if !region.ContainsPoint(pos) {
+			if !pp.ContainsPoint(pos) {
 				stats.RedundantValidations++
 				continue
 			}

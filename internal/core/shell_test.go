@@ -198,7 +198,7 @@ func checkSides(t *testing.T, name string, d *MemoryData, pg geom.Polygon) (clas
 			want = append(want, int64(p))
 		}
 	}
-	ids, st, err := query(NewEngine(nil, d), VoronoiBFSStrict, pg)
+	ids, st, err := query(NewEngine(nil, d), VoronoiBFSStrict, PolygonRegion(pg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestWalkOutsideTheUniverseFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	far := geom.MustPolygon([]geom.Point{geom.Pt(0.5, 0.5), geom.Pt(100, 0.5), geom.Pt(100, 0.6)})
-	if _, _, err := query(NewEngine(nil, d), VoronoiBFSStrict, far); !errors.Is(err, errWalkEscaped) {
+	if _, _, err := query(NewEngine(nil, d), VoronoiBFSStrict, PolygonRegion(far)); !errors.Is(err, errWalkEscaped) {
 		t.Fatalf("a ring out to x = 100: err %v, want %v", err, errWalkEscaped)
 	}
 }

@@ -55,15 +55,16 @@ var radixScratches = sync.Pool{New: func() any { return new(radixScratch) }}
 
 // SortIDs sorts ids ascending — the canonical order of every result the
 // query layers return, and the one ordering step they share: the
-// single-engine adapters and the scatter-gather merge all call it. Ids that
-// are dense enough in their own range — an area query's result over
-// spatially ordered ids is — are ordered through a presence bitmap: one bit
-// set per id, the set bits read back in order. Any other input goes to an
-// LSD radix sort over the bits the largest id actually uses, ping-ponging
-// against a pooled buffer; inputs shorter than sortIDsCutoff, or holding a
-// negative id, go to slices.Sort instead. The sizing pass also notices an
-// input that is already ascending and returns at once, so sorting a slice
-// a lower layer has sorted already costs one read of it.
+// scatter-gather kernel's gather calls it, on a region one partition
+// answered and on the merge of several. Ids that are dense enough in their
+// own range — an area query's result over spatially ordered ids is — are
+// ordered through a presence bitmap: one bit set per id, the set bits read
+// back in order. Any other input goes to an LSD radix sort over the bits the
+// largest id actually uses, ping-ponging against a pooled buffer; inputs
+// shorter than sortIDsCutoff, or holding a negative id, go to slices.Sort
+// instead. The sizing pass also notices an input that is already ascending
+// and returns at once, so sorting a slice a lower layer has sorted already
+// costs one read of it.
 func SortIDs(ids []int64) {
 	if len(ids) < sortIDsCutoff {
 		slices.Sort(ids)

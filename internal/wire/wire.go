@@ -190,16 +190,14 @@ type Region struct {
 	R      float64   `json:"r,omitempty"`
 }
 
-// EncodeRegion converts a core.Region into its wire form. Prepared and
-// plain polygons and circles are supported; custom Region implementations
-// (whose geometry the codec cannot see) return an error. Non-finite
-// coordinates are rejected.
+// EncodeRegion converts a core.Region into its wire form: a prepared
+// polygon or a circle, the only shapes vaq's admission lets through; custom
+// Region implementations (whose geometry the codec cannot see) return an
+// error. Non-finite coordinates are rejected.
 func EncodeRegion(r core.Region) (Region, error) {
 	switch src := r.(type) {
 	case *geom.PreparedPolygon:
 		return encodePolygon(src.Polygon())
-	case geom.Polygon:
-		return encodePolygon(src)
 	case geom.Circle:
 		if !finite(src.Center.X, src.Center.Y, src.R) {
 			return Region{}, errNonFinite

@@ -3,6 +3,7 @@ package vaq
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -211,55 +212,57 @@ func (q *querier) begin(p *queryPlan) time.Time {
 	return time.Now()
 }
 
-// admit is the region precondition of Query, QueryAll and Each on every
-// flavor, checked before the kernel is touched. First, a polygon must be
-// one NewPolygon and AddHole would build (geom.CheckPolygon: recorded by
-// Prepare, or run on every query, O(n²), for a plain Polygon); it is asked
-// before the interior point, which a non-finite vertex would panic. Then
-// the region's MBR and interior point must be finite — a seed walk toward
-// NaN stops where it started — the interior point must lie in the MBR, as
-// a custom region's need not, and the MBR inside the universe: the part of
-// an escaping region inside it need not be connected, and a Voronoi
-// expansion from one seed reaches one component. Only a DynamicEngine
-// built over the empty rectangle has no universe; it refuses every insert,
-// so it answers every finite region with ErrNoData. Last, on a
+// admit is the one door to the kernel, on Query, QueryAll and Each of every
+// flavor. It returns the region the kernel runs and whether that is not
+// region: a Polygon or *Polygon comes out prepared, a *Circle as its Circle,
+// anything else as it is. Then, before the kernel is touched, a polygon must
+// be one NewPolygon and AddHole would build (Prepare records CheckPolygon's
+// verdict), checked before the interior point, which a non-finite vertex
+// would panic. Next the region's MBR and interior point must be finite — a
+// seed walk toward NaN stops where it started — the interior point must lie
+// in the MBR, as a custom region's need not, and the MBR inside the
+// universe: the part of an escaping region inside it need not be connected,
+// and a Voronoi expansion from one seed reaches one component. Only a
+// DynamicEngine built over the empty rectangle has no universe; it refuses
+// every insert, so it answers every finite region with ErrNoData. Last, on a
 // RemoteEngine the region must have a wire form (ErrCustomRegion).
-func (q *querier) admit(region Region) error {
-	var invalid error
+func (q *querier) admit(region Region) (admitted Region, changed bool, err error) {
 	switch r := region.(type) {
-	case *geom.PreparedPolygon:
-		invalid = r.Err()
 	case geom.Polygon:
-		invalid = geom.CheckPolygon(r)
+		region, changed = geom.Prepare(r), true
+	case *geom.Polygon:
+		region, changed = geom.Prepare(*r), true
+	case *geom.Circle:
+		region, changed = *r, true
 	}
-	if invalid != nil {
-		return fmt.Errorf("vaq: query polygon: %w", invalid)
+	if pp, ok := region.(*geom.PreparedPolygon); ok && pp.Err() != nil {
+		return nil, false, fmt.Errorf("vaq: query polygon: %w", pp.Err())
 	}
 	mbr, seed := region.Bounds(), region.InteriorPoint()
 	if !finite(mbr.MinX, mbr.MinY, mbr.MaxX, mbr.MaxY, seed.X, seed.Y) {
-		return fmt.Errorf("vaq: query area with bounds %v and interior point %v has a NaN or infinite coordinate: %w", mbr, seed, ErrOutsideUniverse)
+		return nil, false, fmt.Errorf("vaq: query area with bounds %v and interior point %v has a NaN or infinite coordinate: %w", mbr, seed, ErrOutsideUniverse)
 	}
 	if !mbr.ContainsPoint(seed) {
-		return fmt.Errorf("vaq: query area with bounds %v has its interior point %v outside them: %w", mbr, seed, ErrOutsideUniverse)
+		return nil, false, fmt.Errorf("vaq: query area with bounds %v has its interior point %v outside them: %w", mbr, seed, ErrOutsideUniverse)
 	}
 	u := q.k.Bounds()
 	if u.IsEmpty() {
-		return ErrNoData
+		return nil, false, ErrNoData
 	}
 	if !u.ContainsRect(mbr) {
-		return fmt.Errorf("vaq: query area %v exceeds the engine universe %v: %w", mbr, u, ErrOutsideUniverse)
+		return nil, false, fmt.Errorf("vaq: query area %v exceeds the engine universe %v: %w", mbr, u, ErrOutsideUniverse)
 	}
 	if q.flavor == flavorRemote && !hasWireForm(region) {
-		return fmt.Errorf("vaq: a %T has no wire form: %w", region, ErrCustomRegion)
+		return nil, false, fmt.Errorf("vaq: a %T has no wire form: %w", region, ErrCustomRegion)
 	}
-	return nil
+	return region, changed, nil
 }
 
-// hasWireForm reports whether wire.EncodeRegion encodes region: a polygon,
-// plain or prepared, or a circle.
+// hasWireForm reports whether wire.EncodeRegion encodes an admitted region:
+// a prepared polygon or a circle.
 func hasWireForm(region Region) bool {
 	switch region.(type) {
-	case *geom.PreparedPolygon, geom.Polygon, geom.Circle:
+	case *geom.PreparedPolygon, geom.Circle:
 		return true
 	}
 	return false
@@ -305,7 +308,7 @@ func (q *querier) Query(ctx context.Context, region Region, opts ...QueryOpt) ([
 	start := q.begin(&p)
 	var ids []int64
 	var st Stats
-	err := q.admit(region)
+	region, _, err := q.admit(region)
 	if err == nil {
 		ids, st, err = q.k.QueryRegionSpec(ctx, region, p.QuerySpec)
 	}
@@ -329,14 +332,22 @@ func (q *querier) QueryAll(ctx context.Context, regions []Region, opts ...QueryO
 	var out [][]int64
 	var st Stats
 	var err error
+	admitted, copied := regions, false // cloned once admit changes a region
 	for i, region := range regions {
-		if err = q.admit(region); err != nil {
-			err = fmt.Errorf("vaq: batch query %d: %w", i, err)
+		region, changed, aerr := q.admit(region)
+		if aerr != nil {
+			err = fmt.Errorf("vaq: batch query %d: %w", i, aerr)
 			break
+		}
+		if changed {
+			if !copied {
+				admitted, copied = slices.Clone(regions), true
+			}
+			admitted[i] = region
 		}
 	}
 	if err == nil {
-		out, st, err = q.k.QueryRegionsSpec(ctx, regions, p.QuerySpec)
+		out, st, err = q.k.QueryRegionsSpec(ctx, admitted, p.QuerySpec)
 	}
 	q.end(&p, start, len(regions), &st, err)
 	if err != nil {
@@ -353,7 +364,7 @@ func (q *querier) Each(ctx context.Context, region Region, yield func(id int64, 
 	p := resolve(opts)
 	start := q.begin(&p)
 	var st Stats
-	err := q.admit(region)
+	region, _, err := q.admit(region)
 	if err == nil {
 		st, err = q.k.EachRegion(ctx, region, p.QuerySpec, yield)
 	}

@@ -46,10 +46,10 @@
 // other, every method returns the same result set, in ascending id order
 // on every backend — VoronoiBFSStrict on every polygon and every connected
 // region, and the published VoronoiBFS except where the region is thin
-// against the local point spacing (see UsingMethod). Stats expose the work performed
-// (candidates, redundant validations, index node visits, record loads and
-// — with WithStore — page IO). Cancelling ctx aborts the query (or the
-// un-started remainder of a batch) and returns ctx.Err().
+// against the local point spacing (see UsingMethod). Stats expose the work
+// performed (candidates, redundant validations, index node visits and record
+// loads; Engine.IOStats reports WithStore's page IO). Cancelling ctx aborts
+// the query (or the un-started remainder of a batch) and returns ctx.Err().
 //
 // # Concurrency model
 //
@@ -186,17 +186,17 @@ type (
 	Method = core.Method
 	// Stats reports the work one query performed.
 	Stats = core.Stats
-	// Region is a query shape. A Polygon and a Circle are Regions as they
-	// are; PolygonRegion prepares a polygon for repeated tests, and the
-	// strict method walks a polygon's boundary either way. Polygons and
-	// circles can share one QueryAll batch. A custom Region runs on every
-	// local flavor; a RemoteEngine refuses it (ErrCustomRegion).
+	// Region is a query shape. A Polygon, a Circle and pointers to them are
+	// Regions: a query prepares a Polygon or *Polygon as PolygonRegion does
+	// and reads a *Circle through its pointer, so every form gets one answer.
+	// Polygons and circles can share one QueryAll batch. A custom Region runs
+	// on every local flavor; a RemoteEngine refuses it (ErrCustomRegion).
 	Region = core.Region
 )
 
 // PolygonRegion prepares a polygon for (repeated or batched) querying, and
 // checks it once: a query refuses a polygon NewPolygon or AddHole would,
-// with their error, and checks a plain Polygon, O(n²), on every call.
+// with their error; a query on a Polygon or *Polygon prepares it each call.
 func PolygonRegion(pg Polygon) Region { return core.PolygonRegion(pg) }
 
 // CircleRegion returns c as a Region; a Circle is one already.

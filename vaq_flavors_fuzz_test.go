@@ -125,7 +125,8 @@ func decodeFlavorRegion(data []byte, sites []vaq.Point) (region vaq.Region, refu
 // MBR escapes the unit square must be refused by every flavor and method
 // with ErrOutsideUniverse. A polygon NewPolygon refuses is skipped, and a
 // literal one that NewPolygon or AddHole would refuse must be refused by
-// every flavor and method with their error, Count included. A circle also
+// every flavor and method with their error, Count included; a literal is
+// queried by value and by pointer, alike. A circle also
 // runs as half of a disconnected custom region (twoDisks), when its mirror
 // across x = 1/2 misses it.
 // testdata/fuzz/FuzzFlavorsAgree holds sites 1/17 apart on a row and the
@@ -267,43 +268,51 @@ func FuzzFlavorsAgree(f *testing.F) {
 			slices.Sort(got)
 			return got
 		}
+		// A literal is queried by value and by pointer: admission prepares
+		// both, so both get one answer or one refusal.
+		regions := []vaq.Region{region}
+		if lit, isLiteral := region.(vaq.Polygon); isLiteral {
+			regions = append(regions, &lit)
+		}
 		methods := []vaq.Method{vaq.Traditional, vaq.VoronoiBFSStrict, vaq.BruteForce, vaq.VoronoiBFS}
 		for _, fl := range flavors {
 			for _, m := range methods {
-				ids, err := fl.q.Query(ctx, region, vaq.UsingMethod(m))
-				if refused != nil {
-					n, cerr := vaq.Count(ctx, fl.q, region, vaq.UsingMethod(m))
-					if !errors.Is(err, refused) || ids != nil || !errors.Is(cerr, refused) {
-						t.Fatalf("%s/%v: a literal NewPolygon or AddHole refuse with %v: %d ids (err %v), Count %d (err %v); region %v",
-							fl.name, m, refused, len(ids), err, n, cerr, regionBytes)
-					}
-					continue
-				}
-				if escapes {
-					n, cerr := vaq.Count(ctx, fl.q, region, vaq.UsingMethod(m))
-					if !errors.Is(err, vaq.ErrOutsideUniverse) || ids != nil || !errors.Is(cerr, vaq.ErrOutsideUniverse) {
-						t.Fatalf("%s/%v: region with MBR %v beyond the universe: %d ids (err %v), Count %d (err %v); want ErrOutsideUniverse",
-							fl.name, m, region.Bounds(), len(ids), err, n, cerr)
-					}
-					continue
-				}
-				if err != nil {
-					t.Fatalf("%s/%v: %v", fl.name, m, err)
-				}
-				got := sorted(fl, m, ids)
-				if m == vaq.VoronoiBFS {
-					for _, id := range got {
-						if _, found := slices.BinarySearch(want, id); !found {
-							t.Fatalf("%s/%v: site %d %v is outside the region %v", fl.name, m, id, sites[id], regionBytes)
+				for _, region := range regions {
+					ids, err := fl.q.Query(ctx, region, vaq.UsingMethod(m))
+					if refused != nil {
+						n, cerr := vaq.Count(ctx, fl.q, region, vaq.UsingMethod(m))
+						if !errors.Is(err, refused) || ids != nil || !errors.Is(cerr, refused) {
+							t.Fatalf("%s/%v/%T: a literal NewPolygon or AddHole refuse with %v: %d ids (err %v), Count %d (err %v); region %v",
+								fl.name, m, region, refused, len(ids), err, n, cerr, regionBytes)
 						}
+						continue
 					}
-					continue
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s/%v over %d sites: %v, scan %v; region %v", fl.name, m, len(sites), got, want, regionBytes)
-				}
-				if n, err := vaq.Count(ctx, fl.q, region, vaq.UsingMethod(m)); err != nil || n != len(want) {
-					t.Fatalf("%s/%v over %d sites: Count %d (err %v), scan %d; region %v", fl.name, m, len(sites), n, err, len(want), regionBytes)
+					if escapes {
+						n, cerr := vaq.Count(ctx, fl.q, region, vaq.UsingMethod(m))
+						if !errors.Is(err, vaq.ErrOutsideUniverse) || ids != nil || !errors.Is(cerr, vaq.ErrOutsideUniverse) {
+							t.Fatalf("%s/%v/%T: region with MBR %v beyond the universe: %d ids (err %v), Count %d (err %v); want ErrOutsideUniverse",
+								fl.name, m, region, region.Bounds(), len(ids), err, n, cerr)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("%s/%v/%T: %v", fl.name, m, region, err)
+					}
+					got := sorted(fl, m, ids)
+					if m == vaq.VoronoiBFS {
+						for _, id := range got {
+							if _, found := slices.BinarySearch(want, id); !found {
+								t.Fatalf("%s/%v/%T: site %d %v is outside the region %v", fl.name, m, region, id, sites[id], regionBytes)
+							}
+						}
+						continue
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s/%v/%T over %d sites: %v, scan %v; region %v", fl.name, m, region, len(sites), got, want, regionBytes)
+					}
+					if n, err := vaq.Count(ctx, fl.q, region, vaq.UsingMethod(m)); err != nil || n != len(want) {
+						t.Fatalf("%s/%v/%T over %d sites: Count %d (err %v), scan %d; region %v", fl.name, m, region, len(sites), n, err, len(want), regionBytes)
+					}
 				}
 			}
 		}

@@ -350,8 +350,10 @@ func TestNonFiniteRegionIsRefused(t *testing.T) {
 // ring pinched at a vertex and holes that cross the outer ring or nest were
 // answered on a path that validated every boundary site; and a NaN or
 // infinite vertex panicked Prepare and every query on the plain literal.
-// Plain or prepared, each is refused with the error NewPolygon or AddHole
-// returns for it — ErrSelfIntersect, or ErrNonFinite — by Query, QueryAll
+// A literal passed by pointer skipped that check: it ran as a custom region,
+// so the figure-eight was answered there, and the bowtie refused as outside
+// the universe. Plain, by pointer or prepared, each is refused with the
+// error NewPolygon or AddHole returns for it — ErrSelfIntersect, or ErrNonFinite — by Query, QueryAll
 // and Each on every flavor, under every method, with no id and no yield;
 // the remote flavor sends no request and counts no dropped call.
 func TestNonSimpleLiteralsAreRefused(t *testing.T) {
@@ -395,7 +397,7 @@ func TestNonSimpleLiteralsAreRefused(t *testing.T) {
 	for _, f := range everyFlavor(t, pts, vaq.UnitSquare()) {
 		re, _ := f.q.(*vaq.RemoteEngine)
 		for lname, lit := range literals {
-			for form, region := range map[string]vaq.Region{"plain": lit.pg, "prepared": vaq.PolygonRegion(lit.pg)} {
+			for form, region := range map[string]vaq.Region{"plain": lit.pg, "pointer": &lit.pg, "prepared": vaq.PolygonRegion(lit.pg)} {
 				for _, m := range []vaq.Method{vaq.VoronoiBFS, vaq.VoronoiBFSStrict, vaq.Traditional, vaq.BruteForce} {
 					name := fmt.Sprintf("%s, %s %s, %v", f.name, form, lname, m)
 					var requests int64
@@ -469,82 +471,59 @@ func TestCircleMembershipHasOneDefinition(t *testing.T) {
 }
 
 // TestPlainShapesAreRegions: a Polygon and a Circle are Regions as they are,
-// so every flavor answers them exactly as it answers PolygonRegion and
-// CircleRegion, under every method and in a mixed batch — the remote flavor
-// included, whose codec once refused both as having no wire encoding and
-// counted each refusal as a failed backend call. Their Stats equal the
-// wrapped shapes' under every method, on one engine and on shards: the
-// strict method traces a plain polygon's boundary, as it does
-// PolygonRegion's, and runs the segment rule on a plain circle, with no
-// cell test on either.
+// and so are pointers to them: admission prepares a polygon, by value or by
+// pointer, and reads a circle through its pointer, so every flavor answers
+// all four exactly as it answers PolygonRegion and CircleRegion — the same
+// ids and the same Stats, under every method, alone and in a mixed batch.
+// The remote flavor's codec once refused the plain shapes as having no wire
+// encoding, and later the pointers as custom regions; a *Polygon once ran
+// as a custom region everywhere, whose strict rule tests cells. The strict
+// method traces a polygon's boundary and runs the segment rule on a circle,
+// with no cell test on either.
 func TestPlainShapesAreRegions(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	pts := vaq.UniformPoints(rng, 2000, vaq.UnitSquare())
 	circle := vaq.NewCircle(vaq.Pt(0.45, 0.55), 0.1)
 	polygon := vaq.RandomQueryPolygon(rng, 10, 0.05, vaq.UnitSquare())
-	plain := []vaq.Region{circle, polygon}
-	wrapped := []vaq.Region{vaq.CircleRegion(circle), vaq.PolygonRegion(polygon)}
+	plain := []vaq.Region{circle, polygon, &circle, &polygon}
+	wrapped := []vaq.Region{vaq.CircleRegion(circle), vaq.PolygonRegion(polygon), vaq.CircleRegion(circle), vaq.PolygonRegion(polygon)}
 	ctx := context.Background()
 
 	for _, f := range everyFlavor(t, pts, vaq.UnitSquare()) {
 		for _, m := range []vaq.Method{vaq.Traditional, vaq.VoronoiBFS, vaq.VoronoiBFSStrict, vaq.BruteForce} {
 			for i := range plain {
-				want, err := f.q.Query(ctx, wrapped[i], vaq.UsingMethod(m))
+				var stPlain, stWrapped vaq.Stats
+				want, err := f.q.Query(ctx, wrapped[i], vaq.UsingMethod(m), vaq.WithStatsInto(&stWrapped))
 				if err != nil {
 					t.Fatalf("%s/%v: wrapped %T: %v", f.name, m, plain[i], err)
 				}
-				got, err := f.q.Query(ctx, plain[i], vaq.UsingMethod(m))
+				got, err := f.q.Query(ctx, plain[i], vaq.UsingMethod(m), vaq.WithStatsInto(&stPlain))
 				if err != nil {
 					t.Fatalf("%s/%v: plain %T: %v", f.name, m, plain[i], err)
 				}
 				if len(want) == 0 || !slices.Equal(got, want) {
 					t.Errorf("%s/%v: plain %T answers %d ids, wrapped %d", f.name, m, plain[i], len(got), len(want))
 				}
+				segmentRule := i%2 == 0 && m == vaq.VoronoiBFSStrict // a circle
+				if stPlain.CellTests != 0 || stPlain != stWrapped || segmentRule && stPlain.SegmentTests == 0 {
+					t.Errorf("%s/%v: plain %T %+v, wrapped %+v", f.name, m, plain[i], stPlain, stWrapped)
+				}
 			}
-			want, err := f.q.QueryAll(ctx, wrapped, vaq.UsingMethod(m))
+			var stPlain, stWrapped vaq.Stats
+			want, err := f.q.QueryAll(ctx, wrapped, vaq.UsingMethod(m), vaq.WithStatsInto(&stWrapped))
 			if err != nil {
 				t.Fatalf("%s/%v: wrapped batch: %v", f.name, m, err)
 			}
-			got, err := f.q.QueryAll(ctx, plain, vaq.UsingMethod(m))
+			got, err := f.q.QueryAll(ctx, plain, vaq.UsingMethod(m), vaq.WithStatsInto(&stPlain))
 			if err != nil {
 				t.Fatalf("%s/%v: plain batch: %v", f.name, m, err)
 			}
-			if !slices.EqualFunc(got, want, slices.Equal[[]int64]) {
-				t.Errorf("%s/%v: the plain batch diverges from the wrapped one", f.name, m)
+			if !slices.EqualFunc(got, want, slices.Equal[[]int64]) || stPlain != stWrapped {
+				t.Errorf("%s/%v: the plain batch (%+v) diverges from the wrapped one (%+v)", f.name, m, stPlain, stWrapped)
 			}
 		}
 		if re, ok := f.q.(*vaq.RemoteEngine); ok && re.Dropped() != 0 {
 			t.Errorf("%s: %d backend calls failed", f.name, re.Dropped())
-		}
-	}
-
-	// The work is the same too, under every method: strict traces a plain
-	// polygon's boundary as it does PolygonRegion's, and runs the segment rule
-	// on a plain circle, with no cell test on either — on one engine and on
-	// shards, where VoronoiBFS runs as strict.
-	eng, err := vaq.NewEngine(pts, vaq.UnitSquare())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := vaq.NewShardedEngine(pts, vaq.UnitSquare(), vaq.WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, q := range map[string]vaq.Querier{"static": eng, "sharded": sharded} {
-		for _, m := range []vaq.Method{vaq.Traditional, vaq.VoronoiBFS, vaq.VoronoiBFSStrict, vaq.BruteForce} {
-			for i := range plain {
-				var stPlain, stWrapped vaq.Stats
-				if _, err := q.Query(ctx, plain[i], vaq.UsingMethod(m), vaq.WithStatsInto(&stPlain)); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := q.Query(ctx, wrapped[i], vaq.UsingMethod(m), vaq.WithStatsInto(&stWrapped)); err != nil {
-					t.Fatal(err)
-				}
-				segmentRule := i == 0 && m == vaq.VoronoiBFSStrict
-				if stPlain.CellTests != 0 || stPlain != stWrapped || segmentRule && stPlain.SegmentTests == 0 {
-					t.Errorf("%s/%v: plain %T %+v, wrapped %+v", name, m, plain[i], stPlain, stWrapped)
-				}
-			}
 		}
 	}
 }
